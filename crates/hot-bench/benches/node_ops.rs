@@ -45,16 +45,20 @@ fn bench_search(c: &mut Criterion) {
         *k = (i as u8).wrapping_mul(37) & 0x1F;
     }
     pkeys8[0] = 0;
-    group.bench_function("simd_u8_32", |b| {
-        // SAFETY: `pkeys8` is a 32-byte array, matching the count passed.
-        b.iter(|| unsafe {
-            let mut acc = 0usize;
-            for dense in 0..64u8 {
-                acc += hot_bits::search_subset_u8(black_box(pkeys8.as_ptr()), 32, dense);
-            }
-            acc
-        })
-    });
+    #[cfg(target_arch = "x86_64")]
+    if let Some(k) = hot_bits::Avx2::detect() {
+        use hot_bits::Kernel;
+        group.bench_function("simd_u8_32", |b| {
+            // SAFETY: `pkeys8` is a 32-byte array, matching the count passed.
+            b.iter(|| unsafe {
+                let mut acc = 0usize;
+                for dense in 0..64u32 {
+                    acc += k.search_subset::<1>(black_box(pkeys8.as_ptr()), 32, dense);
+                }
+                acc
+            })
+        });
+    }
     group.bench_function("scalar_u8_32", |b| {
         b.iter(|| {
             let mut acc = 0usize;

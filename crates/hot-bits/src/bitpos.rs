@@ -29,23 +29,29 @@ pub fn bit_at(key: &[u8], pos: usize) -> u8 {
 #[inline]
 pub fn first_mismatch_bit(a: &[u8], b: &[u8]) -> Option<usize> {
     let common = a.len().min(b.len());
-    for i in 0..common {
-        let diff = a[i] ^ b[i];
+    // The common prefix, eight bytes per compare: in a big-endian word the
+    // first differing key bit is the most significant set bit of the xor.
+    let mut words_a = a[..common].chunks_exact(8);
+    let mut words_b = b[..common].chunks_exact(8);
+    for (i, (wa, wb)) in words_a.by_ref().zip(words_b.by_ref()).enumerate() {
+        let wa = u64::from_be_bytes(wa.try_into().expect("8-byte chunk"));
+        let wb = u64::from_be_bytes(wb.try_into().expect("8-byte chunk"));
+        let diff = wa ^ wb;
         if diff != 0 {
-            return Some(i * 8 + diff.leading_zeros() as usize);
+            return Some(i * 64 + diff.leading_zeros() as usize);
         }
     }
-    let (longer, start) = if a.len() > b.len() {
-        (a, common)
-    } else {
-        (b, common)
-    };
-    for (i, &byte) in longer.iter().enumerate().skip(start) {
-        if byte != 0 {
-            return Some(i * 8 + byte.leading_zeros() as usize);
+    let tail = common - words_a.remainder().len();
+    for (i, (x, y)) in words_a.remainder().iter().zip(words_b.remainder()).enumerate() {
+        let diff = x ^ y;
+        if diff != 0 {
+            return Some((tail + i) * 8 + diff.leading_zeros() as usize);
         }
     }
-    None
+    // Past the shorter key the longer one is compared against zero padding.
+    let longer = if a.len() > b.len() { a } else { b };
+    let i = common + longer[common..].iter().position(|&byte| byte != 0)?;
+    Some(i * 8 + longer[i].leading_zeros() as usize)
 }
 
 /// Load 8 bytes of `key` starting at byte `offset` as a **big-endian** 64-bit

@@ -1,10 +1,12 @@
 //! Runtime CPU feature detection, cached process-wide.
 //!
-//! The hot paths dispatch between hardware-accelerated (BMI2 `PEXT`/`PDEP`,
-//! AVX2 comparisons) and portable scalar implementations. Detection runs once
-//! and is cached in a static, so the per-call cost is a single predictable
-//! load-and-branch.
+//! Detection runs once and is cached in a static. The descent loops read
+//! it **once per call** through [`Features::isa`] and run a body compiled
+//! for that instruction set (see [`crate::isa`]); the cold per-primitive
+//! wrappers ([`crate::pext64`], [`crate::pdep64`], the `match_prefix_*`
+//! family) read it per call, where a predictable load-and-branch is noise.
 
+use crate::isa::{Isa, Portable};
 use std::sync::OnceLock;
 
 /// Detected CPU features relevant to the HOT node primitives.
@@ -14,6 +16,10 @@ pub struct Features {
     pub bmi2: bool,
     /// AVX2 256-bit integer SIMD is available.
     pub avx2: bool,
+    /// The descent kernel these features select. Private so a `Features`
+    /// value — and with it the [`Avx2`](crate::isa::Avx2) token — can only
+    /// come out of detection.
+    isa: Isa,
 }
 
 impl Features {
@@ -21,7 +27,15 @@ impl Features {
     pub const SCALAR_ONLY: Features = Features {
         bmi2: false,
         avx2: false,
+        isa: Isa::Portable(Portable),
     };
+
+    /// The instruction set the descent kernels run on: the one ISA
+    /// dispatch of a descent call.
+    #[inline]
+    pub fn isa(self) -> Isa {
+        self.isa
+    }
 }
 
 static FEATURES: OnceLock<Features> = OnceLock::new();
@@ -45,6 +59,7 @@ fn detect() -> Features {
         Features {
             bmi2: std::arch::is_x86_feature_detected!("bmi2"),
             avx2: std::arch::is_x86_feature_detected!("avx2"),
+            isa: crate::isa::Avx2::detect().map_or(Isa::Portable(Portable), Isa::Avx2),
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
@@ -71,6 +86,8 @@ mod tests {
             let f = features();
             assert_eq!(f.bmi2, std::arch::is_x86_feature_detected!("bmi2"));
             assert_eq!(f.avx2, std::arch::is_x86_feature_detected!("avx2"));
+            // The kernel needs both, so it implies both.
+            assert!(matches!(f.isa(), Isa::Portable(_)) || (f.bmi2 && f.avx2));
         }
     }
 }

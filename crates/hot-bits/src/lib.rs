@@ -13,7 +13,9 @@
 //!   indices*;
 //! * [`search`] — the data-parallel "find the highest-index sparse partial
 //!   key that is a subset of the dense search key" primitive for 8-, 16- and
-//!   32-bit partial keys (AVX2 with scalar fallback).
+//!   32-bit partial keys (AVX2 with scalar fallback);
+//! * [`isa`] — the [`Kernel`] a descent loop is instantiated over, chosen
+//!   once per call from the detected [`Features`].
 //!
 //! # Bit-order convention
 //!
@@ -37,16 +39,17 @@
 
 pub mod bitpos;
 pub mod features;
+pub mod isa;
 pub mod pext;
 pub mod search;
 
 pub use bitpos::{bit_at, first_mismatch_bit, load_be_u64};
 pub use features::{features, Features};
+#[cfg(target_arch = "x86_64")]
+pub use isa::Avx2;
+pub use isa::{Isa, Kernel, Portable};
 pub use pext::{pdep64, pext64};
-pub use search::{
-    match_prefix_u16, match_prefix_u32, match_prefix_u8, search_subset_u16, search_subset_u32,
-    search_subset_u8,
-};
+pub use search::{match_prefix_u16, match_prefix_u32, match_prefix_u8};
 
 /// Prefetch the cache line containing `ptr` (and the following ones) into all
 /// cache levels.

@@ -43,8 +43,9 @@ pub fn pdep64_scalar(mut x: u64, mut mask: u64) -> u64 {
 /// # Safety
 /// Caller must have verified BMI2 support (`is_x86_feature_detected!`).
 #[cfg(target_arch = "x86_64")]
+#[inline]
 #[target_feature(enable = "bmi2")]
-unsafe fn pext64_bmi2(x: u64, mask: u64) -> u64 {
+pub(crate) unsafe fn pext64_bmi2(x: u64, mask: u64) -> u64 {
     core::arch::x86_64::_pext_u64(x, mask)
 }
 
@@ -57,7 +58,8 @@ unsafe fn pdep64_bmi2(x: u64, mask: u64) -> u64 {
 }
 
 /// Parallel bit extract. Uses the BMI2 `PEXT` instruction when available,
-/// otherwise the portable scalar equivalent.
+/// otherwise the portable scalar equivalent. For node-rebuild code; the
+/// descent extracts through its [`Kernel`](crate::Kernel) instead.
 #[inline]
 pub fn pext64(x: u64, mask: u64) -> u64 {
     #[cfg(target_arch = "x86_64")]

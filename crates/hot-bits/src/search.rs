@@ -9,7 +9,10 @@
 //!
 //! The AVX2 implementations mirror the paper's `searchPartialKeys*`
 //! primitives: one `VPAND` + `VPCMPEQ` + `VPMOVMSKB` sequence per 256-bit
-//! chunk, followed by a bit-scan-reverse over the used-entry mask.
+//! chunk, followed by a bit-scan-reverse over the used-entry mask. The
+//! descent reaches them through [`Kernel::search_subset`](crate::Kernel),
+//! chosen once per call; the portable `*_scalar` functions are the other
+//! kernel and the reference the tests compare against.
 //!
 //! # Safety contract for the raw-pointer entry points
 //!
@@ -112,11 +115,12 @@ pub fn match_prefix_u32_scalar(pkeys: &[u32], n: usize, mask: u32, prefix: u32) 
 }
 
 #[cfg(target_arch = "x86_64")]
-mod avx2 {
+pub(crate) mod avx2 {
     use core::arch::x86_64::*;
 
     /// # Safety
     /// AVX2 must be available and 32 bytes must be readable from `pkeys`.
+    #[inline]
     #[target_feature(enable = "avx2")]
     pub unsafe fn search_u8(pkeys: *const u8, n: usize, dense: u8) -> usize {
         // SAFETY: caller guarantees 32 readable bytes; loadu has no
@@ -126,15 +130,14 @@ mod avx2 {
         let selected = _mm256_and_si256(v, d);
         let eq = _mm256_cmpeq_epi8(selected, v);
         let mm = _mm256_movemask_epi8(eq) as u32;
-        let matches = mm & super::used_mask(n);
-        if matches == 0 {
-            return 0;
-        }
+        // Bit 0 stands in for "no match": both answer entry 0.
+        let matches = (mm & super::used_mask(n)) | 1;
         31 - matches.leading_zeros() as usize
     }
 
     /// # Safety
     /// AVX2 must be available and 64 bytes must be readable from `pkeys`.
+    #[inline]
     #[target_feature(enable = "avx2")]
     pub unsafe fn search_u16(pkeys: *const u16, n: usize, dense: u16) -> usize {
         let d = _mm256_set1_epi16(dense as i16);
@@ -153,15 +156,13 @@ mod avx2 {
         } else {
             (1u64 << (2 * n)) - 1
         };
-        let matches = mm & used;
-        if matches == 0 {
-            return 0;
-        }
+        let matches = (mm & used) | 1;
         (63 - matches.leading_zeros() as usize) / 2
     }
 
     /// # Safety
     /// AVX2 must be available and 128 bytes must be readable from `pkeys`.
+    #[inline]
     #[target_feature(enable = "avx2")]
     pub unsafe fn search_u32(pkeys: *const u32, n: usize, dense: u32) -> usize {
         let d = _mm256_set1_epi32(dense as i32);
@@ -174,10 +175,7 @@ mod avx2 {
             let mm = _mm256_movemask_ps(_mm256_castsi256_ps(eq)) as u32;
             matches |= mm << (chunk * 8);
         }
-        matches &= super::used_mask(n);
-        if matches == 0 {
-            return 0;
-        }
+        matches = (matches & super::used_mask(n)) | 1;
         31 - matches.leading_zeros() as usize
     }
 
@@ -233,63 +231,6 @@ mod avx2 {
         }
         matches & super::used_mask(n)
     }
-}
-
-/// Search 8-bit sparse partial keys for the highest-index subset match.
-///
-/// # Safety
-/// `n` must be in `1..=32` and [`PADDED_BYTES_U8`] bytes must be readable
-/// from `pkeys`.
-#[inline]
-pub unsafe fn search_subset_u8(pkeys: *const u8, n: usize, dense: u8) -> usize {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if crate::features().avx2 {
-            // SAFETY: AVX2 verified at runtime; the caller's readable-bytes
-            // contract ([`PADDED_BYTES_U8`]) covers the vector loads.
-            return unsafe { avx2::search_u8(pkeys, n, dense) };
-        }
-    }
-    // SAFETY: caller guarantees at least `n` elements are readable.
-    search_subset_u8_scalar(unsafe { core::slice::from_raw_parts(pkeys, n) }, n, dense)
-}
-
-/// Search 16-bit sparse partial keys for the highest-index subset match.
-///
-/// # Safety
-/// `n` must be in `1..=32` and [`PADDED_BYTES_U16`] bytes must be readable
-/// from `pkeys`. `pkeys` must be 2-byte aligned.
-#[inline]
-pub unsafe fn search_subset_u16(pkeys: *const u16, n: usize, dense: u16) -> usize {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if crate::features().avx2 {
-            // SAFETY: AVX2 verified at runtime; the caller's readable-bytes
-            // contract ([`PADDED_BYTES_U16`]) covers the vector loads.
-            return unsafe { avx2::search_u16(pkeys, n, dense) };
-        }
-    }
-    // SAFETY: caller guarantees at least `n` elements are readable.
-    search_subset_u16_scalar(unsafe { core::slice::from_raw_parts(pkeys, n) }, n, dense)
-}
-
-/// Search 32-bit sparse partial keys for the highest-index subset match.
-///
-/// # Safety
-/// `n` must be in `1..=32` and [`PADDED_BYTES_U32`] bytes must be readable
-/// from `pkeys`. `pkeys` must be 4-byte aligned.
-#[inline]
-pub unsafe fn search_subset_u32(pkeys: *const u32, n: usize, dense: u32) -> usize {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if crate::features().avx2 {
-            // SAFETY: AVX2 verified at runtime; the caller's readable-bytes
-            // contract ([`PADDED_BYTES_U32`]) covers the vector loads.
-            return unsafe { avx2::search_u32(pkeys, n, dense) };
-        }
-    }
-    // SAFETY: caller guarantees at least `n` elements are readable.
-    search_subset_u32_scalar(unsafe { core::slice::from_raw_parts(pkeys, n) }, n, dense)
 }
 
 /// Bitmask of the 8-bit sparse partial keys equal to `prefix` under `mask`
@@ -376,33 +317,41 @@ mod tests {
         buf
     }
 
+    /// Search under the portable kernel and, where the CPU has it, the
+    /// AVX2 kernel; they must agree.
+    fn search<const WIDTH: usize>(pkeys: *const u8, n: usize, dense: u32) -> usize {
+        use crate::Kernel;
+        // SAFETY: every caller passes a 32-entry array of `WIDTH`-byte
+        // keys — the full SIMD padding — and `n <= 32`.
+        let portable = unsafe { crate::Portable.search_subset::<WIDTH>(pkeys, n, dense) };
+        #[cfg(target_arch = "x86_64")]
+        if let Some(k) = crate::Avx2::detect() {
+            // SAFETY: as above.
+            let simd = unsafe { k.search_subset::<WIDTH>(pkeys, n, dense) };
+            assert_eq!(simd, portable, "width {WIDTH} n {n} dense {dense:#x}");
+        }
+        portable
+    }
+
     #[test]
     fn first_entry_always_matches() {
         // Entry 0 has sparse key 0 in real nodes; an all-ones dense key must
         // pick the highest entry, an all-zeros dense key entry 0.
         let pkeys = padded_u8(&[0, 1, 2, 3]);
-        // SAFETY: the padded arrays are 32 entries, the layout the SIMD
-        // searchers require; `n` never exceeds the live prefix.
-        unsafe {
-            assert_eq!(search_subset_u8(pkeys.as_ptr(), 4, 0xFF), 3);
-            assert_eq!(search_subset_u8(pkeys.as_ptr(), 4, 0x00), 0);
-        }
+        assert_eq!(search::<1>(pkeys.as_ptr(), 4, 0xFF), 3);
+        assert_eq!(search::<1>(pkeys.as_ptr(), 4, 0x00), 0);
     }
 
     #[test]
     fn subset_semantics_u8() {
         // sparse: 0b000, 0b001, 0b010, 0b110
         let pkeys = padded_u8(&[0b000, 0b001, 0b010, 0b110]);
-        // SAFETY: the padded arrays are 32 entries, the layout the SIMD
-        // searchers require; `n` never exceeds the live prefix.
-        unsafe {
-            // dense 0b011 matches 0b000, 0b001, 0b010 -> highest is index 2
-            assert_eq!(search_subset_u8(pkeys.as_ptr(), 4, 0b011), 2);
-            // dense 0b111 matches all -> 3
-            assert_eq!(search_subset_u8(pkeys.as_ptr(), 4, 0b111), 3);
-            // dense 0b100 matches only 0b000 -> 0
-            assert_eq!(search_subset_u8(pkeys.as_ptr(), 4, 0b100), 0);
-        }
+        // dense 0b011 matches 0b000, 0b001, 0b010 -> highest is index 2
+        assert_eq!(search::<1>(pkeys.as_ptr(), 4, 0b011), 2);
+        // dense 0b111 matches all -> 3
+        assert_eq!(search::<1>(pkeys.as_ptr(), 4, 0b111), 3);
+        // dense 0b100 matches only 0b000 -> 0
+        assert_eq!(search::<1>(pkeys.as_ptr(), 4, 0b100), 0);
     }
 
     #[test]
@@ -410,11 +359,19 @@ mod tests {
         // Garbage in the padding area (0xAA = matches dense 0xAA) must never
         // be selected because it is past `n`.
         let pkeys = padded_u8(&[0x00, 0x02]);
-        // SAFETY: the padded arrays are 32 entries, the layout the SIMD
-        // searchers require; `n` never exceeds the live prefix.
-        unsafe {
-            assert_eq!(search_subset_u8(pkeys.as_ptr(), 2, 0xAA), 1);
-        }
+        assert_eq!(search::<1>(pkeys.as_ptr(), 2, 0xAA), 1);
+    }
+
+    #[test]
+    fn no_match_answers_entry_zero() {
+        // Real nodes always match at entry 0 (its sparse key is 0); a
+        // malformed one must still answer in range, identically per kernel.
+        let pkeys = padded_u8(&[0x01, 0x02]);
+        assert_eq!(search::<1>(pkeys.as_ptr(), 2, 0x00), 0);
+        let pkeys = padded_u16(&[0x0100, 0x0200]);
+        assert_eq!(search::<2>(pkeys.as_ptr() as *const u8, 2, 0x00), 0);
+        let pkeys = padded_u32(&[0x01_0000, 0x02_0000]);
+        assert_eq!(search::<4>(pkeys.as_ptr() as *const u8, 2, 0x00), 0);
     }
 
     #[test]
@@ -423,13 +380,9 @@ mod tests {
         for (i, slot) in raw.iter_mut().enumerate() {
             *slot = i as u8; // sparse key i for entry i
         }
-        // SAFETY: the padded arrays are 32 entries, the layout the SIMD
-        // searchers require; `n` never exceeds the live prefix.
-        unsafe {
-            assert_eq!(search_subset_u8(raw.as_ptr(), 32, 0xFF), 31);
-            assert_eq!(search_subset_u8(raw.as_ptr(), 32, 0x1F), 31);
-            assert_eq!(search_subset_u8(raw.as_ptr(), 32, 0x10), 16);
-        }
+        assert_eq!(search::<1>(raw.as_ptr(), 32, 0xFF), 31);
+        assert_eq!(search::<1>(raw.as_ptr(), 32, 0x1F), 31);
+        assert_eq!(search::<1>(raw.as_ptr(), 32, 0x10), 16);
     }
 
     #[test]
@@ -498,18 +451,14 @@ mod tests {
         let pkeys16 = padded_u16(&[0, 0x0001, 0x0100, 0x0101, 0x8000]);
         let pkeys32 = padded_u32(&[0, 0x1, 0x0001_0000, 0x0001_0001, 0x8000_0000]);
         for dense in [0u32, 1, 0x0101, 0x8000, 0xFFFF, 0x0001_0001, 0xFFFF_FFFF] {
-            // SAFETY: the padded arrays are 32 entries, the layout the SIMD
-            // searchers require; `n` never exceeds the live prefix.
-            unsafe {
-                assert_eq!(
-                    search_subset_u16(pkeys16.as_ptr(), 5, dense as u16),
-                    search_subset_u16_scalar(&pkeys16, 5, dense as u16),
-                );
-                assert_eq!(
-                    search_subset_u32(pkeys32.as_ptr(), 5, dense),
-                    search_subset_u32_scalar(&pkeys32, 5, dense),
-                );
-            }
+            assert_eq!(
+                search::<2>(pkeys16.as_ptr() as *const u8, 5, dense),
+                search_subset_u16_scalar(&pkeys16, 5, dense as u16),
+            );
+            assert_eq!(
+                search::<4>(pkeys32.as_ptr() as *const u8, 5, dense),
+                search_subset_u32_scalar(&pkeys32, 5, dense),
+            );
         }
     }
 }

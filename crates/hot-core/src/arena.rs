@@ -72,7 +72,8 @@ use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicUsize, Ordering};
 
 use crate::bulk::BulkLoadError;
 use crate::node::builder::Builder;
-use crate::node::{geometry_compact, NodeTag, RawNode, MAX_FANOUT};
+use crate::node::{geometry_compact, CompactSlot, NodeTag, RawNode, Slot, MAX_FANOUT};
+use hot_bits::{Isa, Kernel};
 use hot_keys::stats::MemoryStats;
 use hot_keys::{DepthStats, PaddedKey, MAX_KEY_LEN, MAX_TID};
 
@@ -887,17 +888,57 @@ impl CompactInner {
         self.nodes.free(r.units(), bytes);
     }
 
-    /// Point lookup (the compact Listing 2): tag dispatch from the offset
-    /// word overlaps the node-body prefetch, and the final verify reads the
-    /// inline record the last descent hop already pulled toward the cache.
-    pub(crate) fn get_padded(&self, key: &PaddedKey, buf: &mut [u8; MAX_KEY_LEN]) -> Option<u64> {
-        let mut cur = self.load_root();
+    /// Walk from `root` to the terminal word `key` leads to, pushing each
+    /// hop's `(node, taken entry)` onto `path` when one is given — the
+    /// compact twin of [`crate::node::descend`], and like it the one ISA
+    /// dispatch of a scalar lookup, a mutation seek or a scan seek.
+    fn descend(&self, root: CRef, key: &PaddedKey, path: Option<&mut Vec<(CRef, usize)>>) -> CRef {
+        match hot_bits::features().isa() {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the token proves detection found every enabled feature.
+            Isa::Avx2(k) => unsafe { self.descend_avx2(k, root, key, path) },
+            Isa::Portable(k) => self.descend_on(k, root, key, path),
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,bmi1,bmi2,lzcnt,popcnt")]
+    fn descend_avx2(
+        &self,
+        k: hot_bits::Avx2,
+        root: CRef,
+        key: &PaddedKey,
+        path: Option<&mut Vec<(CRef, usize)>>,
+    ) -> CRef {
+        self.descend_on(k, root, key, path)
+    }
+
+    #[inline(always)]
+    fn descend_on<K: Kernel>(
+        &self,
+        k: K,
+        root: CRef,
+        key: &PaddedKey,
+        mut path: Option<&mut Vec<(CRef, usize)>>,
+    ) -> CRef {
+        let mut cur = root;
         while cur.is_node() {
             let raw = self.raw(cur);
+            // Tag dispatch from the offset word overlaps the body prefetch.
             hot_bits::prefetch_node(raw.base, PREFETCH_LINES);
-            let idx = raw.search(raw.extract_dense(key.padded()));
-            cur = CRef(raw.cvalue(idx));
+            let (idx, next) = raw.find_candidate::<K, CompactSlot>(k, key.padded());
+            if let Some(path) = path.as_deref_mut() {
+                path.push((cur, idx));
+            }
+            cur = CRef(next);
         }
+        cur
+    }
+
+    /// Point lookup (the compact Listing 2): the final verify reads the
+    /// inline record behind the terminal offset word.
+    pub(crate) fn get_padded(&self, key: &PaddedKey, buf: &mut [u8; MAX_KEY_LEN]) -> Option<u64> {
+        let cur = self.descend(self.load_root(), key, None);
         if cur.is_null() {
             return None;
         }
@@ -934,13 +975,7 @@ impl CompactInner {
 
         // Descend to the candidate leaf, recording the path.
         s.stack.clear();
-        let mut cur = root;
-        while cur.is_node() {
-            let raw = self.raw(cur);
-            let idx = raw.search(raw.extract_dense(key.padded()));
-            s.stack.push((cur, idx));
-            cur = CRef(raw.cvalue(idx));
-        }
+        let cur = self.descend(root, key, Some(&mut s.stack));
         let old_off = cur.leaf_off();
         let mut stored_buf = [0u8; MAX_KEY_LEN];
         let stored_len = self.leaves.load_key_into(old_off, &mut stored_buf);
@@ -1136,13 +1171,7 @@ impl CompactInner {
             return Ok(None);
         }
         s.stack.clear();
-        let mut cur = root;
-        while cur.is_node() {
-            let raw = self.raw(cur);
-            let idx = raw.search(raw.extract_dense(key.padded()));
-            s.stack.push((cur, idx));
-            cur = CRef(raw.cvalue(idx));
-        }
+        let cur = self.descend(root, key, Some(&mut s.stack));
         let off = cur.leaf_off();
         let mut stored_buf = [0u8; MAX_KEY_LEN];
         if !self.leaves.equals_key(off, key.bytes(), &mut stored_buf) {
@@ -1397,13 +1426,7 @@ impl CompactInner {
         }
 
         let mut path: Vec<(CRef, usize)> = Vec::new();
-        let mut cur = root;
-        while cur.is_node() {
-            let raw = self.raw(cur);
-            let idx = raw.search(raw.extract_dense(padded.padded()));
-            path.push((cur, idx));
-            cur = CRef(raw.cvalue(idx));
-        }
+        let cur = self.descend(root, &padded, Some(&mut path));
         let mut buf = [0u8; MAX_KEY_LEN];
         let len = self.leaves.load_key_into(cur.leaf_off(), &mut buf);
         match hot_bits::first_mismatch_bit(&buf[..len], padded.bytes()) {
@@ -1462,9 +1485,8 @@ impl CompactScanCursor {
     }
 
     /// Run one scan, appending up to `limit` TIDs (keys `>= key`,
-    /// ascending) to `out`. Seek hops prefetch the next node or the inline
-    /// leaf record through its offset; the drain prefetches child and
-    /// sibling subtrees exactly like the heap scan.
+    /// ascending) to `out`. The drain prefetches child and sibling
+    /// subtrees exactly like the heap scan.
     pub(crate) fn scan_root(
         &mut self,
         inner: &CompactInner,
@@ -1489,19 +1511,7 @@ impl CompactScanCursor {
         }
         self.key.set(key);
         self.path.clear();
-        let mut cur = root;
-        while cur.is_node() {
-            let raw = inner.raw(cur);
-            let idx = raw.search(raw.extract_dense(self.key.padded()));
-            let next = CRef(raw.cvalue(idx));
-            if next.is_node() {
-                hot_bits::prefetch_node(inner.raw(next).base, PREFETCH_LINES);
-            } else if next.is_leaf() {
-                inner.leaves.prefetch(next.leaf_off());
-            }
-            self.path.push((cur, idx));
-            cur = next;
-        }
+        let cur = inner.descend(root, &self.key, Some(&mut self.path));
         let limit = limit.saturating_add(out.len());
         position_frames(inner, &self.key, &self.path, cur, &mut self.frames, out);
         drain_frames(inner, &mut self.frames, limit, out);
@@ -1563,29 +1573,38 @@ fn drain_frames(
     out: &mut Vec<u64>,
 ) {
     while out.len() < limit {
-        let Some(&(node, idx)) = frames.last() else {
+        let Some(frame) = frames.last_mut() else {
             break;
         };
-        let raw = inner.raw(node);
-        if idx >= raw.count() {
-            frames.pop();
-            continue;
+        // The value section is located once per frame visit, as in the
+        // heap drain.
+        let raw = inner.raw(frame.0);
+        let (count, values) = (raw.count(), raw.cvalues_ptr() as *const u8);
+        let mut child = CRef::NULL;
+        while frame.1 < count && out.len() < limit && !child.is_node() {
+            // SAFETY: slot `frame.1 < count` of a live compact node.
+            let value = CRef(unsafe { CompactSlot::load(values, frame.1) });
+            frame.1 += 1;
+            if value.is_leaf() {
+                out.push(inner.leaves.tid_at(value.leaf_off()));
+            } else {
+                child = value;
+            }
         }
-        frames.last_mut().expect("non-empty").1 += 1;
-        let value = CRef(raw.cvalue(idx));
-        if value.is_leaf() {
-            out.push(inner.leaves.tid_at(value.leaf_off()));
-        } else if value.is_node() {
-            hot_bits::prefetch_node(inner.raw(value).base, PREFETCH_LINES);
-            if idx + 1 < raw.count() {
-                let sib = CRef(raw.cvalue(idx + 1));
+        if child.is_node() {
+            hot_bits::prefetch_node(inner.raw(child).base, PREFETCH_LINES);
+            if frame.1 < count {
+                // SAFETY: slot `frame.1 < count` of a live compact node.
+                let sib = CRef(unsafe { CompactSlot::load(values, frame.1) });
                 if sib.is_node() {
                     hot_bits::prefetch_node(inner.raw(sib).base, SIBLING_PREFETCH_LINES);
                 } else if sib.is_leaf() {
                     inner.leaves.prefetch(sib.leaf_off());
                 }
             }
-            frames.push((value, 0));
+            frames.push((child, 0));
+        } else if frame.1 >= count {
+            frames.pop();
         }
     }
 }
@@ -1623,11 +1642,35 @@ impl CompactBatchCursor {
         BATCH_GROUP
     }
 
-    /// Answer one group of at most [`group`](Self::group) keys.
-    pub(crate) fn run_group<K: AsRef<[u8]>>(
+    /// Answer one group of at most [`group`](Self::group) keys — the
+    /// group's one ISA dispatch.
+    pub(crate) fn run_group<Q: AsRef<[u8]>>(&mut self, inner: &CompactInner, keys: &[Q], out: &mut [Option<u64>]) {
+        match hot_bits::features().isa() {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the token proves detection found every enabled feature.
+            Isa::Avx2(k) => unsafe { self.run_group_avx2(k, inner, keys, out) },
+            Isa::Portable(k) => self.run_group_on(k, inner, keys, out),
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,bmi1,bmi2,lzcnt,popcnt")]
+    fn run_group_avx2<Q: AsRef<[u8]>>(
         &mut self,
+        k: hot_bits::Avx2,
         inner: &CompactInner,
-        keys: &[K],
+        keys: &[Q],
+        out: &mut [Option<u64>],
+    ) {
+        self.run_group_on(k, inner, keys, out)
+    }
+
+    #[inline(always)]
+    fn run_group_on<K: Kernel, Q: AsRef<[u8]>>(
+        &mut self,
+        k: K,
+        inner: &CompactInner,
+        keys: &[Q],
         out: &mut [Option<u64>],
     ) {
         let g = keys.len();
@@ -1649,8 +1692,8 @@ impl CompactBatchCursor {
                 }
                 active = true;
                 let raw = inner.raw(cur);
-                let idx = raw.search(raw.extract_dense(self.keys[i].padded()));
-                let next = CRef(raw.cvalue(idx));
+                let (_, next) = raw.find_candidate::<K, CompactSlot>(k, self.keys[i].padded());
+                let next = CRef(next);
                 if next.is_node() {
                     hot_bits::prefetch_node(inner.raw(next).base, PREFETCH_LINES);
                 } else if next.is_leaf() {

@@ -34,7 +34,8 @@
 //! 4, 8, 16, 32} to verify. See DESIGN.md, "Memory-level parallelism and
 //! batched descent".
 
-use crate::node::NodeRef;
+use crate::node::{HeapSlot, NodeRef};
+use hot_bits::{Isa, Kernel};
 use hot_keys::{KeySource, PaddedKey, KEY_SCRATCH_LEN};
 
 /// Default descent group size (number of lookups kept in flight).
@@ -144,10 +145,44 @@ impl BatchCursor {
     /// This is the pipelined core: descents advance round-robin, each hop
     /// prefetching the lane's next node (or, on reaching a leaf, the
     /// tuple's key record) before control moves to the other lanes.
-    pub(crate) fn run_group<S, K>(&mut self, root: NodeRef, source: &S, keys: &[K], out: &mut [Option<u64>])
+    ///
+    /// The group's one ISA dispatch: the descent below is compiled once
+    /// per [`Kernel`].
+    pub(crate) fn run_group<S, Q>(&mut self, root: NodeRef, source: &S, keys: &[Q], out: &mut [Option<u64>])
     where
         S: KeySource,
-        K: AsRef<[u8]>,
+        Q: AsRef<[u8]>,
+    {
+        match hot_bits::features().isa() {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the token proves detection found every enabled feature.
+            Isa::Avx2(k) => unsafe { self.run_group_avx2(k, root, source, keys, out) },
+            Isa::Portable(k) => self.run_group_on(k, root, source, keys, out),
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,bmi1,bmi2,lzcnt,popcnt")]
+    fn run_group_avx2<S, Q>(
+        &mut self,
+        k: hot_bits::Avx2,
+        root: NodeRef,
+        source: &S,
+        keys: &[Q],
+        out: &mut [Option<u64>],
+    ) where
+        S: KeySource,
+        Q: AsRef<[u8]>,
+    {
+        self.run_group_on(k, root, source, keys, out)
+    }
+
+    #[inline(always)]
+    fn run_group_on<K, S, Q>(&mut self, k: K, root: NodeRef, source: &S, keys: &[Q], out: &mut [Option<u64>])
+    where
+        K: Kernel,
+        S: KeySource,
+        Q: AsRef<[u8]>,
     {
         let n = keys.len();
         debug_assert!(n <= self.group, "caller chunks batches by group size");
@@ -183,7 +218,7 @@ impl BatchCursor {
             for slot in 0..live {
                 let lane = self.active[slot];
                 let raw = self.lanes[lane].as_raw();
-                let (_, next) = raw.find_candidate(self.bufs[lane].padded());
+                let (_, next) = raw.find_candidate::<K, HeapSlot>(k, self.bufs[lane].padded());
                 self.lanes[lane] = next;
                 if next.is_node() {
                     // The next hop's memory starts loading now; it is

@@ -36,9 +36,11 @@
 //! depth is actually sustained (mean occupancy ≈ N until the tail).
 
 use crate::metrics::{Metrics, SchedCounter};
-use crate::node::NodeRef;
+use crate::node::{HeapSlot, NodeRef};
 use crate::scan::{drain_frames, position_frames};
+use hot_bits::{Isa, Kernel};
 use hot_keys::{KeySource, PaddedKey, KEY_SCRATCH_LEN};
+use std::cell::Cell;
 use std::sync::OnceLock;
 
 /// Default in-flight depth (compile-time default of the adaptive
@@ -264,8 +266,8 @@ where
 /// One scheduler owns N lane state machines plus the scan staging buffers;
 /// reusing it across batches amortizes every allocation, exactly like the
 /// round-robin cursors. The convenience entry points
-/// ([`get_batch`](crate::HotTrie::get_batch) and friends) create one per
-/// call.
+/// ([`get_batch`](crate::HotTrie::get_batch) and friends) reuse one per
+/// thread.
 pub struct MlpScheduler {
     depth: usize,
     lanes: Vec<Lane>,
@@ -282,6 +284,28 @@ impl Default for MlpScheduler {
     fn default() -> Self {
         Self::new()
     }
+}
+
+thread_local! {
+    /// The scheduler behind the convenience batch entry points, parked
+    /// here between calls so they allocate nothing after warm-up.
+    static THREAD_SCHEDULER: Cell<Option<Box<MlpScheduler>>> = const { Cell::new(None) };
+}
+
+/// Staging entries (scan TIDs plus request spans) a parked scheduler may
+/// keep: one huge batch must not pin megabytes per thread for good.
+const PARKED_STAGING_MAX: usize = 1 << 16;
+
+/// Run `f` with this thread's parked scheduler (created on first use, or
+/// when a call nests inside another one's key source on the same thread,
+/// or runs during thread teardown).
+pub(crate) fn with_thread_scheduler<R>(f: impl FnOnce(&mut MlpScheduler) -> R) -> R {
+    let mut sched = THREAD_SCHEDULER.try_with(Cell::take).ok().flatten().unwrap_or_default();
+    let result = f(&mut sched);
+    if sched.scratch_tids.capacity() + sched.spans.capacity() <= PARKED_STAGING_MAX {
+        let _ = THREAD_SCHEDULER.try_with(|slot| slot.set(Some(sched)));
+    }
+    result
 }
 
 impl MlpScheduler {
@@ -347,9 +371,85 @@ impl MlpScheduler {
     ///   a key-independent root keep the eager staging (no extra hop).
     /// * `redescend` enables torn-slot recovery (concurrent index only;
     ///   the single-threaded trie never publishes null slots).
+    ///
+    /// This is the call's one ISA dispatch: the sweep below is compiled
+    /// once per [`Kernel`] and every hop of every lane runs the chosen one.
     #[allow(clippy::too_many_arguments)] // internal plumbing shared by four adapters
     pub(crate) fn run<S, Q, F>(
         &mut self,
+        source: &S,
+        reqs: &Q,
+        out: &mut [Option<u64>],
+        tids: &mut Vec<u64>,
+        bounds: &mut Vec<usize>,
+        reload_root: F,
+        lazy_route: bool,
+        redescend: bool,
+        metrics: &Metrics,
+    ) where
+        S: KeySource,
+        Q: RequestStream + ?Sized,
+        F: FnMut(&[u8]) -> NodeRef,
+    {
+        match hot_bits::features().isa() {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the token proves detection found every enabled feature.
+            Isa::Avx2(k) => unsafe {
+                self.run_avx2(k, source, reqs, out, tids, bounds, reload_root, lazy_route, redescend, metrics)
+            },
+            Isa::Portable(k) => {
+                self.run_on(k, source, reqs, out, tids, bounds, reload_root, lazy_route, redescend, metrics)
+            }
+        }
+    }
+
+    /// [`run`](Self::run) for a scan-free stream (lookups, probes): results
+    /// land in `out` only, the root never depends on the key.
+    pub(crate) fn run_points<S, Q, F>(
+        &mut self,
+        source: &S,
+        reqs: &Q,
+        out: &mut [Option<u64>],
+        reload_root: F,
+        redescend: bool,
+        metrics: &Metrics,
+    ) where
+        S: KeySource,
+        Q: RequestStream + ?Sized,
+        F: FnMut(&[u8]) -> NodeRef,
+    {
+        let (mut tids, mut bounds) = (Vec::new(), Vec::new());
+        self.run(source, reqs, out, &mut tids, &mut bounds, reload_root, false, redescend, metrics);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,bmi1,bmi2,lzcnt,popcnt")]
+    #[allow(clippy::too_many_arguments)]
+    fn run_avx2<S, Q, F>(
+        &mut self,
+        k: hot_bits::Avx2,
+        source: &S,
+        reqs: &Q,
+        out: &mut [Option<u64>],
+        tids: &mut Vec<u64>,
+        bounds: &mut Vec<usize>,
+        reload_root: F,
+        lazy_route: bool,
+        redescend: bool,
+        metrics: &Metrics,
+    ) where
+        S: KeySource,
+        Q: RequestStream + ?Sized,
+        F: FnMut(&[u8]) -> NodeRef,
+    {
+        self.run_on(k, source, reqs, out, tids, bounds, reload_root, lazy_route, redescend, metrics)
+    }
+
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn run_on<K, S, Q, F>(
+        &mut self,
+        k: K,
         source: &S,
         reqs: &Q,
         out: &mut [Option<u64>],
@@ -360,6 +460,7 @@ impl MlpScheduler {
         redescend: bool,
         metrics: &Metrics,
     ) where
+        K: Kernel,
         S: KeySource,
         Q: RequestStream + ?Sized,
         F: FnMut(&[u8]) -> NodeRef,
@@ -463,7 +564,7 @@ impl MlpScheduler {
                 }
                 if l.stage == Stage::Descend {
                     let raw = l.cur.as_raw();
-                    let (idx, next) = raw.find_candidate(l.key.padded());
+                    let (idx, next) = raw.find_candidate::<K, HeapSlot>(k, l.key.padded());
                     if l.kind == DescentKind::ScanSeek {
                         l.path.push((l.cur, idx));
                     }

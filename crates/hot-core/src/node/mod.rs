@@ -38,7 +38,8 @@ use crate::sync_shim::{AtomicU32, AtomicU64, Ordering};
 use std::sync::atomic::AtomicUsize;
 
 use hot_bits::search::{PADDED_BYTES_U16, PADDED_BYTES_U32, PADDED_BYTES_U8};
-use hot_keys::KEY_PAD_LEN;
+use hot_bits::{Isa, Kernel};
+use hot_keys::{PaddedKey, KEY_PAD_LEN};
 
 /// Maximum compound-node fanout `k` (Section 4.1: "set the maximum fanout k
 /// to 32, which is large enough to benefit from CPU caches and small enough
@@ -626,8 +627,7 @@ impl RawNode {
     pub fn value(self, i: usize) -> NodeRef {
         debug_assert!(i < self.count());
         // SAFETY: i < count; values are initialized at build time.
-        // pairs-with: value-slot
-        NodeRef(unsafe { (*self.values_ptr().add(i)).load(Ordering::Acquire) })
+        unsafe { HeapSlot::load(self.values_ptr() as *const u8, i) }
     }
 
     /// Store the value word of entry `i` (the "single pointer swap" that
@@ -683,8 +683,7 @@ impl RawNode {
     pub fn cvalue(self, i: usize) -> u32 {
         debug_assert!(i < self.count());
         // SAFETY: i < count; compact values are initialized at build time.
-        // pairs-with: cvalue-slot
-        unsafe { (*self.cvalues_ptr().add(i)).load(Ordering::Acquire) }
+        unsafe { CompactSlot::load(self.cvalues_ptr() as *const u8, i) }
     }
 
     /// Store the compact value word of entry `i` — the single offset swap
@@ -744,54 +743,51 @@ impl RawNode {
 
     // ---- search -------------------------------------------------------------------
 
-    /// Extract the dense partial key of `key` for this node's bit positions.
-    #[inline]
-    pub fn extract_dense(self, key: &[u8; KEY_PAD_LEN]) -> u32 {
-        match self.tag.mask_kind() {
-            MaskKind::Single => {
-                let window = hot_bits::load_be_u64(key, self.single_offset());
-                hot_bits::pext64(window, self.single_mask()) as u32
-            }
-            MaskKind::Multi(slots) => {
-                let offsets = self.multi_offsets(slots);
-                let mut dense: u64 = 0;
-                for w in 0..slots / 8 {
-                    let mut gathered = [0u8; 8];
-                    for s in 0..8 {
-                        gathered[s] = key[offsets[w * 8 + s] as usize];
-                    }
-                    let word = u64::from_be_bytes(gathered);
-                    let mask = self.multi_mask_word(slots, w);
-                    dense = (dense << mask.count_ones()) | hot_bits::pext64(word, mask);
-                }
-                dense as u32
+    /// One descent step: the index of the entry `key` selects, and its
+    /// value word.
+    ///
+    /// This is the **one tag dispatch per node** (Section 4.5): every arm is
+    /// a monomorphic [`step`] whose section offsets are constants plus
+    /// `count`. It is generic over the [`Kernel`], so the caller's one ISA
+    /// dispatch per call covers every node of the descent, and over the
+    /// [`Slot`], so heap and compact nodes share it.
+    #[inline(always)]
+    pub fn find_candidate<K: Kernel, V: Slot>(self, k: K, key: &[u8; KEY_PAD_LEN]) -> (usize, V::Word) {
+        let base = self.base;
+        // SAFETY: a `RawNode` views a live, fully built node of layout
+        // `tag`; the caller names the slot width it was built with.
+        unsafe {
+            match self.tag {
+                NodeTag::Single8 => step::<K, V, 0, 1>(k, base, key),
+                NodeTag::Single16 => step::<K, V, 0, 2>(k, base, key),
+                NodeTag::Single32 => step::<K, V, 0, 4>(k, base, key),
+                NodeTag::Multi8x8 => step::<K, V, 8, 1>(k, base, key),
+                NodeTag::Multi8x16 => step::<K, V, 8, 2>(k, base, key),
+                NodeTag::Multi8x32 => step::<K, V, 8, 4>(k, base, key),
+                NodeTag::Multi16x16 => step::<K, V, 16, 2>(k, base, key),
+                NodeTag::Multi16x32 => step::<K, V, 16, 4>(k, base, key),
+                NodeTag::Multi32x32 => step::<K, V, 32, 4>(k, base, key),
             }
         }
     }
 
-    /// Intra-node search: index of the result candidate for `dense`
-    /// (highest-index subset match; Listing 2's `searchPartialKeys*`).
-    #[inline]
+    /// Intra-node search, portably: index of the result candidate for
+    /// `dense` (highest-index subset match; Listing 2's
+    /// `searchPartialKeys*`). For the invariant walks and as the reference
+    /// the fused step is tested against; descents go through
+    /// [`find_candidate`](Self::find_candidate).
     pub fn search(self, dense: u32) -> usize {
-        let n = self.count();
-        let base = self.pkeys_base();
-        // SAFETY: the allocation reserves the SIMD padding behind the
-        // partial-key section (see `geometry`) and n is in 2..=32.
+        use hot_bits::Portable;
+        let (n, base) = (self.count(), self.pkeys_base() as *const u8);
+        // SAFETY: the partial-key section holds `n` aligned entries of the
+        // tag's width.
         unsafe {
             match self.tag.key_width() {
-                1 => hot_bits::search_subset_u8(base, n, dense as u8),
-                2 => hot_bits::search_subset_u16(base as *const u16, n, dense as u16),
-                _ => hot_bits::search_subset_u32(base as *const u32, n, dense),
+                1 => Portable.search_subset::<1>(base, n, dense),
+                2 => Portable.search_subset::<2>(base, n, dense),
+                _ => Portable.search_subset::<4>(base, n, dense),
             }
         }
-    }
-
-    /// One descent step: extract, search, return (entry index, value word).
-    #[inline]
-    pub fn find_candidate(self, key: &[u8; KEY_PAD_LEN]) -> (usize, NodeRef) {
-        let dense = self.extract_dense(key);
-        let idx = self.search(dense);
-        (idx, self.value(idx))
     }
 
     /// Smallest discriminative bit position — the position of this node's
@@ -1286,9 +1282,183 @@ impl RawNode {
     }
 }
 
+/// The value-slot flavour of a node: 8-byte tree words on the heap, 4-byte
+/// arena references in the compact layout (DESIGN.md §16). Header, mask and
+/// partial-key sections are identical, so one [`step`] serves both.
+pub(crate) trait Slot {
+    /// A loaded value word.
+    type Word;
+    /// Slot size, which is also the value section's alignment.
+    const BYTES: usize;
+
+    /// Load value word `i` of the value section starting at `values`.
+    ///
+    /// # Safety
+    /// `values` must be the value section of a live node with more than
+    /// `i` initialized slots of this flavour.
+    unsafe fn load(values: *const u8, i: usize) -> Self::Word;
+}
+
+/// Heap nodes: tagged 64-bit tree words.
+pub(crate) struct HeapSlot;
+
+impl Slot for HeapSlot {
+    type Word = NodeRef;
+    const BYTES: usize = 8;
+
+    /// # Safety
+    /// As [`Slot::load`].
+    #[inline(always)]
+    unsafe fn load(values: *const u8, i: usize) -> NodeRef {
+        // SAFETY: the caller guarantees slot `i` exists; the heap value
+        // section is 8-byte aligned.
+        // pairs-with: value-slot
+        NodeRef(unsafe { (*(values as *const AtomicU64).add(i)).load(Ordering::Acquire) })
+    }
+}
+
+/// Compact (arena) nodes: 32-bit offset words.
+pub(crate) struct CompactSlot;
+
+impl Slot for CompactSlot {
+    type Word = u32;
+    const BYTES: usize = 4;
+
+    /// # Safety
+    /// As [`Slot::load`].
+    #[inline(always)]
+    unsafe fn load(values: *const u8, i: usize) -> u32 {
+        // SAFETY: the caller guarantees slot `i` exists; the compact value
+        // section is 4-byte aligned.
+        // pairs-with: cvalue-slot
+        unsafe { (*(values as *const AtomicU32).add(i)).load(Ordering::Acquire) }
+    }
+}
+
+/// The fused descent step for one node layout: `SLOTS` is the multi-mask
+/// slot count (0 for the single-mask layouts), `WIDTH` the partial-key
+/// width in bytes. Extract the dense partial key (§4.1), find the highest
+/// sparse partial key it covers (§4.3), load that entry's value word —
+/// with both section offsets computed once, from constants and `count`.
+///
+/// # Safety
+/// `base` must be a live, fully built node of that layout whose value
+/// slots are `V`s (so that the SIMD over-read past the partial keys stays
+/// inside the allocation, see [`geometry`]).
+#[inline(always)]
+unsafe fn step<K: Kernel, V: Slot, const SLOTS: usize, const WIDTH: usize>(
+    k: K,
+    base: *const u8,
+    key: &[u8; KEY_PAD_LEN],
+) -> (usize, V::Word) {
+    let pkeys_offset = HEADER_BYTES + if SLOTS == 0 { 16 } else { 2 * SLOTS };
+    // SAFETY: every read below is inside the node per its geometry: the
+    // count byte in the header, the mask section right behind the header,
+    // `count` partial keys plus SIMD padding behind that, then `count`
+    // value slots at the next `V::BYTES` boundary. Key-byte offsets are
+    // `u8`s and the padded key holds 264 bytes, so `offset + 8` is in it.
+    unsafe {
+        let count = *base.add(5) as usize;
+        let dense = if SLOTS == 0 {
+            let offset = *base.add(HEADER_BYTES) as usize;
+            let mask = *(base.add(HEADER_BYTES + 8) as *const u64);
+            k.pext64(hot_bits::load_be_u64(key, offset), mask)
+        } else {
+            let offsets = base.add(HEADER_BYTES);
+            let masks = base.add(HEADER_BYTES + SLOTS) as *const u64;
+            let mut dense = 0u64;
+            for w in 0..SLOTS / 8 {
+                let mut gathered = [0u8; 8];
+                for (s, byte) in gathered.iter_mut().enumerate() {
+                    *byte = key[*offsets.add(w * 8 + s) as usize];
+                }
+                let mask = *masks.add(w);
+                dense = (dense << mask.count_ones()) | k.pext64(u64::from_be_bytes(gathered), mask);
+            }
+            dense
+        };
+        let idx = k.search_subset::<WIDTH>(base.add(pkeys_offset), count, dense as u32);
+        let values_offset = (pkeys_offset + count * WIDTH + V::BYTES - 1) & !(V::BYTES - 1);
+        (idx, V::load(base.add(values_offset), idx))
+    }
+}
+
+/// Walk from `root` to the terminal word `key` leads to — a leaf, or null
+/// for an empty tree or a slot observed mid-update — pushing each hop's
+/// `(node, taken entry)` onto `path` when one is given. Serves the scalar
+/// lookups, the insert/remove seeks and the scan seek, and is their one
+/// ISA dispatch.
+pub(crate) fn descend(root: NodeRef, key: &PaddedKey, path: Option<&mut Vec<(NodeRef, usize)>>) -> NodeRef {
+    match hot_bits::features().isa() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the token proves detection found every enabled feature.
+        Isa::Avx2(k) => unsafe { descend_avx2(k, root, key, path) },
+        Isa::Portable(k) => descend_on(k, root, key, path),
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,bmi1,bmi2,lzcnt,popcnt")]
+fn descend_avx2(
+    k: hot_bits::Avx2,
+    root: NodeRef,
+    key: &PaddedKey,
+    path: Option<&mut Vec<(NodeRef, usize)>>,
+) -> NodeRef {
+    descend_on(k, root, key, path)
+}
+
+#[inline(always)]
+fn descend_on<K: Kernel>(
+    k: K,
+    root: NodeRef,
+    key: &PaddedKey,
+    mut path: Option<&mut Vec<(NodeRef, usize)>>,
+) -> NodeRef {
+    let mut cur = root;
+    while cur.is_node() {
+        let raw = cur.as_raw();
+        // Section 4.5: the node's lines load while its type dispatches.
+        hot_bits::prefetch_node(raw.base, 4);
+        let (idx, next) = raw.find_candidate::<K, HeapSlot>(k, key.padded());
+        if let Some(path) = path.as_deref_mut() {
+            path.push((cur, idx));
+        }
+        cur = next;
+    }
+    cur
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The dense partial key of `key` for `node`'s bit positions, extracted
+    /// portably from the mask accessors: with [`RawNode::search`] and
+    /// `value`/`cvalue`, the unfused reference [`step`] is tested against.
+    fn extract_dense(node: RawNode, key: &[u8; KEY_PAD_LEN]) -> u32 {
+        use hot_bits::pext::pext64_scalar;
+        match node.tag.mask_kind() {
+            MaskKind::Single => {
+                let window = hot_bits::load_be_u64(key, node.single_offset());
+                pext64_scalar(window, node.single_mask()) as u32
+            }
+            MaskKind::Multi(slots) => {
+                let offsets = node.multi_offsets(slots);
+                let mut dense: u64 = 0;
+                for w in 0..slots / 8 {
+                    let mut gathered = [0u8; 8];
+                    for s in 0..8 {
+                        gathered[s] = key[offsets[w * 8 + s] as usize];
+                    }
+                    let word = u64::from_be_bytes(gathered);
+                    let mask = node.multi_mask_word(slots, w);
+                    dense = (dense << mask.count_ones()) | pext64_scalar(word, mask);
+                }
+                dense as u32
+            }
+        }
+    }
 
     #[test]
     fn tag_roundtrip_and_properties() {
@@ -1424,7 +1594,7 @@ mod tests {
         // Dense partial key (positions ascending -> bits MSB..LSB): 01101.
         let mut key = hot_keys::PaddedKey::new();
         key.set(&[0b0110_1011, 0b0100_0000]);
-        assert_eq!(node.extract_dense(key.padded()), 0b01101);
+        assert_eq!(extract_dense(node, key.padded()), 0b01101);
         // SAFETY: test-local node, no other reference exists.
         unsafe { node.free(&mem) };
     }
@@ -1451,9 +1621,117 @@ mod tests {
         for &p in &positions {
             expected = (expected << 1) | hot_bits::bit_at(key.bytes(), p as usize) as u32;
         }
-        assert_eq!(node.extract_dense(key.padded()), expected);
+        assert_eq!(extract_dense(node, key.padded()), expected);
         // SAFETY: test-local node, no other reference exists.
         unsafe { node.free(&mem) };
+    }
+
+    /// Build a node of layout `tag` and slot flavour `V` with `count`
+    /// entries out of raw random material — mask section, partial keys and
+    /// value words written directly, every other byte of the allocation
+    /// (SIMD over-read padding included) garbage — then check the fused
+    /// step under kernel `k` against the unfused portable reference for a
+    /// batch of random keys.
+    fn step_matches_reference<K: Kernel, V: Slot>(
+        k: K,
+        tag: NodeTag,
+        count: usize,
+        rng: &mut impl rand::Rng,
+        value_of: impl Fn(RawNode, usize) -> V::Word,
+    ) where
+        V::Word: PartialEq + std::fmt::Debug,
+    {
+        let geo = if V::BYTES == 8 { geometry(tag, count) } else { geometry_compact(tag, count) };
+        let mut block = vec![0u64; geo.alloc_size / 8 + NODE_ALIGN / 8];
+        for word in block.iter_mut() {
+            *word = rng.gen();
+        }
+        let base = block.as_mut_ptr() as *mut u8;
+        // SAFETY: the block holds NODE_ALIGN spare bytes for the round-up.
+        let base = unsafe { base.add(base.align_offset(NODE_ALIGN)) };
+        let raw = RawNode { base, tag };
+        raw.init_header(count, 1);
+
+        // Discriminative bits: at most what the partial-key width holds.
+        let bits = rng.gen_range(1..=(8 * tag.key_width()).min(MAX_POSITIONS));
+        match tag.mask_kind() {
+            MaskKind::Single => {
+                let mut mask = 0u64;
+                while (mask.count_ones() as usize) < bits {
+                    mask |= 1 << rng.gen_range(0..64u32);
+                }
+                raw.set_single(rng.gen(), mask);
+            }
+            MaskKind::Multi(slots) => {
+                let mut offsets = [0u8; 32];
+                let mut mask_bytes = [0u8; 32];
+                for offset in offsets.iter_mut() {
+                    *offset = rng.gen();
+                }
+                for _ in 0..bits {
+                    mask_bytes[rng.gen_range(0..slots)] |= 1 << rng.gen_range(0..8u32);
+                }
+                raw.set_multi(&offsets[..slots], &mask_bytes[..slots]);
+            }
+        }
+        // Sparse keys: the AND of two draws leaves enough subsets of a
+        // random dense key for the answer to vary; entry 0 is the
+        // always-matching 0 of a real node three times out of four.
+        let pkeys = raw.pkeys_base();
+        for i in 0..count {
+            let sparse = if i == 0 && rng.gen_range(0..4u32) != 0 {
+                0
+            } else {
+                rng.gen::<u32>() & rng.gen::<u32>()
+            };
+            // SAFETY: `count` entries of the tag's width fit the geometry.
+            unsafe {
+                match tag.key_width() {
+                    1 => *pkeys.add(i) = sparse as u8,
+                    2 => *(pkeys as *mut u16).add(i) = sparse as u16,
+                    _ => *(pkeys as *mut u32).add(i) = sparse,
+                }
+            }
+        }
+
+        let mut key = PaddedKey::new();
+        for _ in 0..16 {
+            let mut bytes = [0u8; hot_keys::MAX_KEY_LEN];
+            let len = rng.gen_range(0..=bytes.len());
+            for byte in bytes[..len].iter_mut() {
+                *byte = rng.gen();
+            }
+            key.set(&bytes[..len]);
+            let idx = raw.search(extract_dense(raw, key.padded()));
+            assert!(idx < count);
+            assert_eq!(
+                raw.find_candidate::<K, V>(k, key.padded()),
+                (idx, value_of(raw, idx)),
+                "{tag:?} count {count} slot bytes {}",
+                V::BYTES
+            );
+        }
+    }
+
+    #[test]
+    fn fused_step_matches_reference_composition() {
+        use rand::SeedableRng;
+        fn both_slots<K: Kernel>(k: K, tag: NodeTag, count: usize, rng: &mut rand::rngs::StdRng) {
+            step_matches_reference::<K, HeapSlot>(k, tag, count, rng, |raw, i| raw.value(i));
+            step_matches_reference::<K, CompactSlot>(k, tag, count, rng, |raw, i| raw.cvalue(i));
+        }
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5EED_57E9);
+        for tag in NodeTag::ALL {
+            for count in 2..=MAX_FANOUT {
+                for _ in 0..4 {
+                    both_slots(hot_bits::Portable, tag, count, &mut rng);
+                    #[cfg(target_arch = "x86_64")]
+                    if let Some(k) = hot_bits::Avx2::detect() {
+                        both_slots(k, tag, count, &mut rng);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -37,7 +37,8 @@
 //! results land flat in one TID vector with a bounds (prefix-offset) vector,
 //! so a full batch costs zero allocations once the buffers warmed up.
 
-use crate::node::NodeRef;
+use crate::node::{HeapSlot, NodeRef, Slot};
+use hot_bits::{Isa, Kernel};
 use hot_keys::{KeySource, PaddedKey, KEY_SCRATCH_LEN};
 
 /// Cache lines prefetched per upcoming node — matches the point-lookup path
@@ -110,21 +111,10 @@ impl ScanCursor {
             return;
         }
 
-        // Seek: descend to the candidate leaf, recording the path and
-        // prefetching each next hop before the current node's entry decode
-        // retires.
+        // Seek: descend to the candidate leaf, recording the path.
         self.key.set(key);
         self.path.clear();
-        let mut cur = root;
-        while cur.is_node() {
-            let raw = cur.as_raw();
-            let (idx, next) = raw.find_candidate(self.key.padded());
-            if next.is_node() {
-                hot_bits::prefetch_node(next.as_raw().base, PREFETCH_LINES);
-            }
-            self.path.push((cur, idx));
-            cur = next;
-        }
+        let cur = crate::node::descend(root, &self.key, Some(&mut self.path));
         let limit = limit.saturating_add(out.len());
         position_frames(source, &self.key, &self.path, cur, &mut self.frames, out);
         drain_frames(&mut self.frames, limit, out);
@@ -190,35 +180,45 @@ pub(crate) fn position_frames<S: KeySource>(
 /// frames are exhausted, prefetching one subtree ahead.
 pub(crate) fn drain_frames(frames: &mut Vec<(NodeRef, usize)>, limit: usize, out: &mut Vec<u64>) {
     while out.len() < limit {
-        let Some(&(node, idx)) = frames.last() else {
+        let Some(frame) = frames.last_mut() else {
             break;
         };
-        let raw = node.as_raw();
-        if idx >= raw.count() {
-            frames.pop();
-            continue;
+        // The value section is located once per frame visit; the run of
+        // leaves up to the next child subtree is read straight off it.
+        let raw = frame.0.as_raw();
+        let (count, values) = (raw.count(), raw.values_ptr() as *const u8);
+        let mut child = NodeRef::NULL;
+        while frame.1 < count && out.len() < limit && !child.is_node() {
+            // SAFETY: slot `frame.1 < count` of a live heap node.
+            let value = unsafe { HeapSlot::load(values, frame.1) };
+            frame.1 += 1;
+            if value.is_leaf() {
+                out.push(value.tid());
+            } else {
+                // A child to walk — or a null slot (concurrent mid-update),
+                // which is skipped: the entry's new value is published with
+                // a single store the scan either sees or not, exactly the
+                // paper's reader guarantee.
+                child = value;
+            }
         }
-        frames.last_mut().expect("non-empty").1 += 1;
-        let value = raw.value(idx);
-        if value.is_leaf() {
-            out.push(value.tid());
-        } else if value.is_node() {
+        if child.is_node() {
             // The subtree we are about to walk, plus the header of the
             // sibling that follows it: the sibling's miss resolves while
             // this whole subtree is traversed, instead of stalling the walk
             // when the frame advances.
-            hot_bits::prefetch_node(value.as_raw().base, PREFETCH_LINES);
-            if idx + 1 < raw.count() {
-                let sib = raw.value(idx + 1);
+            hot_bits::prefetch_node(child.as_raw().base, PREFETCH_LINES);
+            if frame.1 < count {
+                // SAFETY: slot `frame.1 < count` of a live heap node.
+                let sib = unsafe { HeapSlot::load(values, frame.1) };
                 if sib.is_node() {
                     hot_bits::prefetch_node(sib.as_raw().base, SIBLING_PREFETCH_LINES);
                 }
             }
-            frames.push((value, 0));
+            frames.push((child, 0));
+        } else if frame.1 >= count {
+            frames.pop();
         }
-        // Null slots (concurrent mid-update) are skipped: the entry's new
-        // value is published with a single store the scan either sees or
-        // not — exactly the paper's reader guarantee.
     }
 }
 
@@ -291,16 +291,58 @@ impl ScanBatchCursor {
     /// Service one group of at most `group` requests against `root`,
     /// appending each scan's TIDs to `tids` and one end offset per request
     /// to `bounds`.
-    pub(crate) fn run_group<S, K>(
+    ///
+    /// The group's one ISA dispatch: the seek phase below is compiled once
+    /// per [`Kernel`].
+    pub(crate) fn run_group<S, Q>(
         &mut self,
         root: NodeRef,
         source: &S,
-        requests: &[(K, usize)],
+        requests: &[(Q, usize)],
         tids: &mut Vec<u64>,
         bounds: &mut Vec<usize>,
     ) where
         S: KeySource,
-        K: AsRef<[u8]>,
+        Q: AsRef<[u8]>,
+    {
+        match hot_bits::features().isa() {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the token proves detection found every enabled feature.
+            Isa::Avx2(k) => unsafe { self.run_group_avx2(k, root, source, requests, tids, bounds) },
+            Isa::Portable(k) => self.run_group_on(k, root, source, requests, tids, bounds),
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,bmi1,bmi2,lzcnt,popcnt")]
+    fn run_group_avx2<S, Q>(
+        &mut self,
+        k: hot_bits::Avx2,
+        root: NodeRef,
+        source: &S,
+        requests: &[(Q, usize)],
+        tids: &mut Vec<u64>,
+        bounds: &mut Vec<usize>,
+    ) where
+        S: KeySource,
+        Q: AsRef<[u8]>,
+    {
+        self.run_group_on(k, root, source, requests, tids, bounds)
+    }
+
+    #[inline(always)]
+    fn run_group_on<K, S, Q>(
+        &mut self,
+        k: K,
+        root: NodeRef,
+        source: &S,
+        requests: &[(Q, usize)],
+        tids: &mut Vec<u64>,
+        bounds: &mut Vec<usize>,
+    ) where
+        K: Kernel,
+        S: KeySource,
+        Q: AsRef<[u8]>,
     {
         let n = requests.len();
         debug_assert!(n <= self.group, "caller chunks batches by group size");
@@ -331,7 +373,7 @@ impl ScanBatchCursor {
             for slot in 0..live {
                 let lane = &mut self.lanes[self.active[slot]];
                 let raw = lane.cur.as_raw();
-                let (idx, next) = raw.find_candidate(lane.key.padded());
+                let (idx, next) = raw.find_candidate::<K, HeapSlot>(k, lane.key.padded());
                 lane.path.push((lane.cur, idx));
                 lane.cur = next;
                 if next.is_node() {

@@ -286,13 +286,7 @@ impl<S: KeySource> ConcurrentHot<S> {
 
     fn get_padded(&self, key: &PaddedKey) -> Option<u64> {
         let _guard = epoch::pin();
-        let mut cur = self.load_root();
-        while cur.is_node() {
-            let raw = cur.as_raw();
-            hot_bits::prefetch_node(raw.base, 4);
-            let (_, next) = raw.find_candidate(key.padded());
-            cur = next;
-        }
+        let cur = crate::node::descend(self.load_root(), key, None);
         if cur.is_null() {
             return None;
         }
@@ -321,8 +315,7 @@ impl<S: KeySource> ConcurrentHot<S> {
             let mut cursor = crate::batch::BatchCursor::new();
             self.get_batch_with(keys, out, &mut cursor);
         } else {
-            let mut sched = crate::mlp::MlpScheduler::new();
-            self.get_batch_ooo(keys, out, &mut sched);
+            crate::mlp::with_thread_scheduler(|sched| self.get_batch_ooo(keys, out, sched));
         }
     }
 
@@ -373,18 +366,7 @@ impl<S: KeySource> ConcurrentHot<S> {
         self.metrics.items(OpKind::GetBatch, keys.len() as u64);
         self.metrics.incr(RowexCounter::EpochPin);
         let _guard = epoch::pin();
-        let (mut tids, mut bounds) = (Vec::new(), Vec::new());
-        sched.run(
-            &self.source,
-            &crate::mlp::LookupStream(keys),
-            out,
-            &mut tids,
-            &mut bounds,
-            |_| self.load_root(),
-            false,
-            true,
-            &self.metrics,
-        );
+        sched.run_points(&self.source, &crate::mlp::LookupStream(keys), out, |_| self.load_root(), true, &self.metrics);
     }
 
     /// Service a mixed stream of point lookups and range scans in one
@@ -438,19 +420,9 @@ impl<S: KeySource> ConcurrentHot<S> {
         {
             self.metrics.incr(RowexCounter::EpochPin);
             let _guard = epoch::pin();
-            let (mut tids, mut bounds) = (Vec::new(), Vec::new());
-            let mut sched = crate::mlp::MlpScheduler::new();
-            sched.run(
-                &self.source,
-                &crate::mlp::ProbeStream(keys),
-                out,
-                &mut tids,
-                &mut bounds,
-                |_| self.load_root(),
-                false,
-                true,
-                &self.metrics,
-            );
+            crate::mlp::with_thread_scheduler(|sched| {
+                sched.run_points(&self.source, &crate::mlp::ProbeStream(keys), out, |_| self.load_root(), true, &self.metrics)
+            });
         }
         // Apply phase: the probe is a hint (a racing writer may beat us);
         // `remove` re-descends and gives the authoritative answer.
@@ -531,8 +503,7 @@ impl<S: KeySource> ConcurrentHot<S> {
             let mut cursor = crate::scan::ScanBatchCursor::new();
             self.scan_batch_with(requests, tids, bounds, &mut cursor);
         } else {
-            let mut sched = crate::mlp::MlpScheduler::new();
-            self.scan_batch_ooo(requests, tids, bounds, &mut sched);
+            crate::mlp::with_thread_scheduler(|sched| self.scan_batch_ooo(requests, tids, bounds, sched));
         }
     }
 
@@ -726,13 +697,7 @@ impl<S: KeySource> ConcurrentHot<S> {
         }
 
         let mut stack: Vec<(NodeRef, usize)> = Vec::new();
-        let mut cur = root;
-        while cur.is_node() {
-            let raw = cur.as_raw();
-            let (idx, next) = raw.find_candidate(key.padded());
-            stack.push((cur, idx));
-            cur = next;
-        }
+        let cur = crate::node::descend(root, key, Some(&mut stack));
         if cur.is_null() {
             return Err(()); // torn read of a slot mid-publication
         }
@@ -1042,13 +1007,7 @@ impl<S: KeySource> ConcurrentHot<S> {
         }
 
         let mut stack: Vec<(NodeRef, usize)> = Vec::new();
-        let mut cur = root;
-        while cur.is_node() {
-            let raw = cur.as_raw();
-            let (idx, next) = raw.find_candidate(key.padded());
-            stack.push((cur, idx));
-            cur = next;
-        }
+        let cur = crate::node::descend(root, key, Some(&mut stack));
         if cur.is_null() {
             return Err(());
         }

@@ -96,13 +96,7 @@ impl<S: KeySource> HotTrie<S> {
     }
 
     fn get_padded(&self, key: &PaddedKey) -> Option<u64> {
-        let mut cur = self.root;
-        while cur.is_node() {
-            let raw = cur.as_raw();
-            hot_bits::prefetch_node(raw.base, 4);
-            let (_, next) = raw.find_candidate(key.padded());
-            cur = next;
-        }
+        let cur = crate::node::descend(self.root, key, None);
         if cur.is_null() {
             return None;
         }
@@ -135,8 +129,7 @@ impl<S: KeySource> HotTrie<S> {
             let mut cursor = crate::batch::BatchCursor::new();
             self.get_batch_with(keys, out, &mut cursor);
         } else {
-            let mut sched = crate::mlp::MlpScheduler::new();
-            self.get_batch_ooo(keys, out, &mut sched);
+            crate::mlp::with_thread_scheduler(|sched| self.get_batch_ooo(keys, out, sched));
         }
     }
 
@@ -179,18 +172,7 @@ impl<S: KeySource> HotTrie<S> {
         assert_eq!(keys.len(), out.len(), "one output slot per key");
         let _t = self.metrics.timer(OpKind::GetBatch);
         self.metrics.items(OpKind::GetBatch, keys.len() as u64);
-        let (mut tids, mut bounds) = (Vec::new(), Vec::new());
-        sched.run(
-            &self.source,
-            &crate::mlp::LookupStream(keys),
-            out,
-            &mut tids,
-            &mut bounds,
-            |_| self.root,
-            false,
-            false,
-            &self.metrics,
-        );
+        sched.run_points(&self.source, &crate::mlp::LookupStream(keys), out, |_| self.root, false, &self.metrics);
     }
 
     /// Service a mixed stream of point lookups and range scans in one
@@ -245,19 +227,9 @@ impl<S: KeySource> HotTrie<S> {
         assert_eq!(keys.len(), out.len(), "one output slot per key");
         let _t = self.metrics.timer(OpKind::RemoveBatch);
         self.metrics.items(OpKind::RemoveBatch, keys.len() as u64);
-        let mut sched = crate::mlp::MlpScheduler::new();
-        let (mut tids, mut bounds) = (Vec::new(), Vec::new());
-        sched.run(
-            &self.source,
-            &crate::mlp::ProbeStream(keys),
-            out,
-            &mut tids,
-            &mut bounds,
-            |_| self.root,
-            false,
-            false,
-            &self.metrics,
-        );
+        crate::mlp::with_thread_scheduler(|sched| {
+            sched.run_points(&self.source, &crate::mlp::ProbeStream(keys), out, |_| self.root, false, &self.metrics)
+        });
         // Apply phase: only probed-present keys walk the structural remove.
         // A duplicate key probes present in every slot but the first apply
         // wins — exactly the answers sequential `remove` calls give.
@@ -318,13 +290,7 @@ impl<S: KeySource> HotTrie<S> {
 
         // Descend to the candidate leaf, recording the path.
         self.stack.clear();
-        let mut cur = self.root;
-        while cur.is_node() {
-            let raw = cur.as_raw();
-            let (idx, next) = raw.find_candidate(key.padded());
-            self.stack.push((cur, idx));
-            cur = next;
-        }
+        let cur = crate::node::descend(self.root, key, Some(&mut self.stack));
         let existing_tid = cur.tid();
         let mut scratch = [0u8; KEY_SCRATCH_LEN];
         let mismatch = {
@@ -575,13 +541,7 @@ impl<S: KeySource> HotTrie<S> {
             return None;
         }
         self.stack.clear();
-        let mut cur = self.root;
-        while cur.is_node() {
-            let raw = cur.as_raw();
-            let (idx, next) = raw.find_candidate(key.padded());
-            self.stack.push((cur, idx));
-            cur = next;
-        }
+        let cur = crate::node::descend(self.root, key, Some(&mut self.stack));
         let tid = cur.tid();
         let mut scratch = [0u8; KEY_SCRATCH_LEN];
         {
@@ -677,13 +637,7 @@ impl<S: KeySource> HotTrie<S> {
 
         // Descend to the candidate leaf, recording the path.
         let mut path: Vec<(NodeRef, usize)> = Vec::new();
-        let mut cur = self.root;
-        while cur.is_node() {
-            let raw = cur.as_raw();
-            let (idx, next) = raw.find_candidate(padded.padded());
-            path.push((cur, idx));
-            cur = next;
-        }
+        let cur = crate::node::descend(self.root, &padded, Some(&mut path));
         let mut scratch = [0u8; KEY_SCRATCH_LEN];
         let mismatch = {
             let stored = self.source.load_key(cur.tid(), &mut scratch);
@@ -778,8 +732,7 @@ impl<S: KeySource> HotTrie<S> {
             let mut cursor = crate::scan::ScanBatchCursor::new();
             self.scan_batch_with(requests, tids, bounds, &mut cursor);
         } else {
-            let mut sched = crate::mlp::MlpScheduler::new();
-            self.scan_batch_ooo(requests, tids, bounds, &mut sched);
+            crate::mlp::with_thread_scheduler(|sched| self.scan_batch_ooo(requests, tids, bounds, sched));
         }
     }
 

@@ -1,4 +1,4 @@
-//! Hot-path allocation freedom.
+//! Hot-path allocation freedom and dispatch hoisting.
 //!
 //! PRs 4 and 6 established "zero steady-state allocations" on the descent
 //! paths (`get*`, `scan_with`/`scan_into`, the `*_batch*` pipelines, the
@@ -10,6 +10,12 @@
 //! `[[allow]] file/function/construct/why` entry — per function and per
 //! construct, so the allowance cannot silently widen.
 //!
+//! The same mechanism holds the "one ISA dispatch per call" rule
+//! (DESIGN.md §4.5): a `features()` read is denied on every listed
+//! function, and each descent entry point that performs the call's one
+//! dispatch carries an `[[allow]]` for it — so the feature check cannot
+//! slide back into a loop body or a per-node primitive unnoticed.
+//!
 //! Stale manifest rows (a listed function that no longer exists, an
 //! allow that matches nothing) are errors too: the manifest must track
 //! the code.
@@ -20,7 +26,9 @@ use crate::toml::Table;
 const PASS: &str = "hot-path";
 
 /// The denied constructs: textual tokens whose presence on a hot path
-/// means a steady-state allocation (or an O(n) copy that implies one).
+/// means a steady-state allocation (or an O(n) copy that implies one) —
+/// or, for `features()`, a CPU-feature dispatch that belongs at the
+/// call's entry.
 const DENIED: &[&str] = &[
     "Vec::new",
     "vec!",
@@ -32,6 +40,7 @@ const DENIED: &[&str] = &[
     ".to_string()",
     ".to_owned()",
     "with_capacity",
+    "features()",
 ];
 
 struct Allow {
@@ -131,9 +140,14 @@ pub fn run(sources: &[SourceFile], manifest: &[Table], diags: &mut Vec<Diag>) ->
                             line: l + 1,
                             pass: PASS,
                             msg: format!(
-                                "allocating construct `{construct}` on hot path `{function}` — \
+                                "{} `{construct}` on hot path `{function}` — \
                                  hoist it out of the descent loop or add a justified [[allow]] \
-                                 entry to lint/hot_paths.toml"
+                                 entry to lint/hot_paths.toml",
+                                if *construct == "features()" {
+                                    "ISA dispatch"
+                                } else {
+                                    "allocating construct"
+                                }
                             ),
                         });
                     }
@@ -204,6 +218,7 @@ mod tests {
                 ".to_string()" => "let x = v.to_string();".to_string(),
                 ".to_owned()" => "let x = v.to_owned();".to_string(),
                 "with_capacity" => "let x = Vec::with_capacity(8);".to_string(),
+                "features()" => "let x = hot_bits::features().avx2;".to_string(),
                 c => format!("let x = {c}(0);"),
             };
             let src = format!("fn scan_with(&mut self) {{\n    {stmt}\n}}\n");
@@ -222,6 +237,19 @@ mod tests {
         let diags = run_on(src, &with_allow);
         assert_eq!(diags.len(), 1, "only the un-allowed construct fires: {diags:?}");
         assert!(diags[0].contains("`vec!`"));
+    }
+
+    #[test]
+    fn isa_dispatch_is_allowed_at_the_entry_and_flagged_in_the_body() {
+        let manifest = format!(
+            "[[hot]]\nfile = \"{REL}\"\nfunctions = [\"scan_with\", \"scan_on\"]\n\n[[allow]]\nfile = \"{REL}\"\nfunction = \"scan_with\"\nconstruct = \"features()\"\nwhy = \"the call's one ISA dispatch\"\n"
+        );
+        let hoisted = "fn scan_with(&mut self) {\n    match hot_bits::features().isa() {\n        _ => self.scan_on(),\n    }\n}\n\nfn scan_on(&mut self) {\n    self.frames.push(1);\n}\n";
+        assert!(run_on(hoisted, &manifest).is_empty());
+        let slid_back = "fn scan_with(&mut self) {\n    match hot_bits::features().isa() {\n        _ => self.scan_on(),\n    }\n}\n\nfn scan_on(&mut self) {\n    if hot_bits::features().avx2 {\n        self.frames.push(1);\n    }\n}\n";
+        let diags = run_on(slid_back, &manifest);
+        assert_eq!(diags.len(), 1, "got: {diags:?}");
+        assert!(diags[0].contains("ISA dispatch `features()` on hot path `scan_on`"), "{}", diags[0]);
     }
 
     #[test]
