@@ -30,6 +30,7 @@ pub mod builder;
 
 use std::alloc::{alloc_zeroed, dealloc, Layout};
 use std::cell::RefCell;
+use std::mem::MaybeUninit;
 // Lock words and value slots are ROWEX-protocol state: their atomics come
 // from the shim so the loom models can instrument them. The MemCounter
 // below intentionally stays on std atomics — allocation counters are not
@@ -532,14 +533,6 @@ impl RawNode {
     pub fn height(self) -> u8 {
         // SAFETY: header is always initialized.
         unsafe { *self.height_ptr() }
-    }
-
-    #[allow(dead_code)] // used by the concurrent index
-    #[inline]
-    pub fn set_height(self, h: u8) {
-        // SAFETY: header is always initialized; only called during build or
-        // under the node lock.
-        unsafe { *self.height_ptr() = h }
     }
 
     // ---- mask section accessors -------------------------------------------------
@@ -1383,12 +1376,63 @@ unsafe fn step<K: Kernel, V: Slot, const SLOTS: usize, const WIDTH: usize>(
     }
 }
 
+/// Where a descent records its `(node, taken entry)` hops: a reusable
+/// `Vec`, a writer's inline [`Path`], or `()` for lookups, which keep none.
+pub(crate) trait Hops {
+    fn push_hop(&mut self, node: NodeRef, idx: usize);
+}
+
+impl Hops for () {
+    #[inline(always)]
+    fn push_hop(&mut self, _: NodeRef, _: usize) {}
+}
+
+impl Hops for Vec<(NodeRef, usize)> {
+    #[inline(always)]
+    fn push_hop(&mut self, node: NodeRef, idx: usize) {
+        self.push((node, idx));
+    }
+}
+
+/// A root-to-leaf descent path held inline (no allocation, nothing to
+/// zero). Node heights strictly decrease towards the leaves, a height is a
+/// `u8` and never changes, so no descent records more than `u8::MAX` hops.
+pub(crate) struct Path {
+    len: usize,
+    hops: [MaybeUninit<(NodeRef, usize)>; u8::MAX as usize],
+}
+
+impl Path {
+    #[inline]
+    pub(crate) fn new() -> Path {
+        Path { len: 0, hops: [MaybeUninit::uninit(); u8::MAX as usize] }
+    }
+}
+
+impl std::ops::Deref for Path {
+    type Target = [(NodeRef, usize)];
+
+    #[inline]
+    fn deref(&self) -> &[(NodeRef, usize)] {
+        // SAFETY: `push_hop` initialised the first `len` elements, and
+        // `MaybeUninit<T>` has the layout of `T`.
+        unsafe { std::slice::from_raw_parts(self.hops.as_ptr().cast(), self.len) }
+    }
+}
+
+impl Hops for Path {
+    #[inline(always)]
+    fn push_hop(&mut self, node: NodeRef, idx: usize) {
+        self.hops[self.len].write((node, idx));
+        self.len += 1;
+    }
+}
+
 /// Walk from `root` to the terminal word `key` leads to — a leaf, or null
-/// for an empty tree or a slot observed mid-update — pushing each hop's
-/// `(node, taken entry)` onto `path` when one is given. Serves the scalar
-/// lookups, the insert/remove seeks and the scan seek, and is their one
-/// ISA dispatch.
-pub(crate) fn descend(root: NodeRef, key: &PaddedKey, path: Option<&mut Vec<(NodeRef, usize)>>) -> NodeRef {
+/// for an empty tree or a slot observed mid-update — recording each hop in
+/// `path`. Serves the scalar lookups, the insert/remove seeks and the scan
+/// seek, and is their one ISA dispatch.
+pub(crate) fn descend<P: Hops>(root: NodeRef, key: &PaddedKey, path: &mut P) -> NodeRef {
     match hot_bits::features().isa() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the token proves detection found every enabled feature.
@@ -1399,31 +1443,19 @@ pub(crate) fn descend(root: NodeRef, key: &PaddedKey, path: Option<&mut Vec<(Nod
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,bmi1,bmi2,lzcnt,popcnt")]
-fn descend_avx2(
-    k: hot_bits::Avx2,
-    root: NodeRef,
-    key: &PaddedKey,
-    path: Option<&mut Vec<(NodeRef, usize)>>,
-) -> NodeRef {
+fn descend_avx2<P: Hops>(k: hot_bits::Avx2, root: NodeRef, key: &PaddedKey, path: &mut P) -> NodeRef {
     descend_on(k, root, key, path)
 }
 
 #[inline(always)]
-fn descend_on<K: Kernel>(
-    k: K,
-    root: NodeRef,
-    key: &PaddedKey,
-    mut path: Option<&mut Vec<(NodeRef, usize)>>,
-) -> NodeRef {
+fn descend_on<K: Kernel, P: Hops>(k: K, root: NodeRef, key: &PaddedKey, path: &mut P) -> NodeRef {
     let mut cur = root;
     while cur.is_node() {
         let raw = cur.as_raw();
         // Section 4.5: the node's lines load while its type dispatches.
         hot_bits::prefetch_node(raw.base, 4);
         let (idx, next) = raw.find_candidate::<K, HeapSlot>(k, key.padded());
-        if let Some(path) = path.as_deref_mut() {
-            path.push((cur, idx));
-        }
+        path.push_hop(cur, idx);
         cur = next;
     }
     cur

@@ -40,6 +40,7 @@
 use crate::node::{HeapSlot, NodeRef, Slot};
 use hot_bits::{Isa, Kernel};
 use hot_keys::{KeySource, PaddedKey, KEY_SCRATCH_LEN};
+use std::cell::Cell;
 
 /// Cache lines prefetched per upcoming node — matches the point-lookup path
 /// (Section 4.5: header + partial keys + values).
@@ -55,9 +56,10 @@ const SIBLING_PREFETCH_LINES: usize = 1;
 ///
 /// One cursor serves any number of sequential
 /// [`scan_with`](crate::HotTrie::scan_with) calls; everything it owns is
-/// recycled, so steady-state scans allocate nothing. Creating one per scan
-/// ([`scan_into`](crate::HotTrie::scan_into) does) costs one boxed key
-/// buffer plus two empty `Vec`s.
+/// recycled, so steady-state scans allocate nothing. Creating one costs a
+/// boxed key buffer plus two `Vec`s that grow on first use (a third of a
+/// short scan), so [`scan_into`](crate::HotTrie::scan_into) parks one per
+/// thread ([`with_thread_cursor`]).
 pub struct ScanCursor {
     /// Padded start key (boxed: moving the cursor must not copy 272 bytes).
     key: Box<PaddedKey>,
@@ -71,6 +73,21 @@ impl Default for ScanCursor {
     fn default() -> Self {
         Self::new()
     }
+}
+
+thread_local! {
+    /// The cursor behind `scan` / `scan_into`, parked here between calls.
+    static THREAD_CURSOR: Cell<Option<ScanCursor>> = const { Cell::new(None) };
+}
+
+/// Run `f` with this thread's parked cursor (created on first use, or when
+/// a call nests inside another one's key source on the same thread, or runs
+/// during thread teardown).
+pub(crate) fn with_thread_cursor<R>(f: impl FnOnce(&mut ScanCursor) -> R) -> R {
+    let mut cursor = THREAD_CURSOR.try_with(Cell::take).ok().flatten().unwrap_or_default();
+    let result = f(&mut cursor);
+    let _ = THREAD_CURSOR.try_with(|slot| slot.set(Some(cursor)));
+    result
 }
 
 impl ScanCursor {
@@ -114,7 +131,7 @@ impl ScanCursor {
         // Seek: descend to the candidate leaf, recording the path.
         self.key.set(key);
         self.path.clear();
-        let cur = crate::node::descend(root, &self.key, Some(&mut self.path));
+        let cur = crate::node::descend(root, &self.key, &mut self.path);
         let limit = limit.saturating_add(out.len());
         position_frames(source, &self.key, &self.path, cur, &mut self.frames, out);
         drain_frames(&mut self.frames, limit, out);

@@ -25,12 +25,17 @@
 //!   harness may flip while model threads run, so routing it through the
 //!   shim makes that flip itself a modeled yield point.
 //!
-//! The epoch layer is *not* swapped: the vendored `crossbeam-epoch`
-//! serializes its bookkeeping under a plain `Mutex` and never touches a
-//! shim atomic while holding it, so running it unmodeled cannot mask a
-//! scheduling-dependent bug in the protocol itself; it only means the
-//! model checks "grace periods are respected" by construction rather
-//! than by exploration.
+//! The epoch layer is *not* swapped: the vendored `crossbeam-epoch` is a
+//! per-thread-epoch collector on `std` atomics (pin = one store and one
+//! fence on the thread's own record; see its crate docs), so under the
+//! model its operations are not yield points and it contributes no
+//! schedules. That cannot mask a scheduling-dependent bug in the ROWEX
+//! protocol itself — the collector never touches a shim atomic — but it
+//! means the model takes "a deferred free waits for every earlier pin" as
+//! given. That property is checked where it lives: the collector's own
+//! unit tests (cross-thread, nested, re-entrant, thread-exit, 8-thread
+//! stress), and the Miri, TSan and ASan lanes, which run them and
+//! `sync::tests` with real orderings (DESIGN.md §10).
 
 /// True when the ROWEX atomics are the model-checked loom types.
 #[cfg(any(loom, feature = "loom-model"))]

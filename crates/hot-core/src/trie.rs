@@ -96,7 +96,7 @@ impl<S: KeySource> HotTrie<S> {
     }
 
     fn get_padded(&self, key: &PaddedKey) -> Option<u64> {
-        let cur = crate::node::descend(self.root, key, None);
+        let cur = crate::node::descend(self.root, key, &mut ());
         if cur.is_null() {
             return None;
         }
@@ -290,7 +290,7 @@ impl<S: KeySource> HotTrie<S> {
 
         // Descend to the candidate leaf, recording the path.
         self.stack.clear();
-        let cur = crate::node::descend(self.root, key, Some(&mut self.stack));
+        let cur = crate::node::descend(self.root, key, &mut self.stack);
         let existing_tid = cur.tid();
         let mut scratch = [0u8; KEY_SCRATCH_LEN];
         let mismatch = {
@@ -541,7 +541,7 @@ impl<S: KeySource> HotTrie<S> {
             return None;
         }
         self.stack.clear();
-        let cur = crate::node::descend(self.root, key, Some(&mut self.stack));
+        let cur = crate::node::descend(self.root, key, &mut self.stack);
         let tid = cur.tid();
         let mut scratch = [0u8; KEY_SCRATCH_LEN];
         {
@@ -637,7 +637,7 @@ impl<S: KeySource> HotTrie<S> {
 
         // Descend to the candidate leaf, recording the path.
         let mut path: Vec<(NodeRef, usize)> = Vec::new();
-        let cur = crate::node::descend(self.root, &padded, Some(&mut path));
+        let cur = crate::node::descend(self.root, &padded, &mut path);
         let mut scratch = [0u8; KEY_SCRATCH_LEN];
         let mismatch = {
             let stored = self.source.load_key(cur.tid(), &mut scratch);
@@ -679,9 +679,9 @@ impl<S: KeySource> HotTrie<S> {
     /// operation: "range scans accessing up to 100 elements").
     ///
     /// Thin wrapper over [`scan_into`](Self::scan_into) — it allocates the
-    /// result vector and per-call cursor state. Hot loops should hold a
-    /// [`ScanCursor`](crate::ScanCursor) and call
-    /// [`scan_with`](Self::scan_with) instead.
+    /// result vector (the cursor is this thread's parked one). Hot loops
+    /// should call `scan_into`, or hold a [`ScanCursor`](crate::ScanCursor)
+    /// and call [`scan_with`](Self::scan_with).
     pub fn scan(&self, key: &[u8], limit: usize) -> Vec<u64> {
         let mut out = Vec::new();
         self.scan_into(key, limit, &mut out);
@@ -691,8 +691,7 @@ impl<S: KeySource> HotTrie<S> {
     /// Like [`scan`](Self::scan), writing the TIDs into `out` (cleared
     /// first) instead of allocating a fresh vector.
     pub fn scan_into(&self, key: &[u8], limit: usize, out: &mut Vec<u64>) {
-        let mut cursor = crate::scan::ScanCursor::new();
-        self.scan_with(key, limit, out, &mut cursor);
+        crate::scan::with_thread_cursor(|cursor| self.scan_with(key, limit, out, cursor));
     }
 
     /// Like [`scan`](Self::scan) with caller-owned buffers: the TIDs land in

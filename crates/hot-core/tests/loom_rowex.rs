@@ -27,7 +27,13 @@
 //! * `root_cas_growth` — two writers racing the root CAS on an empty
 //!   trie (leaf root → first compound node);
 //! * `insert_vs_remove` — structure modification racing structure
-//!   shrinkage over the same node.
+//!   shrinkage over the same node;
+//! * the four `*_between_analyse_and_lock` / `*_redirects_*` scenarios —
+//!   the windows a writer's under-lock validation (obsolete check plus one
+//!   slot re-read per locked level, no second descent) has to catch: the
+//!   candidate leaf pushed down, upserted or removed, and the parent slot
+//!   redirected to a new intermediate node, each after the writer analysed
+//!   and before it locked. Every schedule must end restart-or-correct.
 //!
 //! Each closure ends (on every explored schedule) by asserting lookups
 //! and, where the trie is quiesced, whole-trie
@@ -39,7 +45,7 @@
 #![cfg(any(loom, feature = "loom-model"))]
 
 use hot_core::sync::ConcurrentHot;
-use hot_keys::{encode_u64, EmbeddedKeySource};
+use hot_keys::{encode_u64, EmbeddedKeySource, KeySource, KEY_SCRATCH_LEN};
 use loom::sync::Arc;
 use loom::thread;
 
@@ -199,5 +205,135 @@ fn insert_vs_remove() {
         assert_contains(&trie, &[4, 5, 7]);
         assert_eq!(trie.get(&encode_u64(6)), None);
         trie.check_invariants();
+    });
+}
+
+/// A 33-key trie whose height-2 root holds `{node of 0,2,…,62; leaf 64}`:
+/// the root's second slot is a leaf in a node of height > 1, so an insert
+/// next to 64 plans a leaf-node pushdown into that slot.
+fn trie_with_leaf_slot_in_root() -> Arc<ConcurrentHot<EmbeddedKeySource>> {
+    let keys: Vec<u64> = (0..=32).map(|i| i * 2).collect();
+    let trie = trie_with(&keys);
+    assert_eq!(trie.check_invariants().height, 2);
+    trie
+}
+
+/// Two pushdowns into the same leaf slot: 65 and 66 both find leaf 64 as
+/// their candidate and plan `root.slot ← pair(64, new)`. Whichever locks
+/// second analysed a slot that now holds a node: it must see the changed
+/// word and restart, not wrap the other writer's node as if it were a leaf.
+#[test]
+fn pushdown_of_candidate_leaf_between_analyse_and_lock() {
+    builder(6_000).check(|| {
+        let trie = trie_with_leaf_slot_in_root();
+        let (a, b) = (Arc::clone(&trie), Arc::clone(&trie));
+        let ta = thread::spawn(move || {
+            a.insert(&encode_u64(65), 65);
+        });
+        let tb = thread::spawn(move || {
+            b.insert(&encode_u64(66), 66);
+        });
+        ta.join().unwrap();
+        tb.join().unwrap();
+        assert_eq!(trie.len(), 35);
+        assert_contains(&trie, &[0, 62, 64, 65, 66]);
+        trie.check_invariants();
+    });
+}
+
+/// Keys with several valid TIDs: the key is `tid >> 4`, so an upsert
+/// really changes the leaf word (with `EmbeddedKeySource` it cannot).
+struct VersionedKeys;
+
+impl KeySource for VersionedKeys {
+    fn load_key<'a>(&'a self, tid: u64, scratch: &'a mut [u8; KEY_SCRATCH_LEN]) -> &'a [u8] {
+        scratch[..8].copy_from_slice(&encode_u64(tid >> 4));
+        &scratch[..8]
+    }
+}
+
+/// An upsert rewrites the candidate leaf while another writer is about to
+/// push it down. The pushdown must carry the leaf word that is in the slot
+/// when it holds the lock — the new TID survives on every schedule.
+#[test]
+fn upsert_of_candidate_leaf_between_analyse_and_lock() {
+    builder(6_000).check(|| {
+        let trie = ConcurrentHot::new(VersionedKeys);
+        for k in (0..=32).map(|i| i * 2) {
+            trie.insert(&encode_u64(k), k << 4);
+        }
+        let trie = Arc::new(trie);
+        let (a, b) = (Arc::clone(&trie), Arc::clone(&trie));
+        let ta = thread::spawn(move || {
+            a.insert(&encode_u64(65), 65 << 4);
+        });
+        let tb = thread::spawn(move || {
+            assert_eq!(b.insert(&encode_u64(64), 64 << 4 | 1), Some(64 << 4));
+        });
+        ta.join().unwrap();
+        tb.join().unwrap();
+        assert_eq!(trie.len(), 34);
+        assert_eq!(trie.get(&encode_u64(64)), Some(64 << 4 | 1));
+        assert_eq!(trie.get(&encode_u64(65)), Some(65 << 4));
+        trie.check_invariants();
+    });
+}
+
+/// The candidate leaf is removed (collapsing the two-entry root) while a
+/// writer is about to push it down: the writer locks a node that is
+/// obsolete by then and must restart against the collapsed trie.
+#[test]
+fn remove_of_candidate_leaf_between_analyse_and_lock() {
+    builder(6_000).check(|| {
+        let trie = trie_with_leaf_slot_in_root();
+        let (ins, del) = (Arc::clone(&trie), Arc::clone(&trie));
+        let ti = thread::spawn(move || {
+            ins.insert(&encode_u64(65), 65);
+        });
+        let td = thread::spawn(move || {
+            assert_eq!(del.remove(&encode_u64(64)), Some(64));
+        });
+        ti.join().unwrap();
+        td.join().unwrap();
+        assert_eq!(trie.len(), 33);
+        assert_contains(&trie, &[0, 62, 65]);
+        assert_eq!(trie.get(&encode_u64(64)), None);
+        trie.check_invariants();
+    });
+}
+
+/// Intermediate-node creation redirects a parent slot. The trie is grown
+/// to a height-3 root over a *full* height-1 node `C` (so `C`'s overflow
+/// can neither pull up — the root is two levels above — nor split the
+/// root): both writers overflow `C`, the first replaces the root's slot
+/// with a new intermediate node and retires `C`, the second analysed the
+/// old path and must restart through the new node.
+#[test]
+fn intermediate_node_redirects_parent_slot_between_analyse_and_lock() {
+    builder(1_500).check(|| {
+        const BASE: u64 = 1 << 37;
+        // 32 keys fill one node; 31 single-bit keys fill the root above it
+        // with leaf entries; BASE overflows that root into a height-3 one
+        // with BASE as a leaf slot; 31 neighbours push BASE down and fill C.
+        let mut keys: Vec<u64> = (0..32).map(|i| i * 2).collect();
+        keys.extend((6..=36).map(|j| 1u64 << j));
+        keys.extend((0..32).map(|i| BASE + i * 2));
+        let trie = trie_with(&keys);
+        let before = trie.check_invariants();
+        assert_eq!((before.height, before.nodes), (3, 4));
+        let (a, b) = (Arc::clone(&trie), Arc::clone(&trie));
+        let ta = thread::spawn(move || {
+            a.insert(&encode_u64(BASE + 1), BASE + 1);
+        });
+        let tb = thread::spawn(move || {
+            b.insert(&encode_u64(BASE + 3), BASE + 3);
+        });
+        ta.join().unwrap();
+        tb.join().unwrap();
+        assert_eq!(trie.len(), keys.len() + 2);
+        assert_contains(&trie, &[0, 62, 64, 1 << 36, BASE, BASE + 1, BASE + 3, BASE + 62]);
+        let after = trie.check_invariants();
+        // C gave way to an intermediate node over its two halves.
+        assert_eq!((after.height, after.nodes), (3, 6));
     });
 }

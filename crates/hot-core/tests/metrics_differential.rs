@@ -304,11 +304,20 @@ fn concurrent_counters_are_exact_across_threads() {
     // obsolete sightings can never exceed total restarts.
     assert!(snap.rowex.get(RowexCounter::LockFail) <= restarts);
     assert!(snap.rowex.get(RowexCounter::ObsoleteSeen) <= restarts);
-    // Reclamation backlog is queued minus freed, never negative.
+    // Reclamation backlog is queued minus freed, never negative — and
+    // empty once the writers have stopped and the epoch is drained.
     assert!(
         snap.rowex.get(RowexCounter::DeferredFreed)
             <= snap.rowex.get(RowexCounter::DeferredQueued)
     );
+    assert!(hot_core::sync::quiesce());
+    let drained = trie.metrics_ops_snapshot();
+    assert_eq!(
+        drained.rowex.get(RowexCounter::DeferredFreed),
+        drained.rowex.get(RowexCounter::DeferredQueued),
+        "quiesced: every retired node was freed"
+    );
+    assert_eq!(trie.memory_stats().node_count, trie.check_invariants().nodes);
 
     // Quiesced: the structural walk attaches gauges and does not disturb
     // the counter half.

@@ -336,7 +336,7 @@ fn serve_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
     let _ = stream.set_write_timeout(Some(shared.idle_timeout));
     let mut dec = FrameDecoder::new();
     let mut rbuf = vec![0u8; 64 << 10];
-    let mut scratch = RouterScratch::new();
+    let mut scratch = ConnScratch::default();
     let mut window: Vec<Request> = Vec::new();
     let mut responses: Vec<Response> = Vec::new();
     let mut wbuf: Vec<u8> = Vec::new();
@@ -426,13 +426,24 @@ fn send_error(stream: &mut TcpStream, code: u8, msg: &str) {
     let _ = stream.write_all(&wire);
 }
 
+/// Connection-scoped buffers of the execute path, reused across windows.
+#[derive(Default)]
+struct ConnScratch {
+    router: RouterScratch,
+    /// Key list of a GET run. Always empty between runs, which is what lets
+    /// its allocation outlive the window whose requests the keys borrow.
+    keys: Vec<&'static [u8]>,
+    /// Answers of a GET run.
+    found: Vec<Option<u64>>,
+}
+
 /// Execute one drained window in request order, coalescing runs of GETs
 /// into `get_batch_with` and runs of SCANs into `scan_batch`. Returns
 /// true when a SHUTDOWN frame was in the window.
 fn execute_window(
     shared: &Shared,
     reqs: &[Request],
-    scratch: &mut RouterScratch,
+    scratch: &mut ConnScratch,
     out: &mut Vec<Response>,
 ) -> bool {
     let mut shutdown = false;
@@ -461,7 +472,7 @@ fn exec_ops(
     shared: &Shared,
     reqs: &[Request],
     allow_batch: bool,
-    scratch: &mut RouterScratch,
+    scratch: &mut ConnScratch,
     out: &mut Vec<Response>,
     shutdown: &mut bool,
     scan_budget: &mut usize,
@@ -482,7 +493,7 @@ fn exec_ops(
                 while j < reqs.len() && matches!(reqs[j], Request::Scan { .. }) {
                     j += 1;
                 }
-                exec_scans(shared, &reqs[i..j], scratch, out, scan_budget);
+                exec_scans(shared, &reqs[i..j], &mut scratch.router, out, scan_budget);
                 i = j;
             }
             Request::Batch(subs) => {
@@ -530,29 +541,32 @@ fn record_run(shared: &Shared, kind: OpKind, elapsed: Duration, n: usize) {
         return;
     }
     let per_op = (elapsed.as_nanos() / n as u128) as u64;
-    for _ in 0..n {
-        shared.registry.record_ns(kind, per_op);
-        shared.registry.record_ns(OpKind::NetOp, per_op);
-    }
+    shared.registry.record_ns_n(kind, per_op, n as u64);
+    shared.registry.record_ns_n(OpKind::NetOp, per_op, n as u64);
     shared.registry.add_items(kind, n as u64);
 }
 
-fn exec_gets(shared: &Shared, gets: &[Request], scratch: &mut RouterScratch, out: &mut Vec<Response>) {
+fn exec_gets(shared: &Shared, gets: &[Request], scratch: &mut ConnScratch, out: &mut Vec<Response>) {
     let start = Instant::now();
-    let keys: Vec<&[u8]> = gets
-        .iter()
-        .map(|r| match r {
-            Request::Get { key } => key.as_slice(),
-            _ => unreachable!("run contains only GETs"),
-        })
-        .collect();
-    let mut found: Vec<Option<u64>> = vec![None; keys.len()];
-    shared.index.get_batch_with(&keys, &mut found, scratch);
+    // Shortening `'static` to the run's lifetime is plain covariance.
+    let mut keys: Vec<&[u8]> = std::mem::take(&mut scratch.keys);
+    keys.extend(gets.iter().map(|r| match r {
+        Request::Get { key } => key.as_slice(),
+        _ => unreachable!("run contains only GETs"),
+    }));
+    scratch.found.clear();
+    scratch.found.resize(keys.len(), None);
+    shared.index.get_batch_with(&keys, &mut scratch.found, &mut scratch.router);
     record_run(shared, OpKind::NetGet, start.elapsed(), keys.len());
-    out.extend(found.into_iter().map(|f| match f {
-        Some(tid) => Response::Tid(tid),
+    out.extend(scratch.found.iter().map(|f| match f {
+        Some(tid) => Response::Tid(*tid),
         None => Response::None,
     }));
+    // Hand the emptied allocation back. No borrow survives `clear`, and
+    // collecting a `Vec`'s own iterator into an element type of the same
+    // layout reuses its buffer (`keys_buffer_is_reused` pins that).
+    keys.clear();
+    scratch.keys = keys.into_iter().map(|_| -> &'static [u8] { unreachable!("cleared") }).collect();
 }
 
 fn exec_scans(
@@ -635,5 +649,37 @@ fn exec_scalar(
         Request::Get { .. } | Request::Scan { .. } | Request::Batch(_) => {
             unreachable!("handled by exec_ops runs")
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A GET run answers from connection-scoped buffers: the second window
+    /// reuses the first one's key-list allocation, and the run is recorded
+    /// as one sample per request.
+    #[test]
+    fn keys_buffer_is_reused() {
+        let config = ServerConfig { keys: 500, ops: 100, workers: false, ..ServerConfig::default() };
+        let data = net_data_for(config.kind, config.keys, config.ops, config.seed);
+        let loaded: Vec<(Vec<u8>, u64)> =
+            (0..100).map(|i| (data.dataset.keys[i].clone(), data.tids[i])).collect();
+        let server = start_with_data(config, data).expect("server starts");
+        let window: Vec<Request> =
+            loaded.iter().map(|(key, _)| Request::Get { key: key.clone() }).collect();
+        let mut scratch = ConnScratch::default();
+        let mut out = Vec::new();
+        execute_window(&server.shared, &window, &mut scratch, &mut out);
+        let (buffer, capacity) = (scratch.keys.as_ptr(), scratch.keys.capacity());
+        assert!(capacity >= window.len() && scratch.keys.is_empty());
+        execute_window(&server.shared, &window[..40], &mut scratch, &mut out);
+        assert_eq!((scratch.keys.as_ptr(), scratch.keys.capacity()), (buffer, capacity));
+        let want = loaded.iter().chain(&loaded[..40]).map(|&(_, tid)| Response::Tid(tid));
+        assert!(out.iter().eq(want.collect::<Vec<_>>().iter()));
+        let snap = server.shared.registry.ops_snapshot();
+        assert_eq!(snap.op(OpKind::NetGet).count, 140);
+        assert_eq!(snap.op(OpKind::NetGet).hist_total(), 140);
+        assert_eq!(snap.op(OpKind::NetOp).count, 140);
     }
 }

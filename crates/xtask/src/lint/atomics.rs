@@ -6,9 +6,14 @@
 //! file, enclosing function, ordering and a one-line `why`. On top of
 //! placement:
 //!
-//! * `Ordering::SeqCst` is banned outright, everywhere (the protocol is
-//!   all explicit acquire/release pairs; a SeqCst site is either a
-//!   misunderstanding or an undocumented protocol change);
+//! * `Ordering::SeqCst` is banned outright in workspace code (the
+//!   protocol is all explicit acquire/release pairs; a SeqCst site is
+//!   either a misunderstanding or an undocumented protocol change). The
+//!   one exception is the vendored epoch collector
+//!   (`third_party/crossbeam-epoch`), whose pin / seal / advance fences
+//!   need store-load ordering that no acquire/release pair gives: there a
+//!   SeqCst site is held to the ordinary rules — manifested with its
+//!   `why`, annotated, and counted as both sides of its group;
 //! * every **non-Relaxed** site must be covered by a
 //!   `// pairs-with: <group>[, <group>]` annotation, and every group must
 //!   be *symmetric*: at least two sites, at least one acquire side
@@ -24,7 +29,8 @@
 //! Test scaffolding (`tests/`/`benches/`/`examples/` dirs, `#[cfg(test)]`
 //! mods) is exempt from placement and annotation — but not from the
 //! SeqCst ban. `std::cmp::Ordering` never matches: only the five atomic
-//! variants are recognized.
+//! variants are recognized. Of `third_party/` only the epoch collector is
+//! scanned (see [`super::load_sources`]).
 
 use super::{Diag, SourceFile};
 use crate::lexer::is_ident_char;
@@ -95,8 +101,8 @@ pub fn run(sources: &[SourceFile], manifest: &[Table], diags: &mut Vec<Diag>) ->
     for site in &sites {
         let sf = site.file;
         let lineno = site.line + 1;
-        // Rule 1: no SeqCst, anywhere, test code included.
-        if site.ordering == "SeqCst" {
+        // Rule 1: no SeqCst in workspace code, test code included.
+        if site.ordering == "SeqCst" && !sf.rel.starts_with("third_party/") {
             diags.push(Diag {
                 file: sf.rel.clone(),
                 line: lineno,
@@ -180,8 +186,8 @@ pub fn run(sources: &[SourceFile], manifest: &[Table], diags: &mut Vec<Diag>) ->
             });
             continue;
         }
-        let acquire = members.iter().any(|m| matches!(m.2, "Acquire" | "AcqRel"));
-        let release = members.iter().any(|m| matches!(m.2, "Release" | "AcqRel"));
+        let acquire = members.iter().any(|m| matches!(m.2, "Acquire" | "AcqRel" | "SeqCst"));
+        let release = members.iter().any(|m| matches!(m.2, "Release" | "AcqRel" | "SeqCst"));
         if !acquire || !release {
             let missing = if acquire { "release" } else { "acquire" };
             let roster: Vec<String> = members
@@ -331,6 +337,25 @@ mod tests {
             "unexpected diagnostic: {}",
             diags[0]
         );
+    }
+
+    #[test]
+    fn vendored_epoch_seqcst_fence_needs_manifest_and_annotation() {
+        let rel = "third_party/crossbeam-epoch/src/lib.rs";
+        let src = "fn pin() {\n    fence(Ordering::SeqCst);\n}\n";
+        // Not banned there, but held to placement …
+        let diags = run_on(rel, src);
+        assert_eq!(diags.len(), 1, "got: {diags:?}");
+        assert!(diags[0].contains("Ordering::SeqCst in `pin` outside the sync layer"), "{}", diags[0]);
+        // … and, once manifested, to the pairs-with rule.
+        let manifest = crate::toml::parse(&format!(
+            "[[site]]\nfile = \"{rel}\"\nfunction = \"pin\"\nordering = \"SeqCst\"\nwhy = \"pin fence\"\n"
+        ))
+        .expect("manifest parses");
+        let mut diags = Vec::new();
+        run(&[fixture(rel, src)], &manifest, &mut diags).expect("pass runs");
+        assert_eq!(diags.len(), 1);
+        assert!(diags[0].msg.contains("without a `// pairs-with:"), "{}", diags[0].msg);
     }
 
     #[test]

@@ -25,9 +25,13 @@
 //!
 //! `third_party/` is deliberately **outside** the scan: it is vendored
 //! stand-in code (the loom shim runs everything at `SeqCst` internally by
-//! design) and is held to the audit-unsafe bar instead. The budget pass
-//! is the exception — its per-crate counts cover the vendored crates too,
-//! because their unsafe surface is part of the build.
+//! design) and is held to the audit-unsafe bar instead. Two exceptions:
+//! the budget pass's per-crate counts cover the vendored crates too,
+//! because their unsafe surface is part of the build; and the epoch
+//! collector (`third_party/crossbeam-epoch`) *is* scanned — it is
+//! lock-free code whose orderings the ROWEX protocol's reclamation
+//! argument rests on, so the atomics pass holds it to the manifest and
+//! `pairs-with:` rules like workspace code.
 
 pub mod atomics;
 pub mod budget;
@@ -77,10 +81,11 @@ impl SourceFile {
 
 /// Load and lex the lintable workspace sources: everything under
 /// `crates/` plus the umbrella crate's root `src/`, `tests/` and
-/// `examples/`. `third_party/` is excluded by design (see module docs).
+/// `examples/`, and of `third_party/` only the epoch collector (see
+/// module docs).
 pub fn load_sources(root: &Path) -> Result<Vec<SourceFile>, String> {
     let mut paths = Vec::new();
-    for top in ["crates", "src", "tests", "examples"] {
+    for top in ["crates", "src", "tests", "examples", "third_party/crossbeam-epoch"] {
         crate::lexer::collect_rs(&root.join(top), &mut paths);
     }
     paths.sort();

@@ -40,6 +40,8 @@ fn concurrent_url_load_equals_single_threaded() {
     }
     // Determinism across synchronization modes: same final structure.
     assert_eq!(concurrent.depth_stats(), single.depth_stats());
+    // The node counter includes retired nodes until their free has run.
+    assert!(hot_core::sync::quiesce());
     assert_eq!(
         concurrent.memory_stats().node_count,
         single.memory_stats().node_count
