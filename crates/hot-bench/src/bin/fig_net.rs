@@ -79,6 +79,7 @@ fn main() {
                 pin: config.pin,
                 window: WINDOW,
                 idle_timeout: Duration::from_secs(60),
+                ..ServerConfig::default()
             };
             let handle = start_with_data(
                 server_config,

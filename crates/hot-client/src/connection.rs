@@ -1,16 +1,16 @@
 //! The client connection handle: buffered writes, incremental reads.
 
 use hot_server::protocol::{FrameDecoder, Request, Response};
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
 /// One TCP connection to a hot-server, with a write buffer for pipelining
-/// and an incremental frame decoder for the response stream.
+/// and an incremental frame decoder — which owns the read buffer — for
+/// the response stream.
 pub struct Connection {
     stream: TcpStream,
     decoder: FrameDecoder,
     wbuf: Vec<u8>,
-    rbuf: Vec<u8>,
 }
 
 impl Connection {
@@ -23,7 +23,6 @@ impl Connection {
             stream,
             decoder: FrameDecoder::new(),
             wbuf: Vec::with_capacity(16 << 10),
-            rbuf: vec![0u8; 64 << 10],
         })
     }
 
@@ -47,21 +46,18 @@ impl Connection {
         loop {
             match self.decoder.next_frame() {
                 Ok(Some(body)) => {
-                    return Response::decode(&body)
+                    return Response::decode(body)
                         .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e));
                 }
                 Ok(None) => {}
                 Err(e) => return Err(std::io::Error::new(ErrorKind::InvalidData, e)),
             }
-            let n = self.stream.read(&mut self.rbuf)?;
-            if n == 0 {
+            if self.decoder.fill_from(&mut self.stream)? == 0 {
                 return Err(std::io::Error::new(
                     ErrorKind::UnexpectedEof,
                     "server closed the connection",
                 ));
             }
-            let fed = &self.rbuf[..n];
-            self.decoder.feed(fed);
         }
     }
 

@@ -26,6 +26,7 @@ fn server(kind: DatasetKind, shards: usize) -> ServerHandle {
         pin: false,
         window: 64,
         idle_timeout: Duration::from_secs(10),
+        ..ServerConfig::default()
     };
     start_with_data(config, net_data_for(kind, KEYS, OPS, SEED)).expect("server starts")
 }

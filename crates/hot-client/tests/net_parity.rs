@@ -39,6 +39,7 @@ fn parity_for(kind: DatasetKind, shards: usize, window: usize) {
         pin: false,
         window: 128,
         idle_timeout: Duration::from_secs(10),
+        ..ServerConfig::default()
     };
     let handle = start_with_data(config, net_data_for(kind, KEYS, OPS, SEED))
         .expect("server starts");

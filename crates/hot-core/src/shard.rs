@@ -456,6 +456,8 @@ struct WorkerCtx {
     keys: Vec<&'static [u8]>,
     scans: Vec<(&'static [u8], usize)>,
     mixed: Vec<BatchRequest<'static>>,
+    /// Result staging of one inline drain window (`queued_run`).
+    sub: Vec<Option<u64>>,
 }
 
 impl WorkerCtx {
@@ -467,6 +469,7 @@ impl WorkerCtx {
             keys: Vec::new(),
             scans: Vec::new(),
             mixed: Vec::new(),
+            sub: Vec::new(),
         }
     }
 }
@@ -1030,7 +1033,12 @@ where
             }
         }
         let WorkerCtx {
-            sched, tids, bounds, ..
+            sched,
+            tids,
+            bounds,
+            keys: wkeys,
+            sub,
+            ..
         } = ctx;
         tids.clear();
         bounds.clear();
@@ -1038,13 +1046,20 @@ where
         let metrics = self.tries[0].metrics();
         metrics.incr(RowexCounter::EpochPin);
         let _guard = epoch::pin();
-        let mut wkeys: Vec<&[u8]> = Vec::with_capacity(DRAIN_WINDOW);
-        let mut sub: Vec<Option<u64>> = vec![None; DRAIN_WINDOW];
+        sub.clear();
+        sub.resize(n.min(DRAIN_WINDOW), None);
         for (s, q) in queues.iter().enumerate() {
             for win in q.chunks(DRAIN_WINDOW) {
                 wkeys.clear();
-                wkeys.extend(win.iter().map(|&t| keys[t as usize]));
-                let stream = GatherStream { keys: &wkeys, kind };
+                wkeys.extend(win.iter().map(|&t| {
+                    let k = keys[t as usize];
+                    // SAFETY: `k` borrows the caller's `keys`, live for
+                    // this whole call; the laundered view sits in the
+                    // reusable `wkeys` only until the clear below (or the
+                    // next window's), so none outlives the call.
+                    unsafe { key_slice(KeyPtr(k.as_ptr()), k.len()) }
+                }));
+                let stream = GatherStream { keys: wkeys, kind };
                 sched.run(
                     self.tries[s].source(),
                     &stream,
@@ -1061,6 +1076,7 @@ where
                 }
             }
         }
+        wkeys.clear();
     }
 
     // ------------------------------------------------------------------

@@ -371,6 +371,34 @@ impl Registry {
             .fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Move everything `tally` holds into this registry and leave it
+    /// empty: per kind one add each to the count, duration and items
+    /// counters, and one add per histogram bucket the tally touched. The
+    /// snapshot afterwards is the one the same
+    /// [`record_ns_n`](Self::record_ns_n) / [`add_items`](Self::add_items)
+    /// calls made directly on the registry would have produced.
+    pub fn absorb(&self, tally: &mut LocalTally) {
+        let shard = &self.shards[shard_index()];
+        let kinds = shard.ops[TALLY_BASE..].iter().zip(tally.ops.iter_mut());
+        for ((op, local), hist) in kinds.zip(tally.hist.chunks_exact_mut(NUM_BUCKETS)) {
+            if local.count == 0 && local.items == 0 {
+                continue;
+            }
+            op.count.fetch_add(std::mem::take(&mut local.count), Ordering::Relaxed);
+            op.total_ns.fetch_add(std::mem::take(&mut local.total_ns), Ordering::Relaxed);
+            op.items.fetch_add(std::mem::take(&mut local.items), Ordering::Relaxed);
+            for (word, touched) in local.touched.iter_mut().enumerate() {
+                let mut bits = std::mem::take(touched);
+                while bits != 0 {
+                    let bucket = word * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let n = std::mem::take(&mut hist[bucket]);
+                    op.hist[bucket].fetch_add(n, Ordering::Relaxed);
+                }
+            }
+        }
+    }
+
     /// Start timing one `op`; the returned guard records on drop.
     #[inline]
     pub fn timer(&self, op: OpKind) -> OpTimer<'_> {
@@ -464,6 +492,82 @@ impl Registry {
             sched,
             structure: None,
         }
+    }
+}
+
+/// First of the served-request kinds ([`OpKind::NetGet`] …
+/// [`OpKind::NetOp`]), the ones a [`LocalTally`] holds.
+const TALLY_BASE: usize = OpKind::NetGet as usize;
+const TALLY_OPS: usize = NUM_OPS - TALLY_BASE;
+const TOUCHED_WORDS: usize = NUM_BUCKETS.div_ceil(64);
+
+/// One kind's share of a [`LocalTally`]: the counters of an `OpShard`,
+/// plain, and which of the kind's buckets in `LocalTally::hist` are hit.
+#[derive(Clone, Copy, Default)]
+struct TallyOp {
+    count: u64,
+    total_ns: u64,
+    items: u64,
+    /// Bit `b` set ⇔ the kind's bucket `b` is non-zero, so absorbing
+    /// visits the buckets that were hit and not all [`NUM_BUCKETS`].
+    touched: [u64; TOUCHED_WORDS],
+}
+
+/// A single-owner, non-atomic accumulator for the served-request kinds
+/// ([`OpKind::NetGet`] … [`OpKind::NetOp`]).
+///
+/// A connection thread records every request here — plain adds on memory
+/// nobody else reads, same [`bucket_index`] as the registry — and hands
+/// the lot to [`Registry::absorb`] once per request window, so the shared
+/// histograms cost a few atomic adds per window instead of three per run.
+/// Nothing is averaged or dropped on the way: the registry ends up with
+/// exactly the samples it would have been given directly, at most one
+/// window late.
+///
+/// The buckets (≈ 24 KB) are one zeroed heap block, so only the pages
+/// holding buckets that are ever hit become resident.
+pub struct LocalTally {
+    ops: [TallyOp; TALLY_OPS],
+    /// `NUM_BUCKETS` buckets per kind, kind-major.
+    hist: Box<[u64]>,
+}
+
+impl Default for LocalTally {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl LocalTally {
+    /// An empty tally.
+    pub fn new() -> LocalTally {
+        LocalTally {
+            ops: [TallyOp::default(); TALLY_OPS],
+            hist: vec![0; TALLY_OPS * NUM_BUCKETS].into_boxed_slice(),
+        }
+    }
+
+    /// Record `n` completed `op`s that took `ns` nanoseconds each — the
+    /// local counterpart of [`Registry::record_ns_n`].
+    ///
+    /// # Panics
+    /// Panics if `op` is not one of the served-request kinds.
+    #[inline]
+    pub fn record(&mut self, op: OpKind, ns: u64, n: u64) {
+        let kind = op as usize - TALLY_BASE;
+        let local = &mut self.ops[kind];
+        let bucket = bucket_index(ns);
+        local.count += n;
+        local.total_ns = local.total_ns.wrapping_add(ns.wrapping_mul(n));
+        local.touched[bucket / 64] |= 1 << (bucket % 64);
+        self.hist[kind * NUM_BUCKETS + bucket] += n;
+    }
+
+    /// Add `n` to `op`'s items counter — the local counterpart of
+    /// [`Registry::add_items`]. Panics like [`record`](Self::record).
+    #[inline]
+    pub fn add_items(&mut self, op: OpKind, n: u64) {
+        self.ops[op as usize - TALLY_BASE].items += n;
     }
 }
 
@@ -938,6 +1042,43 @@ mod tests {
                 a.op(kind).total_ns + b.op(kind).total_ns
             );
         }
+    }
+
+    /// Recording through a tally and absorbing it is indistinguishable
+    /// from recording on the registry: same counts, same durations, same
+    /// histogram buckets, one sample per request.
+    #[test]
+    fn absorbed_tally_equals_direct_recording() {
+        let (direct, via_tally) = (Registry::new(), Registry::new());
+        let mut tally = LocalTally::new();
+        let samples = [
+            (OpKind::NetGet, 180, 96),
+            (OpKind::NetPut, 1_250, 1),
+            (OpKind::NetGet, 181, 2),
+            (OpKind::NetScan, 73_000, 3),
+            (OpKind::NetDel, 0, 1),
+            (OpKind::NetGet, u64::MAX, 1),
+        ];
+        for round in 0..3 {
+            for &(op, ns, n) in &samples[round..] {
+                for reg_op in [op, OpKind::NetOp] {
+                    direct.record_ns_n(reg_op, ns, n);
+                    tally.record(reg_op, ns, n);
+                }
+                direct.add_items(op, n);
+                tally.add_items(op, n);
+            }
+            via_tally.absorb(&mut tally);
+            assert_eq!(via_tally.ops_snapshot(), direct.ops_snapshot());
+            // Absorbing emptied it: a second absorb adds nothing.
+            via_tally.absorb(&mut tally);
+            assert_eq!(via_tally.ops_snapshot(), direct.ops_snapshot());
+        }
+        let snap = via_tally.ops_snapshot();
+        for op in [OpKind::NetGet, OpKind::NetPut, OpKind::NetDel, OpKind::NetScan, OpKind::NetOp] {
+            assert_eq!(snap.op(op).count, snap.op(op).hist_total());
+        }
+        assert_eq!(snap.op(OpKind::NetOp).count, 3 * 104 - 96 - 97);
     }
 
     #[test]

@@ -12,7 +12,14 @@
 //! so that a pipelining client can write any number of frames back to back
 //! and a server can decode them incrementally from arbitrary read
 //! boundaries — [`FrameDecoder`] never assumes a read ends on a frame
-//! boundary.
+//! boundary, and it yields frame bodies as *views* into its own buffer:
+//! the server parses requests in place ([`RequestRef`]) and appends its
+//! answers straight to the connection's write buffer ([`encode_none`],
+//! [`encode_tid`], [`encode_scan`], …), so a request's bytes are touched
+//! once. The owned [`Request`] / [`Response`] enums are the client-side
+//! (and test-side) face of the same codec: `Request::decode` is
+//! `RequestRef::decode(..).to_owned()` and `Response::encode` runs the
+//! same in-place encoders.
 //!
 //! Request opcodes and their payloads:
 //!
@@ -94,6 +101,9 @@ pub mod err_code {
     /// The response to a legal request would exceed [`super::MAX_FRAME`];
     /// sent in its place (the request needs to be split up).
     pub const RESPONSE_TOO_LARGE: u8 = 4;
+    /// The server already serves `ServerConfig::max_connections`
+    /// connections; sent by the acceptor, which then closes the socket.
+    pub const OVERLOADED: u8 = 5;
 }
 
 const OP_GET: u8 = 0x01;
@@ -244,54 +254,139 @@ pub enum Response {
     },
 }
 
-/// Bounded reader over one frame body.
+/// A continuation token whose key is borrowed — from a RESUME frame's
+/// body, from an owned [`ScanToken`], or from the tuple store when the
+/// server mints the token of a filled page.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ScanTokenRef<'a> {
+    /// The shard owning `last_key`.
+    pub shard: u32,
+    /// The last key of the page; the next page starts strictly after it.
+    pub last_key: &'a [u8],
+}
+
+impl ScanTokenRef<'_> {
+    /// The owned token [`hot_core::ShardedHot::scan_resume`] takes.
+    pub fn to_owned(&self) -> ScanToken {
+        ScanToken { shard: self.shard, last_key: self.last_key.to_vec() }
+    }
+}
+
+impl<'a> From<&'a ScanToken> for ScanTokenRef<'a> {
+    fn from(token: &'a ScanToken) -> ScanTokenRef<'a> {
+        ScanTokenRef { shard: token.shard, last_key: &token.last_key }
+    }
+}
+
+/// One request decoded in place: the same variants as [`Request`], with
+/// every key a view into the frame body it was parsed from. This is the
+/// protocol's one request parser — the server executes these directly
+/// off the [`FrameDecoder`]'s buffer, and [`Request::decode`] is this
+/// plus [`to_owned`](RequestRef::to_owned). Only `Batch` owns anything
+/// (the list of its sub-requests, themselves views).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RequestRef<'a> {
+    /// Point lookup.
+    Get {
+        /// The probed key.
+        key: &'a [u8],
+    },
+    /// Upsert of `key → tid` (see [`Request::Put`]).
+    Put {
+        /// The tuple identifier to store.
+        tid: u64,
+        /// The key it must resolve to.
+        key: &'a [u8],
+    },
+    /// Remove a key.
+    Del {
+        /// The key to remove.
+        key: &'a [u8],
+    },
+    /// Range scan of up to `limit` entries from `start` (inclusive).
+    Scan {
+        /// First key of the range.
+        start: &'a [u8],
+        /// Maximum entries returned (server-clamped to [`MAX_SCAN_TIDS`]).
+        limit: u32,
+    },
+    /// Continue a paged scan.
+    Resume {
+        /// The continuation token (strictly-after semantics).
+        token: ScanTokenRef<'a>,
+        /// Maximum entries returned for this page.
+        limit: u32,
+    },
+    /// A group of sub-requests; never contains a nested `Batch`.
+    Batch(Vec<RequestRef<'a>>),
+    /// Server metrics snapshot.
+    Stats,
+    /// Liveness probe.
+    Ping,
+    /// Ask the server to exit cleanly.
+    Shutdown,
+}
+
+/// Bounded reader over one frame body: the bytes not yet consumed.
 struct Cursor<'a> {
-    body: &'a [u8],
-    at: usize,
+    rest: &'a [u8],
 }
 
 impl<'a> Cursor<'a> {
     fn new(body: &'a [u8]) -> Cursor<'a> {
-        Cursor { body, at: 0 }
+        Cursor { rest: body }
     }
 
+    #[inline]
     fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], ProtoError> {
-        let end = self.at.checked_add(n).ok_or(ProtoError::Truncated(what))?;
-        let bytes = self.body.get(self.at..end).ok_or(ProtoError::Truncated(what))?;
-        self.at = end;
+        let (bytes, rest) = self.rest.split_at_checked(n).ok_or(ProtoError::Truncated(what))?;
+        self.rest = rest;
         Ok(bytes)
     }
 
+    #[inline]
+    fn array<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], ProtoError> {
+        let (bytes, rest) = self.rest.split_first_chunk().ok_or(ProtoError::Truncated(what))?;
+        self.rest = rest;
+        Ok(*bytes)
+    }
+
+    #[inline]
     fn u8(&mut self, what: &'static str) -> Result<u8, ProtoError> {
-        Ok(self.take(1, what)?[0])
+        Ok(self.array::<1>(what)?[0])
     }
 
+    #[inline]
     fn u16(&mut self, what: &'static str) -> Result<u16, ProtoError> {
-        Ok(u16::from_le_bytes(self.take(2, what)?.try_into().expect("len checked")))
+        self.array(what).map(u16::from_le_bytes)
     }
 
+    #[inline]
     fn u32(&mut self, what: &'static str) -> Result<u32, ProtoError> {
-        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().expect("len checked")))
+        self.array(what).map(u32::from_le_bytes)
     }
 
+    #[inline]
     fn u64(&mut self, what: &'static str) -> Result<u64, ProtoError> {
-        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().expect("len checked")))
+        self.array(what).map(u64::from_le_bytes)
     }
 
     /// `[klen: u16][key]`, bounded by [`MAX_KEY`].
-    fn key(&mut self) -> Result<Vec<u8>, ProtoError> {
+    #[inline]
+    fn key(&mut self) -> Result<&'a [u8], ProtoError> {
         let len = self.u16("key length")? as usize;
         if len > MAX_KEY {
             return Err(ProtoError::KeyTooLong(len));
         }
-        Ok(self.take(len, "key bytes")?.to_vec())
+        self.take(len, "key bytes")
     }
 
+    #[inline]
     fn done(&self) -> Result<(), ProtoError> {
-        if self.at == self.body.len() {
+        if self.rest.is_empty() {
             Ok(())
         } else {
-            Err(ProtoError::TrailingBytes(self.body.len() - self.at))
+            Err(ProtoError::TrailingBytes(self.rest.len()))
         }
     }
 }
@@ -366,107 +461,255 @@ impl Request {
         }
     }
 
-    /// Decode one frame body. Rejects trailing bytes, so a frame is
-    /// exactly one request.
+    /// Decode one frame body into an owned request:
+    /// [`RequestRef::decode`] plus [`RequestRef::to_owned`].
     pub fn decode(body: &[u8]) -> Result<Request, ProtoError> {
+        RequestRef::decode(body).map(|req| req.to_owned())
+    }
+}
+
+impl<'a> RequestRef<'a> {
+    /// Decode one frame body in place. Rejects trailing bytes, so a frame
+    /// is exactly one request. Allocates only for a BATCH's sub-request
+    /// list.
+    ///
+    /// Inlined into its callers together with the scalar arms, so the
+    /// window loop sees a request's fields as values and not as an enum
+    /// copied through memory (the copy costs more than the parse).
+    #[inline(always)]
+    pub fn decode(body: &'a [u8]) -> Result<RequestRef<'a>, ProtoError> {
         let mut cur = Cursor::new(body);
-        let req = Request::decode_body(&mut cur, true)?;
+        let req = match cur.u8("opcode")? {
+            OP_BATCH => RequestRef::decode_batch(&mut cur)?,
+            opcode => RequestRef::decode_scalar(opcode, &mut cur)?,
+        };
         cur.done()?;
         Ok(req)
     }
 
-    fn decode_body(cur: &mut Cursor<'_>, allow_batch: bool) -> Result<Request, ProtoError> {
-        match cur.u8("opcode")? {
-            OP_GET => Ok(Request::Get { key: cur.key()? }),
+    /// The payload of any request but BATCH — a top-level body or a
+    /// BATCH's sub-request, which is where a BATCH opcode is nesting.
+    #[inline(always)]
+    fn decode_scalar(opcode: u8, cur: &mut Cursor<'a>) -> Result<RequestRef<'a>, ProtoError> {
+        match opcode {
+            OP_GET => Ok(RequestRef::Get { key: cur.key()? }),
             OP_PUT => {
                 let tid = cur.u64("PUT tid")?;
-                Ok(Request::Put { tid, key: cur.key()? })
+                Ok(RequestRef::Put { tid, key: cur.key()? })
             }
-            OP_DEL => Ok(Request::Del { key: cur.key()? }),
+            OP_DEL => Ok(RequestRef::Del { key: cur.key()? }),
             OP_SCAN => {
                 let limit = cur.u32("SCAN limit")?;
-                Ok(Request::Scan { start: cur.key()?, limit })
+                Ok(RequestRef::Scan { start: cur.key()?, limit })
             }
             OP_RESUME => {
                 let limit = cur.u32("RESUME limit")?;
                 let shard = cur.u32("RESUME shard")?;
                 let last_key = cur.key()?;
-                Ok(Request::Resume { token: ScanToken { shard, last_key }, limit })
-            }
-            OP_BATCH if allow_batch => {
-                let count = cur.u32("BATCH count")? as usize;
-                // Reject oversized groups before decoding (or allocating
-                // for) a single sub-request: a frame that passes this gate
-                // can demand at most MAX_BATCH_SUBS operations of work.
-                if count > MAX_BATCH_SUBS {
-                    return Err(ProtoError::BatchTooLarge(count));
-                }
-                let mut subs = Vec::with_capacity(count);
-                for _ in 0..count {
-                    subs.push(Request::decode_body(cur, false)?);
-                }
-                Ok(Request::Batch(subs))
+                Ok(RequestRef::Resume { token: ScanTokenRef { shard, last_key }, limit })
             }
             OP_BATCH => Err(ProtoError::NestedBatch),
-            OP_STATS => Ok(Request::Stats),
-            OP_PING => Ok(Request::Ping),
-            OP_SHUTDOWN => Ok(Request::Shutdown),
+            OP_STATS => Ok(RequestRef::Stats),
+            OP_PING => Ok(RequestRef::Ping),
+            OP_SHUTDOWN => Ok(RequestRef::Shutdown),
             other => Err(ProtoError::UnknownOpcode(other)),
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn decode_batch(cur: &mut Cursor<'a>) -> Result<RequestRef<'a>, ProtoError> {
+        let count = cur.u32("BATCH count")? as usize;
+        // Reject oversized groups before decoding (or allocating for) a
+        // single sub-request: a frame that passes this gate can demand at
+        // most MAX_BATCH_SUBS operations of work.
+        if count > MAX_BATCH_SUBS {
+            return Err(ProtoError::BatchTooLarge(count));
+        }
+        let mut subs = Vec::with_capacity(count);
+        for _ in 0..count {
+            let opcode = cur.u8("opcode")?;
+            subs.push(RequestRef::decode_scalar(opcode, cur)?);
+        }
+        Ok(RequestRef::Batch(subs))
+    }
+
+    /// Copy the borrowed keys into an owned [`Request`].
+    pub fn to_owned(&self) -> Request {
+        match self {
+            RequestRef::Get { key } => Request::Get { key: key.to_vec() },
+            RequestRef::Put { tid, key } => Request::Put { tid: *tid, key: key.to_vec() },
+            RequestRef::Del { key } => Request::Del { key: key.to_vec() },
+            RequestRef::Scan { start, limit } => {
+                Request::Scan { start: start.to_vec(), limit: *limit }
+            }
+            RequestRef::Resume { token, limit } => {
+                Request::Resume { token: token.to_owned(), limit: *limit }
+            }
+            RequestRef::Batch(subs) => {
+                Request::Batch(subs.iter().map(RequestRef::to_owned).collect())
+            }
+            RequestRef::Stats => Request::Stats,
+            RequestRef::Ping => Request::Ping,
+            RequestRef::Shutdown => Request::Shutdown,
         }
     }
 }
 
-impl Response {
-    /// Append this response as one complete frame (length prefix included).
-    ///
-    /// Never emits a frame over [`MAX_FRAME`]: a body that would exceed
-    /// the cap (which the peer's decoder would reject, poisoning the
-    /// connection — and whose u32 length prefix could even wrap) is
-    /// replaced in place by an [`err_code::RESPONSE_TOO_LARGE`] ERR
-    /// frame, so every encoded response is decodable by a conforming
-    /// peer.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        let slot = out.len();
-        out.extend_from_slice(&[0u8; 4]);
-        self.encode_body(out);
-        let mut len = out.len() - slot - 4;
-        if len > MAX_FRAME {
-            out.truncate(slot + 4);
-            Response::Error {
-                code: err_code::RESPONSE_TOO_LARGE,
-                msg: format!("response of {len} bytes exceeds the {MAX_FRAME}-byte frame cap"),
-            }
-            .encode_body(out);
-            len = out.len() - slot - 4;
+/// Whether an in-place encoder appends a complete top-level frame (length
+/// prefix, [`MAX_FRAME`] enforced) or a bare body — the encoding of a
+/// sub-response inside an OK_BATCH frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Framing {
+    /// `[len: u32 LE][body]`.
+    Frame,
+    /// `[body]` only.
+    Body,
+}
+
+/// Reserve a response frame's length slot; [`end_frame`] patches it.
+fn begin_frame(out: &mut Vec<u8>) -> usize {
+    let slot = out.len();
+    out.extend_from_slice(&[0u8; 4]);
+    slot
+}
+
+/// Close the frame opened at `slot` by [`begin_frame`] / [`begin_batch`].
+///
+/// Never leaves a frame over [`MAX_FRAME`]: a body that would exceed the
+/// cap (which the peer's decoder would reject, poisoning the connection —
+/// and whose u32 length prefix could even wrap) is replaced in place by
+/// an [`err_code::RESPONSE_TOO_LARGE`] ERR frame, so every encoded
+/// response is decodable by a conforming peer.
+pub fn end_frame(out: &mut Vec<u8>, slot: usize) {
+    let mut len = out.len() - slot - 4;
+    if len > MAX_FRAME {
+        out.truncate(slot + 4);
+        let msg = format!("response of {len} bytes exceeds the {MAX_FRAME}-byte frame cap");
+        encode_error(out, Framing::Body, err_code::RESPONSE_TOO_LARGE, &msg);
+        len = out.len() - slot - 4;
+    }
+    out[slot..slot + 4].copy_from_slice(&(len as u32).to_le_bytes());
+}
+
+/// Run `body` as one response under `framing`.
+fn framed(out: &mut Vec<u8>, framing: Framing, body: impl FnOnce(&mut Vec<u8>)) {
+    match framing {
+        Framing::Frame => {
+            let slot = begin_frame(out);
+            body(out);
+            end_frame(out, slot);
         }
-        out[slot..slot + 4].copy_from_slice(&(len as u32).to_le_bytes());
+        Framing::Body => body(out),
+    }
+}
+
+/// Append OK_NONE — byte-identical to `Response::None`.
+#[inline]
+pub fn encode_none(out: &mut Vec<u8>, framing: Framing) {
+    match framing {
+        Framing::Frame => out.extend_from_slice(&[1, 0, 0, 0, ST_NONE]),
+        Framing::Body => out.push(ST_NONE),
+    }
+}
+
+/// Append OK_TID — byte-identical to `Response::Tid(tid)`.
+#[inline]
+pub fn encode_tid(out: &mut Vec<u8>, framing: Framing, tid: u64) {
+    let mut frame = [9, 0, 0, 0, ST_TID, 0, 0, 0, 0, 0, 0, 0, 0];
+    frame[5..].copy_from_slice(&tid.to_le_bytes());
+    match framing {
+        Framing::Frame => out.extend_from_slice(&frame),
+        Framing::Body => out.extend_from_slice(&frame[4..]),
+    }
+}
+
+/// Append OK_SCAN with its TIDs read straight from `tids` —
+/// byte-identical to `Response::Scan { tids, token }`.
+pub fn encode_scan(
+    out: &mut Vec<u8>,
+    framing: Framing,
+    tids: &[u64],
+    token: Option<ScanTokenRef<'_>>,
+) {
+    framed(out, framing, |out| {
+        out.push(ST_SCAN);
+        match token {
+            Some(t) => {
+                out.push(1);
+                out.extend_from_slice(&t.shard.to_le_bytes());
+                put_key(out, t.last_key);
+            }
+            None => out.push(0),
+        }
+        out.extend_from_slice(&(tids.len() as u32).to_le_bytes());
+        out.reserve(tids.len() * 8);
+        for tid in tids {
+            out.extend_from_slice(&tid.to_le_bytes());
+        }
+    });
+}
+
+/// Append OK_TEXT — byte-identical to `Response::Text`.
+pub fn encode_text(out: &mut Vec<u8>, framing: Framing, text: &str) {
+    framed(out, framing, |out| {
+        out.push(ST_TEXT);
+        out.extend_from_slice(&(text.len() as u32).to_le_bytes());
+        out.extend_from_slice(text.as_bytes());
+    });
+}
+
+/// Append ERR — byte-identical to `Response::Error { code, msg }`.
+pub fn encode_error(out: &mut Vec<u8>, framing: Framing, code: u8, msg: &str) {
+    framed(out, framing, |out| {
+        out.push(ST_ERR);
+        out.push(code);
+        // The u16 length forces truncation of huge messages; back off to
+        // a char boundary so the peer never sees a split codepoint (which
+        // would decode as BadText, hiding the original error behind a
+        // protocol error).
+        let mut cut = msg.len().min(u16::MAX as usize);
+        while !msg.is_char_boundary(cut) {
+            cut -= 1;
+        }
+        let bytes = &msg.as_bytes()[..cut];
+        out.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
+        out.extend_from_slice(bytes);
+    });
+}
+
+/// Open an OK_BATCH frame of `count` sub-responses; the caller appends
+/// them with [`Framing::Body`] and closes the frame with [`end_frame`].
+pub fn begin_batch(out: &mut Vec<u8>, count: usize) -> usize {
+    let slot = begin_frame(out);
+    put_batch_header(out, count);
+    slot
+}
+
+fn put_batch_header(out: &mut Vec<u8>, count: usize) {
+    out.push(ST_BATCH);
+    out.extend_from_slice(&(count as u32).to_le_bytes());
+}
+
+impl Response {
+    /// Append this response as one complete frame (length prefix
+    /// included); never emits a frame over [`MAX_FRAME`] (see
+    /// [`end_frame`]).
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        let slot = begin_frame(out);
+        self.encode_body(out);
+        end_frame(out, slot);
     }
 
     fn encode_body(&self, out: &mut Vec<u8>) {
         match self {
-            Response::None => out.push(ST_NONE),
-            Response::Tid(tid) => {
-                out.push(ST_TID);
-                out.extend_from_slice(&tid.to_le_bytes());
-            }
+            Response::None => encode_none(out, Framing::Body),
+            Response::Tid(tid) => encode_tid(out, Framing::Body, *tid),
             Response::Scan { tids, token } => {
-                out.push(ST_SCAN);
-                match token {
-                    Some(t) => {
-                        out.push(1);
-                        out.extend_from_slice(&t.shard.to_le_bytes());
-                        put_key(out, &t.last_key);
-                    }
-                    Option::None => out.push(0),
-                }
-                out.extend_from_slice(&(tids.len() as u32).to_le_bytes());
-                for tid in tids {
-                    out.extend_from_slice(&tid.to_le_bytes());
-                }
+                encode_scan(out, Framing::Body, tids, token.as_ref().map(ScanTokenRef::from));
             }
             Response::Batch(subs) => {
-                out.push(ST_BATCH);
-                out.extend_from_slice(&(subs.len() as u32).to_le_bytes());
+                put_batch_header(out, subs.len());
                 for sub in subs {
                     debug_assert!(
                         !matches!(sub, Response::Batch(_)),
@@ -475,26 +718,8 @@ impl Response {
                     sub.encode_body(out);
                 }
             }
-            Response::Text(text) => {
-                out.push(ST_TEXT);
-                out.extend_from_slice(&(text.len() as u32).to_le_bytes());
-                out.extend_from_slice(text.as_bytes());
-            }
-            Response::Error { code, msg } => {
-                out.push(ST_ERR);
-                out.push(*code);
-                // The u16 length forces truncation of huge messages; back
-                // off to a char boundary so the peer never sees a split
-                // codepoint (which would decode as BadText, hiding the
-                // original error behind a protocol error).
-                let mut cut = msg.len().min(u16::MAX as usize);
-                while !msg.is_char_boundary(cut) {
-                    cut -= 1;
-                }
-                let bytes = &msg.as_bytes()[..cut];
-                out.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
-                out.extend_from_slice(bytes);
-            }
+            Response::Text(text) => encode_text(out, Framing::Body, text),
+            Response::Error { code, msg } => encode_error(out, Framing::Body, *code, msg),
         }
     }
 
@@ -516,13 +741,13 @@ impl Response {
                     0 => Option::None,
                     _ => {
                         let shard = cur.u32("OK_SCAN token shard")?;
-                        Some(ScanToken { shard, last_key: cur.key()? })
+                        Some(ScanToken { shard, last_key: cur.key()?.to_vec() })
                     }
                 };
                 let count = cur.u32("OK_SCAN count")? as usize;
                 // A true count is bounded by the remaining payload; refuse
                 // to allocate more than that for a hostile one.
-                if count > cur.body.len().saturating_sub(cur.at) / 8 {
+                if count > cur.rest.len() / 8 {
                     return Err(ProtoError::Truncated("OK_SCAN tids"));
                 }
                 let mut tids = Vec::with_capacity(count);
@@ -563,65 +788,132 @@ impl Response {
     }
 }
 
-/// Incremental frame splitter: feed it raw socket reads, pull complete
-/// frame bodies out. Tolerates any split of the byte stream — a frame may
-/// arrive one byte at a time or many frames may land in one read.
+/// Incremental frame splitter: fill it from the transport, pull complete
+/// frame bodies out as views into its buffer. Tolerates any split of the
+/// byte stream — a frame may arrive one byte at a time or many frames may
+/// land in one read.
+///
+/// The decoder owns the connection's one read buffer:
+/// [`fill_from`](Self::fill_from) reads from the socket straight into it
+/// ([`feed`](Self::feed) copies in bytes a caller already holds), and
+/// [`next_frame`](Self::next_frame) / [`frames`](Self::frames) hand out
+/// `&[u8]` bodies that borrow it. Both ways of adding bytes take `&mut
+/// self` and may move the unconsumed tail to the front of the buffer or
+/// grow it, so the borrow checker is what proves that no body view is
+/// alive when that happens.
 ///
 /// The decoder is format-agnostic: it enforces only the length-prefix
-/// framing ([`MAX_FRAME`], non-empty bodies); [`Request::decode`] /
+/// framing ([`MAX_FRAME`], non-empty bodies); [`RequestRef::decode`] /
 /// [`Response::decode`] interpret the bodies it yields.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
+    /// Storage, fully initialised; `buf[pos..end]` is what was read and
+    /// not yet yielded, `buf[end..]` is room for the next read.
     buf: Vec<u8>,
-    /// Bytes of `buf` already consumed by yielded frames.
     pos: usize,
+    end: usize,
 }
 
+/// Room [`FrameDecoder::fill_from`] offers one read (and the buffer's
+/// first size): enough for several pipelined windows of small requests
+/// per syscall.
+const FILL_CHUNK: usize = 32 << 10;
+
 impl FrameDecoder {
-    /// An empty decoder.
+    /// An empty decoder (its buffer is allocated by the first bytes).
     pub fn new() -> FrameDecoder {
         FrameDecoder::default()
     }
 
-    /// Append raw bytes from the transport.
-    pub fn feed(&mut self, bytes: &[u8]) {
-        // Reclaim the consumed prefix before growing, so a long-lived
-        // connection's buffer stays proportional to its in-flight data.
-        if self.pos > 0 && (self.pos >= self.buf.len() || self.pos >= 4096) {
-            self.buf.drain(..self.pos);
+    /// Make `buf[end..]` at least `need` bytes long: for free when
+    /// everything buffered was consumed, else by moving the unconsumed
+    /// bytes to the front, else by growing. Bytes are moved only when the
+    /// tail is short, so a stream of small frames through a large buffer
+    /// is compacted once per buffer-full, not once per read.
+    fn reserve(&mut self, need: usize) {
+        if self.pos == self.end {
+            self.pos = 0;
+            self.end = 0;
+        }
+        if self.buf.len() - self.end >= need {
+            return;
+        }
+        if self.pos > 0 {
+            self.buf.copy_within(self.pos..self.end, 0);
+            self.end -= self.pos;
             self.pos = 0;
         }
-        self.buf.extend_from_slice(bytes);
+        if self.buf.len() - self.end < need {
+            let grown = (self.end + need).max(self.buf.len() * 2);
+            self.buf.resize(grown, 0);
+        }
+    }
+
+    /// Append raw bytes the caller already holds.
+    pub fn feed(&mut self, bytes: &[u8]) {
+        self.reserve(bytes.len());
+        self.buf[self.end..self.end + bytes.len()].copy_from_slice(bytes);
+        self.end += bytes.len();
+    }
+
+    /// Read once from `src` straight into the decoder's buffer; returns
+    /// the byte count (`Ok(0)` is end of stream) or `src`'s error, which
+    /// leaves the decoder unchanged — a `WouldBlock` is safe to retry.
+    pub fn fill_from(&mut self, src: &mut impl std::io::Read) -> std::io::Result<usize> {
+        self.reserve(FILL_CHUNK);
+        let room = &mut self.buf[self.end..];
+        let n = src.read(room)?;
+        assert!(n <= room.len(), "Read::read returned more than the buffer holds");
+        self.end += n;
+        Ok(n)
     }
 
     /// Bytes buffered but not yet yielded as frames.
     pub fn pending(&self) -> usize {
-        self.buf.len() - self.pos
+        self.end - self.pos
+    }
+
+    /// The buffered complete frames, as body views that may be held
+    /// together (a window of requests executed as one unit) for as long
+    /// as the decoder is not filled again.
+    pub fn frames(&mut self) -> Frames<'_> {
+        Frames { buf: &self.buf[..self.end], pos: &mut self.pos }
     }
 
     /// Yield the next complete frame body, `Ok(None)` when more bytes are
     /// needed, or a framing error (after which the stream cannot be
     /// resynchronized and should be closed).
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, ProtoError> {
-        let avail = self.pending();
-        if avail < 4 {
-            return Ok(None);
-        }
-        let at = self.pos;
-        let len =
-            u32::from_le_bytes(self.buf[at..at + 4].try_into().expect("len checked")) as usize;
+    pub fn next_frame(&mut self) -> Result<Option<&[u8]>, ProtoError> {
+        self.frames().next().transpose()
+    }
+}
+
+/// Iterator over a [`FrameDecoder`]'s buffered frames: `None` when the
+/// next frame is incomplete, `Some(Err(_))` on a framing violation (not
+/// consumed — the stream is dead), else the next body.
+#[derive(Debug)]
+pub struct Frames<'a> {
+    buf: &'a [u8],
+    pos: &'a mut usize,
+}
+
+impl<'a> Iterator for Frames<'a> {
+    type Item = Result<&'a [u8], ProtoError>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        let buf = self.buf;
+        let rest = &buf[*self.pos..];
+        let len = u32::from_le_bytes(*rest.first_chunk()?) as usize;
         if len == 0 {
-            return Err(ProtoError::EmptyFrame);
+            return Some(Err(ProtoError::EmptyFrame));
         }
         if len > MAX_FRAME {
-            return Err(ProtoError::FrameTooLarge(len));
+            return Some(Err(ProtoError::FrameTooLarge(len)));
         }
-        if avail < 4 + len {
-            return Ok(None);
-        }
-        let body = self.buf[at + 4..at + 4 + len].to_vec();
-        self.pos = at + 4 + len;
-        Ok(Some(body))
+        let body = rest.get(4..4 + len)?;
+        *self.pos += 4 + len;
+        Some(Ok(body))
     }
 }
 
@@ -653,7 +945,7 @@ mod tests {
         dec.feed(&wire);
         for want in &reqs {
             let body = dec.next_frame().unwrap().expect("frame present");
-            assert_eq!(&Request::decode(&body).unwrap(), want);
+            assert_eq!(&Request::decode(body).unwrap(), want);
         }
         assert_eq!(dec.next_frame().unwrap(), None);
     }
@@ -680,7 +972,7 @@ mod tests {
         dec.feed(&wire);
         for want in &resps {
             let body = dec.next_frame().unwrap().expect("frame present");
-            assert_eq!(&Response::decode(&body).unwrap(), want);
+            assert_eq!(&Response::decode(body).unwrap(), want);
         }
     }
 
@@ -694,7 +986,7 @@ mod tests {
             for piece in wire.chunks(chunk) {
                 dec.feed(piece);
                 while let Some(body) = dec.next_frame().unwrap() {
-                    got.push(Request::decode(&body).unwrap());
+                    got.push(Request::decode(body).unwrap());
                 }
             }
             assert_eq!(got, vec![Request::Put { tid: 42, key: b"hello".to_vec() }]);
@@ -753,7 +1045,7 @@ mod tests {
         let mut dec = FrameDecoder::new();
         dec.feed(&wire);
         let body = dec.next_frame().unwrap().expect("one complete frame");
-        match Response::decode(&body).unwrap() {
+        match Response::decode(body).unwrap() {
             Response::Error { code, .. } => assert_eq!(code, err_code::RESPONSE_TOO_LARGE),
             other => panic!("expected ERR replacement, got {other:?}"),
         }
@@ -769,7 +1061,7 @@ mod tests {
         let mut dec = FrameDecoder::new();
         dec.feed(&wire);
         let body = dec.next_frame().unwrap().expect("one complete frame");
-        match Response::decode(&body).expect("truncation must stay valid UTF-8") {
+        match Response::decode(body).expect("truncation must stay valid UTF-8") {
             Response::Error { code, msg: got } => {
                 assert_eq!(code, err_code::BAD_FRAME);
                 assert_eq!(got.len(), u16::MAX as usize - 1);

@@ -1,32 +1,55 @@
-//! The TCP server: shard-affine execution behind per-connection pipelining.
+//! The TCP server: per-connection pipelining in front of a [`ShardedHot`].
 //!
-//! Threading model (DESIGN.md §18): the index is a [`ShardedHot`] whose
-//! *shard-owning worker threads* (one per shard, optionally core-pinned via
-//! `hot_core::numa`) do all trie work. Connections get one lightweight I/O
-//! thread each; a connection thread never descends the trie itself — it
-//! decodes a window of pipelined requests, routes the window through the
-//! sharded batch entry points (`get_batch_with` / `scan_batch`: one epoch
-//! pin and one MLP ring per shard per drain), and scatters the responses
-//! back in request order. So the expensive part of the server scales with
-//! shards, not with connections.
+//! Threading model (DESIGN.md §18.2). Every connection gets one thread
+//! that owns the connection's buffers — the [`FrameDecoder`]'s read
+//! buffer, the response write buffer, the router scratch and the metrics
+//! tally — and runs the read → parse → execute → respond loop on them.
+//! Who descends the trie depends on [`ServerConfig::workers`]:
+//!
+//! * `workers: true` (the default): the index's *shard-owning worker
+//!   threads* (one per shard, optionally core-pinned via
+//!   `hot_core::numa`) run the batched descents. The connection thread
+//!   parses a window of pipelined requests, routes each GET or SCAN run
+//!   through `get_batch_with` / `scan_batch` (one epoch pin and one MLP
+//!   ring per shard per drain), blocks on the batch latch and writes the
+//!   answers in request order, so the batched read work scales with
+//!   shards, not connections. PUT, DEL and RESUME are scalar calls and run
+//!   on the connection thread in this mode too.
+//! * `workers: false` (the inline router — the repo benchmark and the
+//!   small tests): there is no pool, and the connection thread does
+//!   everything itself, classify, shard-grouped drains and descents
+//!   included.
+//!
+//! Either way a request's bytes are touched once: the socket is read
+//! straight into the decoder's buffer, requests are parsed in place
+//! ([`RequestRef`], keys are views into that buffer), and answers are
+//! encoded directly into the write buffer. In steady state the loop
+//! allocates nothing; only BATCH (its sub-request list), RESUME (the
+//! owned token `scan_resume` takes), STATS and ERR frames build owned
+//! values.
 //!
 //! Backpressure is structural: a connection's window is bounded
 //! ([`ServerConfig::window`]), responses are written with blocking
 //! `write_all` *before* the next read, and the socket's write timeout is
 //! the idle timeout — a reader that stops draining responses first stalls
-//! only its own connection, then gets disconnected. Graceful shutdown (the
-//! SHUTDOWN frame or [`ServerHandle::shutdown`]) stops the acceptor, lets
-//! every connection finish its in-flight window, and joins all threads.
+//! only its own connection, then gets disconnected. Connection threads are
+//! bounded too ([`ServerConfig::max_connections`]): the acceptor answers
+//! the excess with a typed `overloaded` ERR frame and closes. Graceful
+//! shutdown (the SHUTDOWN frame or [`ServerHandle::shutdown`]) stops the
+//! acceptor, lets every connection finish its in-flight window, and joins
+//! all threads.
 
 use crate::protocol::{
-    err_code, FrameDecoder, ProtoError, Request, Response, MAX_BATCH_SCAN_TIDS, MAX_SCAN_TIDS,
+    begin_batch, encode_error, encode_none, encode_scan, encode_text, encode_tid, end_frame,
+    err_code, FrameDecoder, Framing, ProtoError, RequestRef, ScanTokenRef,
+    MAX_BATCH_SCAN_TIDS, MAX_SCAN_TIDS,
 };
 use crate::store::{net_data_for, NetData};
 use hot_core::{RouterScratch, ShardedHot};
 use hot_keys::ArenaKeySource;
-use hot_metrics::{OpKind, Registry};
+use hot_metrics::{LocalTally, OpKind, Registry};
 use hot_ycsb::DatasetKind;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -62,6 +85,11 @@ pub struct ServerConfig {
     /// Close connections idle longer than this; also the write timeout
     /// that bounds how long a slow reader can stall its own connection.
     pub idle_timeout: Duration,
+    /// Most connections served at once — each costs a thread and its
+    /// buffers, so the count must not be the client's to choose. A
+    /// connection accepted beyond it is answered with one
+    /// [`err_code::OVERLOADED`] ERR frame and closed. Default 1024.
+    pub max_connections: usize,
 }
 
 impl Default for ServerConfig {
@@ -77,6 +105,7 @@ impl Default for ServerConfig {
             pin: false,
             window: 128,
             idle_timeout: Duration::from_secs(30),
+            max_connections: 1024,
         }
     }
 }
@@ -101,7 +130,10 @@ impl Counter {
 pub struct ServerStats {
     accepted: Counter,
     closed: Counter,
+    rejected: Counter,
     requests: Counter,
+    windows: Counter,
+    get_runs: Counter,
     batches: Counter,
     bytes_in: Counter,
     bytes_out: Counter,
@@ -109,19 +141,39 @@ pub struct ServerStats {
 }
 
 impl ServerStats {
-    /// Connections accepted since startup.
+    /// Connections admitted since startup (rejected ones not included).
     pub fn accepted(&self) -> u64 {
         self.accepted.get()
     }
 
-    /// Connections currently open.
+    /// Connections currently served; never above
+    /// [`ServerConfig::max_connections`].
     pub fn active(&self) -> u64 {
         self.accepted.get().saturating_sub(self.closed.get())
+    }
+
+    /// Connections turned away with an `overloaded` ERR frame.
+    pub fn rejected(&self) -> u64 {
+        self.rejected.get()
     }
 
     /// Requests executed (BATCH sub-requests counted individually).
     pub fn requests(&self) -> u64 {
         self.requests.get()
+    }
+
+    /// Request windows executed: drains of one connection's buffered
+    /// frames into the index, each answered with one socket write.
+    /// `requests / windows` is the achieved pipelining depth.
+    pub fn windows(&self) -> u64 {
+        self.windows.get()
+    }
+
+    /// `get_batch_with` calls made for coalesced GET runs; the `net_get`
+    /// count of the metrics document divided by this is the mean run
+    /// length the MLP engine was fed.
+    pub fn get_runs(&self) -> u64 {
+        self.get_runs.get()
     }
 
     /// Framing/decode violations answered with an ERR frame.
@@ -150,6 +202,7 @@ struct Shared {
     addr: SocketAddr,
     window: usize,
     idle_timeout: Duration,
+    max_connections: u64,
     conns: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
@@ -165,15 +218,19 @@ impl Shared {
         let _ = TcpStream::connect(self.addr);
     }
 
+    /// The STATS document ([`ServerHandle::stats_json`] lists the fields).
     fn stats_json(&self) -> String {
         format!(
-            "{{\"connections\": {{\"accepted\": {}, \"active\": {}}}, \
-             \"requests\": {}, \"batches\": {}, \"proto_errors\": {}, \
-             \"bytes_in\": {}, \"bytes_out\": {}, \"shards\": {}, \
+            "{{\"connections\": {{\"accepted\": {}, \"active\": {}, \"rejected\": {}}}, \
+             \"requests\": {}, \"windows\": {}, \"get_runs\": {}, \"batches\": {}, \
+             \"proto_errors\": {}, \"bytes_in\": {}, \"bytes_out\": {}, \"shards\": {}, \
              \"keys\": {}, \"metrics\": {}}}",
             self.stats.accepted(),
             self.stats.active(),
+            self.stats.rejected(),
             self.stats.requests(),
+            self.stats.windows(),
+            self.stats.get_runs(),
             self.stats.batches.get(),
             self.stats.proto_errors(),
             self.stats.bytes_in(),
@@ -224,6 +281,7 @@ pub fn start_with_data(config: ServerConfig, data: NetData) -> std::io::Result<S
         addr,
         window: config.window.max(1),
         idle_timeout: config.idle_timeout,
+        max_connections: config.max_connections as u64,
         conns: Mutex::new(Vec::new()),
     });
 
@@ -246,7 +304,24 @@ impl ServerHandle {
         &self.shared.stats
     }
 
-    /// The full STATS document (counters + metrics snapshot).
+    /// The full STATS document — what a STATS frame answers with. One
+    /// JSON object, every number cumulative since startup:
+    ///
+    /// * `connections`: `accepted`, `active`, `rejected` (turned away at
+    ///   [`ServerConfig::max_connections`]);
+    /// * `requests`: requests executed, BATCH sub-requests one by one;
+    /// * `windows`: request windows executed — `requests / windows` is
+    ///   the pipelining depth the server actually reached;
+    /// * `get_runs`: coalesced GET runs handed to `get_batch_with` —
+    ///   `metrics.ops.net_get.count / get_runs` is their mean length;
+    /// * `batches`, `proto_errors`, `bytes_in`, `bytes_out`;
+    /// * `shards`, and `keys`, the live keys in the index;
+    /// * `metrics`: the `hot-metrics` snapshot, i.e. `ops.net_*` with
+    ///   count, items, mean and p50 / p99 / p999 latency per kind.
+    ///
+    /// A connection publishes its counters and samples when a window
+    /// ends (and before it answers its own STATS frame), so the document
+    /// covers every finished window and nothing newer.
     pub fn stats_json(&self) -> String {
         self.shared.stats_json()
     }
@@ -296,10 +371,18 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         if shared.stop_requested() {
             break;
         }
-        let stream = match stream {
+        let mut stream = match stream {
             Ok(s) => s,
             Err(_) => continue,
         };
+        if shared.stats.active() >= shared.max_connections {
+            // Only this thread admits, and `closed` only grows, so the
+            // check cannot be overtaken: `active()` never exceeds the cap.
+            shared.stats.rejected.add(1);
+            let _ = stream.set_write_timeout(Some(POLL_INTERVAL));
+            send_error(&mut stream, err_code::OVERLOADED, "connection limit reached");
+            continue;
+        }
         shared.stats.accepted.add(1);
         let conn_shared = Arc::clone(&shared);
         let handle = std::thread::Builder::new()
@@ -329,17 +412,59 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     }
 }
 
-/// One connection's read → decode → execute → respond loop.
+/// Everything a connection thread owns besides its socket; all of it is
+/// reused from window to window.
+#[derive(Default)]
+struct Conn {
+    /// Splits the byte stream into frames; owns the read buffer the
+    /// requests of a window are parsed out of.
+    dec: FrameDecoder,
+    scratch: ConnScratch,
+    /// The answers of one window, written with one `write_all`.
+    wbuf: Vec<u8>,
+}
+
+impl Conn {
+    /// Execute up to [`ServerConfig::window`] buffered frames in request
+    /// order, their answers into the cleared `wbuf`: each frame is parsed
+    /// in place, maximal runs of GETs are coalesced into `get_batch_with`
+    /// and runs of SCANs into `scan_batch`, and the connection's tally is
+    /// published once at the end.
+    fn execute_window(&mut self, shared: &Shared) -> Window {
+        let Conn { dec, scratch, wbuf } = self;
+        wbuf.clear();
+        let mut window = Window::default();
+        let mut frames = dec.frames();
+        let mut next = frames.next();
+        if next.is_none() {
+            return window;
+        }
+        let mut exec = Exec::new(shared, scratch, wbuf);
+        while let Some(frame) = next {
+            match frame.and_then(RequestRef::decode) {
+                Ok(req) => exec.exec_request(req),
+                Err(err) => {
+                    window.error = Some(err);
+                    break;
+                }
+            }
+            window.executed += 1;
+            next = if window.executed < shared.window { frames.next() } else { None };
+        }
+        exec.close_run();
+        window.shutdown = exec.shutdown;
+        scratch.flush(shared);
+        shared.stats.windows.add(1);
+        window
+    }
+}
+
+/// One connection's read → parse → execute → respond loop.
 fn serve_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
     let _ = stream.set_write_timeout(Some(shared.idle_timeout));
-    let mut dec = FrameDecoder::new();
-    let mut rbuf = vec![0u8; 64 << 10];
-    let mut scratch = ConnScratch::default();
-    let mut window: Vec<Request> = Vec::new();
-    let mut responses: Vec<Response> = Vec::new();
-    let mut wbuf: Vec<u8> = Vec::new();
+    let mut conn = Conn::default();
     let mut last_activity = Instant::now();
 
     loop {
@@ -348,31 +473,15 @@ fn serve_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
             send_error(&mut stream, err_code::SHUTTING_DOWN, "server shutting down");
             return;
         }
-        // Drain already-buffered frames into the bounded request window.
-        while window.len() < shared.window {
-            match dec.next_frame() {
-                Ok(Some(body)) => match Request::decode(&body) {
-                    Ok(req) => window.push(req),
-                    Err(e) => {
-                        protocol_error(shared, &mut stream, &e);
-                        return;
-                    }
-                },
-                Ok(None) => break,
-                Err(e) => {
-                    protocol_error(shared, &mut stream, &e);
-                    return;
-                }
-            }
-        }
-        if window.is_empty() {
-            // Nothing decodable: block (bounded by the poll interval) for
-            // more bytes.
-            match stream.read(&mut rbuf) {
+        // Execute up to one window of already-buffered frames, in place.
+        let window = conn.execute_window(shared);
+        if window.executed == 0 && window.error.is_none() {
+            // No complete frame buffered: block (bounded by the poll
+            // interval) for more bytes, read straight into the decoder.
+            match conn.dec.fill_from(&mut stream) {
                 Ok(0) => return,
                 Ok(n) => {
                     shared.stats.bytes_in.add(n as u64);
-                    dec.feed(&rbuf[..n]);
                     last_activity = Instant::now();
                 }
                 Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
@@ -384,28 +493,22 @@ fn serve_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
             }
             continue;
         }
-        // Execute the drained window and write every response before
-        // reading again — the structural backpressure bound: at most
-        // `window` requests plus one socket buffer are ever in flight.
-        responses.clear();
-        let shutdown = execute_window(shared, &window, &mut scratch, &mut responses);
-        // BATCH frames count as their sub-requests (added by exec_ops),
-        // not as a request of their own — `requests` is operations, so a
-        // batch of N records N, not N + 1.
-        let scalar_frames =
-            window.iter().filter(|r| !matches!(r, Request::Batch(_))).count();
-        shared.stats.requests.add(scalar_frames as u64);
-        window.clear();
-        wbuf.clear();
-        for r in &responses {
-            r.encode(&mut wbuf);
+        if let Some(err) = &window.error {
+            // Best-effort ERR frame behind the answers of the requests
+            // that preceded the violation, then close: a framing error
+            // leaves no way to find the next frame boundary.
+            shared.stats.proto_errors.add(1);
+            encode_error(&mut conn.wbuf, Framing::Frame, err_code::BAD_FRAME, &err.to_string());
         }
-        if stream.write_all(&wbuf).is_err() {
+        // Every response is written before reading again — the structural
+        // backpressure bound: at most `window` requests plus one socket
+        // buffer are ever in flight.
+        if stream.write_all(&conn.wbuf).is_err() || window.error.is_some() {
             return;
         }
-        shared.stats.bytes_out.add(wbuf.len() as u64);
+        shared.stats.bytes_out.add(conn.wbuf.len() as u64);
         last_activity = Instant::now();
-        if shutdown {
+        if window.shutdown {
             let _ = stream.flush();
             shared.begin_shutdown();
             return;
@@ -413,45 +516,55 @@ fn serve_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
     }
 }
 
-fn protocol_error(shared: &Arc<Shared>, stream: &mut TcpStream, err: &ProtoError) {
-    shared.stats.proto_errors.add(1);
-    // Best-effort ERR frame, then close: a framing error leaves no way to
-    // find the next frame boundary.
-    send_error(stream, err_code::BAD_FRAME, &err.to_string());
-}
-
 fn send_error(stream: &mut TcpStream, code: u8, msg: &str) {
     let mut wire = Vec::new();
-    Response::Error { code, msg: msg.to_string() }.encode(&mut wire);
+    encode_error(&mut wire, Framing::Frame, code, msg);
     let _ = stream.write_all(&wire);
 }
 
-/// Connection-scoped buffers of the execute path, reused across windows.
+/// Most requests one `get_batch_with` / `scan_batch` call is handed: a
+/// window's pending run lives in arrays on the executor's stack (views
+/// into the decoder's buffer cannot outlive the window, so they cannot
+/// sit in a reused `Vec`), and a longer run is executed in pieces of this
+/// size — twice the MLP ring's depth, so nothing is lost to the split.
+const RUN_CAP: usize = 128;
+
+/// Connection-scoped state of the execute path, reused across windows.
 #[derive(Default)]
 struct ConnScratch {
     router: RouterScratch,
-    /// Key list of a GET run. Always empty between runs, which is what lets
-    /// its allocation outlive the window whose requests the keys borrow.
-    keys: Vec<&'static [u8]>,
     /// Answers of a GET run.
     found: Vec<Option<u64>>,
+    /// TIDs of a SCAN run (`bounds` delimits the pages) or of a RESUME.
+    tids: Vec<u64>,
+    bounds: Vec<usize>,
+    /// This connection's net-op samples since the last flush.
+    tally: LocalTally,
+    /// Requests executed and GET runs drained since the last flush.
+    requests: u64,
+    get_runs: u64,
 }
 
-/// Execute one drained window in request order, coalescing runs of GETs
-/// into `get_batch_with` and runs of SCANs into `scan_batch`. Returns
-/// true when a SHUTDOWN frame was in the window.
-fn execute_window(
-    shared: &Shared,
-    reqs: &[Request],
-    scratch: &mut ConnScratch,
-    out: &mut Vec<Response>,
-) -> bool {
-    let mut shutdown = false;
-    // Top-level scans are each clamped to MAX_SCAN_TIDS and each get
-    // their own response frame, so they need no aggregate budget.
-    let mut scan_budget = usize::MAX;
-    exec_ops(shared, reqs, true, scratch, out, &mut shutdown, &mut scan_budget);
-    shutdown
+impl ConnScratch {
+    /// Publish what the connection accumulated: once per window, and
+    /// before a STATS frame is answered so a connection always sees its
+    /// own requests.
+    fn flush(&mut self, shared: &Shared) {
+        shared.registry.absorb(&mut self.tally);
+        shared.stats.requests.add(std::mem::take(&mut self.requests));
+        shared.stats.get_runs.add(std::mem::take(&mut self.get_runs));
+    }
+}
+
+/// What [`Conn::execute_window`] did.
+#[derive(Debug, Default)]
+struct Window {
+    /// Frames parsed and executed (their answers are in the write buffer).
+    executed: usize,
+    /// A SHUTDOWN frame was among them.
+    shutdown: bool,
+    /// The violation that ended the window early; the connection is dead.
+    error: Option<ProtoError>,
 }
 
 /// Clamp one scan's grant against its per-scan cap and the enclosing
@@ -468,186 +581,240 @@ fn grant_scan(limit: u32, scan_budget: &mut usize) -> usize {
     grant
 }
 
-fn exec_ops(
-    shared: &Shared,
-    reqs: &[Request],
-    allow_batch: bool,
-    scratch: &mut ConnScratch,
-    out: &mut Vec<Response>,
-    shutdown: &mut bool,
-    scan_budget: &mut usize,
-) {
-    let mut i = 0;
-    while i < reqs.len() {
-        match &reqs[i] {
-            Request::Get { .. } => {
-                let mut j = i + 1;
-                while j < reqs.len() && matches!(reqs[j], Request::Get { .. }) {
-                    j += 1;
-                }
-                exec_gets(shared, &reqs[i..j], scratch, out);
-                i = j;
+/// OK_TID / OK_NONE: the answer to a lookup, or a write's previous value.
+#[inline]
+fn encode_answer(out: &mut Vec<u8>, framing: Framing, tid: Option<u64>) {
+    match tid {
+        Some(tid) => encode_tid(out, framing, tid),
+        None => encode_none(out, framing),
+    }
+}
+
+/// The continuation token of a scan page, its key borrowed from the tuple
+/// store: `ShardedHot::scan_token`'s rule (a page that filled its limit
+/// resumes after its last key; a short page ran off the key space)
+/// without the owned copy.
+fn page_token<'s>(shared: &'s Shared, page: &[u64], limit: usize) -> Option<ScanTokenRef<'s>> {
+    let &last = page.last()?;
+    if page.len() < limit {
+        return None;
+    }
+    let last_key = shared.arena.key(last);
+    Some(ScanTokenRef { shard: shared.index.shard_of(last_key) as u32, last_key })
+}
+
+/// The executor of one window. Requests arrive one at a time, in order;
+/// a *run* is a maximal sequence of requests of one kind. PUT, DEL and
+/// RESUME execute on arrival; the GETs and SCANs of a run wait in `keys`
+/// / `scans` (at most [`RUN_CAP`]) until the run ends and go to the index
+/// as one batch. The clock is read once per run boundary — the end of one
+/// run is the start of the next — and the run's time, parse and encode
+/// included, is recorded as one equal sample per request.
+struct Exec<'w, 'a> {
+    shared: &'w Shared,
+    scratch: &'w mut ConnScratch,
+    out: &'w mut Vec<u8>,
+    /// `Body` while the sub-requests of a BATCH execute.
+    framing: Framing,
+    /// Scan results still grantable: unbounded at top level (each scan is
+    /// clamped to `MAX_SCAN_TIDS` and gets its own frame), the shared
+    /// `MAX_BATCH_SCAN_TIDS` inside a BATCH.
+    scan_budget: usize,
+    shutdown: bool,
+    /// Kind and length of the open run, and when it began.
+    run: Option<OpKind>,
+    run_len: u64,
+    mark: Instant,
+    /// The open run's not yet executed GET keys or SCAN requests.
+    pending: usize,
+    keys: [&'a [u8]; RUN_CAP],
+    scans: [(&'a [u8], usize); RUN_CAP],
+}
+
+impl<'w, 'a> Exec<'w, 'a> {
+    fn new(shared: &'w Shared, scratch: &'w mut ConnScratch, out: &'w mut Vec<u8>) -> Self {
+        Exec {
+            shared,
+            scratch,
+            out,
+            framing: Framing::Frame,
+            scan_budget: usize::MAX,
+            shutdown: false,
+            run: None,
+            run_len: 0,
+            mark: Instant::now(),
+            pending: 0,
+            keys: [&[]; RUN_CAP],
+            scans: [(&[], 0); RUN_CAP],
+        }
+    }
+
+    /// Count `req` into the open run, closing the previous one first if
+    /// it was of another kind.
+    fn enter(&mut self, kind: OpKind) {
+        if self.run != Some(kind) {
+            if self.run.is_some() {
+                self.close_run();
             }
-            Request::Scan { .. } => {
-                let mut j = i + 1;
-                while j < reqs.len() && matches!(reqs[j], Request::Scan { .. }) {
-                    j += 1;
+            self.run = Some(kind);
+        }
+        self.run_len += 1;
+        self.scratch.requests += 1;
+    }
+
+    /// End the open run: execute what is pending, read the clock, record
+    /// one sample per request under the run's kind and under `NetOp`.
+    fn close_run(&mut self) {
+        self.flush_pending();
+        let now = Instant::now();
+        if let Some(kind) = self.run.take() {
+            let n = std::mem::take(&mut self.run_len);
+            let per_op = now.duration_since(self.mark).as_nanos() as u64 / n;
+            let tally = &mut self.scratch.tally;
+            tally.record(kind, per_op, n);
+            tally.record(OpKind::NetOp, per_op, n);
+            tally.add_items(kind, n);
+        }
+        self.mark = now;
+    }
+
+    fn flush_pending(&mut self) {
+        match self.run {
+            Some(OpKind::NetGet) if self.pending > 0 => self.exec_gets(),
+            Some(OpKind::NetScan) if self.pending > 0 => self.exec_scans(),
+            _ => {}
+        }
+        self.pending = 0;
+    }
+
+    /// Take the next request of the window. The four data requests are
+    /// handled here so that, inlined into the window loop behind the
+    /// inlined parser, their fields never round-trip through memory as a
+    /// `RequestRef`; the rest is [`exec_scalar`](Self::exec_scalar)'s.
+    #[inline(always)]
+    fn exec_request(&mut self, req: RequestRef<'a>) {
+        match req {
+            RequestRef::Get { key } => {
+                self.enter(OpKind::NetGet);
+                self.keys[self.pending] = key;
+                self.pending += 1;
+                if self.pending == RUN_CAP {
+                    self.flush_pending();
                 }
-                exec_scans(shared, &reqs[i..j], &mut scratch.router, out, scan_budget);
-                i = j;
             }
-            Request::Batch(subs) => {
-                if allow_batch {
-                    shared.stats.batches.add(1);
-                    let mut sub_out = Vec::with_capacity(subs.len());
-                    // A batch answers with ONE frame, so its scans share
-                    // an aggregate budget sized to keep the OK_BATCH
-                    // response within MAX_FRAME (truncated scans return
-                    // continuation tokens).
-                    let mut batch_budget = MAX_BATCH_SCAN_TIDS;
-                    exec_ops(
-                        shared,
-                        subs,
-                        false,
-                        scratch,
-                        &mut sub_out,
-                        shutdown,
-                        &mut batch_budget,
-                    );
-                    shared.stats.requests.add(subs.len() as u64);
-                    out.push(Response::Batch(sub_out));
-                } else {
-                    // Unreachable through the decoder; kept total anyway.
-                    out.push(Response::Error {
-                        code: err_code::BAD_FRAME,
-                        msg: ProtoError::NestedBatch.to_string(),
-                    });
+            RequestRef::Scan { start, limit } => {
+                self.enter(OpKind::NetScan);
+                self.scans[self.pending] = (start, grant_scan(limit, &mut self.scan_budget));
+                self.pending += 1;
+                if self.pending == RUN_CAP {
+                    self.flush_pending();
                 }
-                i += 1;
             }
-            other => {
-                out.push(exec_scalar(shared, other, shutdown, scan_budget));
-                i += 1;
+            RequestRef::Put { tid, key } => {
+                self.enter(OpKind::NetPut);
+                self.exec_put(tid, key);
+            }
+            RequestRef::Del { key } => {
+                self.enter(OpKind::NetDel);
+                encode_answer(self.out, self.framing, self.shared.index.remove(key));
+            }
+            other => self.exec_scalar(other),
+        }
+    }
+
+    fn exec_put(&mut self, tid: u64, key: &[u8]) {
+        // The TID must resolve to the claimed key in the tuple store
+        // before it may enter the index — the KeySource invariant (every
+        // stored TID loads a valid key) holds against arbitrary wire
+        // input.
+        match self.shared.arena.try_key(tid) {
+            Some(stored) if stored == key => {
+                encode_answer(self.out, self.framing, self.shared.index.insert(key, tid));
+            }
+            _ => {
+                let msg = format!("tid {tid} does not resolve to the {}-byte key", key.len());
+                encode_error(self.out, self.framing, err_code::TID_MISMATCH, &msg);
             }
         }
     }
-}
 
-/// Record a coalesced run: one timer sample per request (the run's time
-/// amortized over its requests), under the op's kind and the aggregate
-/// `NetOp`.
-fn record_run(shared: &Shared, kind: OpKind, elapsed: Duration, n: usize) {
-    if n == 0 {
-        return;
+    fn exec_gets(&mut self) {
+        let keys = &self.keys[..self.pending];
+        let ConnScratch { found, router, get_runs, .. } = &mut *self.scratch;
+        found.clear();
+        found.resize(keys.len(), None);
+        self.shared.index.get_batch_with(keys, found, router);
+        *get_runs += 1;
+        for &tid in found.iter() {
+            encode_answer(self.out, self.framing, tid);
+        }
     }
-    let per_op = (elapsed.as_nanos() / n as u128) as u64;
-    shared.registry.record_ns_n(kind, per_op, n as u64);
-    shared.registry.record_ns_n(OpKind::NetOp, per_op, n as u64);
-    shared.registry.add_items(kind, n as u64);
-}
 
-fn exec_gets(shared: &Shared, gets: &[Request], scratch: &mut ConnScratch, out: &mut Vec<Response>) {
-    let start = Instant::now();
-    // Shortening `'static` to the run's lifetime is plain covariance.
-    let mut keys: Vec<&[u8]> = std::mem::take(&mut scratch.keys);
-    keys.extend(gets.iter().map(|r| match r {
-        Request::Get { key } => key.as_slice(),
-        _ => unreachable!("run contains only GETs"),
-    }));
-    scratch.found.clear();
-    scratch.found.resize(keys.len(), None);
-    shared.index.get_batch_with(&keys, &mut scratch.found, &mut scratch.router);
-    record_run(shared, OpKind::NetGet, start.elapsed(), keys.len());
-    out.extend(scratch.found.iter().map(|f| match f {
-        Some(tid) => Response::Tid(*tid),
-        None => Response::None,
-    }));
-    // Hand the emptied allocation back. No borrow survives `clear`, and
-    // collecting a `Vec`'s own iterator into an element type of the same
-    // layout reuses its buffer (`keys_buffer_is_reused` pins that).
-    keys.clear();
-    scratch.keys = keys.into_iter().map(|_| -> &'static [u8] { unreachable!("cleared") }).collect();
-}
+    fn exec_scans(&mut self) {
+        let scans = &self.scans[..self.pending];
+        let ConnScratch { router, tids, bounds, .. } = &mut *self.scratch;
+        self.shared.index.scan_batch(scans, tids, bounds, router);
+        for (&(_, limit), span) in scans.iter().zip(bounds.windows(2)) {
+            let page = &tids[span[0]..span[1]];
+            encode_scan(self.out, self.framing, page, page_token(self.shared, page, limit));
+        }
+    }
 
-fn exec_scans(
-    shared: &Shared,
-    scans: &[Request],
-    scratch: &mut RouterScratch,
-    out: &mut Vec<Response>,
-    scan_budget: &mut usize,
-) {
-    let start = Instant::now();
-    let requests: Vec<(&[u8], usize)> = scans
-        .iter()
-        .map(|r| match r {
-            Request::Scan { start, limit } => {
-                (start.as_slice(), grant_scan(*limit, scan_budget))
+    /// The requests off the common path: RESUME (a scan page on arrival),
+    /// BATCH (its sub-requests, answered in one frame) and the unrecorded
+    /// control requests between runs.
+    #[inline(never)]
+    fn exec_scalar(&mut self, req: RequestRef<'a>) {
+        let shared = self.shared;
+        match req {
+            RequestRef::Resume { token, limit } => {
+                self.enter(OpKind::NetScan);
+                // Pending SCANs of the same run answer first.
+                self.flush_pending();
+                let limit = grant_scan(limit, &mut self.scan_budget);
+                let tids = &mut self.scratch.tids;
+                let next = shared.index.scan_resume(&token.to_owned(), limit, tids);
+                encode_scan(self.out, self.framing, tids, next.as_ref().map(ScanTokenRef::from));
             }
-            _ => unreachable!("run contains only SCANs"),
-        })
-        .collect();
-    let mut tids = Vec::new();
-    let mut bounds = Vec::new();
-    shared.index.scan_batch(&requests, &mut tids, &mut bounds, scratch);
-    record_run(shared, OpKind::NetScan, start.elapsed(), requests.len());
-    for (i, &(_, limit)) in requests.iter().enumerate() {
-        let page = &tids[bounds[i]..bounds[i + 1]];
-        let token = shared.index.scan_token(page, limit);
-        out.push(Response::Scan { tids: page.to_vec(), token });
-    }
-}
-
-fn exec_scalar(
-    shared: &Shared,
-    req: &Request,
-    shutdown: &mut bool,
-    scan_budget: &mut usize,
-) -> Response {
-    let start = Instant::now();
-    match req {
-        Request::Put { tid, key } => {
-            // The TID must resolve to the claimed key in the tuple store
-            // before it may enter the index — the KeySource invariant
-            // (every stored TID loads a valid key) holds against
-            // arbitrary wire input.
-            let resp = match shared.arena.try_key(*tid) {
-                Some(stored) if stored == key.as_slice() => {
-                    match shared.index.insert(key, *tid) {
-                        Some(old) => Response::Tid(old),
-                        None => Response::None,
+            RequestRef::Batch(subs) if self.framing == Framing::Frame => {
+                self.close_run();
+                shared.stats.batches.add(1);
+                // A batch answers with ONE frame, so its scans share an
+                // aggregate budget sized to keep the OK_BATCH response
+                // within MAX_FRAME (truncated scans return continuation
+                // tokens).
+                let slot = begin_batch(self.out, subs.len());
+                self.framing = Framing::Body;
+                self.scan_budget = MAX_BATCH_SCAN_TIDS;
+                for sub in subs {
+                    self.exec_request(sub);
+                }
+                self.close_run();
+                self.framing = Framing::Frame;
+                self.scan_budget = usize::MAX;
+                end_frame(self.out, slot);
+            }
+            control => {
+                self.close_run();
+                self.scratch.requests += 1;
+                match control {
+                    RequestRef::Stats => {
+                        self.scratch.flush(shared);
+                        encode_text(self.out, self.framing, &shared.stats_json());
+                    }
+                    RequestRef::Batch(_) => {
+                        // Unreachable through the decoder; kept total.
+                        let msg = ProtoError::NestedBatch.to_string();
+                        encode_error(self.out, self.framing, err_code::BAD_FRAME, &msg);
+                    }
+                    _ => {
+                        self.shutdown |= control == RequestRef::Shutdown;
+                        encode_none(self.out, self.framing);
                     }
                 }
-                _ => Response::Error {
-                    code: err_code::TID_MISMATCH,
-                    msg: format!("tid {tid} does not resolve to the {}-byte key", key.len()),
-                },
-            };
-            record_run(shared, OpKind::NetPut, start.elapsed(), 1);
-            resp
-        }
-        Request::Del { key } => {
-            let resp = match shared.index.remove(key) {
-                Some(old) => Response::Tid(old),
-                None => Response::None,
-            };
-            record_run(shared, OpKind::NetDel, start.elapsed(), 1);
-            resp
-        }
-        Request::Resume { token, limit } => {
-            let mut tids = Vec::new();
-            let limit = grant_scan(*limit, scan_budget);
-            let token = shared.index.scan_resume(token, limit, &mut tids);
-            record_run(shared, OpKind::NetScan, start.elapsed(), 1);
-            Response::Scan { tids, token }
-        }
-        Request::Stats => Response::Text(shared.stats_json()),
-        Request::Ping => Response::None,
-        Request::Shutdown => {
-            *shutdown = true;
-            Response::None
-        }
-        Request::Get { .. } | Request::Scan { .. } | Request::Batch(_) => {
-            unreachable!("handled by exec_ops runs")
+                // Not a recorded kind: keep its time out of the next run.
+                self.mark = Instant::now();
+            }
         }
     }
 }
@@ -655,31 +822,282 @@ fn exec_scalar(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{Request, Response};
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
 
-    /// A GET run answers from connection-scoped buffers: the second window
-    /// reuses the first one's key-list allocation, and the run is recorded
-    /// as one sample per request.
+    thread_local! {
+        /// Heap allocations made by this thread (a reallocation counts:
+        /// the default `realloc` goes through `alloc`).
+        static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// The system allocator, counting per thread.
+    struct CountingAlloc;
+
+    // SAFETY: every method forwards its arguments unchanged to `System`,
+    // whose contract is the one the caller upholds; the counter is a
+    // destructor-less thread-local `Cell`, touched without allocating.
+    unsafe impl GlobalAlloc for CountingAlloc {
+        // SAFETY: `GlobalAlloc::alloc`'s contract, passed on to `System`.
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+            // SAFETY: the caller's `layout` obligations are `System`'s.
+            unsafe { System.alloc(layout) }
+        }
+
+        // SAFETY: `GlobalAlloc::dealloc`'s contract, passed on to `System`.
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            // SAFETY: `ptr` came from `alloc` above, i.e. from `System`,
+            // with this `layout`.
+            unsafe { System.dealloc(ptr, layout) }
+        }
+    }
+
+    #[global_allocator]
+    static GLOBAL: CountingAlloc = CountingAlloc;
+
+    fn allocations() -> u64 {
+        ALLOCS.with(Cell::get)
+    }
+
+    /// An inline-router server over 500 integer keys and its corpus.
+    fn server() -> (ServerHandle, NetData) {
+        let config =
+            ServerConfig { keys: 500, ops: 100, workers: false, ..ServerConfig::default() };
+        let data = || net_data_for(config.kind, config.keys, config.ops, config.seed);
+        (start_with_data(config.clone(), data()).expect("server starts"), data())
+    }
+
+    /// One connection's execute path without the socket: requests go in
+    /// through `feed`, windows run on the calling thread, the answers of
+    /// all of them pile up in `answers`.
+    #[derive(Default)]
+    struct Harness {
+        conn: Conn,
+        wire: Vec<u8>,
+        answers: Vec<u8>,
+    }
+
+    impl Harness {
+        /// Feed `reqs` and drain them window by window; returns the
+        /// number of windows it took.
+        fn run(&mut self, shared: &Shared, reqs: &[Request]) -> usize {
+            self.wire.clear();
+            for req in reqs {
+                req.encode(&mut self.wire);
+            }
+            self.run_wire(shared)
+        }
+
+        /// [`run`](Self::run) for an already encoded request stream.
+        fn run_wire(&mut self, shared: &Shared) -> usize {
+            self.conn.dec.feed(&self.wire);
+            self.answers.clear();
+            let mut windows = 0;
+            loop {
+                let window = self.conn.execute_window(shared);
+                assert_eq!(window.error, None);
+                if window.executed == 0 {
+                    return windows;
+                }
+                self.answers.extend_from_slice(&self.conn.wbuf);
+                windows += 1;
+            }
+        }
+    }
+
+    fn encoded(responses: &[Response]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        for resp in responses {
+            resp.encode(&mut wire);
+        }
+        wire
+    }
+
+    /// The serve loop's promise: once its buffers are warm, a window of
+    /// GETs — and a window mixing GET runs with PUT, DEL and SCAN —
+    /// executes without a single heap allocation on the connection
+    /// thread, and its answers are the bytes `Response::encode` produces.
+    /// (The writes are an upsert of a stored binding and a DEL of an
+    /// absent key: they take the whole serving path, while the index's
+    /// own copy-on-write node allocations — not the serve loop's — stay
+    /// out of the count.)
     #[test]
-    fn keys_buffer_is_reused() {
-        let config = ServerConfig { keys: 500, ops: 100, workers: false, ..ServerConfig::default() };
-        let data = net_data_for(config.kind, config.keys, config.ops, config.seed);
-        let loaded: Vec<(Vec<u8>, u64)> =
-            (0..100).map(|i| (data.dataset.keys[i].clone(), data.tids[i])).collect();
-        let server = start_with_data(config, data).expect("server starts");
-        let window: Vec<Request> =
-            loaded.iter().map(|(key, _)| Request::Get { key: key.clone() }).collect();
-        let mut scratch = ConnScratch::default();
-        let mut out = Vec::new();
-        execute_window(&server.shared, &window, &mut scratch, &mut out);
-        let (buffer, capacity) = (scratch.keys.as_ptr(), scratch.keys.capacity());
-        assert!(capacity >= window.len() && scratch.keys.is_empty());
-        execute_window(&server.shared, &window[..40], &mut scratch, &mut out);
-        assert_eq!((scratch.keys.as_ptr(), scratch.keys.capacity()), (buffer, capacity));
-        let want = loaded.iter().chain(&loaded[..40]).map(|&(_, tid)| Response::Tid(tid));
-        assert!(out.iter().eq(want.collect::<Vec<_>>().iter()));
-        let snap = server.shared.registry.ops_snapshot();
-        assert_eq!(snap.op(OpKind::NetGet).count, 140);
-        assert_eq!(snap.op(OpKind::NetGet).hist_total(), 140);
-        assert_eq!(snap.op(OpKind::NetOp).count, 140);
+    fn steady_state_windows_do_not_allocate() {
+        let (server, data) = server();
+        let shared = &*server.shared;
+        let key = |i: usize| data.dataset.keys[i].clone();
+        let absent = data.dataset.keys[data.loaded].clone();
+        let mut order: Vec<usize> = (0..data.loaded).collect();
+        order.sort_unstable_by(|&a, &b| data.dataset.keys[a].cmp(&data.dataset.keys[b]));
+        let sorted_tids: Vec<u64> = order.iter().map(|&i| data.tids[i]).collect();
+
+        let gets: Vec<Request> = (0..100)
+            .map(|i| Request::Get { key: if i % 9 == 8 { absent.clone() } else { key(i) } })
+            .collect();
+        let get_answers: Vec<Response> = (0..100)
+            .map(|i| if i % 9 == 8 { Response::None } else { Response::Tid(data.tids[i]) })
+            .collect();
+
+        // Page 1 fills its limit (token at its last key); page 2 starts at
+        // the third-largest key and runs off the end (no token).
+        let (first, tail) = (order[0], order[data.loaded - 3]);
+        let token_key = key(order[4]);
+        let mixed = vec![
+            Request::Get { key: key(1) },
+            Request::Get { key: key(2) },
+            Request::Put { tid: data.tids[3], key: key(3) },
+            Request::Get { key: key(3) },
+            Request::Del { key: absent.clone() },
+            Request::Put { tid: data.tids[4], key: key(5) },
+            Request::Scan { start: key(first), limit: 5 },
+            Request::Scan { start: key(tail), limit: 5 },
+            Request::Get { key: absent.clone() },
+            Request::Ping,
+            Request::Get { key: key(6) },
+        ];
+        let mixed_answers = vec![
+            Response::Tid(data.tids[1]),
+            Response::Tid(data.tids[2]),
+            Response::Tid(data.tids[3]),
+            Response::Tid(data.tids[3]),
+            Response::None,
+            Response::Error {
+                code: err_code::TID_MISMATCH,
+                msg: format!("tid {} does not resolve to the {}-byte key", data.tids[4], key(5).len()),
+            },
+            Response::Scan {
+                tids: sorted_tids[..5].to_vec(),
+                token: shared.index.scan_token(&sorted_tids[..5], 5),
+            },
+            Response::Scan { tids: sorted_tids[data.loaded - 3..].to_vec(), token: None },
+            Response::None,
+            Response::None,
+            Response::Tid(data.tids[6]),
+        ];
+        assert_eq!(
+            shared.index.scan_token(&sorted_tids[..5], 5).map(|t| t.last_key),
+            Some(token_key),
+            "the filled page resumes after its fifth key"
+        );
+
+        let mut conn = Harness::default();
+        // Warm the buffers, checking the bytes on the way. The mismatching
+        // PUT is the ERR cold edge (`format!`), so it is checked here and
+        // left out of the counted windows.
+        assert_eq!(conn.run(shared, &gets), 1);
+        assert_eq!(conn.answers, encoded(&get_answers));
+        assert_eq!(conn.run(shared, &mixed), 1);
+        assert_eq!(conn.answers, encoded(&mixed_answers));
+        let (mut steady, mut steady_answers) = (mixed, mixed_answers);
+        steady.remove(5);
+        steady_answers.remove(5);
+        conn.run(shared, &steady);
+
+        let mut gets_wire = Vec::new();
+        for req in &gets {
+            req.encode(&mut gets_wire);
+        }
+        let steady_wire = std::mem::take(&mut conn.wire);
+        let (gets_bytes, steady_bytes) = (encoded(&get_answers), encoded(&steady_answers));
+        for (wire, want) in [(&gets_wire, &gets_bytes), (&steady_wire, &steady_bytes)] {
+            conn.wire.clone_from(wire);
+            conn.run_wire(shared);
+            let before = allocations();
+            for _ in 0..8 {
+                assert_eq!(conn.run_wire(shared), 1);
+            }
+            assert_eq!(allocations() - before, 0, "a steady-state window allocated");
+            assert_eq!(&conn.answers, want);
+        }
+    }
+
+    /// Every request is one sample under its kind and one under `NetOp`
+    /// — per-kind `count == hist_total ==` requests of that kind — after
+    /// every window, however the requests fall into runs and windows; and
+    /// the STATS document carries the counters that make window depth and
+    /// run length readable from outside.
+    #[test]
+    fn every_window_publishes_one_sample_per_request() {
+        let (server, data) = server();
+        let shared = &*server.shared;
+        let key = |i: usize| data.dataset.keys[i].clone();
+        let mut conn = Harness::default();
+        let mut want = [0u64; 4]; // gets, puts, dels, scans
+        let mut want_runs = 0;
+        let mut want_windows = 0;
+        for round in 1..=5usize {
+            let mut reqs = Vec::new();
+            for i in 0..round * 40 {
+                reqs.push(Request::Get { key: key(i) });
+            }
+            reqs.push(Request::Put { tid: data.tids[round], key: key(round) });
+            reqs.push(Request::Put { tid: data.tids[round], key: key(round) });
+            reqs.push(Request::Get { key: key(round) });
+            reqs.push(Request::Del { key: key(400 + round) });
+            reqs.push(Request::Scan { start: key(round), limit: 3 });
+            reqs.push(Request::Resume {
+                token: hot_core::ScanToken { shard: 0, last_key: key(round) },
+                limit: 2,
+            });
+            reqs.push(Request::Batch(vec![
+                Request::Get { key: key(7) },
+                Request::Get { key: key(8) },
+                Request::Scan { start: key(9), limit: 1 },
+            ]));
+            reqs.push(Request::Stats);
+            let windows = conn.run(shared, &reqs);
+            assert_eq!(windows, reqs.len().div_ceil(shared.window));
+            want_windows += windows as u64;
+            want[0] += round as u64 * 40 + 3;
+            want[1] += 2;
+            want[2] += 1;
+            want[3] += 3;
+            // The leading GETs split at every window (and RUN_CAP) edge;
+            // then one run after the PUTs and one inside the BATCH.
+            want_runs += (round * 40).div_ceil(shared.window) as u64 + 2;
+
+            let snap = shared.registry.ops_snapshot();
+            let kinds = [OpKind::NetGet, OpKind::NetPut, OpKind::NetDel, OpKind::NetScan];
+            for (kind, n) in kinds.into_iter().zip(want) {
+                assert_eq!(snap.op(kind).count, n, "{kind:?} count, round {round}");
+                assert_eq!(snap.op(kind).hist_total(), n, "{kind:?} samples, round {round}");
+            }
+            let total: u64 = want.iter().sum();
+            assert_eq!(snap.op(OpKind::NetOp).count, total);
+            assert_eq!(snap.op(OpKind::NetOp).hist_total(), total);
+            // STATS frames count as requests; BATCH frames as their subs.
+            assert_eq!(shared.stats.requests(), total + round as u64);
+            assert_eq!(shared.stats.get_runs(), want_runs);
+            assert_eq!(shared.stats.windows(), want_windows);
+        }
+
+        // The STATS frame answered inside the last window already saw that
+        // window's requests (the connection flushes before answering).
+        let mut dec = FrameDecoder::new();
+        dec.feed(&conn.answers);
+        let mut last = None;
+        while let Some(body) = dec.next_frame().expect("well-framed answers") {
+            last = Some(Response::decode(body).expect("valid answer"));
+        }
+        let Some(Response::Text(doc)) = last else { panic!("STATS answers with OK_TEXT") };
+        let field = |name: &str| -> u64 {
+            let tail = doc.split(&format!("\"{name}\": ")).nth(1).expect(name);
+            let digits: String = tail.chars().take_while(char::is_ascii_digit).collect();
+            digits.parse().expect(name)
+        };
+        for name in [
+            "accepted", "active", "rejected", "requests", "windows", "get_runs", "batches",
+            "proto_errors", "bytes_in", "bytes_out", "shards", "keys",
+        ] {
+            field(name);
+        }
+        assert!(doc.contains("\"metrics\": {") && doc.contains("\"net_get\""));
+        assert_eq!(field("requests"), shared.stats.requests());
+        assert_eq!(field("get_runs"), want_runs);
+        assert_eq!(field("windows"), want_windows - 1, "the answering window is still open");
+        assert_eq!(field("batches"), 5);
+        assert_eq!(field("keys"), shared.index.len() as u64);
     }
 }

@@ -10,7 +10,9 @@
 
 use hot_core::ScanToken;
 use hot_server::protocol::{
-    err_code, FrameDecoder, ProtoError, Request, Response, MAX_BATCH_SUBS, MAX_FRAME,
+    begin_batch, encode_error, encode_none, encode_scan, encode_text, encode_tid, end_frame,
+    err_code, FrameDecoder, Framing, ProtoError, Request, RequestRef, Response, ScanTokenRef,
+    MAX_BATCH_SUBS, MAX_FRAME,
 };
 use proptest::prelude::*;
 
@@ -86,10 +88,66 @@ fn decode_split(wire: &[u8], chunks: &[usize]) -> Vec<Vec<u8>> {
         dec.feed(&wire[at..at + step]);
         at += step;
         while let Some(body) = dec.next_frame().expect("valid stream") {
-            out.push(body);
+            out.push(body.to_vec());
         }
     }
     out
+}
+
+/// A transport that hands out `data` in reads of the given sizes (then 7
+/// bytes at a time), never more than the caller's buffer holds.
+struct ChunkedReader<'a> {
+    data: &'a [u8],
+    sizes: std::slice::Iter<'a, usize>,
+}
+
+impl std::io::Read for ChunkedReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.sizes.next().copied().unwrap_or(7).min(buf.len()).min(self.data.len());
+        buf[..n].copy_from_slice(&self.data[..n]);
+        self.data = &self.data[n..];
+        Ok(n)
+    }
+}
+
+/// Whether `part` is a view into `whole` (an empty one may sit anywhere).
+fn lies_within(part: &[u8], whole: &[u8]) -> bool {
+    let (lo, hi) = (whole.as_ptr() as usize, whole.as_ptr() as usize + whole.len());
+    let at = part.as_ptr() as usize;
+    part.is_empty() || (lo <= at && at + part.len() <= hi)
+}
+
+/// Every key a borrowed request carries.
+fn keys_of<'a>(req: &RequestRef<'a>, out: &mut Vec<&'a [u8]>) {
+    match req {
+        RequestRef::Get { key } | RequestRef::Put { key, .. } | RequestRef::Del { key } => {
+            out.push(key)
+        }
+        RequestRef::Scan { start, .. } => out.push(start),
+        RequestRef::Resume { token, .. } => out.push(token.last_key),
+        RequestRef::Batch(subs) => subs.iter().for_each(|sub| keys_of(sub, out)),
+        RequestRef::Stats | RequestRef::Ping | RequestRef::Shutdown => {}
+    }
+}
+
+/// `resp` through the in-place encoders, the way the server writes it.
+fn encode_in_place(resp: &Response, out: &mut Vec<u8>, framing: Framing) {
+    match resp {
+        Response::None => encode_none(out, framing),
+        Response::Tid(tid) => encode_tid(out, framing, *tid),
+        Response::Scan { tids, token } => {
+            encode_scan(out, framing, tids, token.as_ref().map(ScanTokenRef::from))
+        }
+        Response::Text(text) => encode_text(out, framing, text),
+        Response::Error { code, msg } => encode_error(out, framing, *code, msg),
+        Response::Batch(subs) => {
+            let slot = begin_batch(out, subs.len());
+            for sub in subs {
+                encode_in_place(sub, out, Framing::Body);
+            }
+            end_frame(out, slot);
+        }
+    }
 }
 
 proptest! {
@@ -150,8 +208,8 @@ proptest! {
                 match dec.next_frame() {
                     Ok(Some(body)) => {
                         // Both interpretations must be total on the body.
-                        let _ = Request::decode(&body);
-                        let _ = Response::decode(&body);
+                        let _ = Request::decode(body);
+                        let _ = Response::decode(body);
                     }
                     Ok(None) => break,
                     // A framing violation ends the stream, as it would
@@ -175,7 +233,7 @@ proptest! {
         // Completing the bytes completes the frame.
         dec.feed(&wire[cut..]);
         let body = dec.next_frame().expect("valid stream").expect("complete frame");
-        prop_assert_eq!(Request::decode(&body).expect("own encoding decodes"), req);
+        prop_assert_eq!(Request::decode(body).expect("own encoding decodes"), req);
     }
 
     /// A hostile length prefix is rejected before any allocation of its
@@ -219,11 +277,123 @@ proptest! {
         let mut dec = FrameDecoder::new();
         dec.feed(&wire);
         let body = dec.next_frame().expect("within MAX_FRAME").expect("complete frame");
-        match Response::decode(&body).expect("decodable response") {
+        match Response::decode(body).expect("decodable response") {
             Response::Error { code, .. } => {
                 prop_assert_eq!(code, err_code::RESPONSE_TOO_LARGE);
             }
             other => prop_assert!(false, "expected ERR replacement, got {:?}", other),
         }
+    }
+
+    /// One parser: the borrowed decoder and the owned one agree on every
+    /// body — own encodings, their truncations and corruptions, plain
+    /// junk — value for value and error for error, and every key the
+    /// borrowed request carries is a view into the body it came from.
+    #[test]
+    fn borrowed_and_owned_decoders_agree(
+        req in request(),
+        junk in proptest::collection::vec(any::<u8>(), 0..64),
+        cut in any::<u16>(),
+        flip in any::<u16>(),
+        flip_to in any::<u8>(),
+    ) {
+        let mut wire = Vec::new();
+        req.encode(&mut wire);
+        let body = &wire[4..];
+        let mut corrupt = body.to_vec();
+        corrupt[flip as usize % body.len()] = flip_to;
+        let mut extended = body.to_vec();
+        extended.extend_from_slice(&junk);
+        let cases: [&[u8]; 5] =
+            [body, &body[..cut as usize % body.len()], &corrupt, &extended, &junk];
+        for bytes in cases {
+            let borrowed = RequestRef::decode(bytes);
+            let owned = borrowed.as_ref().map(|req| req.to_owned()).map_err(Clone::clone);
+            prop_assert_eq!(owned, Request::decode(bytes));
+            if let Ok(borrowed) = &borrowed {
+                let mut keys = Vec::new();
+                keys_of(borrowed, &mut keys);
+                prop_assert!(keys.iter().all(|key| lies_within(key, bytes)));
+            }
+        }
+        prop_assert_eq!(RequestRef::decode(body).map(|r| r.to_owned()), Ok(req));
+    }
+
+    /// The in-place encoders the server writes with produce exactly the
+    /// bytes of `Response::encode` on the owned value — framed, and as
+    /// the sub-responses of an OK_BATCH.
+    #[test]
+    fn in_place_encoders_match_response_encode(
+        resps in proptest::collection::vec(response(), 1..8),
+    ) {
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        for resp in &resps {
+            resp.encode(&mut want);
+            encode_in_place(resp, &mut got, Framing::Frame);
+        }
+        prop_assert_eq!(got, want);
+    }
+
+    /// … including the replacement of an over-`MAX_FRAME` scan page (with
+    /// and without a token) and of an over-`MAX_FRAME` batch by the typed
+    /// ERR frame.
+    #[test]
+    fn in_place_oversize_replacement_matches(extra in 0usize..4096, token in token(), more in any::<bool>()) {
+        let page = Response::Scan {
+            tids: vec![7u64; MAX_FRAME / 8 + extra],
+            token: more.then_some(token),
+        };
+        for resp in [page.clone(), Response::Batch(vec![Response::Tid(1), page])] {
+            let (mut want, mut got) = (Vec::new(), Vec::new());
+            resp.encode(&mut want);
+            encode_in_place(&resp, &mut got, Framing::Frame);
+            prop_assert!(want.len() < 200, "replaced by a short ERR frame");
+            prop_assert_eq!(got, want);
+        }
+    }
+
+    /// A frame stream read through `fill_from` at arbitrary read sizes —
+    /// frames drained after every read, so the buffer compacts, and some
+    /// of them larger than the buffer starts out, so it grows — yields
+    /// the same bodies as one `feed` of the whole stream.
+    #[test]
+    fn fill_from_yields_the_same_frames_as_feed(
+        small in proptest::collection::vec(response(), 1..40),
+        big in proptest::collection::vec(20_000usize..60_000, 0..3),
+        sizes in proptest::collection::vec(1usize..70_000, 1..48),
+        drain_every in 1usize..4,
+    ) {
+        let mut wire = Vec::new();
+        for (i, resp) in small.iter().enumerate() {
+            resp.encode(&mut wire);
+            if let Some(&tids) = big.get(i) {
+                Response::Scan { tids: vec![i as u64; tids / 8], token: None }.encode(&mut wire);
+            }
+        }
+        let mut whole = FrameDecoder::new();
+        whole.feed(&wire);
+        let mut want = Vec::new();
+        while let Some(body) = whole.next_frame().expect("valid stream") {
+            want.push(body.to_vec());
+        }
+
+        let mut dec = FrameDecoder::new();
+        let mut src = ChunkedReader { data: &wire, sizes: sizes.iter() };
+        let mut got = Vec::new();
+        let mut reads = 0;
+        while dec.fill_from(&mut src).expect("infallible reader") > 0 {
+            reads += 1;
+            if reads % drain_every == 0 {
+                // Views of one drain are held together, like a window.
+                let bodies: Vec<&[u8]> =
+                    dec.frames().collect::<Result<_, _>>().expect("valid stream");
+                got.extend(bodies.iter().map(|body| body.to_vec()));
+            }
+        }
+        while let Some(body) = dec.next_frame().expect("valid stream") {
+            got.push(body.to_vec());
+        }
+        prop_assert_eq!(dec.pending(), 0);
+        prop_assert_eq!(got, want);
     }
 }

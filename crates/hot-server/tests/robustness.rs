@@ -1,8 +1,8 @@
 //! Connection-robustness integration tests: one misbehaving client must
 //! never corrupt another connection's results, and every failure mode
-//! (mid-frame disconnect, idle stall, slow reader, garbage frames) ends
-//! with the server still serving and the well-behaved connection's
-//! checksum intact.
+//! (mid-frame disconnect, idle stall, slow reader, garbage frames, more
+//! connections than the server admits) ends with the server still
+//! serving and the well-behaved connection's checksum intact.
 
 use hot_server::protocol::{FrameDecoder, Request, Response};
 use hot_server::{net_data_for, start_with_data, NetData, ServerConfig, ServerHandle};
@@ -26,6 +26,7 @@ fn test_config(idle: Duration) -> ServerConfig {
         pin: false,
         window: 32,
         idle_timeout: idle,
+        ..ServerConfig::default()
     }
 }
 
@@ -71,7 +72,7 @@ impl Raw {
     fn try_recv(&mut self) -> Option<Response> {
         loop {
             match self.dec.next_frame().expect("well-framed response stream") {
-                Some(body) => return Some(Response::decode(&body).expect("valid response")),
+                Some(body) => return Some(Response::decode(body).expect("valid response")),
                 None => {
                     let n = self.stream.read(&mut self.buf).ok()?;
                     if n == 0 {
@@ -307,6 +308,63 @@ fn hostile_batch_is_bounded() {
 
     let mut good = Raw::connect(&handle);
     assert_eq!(get_all_checksum(&mut good, &data), expected_checksum(&data));
+    handle.shutdown();
+}
+
+/// Connection threads are bounded: with ten times `max_connections`
+/// sockets open, exactly the cap is served, every other one is answered
+/// with the typed `overloaded` ERR frame and closed, the active count
+/// never exceeds the cap — and a slot freed by a departing client is
+/// handed out again.
+#[test]
+fn connections_beyond_the_cap_are_refused_with_a_typed_error() {
+    use hot_server::protocol::err_code;
+    const CAP: usize = 4;
+
+    let data = net_data_for(DatasetKind::Integer, KEYS, KEYS, SEED);
+    let config = ServerConfig { max_connections: CAP, ..test_config(Duration::from_secs(10)) };
+    let handle = start_with_data(config, data).expect("server starts");
+
+    // The one acceptor admits in connect order, so the first CAP sockets
+    // are the served ones.
+    let mut conns: Vec<Raw> = (0..10 * CAP).map(|_| Raw::connect(&handle)).collect();
+    let refused = conns.split_off(CAP);
+    for conn in &mut conns {
+        conn.send_all(&[Request::Ping]);
+        assert_eq!(conn.recv(), Response::None, "an admitted connection is served");
+        assert!(handle.stats().active() <= CAP as u64);
+    }
+    for mut conn in refused {
+        match conn.try_recv() {
+            Some(Response::Error { code, msg }) => {
+                assert_eq!(code, err_code::OVERLOADED);
+                assert!(msg.contains("limit"), "error names the reason: {msg}");
+            }
+            other => panic!("expected the overloaded ERR frame, got {other:?}"),
+        }
+        assert_eq!(conn.try_recv(), None, "refused connection closed");
+        assert!(handle.stats().active() <= CAP as u64);
+    }
+    assert_eq!(handle.stats().accepted(), CAP as u64);
+    assert_eq!(handle.stats().rejected(), 9 * CAP as u64);
+    assert_eq!(handle.stats().active(), CAP as u64);
+    // The served ones were not disturbed by the refusals.
+    for conn in &mut conns {
+        conn.send_all(&[Request::Ping]);
+        assert_eq!(conn.recv(), Response::None);
+    }
+
+    // Leaving frees the slots (each connection thread notices the close
+    // and counts itself out).
+    drop(conns);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while handle.stats().active() > 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(handle.stats().active(), 0);
+    let mut late = Raw::connect(&handle);
+    late.send_all(&[Request::Ping]);
+    assert_eq!(late.recv(), Response::None, "a freed slot is handed out again");
     handle.shutdown();
 }
 
