@@ -1,21 +1,20 @@
-//! Criterion micro-benchmark for the memory-level-parallel batched lookup
-//! path: HOT's `get_batch` swept over descent group sizes G ∈ {1, 2, 4, 8,
-//! 16, 32} against the scalar `get` loop, plus the completion-driven
-//! out-of-order scheduler swept over in-flight depths N ∈ {4, 8, 16, 32,
-//! 64}, on the integer, email and url data sets.
+//! Criterion micro-benchmark for the batched descent engine: HOT's
+//! `get_batch_with` swept over in-flight depths N ∈ {1, 4, 8, 16, 32, 64}
+//! against the scalar `get` loop, on the integer, email and url data sets.
 //!
 //! Each iteration resolves one chunk of 1024 shuffled probe keys, so every
-//! reported time divides evenly into per-lookup cost. `batched_g1` isolates
+//! reported time divides evenly into per-lookup cost. `batched_n1` isolates
 //! the pure engine overhead (same code path, no overlap); the win should
-//! appear from G = 2 on and flatten once G exceeds the machine's
-//! line-fill-buffer budget (~10 on commodity x86).
+//! appear from N = 4 on and flatten once N exceeds the machine's
+//! line-fill-buffer budget (~10 on commodity x86);
+//! `hot_core::DEFAULT_DEPTH` sits on that plateau.
 //!
 //! Key count defaults to 200 k; set `HOT_BENCH_KEYS` (e.g. 1000000) to
 //! reproduce the recorded `results/bench_batch_ops*.txt` runs at full size.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use hot_bench::{BenchData, HotIndex};
-use hot_core::{BatchCursor, MlpScheduler};
+use hot_core::MlpScheduler;
 use hot_ycsb::{Dataset, DatasetKind};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -67,35 +66,15 @@ fn bench_batched_lookups(c: &mut Criterion) {
             })
         });
 
-        for g in [1usize, 2, 4, 8, 16, 32] {
-            let mut cursor = BatchCursor::with_group(g);
-            let mut out: Vec<Option<u64>> = vec![None; CHUNK];
-            let mut offset = 0usize;
-            group.bench_function(format!("batched_g{g}"), |b| {
-                b.iter(|| {
-                    offset = (offset + CHUNK) % wrap;
-                    hot.trie()
-                        .get_batch_with(&probes[offset..offset + CHUNK], &mut out, &mut cursor);
-                    let mut sum = 0u64;
-                    for tid in out.iter().flatten() {
-                        sum = sum.wrapping_add(*tid);
-                    }
-                    black_box(sum)
-                })
-            });
-        }
-
-        // Out-of-order scheduler, the DEPTH_SWEEP candidates the adaptive
-        // controller chooses between at run time.
-        for depth in hot_core::DEPTH_SWEEP {
+        for depth in [1usize, 4, 8, 16, 32, 64] {
             let mut sched = MlpScheduler::with_depth(depth);
             let mut out: Vec<Option<u64>> = vec![None; CHUNK];
             let mut offset = 0usize;
-            group.bench_function(format!("ooo_n{depth}"), |b| {
+            group.bench_function(format!("batched_n{depth}"), |b| {
                 b.iter(|| {
                     offset = (offset + CHUNK) % wrap;
                     hot.trie()
-                        .get_batch_ooo(&probes[offset..offset + CHUNK], &mut out, &mut sched);
+                        .get_batch_with(&probes[offset..offset + CHUNK], &mut out, &mut sched);
                     let mut sum = 0u64;
                     for tid in out.iter().flatten() {
                         sum = sum.wrapping_add(*tid);

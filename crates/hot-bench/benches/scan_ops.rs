@@ -1,22 +1,22 @@
 //! Criterion micro-benchmark for the range-scan fast path: the allocating
 //! `range_from` iterator (the pre-cursor baseline), the cursor-amortized
-//! `scan_with` path, the single-group pipelined `scan_batch_with` path, and
-//! the completion-driven out-of-order `scan_batch_ooo` path swept over
-//! in-flight depths N ∈ {4, 8, 16, 32, 64}, all over scan lengths
+//! `scan_with` path and the batched `scan_batch_with` path (seek descents
+//! through the batched descent engine), all over scan lengths
 //! L ∈ {1, 10, 100} on the integer and url data sets.
 //!
 //! Each iteration runs one chunk of 256 scans from shuffled start keys, so
 //! reported times divide evenly into per-scan cost. `alloc` pays a `Vec`
 //! allocation plus frame-stack growth per scan; `cursor` reuses one
 //! [`ScanCursor`] and one output buffer across the whole chunk; `batched`
-//! additionally overlaps the seek descents of [`DEFAULT_GROUP`] scans.
+//! additionally overlaps the seek descents of
+//! [`DEFAULT_DEPTH`](hot_core::DEFAULT_DEPTH) scans.
 //!
 //! Key count defaults to 200 k; set `HOT_BENCH_KEYS` (e.g. 1000000) to
 //! reproduce full-size runs.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use hot_bench::{BenchData, HotIndex};
-use hot_core::{MlpScheduler, ScanBatchCursor, ScanCursor};
+use hot_core::{MlpScheduler, ScanCursor};
 use hot_ycsb::{Dataset, DatasetKind};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -80,7 +80,7 @@ fn bench_scan_paths(c: &mut Criterion) {
                 })
             });
 
-            let mut batch_cursor = ScanBatchCursor::new();
+            let mut sched = MlpScheduler::new();
             let mut tids: Vec<u64> = Vec::new();
             let mut bounds: Vec<usize> = Vec::new();
             let mut requests: Vec<(&[u8], usize)> = Vec::new();
@@ -90,30 +90,10 @@ fn bench_scan_paths(c: &mut Criterion) {
                     offset = (offset + CHUNK) % wrap;
                     requests.clear();
                     requests.extend(starts[offset..offset + CHUNK].iter().map(|&k| (k, len)));
-                    hot.trie().scan_batch_with(&requests, &mut tids, &mut bounds, &mut batch_cursor);
+                    hot.trie().scan_batch_with(&requests, &mut tids, &mut bounds, &mut sched);
                     black_box(tids.len())
                 })
             });
-
-            // Out-of-order seek descents: the scheduler's reorder buffer
-            // keeps the output request-ordered, so results stay comparable
-            // with the lane-cursor path above.
-            for depth in hot_core::DEPTH_SWEEP {
-                let mut sched = MlpScheduler::with_depth(depth);
-                let mut tids: Vec<u64> = Vec::new();
-                let mut bounds: Vec<usize> = Vec::new();
-                let mut requests: Vec<(&[u8], usize)> = Vec::new();
-                let mut offset = 0usize;
-                group.bench_function(format!("ooo_n{depth}"), |b| {
-                    b.iter(|| {
-                        offset = (offset + CHUNK) % wrap;
-                        requests.clear();
-                        requests.extend(starts[offset..offset + CHUNK].iter().map(|&k| (k, len)));
-                        hot.trie().scan_batch_ooo(&requests, &mut tids, &mut bounds, &mut sched);
-                        black_box(tids.len())
-                    })
-                });
-            }
             group.finish();
         }
     }

@@ -35,7 +35,7 @@ use hot_bench::{mops, row, run_transactions_sharded, BenchData, Config};
 #[cfg(feature = "metrics")]
 use hot_core::hot_metrics::RowexCounter;
 use hot_core::sync::ConcurrentHot;
-use hot_core::{BatchCursor, MlpScheduler, RouterScratch, ShardedHot};
+use hot_core::{MlpScheduler, RouterScratch, ShardedHot};
 use hot_keys::PaddedKey;
 use hot_ycsb::{Dataset, DatasetKind, RequestDistribution, Workload, WorkloadRun};
 use rand::rngs::StdRng;
@@ -73,16 +73,13 @@ fn main() {
     let mut insert_base = None;
     let mut lookup_base = None;
     let mut batch_base = None;
-    let mut ooo_base = None;
     let mut bulk_base = None;
     let mut metrics_rows: Vec<(usize, String)> = Vec::new();
     for &threads in &config.threads {
-        let (insert_mops, lookup_mops, batch_mops, ooo_mops, rowex) =
-            run_with_threads(&data, threads, &config);
+        let (insert_mops, lookup_mops, batch_mops, rowex) = run_with_threads(&data, threads, &config);
         let ib = *insert_base.get_or_insert(insert_mops);
         let lb = *lookup_base.get_or_insert(lookup_mops);
         let bb = *batch_base.get_or_insert(batch_mops);
-        let ob = *ooo_base.get_or_insert(ooo_mops);
         row(&[
             "insert".into(),
             threads.to_string(),
@@ -100,12 +97,6 @@ fn main() {
             threads.to_string(),
             format!("{batch_mops:.3}"),
             format!("{:.2}", batch_mops / bb),
-        ]);
-        row(&[
-            "lookup_ooo".into(),
-            threads.to_string(),
-            format!("{ooo_mops:.3}"),
-            format!("{:.2}", ooo_mops / ob),
         ]);
         if let Some((rate, json)) = rowex {
             row(&[
@@ -136,7 +127,7 @@ fn main() {
 }
 
 /// `--shards a,b,c`: the thread-per-core sharded execution layer
-/// (DESIGN.md §17) against the single-trie out-of-order baseline, on the
+/// (DESIGN.md §17) against the single-trie batched baseline, on the
 /// integer and url data sets. Per shard count: one routed
 /// `get_batch_with` over the full shuffled key set (classify → per-shard
 /// queues → shard-grouped drain windows) and one YCSB-C pass through the
@@ -184,8 +175,8 @@ fn run_sharded_section(config: &Config) {
         }
 
         // Single-trie baseline: a 1-shard inline router — its one shard
-        // IS a plain `ConcurrentHot`, driven with chunked out-of-order
-        // batches, and the same instance serves the YCSB-C baseline (and
+        // IS a plain `ConcurrentHot`, driven with chunked `get_batch_with`
+        // calls, and the same instance serves the YCSB-C baseline (and
         // its checksum, which every sharded pass must reproduce).
         let baseline = ShardedHot::inline_router(Arc::clone(&data.arena), 1);
         baseline
@@ -201,7 +192,7 @@ fn run_sharded_section(config: &Config) {
             for chunk in probes.chunks(window) {
                 baseline
                     .shard(0)
-                    .get_batch_ooo(chunk, &mut out[..chunk.len()], &mut sched);
+                    .get_batch_with(chunk, &mut out[..chunk.len()], &mut sched);
                 h += out[..chunk.len()].iter().flatten().count() as u64;
             }
             let m = mops(probes.len(), t.elapsed().as_secs_f64());
@@ -227,7 +218,7 @@ fn run_sharded_section(config: &Config) {
             run_transactions_sharded(&baseline, &data, &run, ycsb_batch);
         let label = kind.label();
         row(&[
-            "lookup_ooo".into(),
+            "lookup_batch".into(),
             label.into(),
             "1".into(),
             format!("{single_mops:.3}"),
@@ -243,7 +234,7 @@ fn run_sharded_section(config: &Config) {
             "-".into(),
         ]);
         json_rows.push(format!(
-            "{{\"dataset\": \"{label}\", \"structure\": \"single\", \"lookup_ooo_mops\": {single_mops:.3}, \"ycsb_c_mops\": {ycsb_single:.3}}}"
+            "{{\"dataset\": \"{label}\", \"structure\": \"single\", \"lookup_batch_mops\": {single_mops:.3}, \"ycsb_c_mops\": {ycsb_single:.3}}}"
         ));
 
         for &s in &config.shards {
@@ -371,14 +362,13 @@ fn run_bulk_with_threads(data: &BenchData, keys: &[&[u8]], tids: &[u64], threads
     mops(n, elapsed)
 }
 
-/// Insert / lookup / batched-lookup / out-of-order-lookup phases at one
-/// thread count. The last element is `Some((restart_rate, rowex_json))`
+/// Insert / lookup / batched-lookup phases at one thread count. The last element is `Some((restart_rate, rowex_json))`
 /// only under `--metrics` with the `metrics` feature compiled in.
 fn run_with_threads(
     data: &BenchData,
     threads: usize,
     config: &Config,
-) -> (f64, f64, f64, f64, Option<(f64, String)>) {
+) -> (f64, f64, f64, Option<(f64, String)>) {
     let trie = Arc::new(ConcurrentHot::new(Arc::clone(&data.arena)));
     let keys = Arc::new(data.dataset.keys.clone());
     let tids = Arc::new(data.tids.clone());
@@ -429,8 +419,8 @@ fn run_with_threads(
     let lookup_mops = mops(per_thread * threads, start.elapsed().as_secs_f64());
 
     // Batched lookup phase: same uniform stream, resolved `batch` keys at a
-    // time through the memory-level-parallel descent (one epoch pin per
-    // call, per-thread cursor).
+    // time through the batched descent engine (per-thread lane ring, one
+    // epoch pin per call, per-refill root reload).
     let batch = config.batch;
     let groups = per_thread / batch;
     let start = Instant::now();
@@ -441,14 +431,14 @@ fn run_with_threads(
             let seed = config.seed ^ (t as u64) << 32;
             scope.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(seed);
-                let mut cursor = BatchCursor::with_group(batch);
+                let mut sched = MlpScheduler::new();
                 let mut probe: Vec<&[u8]> = Vec::with_capacity(batch);
                 let mut out: Vec<Option<u64>> = vec![None; batch];
                 let mut checksum = 0u64;
                 for _ in 0..groups {
                     probe.clear();
                     probe.extend((0..batch).map(|_| keys[rng.gen_range(0..n)].as_slice()));
-                    trie.get_batch_with(&probe, &mut out, &mut cursor);
+                    trie.get_batch_with(&probe, &mut out, &mut sched);
                     for tid in out.iter().flatten() {
                         checksum = checksum.wrapping_add(*tid);
                     }
@@ -458,38 +448,6 @@ fn run_with_threads(
         }
     });
     let batch_mops = mops(groups * batch * threads, start.elapsed().as_secs_f64());
-
-    // Out-of-order lookup phase: the same uniform stream through the
-    // completion-driven scheduler — per-thread lane ring, one epoch pin per
-    // window, per-refill root reload. The window is a few multiples of the
-    // deepest ring so refills, not window edges, set occupancy.
-    let window = batch.max(4 * hot_core::MAX_DEPTH);
-    let ooo_groups = per_thread / window;
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let trie = Arc::clone(&trie);
-            let keys = Arc::clone(&keys);
-            let seed = config.seed ^ (t as u64) << 32;
-            scope.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let mut sched = MlpScheduler::new();
-                let mut probe: Vec<&[u8]> = Vec::with_capacity(window);
-                let mut out: Vec<Option<u64>> = vec![None; window];
-                let mut checksum = 0u64;
-                for _ in 0..ooo_groups {
-                    probe.clear();
-                    probe.extend((0..window).map(|_| keys[rng.gen_range(0..n)].as_slice()));
-                    trie.get_batch_ooo(&probe, &mut out, &mut sched);
-                    for tid in out.iter().flatten() {
-                        checksum = checksum.wrapping_add(*tid);
-                    }
-                }
-                std::hint::black_box(checksum);
-            });
-        }
-    });
-    let ooo_mops = mops(ooo_groups * window * threads, start.elapsed().as_secs_f64());
 
     // ROWEX health counters, read after (never inside) the timed phases.
     #[cfg(feature = "metrics")]
@@ -512,5 +470,5 @@ fn run_with_threads(
     #[cfg(not(feature = "metrics"))]
     let rowex: Option<(f64, String)> = None;
 
-    (insert_mops, lookup_mops, batch_mops, ooo_mops, rowex)
+    (insert_mops, lookup_mops, batch_mops, rowex)
 }

@@ -8,8 +8,8 @@
 //! integer data set (~1.5× over HOT).
 //!
 //! Beyond the paper, a `C_batch` row re-runs workload C through the batched
-//! read path (`BenchIndex::get_batch`, group size `--batch N`): HOT's
-//! memory-level-parallel descent vs. the baselines' scalar fallback. The
+//! read path (`BenchIndex::get_batch`, window `--batch N`): HOT's batched
+//! descent engine vs. the baselines' scalar fallback. The
 //! scalar/batched pairs are also written to `results/BENCH_batch.json`.
 //! Checksums of the two paths are asserted equal.
 //!
@@ -20,7 +20,7 @@
 //! bulk-built index is spot-checked to resolve the keys it was loaded with.
 //!
 //! ```text
-//! cargo run --release -p hot-bench --bin fig8_throughput -- --keys 1000000 --ops 2000000 --batch 8
+//! cargo run --release -p hot-bench --bin fig8_throughput -- --keys 1000000 --ops 2000000
 //! ```
 //!
 //! With `--check`, every structural invariant of the HOT trie is verified
@@ -40,7 +40,7 @@
 
 use hot_bench::{
     all_indexes, row, run_load, run_load_bulk, run_transactions, run_transactions_batched,
-    run_transactions_fresh_scans, run_transactions_ooo, BenchData, Config,
+    run_transactions_fresh_scans, BenchData, Config,
 };
 use hot_ycsb::{Dataset, DatasetKind, RequestDistribution, Workload, WorkloadRun};
 
@@ -62,25 +62,6 @@ struct ScanRecord {
     batched_mops: f64,
 }
 
-/// One out-of-order-scheduler row for the `--ooo` JSON report: workload C
-/// through the round-robin batched path vs. the completion-driven
-/// scheduler, plus workload E through the mixed OoO pipeline.
-struct OooRecord {
-    dataset: &'static str,
-    structure: &'static str,
-    batched_mops: f64,
-    ooo_mops: f64,
-    ooo_scan_mops: f64,
-    tuned_depth: usize,
-}
-
-/// One HOT in-flight-depth sweep cell for the `--ooo` JSON report.
-struct DepthRecord {
-    dataset: &'static str,
-    depth: usize,
-    mops: f64,
-}
-
 /// One incremental/bulk load-phase triple for the `--bulk` JSON report.
 struct BulkRecord {
     dataset: &'static str,
@@ -98,13 +79,7 @@ fn main() {
         config.keys, config.ops, config.seed, config.batch
     );
     println!("# paper_shape: HOT highest on C and E for all data sets; insert-only: HOT highest on strings, ART ~1.5x HOT on integer");
-    println!("# C_batch: workload C through get_batch (group={}); HOT overlaps misses, baselines run the scalar fallback", config.batch);
-    if config.ooo {
-        println!(
-            "# C_ooo/E_ooo: mixed streams through the completion-driven out-of-order scheduler (adaptive depth, sweep={:?}, HOT_MLP_DEPTH overrides)",
-            hot_core::DEPTH_SWEEP
-        );
-    }
+    println!("# C_batch: workload C through get_batch (window={}); HOT overlaps misses, baselines run the scalar fallback", config.batch);
     row(&[
         "workload".into(),
         "dataset".into(),
@@ -115,13 +90,6 @@ fn main() {
     let mut records: Vec<BatchRecord> = Vec::new();
     let mut bulk_records: Vec<BulkRecord> = Vec::new();
     let mut scan_records: Vec<ScanRecord> = Vec::new();
-    let mut ooo_records: Vec<OooRecord> = Vec::new();
-    let mut depth_records: Vec<DepthRecord> = Vec::new();
-    // Coalescing window for the mixed out-of-order stream: a few multiples
-    // of the LARGEST sweepable in-flight depth, so completion-driven refills
-    // (not window edges) set the pipeline's occupancy even when the adaptive
-    // controller picks the deepest ring.
-    let ooo_window = config.batch.max(4 * hot_core::MAX_DEPTH);
 
     for kind in DatasetKind::ALL {
         // Reserve insert keys for workload E.
@@ -138,20 +106,8 @@ fn main() {
             config.seed,
         ));
 
-        // Stride sample over the loaded keys for the adaptive in-flight-depth
-        // controller: the sweep runs untimed, so the timed `*_ooo` rows use
-        // the depth the controller picked rather than the static default.
-        let ooo_sample: Vec<Vec<u8>> = if config.ooo {
-            let keys = &data.dataset.keys[..config.keys.min(data.dataset.keys.len())];
-            let stride = (keys.len() / 4096).max(1);
-            keys.iter().step_by(stride).cloned().collect()
-        } else {
-            Vec::new()
-        };
-
         let mut incremental_load: Vec<f64> = Vec::new();
         let mut e_results: Vec<(f64, u64)> = Vec::new();
-        let mut c_results: Vec<(f64, f64, usize)> = Vec::new(); // (C_batch, C_ooo, depth) per index
         for mut index in all_indexes(&data.arena) {
             // Insert-only = the load phase itself.
             let load_mops = run_load(index.as_mut(), &data, config.keys);
@@ -168,50 +124,12 @@ fn main() {
                 config.seed,
             );
             let (c_mops, c_sum) = run_transactions(index.as_mut(), &data, &c_run);
-            let (mut cb_mops, cb_sum) =
+            let (cb_mops, cb_sum) =
                 run_transactions_batched(index.as_mut(), &data, &c_run, config.batch);
             assert_eq!(
                 c_sum, cb_sum,
                 "batched lookups must resolve the same TIDs as scalar ones"
             );
-
-            // `--ooo`: the same read-only stream through the out-of-order
-            // scheduler (C is read-only, so index state is untouched). A
-            // single pass swings ±10-30% run-to-run on shared 1-core hosts,
-            // so BOTH sides of the round-robin/out-of-order comparison take
-            // the best of three interleaved passes — the rows then compare
-            // the code paths, not scheduler luck. The scalar C row and the
-            // state-mutating E rows stay single-pass.
-            let mut co_mops = 0.0f64;
-            let mut tuned_depth = hot_core::DEFAULT_DEPTH;
-            if config.ooo {
-                tuned_depth = index.tune_mlp_depth(&ooo_sample);
-                if index.name() == "HOT" {
-                    eprintln!(
-                        "# {} HOT: adaptive controller picked in-flight depth {tuned_depth}",
-                        kind.label()
-                    );
-                }
-                for pass in 0..3 {
-                    if pass > 0 {
-                        let (b, b_sum) =
-                            run_transactions_batched(index.as_mut(), &data, &c_run, config.batch);
-                        assert_eq!(
-                            c_sum, b_sum,
-                            "batched lookups must resolve the same TIDs as scalar ones"
-                        );
-                        cb_mops = cb_mops.max(b);
-                    }
-                    let (o, o_sum) =
-                        run_transactions_ooo(index.as_mut(), &data, &c_run, ooo_window);
-                    assert_eq!(
-                        c_sum, o_sum,
-                        "out-of-order lookups must resolve the same TIDs as scalar ones"
-                    );
-                    co_mops = co_mops.max(o);
-                }
-            }
-            c_results.push((cb_mops, co_mops, tuned_depth));
 
             // Workload E (95% scan / 5% insert), through the amortized
             // cursor scan path (for HOT; baselines run their only path).
@@ -231,14 +149,6 @@ fn main() {
                 index.name().into(),
                 format!("{cb_mops:.3}"),
             ]);
-            if config.ooo {
-                row(&[
-                    "C_ooo".into(),
-                    kind.label().into(),
-                    index.name().into(),
-                    format!("{co_mops:.3}"),
-                ]);
-            }
             row(&[
                 "E".into(),
                 kind.label().into(),
@@ -311,68 +221,6 @@ fn main() {
             }
         }
 
-        // `--ooo`: workload E through the mixed out-of-order pipeline on a
-        // fresh index loaded to the identical pre-E state (E inserts
-        // reserve keys, so the already-run indexes above would give the
-        // scans a different view and break checksum comparability), plus
-        // an in-flight-depth sweep over the read-only C stream for HOT.
-        if config.ooo {
-            for (i, mut index) in all_indexes(&data.arena).into_iter().enumerate() {
-                run_load(index.as_mut(), &data, config.keys);
-                index.tune_mlp_depth(&ooo_sample);
-                let (eo_mops, eo_sum) =
-                    run_transactions_ooo(index.as_mut(), &data, &e_run, ooo_window);
-                let (_, e_sum) = e_results[i];
-                assert_eq!(
-                    e_sum, eo_sum,
-                    "out-of-order scans must return the same entries as scalar ones"
-                );
-                row(&[
-                    "E_ooo".into(),
-                    kind.label().into(),
-                    index.name().into(),
-                    format!("{eo_mops:.3}"),
-                ]);
-                let (cb_mops, co_mops, tuned_depth) = c_results[i];
-                ooo_records.push(OooRecord {
-                    dataset: kind.label(),
-                    structure: index.name(),
-                    batched_mops: cb_mops,
-                    ooo_mops: co_mops,
-                    ooo_scan_mops: eo_mops,
-                    tuned_depth,
-                });
-            }
-
-            // Depth sweep (HOT only): the same workload-C stream at each
-            // candidate in-flight depth. `HOT_MLP_DEPTH` trumps this sweep
-            // at run time; the sweep shows what the controller would pick.
-            let c_run = WorkloadRun::new(
-                Workload::C,
-                RequestDistribution::Uniform,
-                config.keys,
-                config.ops,
-                config.seed,
-            );
-            let mut hot = hot_bench::HotIndex::new(std::sync::Arc::clone(&data.arena));
-            run_load(&mut hot, &data, config.keys);
-            for &depth in &hot_core::DEPTH_SWEEP {
-                hot_bench::BenchIndex::set_mlp_depth(&hot, depth);
-                let (d_mops, _) = run_transactions_ooo(&mut hot, &data, &c_run, ooo_window);
-                row(&[
-                    "C_ooo_depth".into(),
-                    kind.label().into(),
-                    format!("HOT@{depth}"),
-                    format!("{d_mops:.3}"),
-                ]);
-                depth_records.push(DepthRecord {
-                    dataset: kind.label(),
-                    depth,
-                    mops: d_mops,
-                });
-            }
-        }
-
         // `--bulk`: load two more fresh sets of indexes over the same data —
         // one through the sequential bottom-up builder, one with the full
         // worker budget — and report load throughput next to the
@@ -413,9 +261,6 @@ fn main() {
 
     write_batch_json(&config, &records);
     write_scan_json(&config, &scan_records);
-    if config.ooo {
-        write_ooo_json(&config, &ooo_records, &depth_records);
-    }
     if config.bulk {
         write_bulk_json(&config, &bulk_records);
     }
@@ -524,59 +369,6 @@ fn write_scan_json(config: &Config, records: &[ScanRecord]) {
         eprintln!("# could not write results/BENCH_scan.json: {e}");
     } else {
         eprintln!("# wrote results/BENCH_scan.json");
-    }
-}
-
-/// Hand-rolled JSON: round-robin vs. out-of-order workload-C throughput
-/// and mixed-stream workload-E throughput per (dataset, structure), plus
-/// HOT's in-flight-depth sweep (kept outside `rows` so bench-check gates
-/// the headline numbers, not every sweep cell). Written only under
-/// `--ooo`.
-fn write_ooo_json(config: &Config, records: &[OooRecord], depths: &[DepthRecord]) {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"fig8_ooo_scheduler\",\n");
-    out.push_str(&format!(
-        "  \"keys\": {}, \"ops\": {}, \"seed\": {}, \"batch\": {}, \"default_depth\": {},\n",
-        config.keys,
-        config.ops,
-        config.seed,
-        config.batch,
-        hot_core::DEFAULT_DEPTH
-    ));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        let speedup = if r.batched_mops > 0.0 { r.ooo_mops / r.batched_mops } else { 0.0 };
-        out.push_str(&format!(
-            "    {{\"dataset\": \"{}\", \"structure\": \"{}\", \"batched_mops\": {:.3}, \"ooo_mops\": {:.3}, \"ooo_scan_mops\": {:.3}, \"ooo_speedup\": {:.2}, \"tuned_depth\": {}}}{}\n",
-            r.dataset,
-            r.structure,
-            r.batched_mops,
-            r.ooo_mops,
-            r.ooo_scan_mops,
-            speedup,
-            r.tuned_depth,
-            if i + 1 < records.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"depth_sweep\": [\n");
-    for (i, d) in depths.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"dataset\": \"{}\", \"depth\": {}, \"mops\": {:.3}}}{}\n",
-            d.dataset,
-            d.depth,
-            d.mops,
-            if i + 1 < depths.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    if let Err(e) = std::fs::create_dir_all("results")
-        .and_then(|()| std::fs::write("results/BENCH_ooo.json", &out))
-    {
-        eprintln!("# could not write results/BENCH_ooo.json: {e}");
-    } else {
-        eprintln!("# wrote results/BENCH_ooo.json");
     }
 }
 

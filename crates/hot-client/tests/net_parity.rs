@@ -3,10 +3,9 @@
 //! shard counts 1 and 4, across the A → C → E phase sequence — the
 //! acceptance gate of the serving layer.
 //!
-//! Runs in the normal, `HOT_FORCE_SCALAR` and `HOT_ARENA` CI lanes: the
-//! server executes through the same batched trie paths as the in-process
-//! harness, so lane-specific node-layout or SIMD divergence would surface
-//! here as a checksum break.
+//! Runs in the normal and `HOT_FORCE_SCALAR` CI lanes: the server executes
+//! through the same batched trie paths as the in-process harness, so
+//! kernel-specific divergence would surface here as a checksum break.
 
 use hot_client::{expected_checksums, run_closed_loop, Connection};
 use hot_metrics::Registry;

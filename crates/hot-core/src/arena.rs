@@ -1609,8 +1609,7 @@ fn drain_frames(
     }
 }
 
-/// Fixed group size of the compact batched-lookup pipeline (matches the
-/// heap [`BatchCursor`](crate::BatchCursor) default).
+/// Fixed group size of the compact batched-lookup pipeline.
 const BATCH_GROUP: usize = 8;
 
 /// Software-pipelined batched point lookups over the compact trie: G

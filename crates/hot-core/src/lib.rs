@@ -45,7 +45,6 @@
 #![deny(missing_docs)]
 
 pub mod arena;
-pub mod batch;
 pub mod bulk;
 pub mod invariants;
 pub mod map;
@@ -68,13 +67,12 @@ pub use arena::{
     ArenaFull, ArenaKind, ArenaStats, CompactBatchCursor, CompactCursor, CompactHot,
     CompactScanCursor,
 };
-pub use batch::{BatchCursor, DEFAULT_GROUP};
 pub use bulk::BulkLoadError;
 pub use invariants::InvariantReport;
 pub use map::HotMap;
-pub use mlp::{BatchRequest, MlpScheduler, DEFAULT_DEPTH, DEPTH_SWEEP, MAX_DEPTH};
+pub use mlp::{BatchRequest, MlpScheduler, DEFAULT_DEPTH, MAX_DEPTH};
 pub use node::{MemCounter, NodeRef, NodeTag, MAX_FANOUT};
-pub use scan::{ScanBatchCursor, ScanCursor};
+pub use scan::ScanCursor;
 pub use shard::{
     shard_of_key, splitters_from_sample, RouterScratch, ScanToken, ShardedHot, MAX_SHARDS,
 };

@@ -1,39 +1,37 @@
-//! Completion-driven out-of-order MLP scheduler (DESIGN.md §14).
+//! The batched descent engine: a completion-driven out-of-order MLP
+//! scheduler (DESIGN.md §9).
 //!
 //! epoch-exempt: shared descent core. The concurrent wrappers in `sync.rs`
 //! pin the epoch *before* loading roots and calling in here; the
 //! single-threaded `HotTrie` needs no pin. Protection is the caller's
 //! contract — these routines only borrow already-protected nodes.
 //!
-//! The round-robin cursors in [`crate::batch`] and [`crate::scan`] overlap
-//! the cache misses of G independent descents, but they are *synchronous*:
-//! every lane advances exactly once per round, so one slow lane (a deep URL
-//! descent, a re-descent on the concurrent index) stalls the whole group,
-//! and a group only refills once **all** G descents finished. The Cuckoo
-//! Trie observation applies: the memory system rewards keeping N misses in
-//! flight *continuously*, not in lock-step convoys.
-//!
-//! [`MlpScheduler`] fixes both pathologies. It owns a ring of up to N lane
+//! A single HOT lookup is a serial pointer chase: every compound-node hop
+//! depends on the previous one, so one descent keeps one cache miss in
+//! flight while an out-of-order core sustains ten or more. The Cuckoo
+//! Trie observation applies: the memory system rewards keeping N misses
+//! in flight *continuously*. [`MlpScheduler`] is the one engine every
+//! batched read of the heap tries runs on. It owns a ring of up to N lane
 //! state machines — point lookups, range-scan seeks and remove probes run
 //! as one [`DescentKind`] through the same ring — and sweeps the ring,
 //! advancing each in-flight descent by one node per visit with the next
 //! hop prefetched. The moment a lane *completes* (its result is written,
 //! its scan drained), it is refilled from the pending-request queue in
 //! place, without waiting for the rest of the ring: in-flight depth stays
-//! at N until the queue runs dry, regardless of per-key depth variance,
-//! and mixed get/scan/probe streams interleave in one pipeline.
+//! at N until the queue runs dry, regardless of per-key depth variance
+//! (a deep URL descent, a re-descent on the concurrent index), and mixed
+//! get/scan/probe streams interleave in one pipeline.
 //!
 //! Completion order is data-dependent; *results are not*. Lookup results
 //! land at their request's slot, and scan drains are staged in a scratch
 //! vector and emitted in request order afterwards, so every entry point is
-//! byte-identical to the scalar and round-robin paths (the
-//! `ooo_differential` test asserts checksums across all three).
+//! byte-identical to the scalar path (the `ooo_differential` test asserts
+//! checksums at every depth).
 //!
-//! The in-flight depth N defaults to [`DEFAULT_DEPTH`], can be forced with
-//! `HOT_MLP_DEPTH`, and can be chosen by the adaptive controller
-//! ([`tune_depth`]) which sweeps [`DEPTH_SWEEP`] at startup; with the
-//! `metrics` feature the lane-occupancy histogram shows whether the chosen
-//! depth is actually sustained (mean occupancy ≈ N until the tail).
+//! The in-flight depth N is [`DEFAULT_DEPTH`]; [`MlpScheduler::with_depth`]
+//! exists so tests can shuffle the completion order. With the `metrics`
+//! feature the lane-occupancy histogram shows whether the depth is
+//! actually sustained (mean occupancy ≈ N until the tail).
 
 use crate::metrics::{Metrics, SchedCounter};
 use crate::node::{HeapSlot, NodeRef};
@@ -41,12 +39,12 @@ use crate::scan::{drain_frames, position_frames};
 use hot_bits::{Isa, Kernel};
 use hot_keys::{KeySource, PaddedKey, KEY_SCRATCH_LEN};
 use std::cell::Cell;
-use std::sync::OnceLock;
 
-/// Default in-flight depth (compile-time default of the adaptive
-/// controller). Deeper than the round-robin G = 8: completion-driven
+/// In-flight depth of every scheduler outside tests. Completion-driven
 /// refill keeps all lanes useful, so the limit is the line-fill-buffer
-/// budget plus the L2 MLP the prefetcher adds, not the convoy barrier.
+/// budget plus the L2 MLP the prefetcher adds; throughput is flat across
+/// 8..=64 on the benchmark host with 16 best (EXPERIMENTS.md, "One
+/// batched-descent engine").
 pub const DEFAULT_DEPTH: usize = 16;
 
 /// Largest supported in-flight depth (matches
@@ -54,11 +52,8 @@ pub const DEFAULT_DEPTH: usize = 16;
 /// legal depth exactly).
 pub const MAX_DEPTH: usize = 64;
 
-/// Depths the adaptive controller sweeps at startup.
-pub const DEPTH_SWEEP: [usize; 5] = [4, 8, 16, 32, 64];
-
 /// Cache lines prefetched per upcoming node (Section 4.5: header + partial
-/// keys + values) — identical to the round-robin paths.
+/// keys + values) — identical to the point-lookup path.
 const PREFETCH_LINES: usize = 4;
 
 /// Cache lines prefetched per pending request's key bytes ahead of a
@@ -72,7 +67,7 @@ const KEY_PREFETCH_LINES: usize = 2;
 const MAX_REDESCENTS: u32 = 3;
 
 /// What kind of descent occupies a lane (the `Descent` enum of DESIGN.md
-/// §14, flattened into per-lane state).
+/// §9.1, flattened into per-lane state).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum DescentKind {
     /// Point lookup: the verified TID (or `None`) goes to `out[slot]`.
@@ -214,60 +209,13 @@ impl Lane {
     }
 }
 
-static FORCE_ROUND_ROBIN: OnceLock<bool> = OnceLock::new();
-
-/// Whether `HOT_FORCE_ROUND_ROBIN` (any non-empty value) pins the
-/// convenience batch entry points to the fixed round-robin cursors —
-/// the comparison baseline for the out-of-order scheduler. Cached
-/// process-wide like `HOT_FORCE_SCALAR`.
-pub fn force_round_robin() -> bool {
-    *FORCE_ROUND_ROBIN.get_or_init(|| {
-        std::env::var_os("HOT_FORCE_ROUND_ROBIN").is_some_and(|v| !v.is_empty())
-    })
-}
-
-static ENV_DEPTH: OnceLock<Option<usize>> = OnceLock::new();
-
-/// `HOT_MLP_DEPTH` override (clamped to `1..=MAX_DEPTH`), cached
-/// process-wide.
-fn env_depth() -> Option<usize> {
-    *ENV_DEPTH.get_or_init(|| {
-        std::env::var("HOT_MLP_DEPTH")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .map(|n| n.clamp(1, MAX_DEPTH))
-    })
-}
-
-/// Adaptive in-flight-depth controller: run `measure(depth)` over the
-/// candidate depths of [`DEPTH_SWEEP`] (each measured twice, best kept)
-/// and return the fastest. An explicit `HOT_MLP_DEPTH` wins without
-/// sweeping. With the `metrics` feature, the lane-occupancy histogram
-/// recorded during the sweep shows how full each candidate actually ran.
-pub fn tune_depth<F>(mut measure: F) -> usize
-where
-    F: FnMut(usize) -> std::time::Duration,
-{
-    if let Some(depth) = env_depth() {
-        return depth;
-    }
-    let mut best = (std::time::Duration::MAX, DEFAULT_DEPTH);
-    for &depth in &DEPTH_SWEEP {
-        let t = measure(depth).min(measure(depth));
-        if t < best.0 {
-            best = (t, depth);
-        }
-    }
-    best.1
-}
-
 /// Reusable completion-driven out-of-order descent scheduler.
 ///
 /// One scheduler owns N lane state machines plus the scan staging buffers;
-/// reusing it across batches amortizes every allocation, exactly like the
-/// round-robin cursors. The convenience entry points
-/// ([`get_batch`](crate::HotTrie::get_batch) and friends) reuse one per
-/// thread.
+/// reusing it across batches amortizes every allocation. The convenience
+/// entry points ([`get_batch`](crate::HotTrie::get_batch) and friends)
+/// reuse one per thread; the `*_with` entry points take one from the
+/// caller.
 pub struct MlpScheduler {
     depth: usize,
     lanes: Vec<Lane>,
@@ -309,10 +257,9 @@ pub(crate) fn with_thread_scheduler<R>(f: impl FnOnce(&mut MlpScheduler) -> R) -
 }
 
 impl MlpScheduler {
-    /// Scheduler with the environment-selected depth (`HOT_MLP_DEPTH`,
-    /// else [`DEFAULT_DEPTH`]).
+    /// Scheduler keeping [`DEFAULT_DEPTH`] descents in flight.
     pub fn new() -> Self {
-        Self::with_depth(env_depth().unwrap_or(DEFAULT_DEPTH))
+        Self::with_depth(DEFAULT_DEPTH)
     }
 
     /// Scheduler keeping up to `depth` descents in flight
@@ -331,21 +278,6 @@ impl MlpScheduler {
             scratch_tids: Vec::new(),
             spans: Vec::new(),
         }
-    }
-
-    /// The configured in-flight depth N.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// Change the in-flight depth (the adaptive controller uses this to
-    /// apply a tuned value to an existing scheduler).
-    pub fn set_depth(&mut self, depth: usize) {
-        assert!(
-            (1..=MAX_DEPTH).contains(&depth),
-            "in-flight depth must be in 1..={MAX_DEPTH}"
-        );
-        self.depth = depth;
     }
 
     /// Drain `reqs` through the ring.
@@ -490,8 +422,7 @@ impl MlpScheduler {
         // Fill: load the first min(N, n) requests, one per lane. The
         // request keys live at stream-dependent addresses (for a random
         // probe stream, random lines of the key arena), so their reads are
-        // misses too — start them all before the copies so they overlap
-        // exactly like the round-robin load phase's back-to-back copies.
+        // misses too — start them all before the copies so they overlap.
         for i in 0..depth.min(n) {
             let (key, _, _) = reqs.fetch(i);
             hot_bits::prefetch_node(key.as_ptr(), KEY_PREFETCH_LINES);
@@ -525,16 +456,13 @@ impl MlpScheduler {
         //
         // The Descend hop is inlined here rather than behind a per-lane
         // function call: at trie heights of ~6–10 the call overhead alone
-        // costs double-digit percent against the round-robin cursor, whose
-        // sweep loop this mirrors hop for hop.
+        // costs double-digit percent of a batched lookup.
         let mut live = active.len();
         // Lanes currently in the Finish stage: lane `finishing` of them
         // will complete before the pending request at `next_req +
         // finishing` is staged, so that is the request whose key bytes a
         // newly terminal lane prefetches. Without this, every refill's key
-        // copy is a *solo* arena miss in the middle of a sweep — the one
-        // stall the round-robin cursor never takes (its load phase issues
-        // all G key reads back to back).
+        // copy is a *solo* arena miss in the middle of a sweep.
         let mut finishing = 0usize;
         while live > 0 {
             metrics.occupancy(live);
@@ -778,13 +706,13 @@ mod tests {
     }
 
     #[test]
-    fn ooo_matches_scalar_on_hits_and_misses() {
+    fn batch_matches_scalar_on_hits_and_misses() {
         let t = build(10_000);
         let keys: Vec<[u8; 8]> = (0..1_000).map(encode_u64).collect();
         for depth in [1, 2, 5, 16, 64] {
             let mut sched = MlpScheduler::with_depth(depth);
             let mut out = vec![None; keys.len()];
-            t.get_batch_ooo(&keys, &mut out, &mut sched);
+            t.get_batch_with(&keys, &mut out, &mut sched);
             for (k, got) in keys.iter().zip(&out) {
                 assert_eq!(*got, t.get(k), "depth {depth}");
             }
@@ -792,14 +720,14 @@ mod tests {
     }
 
     #[test]
-    fn ooo_scan_matches_scalar() {
+    fn scan_batch_matches_scalar() {
         let t = build(4_000);
         let requests: Vec<([u8; 8], usize)> = (0..64u64)
             .map(|i| (encode_u64(i * 191), (i % 13) as usize))
             .collect();
         let mut sched = MlpScheduler::with_depth(7);
         let (mut tids, mut bounds) = (Vec::new(), Vec::new());
-        t.scan_batch_ooo(&requests, &mut tids, &mut bounds, &mut sched);
+        t.scan_batch_with(&requests, &mut tids, &mut bounds, &mut sched);
         assert_eq!(bounds.len(), requests.len() + 1);
         for (i, (key, limit)) in requests.iter().enumerate() {
             assert_eq!(
@@ -816,19 +744,19 @@ mod tests {
         let mut sched = MlpScheduler::new();
         let empty: [[u8; 8]; 0] = [];
         let mut out: Vec<Option<u64>> = vec![];
-        t.get_batch_ooo(&empty, &mut out, &mut sched);
+        t.get_batch_with(&empty, &mut out, &mut sched);
 
         let keys = [encode_u64(1), encode_u64(2)];
         let mut out = [Some(9), Some(9)];
-        t.get_batch_ooo(&keys, &mut out, &mut sched);
+        t.get_batch_with(&keys, &mut out, &mut sched);
         assert_eq!(out, [None, None]);
 
         let mut t = HotTrie::new(EmbeddedKeySource);
         t.insert(&encode_u64(7), 7);
         let mut out = [None, None];
-        t.get_batch_ooo(&keys[..1], &mut out[..1], &mut sched);
+        t.get_batch_with(&keys[..1], &mut out[..1], &mut sched);
         let mut out2 = [None, None];
-        t.get_batch_ooo(&[encode_u64(7), encode_u64(8)], &mut out2, &mut sched);
+        t.get_batch_with(&[encode_u64(7), encode_u64(8)], &mut out2, &mut sched);
         assert_eq!(out2, [Some(7), None]);
     }
 
@@ -850,7 +778,7 @@ mod tests {
         let mut sched = MlpScheduler::with_depth(11);
         let mut out = vec![None; reqs.len()];
         let (mut tids, mut bounds) = (Vec::new(), Vec::new());
-        t.mixed_batch_ooo(&reqs, &mut out, &mut tids, &mut bounds, &mut sched);
+        t.mixed_batch_with(&reqs, &mut out, &mut tids, &mut bounds, &mut sched);
 
         let mut scan_idx = 0;
         for (i, req) in reqs.iter().enumerate() {
@@ -867,17 +795,6 @@ mod tests {
             }
         }
         assert_eq!(bounds.len(), scan_idx + 1);
-    }
-
-    #[test]
-    fn tune_depth_returns_a_sweep_candidate() {
-        // Fake measurement: depth 32 "wins".
-        let chosen = tune_depth(|d| std::time::Duration::from_nanos(if d == 32 { 1 } else { 100 }));
-        // Either the env override or the fastest candidate.
-        if std::env::var_os("HOT_MLP_DEPTH").is_none() {
-            assert_eq!(chosen, 32);
-        }
-        assert!((1..=MAX_DEPTH).contains(&chosen));
     }
 
     #[test]

@@ -8,12 +8,10 @@
 //!
 //! On Linux the pin is one `sched_setaffinity(2)` call issued through a
 //! hand-rolled binding (the workspace deliberately has no `libc`
-//! dependency); everywhere else — and whenever `HOT_PIN=0` disables
-//! pinning, mirroring the `HOT_MLP_DEPTH` escape-hatch convention —
-//! [`pin_to_core`] is a graceful no-op that reports `false` and the
-//! sharded layer runs unpinned with identical results.
-
-use std::sync::OnceLock;
+//! dependency); everywhere else [`pin_to_core`] is a graceful no-op that
+//! reports `false` and the sharded layer runs unpinned with identical
+//! results. Whether to pin at all is the caller's argument
+//! (`ShardedHot::with_config(.., pin)`).
 
 /// Largest CPU index [`pin_to_core`] can express: the bitmask handed to
 /// `sched_setaffinity` spans 1024 CPUs, the kernel's default `cpu_set_t`
@@ -31,15 +29,6 @@ mod sys {
     }
 }
 
-static PIN_ENABLED: OnceLock<bool> = OnceLock::new();
-
-/// Whether pinning is enabled for this process: `true` unless the
-/// `HOT_PIN=0` override is set (cached process-wide, like
-/// `HOT_MLP_DEPTH` / `HOT_FORCE_SCALAR`).
-pub fn pin_enabled() -> bool {
-    *PIN_ENABLED.get_or_init(|| std::env::var_os("HOT_PIN").is_none_or(|v| v != "0"))
-}
-
 /// Number of CPUs available to this process (≥ 1).
 pub fn core_count() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
@@ -48,12 +37,12 @@ pub fn core_count() -> usize {
 /// Pin the calling thread to `core`.
 ///
 /// Returns `true` when the affinity call succeeded; `false` when pinning
-/// is disabled (`HOT_PIN=0`), unsupported on this platform, `core` is out
-/// of range, or the kernel rejected the mask (e.g. a cgroup cpuset that
+/// is unsupported on this platform, `core` is out of range, or the kernel
+/// rejected the mask (e.g. a cgroup cpuset that
 /// excludes `core`). Callers treat `false` as "run unpinned": placement
 /// is a performance hint, never a correctness requirement.
 pub fn pin_to_core(core: usize) -> bool {
-    if !pin_enabled() || core >= MAX_CPUS {
+    if core >= MAX_CPUS {
         return false;
     }
     #[cfg(target_os = "linux")]
@@ -93,9 +82,6 @@ mod tests {
 
     #[test]
     fn pin_round_trips_on_linux() {
-        if !cfg!(target_os = "linux") || !pin_enabled() {
-            return;
-        }
         // Pinning to core 0 must succeed on any Linux host whose cpuset
         // includes it; afterwards the thread reports core 0.
         if pin_to_core(0) {

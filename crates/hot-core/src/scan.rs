@@ -12,33 +12,27 @@
 //! because the in-order walk only discovers a subtree's address one hop
 //! before it needs it.
 //!
-//! Two cursors fix this:
+//! [`ScanCursor`] fixes this. It owns the seek/traversal state (padded
+//! start key, descent path, frame stack) and is reused across calls —
+//! [`scan_with`](crate::HotTrie::scan_with) touches the heap only when a
+//! buffer has to grow, so repeated scans are allocation-free steady-state.
+//! During the drain it prefetches a subtree's node *before* descending
+//! into it and the **next sibling subtree's header** at the same moment,
+//! so the sibling's miss overlaps the entire walk of the current subtree
+//! instead of serializing behind it (the inter-node analogue of the
+//! Section 4.5 intra-node prefetch).
 //!
-//! * [`ScanCursor`] owns the seek/traversal state (padded start key, descent
-//!   path, frame stack) and is reused across calls —
-//!   [`scan_with`](crate::HotTrie::scan_with) touches the heap only when a
-//!   buffer has to grow, so repeated scans are allocation-free steady-state.
-//!   During the drain it prefetches a subtree's node *before* descending
-//!   into it and the **next sibling subtree's header** at the same moment,
-//!   so the sibling's miss overlaps the entire walk of the current subtree
-//!   instead of serializing behind it (the inter-node analogue of the
-//!   Section 4.5 intra-node prefetch).
-//! * [`ScanBatchCursor`] services many scan requests per call the way
-//!   [`BatchCursor`](crate::BatchCursor) services point lookups: the *seek
-//!   descents* of G scans advance round-robin, each hop prefetching the
-//!   lane's next node, so G seek misses stay in flight concurrently. The
-//!   drains then run lane-by-lane (an in-order walk cannot be reordered)
-//!   with the sibling prefetch above. On
-//!   [`ConcurrentHot`](crate::sync::ConcurrentHot) the whole batch runs
-//!   under a **single epoch pin**, re-reading the root once per group so a
-//!   long batch never pins one stale root (same protocol as `get_batch`).
+//! Many scans per call (`scan_batch`) go through the batched descent
+//! engine ([`crate::mlp`]): their *seek descents* share its lane ring with
+//! point lookups, and each completed seek is positioned and drained with
+//! the same [`position_frames`] / [`drain_frames`] the single-scan cursor
+//! uses.
 //!
 //! Results are written into caller-owned buffers (`&mut Vec<u64>`); batched
 //! results land flat in one TID vector with a bounds (prefix-offset) vector,
 //! so a full batch costs zero allocations once the buffers warmed up.
 
 use crate::node::{HeapSlot, NodeRef, Slot};
-use hot_bits::{Isa, Kernel};
 use hot_keys::{KeySource, PaddedKey, KEY_SCRATCH_LEN};
 use std::cell::Cell;
 
@@ -239,192 +233,6 @@ pub(crate) fn drain_frames(frames: &mut Vec<(NodeRef, usize)>, limit: usize, out
     }
 }
 
-/// One in-flight scan request of a batch.
-struct ScanLane {
-    /// Padded start key.
-    key: PaddedKey,
-    /// Current descent position (node while descending; leaf/null once
-    /// done).
-    cur: NodeRef,
-    /// Recorded descent path.
-    path: Vec<(NodeRef, usize)>,
-    /// In-order frame stack (reused across batches).
-    frames: Vec<(NodeRef, usize)>,
-}
-
-impl ScanLane {
-    fn new() -> Self {
-        ScanLane {
-            key: PaddedKey::new(),
-            cur: NodeRef::NULL,
-            path: Vec::new(),
-            frames: Vec::new(),
-        }
-    }
-}
-
-/// Reusable state machine batching many range scans: seek descents advance
-/// round-robin (one hop per lane per round, next node prefetched), then each
-/// lane drains in request order.
-///
-/// Group size trades overlap against cache pressure exactly as for
-/// [`BatchCursor`](crate::BatchCursor); the default matches
-/// [`DEFAULT_GROUP`](crate::DEFAULT_GROUP).
-pub struct ScanBatchCursor {
-    group: usize,
-    lanes: Vec<ScanLane>,
-    /// Worklist of lane indices still descending, compacted in place.
-    active: Vec<usize>,
-}
-
-impl Default for ScanBatchCursor {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ScanBatchCursor {
-    /// Cursor with the default group size
-    /// ([`DEFAULT_GROUP`](crate::DEFAULT_GROUP)).
-    pub fn new() -> Self {
-        Self::with_group(crate::batch::DEFAULT_GROUP)
-    }
-
-    /// Cursor keeping up to `group` seek descents in flight (≥ 1).
-    pub fn with_group(group: usize) -> Self {
-        assert!(group >= 1, "group size must be at least 1");
-        ScanBatchCursor {
-            group,
-            lanes: Vec::new(),
-            active: Vec::new(),
-        }
-    }
-
-    /// The configured group size.
-    pub fn group(&self) -> usize {
-        self.group
-    }
-
-    /// Service one group of at most `group` requests against `root`,
-    /// appending each scan's TIDs to `tids` and one end offset per request
-    /// to `bounds`.
-    ///
-    /// The group's one ISA dispatch: the seek phase below is compiled once
-    /// per [`Kernel`].
-    pub(crate) fn run_group<S, Q>(
-        &mut self,
-        root: NodeRef,
-        source: &S,
-        requests: &[(Q, usize)],
-        tids: &mut Vec<u64>,
-        bounds: &mut Vec<usize>,
-    ) where
-        S: KeySource,
-        Q: AsRef<[u8]>,
-    {
-        match hot_bits::features().isa() {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: the token proves detection found every enabled feature.
-            Isa::Avx2(k) => unsafe { self.run_group_avx2(k, root, source, requests, tids, bounds) },
-            Isa::Portable(k) => self.run_group_on(k, root, source, requests, tids, bounds),
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2,bmi1,bmi2,lzcnt,popcnt")]
-    fn run_group_avx2<S, Q>(
-        &mut self,
-        k: hot_bits::Avx2,
-        root: NodeRef,
-        source: &S,
-        requests: &[(Q, usize)],
-        tids: &mut Vec<u64>,
-        bounds: &mut Vec<usize>,
-    ) where
-        S: KeySource,
-        Q: AsRef<[u8]>,
-    {
-        self.run_group_on(k, root, source, requests, tids, bounds)
-    }
-
-    #[inline(always)]
-    fn run_group_on<K, S, Q>(
-        &mut self,
-        k: K,
-        root: NodeRef,
-        source: &S,
-        requests: &[(Q, usize)],
-        tids: &mut Vec<u64>,
-        bounds: &mut Vec<usize>,
-    ) where
-        K: Kernel,
-        S: KeySource,
-        Q: AsRef<[u8]>,
-    {
-        let n = requests.len();
-        debug_assert!(n <= self.group, "caller chunks batches by group size");
-        while self.lanes.len() < n {
-            self.lanes.push(ScanLane::new());
-        }
-        self.active.clear();
-
-        // Load phase: stage every start key, point every lane at the root.
-        for (lane, (key, _)) in self.lanes.iter_mut().zip(requests) {
-            lane.key.set(key.as_ref());
-            lane.cur = root;
-            lane.path.clear();
-        }
-        for lane in 0..n {
-            if root.is_node() {
-                self.active.push(lane);
-            }
-        }
-
-        // Seek phase: every pass advances each in-flight descent exactly one
-        // node, prefetching the hop after it — G seek misses overlap instead
-        // of serializing (the drain below then finds the upper tree levels
-        // resident).
-        let mut live = self.active.len();
-        while live > 0 {
-            let mut kept = 0;
-            for slot in 0..live {
-                let lane = &mut self.lanes[self.active[slot]];
-                let raw = lane.cur.as_raw();
-                let (idx, next) = raw.find_candidate::<K, HeapSlot>(k, lane.key.padded());
-                lane.path.push((lane.cur, idx));
-                lane.cur = next;
-                if next.is_node() {
-                    hot_bits::prefetch_node(next.as_raw().base, PREFETCH_LINES);
-                    self.active[kept] = self.active[slot];
-                    kept += 1;
-                } else if next.is_leaf() {
-                    // The mismatch check against the stored key runs in the
-                    // drain phase; start its miss now.
-                    source.prefetch_key(next.tid());
-                }
-            }
-            live = kept;
-        }
-
-        // Drain phase, in request order: position each lane's frames at its
-        // start entry and walk leaves until the lane's limit.
-        let mut scratch = [0u8; KEY_SCRATCH_LEN];
-        for (lane, (key, limit)) in self.lanes.iter_mut().zip(requests) {
-            let begin = tids.len();
-            let limit = *limit;
-            if limit > 0 && root.is_leaf() {
-                if source.load_key(root.tid(), &mut scratch) >= key.as_ref() {
-                    tids.push(root.tid());
-                }
-            } else if limit > 0 && root.is_node() {
-                position_frames(source, &lane.key, &lane.path, lane.cur, &mut lane.frames, tids);
-                drain_frames(&mut lane.frames, begin.saturating_add(limit), tids);
-            }
-            bounds.push(tids.len());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use crate::HotTrie;
@@ -485,11 +293,5 @@ mod tests {
         t.scan_batch(&requests, &mut tids, &mut bounds);
         assert_eq!(tids, [7]);
         assert_eq!(bounds, [0, 1, 1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "group size")]
-    fn zero_group_rejected() {
-        super::ScanBatchCursor::with_group(0);
     }
 }

@@ -17,19 +17,19 @@
 //!   concatenation of per-shard scans, no merge network needed.
 //! * **The batch router** splits `get_batch` / `scan_batch` /
 //!   `mixed_batch` / `remove_batch` requests by shard, feeds each
-//!   shard's gathered slice through the existing completion-driven
-//!   [`MlpScheduler`](crate::MlpScheduler) (on the shard's worker
+//!   shard's gathered slice through the batched descent engine
+//!   ([`MlpScheduler`](crate::MlpScheduler), on the shard's worker
 //!   thread, or inline when the router runs without workers), and
 //!   re-emits every result **in request order** — the same
-//!   reorder-buffer discipline the out-of-order scheduler itself uses
-//!   (DESIGN.md §14). Output is therefore byte-identical to a single
-//!   trie regardless of shard count, worker timing, or pinning.
+//!   reorder-buffer discipline the engine itself uses (DESIGN.md §9).
+//!   Output is therefore byte-identical to a single trie regardless of
+//!   shard count, worker timing, or pinning.
 //! * **Placement** is first-touch: each shard's worker thread is pinned
 //!   to one core ([`crate::numa`]), and because that worker performs the
 //!   shard's inserts and bulk loads, the shard's nodes are allocated —
-//!   hence first-touched — on the core's local NUMA node. `HOT_PIN=0`
-//!   disables pinning, `HOT_SHARDS` overrides the default shard count
-//!   (both mirror the `HOT_MLP_DEPTH` escape-hatch convention).
+//!   hence first-touched — on the core's local NUMA node. Shard count
+//!   and pinning are constructor arguments
+//!   ([`ShardedHot::with_config`]).
 //!
 //! Scalar operations (`get` / `insert` / `remove` / `scan`) route
 //! inline on the caller: a single descent has no batch to amortize a
@@ -393,19 +393,6 @@ const CLASSIFY_PF_AHEAD: usize = 16;
 /// ramp-up, short enough that the window's staging state stays cached.
 const DRAIN_WINDOW: usize = 1024;
 
-static ENV_SHARDS: OnceLock<Option<usize>> = OnceLock::new();
-
-/// `HOT_SHARDS` override (clamped to `1..=`[`MAX_SHARDS`]), cached
-/// process-wide like `HOT_MLP_DEPTH`.
-pub fn env_shards() -> Option<usize> {
-    *ENV_SHARDS.get_or_init(|| {
-        std::env::var("HOT_SHARDS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .map(|n| n.clamp(1, MAX_SHARDS))
-    })
-}
-
 /// A gathered raw key pointer. Plain `*const u8` is neither `Send` nor
 /// `Sync`, which would poison every job closure; the newtype restores
 /// both under the router's discipline.
@@ -579,8 +566,8 @@ struct Worker {
 
 /// Reusable router state for one caller of the sharded batch entry
 /// points: classification, gather/scatter and scan-staging buffers plus
-/// the inline-mode execution context. Mirrors the
-/// `BatchCursor`/`MlpScheduler` caller-owned-state idiom: hold one per
+/// the inline-mode execution context. Mirrors the `MlpScheduler`
+/// caller-owned-state idiom: hold one per
 /// driving thread and the router allocates nothing once warmed up.
 pub struct RouterScratch {
     /// Shard id per request.
@@ -724,16 +711,10 @@ where
     S: KeySource + Clone + Send + Sync + 'static,
 {
     /// A sharded trie with `shards` shards (clamped to
-    /// `1..=`[`MAX_SHARDS`]), shard-affine worker threads, and pinning
-    /// per [`numa::pin_enabled`] (`HOT_PIN=0` disables it).
+    /// `1..=`[`MAX_SHARDS`]), shard-affine worker threads pinned where
+    /// the platform allows it.
     pub fn new(source: S, shards: usize) -> Self {
-        Self::with_config(source, shards, true, numa::pin_enabled())
-    }
-
-    /// A sharded trie sized by the `HOT_SHARDS` override, defaulting to
-    /// one shard per available core.
-    pub fn from_env(source: S) -> Self {
-        Self::new(source, env_shards().unwrap_or_else(numa::core_count))
+        Self::with_config(source, shards, true, true)
     }
 
     /// A sharded trie whose router runs entirely on the calling thread:
@@ -747,7 +728,7 @@ where
 
     /// Fully explicit constructor: shard count, whether to spawn the
     /// shard-affine worker pool, and whether workers pin themselves
-    /// (`pin` is additionally gated by `HOT_PIN=0`).
+    /// (a failed pin runs unpinned; see [`worker_cores`](Self::worker_cores)).
     pub fn with_config(source: S, shards: usize, spawn_workers: bool, pin: bool) -> Self {
         let shards = shards.clamp(1, MAX_SHARDS);
         let tries: Vec<Arc<ConcurrentHot<S>>> = (0..shards)
@@ -759,7 +740,6 @@ where
             let ncores = numa::core_count();
             for i in 0..shards {
                 let core = i % ncores;
-                let want_pin = pin && numa::pin_enabled();
                 let (tx, rx) = mpsc::channel::<Job>();
                 let (core_tx, core_rx) = mpsc::channel::<Option<usize>>();
                 let handle = std::thread::Builder::new()
@@ -768,7 +748,7 @@ where
                         // Pin before the first job: every allocation the
                         // shard's jobs perform first-touches memory on
                         // this core's NUMA node.
-                        let pinned = want_pin && numa::pin_to_core(core);
+                        let pinned = pin && numa::pin_to_core(core);
                         let _ = core_tx.send(pinned.then_some(core));
                         let mut ctx = WorkerCtx::new();
                         while let Ok(job) = rx.recv() {
@@ -1392,7 +1372,7 @@ where
 
     /// Batched range scans under the router: request `i`'s TIDs land in
     /// `tids[bounds[i]..bounds[i + 1]]` (both cleared first, `bounds`
-    /// seeded with 0 — the `scan_batch_ooo` contract). Each shard's
+    /// seeded with 0 — the `scan_batch_with` contract). Each shard's
     /// slice runs through its scheduler; requests whose range crosses a
     /// shard boundary continue into the following shards, so results
     /// match a single trie exactly.
@@ -1468,7 +1448,7 @@ where
     /// A mixed stream of point lookups and range scans, routed by shard
     /// and serviced through each shard's scheduler: `out[i]` answers
     /// request `i` when it is a get (scan slots stay untouched, as in
-    /// `mixed_batch_ooo`), scan TIDs land flat in `tids` with one span
+    /// `mixed_batch_with`), scan TIDs land flat in `tids` with one span
     /// per scan request in `bounds` — the single-trie contract,
     /// shard-transparently.
     ///
@@ -1838,7 +1818,7 @@ fn run_shard_gets<S: KeySource>(
         // again below, so no laundered reference outlives the dispatch.
         ctx.keys.push(unsafe { key_slice(p, l) });
     }
-    trie.get_batch_ooo(&ctx.keys, out, &mut ctx.sched);
+    trie.get_batch_with(&ctx.keys, out, &mut ctx.sched);
     ctx.keys.clear();
 }
 
@@ -1893,7 +1873,7 @@ fn run_shard_scans<S: KeySource>(
         let key = unsafe { key_slice(key_ptrs[j], key_lens[j]) };
         ctx.scans.push((key, limits[j] as usize));
     }
-    trie.scan_batch_ooo(&ctx.scans, &mut ctx.tids, &mut ctx.bounds, &mut ctx.sched);
+    trie.scan_batch_with(&ctx.scans, &mut ctx.tids, &mut ctx.bounds, &mut ctx.sched);
     ctx.scans.clear();
     let mut off = 0usize;
     for (j, span) in ctx.bounds.windows(2).enumerate() {
@@ -1927,7 +1907,7 @@ fn run_shard_mixed<S: KeySource>(
             BatchRequest::Scan(key, limits[j] as usize - 1)
         });
     }
-    trie.mixed_batch_ooo(&ctx.mixed, out, &mut ctx.tids, &mut ctx.bounds, &mut ctx.sched);
+    trie.mixed_batch_with(&ctx.mixed, out, &mut ctx.tids, &mut ctx.bounds, &mut ctx.sched);
     ctx.mixed.clear();
     let mut off = 0usize;
     let mut scan_ord = 0usize;
@@ -2021,14 +2001,6 @@ mod tests {
             let got = sharded.scan(&keys[start], 80);
             let want: Vec<u64> = tids[start..(start + 80).min(200)].to_vec();
             assert_eq!(got, want, "scan from {start}");
-        }
-    }
-
-    #[test]
-    fn env_shards_is_clamped() {
-        // Cached process-wide; just exercise the accessor.
-        if let Some(n) = env_shards() {
-            assert!((1..=MAX_SHARDS).contains(&n));
         }
     }
 

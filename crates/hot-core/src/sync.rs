@@ -300,62 +300,29 @@ impl<S: KeySource> ConcurrentHot<S> {
     /// `keys.len()` results into `out` (`out[i]` answers `keys[i]` exactly
     /// as [`get`](Self::get) would).
     ///
-    /// Descents proceed in software-pipelined groups (see [`crate::batch`])
-    /// whose padded-key buffers live in the cursor and are reused across
-    /// the whole call, so neither the per-lookup `epoch::pin()` nor the
-    /// 264-byte buffer zeroing of the scalar path is paid per key. Each
-    /// group re-reads the root, so the batch observes writers at group
-    /// granularity; each individual result is still exactly some
-    /// linearized point-in-time answer, as for scalar `get`.
+    /// Descents run through the batched descent engine ([`crate::mlp`]) on
+    /// the thread's parked scheduler, so neither the per-lookup
+    /// `epoch::pin()` nor the 264-byte key-buffer zeroing of the scalar
+    /// path is paid per key. The root is reloaded at every lane refill, so
+    /// a long batch never pins one stale root and observes writers at
+    /// request granularity; a lane that sees a torn slot mid-descent
+    /// re-descends from a fresh root a bounded number of times before
+    /// answering "not present" exactly as scalar `get` does. Each
+    /// individual result is some linearized point-in-time answer.
     ///
     /// # Panics
     /// Panics if `keys` and `out` differ in length.
     pub fn get_batch<K: AsRef<[u8]>>(&self, keys: &[K], out: &mut [Option<u64>]) {
-        if crate::mlp::force_round_robin() {
-            let mut cursor = crate::batch::BatchCursor::new();
-            self.get_batch_with(keys, out, &mut cursor);
-        } else {
-            crate::mlp::with_thread_scheduler(|sched| self.get_batch_ooo(keys, out, sched));
-        }
+        crate::mlp::with_thread_scheduler(|sched| self.get_batch_with(keys, out, sched));
     }
 
     /// Like [`get_batch`](Self::get_batch) with a caller-provided
-    /// [`BatchCursor`](crate::BatchCursor): the fixed **round-robin**
-    /// pipeline, amortizing its buffers (and fixing the group size) across
-    /// many batches; trailing partial batches are balanced across groups.
+    /// [`MlpScheduler`](crate::MlpScheduler), whose lane buffers are then
+    /// amortized across the caller's batches.
     ///
     /// # Panics
     /// Panics if `keys` and `out` differ in length.
     pub fn get_batch_with<K: AsRef<[u8]>>(
-        &self,
-        keys: &[K],
-        out: &mut [Option<u64>],
-        cursor: &mut crate::batch::BatchCursor,
-    ) {
-        assert_eq!(keys.len(), out.len(), "one output slot per key");
-        let _t = self.metrics.timer(OpKind::GetBatch);
-        self.metrics.items(OpKind::GetBatch, keys.len() as u64);
-        self.metrics.incr(RowexCounter::EpochPin);
-        let _guard = epoch::pin();
-        for r in crate::batch::balanced_chunks(keys.len(), cursor.group()) {
-            // Reload the root per group: long batches must not pin one
-            // stale root while writers replace it underneath.
-            cursor.run_group(self.load_root(), &self.source, &keys[r.clone()], &mut out[r]);
-        }
-    }
-
-    /// Like [`get_batch`](Self::get_batch) with a caller-provided
-    /// [`MlpScheduler`](crate::MlpScheduler): the completion-driven
-    /// out-of-order pipeline under a **single** epoch pin. The root is
-    /// reloaded at every lane refill (finer-grained than the round-robin
-    /// path's per-group reload), so a long batch never pins one stale root;
-    /// a lane that observes a torn slot mid-descent re-descends from a
-    /// fresh root a bounded number of times before answering "not present"
-    /// exactly as scalar [`get`](Self::get) does.
-    ///
-    /// # Panics
-    /// Panics if `keys` and `out` differ in length.
-    pub fn get_batch_ooo<K: AsRef<[u8]>>(
         &self,
         keys: &[K],
         out: &mut [Option<u64>],
@@ -370,16 +337,31 @@ impl<S: KeySource> ConcurrentHot<S> {
     }
 
     /// Service a mixed stream of point lookups and range scans in one
-    /// out-of-order pipeline under a single epoch pin, mirroring
-    /// [`HotTrie::mixed_batch_ooo`](crate::HotTrie::mixed_batch_ooo):
-    /// `out[i]` answers `Get` request `i`; each `Scan` appends to `tids`
-    /// with one end offset pushed to `bounds` in stream order (both
-    /// cleared first, `bounds` seeded with 0). Records one `get_batch` and
-    /// one `scan_batch` metrics sample.
+    /// pass of the engine under a single epoch pin, mirroring
+    /// [`HotTrie::mixed_batch`](crate::HotTrie::mixed_batch): `out[i]`
+    /// answers `Get` request `i`; each `Scan` appends to `tids` with one
+    /// end offset pushed to `bounds` in stream order (both cleared first,
+    /// `bounds` seeded with 0). Records one `get_batch` and one
+    /// `scan_batch` metrics sample. Runs on the thread's parked scheduler.
     ///
     /// # Panics
     /// Panics if `reqs` and `out` differ in length.
-    pub fn mixed_batch_ooo(
+    pub fn mixed_batch(
+        &self,
+        reqs: &[crate::mlp::BatchRequest<'_>],
+        out: &mut [Option<u64>],
+        tids: &mut Vec<u64>,
+        bounds: &mut Vec<usize>,
+    ) {
+        crate::mlp::with_thread_scheduler(|sched| self.mixed_batch_with(reqs, out, tids, bounds, sched));
+    }
+
+    /// Like [`mixed_batch`](Self::mixed_batch) with a caller-provided
+    /// [`MlpScheduler`](crate::MlpScheduler).
+    ///
+    /// # Panics
+    /// Panics if `reqs` and `out` differ in length.
+    pub fn mixed_batch_with(
         &self,
         reqs: &[crate::mlp::BatchRequest<'_>],
         out: &mut [Option<u64>],
@@ -487,57 +469,24 @@ impl<S: KeySource> ConcurrentHot<S> {
     /// 1]]` (both vectors cleared first; `bounds` gets `requests.len() + 1`
     /// prefix offsets).
     ///
-    /// Seek descents run through the completion-driven out-of-order
-    /// scheduler (see [`crate::mlp`]) with the root reloaded at every lane
-    /// refill, unless `HOT_FORCE_ROUND_ROBIN` pins this entry point to the
-    /// fixed round-robin cursor (per-group root reload); each individual
-    /// scan still observes an interleaving-consistent view, as for scalar
-    /// [`scan`](Self::scan).
+    /// Seek descents run through the batched descent engine (see
+    /// [`crate::mlp`]) on the thread's parked scheduler, with the root
+    /// reloaded at every lane refill and bounded torn-slot re-descents;
+    /// each individual scan still observes an interleaving-consistent
+    /// view, as for scalar [`scan`](Self::scan).
     pub fn scan_batch<K: AsRef<[u8]>>(
         &self,
         requests: &[(K, usize)],
         tids: &mut Vec<u64>,
         bounds: &mut Vec<usize>,
     ) {
-        if crate::mlp::force_round_robin() {
-            let mut cursor = crate::scan::ScanBatchCursor::new();
-            self.scan_batch_with(requests, tids, bounds, &mut cursor);
-        } else {
-            crate::mlp::with_thread_scheduler(|sched| self.scan_batch_ooo(requests, tids, bounds, sched));
-        }
+        crate::mlp::with_thread_scheduler(|sched| self.scan_batch_with(requests, tids, bounds, sched));
     }
 
     /// Like [`scan_batch`](Self::scan_batch) with a caller-provided
-    /// [`ScanBatchCursor`](crate::ScanBatchCursor): the fixed
-    /// **round-robin** pipeline, amortizing its lane state (and fixing the
-    /// group size) across many batches; trailing partial batches are
-    /// balanced across groups.
+    /// [`MlpScheduler`](crate::MlpScheduler), sharing its lane ring across
+    /// the caller's batches.
     pub fn scan_batch_with<K: AsRef<[u8]>>(
-        &self,
-        requests: &[(K, usize)],
-        tids: &mut Vec<u64>,
-        bounds: &mut Vec<usize>,
-        cursor: &mut crate::scan::ScanBatchCursor,
-    ) {
-        let _t = self.metrics.timer(OpKind::ScanBatch);
-        self.metrics.incr(RowexCounter::EpochPin);
-        tids.clear();
-        bounds.clear();
-        bounds.push(0);
-        let _guard = epoch::pin();
-        for r in crate::batch::balanced_chunks(requests.len(), cursor.group()) {
-            // Reload the root per group: long batches must not pin one
-            // stale root while writers replace it underneath.
-            cursor.run_group(self.load_root(), &self.source, &requests[r], tids, bounds);
-        }
-        self.metrics.items(OpKind::ScanBatch, tids.len() as u64);
-    }
-
-    /// Like [`scan_batch`](Self::scan_batch) with a caller-provided
-    /// [`MlpScheduler`](crate::MlpScheduler): the completion-driven
-    /// out-of-order pipeline under a single epoch pin, with the root
-    /// reloaded at every lane refill and bounded torn-slot re-descents.
-    pub fn scan_batch_ooo<K: AsRef<[u8]>>(
         &self,
         requests: &[(K, usize)],
         tids: &mut Vec<u64>,

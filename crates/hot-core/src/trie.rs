@@ -114,56 +114,26 @@ impl<S: KeySource> HotTrie<S> {
     /// `out` (`out[i]` answers `keys[i]`, exactly as [`get`](Self::get)
     /// would).
     ///
-    /// Descents run through the completion-driven out-of-order scheduler
-    /// ([`crate::mlp`]): up to N independent descents stay in flight, each
-    /// lane refilling from the pending keys the moment it completes, so
-    /// depth variance between keys never idles a lane. Set
-    /// `HOT_FORCE_ROUND_ROBIN` to pin this entry point to the fixed
-    /// round-robin cursor instead (the comparison baseline). Results are
-    /// byte-for-byte identical to calling `get` per key on either path.
+    /// Descents run through the batched descent engine ([`crate::mlp`]):
+    /// up to [`DEFAULT_DEPTH`](crate::DEFAULT_DEPTH) independent descents
+    /// stay in flight, each lane refilling from the pending keys the
+    /// moment it completes, so depth variance between keys never idles a
+    /// lane. This call uses the thread's parked scheduler;
+    /// [`get_batch_with`](Self::get_batch_with) takes the caller's.
     ///
     /// # Panics
     /// Panics if `keys` and `out` differ in length.
     pub fn get_batch<K: AsRef<[u8]>>(&self, keys: &[K], out: &mut [Option<u64>]) {
-        if crate::mlp::force_round_robin() {
-            let mut cursor = crate::batch::BatchCursor::new();
-            self.get_batch_with(keys, out, &mut cursor);
-        } else {
-            crate::mlp::with_thread_scheduler(|sched| self.get_batch_ooo(keys, out, sched));
-        }
+        crate::mlp::with_thread_scheduler(|sched| self.get_batch_with(keys, out, sched));
     }
 
     /// Like [`get_batch`](Self::get_batch) with a caller-provided
-    /// [`BatchCursor`](crate::BatchCursor): the fixed **round-robin**
-    /// pipeline, amortizing the cursor's buffers (and fixing the group
-    /// size) across many batches. Trailing partial batches are balanced
-    /// across groups so no group runs nearly empty (see
-    /// `crate::batch::balanced_chunks`).
+    /// [`MlpScheduler`](crate::MlpScheduler), whose lane buffers are then
+    /// amortized across the caller's batches.
     ///
     /// # Panics
     /// Panics if `keys` and `out` differ in length.
     pub fn get_batch_with<K: AsRef<[u8]>>(
-        &self,
-        keys: &[K],
-        out: &mut [Option<u64>],
-        cursor: &mut crate::batch::BatchCursor,
-    ) {
-        assert_eq!(keys.len(), out.len(), "one output slot per key");
-        let _t = self.metrics.timer(OpKind::GetBatch);
-        self.metrics.items(OpKind::GetBatch, keys.len() as u64);
-        for r in crate::batch::balanced_chunks(keys.len(), cursor.group()) {
-            cursor.run_group(self.root, &self.source, &keys[r.clone()], &mut out[r]);
-        }
-    }
-
-    /// Like [`get_batch`](Self::get_batch) with a caller-provided
-    /// [`MlpScheduler`](crate::MlpScheduler): the completion-driven
-    /// out-of-order pipeline with the scheduler's lane buffers (and its
-    /// in-flight depth) amortized across many batches.
-    ///
-    /// # Panics
-    /// Panics if `keys` and `out` differ in length.
-    pub fn get_batch_ooo<K: AsRef<[u8]>>(
         &self,
         keys: &[K],
         out: &mut [Option<u64>],
@@ -176,7 +146,7 @@ impl<S: KeySource> HotTrie<S> {
     }
 
     /// Service a mixed stream of point lookups and range scans in one
-    /// out-of-order pipeline: `out[i]` answers request `i` when it is a
+    /// pass of the engine: `out[i]` answers request `i` when it is a
     /// [`BatchRequest::Get`](crate::BatchRequest); each
     /// [`BatchRequest::Scan`](crate::BatchRequest) appends its TIDs to
     /// `tids` with one end offset pushed to `bounds`, in stream order
@@ -185,11 +155,28 @@ impl<S: KeySource> HotTrie<S> {
     /// This is the entry point YCSB's coalesced operation batches feed:
     /// get and scan-seek descents share the same lane ring, so a scan-heavy
     /// stretch never drains the lookup pipeline or vice versa. Records one
-    /// `get_batch` and one `scan_batch` metrics sample.
+    /// `get_batch` and one `scan_batch` metrics sample. Runs on the
+    /// thread's parked scheduler;
+    /// [`mixed_batch_with`](Self::mixed_batch_with) takes the caller's.
     ///
     /// # Panics
     /// Panics if `reqs` and `out` differ in length.
-    pub fn mixed_batch_ooo(
+    pub fn mixed_batch(
+        &self,
+        reqs: &[crate::mlp::BatchRequest<'_>],
+        out: &mut [Option<u64>],
+        tids: &mut Vec<u64>,
+        bounds: &mut Vec<usize>,
+    ) {
+        crate::mlp::with_thread_scheduler(|sched| self.mixed_batch_with(reqs, out, tids, bounds, sched));
+    }
+
+    /// Like [`mixed_batch`](Self::mixed_batch) with a caller-provided
+    /// [`MlpScheduler`](crate::MlpScheduler).
+    ///
+    /// # Panics
+    /// Panics if `reqs` and `out` differ in length.
+    pub fn mixed_batch_with(
         &self,
         reqs: &[crate::mlp::BatchRequest<'_>],
         out: &mut [Option<u64>],
@@ -241,23 +228,6 @@ impl<S: KeySource> HotTrie<S> {
             }
         }
         self.key_buf = Some(key_buf);
-    }
-
-    /// Run the adaptive in-flight-depth controller: sweep
-    /// [`DEPTH_SWEEP`](crate::mlp::DEPTH_SWEEP) over a `get_batch_ooo` of
-    /// `sample` and return a scheduler configured with the fastest depth
-    /// (`HOT_MLP_DEPTH` overrides without sweeping). With the `metrics`
-    /// feature, the lane-occupancy histogram accumulated during the sweep
-    /// shows how full each candidate ran.
-    pub fn tuned_scheduler<K: AsRef<[u8]>>(&self, sample: &[K]) -> crate::mlp::MlpScheduler {
-        let mut out = vec![None; sample.len()];
-        let depth = crate::mlp::tune_depth(|depth| {
-            let mut sched = crate::mlp::MlpScheduler::with_depth(depth);
-            let start = std::time::Instant::now();
-            self.get_batch_ooo(sample, &mut out, &mut sched);
-            start.elapsed()
-        });
-        crate::mlp::MlpScheduler::with_depth(depth)
     }
 
     /// Whether `key` is present.
@@ -716,52 +686,23 @@ impl<S: KeySource> HotTrie<S> {
     /// `i`'s TIDs land in `tids[bounds[i]..bounds[i + 1]]` (both vectors are
     /// cleared first; `bounds` gets `requests.len() + 1` prefix offsets).
     ///
-    /// The seek descents run through the completion-driven out-of-order
-    /// scheduler ([`crate::mlp`]) — up to N seeks in flight, lanes
-    /// refilling on completion — unless `HOT_FORCE_ROUND_ROBIN` pins this
-    /// entry point to the fixed round-robin cursor. Results are identical
-    /// to calling [`scan`](Self::scan) per request on either path.
+    /// The seek descents run through the batched descent engine
+    /// ([`crate::mlp`]) — up to N seeks in flight, lanes refilling on
+    /// completion — on the thread's parked scheduler. Results are
+    /// identical to calling [`scan`](Self::scan) per request.
     pub fn scan_batch<K: AsRef<[u8]>>(
         &self,
         requests: &[(K, usize)],
         tids: &mut Vec<u64>,
         bounds: &mut Vec<usize>,
     ) {
-        if crate::mlp::force_round_robin() {
-            let mut cursor = crate::scan::ScanBatchCursor::new();
-            self.scan_batch_with(requests, tids, bounds, &mut cursor);
-        } else {
-            crate::mlp::with_thread_scheduler(|sched| self.scan_batch_ooo(requests, tids, bounds, sched));
-        }
+        crate::mlp::with_thread_scheduler(|sched| self.scan_batch_with(requests, tids, bounds, sched));
     }
 
     /// Like [`scan_batch`](Self::scan_batch) with a caller-provided
-    /// [`ScanBatchCursor`](crate::ScanBatchCursor): the fixed
-    /// **round-robin** pipeline, amortizing its lane state (and fixing the
-    /// group size) across many batches; trailing partial batches are
-    /// balanced across groups.
+    /// [`MlpScheduler`](crate::MlpScheduler), sharing its lane ring across
+    /// the caller's batches.
     pub fn scan_batch_with<K: AsRef<[u8]>>(
-        &self,
-        requests: &[(K, usize)],
-        tids: &mut Vec<u64>,
-        bounds: &mut Vec<usize>,
-        cursor: &mut crate::scan::ScanBatchCursor,
-    ) {
-        let _t = self.metrics.timer(OpKind::ScanBatch);
-        tids.clear();
-        bounds.clear();
-        bounds.push(0);
-        for r in crate::batch::balanced_chunks(requests.len(), cursor.group()) {
-            cursor.run_group(self.root, &self.source, &requests[r], tids, bounds);
-        }
-        self.metrics.items(OpKind::ScanBatch, tids.len() as u64);
-    }
-
-    /// Like [`scan_batch`](Self::scan_batch) with a caller-provided
-    /// [`MlpScheduler`](crate::MlpScheduler): the completion-driven
-    /// out-of-order pipeline, sharing its lane ring (and in-flight depth)
-    /// across many batches.
-    pub fn scan_batch_ooo<K: AsRef<[u8]>>(
         &self,
         requests: &[(K, usize)],
         tids: &mut Vec<u64>,

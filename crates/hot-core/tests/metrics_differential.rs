@@ -140,20 +140,17 @@ fn single_threaded_counters_are_exact() {
     shadow.scan_batches += 1;
     shadow.scan_batch_items += tids.len() as u64;
 
-    if !hot_core::mlp::force_round_robin() {
-        // The two convenience calls above routed through the scheduler.
-        shadow.sched_requests += keys.len() as u64 + requests.len() as u64;
-    }
+    // The two convenience calls above ran on the parked thread scheduler.
+    shadow.sched_requests += keys.len() as u64 + requests.len() as u64;
 
-    // Explicit out-of-order entry points (scheduled regardless of the
-    // HOT_FORCE_ROUND_ROBIN routing override).
+    // Caller-provided scheduler: same engine, same counters.
     let mut sched = MlpScheduler::new();
-    trie.get_batch_ooo(&keys, &mut out, &mut sched);
+    trie.get_batch_with(&keys, &mut out, &mut sched);
     shadow.get_batches += 1;
     shadow.get_batch_items += keys.len() as u64;
     shadow.sched_requests += keys.len() as u64;
 
-    trie.scan_batch_ooo(&requests, &mut tids, &mut bounds, &mut sched);
+    trie.scan_batch_with(&requests, &mut tids, &mut bounds, &mut sched);
     shadow.scan_batches += 1;
     shadow.scan_batch_items += tids.len() as u64;
     shadow.sched_requests += requests.len() as u64;
@@ -171,7 +168,7 @@ fn single_threaded_counters_are_exact() {
         })
         .collect();
     let mut mixed_out = vec![None; mixed.len()];
-    trie.mixed_batch_ooo(&mixed, &mut mixed_out, &mut tids, &mut bounds, &mut sched);
+    trie.mixed_batch_with(&mixed, &mut mixed_out, &mut tids, &mut bounds, &mut sched);
     let mixed_gets = mixed
         .iter()
         .filter(|r| matches!(r, BatchRequest::Get(_)))
@@ -339,14 +336,14 @@ fn concurrent_counters_are_exact_across_threads() {
     assert_eq!(phase.op(OpKind::Insert).count, 0);
     assert_eq!(phase.rowex.get(RowexCounter::Restart), 0);
 
-    // Quiesced out-of-order batch: refills and completions both equal the
+    // Quiesced batch: refills and completions both equal the
     // request count (no writer is racing, so no torn-slot re-descents
     // either), and the whole batch pins exactly one epoch.
     let sched_start = trie.metrics_snapshot();
     let keys: Vec<[u8; 8]> = (0..300u64).map(encode_u64).collect();
     let mut out = vec![None; keys.len()];
     let mut sched = MlpScheduler::new();
-    trie.get_batch_ooo(&keys, &mut out, &mut sched);
+    trie.get_batch_with(&keys, &mut out, &mut sched);
     let d = trie.metrics_snapshot().since(&sched_start);
     assert_eq!(d.sched.get(SchedCounter::Refill), keys.len() as u64);
     assert_eq!(d.sched.completions(), keys.len() as u64);
@@ -355,16 +352,12 @@ fn concurrent_counters_are_exact_across_threads() {
     assert_eq!(d.op(OpKind::GetBatch).count, 1);
 }
 
-/// `HOT_ARENA=1` shadow lane: under the `metrics` build the compact arena
-/// backend (which carries no instrumentation by design) must still agree
-/// with the instrumented heap trie answer-for-answer, and exercising it
-/// must not tick the heap trie's counters. A no-op unless the environment
-/// opts in — CI runs this lane once more with `HOT_ARENA=1`.
+/// Arena shadow: under the `metrics` build the compact arena backend
+/// (which carries no instrumentation by design) must still agree with the
+/// instrumented heap trie answer-for-answer, and exercising it must not
+/// tick the heap trie's counters.
 #[test]
 fn arena_shadow_agrees_under_metrics_build() {
-    if std::env::var_os("HOT_ARENA").is_none() {
-        return;
-    }
     use hot_core::CompactHot;
 
     let mut trie = HotTrie::new(EmbeddedKeySource);

@@ -1,18 +1,19 @@
-//! Differential tests for the completion-driven out-of-order scheduler
-//! (DESIGN.md §14): every batch served through [`MlpScheduler`] must be
-//! **byte-identical** — same hits, same misses, same TIDs in the same
-//! order, same scan bounds — to both the scalar operations and the
-//! round-robin cursors, across four key distributions (URL, email,
-//! YAGO-triple, integer), every in-flight depth (which shuffles the
-//! *completion* order without being allowed to shuffle the *result*
-//! order), mixed get/scan streams, and concurrent churn on the ROWEX
-//! index. The whole file is also exercised in the `HOT_FORCE_SCALAR` and
-//! `HOT_FORCE_ROUND_ROBIN` CI lanes: results must not depend on either
-//! override.
+//! Differential tests for the batched descent engine (DESIGN.md §9):
+//! every batch served through [`MlpScheduler`] must be **byte-identical**
+//! — same hits, same misses, same TIDs in the same order, same scan
+//! bounds — to the scalar operations, across four key distributions (URL,
+//! email, YAGO-triple, integer), every in-flight depth (which shuffles
+//! the *completion* order without being allowed to shuffle the *result*
+//! order), every batch shape (empty, one key, below / at / above the
+//! depth, ragged tail, duplicate keys), mixed get/scan streams, and
+//! concurrent churn on the ROWEX index. The whole file is also exercised
+//! in the `HOT_FORCE_SCALAR` CI lane: results must not depend on the
+//! kernel.
 
 use hot_core::sync::ConcurrentHot;
-use hot_core::{BatchCursor, BatchRequest, HotTrie, MlpScheduler, ScanBatchCursor};
-use hot_keys::{encode_u64, ArenaKeySource};
+use hot_core::{BatchRequest, HotTrie, MlpScheduler, DEFAULT_DEPTH};
+use hot_keys::{encode_u64, ArenaKeySource, EmbeddedKeySource};
+use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
@@ -132,40 +133,34 @@ fn fixtures() -> Vec<Fixture> {
 }
 
 #[test]
-fn lookups_byte_identical_across_scalar_round_robin_and_every_depth() {
+fn lookups_byte_identical_across_scalar_and_every_depth() {
     for fx in fixtures() {
         let expected: Vec<Option<u64>> = fx.probes.iter().map(|k| fx.trie.get(k)).collect();
         let want = checksum_out(&expected);
 
-        let mut cursor = BatchCursor::new();
-        let mut out = vec![None; fx.probes.len()];
-        fx.trie.get_batch_with(&fx.probes, &mut out, &mut cursor);
-        assert_eq!(checksum_out(&out), want, "{}: round-robin", fx.name);
-        assert_eq!(out, expected, "{}: round-robin lookup results", fx.name);
-
         for depth in DEPTHS {
             let mut sched = MlpScheduler::with_depth(depth);
             let mut out = vec![None; fx.probes.len()];
-            fx.trie.get_batch_ooo(&fx.probes, &mut out, &mut sched);
-            assert_eq!(checksum_out(&out), want, "{}: ooo depth {depth}", fx.name);
-            assert_eq!(out, expected, "{}: ooo depth {depth} results", fx.name);
+            fx.trie.get_batch_with(&fx.probes, &mut out, &mut sched);
+            assert_eq!(checksum_out(&out), want, "{}: depth {depth}", fx.name);
+            assert_eq!(out, expected, "{}: depth {depth} results", fx.name);
 
             // Same scheduler, same batch, second run: lane-state reuse must
             // not leak between batches.
             let mut again = vec![None; fx.probes.len()];
-            fx.trie.get_batch_ooo(&fx.probes, &mut again, &mut sched);
-            assert_eq!(again, expected, "{}: ooo depth {depth} reused", fx.name);
+            fx.trie.get_batch_with(&fx.probes, &mut again, &mut sched);
+            assert_eq!(again, expected, "{}: depth {depth} reused", fx.name);
 
             // ROWEX variant, quiesced: identical answers.
             let mut out = vec![None; fx.probes.len()];
-            fx.sync.get_batch_ooo(&fx.probes, &mut out, &mut sched);
-            assert_eq!(checksum_out(&out), want, "{}: sync ooo depth {depth}", fx.name);
+            fx.sync.get_batch_with(&fx.probes, &mut out, &mut sched);
+            assert_eq!(checksum_out(&out), want, "{}: sync depth {depth}", fx.name);
         }
     }
 }
 
 #[test]
-fn scans_byte_identical_across_scalar_round_robin_and_every_depth() {
+fn scans_byte_identical_across_scalar_and_every_depth() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x5CA7);
     for fx in fixtures() {
         let requests: Vec<(Vec<u8>, usize)> = fx
@@ -184,21 +179,16 @@ fn scans_byte_identical_across_scalar_round_robin_and_every_depth() {
         }
         let want = checksum_scan(&want_tids, &want_bounds);
 
-        let mut cursor = ScanBatchCursor::new();
         let (mut tids, mut bounds) = (Vec::new(), Vec::new());
-        fx.trie.scan_batch_with(&requests, &mut tids, &mut bounds, &mut cursor);
-        assert_eq!(checksum_scan(&tids, &bounds), want, "{}: round-robin scan", fx.name);
-        assert_eq!((&tids, &bounds), (&want_tids, &want_bounds), "{}: rr scan", fx.name);
-
         for depth in DEPTHS {
             let mut sched = MlpScheduler::with_depth(depth);
-            fx.trie.scan_batch_ooo(&requests, &mut tids, &mut bounds, &mut sched);
-            assert_eq!(checksum_scan(&tids, &bounds), want, "{}: ooo scan depth {depth}", fx.name);
-            assert_eq!(tids, want_tids, "{}: ooo scan tids depth {depth}", fx.name);
-            assert_eq!(bounds, want_bounds, "{}: ooo scan bounds depth {depth}", fx.name);
+            fx.trie.scan_batch_with(&requests, &mut tids, &mut bounds, &mut sched);
+            assert_eq!(checksum_scan(&tids, &bounds), want, "{}: scan depth {depth}", fx.name);
+            assert_eq!(tids, want_tids, "{}: scan tids depth {depth}", fx.name);
+            assert_eq!(bounds, want_bounds, "{}: scan bounds depth {depth}", fx.name);
 
-            fx.sync.scan_batch_ooo(&requests, &mut tids, &mut bounds, &mut sched);
-            assert_eq!(checksum_scan(&tids, &bounds), want, "{}: sync ooo scan depth {depth}", fx.name);
+            fx.sync.scan_batch_with(&requests, &mut tids, &mut bounds, &mut sched);
+            assert_eq!(checksum_scan(&tids, &bounds), want, "{}: sync scan depth {depth}", fx.name);
         }
     }
 }
@@ -241,16 +231,25 @@ fn mixed_get_scan_streams_interleave_without_cross_talk() {
             let mut sched = MlpScheduler::with_depth(depth);
             let mut out = vec![None; reqs.len()];
             let (mut tids, mut bounds) = (Vec::new(), Vec::new());
-            fx.trie.mixed_batch_ooo(&reqs, &mut out, &mut tids, &mut bounds, &mut sched);
+            fx.trie.mixed_batch_with(&reqs, &mut out, &mut tids, &mut bounds, &mut sched);
             assert_eq!(out, want_out, "{}: mixed gets depth {depth}", fx.name);
             assert_eq!(tids, want_tids, "{}: mixed scan tids depth {depth}", fx.name);
             assert_eq!(bounds, want_bounds, "{}: mixed scan bounds depth {depth}", fx.name);
 
             let mut out = vec![None; reqs.len()];
-            fx.sync.mixed_batch_ooo(&reqs, &mut out, &mut tids, &mut bounds, &mut sched);
+            fx.sync.mixed_batch_with(&reqs, &mut out, &mut tids, &mut bounds, &mut sched);
             assert_eq!(out, want_out, "{}: sync mixed gets depth {depth}", fx.name);
             assert_eq!(tids, want_tids, "{}: sync mixed tids depth {depth}", fx.name);
         }
+
+        // The convenience entry points run the same pass on the parked
+        // thread scheduler.
+        let mut out = vec![None; reqs.len()];
+        let (mut tids, mut bounds) = (Vec::new(), Vec::new());
+        fx.trie.mixed_batch(&reqs, &mut out, &mut tids, &mut bounds);
+        assert_eq!((&out, &tids, &bounds), (&want_out, &want_tids, &want_bounds), "{}", fx.name);
+        fx.sync.mixed_batch(&reqs, &mut out, &mut tids, &mut bounds);
+        assert_eq!((&out, &tids, &bounds), (&want_out, &want_tids, &want_bounds), "{}", fx.name);
     }
 }
 
@@ -279,10 +278,9 @@ fn remove_batch_equals_sequential_removes() {
 }
 
 #[test]
-fn convenience_entry_points_agree_with_explicit_paths() {
-    // `get_batch`/`scan_batch` route by HOT_FORCE_ROUND_ROBIN; whichever
-    // way this process was launched, the answers must match both explicit
-    // engines (this is what the forced CI lanes re-check).
+fn convenience_entry_points_agree_with_scalar() {
+    // `get_batch` / `scan_batch` run the same engine on the thread's
+    // parked scheduler.
     for fx in fixtures().into_iter().take(1) {
         let expected: Vec<Option<u64>> = fx.probes.iter().map(|k| fx.trie.get(k)).collect();
         let mut out = vec![None; fx.probes.len()];
@@ -291,6 +289,96 @@ fn convenience_entry_points_agree_with_explicit_paths() {
         let mut out = vec![None; fx.probes.len()];
         fx.sync.get_batch(&fx.probes, &mut out);
         assert_eq!(out, expected);
+
+        let requests: Vec<(&[u8], usize)> =
+            fx.probes.iter().step_by(9).map(|k| (k.as_slice(), 7)).collect();
+        let want: Vec<u64> = requests.iter().flat_map(|(k, n)| fx.trie.scan(k, *n)).collect();
+        let (mut tids, mut bounds) = (Vec::new(), Vec::new());
+        fx.trie.scan_batch(&requests, &mut tids, &mut bounds);
+        assert_eq!(tids, want);
+        fx.sync.scan_batch(&requests, &mut tids, &mut bounds);
+        assert_eq!(tids, want);
+    }
+}
+
+#[test]
+fn batch_shapes_empty_one_key_at_depth_and_ragged() {
+    let mut trie = HotTrie::new(EmbeddedKeySource);
+    for k in 0..10_000u64 {
+        trie.insert(&encode_u64(k * 2), k * 2);
+    }
+    // Hits (even) and misses (odd) interleaved.
+    let probes: Vec<[u8; 8]> = (0..=DEFAULT_DEPTH as u64 * 3 + 5).map(encode_u64).collect();
+    let expected: Vec<Option<u64>> = probes.iter().map(|k| trie.get(k)).collect();
+
+    // Below the depth the ring never refills; above it the trailing
+    // partial window drains with idle lanes.
+    for len in [0, 1, DEFAULT_DEPTH - 3, DEFAULT_DEPTH, DEFAULT_DEPTH + 3, probes.len()] {
+        let mut out = vec![None; len];
+        trie.get_batch(&probes[..len], &mut out);
+        assert_eq!(out, expected[..len], "batch of {len}");
+    }
+}
+
+#[test]
+#[should_panic(expected = "one output slot per key")]
+fn mismatched_output_length_rejected() {
+    let mut trie = HotTrie::new(EmbeddedKeySource);
+    trie.insert(&encode_u64(1), 1);
+    let probes = [encode_u64(1), encode_u64(2)];
+    let mut out = [None];
+    trie.get_batch(&probes, &mut out);
+}
+
+proptest! {
+    #[test]
+    fn batched_equals_scalar_for_any_depth(
+        keys in proptest::collection::vec(0u64..50_000, 0..300),
+        probes in proptest::collection::vec(0u64..50_000, 0..133),
+        depth in 1usize..65,
+    ) {
+        let mut trie = HotTrie::new(EmbeddedKeySource);
+        let sync = ConcurrentHot::new(EmbeddedKeySource);
+        for &k in &keys {
+            trie.insert(&encode_u64(k), k);
+            sync.insert(&encode_u64(k), k);
+        }
+        let probes: Vec<[u8; 8]> = probes.iter().map(|&p| encode_u64(p)).collect();
+        let expected: Vec<Option<u64>> = probes.iter().map(|k| trie.get(k)).collect();
+        let sync_expected: Vec<Option<u64>> = probes.iter().map(|k| sync.get(k)).collect();
+        prop_assert_eq!(&expected, &sync_expected);
+
+        let mut sched = MlpScheduler::with_depth(depth);
+        let mut out = vec![None; probes.len()];
+        trie.get_batch_with(&probes, &mut out, &mut sched);
+        prop_assert_eq!(&expected, &out);
+
+        let mut out = vec![None; probes.len()];
+        sync.get_batch_with(&probes, &mut out, &mut sched);
+        prop_assert_eq!(&expected, &out);
+    }
+
+    #[test]
+    fn duplicate_probes_in_one_batch(
+        keys in proptest::collection::vec(0u64..1_000, 1..200),
+        picks in proptest::collection::vec(0usize..1_000, 1..80),
+    ) {
+        let mut trie = HotTrie::new(EmbeddedKeySource);
+        for &k in &keys {
+            trie.insert(&encode_u64(k), k);
+        }
+        // Probe keys drawn *from the inserted set* with replacement, so the
+        // same key routinely occupies several lanes of the ring at once.
+        let probes: Vec<[u8; 8]> = picks
+            .iter()
+            .map(|&i| encode_u64(keys[i % keys.len()]))
+            .collect();
+        let mut out = vec![None; probes.len()];
+        trie.get_batch(&probes, &mut out);
+        for (probe, got) in probes.iter().zip(&out) {
+            prop_assert_eq!(*got, trie.get(probe));
+            prop_assert!(got.is_some(), "probes were all inserted");
+        }
     }
 }
 
@@ -303,7 +391,7 @@ fn concurrent_churn_preserves_stable_keys_and_quiesced_equality() {
     const STABLE: u64 = 4_000;
     const CHURN_ROUNDS: usize = 60;
 
-    let sync = Arc::new(ConcurrentHot::new(hot_keys::EmbeddedKeySource));
+    let sync = Arc::new(ConcurrentHot::new(EmbeddedKeySource));
     for k in 0..STABLE {
         sync.insert(&encode_u64(k * 2), k * 2);
     }
@@ -327,14 +415,14 @@ fn concurrent_churn_preserves_stable_keys_and_quiesced_equality() {
         }
 
         let mut rng = rand::rngs::StdRng::seed_from_u64(0xABBA);
-        let mut sched = MlpScheduler::new();
+        let mut scheds = DEPTHS.map(MlpScheduler::with_depth);
         for round in 0..CHURN_ROUNDS {
-            sched.set_depth(DEPTHS[round % DEPTHS.len()]);
+            let sched = &mut scheds[round % DEPTHS.len()];
             let probes: Vec<[u8; 8]> = (0..512)
                 .map(|_| encode_u64(rng.gen_range(0..STABLE) * 2))
                 .collect();
             let mut out = vec![None; probes.len()];
-            sync.get_batch_ooo(&probes, &mut out, &mut sched);
+            sync.get_batch_with(&probes, &mut out, sched);
             for (p, got) in probes.iter().zip(&out) {
                 let want = u64::from_be_bytes(*p);
                 assert_eq!(*got, Some(want), "stable key lost under churn");
@@ -347,7 +435,7 @@ fn concurrent_churn_preserves_stable_keys_and_quiesced_equality() {
                 .map(|_| (encode_u64(rng.gen_range(0..STABLE - 8) * 2), 5))
                 .collect();
             let (mut tids, mut bounds) = (Vec::new(), Vec::new());
-            sync.scan_batch_ooo(&reqs, &mut tids, &mut bounds, &mut sched);
+            sync.scan_batch_with(&reqs, &mut tids, &mut bounds, sched);
             assert_eq!(bounds.len(), reqs.len() + 1);
             for (i, (start, _)) in reqs.iter().enumerate() {
                 let span = &tids[bounds[i]..bounds[i + 1]];
@@ -365,21 +453,16 @@ fn concurrent_churn_preserves_stable_keys_and_quiesced_equality() {
     let expected: Vec<Option<u64>> = probes.iter().map(|k| sync.get(k)).collect();
     let mut out = vec![None; probes.len()];
     let mut sched = MlpScheduler::new();
-    sync.get_batch_ooo(&probes, &mut out, &mut sched);
+    sync.get_batch_with(&probes, &mut out, &mut sched);
     assert_eq!(checksum_out(&out), checksum_out(&expected));
     assert_eq!(out, expected);
 }
 
-/// `HOT_ARENA=1` shadow lane: the compact arena backend's pipelined batch
-/// lookups and scalar scans must be byte-identical to the heap scheduler's
-/// answers on all four distributions. A no-op unless the environment opts
-/// in — CI runs this file once more with `HOT_ARENA=1` in both the normal
-/// and `HOT_FORCE_SCALAR` jobs.
+/// Arena shadow: the compact arena backend's pipelined batch lookups and
+/// scalar scans must be byte-identical to the heap trie's answers on all
+/// four distributions.
 #[test]
 fn arena_shadow_batches_byte_identical() {
-    if std::env::var_os("HOT_ARENA").is_none() {
-        return;
-    }
     use hot_core::sync::ConcurrentCompact;
     use hot_core::{CompactBatchCursor, CompactHot, CompactScanCursor};
 

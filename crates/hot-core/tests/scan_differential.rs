@@ -10,7 +10,7 @@
 //! the same coverage as the AVX2 one.
 
 use hot_core::sync::ConcurrentHot;
-use hot_core::{HotTrie, ScanBatchCursor, ScanCursor};
+use hot_core::{HotTrie, MlpScheduler, ScanCursor};
 use hot_keys::{encode_u64, ArenaKeySource, EmbeddedKeySource, KeySource};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -43,25 +43,25 @@ fn assert_scan_paths<S: KeySource>(
 }
 
 /// Asserts the batched scan path returns `want[i]` in slot `i` for every
-/// request, on both tries, for the given descent group width.
+/// request, on both tries, for the given in-flight depth.
 fn assert_batched_paths<S: KeySource, K: AsRef<[u8]>>(
     trie: &HotTrie<S>,
     sync: &ConcurrentHot<S>,
     requests: &[(K, usize)],
     want: &[Vec<u64>],
-    group: usize,
+    depth: usize,
 ) {
-    let mut cursor = ScanBatchCursor::with_group(group);
+    let mut sched = MlpScheduler::with_depth(depth);
     let mut tids = Vec::new();
     let mut bounds = Vec::new();
 
-    trie.scan_batch_with(requests, &mut tids, &mut bounds, &mut cursor);
+    trie.scan_batch_with(requests, &mut tids, &mut bounds, &mut sched);
     assert_eq!(bounds.len(), requests.len() + 1);
     for (i, segment) in want.iter().enumerate() {
         assert_eq!(&tids[bounds[i]..bounds[i + 1]], &segment[..], "trie batch slot {i}");
     }
 
-    sync.scan_batch_with(requests, &mut tids, &mut bounds, &mut cursor);
+    sync.scan_batch_with(requests, &mut tids, &mut bounds, &mut sched);
     assert_eq!(bounds.len(), requests.len() + 1);
     for (i, segment) in want.iter().enumerate() {
         assert_eq!(&tids[bounds[i]..bounds[i + 1]], &segment[..], "sync batch slot {i}");
@@ -78,7 +78,7 @@ proptest! {
         keys in proptest::collection::vec(0u64..100_000, 1..300),
         uniform in proptest::collection::vec((0u64..100_100, 0usize..120), 0..25),
         picks in proptest::collection::vec((0usize..10_000, 0usize..120), 0..25),
-        group in 1usize..17,
+        depth in 1usize..17,
     ) {
         let mut trie = HotTrie::new(EmbeddedKeySource);
         let sync = ConcurrentHot::new(EmbeddedKeySource);
@@ -102,7 +102,7 @@ proptest! {
             requests.push((encode_u64(k), n));
             want_segments.push(want);
         }
-        assert_batched_paths(&trie, &sync, &requests, &want_segments, group);
+        assert_batched_paths(&trie, &sync, &requests, &want_segments, depth);
     }
 
     /// String keys over a tiny alphabet (deep shared prefixes), with probes
@@ -211,16 +211,11 @@ fn degenerate_roots() {
     );
 }
 
-/// `HOT_ARENA=1` shadow lane: replay the nested-prefix-chain and integer
-/// probes on the arena-backed compact backend (single-threaded and
-/// concurrent) and hold it to the same `BTreeMap::range` truth. A no-op
-/// unless the environment opts in — CI runs this file once more with
-/// `HOT_ARENA=1` in both the normal and `HOT_FORCE_SCALAR` jobs.
+/// Arena shadow: replay the nested-prefix-chain and integer probes on the
+/// arena-backed compact backend (single-threaded and concurrent) and hold
+/// it to the same `BTreeMap::range` truth.
 #[test]
 fn arena_shadow_scans() {
-    if std::env::var_os("HOT_ARENA").is_none() {
-        return;
-    }
     use hot_core::sync::ConcurrentCompact;
     use hot_core::{CompactHot, CompactScanCursor};
 

@@ -10,7 +10,7 @@
 //! with a `BTreeMap` model rebuilt from point lookups.
 
 use hot_core::sync::ConcurrentHot;
-use hot_core::{ScanBatchCursor, ScanCursor};
+use hot_core::{MlpScheduler, ScanCursor};
 use hot_keys::{decode_u64, encode_u64, EmbeddedKeySource};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -90,7 +90,7 @@ fn scans_stay_ordered_and_live_under_churn() {
         let trie = Arc::clone(&trie);
         let done = Arc::clone(&done);
         std::thread::spawn(move || {
-            let mut cursor = ScanBatchCursor::new();
+            let mut sched = MlpScheduler::new();
             let mut tids = Vec::new();
             let mut bounds = Vec::new();
             let mut x = 0xBA7C4u64;
@@ -101,7 +101,7 @@ fn scans_stay_ordered_and_live_under_churn() {
                         (encode_u64(start), (x % 32) as usize + 1)
                     })
                     .collect();
-                trie.scan_batch_with(&requests, &mut tids, &mut bounds, &mut cursor);
+                trie.scan_batch_with(&requests, &mut tids, &mut bounds, &mut sched);
                 assert_eq!(bounds.len(), requests.len() + 1);
                 for (i, (key, limit)) in requests.iter().enumerate() {
                     check_scan_result(&tids[bounds[i]..bounds[i + 1]], decode_u64(key), *limit);

@@ -6,8 +6,9 @@
 //! counts {1, 2, 4, 8}, both load paths (sorted bulk load and routed
 //! inserts), scans whose ranges cross shard boundaries, the pooled
 //! worker configuration, and concurrent churn. The whole file is also
-//! exercised in the `HOT_FORCE_SCALAR` and `HOT_ARENA=1` CI lanes:
-//! routing answers must not depend on either override.
+//! exercised in the `HOT_FORCE_SCALAR` CI lane: routing answers must not
+//! depend on the kernel. (`ShardedHot` is hard-wired to `ConcurrentHot`;
+//! there is no arena lane.)
 
 use hot_core::shard::ShardedHot;
 use hot_core::sync::ConcurrentHot;

@@ -17,8 +17,8 @@
 //! * **MLP scheduler health** ([`SchedCounter`] plus the lane-occupancy
 //!   histogram) — refills, completions by descent kind, restart-triggered
 //!   re-descents, and one occupancy sample per scheduler round so the
-//!   achieved in-flight depth of the out-of-order batch pipeline is
-//!   observable (DESIGN.md §14).
+//!   achieved in-flight depth of the batched descent engine is
+//!   observable (DESIGN.md §9.4).
 //!
 //! Recording goes to one of [`NUM_SHARDS`] cache-line-padded shards picked
 //! by a per-thread slot, so concurrent writers on different threads do not
@@ -838,8 +838,7 @@ pub struct MetricsSnapshot {
     pub ops: Vec<OpSnapshot>,
     /// ROWEX counters (all zero on single-threaded structures).
     pub rowex: RowexSnapshot,
-    /// MLP scheduler health (all zero until a batched entry point runs
-    /// through the out-of-order scheduler).
+    /// MLP scheduler health (all zero until a batched entry point runs).
     pub sched: SchedSnapshot,
     /// Structural gauges, when the snapshot sampled the tree.
     pub structure: Option<StructuralSnapshot>,

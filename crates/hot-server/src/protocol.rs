@@ -1016,7 +1016,7 @@ mod tests {
         let batch = |n: usize| {
             let mut body = vec![OP_BATCH];
             body.extend_from_slice(&(n as u32).to_le_bytes());
-            body.extend(std::iter::repeat(OP_PING).take(n.min(MAX_BATCH_SUBS)));
+            body.extend(std::iter::repeat_n(OP_PING, n.min(MAX_BATCH_SUBS)));
             body
         };
         assert_eq!(

@@ -4,9 +4,9 @@
 //! and encode → (arbitrarily split) decode must be the identity on every
 //! representable request and response.
 //!
-//! Runs in the normal, `HOT_FORCE_SCALAR` and `HOT_ARENA` CI lanes; the
-//! decoder is index-independent, so identical behavior across lanes is
-//! itself part of the property.
+//! Runs in the normal and `HOT_FORCE_SCALAR` CI lanes; the decoder is
+//! index-independent, so identical behavior across lanes is itself part
+//! of the property.
 
 use hot_core::ScanToken;
 use hot_server::protocol::{

@@ -293,7 +293,7 @@ fn hostile_batch_is_bounded() {
     let mut evil = Raw::connect(&handle);
     let mut body = vec![0x05u8]; // OP_BATCH
     body.extend_from_slice(&((MAX_BATCH_SUBS + 1) as u32).to_le_bytes());
-    body.extend(std::iter::repeat(0x07u8).take(MAX_BATCH_SUBS + 1)); // OP_PING
+    body.extend(std::iter::repeat_n(0x07u8, MAX_BATCH_SUBS + 1)); // OP_PING
     let mut frame = (body.len() as u32).to_le_bytes().to_vec();
     frame.extend_from_slice(&body);
     evil.stream.write_all(&frame).expect("frame accepted at the transport level");

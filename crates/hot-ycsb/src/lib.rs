@@ -32,7 +32,6 @@ pub mod zipf;
 pub use dataset::{Dataset, DatasetKind};
 pub use dispatch::ShardPlan;
 pub use workload::{
-    BatchedOperation, MixedBatchedOperation, MixedBatches, MixedOp, Operation, ReadBatches,
-    RequestDistribution, Workload, WorkloadRun,
+    BatchedOperation, Operation, ReadBatches, RequestDistribution, Workload, WorkloadRun,
 };
 pub use zipf::{Latest, Zipfian};

@@ -390,85 +390,6 @@ impl WorkloadRun {
             max_batch,
         }
     }
-
-    /// The operation stream with consecutive reads *and* scans coalesced
-    /// together into mixed batches of at most `max_batch` (≥ 1) — the
-    /// stream shape the out-of-order scheduler consumes: a read-heavy
-    /// stretch with occasional scans (workload B/E mixtures) stays in one
-    /// pipeline instead of breaking a batch at every kind change. Yields
-    /// the same operations as [`operations`](WorkloadRun::operations), in
-    /// the same order.
-    pub fn mixed_batched_operations(&self, max_batch: usize) -> MixedBatches {
-        assert!(max_batch >= 1, "batch size must be at least 1");
-        MixedBatches {
-            inner: self.operations(),
-            pending: None,
-            max_batch,
-        }
-    }
-}
-
-/// One request of a mixed read/scan batch, in stream order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MixedOp {
-    /// Point lookup of key `idx`.
-    Read(usize),
-    /// Range scan starting at key `idx`, fetching up to `len` entries.
-    Scan(usize, usize),
-}
-
-/// An operation-stream item after mixed coalescing: maximal runs of
-/// reads-or-scans become one [`MixedBatchedOperation::Mixed`] batch
-/// (served by a single out-of-order scheduler pass); writes pass through
-/// unchanged and in order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MixedBatchedOperation {
-    /// `1..=max_batch` consecutive point reads and/or range scans in
-    /// stream order (duplicates allowed).
-    Mixed(Vec<MixedOp>),
-    /// Any other operation, at its original position in the stream.
-    Other(Operation),
-}
-
-/// Iterator adapter coalescing consecutive [`Operation::Read`]s and
-/// [`Operation::Scan`]s — in any interleaving — into mixed batches.
-///
-/// Like [`ReadBatches`], operations are never reordered, so executing a
-/// mixed-batched stream is observationally identical to the scalar
-/// stream.
-pub struct MixedBatches {
-    inner: OperationStream,
-    /// An operation of another kind pulled while closing the previous batch.
-    pending: Option<Operation>,
-    max_batch: usize,
-}
-
-impl Iterator for MixedBatches {
-    type Item = MixedBatchedOperation;
-
-    fn next(&mut self) -> Option<MixedBatchedOperation> {
-        let first = match self.pending.take() {
-            Some(op) => op,
-            None => self.inner.next()?,
-        };
-        let mut batch: Vec<MixedOp> = match first {
-            Operation::Read(idx) => vec![MixedOp::Read(idx)],
-            Operation::Scan(idx, len) => vec![MixedOp::Scan(idx, len)],
-            other => return Some(MixedBatchedOperation::Other(other)),
-        };
-        while batch.len() < self.max_batch {
-            match self.inner.next() {
-                Some(Operation::Read(idx)) => batch.push(MixedOp::Read(idx)),
-                Some(Operation::Scan(idx, len)) => batch.push(MixedOp::Scan(idx, len)),
-                Some(other) => {
-                    self.pending = Some(other);
-                    break;
-                }
-                None => break,
-            }
-        }
-        Some(MixedBatchedOperation::Mixed(batch))
-    }
 }
 
 #[cfg(test)]
@@ -716,50 +637,6 @@ mod tests {
         // clear majority of groups arrive full (a run of length L yields
         // ⌊L/8⌋ full groups plus at most one partial one).
         assert!(full_groups * 2 > scan_groups, "most scan groups are full");
-    }
-
-    #[test]
-    fn mixed_batched_stream_preserves_operation_order() {
-        for workload in Workload::ALL {
-            let run = WorkloadRun::new(workload, RequestDistribution::Uniform, 2_000, 20_000, 21);
-            let scalar: Vec<Operation> = run.operations().collect();
-            let mut replayed = Vec::with_capacity(scalar.len());
-            for item in run.mixed_batched_operations(8) {
-                match item {
-                    MixedBatchedOperation::Mixed(ops) => {
-                        assert!(!ops.is_empty() && ops.len() <= 8);
-                        replayed.extend(ops.into_iter().map(|op| match op {
-                            MixedOp::Read(idx) => Operation::Read(idx),
-                            MixedOp::Scan(idx, len) => Operation::Scan(idx, len),
-                        }));
-                    }
-                    MixedBatchedOperation::Other(op) => {
-                        assert!(!matches!(op, Operation::Read(_) | Operation::Scan(..)));
-                        replayed.push(op);
-                    }
-                }
-            }
-            assert_eq!(replayed, scalar, "workload {workload:?}");
-        }
-    }
-
-    #[test]
-    fn mixed_batches_span_read_scan_boundaries() {
-        // Workload B sprinkles updates into reads; synthesize a read+scan
-        // mix via workload E + B comparison instead: on E (scans+inserts),
-        // mixed batching must coalesce exactly like scan batching.
-        let run = WorkloadRun::new(Workload::E, RequestDistribution::Uniform, 2_000, 20_000, 17);
-        let plain: usize = run.batched_operations(8).count();
-        let mixed: usize = run.mixed_batched_operations(8).count();
-        assert_eq!(mixed, plain, "single-kind streams coalesce identically");
-
-        // A hand-rolled interleaving: reads and scans alternate, so plain
-        // batching degenerates to singleton groups while mixed batching
-        // keeps the pipeline full across the kind changes.
-        let run = WorkloadRun::new(Workload::A, RequestDistribution::Uniform, 2_000, 20_000, 23);
-        let reads_and_writes: usize = run.batched_operations(8).count();
-        let mixed_count: usize = run.mixed_batched_operations(8).count();
-        assert!(mixed_count <= reads_and_writes);
     }
 
     #[test]

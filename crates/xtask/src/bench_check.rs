@@ -1,7 +1,7 @@
 //! `cargo xtask bench-check` — the CI perf-regression gate.
 //!
-//! Runs the fig8 smoke benchmark (`--keys 50000 --ops 50000 --batch 8
-//! --bulk --ooo`), the fig9 arena-footprint smoke (`--keys 50000
+//! Runs the fig8 smoke benchmark (`--keys 50000 --ops 50000 --bulk`), the
+//! fig9 arena-footprint smoke (`--keys 50000
 //! --arena`), the fig10 sharded-router smoke (`--shards 2,4`), and the
 //! fig_net loopback-serving smoke (`--check`) in a
 //! scratch working directory (`target/bench-check/`, so
@@ -32,7 +32,7 @@ use std::process::{Command, ExitCode};
 /// The smoke parameters: small enough for CI, large enough that the trie
 /// leaves its root-only regime on every data set.
 const SMOKE_ARGS: &[&str] = &[
-    "--keys", "50000", "--ops", "50000", "--batch", "8", "--bulk", "--threads", "1,2", "--ooo",
+    "--keys", "50000", "--ops", "50000", "--bulk", "--threads", "1,2",
 ];
 
 /// The fig9 arena-footprint smoke: memory accounting is deterministic at
@@ -65,7 +65,6 @@ const BENCH_FILES: &[&str] = &[
     "BENCH_batch.json",
     "BENCH_scan.json",
     "BENCH_bulk.json",
-    "BENCH_ooo.json",
     "BENCH_arena.json",
     "BENCH_shard.json",
     "BENCH_net.json",

@@ -44,7 +44,7 @@ fn main() {
     let ordered: Vec<u64> = trie.iter().collect();
     println!("in key order: {ordered:?}");
 
-    // Batched lookups: resolve independent keys in groups so their cache
+    // Batched lookups: resolve independent keys together so their cache
     // misses overlap (memory-level parallelism). Results are identical to
     // scalar `get`, one slot per key.
     let probes: Vec<[u8; 8]> = [42u64, 8, 1 << 40, 5].iter().map(|&v| encode_u64(v)).collect();
@@ -55,7 +55,7 @@ fn main() {
 
     // Range scans: `scan` allocates per call; a reused `ScanCursor` +
     // output buffer makes the steady state allocation-free, and
-    // `scan_batch_with` overlaps the seek descents of a whole group
+    // `scan_batch` overlaps the seek descents of all its requests
     // (results land flat, delimited by prefix offsets in `bounds`).
     let mut cursor = hot_core::ScanCursor::new();
     let mut run = Vec::new();
@@ -64,7 +64,7 @@ fn main() {
     assert_eq!(run, vec![42, 123_456_789]);
     let requests = [(encode_u64(0), 2), (encode_u64(100), 10)];
     let (mut tids, mut bounds) = (Vec::new(), Vec::new());
-    trie.scan_batch_with(&requests, &mut tids, &mut bounds, &mut hot_core::ScanBatchCursor::new());
+    trie.scan_batch(&requests, &mut tids, &mut bounds);
     assert_eq!(tids[bounds[0]..bounds[1]], [7, 42]);
     assert_eq!(tids[bounds[1]..bounds[2]], [123_456_789, 1 << 40]);
 

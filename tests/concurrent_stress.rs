@@ -176,7 +176,7 @@ fn batched_readers_with_concurrent_writers() {
             let tids = Arc::clone(&tids);
             let stop = Arc::clone(&stop);
             scope.spawn(move || {
-                let mut cursor = hot_core::BatchCursor::new();
+                let mut sched = hot_core::MlpScheduler::new();
                 let mut x = 0xFDB9_7531u64 ^ t;
                 let mut idxs = [0usize; 16];
                 let mut out = [None; 16];
@@ -188,7 +188,7 @@ fn batched_readers_with_concurrent_writers() {
                         *slot = x as usize % n;
                     }
                     let probe: Vec<&[u8]> = idxs.iter().map(|&i| keys[i].as_slice()).collect();
-                    trie.get_batch_with(&probe, &mut out, &mut cursor);
+                    trie.get_batch_with(&probe, &mut out, &mut sched);
                     for (&i, &got) in idxs.iter().zip(&out) {
                         if i < backbone {
                             assert_eq!(got, Some(tids[i]), "stable key lost in batch");
@@ -208,10 +208,10 @@ fn batched_readers_with_concurrent_writers() {
 
     trie.validate();
     // Quiesced: batched and scalar agree on every key.
-    let mut cursor = hot_core::BatchCursor::new();
+    let mut sched = hot_core::MlpScheduler::new();
     let probe: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
     let mut out = vec![None; n];
-    trie.get_batch_with(&probe, &mut out, &mut cursor);
+    trie.get_batch_with(&probe, &mut out, &mut sched);
     for (k, &got) in probe.iter().zip(&out) {
         assert_eq!(got, trie.get(k));
     }
