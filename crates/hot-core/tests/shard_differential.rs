@@ -14,6 +14,7 @@ use hot_core::shard::ShardedHot;
 use hot_core::sync::ConcurrentHot;
 use hot_core::{splitters_from_sample, BatchRequest, RouterScratch};
 use hot_keys::{encode_u64, ArenaKeySource};
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
@@ -347,6 +348,66 @@ fn pooled_workers_agree_with_the_inline_router() {
         pooled.scan_batch(&reqs, &mut tids_b, &mut bounds_b, &mut scratch_b);
         assert_eq!(tids_a, tids_b, "{}: pooled vs inline scan tids", fx.name);
         assert_eq!(bounds_a, bounds_b, "{}: pooled vs inline scan bounds", fx.name);
+    }
+}
+
+/// The load pipeline end to end — TIDs sample-sorted over the arena,
+/// shards built concurrently on scoped loader threads (a pinned pool's
+/// loaders pin themselves and build with one worker, unpinned ones split
+/// their share of the cores over the root fragment) — must build exactly
+/// the tries a single-threaded load of comparison-sorted input builds.
+/// The key sets are large enough to leave the small-input inline paths
+/// of the sort and the builder. This checks what is built, not which
+/// cores built it; the one placement fact asserted is that a loader's
+/// pin never leaks onto the calling thread.
+#[test]
+fn parallel_load_pipeline_builds_the_serial_structure() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x10AD);
+    let url: Vec<Vec<u8>> = (0..40_000u32)
+        .map(|i| {
+            let host = rng.gen_range(0..50u32);
+            format!("https://host{host:02}.example.org/p/{:03}/{i:06}\0", i % 211).into_bytes()
+        })
+        .collect();
+    let integer: Vec<Vec<u8>> =
+        (0..40_000u64).map(|_| encode_u64(rng.gen::<u64>() >> 1).to_vec()).collect();
+
+    for (name, mut keys) in [("url", url), ("integer", integer)] {
+        keys.shuffle(&mut rng);
+        let mut arena = ArenaKeySource::new();
+        let mut tids: Vec<u64> = keys.iter().map(|k| arena.push(k)).collect();
+        let arena = Arc::new(arena);
+        let mut reference: Vec<(&[u8], u64)> =
+            keys.iter().map(|k| k.as_slice()).zip(tids.iter().copied()).collect();
+        reference.sort_unstable_by(|a, b| a.0.cmp(b.0));
+
+        hot_keys::sort_by_key(&mut tids, |tid| arena.key(tid));
+        let entries: Vec<(&[u8], u64)> = tids.iter().map(|&tid| (arena.key(tid), tid)).collect();
+        assert!(entries == reference, "{name}: sample sort order");
+
+        for shards in [1usize, 2, 4] {
+            for pooled in [false, true] {
+                let sharded = ShardedHot::with_config(Arc::clone(&arena), shards, pooled, pooled);
+                let cores = hot_core::numa::core_count();
+                assert_eq!(sharded.bulk_load(&entries), Ok(entries.len()));
+                assert_eq!(hot_core::numa::core_count(), cores, "caller's affinity kept");
+                let mut lo = 0;
+                for s in 0..shards {
+                    let shard = sharded.shard(s);
+                    let serial = ConcurrentHot::new(Arc::clone(&arena));
+                    serial.bulk_load_parallel(&reference[lo..lo + shard.len()], 1).unwrap();
+                    assert_eq!(
+                        shard.structure_digest(),
+                        serial.structure_digest(),
+                        "{name}: shard {s}/{shards} pooled={pooled}"
+                    );
+                    shard.check_invariants();
+                    lo += shard.len();
+                }
+                assert_eq!(lo, reference.len(), "{name}: shards cover the input");
+                assert!(sharded.imbalance() <= 1.01, "{name}: quantile splitters balance");
+            }
+        }
     }
 }
 

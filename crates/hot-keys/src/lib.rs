@@ -13,16 +13,20 @@
 //!   key bytes (needed because Patricia-style lookups must verify the
 //!   candidate leaf against the full key), with embedded-integer and
 //!   arena-backed implementations;
+//! * [`sort`] — ordering items by their key bytes ahead of a sorted bulk
+//!   load: a parallel sample sort that caches 8 key bytes per entry;
 //! * [`DepthStats`] — the leaf-depth histogram used by the Figure 11
 //!   experiment, shared across all tree structures.
 
 #![deny(missing_docs)]
 
 pub mod encode;
+pub mod sort;
 pub mod source;
 pub mod stats;
 
 pub use encode::{decode_u64, encode_u32, encode_u64, encode_yago, str_key, KeyError};
+pub use sort::sort_by_key;
 pub use source::{ArenaKeySource, EmbeddedKeySource, KeySource, KEY_SCRATCH_LEN};
 pub use stats::DepthStats;
 

@@ -3,7 +3,7 @@
 //! ```text
 //! hot-server --addr 127.0.0.1:0 --dataset integer --keys 100000 \
 //!            --ops 100000 --seed 42 --shards 4 [--pin] [--inline] \
-//!            [--window N] [--idle-ms N]
+//!            [--window N] [--idle-ms N] [--max-conns N]
 //! ```
 //!
 //! Prints exactly one `LISTENING <addr>` line to stdout once the socket is
@@ -53,6 +53,10 @@ fn main() {
                 config.idle_timeout = Duration::from_millis(ms);
                 i += 2;
             }
+            "--max-conns" => {
+                config.max_connections = args[i + 1].parse().expect("--max-conns N");
+                i += 2;
+            }
             "--pin" => {
                 config.pin = true;
                 i += 1;
@@ -64,7 +68,7 @@ fn main() {
             other => {
                 eprintln!(
                     "unknown argument: {other} (expected --addr/--dataset/--keys/--ops/--seed/\
-                     --shards/--window/--idle-ms/--pin/--inline)"
+                     --shards/--window/--idle-ms/--max-conns/--pin/--inline)"
                 );
                 std::process::exit(2);
             }

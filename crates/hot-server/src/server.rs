@@ -246,6 +246,8 @@ impl Shared {
 pub struct ServerHandle {
     shared: Arc<Shared>,
     accept: Option<std::thread::JoinHandle<()>>,
+    /// Frees what only the load needed, off the start-up path.
+    release: Option<std::thread::JoinHandle<()>>,
 }
 
 /// Start a server: materialize the corpus, bulk-load the first
@@ -258,6 +260,9 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
 
 /// [`start`] over an already-materialized corpus (lets tests and the
 /// loopback benchmark reuse one corpus for several server instances).
+/// Returns once the socket is listening; `data.dataset` and `data.tids`
+/// are freed, and their pages returned to the OS, by a background thread
+/// that shutdown joins (DESIGN.md §11.4 has what that costs whom).
 pub fn start_with_data(config: ServerConfig, data: NetData) -> std::io::Result<ServerHandle> {
     let index = ShardedHot::with_config(
         Arc::clone(&data.arena),
@@ -265,9 +270,8 @@ pub fn start_with_data(config: ServerConfig, data: NetData) -> std::io::Result<S
         config.workers,
         config.pin,
     );
-    let entries = data.sorted_entries();
     index
-        .bulk_load(&entries)
+        .bulk_load(&data.sorted_entries())
         .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, format!("bulk load: {e:?}")))?;
 
     let listener = TcpListener::bind(&config.addr)?;
@@ -290,7 +294,36 @@ pub fn start_with_data(config: ServerConfig, data: NetData) -> std::io::Result<S
         .name("hot-server-accept".to_string())
         .spawn(move || accept_loop(listener, accept_shared))?;
 
-    Ok(ServerHandle { shared, accept: Some(accept) })
+    // The index only needs the arena. Freeing the rest of the corpus (one
+    // allocation per key) and handing the pages back takes as long as
+    // building a shard, so it happens behind the listener. If the thread
+    // cannot be spawned the closure, and the corpus with it, drops here.
+    let (dataset, tids) = (data.dataset, data.tids);
+    let release = std::thread::Builder::new()
+        .name("hot-server-release".to_string())
+        .spawn(move || {
+            drop((dataset, tids));
+            trim_heap();
+        })
+        .ok();
+
+    Ok(ServerHandle { shared, accept: Some(accept), release })
+}
+
+/// Return freed heap pages to the OS. glibc keeps them otherwise: the
+/// corpus copy and the sort's temporaries were allocated before the index
+/// nodes, so the freed space lies below live data, where only an explicit
+/// trim releases it. A no-op on other allocators.
+fn trim_heap() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        extern "C" {
+            fn malloc_trim(pad: usize) -> i32;
+        }
+        // SAFETY: `malloc_trim` takes no pointer and is thread-safe (it
+        // locks each arena in turn); it only unmaps pages of free chunks.
+        unsafe { malloc_trim(0) };
+    }
 }
 
 impl ServerHandle {
@@ -354,6 +387,9 @@ impl ServerHandle {
         let conns = std::mem::take(&mut *self.shared.conns.lock().expect("conns lock"));
         for conn in conns {
             let _ = conn.join();
+        }
+        if let Some(release) = self.release.take() {
+            let _ = release.join();
         }
     }
 }
@@ -1099,5 +1135,33 @@ mod tests {
         assert_eq!(field("windows"), want_windows - 1, "the answering window is still open");
         assert_eq!(field("batches"), 5);
         assert_eq!(field("keys"), shared.index.len() as u64);
+    }
+
+    /// Start-up end to end, at a size that takes the parallel sort and the
+    /// concurrent shard builds: STATS reports every loaded key, each one
+    /// GETs its TID, the reserve is absent — and `shutdown` waits for the
+    /// thread that frees the load-time corpus copy.
+    #[test]
+    fn start_up_loads_every_key_and_shutdown_joins_the_release_thread() {
+        let config = ServerConfig { keys: 40_000, ops: 100, ..ServerConfig::default() };
+        let data = || net_data_for(DatasetKind::Url, config.keys, config.ops, config.seed);
+        let (mut server, data) = (start_with_data(config.clone(), data()).expect("starts"), data());
+        let shared = Arc::clone(&server.shared);
+        assert!(server.release.is_some(), "the corpus copy is freed off the start-up path");
+        assert!(shared.stats_json().contains(&format!("\"keys\": {}", data.loaded)));
+
+        let gets: Vec<Request> =
+            data.dataset.keys.iter().map(|key| Request::Get { key: key.clone() }).collect();
+        let answers: Vec<Response> = (0..gets.len())
+            .map(|i| if i < data.loaded { Response::Tid(data.tids[i]) } else { Response::None })
+            .collect();
+        let mut conn = Harness::default();
+        conn.run(&shared, &gets);
+        assert!(conn.answers == encoded(&answers), "every loaded key answers with its TID");
+
+        server.stop_and_join();
+        assert!(server.accept.is_none() && server.release.is_none(), "every handle was joined");
+        drop(server);
+        assert_eq!(Arc::strong_count(&shared), 1, "no server thread is left holding the state");
     }
 }

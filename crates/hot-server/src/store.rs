@@ -55,10 +55,11 @@ pub fn net_data_for(kind: DatasetKind, keys: usize, ops: usize, seed: u64) -> Ne
 
 impl NetData {
     /// The first `loaded` entries in key order, ready for
-    /// [`hot_core::ShardedHot::bulk_load`].
+    /// [`hot_core::ShardedHot::bulk_load`]: the TIDs sorted by their
+    /// arena-resident key bytes, each paired with that key.
     pub fn sorted_entries(&self) -> Vec<(&[u8], u64)> {
-        let mut order: Vec<usize> = (0..self.loaded).collect();
-        order.sort_unstable_by(|&a, &b| self.dataset.keys[a].cmp(&self.dataset.keys[b]));
-        order.iter().map(|&i| (self.dataset.keys[i].as_slice(), self.tids[i])).collect()
+        let mut tids = self.tids[..self.loaded].to_vec();
+        hot_keys::sort_by_key(&mut tids, |tid| self.arena.key(tid));
+        tids.into_iter().map(|tid| (self.arena.key(tid), tid)).collect()
     }
 }

@@ -126,7 +126,7 @@ impl Dataset {
     /// the timed region.
     pub fn sorted_order(&self) -> Vec<usize> {
         let mut order: Vec<usize> = (0..self.keys.len()).collect();
-        order.sort_unstable_by(|&a, &b| self.keys[a].cmp(&self.keys[b]));
+        hot_keys::sort_by_key(&mut order, |i| self.keys[i].as_slice());
         order
     }
 }

@@ -8,9 +8,16 @@
 //! byte-for-byte) and `--shutdown` (the client's final frame stops the
 //! server). Both processes must exit 0 — a wedged shutdown shows up as
 //! the server process never exiting, which the wait-with-deadline below
-//! turns into a failure rather than a hung CI job.
+//! turns into a failure rather than a hung CI job. Every cell reports the
+//! start-up time it observed (process spawn to `LISTENING`).
+//!
+//! One more server runs with `--max-conns 1`: a second connection must be
+//! answered with the typed `overloaded` ERR frame, and a SHUTDOWN frame
+//! on the admitted one must still stop the process cleanly.
 
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
+use std::path::Path;
 use std::process::{Child, Command, ExitCode, Stdio};
 use std::time::{Duration, Instant};
 
@@ -46,33 +53,14 @@ pub fn server_smoke() -> ExitCode {
     for dataset in DATASETS {
         for shards in SHARD_COUNTS {
             eprintln!("server-smoke: dataset={dataset} shards={shards} keys={KEYS} ops={OPS}");
-            let mut server = match Command::new(&server_bin)
-                .args([
-                    "--addr", "127.0.0.1:0",
-                    "--dataset", dataset,
-                    "--keys", KEYS,
-                    "--ops", OPS,
-                    "--seed", SEED,
-                    "--shards", shards,
-                ])
-                .stdout(Stdio::piped())
-                .current_dir(&root)
-                .spawn()
-            {
-                Ok(child) => child,
-                Err(e) => {
-                    eprintln!("server-smoke: cannot spawn hot-server: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let addr = match read_listening_line(&mut server) {
-                Ok(addr) => addr,
-                Err(e) => {
-                    eprintln!("server-smoke: no LISTENING line from hot-server: {e}");
-                    let _ = server.kill();
-                    return ExitCode::FAILURE;
-                }
-            };
+            let (mut server, addr, startup) =
+                match spawn_server(&server_bin, &root, &["--dataset", dataset, "--shards", shards]) {
+                    Ok(started) => started,
+                    Err(e) => {
+                        eprintln!("server-smoke: {e}");
+                        return ExitCode::FAILURE;
+                    }
+                };
 
             let client = Command::new(&client_bin)
                 .args([
@@ -108,7 +96,10 @@ pub fn server_smoke() -> ExitCode {
             // down: every connection thread joined, exit code 0.
             match wait_with_deadline(&mut server, SHUTDOWN_DEADLINE) {
                 Some(status) if status.success() => {
-                    eprintln!("server-smoke: ok dataset={dataset} shards={shards} (clean shutdown)");
+                    eprintln!(
+                        "server-smoke: ok dataset={dataset} shards={shards} \
+                         (start-up {startup:.3} s, clean shutdown)"
+                    );
                 }
                 Some(status) => {
                     eprintln!("server-smoke: hot-server exited with {status}");
@@ -125,12 +116,71 @@ pub fn server_smoke() -> ExitCode {
             }
         }
     }
+    if let Err(e) = connection_cap_smoke(&server_bin, &root) {
+        eprintln!("server-smoke: --max-conns: {e}");
+        return ExitCode::FAILURE;
+    }
     println!(
-        "server-smoke: ok — {} dataset(s) x {} shard count(s): network checksums match in-process, clean shutdowns",
+        "server-smoke: ok — {} dataset(s) x {} shard count(s): network checksums match in-process, \
+         clean shutdowns; --max-conns refuses the excess connection with a typed error",
         DATASETS.len(),
         SHARD_COUNTS.len()
     );
     ExitCode::SUCCESS
+}
+
+/// Spawn `hot-server` at smoke scale with `extra` flags; returns the
+/// process, the address it announced and the seconds that took.
+fn spawn_server(bin: &Path, root: &Path, extra: &[&str]) -> Result<(Child, String, f64), String> {
+    let start = Instant::now();
+    let mut server = Command::new(bin)
+        .args(["--addr", "127.0.0.1:0", "--keys", KEYS, "--ops", OPS, "--seed", SEED])
+        .args(extra)
+        .stdout(Stdio::piped())
+        .current_dir(root)
+        .spawn()
+        .map_err(|e| format!("cannot spawn hot-server: {e}"))?;
+    match read_listening_line(&mut server) {
+        Ok(addr) => Ok((server, addr, start.elapsed().as_secs_f64())),
+        Err(e) => {
+            let _ = server.kill();
+            Err(format!("no LISTENING line from hot-server: {e}"))
+        }
+    }
+}
+
+/// `--max-conns 1`: the first connection is served, the second gets one
+/// `[len u32 LE][0x0F ERR][code 5 = overloaded]…` frame (DESIGN.md §18.1),
+/// and SHUTDOWN (`[1, 0, 0, 0, 0x08]`) on the first stops the server.
+fn connection_cap_smoke(bin: &Path, root: &Path) -> Result<(), String> {
+    let (mut server, addr, _) = spawn_server(bin, root, &["--max-conns", "1"])?;
+    let outcome = (|| {
+        let io = |e: std::io::Error| e.to_string();
+        let mut admitted = TcpStream::connect(&addr).map_err(io)?;
+        let mut refused = TcpStream::connect(&addr).map_err(io)?;
+        refused.set_read_timeout(Some(SHUTDOWN_DEADLINE)).map_err(io)?;
+        let mut head = [0u8; 6];
+        refused.read_exact(&mut head).map_err(io)?;
+        if head[4..] != [0x0F, 5] {
+            return Err(format!("second connection got {head:02x?}, not an overloaded ERR frame"));
+        }
+        admitted.write_all(&[1, 0, 0, 0, 0x08]).map_err(io)
+    })();
+    if outcome.is_err() {
+        let _ = server.kill();
+        return outcome;
+    }
+    match wait_with_deadline(&mut server, SHUTDOWN_DEADLINE) {
+        Some(status) if status.success() => {
+            eprintln!("server-smoke: ok --max-conns 1 (second connection refused, clean shutdown)");
+            Ok(())
+        }
+        Some(status) => Err(format!("hot-server exited with {status}")),
+        None => {
+            let _ = server.kill();
+            Err("hot-server still running after SHUTDOWN".to_string())
+        }
+    }
 }
 
 /// Read stdout lines until the `LISTENING <addr>` announcement.
