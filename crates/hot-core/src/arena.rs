@@ -1,13 +1,17 @@
 //! Arena-backed compact trie layout (DESIGN.md §16).
 //!
-//! epoch-exempt: the compact descent primitives borrow arena blocks the
-//! caller already protects (epoch pin in `ConcurrentCompact`, `&mut`
-//! exclusivity in `CompactHot`, or private pre-publish builds) — liveness
-//! is established a layer above, exactly as for the heap node primitives.
+//! epoch-exempt: the store resolves arena blocks the caller already
+//! protects (epoch pin in `ConcurrentCompact`, `&mut` exclusivity in
+//! `CompactHot`, or private pre-publish builds) — liveness is established a
+//! layer above, exactly as for the heap node primitives.
 //!
 //! The heap backend spends 8 bytes per child pointer and resolves every
 //! full-key comparison through an external [`KeySource`](hot_keys::KeySource)
-//! — an extra dependent cache miss per verify. This module replaces both:
+//! — an extra dependent cache miss per verify. This module is the other
+//! [`NodeStore`]: what is genuinely different about it — the reference
+//! word, the two arenas, the record codec — and nothing of the trie
+//! algorithms, which run over either store (`trie.rs`, `bulk.rs`,
+//! `scan.rs`, `mlp.rs`). It replaces both costs:
 //!
 //! * **32-bit node references** ([`CRef`]): nodes and leaves live in slab
 //!   arenas and are addressed by a 32-bit offset word that also carries the
@@ -53,7 +57,7 @@
 //!
 //! The arenas are single-writer (enforced by `&mut self` on
 //! [`CompactHot`], by the scratch mutex on
-//! [`ConcurrentCompact`](crate::ConcurrentCompact)). Readers are lock-free:
+//! [`ConcurrentCompact`](crate::sync::ConcurrentCompact)). Readers are lock-free:
 //! a record's bytes are fully written *before* the `CRef` naming it is
 //! published with Release ordering (a child-slot or root store), and a
 //! front-coding chain only ever walks records appended *before* its target,
@@ -70,12 +74,12 @@ use std::sync::Mutex;
 // manifested in lint/atomics.toml.
 use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicUsize, Ordering};
 
-use crate::bulk::BulkLoadError;
 use crate::node::builder::Builder;
-use crate::node::{geometry_compact, CompactSlot, NodeTag, RawNode, Slot, MAX_FANOUT};
-use hot_bits::{Isa, Kernel};
+use crate::node::{geometry_compact, CompactSlot, NodeTag, RawNode, TreeRef, MAX_FANOUT};
+use crate::store::NodeStore;
+use crate::trie::Trie;
 use hot_keys::stats::MemoryStats;
-use hot_keys::{DepthStats, PaddedKey, MAX_KEY_LEN, MAX_TID};
+use hot_keys::{MAX_KEY_LEN, MAX_TID};
 
 /// Slab size for both arenas: 1 MiB — large enough that boundary padding is
 /// noise, small enough that capacity tracks live data closely.
@@ -176,6 +180,31 @@ impl CRef {
     }
 }
 
+impl TreeRef for CRef {
+    const NULL: CRef = CRef::NULL;
+    #[inline(always)]
+    fn from_word(w: u64) -> CRef {
+        debug_assert!(w <= u32::MAX as u64, "compact value word overflows 32 bits");
+        CRef(w as u32)
+    }
+    #[inline(always)]
+    fn word(self) -> u64 {
+        self.0 as u64
+    }
+    #[inline(always)]
+    fn is_null(self) -> bool {
+        CRef::is_null(self)
+    }
+    #[inline(always)]
+    fn is_leaf(self) -> bool {
+        CRef::is_leaf(self)
+    }
+    #[inline(always)]
+    fn is_node(self) -> bool {
+        CRef::is_node(self)
+    }
+}
+
 /// Which arena rejected an allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArenaKind {
@@ -214,7 +243,7 @@ impl std::fmt::Display for ArenaFull {
 impl std::error::Error for ArenaFull {}
 
 /// Exact allocator-level accounting for one [`CompactHot`] /
-/// [`ConcurrentCompact`](crate::ConcurrentCompact) instance (the
+/// [`ConcurrentCompact`](crate::sync::ConcurrentCompact) instance (the
 /// `bytes_per_key` satellite API: fig9 reports these numbers, not
 /// `size_of` summations).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -320,10 +349,30 @@ struct NodeArenaState {
     /// churn the hottest allocator traffic, and exact-size recycling keeps
     /// the arena from fragmenting (all sizes are 8-byte-granular).
     free: Vec<Vec<u32>>,
+    /// Blocks `(unit offset, bytes)` handed out since the last
+    /// [`settle`](NodeArena::settle): unpublished if the running operation
+    /// fails, so they are what its roll-back frees.
+    fresh: Vec<(u32, usize)>,
     live_bytes: usize,
     live_nodes: usize,
     hwm_bytes: usize,
 }
+
+impl NodeArenaState {
+    /// Put the block at `units_off` on its size class's free list.
+    fn release(&mut self, units_off: u32, bytes: usize) {
+        let units_len = bytes / NODE_UNIT;
+        if self.free.len() <= units_len {
+            self.free.resize_with(units_len + 1, Vec::new);
+        }
+        self.free[units_len].push(units_off);
+        self.live_bytes -= bytes;
+        self.live_nodes -= 1;
+    }
+}
+
+/// Entries of [`NodeArenaState::fresh`] kept allocated between operations.
+const FRESH_KEEP: usize = 256;
 
 /// Slab arena for compound nodes, addressed by 26-bit unit offsets.
 struct NodeArena {
@@ -342,6 +391,7 @@ impl NodeArena {
                 next_unit: 1,
                 slab_count: 0,
                 free: Vec::new(),
+                fresh: Vec::new(),
                 live_bytes: 0,
                 live_nodes: 0,
                 hwm_bytes: 0,
@@ -384,10 +434,25 @@ impl NodeArena {
             st.next_unit = end as u32;
             off
         };
+        st.fresh.push((off, bytes));
         st.live_bytes += bytes;
         st.live_nodes += 1;
         st.hwm_bytes = st.hwm_bytes.max(st.live_bytes);
         Ok(off)
+    }
+
+    /// End of a writer operation: forget the blocks it allocated (`ok` —
+    /// they are published), or free them (`!ok` — none was).
+    fn settle(&self, ok: bool) {
+        let mut st = self.state.lock().expect("node arena poisoned");
+        if !ok {
+            while let Some((off, bytes)) = st.fresh.pop() {
+                st.release(off, bytes);
+            }
+        }
+        st.fresh.clear();
+        // A bulk load records one entry per node; don't keep that.
+        st.fresh.shrink_to(FRESH_KEEP);
     }
 
     /// Recycle the block at `units_off` (`bytes` as allocated).
@@ -395,14 +460,7 @@ impl NodeArena {
     /// The caller guarantees no reference to the block remains (or, in the
     /// concurrent wrapper, that the epoch does).
     fn free(&self, units_off: u32, bytes: usize) {
-        let units_len = bytes / NODE_UNIT;
-        let mut st = self.state.lock().expect("node arena poisoned");
-        if st.free.len() <= units_len {
-            st.free.resize_with(units_len + 1, Vec::new);
-        }
-        st.free[units_len].push(units_off);
-        st.live_bytes -= bytes;
-        st.live_nodes -= 1;
+        self.state.lock().expect("node arena poisoned").release(units_off, bytes);
     }
 
     /// Pointer to the block at `units_off`. Lock-free.
@@ -434,6 +492,11 @@ struct LeafWriter {
     records: usize,
     /// Bytes of dead records plus slab-boundary padding.
     dead_bytes: usize,
+    /// Records / record bytes appended since the last
+    /// [`settle`](LeafArena::settle) (what a failed operation's roll-back
+    /// accounts dead).
+    fresh_records: usize,
+    fresh_bytes: usize,
 }
 
 /// Append-only slab arena of front-coded `[shared][suffix_len][delta]
@@ -532,6 +595,8 @@ impl LeafArena {
                 last_key: [0u8; MAX_KEY_LEN],
                 records: 0,
                 dead_bytes: 0,
+                fresh_records: 0,
+                fresh_bytes: 0,
             }),
         }
     }
@@ -614,9 +679,23 @@ impl LeafArena {
         st.tail = end as u32;
         st.dead_bytes += pad as usize;
         st.records += 1;
+        st.fresh_records += 1;
+        st.fresh_bytes += rec_len as usize;
         st.last_key[..key.len()].copy_from_slice(key);
         st.last_len = key.len();
         Ok(off)
+    }
+
+    /// End of a writer operation: the records it appended are published
+    /// (`ok`), or unreachable for good and accounted dead (`!ok`).
+    fn settle(&self, ok: bool) {
+        let mut st = self.state.lock().expect("leaf arena poisoned");
+        if !ok {
+            st.dead_bytes += st.fresh_bytes;
+            st.records -= st.fresh_records;
+        }
+        st.fresh_records = 0;
+        st.fresh_bytes = 0;
     }
 
     /// Account the record at `off` as dead (bytes are never reused — the
@@ -642,13 +721,6 @@ impl LeafArena {
         // SAFETY: every published offset lies inside a grown slab and
         // records never straddle slab boundaries.
         unsafe { self.table.get(slab).add(within) }
-    }
-
-    /// Prefetch the record at `off` (header + suffix head + TID share the
-    /// first lines).
-    #[inline]
-    fn prefetch(&self, off: u32) {
-        hot_bits::prefetch_read(self.rec_ptr(off));
     }
 
     /// The TID of the record at `off`.
@@ -725,67 +797,170 @@ impl LeafArena {
     }
 }
 
-/// Cache lines prefetched per upcoming node (same as the heap descent).
-const PREFETCH_LINES: usize = 4;
-
-/// Cache lines prefetched of the next sibling subtree during scans.
-const SIBLING_PREFETCH_LINES: usize = 1;
-
-/// Reusable mutation state for the compact trie: descent stack, decode
-/// builder, and the alloc/retire tracking that keeps failed operations
-/// leak-free and successful ones publish-then-retire ordered.
-pub(crate) struct CompactScratch {
-    /// Reused padded-key buffer for mutating operations.
-    pub(crate) key_buf: Option<Box<PaddedKey>>,
-    /// Reused descent stack: (node, selected entry index).
-    stack: Vec<(CRef, usize)>,
-    /// Reused decode buffer for the copy-on-write paths.
-    builder: Option<Builder>,
-    /// Nodes allocated by the in-flight operation but not yet reachable:
-    /// freed if the operation fails, forgotten once it publishes.
-    fresh: Vec<CRef>,
-    /// Leaf record appended by the in-flight operation, if any: marked dead
-    /// if the operation fails.
-    fresh_leaf: Option<u32>,
-    /// Nodes the operation replaced (unreachable once it published): the
-    /// caller drains these — immediately in [`CompactHot`], epoch-deferred
-    /// in [`ConcurrentCompact`](crate::ConcurrentCompact).
-    pub(crate) retired: Vec<CRef>,
+/// The arena back-end: both slab arenas. The tries over it are
+/// [`CompactHot`] (exclusive) and
+/// [`ConcurrentCompact`](crate::sync::ConcurrentCompact) (shared behind an
+/// `Arc`, single writer); the root word belongs to them, not to the store.
+pub struct ArenaStore {
+    nodes: NodeArena,
+    leaves: LeafArena,
 }
 
-impl CompactScratch {
-    pub(crate) fn new() -> CompactScratch {
-        CompactScratch {
-            key_buf: Some(Box::new(PaddedKey::new())),
-            stack: Vec::with_capacity(16),
-            builder: None,
-            fresh: Vec::new(),
-            fresh_leaf: None,
-            retired: Vec::new(),
+impl ArenaStore {
+    pub(crate) fn new(node_cap: usize, leaf_cap: usize) -> ArenaStore {
+        ArenaStore {
+            nodes: NodeArena::new(node_cap),
+            leaves: LeafArena::new(leaf_cap),
+        }
+    }
+
+    /// Return the node block at `r` to the arena free list.
+    ///
+    /// Caller guarantees no reference to it remains (post-publish
+    /// retirement with no readers, or epoch quiescence).
+    pub(crate) fn free_node(&self, r: CRef) {
+        let bytes = geometry_compact(r.tag(), self.raw(r).count()).alloc_size;
+        self.nodes.free(r.units(), bytes);
+    }
+
+    /// Allocator-level accounting for both arenas.
+    pub(crate) fn arena_stats(&self) -> ArenaStats {
+        let nodes = self.nodes.state.lock().expect("node arena poisoned");
+        let leaves = self.leaves.state.lock().expect("leaf arena poisoned");
+        ArenaStats {
+            node_capacity_bytes: nodes.slab_count * SLAB_BYTES,
+            node_live_bytes: nodes.live_bytes,
+            node_live_count: nodes.live_nodes,
+            node_hwm_bytes: nodes.hwm_bytes,
+            leaf_capacity_bytes: leaves.slab_count * SLAB_BYTES,
+            leaf_tail_bytes: leaves.tail as usize,
+            leaf_dead_bytes: leaves.dead_bytes,
+            leaf_records: leaves.records,
         }
     }
 }
 
-/// The shared compact-trie state: both arenas plus the root word and length.
-/// [`CompactHot`] owns one exclusively; the concurrent wrapper shares one
-/// behind an `Arc` with a mutexed [`CompactScratch`].
-pub(crate) struct CompactInner {
+impl NodeStore for ArenaStore {
+    type Ref = CRef;
+    type Slot = CompactSlot;
+    type Full = ArenaFull;
+    type KeyBuf = [u8; MAX_KEY_LEN];
+
+    #[inline(always)]
+    fn key_buf() -> Self::KeyBuf {
+        [0u8; MAX_KEY_LEN]
+    }
+
+    /// The compact analogue of the heap's tagged-pointer decode: tag from
+    /// the offset word, body in the arena.
+    #[inline(always)]
+    fn raw(&self, r: CRef) -> RawNode {
+        RawNode {
+            base: self.nodes.ptr(r.units()),
+            tag: r.tag(),
+        }
+    }
+
+    #[inline(always)]
+    fn leaf_tid(&self, leaf: CRef) -> u64 {
+        self.leaves.tid_at(leaf.leaf_off())
+    }
+
+    #[inline]
+    fn leaf_key<'a>(&'a self, leaf: CRef, buf: &'a mut Self::KeyBuf) -> &'a [u8] {
+        let len = self.leaves.load_key_into(leaf.leaf_off(), buf);
+        &buf[..len]
+    }
+
+    /// Header, suffix head and TID share the record's first lines.
+    #[inline(always)]
+    fn prefetch_leaf(&self, leaf: CRef) {
+        hot_bits::prefetch_read(self.leaves.rec_ptr(leaf.leaf_off()));
+    }
+
+    /// The final hop and the verify land on the same lines: the staged
+    /// record compare instead of a full key reconstruction.
+    #[inline]
+    fn verify(&self, leaf: CRef, key: &[u8]) -> Option<u64> {
+        let off = leaf.leaf_off();
+        self.leaves
+            .equals_key(off, key, &mut Self::key_buf())
+            .then(|| self.leaves.tid_at(off))
+    }
+
+    fn new_leaf(&self, key: &[u8], tid: u64) -> Result<CRef, ArenaFull> {
+        self.leaves.append(key, tid).map(CRef::leaf)
+    }
+
+    fn encode(&self, builder: &Builder) -> Result<CRef, ArenaFull> {
+        let n = builder.values.len();
+        assert!((2..=MAX_FANOUT).contains(&n), "entry count {n}");
+        let tag = NodeTag::choose(&builder.positions);
+        let units = self.nodes.alloc(geometry_compact(tag, n).alloc_size)?;
+        let r = CRef::node(units, tag);
+        let raw = self.raw(r);
+        raw.init_header(n, builder.height);
+        raw.fill_compact(&builder.positions, &builder.sparse, &builder.values);
+        Ok(r)
+    }
+
+    /// # Safety
+    /// As [`NodeStore::retire`].
+    unsafe fn retire(&self, node: CRef) {
+        self.free_node(node);
+    }
+
+    /// Bytes are never reused — the record may still serve front-coding
+    /// chains of its neighbours; it only leaves the live accounting.
+    fn drop_leaf(&self, leaf: CRef) {
+        self.leaves.mark_dead(leaf.leaf_off());
+    }
+
+    /// The fresh half of the roll-back protocol: every block handed out
+    /// since the previous call is unpublished if the operation failed —
+    /// node blocks go back to the free list, leaf records are accounted
+    /// dead — and simply forgotten if it succeeded.
+    fn settle(&self, ok: bool) {
+        self.nodes.settle(ok);
+        self.leaves.settle(ok);
+    }
+
+    /// # Safety
+    /// As [`NodeStore::drop_tree`] (nothing to do: the slabs go with the
+    /// store).
+    unsafe fn drop_tree(&self, _root: CRef) {}
+
+    /// Live node bytes, live leaf-record bytes as `aux_bytes` (this store
+    /// holds the keys inline), and the arenas' reserved slab memory as
+    /// `capacity_bytes`.
+    fn memory_stats(&self, key_count: usize) -> MemoryStats {
+        let stats = self.arena_stats();
+        MemoryStats {
+            node_bytes: stats.node_live_bytes,
+            node_count: stats.node_live_count,
+            aux_bytes: stats.leaf_tail_bytes - stats.leaf_dead_bytes,
+            key_count,
+            capacity_bytes: stats.capacity_bytes(),
+        }
+    }
+}
+
+/// Root word and key count of
+/// [`ConcurrentCompact`](crate::sync::ConcurrentCompact), whose readers
+/// run beside the writer ([`CompactHot`] keeps both as plain fields).
+pub(crate) struct CompactRoot {
     root: AtomicU32,
     // Length is monotonic bookkeeping, never a synchronization point (the
     // root/cvalue Acquire is what publishes structure) — Relaxed, like the
     // heap MemCounter.
     len: AtomicUsize,
-    nodes: NodeArena,
-    leaves: LeafArena,
 }
 
-impl CompactInner {
-    pub(crate) fn new(node_cap: usize, leaf_cap: usize) -> CompactInner {
-        CompactInner {
+impl CompactRoot {
+    pub(crate) fn new() -> CompactRoot {
+        CompactRoot {
             root: AtomicU32::new(0),
             len: AtomicUsize::new(0),
-            nodes: NodeArena::new(node_cap),
-            leaves: LeafArena::new(leaf_cap),
         }
     }
 
@@ -806,7 +981,7 @@ impl CompactInner {
     /// happen-before this store; pairs with the **Acquire** in
     /// [`load_root`](Self::load_root).
     #[inline]
-    fn publish_root(&self, r: CRef) {
+    pub(crate) fn publish_root(&self, r: CRef) {
         // pairs-with: croot
         self.root.store(r.0, Ordering::Release);
     }
@@ -817,1241 +992,32 @@ impl CompactInner {
     }
 
     #[inline]
-    fn set_len(&self, n: usize) {
+    pub(crate) fn set_len(&self, n: usize) {
         self.len.store(n, Ordering::Relaxed);
     }
-
-    /// Typed view of the node at `r` (the compact analogue of the heap's
-    /// tagged-pointer decode: tag from the offset word, body in the arena).
-    #[inline]
-    pub(crate) fn raw(&self, r: CRef) -> RawNode {
-        RawNode {
-            base: self.nodes.ptr(r.units()),
-            tag: r.tag(),
-        }
-    }
-
-    /// Compound height of the subtree behind a builder value word (the
-    /// compact child-height resolver passed to the `*_with` builder
-    /// primitives — value words here are `CRef` bit patterns, never heap
-    /// pointers).
-    #[inline]
-    fn word_height(&self, w: u64) -> u8 {
-        let r = CRef(w as u32);
-        if r.is_node() {
-            self.raw(r).height()
-        } else {
-            0
-        }
-    }
-
-    /// Decode the compact node at `raw` into `builder` (widened value
-    /// words).
-    fn decode_compact_into(&self, raw: RawNode, builder: &mut Builder) {
-        raw.positions_into(&mut builder.positions);
-        raw.read_entries_compact(&mut builder.sparse, &mut builder.values);
-        builder.height = raw.height();
-    }
-
-    /// Encode `builder` into a freshly arena-allocated compact node.
-    fn encode_compact(&self, builder: &Builder) -> Result<CRef, ArenaFull> {
-        let n = builder.values.len();
-        assert!((2..=MAX_FANOUT).contains(&n), "entry count {n}");
-        let tag = NodeTag::choose(&builder.positions);
-        let geo = geometry_compact(tag, n);
-        let units = self.nodes.alloc(geo.alloc_size)?;
-        let raw = RawNode {
-            base: self.nodes.ptr(units),
-            tag,
-        };
-        raw.init_header(n, builder.height);
-        raw.fill_compact(&builder.positions, &builder.sparse, &builder.values);
-        Ok(CRef::node(units, tag))
-    }
-
-    /// [`encode_compact`](Self::encode_compact), recording the allocation
-    /// in the scratch's fresh list so a later failure in the same operation
-    /// frees it.
-    fn encode_tracked(&self, builder: &Builder, s: &mut CompactScratch) -> Result<CRef, ArenaFull> {
-        let r = self.encode_compact(builder)?;
-        s.fresh.push(r);
-        Ok(r)
-    }
-
-    /// Return the node block at `r` to the arena free list.
-    ///
-    /// Caller guarantees no reference to it remains (operation failure
-    /// before publish, post-publish retirement, or epoch quiescence).
-    pub(crate) fn free_node(&self, r: CRef) {
-        let raw = self.raw(r);
-        let bytes = geometry_compact(r.tag(), raw.count()).alloc_size;
-        self.nodes.free(r.units(), bytes);
-    }
-
-    /// Walk from `root` to the terminal word `key` leads to, pushing each
-    /// hop's `(node, taken entry)` onto `path` when one is given — the
-    /// compact twin of [`crate::node::descend`], and like it the one ISA
-    /// dispatch of a scalar lookup, a mutation seek or a scan seek.
-    fn descend(&self, root: CRef, key: &PaddedKey, path: Option<&mut Vec<(CRef, usize)>>) -> CRef {
-        match hot_bits::features().isa() {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: the token proves detection found every enabled feature.
-            Isa::Avx2(k) => unsafe { self.descend_avx2(k, root, key, path) },
-            Isa::Portable(k) => self.descend_on(k, root, key, path),
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2,bmi1,bmi2,lzcnt,popcnt")]
-    fn descend_avx2(
-        &self,
-        k: hot_bits::Avx2,
-        root: CRef,
-        key: &PaddedKey,
-        path: Option<&mut Vec<(CRef, usize)>>,
-    ) -> CRef {
-        self.descend_on(k, root, key, path)
-    }
-
-    #[inline(always)]
-    fn descend_on<K: Kernel>(
-        &self,
-        k: K,
-        root: CRef,
-        key: &PaddedKey,
-        mut path: Option<&mut Vec<(CRef, usize)>>,
-    ) -> CRef {
-        let mut cur = root;
-        while cur.is_node() {
-            let raw = self.raw(cur);
-            // Tag dispatch from the offset word overlaps the body prefetch.
-            hot_bits::prefetch_node(raw.base, PREFETCH_LINES);
-            let (idx, next) = raw.find_candidate::<K, CompactSlot>(k, key.padded());
-            if let Some(path) = path.as_deref_mut() {
-                path.push((cur, idx));
-            }
-            cur = CRef(next);
-        }
-        cur
-    }
-
-    /// Point lookup (the compact Listing 2): the final verify reads the
-    /// inline record behind the terminal offset word.
-    pub(crate) fn get_padded(&self, key: &PaddedKey, buf: &mut [u8; MAX_KEY_LEN]) -> Option<u64> {
-        let cur = self.descend(self.load_root(), key, None);
-        if cur.is_null() {
-            return None;
-        }
-        let off = cur.leaf_off();
-        if self.leaves.equals_key(off, key.bytes(), buf) {
-            Some(self.leaves.tid_at(off))
-        } else {
-            None
-        }
-    }
-
-    /// Insert core. All arena allocations strictly precede any publish in
-    /// every branch, so an [`ArenaFull`] leaves the published tree
-    /// untouched (the wrapper then rolls the scratch's fresh list back).
-    ///
-    /// The heap trie's fused insert fast path is intentionally absent: it
-    /// is asserted byte-identical to the general builder path over there,
-    /// so always taking the builder path preserves structure-digest
-    /// equality between backends.
-    fn insert_inner(
-        &self,
-        s: &mut CompactScratch,
-        key: &PaddedKey,
-        tid: u64,
-    ) -> Result<Option<u64>, ArenaFull> {
-        let root = self.load_root();
-        if root.is_null() {
-            let off = self.leaves.append(key.bytes(), tid)?;
-            s.fresh_leaf = Some(off);
-            self.publish_root(CRef::leaf(off));
-            self.set_len(1);
-            return Ok(None);
-        }
-
-        // Descend to the candidate leaf, recording the path.
-        s.stack.clear();
-        let cur = self.descend(root, key, Some(&mut s.stack));
-        let old_off = cur.leaf_off();
-        let mut stored_buf = [0u8; MAX_KEY_LEN];
-        let stored_len = self.leaves.load_key_into(old_off, &mut stored_buf);
-        let mismatch = hot_bits::first_mismatch_bit(&stored_buf[..stored_len], key.bytes());
-        let Some(pos) = mismatch else {
-            // Upsert: append the new record, swap the leaf word in place,
-            // retire the old record's bytes to the dead count.
-            let old_tid = self.leaves.tid_at(old_off);
-            let new_off = self.leaves.append(key.bytes(), tid)?;
-            s.fresh_leaf = Some(new_off);
-            match s.stack.last() {
-                None => self.publish_root(CRef::leaf(new_off)),
-                Some(&(node, idx)) => self.raw(node).store_cvalue(idx, CRef::leaf(new_off).0),
-            }
-            self.leaves.mark_dead(old_off);
-            return Ok(Some(old_tid));
-        };
-        assert!(pos < u16::MAX as usize, "mismatch position fits u16");
-        let key_bit = hot_bits::bit_at(key.bytes(), pos);
-
-        let new_off = self.leaves.append(key.bytes(), tid)?;
-        s.fresh_leaf = Some(new_off);
-        let new_leaf = CRef::leaf(new_off);
-
-        if s.stack.is_empty() {
-            // The root was a single leaf: grow into the first 2-entry node.
-            let (zero, one) = if key_bit == 1 {
-                (CRef::leaf(old_off).0 as u64, new_leaf.0 as u64)
-            } else {
-                (new_leaf.0 as u64, CRef::leaf(old_off).0 as u64)
-            };
-            let b = Builder::pair(pos as u16, zero, one, 1);
-            let new_root = self.encode_tracked(&b, s)?;
-            self.publish_root(new_root);
-            self.set_len(self.len() + 1);
-            return Ok(None);
-        }
-
-        // Find the node the new BiNode belongs to (same rule as the heap
-        // trie: deepest node whose root BiNode position is <= the mismatch,
-        // then hand upward-growing single-child cases to the child).
-        let mut level = s.stack.len() - 1;
-        while level > 0 && self.raw(s.stack[level].0).min_position() as usize > pos {
-            level -= 1;
-        }
-        let (_, mut idx) = s.stack[level];
-        let mut raw = self.raw(s.stack[level].0);
-        let (mut lo, mut hi) = raw.affected_range(pos, idx);
-
-        if lo == hi && CRef(raw.cvalue(lo)).is_node() {
-            level += 1;
-            idx = s.stack[level].1;
-            raw = self.raw(s.stack[level].0);
-            (lo, hi) = raw.affected_range(pos, idx);
-            debug_assert_eq!((lo, hi), (0, raw.count() - 1));
-        }
-
-        if lo == hi && CRef(raw.cvalue(lo)).is_leaf() && raw.height() > 1 {
-            // Leaf-node pushdown: a single slot store publishes the new
-            // height-1 node.
-            let old_leaf = CRef(raw.cvalue(lo));
-            let (zero, one) = if key_bit == 1 {
-                (old_leaf.0 as u64, new_leaf.0 as u64)
-            } else {
-                (new_leaf.0 as u64, old_leaf.0 as u64)
-            };
-            let pushed = {
-                let b = Builder::pair(pos as u16, zero, one, 1);
-                self.encode_tracked(&b, s)?
-            };
-            raw.store_cvalue(lo, pushed.0);
-            self.set_len(self.len() + 1);
-            return Ok(None);
-        }
-
-        // General path: decode, insert, re-encode (or split on overflow).
-        let mut builder = s.builder.take().unwrap_or_else(Builder::empty);
-        self.decode_compact_into(raw, &mut builder);
-        builder.insert_entry(pos as u16, idx, key_bit, new_leaf.0 as u64);
-        if !builder.overflowed() {
-            let enc = self.encode_tracked(&builder, s);
-            s.builder = Some(builder);
-            let new_node = enc?;
-            let old_node = s.stack[level].0;
-            self.replace_slot(s, level, new_node);
-            s.retired.push(old_node);
-        } else {
-            self.overflow_compact(s, level, builder)?;
-        }
-        self.set_len(self.len() + 1);
-        Ok(None)
-    }
-
-    /// Resolve an overflowed builder at `level`: split at the root BiNode,
-    /// then parent pull-up (recursing upward) or intermediate node
-    /// creation, growing the tree only at the root — the compact mirror of
-    /// the heap trie's `handle_overflow`.
-    fn overflow_compact(
-        &self,
-        s: &mut CompactScratch,
-        mut level: usize,
-        mut builder: Builder,
-    ) -> Result<(), ArenaFull> {
-        loop {
-            debug_assert!(builder.overflowed());
-            let (pos, left, right) = builder.split_with(|w| self.word_height(w));
-            let left_ref = self.half_ref(&left, s)?;
-            let right_ref = self.half_ref(&right, s)?;
-            let old_node = s.stack[level].0;
-
-            if level == 0 {
-                // Only the root grows the tree height.
-                let h = 1 + self.word_height(left_ref.0 as u64)
-                    .max(self.word_height(right_ref.0 as u64));
-                let b = Builder::pair(pos, left_ref.0 as u64, right_ref.0 as u64, h);
-                let new_root = self.encode_tracked(&b, s)?;
-                self.publish_root(new_root);
-                s.retired.push(old_node);
-                s.builder = Some(builder);
-                return Ok(());
-            }
-
-            let (parent, parent_idx) = s.stack[level - 1];
-            let parent_raw = self.raw(parent);
-            debug_assert!(parent_raw.height() > builder.height);
-            if builder.height + 1 == parent_raw.height() {
-                // Parent pull-up: move the split root BiNode into the parent.
-                let mut pb = Builder::empty();
-                self.decode_compact_into(parent_raw, &mut pb);
-                pb.replace_entry_with_pair_with(
-                    parent_idx,
-                    pos,
-                    left_ref.0 as u64,
-                    right_ref.0 as u64,
-                    |w| self.word_height(w),
-                );
-                s.retired.push(old_node);
-                if pb.overflowed() {
-                    builder = pb;
-                    level -= 1;
-                    continue;
-                }
-                let new_parent = self.encode_tracked(&pb, s)?;
-                self.replace_slot(s, level - 1, new_parent);
-                s.retired.push(parent);
-                s.builder = Some(builder);
-                return Ok(());
-            }
-
-            // Intermediate node creation: room between this node and its
-            // parent, so an extra level does not increase the tree height.
-            let h = 1 + self.word_height(left_ref.0 as u64)
-                .max(self.word_height(right_ref.0 as u64));
-            let b = Builder::pair(pos, left_ref.0 as u64, right_ref.0 as u64, h);
-            let inter = self.encode_tracked(&b, s)?;
-            parent_raw.store_cvalue(parent_idx, inter.0);
-            s.retired.push(old_node);
-            s.builder = Some(builder);
-            return Ok(());
-        }
-    }
-
-    /// Encode a split half, collapsing singleton halves to their bare value.
-    fn half_ref(&self, half: &Builder, s: &mut CompactScratch) -> Result<CRef, ArenaFull> {
-        if half.len() == 1 {
-            Ok(CRef(half.values[0] as u32))
-        } else {
-            self.encode_tracked(half, s)
-        }
-    }
-
-    /// Point the slot holding the node at `level` (or the root) at `new`.
-    fn replace_slot(&self, s: &mut CompactScratch, level: usize, new: CRef) {
-        if level == 0 {
-            self.publish_root(new);
-        } else {
-            let (parent, idx) = s.stack[level - 1];
-            self.raw(parent).store_cvalue(idx, new.0);
-        }
-        s.stack[level].0 = new;
-    }
-
-    /// Remove core. Mirrors the heap trie's `remove_padded`; node encodes
-    /// can hit [`ArenaFull`], in which case the tree is untouched. The
-    /// removed key's leaf record is marked dead only on success.
-    fn remove_inner(
-        &self,
-        s: &mut CompactScratch,
-        key: &PaddedKey,
-    ) -> Result<Option<u64>, ArenaFull> {
-        let root = self.load_root();
-        if root.is_null() {
-            return Ok(None);
-        }
-        s.stack.clear();
-        let cur = self.descend(root, key, Some(&mut s.stack));
-        let off = cur.leaf_off();
-        let mut stored_buf = [0u8; MAX_KEY_LEN];
-        if !self.leaves.equals_key(off, key.bytes(), &mut stored_buf) {
-            return Ok(None);
-        }
-        let tid = self.leaves.tid_at(off);
-
-        let Some(&(node, idx)) = s.stack.last() else {
-            // The root itself was the leaf.
-            self.publish_root(CRef::NULL);
-            self.set_len(0);
-            self.leaves.mark_dead(off);
-            return Ok(Some(tid));
-        };
-        let raw = self.raw(node);
-        let level = s.stack.len() - 1;
-        if raw.count() == 2 {
-            // Underflow: the node collapses to its surviving entry.
-            let survivor = CRef(raw.cvalue(1 - idx));
-            self.replace_slot(s, level, survivor);
-            s.retired.push(node);
-        } else {
-            let mut builder = s.builder.take().unwrap_or_else(Builder::empty);
-            self.decode_compact_into(raw, &mut builder);
-            builder.remove_entry(idx);
-            // Underflow merge: a node shrunk to two entries dissolves into
-            // its parent when there is room.
-            if builder.len() == 2 && level > 0 {
-                let (parent, parent_idx) = s.stack[level - 1];
-                let parent_raw = self.raw(parent);
-                if parent_raw.count() < MAX_FANOUT {
-                    let mut pb = Builder::empty();
-                    self.decode_compact_into(parent_raw, &mut pb);
-                    pb.replace_entry_with_pair_with(
-                        parent_idx,
-                        builder.positions[0],
-                        builder.values[0],
-                        builder.values[1],
-                        |w| self.word_height(w),
-                    );
-                    let enc = self.encode_tracked(&pb, s);
-                    s.builder = Some(builder);
-                    let new_parent = enc?;
-                    self.replace_slot(s, level - 1, new_parent);
-                    s.retired.push(node);
-                    s.retired.push(parent);
-                    self.set_len(self.len() - 1);
-                    self.leaves.mark_dead(off);
-                    return Ok(Some(tid));
-                }
-            }
-            let enc = self.encode_tracked(&builder, s);
-            s.builder = Some(builder);
-            let new_node = enc?;
-            self.replace_slot(s, level, new_node);
-            s.retired.push(node);
-        }
-        self.set_len(self.len() - 1);
-        self.leaves.mark_dead(off);
-        Ok(Some(tid))
-    }
-
-    /// Bulk-load core: validate + collect winners, append their records in
-    /// key order (maximal front-coding), then build nodes bottom-up with
-    /// the heap loader's exact partitioning.
-    ///
-    /// # Panics
-    /// Panics on [`ArenaFull`] mid-build: unlike the incremental paths
-    /// there is no single-publish rollback for a half-built subtree (the
-    /// root stays null; appended records become dead bytes).
-    pub(crate) fn bulk_inner<K: AsRef<[u8]>>(&self, entries: &[(K, u64)]) -> Result<usize, BulkLoadError> {
-        // Pass 1: mirror `bulk::prepare`'s validation and last-write-wins
-        // dedup, but record winner *indices* — records are only appended
-        // once the whole input is validated.
-        let mut winners: Vec<usize> = Vec::with_capacity(entries.len());
-        let mut bounds: Vec<u16> = Vec::with_capacity(entries.len().saturating_sub(1));
-        let mut prev: Option<&[u8]> = None;
-        for (index, (key, tid)) in entries.iter().enumerate() {
-            let key = key.as_ref();
-            assert!(key.len() <= MAX_KEY_LEN, "key longer than MAX_KEY_LEN");
-            assert!(*tid <= MAX_TID, "tid exceeds MAX_TID");
-            if let Some(p) = prev {
-                match hot_bits::first_mismatch_bit(p, key) {
-                    None => {
-                        *winners.last_mut().expect("prev implies a winner") = index;
-                        continue;
-                    }
-                    Some(pos) => {
-                        if key_bit_padded(p, pos) != 0 {
-                            return Err(BulkLoadError::Unsorted { index });
-                        }
-                        bounds.push(pos as u16);
-                    }
-                }
-            }
-            prev = Some(key);
-            winners.push(index);
-        }
-        let n = winners.len();
-        match n {
-            0 => Ok(0),
-            1 => {
-                let (key, tid) = &entries[winners[0]];
-                let off = self
-                    .leaves
-                    .append(key.as_ref(), *tid)
-                    .unwrap_or_else(|e| panic!("bulk load: {e}"));
-                self.publish_root(CRef::leaf(off));
-                self.set_len(1);
-                Ok(1)
-            }
-            _ => {
-                // Pass 2: append winners in key order, then build.
-                let mut leaf_words: Vec<u64> = Vec::with_capacity(n);
-                for &i in &winners {
-                    let (key, tid) = &entries[i];
-                    let off = self
-                        .leaves
-                        .append(key.as_ref(), *tid)
-                        .unwrap_or_else(|e| panic!("bulk load: {e}"));
-                    leaf_words.push(CRef::leaf(off).0 as u64);
-                }
-                let shape = crate::bulk::analyze(&bounds);
-                let root = self.build_part(
-                    &leaf_words,
-                    &bounds,
-                    &shape,
-                    crate::bulk::Part {
-                        lo: 0,
-                        hi: n - 1,
-                        root: shape.root,
-                    },
-                );
-                self.publish_root(root);
-                self.set_len(n);
-                Ok(n)
-            }
-        }
-    }
-
-    /// Build the compact subtrie for `part`, bottom-up (the compact mirror
-    /// of `bulk::build_part`; same forced-split partitioning, so the node
-    /// structure is identical to the heap loader's).
-    fn build_part(
-        &self,
-        leaf_words: &[u64],
-        bounds: &[u16],
-        shape: &crate::bulk::Shape,
-        part: crate::bulk::Part,
-    ) -> CRef {
-        if part.root == crate::bulk::ENTRY {
-            return CRef(leaf_words[part.lo] as u32);
-        }
-        let mut parts = Vec::with_capacity(MAX_FANOUT);
-        crate::bulk::partition_node(shape, part.root, part.lo, part.hi, &mut parts);
-        let fences: Vec<u16> = parts[..parts.len() - 1]
-            .iter()
-            .map(|p| bounds[p.hi])
-            .collect();
-        let values: Vec<u64> = parts
-            .iter()
-            .map(|&p| self.build_part(leaf_words, bounds, shape, p).0 as u64)
-            .collect();
-        let b = Builder::from_fragment_with(&fences, &values, |w| self.word_height(w));
-        self.encode_compact(&b)
-            .unwrap_or_else(|e| panic!("bulk load: {e}"))
-    }
 }
-
-/// Bit `pos` of `key` under the zero-padding convention (same helper as the
-/// heap bulk loader's private `key_bit`).
-#[inline]
-fn key_bit_padded(key: &[u8], pos: usize) -> u8 {
-    let byte = pos / 8;
-    if byte >= key.len() {
-        0
-    } else {
-        (key[byte] >> (7 - pos % 8)) & 1
-    }
-}
-
-// ---- cursors ----------------------------------------------------------------
-
-/// Ordered iterator over the compact trie's TIDs (the arena analogue of
-/// [`Cursor`](crate::Cursor)).
-pub struct CompactCursor<'a> {
-    inner: &'a CompactInner,
-    frames: Vec<(CRef, usize)>,
-    pending: Option<u64>,
-}
-
-impl Iterator for CompactCursor<'_> {
-    type Item = u64;
-
-    fn next(&mut self) -> Option<u64> {
-        if let Some(tid) = self.pending.take() {
-            return Some(tid);
-        }
-        loop {
-            let &(node, idx) = self.frames.last()?;
-            let raw = self.inner.raw(node);
-            if idx >= raw.count() {
-                self.frames.pop();
-                continue;
-            }
-            self.frames.last_mut().expect("non-empty").1 += 1;
-            let value = CRef(raw.cvalue(idx));
-            if value.is_leaf() {
-                return Some(self.inner.leaves.tid_at(value.leaf_off()));
-            }
-            self.frames.push((value, 0));
-        }
-    }
-}
-
-impl CompactInner {
-    /// Iterator over all TIDs in ascending key order.
-    fn iter(&self) -> CompactCursor<'_> {
-        let mut frames = Vec::new();
-        let mut pending = None;
-        let root = self.load_root();
-        if root.is_node() {
-            frames.push((root, 0));
-        } else if root.is_leaf() {
-            pending = Some(self.leaves.tid_at(root.leaf_off()));
-        }
-        CompactCursor {
-            inner: self,
-            frames,
-            pending,
-        }
-    }
-
-    /// Iterator over TIDs whose keys are `>= key` (mirrors the heap trie's
-    /// `range_from` positioning rule exactly).
-    fn range_from(&self, key: &[u8]) -> CompactCursor<'_> {
-        let padded = PaddedKey::from_key(key);
-        let mut frames: Vec<(CRef, usize)> = Vec::new();
-        let mut pending = None;
-        let root = self.load_root();
-
-        if root.is_leaf() {
-            let mut buf = [0u8; MAX_KEY_LEN];
-            let len = self.leaves.load_key_into(root.leaf_off(), &mut buf);
-            if &buf[..len] >= key {
-                pending = Some(self.leaves.tid_at(root.leaf_off()));
-            }
-            return CompactCursor { inner: self, frames, pending };
-        }
-        if root.is_null() {
-            return CompactCursor { inner: self, frames, pending };
-        }
-
-        let mut path: Vec<(CRef, usize)> = Vec::new();
-        let cur = self.descend(root, &padded, Some(&mut path));
-        let mut buf = [0u8; MAX_KEY_LEN];
-        let len = self.leaves.load_key_into(cur.leaf_off(), &mut buf);
-        match hot_bits::first_mismatch_bit(&buf[..len], padded.bytes()) {
-            None => {
-                for &(node, idx) in &path {
-                    frames.push((node, idx + 1));
-                }
-                pending = Some(self.leaves.tid_at(cur.leaf_off()));
-            }
-            Some(pos) => {
-                let mut level = path.len() - 1;
-                while level > 0 && self.raw(path[level].0).min_position() as usize > pos {
-                    level -= 1;
-                }
-                for &(node, idx) in &path[..level] {
-                    frames.push((node, idx + 1));
-                }
-                let (target, idx) = path[level];
-                let (lo, hi) = self.raw(target).affected_range(pos, idx);
-                let start = if hot_bits::bit_at(padded.bytes(), pos) == 0 {
-                    lo
-                } else {
-                    hi + 1
-                };
-                frames.push((target, start));
-            }
-        }
-        CompactCursor { inner: self, frames, pending }
-    }
-}
-
-/// Reusable compact range-scan state (the arena analogue of
-/// [`ScanCursor`](crate::ScanCursor)): padded start key, descent path and
-/// in-order frame stack, all recycled so steady-state scans are
-/// allocation-free.
-pub struct CompactScanCursor {
-    key: Box<PaddedKey>,
-    path: Vec<(CRef, usize)>,
-    frames: Vec<(CRef, usize)>,
-}
-
-impl Default for CompactScanCursor {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl CompactScanCursor {
-    /// A fresh cursor (buffers grow on first use).
-    pub fn new() -> Self {
-        CompactScanCursor {
-            key: Box::new(PaddedKey::new()),
-            path: Vec::new(),
-            frames: Vec::new(),
-        }
-    }
-
-    /// Run one scan, appending up to `limit` TIDs (keys `>= key`,
-    /// ascending) to `out`. The drain prefetches child and sibling
-    /// subtrees exactly like the heap scan.
-    pub(crate) fn scan_root(
-        &mut self,
-        inner: &CompactInner,
-        key: &[u8],
-        limit: usize,
-        out: &mut Vec<u64>,
-    ) {
-        if limit == 0 {
-            return;
-        }
-        let root = inner.load_root();
-        if root.is_null() {
-            return;
-        }
-        if root.is_leaf() {
-            let mut buf = [0u8; MAX_KEY_LEN];
-            let len = inner.leaves.load_key_into(root.leaf_off(), &mut buf);
-            if &buf[..len] >= key {
-                out.push(inner.leaves.tid_at(root.leaf_off()));
-            }
-            return;
-        }
-        self.key.set(key);
-        self.path.clear();
-        let cur = inner.descend(root, &self.key, Some(&mut self.path));
-        let limit = limit.saturating_add(out.len());
-        position_frames(inner, &self.key, &self.path, cur, &mut self.frames, out);
-        drain_frames(inner, &mut self.frames, limit, out);
-    }
-}
-
-/// Turn a completed compact seek descent into an in-order frame stack
-/// positioned at the first entry `>= key` (mirrors `scan::position_frames`).
-fn position_frames(
-    inner: &CompactInner,
-    key: &PaddedKey,
-    path: &[(CRef, usize)],
-    leaf: CRef,
-    frames: &mut Vec<(CRef, usize)>,
-    out: &mut Vec<u64>,
-) {
-    frames.clear();
-    let mut buf = [0u8; MAX_KEY_LEN];
-    let mismatch = if leaf.is_leaf() {
-        let len = inner.leaves.load_key_into(leaf.leaf_off(), &mut buf);
-        hot_bits::first_mismatch_bit(&buf[..len], key.bytes())
-    } else {
-        Some(0)
-    };
-    match mismatch {
-        None => {
-            for &(node, idx) in path {
-                frames.push((node, idx + 1));
-            }
-            out.push(inner.leaves.tid_at(leaf.leaf_off()));
-        }
-        Some(pos) => {
-            let mut level = path.len() - 1;
-            while level > 0 && inner.raw(path[level].0).min_position() as usize > pos {
-                level -= 1;
-            }
-            for &(node, idx) in &path[..level] {
-                frames.push((node, idx + 1));
-            }
-            let (target, idx) = path[level];
-            let (lo, hi) = inner.raw(target).affected_range(pos, idx);
-            let start = if hot_bits::bit_at(key.bytes(), pos) == 0 {
-                lo
-            } else {
-                hi + 1
-            };
-            frames.push((target, start));
-        }
-    }
-}
-
-/// Drain a compact in-order frame stack until `out` holds `limit` TIDs,
-/// prefetching one subtree ahead (mirrors `scan::drain_frames`; sibling
-/// leaf records prefetch through their offsets too).
-fn drain_frames(
-    inner: &CompactInner,
-    frames: &mut Vec<(CRef, usize)>,
-    limit: usize,
-    out: &mut Vec<u64>,
-) {
-    while out.len() < limit {
-        let Some(frame) = frames.last_mut() else {
-            break;
-        };
-        // The value section is located once per frame visit, as in the
-        // heap drain.
-        let raw = inner.raw(frame.0);
-        let (count, values) = (raw.count(), raw.cvalues_ptr() as *const u8);
-        let mut child = CRef::NULL;
-        while frame.1 < count && out.len() < limit && !child.is_node() {
-            // SAFETY: slot `frame.1 < count` of a live compact node.
-            let value = CRef(unsafe { CompactSlot::load(values, frame.1) });
-            frame.1 += 1;
-            if value.is_leaf() {
-                out.push(inner.leaves.tid_at(value.leaf_off()));
-            } else {
-                child = value;
-            }
-        }
-        if child.is_node() {
-            hot_bits::prefetch_node(inner.raw(child).base, PREFETCH_LINES);
-            if frame.1 < count {
-                // SAFETY: slot `frame.1 < count` of a live compact node.
-                let sib = CRef(unsafe { CompactSlot::load(values, frame.1) });
-                if sib.is_node() {
-                    hot_bits::prefetch_node(inner.raw(sib).base, SIBLING_PREFETCH_LINES);
-                } else if sib.is_leaf() {
-                    inner.leaves.prefetch(sib.leaf_off());
-                }
-            }
-            frames.push((child, 0));
-        } else if frame.1 >= count {
-            frames.pop();
-        }
-    }
-}
-
-/// Fixed group size of the compact batched-lookup pipeline.
-const BATCH_GROUP: usize = 8;
-
-/// Software-pipelined batched point lookups over the compact trie: G
-/// descents advance round-robin one level per round, each hop prefetching
-/// its lane's next node — or, on the last hop, the lane's inline leaf
-/// record, so the verify phase finds both key suffix and TID cache-warm.
-pub struct CompactBatchCursor {
-    keys: Vec<PaddedKey>,
-    lanes: Vec<CRef>,
-}
-
-impl Default for CompactBatchCursor {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl CompactBatchCursor {
-    /// A fresh cursor with the default group size.
-    pub fn new() -> Self {
-        CompactBatchCursor {
-            keys: vec![PaddedKey::new(); BATCH_GROUP],
-            lanes: vec![CRef::NULL; BATCH_GROUP],
-        }
-    }
-
-    /// The pipeline group size.
-    pub fn group(&self) -> usize {
-        BATCH_GROUP
-    }
-
-    /// Answer one group of at most [`group`](Self::group) keys — the
-    /// group's one ISA dispatch.
-    pub(crate) fn run_group<Q: AsRef<[u8]>>(&mut self, inner: &CompactInner, keys: &[Q], out: &mut [Option<u64>]) {
-        match hot_bits::features().isa() {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: the token proves detection found every enabled feature.
-            Isa::Avx2(k) => unsafe { self.run_group_avx2(k, inner, keys, out) },
-            Isa::Portable(k) => self.run_group_on(k, inner, keys, out),
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2,bmi1,bmi2,lzcnt,popcnt")]
-    fn run_group_avx2<Q: AsRef<[u8]>>(
-        &mut self,
-        k: hot_bits::Avx2,
-        inner: &CompactInner,
-        keys: &[Q],
-        out: &mut [Option<u64>],
-    ) {
-        self.run_group_on(k, inner, keys, out)
-    }
-
-    #[inline(always)]
-    fn run_group_on<K: Kernel, Q: AsRef<[u8]>>(
-        &mut self,
-        k: K,
-        inner: &CompactInner,
-        keys: &[Q],
-        out: &mut [Option<u64>],
-    ) {
-        let g = keys.len();
-        debug_assert!(g <= BATCH_GROUP && out.len() == g);
-        let root = inner.load_root();
-        for (i, key) in keys.iter().enumerate() {
-            self.keys[i].set(key.as_ref());
-            self.lanes[i] = root;
-        }
-        if root.is_node() {
-            hot_bits::prefetch_node(inner.raw(root).base, PREFETCH_LINES);
-        }
-        loop {
-            let mut active = false;
-            for i in 0..g {
-                let cur = self.lanes[i];
-                if !cur.is_node() {
-                    continue;
-                }
-                active = true;
-                let raw = inner.raw(cur);
-                let (_, next) = raw.find_candidate::<K, CompactSlot>(k, self.keys[i].padded());
-                let next = CRef(next);
-                if next.is_node() {
-                    hot_bits::prefetch_node(inner.raw(next).base, PREFETCH_LINES);
-                } else if next.is_leaf() {
-                    inner.leaves.prefetch(next.leaf_off());
-                }
-                self.lanes[i] = next;
-            }
-            if !active {
-                break;
-            }
-        }
-        let mut buf = [0u8; MAX_KEY_LEN];
-        for (i, slot) in out.iter_mut().enumerate().take(g) {
-            let cur = self.lanes[i];
-            *slot = if cur.is_leaf() {
-                let off = cur.leaf_off();
-                if inner.leaves.equals_key(off, self.keys[i].bytes(), &mut buf) {
-                    Some(inner.leaves.tid_at(off))
-                } else {
-                    None
-                }
-            } else {
-                None
-            };
-        }
-    }
-}
-
-// ---- diagnostics ------------------------------------------------------------
-
-impl CompactInner {
-    /// Whole-trie invariant walk producing the same
-    /// [`InvariantReport`](crate::InvariantReport) as the heap walker:
-    /// fanout bounds, linearization well-formedness, SIMD-search
-    /// self-consistency, strict height decrease, in-order key ordering,
-    /// leaf count, and full re-lookup of every stored key through
-    /// [`get_padded`](Self::get_padded).
-    pub(crate) fn try_check_invariants(&self) -> Result<crate::InvariantReport, String> {
-        let root = self.load_root();
-        let expected_len = self.len();
-        let mut report = crate::InvariantReport {
-            nodes: 0,
-            leaves: 0,
-            height: 0,
-            height_slack: 0,
-            entries: 0,
-            layout_census: [0; 9],
-            leaf_depths: [0; crate::invariants::MAX_DEPTH_SLOTS],
-        };
-        if root.is_null() {
-            if expected_len != 0 {
-                return Err(format!("empty root but len is {expected_len}"));
-            }
-            return Ok(report);
-        }
-        let mut prev_key: Vec<u8> = Vec::new();
-        let mut have_prev = false;
-        let mut leaf_offs: Vec<u32> = Vec::with_capacity(expected_len);
-        report.height =
-            self.walk_invariants(root, 0, &mut prev_key, &mut have_prev, &mut leaf_offs, &mut report)?;
-        if report.leaves != expected_len {
-            return Err(format!(
-                "leaf count {} does not match len {expected_len}",
-                report.leaves
-            ));
-        }
-        let mut buf = [0u8; MAX_KEY_LEN];
-        let mut verify = [0u8; MAX_KEY_LEN];
-        let mut padded = PaddedKey::new();
-        for off in leaf_offs {
-            let len = self.leaves.load_key_into(off, &mut buf);
-            padded.set(&buf[..len]);
-            let tid = self.leaves.tid_at(off);
-            match self.get_padded(&padded, &mut verify) {
-                Some(found) if found == tid => {}
-                other => {
-                    return Err(format!(
-                        "stored key for tid {tid} resolves to {other:?} through \
-                         the compact lookup path"
-                    ));
-                }
-            }
-        }
-        Ok(report)
-    }
-
-    /// Check the subtree under `r`; returns its height (leaves are 0).
-    #[allow(clippy::too_many_arguments)]
-    fn walk_invariants(
-        &self,
-        r: CRef,
-        depth: usize,
-        prev_key: &mut Vec<u8>,
-        have_prev: &mut bool,
-        leaf_offs: &mut Vec<u32>,
-        report: &mut crate::InvariantReport,
-    ) -> Result<usize, String> {
-        if r.is_null() {
-            return Err(format!("null child reference at depth {depth}"));
-        }
-        if r.is_leaf() {
-            let off = r.leaf_off();
-            let mut buf = [0u8; MAX_KEY_LEN];
-            let len = self.leaves.load_key_into(off, &mut buf);
-            let key = &buf[..len];
-            if *have_prev && prev_key.as_slice() >= key {
-                return Err(format!(
-                    "partition ordering violated: leaf at offset {off}, depth \
-                     {depth} is not strictly greater than its in-order \
-                     predecessor ({prev_key:?} >= {key:?})"
-                ));
-            }
-            prev_key.clear();
-            prev_key.extend_from_slice(key);
-            *have_prev = true;
-            leaf_offs.push(off);
-            report.leaves += 1;
-            report.leaf_depths[depth.min(crate::invariants::MAX_DEPTH_SLOTS - 1)] += 1;
-            return Ok(0);
-        }
-        let raw = self.raw(r);
-        let n = raw.count();
-        let h = raw.height() as usize;
-        let ctx =
-            |what: &str| format!("compact node at depth {depth} (tag {:?}, n={n}, h={h}): {what}", raw.tag);
-        if !(2..=MAX_FANOUT).contains(&n) {
-            return Err(ctx("entry count outside 2..=32"));
-        }
-        if h < 1 {
-            return Err(ctx("compound node with height 0"));
-        }
-        // Compact nodes never take the ROWEX lock; the header word must
-        // still read zero (a quiesced plain read, not a protocol atomic).
-        // SAFETY: the header is initialized and 4-byte aligned.
-        let lock = unsafe { std::ptr::read(raw.base as *const u32) };
-        if lock != 0 {
-            return Err(ctx("compact node lock word is not zero"));
-        }
-        let mut builder = Builder::empty();
-        self.decode_compact_into(raw, &mut builder);
-        builder
-            .try_check_invariants()
-            .map_err(|e| ctx(&format!("linearization invalid: {e}")))?;
-        for i in 0..n {
-            let found = raw.search(raw.sparse_key(i));
-            if found != i {
-                return Err(ctx(&format!(
-                    "search(sparse_key({i})) returned {found}, not {i}"
-                )));
-            }
-        }
-        report.nodes += 1;
-        report.entries += n;
-        report.layout_census[raw.tag as usize] += 1;
-        let mut max_child = 0usize;
-        for i in 0..n {
-            let ch = self.walk_invariants(
-                CRef(raw.cvalue(i)),
-                depth + 1,
-                prev_key,
-                have_prev,
-                leaf_offs,
-                report,
-            )?;
-            if ch >= h {
-                return Err(ctx(&format!(
-                    "entry {i}: child height {ch} >= node height {h}"
-                )));
-            }
-            max_child = max_child.max(ch);
-        }
-        if h > 1 + max_child {
-            report.height_slack += 1;
-        }
-        Ok(h)
-    }
-
-    /// Count of live nodes per physical layout.
-    pub(crate) fn layout_census(&self) -> [usize; 9] {
-        let mut census = [0usize; 9];
-        fn walk(inner: &CompactInner, r: CRef, census: &mut [usize; 9]) {
-            if r.is_node() {
-                let raw = inner.raw(r);
-                census[raw.tag as usize] += 1;
-                for i in 0..raw.count() {
-                    walk(inner, CRef(raw.cvalue(i)), census);
-                }
-            }
-        }
-        walk(self, self.load_root(), &mut census);
-        census
-    }
-
-    /// Leaf-depth histogram.
-    pub(crate) fn depth_stats(&self) -> DepthStats {
-        let mut stats = DepthStats::new();
-        fn walk(inner: &CompactInner, r: CRef, depth: usize, stats: &mut DepthStats) {
-            if r.is_leaf() {
-                stats.record(depth);
-            } else if r.is_node() {
-                let raw = inner.raw(r);
-                for i in 0..raw.count() {
-                    walk(inner, CRef(raw.cvalue(i)), depth + 1, stats);
-                }
-            }
-        }
-        walk(self, self.load_root(), 0, &mut stats);
-        stats
-    }
-
-    /// Structural fingerprint with the exact mixing of the heap
-    /// [`structure_digest`](crate::HotTrie::structure_digest), so equal
-    /// digests across backends mean structurally identical trees (tags,
-    /// heights, positions, sparse keys, leaf TID order).
-    pub(crate) fn structure_digest(&self) -> u64 {
-        fn mix(h: u64, v: u64) -> u64 {
-            (h ^ v).wrapping_mul(0x100_0000_01b3).rotate_left(17)
-        }
-        fn walk(inner: &CompactInner, r: CRef, mut h: u64) -> u64 {
-            if r.is_leaf() {
-                return mix(h, inner.leaves.tid_at(r.leaf_off()) ^ 0xAAAA_AAAA);
-            }
-            if r.is_null() {
-                return mix(h, 0x5555);
-            }
-            let raw = inner.raw(r);
-            h = mix(h, raw.tag as u64);
-            h = mix(h, raw.height() as u64);
-            for p in raw.positions() {
-                h = mix(h, p as u64);
-            }
-            for i in 0..raw.count() {
-                h = mix(h, raw.sparse_key(i) as u64);
-                h = walk(inner, CRef(raw.cvalue(i)), h);
-            }
-            h
-        }
-        walk(self, self.load_root(), 0xcbf2_9ce4_8422_2325)
-    }
-
-    /// Allocator-level accounting for both arenas.
-    pub(crate) fn arena_stats(&self) -> ArenaStats {
-        let nodes = self.nodes.state.lock().expect("node arena poisoned");
-        let leaves = self.leaves.state.lock().expect("leaf arena poisoned");
-        ArenaStats {
-            node_capacity_bytes: nodes.slab_count * SLAB_BYTES,
-            node_live_bytes: nodes.live_bytes,
-            node_live_count: nodes.live_nodes,
-            node_hwm_bytes: nodes.hwm_bytes,
-            leaf_capacity_bytes: leaves.slab_count * SLAB_BYTES,
-            leaf_tail_bytes: leaves.tail as usize,
-            leaf_dead_bytes: leaves.dead_bytes,
-            leaf_records: leaves.records,
-        }
-    }
-
-    /// Index memory footprint in [`MemoryStats`] terms: live node bytes,
-    /// live leaf-record bytes as `aux_bytes` (the compact backend stores
-    /// its keys inline), and the arenas' reserved slab memory as
-    /// `capacity_bytes`.
-    pub(crate) fn memory_stats(&self) -> MemoryStats {
-        let stats = self.arena_stats();
-        MemoryStats {
-            node_bytes: stats.node_live_bytes,
-            node_count: stats.node_live_count,
-            aux_bytes: stats.leaf_tail_bytes - stats.leaf_dead_bytes,
-            key_count: self.len(),
-            capacity_bytes: stats.capacity_bytes(),
-        }
-    }
-}
-
-// ---- mutation choreography --------------------------------------------------
-
-/// Run one insert with the fresh/retired protocol: on success the replaced
-/// nodes are left in `s.retired` for the caller to reclaim (immediately for
-/// the single-threaded wrapper, epoch-deferred for the concurrent one); on
-/// [`ArenaFull`] every unpublished allocation is rolled back and the tree
-/// is untouched.
-pub(crate) fn insert_op(
-    inner: &CompactInner,
-    s: &mut CompactScratch,
-    key: &PaddedKey,
-    tid: u64,
-) -> Result<Option<u64>, ArenaFull> {
-    s.fresh.clear();
-    s.retired.clear();
-    s.fresh_leaf = None;
-    match inner.insert_inner(s, key, tid) {
-        Ok(prev) => {
-            s.fresh.clear();
-            s.fresh_leaf = None;
-            Ok(prev)
-        }
-        Err(e) => {
-            for r in s.fresh.drain(..) {
-                inner.free_node(r);
-            }
-            if let Some(off) = s.fresh_leaf.take() {
-                inner.leaves.mark_dead(off);
-            }
-            s.retired.clear();
-            Err(e)
-        }
-    }
-}
-
-/// Run one remove with the same protocol as [`insert_op`].
-pub(crate) fn remove_op(
-    inner: &CompactInner,
-    s: &mut CompactScratch,
-    key: &PaddedKey,
-) -> Result<Option<u64>, ArenaFull> {
-    s.fresh.clear();
-    s.retired.clear();
-    s.fresh_leaf = None;
-    match inner.remove_inner(s, key) {
-        Ok(prev) => {
-            s.fresh.clear();
-            s.fresh_leaf = None;
-            Ok(prev)
-        }
-        Err(e) => {
-            for r in s.fresh.drain(..) {
-                inner.free_node(r);
-            }
-            if let Some(off) = s.fresh_leaf.take() {
-                inner.leaves.mark_dead(off);
-            }
-            s.retired.clear();
-            Err(e)
-        }
-    }
-}
-
-// ---- public single-threaded facade ------------------------------------------
 
 /// Arena-backed HOT trie: nodes and front-coded leaf records live in slab
-/// arenas addressed by 32-bit [`CRef`] offset words, so child arrays are
-/// half the size of the heap backend's and the final descent hop lands on
-/// the key bytes it must verify.
+/// arenas addressed by 32-bit offset words, so child arrays are half the
+/// size of the heap backend's and the final descent hop lands on the key
+/// bytes it must verify.
 ///
-/// The API mirrors [`HotTrie`](crate::HotTrie); results are byte-identical
-/// (asserted by the differential suite via [`structure_digest`]
-/// (Self::structure_digest) equality). The heap backend remains the
-/// oracle — this backend trades its external `KeySource` for inline
-/// records and 32-bit references to cut bytes/key.
-pub struct CompactHot {
-    inner: CompactInner,
-    scratch: CompactScratch,
-}
+/// The same [`Trie`] as [`HotTrie`](crate::HotTrie), over the other store:
+/// same API, structurally identical trees (asserted by the differential
+/// suite via [`structure_digest`](Trie::structure_digest) equality). It
+/// trades the external `KeySource` for inline records and 32-bit
+/// references to cut bytes/key; mutations that would exceed an arena
+/// ceiling fail with a typed [`ArenaFull`] through `try_insert` /
+/// `try_remove`.
+pub type CompactHot = Trie<ArenaStore>;
 
-impl Default for CompactHot {
+impl Default for Trie<ArenaStore> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl CompactHot {
+impl Trie<ArenaStore> {
     /// An empty compact trie with the default arena ceilings (the full
     /// 32-bit addressable range; slabs are committed on demand).
     pub fn new() -> Self {
@@ -2063,243 +1029,29 @@ impl CompactHot {
     /// exceed a ceiling fail with a typed [`ArenaFull`]; useful for tests
     /// and for bounding index memory in embedding systems.
     pub fn with_capacity(node_cap_bytes: usize, leaf_cap_bytes: usize) -> Self {
-        CompactHot {
-            inner: CompactInner::new(node_cap_bytes, leaf_cap_bytes),
-            scratch: CompactScratch::new(),
-        }
+        Trie::over(ArenaStore::new(node_cap_bytes, leaf_cap_bytes))
     }
 
-    /// Number of stored keys.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// True when no keys are stored.
-    pub fn is_empty(&self) -> bool {
-        self.inner.len() == 0
-    }
-
-    /// Overall tree height in compound nodes (0 for empty or single-leaf
-    /// trees).
-    pub fn height(&self) -> usize {
-        let root = self.inner.load_root();
-        if root.is_node() {
-            self.inner.raw(root).height() as usize
-        } else {
-            0
-        }
-    }
-
-    /// Look up `key`; returns its TID if present. One descent over
-    /// offset-word children plus an inline front-coded verify.
-    pub fn get(&self, key: &[u8]) -> Option<u64> {
-        let padded = PaddedKey::from_key(key);
-        let mut buf = [0u8; MAX_KEY_LEN];
-        self.inner.get_padded(&padded, &mut buf)
-    }
-
-    /// Like [`get`](Self::get) with a caller-provided padded-key buffer.
-    pub fn get_with(&self, key: &[u8], buf: &mut PaddedKey) -> Option<u64> {
-        buf.set(key);
-        let mut kb = [0u8; MAX_KEY_LEN];
-        self.inner.get_padded(buf, &mut kb)
-    }
-
-    /// True when `key` is present.
-    pub fn contains(&self, key: &[u8]) -> bool {
-        self.get(key).is_some()
-    }
-
-    /// Batched point lookups through a fresh pipeline cursor (see
-    /// [`get_batch_with`](Self::get_batch_with) to amortize the cursor).
-    ///
-    /// # Panics
-    /// Panics if `out.len() != keys.len()`.
-    pub fn get_batch<K: AsRef<[u8]>>(&self, keys: &[K], out: &mut [Option<u64>]) {
-        let mut cursor = CompactBatchCursor::new();
-        self.get_batch_with(&mut cursor, keys, out);
-    }
-
-    /// Batched point lookups with a caller-owned [`CompactBatchCursor`]:
-    /// lookups advance in software-pipelined groups so independent descent
-    /// hops overlap their cache misses.
-    ///
-    /// # Panics
-    /// Panics if `out.len() != keys.len()`.
-    pub fn get_batch_with<K: AsRef<[u8]>>(
-        &self,
-        cursor: &mut CompactBatchCursor,
-        keys: &[K],
-        out: &mut [Option<u64>],
-    ) {
-        assert_eq!(keys.len(), out.len(), "output slice length mismatch");
-        let g = cursor.group();
-        for (kc, oc) in keys.chunks(g).zip(out.chunks_mut(g)) {
-            cursor.run_group(&self.inner, kc, oc);
-        }
-    }
-
-    /// Insert `key -> tid`; returns the previous TID on upsert.
-    ///
-    /// # Panics
-    /// Panics if `tid` exceeds [`MAX_TID`], the key exceeds
-    /// [`MAX_KEY_LEN`](hot_keys::MAX_KEY_LEN) bytes, or an arena ceiling is
-    /// hit (use [`try_insert`](Self::try_insert) to handle that case).
-    pub fn insert(&mut self, key: &[u8], tid: u64) -> Option<u64> {
-        self.try_insert(key, tid)
-            .unwrap_or_else(|e| panic!("compact insert: {e}"))
-    }
-
-    /// Insert `key -> tid`, reporting arena exhaustion as a typed error
-    /// instead of panicking. On [`ArenaFull`] the tree is unchanged.
+    /// [`insert`](Trie::insert), reporting arena exhaustion as a typed
+    /// error instead of panicking. On [`ArenaFull`] the tree is unchanged.
     ///
     /// # Panics
     /// Panics if `tid` exceeds [`MAX_TID`] or the key exceeds
-    /// [`MAX_KEY_LEN`](hot_keys::MAX_KEY_LEN) bytes.
+    /// [`MAX_KEY_LEN`] bytes.
     pub fn try_insert(&mut self, key: &[u8], tid: u64) -> Result<Option<u64>, ArenaFull> {
-        assert!(tid <= MAX_TID, "tid exceeds MAX_TID");
-        let mut key_buf = self.scratch.key_buf.take().unwrap_or_default();
-        key_buf.set(key);
-        let result = insert_op(&self.inner, &mut self.scratch, &key_buf, tid);
-        self.scratch.key_buf = Some(key_buf);
-        if result.is_ok() {
-            for r in self.scratch.retired.drain(..) {
-                self.inner.free_node(r);
-            }
-        }
-        result
+        self.insert_fallible(key, tid)
     }
 
-    /// Remove `key`; returns its TID if it was present.
-    ///
-    /// # Panics
-    /// Panics if an arena ceiling is hit while re-encoding a merged node
-    /// (use [`try_remove`](Self::try_remove) to handle that case).
-    pub fn remove(&mut self, key: &[u8]) -> Option<u64> {
-        self.try_remove(key)
-            .unwrap_or_else(|e| panic!("compact remove: {e}"))
-    }
-
-    /// Remove `key`, reporting arena exhaustion as a typed error. On
-    /// [`ArenaFull`] the tree is unchanged.
+    /// [`remove`](Trie::remove), reporting arena exhaustion as a typed
+    /// error. On [`ArenaFull`] the tree is unchanged.
     pub fn try_remove(&mut self, key: &[u8]) -> Result<Option<u64>, ArenaFull> {
-        let mut key_buf = self.scratch.key_buf.take().unwrap_or_default();
-        key_buf.set(key);
-        let result = remove_op(&self.inner, &mut self.scratch, &key_buf);
-        self.scratch.key_buf = Some(key_buf);
-        if result.is_ok() {
-            for r in self.scratch.retired.drain(..) {
-                self.inner.free_node(r);
-            }
-        }
-        result
-    }
-
-    /// Bulk-load sorted `(key, tid)` pairs into an empty trie: records are
-    /// appended in key order (maximal front-coding), then nodes are built
-    /// bottom-up with the heap loader's exact partitioning. Returns the
-    /// number of keys loaded (duplicates collapse last-write-wins).
-    ///
-    /// # Panics
-    /// Panics if an arena ceiling is hit mid-build (no rollback for a
-    /// half-built subtree).
-    pub fn bulk_load<K: AsRef<[u8]>>(
-        &mut self,
-        entries: &[(K, u64)],
-    ) -> Result<usize, BulkLoadError> {
-        if !self.inner.load_root().is_null() {
-            return Err(BulkLoadError::NotEmpty);
-        }
-        self.inner.bulk_inner(entries)
-    }
-
-    /// Iterator over all TIDs in ascending key order.
-    pub fn iter(&self) -> CompactCursor<'_> {
-        self.inner.iter()
-    }
-
-    /// Iterator over TIDs whose keys are `>= key`, ascending.
-    pub fn range_from(&self, key: &[u8]) -> CompactCursor<'_> {
-        self.inner.range_from(key)
-    }
-
-    /// Collect up to `limit` TIDs with keys `>= key`, in ascending key
-    /// order.
-    pub fn scan(&self, key: &[u8], limit: usize) -> Vec<u64> {
-        let mut out = Vec::with_capacity(limit.min(1024));
-        self.scan_into(key, limit, &mut out);
-        out
-    }
-
-    /// Like [`scan`](Self::scan) into a caller buffer (cleared first).
-    pub fn scan_into(&self, key: &[u8], limit: usize, out: &mut Vec<u64>) {
-        let mut cursor = CompactScanCursor::new();
-        self.scan_with(&mut cursor, key, limit, out);
-    }
-
-    /// Like [`scan`](Self::scan) with a caller-owned reusable cursor
-    /// (`out` is cleared first): steady-state scans allocate nothing.
-    pub fn scan_with(
-        &self,
-        cursor: &mut CompactScanCursor,
-        key: &[u8],
-        limit: usize,
-        out: &mut Vec<u64>,
-    ) {
-        out.clear();
-        cursor.scan_root(&self.inner, key, limit, out);
-    }
-
-    /// Index memory footprint (live bytes plus reserved arena capacity).
-    pub fn memory_stats(&self) -> MemoryStats {
-        self.inner.memory_stats()
+        self.remove_fallible(key)
     }
 
     /// Allocator-level accounting for both arenas (capacity, live bytes,
     /// high-water mark, dead front-coded bytes).
     pub fn arena_stats(&self) -> ArenaStats {
-        self.inner.arena_stats()
-    }
-
-    /// Leaf-depth histogram.
-    pub fn depth_stats(&self) -> DepthStats {
-        self.inner.depth_stats()
-    }
-
-    /// Count of live nodes per physical layout.
-    pub fn layout_census(&self) -> [usize; 9] {
-        self.inner.layout_census()
-    }
-
-    /// Structural fingerprint; equal to the heap backend's
-    /// [`structure_digest`](crate::HotTrie::structure_digest) for the same
-    /// key set.
-    pub fn structure_digest(&self) -> u64 {
-        self.inner.structure_digest()
-    }
-
-    /// Whole-trie invariant walk; see
-    /// [`HotTrie::try_check_invariants`](crate::HotTrie::try_check_invariants).
-    pub fn try_check_invariants(&self) -> Result<crate::InvariantReport, String> {
-        self.inner.try_check_invariants()
-    }
-
-    /// Like [`try_check_invariants`](Self::try_check_invariants) but
-    /// panics on violation.
-    pub fn check_invariants(&self) -> crate::InvariantReport {
-        match self.inner.try_check_invariants() {
-            Ok(report) => report,
-            Err(e) => panic!("compact invariant violation: {e}"),
-        }
-    }
-}
-
-impl<'a> IntoIterator for &'a CompactHot {
-    type Item = u64;
-    type IntoIter = CompactCursor<'a>;
-
-    fn into_iter(self) -> CompactCursor<'a> {
-        self.iter()
+        self.store().arena_stats()
     }
 }
 

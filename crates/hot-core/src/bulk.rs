@@ -37,14 +37,17 @@
 //!    assigned bottom-up (`1 +` tallest child), so the result satisfies
 //!    every `check_invariants()` height and ordering rule by construction.
 //! 3. **Parallelize** — the root fragment's ≤ 32 parts are *partition
-//!    fences*: independent contiguous subtries. [`build_parallel`] assigns
-//!    them largest-first onto `std::thread` workers (the node allocator is
-//!    already thread-local; the [`MemCounter`] is atomic), then grafts the
+//!    fences*: independent contiguous subtries. `build_parallel` assigns
+//!    them largest-first onto `std::thread` workers (the heap node allocator
+//!    is thread-local and its [`MemCounter`](crate::MemCounter) atomic; the
+//!    arenas take their writer lock per allocation), then grafts the
 //!    finished subtrie roots under a root node built from the fence
 //!    positions — the same node the sequential pass would build.
 
+use crate::arena::ArenaFull;
 use crate::node::builder::Builder;
-use crate::node::{MemCounter, NodeRef, MAX_FANOUT};
+use crate::node::{TreeRef, MAX_FANOUT};
+use crate::store::{height_of, NodeStore};
 use hot_keys::{MAX_KEY_LEN, MAX_TID};
 
 /// Rejected bulk-load input.
@@ -59,6 +62,11 @@ pub enum BulkLoadError {
     /// The target index already holds entries; bulk loading only constructs
     /// whole tries.
     NotEmpty,
+    /// An arena ceiling was hit mid-build (compact back-end only). Nothing
+    /// was published: the nodes built so far are back on the free list, the
+    /// appended leaf records are accounted dead, and the index is still
+    /// empty and usable.
+    ArenaFull(ArenaFull),
 }
 
 impl std::fmt::Display for BulkLoadError {
@@ -68,21 +76,36 @@ impl std::fmt::Display for BulkLoadError {
                 write!(f, "bulk-load input is not sorted at entry {index}")
             }
             BulkLoadError::NotEmpty => write!(f, "bulk load requires an empty index"),
+            BulkLoadError::ArenaFull(e) => write!(f, "bulk load: {e}"),
         }
     }
 }
 
 impl std::error::Error for BulkLoadError {}
 
-/// Validated, deduplicated bulk-load input: the value words plus the
+impl From<ArenaFull> for BulkLoadError {
+    fn from(e: ArenaFull) -> Self {
+        BulkLoadError::ArenaFull(e)
+    }
+}
+
+impl From<std::convert::Infallible> for BulkLoadError {
+    fn from(e: std::convert::Infallible) -> Self {
+        match e {}
+    }
+}
+
+/// Validated, deduplicated bulk-load input: which entries survive plus the
 /// boundary array. The keys themselves are not retained — construction
-/// needs only the adjacent-pair mismatch positions.
+/// needs only the adjacent-pair mismatch positions, and the store makes
+/// the leaves in a second pass, once the whole input is known to be sorted.
 #[derive(Debug)]
 pub(crate) struct Prepared {
-    /// TIDs in key order, duplicates collapsed (last write wins).
-    pub tids: Vec<u64>,
+    /// Indices into the input of the entries in key order, duplicates
+    /// collapsed (last write wins).
+    pub winners: Vec<usize>,
     /// `bounds[i]` = first mismatching bit between (deduplicated) keys `i`
-    /// and `i + 1`; length `tids.len() - 1`.
+    /// and `i + 1`; length `winners.len() - 1`.
     pub bounds: Vec<u16>,
 }
 
@@ -90,7 +113,7 @@ pub(crate) struct Prepared {
 /// and record every adjacent-pair mismatch position.
 pub(crate) fn prepare<K: AsRef<[u8]>>(entries: &[(K, u64)]) -> Result<Prepared, BulkLoadError> {
     let n = entries.len();
-    let mut tids: Vec<u64> = Vec::with_capacity(n);
+    let mut winners: Vec<usize> = Vec::with_capacity(n);
     let mut bounds: Vec<u16> = Vec::with_capacity(n.saturating_sub(1));
     let mut prev: Option<&[u8]> = None;
     for (index, (key, tid)) in entries.iter().enumerate() {
@@ -101,7 +124,7 @@ pub(crate) fn prepare<K: AsRef<[u8]>>(entries: &[(K, u64)]) -> Result<Prepared, 
             match hot_bits::first_mismatch_bit(p, key) {
                 None => {
                     // Same key bytes: last write wins, deterministically.
-                    *tids.last_mut().expect("prev implies an entry") = *tid;
+                    *winners.last_mut().expect("prev implies an entry") = index;
                     continue;
                 }
                 Some(pos) => {
@@ -115,9 +138,9 @@ pub(crate) fn prepare<K: AsRef<[u8]>>(entries: &[(K, u64)]) -> Result<Prepared, 
             }
         }
         prev = Some(key);
-        tids.push(*tid);
+        winners.push(index);
     }
-    Ok(Prepared { tids, bounds })
+    Ok(Prepared { winners, bounds })
 }
 
 /// Bit `pos` of `key` under the zero-padding convention.
@@ -249,17 +272,19 @@ fn descend(shape: &Shape, j: usize, lo: usize, hi: usize, target: u32, parts: &m
     }
 }
 
-/// Build the subtrie for `part`, bottom-up. Every compound node is encoded
-/// exactly once, at exactly its DP-minimal height.
-pub(crate) fn build_part(
-    tids: &[u64],
+/// Build the subtrie for `part`, bottom-up, over the leaf words `leaves`.
+/// Every compound node is encoded exactly once, at exactly its DP-minimal
+/// height. On `Err` the nodes built so far stay with the store, which
+/// rolls them back at [`NodeStore::settle`].
+pub(crate) fn build_part<St: NodeStore>(
+    store: &St,
+    leaves: &[u64],
     bounds: &[u16],
     shape: &Shape,
     part: Part,
-    mem: &MemCounter,
-) -> NodeRef {
+) -> Result<St::Ref, St::Full> {
     if part.root == ENTRY {
-        return NodeRef::leaf(tids[part.lo]);
+        return Ok(St::Ref::from_word(leaves[part.lo]));
     }
     let mut parts = Vec::with_capacity(MAX_FANOUT);
     partition_node(shape, part.root, part.lo, part.hi, &mut parts);
@@ -267,31 +292,31 @@ pub(crate) fn build_part(
         .iter()
         .map(|p| bounds[p.hi])
         .collect();
-    let values: Vec<u64> = parts
-        .iter()
-        .map(|&p| build_part(tids, bounds, shape, p, mem).0)
-        .collect();
-    Builder::from_fragment(&fences, &values).encode(mem)
+    let mut values: Vec<u64> = Vec::with_capacity(parts.len());
+    for &p in &parts {
+        values.push(build_part(store, leaves, bounds, shape, p)?.word());
+    }
+    store.encode(&Builder::from_fragment(&fences, &values, |w| height_of(store, w)))
 }
 
 /// Below this size the fan-out/join overhead outweighs parallel building.
 const PARALLEL_MIN: usize = 4096;
 
-/// Build the whole trie (`tids.len() >= 2`), constructing the root
-/// fragment's subtries on up to `threads` worker threads and grafting them
-/// under a root node built from the partition fences.
-pub(crate) fn build_parallel(
-    tids: &[u64],
+/// Build the whole trie over `leaves` (`leaves.len() >= 2`), constructing
+/// the root fragment's subtries on up to `threads` worker threads and
+/// grafting them under a root node built from the partition fences.
+fn build_parallel<St: NodeStore>(
+    store: &St,
+    leaves: &[u64],
     bounds: &[u16],
-    mem: &MemCounter,
     threads: usize,
-) -> NodeRef {
-    let n = tids.len();
+) -> Result<St::Ref, St::Full> {
+    let n = leaves.len();
     debug_assert!(n >= 2);
     let shape = analyze(bounds);
     let whole = Part { lo: 0, hi: n - 1, root: shape.root };
     if threads <= 1 || n < PARALLEL_MIN {
-        return build_part(tids, bounds, &shape, whole, mem);
+        return build_part(store, leaves, bounds, &shape, whole);
     }
     let mut parts = Vec::with_capacity(MAX_FANOUT);
     partition_node(&shape, shape.root, 0, n - 1, &mut parts);
@@ -313,6 +338,7 @@ pub(crate) fn build_parallel(
         assignment[bin].push(pi);
     }
     let mut values = vec![0u64; parts.len()];
+    let mut failed = None;
     std::thread::scope(|scope| {
         let parts = &parts;
         let shape = &shape;
@@ -322,32 +348,55 @@ pub(crate) fn build_parallel(
             .map(|bin| {
                 scope.spawn(move || {
                     bin.iter()
-                        .map(|&pi| (pi, build_part(tids, bounds, shape, parts[pi], mem).0))
-                        .collect::<Vec<(usize, u64)>>()
+                        .map(|&pi| Ok((pi, build_part(store, leaves, bounds, shape, parts[pi])?.word())))
+                        .collect::<Result<Vec<(usize, u64)>, St::Full>>()
                 })
             })
             .collect();
         for handle in handles {
-            for (pi, word) in handle.join().expect("bulk-load worker panicked") {
-                values[pi] = word;
+            match handle.join().expect("bulk-load worker panicked") {
+                Ok(built) => {
+                    for (pi, word) in built {
+                        values[pi] = word;
+                    }
+                }
+                Err(e) => failed = Some(e),
             }
         }
     });
-    Builder::from_fragment(&fences, &values).encode(mem)
+    if let Some(e) = failed {
+        return Err(e);
+    }
+    store.encode(&Builder::from_fragment(&fences, &values, |w| height_of(store, w)))
 }
 
-/// Free a just-built subtree that could not be published (e.g. a lost
-/// root CAS in [`ConcurrentHot::bulk_load`](crate::sync::ConcurrentHot::bulk_load)).
-pub(crate) fn free_subtree(r: NodeRef, mem: &MemCounter) {
-    if r.is_node() {
-        let raw = r.as_raw();
-        for i in 0..raw.count() {
-            free_subtree(raw.value(i), mem);
+/// The whole load, shared by every front-end: validate `entries`, have the
+/// store make the surviving leaves in key order, build the nodes bottom-up.
+/// Returns the unpublished root (null for no entries) and the number of
+/// distinct keys; the caller publishes it with its one root store. Unsorted
+/// input fails before the store is touched; a store that fills up mid-build
+/// has rolled everything back when this returns.
+pub(crate) fn load<St: NodeStore, K: AsRef<[u8]>>(
+    store: &St,
+    entries: &[(K, u64)],
+    threads: usize,
+) -> Result<(St::Ref, usize), BulkLoadError> {
+    let Prepared { winners, bounds } = prepare(entries)?;
+    let build = || {
+        let mut leaves: Vec<u64> = Vec::with_capacity(winners.len());
+        for &i in &winners {
+            let (key, tid) = &entries[i];
+            leaves.push(store.new_leaf(key.as_ref(), *tid)?.word());
         }
-        // SAFETY: the subtree was never published; this thread is its sole
-        // owner.
-        unsafe { raw.free(mem) };
-    }
+        match leaves.len() {
+            0 => Ok(St::Ref::NULL),
+            1 => Ok(St::Ref::from_word(leaves[0])),
+            _ => build_parallel(store, &leaves, &bounds, threads),
+        }
+    };
+    let built = build();
+    store.settle(built.is_ok());
+    Ok((built.map_err(Into::into)?, winners.len()))
 }
 
 #[cfg(test)]
@@ -361,7 +410,7 @@ mod tests {
     #[test]
     fn prepare_computes_boundaries() {
         let p = prepare(&pairs(&[1, 2, 3])).unwrap();
-        assert_eq!(p.tids, vec![1, 2, 3]);
+        assert_eq!(p.winners, vec![0, 1, 2]);
         // 1→2 first differ at bit 62 (…01 vs …10), 2→3 at bit 63.
         assert_eq!(p.bounds, vec![62, 63]);
     }
@@ -388,16 +437,16 @@ mod tests {
             (hot_keys::encode_u64(12), 120),
         ];
         let p = prepare(&entries).unwrap();
-        assert_eq!(p.tids, vec![70, 92, 120]);
+        assert_eq!(p.winners, vec![0, 3, 4]);
         assert_eq!(p.bounds.len(), 2);
     }
 
     #[test]
     fn prepare_empty_and_singleton() {
         let p = prepare::<[u8; 8]>(&[]).unwrap();
-        assert!(p.tids.is_empty() && p.bounds.is_empty());
+        assert!(p.winners.is_empty() && p.bounds.is_empty());
         let p = prepare(&pairs(&[42])).unwrap();
-        assert_eq!(p.tids, vec![42]);
+        assert_eq!(p.winners, vec![0]);
         assert!(p.bounds.is_empty());
     }
 

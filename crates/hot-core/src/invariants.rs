@@ -22,26 +22,30 @@
 //!   ancestor heights (a stale-high height is safe, merely conservative),
 //!   so the walk reports the number of slack nodes instead of failing.
 //! * **Partition ordering** — the in-order leaf sequence resolves (through
-//!   the [`KeySource`]) to strictly ascending keys, i.e. each BiNode's
-//!   0-side subtree precedes its 1-side subtree in key order.
+//!   the store: a `KeySource` look-up or an inline record) to strictly
+//!   ascending keys, i.e. each BiNode's 0-side subtree precedes its 1-side
+//!   subtree in key order.
 //! * **Reachability** — the walk finds exactly `len` leaves, and every
 //!   leaf's key is found again through the public lookup path (the
 //!   discriminative-bit prefixes along its path really select it).
-//! * **Quiescence** — no lock word has the `LOCKED` or `OBSOLETE` bit set;
-//!   an obsolete node reachable from the root means a writer published a
-//!   retired node, a locked one means the caller raced a writer.
+//! * **Quiescence** — every lock word reads zero: an `OBSOLETE` node
+//!   reachable from the root means a writer published a retired node, a
+//!   `LOCKED` one means the caller raced a writer (arena nodes never take
+//!   the ROWEX lock, so any bit there is corruption).
 //!
 //! The checker returns `Err(description)` on the first violation instead
 //! of panicking, so property tests can report it as a counterexample and
-//! the `fig8_throughput --check` flag can fail with context. `HotTrie` and
-//! `ConcurrentHot` expose it as `try_check_invariants` /
-//! `check_invariants`.
+//! the `fig8_throughput --check` flag can fail with context. Every
+//! front-end exposes it as `try_check_invariants` / `check_invariants`.
+//! The cheaper structural summaries ([`depth_stats`], [`layout_census`],
+//! [`structure_digest`]) walk the same way and live here too.
 
 use crate::node::builder::Builder;
-use crate::node::{NodeRef, MAX_FANOUT};
+use crate::node::{Slot, TreeRef, MAX_FANOUT};
+use crate::store::NodeStore;
 use crate::sync::{LOCKED, OBSOLETE};
 use crate::sync_shim::Ordering;
-use hot_keys::{KeySource, KEY_SCRATCH_LEN};
+use hot_keys::DepthStats;
 
 /// Summary statistics gathered by a successful [`check_tree`] walk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,39 +91,38 @@ impl InvariantReport {
     }
 }
 
-struct Walker<'s, S> {
-    source: &'s S,
-    scratch: [u8; KEY_SCRATCH_LEN],
+struct Walker<'s, St: NodeStore> {
+    store: &'s St,
     prev_key: Option<Vec<u8>>,
     report: InvariantReport,
-    leaf_tids: Vec<u64>,
+    leaves: Vec<St::Ref>,
 }
 
-impl<S: KeySource> Walker<'_, S> {
+impl<St: NodeStore> Walker<'_, St> {
     /// Check the subtree under `r`; returns its height (leaves are 0).
-    fn walk(&mut self, r: NodeRef, depth: usize) -> Result<usize, String> {
+    fn walk(&mut self, r: St::Ref, depth: usize) -> Result<usize, String> {
         if r.is_null() {
             return Err(format!("null child reference at depth {depth}"));
         }
         if r.is_leaf() {
-            let tid = r.tid();
-            let key = self.source.load_key(tid, &mut self.scratch);
+            let mut buf = St::key_buf();
+            let key = self.store.leaf_key(r, &mut buf);
             if let Some(prev) = &self.prev_key {
                 if prev.as_slice() >= key {
                     return Err(format!(
-                        "partition ordering violated: leaf tid {tid} at depth \
+                        "partition ordering violated: leaf {r:?} at depth \
                          {depth} is not strictly greater than its in-order \
                          predecessor ({prev:?} >= {key:?})"
                     ));
                 }
             }
             self.prev_key = Some(key.to_vec());
-            self.leaf_tids.push(tid);
+            self.leaves.push(r);
             self.report.leaves += 1;
             self.report.leaf_depths[depth.min(MAX_DEPTH_SLOTS - 1)] += 1;
             return Ok(0);
         }
-        let raw = r.as_raw();
+        let raw = self.store.raw(r);
         let n = raw.count();
         let h = raw.height() as usize;
         let ctx = |what: &str| format!("node at depth {depth} (tag {:?}, n={n}, h={h}): {what}", raw.tag);
@@ -136,7 +139,11 @@ impl<S: KeySource> Walker<'_, S> {
         if lock & LOCKED != 0 {
             return Err(ctx("node lock word is LOCKED on a quiesced tree"));
         }
-        let builder = Builder::decode(raw);
+        if lock != 0 {
+            return Err(ctx("node lock word is not zero"));
+        }
+        let mut builder = Builder::empty();
+        St::Slot::decode(raw, &mut builder);
         builder
             .try_check_invariants()
             .map_err(|e| ctx(&format!("linearization invalid: {e}")))?;
@@ -155,7 +162,7 @@ impl<S: KeySource> Walker<'_, S> {
         self.report.layout_census[raw.tag as usize] += 1;
         let mut max_child = 0usize;
         for i in 0..n {
-            let ch = self.walk(raw.value(i), depth + 1)?;
+            let ch = self.walk(St::Slot::get(raw, i), depth + 1)?;
             if ch >= h {
                 return Err(ctx(&format!(
                     "entry {i}: child height {ch} >= node height {h}"
@@ -172,26 +179,25 @@ impl<S: KeySource> Walker<'_, S> {
 
 /// Walk the whole tree under `root`, verifying every structural invariant
 /// (see the module docs for the list). `expected_len` is the index's
-/// published length; `lookup` is the index's public point-lookup, used to
-/// re-find every stored key. Returns summary statistics on success and a
+/// published length; `lookup` is the index's point-lookup, used to re-find
+/// every stored key. Returns summary statistics on success and a
 /// description of the first violation otherwise.
 ///
 /// The tree must be quiesced: no concurrent writers (the walk reads slots
 /// non-atomically with respect to the ROWEX protocol and expects all lock
 /// words clear).
-pub fn check_tree<S, F>(
-    root: NodeRef,
-    source: &S,
+pub(crate) fn check_tree<St, F>(
+    store: &St,
+    root: St::Ref,
     expected_len: usize,
     lookup: F,
 ) -> Result<InvariantReport, String>
 where
-    S: KeySource,
+    St: NodeStore,
     F: Fn(&[u8]) -> Option<u64>,
 {
     let mut w = Walker {
-        source,
-        scratch: [0u8; KEY_SCRATCH_LEN],
+        store,
         prev_key: None,
         report: InvariantReport {
             nodes: 0,
@@ -202,7 +208,7 @@ where
             layout_census: [0; 9],
             leaf_depths: [0; MAX_DEPTH_SLOTS],
         },
-        leaf_tids: Vec::with_capacity(expected_len),
+        leaves: Vec::with_capacity(expected_len),
     };
     if root.is_null() {
         if expected_len != 0 {
@@ -217,20 +223,83 @@ where
             w.report.leaves
         ));
     }
-    // Every stored key must be found again through the public lookup path:
-    // the discriminative bits along each leaf's path actually select it.
-    let mut scratch = [0u8; KEY_SCRATCH_LEN];
-    for tid in std::mem::take(&mut w.leaf_tids) {
-        let key = source.load_key(tid, &mut scratch);
-        match lookup(key) {
+    // Every stored key must be found again through the lookup path: the
+    // discriminative bits along each leaf's path actually select it.
+    let mut buf = St::key_buf();
+    for leaf in std::mem::take(&mut w.leaves) {
+        let tid = store.leaf_tid(leaf);
+        match lookup(store.leaf_key(leaf, &mut buf)) {
             Some(found) if found == tid => {}
             other => {
                 return Err(format!(
                     "stored key for tid {tid} resolves to {other:?} through \
-                     the public lookup path"
+                     the lookup path"
                 ));
             }
         }
     }
     Ok(w.report)
+}
+
+/// Leaf-depth histogram (depth = compound nodes on the root-to-leaf path),
+/// as reported in Figure 11.
+pub(crate) fn depth_stats<St: NodeStore>(store: &St, root: St::Ref) -> DepthStats {
+    fn walk<St: NodeStore>(store: &St, r: St::Ref, depth: usize, stats: &mut DepthStats) {
+        if r.is_leaf() {
+            stats.record(depth);
+        } else if r.is_node() {
+            let raw = store.raw(r);
+            for i in 0..raw.count() {
+                walk(store, St::Slot::get(raw, i), depth + 1, stats);
+            }
+        }
+    }
+    let mut stats = DepthStats::new();
+    walk(store, root, 0, &mut stats);
+    stats
+}
+
+/// Count of live nodes per physical layout (indexed by `NodeTag as usize`).
+pub(crate) fn layout_census<St: NodeStore>(store: &St, root: St::Ref) -> [usize; 9] {
+    fn walk<St: NodeStore>(store: &St, r: St::Ref, census: &mut [usize; 9]) {
+        if r.is_node() {
+            let raw = store.raw(r);
+            census[raw.tag as usize] += 1;
+            for i in 0..raw.count() {
+                walk(store, St::Slot::get(raw, i), census);
+            }
+        }
+    }
+    let mut census = [0usize; 9];
+    walk(store, root, &mut census);
+    census
+}
+
+/// A structural fingerprint: equal digests mean structurally identical
+/// trees (layouts, positions, sparse keys, heights, leaf TID order) —
+/// whatever the store, so heap ≡ arena equality is a digest comparison.
+pub(crate) fn structure_digest<St: NodeStore>(store: &St, root: St::Ref) -> u64 {
+    fn mix(h: u64, v: u64) -> u64 {
+        (h ^ v).wrapping_mul(0x100_0000_01b3).rotate_left(17)
+    }
+    fn walk<St: NodeStore>(store: &St, r: St::Ref, mut h: u64) -> u64 {
+        if r.is_leaf() {
+            return mix(h, store.leaf_tid(r) ^ 0xAAAA_AAAA);
+        }
+        if r.is_null() {
+            return mix(h, 0x5555);
+        }
+        let raw = store.raw(r);
+        h = mix(h, raw.tag as u64);
+        h = mix(h, raw.height() as u64);
+        for p in raw.positions() {
+            h = mix(h, p as u64);
+        }
+        for i in 0..raw.count() {
+            h = mix(h, raw.sparse_key(i) as u64);
+            h = walk(store, St::Slot::get(raw, i), h);
+        }
+        h
+    }
+    walk(store, root, 0xcbf2_9ce4_8422_2325)
 }

@@ -17,16 +17,20 @@
 //!
 //! ## Entry points
 //!
-//! * [`HotTrie`] — the single-threaded index mapping prefix-free byte keys
-//!   to tuple identifiers, with the key bytes resolved back through a
-//!   [`KeySource`](hot_keys::KeySource);
+//! The trie is written once, over a storage seam (DESIGN.md §19), and
+//! [`Trie`] is its single-threaded front-end:
+//!
+//! * [`HotTrie`] — `Trie` over heap nodes: the index mapping prefix-free
+//!   byte keys to tuple identifiers, with the key bytes resolved back
+//!   through a [`KeySource`](hot_keys::KeySource);
+//! * [`CompactHot`] — `Trie` over slab arenas: 32-bit offset-word child
+//!   references and inline front-coded leaf records, cutting bytes/key
+//!   roughly in half while producing structurally identical trees (same
+//!   [`structure_digest`](Trie::structure_digest));
 //! * [`sync::ConcurrentHot`] — the ROWEX-synchronized variant of Section 5:
 //!   wait-free readers, lock-only-what-you-modify writers, epoch-based
-//!   memory reclamation;
-//! * [`CompactHot`] — the arena-backed compact layout: 32-bit offset-word
-//!   child references and inline front-coded leaf records, cutting
-//!   bytes/key roughly in half while producing structurally identical
-//!   trees (same [`structure_digest`](HotTrie::structure_digest));
+//!   memory reclamation ([`sync::ConcurrentCompact`] is the arena store
+//!   with wait-free readers beside one writer at a time);
 //! * [`HotMap`] — a convenience ordered map that owns its keys and values.
 //!
 //! ```
@@ -54,6 +58,7 @@ pub mod node;
 pub mod numa;
 pub mod scan;
 pub mod shard;
+mod store;
 pub mod sync;
 pub mod sync_shim;
 pub mod trie;
@@ -63,10 +68,7 @@ pub mod trie;
 #[cfg(feature = "metrics")]
 pub use hot_metrics;
 
-pub use arena::{
-    ArenaFull, ArenaKind, ArenaStats, CompactBatchCursor, CompactCursor, CompactHot,
-    CompactScanCursor,
-};
+pub use arena::{ArenaFull, ArenaKind, ArenaStats, ArenaStore, CompactHot};
 pub use bulk::BulkLoadError;
 pub use invariants::InvariantReport;
 pub use map::HotMap;
@@ -76,4 +78,5 @@ pub use scan::ScanCursor;
 pub use shard::{
     shard_of_key, splitters_from_sample, RouterScratch, ScanToken, ShardedHot, MAX_SHARDS,
 };
-pub use trie::HotTrie;
+pub use store::{Backend, HeapStore};
+pub use trie::{HotTrie, Trie};

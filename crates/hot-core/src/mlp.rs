@@ -11,7 +11,7 @@
 //! flight while an out-of-order core sustains ten or more. The Cuckoo
 //! Trie observation applies: the memory system rewards keeping N misses
 //! in flight *continuously*. [`MlpScheduler`] is the one engine every
-//! batched read of the heap tries runs on. It owns a ring of up to N lane
+//! batched read runs on, whichever [`NodeStore`] holds the trie. It owns a ring of up to N lane
 //! state machines — point lookups, range-scan seeks and remove probes run
 //! as one [`DescentKind`] through the same ring — and sweeps the ring,
 //! advancing each in-flight descent by one node per visit with the next
@@ -34,10 +34,11 @@
 //! actually sustained (mean occupancy ≈ N until the tail).
 
 use crate::metrics::{Metrics, SchedCounter};
-use crate::node::{HeapSlot, NodeRef};
-use crate::scan::{drain_frames, position_frames};
+use crate::node::TreeRef;
+use crate::scan::{drain_frames, leaf_in_range, position_frames};
+use crate::store::NodeStore;
 use hot_bits::{Isa, Kernel};
-use hot_keys::{KeySource, PaddedKey, KEY_SCRATCH_LEN};
+use hot_keys::PaddedKey;
 use std::cell::Cell;
 
 /// In-flight depth of every scheduler outside tests. Completion-driven
@@ -171,12 +172,13 @@ impl RequestStream for [BatchRequest<'_>] {
     }
 }
 
-/// One in-flight descent.
+/// One in-flight descent. Reference words are held widened, so a
+/// scheduler's lanes serve tries of either back-end.
 struct Lane {
     /// Padded search key.
     key: PaddedKey,
     /// Current word: node while descending, leaf/null once terminal.
-    cur: NodeRef,
+    cur: u64,
     /// Descent kind.
     kind: DescentKind,
     /// Stage within the descent.
@@ -188,16 +190,16 @@ struct Lane {
     /// Re-descents consumed (torn-slot recovery on the concurrent index).
     attempts: u32,
     /// Recorded descent path (scan-seek lanes only).
-    path: Vec<(NodeRef, usize)>,
+    path: Vec<(u64, usize)>,
     /// In-order frame stack for the drain (scan-seek lanes only; reused).
-    frames: Vec<(NodeRef, usize)>,
+    frames: Vec<(u64, usize)>,
 }
 
 impl Lane {
     fn new() -> Lane {
         Lane {
             key: PaddedKey::new(),
-            cur: NodeRef::NULL,
+            cur: 0,
             kind: DescentKind::Lookup,
             stage: Stage::Descend,
             req: 0,
@@ -307,9 +309,9 @@ impl MlpScheduler {
     /// This is the call's one ISA dispatch: the sweep below is compiled
     /// once per [`Kernel`] and every hop of every lane runs the chosen one.
     #[allow(clippy::too_many_arguments)] // internal plumbing shared by four adapters
-    pub(crate) fn run<S, Q, F>(
+    pub(crate) fn run<St, Q, F>(
         &mut self,
-        source: &S,
+        store: &St,
         reqs: &Q,
         out: &mut [Option<u64>],
         tids: &mut Vec<u64>,
@@ -319,48 +321,48 @@ impl MlpScheduler {
         redescend: bool,
         metrics: &Metrics,
     ) where
-        S: KeySource,
+        St: NodeStore,
         Q: RequestStream + ?Sized,
-        F: FnMut(&[u8]) -> NodeRef,
+        F: FnMut(&[u8]) -> St::Ref,
     {
         match hot_bits::features().isa() {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: the token proves detection found every enabled feature.
             Isa::Avx2(k) => unsafe {
-                self.run_avx2(k, source, reqs, out, tids, bounds, reload_root, lazy_route, redescend, metrics)
+                self.run_avx2(k, store, reqs, out, tids, bounds, reload_root, lazy_route, redescend, metrics)
             },
             Isa::Portable(k) => {
-                self.run_on(k, source, reqs, out, tids, bounds, reload_root, lazy_route, redescend, metrics)
+                self.run_on(k, store, reqs, out, tids, bounds, reload_root, lazy_route, redescend, metrics)
             }
         }
     }
 
     /// [`run`](Self::run) for a scan-free stream (lookups, probes): results
     /// land in `out` only, the root never depends on the key.
-    pub(crate) fn run_points<S, Q, F>(
+    pub(crate) fn run_points<St, Q, F>(
         &mut self,
-        source: &S,
+        store: &St,
         reqs: &Q,
         out: &mut [Option<u64>],
         reload_root: F,
         redescend: bool,
         metrics: &Metrics,
     ) where
-        S: KeySource,
+        St: NodeStore,
         Q: RequestStream + ?Sized,
-        F: FnMut(&[u8]) -> NodeRef,
+        F: FnMut(&[u8]) -> St::Ref,
     {
         let (mut tids, mut bounds) = (Vec::new(), Vec::new());
-        self.run(source, reqs, out, &mut tids, &mut bounds, reload_root, false, redescend, metrics);
+        self.run(store, reqs, out, &mut tids, &mut bounds, reload_root, false, redescend, metrics);
     }
 
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2,bmi1,bmi2,lzcnt,popcnt")]
     #[allow(clippy::too_many_arguments)]
-    fn run_avx2<S, Q, F>(
+    fn run_avx2<St, Q, F>(
         &mut self,
         k: hot_bits::Avx2,
-        source: &S,
+        store: &St,
         reqs: &Q,
         out: &mut [Option<u64>],
         tids: &mut Vec<u64>,
@@ -370,19 +372,19 @@ impl MlpScheduler {
         redescend: bool,
         metrics: &Metrics,
     ) where
-        S: KeySource,
+        St: NodeStore,
         Q: RequestStream + ?Sized,
-        F: FnMut(&[u8]) -> NodeRef,
+        F: FnMut(&[u8]) -> St::Ref,
     {
-        self.run_on(k, source, reqs, out, tids, bounds, reload_root, lazy_route, redescend, metrics)
+        self.run_on(k, store, reqs, out, tids, bounds, reload_root, lazy_route, redescend, metrics)
     }
 
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
-    fn run_on<K, S, Q, F>(
+    fn run_on<K, St, Q, F>(
         &mut self,
         k: K,
-        source: &S,
+        store: &St,
         reqs: &Q,
         out: &mut [Option<u64>],
         tids: &mut Vec<u64>,
@@ -393,9 +395,9 @@ impl MlpScheduler {
         metrics: &Metrics,
     ) where
         K: Kernel,
-        S: KeySource,
+        St: NodeStore,
         Q: RequestStream + ?Sized,
-        F: FnMut(&[u8]) -> NodeRef,
+        F: FnMut(&[u8]) -> St::Ref,
     {
         let n = reqs.len();
         if n == 0 {
@@ -432,7 +434,7 @@ impl MlpScheduler {
         while next_req < n && active.len() < depth {
             let lane = active.len();
             let root = if lazy_route {
-                NodeRef::NULL
+                St::Ref::NULL
             } else {
                 reload_root(reqs.fetch(next_req).0)
             };
@@ -442,7 +444,7 @@ impl MlpScheduler {
                 reqs,
                 root,
                 lazy_route,
-                source,
+                store,
                 metrics,
             ));
             active.push(lane);
@@ -475,13 +477,13 @@ impl MlpScheduler {
                     // visit is L1-resident now, so a classifying
                     // `reload_root` branches over warm bytes.
                     let root = reload_root(l.key.bytes());
-                    l.cur = root;
+                    l.cur = root.word();
                     if root.is_node() {
                         l.stage = Stage::Descend;
-                        hot_bits::prefetch_node(root.as_raw().base, PREFETCH_LINES);
+                        hot_bits::prefetch_node(store.raw(root).base, PREFETCH_LINES);
                     } else {
                         if root.is_leaf() {
-                            source.prefetch_key(root.tid());
+                            store.prefetch_leaf(root);
                         }
                         finishing += 1;
                         l.stage = Stage::Finish;
@@ -491,24 +493,24 @@ impl MlpScheduler {
                     continue;
                 }
                 if l.stage == Stage::Descend {
-                    let raw = l.cur.as_raw();
-                    let (idx, next) = raw.find_candidate::<K, HeapSlot>(k, l.key.padded());
+                    let raw = store.raw(St::Ref::from_word(l.cur));
+                    let (idx, next) = raw.find_candidate::<K, St::Slot>(k, l.key.padded());
                     if l.kind == DescentKind::ScanSeek {
                         l.path.push((l.cur, idx));
                     }
-                    l.cur = next;
+                    l.cur = next.word();
                     if next.is_node() {
                         // The next hop's memory starts loading now; it is
                         // needed only after every other live lane has
                         // moved.
-                        hot_bits::prefetch_node(next.as_raw().base, PREFETCH_LINES);
+                        hot_bits::prefetch_node(store.raw(next).base, PREFETCH_LINES);
                     } else if next.is_leaf() {
-                        // Terminal: start the tuple key record's miss and
+                        // Terminal: start the leaf's key record's miss and
                         // run the verification (or drain) on the next
                         // visit, and start the miss on the key bytes of
                         // the pending request this completion will refill
                         // with.
-                        source.prefetch_key(next.tid());
+                        store.prefetch_leaf(next);
                         let peek = next_req + finishing;
                         if peek < n {
                             let (key, _, _) = reqs.fetch(peek);
@@ -526,13 +528,13 @@ impl MlpScheduler {
                             l.attempts += 1;
                             l.path.clear();
                             let root = reload_root(l.key.bytes());
-                            l.cur = root;
+                            l.cur = root.word();
                             metrics.sched(SchedCounter::Redescent);
                             if root.is_node() {
-                                hot_bits::prefetch_node(root.as_raw().base, PREFETCH_LINES);
+                                hot_bits::prefetch_node(store.raw(root).base, PREFETCH_LINES);
                             } else {
                                 if root.is_leaf() {
-                                    source.prefetch_key(root.tid());
+                                    store.prefetch_leaf(root);
                                 }
                                 finishing += 1;
                                 l.stage = Stage::Finish;
@@ -548,14 +550,14 @@ impl MlpScheduler {
                 }
                 // Finish stage: the lane's tuple line has had a full sweep
                 // to arrive; complete the request and refill in place.
-                finish_lane(l, source, out, scratch_tids, spans, metrics);
+                finish_lane(l, store, out, scratch_tids, spans, metrics);
                 // Saturating: lanes staged straight to Finish (single-leaf
                 // or empty root) never incremented the counter.
                 finishing = finishing.saturating_sub(1);
                 if next_req < n {
                     // Completion-driven refill.
                     let root = if lazy_route {
-                        NodeRef::NULL
+                        St::Ref::NULL
                     } else {
                         reload_root(reqs.fetch(next_req).0)
                     };
@@ -565,7 +567,7 @@ impl MlpScheduler {
                         reqs,
                         root,
                         lazy_route,
-                        source,
+                        store,
                         metrics,
                     ));
                     next_req += 1;
@@ -597,22 +599,22 @@ impl MlpScheduler {
 /// reads warm), and start the root's prefetch. Returns `true` when the
 /// staged request is a scan seek (the caller skips the request-order
 /// emit pass for scan-free windows).
-fn stage_request<S, Q>(
+fn stage_request<St, Q>(
     l: &mut Lane,
     req: usize,
     reqs: &Q,
-    root: NodeRef,
+    root: St::Ref,
     lazy: bool,
-    source: &S,
+    store: &St,
     metrics: &Metrics,
 ) -> bool
 where
-    S: KeySource,
+    St: NodeStore,
     Q: RequestStream + ?Sized,
 {
     let (key, kind, limit) = reqs.fetch(req);
     l.key.set(key);
-    l.cur = root;
+    l.cur = root.word();
     l.kind = kind;
     l.req = req;
     l.limit = limit;
@@ -623,14 +625,14 @@ where
         l.stage = Stage::Route;
     } else if root.is_node() {
         l.stage = Stage::Descend;
-        hot_bits::prefetch_node(root.as_raw().base, PREFETCH_LINES);
+        hot_bits::prefetch_node(store.raw(root).base, PREFETCH_LINES);
     } else {
         // Single-leaf or empty tree: the descent is already terminal;
-        // overlap the tuple load (if any) with the other lanes and finish
-        // on the next visit.
+        // overlap the leaf's key load (if any) with the other lanes and
+        // finish on the next visit.
         l.stage = Stage::Finish;
         if root.is_leaf() {
-            source.prefetch_key(root.tid());
+            store.prefetch_leaf(root);
         }
     }
     kind == DescentKind::ScanSeek
@@ -639,29 +641,19 @@ where
 /// Complete lane `l`'s request: verify a lookup/probe TID into `out`, or
 /// position + drain a scan seek into the staging vector. Cold relative to
 /// the per-hop sweep — one call per *request*, not per node.
-fn finish_lane<S>(
+fn finish_lane<St: NodeStore>(
     l: &mut Lane,
-    source: &S,
+    store: &St,
     out: &mut [Option<u64>],
     scratch_tids: &mut Vec<u64>,
     spans: &mut [(usize, usize)],
     metrics: &Metrics,
-) where
-    S: KeySource,
-{
+) {
     let req = l.req;
+    let cur = St::Ref::from_word(l.cur);
     match l.kind {
         DescentKind::Lookup | DescentKind::RemoveProbe => {
-            out[req] = if l.cur.is_leaf() {
-                let tid = l.cur.tid();
-                let mut scratch = [0u8; KEY_SCRATCH_LEN];
-                let stored = source.load_key(tid, &mut scratch);
-                hot_bits::first_mismatch_bit(stored, l.key.bytes())
-                    .is_none()
-                    .then_some(tid)
-            } else {
-                None
-            };
+            out[req] = if cur.is_leaf() { store.verify(cur, l.key.bytes()) } else { None };
             metrics.sched(match l.kind {
                 DescentKind::Lookup => SchedCounter::LookupDone,
                 _ => SchedCounter::ProbeDone,
@@ -673,16 +665,15 @@ fn finish_lane<S>(
                 if l.path.is_empty() {
                     // Root was a leaf or null when loaded — same cases
                     // `scan_root` handles before seeking.
-                    if l.cur.is_leaf() {
-                        let mut scratch = [0u8; KEY_SCRATCH_LEN];
-                        if source.load_key(l.cur.tid(), &mut scratch) >= l.key.bytes() {
-                            scratch_tids.push(l.cur.tid());
-                        }
+                    if cur.is_leaf() && leaf_in_range(store, cur, l.key.bytes()) {
+                        scratch_tids.push(store.leaf_tid(cur));
                     }
                 } else {
                     let limit = begin.saturating_add(l.limit);
-                    position_frames(source, &l.key, &l.path, l.cur, &mut l.frames, scratch_tids);
-                    drain_frames(&mut l.frames, limit, scratch_tids);
+                    if let Some(hit) = position_frames(store, &l.key, &l.path, cur, &mut l.frames) {
+                        scratch_tids.push(hit);
+                    }
+                    drain_frames(store, &mut l.frames, limit, scratch_tids);
                 }
             }
             spans[req] = (begin, scratch_tids.len());

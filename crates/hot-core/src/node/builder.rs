@@ -132,17 +132,11 @@ impl Builder {
     /// is well defined). Sparse partial keys follow by setting, at every
     /// BiNode, the extracted bit of all entries on its 1-side.
     ///
-    /// `values` are the entries' value words in key order; the height is
-    /// derived from them (`1 +` the tallest child).
-    pub fn from_fragment(bounds: &[u16], values: &[u64]) -> Builder {
-        Self::from_fragment_with(bounds, values, ref_height)
-    }
-
-    /// [`Self::from_fragment`] with an explicit child-height resolver —
-    /// the arena backend's value words are 32-bit `CRef`s that must not be
-    /// interpreted as heap pointers, so it supplies a resolver that reads
-    /// heights out of the arena instead.
-    pub fn from_fragment_with(
+    /// `values` are the entries' value words in key order, in the store's
+    /// widened reference-word space; the height is derived from them (`1 +`
+    /// the tallest child, which `height_of` reads — out of the heap node
+    /// behind a pointer word, out of the arena behind an offset word).
+    pub fn from_fragment(
         bounds: &[u16],
         values: &[u64],
         height_of: impl Fn(u64) -> u8 + Copy,
@@ -315,7 +309,7 @@ impl Builder {
     }
 
     /// [`Self::replace_entry_with_pair`] with an explicit child-height
-    /// resolver (arena backend; see [`Self::from_fragment_with`]).
+    /// resolver (the store-generic core; see [`Self::from_fragment`]).
     pub fn replace_entry_with_pair_with(
         &mut self,
         idx: usize,
@@ -399,8 +393,8 @@ impl Builder {
         self.split_with(ref_height)
     }
 
-    /// [`Self::split`] with an explicit child-height resolver (arena
-    /// backend; see [`Self::from_fragment_with`]).
+    /// [`Self::split`] with an explicit child-height resolver (the
+    /// store-generic core; see [`Self::from_fragment`]).
     pub fn split_with(&self, height_of: impl Fn(u64) -> u8 + Copy) -> (u16, Builder, Builder) {
         let r = self.root_rank();
         let bit = self.bit_of_rank(r);
@@ -1011,7 +1005,7 @@ mod tests {
         for (keys, width) in cases {
             let expected = reference_builder(&keys, width);
             let values: Vec<u64> = keys.iter().map(|&k| NodeRef::leaf(k as u64).0).collect();
-            let got = Builder::from_fragment(&mismatch_bounds(&keys, width), &values);
+            let got = Builder::from_fragment(&mismatch_bounds(&keys, width), &values, ref_height);
             assert_eq!(got, expected, "keys {keys:?}");
             got.check_invariants();
         }
@@ -1040,7 +1034,7 @@ mod tests {
                 let expected = reference_builder(&keys, 16);
                 let values: Vec<u64> =
                     keys.iter().map(|&k| NodeRef::leaf(k as u64).0).collect();
-                let got = Builder::from_fragment(&mismatch_bounds(&keys, 16), &values);
+                let got = Builder::from_fragment(&mismatch_bounds(&keys, 16), &values, ref_height);
                 assert_eq!(got, expected, "n={n} keys {keys:?}");
             }
         }

@@ -39,6 +39,9 @@ use crate::sync_shim::{AtomicU32, AtomicU64, Ordering};
 use std::sync::atomic::AtomicUsize;
 
 use hot_bits::search::{PADDED_BYTES_U16, PADDED_BYTES_U32, PADDED_BYTES_U8};
+use crate::arena::CRef;
+use crate::store::NodeStore;
+use builder::Builder;
 use hot_bits::{Isa, Kernel};
 use hot_keys::{PaddedKey, KEY_PAD_LEN};
 
@@ -673,7 +676,7 @@ impl RawNode {
     /// replacement's offset observes the replacement node's fully written
     /// arena bytes.
     #[inline]
-    pub fn cvalue(self, i: usize) -> u32 {
+    pub fn cvalue(self, i: usize) -> CRef {
         debug_assert!(i < self.count());
         // SAFETY: i < count; compact values are initialized at build time.
         unsafe { CompactSlot::load(self.cvalues_ptr() as *const u8, i) }
@@ -686,11 +689,11 @@ impl RawNode {
     /// node happen-before this store; pairs with the **Acquire** in
     /// [`cvalue`](Self::cvalue).
     #[inline]
-    pub fn store_cvalue(self, i: usize, v: u32) {
+    pub fn store_cvalue(self, i: usize, v: CRef) {
         debug_assert!(i < self.count());
         // SAFETY: i < count.
         // pairs-with: cvalue-slot
-        unsafe { (*self.cvalues_ptr().add(i)).store(v, Ordering::Release) }
+        unsafe { (*self.cvalues_ptr().add(i)).store(v.0, Ordering::Release) }
     }
 
     /// Bulk-read a compact node's sparse keys and value words (widened to
@@ -1275,12 +1278,54 @@ impl RawNode {
     }
 }
 
+/// A child-reference word: null, a leaf, or a compound node. The heap
+/// back-end's is the tagged 64-bit [`NodeRef`], the arena's the 32-bit
+/// offset word; both widen losslessly to the `u64` value words a
+/// [`Builder`] holds, which is also how paths, frames and scheduler lanes
+/// store them (so those buffers serve either back-end).
+pub(crate) trait TreeRef: Copy + PartialEq + std::fmt::Debug {
+    /// The null reference (empty slot / empty trie).
+    const NULL: Self;
+    /// Narrow a widened word back (the inverse of [`word`](Self::word)).
+    fn from_word(w: u64) -> Self;
+    /// Widen to the builder's value-word space.
+    fn word(self) -> u64;
+    fn is_null(self) -> bool;
+    fn is_leaf(self) -> bool;
+    fn is_node(self) -> bool;
+}
+
+impl TreeRef for NodeRef {
+    const NULL: NodeRef = NodeRef::NULL;
+    #[inline(always)]
+    fn from_word(w: u64) -> NodeRef {
+        NodeRef(w)
+    }
+    #[inline(always)]
+    fn word(self) -> u64 {
+        self.0
+    }
+    #[inline(always)]
+    fn is_null(self) -> bool {
+        NodeRef::is_null(self)
+    }
+    #[inline(always)]
+    fn is_leaf(self) -> bool {
+        NodeRef::is_leaf(self)
+    }
+    #[inline(always)]
+    fn is_node(self) -> bool {
+        NodeRef::is_node(self)
+    }
+}
+
 /// The value-slot flavour of a node: 8-byte tree words on the heap, 4-byte
 /// arena references in the compact layout (DESIGN.md §16). Header, mask and
-/// partial-key sections are identical, so one [`step`] serves both.
+/// partial-key sections are identical, so one [`step`] serves both; the
+/// other methods route to the layout's own accessors on [`RawNode`].
 pub(crate) trait Slot {
     /// A loaded value word.
-    type Word;
+    type Word: TreeRef;
     /// Slot size, which is also the value section's alignment.
     const BYTES: usize;
 
@@ -1290,6 +1335,19 @@ pub(crate) trait Slot {
     /// `values` must be the value section of a live node with more than
     /// `i` initialized slots of this flavour.
     unsafe fn load(values: *const u8, i: usize) -> Self::Word;
+
+    /// Start of `node`'s value section (located once per scan-frame visit).
+    fn values(node: RawNode) -> *const u8;
+
+    /// Value word of entry `i` (Acquire, see [`RawNode::value`]).
+    fn get(node: RawNode, i: usize) -> Self::Word;
+
+    /// Publish `w` in entry `i` — the single Release store of a
+    /// copy-on-write replacement (see [`RawNode::store_value`]).
+    fn set(node: RawNode, i: usize, w: Self::Word);
+
+    /// Decode `node` into `builder`, value words widened.
+    fn decode(node: RawNode, builder: &mut Builder);
 }
 
 /// Heap nodes: tagged 64-bit tree words.
@@ -1308,23 +1366,65 @@ impl Slot for HeapSlot {
         // pairs-with: value-slot
         NodeRef(unsafe { (*(values as *const AtomicU64).add(i)).load(Ordering::Acquire) })
     }
+
+    #[inline(always)]
+    fn values(node: RawNode) -> *const u8 {
+        node.values_ptr() as *const u8
+    }
+
+    #[inline(always)]
+    fn get(node: RawNode, i: usize) -> NodeRef {
+        node.value(i)
+    }
+
+    #[inline(always)]
+    fn set(node: RawNode, i: usize, w: NodeRef) {
+        node.store_value(i, w)
+    }
+
+    #[inline]
+    fn decode(node: RawNode, builder: &mut Builder) {
+        builder.decode_into(node)
+    }
 }
 
 /// Compact (arena) nodes: 32-bit offset words.
 pub(crate) struct CompactSlot;
 
 impl Slot for CompactSlot {
-    type Word = u32;
+    type Word = CRef;
     const BYTES: usize = 4;
 
     /// # Safety
     /// As [`Slot::load`].
     #[inline(always)]
-    unsafe fn load(values: *const u8, i: usize) -> u32 {
+    unsafe fn load(values: *const u8, i: usize) -> CRef {
         // SAFETY: the caller guarantees slot `i` exists; the compact value
         // section is 4-byte aligned.
         // pairs-with: cvalue-slot
-        unsafe { (*(values as *const AtomicU32).add(i)).load(Ordering::Acquire) }
+        CRef(unsafe { (*(values as *const AtomicU32).add(i)).load(Ordering::Acquire) })
+    }
+
+    #[inline(always)]
+    fn values(node: RawNode) -> *const u8 {
+        node.cvalues_ptr() as *const u8
+    }
+
+    #[inline(always)]
+    fn get(node: RawNode, i: usize) -> CRef {
+        node.cvalue(i)
+    }
+
+    #[inline(always)]
+    fn set(node: RawNode, i: usize, w: CRef) {
+        node.store_cvalue(i, w)
+    }
+
+    #[inline]
+    fn decode(node: RawNode, builder: &mut Builder) {
+        node.positions_into(&mut builder.positions);
+        node.read_entries_compact(&mut builder.sparse, &mut builder.values);
+        builder.height = node.height();
     }
 }
 
@@ -1377,20 +1477,21 @@ unsafe fn step<K: Kernel, V: Slot, const SLOTS: usize, const WIDTH: usize>(
 }
 
 /// Where a descent records its `(node, taken entry)` hops: a reusable
-/// `Vec`, a writer's inline [`Path`], or `()` for lookups, which keep none.
-pub(crate) trait Hops {
-    fn push_hop(&mut self, node: NodeRef, idx: usize);
+/// `Vec` of widened words (the single-writer stack, the scan seek), a ROWEX
+/// writer's inline [`Path`], or `()` for lookups, which keep none.
+pub(crate) trait Hops<R> {
+    fn push_hop(&mut self, node: R, idx: usize);
 }
 
-impl Hops for () {
+impl<R> Hops<R> for () {
     #[inline(always)]
-    fn push_hop(&mut self, _: NodeRef, _: usize) {}
+    fn push_hop(&mut self, _: R, _: usize) {}
 }
 
-impl Hops for Vec<(NodeRef, usize)> {
+impl<R: TreeRef> Hops<R> for Vec<(u64, usize)> {
     #[inline(always)]
-    fn push_hop(&mut self, node: NodeRef, idx: usize) {
-        self.push((node, idx));
+    fn push_hop(&mut self, node: R, idx: usize) {
+        self.push((node.word(), idx));
     }
 }
 
@@ -1420,7 +1521,7 @@ impl std::ops::Deref for Path {
     }
 }
 
-impl Hops for Path {
+impl Hops<NodeRef> for Path {
     #[inline(always)]
     fn push_hop(&mut self, node: NodeRef, idx: usize) {
         self.hops[self.len].write((node, idx));
@@ -1431,30 +1532,48 @@ impl Hops for Path {
 /// Walk from `root` to the terminal word `key` leads to — a leaf, or null
 /// for an empty tree or a slot observed mid-update — recording each hop in
 /// `path`. Serves the scalar lookups, the insert/remove seeks and the scan
-/// seek, and is their one ISA dispatch.
-pub(crate) fn descend<P: Hops>(root: NodeRef, key: &PaddedKey, path: &mut P) -> NodeRef {
+/// seek of either back-end, and is their one ISA dispatch.
+pub(crate) fn descend<St: NodeStore, P: Hops<St::Ref>>(
+    store: &St,
+    root: St::Ref,
+    key: &PaddedKey,
+    path: &mut P,
+) -> St::Ref {
     match hot_bits::features().isa() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the token proves detection found every enabled feature.
-        Isa::Avx2(k) => unsafe { descend_avx2(k, root, key, path) },
-        Isa::Portable(k) => descend_on(k, root, key, path),
+        Isa::Avx2(k) => unsafe { descend_avx2(k, store, root, key, path) },
+        Isa::Portable(k) => descend_on(k, store, root, key, path),
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,bmi1,bmi2,lzcnt,popcnt")]
-fn descend_avx2<P: Hops>(k: hot_bits::Avx2, root: NodeRef, key: &PaddedKey, path: &mut P) -> NodeRef {
-    descend_on(k, root, key, path)
+fn descend_avx2<St: NodeStore, P: Hops<St::Ref>>(
+    k: hot_bits::Avx2,
+    store: &St,
+    root: St::Ref,
+    key: &PaddedKey,
+    path: &mut P,
+) -> St::Ref {
+    descend_on(k, store, root, key, path)
 }
 
 #[inline(always)]
-fn descend_on<K: Kernel, P: Hops>(k: K, root: NodeRef, key: &PaddedKey, path: &mut P) -> NodeRef {
+fn descend_on<K: Kernel, St: NodeStore, P: Hops<St::Ref>>(
+    k: K,
+    store: &St,
+    root: St::Ref,
+    key: &PaddedKey,
+    path: &mut P,
+) -> St::Ref {
     let mut cur = root;
     while cur.is_node() {
-        let raw = cur.as_raw();
-        // Section 4.5: the node's lines load while its type dispatches.
+        let raw = store.raw(cur);
+        // Section 4.5: the node's lines load while its type dispatches
+        // (the tag travels in the reference word of either back-end).
         hot_bits::prefetch_node(raw.base, 4);
-        let (idx, next) = raw.find_candidate::<K, HeapSlot>(k, key.padded());
+        let (idx, next) = raw.find_candidate::<K, St::Slot>(k, key.padded());
         path.push_hop(cur, idx);
         cur = next;
     }

@@ -32,8 +32,9 @@
 //! results land flat in one TID vector with a bounds (prefix-offset) vector,
 //! so a full batch costs zero allocations once the buffers warmed up.
 
-use crate::node::{HeapSlot, NodeRef, Slot};
-use hot_keys::{KeySource, PaddedKey, KEY_SCRATCH_LEN};
+use crate::node::{Slot, TreeRef};
+use crate::store::NodeStore;
+use hot_keys::PaddedKey;
 use std::cell::Cell;
 
 /// Cache lines prefetched per upcoming node — matches the point-lookup path
@@ -46,7 +47,8 @@ const PREFETCH_LINES: usize = 4;
 const SIBLING_PREFETCH_LINES: usize = 1;
 
 /// Reusable range-scan state: padded start key, descent path and in-order
-/// frame stack.
+/// frame stack. Path and frames hold widened reference words, so one
+/// cursor serves tries of either back-end.
 ///
 /// One cursor serves any number of sequential
 /// [`scan_with`](crate::HotTrie::scan_with) calls; everything it owns is
@@ -58,9 +60,9 @@ pub struct ScanCursor {
     /// Padded start key (boxed: moving the cursor must not copy 272 bytes).
     key: Box<PaddedKey>,
     /// Root-to-leaf descent path of the seek: (node, taken entry index).
-    path: Vec<(NodeRef, usize)>,
+    path: Vec<(u64, usize)>,
     /// In-order traversal stack: (node, next entry index).
-    frames: Vec<(NodeRef, usize)>,
+    frames: Vec<(u64, usize)>,
 }
 
 impl Default for ScanCursor {
@@ -97,27 +99,23 @@ impl ScanCursor {
     /// Run one scan against `root`, appending up to `limit` TIDs (keys
     /// `>= key`, ascending) to `out`.
     ///
-    /// Accepts any root word (node, leaf, null) so both tries share the
-    /// entry point. Appends — callers decide whether `out` accumulates
+    /// Accepts any root word (node, leaf, null) so every front-end shares
+    /// the entry point. Appends — callers decide whether `out` accumulates
     /// (batching) or was cleared (single scan).
-    pub(crate) fn scan_root<S: KeySource>(
+    pub(crate) fn scan_root<St: NodeStore>(
         &mut self,
-        root: NodeRef,
-        source: &S,
+        store: &St,
+        root: St::Ref,
         key: &[u8],
         limit: usize,
         out: &mut Vec<u64>,
     ) {
-        if limit == 0 {
+        if limit == 0 || root.is_null() {
             return;
         }
-        if root.is_null() {
-            return;
-        }
-        let mut scratch = [0u8; KEY_SCRATCH_LEN];
         if root.is_leaf() {
-            if source.load_key(root.tid(), &mut scratch) >= key {
-                out.push(root.tid());
+            if leaf_in_range(store, root, key) {
+                out.push(store.leaf_tid(root));
             }
             return;
         }
@@ -125,86 +123,92 @@ impl ScanCursor {
         // Seek: descend to the candidate leaf, recording the path.
         self.key.set(key);
         self.path.clear();
-        let cur = crate::node::descend(root, &self.key, &mut self.path);
+        let cur = crate::node::descend(store, root, &self.key, &mut self.path);
         let limit = limit.saturating_add(out.len());
-        position_frames(source, &self.key, &self.path, cur, &mut self.frames, out);
-        drain_frames(&mut self.frames, limit, out);
+        if let Some(hit) = position_frames(store, &self.key, &self.path, cur, &mut self.frames) {
+            out.push(hit);
+        }
+        drain_frames(store, &mut self.frames, limit, out);
     }
 }
 
-/// Turn a completed seek descent into an in-order frame stack positioned at
-/// the first entry `>= key`, pushing the exact-match TID (if any) to `out`.
+/// Whether a scan from `key` includes `leaf` (the whole tree, for a
+/// single-leaf root, which has no path to position on).
+#[inline]
+pub(crate) fn leaf_in_range<St: NodeStore>(store: &St, leaf: St::Ref, key: &[u8]) -> bool {
+    store.leaf_key(leaf, &mut St::key_buf()) >= key
+}
+
+/// Turn a completed seek descent into an in-order frame stack positioned
+/// behind the leaf storing exactly `key` — whose TID is returned and comes
+/// first — or, without one, at the first entry `> key`.
 ///
 /// `leaf` is the descent's terminal word: a leaf, or null when a slot was
 /// observed mid-update on the concurrent index (treated as a mismatch above
 /// everything, which resumes the scan at a defined position).
-pub(crate) fn position_frames<S: KeySource>(
-    source: &S,
+pub(crate) fn position_frames<St: NodeStore>(
+    store: &St,
     key: &PaddedKey,
-    path: &[(NodeRef, usize)],
-    leaf: NodeRef,
-    frames: &mut Vec<(NodeRef, usize)>,
-    out: &mut Vec<u64>,
-) {
+    path: &[(u64, usize)],
+    leaf: St::Ref,
+    frames: &mut Vec<(u64, usize)>,
+) -> Option<u64> {
     frames.clear();
-    let mut scratch = [0u8; KEY_SCRATCH_LEN];
     let mismatch = if leaf.is_leaf() {
-        let stored = source.load_key(leaf.tid(), &mut scratch);
-        hot_bits::first_mismatch_bit(stored, key.bytes())
+        let mut buf = St::key_buf();
+        hot_bits::first_mismatch_bit(store.leaf_key(leaf, &mut buf), key.bytes())
     } else {
         Some(0)
     };
-    match mismatch {
-        None => {
-            // Exact hit: resume every ancestor after its taken entry and
-            // yield the hit first.
-            for &(node, idx) in path {
-                frames.push((node, idx + 1));
-            }
-            out.push(leaf.tid());
-        }
-        Some(pos) => {
-            // Locate the node the mismatch splits (same rule as insert),
-            // then start at the boundary of the affected entry run — found
-            // with one SIMD prefix compare (`affected_range`), not a scalar
-            // narrowing walk.
-            let mut level = path.len() - 1;
-            while level > 0 && path[level].0.as_raw().min_position() as usize > pos {
-                level -= 1;
-            }
-            for &(node, idx) in &path[..level] {
-                frames.push((node, idx + 1));
-            }
-            let (target, idx) = path[level];
-            let (lo, hi) = target.as_raw().affected_range(pos, idx);
-            let start = if hot_bits::bit_at(key.bytes(), pos) == 0 {
-                lo // the search key precedes the affected subtree
-            } else {
-                hi + 1 // the search key follows the affected subtree
-            };
-            frames.push((target, start));
-        }
+    let Some(pos) = mismatch else {
+        // Exact hit: resume every ancestor after its taken entry and
+        // yield the hit first.
+        frames.extend(path.iter().map(|&(node, idx)| (node, idx + 1)));
+        return Some(store.leaf_tid(leaf));
+    };
+    // Locate the node the mismatch splits (same rule as insert), then
+    // start at the boundary of the affected entry run — found with one
+    // SIMD prefix compare (`affected_range`), not a scalar narrowing walk.
+    let raw = |word: u64| store.raw(St::Ref::from_word(word));
+    let mut level = path.len() - 1;
+    while level > 0 && raw(path[level].0).min_position() as usize > pos {
+        level -= 1;
     }
+    frames.extend(path[..level].iter().map(|&(node, idx)| (node, idx + 1)));
+    let (target, idx) = path[level];
+    let (lo, hi) = raw(target).affected_range(pos, idx);
+    let start = if hot_bits::bit_at(key.bytes(), pos) == 0 {
+        lo // the search key precedes the affected subtree
+    } else {
+        hi + 1 // the search key follows the affected subtree
+    };
+    frames.push((target, start));
+    None
 }
 
 /// Drain an in-order frame stack until `out` holds `limit` TIDs or the
 /// frames are exhausted, prefetching one subtree ahead.
-pub(crate) fn drain_frames(frames: &mut Vec<(NodeRef, usize)>, limit: usize, out: &mut Vec<u64>) {
+pub(crate) fn drain_frames<St: NodeStore>(
+    store: &St,
+    frames: &mut Vec<(u64, usize)>,
+    limit: usize,
+    out: &mut Vec<u64>,
+) {
     while out.len() < limit {
         let Some(frame) = frames.last_mut() else {
             break;
         };
         // The value section is located once per frame visit; the run of
         // leaves up to the next child subtree is read straight off it.
-        let raw = frame.0.as_raw();
-        let (count, values) = (raw.count(), raw.values_ptr() as *const u8);
-        let mut child = NodeRef::NULL;
+        let raw = store.raw(St::Ref::from_word(frame.0));
+        let (count, values) = (raw.count(), St::Slot::values(raw));
+        let mut child = St::Ref::NULL;
         while frame.1 < count && out.len() < limit && !child.is_node() {
-            // SAFETY: slot `frame.1 < count` of a live heap node.
-            let value = unsafe { HeapSlot::load(values, frame.1) };
+            // SAFETY: slot `frame.1 < count` of a live node of this store.
+            let value = unsafe { St::Slot::load(values, frame.1) };
             frame.1 += 1;
             if value.is_leaf() {
-                out.push(value.tid());
+                out.push(store.leaf_tid(value));
             } else {
                 // A child to walk — or a null slot (concurrent mid-update),
                 // which is skipped: the entry's new value is published with
@@ -218,15 +222,15 @@ pub(crate) fn drain_frames(frames: &mut Vec<(NodeRef, usize)>, limit: usize, out
             // sibling that follows it: the sibling's miss resolves while
             // this whole subtree is traversed, instead of stalling the walk
             // when the frame advances.
-            hot_bits::prefetch_node(child.as_raw().base, PREFETCH_LINES);
+            hot_bits::prefetch_node(store.raw(child).base, PREFETCH_LINES);
             if frame.1 < count {
-                // SAFETY: slot `frame.1 < count` of a live heap node.
-                let sib = unsafe { HeapSlot::load(values, frame.1) };
+                // SAFETY: slot `frame.1 < count` of a live node of this store.
+                let sib = unsafe { St::Slot::load(values, frame.1) };
                 if sib.is_node() {
-                    hot_bits::prefetch_node(sib.as_raw().base, SIBLING_PREFETCH_LINES);
+                    hot_bits::prefetch_node(store.raw(sib).base, SIBLING_PREFETCH_LINES);
                 }
             }
-            frames.push((child, 0));
+            frames.push((child.word(), 0));
         } else if frame.1 >= count {
             frames.pop();
         }

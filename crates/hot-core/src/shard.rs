@@ -948,7 +948,7 @@ where
         metrics.incr(RowexCounter::EpochPin);
         let _guard = epoch::pin();
         sched.run(
-            self.tries[0].source(),
+            self.tries[0].store(),
             reqs,
             out,
             tids,
@@ -1051,7 +1051,7 @@ where
                 }));
                 let stream = GatherStream { keys: wkeys, kind };
                 sched.run(
-                    self.tries[s].source(),
+                    self.tries[s].store(),
                     &stream,
                     &mut sub[..win.len()],
                     tids,

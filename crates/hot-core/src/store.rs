@@ -1,0 +1,274 @@
+//! The storage seam (DESIGN.md "The storage seam").
+//!
+//! epoch-exempt: a store resolves references the caller already protects
+//! (`&mut` exclusivity, the single-writer mutex plus an epoch pin, or a
+//! private pre-publish build) — liveness is established a layer above.
+//!
+//! The structure-adapting algorithm (Listing 1), the lookup (Listing 2),
+//! the bulk loader, the scan and the batched descent engine are written
+//! once, over a [`NodeStore`]: *where* compound nodes and leaves live and
+//! how a child reference resolves to them. Two stores exist:
+//!
+//! * [`HeapStore`] — one allocation per node, tagged 64-bit pointers
+//!   ([`NodeRef`]), leaves are bare TIDs resolved through a
+//!   [`KeySource`]; allocation cannot fail, so `Full` is uninhabited and
+//!   every `?` in the shared core compiles to nothing;
+//! * [`ArenaStore`](crate::arena::ArenaStore) — slab arenas, 32-bit offset
+//!   words, inline front-coded leaf records; allocation fails with a typed
+//!   [`ArenaFull`](crate::ArenaFull), and the store itself keeps the list
+//!   of unpublished blocks it rolls back.
+//!
+//! Dispatch is static: every generic body is monomorphised per store (and
+//! per [`hot_bits::Kernel`]), no `dyn`, no function-pointer table.
+
+use std::convert::Infallible;
+use std::sync::Arc;
+
+use crate::bulk::BulkLoadError;
+use crate::node::builder::Builder;
+use crate::node::{HeapSlot, MemCounter, NodeRef, RawNode, Slot, TreeRef};
+use hot_keys::stats::MemoryStats;
+use hot_keys::{KeySource, KEY_SCRATCH_LEN};
+
+/// Where a trie's compound nodes and leaves live.
+///
+/// **Contract of the writer hooks** (what keeps readers of the concurrent
+/// wrappers and the roll-back protocol correct):
+///
+/// * *pre-publish allocation* — [`new_leaf`](Self::new_leaf) and
+///   [`encode`](Self::encode) return blocks no reader can reach; the core
+///   calls every fallible hook of an operation *before* its publish, so an
+///   `Err` leaves the published tree untouched;
+/// * *single Release publish* — an operation makes its result reachable
+///   with exactly one store: a [`Slot::set`] on a parent slot, or the root
+///   word its caller owns;
+/// * *retire after unlink* — [`retire`](Self::retire) and
+///   [`drop_leaf`](Self::drop_leaf) are only called for blocks that publish
+///   unlinked (the core collects replaced nodes and hands them over once
+///   the operation succeeded);
+/// * every writer operation ends with one [`settle`](Self::settle).
+pub(crate) trait NodeStore: Sync {
+    /// The child-reference word.
+    type Ref: TreeRef;
+    /// The value-slot flavour of this store's nodes.
+    type Slot: Slot<Word = Self::Ref>;
+    /// Allocation failure. Uninhabited where allocation cannot fail.
+    type Full: std::fmt::Display + Send + Into<BulkLoadError>;
+    /// Buffer [`leaf_key`](Self::leaf_key) may materialize a key into.
+    type KeyBuf;
+
+    /// A fresh [`KeyBuf`](Self::KeyBuf).
+    fn key_buf() -> Self::KeyBuf;
+
+    /// Typed view of the node behind `r` (a node reference).
+    fn raw(&self, r: Self::Ref) -> RawNode;
+
+    /// The TID of `leaf`.
+    fn leaf_tid(&self, leaf: Self::Ref) -> u64;
+
+    /// The full key of `leaf`, borrowed from the store or written to `buf`.
+    fn leaf_key<'a>(&'a self, leaf: Self::Ref, buf: &'a mut Self::KeyBuf) -> &'a [u8];
+
+    /// Hint that `leaf` is about to be resolved.
+    fn prefetch_leaf(&self, leaf: Self::Ref);
+
+    /// Listing 2's final step: the TID of `leaf` if it stores exactly
+    /// `key`.
+    #[inline(always)]
+    fn verify(&self, leaf: Self::Ref, key: &[u8]) -> Option<u64> {
+        let mut buf = Self::key_buf();
+        let stored = self.leaf_key(leaf, &mut buf);
+        hot_bits::first_mismatch_bit(stored, key).is_none().then(|| self.leaf_tid(leaf))
+    }
+
+    /// A leaf for `key → tid`, not yet reachable.
+    fn new_leaf(&self, key: &[u8], tid: u64) -> Result<Self::Ref, Self::Full>;
+
+    /// Encode `builder` (value words widened) into a fresh node of the
+    /// smallest applicable layout, not yet reachable.
+    fn encode(&self, builder: &Builder) -> Result<Self::Ref, Self::Full>;
+
+    /// The fused copy-on-write insert ([`RawNode::insert_entry_cow`]) where
+    /// the store has one: the replacement for `node` with `leaf` inserted,
+    /// or `None` to take the general builder path.
+    #[inline(always)]
+    fn insert_cow(
+        &self,
+        _node: RawNode,
+        _pos: usize,
+        _lo: usize,
+        _hi: usize,
+        _key_bit: u8,
+        _leaf: Self::Ref,
+    ) -> Option<Self::Ref> {
+        None
+    }
+
+    /// Reclaim `node`'s block.
+    ///
+    /// # Safety
+    /// `node` must be unreachable — unlinked by a completed publish, or
+    /// never published — and no reader may still hold it (the concurrent
+    /// wrapper defers this call through the epoch).
+    unsafe fn retire(&self, node: Self::Ref);
+
+    /// `leaf` was unlinked (upsert, removal): release what it holds.
+    fn drop_leaf(&self, leaf: Self::Ref);
+
+    /// End of one writer operation. A store whose allocations can fail
+    /// forgets (`ok`) or rolls back (`!ok`) the blocks it handed out since
+    /// the previous call.
+    #[inline(always)]
+    fn settle(&self, _ok: bool) {}
+
+    /// Reclaim the whole tree under `root` when its owner lets go of it.
+    ///
+    /// # Safety
+    /// The caller owns the tree exclusively and never touches it again.
+    unsafe fn drop_tree(&self, root: Self::Ref);
+
+    /// Index memory footprint for a tree of `key_count` keys.
+    fn memory_stats(&self, key_count: usize) -> MemoryStats;
+}
+
+/// The public name of the seam: the stores a [`Trie`](crate::Trie) can be
+/// instantiated over. It has nothing to implement or call — it exists so
+/// that code outside this crate (the benchmark adapter, the differential
+/// tests) can be generic over `Trie<B>` for both back-ends.
+#[allow(private_bounds, reason = "NodeStore is the crate-internal half of this trait")]
+pub trait Backend: NodeStore {}
+
+impl<S: KeySource> Backend for HeapStore<S> {}
+impl Backend for crate::arena::ArenaStore {}
+
+/// Compound height of the subtree behind a widened value word: 0 for
+/// leaves, the stored node height otherwise (the child-height resolver the
+/// [`Builder`] primitives take).
+#[inline]
+pub(crate) fn height_of<St: NodeStore>(store: &St, word: u64) -> u8 {
+    let r = St::Ref::from_word(word);
+    if r.is_node() {
+        store.raw(r).height()
+    } else {
+        0
+    }
+}
+
+/// The heap back-end: exact-size node allocations behind tagged pointers,
+/// leaf words that are TIDs resolved through the [`KeySource`] `S`.
+pub struct HeapStore<S> {
+    pub(crate) source: S,
+    /// Shared so the concurrent index's epoch-deferred frees can outlive a
+    /// borrow of the index.
+    pub(crate) mem: Arc<MemCounter>,
+}
+
+impl<S> HeapStore<S> {
+    pub(crate) fn new(source: S) -> Self {
+        HeapStore { source, mem: Arc::new(MemCounter::default()) }
+    }
+
+    /// [`NodeStore::drop_tree`], free of the `KeySource` bound a `Drop`
+    /// impl cannot name.
+    ///
+    /// # Safety
+    /// As [`NodeStore::drop_tree`].
+    pub(crate) unsafe fn free_tree(&self, root: NodeRef) {
+        if root.is_node() {
+            let raw = root.as_raw();
+            for i in 0..raw.count() {
+                // SAFETY: a subtree is as exclusively owned as its parent.
+                unsafe { self.free_tree(raw.value(i)) };
+            }
+            // SAFETY: exclusively owned per the caller's contract, its
+            // children released just above.
+            unsafe { raw.free(&self.mem) };
+        }
+    }
+}
+
+impl<S: KeySource> NodeStore for HeapStore<S> {
+    type Ref = NodeRef;
+    type Slot = HeapSlot;
+    type Full = Infallible;
+    type KeyBuf = [u8; KEY_SCRATCH_LEN];
+
+    #[inline(always)]
+    fn key_buf() -> Self::KeyBuf {
+        [0u8; KEY_SCRATCH_LEN]
+    }
+
+    #[inline(always)]
+    fn raw(&self, r: NodeRef) -> RawNode {
+        r.as_raw()
+    }
+
+    #[inline(always)]
+    fn leaf_tid(&self, leaf: NodeRef) -> u64 {
+        leaf.tid()
+    }
+
+    #[inline(always)]
+    fn leaf_key<'a>(&'a self, leaf: NodeRef, buf: &'a mut Self::KeyBuf) -> &'a [u8] {
+        self.source.load_key(leaf.tid(), buf)
+    }
+
+    #[inline(always)]
+    fn prefetch_leaf(&self, leaf: NodeRef) {
+        self.source.prefetch_key(leaf.tid());
+    }
+
+    #[inline(always)]
+    fn new_leaf(&self, _key: &[u8], tid: u64) -> Result<NodeRef, Infallible> {
+        Ok(NodeRef::leaf(tid))
+    }
+
+    #[inline(always)]
+    fn encode(&self, builder: &Builder) -> Result<NodeRef, Infallible> {
+        Ok(builder.encode(&self.mem))
+    }
+
+    #[inline(always)]
+    fn insert_cow(
+        &self,
+        node: RawNode,
+        pos: usize,
+        lo: usize,
+        hi: usize,
+        key_bit: u8,
+        leaf: NodeRef,
+    ) -> Option<NodeRef> {
+        if !crate::sync_shim::insert_fast_path_enabled() {
+            return None;
+        }
+        node.insert_entry_cow(pos, lo, hi, key_bit, leaf.0, &self.mem)
+    }
+
+    /// # Safety
+    /// As [`NodeStore::retire`].
+    #[inline(always)]
+    unsafe fn retire(&self, node: NodeRef) {
+        // SAFETY: the caller guarantees no reference to the node remains.
+        unsafe { node.as_raw().free(&self.mem) };
+    }
+
+    #[inline(always)]
+    fn drop_leaf(&self, _leaf: NodeRef) {}
+
+    /// # Safety
+    /// As [`NodeStore::drop_tree`].
+    unsafe fn drop_tree(&self, root: NodeRef) {
+        // SAFETY: the caller's contract is `free_tree`'s.
+        unsafe { self.free_tree(root) };
+    }
+
+    fn memory_stats(&self, key_count: usize) -> MemoryStats {
+        MemoryStats {
+            node_bytes: self.mem.bytes(),
+            node_count: self.mem.nodes(),
+            aux_bytes: 0,
+            key_count,
+            capacity_bytes: 0,
+        }
+    }
+}

@@ -45,7 +45,8 @@ use crossbeam_epoch as epoch;
 use crate::bulk::BulkLoadError;
 use crate::metrics::{Metrics, OpKind, RowexCounter};
 use crate::node::builder::{true_height, Builder};
-use crate::node::{MemCounter, NodeRef, Path, RawNode, MAX_FANOUT};
+use crate::node::{NodeRef, Path, RawNode, MAX_FANOUT};
+use crate::store::{HeapStore, NodeStore};
 use hot_keys::stats::MemoryStats;
 use hot_keys::{DepthStats, KeySource, PaddedKey, KEY_SCRATCH_LEN, MAX_TID};
 
@@ -134,9 +135,11 @@ fn mark_obsolete(node: RawNode) {
 /// ```
 pub struct ConcurrentHot<S> {
     root: AtomicU64,
-    source: S,
+    /// The key source and the allocation counter — the read half of the
+    /// storage seam (descents, scans and the invariant walk run over it);
+    /// the ROWEX write path below is heap-only and allocates directly.
+    store: HeapStore<S>,
     len: AtomicUsize,
-    mem: Arc<MemCounter>,
     /// Operation + ROWEX-health metrics recorder — zero-sized no-op unless
     /// the `metrics` feature is enabled (see [`crate::metrics`]).
     metrics: Metrics,
@@ -165,9 +168,8 @@ impl<S: KeySource> ConcurrentHot<S> {
     pub fn new(source: S) -> Self {
         ConcurrentHot {
             root: AtomicU64::new(0),
-            source,
+            store: HeapStore::new(source),
             len: AtomicUsize::new(0),
-            mem: Arc::new(MemCounter::default()),
             metrics: Metrics::new(),
         }
     }
@@ -187,7 +189,12 @@ impl<S: KeySource> ConcurrentHot<S> {
 
     /// Access the key source.
     pub fn source(&self) -> &S {
-        &self.source
+        &self.store.source
+    }
+
+    /// Crate-internal: the store the batched descent engine reads through.
+    pub(crate) fn store(&self) -> &HeapStore<S> {
+        &self.store
     }
 
     /// Crate-internal: the metrics sink, so the sharded router's fused
@@ -227,13 +234,10 @@ impl<S: KeySource> ConcurrentHot<S> {
             return Err(BulkLoadError::NotEmpty);
         }
         let _t = self.metrics.timer(OpKind::BulkLoad);
-        let prepared = crate::bulk::prepare(entries)?;
-        let n = prepared.tids.len();
-        let root = match n {
-            0 => return Ok(0),
-            1 => NodeRef::leaf(prepared.tids[0]),
-            _ => crate::bulk::build_parallel(&prepared.tids, &prepared.bounds, &self.mem, threads),
-        };
+        let (root, n) = crate::bulk::load(&self.store, entries, threads)?;
+        if n == 0 {
+            return Ok(0);
+        }
         // Single-publish. Ordering: **Release** on success — pairs with the
         // Acquire `load_root`, so a reader that observes the new root
         // observes every `fill`ed node body built above (including the
@@ -251,7 +255,8 @@ impl<S: KeySource> ConcurrentHot<S> {
             Err(_) => {
                 // Lost the race to a concurrent writer: nothing was
                 // published, so the freshly built subtree is still private.
-                crate::bulk::free_subtree(root, &self.mem);
+                // SAFETY: never published — this thread is its sole owner.
+                unsafe { self.store.drop_tree(root) };
                 Err(BulkLoadError::NotEmpty)
             }
         }
@@ -286,14 +291,7 @@ impl<S: KeySource> ConcurrentHot<S> {
 
     fn get_padded(&self, key: &PaddedKey) -> Option<u64> {
         let _guard = epoch::pin();
-        let cur = crate::node::descend(self.load_root(), key, &mut ());
-        if cur.is_null() {
-            return None;
-        }
-        let tid = cur.tid();
-        let mut scratch = [0u8; KEY_SCRATCH_LEN];
-        let stored = self.source.load_key(tid, &mut scratch);
-        hot_bits::first_mismatch_bit(stored, key.bytes()).is_none().then_some(tid)
+        crate::trie::lookup(&self.store, self.load_root(), key)
     }
 
     /// Look up `keys` as one batch under a **single** epoch pin, writing
@@ -333,7 +331,7 @@ impl<S: KeySource> ConcurrentHot<S> {
         self.metrics.items(OpKind::GetBatch, keys.len() as u64);
         self.metrics.incr(RowexCounter::EpochPin);
         let _guard = epoch::pin();
-        sched.run_points(&self.source, &crate::mlp::LookupStream(keys), out, |_| self.load_root(), true, &self.metrics);
+        sched.run_points(&self.store, &crate::mlp::LookupStream(keys), out, |_| self.load_root(), true, &self.metrics);
     }
 
     /// Service a mixed stream of point lookups and range scans in one
@@ -382,7 +380,7 @@ impl<S: KeySource> ConcurrentHot<S> {
         bounds.clear();
         bounds.push(0);
         let _guard = epoch::pin();
-        sched.run(&self.source, reqs, out, tids, bounds, |_| self.load_root(), false, true, &self.metrics);
+        sched.run(&self.store, reqs, out, tids, bounds, |_| self.load_root(), false, true, &self.metrics);
         self.metrics.items(OpKind::ScanBatch, tids.len() as u64);
     }
 
@@ -403,7 +401,7 @@ impl<S: KeySource> ConcurrentHot<S> {
             self.metrics.incr(RowexCounter::EpochPin);
             let _guard = epoch::pin();
             crate::mlp::with_thread_scheduler(|sched| {
-                sched.run_points(&self.source, &crate::mlp::ProbeStream(keys), out, |_| self.load_root(), true, &self.metrics)
+                sched.run_points(&self.store, &crate::mlp::ProbeStream(keys), out, |_| self.load_root(), true, &self.metrics)
             });
         }
         // Apply phase: the probe is a hint (a racing writer may beat us);
@@ -460,7 +458,7 @@ impl<S: KeySource> ConcurrentHot<S> {
         self.metrics.incr(RowexCounter::EpochPin);
         out.clear();
         let _guard = epoch::pin();
-        cursor.scan_root(self.load_root(), &self.source, key, limit, out);
+        cursor.scan_root(&self.store, self.load_root(), key, limit, out);
         self.metrics.items(OpKind::Scan, out.len() as u64);
     }
 
@@ -501,7 +499,7 @@ impl<S: KeySource> ConcurrentHot<S> {
         let _guard = epoch::pin();
         let mut out: [Option<u64>; 0] = [];
         sched.run(
-            &self.source,
+            &self.store,
             &crate::mlp::ScanStream(requests),
             &mut out,
             tids,
@@ -553,7 +551,7 @@ impl<S: KeySource> ConcurrentHot<S> {
                 } else {
                     (NodeRef::leaf(tid).0, NodeRef::leaf(existing).0)
                 };
-                Builder::pair(pos, zero, one, 1).encode(&self.mem).0
+                Builder::pair(pos, zero, one, 1).encode(&self.store.mem).0
             };
             // Ordering: **AcqRel** on success — the Release half publishes the
             // freshly encoded pair node (all its plain stores happen-before the
@@ -579,7 +577,7 @@ impl<S: KeySource> ConcurrentHot<S> {
                     let r = NodeRef(new_word);
                     if r.is_node() {
                         // SAFETY: never published.
-                        unsafe { r.as_raw().free(&self.mem) };
+                        unsafe { r.as_raw().free(&self.store.mem) };
                     }
                     Err(())
                 }
@@ -666,14 +664,14 @@ impl<S: KeySource> ConcurrentHot<S> {
             return Ok((Plan::GrowRoot { expected: 0, pos: 0, key_bit: 0, existing: 0 }, root));
         }
 
-        let cur = crate::node::descend(root, key, path);
+        let cur = crate::node::descend(&self.store, root, key, path);
         if cur.is_null() {
             return Err(()); // torn read of a slot mid-publication
         }
         let existing = cur.tid();
         let mut scratch = [0u8; KEY_SCRATCH_LEN];
         let mismatch = {
-            let stored = self.source.load_key(existing, &mut scratch);
+            let stored = self.store.source.load_key(existing, &mut scratch);
             hot_bits::first_mismatch_bit(stored, key.bytes())
         };
         let Some(pos) = mismatch else {
@@ -758,7 +756,7 @@ impl<S: KeySource> ConcurrentHot<S> {
                 } else {
                     (NodeRef::leaf(tid).0, old_leaf.0)
                 };
-                let pushed = Builder::pair(pos, zero, one, 1).encode(&self.mem);
+                let pushed = Builder::pair(pos, zero, one, 1).encode(&self.store.mem);
                 raw.store_value(slot, pushed);
                 // Ordering: Relaxed — statistics counter only (see `len`).
                 self.len.fetch_add(1, Ordering::Relaxed);
@@ -767,7 +765,7 @@ impl<S: KeySource> ConcurrentHot<S> {
             Plan::Insert { level, pos, key_bit, .. } => {
                 let (target, idx) = path[level];
                 let raw = target.as_raw();
-                if crate::trie::fast_path_enabled() {
+                if crate::sync_shim::insert_fast_path_enabled() {
                     let (lo, hi) = raw.affected_range(pos as usize, idx);
                     if let Some(new_node) = raw.insert_entry_cow(
                         pos as usize,
@@ -775,7 +773,7 @@ impl<S: KeySource> ConcurrentHot<S> {
                         hi,
                         key_bit,
                         NodeRef::leaf(tid).0,
-                        &self.mem,
+                        &self.store.mem,
                     ) {
                         self.publish(path, level, new_node, guard);
                         self.retire(target, guard);
@@ -787,7 +785,7 @@ impl<S: KeySource> ConcurrentHot<S> {
                 let mut builder = Builder::decode(raw);
                 builder.insert_entry(pos, idx, key_bit, NodeRef::leaf(tid).0);
                 if !builder.overflowed() {
-                    let new_node = builder.encode(&self.mem);
+                    let new_node = builder.encode(&self.store.mem);
                     self.publish(path, level, new_node, guard);
                     self.retire(target, guard);
                 } else {
@@ -816,7 +814,7 @@ impl<S: KeySource> ConcurrentHot<S> {
 
             if level == 0 {
                 let h = true_height(&[left_ref.0, right_ref.0]);
-                let new_root = Builder::pair(pos, left_ref.0, right_ref.0, h).encode(&self.mem);
+                let new_root = Builder::pair(pos, left_ref.0, right_ref.0, h).encode(&self.store.mem);
                 self.publish(path, 0, new_root, guard);
                 self.retire(old_node, guard);
                 return;
@@ -833,14 +831,14 @@ impl<S: KeySource> ConcurrentHot<S> {
                     level -= 1;
                     continue;
                 }
-                let new_parent = pb.encode(&self.mem);
+                let new_parent = pb.encode(&self.store.mem);
                 self.publish(path, level - 1, new_parent, guard);
                 self.retire(parent, guard);
                 return;
             }
 
             let h = true_height(&[left_ref.0, right_ref.0]);
-            let inter = Builder::pair(pos, left_ref.0, right_ref.0, h).encode(&self.mem);
+            let inter = Builder::pair(pos, left_ref.0, right_ref.0, h).encode(&self.store.mem);
             self.publish(path, level, inter, guard);
             self.retire(old_node, guard);
             return;
@@ -851,7 +849,7 @@ impl<S: KeySource> ConcurrentHot<S> {
         if half.len() == 1 {
             NodeRef(half.values[0])
         } else {
-            half.encode(&self.mem)
+            half.encode(&self.store.mem)
         }
     }
 
@@ -876,7 +874,7 @@ impl<S: KeySource> ConcurrentHot<S> {
     fn retire(&self, node: NodeRef, guard: &epoch::Guard) {
         mark_obsolete(node.as_raw());
         self.metrics.incr(RowexCounter::DeferredQueued);
-        let mem = Arc::as_ptr(&self.mem);
+        let mem = Arc::as_ptr(&self.store.mem);
         let metrics = self.metrics.handle();
         // SAFETY: the node is obsolete and unreachable from the (new)
         // structure; the epoch guarantees no pinned reader still holds it
@@ -915,13 +913,13 @@ impl<S: KeySource> ConcurrentHot<S> {
             return Ok(None);
         }
         let mut path = Path::new();
-        let cur = crate::node::descend(root, key, &mut path);
+        let cur = crate::node::descend(&self.store, root, key, &mut path);
         if cur.is_null() {
             return Err(());
         }
         let tid = cur.tid();
         let mut scratch = [0u8; KEY_SCRATCH_LEN];
-        let stored = self.source.load_key(tid, &mut scratch);
+        let stored = self.store.source.load_key(tid, &mut scratch);
         if hot_bits::first_mismatch_bit(stored, key.bytes()).is_some() {
             return Ok(None);
         }
@@ -959,7 +957,7 @@ impl<S: KeySource> ConcurrentHot<S> {
             } else {
                 let mut builder = Builder::decode(raw);
                 builder.remove_entry(idx);
-                builder.encode(&self.mem)
+                builder.encode(&self.store.mem)
             };
             self.publish(&path, level, replacement, guard);
             self.retire(node, guard);
@@ -976,40 +974,21 @@ impl<S: KeySource> ConcurrentHot<S> {
     /// Index memory footprint. Counts retired nodes until their deferred
     /// free has run: exact after [`quiesce`] with no writer running.
     pub fn memory_stats(&self) -> MemoryStats {
-        MemoryStats {
-            node_bytes: self.mem.bytes(),
-            node_count: self.mem.nodes(),
-            aux_bytes: 0,
-            key_count: self.len(),
-            capacity_bytes: 0,
-        }
+        self.store.memory_stats(self.len())
     }
 
     /// Leaf-depth histogram. Call on a quiesced tree.
     // epoch-exempt: quiesced-only diagnostic — the caller guarantees no
     // concurrent writers, so nothing can be retired under the walk.
     pub fn depth_stats(&self) -> DepthStats {
-        let mut stats = DepthStats::new();
-        // epoch-exempt: see depth_stats — quiesced-only inner walker.
-        fn walk(r: NodeRef, depth: usize, stats: &mut DepthStats) {
-            if r.is_leaf() {
-                stats.record(depth);
-            } else if r.is_node() {
-                let raw = r.as_raw();
-                for i in 0..raw.count() {
-                    walk(raw.value(i), depth + 1, stats);
-                }
-            }
-        }
-        walk(self.load_root(), 0, &mut stats);
-        stats
+        crate::invariants::depth_stats(&self.store, self.load_root())
     }
 
     /// Structural fingerprint (see
     /// [`HotTrie::structure_digest`](crate::HotTrie::structure_digest)).
     /// Call on a quiesced tree.
     pub fn structure_digest(&self) -> u64 {
-        crate::HotTrie::<S>::digest_of(self.load_root())
+        crate::invariants::structure_digest(&self.store, self.load_root())
     }
 
     /// Full structural validation. Call on a quiesced tree.
@@ -1028,7 +1007,7 @@ impl<S: KeySource> ConcurrentHot<S> {
     pub fn try_check_invariants(&self) -> Result<crate::InvariantReport, String> {
         // Re-lookups go through the uninstrumented internal path so the
         // walk never inflates the `get` / epoch-pin counters.
-        crate::invariants::check_tree(self.load_root(), &self.source, self.len(), |k| {
+        crate::invariants::check_tree(&self.store, self.load_root(), self.len(), |k| {
             self.get_padded(&PaddedKey::from_key(k))
         })
     }
@@ -1092,25 +1071,16 @@ impl<S> Drop for ConcurrentHot<S> {
     // epoch-exempt: `&mut self` proves exclusive access — no concurrent
     // reader can hold these nodes, and nothing retires them under us.
     fn drop(&mut self) {
-        // epoch-exempt: see drop — exclusive-access teardown.
-        fn free_subtree(r: NodeRef, mem: &MemCounter) {
-            if r.is_node() {
-                let raw = r.as_raw();
-                for i in 0..raw.count() {
-                    free_subtree(raw.value(i), mem);
-                }
-                // SAFETY: &mut self — no concurrent accessors remain.
-                unsafe { raw.free(mem) };
-            }
-        }
         // Ordering: Relaxed — `&mut self` proves exclusive access; the drop
         // glue itself already synchronized with all prior threads.
-        free_subtree(NodeRef(self.root.load(Ordering::Relaxed)), &self.mem);
+        let root = NodeRef(self.root.load(Ordering::Relaxed));
+        // SAFETY: &mut self — no concurrent accessors remain.
+        unsafe { self.store.free_tree(root) };
         // What `mem` still counts are retired nodes whose deferred frees
         // point at it (and at `metrics`): wait them out. Only a guard held
         // by this very thread can make that fail; then both stay allocated.
-        if self.mem.nodes() != 0 && !quiesce() {
-            std::mem::forget((Arc::clone(&self.mem), self.metrics.handle()));
+        if self.store.mem.nodes() != 0 && !quiesce() {
+            std::mem::forget((Arc::clone(&self.store.mem), self.metrics.handle()));
         }
     }
 }
@@ -1134,18 +1104,18 @@ unsafe impl<S: Send> Send for ConcurrentHot<S> {}
 
 // ---- concurrent facade over the compact arena layout ------------------------
 
-use crate::arena::{
-    ArenaFull, ArenaStats, CompactBatchCursor, CompactInner, CompactScanCursor, CompactScratch,
-};
-use hot_keys::MAX_KEY_LEN;
+use crate::arena::{ArenaFull, ArenaStats, ArenaStore, CRef, CompactRoot};
+use crate::node::TreeRef;
+use crate::trie::Writer;
 
 /// Concurrent wrapper over the arena-backed compact layout
 /// ([`CompactHot`](crate::CompactHot)): wait-free readers over 32-bit
 /// offset words, a single serialized writer, and epoch-deferred node-block
-/// reclamation.
+/// reclamation — the same single-writer core as `CompactHot`, with the
+/// root word an atomic and the retired blocks handed to the epoch.
 ///
 /// The publish/retire protocol is simpler than full ROWEX because the
-/// compact backend already funnels every structural change through one
+/// single-writer core already funnels every structural change through one
 /// `Release` store (a child slot or the root word) and arena slabs are
 /// never unmapped while the index lives:
 ///
@@ -1162,9 +1132,13 @@ use hot_keys::MAX_KEY_LEN;
 ///   keep walking a front-coding chain across any number of concurrent
 ///   upserts.
 pub struct ConcurrentCompact {
-    inner: Arc<CompactInner>,
+    store: Arc<ArenaStore>,
+    root: CompactRoot,
     /// Serializes writers; also owns the reusable mutation scratch.
-    scratch: std::sync::Mutex<CompactScratch>,
+    writer: std::sync::Mutex<Writer>,
+    /// Scheduler health counters of the batched reads (no-op unless the
+    /// `metrics` feature is enabled).
+    metrics: Metrics,
 }
 
 impl Default for ConcurrentCompact {
@@ -1182,14 +1156,16 @@ impl ConcurrentCompact {
     /// An empty index with explicit node/leaf arena byte ceilings.
     pub fn with_capacity(node_cap_bytes: usize, leaf_cap_bytes: usize) -> Self {
         ConcurrentCompact {
-            inner: Arc::new(CompactInner::new(node_cap_bytes, leaf_cap_bytes)),
-            scratch: std::sync::Mutex::new(CompactScratch::new()),
+            store: Arc::new(ArenaStore::new(node_cap_bytes, leaf_cap_bytes)),
+            root: CompactRoot::new(),
+            writer: std::sync::Mutex::new(Writer::new()),
+            metrics: Metrics::new(),
         }
     }
 
     /// Number of stored keys. Exact only when quiesced.
     pub fn len(&self) -> usize {
-        self.inner.len()
+        self.root.len()
     }
 
     /// True when no keys are stored.
@@ -1199,18 +1175,14 @@ impl ConcurrentCompact {
 
     /// Look up `key`; returns its TID if present. Wait-free.
     pub fn get(&self, key: &[u8]) -> Option<u64> {
-        let padded = PaddedKey::from_key(key);
-        let _guard = epoch::pin();
-        let mut buf = [0u8; MAX_KEY_LEN];
-        self.inner.get_padded(&padded, &mut buf)
+        self.get_with(key, &mut PaddedKey::new())
     }
 
     /// Like [`get`](Self::get) with a caller-provided padded-key buffer.
     pub fn get_with(&self, key: &[u8], buf: &mut PaddedKey) -> Option<u64> {
         buf.set(key);
         let _guard = epoch::pin();
-        let mut kb = [0u8; MAX_KEY_LEN];
-        self.inner.get_padded(buf, &mut kb)
+        crate::trie::lookup(&*self.store, self.root.load_root(), buf)
     }
 
     /// True when `key` is present.
@@ -1218,67 +1190,70 @@ impl ConcurrentCompact {
         self.get(key).is_some()
     }
 
-    /// Batched point lookups through a fresh pipeline cursor.
+    /// Batched point lookups on the thread's parked scheduler (see
+    /// [`ConcurrentHot::get_batch`]).
     ///
     /// # Panics
     /// Panics if `out.len() != keys.len()`.
     pub fn get_batch<K: AsRef<[u8]>>(&self, keys: &[K], out: &mut [Option<u64>]) {
-        let mut cursor = CompactBatchCursor::new();
-        self.get_batch_with(&mut cursor, keys, out);
+        crate::mlp::with_thread_scheduler(|sched| self.get_batch_with(keys, out, sched));
     }
 
-    /// Batched point lookups with a caller-owned cursor; one epoch pin
-    /// covers the whole batch.
+    /// Batched point lookups through the caller's scheduler; one epoch pin
+    /// covers the whole batch, the root is reloaded at every lane refill.
     ///
     /// # Panics
     /// Panics if `out.len() != keys.len()`.
     pub fn get_batch_with<K: AsRef<[u8]>>(
         &self,
-        cursor: &mut CompactBatchCursor,
         keys: &[K],
         out: &mut [Option<u64>],
+        sched: &mut crate::mlp::MlpScheduler,
     ) {
-        assert_eq!(keys.len(), out.len(), "output slice length mismatch");
+        assert_eq!(keys.len(), out.len(), "one output slot per key");
         let _guard = epoch::pin();
-        let g = cursor.group();
-        for (kc, oc) in keys.chunks(g).zip(out.chunks_mut(g)) {
-            cursor.run_group(&self.inner, kc, oc);
-        }
+        sched.run_points(
+            &*self.store,
+            &crate::mlp::LookupStream(keys),
+            out,
+            |_| self.root.load_root(),
+            true,
+            &self.metrics,
+        );
     }
 
     /// Collect up to `limit` TIDs with keys `>= key`, ascending.
     pub fn scan(&self, key: &[u8], limit: usize) -> Vec<u64> {
-        let mut out = Vec::with_capacity(limit.min(1024));
+        let mut out = Vec::new();
         self.scan_into(key, limit, &mut out);
         out
     }
 
     /// Like [`scan`](Self::scan) into a caller buffer (cleared first).
     pub fn scan_into(&self, key: &[u8], limit: usize, out: &mut Vec<u64>) {
-        let mut cursor = CompactScanCursor::new();
-        self.scan_with(&mut cursor, key, limit, out);
+        crate::scan::with_thread_cursor(|cursor| self.scan_with(key, limit, out, cursor));
     }
 
     /// Like [`scan`](Self::scan) with a caller-owned reusable cursor
     /// (`out` is cleared first); one epoch pin covers the whole scan.
     pub fn scan_with(
         &self,
-        cursor: &mut CompactScanCursor,
         key: &[u8],
         limit: usize,
         out: &mut Vec<u64>,
+        cursor: &mut crate::scan::ScanCursor,
     ) {
         out.clear();
         let _guard = epoch::pin();
-        cursor.scan_root(&self.inner, key, limit, out);
+        cursor.scan_root(&*self.store, self.root.load_root(), key, limit, out);
     }
 
     /// Insert `key -> tid`; returns the previous TID on upsert.
     ///
     /// # Panics
     /// Panics if `tid` exceeds [`MAX_TID`], the key exceeds
-    /// [`MAX_KEY_LEN`] bytes, or an arena ceiling is hit (use
-    /// [`try_insert`](Self::try_insert) to handle that case).
+    /// [`MAX_KEY_LEN`](hot_keys::MAX_KEY_LEN) bytes, or an arena ceiling is
+    /// hit (use [`try_insert`](Self::try_insert) to handle that case).
     pub fn insert(&self, key: &[u8], tid: u64) -> Option<u64> {
         self.try_insert(key, tid)
             .unwrap_or_else(|e| panic!("compact insert: {e}"))
@@ -1289,17 +1264,10 @@ impl ConcurrentCompact {
     ///
     /// # Panics
     /// Panics if `tid` exceeds [`MAX_TID`] or the key exceeds
-    /// [`MAX_KEY_LEN`] bytes.
+    /// [`MAX_KEY_LEN`](hot_keys::MAX_KEY_LEN) bytes.
     pub fn try_insert(&self, key: &[u8], tid: u64) -> Result<Option<u64>, ArenaFull> {
         assert!(tid <= MAX_TID, "tid exceeds MAX_TID");
-        let guard = epoch::pin();
-        let mut s = self.scratch.lock().expect("compact writer mutex poisoned");
-        let mut key_buf = s.key_buf.take().unwrap_or_default();
-        key_buf.set(key);
-        let result = crate::arena::insert_op(&self.inner, &mut s, &key_buf, tid);
-        s.key_buf = Some(key_buf);
-        self.retire_drained(&mut s, &guard);
-        result
+        self.write(key, Some(tid))
     }
 
     /// Remove `key`; returns its TID if it was present.
@@ -1315,82 +1283,107 @@ impl ConcurrentCompact {
     /// Remove `key`, reporting arena exhaustion as a typed error. On
     /// [`ArenaFull`] the tree is unchanged.
     pub fn try_remove(&self, key: &[u8]) -> Result<Option<u64>, ArenaFull> {
+        self.write(key, None)
+    }
+
+    /// One operation of the shared single-writer core — insert `key → tid`,
+    /// or remove `key` for no `tid` — under the writer mutex and an epoch
+    /// pin: the core works on a copy of the root word, a changed root is
+    /// published with one Release store, and the blocks the operation
+    /// unlinked are handed to the epoch.
+    fn write(&self, key: &[u8], tid: Option<u64>) -> Result<Option<u64>, ArenaFull> {
         let guard = epoch::pin();
-        let mut s = self.scratch.lock().expect("compact writer mutex poisoned");
-        let mut key_buf = s.key_buf.take().unwrap_or_default();
-        key_buf.set(key);
-        let result = crate::arena::remove_op(&self.inner, &mut s, &key_buf);
-        s.key_buf = Some(key_buf);
-        self.retire_drained(&mut s, &guard);
-        result
+        let mut w = self.writer.lock().expect("compact writer mutex poisoned");
+        let key_buf = w.take_key(key);
+        let before = self.root.load_root();
+        let mut root = before;
+        let result = match tid {
+            Some(tid) => crate::trie::insert(&*self.store, &mut w, &mut root, &key_buf, tid),
+            None => crate::trie::remove(&*self.store, &mut w, &mut root, &key_buf),
+        };
+        w.put_key(key_buf);
+        let answer = result?;
+        if root != before {
+            self.root.publish_root(root);
+        }
+        self.retire(&mut w, &guard);
+        let len = self.root.len();
+        match (tid, answer) {
+            (Some(_), None) => self.root.set_len(len + 1),
+            (None, Some(_)) => self.root.set_len(len - 1),
+            _ => {}
+        }
+        Ok(answer)
     }
 
     /// Defer every replaced node block's return to the free list until all
-    /// pinned epochs have moved on. (On a failed mutation the list is
-    /// already empty — rollback freed only never-published blocks, which
-    /// no reader can hold.)
-    fn retire_drained(&self, s: &mut CompactScratch, guard: &epoch::Guard) {
-        let inner = Arc::as_ptr(&self.inner);
-        for r in s.retired.drain(..) {
+    /// pinned epochs have moved on. (A failed mutation never gets here:
+    /// the store rolled back only never-published blocks, which no reader
+    /// can hold.)
+    fn retire(&self, w: &mut Writer, guard: &epoch::Guard) {
+        let store = Arc::as_ptr(&self.store);
+        for word in w.retired() {
+            let r = CRef::from_word(word);
             // SAFETY: `r` was unlinked by this mutation's single Release
             // publish; the epoch guarantees no pinned reader still holds
             // it when the deferred function runs, and `Drop` waits every
             // deferred function out before the slabs are unmapped.
             unsafe {
-                guard.defer_unchecked(move || (*inner).free_node(r));
+                guard.defer_unchecked(move || (*store).free_node(r));
             }
         }
     }
 
     /// Bulk-load sorted `(key, tid)` pairs into an empty index (one
     /// publish at the end; concurrent readers see the whole tree or
-    /// nothing).
-    ///
-    /// # Panics
-    /// Panics if an arena ceiling is hit mid-build.
+    /// nothing). An arena ceiling hit mid-build returns
+    /// [`BulkLoadError::ArenaFull`] with the index still empty and usable.
     pub fn bulk_load<K: AsRef<[u8]>>(
         &self,
         entries: &[(K, u64)],
     ) -> Result<usize, BulkLoadError> {
-        let _s = self.scratch.lock().expect("compact writer mutex poisoned");
-        if !self.inner.load_root().is_null() {
+        let _w = self.writer.lock().expect("compact writer mutex poisoned");
+        if !self.root.load_root().is_null() {
             return Err(BulkLoadError::NotEmpty);
         }
-        self.inner.bulk_inner(entries)
+        let (root, n) = crate::bulk::load(&*self.store, entries, 1)?;
+        self.root.publish_root(root);
+        self.root.set_len(n);
+        Ok(n)
     }
 
     /// Index memory footprint (live bytes plus reserved arena capacity).
     pub fn memory_stats(&self) -> MemoryStats {
-        self.inner.memory_stats()
+        self.store.memory_stats(self.len())
     }
 
     /// Allocator-level accounting for both arenas. Deferred frees may lag
     /// behind; exact after [`quiesce`] with no writer running.
     pub fn arena_stats(&self) -> ArenaStats {
-        self.inner.arena_stats()
+        self.store.arena_stats()
     }
 
     /// Leaf-depth histogram. Call on a quiesced index.
     pub fn depth_stats(&self) -> DepthStats {
-        self.inner.depth_stats()
+        crate::invariants::depth_stats(&*self.store, self.root.load_root())
     }
 
     /// Structural fingerprint (see
     /// [`HotTrie::structure_digest`](crate::HotTrie::structure_digest)).
     /// Call on a quiesced index.
     pub fn structure_digest(&self) -> u64 {
-        self.inner.structure_digest()
+        crate::invariants::structure_digest(&*self.store, self.root.load_root())
     }
 
     /// Whole-trie invariant walk. Call on a quiesced index.
     pub fn try_check_invariants(&self) -> Result<crate::InvariantReport, String> {
-        self.inner.try_check_invariants()
+        crate::invariants::check_tree(&*self.store, self.root.load_root(), self.len(), |k| self.get(k))
     }
 
     /// Like [`try_check_invariants`](Self::try_check_invariants) but
     /// panics on violation.
     pub fn check_invariants(&self) -> crate::InvariantReport {
-        match self.inner.try_check_invariants() {
+        match self.try_check_invariants() {
             Ok(report) => report,
             Err(e) => panic!("compact invariant violation: {e}"),
         }
@@ -1399,11 +1392,11 @@ impl ConcurrentCompact {
 
 impl Drop for ConcurrentCompact {
     fn drop(&mut self) {
-        // Deferred block frees point into `inner`: wait them out. Only a
+        // Deferred block frees point into the store: wait them out. Only a
         // guard held by this very thread can make that fail; then the
         // arena stays mapped.
         if !quiesce() {
-            std::mem::forget(Arc::clone(&self.inner));
+            std::mem::forget(Arc::clone(&self.store));
         }
     }
 }

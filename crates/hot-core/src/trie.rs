@@ -1,55 +1,430 @@
-//! The single-threaded Height Optimized Trie (Sections 3 and 4).
+//! The single-threaded Height Optimized Trie (Sections 3 and 4), written
+//! once over a [`NodeStore`].
 //!
 //! epoch-exempt: mutation takes `&mut self` and reads run against a tree
-//! nobody reclaims concurrently — no epoch pin is ever required here.
+//! nobody reclaims concurrently — no epoch pin is ever required here. The
+//! single-writer core below is also what
+//! [`ConcurrentCompact`](crate::sync::ConcurrentCompact) runs under its
+//! writer mutex; there the caller holds the pin and defers the retired
+//! blocks.
+//!
+//! [`Trie`] is the one front-end; [`HotTrie`] and
+//! [`CompactHot`](crate::CompactHot) are its two instantiations.
+
+// The storage seam is crate-internal: `Trie` is public only so that its
+// two instantiations can be named, and those are the public API.
+#![allow(private_bounds)]
 
 use crate::bulk::BulkLoadError;
 use crate::metrics::{Metrics, OpKind};
 use crate::node::builder::Builder;
-use crate::node::{MemCounter, NodeRef, MAX_FANOUT};
+use crate::node::{RawNode, Slot, TreeRef, MAX_FANOUT};
+use crate::store::{height_of, HeapStore, NodeStore};
 use hot_keys::stats::MemoryStats;
-use hot_keys::{DepthStats, KeySource, PaddedKey, KEY_SCRATCH_LEN, MAX_TID};
+use hot_keys::{DepthStats, KeySource, PaddedKey, MAX_TID};
 
 /// A Height Optimized Trie mapping prefix-free byte-string keys to 63-bit
-/// tuple identifiers.
+/// tuple identifiers, its nodes and leaves held by the store `St`.
 ///
-/// Keys handed to [`insert`](HotTrie::insert) are *not* stored by the index
-/// itself (HOT is Patricia-style and keeps only discriminative bits); they
-/// are resolved back from TIDs through the [`KeySource`] whenever a full-key
-/// comparison is required, exactly as a main-memory DBMS resolves tuples.
-/// Use [`HotMap`](crate::HotMap) for a self-contained ordered map.
-pub struct HotTrie<S> {
-    root: NodeRef,
-    source: S,
+/// Use it through its two instantiations: [`HotTrie`] (heap nodes, keys
+/// resolved through a [`KeySource`]) and [`CompactHot`](crate::CompactHot)
+/// (slab arenas, 32-bit references, inline key records). Both build
+/// structurally identical trees — equal
+/// [`structure_digest`](Self::structure_digest) for equal key sets.
+pub struct Trie<St: NodeStore> {
+    root: St::Ref,
     len: usize,
-    mem: MemCounter,
-    /// Reused descent stack: (node, selected entry index).
-    stack: Vec<(NodeRef, usize)>,
-    /// Reused padded key buffer for mutating operations (boxed so taking it
-    /// out is a pointer move, not a 272-byte copy).
-    key_buf: Option<Box<PaddedKey>>,
-    /// Reused decode buffer for the copy-on-write insert path.
-    scratch: Option<Builder>,
+    store: St,
+    writer: Writer,
     /// Operation metrics recorder — zero-sized no-op unless the `metrics`
     /// feature is enabled (see [`crate::metrics`]).
     metrics: Metrics,
 }
 
-pub(crate) use crate::sync_shim::insert_fast_path_enabled as fast_path_enabled;
+/// The heap-backed trie: one exact-size allocation per node, 64-bit tagged
+/// child pointers.
+///
+/// Keys handed to [`insert`](Trie::insert) are *not* stored by the index
+/// itself (HOT is Patricia-style and keeps only discriminative bits); they
+/// are resolved back from TIDs through the [`KeySource`] whenever a full-key
+/// comparison is required, exactly as a main-memory DBMS resolves tuples.
+/// Use [`HotMap`](crate::HotMap) for a self-contained ordered map.
+pub type HotTrie<S> = Trie<HeapStore<S>>;
 
-impl<S: KeySource> HotTrie<S> {
+/// Reusable state of the single writer: padded key, descent stack, decode
+/// builder, and the nodes the running operation replaced. Reference words
+/// are held widened, so one writer serves either back-end.
+pub(crate) struct Writer {
+    /// Padded key buffer (boxed so taking it out is a pointer move, not a
+    /// 272-byte copy).
+    key_buf: Option<Box<PaddedKey>>,
+    /// Descent stack: (node, selected entry index).
+    stack: Vec<(u64, usize)>,
+    /// Decode buffer for the copy-on-write paths.
+    builder: Option<Builder>,
+    /// Nodes the operation replaced — unreachable once it published. The
+    /// caller reclaims them after a successful operation: at once in
+    /// [`Trie`], epoch-deferred in the concurrent wrapper.
+    retired: Vec<u64>,
+}
+
+impl Writer {
+    pub(crate) fn new() -> Writer {
+        Writer {
+            key_buf: Some(Box::new(PaddedKey::new())),
+            stack: Vec::with_capacity(16),
+            builder: None,
+            retired: Vec::new(),
+        }
+    }
+
+    /// Take the key buffer out, set to `key` (hand it back with
+    /// [`put_key`](Self::put_key)).
+    pub(crate) fn take_key(&mut self, key: &[u8]) -> Box<PaddedKey> {
+        let mut buf = self.key_buf.take().unwrap_or_default();
+        buf.set(key);
+        buf
+    }
+
+    pub(crate) fn put_key(&mut self, buf: Box<PaddedKey>) {
+        self.key_buf = Some(buf);
+    }
+
+    /// The nodes the last successful operation unlinked.
+    pub(crate) fn retired(&mut self) -> std::vec::Drain<'_, u64> {
+        self.retired.drain(..)
+    }
+
+    #[inline]
+    fn raw_at<St: NodeStore>(&self, store: &St, level: usize) -> RawNode {
+        store.raw(St::Ref::from_word(self.stack[level].0))
+    }
+
+    /// Point the slot holding the node at `level` (or the root) at `new` —
+    /// the operation's single publish.
+    fn replace_slot<St: NodeStore>(&mut self, store: &St, root: &mut St::Ref, level: usize, new: St::Ref) {
+        if level == 0 {
+            *root = new;
+        } else {
+            let idx = self.stack[level - 1].1;
+            St::Slot::set(self.raw_at(store, level - 1), idx, new);
+        }
+        self.stack[level].0 = new.word();
+    }
+}
+
+/// Point lookup (Listing 2): one descent plus one full-key verification.
+#[inline]
+pub(crate) fn lookup<St: NodeStore>(store: &St, root: St::Ref, key: &PaddedKey) -> Option<u64> {
+    let cur = crate::node::descend(store, root, key, &mut ());
+    if cur.is_null() {
+        return None;
+    }
+    store.verify(cur, key.bytes())
+}
+
+/// Insert `key → tid` under `root` (upsert; Listing 1). `root` is the
+/// caller's root word: a store to it is the publish where the caller owns
+/// it exclusively, and what the caller Release-stores afterwards where
+/// readers run concurrently. On `Ok` the replaced nodes wait in
+/// [`Writer::retired`]; on `Err` the tree is untouched.
+pub(crate) fn insert<St: NodeStore>(
+    store: &St,
+    w: &mut Writer,
+    root: &mut St::Ref,
+    key: &PaddedKey,
+    tid: u64,
+) -> Result<Option<u64>, St::Full> {
+    w.retired.clear();
+    let result = insert_unsettled(store, w, root, key, tid);
+    store.settle(result.is_ok());
+    result
+}
+
+/// [`insert`] without the closing [`NodeStore::settle`]. Every fallible
+/// store call precedes the one publish of its branch.
+fn insert_unsettled<St: NodeStore>(
+    store: &St,
+    w: &mut Writer,
+    root: &mut St::Ref,
+    key: &PaddedKey,
+    tid: u64,
+) -> Result<Option<u64>, St::Full> {
+    if root.is_null() {
+        *root = store.new_leaf(key.bytes(), tid)?;
+        return Ok(None);
+    }
+
+    // Descend to the candidate leaf, recording the path.
+    w.stack.clear();
+    let cur = crate::node::descend(store, *root, key, &mut w.stack);
+    debug_assert!(cur.is_leaf(), "the single writer never observes a torn slot");
+    let mismatch = {
+        let mut buf = St::key_buf();
+        hot_bits::first_mismatch_bit(store.leaf_key(cur, &mut buf), key.bytes())
+    };
+    let Some(pos) = mismatch else {
+        // Upsert: swap the leaf word in place.
+        let previous = store.leaf_tid(cur);
+        let leaf = store.new_leaf(key.bytes(), tid)?;
+        match w.stack.last() {
+            None => *root = leaf,
+            Some(&(_, idx)) => St::Slot::set(w.raw_at(store, w.stack.len() - 1), idx, leaf),
+        }
+        store.drop_leaf(cur);
+        return Ok(Some(previous));
+    };
+    assert!(pos < u16::MAX as usize, "mismatch position fits u16");
+    let key_bit = hot_bits::bit_at(key.bytes(), pos);
+    let leaf = store.new_leaf(key.bytes(), tid)?;
+    // The two-entry node splitting `other` from the new leaf at `pos`.
+    let pair_with = |other: St::Ref| {
+        let (zero, one) = if key_bit == 1 { (other, leaf) } else { (leaf, other) };
+        Builder::pair(pos as u16, zero.word(), one.word(), 1)
+    };
+
+    if w.stack.is_empty() {
+        // The root was a single leaf: grow into the first 2-entry node.
+        *root = store.encode(&pair_with(cur))?;
+        return Ok(None);
+    }
+
+    // Find the node the new BiNode belongs to. Listing 1 traverses until
+    // the *mismatching BiNode*: the first path BiNode whose position
+    // exceeds the mismatch position. Start from the deepest node whose
+    // root BiNode position is <= the mismatch position (defaulting to
+    // the root node, which may grow upward)…
+    let mut level = w.stack.len() - 1;
+    while level > 0 && w.raw_at(store, level).min_position() as usize > pos {
+        level -= 1;
+    }
+    let mut idx = w.stack[level].1;
+    let mut raw = w.raw_at(store, level);
+    let (mut lo, mut hi) = raw.affected_range(pos, idx);
+
+    // …but when the affected "subtree" inside that node is a single
+    // child-node entry, the mismatching BiNode is the child's root
+    // BiNode: the new BiNode belongs to the *child*, which grows upward
+    // (this is what keeps e.g. monotonic inserts filling one node to
+    // fanout 32 instead of bloating its parent).
+    if lo == hi && St::Slot::get(raw, lo).is_node() {
+        level += 1;
+        idx = w.stack[level].1;
+        raw = w.raw_at(store, level);
+        (lo, hi) = raw.affected_range(pos, idx);
+        debug_assert_eq!((lo, hi), (0, raw.count() - 1));
+    }
+
+    if lo == hi && raw.height() > 1 {
+        let old_leaf = St::Slot::get(raw, lo);
+        if old_leaf.is_leaf() {
+            // Leaf-node pushdown (Section 3.2): the mismatching BiNode is a
+            // leaf entry of an inner node — replace the leaf by a fresh
+            // height-1 node instead of growing this node. No copy-on-write:
+            // a single slot store publishes the new node.
+            let pushed = store.encode(&pair_with(old_leaf))?;
+            St::Slot::set(raw, lo, pushed);
+            return Ok(None);
+        }
+    }
+
+    // Normal insert, fused fast path: where the store has one and the
+    // physical layout is stable, the new node is built straight from the
+    // old one (asserted byte-identical to the builder path, so taking it
+    // or not leaves the structure digest unchanged).
+    if let Some(new_node) = store.insert_cow(raw, pos, lo, hi, key_bit, leaf) {
+        let old_node = w.stack[level].0;
+        w.replace_slot(store, root, level, new_node);
+        w.retired.push(old_node);
+        return Ok(None);
+    }
+
+    // General path: decode into the reused scratch builder (malloc-free
+    // apart from the new node allocation).
+    let mut builder = w.builder.take().unwrap_or_else(Builder::empty);
+    St::Slot::decode(raw, &mut builder);
+    builder.insert_entry(pos as u16, idx, key_bit, leaf.word());
+    let result = if builder.overflowed() {
+        overflow_cascade(store, w, root, level, &mut builder)
+    } else {
+        store.encode(&builder).map(|new_node| {
+            let old_node = w.stack[level].0;
+            w.replace_slot(store, root, level, new_node);
+            w.retired.push(old_node);
+        })
+    };
+    w.builder = Some(builder);
+    result.map(|()| None)
+}
+
+/// Resolve the overflowed `builder` at `level` per Listing 1: split at the
+/// root BiNode, then parent pull-up (recursing upward) or intermediate
+/// node creation, growing the tree only at the root.
+fn overflow_cascade<St: NodeStore>(
+    store: &St,
+    w: &mut Writer,
+    root: &mut St::Ref,
+    mut level: usize,
+    builder: &mut Builder,
+) -> Result<(), St::Full> {
+    let height = |word: u64| height_of(store, word);
+    // Encode a split half, collapsing singleton halves to their bare value.
+    let half_ref = |half: &Builder| -> Result<u64, St::Full> {
+        if half.len() == 1 {
+            Ok(half.values[0])
+        } else {
+            store.encode(half).map(TreeRef::word)
+        }
+    };
+    loop {
+        debug_assert!(builder.overflowed());
+        let (pos, left, right) = builder.split_with(height);
+        let (left, right) = (half_ref(&left)?, half_ref(&right)?);
+        let old_node = w.stack[level].0;
+        let pair = || Builder::pair(pos, left, right, 1 + height(left).max(height(right)));
+
+        if level == 0 {
+            // Only the root grows the tree height.
+            *root = store.encode(&pair())?;
+            w.retired.push(old_node);
+            return Ok(());
+        }
+
+        let (parent, parent_idx) = w.stack[level - 1];
+        let parent_raw = w.raw_at(store, level - 1);
+        debug_assert!(parent_raw.height() > builder.height);
+        if builder.height + 1 == parent_raw.height() {
+            // Parent pull-up: move the split root BiNode into the parent.
+            St::Slot::decode(parent_raw, builder);
+            builder.replace_entry_with_pair_with(parent_idx, pos, left, right, height);
+            w.retired.push(old_node);
+            if builder.overflowed() {
+                level -= 1;
+                continue;
+            }
+            let new_parent = store.encode(builder)?;
+            w.replace_slot(store, root, level - 1, new_parent);
+            w.retired.push(parent);
+            return Ok(());
+        }
+
+        // Intermediate node creation: there is room between this node
+        // and its parent, so an extra level here does not increase the
+        // overall tree height.
+        let inter = store.encode(&pair())?;
+        St::Slot::set(parent_raw, parent_idx, inter);
+        w.retired.push(old_node);
+        return Ok(());
+    }
+}
+
+/// Remove `key` under `root`; same contract as [`insert`].
+///
+/// Deletion mirrors insertion (Section 3.2): a normal delete modifies a
+/// single node; a node underflowing to one entry collapses into its
+/// parent slot (the counterpart of leaf-node pushdown / intermediate
+/// node creation).
+pub(crate) fn remove<St: NodeStore>(
+    store: &St,
+    w: &mut Writer,
+    root: &mut St::Ref,
+    key: &PaddedKey,
+) -> Result<Option<u64>, St::Full> {
+    w.retired.clear();
+    let result = remove_unsettled(store, w, root, key);
+    store.settle(result.is_ok());
+    result
+}
+
+fn remove_unsettled<St: NodeStore>(
+    store: &St,
+    w: &mut Writer,
+    root: &mut St::Ref,
+    key: &PaddedKey,
+) -> Result<Option<u64>, St::Full> {
+    if root.is_null() {
+        return Ok(None);
+    }
+    w.stack.clear();
+    let cur = crate::node::descend(store, *root, key, &mut w.stack);
+    debug_assert!(cur.is_leaf(), "the single writer never observes a torn slot");
+    let Some(tid) = store.verify(cur, key.bytes()) else {
+        return Ok(None);
+    };
+
+    let Some(&(node, idx)) = w.stack.last() else {
+        // The root itself was the leaf.
+        *root = St::Ref::NULL;
+        store.drop_leaf(cur);
+        return Ok(Some(tid));
+    };
+    let level = w.stack.len() - 1;
+    let raw = w.raw_at(store, level);
+    if raw.count() == 2 {
+        // Underflow: the node collapses to its surviving entry.
+        let survivor = St::Slot::get(raw, 1 - idx);
+        w.replace_slot(store, root, level, survivor);
+        w.retired.push(node);
+    } else {
+        let mut builder = w.builder.take().unwrap_or_else(Builder::empty);
+        St::Slot::decode(raw, &mut builder);
+        builder.remove_entry(idx);
+        // Underflow merge (Section 3.2's deletion counterpart of
+        // pushdown / intermediate node creation): a node shrunk to two
+        // entries dissolves into its parent when there is room, pulling
+        // its single BiNode up and shortening the path by one level.
+        let merge = builder.len() == 2
+            && level > 0
+            && w.raw_at(store, level - 1).count() < MAX_FANOUT;
+        let target = if merge {
+            let (pos, zero, one) = (builder.positions[0], builder.values[0], builder.values[1]);
+            St::Slot::decode(w.raw_at(store, level - 1), &mut builder);
+            builder.replace_entry_with_pair_with(w.stack[level - 1].1, pos, zero, one, |word| {
+                height_of(store, word)
+            });
+            level - 1
+        } else {
+            level
+        };
+        let encoded = store.encode(&builder);
+        w.builder = Some(builder);
+        let replaced = w.stack[target].0;
+        w.replace_slot(store, root, target, encoded?);
+        w.retired.push(replaced);
+        if merge {
+            w.retired.push(node);
+        }
+    }
+    store.drop_leaf(cur);
+    Ok(Some(tid))
+}
+
+impl<S: KeySource> Trie<HeapStore<S>> {
     /// Create an empty trie resolving keys through `source`.
     pub fn new(source: S) -> Self {
-        HotTrie {
-            root: NodeRef::NULL,
-            source,
+        Trie::over(HeapStore::new(source))
+    }
+
+    /// Access the key source.
+    pub fn source(&self) -> &S {
+        &self.store.source
+    }
+}
+
+impl<St: NodeStore> Trie<St> {
+    /// An empty trie over `store`.
+    pub(crate) fn over(store: St) -> Self {
+        Trie {
+            root: St::Ref::NULL,
             len: 0,
-            mem: MemCounter::default(),
-            stack: Vec::with_capacity(16),
-            key_buf: Some(Box::new(PaddedKey::new())),
-            scratch: None,
+            store,
+            writer: Writer::new(),
             metrics: Metrics::new(),
         }
+    }
+
+    pub(crate) fn store(&self) -> &St {
+        &self.store
     }
 
     /// Number of keys stored.
@@ -62,19 +437,10 @@ impl<S: KeySource> HotTrie<S> {
         self.len == 0
     }
 
-    /// Access the key source.
-    pub fn source(&self) -> &S {
-        &self.source
-    }
-
     /// Overall tree height in compound nodes (0 for empty or single-leaf
     /// trees). Grows only when a new root is created.
     pub fn height(&self) -> usize {
-        if self.root.is_node() {
-            self.root.as_raw().height() as usize
-        } else {
-            0
-        }
+        height_of(&self.store, self.root.word()) as usize
     }
 
     /// Look up `key`; returns its TID if present.
@@ -96,18 +462,7 @@ impl<S: KeySource> HotTrie<S> {
     }
 
     fn get_padded(&self, key: &PaddedKey) -> Option<u64> {
-        let cur = crate::node::descend(self.root, key, &mut ());
-        if cur.is_null() {
-            return None;
-        }
-        let tid = cur.tid();
-        let mut scratch = [0u8; KEY_SCRATCH_LEN];
-        let stored = self.source.load_key(tid, &mut scratch);
-        if hot_bits::first_mismatch_bit(stored, key.bytes()).is_none() {
-            Some(tid)
-        } else {
-            None
-        }
+        lookup(&self.store, self.root, key)
     }
 
     /// Look up `keys` as one batch, writing `keys.len()` results into
@@ -142,7 +497,7 @@ impl<S: KeySource> HotTrie<S> {
         assert_eq!(keys.len(), out.len(), "one output slot per key");
         let _t = self.metrics.timer(OpKind::GetBatch);
         self.metrics.items(OpKind::GetBatch, keys.len() as u64);
-        sched.run_points(&self.source, &crate::mlp::LookupStream(keys), out, |_| self.root, false, &self.metrics);
+        sched.run_points(&self.store, &crate::mlp::LookupStream(keys), out, |_| self.root, false, &self.metrics);
     }
 
     /// Service a mixed stream of point lookups and range scans in one
@@ -195,7 +550,7 @@ impl<S: KeySource> HotTrie<S> {
         tids.clear();
         bounds.clear();
         bounds.push(0);
-        sched.run(&self.source, reqs, out, tids, bounds, |_| self.root, false, false, &self.metrics);
+        sched.run(&self.store, reqs, out, tids, bounds, |_| self.root, false, false, &self.metrics);
         self.metrics.items(OpKind::ScanBatch, tids.len() as u64);
     }
 
@@ -215,19 +570,16 @@ impl<S: KeySource> HotTrie<S> {
         let _t = self.metrics.timer(OpKind::RemoveBatch);
         self.metrics.items(OpKind::RemoveBatch, keys.len() as u64);
         crate::mlp::with_thread_scheduler(|sched| {
-            sched.run_points(&self.source, &crate::mlp::ProbeStream(keys), out, |_| self.root, false, &self.metrics)
+            sched.run_points(&self.store, &crate::mlp::ProbeStream(keys), out, |_| self.root, false, &self.metrics)
         });
         // Apply phase: only probed-present keys walk the structural remove.
         // A duplicate key probes present in every slot but the first apply
         // wins — exactly the answers sequential `remove` calls give.
-        let mut key_buf = self.key_buf.take().unwrap_or_default();
         for (key, slot) in keys.iter().zip(out.iter_mut()) {
             if slot.is_some() {
-                key_buf.set(key.as_ref());
-                *slot = self.remove_padded(&key_buf);
+                *slot = self.remove_untimed(key.as_ref()).unwrap_or_else(|e| panic!("remove: {e}"));
             }
         }
-        self.key_buf = Some(key_buf);
     }
 
     /// Whether `key` is present.
@@ -239,220 +591,51 @@ impl<S: KeySource> HotTrie<S> {
     /// already present.
     ///
     /// # Panics
-    /// Panics if `tid` exceeds [`MAX_TID`] or the key exceeds
-    /// [`MAX_KEY_LEN`](hot_keys::MAX_KEY_LEN) bytes.
+    /// Panics if `tid` exceeds [`MAX_TID`], the key exceeds
+    /// [`MAX_KEY_LEN`](hot_keys::MAX_KEY_LEN) bytes, or —
+    /// [`CompactHot`](crate::CompactHot) only — an arena ceiling is hit
+    /// (its `try_insert` reports that case as a typed error instead).
     pub fn insert(&mut self, key: &[u8], tid: u64) -> Option<u64> {
+        self.insert_fallible(key, tid).unwrap_or_else(|e| panic!("insert: {e}"))
+    }
+
+    /// [`insert`](Self::insert) with a full store as an error; the tree is
+    /// then unchanged.
+    pub(crate) fn insert_fallible(&mut self, key: &[u8], tid: u64) -> Result<Option<u64>, St::Full> {
         assert!(tid <= MAX_TID, "tid exceeds MAX_TID");
         let _t = self.metrics.timer(OpKind::Insert);
-        let mut key_buf = self.key_buf.take().unwrap_or_default();
-        key_buf.set(key);
-        let result = self.insert_padded(&key_buf, tid);
-        self.key_buf = Some(key_buf);
+        let key_buf = self.writer.take_key(key);
+        let result = insert(&self.store, &mut self.writer, &mut self.root, &key_buf, tid);
+        self.writer.put_key(key_buf);
+        if let Ok(previous) = result {
+            self.len += usize::from(previous.is_none());
+            self.reclaim();
+        }
         result
     }
 
-    fn insert_padded(&mut self, key: &PaddedKey, tid: u64) -> Option<u64> {
-        if self.root.is_null() {
-            self.root = NodeRef::leaf(tid);
-            self.len = 1;
-            return None;
+    /// Free what the operation that just succeeded unlinked.
+    fn reclaim(&mut self) {
+        for word in self.writer.retired() {
+            // SAFETY: unlinked by the operation's publish, and `&mut self`
+            // rules out readers.
+            unsafe { self.store.retire(St::Ref::from_word(word)) };
         }
-
-        // Descend to the candidate leaf, recording the path.
-        self.stack.clear();
-        let cur = crate::node::descend(self.root, key, &mut self.stack);
-        let existing_tid = cur.tid();
-        let mut scratch = [0u8; KEY_SCRATCH_LEN];
-        let mismatch = {
-            let stored = self.source.load_key(existing_tid, &mut scratch);
-            hot_bits::first_mismatch_bit(stored, key.bytes())
-        };
-        let Some(pos) = mismatch else {
-            // Upsert: swap the leaf word in place.
-            match self.stack.last() {
-                None => self.root = NodeRef::leaf(tid),
-                Some(&(node, idx)) => node.as_raw().store_value(idx, NodeRef::leaf(tid)),
-            }
-            return Some(existing_tid);
-        };
-        assert!(pos < u16::MAX as usize, "mismatch position fits u16");
-        let key_bit = hot_bits::bit_at(key.bytes(), pos);
-
-        if self.stack.is_empty() {
-            // The root was a single leaf: grow into the first 2-entry node.
-            let (zero, one) = if key_bit == 1 {
-                (NodeRef::leaf(existing_tid).0, NodeRef::leaf(tid).0)
-            } else {
-                (NodeRef::leaf(tid).0, NodeRef::leaf(existing_tid).0)
-            };
-            self.root = Builder::pair(pos as u16, zero, one, 1).encode(&self.mem);
-            self.len += 1;
-            return None;
-        }
-
-        // Find the node the new BiNode belongs to. Listing 1 traverses until
-        // the *mismatching BiNode*: the first path BiNode whose position
-        // exceeds the mismatch position. Start from the deepest node whose
-        // root BiNode position is <= the mismatch position (defaulting to
-        // the root node, which may grow upward)…
-        let mut level = self.stack.len() - 1;
-        while level > 0 && self.stack[level].0.as_raw().min_position() as usize > pos {
-            level -= 1;
-        }
-        let (mut target, mut idx) = self.stack[level];
-        let mut raw = target.as_raw();
-        let (mut lo, mut hi) = raw.affected_range(pos, idx);
-
-        // …but when the affected "subtree" inside that node is a single
-        // child-node entry, the mismatching BiNode is the child's root
-        // BiNode: the new BiNode belongs to the *child*, which grows upward
-        // (this is what keeps e.g. monotonic inserts filling one node to
-        // fanout 32 instead of bloating its parent).
-        if lo == hi && raw.value(lo).is_node() {
-            level += 1;
-            (target, idx) = self.stack[level];
-            raw = target.as_raw();
-            (lo, hi) = raw.affected_range(pos, idx);
-            debug_assert_eq!((lo, hi), (0, raw.count() - 1));
-        }
-        let _ = target;
-
-        if lo == hi && raw.value(lo).is_leaf() && raw.height() > 1 {
-            // Leaf-node pushdown (Section 3.2): the mismatching BiNode is a
-            // leaf entry of an inner node — replace the leaf by a fresh
-            // height-1 node instead of growing this node. No copy-on-write:
-            // a single slot store publishes the new node.
-            let old_leaf = raw.value(lo);
-            let (zero, one) = if key_bit == 1 {
-                (old_leaf.0, NodeRef::leaf(tid).0)
-            } else {
-                (NodeRef::leaf(tid).0, old_leaf.0)
-            };
-            let pushed = Builder::pair(pos as u16, zero, one, 1).encode(&self.mem);
-            raw.store_value(lo, pushed);
-            self.len += 1;
-            return None;
-        }
-
-        // Normal insert, fused fast path: when the physical layout is
-        // stable the new node is built straight from the old one.
-        if fast_path_enabled() {
-            if let Some(new_node) =
-                raw.insert_entry_cow(pos, lo, hi, key_bit, NodeRef::leaf(tid).0, &self.mem)
-            {
-                self.replace_slot(level, new_node);
-                // SAFETY: the old node is unreachable after the slot swap
-                // and the single-threaded trie has no concurrent readers.
-                unsafe { raw.free(&self.mem) };
-                self.len += 1;
-                return None;
-            }
-        }
-
-        // General path: decode into the reused scratch builder (malloc-free
-        // apart from the new node allocation).
-        let mut builder = self.scratch.take().unwrap_or_else(Builder::empty);
-        builder.decode_into(raw);
-        builder.insert_entry(pos as u16, idx, key_bit, NodeRef::leaf(tid).0);
-        if !builder.overflowed() {
-            let new_node = builder.encode(&self.mem);
-            self.replace_slot(level, new_node);
-            // SAFETY: the old node is unreachable after the slot swap and
-            // the single-threaded trie has no concurrent readers.
-            unsafe { raw.free(&self.mem) };
-            self.scratch = Some(builder);
-        } else {
-            self.handle_overflow(level, builder);
-        }
-        self.len += 1;
-        None
-    }
-
-    /// Resolve an overflowed builder at `level` per Listing 1: split at the
-    /// root BiNode, then parent pull-up (recursing upward) or intermediate
-    /// node creation, growing the tree only at the root.
-    fn handle_overflow(&mut self, mut level: usize, mut builder: Builder) {
-        loop {
-            debug_assert!(builder.overflowed());
-            let (pos, left, right) = builder.split();
-            let left_ref = self.half_ref(left);
-            let right_ref = self.half_ref(right);
-            let old_node = self.stack[level].0.as_raw();
-
-            if level == 0 {
-                // Only the root grows the tree height.
-                let h = crate::node::builder::true_height(&[left_ref.0, right_ref.0]);
-                let new_root =
-                    Builder::pair(pos, left_ref.0, right_ref.0, h).encode(&self.mem);
-                self.root = new_root;
-                // SAFETY: unreachable after the root swap; single-threaded.
-                unsafe { old_node.free(&self.mem) };
-                return;
-            }
-
-            let (parent, parent_idx) = self.stack[level - 1];
-            let parent_raw = parent.as_raw();
-            debug_assert!(parent_raw.height() > builder.height);
-            if builder.height + 1 == parent_raw.height() {
-                // Parent pull-up: move the split root BiNode into the parent.
-                let mut pb = Builder::decode(parent_raw);
-                pb.replace_entry_with_pair(parent_idx, pos, left_ref.0, right_ref.0);
-                // SAFETY: replaced by the two halves; single-threaded.
-                unsafe { old_node.free(&self.mem) };
-                if pb.overflowed() {
-                    builder = pb;
-                    level -= 1;
-                    continue;
-                }
-                let new_parent = pb.encode(&self.mem);
-                self.replace_slot(level - 1, new_parent);
-                // SAFETY: unreachable after the slot swap; single-threaded.
-                unsafe { parent_raw.free(&self.mem) };
-                return;
-            }
-
-            // Intermediate node creation: there is room between this node
-            // and its parent, so an extra level here does not increase the
-            // overall tree height.
-            let h = crate::node::builder::true_height(&[left_ref.0, right_ref.0]);
-            let inter = Builder::pair(pos, left_ref.0, right_ref.0, h).encode(&self.mem);
-            parent_raw.store_value(parent_idx, inter);
-            // SAFETY: unreachable after the slot swap; single-threaded.
-            unsafe { old_node.free(&self.mem) };
-            return;
-        }
-    }
-
-    /// Encode a split half, collapsing singleton halves to their bare value.
-    fn half_ref(&self, half: Builder) -> NodeRef {
-        if half.len() == 1 {
-            NodeRef(half.values[0])
-        } else {
-            half.encode(&self.mem)
-        }
-    }
-
-    /// Point the slot holding the node at `level` (or the root) at `new`.
-    fn replace_slot(&mut self, level: usize, new: NodeRef) {
-        if level == 0 {
-            self.root = new;
-        } else {
-            let (parent, idx) = self.stack[level - 1];
-            parent.as_raw().store_value(idx, new);
-        }
-        self.stack[level].0 = new;
     }
 
     /// Build the whole trie bottom-up from sorted `(key, tid)` entries
     /// (DESIGN.md §11).
     ///
     /// Keys must be ascending, prefix-free byte strings of at most
-    /// [`MAX_KEY_LEN`](hot_keys::MAX_KEY_LEN) bytes that resolve back from
-    /// their TIDs through the trie's [`KeySource`] — the same contract as
-    /// [`insert`](Self::insert), plus the sort order. Duplicate keys are
-    /// collapsed deterministically (the last entry's TID wins); out-of-order
-    /// input returns [`BulkLoadError::Unsorted`] without modifying the trie,
-    /// and a non-empty trie returns [`BulkLoadError::NotEmpty`].
+    /// [`MAX_KEY_LEN`](hot_keys::MAX_KEY_LEN) bytes (and, for [`HotTrie`],
+    /// resolve back from their TIDs through the trie's [`KeySource`]) — the
+    /// same contract as [`insert`](Self::insert), plus the sort order.
+    /// Duplicate keys are collapsed deterministically (the last entry's TID
+    /// wins); out-of-order input returns [`BulkLoadError::Unsorted`] without
+    /// modifying the trie, a non-empty trie returns
+    /// [`BulkLoadError::NotEmpty`], and an arena ceiling hit mid-build
+    /// returns [`BulkLoadError::ArenaFull`] with the trie still empty and
+    /// usable.
     ///
     /// Every compound node is computed from the adjacent-key mismatch
     /// positions and encoded exactly once, with no intermediate
@@ -483,13 +666,8 @@ impl<S: KeySource> HotTrie<S> {
             return Err(BulkLoadError::NotEmpty);
         }
         let _t = self.metrics.timer(OpKind::BulkLoad);
-        let prepared = crate::bulk::prepare(entries)?;
-        let n = prepared.tids.len();
-        self.root = match n {
-            0 => NodeRef::NULL,
-            1 => NodeRef::leaf(prepared.tids[0]),
-            _ => crate::bulk::build_parallel(&prepared.tids, &prepared.bounds, &self.mem, threads),
-        };
+        let (root, n) = crate::bulk::load(&self.store, entries, threads)?;
+        self.root = root;
         self.len = n;
         self.metrics.items(OpKind::BulkLoad, n as u64);
         Ok(n)
@@ -497,156 +675,63 @@ impl<S: KeySource> HotTrie<S> {
 
     /// Remove `key`; returns its TID if it was present.
     ///
-    /// Deletion mirrors insertion (Section 3.2): a normal delete modifies a
-    /// single node; a node underflowing to one entry collapses into its
-    /// parent slot (the counterpart of leaf-node pushdown / intermediate
-    /// node creation).
+    /// # Panics
+    /// [`CompactHot`](crate::CompactHot) only: panics if an arena ceiling is
+    /// hit while re-encoding the shrunk node (its `try_remove` reports that
+    /// case as a typed error instead).
     pub fn remove(&mut self, key: &[u8]) -> Option<u64> {
+        self.remove_fallible(key).unwrap_or_else(|e| panic!("remove: {e}"))
+    }
+
+    /// [`remove`](Self::remove) with a full store as an error; the tree is
+    /// then unchanged.
+    pub(crate) fn remove_fallible(&mut self, key: &[u8]) -> Result<Option<u64>, St::Full> {
         let _t = self.metrics.timer(OpKind::Remove);
-        let mut key_buf = self.key_buf.take().unwrap_or_default();
-        key_buf.set(key);
-        let result = self.remove_padded(&key_buf);
-        self.key_buf = Some(key_buf);
+        self.remove_untimed(key)
+    }
+
+    /// The removal itself, outside the `remove` metrics sample (a
+    /// `remove_batch` is one sample of its own kind).
+    fn remove_untimed(&mut self, key: &[u8]) -> Result<Option<u64>, St::Full> {
+        let key_buf = self.writer.take_key(key);
+        let result = remove(&self.store, &mut self.writer, &mut self.root, &key_buf);
+        self.writer.put_key(key_buf);
+        if let Ok(removed) = result {
+            self.len -= usize::from(removed.is_some());
+            self.reclaim();
+        }
         result
     }
 
-    fn remove_padded(&mut self, key: &PaddedKey) -> Option<u64> {
-        if self.root.is_null() {
-            return None;
-        }
-        self.stack.clear();
-        let cur = crate::node::descend(self.root, key, &mut self.stack);
-        let tid = cur.tid();
-        let mut scratch = [0u8; KEY_SCRATCH_LEN];
-        {
-            let stored = self.source.load_key(tid, &mut scratch);
-            if hot_bits::first_mismatch_bit(stored, key.bytes()).is_some() {
-                return None;
-            }
-        }
-
-        let Some(&(node, idx)) = self.stack.last() else {
-            // The root itself was the leaf.
-            self.root = NodeRef::NULL;
-            self.len = 0;
-            return Some(tid);
-        };
-        let raw = node.as_raw();
-        let level = self.stack.len() - 1;
-        if raw.count() == 2 {
-            // Underflow: the node collapses to its surviving entry.
-            let survivor = raw.value(1 - idx);
-            self.replace_slot(level, survivor);
-            // SAFETY: unreachable after the slot swap; single-threaded.
-            unsafe { raw.free(&self.mem) };
-        } else {
-            let mut builder = Builder::decode(raw);
-            builder.remove_entry(idx);
-            // Underflow merge (Section 3.2's deletion counterpart of
-            // pushdown / intermediate node creation): a node shrunk to two
-            // entries dissolves into its parent when there is room, pulling
-            // its single BiNode up and shortening the path by one level.
-            if builder.len() == 2 && level > 0 {
-                let (parent, parent_idx) = self.stack[level - 1];
-                let parent_raw = parent.as_raw();
-                if parent_raw.count() < MAX_FANOUT {
-                    let mut pb = Builder::decode(parent_raw);
-                    pb.replace_entry_with_pair(
-                        parent_idx,
-                        builder.positions[0],
-                        builder.values[0],
-                        builder.values[1],
-                    );
-                    let new_parent = pb.encode(&self.mem);
-                    self.replace_slot(level - 1, new_parent);
-                    // SAFETY: both old nodes are unreachable after the slot
-                    // swap; single-threaded.
-                    unsafe {
-                        raw.free(&self.mem);
-                        parent_raw.free(&self.mem);
-                    }
-                    self.len -= 1;
-                    return Some(tid);
-                }
-            }
-            let new_node = builder.encode(&self.mem);
-            self.replace_slot(level, new_node);
-            // SAFETY: unreachable after the slot swap; single-threaded.
-            unsafe { raw.free(&self.mem) };
-        }
-        self.len -= 1;
-        Some(tid)
-    }
-
     /// Iterator over all TIDs in ascending key order.
-    pub fn iter(&self) -> Cursor<'_> {
-        let mut frames = Vec::new();
-        let mut pending = None;
+    pub fn iter(&self) -> Cursor<'_, St> {
+        let mut cursor = Cursor { store: &self.store, frames: Vec::new(), pending: None };
         if self.root.is_node() {
-            frames.push((self.root, 0));
+            cursor.frames.push((self.root.word(), 0));
         } else if self.root.is_leaf() {
-            pending = Some(self.root.tid());
+            cursor.pending = Some(self.root);
         }
-        Cursor::new(frames, pending)
+        cursor
     }
 
     /// Iterator over TIDs whose keys are `>= key`, in ascending key order —
     /// the building block of workload E's short range scans.
-    pub fn range_from(&self, key: &[u8]) -> Cursor<'_> {
-        let padded = PaddedKey::from_key(key);
-        let mut frames: Vec<(NodeRef, usize)> = Vec::new();
-        let mut pending = None;
-
+    pub fn range_from(&self, key: &[u8]) -> Cursor<'_, St> {
+        let store = &self.store;
+        let mut cursor = Cursor { store, frames: Vec::new(), pending: None };
         if self.root.is_leaf() {
-            let mut scratch = [0u8; KEY_SCRATCH_LEN];
-            let stored = self.source.load_key(self.root.tid(), &mut scratch);
-            if stored >= padded.bytes() {
-                pending = Some(self.root.tid());
+            if crate::scan::leaf_in_range(store, self.root, key) {
+                cursor.pending = Some(self.root);
             }
-            return Cursor::new(frames, pending);
+        } else if self.root.is_node() {
+            // Seek and position exactly as a scan does.
+            let padded = PaddedKey::from_key(key);
+            let mut path = Vec::new();
+            let cur = crate::node::descend(store, self.root, &padded, &mut path);
+            let hit = crate::scan::position_frames(store, &padded, &path, cur, &mut cursor.frames);
+            cursor.pending = hit.map(|_| cur);
         }
-        if self.root.is_null() {
-            return Cursor::new(frames, pending);
-        }
-
-        // Descend to the candidate leaf, recording the path.
-        let mut path: Vec<(NodeRef, usize)> = Vec::new();
-        let cur = crate::node::descend(self.root, &padded, &mut path);
-        let mut scratch = [0u8; KEY_SCRATCH_LEN];
-        let mismatch = {
-            let stored = self.source.load_key(cur.tid(), &mut scratch);
-            hot_bits::first_mismatch_bit(stored, padded.bytes())
-        };
-
-        match mismatch {
-            None => {
-                // Exact hit: resume every ancestor after its taken entry and
-                // yield the hit first.
-                for &(node, idx) in &path {
-                    frames.push((node, idx + 1));
-                }
-                pending = Some(cur.tid());
-            }
-            Some(pos) => {
-                // Locate the node the mismatch splits (same rule as insert).
-                let mut level = path.len() - 1;
-                while level > 0 && path[level].0.as_raw().min_position() as usize > pos {
-                    level -= 1;
-                }
-                for &(node, idx) in &path[..level] {
-                    frames.push((node, idx + 1));
-                }
-                let (target, idx) = path[level];
-                let (lo, hi) = target.as_raw().affected_range(pos, idx);
-                let start = if hot_bits::bit_at(padded.bytes(), pos) == 0 {
-                    lo // the search key precedes the affected subtree
-                } else {
-                    hi + 1 // the search key follows the affected subtree
-                };
-                frames.push((target, start));
-            }
-        }
-        Cursor::new(frames, pending)
+        cursor
     }
 
     /// Collect up to `limit` TIDs with keys `>= key` (the paper's workload E
@@ -682,7 +767,7 @@ impl<S: KeySource> HotTrie<S> {
     ) {
         let _t = self.metrics.timer(OpKind::Scan);
         out.clear();
-        cursor.scan_root(self.root, &self.source, key, limit, out);
+        cursor.scan_root(&self.store, self.root, key, limit, out);
         self.metrics.items(OpKind::Scan, out.len() as u64);
     }
 
@@ -719,7 +804,7 @@ impl<S: KeySource> HotTrie<S> {
         bounds.push(0);
         let mut out: [Option<u64>; 0] = [];
         sched.run(
-            &self.source,
+            &self.store,
             &crate::mlp::ScanStream(requests),
             &mut out,
             tids,
@@ -739,39 +824,25 @@ impl<S: KeySource> HotTrie<S> {
         start: &[u8],
         end: &'a [u8],
     ) -> impl Iterator<Item = u64> + 'a {
-        self.range_from(start).take_while(move |&tid| {
-            let mut scratch = [0u8; KEY_SCRATCH_LEN];
-            self.source.load_key(tid, &mut scratch) < end
+        let mut cursor = self.range_from(start);
+        std::iter::from_fn(move || {
+            let leaf = cursor.next_leaf()?;
+            let store = cursor.store;
+            (store.leaf_key(leaf, &mut St::key_buf()) < end).then(|| store.leaf_tid(leaf))
         })
     }
 
-    /// Index memory footprint (nodes only; leaf storage is the key source's).
+    /// Index memory footprint: live node bytes, plus — for a store that
+    /// holds the keys itself — the leaf records as `aux_bytes` and the
+    /// reserved arena memory as `capacity_bytes`.
     pub fn memory_stats(&self) -> MemoryStats {
-        MemoryStats {
-            node_bytes: self.mem.bytes(),
-            node_count: self.mem.nodes(),
-            aux_bytes: 0,
-            key_count: self.len,
-            capacity_bytes: 0,
-        }
+        self.store.memory_stats(self.len)
     }
 
     /// Leaf-depth histogram (depth = compound nodes on the root-to-leaf
     /// path), as reported in Figure 11.
     pub fn depth_stats(&self) -> DepthStats {
-        let mut stats = DepthStats::new();
-        fn walk(r: NodeRef, depth: usize, stats: &mut DepthStats) {
-            if r.is_leaf() {
-                stats.record(depth);
-            } else if r.is_node() {
-                let raw = r.as_raw();
-                for i in 0..raw.count() {
-                    walk(raw.value(i), depth + 1, stats);
-                }
-            }
-        }
-        walk(self.root, 0, &mut stats);
-        stats
+        crate::invariants::depth_stats(&self.store, self.root)
     }
 
     /// Whole-trie structural invariant check (see [`crate::invariants`]):
@@ -782,7 +853,7 @@ impl<S: KeySource> HotTrie<S> {
     pub fn try_check_invariants(&self) -> Result<crate::InvariantReport, String> {
         // Re-lookups go through the uninstrumented internal path so the
         // walk never inflates the `get` operation counters.
-        crate::invariants::check_tree(self.root, &self.source, self.len, |k| {
+        crate::invariants::check_tree(&self.store, self.root, self.len, |k| {
             self.get_padded(&PaddedKey::from_key(k))
         })
     }
@@ -816,7 +887,7 @@ impl<S: KeySource> HotTrie<S> {
     pub fn check_invariants(&self) -> crate::InvariantReport {
         match self.try_check_invariants() {
             Ok(report) => report,
-            Err(msg) => panic!("HotTrie invariant violation: {msg}"),
+            Err(msg) => panic!("trie invariant violation: {msg}"),
         }
     }
 
@@ -838,112 +909,72 @@ impl<S: KeySource> HotTrie<S> {
     /// usize`): the observable footprint of the paper's two adaptivity
     /// dimensions. Test and diagnostics support.
     pub fn layout_census(&self) -> [usize; 9] {
-        let mut census = [0usize; 9];
-        fn walk(r: NodeRef, census: &mut [usize; 9]) {
-            if r.is_node() {
-                let raw = r.as_raw();
-                census[raw.tag as usize] += 1;
-                for i in 0..raw.count() {
-                    walk(raw.value(i), census);
-                }
-            }
-        }
-        walk(self.root, &mut census);
-        census
+        crate::invariants::layout_census(&self.store, self.root)
     }
 
     /// A structural fingerprint: equal digests mean structurally identical
-    /// trees (layouts, positions, sparse keys, heights, leaf order). Used to
-    /// test the paper's determinism conjecture (Section 3.3): "any given set
-    /// of keys results in the same structure, regardless of the insertion
-    /// order".
+    /// trees (layouts, positions, sparse keys, heights, leaf order) — in
+    /// either back-end. Used to test the paper's determinism conjecture
+    /// (Section 3.3): "any given set of keys results in the same structure,
+    /// regardless of the insertion order".
     pub fn structure_digest(&self) -> u64 {
-        Self::digest_of(self.root)
-    }
-
-    /// [`structure_digest`](Self::structure_digest) of the tree under `root`.
-    pub(crate) fn digest_of(root: NodeRef) -> u64 {
-        fn mix(h: u64, v: u64) -> u64 {
-            (h ^ v).wrapping_mul(0x100_0000_01b3).rotate_left(17)
-        }
-        fn walk(r: NodeRef, mut h: u64) -> u64 {
-            if r.is_leaf() {
-                return mix(h, r.tid() ^ 0xAAAA_AAAA);
-            }
-            if r.is_null() {
-                return mix(h, 0x5555);
-            }
-            let raw = r.as_raw();
-            h = mix(h, raw.tag as u64);
-            h = mix(h, raw.height() as u64);
-            for p in raw.positions() {
-                h = mix(h, p as u64);
-            }
-            for i in 0..raw.count() {
-                h = mix(h, raw.sparse_key(i) as u64);
-                h = walk(raw.value(i), h);
-            }
-            h
-        }
-        walk(root, 0xcbf2_9ce4_8422_2325)
+        crate::invariants::structure_digest(&self.store, self.root)
     }
 }
 
-impl<S> Drop for HotTrie<S> {
+impl<St: NodeStore> Drop for Trie<St> {
     fn drop(&mut self) {
-        fn free_subtree(r: NodeRef, mem: &MemCounter) {
-            if r.is_node() {
-                let raw = r.as_raw();
-                for i in 0..raw.count() {
-                    free_subtree(raw.value(i), mem);
-                }
-                // SAFETY: dropping the trie, sole owner of all nodes.
-                unsafe { raw.free(mem) };
-            }
-        }
-        free_subtree(self.root, &self.mem);
-        debug_assert_eq!(self.mem.bytes(), 0, "all node memory released");
+        // SAFETY: dropping the trie, sole owner of all its nodes.
+        unsafe { self.store.drop_tree(self.root) };
     }
 }
 
-/// Ordered iterator over leaf TIDs.
-pub struct Cursor<'a> {
-    frames: Vec<(NodeRef, usize)>,
-    pending: Option<u64>,
-    // Cursors borrow the tree they iterate.
-    _marker: std::marker::PhantomData<&'a ()>,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(frames: Vec<(NodeRef, usize)>, pending: Option<u64>) -> Cursor<'a> {
-        Cursor {
-            frames,
-            pending,
-            _marker: std::marker::PhantomData,
-        }
-    }
-}
-
-impl<'a> Iterator for Cursor<'a> {
+impl<'a, St: NodeStore> IntoIterator for &'a Trie<St> {
     type Item = u64;
+    type IntoIter = Cursor<'a, St>;
 
-    fn next(&mut self) -> Option<u64> {
-        if let Some(tid) = self.pending.take() {
-            return Some(tid);
+    fn into_iter(self) -> Cursor<'a, St> {
+        self.iter()
+    }
+}
+
+/// Ordered iterator over a trie's leaf TIDs.
+pub struct Cursor<'a, St: NodeStore> {
+    store: &'a St,
+    /// In-order traversal stack: (node, next entry index).
+    frames: Vec<(u64, usize)>,
+    /// A leaf to yield before the frames (the seek's exact match, or a
+    /// single-leaf root).
+    pending: Option<St::Ref>,
+}
+
+impl<St: NodeStore> Cursor<'_, St> {
+    fn next_leaf(&mut self) -> Option<St::Ref> {
+        if let Some(leaf) = self.pending.take() {
+            return Some(leaf);
         }
         loop {
-            let &(node, idx) = self.frames.last()?;
-            let raw = node.as_raw();
-            if idx >= raw.count() {
+            let frame = self.frames.last_mut()?;
+            let raw = self.store.raw(St::Ref::from_word(frame.0));
+            if frame.1 >= raw.count() {
                 self.frames.pop();
                 continue;
             }
-            self.frames.last_mut().expect("non-empty").1 += 1;
-            let value = raw.value(idx);
+            let value = St::Slot::get(raw, frame.1);
+            frame.1 += 1;
             if value.is_leaf() {
-                return Some(value.tid());
+                return Some(value);
             }
-            self.frames.push((value, 0));
+            self.frames.push((value.word(), 0));
         }
+    }
+}
+
+impl<St: NodeStore> Iterator for Cursor<'_, St> {
+    type Item = u64;
+
+    fn next(&mut self) -> Option<u64> {
+        let leaf = self.next_leaf()?;
+        Some(self.store.leaf_tid(leaf))
     }
 }

@@ -10,122 +10,33 @@
 //! and typed [`ArenaFull`] exhaustion of the 32-bit offset space under
 //! artificially small arena ceilings.
 
-use hot_core::{ArenaFull, ArenaKind, CompactBatchCursor, CompactHot, CompactScanCursor, HotTrie};
-use hot_keys::{ArenaKeySource, KeySource};
+#[macro_use]
+mod common;
+
+use common::{assert_backends_agree, fnv1a, opt};
+use hot_core::{ArenaFull, ArenaKind, Backend, BulkLoadError, CompactHot, HotTrie, ScanCursor, Trie};
+use hot_keys::ArenaKeySource;
 use hot_ycsb::{Dataset, DatasetKind};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// FNV-1a over a result stream.
-fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
-
-fn opt(v: Option<u64>) -> u64 {
-    v.map_or(u64::MAX, |t| t.wrapping_add(1))
-}
-
-/// Build the heap oracle and the compact trie over the same keys, in the
-/// same (shuffled) insert order.
-fn build_pair(keys: &[Vec<u8>]) -> (HotTrie<Arc<ArenaKeySource>>, CompactHot, Vec<u64>) {
-    let mut arena = ArenaKeySource::new();
-    let tids: Vec<u64> = keys.iter().map(|k| arena.push(k)).collect();
-    let arena = Arc::new(arena);
-    let mut heap = HotTrie::new(Arc::clone(&arena));
-    let mut compact = CompactHot::new();
-    for (k, &tid) in keys.iter().zip(&tids) {
-        assert_eq!(
-            heap.insert(k, tid),
-            compact.insert(k, tid),
-            "insert disagreement on {k:?}"
-        );
-    }
-    (heap, compact, tids)
-}
-
-/// One full differential pass: digest, point gets (hit + miss), batched
-/// gets, in-order iteration, and sampled scans, all reduced to checksums
-/// that must match the oracle exactly.
-fn assert_backends_agree<S: KeySource>(
-    heap: &HotTrie<S>,
-    compact: &CompactHot,
-    keys: &[Vec<u8>],
-    label: &str,
-) {
-    assert_eq!(heap.len(), compact.len(), "{label}: len");
-    assert_eq!(
-        heap.structure_digest(),
-        compact.structure_digest(),
-        "{label}: structure digest"
-    );
-
-    // Point lookups: every stored key plus a mutated (mostly absent) probe.
-    let mut heap_sum = Vec::with_capacity(keys.len() * 2);
-    let mut compact_sum = Vec::with_capacity(keys.len() * 2);
-    let mut probe = Vec::new();
-    for k in keys {
-        heap_sum.push(opt(heap.get(k)));
-        compact_sum.push(opt(compact.get(k)));
-        probe.clear();
-        probe.extend_from_slice(k);
-        let last = probe.len() - 1;
-        probe[last] ^= 0x01;
-        heap_sum.push(opt(heap.get(&probe)));
-        compact_sum.push(opt(compact.get(&probe)));
-    }
-    assert_eq!(fnv1a(heap_sum), fnv1a(compact_sum), "{label}: get checksum");
-
-    // Batched lookups through the pipelined cursor.
-    let mut cursor = CompactBatchCursor::new();
-    let mut heap_out = vec![None; keys.len()];
-    let mut compact_out = vec![None; keys.len()];
-    heap.get_batch(keys, &mut heap_out);
-    compact.get_batch_with(&mut cursor, keys, &mut compact_out);
-    assert_eq!(heap_out, compact_out, "{label}: get_batch");
-
-    // Full in-order iteration.
-    assert_eq!(
-        fnv1a(heap.iter()),
-        fnv1a(compact.iter()),
-        "{label}: iter checksum"
-    );
-
-    // Sampled scans (every 37th key as start, plus its absent mutation).
-    let mut scan_cursor = CompactScanCursor::new();
-    let mut heap_hits = Vec::new();
-    let mut compact_hits = Vec::new();
-    for (i, k) in keys.iter().enumerate().step_by(37) {
-        for limit in [1usize, 17, 100] {
-            heap_hits.clear();
-            heap.scan_into(k, limit, &mut heap_hits);
-            compact_hits.clear();
-            compact.scan_with(&mut scan_cursor, k, limit, &mut compact_hits);
-            assert_eq!(heap_hits, compact_hits, "{label}: scan from key {i}");
-        }
-        probe.clear();
-        probe.extend_from_slice(&k[..k.len() / 2]);
-        heap_hits.clear();
-        heap.scan_into(&probe, 50, &mut heap_hits);
-        compact_hits.clear();
-        compact.scan_with(&mut scan_cursor, &probe, 50, &mut compact_hits);
-        assert_eq!(heap_hits, compact_hits, "{label}: scan from prefix of key {i}");
-    }
-
-    compact.check_invariants();
+/// Insert `keys → tids` into the (empty) `trie` in the given order; also
+/// returns the checksum of what the inserts answered.
+fn filled<B: Backend>(mut trie: Trie<B>, keys: &[Vec<u8>], tids: &[u64]) -> (Trie<B>, u64) {
+    let answers: Vec<u64> = keys.iter().zip(tids).map(|(k, &tid)| opt(trie.insert(k, tid))).collect();
+    (trie, fnv1a(answers))
 }
 
 fn run_dataset(kind: DatasetKind) {
     let data = Dataset::generate(kind, 6_000, 0xA2E7_0008);
     let label = kind.label();
-    let (mut heap, mut compact, tids) = build_pair(&data.keys);
+    let mut arena = ArenaKeySource::new();
+    let tids: Vec<u64> = data.keys.iter().map(|k| arena.push(k)).collect();
+    let arena = Arc::new(arena);
+    let (mut heap, heap_answers) = filled(HotTrie::new(Arc::clone(&arena)), &data.keys, &tids);
+    let (mut compact, compact_answers) = filled(CompactHot::new(), &data.keys, &tids);
+    assert_eq!(heap_answers, compact_answers, "{label}: insert checksum");
     assert_backends_agree(&heap, &compact, &data.keys, label);
 
     // Bulk load must reproduce the incremental structure bit-for-bit.
@@ -141,6 +52,9 @@ fn run_dataset(kind: DatasetKind) {
         compact.structure_digest(),
         "{label}: bulk vs incremental digest"
     );
+    let mut heap_bulk = HotTrie::new(Arc::clone(&arena));
+    assert_eq!(heap_bulk.bulk_load(&sorted).expect("bulk load"), data.keys.len());
+    assert_backends_agree(&heap_bulk, &bulk, &data.keys, &format!("{label}/bulk"));
 
     // Remove ~half (every other key in insert order) from both backends;
     // returned TIDs and the surviving structure must stay in lockstep.
@@ -259,6 +173,59 @@ fn exhaustion_is_typed_and_recoverable() {
     leaf_bound.check_invariants();
 }
 
+/// A bulk load that hits an arena ceiling mid-build — in the node arena
+/// (the records are all appended, a node allocation fails) or in the leaf
+/// arena (a record append fails, no node exists yet) — returns the typed
+/// error, publishes nothing, gives every block it took back, and leaves an
+/// index that works.
+#[test]
+fn bulk_load_exhaustion_is_typed_and_leaves_the_index_usable() {
+    use hot_core::sync::ConcurrentCompact;
+    const SLAB: usize = 1 << 20;
+
+    let short: Vec<(Vec<u8>, u64)> =
+        (0..400_000u64).map(|i| (format!("k{i:08}").into_bytes(), i)).collect();
+    let long: Vec<(Vec<u8>, u64)> = (0..8_000u64)
+        .map(|i| (format!("{i:08}/{}", "y".repeat(180)).into_bytes(), i))
+        .collect();
+    let cases = [
+        (ArenaKind::Node, SLAB, usize::MAX, &short),
+        (ArenaKind::Leaf, usize::MAX, SLAB, &long),
+    ];
+    for (kind, node_cap, leaf_cap, entries) in cases {
+        let mut trie = CompactHot::with_capacity(node_cap, leaf_cap);
+        let Err(BulkLoadError::ArenaFull(err)) = trie.bulk_load(entries) else {
+            panic!("{kind:?}: bulk load over the ceiling must fail typed");
+        };
+        assert_eq!(err.kind, kind);
+        assert_eq!(err.capacity, SLAB);
+        assert!(trie.is_empty(), "{kind:?}: nothing published");
+        trie.check_invariants();
+        let stats = trie.arena_stats();
+        assert_eq!((stats.node_live_count, stats.node_live_bytes), (0, 0), "{kind:?}: nodes freed");
+        assert_eq!(stats.leaf_records, 0, "{kind:?}: records marked dead");
+        assert_eq!(stats.leaf_dead_bytes, stats.leaf_tail_bytes, "{kind:?}: all appended bytes dead");
+        // Still an index: the node arena recycles what the failed build
+        // returned, and the leaf arena (whose bytes are never reused) has
+        // the tail the failing record did not fit into.
+        assert_eq!(trie.insert(b"z", 7), None);
+        assert_eq!(trie.insert(b"y", 8), None);
+        assert_eq!(trie.get(b"z"), Some(7));
+        assert_eq!(trie.get(&entries[0].0), None);
+        assert_eq!(trie.bulk_load(&entries[..10]), Err(BulkLoadError::NotEmpty));
+        trie.check_invariants();
+
+        let shared = ConcurrentCompact::with_capacity(node_cap, leaf_cap);
+        assert_eq!(shared.bulk_load(entries), Err(BulkLoadError::ArenaFull(err)));
+        assert!(shared.is_empty());
+        shared.check_invariants();
+        assert_eq!(shared.arena_stats().node_live_count, 0);
+        assert_eq!(shared.insert(b"z", 7), None);
+        assert_eq!(shared.get(b"z"), Some(7));
+        shared.check_invariants();
+    }
+}
+
 /// Concurrent wrapper: readers race a writer through inserts, upserts and
 /// removes; every lookup must return either a value the key held at some
 /// point or a miss while absent, and the quiesced end state must match the
@@ -284,7 +251,7 @@ fn concurrent_compact_churn() {
         readers.push(std::thread::spawn(move || {
             let mut hits = 0u64;
             let mut out = Vec::new();
-            let mut cursor = CompactScanCursor::new();
+            let mut cursor = ScanCursor::new();
             let mut round = 0usize;
             while !stop.load(Ordering::Relaxed) {
                 for (i, k) in keys.iter().enumerate().skip(t).step_by(3) {
@@ -295,7 +262,7 @@ fn concurrent_compact_churn() {
                         hits += 1;
                     }
                     if i % 97 == 0 {
-                        index.scan_with(&mut cursor, k, 5, &mut out);
+                        index.scan_with(k, 5, &mut out, &mut cursor);
                         assert!(out.len() <= 5);
                     }
                 }
@@ -336,3 +303,30 @@ fn concurrent_compact_churn() {
     assert_eq!(index.structure_digest(), oracle.structure_digest());
     index.check_invariants();
 }
+
+/// Several writers: the mutex serializes them, so disjoint inserts and
+/// removes from four threads leave exactly the surviving keys, counted.
+#[test]
+fn concurrent_compact_writers_are_serialized() {
+    use hot_core::sync::ConcurrentCompact;
+
+    let index = ConcurrentCompact::new();
+    std::thread::scope(|scope| {
+        for t in 0..4u64 {
+            let index = &index;
+            scope.spawn(move || {
+                for i in (t..8_000).step_by(4) {
+                    assert_eq!(index.insert(format!("w/{i:05}").as_bytes(), i), None);
+                    if i % 3 == 0 {
+                        assert_eq!(index.remove(format!("w/{i:05}").as_bytes()), Some(i));
+                    }
+                }
+            });
+        }
+    });
+    assert_eq!(index.len(), 8_000 - 8_000usize.div_ceil(3));
+    assert_eq!(index.check_invariants().leaves, index.len());
+    assert_eq!(index.get(b"w/00001"), Some(1));
+    assert_eq!(index.get(b"w/00003"), None);
+}
+

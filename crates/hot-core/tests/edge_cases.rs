@@ -1,6 +1,10 @@
 //! Edge cases: extreme key shapes, boundary lengths, adversarial bit
 //! patterns, and layout-coverage checks (all nine physical node layouts
-//! must be reachable and correct).
+//! must be reachable and correct). Every case takes the back-end as one
+//! more input (`for_each_backend!`): the heap trie, then `CompactHot`.
+
+#[macro_use]
+mod common;
 
 use hot_core::{HotTrie, NodeTag};
 use hot_keys::{encode_u64, ArenaKeySource, EmbeddedKeySource, MAX_KEY_LEN};
@@ -13,19 +17,20 @@ fn empty_key_is_a_valid_smallest_key() {
         .iter()
         .map(|k| arena.push(k))
         .collect();
-    let mut t = HotTrie::new(&arena);
-    t.insert(b"", empty);
-    t.insert(b"\x01", others[0]);
-    t.insert(b"a", others[1]);
-    t.insert(b"zz", others[2]);
-    t.validate();
-    assert_eq!(t.get(b""), Some(empty));
-    // The empty key is the global minimum.
-    assert_eq!(t.iter().next(), Some(empty));
-    assert_eq!(t.scan(b"", 10).len(), 4);
-    assert_eq!(t.remove(b""), Some(empty));
-    assert_eq!(t.get(b""), None);
-    t.validate();
+    for_each_backend!(HotTrie::new(&arena), |t| {
+        t.insert(b"", empty);
+        t.insert(b"\x01", others[0]);
+        t.insert(b"a", others[1]);
+        t.insert(b"zz", others[2]);
+        t.validate();
+        assert_eq!(t.get(b""), Some(empty));
+        // The empty key is the global minimum.
+        assert_eq!(t.iter().next(), Some(empty));
+        assert_eq!(t.scan(b"", 10).len(), 4);
+        assert_eq!(t.remove(b""), Some(empty));
+        assert_eq!(t.get(b""), None);
+        t.validate();
+    });
 }
 
 #[test]
@@ -40,32 +45,34 @@ fn keys_at_maximum_length() {
         keys.push(k);
     }
     let tids: Vec<u64> = keys.iter().map(|k| arena.push(k)).collect();
-    let mut t = HotTrie::new(&arena);
-    for (k, &tid) in keys.iter().zip(&tids) {
-        t.insert(k, tid);
-    }
-    t.validate();
-    for (k, &tid) in keys.iter().zip(&tids) {
-        assert_eq!(t.get(k), Some(tid));
-    }
-    assert_eq!(t.iter().collect::<Vec<_>>(), tids);
+    for_each_backend!(HotTrie::new(&arena), |t| {
+        for (k, &tid) in keys.iter().zip(&tids) {
+            t.insert(k, tid);
+        }
+        t.validate();
+        for (k, &tid) in keys.iter().zip(&tids) {
+            assert_eq!(t.get(k), Some(tid));
+        }
+        assert_eq!(t.iter().collect::<Vec<_>>(), tids);
+    });
 }
 
 #[test]
 fn first_and_last_bit_discrimination() {
     // Keys differing in bit 0 (MSB of byte 0) and bit 63 of an 8-byte key.
     let keys = [0u64, 1, 1 << 62, (1 << 62) | 1, u64::MAX >> 1];
-    let mut t = HotTrie::new(EmbeddedKeySource);
-    for &k in &keys {
-        t.insert(&encode_u64(k), k);
-    }
-    t.validate();
-    for &k in &keys {
-        assert_eq!(t.get(&encode_u64(k)), Some(k));
-    }
-    let mut sorted = keys.to_vec();
-    sorted.sort_unstable();
-    assert_eq!(t.iter().collect::<Vec<_>>(), sorted);
+    for_each_backend!(HotTrie::new(EmbeddedKeySource), |t| {
+        for &k in &keys {
+            t.insert(&encode_u64(k), k);
+        }
+        t.validate();
+        for &k in &keys {
+            assert_eq!(t.get(&encode_u64(k)), Some(k));
+        }
+        let mut sorted = keys.to_vec();
+        sorted.sort_unstable();
+        assert_eq!(t.iter().collect::<Vec<_>>(), sorted);
+    });
 }
 
 #[test]
@@ -112,38 +119,39 @@ fn all_nine_node_layouts_occur_and_work() {
     keys.dedup();
 
     let tids: Vec<u64> = keys.iter().map(|k| arena.push(k)).collect();
-    let mut t = HotTrie::new(&arena);
-    for (k, &tid) in keys.iter().zip(&tids) {
-        t.insert(k, tid);
-    }
-    t.validate();
-    for (k, &tid) in keys.iter().zip(&tids) {
-        assert_eq!(t.get(k), Some(tid));
-    }
+    for_each_backend!(HotTrie::new(&arena), |t| {
+        for (k, &tid) in keys.iter().zip(&tids) {
+            t.insert(k, tid);
+        }
+        t.validate();
+        for (k, &tid) in keys.iter().zip(&tids) {
+            assert_eq!(t.get(k), Some(tid));
+        }
 
-    let census = t.layout_census();
-    let used: Vec<NodeTag> = NodeTag::ALL
-        .into_iter()
-        .filter(|tag| census[*tag as usize] > 0)
-        .collect();
-    // At minimum the single-mask family and a multi-mask layout must occur
-    // in this engineered tree.
-    assert!(
-        used.contains(&NodeTag::Single8),
-        "census {census:?} lacks Single8"
-    );
-    assert!(
-        used.iter()
-            .any(|t| matches!(t, NodeTag::Multi8x8 | NodeTag::Multi8x16 | NodeTag::Multi8x32)),
-        "census {census:?} lacks a multi-8 layout"
-    );
-    assert!(
-        used.iter().any(|t| matches!(
-            t,
-            NodeTag::Multi16x16 | NodeTag::Multi16x32 | NodeTag::Multi32x32
-        )),
-        "census {census:?} lacks a wide multi layout"
-    );
+        let census = t.layout_census();
+        let used: Vec<NodeTag> = NodeTag::ALL
+            .into_iter()
+            .filter(|tag| census[*tag as usize] > 0)
+            .collect();
+        // At minimum the single-mask family and a multi-mask layout must occur
+        // in this engineered tree.
+        assert!(
+            used.contains(&NodeTag::Single8),
+            "census {census:?} lacks Single8"
+        );
+        assert!(
+            used.iter()
+                .any(|t| matches!(t, NodeTag::Multi8x8 | NodeTag::Multi8x16 | NodeTag::Multi8x32)),
+            "census {census:?} lacks a multi-8 layout"
+        );
+        assert!(
+            used.iter().any(|t| matches!(
+                t,
+                NodeTag::Multi16x16 | NodeTag::Multi16x32 | NodeTag::Multi32x32
+            )),
+            "census {census:?} lacks a wide multi layout"
+        );
+    });
 }
 
 #[test]
@@ -152,43 +160,45 @@ fn url_dataset_exercises_wide_layouts() {
     let data = hot_ycsb::Dataset::generate(hot_ycsb::DatasetKind::Url, 30_000, 3);
     let mut arena = ArenaKeySource::new();
     let tids: Vec<u64> = data.keys.iter().map(|k| arena.push(k)).collect();
-    let mut t = HotTrie::new(&arena);
-    for (k, &tid) in data.keys.iter().zip(&tids) {
-        t.insert(k, tid);
-    }
-    t.validate();
-    let census = t.layout_census();
-    let total: usize = census.iter().sum();
-    assert_eq!(total, t.memory_stats().node_count);
-    assert!(
-        census[NodeTag::Multi8x8 as usize]
-            + census[NodeTag::Multi8x16 as usize]
-            + census[NodeTag::Multi8x32 as usize]
-            > 0,
-        "urls span multiple key bytes: {census:?}"
-    );
+    for_each_backend!(HotTrie::new(&arena), |t| {
+        for (k, &tid) in data.keys.iter().zip(&tids) {
+            t.insert(k, tid);
+        }
+        t.validate();
+        let census = t.layout_census();
+        let total: usize = census.iter().sum();
+        assert_eq!(total, t.memory_stats().node_count);
+        assert!(
+            census[NodeTag::Multi8x8 as usize]
+                + census[NodeTag::Multi8x16 as usize]
+                + census[NodeTag::Multi8x32 as usize]
+                > 0,
+            "urls span multiple key bytes: {census:?}"
+        );
+    });
 }
 
 #[test]
 fn alternating_bit_patterns() {
     // Keys that differ at every second bit stress the recode path (every
     // insert adds a new discriminative position).
-    let mut t = HotTrie::new(EmbeddedKeySource);
-    let mut keys = Vec::new();
-    for i in 0..64u64 {
-        let mut v = 0u64;
-        for b in 0..6 {
-            if i & (1 << b) != 0 {
-                v |= 1 << (b * 9 + 3);
+    for_each_backend!(HotTrie::new(EmbeddedKeySource), |t| {
+        let mut keys = Vec::new();
+        for i in 0..64u64 {
+            let mut v = 0u64;
+            for b in 0..6 {
+                if i & (1 << b) != 0 {
+                    v |= 1 << (b * 9 + 3);
+                }
             }
+            keys.push(v);
+            t.insert(&encode_u64(v), v);
         }
-        keys.push(v);
-        t.insert(&encode_u64(v), v);
-    }
-    t.validate();
-    keys.sort_unstable();
-    keys.dedup();
-    assert_eq!(t.iter().collect::<Vec<_>>(), keys);
+        t.validate();
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(t.iter().collect::<Vec<_>>(), keys);
+    });
 }
 
 #[test]
@@ -196,33 +206,35 @@ fn duplicate_heavy_upserts() {
     let mut arena = ArenaKeySource::new();
     let key = hot_keys::str_key(b"the-one-key").unwrap();
     let tids: Vec<u64> = (0..100).map(|_| arena.push(&key)).collect();
-    let mut t = HotTrie::new(&arena);
-    assert_eq!(t.insert(&key, tids[0]), None);
-    for w in tids.windows(2) {
-        assert_eq!(t.insert(&key, w[1]), Some(w[0]));
-    }
-    assert_eq!(t.len(), 1);
-    assert_eq!(t.get(&key), Some(*tids.last().unwrap()));
+    for_each_backend!(HotTrie::new(&arena), |t| {
+        assert_eq!(t.insert(&key, tids[0]), None);
+        for w in tids.windows(2) {
+            assert_eq!(t.insert(&key, w[1]), Some(w[0]));
+        }
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.get(&key), Some(*tids.last().unwrap()));
+    });
 }
 
 #[test]
 fn removal_down_to_each_shape() {
     // Remove keys one by one, validating at every step, so every underflow
     // shape (collapse to leaf, collapse to node, root shrink) is covered.
-    let mut t = HotTrie::new(EmbeddedKeySource);
-    let keys: Vec<u64> = (0..200).map(|i| i * 37 % 1024).collect();
-    let mut distinct: Vec<u64> = keys.clone();
-    distinct.sort_unstable();
-    distinct.dedup();
-    for &k in &keys {
-        t.insert(&encode_u64(k), k);
-    }
-    for (i, &k) in distinct.iter().enumerate() {
-        assert_eq!(t.remove(&encode_u64(k)), Some(k));
-        if i % 3 == 0 {
-            t.validate();
+    for_each_backend!(HotTrie::new(EmbeddedKeySource), |t| {
+        let keys: Vec<u64> = (0..200).map(|i| i * 37 % 1024).collect();
+        let mut distinct: Vec<u64> = keys.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        for &k in &keys {
+            t.insert(&encode_u64(k), k);
         }
-    }
-    assert!(t.is_empty());
-    assert_eq!(t.memory_stats().node_bytes, 0);
+        for (i, &k) in distinct.iter().enumerate() {
+            assert_eq!(t.remove(&encode_u64(k)), Some(k));
+            if i % 3 == 0 {
+                t.validate();
+            }
+        }
+        assert!(t.is_empty());
+        assert_eq!(t.memory_stats().node_bytes, 0);
+    });
 }

@@ -353,9 +353,9 @@ fn concurrent_counters_are_exact_across_threads() {
 }
 
 /// Arena shadow: under the `metrics` build the compact arena backend
-/// (which carries no instrumentation by design) must still agree with the
-/// instrumented heap trie answer-for-answer, and exercising it must not
-/// tick the heap trie's counters.
+/// (the same instrumented front-end, with a recorder of its own) must
+/// still agree with the heap trie answer-for-answer, and exercising it
+/// must not tick the heap trie's counters.
 #[test]
 fn arena_shadow_agrees_under_metrics_build() {
     use hot_core::CompactHot;

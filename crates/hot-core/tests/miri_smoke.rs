@@ -6,8 +6,9 @@
 //! frontier at least once: raw node allocation/recycling, all nine
 //! `NodeTag` layouts' mask/partial-key/value sections, the tagged-pointer
 //! round trips, copy-on-write splits, removal collapses, the batched
-//! descent, and the ROWEX protocol (locking, obsolete marking, epoch
-//! deferral) under real threads.
+//! descent, the arena store's slab table and front-coded leaf records,
+//! and the ROWEX protocol (locking, obsolete marking, epoch deferral)
+//! under real threads.
 //!
 //! Run with the SIMD/BMI2 paths forced off — Miri has no PEXT/SSE
 //! shims — exactly like the scalar-fallback CI job:
@@ -17,7 +18,7 @@
 //! ```
 
 use hot_core::sync::ConcurrentHot;
-use hot_core::HotTrie;
+use hot_core::{Backend, CompactHot, HotTrie, Trie};
 use hot_keys::{encode_u64, EmbeddedKeySource};
 use std::sync::Arc;
 
@@ -36,9 +37,9 @@ fn key(i: u64) -> [u8; 8] {
     encode_u64(val(i))
 }
 
-#[test]
-fn single_threaded_lifecycle() {
-    let mut trie = HotTrie::new(EmbeddedKeySource);
+/// Insert / get / scan / remove on `trie`, then a bulk load of the same
+/// keys into the empty `bulk`, which must come out structurally identical.
+fn lifecycle<B: Backend>(mut trie: Trie<B>, mut bulk: Trie<B>) {
     for i in 0..N {
         let k = val(i);
         assert_eq!(trie.insert(&key(i), k), None);
@@ -53,16 +54,33 @@ fn single_threaded_lifecycle() {
         assert_eq!(trie.get(k), want);
         assert_eq!(*got, want);
     }
-    // Ordered iteration and removal of every other key (collapse paths).
+    // Ordered iteration, a scan from the middle, and the bottom-up build.
     let in_order: Vec<u64> = trie.iter().collect();
     assert_eq!(in_order.len(), N as usize);
     assert!(in_order.windows(2).all(|w| w[0] < w[1]));
+    let mid = in_order.len() / 2;
+    assert_eq!(trie.scan(&encode_u64(in_order[mid]), 7), &in_order[mid..mid + 7]);
+    let sorted: Vec<([u8; 8], u64)> = in_order.iter().map(|&v| (encode_u64(v), v)).collect();
+    assert_eq!(bulk.bulk_load(&sorted), Ok(N as usize));
+    assert_eq!(bulk.structure_digest(), trie.structure_digest());
+    bulk.check_invariants();
+    // Removal of every other key (collapse paths).
     for i in (0..N).step_by(2) {
         let k = val(i);
         assert_eq!(trie.remove(&key(i)), Some(k));
     }
     assert_eq!(trie.len(), (N / 2) as usize);
     trie.check_invariants();
+}
+
+#[test]
+fn single_threaded_lifecycle() {
+    lifecycle(HotTrie::new(EmbeddedKeySource), HotTrie::new(EmbeddedKeySource));
+}
+
+#[test]
+fn single_threaded_lifecycle_compact() {
+    lifecycle(CompactHot::new(), CompactHot::new());
 }
 
 #[test]

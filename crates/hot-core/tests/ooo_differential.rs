@@ -10,6 +10,9 @@
 //! in the `HOT_FORCE_SCALAR` CI lane: results must not depend on the
 //! kernel.
 
+#[macro_use]
+mod common;
+
 use hot_core::sync::ConcurrentHot;
 use hot_core::{BatchRequest, HotTrie, MlpScheduler, DEFAULT_DEPTH};
 use hot_keys::{encode_u64, ArenaKeySource, EmbeddedKeySource};
@@ -458,13 +461,15 @@ fn concurrent_churn_preserves_stable_keys_and_quiesced_equality() {
     assert_eq!(out, expected);
 }
 
-/// Arena shadow: the compact arena backend's pipelined batch lookups and
-/// scalar scans must be byte-identical to the heap trie's answers on all
-/// four distributions.
+/// The compact back-end on the same engine: on all four distributions a
+/// `CompactHot` must agree with the heap trie through every read path the
+/// shared differential covers (scalar, batched at every depth, scans,
+/// `scan_batch`, `mixed_batch`), and `ConcurrentCompact` must answer the
+/// probe stream and sampled scans byte-identically.
 #[test]
 fn arena_shadow_batches_byte_identical() {
     use hot_core::sync::ConcurrentCompact;
-    use hot_core::{CompactBatchCursor, CompactHot, CompactScanCursor};
+    use hot_core::{CompactHot, ScanCursor};
 
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xBEE5);
     for (name, keys) in datasets() {
@@ -479,30 +484,31 @@ fn arena_shadow_batches_byte_identical() {
             compact.insert(k, tid);
             csync.insert(k, tid);
         }
-        let probes = probes_for(&keys, &mut rng);
+        common::assert_backends_agree(&trie, &compact, &keys, name);
 
+        let probes = probes_for(&keys, &mut rng);
         let expected: Vec<Option<u64>> = probes.iter().map(|k| trie.get(k)).collect();
         let want = checksum_out(&expected);
-
-        let mut cursor = CompactBatchCursor::new();
         let mut out = vec![None; probes.len()];
-        compact.get_batch_with(&mut cursor, &probes, &mut out);
-        assert_eq!(checksum_out(&out), want, "{name}: compact batch checksum");
-        assert_eq!(out, expected, "{name}: compact batch results");
-
-        csync.get_batch_with(&mut cursor, &probes, &mut out);
-        assert_eq!(checksum_out(&out), want, "{name}: concurrent compact batch");
+        for depth in common::DEPTHS {
+            let mut sched = MlpScheduler::with_depth(depth);
+            compact.get_batch_with(&probes, &mut out, &mut sched);
+            assert_eq!(checksum_out(&out), want, "{name}: compact batch checksum, depth {depth}");
+            assert_eq!(out, expected, "{name}: compact batch results, depth {depth}");
+            csync.get_batch_with(&probes, &mut out, &mut sched);
+            assert_eq!(checksum_out(&out), want, "{name}: concurrent compact batch, depth {depth}");
+        }
 
         // Sampled scans against the heap truth.
-        let mut scan_cursor = CompactScanCursor::new();
+        let mut scan_cursor = ScanCursor::new();
         let mut heap_hits = Vec::new();
         let mut compact_hits = Vec::new();
         for (i, p) in probes.iter().enumerate().step_by(7) {
             let limit = (i * 13) % 40;
             trie.scan_into(p, limit, &mut heap_hits);
-            compact.scan_with(&mut scan_cursor, p, limit, &mut compact_hits);
+            compact.scan_with(p, limit, &mut compact_hits, &mut scan_cursor);
             assert_eq!(heap_hits, compact_hits, "{name}: compact scan probe {i}");
-            csync.scan_with(&mut scan_cursor, p, limit, &mut compact_hits);
+            csync.scan_with(p, limit, &mut compact_hits, &mut scan_cursor);
             assert_eq!(heap_hits, compact_hits, "{name}: concurrent compact scan probe {i}");
         }
         compact.check_invariants();

@@ -11,6 +11,9 @@
 //! runs after **every mutation batch**, turning any structural corruption
 //! into a shrinkable counterexample at the batch that introduced it.
 
+#[macro_use]
+mod common;
+
 use hot_core::sync::ConcurrentHot;
 use hot_core::HotTrie;
 use hot_keys::{encode_u64, EmbeddedKeySource};
@@ -43,34 +46,35 @@ proptest! {
 
     #[test]
     fn trie_invariants_hold_under_deletions(batches in batches(512)) {
-        let mut hot = HotTrie::new(EmbeddedKeySource);
-        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
-        // Start from a populated tree so early batches delete from real
-        // structure instead of no-opping on an empty one.
-        for k in (0..512).step_by(3) {
-            hot.insert(&encode_u64(k), k);
-            model.insert(k, k);
-        }
-        for batch in batches {
-            for op in batch {
-                match op {
-                    Op::Insert(k) => {
-                        prop_assert_eq!(hot.insert(&encode_u64(k), k), model.insert(k, k));
-                    }
-                    Op::Remove(k) => {
-                        prop_assert_eq!(hot.remove(&encode_u64(k)), model.remove(&k));
+        for_each_backend!(HotTrie::new(EmbeddedKeySource), |hot| {
+            let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+            // Start from a populated tree so early batches delete from real
+            // structure instead of no-opping on an empty one.
+            for k in (0..512).step_by(3) {
+                hot.insert(&encode_u64(k), k);
+                model.insert(k, k);
+            }
+            for batch in &batches {
+                for op in batch {
+                    match *op {
+                        Op::Insert(k) => {
+                            prop_assert_eq!(hot.insert(&encode_u64(k), k), model.insert(k, k));
+                        }
+                        Op::Remove(k) => {
+                            prop_assert_eq!(hot.remove(&encode_u64(k)), model.remove(&k));
+                        }
                     }
                 }
+                if let Err(msg) = hot.try_check_invariants() {
+                    return Err(TestCaseError::fail(format!("invariant violated: {msg}")));
+                }
+                prop_assert_eq!(hot.len(), model.len());
             }
-            if let Err(msg) = hot.try_check_invariants() {
-                return Err(TestCaseError::fail(format!("invariant violated: {msg}")));
-            }
-            prop_assert_eq!(hot.len(), model.len());
-        }
-        prop_assert_eq!(
-            hot.iter().collect::<Vec<_>>(),
-            model.values().copied().collect::<Vec<_>>()
-        );
+            prop_assert_eq!(
+                hot.iter().collect::<Vec<_>>(),
+                model.values().copied().collect::<Vec<_>>()
+            );
+        });
     }
 
     #[test]

@@ -1,6 +1,11 @@
 //! Property tests: HOT behaves exactly like an ordered map (`BTreeMap`
 //! model) and preserves its structural invariants under arbitrary operation
 //! sequences; its leaf order always equals the binary Patricia reference.
+//! Every property takes the back-end as one more input
+//! (`for_each_backend!`): the heap trie, then `CompactHot`.
+
+#[macro_use]
+mod common;
 
 use hot_core::HotTrie;
 use hot_keys::{encode_u64, ArenaKeySource, EmbeddedKeySource};
@@ -31,61 +36,63 @@ proptest! {
 
     #[test]
     fn matches_btreemap_model(ops in prop::collection::vec(ops(10_000), 1..500)) {
-        let mut hot = HotTrie::new(EmbeddedKeySource);
-        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
-        let mut got = Vec::new();
-        for op in ops {
-            match op {
-                Op::Insert(k) => {
-                    prop_assert_eq!(hot.insert(&encode_u64(k), k), model.insert(k, k));
+        for_each_backend!(HotTrie::new(EmbeddedKeySource), |hot| {
+            let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+            let mut got = Vec::new();
+            for op in ops.iter().cloned() {
+                match op {
+                    Op::Insert(k) => {
+                        prop_assert_eq!(hot.insert(&encode_u64(k), k), model.insert(k, k));
+                    }
+                    Op::Remove(k) => {
+                        prop_assert_eq!(hot.remove(&encode_u64(k)), model.remove(&k));
+                    }
+                    Op::Get(k) => {
+                        prop_assert_eq!(hot.get(&encode_u64(k)), model.get(&k).copied());
+                    }
+                    Op::Scan(k, n) => {
+                        hot.scan_into(&encode_u64(k), n, &mut got);
+                        let want: Vec<u64> = model.range(k..).take(n).map(|(_, &v)| v).collect();
+                        prop_assert_eq!(&got, &want);
+                    }
                 }
-                Op::Remove(k) => {
-                    prop_assert_eq!(hot.remove(&encode_u64(k)), model.remove(&k));
-                }
-                Op::Get(k) => {
-                    prop_assert_eq!(hot.get(&encode_u64(k)), model.get(&k).copied());
-                }
-                Op::Scan(k, n) => {
-                    hot.scan_into(&encode_u64(k), n, &mut got);
-                    let want: Vec<u64> = model.range(k..).take(n).map(|(_, &v)| v).collect();
-                    prop_assert_eq!(&got, &want);
-                }
+                prop_assert_eq!(hot.len(), model.len());
             }
-            prop_assert_eq!(hot.len(), model.len());
-        }
-        hot.validate();
-        prop_assert_eq!(
-            hot.iter().collect::<Vec<_>>(),
-            model.values().copied().collect::<Vec<_>>()
-        );
+            hot.validate();
+            prop_assert_eq!(
+                hot.iter().collect::<Vec<_>>(),
+                model.values().copied().collect::<Vec<_>>()
+            );
+        });
     }
 
     #[test]
     fn small_clustered_domain(ops in prop::collection::vec(ops(64), 1..600)) {
         // A tiny domain maximizes node-level churn: every entry lives in one
         // or two nodes, so splits, pull-ups and collapses fire constantly.
-        let mut hot = HotTrie::new(EmbeddedKeySource);
-        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
-        let mut got = Vec::new();
-        for op in ops {
-            match op {
-                Op::Insert(k) => {
-                    prop_assert_eq!(hot.insert(&encode_u64(k), k), model.insert(k, k));
-                }
-                Op::Remove(k) => {
-                    prop_assert_eq!(hot.remove(&encode_u64(k)), model.remove(&k));
-                }
-                Op::Get(k) => {
-                    prop_assert_eq!(hot.get(&encode_u64(k)), model.get(&k).copied());
-                }
-                Op::Scan(k, n) => {
-                    hot.scan_into(&encode_u64(k), n, &mut got);
-                    let want: Vec<u64> = model.range(k..).take(n).map(|(_, &v)| v).collect();
-                    prop_assert_eq!(&got, &want);
+        for_each_backend!(HotTrie::new(EmbeddedKeySource), |hot| {
+            let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+            let mut got = Vec::new();
+            for op in ops.iter().cloned() {
+                match op {
+                    Op::Insert(k) => {
+                        prop_assert_eq!(hot.insert(&encode_u64(k), k), model.insert(k, k));
+                    }
+                    Op::Remove(k) => {
+                        prop_assert_eq!(hot.remove(&encode_u64(k)), model.remove(&k));
+                    }
+                    Op::Get(k) => {
+                        prop_assert_eq!(hot.get(&encode_u64(k)), model.get(&k).copied());
+                    }
+                    Op::Scan(k, n) => {
+                        hot.scan_into(&encode_u64(k), n, &mut got);
+                        let want: Vec<u64> = model.range(k..).take(n).map(|(_, &v)| v).collect();
+                        prop_assert_eq!(&got, &want);
+                    }
                 }
             }
-        }
-        hot.validate();
+            hot.validate();
+        });
     }
 
     #[test]
@@ -101,39 +108,41 @@ proptest! {
             .map(|w| hot_keys::str_key(w.as_bytes()).unwrap())
             .collect();
         let tids: Vec<u64> = encoded.iter().map(|k| arena.push(k)).collect();
-        let mut hot = HotTrie::new(&arena);
-        let mut model: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
-        for (k, &tid) in encoded.iter().zip(&tids) {
-            hot.insert(k, tid);
-            model.insert(k.clone(), tid);
-        }
-        hot.validate();
-        prop_assert_eq!(hot.len(), model.len());
-        for (k, &tid) in &model {
-            prop_assert_eq!(hot.get(k), Some(tid));
-        }
-        let probe_key = hot_keys::str_key(probe.as_bytes()).unwrap();
-        prop_assert_eq!(hot.get(&probe_key), model.get(&probe_key).copied());
-        let got: Vec<u64> = hot.range_from(&probe_key).collect();
-        let want: Vec<u64> = model.range(probe_key..).map(|(_, &v)| v).collect();
-        prop_assert_eq!(got, want);
+        for_each_backend!(HotTrie::new(&arena), |hot| {
+            let mut model: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
+            for (k, &tid) in encoded.iter().zip(&tids) {
+                hot.insert(k, tid);
+                model.insert(k.clone(), tid);
+            }
+            hot.validate();
+            prop_assert_eq!(hot.len(), model.len());
+            for (k, &tid) in &model {
+                prop_assert_eq!(hot.get(k), Some(tid));
+            }
+            let probe_key = hot_keys::str_key(probe.as_bytes()).unwrap();
+            prop_assert_eq!(hot.get(&probe_key), model.get(&probe_key).copied());
+            let got: Vec<u64> = hot.range_from(&probe_key).collect();
+            let want: Vec<u64> = model.range(probe_key..).map(|(_, &v)| v).collect();
+            prop_assert_eq!(got, want);
+        });
     }
 
     #[test]
     fn leaf_order_equals_patricia_reference(
         keys in prop::collection::btree_set(0u64..100_000, 2..300)
     ) {
-        let mut hot = HotTrie::new(EmbeddedKeySource);
-        let mut bin = PatriciaTree::new(EmbeddedKeySource);
-        for &k in &keys {
-            hot.insert(&encode_u64(k), k);
-            bin.insert(&encode_u64(k), k);
-        }
-        prop_assert_eq!(hot.iter().collect::<Vec<_>>(), bin.iter().collect::<Vec<_>>());
-        // The k-constraint bounds HOT's depth by Patricia's.
-        let hot_max = hot.depth_stats().max_depth().unwrap();
-        let bin_max = bin.depth_stats().max_depth().unwrap();
-        prop_assert!(hot_max <= bin_max.max(1));
+        for_each_backend!(HotTrie::new(EmbeddedKeySource), |hot| {
+            let mut bin = PatriciaTree::new(EmbeddedKeySource);
+            for &k in &keys {
+                hot.insert(&encode_u64(k), k);
+                bin.insert(&encode_u64(k), k);
+            }
+            prop_assert_eq!(hot.iter().collect::<Vec<_>>(), bin.iter().collect::<Vec<_>>());
+            // The k-constraint bounds HOT's depth by Patricia's.
+            let hot_max = hot.depth_stats().max_depth().unwrap();
+            let bin_max = bin.depth_stats().max_depth().unwrap();
+            prop_assert!(hot_max <= bin_max.max(1));
+        });
     }
 
     #[test]
@@ -147,15 +156,17 @@ proptest! {
         let mut shuffled = ordered.clone();
         shuffled.shuffle(&mut rand::rngs::StdRng::seed_from_u64(seed));
 
-        let mut a = HotTrie::new(EmbeddedKeySource);
-        for &k in &ordered {
-            a.insert(&encode_u64(k), k);
+        let mut digests = Vec::new();
+        for order in [&ordered, &shuffled] {
+            for_each_backend!(HotTrie::new(EmbeddedKeySource), |hot| {
+                for &k in order {
+                    hot.insert(&encode_u64(k), k);
+                }
+                digests.push(hot.structure_digest());
+            });
         }
-        let mut b = HotTrie::new(EmbeddedKeySource);
-        for &k in &shuffled {
-            b.insert(&encode_u64(k), k);
-        }
-        prop_assert_eq!(a.structure_digest(), b.structure_digest());
+        // Either order, either back-end: one structure.
+        prop_assert!(digests.windows(2).all(|w| w[0] == w[1]), "{:?}", digests);
     }
 
     #[test]
@@ -176,14 +187,15 @@ proptest! {
         keys.sort();
         keys.dedup();
         let tids: Vec<u64> = keys.iter().map(|k| arena.push(k)).collect();
-        let mut hot = HotTrie::new(&arena);
-        for (k, &tid) in keys.iter().zip(&tids) {
-            hot.insert(k, tid);
-        }
-        hot.validate();
-        for (k, &tid) in keys.iter().zip(&tids) {
-            prop_assert_eq!(hot.get(k), Some(tid));
-        }
-        prop_assert_eq!(hot.iter().collect::<Vec<_>>(), tids);
+        for_each_backend!(HotTrie::new(&arena), |hot| {
+            for (k, &tid) in keys.iter().zip(&tids) {
+                hot.insert(k, tid);
+            }
+            hot.validate();
+            for (k, &tid) in keys.iter().zip(&tids) {
+                prop_assert_eq!(hot.get(k), Some(tid));
+            }
+            prop_assert_eq!(&hot.iter().collect::<Vec<_>>(), &tids);
+        });
     }
 }

@@ -9,6 +9,9 @@
 //! with `HOT_FORCE_SCALAR=1` so the scalar `match_prefix_*` seek path gets
 //! the same coverage as the AVX2 one.
 
+#[macro_use]
+mod common;
+
 use hot_core::sync::ConcurrentHot;
 use hot_core::{HotTrie, MlpScheduler, ScanCursor};
 use hot_keys::{encode_u64, ArenaKeySource, EmbeddedKeySource, KeySource};
@@ -29,11 +32,7 @@ fn assert_scan_paths<S: KeySource>(
     cursor: &mut ScanCursor,
     out: &mut Vec<u64>,
 ) {
-    assert_eq!(trie.scan(start, limit), want, "HotTrie::scan from {start:?}");
-    trie.scan_into(start, limit, out);
-    assert_eq!(out, want, "HotTrie::scan_into from {start:?}");
-    trie.scan_with(start, limit, out, cursor);
-    assert_eq!(out, want, "HotTrie::scan_with from {start:?}");
+    common::assert_scan_paths(trie, start, limit, want, cursor, out, "HotTrie");
 
     assert_eq!(sync.scan(start, limit), want, "ConcurrentHot::scan from {start:?}");
     sync.scan_into(start, limit, out);
@@ -55,11 +54,7 @@ fn assert_batched_paths<S: KeySource, K: AsRef<[u8]>>(
     let mut tids = Vec::new();
     let mut bounds = Vec::new();
 
-    trie.scan_batch_with(requests, &mut tids, &mut bounds, &mut sched);
-    assert_eq!(bounds.len(), requests.len() + 1);
-    for (i, segment) in want.iter().enumerate() {
-        assert_eq!(&tids[bounds[i]..bounds[i + 1]], &segment[..], "trie batch slot {i}");
-    }
+    common::assert_batched_scans(trie, requests, want, depth, "HotTrie");
 
     sync.scan_batch_with(requests, &mut tids, &mut bounds, &mut sched);
     assert_eq!(bounds.len(), requests.len() + 1);
@@ -213,11 +208,11 @@ fn degenerate_roots() {
 
 /// Arena shadow: replay the nested-prefix-chain and integer probes on the
 /// arena-backed compact backend (single-threaded and concurrent) and hold
-/// it to the same `BTreeMap::range` truth.
+/// it to the same `BTreeMap::range` truth, through the same helpers.
 #[test]
 fn arena_shadow_scans() {
     use hot_core::sync::ConcurrentCompact;
-    use hot_core::{CompactHot, CompactScanCursor};
+    use hot_core::CompactHot;
 
     let base = b"abcabcabc";
     let mut stored: Vec<Vec<u8>> =
@@ -244,22 +239,26 @@ fn arena_shadow_scans() {
         probes.push(encode_u64(v).to_vec());
     }
 
-    let mut cursor = CompactScanCursor::new();
+    let mut cursor = ScanCursor::new();
     let mut out = Vec::new();
-    for p in &probes {
-        for limit in [0usize, 1, 3, 1000] {
+    for limit in [0usize, 1, 3, 1000] {
+        let mut requests: Vec<(&[u8], usize)> = Vec::new();
+        let mut want_segments: Vec<Vec<u64>> = Vec::new();
+        for p in &probes {
             let want: Vec<u64> =
                 model.range(p.clone()..).take(limit).map(|(_, &v)| v).collect();
-            assert_eq!(compact.scan(p, limit), want, "CompactHot::scan from {p:?}");
-            compact.scan_with(&mut cursor, p, limit, &mut out);
-            assert_eq!(out, want, "CompactHot::scan_with from {p:?}");
+            common::assert_scan_paths(&compact, p, limit, &want, &mut cursor, &mut out, "CompactHot");
             assert_eq!(sync.scan(p, limit), want, "ConcurrentCompact::scan from {p:?}");
-            sync.scan_with(&mut cursor, p, limit, &mut out);
+            sync.scan_into(p, limit, &mut out);
+            assert_eq!(out, want, "ConcurrentCompact::scan_into from {p:?}");
+            sync.scan_with(p, limit, &mut out, &mut cursor);
             assert_eq!(out, want, "ConcurrentCompact::scan_with from {p:?}");
+            requests.push((p, limit));
+            want_segments.push(want);
         }
-        let from: Vec<u64> = compact.range_from(p).collect();
-        let want: Vec<u64> = model.range(p.clone()..).map(|(_, &v)| v).collect();
-        assert_eq!(from, want, "CompactHot::range_from {p:?}");
+        for depth in common::DEPTHS {
+            common::assert_batched_scans(&compact, &requests, &want_segments, depth, "CompactHot");
+        }
     }
     compact.check_invariants();
     sync.check_invariants();
