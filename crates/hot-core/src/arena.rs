@@ -55,24 +55,33 @@
 //!
 //! # Concurrency contract
 //!
-//! The arenas are single-writer (enforced by `&mut self` on
-//! [`CompactHot`], by the scratch mutex on
-//! [`ConcurrentCompact`](crate::sync::ConcurrentCompact)). Readers are lock-free:
-//! a record's bytes are fully written *before* the `CRef` naming it is
-//! published with Release ordering (a child-slot or root store), and a
-//! front-coding chain only ever walks records appended *before* its target,
-//! so an Acquire load of any published `CRef` makes every byte the read
-//! touches visible. Leaf bytes are never reused (upserts and removals only
-//! mark records dead for accounting); only node blocks recycle, and their
-//! frees are epoch-deferred by the concurrent wrapper.
+//! Any number of writers: [`CompactHot`] has one by `&mut self`,
+//! [`ConcurrentCompact`](crate::sync::ConcurrentCompact) as many as ROWEX's
+//! per-node locks let through. Block allocation and record append are each
+//! serialized by the arena's own mutex (front coding needs one total append
+//! order anyway); what a block or record *holds* is written outside it, by
+//! the one operation that owns the block until it publishes. Which blocks an
+//! operation took is that operation's state
+//! ([`Writer`](crate::trie::Writer)), so a failed operation gives back its
+//! own blocks and nobody else's.
+//!
+//! Readers are lock-free: a record's bytes are fully written *before* the
+//! `CRef` naming it is published with Release ordering (a child-slot or root
+//! store), and a front-coding chain only ever walks records appended
+//! *before* its target — under the append mutex, whichever thread appended
+//! them — so an Acquire load of any published `CRef` makes every byte the
+//! read touches visible. Leaf bytes are never reused (upserts and removals
+//! only mark records dead for accounting); only node blocks recycle, and
+//! their frees are epoch-deferred by the concurrent front-end.
 
 use std::alloc::{alloc_zeroed, dealloc, Layout};
 use std::sync::Mutex;
-// The arena atomics deliberately stay on std (not the sync_shim): the loom
-// models cover the heap ROWEX protocol, and the shim has no AtomicPtr. The
-// slab table and root word are TSan-checked instead; every site is
-// manifested in lint/atomics.toml.
-use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicUsize, Ordering};
+// The slab table deliberately stays on std atomics (not the sync_shim): the
+// loom models cover the ROWEX protocol words — lock words, value slots, the
+// root — which are the shim's in either back-end, and the shim has no
+// AtomicPtr. The table is TSan-checked instead; every site is manifested in
+// lint/atomics.toml.
+use std::sync::atomic::{AtomicPtr, Ordering};
 
 use crate::node::builder::Builder;
 use crate::node::{geometry_compact, CompactSlot, NodeTag, RawNode, TreeRef, MAX_FANOUT};
@@ -338,7 +347,7 @@ impl Drop for SlabTable {
     }
 }
 
-/// Writer-side bookkeeping of the node arena (under the writer mutex).
+/// Allocator bookkeeping of the node arena (under the arena's own mutex).
 struct NodeArenaState {
     /// Bump cursor in 8-byte units. Starts at 1: unit 0 is reserved so a
     /// node reference can never encode to the NULL word.
@@ -349,10 +358,6 @@ struct NodeArenaState {
     /// churn the hottest allocator traffic, and exact-size recycling keeps
     /// the arena from fragmenting (all sizes are 8-byte-granular).
     free: Vec<Vec<u32>>,
-    /// Blocks `(unit offset, bytes)` handed out since the last
-    /// [`settle`](NodeArena::settle): unpublished if the running operation
-    /// fails, so they are what its roll-back frees.
-    fresh: Vec<(u32, usize)>,
     live_bytes: usize,
     live_nodes: usize,
     hwm_bytes: usize,
@@ -371,9 +376,6 @@ impl NodeArenaState {
     }
 }
 
-/// Entries of [`NodeArenaState::fresh`] kept allocated between operations.
-const FRESH_KEEP: usize = 256;
-
 /// Slab arena for compound nodes, addressed by 26-bit unit offsets.
 struct NodeArena {
     table: SlabTable,
@@ -391,7 +393,6 @@ impl NodeArena {
                 next_unit: 1,
                 slab_count: 0,
                 free: Vec::new(),
-                fresh: Vec::new(),
                 live_bytes: 0,
                 live_nodes: 0,
                 hwm_bytes: 0,
@@ -434,25 +435,10 @@ impl NodeArena {
             st.next_unit = end as u32;
             off
         };
-        st.fresh.push((off, bytes));
         st.live_bytes += bytes;
         st.live_nodes += 1;
         st.hwm_bytes = st.hwm_bytes.max(st.live_bytes);
         Ok(off)
-    }
-
-    /// End of a writer operation: forget the blocks it allocated (`ok` —
-    /// they are published), or free them (`!ok` — none was).
-    fn settle(&self, ok: bool) {
-        let mut st = self.state.lock().expect("node arena poisoned");
-        if !ok {
-            while let Some((off, bytes)) = st.fresh.pop() {
-                st.release(off, bytes);
-            }
-        }
-        st.fresh.clear();
-        // A bulk load records one entry per node; don't keep that.
-        st.fresh.shrink_to(FRESH_KEEP);
     }
 
     /// Recycle the block at `units_off` (`bytes` as allocated).
@@ -474,7 +460,8 @@ impl NodeArena {
     }
 }
 
-/// Writer-side bookkeeping of the leaf arena (under the writer mutex).
+/// Append state of the leaf arena (under the arena's own mutex: front
+/// coding needs one total append order, whoever appends).
 struct LeafWriter {
     /// Bump cursor in bytes.
     tail: u32,
@@ -492,11 +479,6 @@ struct LeafWriter {
     records: usize,
     /// Bytes of dead records plus slab-boundary padding.
     dead_bytes: usize,
-    /// Records / record bytes appended since the last
-    /// [`settle`](LeafArena::settle) (what a failed operation's roll-back
-    /// accounts dead).
-    fresh_records: usize,
-    fresh_bytes: usize,
 }
 
 /// Append-only slab arena of front-coded `[shared][suffix_len][delta]
@@ -595,8 +577,6 @@ impl LeafArena {
                 last_key: [0u8; MAX_KEY_LEN],
                 records: 0,
                 dead_bytes: 0,
-                fresh_records: 0,
-                fresh_bytes: 0,
             }),
         }
     }
@@ -679,23 +659,9 @@ impl LeafArena {
         st.tail = end as u32;
         st.dead_bytes += pad as usize;
         st.records += 1;
-        st.fresh_records += 1;
-        st.fresh_bytes += rec_len as usize;
         st.last_key[..key.len()].copy_from_slice(key);
         st.last_len = key.len();
         Ok(off)
-    }
-
-    /// End of a writer operation: the records it appended are published
-    /// (`ok`), or unreachable for good and accounted dead (`!ok`).
-    fn settle(&self, ok: bool) {
-        let mut st = self.state.lock().expect("leaf arena poisoned");
-        if !ok {
-            st.dead_bytes += st.fresh_bytes;
-            st.records -= st.fresh_records;
-        }
-        st.fresh_records = 0;
-        st.fresh_bytes = 0;
     }
 
     /// Account the record at `off` as dead (bytes are never reused — the
@@ -799,8 +765,8 @@ impl LeafArena {
 
 /// The arena back-end: both slab arenas. The tries over it are
 /// [`CompactHot`] (exclusive) and
-/// [`ConcurrentCompact`](crate::sync::ConcurrentCompact) (shared behind an
-/// `Arc`, single writer); the root word belongs to them, not to the store.
+/// [`ConcurrentCompact`](crate::sync::ConcurrentCompact) (shared, ROWEX
+/// writers); the root word belongs to them, not to the store.
 pub struct ArenaStore {
     nodes: NodeArena,
     leaves: LeafArena,
@@ -812,15 +778,6 @@ impl ArenaStore {
             nodes: NodeArena::new(node_cap),
             leaves: LeafArena::new(leaf_cap),
         }
-    }
-
-    /// Return the node block at `r` to the arena free list.
-    ///
-    /// Caller guarantees no reference to it remains (post-publish
-    /// retirement with no readers, or epoch quiescence).
-    pub(crate) fn free_node(&self, r: CRef) {
-        let bytes = geometry_compact(r.tag(), self.raw(r).count()).alloc_size;
-        self.nodes.free(r.units(), bytes);
     }
 
     /// Allocator-level accounting for both arenas.
@@ -907,22 +864,14 @@ impl NodeStore for ArenaStore {
     /// # Safety
     /// As [`NodeStore::retire`].
     unsafe fn retire(&self, node: CRef) {
-        self.free_node(node);
+        let bytes = geometry_compact(node.tag(), self.raw(node).count()).alloc_size;
+        self.nodes.free(node.units(), bytes);
     }
 
     /// Bytes are never reused — the record may still serve front-coding
     /// chains of its neighbours; it only leaves the live accounting.
     fn drop_leaf(&self, leaf: CRef) {
         self.leaves.mark_dead(leaf.leaf_off());
-    }
-
-    /// The fresh half of the roll-back protocol: every block handed out
-    /// since the previous call is unpublished if the operation failed —
-    /// node blocks go back to the free list, leaf records are accounted
-    /// dead — and simply forgotten if it succeeded.
-    fn settle(&self, ok: bool) {
-        self.nodes.settle(ok);
-        self.leaves.settle(ok);
     }
 
     /// # Safety
@@ -942,58 +891,6 @@ impl NodeStore for ArenaStore {
             key_count,
             capacity_bytes: stats.capacity_bytes(),
         }
-    }
-}
-
-/// Root word and key count of
-/// [`ConcurrentCompact`](crate::sync::ConcurrentCompact), whose readers
-/// run beside the writer ([`CompactHot`] keeps both as plain fields).
-pub(crate) struct CompactRoot {
-    root: AtomicU32,
-    // Length is monotonic bookkeeping, never a synchronization point (the
-    // root/cvalue Acquire is what publishes structure) — Relaxed, like the
-    // heap MemCounter.
-    len: AtomicUsize,
-}
-
-impl CompactRoot {
-    pub(crate) fn new() -> CompactRoot {
-        CompactRoot {
-            root: AtomicU32::new(0),
-            len: AtomicUsize::new(0),
-        }
-    }
-
-    /// Load the root reference.
-    ///
-    /// Ordering: **Acquire** — pairs with the **Release** in
-    /// [`publish_root`](Self::publish_root); a reader that observes a new
-    /// root observes its fully written arena bytes.
-    #[inline]
-    pub(crate) fn load_root(&self) -> CRef {
-        // pairs-with: croot
-        CRef(self.root.load(Ordering::Acquire))
-    }
-
-    /// Publish a new root (single-writer).
-    ///
-    /// Ordering: **Release** — all arena writes that built the new subtree
-    /// happen-before this store; pairs with the **Acquire** in
-    /// [`load_root`](Self::load_root).
-    #[inline]
-    pub(crate) fn publish_root(&self, r: CRef) {
-        // pairs-with: croot
-        self.root.store(r.0, Ordering::Release);
-    }
-
-    #[inline]
-    pub(crate) fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
-    }
-
-    #[inline]
-    pub(crate) fn set_len(&self, n: usize) {
-        self.len.store(n, Ordering::Relaxed);
     }
 }
 
@@ -1270,6 +1167,84 @@ mod tests {
         let victim = format!("key-{:08}", 0);
         assert_eq!(trie.remove(victim.as_bytes()), Some(0));
         assert!(trie.try_insert(victim.as_bytes(), 0).is_ok());
+    }
+
+    /// The same ceiling met by two writers at once, a third writing beside
+    /// them: each failure is typed and gives back exactly its own blocks.
+    #[test]
+    fn concurrent_node_arena_exhaustion_is_typed_and_rolls_back_its_own_blocks() {
+        use crate::sync::{quiesce, ConcurrentCompact};
+        use std::sync::atomic::{AtomicBool, Ordering};
+
+        /// Key `i` of writer `t`. No two keys a writer appends in a row,
+        /// and no two keys of different writers, share a first byte: every
+        /// record is then stored whole whatever the append order, and the
+        /// arena's live bytes are a function of the key set alone.
+        fn key_of(t: u64, i: u64) -> Vec<u8> {
+            format!("{}{i:08}", char::from(b'a' + (2 * t + i % 2) as u8)).into_bytes()
+        }
+        /// What writers 0 and 1 insert before they wait for writer 2: far
+        /// below the ceiling, so that writer 2 cannot be the one to meet it.
+        const HEAD: u64 = 5_000;
+        const THIRD: u64 = 2_000;
+
+        let index = ConcurrentCompact::with_capacity(SLAB_BYTES, DEFAULT_LEAF_CAP);
+        let third_done = AtomicBool::new(false);
+        let inserted: Vec<u64> = std::thread::scope(|scope| {
+            let filling: Vec<_> = (0..2u64)
+                .map(|t| {
+                    let (index, third_done) = (&index, &third_done);
+                    scope.spawn(move || {
+                        let mut i = 0u64;
+                        loop {
+                            if i == HEAD {
+                                while !third_done.load(Ordering::Acquire) {
+                                    std::thread::yield_now();
+                                }
+                            }
+                            match index.try_insert(&key_of(t, i), i) {
+                                Ok(None) => i += 1,
+                                Ok(Some(_)) => panic!("unexpected upsert"),
+                                Err(e) => {
+                                    assert_eq!(e.kind, ArenaKind::Node);
+                                    return i;
+                                }
+                            }
+                        }
+                    })
+                })
+                .collect();
+            for i in 0..THIRD {
+                assert_eq!(index.try_insert(&key_of(2, i), i), Ok(None), "the third writer is far from the ceiling");
+            }
+            third_done.store(true, Ordering::Release);
+            let mut inserted: Vec<u64> = filling.into_iter().map(|w| w.join().expect("writer panicked")).collect();
+            inserted.push(THIRD);
+            inserted
+        });
+        assert!(inserted[0] > HEAD && inserted[1] > HEAD, "both writers met the ceiling: {inserted:?}");
+
+        // Every failure rolled back completely: the index holds exactly the
+        // successful inserts, readable and well-formed…
+        assert!(quiesce());
+        assert_eq!(index.len() as u64, inserted.iter().sum::<u64>());
+        index.check_invariants();
+        // …and the arena holds exactly what those inserts need — the blocks
+        // of the failed ones are back, nobody else's are: a single thread
+        // replaying the successful inserts ends with the same live bytes.
+        let mut replay = CompactHot::new();
+        for (t, &n) in inserted.iter().enumerate() {
+            for i in 0..n {
+                assert_eq!(replay.insert(&key_of(t as u64, i), i), None);
+                if i % 1_000 == 0 {
+                    assert_eq!(index.get(&key_of(t as u64, i)), Some(i));
+                }
+            }
+        }
+        assert_eq!(index.structure_digest(), replay.structure_digest());
+        let (live, want) = (index.arena_stats(), replay.arena_stats());
+        assert_eq!((live.node_live_count, live.leaf_records), (want.node_live_count, want.leaf_records));
+        assert_eq!(live.live_bytes(), want.live_bytes());
     }
 
     #[test]

@@ -46,7 +46,7 @@
 
 use crate::arena::ArenaFull;
 use crate::node::builder::Builder;
-use crate::node::{TreeRef, MAX_FANOUT};
+use crate::node::{Slot, TreeRef, MAX_FANOUT};
 use crate::store::{height_of, NodeStore};
 use hot_keys::{MAX_KEY_LEN, MAX_TID};
 
@@ -274,8 +274,7 @@ fn descend(shape: &Shape, j: usize, lo: usize, hi: usize, target: u32, parts: &m
 
 /// Build the subtrie for `part`, bottom-up, over the leaf words `leaves`.
 /// Every compound node is encoded exactly once, at exactly its DP-minimal
-/// height. On `Err` the nodes built so far stay with the store, which
-/// rolls them back at [`NodeStore::settle`].
+/// height. On `Err` the nodes built below `part` have been given back.
 pub(crate) fn build_part<St: NodeStore>(
     store: &St,
     leaves: &[u64],
@@ -293,10 +292,39 @@ pub(crate) fn build_part<St: NodeStore>(
         .map(|p| bounds[p.hi])
         .collect();
     let mut values: Vec<u64> = Vec::with_capacity(parts.len());
-    for &p in &parts {
-        values.push(build_part(store, leaves, bounds, shape, p)?.word());
+    let children = parts
+        .iter()
+        .try_for_each(|&p| build_part(store, leaves, bounds, shape, p).map(|child| values.push(child.word())));
+    graft(store, &fences, &values, children)
+}
+
+/// Encode the node over the subtries `values`, separated by `fences` — or,
+/// when building one of them (`children`) or this node fails, give back
+/// the ones that were built.
+fn graft<St: NodeStore>(
+    store: &St,
+    fences: &[u16],
+    values: &[u64],
+    children: Result<(), St::Full>,
+) -> Result<St::Ref, St::Full> {
+    children
+        .and_then(|()| store.encode(&Builder::from_fragment(fences, values, |w| height_of(store, w))))
+        .inspect_err(|_| values.iter().for_each(|&root| discard(store, root)))
+}
+
+/// Give back the compound nodes of the never-published subtrie under
+/// `root` (a leaf, or null, has none; the leaves are [`load`]'s to drop).
+fn discard<St: NodeStore>(store: &St, root: u64) {
+    let root = St::Ref::from_word(root);
+    if root.is_node() {
+        let raw = store.raw(root);
+        for i in 0..raw.count() {
+            discard(store, St::Slot::get(raw, i).word());
+        }
+        // SAFETY: never published — the build is the node's sole owner, and
+        // its children were given back just above.
+        unsafe { store.retire(root) };
     }
-    store.encode(&Builder::from_fragment(&fences, &values, |w| height_of(store, w)))
 }
 
 /// Below this size the fan-out/join overhead outweighs parallel building.
@@ -337,8 +365,9 @@ fn build_parallel<St: NodeStore>(
         load[bin] += parts[pi].hi - parts[pi].lo + 1;
         assignment[bin].push(pi);
     }
-    let mut values = vec![0u64; parts.len()];
-    let mut failed = None;
+    // A subtrie that was not built stays the null word.
+    let mut values = vec![St::Ref::NULL.word(); parts.len()];
+    let mut children = Ok(());
     std::thread::scope(|scope| {
         let parts = &parts;
         let shape = &shape;
@@ -347,43 +376,43 @@ fn build_parallel<St: NodeStore>(
             .filter(|bin| !bin.is_empty())
             .map(|bin| {
                 scope.spawn(move || {
-                    bin.iter()
-                        .map(|&pi| Ok((pi, build_part(store, leaves, bounds, shape, parts[pi])?.word())))
-                        .collect::<Result<Vec<(usize, u64)>, St::Full>>()
+                    let mut built = Vec::with_capacity(bin.len());
+                    let all = bin.iter().try_for_each(|&pi| {
+                        build_part(store, leaves, bounds, shape, parts[pi]).map(|child| built.push((pi, child.word())))
+                    });
+                    (built, all)
                 })
             })
             .collect();
         for handle in handles {
-            match handle.join().expect("bulk-load worker panicked") {
-                Ok(built) => {
-                    for (pi, word) in built {
-                        values[pi] = word;
-                    }
-                }
-                Err(e) => failed = Some(e),
+            let (built, all) = handle.join().expect("bulk-load worker panicked");
+            for (pi, word) in built {
+                values[pi] = word;
+            }
+            if children.is_ok() {
+                children = all;
             }
         }
     });
-    if let Some(e) = failed {
-        return Err(e);
-    }
-    store.encode(&Builder::from_fragment(&fences, &values, |w| height_of(store, w)))
+    graft(store, &fences, &values, children)
 }
 
 /// The whole load, shared by every front-end: validate `entries`, have the
-/// store make the surviving leaves in key order, build the nodes bottom-up.
-/// Returns the unpublished root (null for no entries) and the number of
-/// distinct keys; the caller publishes it with its one root store. Unsorted
-/// input fails before the store is touched; a store that fills up mid-build
-/// has rolled everything back when this returns.
+/// store make the surviving leaves in key order, build the nodes bottom-up
+/// and hand the root (null for no entries) to `publish` — the caller's one
+/// root store, which reports whether the tree took it. Returns the number
+/// of distinct keys. Unsorted input fails before the store is touched; when
+/// the store fills up mid-build, or `publish` finds the tree no longer
+/// empty ([`BulkLoadError::NotEmpty`]), everything built is given back.
 pub(crate) fn load<St: NodeStore, K: AsRef<[u8]>>(
     store: &St,
     entries: &[(K, u64)],
     threads: usize,
-) -> Result<(St::Ref, usize), BulkLoadError> {
+    publish: impl FnOnce(St::Ref) -> bool,
+) -> Result<usize, BulkLoadError> {
     let Prepared { winners, bounds } = prepare(entries)?;
-    let build = || {
-        let mut leaves: Vec<u64> = Vec::with_capacity(winners.len());
+    let mut leaves: Vec<u64> = Vec::with_capacity(winners.len());
+    let mut build = || {
         for &i in &winners {
             let (key, tid) = &entries[i];
             leaves.push(store.new_leaf(key.as_ref(), *tid)?.word());
@@ -394,9 +423,18 @@ pub(crate) fn load<St: NodeStore, K: AsRef<[u8]>>(
             _ => build_parallel(store, &leaves, &bounds, threads),
         }
     };
-    let built = build();
-    store.settle(built.is_ok());
-    Ok((built.map_err(Into::into)?, winners.len()))
+    let outcome = match build() {
+        Ok(root) if publish(root) => return Ok(winners.len()),
+        Ok(root) => {
+            discard(store, root.word());
+            BulkLoadError::NotEmpty
+        }
+        Err(full) => full.into(),
+    };
+    for leaf in leaves {
+        store.drop_leaf(St::Ref::from_word(leaf));
+    }
+    Err(outcome)
 }
 
 #[cfg(test)]

@@ -17,8 +17,9 @@
 //!
 //! ## Entry points
 //!
-//! The trie is written once, over a storage seam (DESIGN.md §19), and
-//! [`Trie`] is its single-threaded front-end:
+//! The trie is written once, over a storage seam (DESIGN.md §19); [`Trie`]
+//! is its single-threaded front-end and [`sync::Concurrent`] its concurrent
+//! one, each with an alias per store:
 //!
 //! * [`HotTrie`] — `Trie` over heap nodes: the index mapping prefix-free
 //!   byte keys to tuple identifiers, with the key bytes resolved back
@@ -29,8 +30,8 @@
 //!   [`structure_digest`](Trie::structure_digest));
 //! * [`sync::ConcurrentHot`] — the ROWEX-synchronized variant of Section 5:
 //!   wait-free readers, lock-only-what-you-modify writers, epoch-based
-//!   memory reclamation ([`sync::ConcurrentCompact`] is the arena store
-//!   with wait-free readers beside one writer at a time);
+//!   memory reclamation ([`sync::ConcurrentCompact`] is the same over the
+//!   arena store);
 //! * [`HotMap`] — a convenience ordered map that owns its keys and values.
 //!
 //! ```

@@ -28,24 +28,6 @@
 
 use super::{MemCounter, NodeRef, NodeTag, RawNode, MAX_FANOUT, MAX_POSITIONS};
 
-/// Compound height of the subtree hanging off a value word: 0 for leaves,
-/// the stored node height otherwise.
-#[inline]
-pub(crate) fn ref_height(word: u64) -> u8 {
-    let r = NodeRef(word);
-    if r.is_node() {
-        r.as_raw().height()
-    } else {
-        0
-    }
-}
-
-/// Height of a node with the given children: 1 + the tallest child.
-#[inline]
-pub(crate) fn true_height(values: &[u64]) -> u8 {
-    1 + values.iter().map(|&v| ref_height(v)).max().unwrap_or(0)
-}
-
 /// A decoded compound node: the linearization of a k-constrained binary
 /// Patricia trie, in mutable form.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,13 +44,6 @@ pub struct Builder {
 }
 
 impl Builder {
-    /// Decode a physical node.
-    pub(crate) fn decode(node: RawNode) -> Builder {
-        let mut b = Builder::empty();
-        b.decode_into(node);
-        b
-    }
-
     /// An empty builder shell for reuse via [`Self::decode_into`].
     pub(crate) fn empty() -> Builder {
         Builder {
@@ -304,13 +279,8 @@ impl Builder {
     /// Replace the entry at `idx` (a collapsed child link) by a BiNode at
     /// `pos` with children `zero` and `one` — the *parent pull up* primitive
     /// (the moved BiNode is the split child's root BiNode).
-    pub fn replace_entry_with_pair(&mut self, idx: usize, pos: u16, zero: u64, one: u64) {
-        self.replace_entry_with_pair_with(idx, pos, zero, one, ref_height);
-    }
-
-    /// [`Self::replace_entry_with_pair`] with an explicit child-height
-    /// resolver (the store-generic core; see [`Self::from_fragment`]).
-    pub fn replace_entry_with_pair_with(
+    /// `height_of` resolves a child's height as for [`Self::from_fragment`].
+    pub fn replace_entry_with_pair(
         &mut self,
         idx: usize,
         pos: u16,
@@ -389,13 +359,8 @@ impl Builder {
 
     /// Split an overflowed builder at its root BiNode (Listing 1's
     /// `split(n)`): returns the root position and the left/right halves.
-    pub fn split(&self) -> (u16, Builder, Builder) {
-        self.split_with(ref_height)
-    }
-
-    /// [`Self::split`] with an explicit child-height resolver (the
-    /// store-generic core; see [`Self::from_fragment`]).
-    pub fn split_with(&self, height_of: impl Fn(u64) -> u8 + Copy) -> (u16, Builder, Builder) {
+    /// `height_of` resolves a child's height as for [`Self::from_fragment`].
+    pub fn split(&self, height_of: impl Fn(u64) -> u8 + Copy) -> (u16, Builder, Builder) {
         let r = self.root_rank();
         let bit = self.bit_of_rank(r);
         let s = self
@@ -602,6 +567,16 @@ impl Builder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Child-height resolver over heap value words.
+    fn ref_height(word: u64) -> u8 {
+        let r = NodeRef(word);
+        if r.is_node() {
+            r.as_raw().height()
+        } else {
+            0
+        }
+    }
 
     /// Reference: build the expected (sparse) linearization from full keys
     /// by simulating a binary Patricia trie over the given bit width.
@@ -827,7 +802,7 @@ mod tests {
     fn split_partitions_at_root() {
         let keys: Vec<u32> = (0..8).collect();
         let b = reference_builder(&keys, 8);
-        let (pos, left, right) = b.split();
+        let (pos, left, right) = b.split(ref_height);
         // Root BiNode = smallest position. Keys 0..8 over 8 bits differ in
         // bits 5,6,7; the root splits at position 5 into 0..4 and 4..8.
         assert_eq!(pos, 5);
@@ -854,7 +829,7 @@ mod tests {
     fn split_with_singleton_side() {
         // Keys 0,1,2 over 2 bits: root at position 0 -> left {0,1}, right {2}.
         let b = reference_builder(&[0b00, 0b01, 0b10], 2);
-        let (pos, left, right) = b.split();
+        let (pos, left, right) = b.split(ref_height);
         assert_eq!(pos, 0);
         assert_eq!(left.len(), 2);
         assert_eq!(right.len(), 1);
@@ -867,7 +842,7 @@ mod tests {
         // Parent with entries over position 0; pull up a BiNode at
         // position 4 under entry 1.
         let mut b = Builder::pair(0, NodeRef::leaf(10).0, NodeRef::leaf(20).0, 2);
-        b.replace_entry_with_pair(1, 4, NodeRef::leaf(21).0, NodeRef::leaf(22).0);
+        b.replace_entry_with_pair(1, 4, NodeRef::leaf(21).0, NodeRef::leaf(22).0, ref_height);
         b.check_invariants();
         assert_eq!(b.positions, vec![0, 4]);
         assert_eq!(b.sparse, vec![0b00, 0b10, 0b11]);
@@ -930,7 +905,8 @@ mod tests {
         let keys: Vec<u32> = vec![1, 5, 9, 100, 101, 162, 163, 255];
         let b = reference_builder(&keys, 8);
         let node_ref = b.encode(&mem);
-        let decoded = Builder::decode(node_ref.as_raw());
+        let mut decoded = Builder::empty();
+        decoded.decode_into(node_ref.as_raw());
         assert_eq!(decoded, b);
         // SAFETY: the node was only just encoded; no other reference exists.
         unsafe { node_ref.as_raw().free(&mem) };
@@ -973,7 +949,7 @@ mod tests {
         b.insert_entry(0, 0, 1, NodeRef::leaf(128).0);
         assert!(b.overflowed());
         b.check_invariants();
-        let (_, left, right) = b.split();
+        let (_, left, right) = b.split(ref_height);
         assert!(!left.overflowed() && !right.overflowed());
         assert_eq!(left.len() + right.len(), 33);
     }

@@ -30,7 +30,6 @@ pub mod builder;
 
 use std::alloc::{alloc_zeroed, dealloc, Layout};
 use std::cell::RefCell;
-use std::mem::MaybeUninit;
 // Lock words and value slots are ROWEX-protocol state: their atomics come
 // from the shim so the loom models can instrument them. The MemCounter
 // below intentionally stays on std atomics — allocation counters are not
@@ -1477,8 +1476,8 @@ unsafe fn step<K: Kernel, V: Slot, const SLOTS: usize, const WIDTH: usize>(
 }
 
 /// Where a descent records its `(node, taken entry)` hops: a reusable
-/// `Vec` of widened words (the single-writer stack, the scan seek), a ROWEX
-/// writer's inline [`Path`], or `()` for lookups, which keep none.
+/// `Vec` of widened words (a writer's path, the scan seek), or `()` for
+/// lookups, which keep none.
 pub(crate) trait Hops<R> {
     fn push_hop(&mut self, node: R, idx: usize);
 }
@@ -1492,40 +1491,6 @@ impl<R: TreeRef> Hops<R> for Vec<(u64, usize)> {
     #[inline(always)]
     fn push_hop(&mut self, node: R, idx: usize) {
         self.push((node.word(), idx));
-    }
-}
-
-/// A root-to-leaf descent path held inline (no allocation, nothing to
-/// zero). Node heights strictly decrease towards the leaves, a height is a
-/// `u8` and never changes, so no descent records more than `u8::MAX` hops.
-pub(crate) struct Path {
-    len: usize,
-    hops: [MaybeUninit<(NodeRef, usize)>; u8::MAX as usize],
-}
-
-impl Path {
-    #[inline]
-    pub(crate) fn new() -> Path {
-        Path { len: 0, hops: [MaybeUninit::uninit(); u8::MAX as usize] }
-    }
-}
-
-impl std::ops::Deref for Path {
-    type Target = [(NodeRef, usize)];
-
-    #[inline]
-    fn deref(&self) -> &[(NodeRef, usize)] {
-        // SAFETY: `push_hop` initialised the first `len` elements, and
-        // `MaybeUninit<T>` has the layout of `T`.
-        unsafe { std::slice::from_raw_parts(self.hops.as_ptr().cast(), self.len) }
-    }
-}
-
-impl Hops<NodeRef> for Path {
-    #[inline(always)]
-    fn push_hop(&mut self, node: NodeRef, idx: usize) {
-        self.hops[self.len].write((node, idx));
-        self.len += 1;
     }
 }
 

@@ -1,8 +1,8 @@
 //! The storage seam (DESIGN.md "The storage seam").
 //!
 //! epoch-exempt: a store resolves references the caller already protects
-//! (`&mut` exclusivity, the single-writer mutex plus an epoch pin, or a
-//! private pre-publish build) — liveness is established a layer above.
+//! (`&mut` exclusivity, an epoch pin, or a private pre-publish build) —
+//! liveness is established a layer above.
 //!
 //! The structure-adapting algorithm (Listing 1), the lookup (Listing 2),
 //! the bulk loader, the scan and the batched descent engine are written
@@ -15,14 +15,13 @@
 //!   every `?` in the shared core compiles to nothing;
 //! * [`ArenaStore`](crate::arena::ArenaStore) — slab arenas, 32-bit offset
 //!   words, inline front-coded leaf records; allocation fails with a typed
-//!   [`ArenaFull`](crate::ArenaFull), and the store itself keeps the list
-//!   of unpublished blocks it rolls back.
+//!   [`ArenaFull`](crate::ArenaFull), after which the failed operation
+//!   hands back the blocks it took ([`NodeStore::release`]).
 //!
 //! Dispatch is static: every generic body is monomorphised per store (and
 //! per [`hot_bits::Kernel`]), no `dyn`, no function-pointer table.
 
 use std::convert::Infallible;
-use std::sync::Arc;
 
 use crate::bulk::BulkLoadError;
 use crate::node::builder::Builder;
@@ -33,20 +32,21 @@ use hot_keys::{KeySource, KEY_SCRATCH_LEN};
 /// Where a trie's compound nodes and leaves live.
 ///
 /// **Contract of the writer hooks** (what keeps readers of the concurrent
-/// wrappers and the roll-back protocol correct):
+/// front-end and the roll-back protocol correct):
 ///
 /// * *pre-publish allocation* — [`new_leaf`](Self::new_leaf) and
-///   [`encode`](Self::encode) return blocks no reader can reach; the core
-///   calls every fallible hook of an operation *before* its publish, so an
-///   `Err` leaves the published tree untouched;
+///   [`encode`](Self::encode) return blocks no reader can reach, and any
+///   number of operations may call them at once; the core calls every
+///   fallible hook of an operation *before* its publish, so an `Err` leaves
+///   the published tree untouched;
 /// * *single Release publish* — an operation makes its result reachable
 ///   with exactly one store: a [`Slot::set`] on a parent slot, or the root
 ///   word its caller owns;
-/// * *retire after unlink* — [`retire`](Self::retire) and
-///   [`drop_leaf`](Self::drop_leaf) are only called for blocks that publish
-///   unlinked (the core collects replaced nodes and hands them over once
-///   the operation succeeded);
-/// * every writer operation ends with one [`settle`](Self::settle).
+/// * *the operation keeps the books* — which blocks it allocated and which
+///   its publish unlinked is state of the operation
+///   ([`Writer`](crate::trie::Writer)), not of the store: a failed
+///   operation [`release`](Self::release)s exactly its own allocations, a
+///   successful one what it unlinked (through the epoch where readers run).
 pub(crate) trait NodeStore: Sync {
     /// The child-reference word.
     type Ref: TreeRef;
@@ -109,17 +109,29 @@ pub(crate) trait NodeStore: Sync {
     /// # Safety
     /// `node` must be unreachable — unlinked by a completed publish, or
     /// never published — and no reader may still hold it (the concurrent
-    /// wrapper defers this call through the epoch).
+    /// front-end defers this call through the epoch).
     unsafe fn retire(&self, node: Self::Ref);
 
     /// `leaf` was unlinked (upsert, removal): release what it holds.
     fn drop_leaf(&self, leaf: Self::Ref);
 
-    /// End of one writer operation. A store whose allocations can fail
-    /// forgets (`ok`) or rolls back (`!ok`) the blocks it handed out since
-    /// the previous call.
-    #[inline(always)]
-    fn settle(&self, _ok: bool) {}
+    /// Give back blocks nothing references any more — each node
+    /// [`retire`](Self::retire)d, each leaf [`drop_leaf`](Self::drop_leaf)ped
+    /// — leaving `refs` empty.
+    ///
+    /// # Safety
+    /// As [`retire`](Self::retire), for every node in `refs`.
+    unsafe fn release(&self, refs: &mut Vec<u64>) {
+        for word in refs.drain(..) {
+            let r = Self::Ref::from_word(word);
+            if r.is_node() {
+                // SAFETY: the caller's contract.
+                unsafe { self.retire(r) };
+            } else {
+                self.drop_leaf(r);
+            }
+        }
+    }
 
     /// Reclaim the whole tree under `root` when its owner lets go of it.
     ///
@@ -158,32 +170,12 @@ pub(crate) fn height_of<St: NodeStore>(store: &St, word: u64) -> u8 {
 /// leaf words that are TIDs resolved through the [`KeySource`] `S`.
 pub struct HeapStore<S> {
     pub(crate) source: S,
-    /// Shared so the concurrent index's epoch-deferred frees can outlive a
-    /// borrow of the index.
-    pub(crate) mem: Arc<MemCounter>,
+    pub(crate) mem: MemCounter,
 }
 
 impl<S> HeapStore<S> {
     pub(crate) fn new(source: S) -> Self {
-        HeapStore { source, mem: Arc::new(MemCounter::default()) }
-    }
-
-    /// [`NodeStore::drop_tree`], free of the `KeySource` bound a `Drop`
-    /// impl cannot name.
-    ///
-    /// # Safety
-    /// As [`NodeStore::drop_tree`].
-    pub(crate) unsafe fn free_tree(&self, root: NodeRef) {
-        if root.is_node() {
-            let raw = root.as_raw();
-            for i in 0..raw.count() {
-                // SAFETY: a subtree is as exclusively owned as its parent.
-                unsafe { self.free_tree(raw.value(i)) };
-            }
-            // SAFETY: exclusively owned per the caller's contract, its
-            // children released just above.
-            unsafe { raw.free(&self.mem) };
-        }
+        HeapStore { source, mem: MemCounter::default() }
     }
 }
 
@@ -258,8 +250,16 @@ impl<S: KeySource> NodeStore for HeapStore<S> {
     /// # Safety
     /// As [`NodeStore::drop_tree`].
     unsafe fn drop_tree(&self, root: NodeRef) {
-        // SAFETY: the caller's contract is `free_tree`'s.
-        unsafe { self.free_tree(root) };
+        if root.is_node() {
+            let raw = root.as_raw();
+            for i in 0..raw.count() {
+                // SAFETY: a subtree is as exclusively owned as its parent.
+                unsafe { self.drop_tree(raw.value(i)) };
+            }
+            // SAFETY: exclusively owned per the caller's contract, its
+            // children released just above.
+            unsafe { raw.free(&self.mem) };
+        }
     }
 
     fn memory_stats(&self, key_count: usize) -> MemoryStats {

@@ -15,40 +15,59 @@
 //! * **reclamation** is epoch-based (`crossbeam-epoch`): obsolete nodes are
 //!   deferred until all pinned epochs have moved on.
 //!
+//! ROWEX is not a second algorithm: steps (a) and (d) are the
+//! single-threaded modification — [`plan`](crate::trie::plan) and
+//! [`apply`](crate::trie::apply), the same two functions
+//! [`Trie`](crate::Trie) runs back to back — and this module is what the
+//! paper adds around them: lock, validate, unlock, and retire through the
+//! epoch instead of at once. [`Concurrent`] is written over the storage
+//! seam, so it serves heap nodes ([`ConcurrentHot`]) and arena blocks
+//! ([`ConcurrentCompact`]) alike; the lock word sits in the node header of
+//! either layout.
+//!
 //! A single compare-and-swap would not suffice (two concurrent inserts could
 //! strand one writer's copy, as Section 5 explains); the per-node locks make
 //! the affected set mutually exclusive while leaving the rest of the tree
 //! writable.
 //!
-//! The affected sets per operation case follow the paper exactly: a normal
-//! insert locks the mismatching node and its parent; leaf-node pushdown only
-//! the node itself; parent pull-up walks ancestors until a non-full node (or
-//! the root); intermediate node creation stops at the first node with room
-//! below its parent; and "finally, the direct parent of the last accessed
-//! node is added". After acquiring the locks the writer does **not** descend
-//! again: step (c) is the obsolete check plus a re-read of the one slot per
-//! locked level that the descent followed ([`ConcurrentHot::validate_locked`]).
-//! That is enough because a locked, non-obsolete node cannot change under
-//! the writer — its content is immutable (copy-on-write) and its value slots
-//! are only stored under its own lock — and because the plan depends on
-//! nothing else: the mismatch position is the same against every key below
-//! the affected range, whatever other writers did further down.
+//! The affected sets per operation case follow the paper exactly
+//! ([`Plan::levels`](crate::trie::Plan::levels)): a normal insert locks the mismatching node and its
+//! parent; leaf-node pushdown only the node itself; parent pull-up walks
+//! ancestors until a non-full node (or the root); intermediate node creation
+//! stops at the first node with room below its parent; and "finally, the
+//! direct parent of the last accessed node is added". A remove locks the
+//! leaf's node and its parent, and one level more — the slot holding the
+//! parent — exactly when the shrunk node merges into that parent. After
+//! acquiring the locks the writer does **not** descend again: step (c) is
+//! the obsolete check plus a re-read of the one slot per locked level that
+//! the descent followed ([`Concurrent::validate_locked`]). That is enough
+//! because a locked, non-obsolete node cannot change under the writer — its
+//! content is immutable (copy-on-write) and its value slots are only stored
+//! under its own lock — and because the plan depends on nothing else: the
+//! mismatch position is the same against every key below the affected
+//! range, whatever other writers did further down.
+
+// The storage seam is crate-internal: `Concurrent` is public only so that
+// its two instantiations can be named, and those are the public API.
+#![allow(private_bounds)]
 
 // All protocol-carrying atomics (root word, len, lock words via `node`)
 // come from the shim so loom models can explore their interleavings; see
 // `crate::sync_shim` for the normal-build/model-build switch.
 use crate::sync_shim::{AtomicU64, AtomicUsize, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 use crossbeam_epoch as epoch;
 
+use crate::arena::{ArenaFull, ArenaStats, ArenaStore};
 use crate::bulk::BulkLoadError;
 use crate::metrics::{Metrics, OpKind, RowexCounter};
-use crate::node::builder::{true_height, Builder};
-use crate::node::{NodeRef, Path, RawNode, MAX_FANOUT};
+use crate::node::{RawNode, Slot, TreeRef};
 use crate::store::{HeapStore, NodeStore};
+use crate::trie::{apply, plan, Op, Writer};
 use hot_keys::stats::MemoryStats;
-use hot_keys::{DepthStats, KeySource, PaddedKey, KEY_SCRATCH_LEN, MAX_TID};
+use hot_keys::{DepthStats, KeySource, PaddedKey, MAX_TID};
 
 /// Lock-word bit 0: a writer holds this node's write lock.
 pub(crate) const LOCKED: u32 = 1;
@@ -64,7 +83,7 @@ pub(crate) const OBSOLETE: u32 = 2;
 /// stale "unlocked" fails the CAS; a stale "locked" means one wasted
 /// retry). The CAS success ordering is **Acquire**: it pairs with the
 /// **Release** in [`unlock`], so everything the previous lock holder
-/// wrote to the node happens-before this writer's re-analysis. Failure
+/// wrote to the node happens-before this writer's validation. Failure
 /// ordering is Relaxed — a failed attempt reads no protected data, the
 /// caller just backs off and relocks from scratch.
 #[inline]
@@ -97,19 +116,32 @@ fn is_obsolete(node: RawNode) -> bool {
 }
 
 /// Ordering: **Release** — pairs with the Acquire in [`is_obsolete`].
-/// Always called *after* the replacement is Release-published
-/// ([`ConcurrentHot::publish`]), so `OBSOLETE` visible ⇒ replacement
-/// visible.
+/// Always called *after* the replacement is Release-published (by
+/// [`apply`], or by the root store that follows it), so `OBSOLETE` visible
+/// ⇒ replacement visible.
 #[inline]
 fn mark_obsolete(node: RawNode) {
     node.lock_word().fetch_or(OBSOLETE, Ordering::Release); // pairs-with: obsolete-flag
 }
 
-/// A concurrently accessible Height Optimized Trie.
+/// A concurrently accessible Height Optimized Trie over the store `St`:
+/// all mutating operations take `&self` and may run from any number of
+/// threads; lookups and scans are wait-free.
 ///
-/// Shares the node representation and structure-adaptation algorithms with
-/// [`HotTrie`](crate::HotTrie); all mutating operations take `&self` and may
-/// run from any number of threads. Lookups and scans are wait-free.
+/// Use it through its two instantiations, [`ConcurrentHot`] (heap nodes,
+/// keys resolved through a [`KeySource`]) and [`ConcurrentCompact`] (slab
+/// arenas, inline key records). Both run the write path of
+/// [`Trie`](crate::Trie) — equal
+/// [`structure_digest`](Self::structure_digest) for equal histories — and
+/// differ from it in what surrounds a write:
+///
+/// * a write pins an epoch *inside* its retry loop: a failed attempt — a
+///   contended lock word, a failed validation, a lost root CAS — drops its
+///   pin before it backs off, so a writer that waits never holds up
+///   reclamation, and no writer ever blocks on another (there is no writer
+///   mutex to queue on, only per-node try-locks);
+/// * the blocks a write unlinks are marked obsolete and handed to the
+///   epoch; [`quiesce`] runs what is pending.
 ///
 /// ```
 /// use hot_core::sync::ConcurrentHot;
@@ -133,42 +165,110 @@ fn mark_obsolete(node: RawNode) {
 /// assert_eq!(trie.len(), 1000);
 /// assert_eq!(trie.get(&encode_u64(123)), Some(123));
 /// ```
-pub struct ConcurrentHot<S> {
+pub struct Concurrent<St: NodeStore> {
+    /// The root word, widened.
     root: AtomicU64,
-    /// The key source and the allocation counter — the read half of the
-    /// storage seam (descents, scans and the invariant walk run over it);
-    /// the ROWEX write path below is heap-only and allocates directly.
-    store: HeapStore<S>,
+    /// Shared so the epoch-deferred frees, which point into it, can outlive
+    /// the index when its `Drop` cannot wait them out.
+    store: Arc<St>,
     len: AtomicUsize,
     /// Operation + ROWEX-health metrics recorder — zero-sized no-op unless
     /// the `metrics` feature is enabled (see [`crate::metrics`]).
     metrics: Metrics,
 }
 
-/// What the descent found and what the write operation will do. Levels
-/// index the descent [`Path`], root first.
-#[derive(Clone, Copy)]
-enum Plan {
-    /// Key present: replace the leaf word in `path[level]`'s taken slot.
-    Upsert { level: usize },
-    /// Key present in a leaf root: swap the root word.
-    UpsertRoot { existing: u64 },
-    /// Empty tree / leaf root growth (no locks; CAS on the root word).
-    GrowRoot { expected: u64, pos: u16, key_bit: u8, existing: u64 },
-    /// Leaf-node pushdown into `path[level]`'s taken slot.
-    Pushdown { level: usize, pos: u16, key_bit: u8 },
-    /// Insert into `path[level]`; `top` is the shallowest level whose
-    /// *content* changes when the overflow cascade runs (equals `level`
-    /// when no overflow happens).
-    Insert { level: usize, top: usize, pos: u16, key_bit: u8 },
-}
+/// The heap-backed concurrent trie: shares the node representation with
+/// [`HotTrie`](crate::HotTrie); allocation cannot fail, so
+/// [`insert`](Concurrent::insert) and [`remove`](Concurrent::remove) never
+/// panic on a full store.
+pub type ConcurrentHot<S> = Concurrent<HeapStore<S>>;
 
-impl<S: KeySource> ConcurrentHot<S> {
+/// The arena-backed concurrent trie ([`CompactHot`](crate::CompactHot)'s
+/// layout): 32-bit offset words, inline front-coded leaf records — immutable
+/// once published, so a reader reconstructs a key without synchronization,
+/// across any number of concurrent upserts — and node blocks that return to
+/// the arena's free list through the epoch. Arena exhaustion is a typed
+/// error through [`try_insert`](Concurrent::try_insert) /
+/// [`try_remove`](Concurrent::try_remove), whichever writer meets it.
+pub type ConcurrentCompact = Concurrent<ArenaStore>;
+
+impl<S: KeySource> Concurrent<HeapStore<S>> {
     /// Create an empty concurrent trie resolving keys through `source`.
     pub fn new(source: S) -> Self {
-        ConcurrentHot {
-            root: AtomicU64::new(0),
-            store: HeapStore::new(source),
+        Concurrent::over(HeapStore::new(source))
+    }
+
+    /// Access the key source.
+    pub fn source(&self) -> &S {
+        &self.store.source
+    }
+}
+
+impl Default for Concurrent<ArenaStore> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Concurrent<ArenaStore> {
+    /// An empty index with the default arena ceilings.
+    pub fn new() -> Self {
+        Self::with_capacity(crate::arena::DEFAULT_NODE_CAP, crate::arena::DEFAULT_LEAF_CAP)
+    }
+
+    /// An empty index with explicit node/leaf arena byte ceilings.
+    pub fn with_capacity(node_cap_bytes: usize, leaf_cap_bytes: usize) -> Self {
+        Concurrent::over(ArenaStore::new(node_cap_bytes, leaf_cap_bytes))
+    }
+
+    /// [`insert`](Self::insert), reporting arena exhaustion as a typed
+    /// error. On [`ArenaFull`] the tree is unchanged and the blocks this
+    /// operation took are back in the arena; other writers are unaffected.
+    ///
+    /// # Panics
+    /// Panics if `tid` exceeds [`MAX_TID`] or the key exceeds
+    /// [`MAX_KEY_LEN`](hot_keys::MAX_KEY_LEN) bytes.
+    pub fn try_insert(&self, key: &[u8], tid: u64) -> Result<Option<u64>, ArenaFull> {
+        assert!(tid <= MAX_TID, "tid exceeds MAX_TID");
+        self.write(key, Op::Insert(tid))
+    }
+
+    /// [`remove`](Self::remove), reporting arena exhaustion (re-encoding
+    /// the shrunk node) as a typed error. On [`ArenaFull`] the tree is
+    /// unchanged.
+    pub fn try_remove(&self, key: &[u8]) -> Result<Option<u64>, ArenaFull> {
+        self.write(key, Op::Remove)
+    }
+
+    /// Allocator-level accounting for both arenas. Deferred frees may lag
+    /// behind; exact after [`quiesce`] with no writer running.
+    pub fn arena_stats(&self) -> ArenaStats {
+        self.store.arena_stats()
+    }
+}
+
+thread_local! {
+    /// The writer scratch behind `insert` / `remove`, parked here between
+    /// calls (boxed: taking it out and putting it back moves a pointer).
+    static THREAD_WRITER: Cell<Option<Box<Writer>>> = const { Cell::new(None) };
+}
+
+/// Run `f` with this thread's parked writer scratch (created on first use,
+/// or when a write nests inside another one's key source on the same
+/// thread, or runs during thread teardown).
+fn with_thread_writer<R>(f: impl FnOnce(&mut Writer) -> R) -> R {
+    let mut writer = THREAD_WRITER.try_with(Cell::take).ok().flatten().unwrap_or_else(|| Box::new(Writer::new()));
+    let result = f(&mut writer);
+    let _ = THREAD_WRITER.try_with(|slot| slot.set(Some(writer)));
+    result
+}
+
+impl<St: NodeStore> Concurrent<St> {
+    /// An empty concurrent trie over `store`.
+    fn over(store: St) -> Self {
+        Concurrent {
+            root: AtomicU64::new(St::Ref::NULL.word()),
+            store: Arc::new(store),
             len: AtomicUsize::new(0),
             metrics: Metrics::new(),
         }
@@ -187,13 +287,8 @@ impl<S: KeySource> ConcurrentHot<S> {
         self.len() == 0
     }
 
-    /// Access the key source.
-    pub fn source(&self) -> &S {
-        &self.store.source
-    }
-
     /// Crate-internal: the store the batched descent engine reads through.
-    pub(crate) fn store(&self) -> &HeapStore<S> {
+    pub(crate) fn store(&self) -> &St {
         &self.store
     }
 
@@ -206,7 +301,7 @@ impl<S: KeySource> ConcurrentHot<S> {
 
     /// Build the whole trie bottom-up from sorted `(key, tid)` entries and
     /// publish it with a **single** root store — the concurrent counterpart
-    /// of [`HotTrie::bulk_load`](crate::HotTrie::bulk_load) (DESIGN.md §11).
+    /// of [`Trie::bulk_load`](crate::Trie::bulk_load) (DESIGN.md §11).
     ///
     /// The trie must be empty: the finished root is installed with one CAS
     /// of the null root word, so concurrent readers observe either the
@@ -214,7 +309,9 @@ impl<S: KeySource> ConcurrentHot<S> {
     /// state. If any entry (or a racing writer) got there first the build
     /// is discarded and [`BulkLoadError::NotEmpty`] is returned. Duplicates
     /// collapse last-write-wins; unsorted input returns
-    /// [`BulkLoadError::Unsorted`]. Returns the number of distinct keys.
+    /// [`BulkLoadError::Unsorted`]; an arena ceiling hit mid-build returns
+    /// [`BulkLoadError::ArenaFull`] with the index still empty and usable.
+    /// Returns the number of distinct keys.
     pub fn bulk_load<K: AsRef<[u8]>>(
         &self,
         entries: &[(K, u64)],
@@ -224,7 +321,7 @@ impl<S: KeySource> ConcurrentHot<S> {
 
     /// [`bulk_load`](Self::bulk_load) with the root fragment's subtries
     /// built on up to `threads` worker threads (see
-    /// [`HotTrie::bulk_load_parallel`](crate::HotTrie::bulk_load_parallel)).
+    /// [`Trie::bulk_load_parallel`](crate::Trie::bulk_load_parallel)).
     pub fn bulk_load_parallel<K: AsRef<[u8]>>(
         &self,
         entries: &[(K, u64)],
@@ -234,41 +331,29 @@ impl<S: KeySource> ConcurrentHot<S> {
             return Err(BulkLoadError::NotEmpty);
         }
         let _t = self.metrics.timer(OpKind::BulkLoad);
-        let (root, n) = crate::bulk::load(&self.store, entries, threads)?;
-        if n == 0 {
-            return Ok(0);
-        }
         // Single-publish. Ordering: **Release** on success — pairs with the
         // Acquire `load_root`, so a reader that observes the new root
-        // observes every `fill`ed node body built above (including the
-        // worker threads' stores, which happened-before their join).
-        match self
-            .root
-            // pairs-with: root-publish
-            .compare_exchange(0, root.0, Ordering::Release, Ordering::Relaxed)
-        {
-            Ok(_) => {
-                self.len.store(n, Ordering::Relaxed);
-                self.metrics.items(OpKind::BulkLoad, n as u64);
-                Ok(n)
-            }
-            Err(_) => {
-                // Lost the race to a concurrent writer: nothing was
-                // published, so the freshly built subtree is still private.
-                // SAFETY: never published — this thread is its sole owner.
-                unsafe { self.store.drop_tree(root) };
-                Err(BulkLoadError::NotEmpty)
-            }
-        }
+        // observes every node body built for it (including the worker
+        // threads' stores, which happened-before their join).
+        let n = crate::bulk::load(&*self.store, entries, threads, |root| {
+            self.root
+                // pairs-with: root-publish
+                .compare_exchange(St::Ref::NULL.word(), root.word(), Ordering::Release, Ordering::Relaxed)
+                .is_ok()
+        })?;
+        // Ordering: Relaxed — statistics counter only (see `len`).
+        self.len.fetch_add(n, Ordering::Relaxed);
+        self.metrics.items(OpKind::BulkLoad, n as u64);
+        Ok(n)
     }
 
     /// Ordering: **Acquire** — pairs with every **Release** store/CAS of
-    /// the root word (`publish`, `cascade_overflow`, `publish_remove`, the
-    /// Grow/UpsertRoot CASes). A descent that observes a new root pointer
-    /// therefore observes the fully `fill`ed node body behind it.
+    /// the root word (`attempt`, `bulk_load_parallel`). A descent that
+    /// observes a new root word therefore observes the fully built node
+    /// behind it.
     #[inline]
-    pub(crate) fn load_root(&self) -> NodeRef {
-        NodeRef(self.root.load(Ordering::Acquire)) // pairs-with: root-publish
+    pub(crate) fn load_root(&self) -> St::Ref {
+        St::Ref::from_word(self.root.load(Ordering::Acquire)) // pairs-with: root-publish
     }
 
     /// Wait-free lookup (Listing 2): no locks, no restarts.
@@ -281,7 +366,7 @@ impl<S: KeySource> ConcurrentHot<S> {
 
     /// Like [`get`](Self::get) with a caller-provided padded-key buffer
     /// (avoids re-zeroing a fresh 264-byte buffer per call in tight loops),
-    /// mirroring [`HotTrie::get_with`](crate::HotTrie::get_with).
+    /// mirroring [`Trie::get_with`](crate::Trie::get_with).
     pub fn get_with(&self, key: &[u8], buf: &mut PaddedKey) -> Option<u64> {
         let _t = self.metrics.timer(OpKind::Get);
         self.metrics.incr(RowexCounter::EpochPin);
@@ -291,7 +376,7 @@ impl<S: KeySource> ConcurrentHot<S> {
 
     fn get_padded(&self, key: &PaddedKey) -> Option<u64> {
         let _guard = epoch::pin();
-        crate::trie::lookup(&self.store, self.load_root(), key)
+        crate::trie::lookup(&*self.store, self.load_root(), key)
     }
 
     /// Look up `keys` as one batch under a **single** epoch pin, writing
@@ -331,12 +416,12 @@ impl<S: KeySource> ConcurrentHot<S> {
         self.metrics.items(OpKind::GetBatch, keys.len() as u64);
         self.metrics.incr(RowexCounter::EpochPin);
         let _guard = epoch::pin();
-        sched.run_points(&self.store, &crate::mlp::LookupStream(keys), out, |_| self.load_root(), true, &self.metrics);
+        sched.run_points(&*self.store, &crate::mlp::LookupStream(keys), out, |_| self.load_root(), true, &self.metrics);
     }
 
     /// Service a mixed stream of point lookups and range scans in one
     /// pass of the engine under a single epoch pin, mirroring
-    /// [`HotTrie::mixed_batch`](crate::HotTrie::mixed_batch): `out[i]`
+    /// [`Trie::mixed_batch`](crate::Trie::mixed_batch): `out[i]`
     /// answers `Get` request `i`; each `Scan` appends to `tids` with one
     /// end offset pushed to `bounds` in stream order (both cleared first,
     /// `bounds` seeded with 0). Records one `get_batch` and one
@@ -380,7 +465,7 @@ impl<S: KeySource> ConcurrentHot<S> {
         bounds.clear();
         bounds.push(0);
         let _guard = epoch::pin();
-        sched.run(&self.store, reqs, out, tids, bounds, |_| self.load_root(), false, true, &self.metrics);
+        sched.run(&*self.store, reqs, out, tids, bounds, |_| self.load_root(), false, true, &self.metrics);
         self.metrics.items(OpKind::ScanBatch, tids.len() as u64);
     }
 
@@ -401,7 +486,7 @@ impl<S: KeySource> ConcurrentHot<S> {
             self.metrics.incr(RowexCounter::EpochPin);
             let _guard = epoch::pin();
             crate::mlp::with_thread_scheduler(|sched| {
-                sched.run_points(&self.store, &crate::mlp::ProbeStream(keys), out, |_| self.load_root(), true, &self.metrics)
+                sched.run_points(&*self.store, &crate::mlp::ProbeStream(keys), out, |_| self.load_root(), true, &self.metrics)
             });
         }
         // Apply phase: the probe is a hint (a racing writer may beat us);
@@ -458,7 +543,7 @@ impl<S: KeySource> ConcurrentHot<S> {
         self.metrics.incr(RowexCounter::EpochPin);
         out.clear();
         let _guard = epoch::pin();
-        cursor.scan_root(&self.store, self.load_root(), key, limit, out);
+        cursor.scan_root(&*self.store, self.load_root(), key, limit, out);
         self.metrics.items(OpKind::Scan, out.len() as u64);
     }
 
@@ -499,7 +584,7 @@ impl<S: KeySource> ConcurrentHot<S> {
         let _guard = epoch::pin();
         let mut out: [Option<u64>; 0] = [];
         sched.run(
-            &self.store,
+            &*self.store,
             &crate::mlp::ScanStream(requests),
             &mut out,
             tids,
@@ -515,123 +600,139 @@ impl<S: KeySource> ConcurrentHot<S> {
     /// Insert `key → tid` (upsert); returns the previous TID if present.
     ///
     /// # Panics
-    /// Panics if `tid` exceeds [`MAX_TID`] or the key exceeds
-    /// [`MAX_KEY_LEN`](hot_keys::MAX_KEY_LEN) bytes.
+    /// Panics if `tid` exceeds [`MAX_TID`], the key exceeds
+    /// [`MAX_KEY_LEN`](hot_keys::MAX_KEY_LEN) bytes, or —
+    /// [`ConcurrentCompact`] only — an arena ceiling is hit (its
+    /// `try_insert` reports that case as a typed error instead).
     pub fn insert(&self, key: &[u8], tid: u64) -> Option<u64> {
         assert!(tid <= MAX_TID, "tid exceeds MAX_TID");
-        let _t = self.metrics.timer(OpKind::Insert);
-        let padded = PaddedKey::from_key(key);
-        let mut backoff = 0u32;
-        loop {
-            self.metrics.incr(RowexCounter::EpochPin);
-            let guard = epoch::pin();
-            match self.try_insert(&padded, tid, &guard) {
-                Ok(old) => return old,
-                Err(()) => {
-                    self.metrics.incr(RowexCounter::Restart);
-                    backoff_spin(&mut backoff);
-                }
-            }
-        }
+        self.write(key, Op::Insert(tid)).unwrap_or_else(|e| panic!("insert: {e}"))
     }
 
-    /// One optimistic insert attempt: analyze, lock, validate, apply.
-    /// `Err` requests a restart.
-    fn try_insert(&self, key: &PaddedKey, tid: u64, guard: &epoch::Guard) -> Result<Option<u64>, ()> {
-        let mut path = Path::new();
-        let (plan, leaf) = self.analyze(key, &mut path, guard)?;
+    /// Remove `key`; returns its TID if present.
+    ///
+    /// # Panics
+    /// [`ConcurrentCompact`] only: panics if an arena ceiling is hit while
+    /// re-encoding the shrunk node (its `try_remove` reports that case as a
+    /// typed error instead).
+    pub fn remove(&self, key: &[u8]) -> Option<u64> {
+        self.write(key, Op::Remove).unwrap_or_else(|e| panic!("remove: {e}"))
+    }
 
-        // Cases without node locks: root-word CAS.
-        if let Plan::GrowRoot { expected, pos, key_bit, existing } = plan {
-            let new_word = if expected == 0 {
-                NodeRef::leaf(tid).0
-            } else {
-                let (zero, one) = if key_bit == 1 {
-                    (NodeRef::leaf(existing).0, NodeRef::leaf(tid).0)
-                } else {
-                    (NodeRef::leaf(tid).0, NodeRef::leaf(existing).0)
-                };
-                Builder::pair(pos, zero, one, 1).encode(&self.store.mem).0
-            };
-            // Ordering: **AcqRel** on success — the Release half publishes the
-            // freshly encoded pair node (all its plain stores happen-before the
-            // CAS), pairing with the Acquire in `load_root`; the Acquire half
-            // orders this thread against whichever CAS installed `expected`.
-            // **Acquire** on failure so the retry loop re-analyzes against a
-            // fully published competing root.
-            // pairs-with: root-publish
-            return match self.root.compare_exchange(
-                expected,
-                new_word,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => {
-                    // Ordering: Relaxed — `len` is a statistics counter, never
-                    // used to synchronize access to trie memory.
-                    self.len.fetch_add(1, Ordering::Relaxed);
-                    Ok(None)
+    /// One write: optimistic attempts until one goes through (or the store
+    /// is full). The epoch pin is taken per attempt and dropped before the
+    /// back-off, so a writer that waits holds no pin.
+    fn write(&self, key: &[u8], op: Op) -> Result<Option<u64>, St::Full> {
+        let _t = self.metrics.timer(match op {
+            Op::Insert(_) => OpKind::Insert,
+            Op::Remove => OpKind::Remove,
+        });
+        with_thread_writer(|w| {
+            w.set_key(key);
+            let mut backoff = 0u32;
+            loop {
+                self.metrics.incr(RowexCounter::EpochPin);
+                let guard = epoch::pin();
+                if let Some(result) = self.attempt(w, op, &guard) {
+                    return result;
                 }
-                Err(_) => {
-                    // Roll back the orphaned allocation, if any.
-                    let r = NodeRef(new_word);
-                    if r.is_node() {
-                        // SAFETY: never published.
-                        unsafe { r.as_raw().free(&self.store.mem) };
+                drop(guard);
+                self.metrics.incr(RowexCounter::Restart);
+                backoff_spin(&mut backoff);
+            }
+        })
+    }
+
+    /// One optimistic attempt — steps (a) to (e): descend and plan, lock the
+    /// plan's levels, validate under the locks, apply, retire, unlock. A
+    /// tree without nodes has nothing to lock: there the root word is the
+    /// one slot, and the publish is a CAS on it. `None` requests a restart.
+    fn attempt(&self, w: &mut Writer, op: Op, guard: &epoch::Guard) -> Option<Result<Option<u64>, St::Full>> {
+        let store = &*self.store;
+        let before = self.load_root();
+        let cur = w.seek(store, before);
+        if cur.is_null() && !before.is_null() {
+            return None; // torn read of a slot mid-publication
+        }
+        let Some(plan) = plan(store, w, cur, op) else {
+            return Some(Ok(None));
+        };
+        let locked = (!w.path().is_empty()).then(|| plan.levels(w.path().len()));
+        if let Some((lowest, level)) = locked {
+            self.lock_levels(w.path(), lowest, level, guard)?;
+            if !self.validate_locked(w.path(), cur, lowest, level, guard) {
+                self.unlock_levels(w.path(), lowest, level, guard);
+                return None;
+            }
+        }
+
+        let mut root = before;
+        let answer = apply(store, w, &mut root, plan, cur);
+        let published = answer.is_ok()
+            && match locked {
+                // The root node is locked and live when `apply` replaced
+                // it, so the root word still names it and no other writer
+                // can store to it. Ordering: **Release** — pairs with
+                // `load_root`'s Acquire, as `Slot::set` does with the slot
+                // loads; either way a descent that observes the new word
+                // observes the fully built node behind it.
+                Some(_) => {
+                    if root != before {
+                        self.root.store(root.word(), Ordering::Release); // pairs-with: root-publish
                     }
-                    Err(())
+                    true
                 }
+                // Ordering: **AcqRel** on success — the Release half
+                // publishes what `apply` built (a leaf record, the first
+                // two-entry node), the Acquire half orders this thread
+                // against whichever CAS installed `before`. **Acquire** on
+                // failure so the retry plans against a fully published
+                // competing root.
+                None => self
+                    .root
+                    // pairs-with: root-publish
+                    .compare_exchange(before.word(), root.word(), Ordering::AcqRel, Ordering::Acquire)
+                    .is_ok(),
             };
+        if published {
+            self.retire(w, guard);
+        } else {
+            // SAFETY: never published — the failed `apply`, or the lost
+            // CAS, leaves this attempt the blocks' sole owner.
+            unsafe { store.release(w.fresh()) };
         }
-        if let Plan::UpsertRoot { existing } = plan {
-            // Ordering: AcqRel/Acquire for the same reasons as the GrowRoot
-            // CAS above. Both sides of the exchange are tagged leaf words (no
-            // node memory is published), but keeping the strongest ordering
-            // used for root updates keeps the protocol uniform and costs
-            // nothing on x86.
-            // pairs-with: root-publish
-            return match self.root.compare_exchange(
-                NodeRef::leaf(existing).0,
-                NodeRef::leaf(tid).0,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => Ok(Some(existing)),
-                Err(_) => Err(()),
-            };
+        if let Some((lowest, level)) = locked {
+            self.unlock_levels(w.path(), lowest, level, guard);
         }
 
-        // The affected levels (nodes whose content or slots are written)
-        // are one contiguous run of the path: lock them bottom-up.
-        let (lowest, level) = match plan {
-            Plan::Upsert { level } | Plan::Pushdown { level, .. } => (level, level),
-            // `top - 1` is the slot-written parent.
-            Plan::Insert { level, top, .. } => (top.saturating_sub(1), level),
-            Plan::GrowRoot { .. } | Plan::UpsertRoot { .. } => unreachable!("handled above"),
+        let answer = match answer {
+            Ok(answer) if published => answer,
+            Ok(_) => return None,
+            Err(full) => return Some(Err(full)),
         };
-        self.lock_levels(&path, lowest, level, guard)?;
-        let result = if self.validate_locked(&path, leaf, lowest, level, guard) {
-            Ok(self.apply_insert(plan, &path, tid, guard))
-        } else {
-            Err(())
+        // Ordering: Relaxed — `len` is a statistics counter, never used to
+        // synchronize access to trie memory.
+        match (op, answer) {
+            (Op::Insert(_), None) => self.len.fetch_add(1, Ordering::Relaxed),
+            (Op::Remove, Some(_)) => self.len.fetch_sub(1, Ordering::Relaxed),
+            _ => 0,
         };
-        unlock_levels(&path, lowest, level, guard);
-        result
+        Some(Ok(answer))
     }
 
     /// Step (b): try-lock `path[lowest..=level]` bottom-up. On contention
-    /// everything acquired is released again and the attempt fails. `_guard`
+    /// everything acquired is released again and the attempt fails. `guard`
     /// is the caller's proof of an active epoch pin — the lock words live
     /// in nodes that may otherwise be reclaimed.
-    fn lock_levels(&self, path: &Path, lowest: usize, level: usize, guard: &epoch::Guard) -> Result<(), ()> {
+    fn lock_levels(&self, path: &[(u64, usize)], lowest: usize, level: usize, guard: &epoch::Guard) -> Option<()> {
         for l in (lowest..=level).rev() {
-            if !try_lock(path[l].0.as_raw()) {
+            if !try_lock(self.raw(path[l].0)) {
                 self.metrics.incr(RowexCounter::LockFail);
-                unlock_levels(path, l + 1, level, guard);
-                return Err(());
+                self.unlock_levels(path, l + 1, level, guard);
+                return None;
             }
         }
-        Ok(())
+        Some(())
     }
 
     /// Step (c), under the locks: every level of `path[lowest..=level]` is
@@ -641,334 +742,62 @@ impl<S: KeySource> ConcurrentHot<S> {
     /// non-obsolete node's content is immutable and its slots are only
     /// stored under the lock this writer holds, so what was read here stays
     /// true until the unlock; the plan needs no second descent (module docs).
-    fn validate_locked(&self, path: &Path, leaf: NodeRef, lowest: usize, level: usize, _guard: &epoch::Guard) -> bool {
+    fn validate_locked(
+        &self,
+        path: &[(u64, usize)],
+        leaf: St::Ref,
+        lowest: usize,
+        level: usize,
+        _guard: &epoch::Guard,
+    ) -> bool {
         (lowest..=level).all(|l| {
             let (node, idx) = path[l];
-            let raw = node.as_raw();
+            let raw = self.raw(node);
             if is_obsolete(raw) {
                 self.metrics.incr(RowexCounter::ObsoleteSeen);
                 return false;
             }
-            raw.value(idx) == path.get(l + 1).map_or(leaf, |hop| hop.0)
+            St::Slot::get(raw, idx).word() == path.get(l + 1).map_or(leaf.word(), |hop| hop.0)
         })
     }
 
-    /// Step (a): descend and classify the operation, returning the plan and
-    /// the leaf word the descent ended on. `Err` = transient inconsistency
-    /// observed (restart). The `_guard` parameter is a compile-time proof
-    /// that the caller pinned the epoch: every node this descent
-    /// dereferences stays live for at least as long as that pin.
-    fn analyze(&self, key: &PaddedKey, path: &mut Path, _guard: &epoch::Guard) -> Result<(Plan, NodeRef), ()> {
-        let root = self.load_root();
-        if root.is_null() {
-            return Ok((Plan::GrowRoot { expected: 0, pos: 0, key_bit: 0, existing: 0 }, root));
-        }
-
-        let cur = crate::node::descend(&self.store, root, key, path);
-        if cur.is_null() {
-            return Err(()); // torn read of a slot mid-publication
-        }
-        let existing = cur.tid();
-        let mut scratch = [0u8; KEY_SCRATCH_LEN];
-        let mismatch = {
-            let stored = self.store.source.load_key(existing, &mut scratch);
-            hot_bits::first_mismatch_bit(stored, key.bytes())
-        };
-        let Some(pos) = mismatch else {
-            let plan = match path.len() {
-                0 => Plan::UpsertRoot { existing },
-                depth => Plan::Upsert { level: depth - 1 },
-            };
-            return Ok((plan, cur));
-        };
-        assert!(pos < u16::MAX as usize);
-        let key_bit = hot_bits::bit_at(key.bytes(), pos);
-
-        if path.is_empty() {
-            return Ok((Plan::GrowRoot { expected: root.0, pos: pos as u16, key_bit, existing }, cur));
-        }
-
-        // Target selection, as in the single-threaded insert.
-        let mut level = path.len() - 1;
-        while level > 0 && path[level].0.as_raw().min_position() as usize > pos {
-            level -= 1;
-        }
-        let (target, idx) = path[level];
-        let (mut lo, mut hi) = target.as_raw().affected_range(pos, idx);
-        if lo == hi && level + 1 < path.len() {
-            // The mismatching BiNode is the root of the child the descent
-            // went through (`lo == idx`): grow the child.
-            level += 1;
-            let (child, idx) = path[level];
-            (lo, hi) = child.as_raw().affected_range(pos, idx);
-        }
-        let raw = path[level].0.as_raw();
-
-        // A single affected entry at the last level is the leaf `cur`.
-        if lo == hi && level + 1 == path.len() && raw.height() > 1 {
-            return Ok((Plan::Pushdown { level, pos: pos as u16, key_bit }, cur));
-        }
-
-        // Simulate the overflow cascade to find the shallowest content-
-        // changing level ("until a node with sufficient space or the root
-        // node is reached").
-        let mut top = level;
-        let mut entries = raw.count() + 1;
-        let mut height = raw.height();
-        while entries > MAX_FANOUT {
-            if top == 0 {
-                break; // new root
-            }
-            let parent = path[top - 1].0.as_raw();
-            if height + 1 == parent.height() {
-                // Parent pull-up: the parent gains one entry.
-                top -= 1;
-                entries = parent.count() + 1;
-                height = parent.height();
-            } else {
-                // Intermediate node creation: the parent takes a slot store.
-                top -= 1;
-                break;
-            }
-        }
-        Ok((Plan::Insert { level, top, pos: pos as u16, key_bit }, cur))
-    }
-
-    /// Step (d): perform the modification. All affected nodes are locked
-    /// and validated.
-    fn apply_insert(&self, plan: Plan, path: &Path, tid: u64, guard: &epoch::Guard) -> Option<u64> {
-        match plan {
-            Plan::Upsert { level } => {
-                let (node, idx) = path[level];
-                let raw = node.as_raw();
-                let old = raw.value(idx);
-                debug_assert!(old.is_leaf());
-                raw.store_value(idx, NodeRef::leaf(tid));
-                Some(old.tid())
-            }
-            Plan::Pushdown { level, pos, key_bit } => {
-                let (node, slot) = path[level];
-                let raw = node.as_raw();
-                let old_leaf = raw.value(slot);
-                debug_assert!(old_leaf.is_leaf());
-                let (zero, one) = if key_bit == 1 {
-                    (old_leaf.0, NodeRef::leaf(tid).0)
-                } else {
-                    (NodeRef::leaf(tid).0, old_leaf.0)
-                };
-                let pushed = Builder::pair(pos, zero, one, 1).encode(&self.store.mem);
-                raw.store_value(slot, pushed);
-                // Ordering: Relaxed — statistics counter only (see `len`).
-                self.len.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            Plan::Insert { level, pos, key_bit, .. } => {
-                let (target, idx) = path[level];
-                let raw = target.as_raw();
-                if crate::sync_shim::insert_fast_path_enabled() {
-                    let (lo, hi) = raw.affected_range(pos as usize, idx);
-                    if let Some(new_node) = raw.insert_entry_cow(
-                        pos as usize,
-                        lo,
-                        hi,
-                        key_bit,
-                        NodeRef::leaf(tid).0,
-                        &self.store.mem,
-                    ) {
-                        self.publish(path, level, new_node, guard);
-                        self.retire(target, guard);
-                        // Ordering: Relaxed — statistics counter only.
-                        self.len.fetch_add(1, Ordering::Relaxed);
-                        return None;
-                    }
-                }
-                let mut builder = Builder::decode(raw);
-                builder.insert_entry(pos, idx, key_bit, NodeRef::leaf(tid).0);
-                if !builder.overflowed() {
-                    let new_node = builder.encode(&self.store.mem);
-                    self.publish(path, level, new_node, guard);
-                    self.retire(target, guard);
-                } else {
-                    self.cascade_overflow(path, level, builder, guard);
-                }
-                // Ordering: Relaxed — statistics counter only.
-                self.len.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            Plan::GrowRoot { .. } | Plan::UpsertRoot { .. } => {
-                unreachable!("handled before locking")
-            }
+    /// Step (e): unlock `path[lowest..=level]` top-down.
+    fn unlock_levels(&self, path: &[(u64, usize)], lowest: usize, level: usize, _guard: &epoch::Guard) {
+        for &(node, _) in &path[lowest..=level] {
+            unlock(self.raw(node));
         }
     }
 
-    /// Overflow cascade under locks: mirrors the single-threaded
-    /// `handle_overflow`, but publishes via locked slots / the root word and
-    /// defers frees to the epoch.
-    fn cascade_overflow(&self, path: &Path, mut level: usize, mut builder: Builder, guard: &epoch::Guard) {
-        loop {
-            debug_assert!(builder.overflowed());
-            let (pos, left, right) = builder.split();
-            let left_ref = self.half_ref(left);
-            let right_ref = self.half_ref(right);
-            let old_node = path[level].0;
+    #[inline]
+    fn raw(&self, node: u64) -> RawNode {
+        self.store.raw(St::Ref::from_word(node))
+    }
 
-            if level == 0 {
-                let h = true_height(&[left_ref.0, right_ref.0]);
-                let new_root = Builder::pair(pos, left_ref.0, right_ref.0, h).encode(&self.store.mem);
-                self.publish(path, 0, new_root, guard);
-                self.retire(old_node, guard);
-                return;
+    /// What the publish unlinked: mark each replaced node obsolete and
+    /// defer its reclamation to the epoch; a superseded leaf only leaves
+    /// the store's accounting.
+    fn retire(&self, w: &mut Writer, guard: &epoch::Guard) {
+        let store = Arc::as_ptr(&self.store);
+        for word in w.retired().drain(..) {
+            let r = St::Ref::from_word(word);
+            if r.is_leaf() {
+                self.store.drop_leaf(r);
+                continue;
             }
-
-            let (parent, parent_idx) = path[level - 1];
-            let parent_raw = parent.as_raw();
-            if builder.height + 1 == parent_raw.height() {
-                let mut pb = Builder::decode(parent_raw);
-                pb.replace_entry_with_pair(parent_idx, pos, left_ref.0, right_ref.0);
-                self.retire(old_node, guard);
-                if pb.overflowed() {
-                    builder = pb;
-                    level -= 1;
-                    continue;
-                }
-                let new_parent = pb.encode(&self.store.mem);
-                self.publish(path, level - 1, new_parent, guard);
-                self.retire(parent, guard);
-                return;
-            }
-
-            let h = true_height(&[left_ref.0, right_ref.0]);
-            let inter = Builder::pair(pos, left_ref.0, right_ref.0, h).encode(&self.store.mem);
-            self.publish(path, level, inter, guard);
-            self.retire(old_node, guard);
-            return;
-        }
-    }
-
-    fn half_ref(&self, half: Builder) -> NodeRef {
-        if half.len() == 1 {
-            NodeRef(half.values[0])
-        } else {
-            half.encode(&self.store.mem)
-        }
-    }
-
-    /// Point the slot above `level` (or the root word) at `new`. The node at
-    /// `level` is locked and not obsolete, so that slot (or the root word)
-    /// still points at it and no other writer can store to it.
-    ///
-    /// Ordering: the root store is **Release** (pairs with `load_root`'s
-    /// Acquire); the slot store goes through `store_value`, which is likewise
-    /// Release (pairing with the Acquire in `value`). Either way a descent
-    /// that observes the new word observes the fully `fill`ed node behind it.
-    fn publish(&self, path: &Path, level: usize, new: NodeRef, _guard: &epoch::Guard) {
-        if level == 0 {
-            self.root.store(new.0, Ordering::Release); // pairs-with: root-publish
-        } else {
-            let (parent, idx) = path[level - 1];
-            parent.as_raw().store_value(idx, new);
-        }
-    }
-
-    /// Mark a replaced node obsolete and defer its reclamation to the epoch.
-    fn retire(&self, node: NodeRef, guard: &epoch::Guard) {
-        mark_obsolete(node.as_raw());
-        self.metrics.incr(RowexCounter::DeferredQueued);
-        let mem = Arc::as_ptr(&self.store.mem);
-        let metrics = self.metrics.handle();
-        // SAFETY: the node is obsolete and unreachable from the (new)
-        // structure; the epoch guarantees no pinned reader still holds it
-        // when the deferred function runs. `mem` is still alive then:
-        // `Drop` waits out every retired node before the counter goes.
-        unsafe {
-            guard.defer_unchecked(move || {
-                node.as_raw().free(&*mem);
-                metrics.incr(RowexCounter::DeferredFreed);
-            });
-        }
-    }
-
-    /// Remove `key`; returns its TID if present.
-    pub fn remove(&self, key: &[u8]) -> Option<u64> {
-        let _t = self.metrics.timer(OpKind::Remove);
-        let padded = PaddedKey::from_key(key);
-        let mut backoff = 0u32;
-        loop {
-            self.metrics.incr(RowexCounter::EpochPin);
-            let guard = epoch::pin();
-            match self.try_remove(&padded, &guard) {
-                Ok(result) => return result,
-                Err(()) => {
-                    self.metrics.incr(RowexCounter::Restart);
-                    backoff_spin(&mut backoff);
-                }
+            mark_obsolete(self.store.raw(r));
+            self.metrics.incr(RowexCounter::DeferredQueued);
+            let metrics = self.metrics.handle();
+            // SAFETY: the node is obsolete and unreachable from the (new)
+            // structure; the epoch guarantees no pinned reader still holds it
+            // when the deferred function runs. The store is still alive
+            // then: `Drop` waits out every retired node, or leaks the store.
+            unsafe {
+                guard.defer_unchecked(move || {
+                    (*store).retire(r);
+                    metrics.incr(RowexCounter::DeferredFreed);
+                });
             }
         }
-    }
-
-    fn try_remove(&self, key: &PaddedKey, guard: &epoch::Guard) -> Result<Option<u64>, ()> {
-        // Analyze.
-        let root = self.load_root();
-        if root.is_null() {
-            return Ok(None);
-        }
-        let mut path = Path::new();
-        let cur = crate::node::descend(&self.store, root, key, &mut path);
-        if cur.is_null() {
-            return Err(());
-        }
-        let tid = cur.tid();
-        let mut scratch = [0u8; KEY_SCRATCH_LEN];
-        let stored = self.store.source.load_key(tid, &mut scratch);
-        if hot_bits::first_mismatch_bit(stored, key.bytes()).is_some() {
-            return Ok(None);
-        }
-        if path.is_empty() {
-            // Leaf root. Ordering: AcqRel/Acquire — matches the other root
-            // CASes. No node memory is published here (leaf word → null),
-            // but the Acquire side keeps a failed retry from re-analyzing
-            // against a half-observed competing root.
-            // pairs-with: root-publish
-            return match self.root.compare_exchange(
-                root.0,
-                0,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => {
-                    // Ordering: Relaxed — statistics counter only.
-                    self.len.fetch_sub(1, Ordering::Relaxed);
-                    Ok(Some(tid))
-                }
-                Err(_) => Err(()),
-            };
-        }
-
-        // Affected: the deepest node and its parent (whose slot is written
-        // on COW replacement or collapse).
-        let level = path.len() - 1;
-        let lowest = level.saturating_sub(1);
-        self.lock_levels(&path, lowest, level, guard)?;
-        let result = if self.validate_locked(&path, cur, lowest, level, guard) {
-            let (node, idx) = path[level];
-            let raw = node.as_raw();
-            let replacement = if raw.count() == 2 {
-                raw.value(1 - idx) // collapse: the survivor moves up
-            } else {
-                let mut builder = Builder::decode(raw);
-                builder.remove_entry(idx);
-                builder.encode(&self.store.mem)
-            };
-            self.publish(&path, level, replacement, guard);
-            self.retire(node, guard);
-            // Ordering: Relaxed — statistics counter only.
-            self.len.fetch_sub(1, Ordering::Relaxed);
-            Ok(Some(tid))
-        } else {
-            Err(())
-        };
-        unlock_levels(&path, lowest, level, guard);
-        result
     }
 
     /// Index memory footprint. Counts retired nodes until their deferred
@@ -981,14 +810,14 @@ impl<S: KeySource> ConcurrentHot<S> {
     // epoch-exempt: quiesced-only diagnostic — the caller guarantees no
     // concurrent writers, so nothing can be retired under the walk.
     pub fn depth_stats(&self) -> DepthStats {
-        crate::invariants::depth_stats(&self.store, self.load_root())
+        crate::invariants::depth_stats(&*self.store, self.load_root())
     }
 
     /// Structural fingerprint (see
-    /// [`HotTrie::structure_digest`](crate::HotTrie::structure_digest)).
+    /// [`Trie::structure_digest`](crate::Trie::structure_digest)).
     /// Call on a quiesced tree.
     pub fn structure_digest(&self) -> u64 {
-        crate::invariants::structure_digest(&self.store, self.load_root())
+        crate::invariants::structure_digest(&*self.store, self.load_root())
     }
 
     /// Full structural validation. Call on a quiesced tree.
@@ -1007,7 +836,7 @@ impl<S: KeySource> ConcurrentHot<S> {
     pub fn try_check_invariants(&self) -> Result<crate::InvariantReport, String> {
         // Re-lookups go through the uninstrumented internal path so the
         // walk never inflates the `get` / epoch-pin counters.
-        crate::invariants::check_tree(&self.store, self.load_root(), self.len(), |k| {
+        crate::invariants::check_tree(&*self.store, self.load_root(), self.len(), |k| {
             self.get_padded(&PaddedKey::from_key(k))
         })
     }
@@ -1016,7 +845,7 @@ impl<S: KeySource> ConcurrentHot<S> {
     pub fn check_invariants(&self) -> crate::InvariantReport {
         match self.try_check_invariants() {
             Ok(report) => report,
-            Err(msg) => panic!("ConcurrentHot invariant violation: {msg}"),
+            Err(msg) => panic!("concurrent trie invariant violation: {msg}"),
         }
     }
 
@@ -1049,13 +878,6 @@ impl<S: KeySource> ConcurrentHot<S> {
     }
 }
 
-/// Step (e): unlock `path[lowest..=level]` top-down.
-fn unlock_levels(path: &Path, lowest: usize, level: usize, _guard: &epoch::Guard) {
-    for &(node, _) in &path[lowest..=level] {
-        unlock(node.as_raw());
-    }
-}
-
 #[inline]
 fn backoff_spin(backoff: &mut u32) {
     *backoff = (*backoff + 1).min(10);
@@ -1067,338 +889,33 @@ fn backoff_spin(backoff: &mut u32) {
     }
 }
 
-impl<S> Drop for ConcurrentHot<S> {
+impl<St: NodeStore> Drop for Concurrent<St> {
     // epoch-exempt: `&mut self` proves exclusive access — no concurrent
     // reader can hold these nodes, and nothing retires them under us.
     fn drop(&mut self) {
         // Ordering: Relaxed — `&mut self` proves exclusive access; the drop
         // glue itself already synchronized with all prior threads.
-        let root = NodeRef(self.root.load(Ordering::Relaxed));
+        let root = St::Ref::from_word(self.root.load(Ordering::Relaxed));
         // SAFETY: &mut self — no concurrent accessors remain.
-        unsafe { self.store.free_tree(root) };
-        // What `mem` still counts are retired nodes whose deferred frees
-        // point at it (and at `metrics`): wait them out. Only a guard held
-        // by this very thread can make that fail; then both stay allocated.
-        if self.store.mem.nodes() != 0 && !quiesce() {
-            std::mem::forget((Arc::clone(&self.store.mem), self.metrics.handle()));
+        unsafe { self.store.drop_tree(root) };
+        // The nodes still counted are retired ones (and, in a store whose
+        // blocks go with it, the tree): their deferred frees point into the
+        // store, so wait them out. Only a guard held by this very thread can
+        // make that fail; then the store stays allocated.
+        if self.store.memory_stats(0).node_count != 0 && !quiesce() {
+            std::mem::forget(Arc::clone(&self.store));
         }
     }
 }
 
 /// Run every deferred reclamation queued (by any thread, on any index)
 /// before this call, waiting for the epoch pins that predate it to end.
-/// Afterwards [`ConcurrentHot::memory_stats`], the arena statistics of
+/// Afterwards [`Concurrent::memory_stats`], the arena statistics of
 /// [`ConcurrentCompact`] and the `deferred_queued`/`deferred_freed` metrics
 /// are exact, provided no writer is running. Returns `false` only when
 /// called under an epoch pin of the calling thread.
 pub fn quiesce() -> bool {
     epoch::drain()
-}
-
-// SAFETY: all shared mutation is guarded by per-node locks, atomics and
-// epoch-based reclamation; S must be Sync for shared key resolution.
-unsafe impl<S: Sync> Sync for ConcurrentHot<S> {}
-// SAFETY: nodes are plain heap allocations owned (transitively) by the
-// index; moving the index to another thread moves exclusive ownership.
-unsafe impl<S: Send> Send for ConcurrentHot<S> {}
-
-// ---- concurrent facade over the compact arena layout ------------------------
-
-use crate::arena::{ArenaFull, ArenaStats, ArenaStore, CRef, CompactRoot};
-use crate::node::TreeRef;
-use crate::trie::Writer;
-
-/// Concurrent wrapper over the arena-backed compact layout
-/// ([`CompactHot`](crate::CompactHot)): wait-free readers over 32-bit
-/// offset words, a single serialized writer, and epoch-deferred node-block
-/// reclamation — the same single-writer core as `CompactHot`, with the
-/// root word an atomic and the retired blocks handed to the epoch.
-///
-/// The publish/retire protocol is simpler than full ROWEX because the
-/// single-writer core already funnels every structural change through one
-/// `Release` store (a child slot or the root word) and arena slabs are
-/// never unmapped while the index lives:
-///
-/// * **readers** pin an epoch and traverse with acquire loads of the slab
-///   table, child slots and root — no locks, no restarts; front-coded
-///   leaf bytes are immutable once published, so reconstruction needs no
-///   synchronization at all;
-/// * **the writer** (one at a time, serialized by an internal mutex)
-///   builds copy-on-write nodes in fresh arena blocks, publishes with one
-///   `Release` store, and defers the replaced blocks' return to the
-///   node-arena free list until all pinned epochs have moved on;
-/// * **leaf records** are append-only and never reclaimed individually
-///   (superseded records are dead-byte accounting only), so readers can
-///   keep walking a front-coding chain across any number of concurrent
-///   upserts.
-pub struct ConcurrentCompact {
-    store: Arc<ArenaStore>,
-    root: CompactRoot,
-    /// Serializes writers; also owns the reusable mutation scratch.
-    writer: std::sync::Mutex<Writer>,
-    /// Scheduler health counters of the batched reads (no-op unless the
-    /// `metrics` feature is enabled).
-    metrics: Metrics,
-}
-
-impl Default for ConcurrentCompact {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ConcurrentCompact {
-    /// An empty index with the default arena ceilings.
-    pub fn new() -> Self {
-        Self::with_capacity(crate::arena::DEFAULT_NODE_CAP, crate::arena::DEFAULT_LEAF_CAP)
-    }
-
-    /// An empty index with explicit node/leaf arena byte ceilings.
-    pub fn with_capacity(node_cap_bytes: usize, leaf_cap_bytes: usize) -> Self {
-        ConcurrentCompact {
-            store: Arc::new(ArenaStore::new(node_cap_bytes, leaf_cap_bytes)),
-            root: CompactRoot::new(),
-            writer: std::sync::Mutex::new(Writer::new()),
-            metrics: Metrics::new(),
-        }
-    }
-
-    /// Number of stored keys. Exact only when quiesced.
-    pub fn len(&self) -> usize {
-        self.root.len()
-    }
-
-    /// True when no keys are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Look up `key`; returns its TID if present. Wait-free.
-    pub fn get(&self, key: &[u8]) -> Option<u64> {
-        self.get_with(key, &mut PaddedKey::new())
-    }
-
-    /// Like [`get`](Self::get) with a caller-provided padded-key buffer.
-    pub fn get_with(&self, key: &[u8], buf: &mut PaddedKey) -> Option<u64> {
-        buf.set(key);
-        let _guard = epoch::pin();
-        crate::trie::lookup(&*self.store, self.root.load_root(), buf)
-    }
-
-    /// True when `key` is present.
-    pub fn contains(&self, key: &[u8]) -> bool {
-        self.get(key).is_some()
-    }
-
-    /// Batched point lookups on the thread's parked scheduler (see
-    /// [`ConcurrentHot::get_batch`]).
-    ///
-    /// # Panics
-    /// Panics if `out.len() != keys.len()`.
-    pub fn get_batch<K: AsRef<[u8]>>(&self, keys: &[K], out: &mut [Option<u64>]) {
-        crate::mlp::with_thread_scheduler(|sched| self.get_batch_with(keys, out, sched));
-    }
-
-    /// Batched point lookups through the caller's scheduler; one epoch pin
-    /// covers the whole batch, the root is reloaded at every lane refill.
-    ///
-    /// # Panics
-    /// Panics if `out.len() != keys.len()`.
-    pub fn get_batch_with<K: AsRef<[u8]>>(
-        &self,
-        keys: &[K],
-        out: &mut [Option<u64>],
-        sched: &mut crate::mlp::MlpScheduler,
-    ) {
-        assert_eq!(keys.len(), out.len(), "one output slot per key");
-        let _guard = epoch::pin();
-        sched.run_points(
-            &*self.store,
-            &crate::mlp::LookupStream(keys),
-            out,
-            |_| self.root.load_root(),
-            true,
-            &self.metrics,
-        );
-    }
-
-    /// Collect up to `limit` TIDs with keys `>= key`, ascending.
-    pub fn scan(&self, key: &[u8], limit: usize) -> Vec<u64> {
-        let mut out = Vec::new();
-        self.scan_into(key, limit, &mut out);
-        out
-    }
-
-    /// Like [`scan`](Self::scan) into a caller buffer (cleared first).
-    pub fn scan_into(&self, key: &[u8], limit: usize, out: &mut Vec<u64>) {
-        crate::scan::with_thread_cursor(|cursor| self.scan_with(key, limit, out, cursor));
-    }
-
-    /// Like [`scan`](Self::scan) with a caller-owned reusable cursor
-    /// (`out` is cleared first); one epoch pin covers the whole scan.
-    pub fn scan_with(
-        &self,
-        key: &[u8],
-        limit: usize,
-        out: &mut Vec<u64>,
-        cursor: &mut crate::scan::ScanCursor,
-    ) {
-        out.clear();
-        let _guard = epoch::pin();
-        cursor.scan_root(&*self.store, self.root.load_root(), key, limit, out);
-    }
-
-    /// Insert `key -> tid`; returns the previous TID on upsert.
-    ///
-    /// # Panics
-    /// Panics if `tid` exceeds [`MAX_TID`], the key exceeds
-    /// [`MAX_KEY_LEN`](hot_keys::MAX_KEY_LEN) bytes, or an arena ceiling is
-    /// hit (use [`try_insert`](Self::try_insert) to handle that case).
-    pub fn insert(&self, key: &[u8], tid: u64) -> Option<u64> {
-        self.try_insert(key, tid)
-            .unwrap_or_else(|e| panic!("compact insert: {e}"))
-    }
-
-    /// Insert `key -> tid`, reporting arena exhaustion as a typed error.
-    /// On [`ArenaFull`] the tree is unchanged.
-    ///
-    /// # Panics
-    /// Panics if `tid` exceeds [`MAX_TID`] or the key exceeds
-    /// [`MAX_KEY_LEN`](hot_keys::MAX_KEY_LEN) bytes.
-    pub fn try_insert(&self, key: &[u8], tid: u64) -> Result<Option<u64>, ArenaFull> {
-        assert!(tid <= MAX_TID, "tid exceeds MAX_TID");
-        self.write(key, Some(tid))
-    }
-
-    /// Remove `key`; returns its TID if it was present.
-    ///
-    /// # Panics
-    /// Panics if an arena ceiling is hit while re-encoding a merged node
-    /// (use [`try_remove`](Self::try_remove) to handle that case).
-    pub fn remove(&self, key: &[u8]) -> Option<u64> {
-        self.try_remove(key)
-            .unwrap_or_else(|e| panic!("compact remove: {e}"))
-    }
-
-    /// Remove `key`, reporting arena exhaustion as a typed error. On
-    /// [`ArenaFull`] the tree is unchanged.
-    pub fn try_remove(&self, key: &[u8]) -> Result<Option<u64>, ArenaFull> {
-        self.write(key, None)
-    }
-
-    /// One operation of the shared single-writer core — insert `key → tid`,
-    /// or remove `key` for no `tid` — under the writer mutex and an epoch
-    /// pin: the core works on a copy of the root word, a changed root is
-    /// published with one Release store, and the blocks the operation
-    /// unlinked are handed to the epoch.
-    fn write(&self, key: &[u8], tid: Option<u64>) -> Result<Option<u64>, ArenaFull> {
-        let guard = epoch::pin();
-        let mut w = self.writer.lock().expect("compact writer mutex poisoned");
-        let key_buf = w.take_key(key);
-        let before = self.root.load_root();
-        let mut root = before;
-        let result = match tid {
-            Some(tid) => crate::trie::insert(&*self.store, &mut w, &mut root, &key_buf, tid),
-            None => crate::trie::remove(&*self.store, &mut w, &mut root, &key_buf),
-        };
-        w.put_key(key_buf);
-        let answer = result?;
-        if root != before {
-            self.root.publish_root(root);
-        }
-        self.retire(&mut w, &guard);
-        let len = self.root.len();
-        match (tid, answer) {
-            (Some(_), None) => self.root.set_len(len + 1),
-            (None, Some(_)) => self.root.set_len(len - 1),
-            _ => {}
-        }
-        Ok(answer)
-    }
-
-    /// Defer every replaced node block's return to the free list until all
-    /// pinned epochs have moved on. (A failed mutation never gets here:
-    /// the store rolled back only never-published blocks, which no reader
-    /// can hold.)
-    fn retire(&self, w: &mut Writer, guard: &epoch::Guard) {
-        let store = Arc::as_ptr(&self.store);
-        for word in w.retired() {
-            let r = CRef::from_word(word);
-            // SAFETY: `r` was unlinked by this mutation's single Release
-            // publish; the epoch guarantees no pinned reader still holds
-            // it when the deferred function runs, and `Drop` waits every
-            // deferred function out before the slabs are unmapped.
-            unsafe {
-                guard.defer_unchecked(move || (*store).free_node(r));
-            }
-        }
-    }
-
-    /// Bulk-load sorted `(key, tid)` pairs into an empty index (one
-    /// publish at the end; concurrent readers see the whole tree or
-    /// nothing). An arena ceiling hit mid-build returns
-    /// [`BulkLoadError::ArenaFull`] with the index still empty and usable.
-    pub fn bulk_load<K: AsRef<[u8]>>(
-        &self,
-        entries: &[(K, u64)],
-    ) -> Result<usize, BulkLoadError> {
-        let _w = self.writer.lock().expect("compact writer mutex poisoned");
-        if !self.root.load_root().is_null() {
-            return Err(BulkLoadError::NotEmpty);
-        }
-        let (root, n) = crate::bulk::load(&*self.store, entries, 1)?;
-        self.root.publish_root(root);
-        self.root.set_len(n);
-        Ok(n)
-    }
-
-    /// Index memory footprint (live bytes plus reserved arena capacity).
-    pub fn memory_stats(&self) -> MemoryStats {
-        self.store.memory_stats(self.len())
-    }
-
-    /// Allocator-level accounting for both arenas. Deferred frees may lag
-    /// behind; exact after [`quiesce`] with no writer running.
-    pub fn arena_stats(&self) -> ArenaStats {
-        self.store.arena_stats()
-    }
-
-    /// Leaf-depth histogram. Call on a quiesced index.
-    pub fn depth_stats(&self) -> DepthStats {
-        crate::invariants::depth_stats(&*self.store, self.root.load_root())
-    }
-
-    /// Structural fingerprint (see
-    /// [`HotTrie::structure_digest`](crate::HotTrie::structure_digest)).
-    /// Call on a quiesced index.
-    pub fn structure_digest(&self) -> u64 {
-        crate::invariants::structure_digest(&*self.store, self.root.load_root())
-    }
-
-    /// Whole-trie invariant walk. Call on a quiesced index.
-    pub fn try_check_invariants(&self) -> Result<crate::InvariantReport, String> {
-        crate::invariants::check_tree(&*self.store, self.root.load_root(), self.len(), |k| self.get(k))
-    }
-
-    /// Like [`try_check_invariants`](Self::try_check_invariants) but
-    /// panics on violation.
-    pub fn check_invariants(&self) -> crate::InvariantReport {
-        match self.try_check_invariants() {
-            Ok(report) => report,
-            Err(e) => panic!("compact invariant violation: {e}"),
-        }
-    }
-}
-
-impl Drop for ConcurrentCompact {
-    fn drop(&mut self) {
-        // Deferred block frees point into the store: wait them out. Only a
-        // guard held by this very thread can make that fail; then the
-        // arena stays mapped.
-        if !quiesce() {
-            std::mem::forget(Arc::clone(&self.store));
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1598,11 +1115,183 @@ mod tests {
         for &k in &keys {
             st.insert(&encode_u64(k), k);
         }
-        let concurrent_leaves: Vec<u64> = {
-            // Collect leaves in order via scans.
-            trie.scan(&[], 10_000)
-        };
-        assert_eq!(concurrent_leaves, st.iter().collect::<Vec<_>>());
+        assert_eq!(trie.scan(&[], 10_000), st.iter().collect::<Vec<_>>());
+        assert_eq!(trie.structure_digest(), st.structure_digest());
+
+        // Removal is the same write path too: nine keys in ten taken out
+        // of both, in one order, leave the same nodes — collapsed and
+        // merged alike.
+        for (i, &k) in keys.iter().enumerate() {
+            if i % 10 != 0 {
+                assert_eq!(trie.remove(&encode_u64(k)), st.remove(&encode_u64(k)));
+            }
+        }
+        trie.validate();
         assert_eq!(trie.depth_stats(), st.depth_stats());
+        assert_eq!(trie.structure_digest(), st.structure_digest());
+    }
+
+    /// Key `i` of key set `set`: sets interleave all over the key space.
+    fn key_of(set: u64, i: u64) -> [u8; 8] {
+        encode_u64((i.wrapping_mul(0x9E37_79B9_7F4A_7C15) & !0xFF) | set)
+    }
+
+    /// Four writers — on disjoint keys, on one shared pool, then taking
+    /// turns through a mixed insert/remove history, then all removing
+    /// everything — beside two free-running readers, end with the structure
+    /// a single thread builds from the same history.
+    fn four_writers_match_the_single_threaded_replay<St: NodeStore + Send>(
+        index: Concurrent<St>,
+        mut replay: crate::Trie<St>,
+    ) {
+        const WRITERS: u64 = 4;
+        // Key sets `0..WRITERS` are a writer's own; set `WRITERS` is shared.
+        let (own, pool) = (sized(2_000), sized(1_000));
+        let size_of = |set: u64| if set == WRITERS { pool } else { own };
+        // TIDs name the key, so whatever a reader finds is exact.
+        let tid_of = |set: u64, i: u64| set << 32 | i;
+        let index = &index;
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        // Run `job(t)` on writer thread `t`, all four at once.
+        let run = |job: &(dyn Fn(u64) + Sync)| {
+            std::thread::scope(|writers| {
+                for t in 0..WRITERS {
+                    writers.spawn(move || job(t));
+                }
+            });
+        };
+
+        /// Stops the readers when the writers are through — or have panicked.
+        struct Stop<'a>(&'a std::sync::atomic::AtomicBool);
+        impl Drop for Stop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::Relaxed);
+            }
+        }
+
+        std::thread::scope(|readers| {
+            let _stop = Stop(&stop);
+            for r in 0..2u64 {
+                let stop = &stop;
+                readers.spawn(move || {
+                    let mut x = 0x2545_F491_4F6C_DD1Du64 ^ r;
+                    let mut out = Vec::new();
+                    while !stop.load(Ordering::Relaxed) {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        let (set, i) = (x % (WRITERS + 1), (x >> 8) % own);
+                        if let Some(tid) = index.get(&key_of(set, i)) {
+                            assert_eq!(tid, set << 32 | i, "reader {r} found a foreign TID");
+                        }
+                        if x.is_multiple_of(64) {
+                            index.scan_into(&key_of(set, i), 8, &mut out);
+                            assert!(out.len() <= 8);
+                            // Leave the cores to the writers now and then.
+                            std::thread::yield_now();
+                        }
+                    }
+                });
+            }
+
+            // Free-running inserts: each writer its own keys, and every
+            // writer the whole shared pool. Insert-only, so the structure
+            // does not depend on the interleaving.
+            run(&|t| {
+                for i in 0..own.max(pool) {
+                    if i < own {
+                        assert_eq!(index.insert(&key_of(t, i), tid_of(t, i)), None);
+                    }
+                    if i < pool {
+                        let (j, tid) = ((i + t * 7) % pool, tid_of(WRITERS, (i + t * 7) % pool));
+                        let previous = index.insert(&key_of(WRITERS, j), tid);
+                        assert!(previous.is_none() || previous == Some(tid));
+                    }
+                }
+            });
+            for set in 0..=WRITERS {
+                for i in 0..size_of(set) {
+                    replay.insert(&key_of(set, i), tid_of(set, i));
+                }
+            }
+            assert_eq!(index.len(), replay.len());
+            assert_eq!(index.structure_digest(), replay.structure_digest(), "after the concurrent build");
+
+            // Mixed inserts and removes: what a remove leaves behind depends
+            // on the order of the writes around it, so a replay needs the
+            // writers' linearization. They take turns here — write `n` is
+            // thread `n % WRITERS`'s — while the readers keep running free.
+            let mut x = 0x9E37_79B9u64;
+            let history: Vec<(bool, u64, u64)> = (0..sized(3_000))
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    let set = x % (WRITERS + 1);
+                    (x & 0x300 != 0, set, (x >> 12) % size_of(set))
+                })
+                .collect();
+            let turn = AtomicUsize::new(0);
+            run(&|t| {
+                for n in (t as usize..history.len()).step_by(WRITERS as usize) {
+                    while turn.load(Ordering::Acquire) != n {
+                        crate::sync_shim::yield_now();
+                    }
+                    let (remove, set, i) = history[n];
+                    if remove {
+                        index.remove(&key_of(set, i));
+                    } else {
+                        index.insert(&key_of(set, i), tid_of(set, i));
+                    }
+                    turn.store(n + 1, Ordering::Release);
+                }
+            });
+            for &(remove, set, i) in &history {
+                if remove {
+                    replay.remove(&key_of(set, i));
+                } else {
+                    replay.insert(&key_of(set, i), tid_of(set, i));
+                }
+            }
+            assert!(quiesce());
+            assert_eq!(index.len(), replay.len());
+            assert_eq!(index.check_invariants().nodes, replay.check_invariants().nodes);
+            assert_eq!(index.structure_digest(), replay.structure_digest(), "after the mixed history");
+            // Nothing leaked, nothing freed twice. (Leaf bytes are left out:
+            // how a record is front-coded depends on which one was appended
+            // before it, and the free-running build appended in its own order.)
+            let (live, want) = (index.memory_stats(), replay.memory_stats());
+            assert_eq!((live.node_count, live.node_bytes), (want.node_count, want.node_bytes));
+
+            // Free-running removes, disjoint and overlapping, down to nothing.
+            run(&|t| {
+                for i in 0..own.max(pool) {
+                    index.remove(&key_of(t, i));
+                    index.remove(&key_of(WRITERS, (i + t * 7) % pool));
+                }
+            });
+        });
+        assert!(quiesce());
+        assert!(index.is_empty());
+        index.check_invariants();
+        assert_eq!(index.memory_stats().node_count, 0);
+    }
+
+    #[test]
+    fn four_heap_writers_match_the_single_threaded_replay() {
+        /// Keys of [`key_of`] by TID (thread number in the high half).
+        struct Keys;
+        impl KeySource for Keys {
+            fn load_key<'a>(&'a self, tid: u64, scratch: &'a mut [u8; hot_keys::KEY_SCRATCH_LEN]) -> &'a [u8] {
+                scratch[..8].copy_from_slice(&key_of(tid >> 32, tid & 0xFFFF_FFFF));
+                &scratch[..8]
+            }
+        }
+        four_writers_match_the_single_threaded_replay(ConcurrentHot::new(Keys), crate::HotTrie::new(Keys));
+    }
+
+    #[test]
+    fn four_arena_writers_match_the_single_threaded_replay() {
+        four_writers_match_the_single_threaded_replay(ConcurrentCompact::new(), crate::CompactHot::new());
     }
 }

@@ -1,14 +1,15 @@
-//! The single-threaded Height Optimized Trie (Sections 3 and 4), written
-//! once over a [`NodeStore`].
+//! The Height Optimized Trie (Sections 3 and 4), written once over a
+//! [`NodeStore`]: the lookup, and the one write path — [`plan`] decides what
+//! an insert or remove does from the recorded descent path, [`apply`]
+//! carries it out with a single publish.
 //!
-//! epoch-exempt: mutation takes `&mut self` and reads run against a tree
-//! nobody reclaims concurrently — no epoch pin is ever required here. The
-//! single-writer core below is also what
-//! [`ConcurrentCompact`](crate::sync::ConcurrentCompact) runs under its
-//! writer mutex; there the caller holds the pin and defers the retired
-//! blocks.
+//! epoch-exempt: [`Trie`]'s mutation takes `&mut self` and its reads run
+//! against a tree nobody reclaims concurrently — no epoch pin is ever
+//! required here. [`Concurrent`](crate::sync::Concurrent) runs the same
+//! `plan` and `apply` between lock and unlock (Section 5); there the caller
+//! holds the pin and defers the retired blocks.
 //!
-//! [`Trie`] is the one front-end; [`HotTrie`] and
+//! [`Trie`] is the single-threaded front-end; [`HotTrie`] and
 //! [`CompactHot`](crate::CompactHot) are its two instantiations.
 
 // The storage seam is crate-internal: `Trie` is public only so that its
@@ -51,65 +52,99 @@ pub struct Trie<St: NodeStore> {
 /// Use [`HotMap`](crate::HotMap) for a self-contained ordered map.
 pub type HotTrie<S> = Trie<HeapStore<S>>;
 
-/// Reusable state of the single writer: padded key, descent stack, decode
-/// builder, and the nodes the running operation replaced. Reference words
-/// are held widened, so one writer serves either back-end.
+/// Reusable state of one write operation: the padded key, the descent
+/// path, the decode builder, and the two ledgers [`apply`] keeps — the
+/// blocks the operation allocated (`fresh`: what a failure gives back) and
+/// the ones its publish unlinked (`retired`: what the caller reclaims, at
+/// once in [`Trie`], through the epoch in
+/// [`Concurrent`](crate::sync::Concurrent)). Reference words are held
+/// widened, so one writer serves either back-end; `Trie` owns one,
+/// `Concurrent` parks one per thread.
 pub(crate) struct Writer {
-    /// Padded key buffer (boxed so taking it out is a pointer move, not a
-    /// 272-byte copy).
-    key_buf: Option<Box<PaddedKey>>,
-    /// Descent stack: (node, selected entry index).
-    stack: Vec<(u64, usize)>,
+    key: PaddedKey,
+    /// Descent path: (node, selected entry index), root first.
+    path: Vec<(u64, usize)>,
     /// Decode buffer for the copy-on-write paths.
     builder: Option<Builder>,
-    /// Nodes the operation replaced — unreachable once it published. The
-    /// caller reclaims them after a successful operation: at once in
-    /// [`Trie`], epoch-deferred in the concurrent wrapper.
+    fresh: Vec<u64>,
     retired: Vec<u64>,
 }
 
 impl Writer {
     pub(crate) fn new() -> Writer {
         Writer {
-            key_buf: Some(Box::new(PaddedKey::new())),
-            stack: Vec::with_capacity(16),
+            key: PaddedKey::new(),
+            path: Vec::with_capacity(16),
             builder: None,
+            fresh: Vec::new(),
             retired: Vec::new(),
         }
     }
 
-    /// Take the key buffer out, set to `key` (hand it back with
-    /// [`put_key`](Self::put_key)).
-    pub(crate) fn take_key(&mut self, key: &[u8]) -> Box<PaddedKey> {
-        let mut buf = self.key_buf.take().unwrap_or_default();
-        buf.set(key);
-        buf
+    /// The key of the operations that follow.
+    pub(crate) fn set_key(&mut self, key: &[u8]) {
+        self.key.set(key);
     }
 
-    pub(crate) fn put_key(&mut self, buf: Box<PaddedKey>) {
-        self.key_buf = Some(buf);
+    /// Start one attempt: descend from `root` to the terminal word the key
+    /// leads to — a leaf, or null for an empty tree or a slot observed
+    /// mid-update — recording the path.
+    pub(crate) fn seek<St: NodeStore>(&mut self, store: &St, root: St::Ref) -> St::Ref {
+        self.path.clear();
+        self.fresh.clear();
+        self.retired.clear();
+        crate::node::descend(store, root, &self.key, &mut self.path)
     }
 
-    /// The nodes the last successful operation unlinked.
-    pub(crate) fn retired(&mut self) -> std::vec::Drain<'_, u64> {
-        self.retired.drain(..)
+    pub(crate) fn path(&self) -> &[(u64, usize)] {
+        &self.path
+    }
+
+    /// What the last [`apply`] allocated — unreachable if it failed, or if
+    /// its caller lost the race to publish the root.
+    pub(crate) fn fresh(&mut self) -> &mut Vec<u64> {
+        &mut self.fresh
+    }
+
+    /// What the last successful [`apply`] unlinked: replaced nodes and
+    /// superseded leaves.
+    pub(crate) fn retired(&mut self) -> &mut Vec<u64> {
+        &mut self.retired
     }
 
     #[inline]
     fn raw_at<St: NodeStore>(&self, store: &St, level: usize) -> RawNode {
-        store.raw(St::Ref::from_word(self.stack[level].0))
+        store.raw(St::Ref::from_word(self.path[level].0))
     }
 
-    /// Point the slot holding the node at `level` (or the root) at `new` —
-    /// the operation's single publish.
-    fn replace_slot<St: NodeStore>(&mut self, store: &St, root: &mut St::Ref, level: usize, new: St::Ref) {
-        if level == 0 {
-            *root = new;
-        } else {
-            let idx = self.stack[level - 1].1;
-            St::Slot::set(self.raw_at(store, level - 1), idx, new);
+    fn new_leaf<St: NodeStore>(&mut self, store: &St, tid: u64) -> Result<St::Ref, St::Full> {
+        let leaf = store.new_leaf(self.key.bytes(), tid)?;
+        self.fresh.push(leaf.word());
+        Ok(leaf)
+    }
+
+    fn encode<St: NodeStore>(&mut self, store: &St, builder: &Builder) -> Result<St::Ref, St::Full> {
+        let node = store.encode(builder)?;
+        self.fresh.push(node.word());
+        Ok(node)
+    }
+
+    /// Store `new` in the word the node at `level` hangs from — the taken
+    /// slot of `path[level - 1]`, or the root word above level 0; the
+    /// terminal word is the one below the last node, `level == path.len()`.
+    /// This is an operation's single publish.
+    fn publish<St: NodeStore>(&self, store: &St, root: &mut St::Ref, level: usize, new: St::Ref) {
+        match level.checked_sub(1) {
+            None => *root = new,
+            Some(above) => St::Slot::set(self.raw_at(store, above), self.path[above].1, new),
         }
-        self.stack[level].0 = new.word();
+    }
+
+    /// [`publish`](Self::publish) `new` in place of the node at `level`,
+    /// which is thereby retired.
+    fn replace<St: NodeStore>(&mut self, store: &St, root: &mut St::Ref, level: usize, new: St::Ref) {
+        self.publish(store, root, level, new);
+        self.retired.push(self.path[level].0);
     }
 }
 
@@ -123,70 +158,99 @@ pub(crate) fn lookup<St: NodeStore>(store: &St, root: St::Ref, key: &PaddedKey) 
     store.verify(cur, key.bytes())
 }
 
-/// Insert `key → tid` under `root` (upsert; Listing 1). `root` is the
-/// caller's root word: a store to it is the publish where the caller owns
-/// it exclusively, and what the caller Release-stores afterwards where
-/// readers run concurrently. On `Ok` the replaced nodes wait in
-/// [`Writer::retired`]; on `Err` the tree is untouched.
-pub(crate) fn insert<St: NodeStore>(
-    store: &St,
-    w: &mut Writer,
-    root: &mut St::Ref,
-    key: &PaddedKey,
-    tid: u64,
-) -> Result<Option<u64>, St::Full> {
-    w.retired.clear();
-    let result = insert_unsettled(store, w, root, key, tid);
-    store.settle(result.is_ok());
-    result
+/// The write a caller asked for.
+#[derive(Clone, Copy)]
+pub(crate) enum Op {
+    /// Upsert the writer's key with this TID.
+    Insert(u64),
+    /// Remove the writer's key.
+    Remove,
 }
 
-/// [`insert`] without the closing [`NodeStore::settle`]. Every fallible
-/// store call precedes the one publish of its branch.
-fn insert_unsettled<St: NodeStore>(
-    store: &St,
-    w: &mut Writer,
-    root: &mut St::Ref,
-    key: &PaddedKey,
-    tid: u64,
-) -> Result<Option<u64>, St::Full> {
-    if root.is_null() {
-        *root = store.new_leaf(key.bytes(), tid)?;
-        return Ok(None);
-    }
+/// What a write does to the tree (Listing 1 and its deletion mirror,
+/// Section 3.2). Levels index the descent path, root first; every remove
+/// works on the last path node.
+#[derive(Clone, Copy)]
+pub(crate) enum Plan {
+    /// The terminal word takes a new leaf: the first key of an empty tree,
+    /// or an upsert.
+    Swap { tid: u64 },
+    /// The terminal leaf gives way to a two-entry node over itself and the
+    /// new leaf: a leaf root growing into the first node, or leaf-node
+    /// pushdown into an entry of a node of height > 1. One slot store, no
+    /// copy-on-write.
+    Pushdown { tid: u64, pos: u16, key_bit: u8 },
+    /// Normal insert into `path[level]`, whose affected entries are
+    /// `lo..=hi`; `top` is the shallowest level whose content changes once
+    /// the overflow cascade has run (`level` when nothing overflows).
+    Insert { tid: u64, level: usize, top: usize, pos: u16, key_bit: u8, lo: usize, hi: usize },
+    /// The root leaf goes; the tree is empty.
+    Clear,
+    /// A two-entry node collapses into its surviving entry.
+    Collapse,
+    /// Copy-on-write of the node without the entry.
+    Shrink,
+    /// Underflow merge: the node shrinks to two entries and dissolves into
+    /// its parent, which has room — its one BiNode is pulled up and the
+    /// path gets a level shorter.
+    Merge,
+}
 
-    // Descend to the candidate leaf, recording the path.
-    w.stack.clear();
-    let cur = crate::node::descend(store, *root, key, &mut w.stack);
-    debug_assert!(cur.is_leaf(), "the single writer never observes a torn slot");
+impl Plan {
+    /// The run of path levels `lowest..=level` the plan writes to — node
+    /// contents it replaces and the slot it publishes in — for a path of
+    /// `depth >= 1` nodes. This is what a ROWEX writer locks.
+    pub(crate) fn levels(self, depth: usize) -> (usize, usize) {
+        let last = depth - 1;
+        match self {
+            Plan::Swap { .. } | Plan::Pushdown { .. } => (last, last),
+            // `top - 1` is the slot-written parent.
+            Plan::Insert { level, top, .. } => (top.saturating_sub(1), level),
+            Plan::Clear | Plan::Collapse | Plan::Shrink => (last.saturating_sub(1), last),
+            // One more: the slot holding the parent that is rewritten.
+            Plan::Merge => (last.saturating_sub(2), last),
+        }
+    }
+}
+
+/// Decide what `op` on the writer's key does, given the path its descent
+/// recorded and the terminal word `cur` it ended on. Pure: it reads the
+/// key of `cur` for the mismatch bit and node contents along the path,
+/// which are immutable under copy-on-write — never a value slot — so a
+/// ROWEX writer can plan before it holds a lock and needs no second look
+/// after. `None`: nothing to do (removing an absent key).
+pub(crate) fn plan<St: NodeStore>(store: &St, w: &Writer, cur: St::Ref, op: Op) -> Option<Plan> {
+    if cur.is_null() {
+        return match op {
+            Op::Insert(tid) => Some(Plan::Swap { tid }),
+            Op::Remove => None,
+        };
+    }
     let mismatch = {
         let mut buf = St::key_buf();
-        hot_bits::first_mismatch_bit(store.leaf_key(cur, &mut buf), key.bytes())
+        hot_bits::first_mismatch_bit(store.leaf_key(cur, &mut buf), w.key.bytes())
     };
-    let Some(pos) = mismatch else {
-        // Upsert: swap the leaf word in place.
-        let previous = store.leaf_tid(cur);
-        let leaf = store.new_leaf(key.bytes(), tid)?;
-        match w.stack.last() {
-            None => *root = leaf,
-            Some(&(_, idx)) => St::Slot::set(w.raw_at(store, w.stack.len() - 1), idx, leaf),
+    let raw_at = |level: usize| w.raw_at(store, level);
+    let depth = w.path.len();
+    let (tid, pos) = match (op, mismatch) {
+        (Op::Remove, Some(_)) => return None,
+        (Op::Remove, None) => {
+            let Some(last) = depth.checked_sub(1) else {
+                return Some(Plan::Clear);
+            };
+            return Some(match raw_at(last).count() {
+                2 => Plan::Collapse,
+                3 if last > 0 && raw_at(last - 1).count() < MAX_FANOUT => Plan::Merge,
+                _ => Plan::Shrink,
+            });
         }
-        store.drop_leaf(cur);
-        return Ok(Some(previous));
+        (Op::Insert(tid), None) => return Some(Plan::Swap { tid }),
+        (Op::Insert(tid), Some(pos)) => (tid, pos),
     };
     assert!(pos < u16::MAX as usize, "mismatch position fits u16");
-    let key_bit = hot_bits::bit_at(key.bytes(), pos);
-    let leaf = store.new_leaf(key.bytes(), tid)?;
-    // The two-entry node splitting `other` from the new leaf at `pos`.
-    let pair_with = |other: St::Ref| {
-        let (zero, one) = if key_bit == 1 { (other, leaf) } else { (leaf, other) };
-        Builder::pair(pos as u16, zero.word(), one.word(), 1)
-    };
-
-    if w.stack.is_empty() {
-        // The root was a single leaf: grow into the first 2-entry node.
-        *root = store.encode(&pair_with(cur))?;
-        return Ok(None);
+    let key_bit = hot_bits::bit_at(w.key.bytes(), pos);
+    if depth == 0 {
+        return Some(Plan::Pushdown { tid, pos: pos as u16, key_bit });
     }
 
     // Find the node the new BiNode belongs to. Listing 1 traverses until
@@ -194,67 +258,142 @@ fn insert_unsettled<St: NodeStore>(
     // exceeds the mismatch position. Start from the deepest node whose
     // root BiNode position is <= the mismatch position (defaulting to
     // the root node, which may grow upward)…
-    let mut level = w.stack.len() - 1;
-    while level > 0 && w.raw_at(store, level).min_position() as usize > pos {
+    let mut level = depth - 1;
+    while level > 0 && raw_at(level).min_position() as usize > pos {
         level -= 1;
     }
-    let mut idx = w.stack[level].1;
-    let mut raw = w.raw_at(store, level);
-    let (mut lo, mut hi) = raw.affected_range(pos, idx);
-
-    // …but when the affected "subtree" inside that node is a single
-    // child-node entry, the mismatching BiNode is the child's root
-    // BiNode: the new BiNode belongs to the *child*, which grows upward
-    // (this is what keeps e.g. monotonic inserts filling one node to
-    // fanout 32 instead of bloating its parent).
-    if lo == hi && St::Slot::get(raw, lo).is_node() {
+    let (mut lo, mut hi) = raw_at(level).affected_range(pos, w.path[level].1);
+    // …but when the affected "subtree" inside that node is the single
+    // entry the descent went through to a child node, the mismatching
+    // BiNode is the child's root BiNode: the new BiNode belongs to the
+    // *child*, which grows upward (this is what keeps e.g. monotonic
+    // inserts filling one node to fanout 32 instead of bloating its parent).
+    if lo == hi && level + 1 < depth {
         level += 1;
-        idx = w.stack[level].1;
-        raw = w.raw_at(store, level);
-        (lo, hi) = raw.affected_range(pos, idx);
-        debug_assert_eq!((lo, hi), (0, raw.count() - 1));
+        (lo, hi) = raw_at(level).affected_range(pos, w.path[level].1);
+        debug_assert_eq!((lo, hi), (0, raw_at(level).count() - 1));
+    }
+    let raw = raw_at(level);
+    // A single affected entry at the last level is the leaf `cur`.
+    if lo == hi && level + 1 == depth && raw.height() > 1 {
+        return Some(Plan::Pushdown { tid, pos: pos as u16, key_bit });
     }
 
-    if lo == hi && raw.height() > 1 {
-        let old_leaf = St::Slot::get(raw, lo);
-        if old_leaf.is_leaf() {
-            // Leaf-node pushdown (Section 3.2): the mismatching BiNode is a
-            // leaf entry of an inner node — replace the leaf by a fresh
-            // height-1 node instead of growing this node. No copy-on-write:
-            // a single slot store publishes the new node.
-            let pushed = store.encode(&pair_with(old_leaf))?;
-            St::Slot::set(raw, lo, pushed);
-            return Ok(None);
+    // Simulate the overflow cascade: parent pull-up moves the overflow one
+    // level up "until a node with sufficient space or the root node is
+    // reached"; intermediate node creation and the new root end it.
+    let mut top = level;
+    let (mut entries, mut height) = (raw.count() + 1, raw.height());
+    while entries > MAX_FANOUT && top > 0 {
+        let parent = raw_at(top - 1);
+        if height + 1 != parent.height() {
+            break;
+        }
+        top -= 1;
+        (entries, height) = (parent.count() + 1, parent.height());
+    }
+    Some(Plan::Insert { tid, level, top, pos: pos as u16, key_bit, lo, hi })
+}
+
+/// Carry `plan` out under `root`, the caller's copy of the root word: a
+/// store to it is the publish where the caller owns the tree exclusively,
+/// and what the caller publishes afterwards where readers run beside it.
+/// Every fallible store call precedes the operation's one Release publish
+/// (a [`Slot::set`] or `*root`), so on `Err` the tree is untouched and
+/// [`Writer::fresh`] holds what to give back; on `Ok` — the previous TID of
+/// an upsert, the TID a remove took out — [`Writer::retired`] holds what
+/// the publish unlinked.
+///
+/// A ROWEX caller holds the locks of [`Plan::levels`] and has validated
+/// that those nodes are live and their taken slots unchanged: the path is
+/// then exactly what a single writer would have recorded.
+pub(crate) fn apply<St: NodeStore>(
+    store: &St,
+    w: &mut Writer,
+    root: &mut St::Ref,
+    plan: Plan,
+    cur: St::Ref,
+) -> Result<Option<u64>, St::Full> {
+    let previous = (!cur.is_null()).then(|| store.leaf_tid(cur));
+    // The two-entry node splitting `cur` from the new leaf at `pos`.
+    let pair_with = |leaf: St::Ref, pos: u16, key_bit: u8| {
+        let (zero, one) = if key_bit == 1 { (cur, leaf) } else { (leaf, cur) };
+        Builder::pair(pos, zero.word(), one.word(), 1)
+    };
+    match plan {
+        Plan::Swap { tid } => {
+            let leaf = w.new_leaf(store, tid)?;
+            w.publish(store, root, w.path.len(), leaf);
+            if previous.is_some() {
+                w.retired.push(cur.word());
+            }
+            Ok(previous)
+        }
+        Plan::Pushdown { tid, pos, key_bit } => {
+            let leaf = w.new_leaf(store, tid)?;
+            let pushed = w.encode(store, &pair_with(leaf, pos, key_bit))?;
+            w.publish(store, root, w.path.len(), pushed);
+            Ok(None)
+        }
+        Plan::Insert { tid, level, pos, key_bit, lo, hi, .. } => {
+            let leaf = w.new_leaf(store, tid)?;
+            let raw = w.raw_at(store, level);
+            // Fused fast path: where the store has one and the physical
+            // layout is stable, the new node is built straight from the old
+            // one (asserted byte-identical to the builder path, so taking
+            // it or not leaves the structure digest unchanged).
+            if let Some(new_node) = store.insert_cow(raw, pos as usize, lo, hi, key_bit, leaf) {
+                w.fresh.push(new_node.word());
+                w.replace(store, root, level, new_node);
+                return Ok(None);
+            }
+            // General path: decode into the reused scratch builder
+            // (malloc-free apart from the new node allocation).
+            let mut builder = w.builder.take().unwrap_or_else(Builder::empty);
+            St::Slot::decode(raw, &mut builder);
+            builder.insert_entry(pos, w.path[level].1, key_bit, leaf.word());
+            let result = if builder.overflowed() {
+                overflow_cascade(store, w, root, level, &mut builder)
+            } else {
+                w.encode(store, &builder).map(|new_node| w.replace(store, root, level, new_node))
+            };
+            w.builder = Some(builder);
+            result.map(|()| None)
+        }
+        Plan::Clear => {
+            *root = St::Ref::NULL;
+            w.retired.push(cur.word());
+            Ok(previous)
+        }
+        Plan::Collapse => {
+            let level = w.path.len() - 1;
+            let survivor = St::Slot::get(w.raw_at(store, level), 1 - w.path[level].1);
+            w.replace(store, root, level, survivor);
+            w.retired.push(cur.word());
+            Ok(previous)
+        }
+        Plan::Shrink | Plan::Merge => {
+            let level = w.path.len() - 1;
+            let mut builder = w.builder.take().unwrap_or_else(Builder::empty);
+            St::Slot::decode(w.raw_at(store, level), &mut builder);
+            builder.remove_entry(w.path[level].1);
+            let mut target = level;
+            if let Plan::Merge = plan {
+                let (pos, zero, one) = (builder.positions[0], builder.values[0], builder.values[1]);
+                target -= 1;
+                St::Slot::decode(w.raw_at(store, target), &mut builder);
+                builder.replace_entry_with_pair(w.path[target].1, pos, zero, one, |word| height_of(store, word));
+            }
+            let encoded = w.encode(store, &builder);
+            w.builder = Some(builder);
+            w.replace(store, root, target, encoded?);
+            if target != level {
+                w.retired.push(w.path[level].0);
+            }
+            w.retired.push(cur.word());
+            Ok(previous)
         }
     }
-
-    // Normal insert, fused fast path: where the store has one and the
-    // physical layout is stable, the new node is built straight from the
-    // old one (asserted byte-identical to the builder path, so taking it
-    // or not leaves the structure digest unchanged).
-    if let Some(new_node) = store.insert_cow(raw, pos, lo, hi, key_bit, leaf) {
-        let old_node = w.stack[level].0;
-        w.replace_slot(store, root, level, new_node);
-        w.retired.push(old_node);
-        return Ok(None);
-    }
-
-    // General path: decode into the reused scratch builder (malloc-free
-    // apart from the new node allocation).
-    let mut builder = w.builder.take().unwrap_or_else(Builder::empty);
-    St::Slot::decode(raw, &mut builder);
-    builder.insert_entry(pos as u16, idx, key_bit, leaf.word());
-    let result = if builder.overflowed() {
-        overflow_cascade(store, w, root, level, &mut builder)
-    } else {
-        store.encode(&builder).map(|new_node| {
-            let old_node = w.stack[level].0;
-            w.replace_slot(store, root, level, new_node);
-            w.retired.push(old_node);
-        })
-    };
-    w.builder = Some(builder);
-    result.map(|()| None)
 }
 
 /// Resolve the overflowed `builder` at `level` per Listing 1: split at the
@@ -268,135 +407,37 @@ fn overflow_cascade<St: NodeStore>(
     builder: &mut Builder,
 ) -> Result<(), St::Full> {
     let height = |word: u64| height_of(store, word);
-    // Encode a split half, collapsing singleton halves to their bare value.
-    let half_ref = |half: &Builder| -> Result<u64, St::Full> {
-        if half.len() == 1 {
-            Ok(half.values[0])
-        } else {
-            store.encode(half).map(TreeRef::word)
-        }
-    };
     loop {
         debug_assert!(builder.overflowed());
-        let (pos, left, right) = builder.split_with(height);
+        let (pos, left, right) = builder.split(height);
+        // Encode a split half, collapsing singleton halves to their bare value.
+        let mut half_ref = |half: &Builder| match half.len() {
+            1 => Ok(half.values[0]),
+            _ => w.encode(store, half).map(TreeRef::word),
+        };
         let (left, right) = (half_ref(&left)?, half_ref(&right)?);
-        let old_node = w.stack[level].0;
         let pair = || Builder::pair(pos, left, right, 1 + height(left).max(height(right)));
 
-        if level == 0 {
-            // Only the root grows the tree height.
-            *root = store.encode(&pair())?;
-            w.retired.push(old_node);
+        // Only the root grows the tree height. Below it, with room between
+        // this node and its parent, an intermediate node in this node's
+        // place does not increase the overall tree height either.
+        if level == 0 || builder.height + 1 != w.raw_at(store, level - 1).height() {
+            let over = w.encode(store, &pair())?;
+            w.replace(store, root, level, over);
             return Ok(());
         }
 
-        let (parent, parent_idx) = w.stack[level - 1];
-        let parent_raw = w.raw_at(store, level - 1);
-        debug_assert!(parent_raw.height() > builder.height);
-        if builder.height + 1 == parent_raw.height() {
-            // Parent pull-up: move the split root BiNode into the parent.
-            St::Slot::decode(parent_raw, builder);
-            builder.replace_entry_with_pair_with(parent_idx, pos, left, right, height);
-            w.retired.push(old_node);
-            if builder.overflowed() {
-                level -= 1;
-                continue;
-            }
-            let new_parent = store.encode(builder)?;
-            w.replace_slot(store, root, level - 1, new_parent);
-            w.retired.push(parent);
+        // Parent pull-up: move the split root BiNode into the parent.
+        w.retired.push(w.path[level].0);
+        level -= 1;
+        St::Slot::decode(w.raw_at(store, level), builder);
+        builder.replace_entry_with_pair(w.path[level].1, pos, left, right, height);
+        if !builder.overflowed() {
+            let new_parent = w.encode(store, builder)?;
+            w.replace(store, root, level, new_parent);
             return Ok(());
         }
-
-        // Intermediate node creation: there is room between this node
-        // and its parent, so an extra level here does not increase the
-        // overall tree height.
-        let inter = store.encode(&pair())?;
-        St::Slot::set(parent_raw, parent_idx, inter);
-        w.retired.push(old_node);
-        return Ok(());
     }
-}
-
-/// Remove `key` under `root`; same contract as [`insert`].
-///
-/// Deletion mirrors insertion (Section 3.2): a normal delete modifies a
-/// single node; a node underflowing to one entry collapses into its
-/// parent slot (the counterpart of leaf-node pushdown / intermediate
-/// node creation).
-pub(crate) fn remove<St: NodeStore>(
-    store: &St,
-    w: &mut Writer,
-    root: &mut St::Ref,
-    key: &PaddedKey,
-) -> Result<Option<u64>, St::Full> {
-    w.retired.clear();
-    let result = remove_unsettled(store, w, root, key);
-    store.settle(result.is_ok());
-    result
-}
-
-fn remove_unsettled<St: NodeStore>(
-    store: &St,
-    w: &mut Writer,
-    root: &mut St::Ref,
-    key: &PaddedKey,
-) -> Result<Option<u64>, St::Full> {
-    if root.is_null() {
-        return Ok(None);
-    }
-    w.stack.clear();
-    let cur = crate::node::descend(store, *root, key, &mut w.stack);
-    debug_assert!(cur.is_leaf(), "the single writer never observes a torn slot");
-    let Some(tid) = store.verify(cur, key.bytes()) else {
-        return Ok(None);
-    };
-
-    let Some(&(node, idx)) = w.stack.last() else {
-        // The root itself was the leaf.
-        *root = St::Ref::NULL;
-        store.drop_leaf(cur);
-        return Ok(Some(tid));
-    };
-    let level = w.stack.len() - 1;
-    let raw = w.raw_at(store, level);
-    if raw.count() == 2 {
-        // Underflow: the node collapses to its surviving entry.
-        let survivor = St::Slot::get(raw, 1 - idx);
-        w.replace_slot(store, root, level, survivor);
-        w.retired.push(node);
-    } else {
-        let mut builder = w.builder.take().unwrap_or_else(Builder::empty);
-        St::Slot::decode(raw, &mut builder);
-        builder.remove_entry(idx);
-        // Underflow merge (Section 3.2's deletion counterpart of
-        // pushdown / intermediate node creation): a node shrunk to two
-        // entries dissolves into its parent when there is room, pulling
-        // its single BiNode up and shortening the path by one level.
-        let merge = builder.len() == 2
-            && level > 0
-            && w.raw_at(store, level - 1).count() < MAX_FANOUT;
-        let target = if merge {
-            let (pos, zero, one) = (builder.positions[0], builder.values[0], builder.values[1]);
-            St::Slot::decode(w.raw_at(store, level - 1), &mut builder);
-            builder.replace_entry_with_pair_with(w.stack[level - 1].1, pos, zero, one, |word| {
-                height_of(store, word)
-            });
-            level - 1
-        } else {
-            level
-        };
-        let encoded = store.encode(&builder);
-        w.builder = Some(builder);
-        let replaced = w.stack[target].0;
-        w.replace_slot(store, root, target, encoded?);
-        w.retired.push(replaced);
-        if merge {
-            w.retired.push(node);
-        }
-    }
-    store.drop_leaf(cur);
-    Ok(Some(tid))
 }
 
 impl<S: KeySource> Trie<HeapStore<S>> {
@@ -604,23 +645,27 @@ impl<St: NodeStore> Trie<St> {
     pub(crate) fn insert_fallible(&mut self, key: &[u8], tid: u64) -> Result<Option<u64>, St::Full> {
         assert!(tid <= MAX_TID, "tid exceeds MAX_TID");
         let _t = self.metrics.timer(OpKind::Insert);
-        let key_buf = self.writer.take_key(key);
-        let result = insert(&self.store, &mut self.writer, &mut self.root, &key_buf, tid);
-        self.writer.put_key(key_buf);
-        if let Ok(previous) = result {
-            self.len += usize::from(previous.is_none());
-            self.reclaim();
-        }
-        result
+        let previous = self.write(key, Op::Insert(tid))?;
+        self.len += usize::from(previous.is_none());
+        Ok(previous)
     }
 
-    /// Free what the operation that just succeeded unlinked.
-    fn reclaim(&mut self) {
-        for word in self.writer.retired() {
-            // SAFETY: unlinked by the operation's publish, and `&mut self`
-            // rules out readers.
-            unsafe { self.store.retire(St::Ref::from_word(word)) };
-        }
+    /// One write, single-threaded: descend → [`plan`] → [`apply`] → reclaim
+    /// at once.
+    fn write(&mut self, key: &[u8], op: Op) -> Result<Option<u64>, St::Full> {
+        let (store, w) = (&self.store, &mut self.writer);
+        w.set_key(key);
+        let cur = w.seek(store, self.root);
+        debug_assert!(cur.is_leaf() || self.root.is_null(), "a single writer never observes a torn slot");
+        let Some(plan) = plan(store, w, cur, op) else {
+            return Ok(None);
+        };
+        let answer = apply(store, w, &mut self.root, plan, cur);
+        let done = if answer.is_ok() { w.retired() } else { w.fresh() };
+        // SAFETY: unlinked by the operation's publish, or never published
+        // by the operation that failed; `&mut self` rules out readers.
+        unsafe { store.release(done) };
+        answer
     }
 
     /// Build the whole trie bottom-up from sorted `(key, tid)` entries
@@ -666,8 +711,11 @@ impl<St: NodeStore> Trie<St> {
             return Err(BulkLoadError::NotEmpty);
         }
         let _t = self.metrics.timer(OpKind::BulkLoad);
-        let (root, n) = crate::bulk::load(&self.store, entries, threads)?;
-        self.root = root;
+        let root = &mut self.root;
+        let n = crate::bulk::load(&self.store, entries, threads, |built| {
+            *root = built;
+            true
+        })?;
         self.len = n;
         self.metrics.items(OpKind::BulkLoad, n as u64);
         Ok(n)
@@ -693,14 +741,9 @@ impl<St: NodeStore> Trie<St> {
     /// The removal itself, outside the `remove` metrics sample (a
     /// `remove_batch` is one sample of its own kind).
     fn remove_untimed(&mut self, key: &[u8]) -> Result<Option<u64>, St::Full> {
-        let key_buf = self.writer.take_key(key);
-        let result = remove(&self.store, &mut self.writer, &mut self.root, &key_buf);
-        self.writer.put_key(key_buf);
-        if let Ok(removed) = result {
-            self.len -= usize::from(removed.is_some());
-            self.reclaim();
-        }
-        result
+        let removed = self.write(key, Op::Remove)?;
+        self.len -= usize::from(removed.is_some());
+        Ok(removed)
     }
 
     /// Iterator over all TIDs in ascending key order.

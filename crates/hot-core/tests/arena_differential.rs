@@ -2,7 +2,9 @@
 //! must be **structurally identical** to the heap [`HotTrie`] oracle —
 //! equal `structure_digest`, equal get/iter/scan/remove result checksums —
 //! on all four data sets of the paper's evaluation (url, email, yago,
-//! integer), for incremental insert, bulk load, and interleaved removal.
+//! integer), for incremental insert, bulk load, and interleaved removal;
+//! and so must the two ROWEX aliases, [`ConcurrentHot`] and
+//! [`ConcurrentCompact`], through the same generic pass.
 //!
 //! Also here: a proptest driving the front-coded leaf encoding across
 //! prefix-boundary key sets (a stored key that is a strict prefix of its
@@ -13,19 +15,26 @@
 #[macro_use]
 mod common;
 
-use common::{assert_backends_agree, fnv1a, opt};
-use hot_core::{ArenaFull, ArenaKind, Backend, BulkLoadError, CompactHot, HotTrie, ScanCursor, Trie};
+use common::{assert_backends_agree, assert_fronts_agree, fnv1a, opt, Front};
+use hot_core::sync::{ConcurrentCompact, ConcurrentHot};
+use hot_core::{ArenaFull, ArenaKind, BulkLoadError, CompactHot, HotTrie};
 use hot_keys::ArenaKeySource;
 use hot_ycsb::{Dataset, DatasetKind};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Insert `keys → tids` into the (empty) `trie` in the given order; also
+/// Insert `keys → tids` into the (empty) `front` in the given order; also
 /// returns the checksum of what the inserts answered.
-fn filled<B: Backend>(mut trie: Trie<B>, keys: &[Vec<u8>], tids: &[u64]) -> (Trie<B>, u64) {
-    let answers: Vec<u64> = keys.iter().zip(tids).map(|(k, &tid)| opt(trie.insert(k, tid))).collect();
-    (trie, fnv1a(answers))
+fn filled<F: Front>(mut front: F, keys: &[Vec<u8>], tids: &[u64]) -> (F, u64) {
+    let answers: Vec<u64> = keys.iter().zip(tids).map(|(k, &tid)| opt(front.put(k, tid))).collect();
+    (front, fnv1a(answers))
+}
+
+/// Remove every other key (in insert order) from `front`; returns the
+/// checksum of what the removes answered.
+fn halved<F: Front>(front: &mut F, keys: &[Vec<u8>]) -> u64 {
+    fnv1a(keys.iter().step_by(2).map(|k| opt(front.take(k))))
 }
 
 fn run_dataset(kind: DatasetKind) {
@@ -38,6 +47,13 @@ fn run_dataset(kind: DatasetKind) {
     let (mut compact, compact_answers) = filled(CompactHot::new(), &data.keys, &tids);
     assert_eq!(heap_answers, compact_answers, "{label}: insert checksum");
     assert_backends_agree(&heap, &compact, &data.keys, label);
+    // The two ROWEX aliases, driven from one thread: the same write path,
+    // so the same answers and the same tree.
+    let (mut sync, sync_answers) = filled(ConcurrentHot::new(Arc::clone(&arena)), &data.keys, &tids);
+    let (mut csync, csync_answers) = filled(ConcurrentCompact::new(), &data.keys, &tids);
+    assert_eq!((sync_answers, csync_answers), (heap_answers, heap_answers), "{label}: concurrent insert checksums");
+    assert_fronts_agree(&heap, &sync, &data.keys, &format!("{label}/ConcurrentHot"));
+    assert_fronts_agree(&heap, &csync, &data.keys, &format!("{label}/ConcurrentCompact"));
 
     // Bulk load must reproduce the incremental structure bit-for-bit.
     let order = data.sorted_order();
@@ -56,16 +72,12 @@ fn run_dataset(kind: DatasetKind) {
     assert_eq!(heap_bulk.bulk_load(&sorted).expect("bulk load"), data.keys.len());
     assert_backends_agree(&heap_bulk, &bulk, &data.keys, &format!("{label}/bulk"));
 
-    // Remove ~half (every other key in insert order) from both backends;
+    // Remove ~half (every other key in insert order) from every front-end;
     // returned TIDs and the surviving structure must stay in lockstep.
-    let mut removed = Vec::new();
-    for (i, k) in data.keys.iter().enumerate() {
-        if i % 2 == 0 {
-            removed.push((opt(heap.remove(k)), opt(compact.remove(k))));
-        }
-    }
-    let (h, c): (Vec<u64>, Vec<u64>) = removed.into_iter().unzip();
-    assert_eq!(fnv1a(h), fnv1a(c), "{label}: remove checksum");
+    let h = halved(&mut heap, &data.keys);
+    assert_eq!(halved(&mut compact, &data.keys), h, "{label}: remove checksum");
+    assert_eq!(halved(&mut sync, &data.keys), h, "{label}: ConcurrentHot remove checksum");
+    assert_eq!(halved(&mut csync, &data.keys), h, "{label}: ConcurrentCompact remove checksum");
     let survivors: Vec<Vec<u8>> = data
         .keys
         .iter()
@@ -74,6 +86,8 @@ fn run_dataset(kind: DatasetKind) {
         .map(|(_, k)| k.clone())
         .collect();
     assert_backends_agree(&heap, &compact, &survivors, &format!("{label}/after-remove"));
+    assert_fronts_agree(&heap, &sync, &survivors, &format!("{label}/ConcurrentHot/after-remove"));
+    assert_fronts_agree(&heap, &csync, &survivors, &format!("{label}/ConcurrentCompact/after-remove"));
 }
 
 #[test]
@@ -180,7 +194,6 @@ fn exhaustion_is_typed_and_recoverable() {
 /// index that works.
 #[test]
 fn bulk_load_exhaustion_is_typed_and_leaves_the_index_usable() {
-    use hot_core::sync::ConcurrentCompact;
     const SLAB: usize = 1 << 20;
 
     let short: Vec<(Vec<u8>, u64)> =
@@ -215,8 +228,13 @@ fn bulk_load_exhaustion_is_typed_and_leaves_the_index_usable() {
         assert_eq!(trie.bulk_load(&entries[..10]), Err(BulkLoadError::NotEmpty));
         trie.check_invariants();
 
+        // The shared index builds on four workers: whichever of them meets
+        // the ceiling, every worker's subtries go back.
         let shared = ConcurrentCompact::with_capacity(node_cap, leaf_cap);
-        assert_eq!(shared.bulk_load(entries), Err(BulkLoadError::ArenaFull(err)));
+        let Err(BulkLoadError::ArenaFull(met)) = shared.bulk_load_parallel(entries, 4) else {
+            panic!("{kind:?}: parallel bulk load over the ceiling must fail typed");
+        };
+        assert_eq!((met.kind, met.capacity), (kind, SLAB));
         assert!(shared.is_empty());
         shared.check_invariants();
         assert_eq!(shared.arena_stats().node_live_count, 0);
@@ -225,108 +243,3 @@ fn bulk_load_exhaustion_is_typed_and_leaves_the_index_usable() {
         shared.check_invariants();
     }
 }
-
-/// Concurrent wrapper: readers race a writer through inserts, upserts and
-/// removes; every lookup must return either a value the key held at some
-/// point or a miss while absent, and the quiesced end state must match the
-/// single-threaded compact backend exactly.
-#[test]
-fn concurrent_compact_churn() {
-    use hot_core::sync::ConcurrentCompact;
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    let index = Arc::new(ConcurrentCompact::new());
-    let keys: Arc<Vec<Vec<u8>>> = Arc::new(
-        (0..4_000u64)
-            .map(|i| format!("churn/{:06}", i.wrapping_mul(2654435761) % 1_000_000).into_bytes())
-            .collect(),
-    );
-    let stop = Arc::new(AtomicBool::new(false));
-
-    let mut readers = Vec::new();
-    for t in 0..3 {
-        let index = Arc::clone(&index);
-        let keys = Arc::clone(&keys);
-        let stop = Arc::clone(&stop);
-        readers.push(std::thread::spawn(move || {
-            let mut hits = 0u64;
-            let mut out = Vec::new();
-            let mut cursor = ScanCursor::new();
-            let mut round = 0usize;
-            while !stop.load(Ordering::Relaxed) {
-                for (i, k) in keys.iter().enumerate().skip(t).step_by(3) {
-                    // TIDs are always the key's index (upserts rewrite
-                    // the same value), so a hit must be exact.
-                    if let Some(tid) = index.get(k) {
-                        assert_eq!(tid as usize, i % 2_000, "reader {t} key {i}");
-                        hits += 1;
-                    }
-                    if i % 97 == 0 {
-                        index.scan_with(k, 5, &mut out, &mut cursor);
-                        assert!(out.len() <= 5);
-                    }
-                }
-                round += 1;
-                if round > 10_000 {
-                    break;
-                }
-            }
-            hits
-        }));
-    }
-
-    // Writer: two full passes of insert/upsert, one pass removing half.
-    for pass in 0..2 {
-        for (i, k) in keys.iter().enumerate() {
-            index.insert(k, (i % 2_000) as u64);
-            if pass == 1 && i % 2 == 0 {
-                index.remove(k);
-            }
-        }
-    }
-    stop.store(true, Ordering::Relaxed);
-    for r in readers {
-        r.join().expect("reader panicked");
-    }
-
-    // Quiesced: replay the same operations single-threaded and compare.
-    let mut oracle = CompactHot::new();
-    for pass in 0..2 {
-        for (i, k) in keys.iter().enumerate() {
-            oracle.insert(k, (i % 2_000) as u64);
-            if pass == 1 && i % 2 == 0 {
-                oracle.remove(k);
-            }
-        }
-    }
-    assert_eq!(index.len(), oracle.len());
-    assert_eq!(index.structure_digest(), oracle.structure_digest());
-    index.check_invariants();
-}
-
-/// Several writers: the mutex serializes them, so disjoint inserts and
-/// removes from four threads leave exactly the surviving keys, counted.
-#[test]
-fn concurrent_compact_writers_are_serialized() {
-    use hot_core::sync::ConcurrentCompact;
-
-    let index = ConcurrentCompact::new();
-    std::thread::scope(|scope| {
-        for t in 0..4u64 {
-            let index = &index;
-            scope.spawn(move || {
-                for i in (t..8_000).step_by(4) {
-                    assert_eq!(index.insert(format!("w/{i:05}").as_bytes(), i), None);
-                    if i % 3 == 0 {
-                        assert_eq!(index.remove(format!("w/{i:05}").as_bytes()), Some(i));
-                    }
-                }
-            });
-        }
-    });
-    assert_eq!(index.len(), 8_000 - 8_000usize.div_ceil(3));
-    assert_eq!(index.check_invariants().leaves, index.len());
-    assert_eq!(index.get(b"w/00001"), Some(1));
-    assert_eq!(index.get(b"w/00003"), None);
-}
-

@@ -1,9 +1,13 @@
-//! Helpers shared by the differential suites: everything here is generic
-//! over the trie's back-end ([`Backend`]), so a test states its property
-//! once and runs it on the heap store and on the arena store.
+//! Helpers shared by the differential suites. A property is stated once,
+//! over [`Front`] — what the single-threaded [`Trie`] and the concurrent
+//! [`Concurrent`] offer alike, on either back-end ([`Backend`]) — and the
+//! `for_each_*` macros run it on the front-ends it applies to.
 #![allow(dead_code, unused_macros, reason = "each test binary uses its own subset")]
 
-use hot_core::{Backend, BatchRequest, MlpScheduler, ScanCursor, Trie};
+use hot_core::sync::Concurrent;
+use hot_core::{Backend, BatchRequest, InvariantReport, MlpScheduler, ScanCursor, Trie};
+use hot_keys::stats::MemoryStats;
+use hot_keys::DepthStats;
 
 /// Run `$body` once per back-end with `$trie` bound to an empty trie: first
 /// the heap trie `$heap` evaluates to, then a `CompactHot`. The body is
@@ -22,6 +26,152 @@ macro_rules! for_each_backend {
         }
     }};
 }
+
+/// [`for_each_backend!`] for the concurrent front-end: `$sync` is first the
+/// `ConcurrentHot` `$heap` evaluates to, then a `ConcurrentCompact`.
+macro_rules! for_each_concurrent {
+    ($heap:expr, |$sync:ident| $body:block) => {{
+        {
+            #[allow(unused_mut)]
+            let mut $sync = $heap;
+            $body
+        }
+        {
+            #[allow(unused_mut)]
+            let mut $sync = hot_core::sync::ConcurrentCompact::new();
+            $body
+        }
+    }};
+}
+
+/// All four front-ends: `$front` is a `HotTrie` and a `ConcurrentHot` over
+/// the key source `$source` evaluates to (twice), a `CompactHot` and a
+/// `ConcurrentCompact`. `$name` is bound to the front-end's name.
+macro_rules! for_each_front {
+    ($source:expr, |$front:ident, $name:ident| $body:block) => {{
+        for_each_backend!(hot_core::HotTrie::new($source), |$front| {
+            let $name = $crate::common::Front::name(&$front);
+            $body
+        });
+        for_each_concurrent!(hot_core::sync::ConcurrentHot::new($source), |$front| {
+            let $name = $crate::common::Front::name(&$front);
+            $body
+        });
+    }};
+}
+
+/// What [`Trie`] and [`Concurrent`] offer alike. Writes take `&mut self`
+/// (the concurrent front-end needs less).
+pub trait Front {
+    fn name(&self) -> &'static str;
+    fn put(&mut self, key: &[u8], tid: u64) -> Option<u64>;
+    fn take(&mut self, key: &[u8]) -> Option<u64>;
+    fn take_batch<K: AsRef<[u8]>>(&mut self, keys: &[K], out: &mut [Option<u64>]);
+    fn len(&self) -> usize;
+    fn get(&self, key: &[u8]) -> Option<u64>;
+    fn get_batch<K: AsRef<[u8]>>(&self, keys: &[K], out: &mut [Option<u64>]);
+    fn get_batch_with<K: AsRef<[u8]>>(&self, keys: &[K], out: &mut [Option<u64>], sched: &mut MlpScheduler);
+    fn scan(&self, start: &[u8], limit: usize) -> Vec<u64>;
+    fn scan_into(&self, start: &[u8], limit: usize, out: &mut Vec<u64>);
+    fn scan_with(&self, start: &[u8], limit: usize, out: &mut Vec<u64>, cursor: &mut ScanCursor);
+    fn scan_batch_with<K: AsRef<[u8]>>(
+        &self,
+        requests: &[(K, usize)],
+        tids: &mut Vec<u64>,
+        bounds: &mut Vec<usize>,
+        sched: &mut MlpScheduler,
+    );
+    fn mixed_batch_with(
+        &self,
+        reqs: &[BatchRequest<'_>],
+        out: &mut [Option<u64>],
+        tids: &mut Vec<u64>,
+        bounds: &mut Vec<usize>,
+        sched: &mut MlpScheduler,
+    );
+    fn structure_digest(&self) -> u64;
+    fn check_invariants(&self) -> InvariantReport;
+    /// `memory_stats()` once the deferred frees of a concurrent front-end
+    /// have run (its own name: on a concrete type the inherent method of
+    /// the same name would win).
+    fn settled_memory_stats(&self) -> MemoryStats;
+    fn depth_stats(&self) -> DepthStats;
+}
+
+macro_rules! impl_front {
+    ($ty:ident, $heap:literal, $arena:literal) => {
+        impl<B: Backend> Front for $ty<B> {
+            fn name(&self) -> &'static str {
+                if std::any::type_name::<B>().contains("HeapStore") { $heap } else { $arena }
+            }
+            fn put(&mut self, key: &[u8], tid: u64) -> Option<u64> {
+                $ty::insert(self, key, tid)
+            }
+            fn take(&mut self, key: &[u8]) -> Option<u64> {
+                $ty::remove(self, key)
+            }
+            fn take_batch<K: AsRef<[u8]>>(&mut self, keys: &[K], out: &mut [Option<u64>]) {
+                $ty::remove_batch(self, keys, out)
+            }
+            fn len(&self) -> usize {
+                $ty::len(self)
+            }
+            fn get(&self, key: &[u8]) -> Option<u64> {
+                $ty::get(self, key)
+            }
+            fn get_batch<K: AsRef<[u8]>>(&self, keys: &[K], out: &mut [Option<u64>]) {
+                $ty::get_batch(self, keys, out)
+            }
+            fn get_batch_with<K: AsRef<[u8]>>(&self, keys: &[K], out: &mut [Option<u64>], sched: &mut MlpScheduler) {
+                $ty::get_batch_with(self, keys, out, sched)
+            }
+            fn scan(&self, start: &[u8], limit: usize) -> Vec<u64> {
+                $ty::scan(self, start, limit)
+            }
+            fn scan_into(&self, start: &[u8], limit: usize, out: &mut Vec<u64>) {
+                $ty::scan_into(self, start, limit, out)
+            }
+            fn scan_with(&self, start: &[u8], limit: usize, out: &mut Vec<u64>, cursor: &mut ScanCursor) {
+                $ty::scan_with(self, start, limit, out, cursor)
+            }
+            fn scan_batch_with<K: AsRef<[u8]>>(
+                &self,
+                requests: &[(K, usize)],
+                tids: &mut Vec<u64>,
+                bounds: &mut Vec<usize>,
+                sched: &mut MlpScheduler,
+            ) {
+                $ty::scan_batch_with(self, requests, tids, bounds, sched)
+            }
+            fn mixed_batch_with(
+                &self,
+                reqs: &[BatchRequest<'_>],
+                out: &mut [Option<u64>],
+                tids: &mut Vec<u64>,
+                bounds: &mut Vec<usize>,
+                sched: &mut MlpScheduler,
+            ) {
+                $ty::mixed_batch_with(self, reqs, out, tids, bounds, sched)
+            }
+            fn structure_digest(&self) -> u64 {
+                $ty::structure_digest(self)
+            }
+            fn check_invariants(&self) -> InvariantReport {
+                $ty::check_invariants(self)
+            }
+            fn settled_memory_stats(&self) -> MemoryStats {
+                assert!(hot_core::sync::quiesce());
+                $ty::memory_stats(self)
+            }
+            fn depth_stats(&self) -> DepthStats {
+                $ty::depth_stats(self)
+            }
+        }
+    };
+}
+
+impl_front!(Trie, "HotTrie", "CompactHot");
+impl_front!(Concurrent, "ConcurrentHot", "ConcurrentCompact");
 
 /// In-flight depths the scheduler is driven at: serial, odd, the default,
 /// the maximum.
@@ -43,11 +193,28 @@ pub fn opt(v: Option<u64>) -> u64 {
     v.map_or(u64::MAX, |t| t.wrapping_add(1))
 }
 
-/// Every scalar scan entry point of `trie` answers `want` for one probe.
+/// Every scalar scan entry point of `front` answers `want` for one probe.
 ///
 /// `cursor` and `out` are deliberately reused across calls so cursor state
 /// leaking from one scan into the next would be caught.
-pub fn assert_scan_paths<B: Backend>(
+pub fn assert_scan_paths<F: Front>(
+    front: &F,
+    start: &[u8],
+    limit: usize,
+    want: &[u64],
+    cursor: &mut ScanCursor,
+    out: &mut Vec<u64>,
+    label: &str,
+) {
+    assert_eq!(front.scan(start, limit), want, "{label}: scan from {start:?}");
+    front.scan_into(start, limit, out);
+    assert_eq!(out, want, "{label}: scan_into from {start:?}");
+    front.scan_with(start, limit, out, cursor);
+    assert_eq!(out, want, "{label}: scan_with from {start:?}");
+}
+
+/// [`assert_scan_paths`] plus the ordered iterator only [`Trie`] has.
+pub fn assert_trie_scan_paths<B: Backend>(
     trie: &Trie<B>,
     start: &[u8],
     limit: usize,
@@ -56,20 +223,16 @@ pub fn assert_scan_paths<B: Backend>(
     out: &mut Vec<u64>,
     label: &str,
 ) {
-    assert_eq!(trie.scan(start, limit), want, "{label}: scan from {start:?}");
-    trie.scan_into(start, limit, out);
-    assert_eq!(out, want, "{label}: scan_into from {start:?}");
-    trie.scan_with(start, limit, out, cursor);
-    assert_eq!(out, want, "{label}: scan_with from {start:?}");
+    assert_scan_paths(trie, start, limit, want, cursor, out, label);
     let from: Vec<u64> = trie.range_from(start).take(limit).collect();
     assert_eq!(from, want, "{label}: range_from {start:?}");
 }
 
-/// The batched scan paths of `trie` (`scan_batch_with`, and the scans of a
+/// The batched scan paths of `front` (`scan_batch_with`, and the scans of a
 /// `mixed_batch_with` stream that interleaves a get of every start key)
 /// return `want[i]` for request `i` at the given in-flight depth.
-pub fn assert_batched_scans<B: Backend, K: AsRef<[u8]>>(
-    trie: &Trie<B>,
+pub fn assert_batched_scans<F: Front, K: AsRef<[u8]>>(
+    front: &F,
     requests: &[(K, usize)],
     want: &[Vec<u64>],
     depth: usize,
@@ -77,7 +240,7 @@ pub fn assert_batched_scans<B: Backend, K: AsRef<[u8]>>(
 ) {
     let mut sched = MlpScheduler::with_depth(depth);
     let (mut tids, mut bounds) = (Vec::new(), Vec::new());
-    trie.scan_batch_with(requests, &mut tids, &mut bounds, &mut sched);
+    front.scan_batch_with(requests, &mut tids, &mut bounds, &mut sched);
     assert_eq!(bounds.len(), requests.len() + 1);
     for (i, segment) in want.iter().enumerate() {
         assert_eq!(&tids[bounds[i]..bounds[i + 1]], &segment[..], "{label}: scan_batch slot {i}");
@@ -88,25 +251,20 @@ pub fn assert_batched_scans<B: Backend, K: AsRef<[u8]>>(
         .flat_map(|(k, n)| [BatchRequest::Get(k.as_ref()), BatchRequest::Scan(k.as_ref(), *n)])
         .collect();
     let mut out = vec![None; mixed.len()];
-    trie.mixed_batch_with(&mixed, &mut out, &mut tids, &mut bounds, &mut sched);
+    front.mixed_batch_with(&mixed, &mut out, &mut tids, &mut bounds, &mut sched);
     assert_eq!(bounds.len(), requests.len() + 1);
     for (i, (segment, (key, _))) in want.iter().zip(requests).enumerate() {
         assert_eq!(&tids[bounds[i]..bounds[i + 1]], &segment[..], "{label}: mixed_batch scan {i}");
-        assert_eq!(out[2 * i], trie.get(key.as_ref()), "{label}: mixed_batch get {i}");
+        assert_eq!(out[2 * i], front.get(key.as_ref()), "{label}: mixed_batch get {i}");
     }
 }
 
 /// One full differential pass of `other` against the `oracle`: structure
 /// digest, point gets (hit + miss), batched gets through the scheduler at
-/// every depth of [`DEPTHS`], in-order iteration, sampled scalar and
+/// every depth of [`DEPTHS`], the full in-order scan, sampled scalar and
 /// batched scans — all of which must match exactly — and `other`'s
 /// invariant walk.
-pub fn assert_backends_agree<A: Backend, B: Backend>(
-    oracle: &Trie<A>,
-    other: &Trie<B>,
-    keys: &[Vec<u8>],
-    label: &str,
-) {
+pub fn assert_fronts_agree<A: Front, B: Front>(oracle: &A, other: &B, keys: &[Vec<u8>], label: &str) {
     assert_eq!(oracle.len(), other.len(), "{label}: len");
     assert_eq!(oracle.structure_digest(), other.structure_digest(), "{label}: structure digest");
 
@@ -135,8 +293,9 @@ pub fn assert_backends_agree<A: Backend, B: Backend>(
     other.get_batch(&probes, &mut out);
     assert_eq!(out, expected, "{label}: get_batch on the parked scheduler");
 
-    // Full in-order iteration.
-    assert_eq!(fnv1a(oracle.iter()), fnv1a(other.iter()), "{label}: iter checksum");
+    // Everything, in order.
+    let all = oracle.len() + 1;
+    assert_eq!(fnv1a(oracle.scan(&[], all)), fnv1a(other.scan(&[], all)), "{label}: full scan checksum");
 
     // Sampled scans (every 37th key as start, plus a prefix of it).
     let mut cursor = ScanCursor::new();
@@ -156,4 +315,20 @@ pub fn assert_backends_agree<A: Backend, B: Backend>(
     }
 
     other.check_invariants();
+}
+
+/// [`assert_fronts_agree`] for two [`Trie`]s, plus what only they have:
+/// the ordered iterators.
+pub fn assert_backends_agree<A: Backend, B: Backend>(
+    oracle: &Trie<A>,
+    other: &Trie<B>,
+    keys: &[Vec<u8>],
+    label: &str,
+) {
+    assert_fronts_agree(oracle, other, keys, label);
+    assert_eq!(fnv1a(oracle.iter()), fnv1a(other.iter()), "{label}: iter checksum");
+    for k in keys.iter().step_by(37) {
+        let from: Vec<u64> = other.range_from(k).take(17).collect();
+        assert_eq!(from, oracle.scan(k, 17), "{label}: range_from {k:?}");
+    }
 }

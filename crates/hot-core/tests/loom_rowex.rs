@@ -33,7 +33,11 @@
 //!   slot re-read per locked level, no second descent) has to catch: the
 //!   candidate leaf pushed down, upserted or removed, and the parent slot
 //!   redirected to a new intermediate node, each after the writer analysed
-//!   and before it locked. Every schedule must end restart-or-correct.
+//!   and before it locked. Every schedule must end restart-or-correct;
+//! * the two `merge_*` scenarios — the one write whose lock range reaches a
+//!   level further up: a remove whose node shrinks to two entries and
+//!   dissolves into its parent, racing an insert into that parent, and a
+//!   reader that is still inside the dissolved node.
 //!
 //! Each closure ends (on every explored schedule) by asserting lookups
 //! and, where the trie is quiesced, whole-trie
@@ -335,5 +339,72 @@ fn intermediate_node_redirects_parent_slot_between_analyse_and_lock() {
         let after = trie.check_invariants();
         // C gave way to an intermediate node over its two halves.
         assert_eq!((after.height, after.nodes), (3, 6));
+    });
+}
+
+/// [`trie_with_leaf_slot_in_root`] with 65 pushed down next to 64 and 66
+/// inserted beside them: the root's second slot now holds a three-entry
+/// node, and the root has room — removing one of the three is an underflow
+/// merge, which dissolves that node into the root.
+fn trie_with_mergeable_child() -> Arc<ConcurrentHot<EmbeddedKeySource>> {
+    let trie = trie_with_leaf_slot_in_root();
+    trie.insert(&encode_u64(65), 65);
+    trie.insert(&encode_u64(66), 66);
+    let report = trie.check_invariants();
+    assert_eq!((report.height, report.nodes), (2, 3));
+    trie
+}
+
+/// The merge rewrites the parent (here the root) while another writer
+/// inserts into that same parent: both need its lock, and whichever comes
+/// second planned against a node that is obsolete by then. On every
+/// schedule both updates land and the child is gone.
+#[test]
+fn merge_races_insert_into_the_rewritten_parent() {
+    builder(6_000).check(|| {
+        let trie = trie_with_mergeable_child();
+        let (del, ins) = (Arc::clone(&trie), Arc::clone(&trie));
+        let td = thread::spawn(move || {
+            assert_eq!(del.remove(&encode_u64(66)), Some(66));
+        });
+        let ti = thread::spawn(move || {
+            // Differs from every stored key in a higher bit than any of
+            // them uses: a new entry of the root node itself.
+            ins.insert(&encode_u64(1 << 20), 1 << 20);
+        });
+        td.join().unwrap();
+        ti.join().unwrap();
+        assert_eq!(trie.len(), 35);
+        assert_contains(&trie, &[0, 62, 64, 65, 1 << 20]);
+        assert_eq!(trie.get(&encode_u64(66)), None);
+        let report = trie.check_invariants();
+        assert_eq!((report.height, report.nodes), (2, 2));
+    });
+}
+
+/// A wait-free reader may be inside the child when the merge dissolves it:
+/// the obsolete child stays intact under the reader's pin, and the two
+/// entries it still names are the ones the new parent names — the keys
+/// that stay are found on every schedule.
+#[test]
+fn merge_races_reader_on_the_dissolved_child() {
+    builder(6_000).check(|| {
+        let trie = trie_with_mergeable_child();
+        let (del, reader) = (Arc::clone(&trie), Arc::clone(&trie));
+        let td = thread::spawn(move || {
+            assert_eq!(del.remove(&encode_u64(66)), Some(66));
+        });
+        let tr = thread::spawn(move || {
+            assert_eq!(reader.get(&encode_u64(64)), Some(64));
+            assert_eq!(reader.get(&encode_u64(65)), Some(65));
+            let racing = reader.get(&encode_u64(66));
+            assert!(racing.is_none() || racing == Some(66));
+        });
+        td.join().unwrap();
+        tr.join().unwrap();
+        assert_eq!(trie.len(), 34);
+        assert_contains(&trie, &[0, 62, 64, 65]);
+        let report = trie.check_invariants();
+        assert_eq!((report.height, report.nodes), (2, 2));
     });
 }

@@ -17,7 +17,7 @@
 //! HOT_FORCE_SCALAR=1 cargo +nightly miri test -p hot-core --test miri_smoke
 //! ```
 
-use hot_core::sync::ConcurrentHot;
+use hot_core::sync::{Concurrent, ConcurrentCompact, ConcurrentHot};
 use hot_core::{Backend, CompactHot, HotTrie, Trie};
 use hot_keys::{encode_u64, EmbeddedKeySource};
 use std::sync::Arc;
@@ -83,12 +83,12 @@ fn single_threaded_lifecycle_compact() {
     lifecycle(CompactHot::new(), CompactHot::new());
 }
 
-#[test]
-fn concurrent_lifecycle() {
-    // Threads under Miri are genuinely interleaved (and checked by its
-    // data-race detector), so this exercises locking, copy-on-write
-    // publication and epoch-deferred frees for real.
-    let trie = Arc::new(ConcurrentHot::new(EmbeddedKeySource));
+/// Threads under Miri are genuinely interleaved (and checked by its
+/// data-race detector), so this exercises locking, copy-on-write
+/// publication and epoch-deferred frees for real — two writers at Miri's
+/// size, four natively.
+fn concurrent_lifecycle<B: Backend + Send + 'static>(trie: Concurrent<B>) {
+    let trie = Arc::new(trie);
     let threads: u64 = if cfg!(miri) { 2 } else { 4 };
     let per = N / threads;
     let handles: Vec<_> = (0..threads)
@@ -113,4 +113,16 @@ fn concurrent_lifecycle() {
     let expect: u64 = per * threads - threads * per.div_ceil(3);
     assert_eq!(trie.len() as u64, expect);
     trie.check_invariants();
+}
+
+#[test]
+fn concurrent_lifecycle_heap() {
+    concurrent_lifecycle(ConcurrentHot::new(EmbeddedKeySource));
+}
+
+/// The arena's own synchronization under the same traffic: block recycling
+/// through the free list, record appends, the slab table.
+#[test]
+fn concurrent_lifecycle_compact() {
+    concurrent_lifecycle(ConcurrentCompact::new());
 }

@@ -6,14 +6,18 @@
 //! the *completion* order without being allowed to shuffle the *result*
 //! order), every batch shape (empty, one key, below / at / above the
 //! depth, ragged tail, duplicate keys), mixed get/scan streams, and
-//! concurrent churn on the ROWEX index. The whole file is also exercised
+//! concurrent churn on the ROWEX index — on the heap trie as the scalar
+//! truth, and through it on both ROWEX aliases (`for_each_sync!`; the
+//! single-threaded compact trie meets the same engine in
+//! `arena_differential`). The whole file is also exercised
 //! in the `HOT_FORCE_SCALAR` CI lane: results must not depend on the
 //! kernel.
 
 #[macro_use]
 mod common;
 
-use hot_core::sync::ConcurrentHot;
+use common::Front;
+use hot_core::sync::{ConcurrentCompact, ConcurrentHot};
 use hot_core::{BatchRequest, HotTrie, MlpScheduler, DEFAULT_DEPTH};
 use hot_keys::{encode_u64, ArenaKeySource, EmbeddedKeySource};
 use proptest::prelude::*;
@@ -112,7 +116,25 @@ struct Fixture {
     name: &'static str,
     trie: HotTrie<Arc<ArenaKeySource>>,
     sync: ConcurrentHot<Arc<ArenaKeySource>>,
+    csync: ConcurrentCompact,
     probes: Vec<Vec<u8>>,
+}
+
+/// Run `$body` on both ROWEX indexes of the fixture `$fx` — the heap alias,
+/// then the arena alias — with `$label` naming dataset and front-end.
+macro_rules! for_each_sync {
+    ($fx:ident, |$sync:ident, $label:ident| $body:block) => {{
+        {
+            let $sync = &$fx.sync;
+            let $label = format!("{}/{}", $fx.name, $sync.name());
+            $body
+        }
+        {
+            let $sync = &$fx.csync;
+            let $label = format!("{}/{}", $fx.name, $sync.name());
+            $body
+        }
+    }};
 }
 
 fn fixtures() -> Vec<Fixture> {
@@ -125,12 +147,14 @@ fn fixtures() -> Vec<Fixture> {
             let arena = Arc::new(arena);
             let mut trie = HotTrie::new(Arc::clone(&arena));
             let sync = ConcurrentHot::new(Arc::clone(&arena));
+            let csync = ConcurrentCompact::new();
             for (k, &tid) in keys.iter().zip(&tids) {
                 trie.insert(k, tid);
                 sync.insert(k, tid);
+                csync.insert(k, tid);
             }
             let probes = probes_for(&keys, &mut rng);
-            Fixture { name, trie, sync, probes }
+            Fixture { name, trie, sync, csync, probes }
         })
         .collect()
 }
@@ -154,10 +178,12 @@ fn lookups_byte_identical_across_scalar_and_every_depth() {
             fx.trie.get_batch_with(&fx.probes, &mut again, &mut sched);
             assert_eq!(again, expected, "{}: depth {depth} reused", fx.name);
 
-            // ROWEX variant, quiesced: identical answers.
-            let mut out = vec![None; fx.probes.len()];
-            fx.sync.get_batch_with(&fx.probes, &mut out, &mut sched);
-            assert_eq!(checksum_out(&out), want, "{}: sync depth {depth}", fx.name);
+            // ROWEX variants, quiesced: identical answers.
+            for_each_sync!(fx, |sync, label| {
+                let mut out = vec![None; fx.probes.len()];
+                sync.get_batch_with(&fx.probes, &mut out, &mut sched);
+                assert_eq!(checksum_out(&out), want, "{label}: depth {depth}");
+            });
         }
     }
 }
@@ -190,8 +216,10 @@ fn scans_byte_identical_across_scalar_and_every_depth() {
             assert_eq!(tids, want_tids, "{}: scan tids depth {depth}", fx.name);
             assert_eq!(bounds, want_bounds, "{}: scan bounds depth {depth}", fx.name);
 
-            fx.sync.scan_batch_with(&requests, &mut tids, &mut bounds, &mut sched);
-            assert_eq!(checksum_scan(&tids, &bounds), want, "{}: sync scan depth {depth}", fx.name);
+            for_each_sync!(fx, |sync, label| {
+                sync.scan_batch_with(&requests, &mut tids, &mut bounds, &mut sched);
+                assert_eq!(checksum_scan(&tids, &bounds), want, "{label}: scan depth {depth}");
+            });
         }
     }
 }
@@ -239,10 +267,12 @@ fn mixed_get_scan_streams_interleave_without_cross_talk() {
             assert_eq!(tids, want_tids, "{}: mixed scan tids depth {depth}", fx.name);
             assert_eq!(bounds, want_bounds, "{}: mixed scan bounds depth {depth}", fx.name);
 
-            let mut out = vec![None; reqs.len()];
-            fx.sync.mixed_batch_with(&reqs, &mut out, &mut tids, &mut bounds, &mut sched);
-            assert_eq!(out, want_out, "{}: sync mixed gets depth {depth}", fx.name);
-            assert_eq!(tids, want_tids, "{}: sync mixed tids depth {depth}", fx.name);
+            for_each_sync!(fx, |sync, label| {
+                let mut out = vec![None; reqs.len()];
+                sync.mixed_batch_with(&reqs, &mut out, &mut tids, &mut bounds, &mut sched);
+                assert_eq!(out, want_out, "{label}: mixed gets depth {depth}");
+                assert_eq!(tids, want_tids, "{label}: mixed tids depth {depth}");
+            });
         }
 
         // The convenience entry points run the same pass on the parked
@@ -251,32 +281,40 @@ fn mixed_get_scan_streams_interleave_without_cross_talk() {
         let (mut tids, mut bounds) = (Vec::new(), Vec::new());
         fx.trie.mixed_batch(&reqs, &mut out, &mut tids, &mut bounds);
         assert_eq!((&out, &tids, &bounds), (&want_out, &want_tids, &want_bounds), "{}", fx.name);
-        fx.sync.mixed_batch(&reqs, &mut out, &mut tids, &mut bounds);
-        assert_eq!((&out, &tids, &bounds), (&want_out, &want_tids, &want_bounds), "{}", fx.name);
+        for_each_sync!(fx, |sync, label| {
+            sync.mixed_batch(&reqs, &mut out, &mut tids, &mut bounds);
+            assert_eq!((&out, &tids, &bounds), (&want_out, &want_tids, &want_bounds), "{label}");
+        });
     }
 }
 
 #[test]
 fn remove_batch_equals_sequential_removes() {
     for fx in fixtures() {
-        // Two identical tries; remove a probe slice (hits, misses, and
-        // in-batch duplicates) batched on one, sequentially on the other.
+        // Identical tries; remove a probe slice (hits, misses, and in-batch
+        // duplicates) sequentially on one, batched on the others.
         let mut victims: Vec<Vec<u8>> = fx.probes.iter().step_by(4).cloned().collect();
         let dup = victims[0].clone();
         victims.push(dup);
 
-        let mut batched = fx.trie;
-        let expected: Vec<Option<u64>> = victims.iter().map(|k| fx.sync.remove(k)).collect();
+        let Fixture { name, trie: mut batched, sync: sequential, csync: mut cbatched, .. } = fx;
+        let expected: Vec<Option<u64>> = victims.iter().map(|k| sequential.remove(k)).collect();
 
-        let mut out = vec![None; victims.len()];
-        batched.remove_batch(&victims, &mut out);
-        assert_eq!(out, expected, "{}: remove_batch answers", fx.name);
+        fn check(batched: &mut impl Front, sequential: &impl Front, victims: &[Vec<u8>], expected: &[Option<u64>], name: &str) {
+            let label = format!("{name}/{}", batched.name());
+            let mut out = vec![None; victims.len()];
+            batched.take_batch(victims, &mut out);
+            assert_eq!(out, expected, "{label}: remove_batch answers");
 
-        // Post-state agrees key by key.
-        for k in &victims {
-            assert_eq!(batched.get(k), fx.sync.get(k), "{}: post-remove state", fx.name);
+            // Post-state agrees key by key, and node by node.
+            for k in victims {
+                assert_eq!(batched.get(k), sequential.get(k), "{label}: post-remove state");
+            }
+            assert_eq!(batched.len(), sequential.len(), "{label}: post-remove sizes");
+            assert_eq!(batched.structure_digest(), sequential.structure_digest(), "{label}: post-remove structure");
         }
-        assert_eq!(batched.len(), fx.sync.len(), "{}: post-remove sizes", fx.name);
+        check(&mut batched, &sequential, &victims, &expected, name);
+        check(&mut cbatched, &sequential, &victims, &expected, name);
     }
 }
 
@@ -289,9 +327,11 @@ fn convenience_entry_points_agree_with_scalar() {
         let mut out = vec![None; fx.probes.len()];
         fx.trie.get_batch(&fx.probes, &mut out);
         assert_eq!(out, expected);
-        let mut out = vec![None; fx.probes.len()];
-        fx.sync.get_batch(&fx.probes, &mut out);
-        assert_eq!(out, expected);
+        for_each_sync!(fx, |sync, label| {
+            let mut out = vec![None; fx.probes.len()];
+            sync.get_batch(&fx.probes, &mut out);
+            assert_eq!(out, expected, "{label}");
+        });
 
         let requests: Vec<(&[u8], usize)> =
             fx.probes.iter().step_by(9).map(|k| (k.as_slice(), 7)).collect();
@@ -299,8 +339,10 @@ fn convenience_entry_points_agree_with_scalar() {
         let (mut tids, mut bounds) = (Vec::new(), Vec::new());
         fx.trie.scan_batch(&requests, &mut tids, &mut bounds);
         assert_eq!(tids, want);
-        fx.sync.scan_batch(&requests, &mut tids, &mut bounds);
-        assert_eq!(tids, want);
+        for_each_sync!(fx, |sync, label| {
+            sync.scan_batch(&requests, &mut tids, &mut bounds);
+            assert_eq!(tids, want, "{label}");
+        });
     }
 }
 
@@ -340,25 +382,21 @@ proptest! {
         probes in proptest::collection::vec(0u64..50_000, 0..133),
         depth in 1usize..65,
     ) {
-        let mut trie = HotTrie::new(EmbeddedKeySource);
-        let sync = ConcurrentHot::new(EmbeddedKeySource);
-        for &k in &keys {
-            trie.insert(&encode_u64(k), k);
-            sync.insert(&encode_u64(k), k);
-        }
+        let stored: std::collections::BTreeSet<u64> = keys.iter().copied().collect();
+        let expected: Vec<Option<u64>> = probes.iter().map(|p| stored.get(p).copied()).collect();
         let probes: Vec<[u8; 8]> = probes.iter().map(|&p| encode_u64(p)).collect();
-        let expected: Vec<Option<u64>> = probes.iter().map(|k| trie.get(k)).collect();
-        let sync_expected: Vec<Option<u64>> = probes.iter().map(|k| sync.get(k)).collect();
-        prop_assert_eq!(&expected, &sync_expected);
+        for_each_front!(EmbeddedKeySource, |front, name| {
+            for &k in &keys {
+                front.put(&encode_u64(k), k);
+            }
+            let scalar: Vec<Option<u64>> = probes.iter().map(|k| front.get(k)).collect();
+            prop_assert_eq!(&expected, &scalar, "{}: scalar", name);
 
-        let mut sched = MlpScheduler::with_depth(depth);
-        let mut out = vec![None; probes.len()];
-        trie.get_batch_with(&probes, &mut out, &mut sched);
-        prop_assert_eq!(&expected, &out);
-
-        let mut out = vec![None; probes.len()];
-        sync.get_batch_with(&probes, &mut out, &mut sched);
-        prop_assert_eq!(&expected, &out);
+            let mut sched = MlpScheduler::with_depth(depth);
+            let mut out = vec![None; probes.len()];
+            front.get_batch_with(&probes, &mut out, &mut sched);
+            prop_assert_eq!(&expected, &out, "{}: batched", name);
+        });
     }
 
     #[test]
@@ -394,7 +432,8 @@ fn concurrent_churn_preserves_stable_keys_and_quiesced_equality() {
     const STABLE: u64 = 4_000;
     const CHURN_ROUNDS: usize = 60;
 
-    let sync = Arc::new(ConcurrentHot::new(EmbeddedKeySource));
+    for_each_concurrent!(ConcurrentHot::new(EmbeddedKeySource), |sync| {
+    let sync = Arc::new(sync);
     for k in 0..STABLE {
         sync.insert(&encode_u64(k * 2), k * 2);
     }
@@ -459,59 +498,6 @@ fn concurrent_churn_preserves_stable_keys_and_quiesced_equality() {
     sync.get_batch_with(&probes, &mut out, &mut sched);
     assert_eq!(checksum_out(&out), checksum_out(&expected));
     assert_eq!(out, expected);
-}
-
-/// The compact back-end on the same engine: on all four distributions a
-/// `CompactHot` must agree with the heap trie through every read path the
-/// shared differential covers (scalar, batched at every depth, scans,
-/// `scan_batch`, `mixed_batch`), and `ConcurrentCompact` must answer the
-/// probe stream and sampled scans byte-identically.
-#[test]
-fn arena_shadow_batches_byte_identical() {
-    use hot_core::sync::ConcurrentCompact;
-    use hot_core::{CompactHot, ScanCursor};
-
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0xBEE5);
-    for (name, keys) in datasets() {
-        let mut arena = ArenaKeySource::new();
-        let tids: Vec<u64> = keys.iter().map(|k| arena.push(k)).collect();
-        let arena = Arc::new(arena);
-        let mut trie = HotTrie::new(Arc::clone(&arena));
-        let mut compact = CompactHot::new();
-        let csync = ConcurrentCompact::new();
-        for (k, &tid) in keys.iter().zip(&tids) {
-            trie.insert(k, tid);
-            compact.insert(k, tid);
-            csync.insert(k, tid);
-        }
-        common::assert_backends_agree(&trie, &compact, &keys, name);
-
-        let probes = probes_for(&keys, &mut rng);
-        let expected: Vec<Option<u64>> = probes.iter().map(|k| trie.get(k)).collect();
-        let want = checksum_out(&expected);
-        let mut out = vec![None; probes.len()];
-        for depth in common::DEPTHS {
-            let mut sched = MlpScheduler::with_depth(depth);
-            compact.get_batch_with(&probes, &mut out, &mut sched);
-            assert_eq!(checksum_out(&out), want, "{name}: compact batch checksum, depth {depth}");
-            assert_eq!(out, expected, "{name}: compact batch results, depth {depth}");
-            csync.get_batch_with(&probes, &mut out, &mut sched);
-            assert_eq!(checksum_out(&out), want, "{name}: concurrent compact batch, depth {depth}");
-        }
-
-        // Sampled scans against the heap truth.
-        let mut scan_cursor = ScanCursor::new();
-        let mut heap_hits = Vec::new();
-        let mut compact_hits = Vec::new();
-        for (i, p) in probes.iter().enumerate().step_by(7) {
-            let limit = (i * 13) % 40;
-            trie.scan_into(p, limit, &mut heap_hits);
-            compact.scan_with(p, limit, &mut compact_hits, &mut scan_cursor);
-            assert_eq!(heap_hits, compact_hits, "{name}: compact scan probe {i}");
-            csync.scan_with(p, limit, &mut compact_hits, &mut scan_cursor);
-            assert_eq!(heap_hits, compact_hits, "{name}: concurrent compact scan probe {i}");
-        }
-        compact.check_invariants();
-        csync.check_invariants();
-    }
+    sync.check_invariants();
+    });
 }

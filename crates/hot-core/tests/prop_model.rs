@@ -1,12 +1,15 @@
 //! Property tests: HOT behaves exactly like an ordered map (`BTreeMap`
 //! model) and preserves its structural invariants under arbitrary operation
 //! sequences; its leaf order always equals the binary Patricia reference.
-//! Every property takes the back-end as one more input
-//! (`for_each_backend!`): the heap trie, then `CompactHot`.
+//! Every property takes the front-end as one more input: the four of
+//! `for_each_front!` (`HotTrie`, `CompactHot` and the two ROWEX aliases,
+//! `ConcurrentHot` and `ConcurrentCompact`), or — where it needs the
+//! ordered iterators only `Trie` has — the two of `for_each_backend!`.
 
 #[macro_use]
 mod common;
 
+use common::Front;
 use hot_core::HotTrie;
 use hot_keys::{encode_u64, ArenaKeySource, EmbeddedKeySource};
 use hot_patricia::PatriciaTree;
@@ -36,32 +39,33 @@ proptest! {
 
     #[test]
     fn matches_btreemap_model(ops in prop::collection::vec(ops(10_000), 1..500)) {
-        for_each_backend!(HotTrie::new(EmbeddedKeySource), |hot| {
+        for_each_front!(EmbeddedKeySource, |hot, name| {
             let mut model: BTreeMap<u64, u64> = BTreeMap::new();
             let mut got = Vec::new();
             for op in ops.iter().cloned() {
                 match op {
                     Op::Insert(k) => {
-                        prop_assert_eq!(hot.insert(&encode_u64(k), k), model.insert(k, k));
+                        prop_assert_eq!(hot.put(&encode_u64(k), k), model.insert(k, k), "{}", name);
                     }
                     Op::Remove(k) => {
-                        prop_assert_eq!(hot.remove(&encode_u64(k)), model.remove(&k));
+                        prop_assert_eq!(hot.take(&encode_u64(k)), model.remove(&k), "{}", name);
                     }
                     Op::Get(k) => {
-                        prop_assert_eq!(hot.get(&encode_u64(k)), model.get(&k).copied());
+                        prop_assert_eq!(hot.get(&encode_u64(k)), model.get(&k).copied(), "{}", name);
                     }
                     Op::Scan(k, n) => {
                         hot.scan_into(&encode_u64(k), n, &mut got);
                         let want: Vec<u64> = model.range(k..).take(n).map(|(_, &v)| v).collect();
-                        prop_assert_eq!(&got, &want);
+                        prop_assert_eq!(&got, &want, "{}", name);
                     }
                 }
-                prop_assert_eq!(hot.len(), model.len());
+                prop_assert_eq!(hot.len(), model.len(), "{}", name);
             }
-            hot.validate();
+            hot.check_invariants();
             prop_assert_eq!(
-                hot.iter().collect::<Vec<_>>(),
-                model.values().copied().collect::<Vec<_>>()
+                hot.scan(&[], model.len() + 1),
+                model.values().copied().collect::<Vec<_>>(),
+                "{}", name
             );
         });
     }
@@ -70,29 +74,33 @@ proptest! {
     fn small_clustered_domain(ops in prop::collection::vec(ops(64), 1..600)) {
         // A tiny domain maximizes node-level churn: every entry lives in one
         // or two nodes, so splits, pull-ups and collapses fire constantly.
-        for_each_backend!(HotTrie::new(EmbeddedKeySource), |hot| {
+        let mut digests = Vec::new();
+        for_each_front!(EmbeddedKeySource, |hot, name| {
             let mut model: BTreeMap<u64, u64> = BTreeMap::new();
             let mut got = Vec::new();
             for op in ops.iter().cloned() {
                 match op {
                     Op::Insert(k) => {
-                        prop_assert_eq!(hot.insert(&encode_u64(k), k), model.insert(k, k));
+                        prop_assert_eq!(hot.put(&encode_u64(k), k), model.insert(k, k), "{}", name);
                     }
                     Op::Remove(k) => {
-                        prop_assert_eq!(hot.remove(&encode_u64(k)), model.remove(&k));
+                        prop_assert_eq!(hot.take(&encode_u64(k)), model.remove(&k), "{}", name);
                     }
                     Op::Get(k) => {
-                        prop_assert_eq!(hot.get(&encode_u64(k)), model.get(&k).copied());
+                        prop_assert_eq!(hot.get(&encode_u64(k)), model.get(&k).copied(), "{}", name);
                     }
                     Op::Scan(k, n) => {
                         hot.scan_into(&encode_u64(k), n, &mut got);
                         let want: Vec<u64> = model.range(k..).take(n).map(|(_, &v)| v).collect();
-                        prop_assert_eq!(&got, &want);
+                        prop_assert_eq!(&got, &want, "{}", name);
                     }
                 }
             }
-            hot.validate();
+            hot.check_invariants();
+            digests.push(hot.structure_digest());
         });
+        // One history, one write path: one structure.
+        prop_assert!(digests.windows(2).all(|w| w[0] == w[1]), "{:?}", digests);
     }
 
     #[test]
@@ -131,17 +139,17 @@ proptest! {
     fn leaf_order_equals_patricia_reference(
         keys in prop::collection::btree_set(0u64..100_000, 2..300)
     ) {
-        for_each_backend!(HotTrie::new(EmbeddedKeySource), |hot| {
+        for_each_front!(EmbeddedKeySource, |hot, name| {
             let mut bin = PatriciaTree::new(EmbeddedKeySource);
             for &k in &keys {
-                hot.insert(&encode_u64(k), k);
+                hot.put(&encode_u64(k), k);
                 bin.insert(&encode_u64(k), k);
             }
-            prop_assert_eq!(hot.iter().collect::<Vec<_>>(), bin.iter().collect::<Vec<_>>());
+            prop_assert_eq!(hot.scan(&[], keys.len() + 1), bin.iter().collect::<Vec<_>>(), "{}", name);
             // The k-constraint bounds HOT's depth by Patricia's.
             let hot_max = hot.depth_stats().max_depth().unwrap();
             let bin_max = bin.depth_stats().max_depth().unwrap();
-            prop_assert!(hot_max <= bin_max.max(1));
+            prop_assert!(hot_max <= bin_max.max(1), "{}", name);
         });
     }
 
@@ -158,14 +166,14 @@ proptest! {
 
         let mut digests = Vec::new();
         for order in [&ordered, &shuffled] {
-            for_each_backend!(HotTrie::new(EmbeddedKeySource), |hot| {
+            for_each_front!(EmbeddedKeySource, |hot, _name| {
                 for &k in order {
-                    hot.insert(&encode_u64(k), k);
+                    hot.put(&encode_u64(k), k);
                 }
                 digests.push(hot.structure_digest());
             });
         }
-        // Either order, either back-end: one structure.
+        // Either order, any front-end: one structure.
         prop_assert!(digests.windows(2).all(|w| w[0] == w[1]), "{:?}", digests);
     }
 

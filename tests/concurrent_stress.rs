@@ -1,19 +1,26 @@
 //! Heavy concurrent stress for the ROWEX-synchronized HOT: string keys
 //! through a shared arena, mixed inserts/removes/lookups/scans, full
 //! validation after quiesce, and equivalence with the single-threaded trie.
+//! Every scenario runs on both ROWEX aliases — `ConcurrentHot` over the
+//! shared key arena, then `ConcurrentCompact` with its keys inline.
 
 use hot_bench::BenchData;
-use hot_core::sync::ConcurrentHot;
-use hot_core::HotTrie;
+use hot_core::sync::{Concurrent, ConcurrentCompact, ConcurrentHot};
+use hot_core::{Backend, HotTrie};
 use hot_ycsb::{Dataset, DatasetKind};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 #[test]
 fn concurrent_url_load_equals_single_threaded() {
-    let n = 30_000;
-    let data = BenchData::new(Dataset::generate(DatasetKind::Url, n, 21));
-    let concurrent = Arc::new(ConcurrentHot::new(Arc::clone(&data.arena)));
+    let data = BenchData::new(Dataset::generate(DatasetKind::Url, 30_000, 21));
+    url_load_equals_single_threaded(ConcurrentHot::new(Arc::clone(&data.arena)), &data);
+    url_load_equals_single_threaded(ConcurrentCompact::new(), &data);
+}
+
+fn url_load_equals_single_threaded<B: Backend + Send>(concurrent: Concurrent<B>, data: &BenchData) {
+    let n = data.dataset.keys.len();
+    let concurrent = Arc::new(concurrent);
     let keys = Arc::new(data.dataset.keys.clone());
     let tids = Arc::new(data.tids.clone());
 
@@ -39,7 +46,7 @@ fn concurrent_url_load_equals_single_threaded() {
         single.insert(&data.dataset.keys[i], data.tids[i]);
     }
     // Determinism across synchronization modes: same final structure.
-    assert_eq!(concurrent.depth_stats(), single.depth_stats());
+    assert_eq!(concurrent.structure_digest(), single.structure_digest());
     // The node counter includes retired nodes until their free has run.
     assert!(hot_core::sync::quiesce());
     assert_eq!(
@@ -53,9 +60,14 @@ fn concurrent_url_load_equals_single_threaded() {
 
 #[test]
 fn mixed_operations_with_wait_free_readers() {
-    let n = 20_000;
-    let data = BenchData::new(Dataset::generate(DatasetKind::Email, n, 23));
-    let trie = Arc::new(ConcurrentHot::new(Arc::clone(&data.arena)));
+    let data = BenchData::new(Dataset::generate(DatasetKind::Email, 20_000, 23));
+    mixed_operations(ConcurrentHot::new(Arc::clone(&data.arena)), &data);
+    mixed_operations(ConcurrentCompact::new(), &data);
+}
+
+fn mixed_operations<B: Backend + Send>(trie: Concurrent<B>, data: &BenchData) {
+    let n = data.dataset.keys.len();
+    let trie = Arc::new(trie);
     let keys = Arc::new(data.dataset.keys.clone());
     let tids = Arc::new(data.tids.clone());
 
@@ -135,9 +147,14 @@ fn batched_readers_with_concurrent_writers() {
     // The batched descent holds one epoch pin across a whole group and may
     // observe torn slots mid-update; every lane must still resolve to
     // either the key's correct TID or None — never a wrong TID.
-    let n = 20_000;
-    let data = BenchData::new(Dataset::generate(DatasetKind::Email, n, 31));
-    let trie = Arc::new(ConcurrentHot::new(Arc::clone(&data.arena)));
+    let data = BenchData::new(Dataset::generate(DatasetKind::Email, 20_000, 31));
+    batched_readers(ConcurrentHot::new(Arc::clone(&data.arena)), &data);
+    batched_readers(ConcurrentCompact::new(), &data);
+}
+
+fn batched_readers<B: Backend + Send>(trie: Concurrent<B>, data: &BenchData) {
+    let n = data.dataset.keys.len();
+    let trie = Arc::new(trie);
     let keys = Arc::new(data.dataset.keys.clone());
     let tids = Arc::new(data.tids.clone());
 
@@ -219,9 +236,14 @@ fn batched_readers_with_concurrent_writers() {
 
 #[test]
 fn concurrent_removes_to_empty() {
-    let n = 10_000usize;
-    let data = BenchData::new(Dataset::generate(DatasetKind::Integer, n, 29));
-    let trie = Arc::new(ConcurrentHot::new(Arc::clone(&data.arena)));
+    let data = BenchData::new(Dataset::generate(DatasetKind::Integer, 10_000, 29));
+    removes_to_empty(ConcurrentHot::new(Arc::clone(&data.arena)), &data);
+    removes_to_empty(ConcurrentCompact::new(), &data);
+}
+
+fn removes_to_empty<B: Backend + Send>(trie: Concurrent<B>, data: &BenchData) {
+    let n = data.dataset.keys.len();
+    let trie = Arc::new(trie);
     for i in 0..n {
         trie.insert(&data.dataset.keys[i], data.tids[i]);
     }
@@ -248,4 +270,7 @@ fn concurrent_removes_to_empty() {
     for i in (0..n).step_by(53) {
         assert_eq!(trie.get(&data.dataset.keys[i]), None);
     }
+    // Every node went back through the epoch, from whichever thread.
+    assert!(hot_core::sync::quiesce());
+    assert_eq!(trie.memory_stats().node_count, 0);
 }
