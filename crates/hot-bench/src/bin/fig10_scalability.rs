@@ -126,15 +126,13 @@ fn main() {
     }
 }
 
-/// `--shards a,b,c`: the thread-per-core sharded execution layer
-/// (DESIGN.md §17) against the single-trie batched baseline, on the
+/// `--shards a,b,c`: the sharded execution layer (DESIGN.md §17)
+/// against the single-trie batched baseline, on the
 /// integer and url data sets. Per shard count: one routed
 /// `get_batch_with` over the full shuffled key set (classify → per-shard
 /// queues → shard-grouped drain windows) and one YCSB-C pass through the
-/// [`run_transactions_sharded`] dispatch driver, with routing balance as
-/// max/mean shard load. `--pin` builds the pooled configuration —
-/// shard-affine worker threads pinned to cores — instead of the inline
-/// single-driver router that a one-core host measures best.
+/// [`run_transactions_sharded`] driver, with routing balance as max/mean
+/// shard load.
 fn run_sharded_section(config: &Config) {
     // Unless `--keys` was explicit, floor this section at 4 M keys: the
     // routed path's win grows with trie depth — classify cost is flat per
@@ -147,9 +145,8 @@ fn run_sharded_section(config: &Config) {
     };
     let window = 1024usize;
     println!(
-        "# Sharded router: aggregate lookup + YCSB-C throughput vs the single trie (keys={n}, ops={}, {})",
+        "# Sharded router: aggregate lookup + YCSB-C throughput vs the single trie (keys={n}, ops={})",
         config.ops,
-        if config.pin { "pinned worker pool" } else { "inline router" },
     );
     row(&[
         "op".into(),
@@ -174,11 +171,11 @@ fn run_sharded_section(config: &Config) {
             probes.swap(i, rng.gen_range(0..=i));
         }
 
-        // Single-trie baseline: a 1-shard inline router — its one shard
+        // Single-trie baseline: a 1-shard router — its one shard
         // IS a plain `ConcurrentHot`, driven with chunked `get_batch_with`
         // calls, and the same instance serves the YCSB-C baseline (and
         // its checksum, which every sharded pass must reproduce).
-        let baseline = ShardedHot::inline_router(Arc::clone(&data.arena), 1);
+        let baseline = ShardedHot::new(Arc::clone(&data.arena), 1);
         baseline
             .bulk_load(&entries)
             .expect("sorted distinct entries into an empty trie");
@@ -211,8 +208,8 @@ fn run_sharded_section(config: &Config) {
             config.ops,
             config.seed,
         );
-        // Dispatch planning amortizes over large read batches (the
-        // router's own drain window), not the scalar-driver group size.
+        // Routing amortizes over large read batches (the router's own
+        // drain window), not the scalar-driver group size.
         let ycsb_batch = config.batch.max(window);
         let (ycsb_single, check_single) =
             run_transactions_sharded(&baseline, &data, &run, ycsb_batch);
@@ -238,11 +235,7 @@ fn run_sharded_section(config: &Config) {
         ));
 
         for &s in &config.shards {
-            let sharded = if config.pin {
-                ShardedHot::with_config(Arc::clone(&data.arena), s, true, true)
-            } else {
-                ShardedHot::inline_router(Arc::clone(&data.arena), s)
-            };
+            let sharded = ShardedHot::new(Arc::clone(&data.arena), s);
             sharded
                 .bulk_load(&entries)
                 .expect("sorted distinct entries into empty shards");
@@ -302,8 +295,8 @@ fn write_shard_json(config: &Config, keys: usize, rows: &[String]) {
     let mut out = String::new();
     out.push_str("{\n  \"bench\": \"fig10_sharded_router\",\n");
     out.push_str(&format!(
-        "  \"keys\": {keys}, \"ops\": {}, \"seed\": {}, \"pinned\": {},\n",
-        config.ops, config.seed, config.pin
+        "  \"keys\": {keys}, \"ops\": {}, \"seed\": {},\n",
+        config.ops, config.seed
     ));
     out.push_str("  \"rows\": [\n");
     for (i, json) in rows.iter().enumerate() {

@@ -75,8 +75,6 @@ fn main() {
                 ops: config.ops,
                 seed: config.seed,
                 shards,
-                workers: shards > 1,
-                pin: config.pin,
                 window: WINDOW,
                 idle_timeout: Duration::from_secs(60),
                 ..ServerConfig::default()

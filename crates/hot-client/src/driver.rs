@@ -277,7 +277,7 @@ pub fn expected_checksums(
     seed: u64,
     shards: usize,
 ) -> Vec<u64> {
-    let index = ShardedHot::inline_router(Arc::clone(&data.arena), shards);
+    let index = ShardedHot::new(Arc::clone(&data.arena), shards);
     let entries = data.sorted_entries();
     index.bulk_load(&entries).expect("sorted distinct entries");
     let keys = &data.dataset.keys;

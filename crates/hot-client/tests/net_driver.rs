@@ -22,8 +22,6 @@ fn server(kind: DatasetKind, shards: usize) -> ServerHandle {
         ops: OPS,
         seed: SEED,
         shards,
-        workers: false,
-        pin: false,
         window: 64,
         idle_timeout: Duration::from_secs(10),
         ..ServerConfig::default()

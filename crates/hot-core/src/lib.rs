@@ -56,7 +56,6 @@ pub mod map;
 pub(crate) mod metrics;
 pub mod mlp;
 pub mod node;
-pub mod numa;
 pub mod scan;
 pub mod shard;
 mod store;

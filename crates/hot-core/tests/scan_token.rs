@@ -59,7 +59,7 @@ fn paged_scans_match_btreemap_across_shards() {
         order.iter().map(|&i| (stored[i].as_slice(), tids[i])).collect();
 
     for shards in [1usize, 2, 4] {
-        let sharded = ShardedHot::inline_router(Arc::clone(&arena), shards);
+        let sharded = ShardedHot::new(Arc::clone(&arena), shards);
         sharded.bulk_load(&entries).expect("sorted distinct entries");
         let mut probes: Vec<Vec<u8>> = stored.clone();
         probes.push(Vec::new()); // full scan from the front
@@ -87,7 +87,7 @@ fn paged_scans_match_btreemap_across_shards() {
 #[test]
 fn paged_scan_equals_unbroken_scan() {
     let n = 500u64;
-    let sharded = ShardedHot::inline_router(EmbeddedKeySource, 4);
+    let sharded = ShardedHot::new(EmbeddedKeySource, 4);
     let entries: Vec<Vec<u8>> = (0..n).map(|v| encode_u64(v * 3).to_vec()).collect();
     let pairs: Vec<(&[u8], u64)> =
         entries.iter().enumerate().map(|(i, k)| (k.as_slice(), (i as u64) * 3)).collect();
@@ -112,7 +112,7 @@ fn paged_scan_equals_unbroken_scan() {
 /// neighbors: the resume starts at the deleted key's successor.
 #[test]
 fn resume_survives_deleted_last_key() {
-    let sharded = ShardedHot::inline_router(EmbeddedKeySource, 2);
+    let sharded = ShardedHot::new(EmbeddedKeySource, 2);
     for v in 0..100u64 {
         sharded.insert(&encode_u64(v), v);
     }
@@ -131,8 +131,8 @@ fn resume_survives_deleted_last_key() {
 /// under one splitter layout resumes correctly under another.
 #[test]
 fn token_shard_hint_is_not_a_correctness_input() {
-    let a = ShardedHot::inline_router(EmbeddedKeySource, 4);
-    let b = ShardedHot::inline_router(EmbeddedKeySource, 2);
+    let a = ShardedHot::new(EmbeddedKeySource, 4);
+    let b = ShardedHot::new(EmbeddedKeySource, 2);
     assert!(b.set_splitters(vec![encode_u64(77).to_vec()]));
     for v in 0..100u64 {
         a.insert(&encode_u64(v), v);
@@ -152,7 +152,7 @@ fn token_shard_hint_is_not_a_correctness_input() {
 /// Degenerate cases: empty trie, zero limit, single key.
 #[test]
 fn degenerate_pages() {
-    let sharded = ShardedHot::inline_router(EmbeddedKeySource, 2);
+    let sharded = ShardedHot::new(EmbeddedKeySource, 2);
     let mut buf = vec![1, 2, 3];
     assert!(sharded.scan_page(&encode_u64(0), 10, &mut buf).is_none());
     assert!(buf.is_empty(), "scan_page clears its output");

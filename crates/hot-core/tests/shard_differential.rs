@@ -4,15 +4,15 @@
 //! bounds — to a single [`ConcurrentHot`] holding the same keys, across
 //! four key distributions (URL, email, YAGO-triple, integer), shard
 //! counts {1, 2, 4, 8}, both load paths (sorted bulk load and routed
-//! inserts), scans whose ranges cross shard boundaries, the pooled
-//! worker configuration, and concurrent churn. The whole file is also
+//! inserts), scans whose ranges cross shard boundaries, routed removals,
+//! and concurrent churn. The whole file is also
 //! exercised in the `HOT_FORCE_SCALAR` CI lane: routing answers must not
 //! depend on the kernel. (`ShardedHot` is hard-wired to `ConcurrentHot`;
 //! there is no arena lane.)
 
 use hot_core::shard::ShardedHot;
 use hot_core::sync::ConcurrentHot;
-use hot_core::{splitters_from_sample, BatchRequest, RouterScratch};
+use hot_core::{splitters_from_sample, RouterScratch};
 use hot_keys::{encode_u64, ArenaKeySource};
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -147,7 +147,7 @@ fn routed_lookups_byte_identical_across_shard_counts_and_load_paths() {
 
         for shards in SHARD_COUNTS {
             // Bulk-loaded: splitters derived from the full population.
-            let bulk = ShardedHot::inline_router(Arc::clone(&fx.arena), shards);
+            let bulk = ShardedHot::new(Arc::clone(&fx.arena), shards);
             assert_eq!(bulk.bulk_load(&entries).unwrap(), entries.len());
             assert_eq!(bulk.len(), fx.single.len(), "{}: bulk load count", fx.name);
 
@@ -197,7 +197,7 @@ fn scans_cross_shard_boundaries_byte_identical() {
     for fx in fixtures() {
         let entries = fx.entries();
         for shards in SHARD_COUNTS {
-            let sharded = ShardedHot::inline_router(Arc::clone(&fx.arena), shards);
+            let sharded = ShardedHot::new(Arc::clone(&fx.arena), shards);
             sharded.bulk_load(&entries).unwrap();
 
             // Seed scans at shuffled probes AND directly below each
@@ -249,54 +249,16 @@ fn scans_cross_shard_boundaries_byte_identical() {
 }
 
 #[test]
-fn mixed_batches_and_removals_match_the_single_trie() {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0x111D);
+fn routed_removals_match_the_single_trie() {
     for fx in fixtures() {
         let entries = fx.entries();
-        for shards in [2usize, 8] {
-            let sharded = ShardedHot::inline_router(Arc::clone(&fx.arena), shards);
+        for shards in SHARD_COUNTS {
+            let sharded = ShardedHot::new(Arc::clone(&fx.arena), shards);
             sharded.bulk_load(&entries).unwrap();
 
-            // Alternating get/scan stream, scalar ground truth in order.
-            let limits: Vec<usize> = fx.probes.iter().map(|_| rng.gen_range(0..9)).collect();
-            let reqs: Vec<BatchRequest> = fx
-                .probes
-                .iter()
-                .zip(&limits)
-                .enumerate()
-                .map(|(i, (k, &limit))| {
-                    if i % 2 == 0 {
-                        BatchRequest::Get(k.as_slice())
-                    } else {
-                        BatchRequest::Scan(k.as_slice(), limit)
-                    }
-                })
-                .collect();
-            let mut want_out: Vec<Option<u64>> = vec![None; reqs.len()];
-            let mut want_tids = Vec::new();
-            let mut want_bounds = vec![0usize];
-            let mut buf = Vec::new();
-            for (i, req) in reqs.iter().enumerate() {
-                match req {
-                    BatchRequest::Get(k) => want_out[i] = fx.single.get(k),
-                    BatchRequest::Scan(k, limit) => {
-                        fx.single.scan_into(k, *limit, &mut buf);
-                        want_tids.extend_from_slice(&buf);
-                        want_bounds.push(want_tids.len());
-                    }
-                }
-            }
-            let mut scratch = RouterScratch::new();
-            let mut out = vec![None; reqs.len()];
-            let (mut tids, mut bounds) = (Vec::new(), Vec::new());
-            sharded.mixed_batch(&reqs, &mut out, &mut tids, &mut bounds, &mut scratch);
-            assert_eq!(out, want_out, "{}: mixed gets s={shards}", fx.name);
-            assert_eq!(tids, want_tids, "{}: mixed scan tids s={shards}", fx.name);
-            assert_eq!(bounds, want_bounds, "{}: mixed scan bounds s={shards}", fx.name);
-
-            // Removals (hits, misses, and an in-batch duplicate) answer
-            // exactly like sequential removes on a single trie, and the
-            // post-state agrees key by key.
+            // Removals (hits, misses, and a duplicate later in the stream)
+            // answer exactly like sequential removes on a single trie, and
+            // the post-state agrees key by key.
             let oracle = ConcurrentHot::new(Arc::clone(&fx.arena));
             for (k, &tid) in fx.keys.iter().zip(&fx.tids) {
                 oracle.insert(k, tid);
@@ -305,10 +267,8 @@ fn mixed_batches_and_removals_match_the_single_trie() {
             let dup = victims[0].clone();
             victims.push(dup);
             let expected: Vec<Option<u64>> = victims.iter().map(|k| oracle.remove(k)).collect();
-            let victim_refs: Vec<&[u8]> = victims.iter().map(|k| k.as_slice()).collect();
-            let mut removed = vec![None; victims.len()];
-            sharded.remove_batch(&victim_refs, &mut removed, &mut scratch);
-            assert_eq!(removed, expected, "{}: remove_batch s={shards}", fx.name);
+            let removed: Vec<Option<u64>> = victims.iter().map(|k| sharded.remove(k)).collect();
+            assert_eq!(removed, expected, "{}: remove s={shards}", fx.name);
             for k in &victims {
                 assert_eq!(sharded.get(k), oracle.get(k), "{}: post-remove", fx.name);
             }
@@ -317,49 +277,12 @@ fn mixed_batches_and_removals_match_the_single_trie() {
     }
 }
 
-#[test]
-fn pooled_workers_agree_with_the_inline_router() {
-    // Same data, same shard count: the worker-pool configuration (pin
-    // disabled for CI determinism) and the inline router must produce
-    // identical batches — they share the partition, not the drive path.
-    for fx in fixtures().into_iter().take(2) {
-        let entries = fx.entries();
-        let shards = 4;
-        let inline = ShardedHot::inline_router(Arc::clone(&fx.arena), shards);
-        inline.bulk_load(&entries).unwrap();
-        let pooled = ShardedHot::with_config(Arc::clone(&fx.arena), shards, true, false);
-        pooled.bulk_load(&entries).unwrap();
-        assert_eq!(pooled.worker_cores().len(), shards, "{}: one worker per shard", fx.name);
-
-        let probe_refs: Vec<&[u8]> = fx.probes.iter().map(|k| k.as_slice()).collect();
-        let mut scratch_a = RouterScratch::new();
-        let mut scratch_b = RouterScratch::new();
-        let mut out_a = vec![None; probe_refs.len()];
-        let mut out_b = vec![None; probe_refs.len()];
-        inline.get_batch_with(&probe_refs, &mut out_a, &mut scratch_a);
-        pooled.get_batch_with(&probe_refs, &mut out_b, &mut scratch_b);
-        assert_eq!(out_a, out_b, "{}: pooled vs inline gets", fx.name);
-
-        let reqs: Vec<(&[u8], usize)> =
-            probe_refs.iter().step_by(5).map(|&k| (k, 17usize)).collect();
-        let (mut tids_a, mut bounds_a) = (Vec::new(), Vec::new());
-        let (mut tids_b, mut bounds_b) = (Vec::new(), Vec::new());
-        inline.scan_batch(&reqs, &mut tids_a, &mut bounds_a, &mut scratch_a);
-        pooled.scan_batch(&reqs, &mut tids_b, &mut bounds_b, &mut scratch_b);
-        assert_eq!(tids_a, tids_b, "{}: pooled vs inline scan tids", fx.name);
-        assert_eq!(bounds_a, bounds_b, "{}: pooled vs inline scan bounds", fx.name);
-    }
-}
-
 /// The load pipeline end to end — TIDs sample-sorted over the arena,
-/// shards built concurrently on scoped loader threads (a pinned pool's
-/// loaders pin themselves and build with one worker, unpinned ones split
-/// their share of the cores over the root fragment) — must build exactly
-/// the tries a single-threaded load of comparison-sorted input builds.
-/// The key sets are large enough to leave the small-input inline paths
-/// of the sort and the builder. This checks what is built, not which
-/// cores built it; the one placement fact asserted is that a loader's
-/// pin never leaks onto the calling thread.
+/// shards built concurrently on scoped loader threads, each splitting its
+/// share of the cores over the root fragment — must build exactly the
+/// tries a single-threaded load of comparison-sorted input builds. The
+/// key sets are large enough to leave the small-input inline paths of the
+/// sort and the builder.
 #[test]
 fn parallel_load_pipeline_builds_the_serial_structure() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x10AD);
@@ -386,27 +309,23 @@ fn parallel_load_pipeline_builds_the_serial_structure() {
         assert!(entries == reference, "{name}: sample sort order");
 
         for shards in [1usize, 2, 4] {
-            for pooled in [false, true] {
-                let sharded = ShardedHot::with_config(Arc::clone(&arena), shards, pooled, pooled);
-                let cores = hot_core::numa::core_count();
-                assert_eq!(sharded.bulk_load(&entries), Ok(entries.len()));
-                assert_eq!(hot_core::numa::core_count(), cores, "caller's affinity kept");
-                let mut lo = 0;
-                for s in 0..shards {
-                    let shard = sharded.shard(s);
-                    let serial = ConcurrentHot::new(Arc::clone(&arena));
-                    serial.bulk_load_parallel(&reference[lo..lo + shard.len()], 1).unwrap();
-                    assert_eq!(
-                        shard.structure_digest(),
-                        serial.structure_digest(),
-                        "{name}: shard {s}/{shards} pooled={pooled}"
-                    );
-                    shard.check_invariants();
-                    lo += shard.len();
-                }
-                assert_eq!(lo, reference.len(), "{name}: shards cover the input");
-                assert!(sharded.imbalance() <= 1.01, "{name}: quantile splitters balance");
+            let sharded = ShardedHot::new(Arc::clone(&arena), shards);
+            assert_eq!(sharded.bulk_load(&entries), Ok(entries.len()));
+            let mut lo = 0;
+            for s in 0..shards {
+                let shard = sharded.shard(s);
+                let serial = ConcurrentHot::new(Arc::clone(&arena));
+                serial.bulk_load_parallel(&reference[lo..lo + shard.len()], 1).unwrap();
+                assert_eq!(
+                    shard.structure_digest(),
+                    serial.structure_digest(),
+                    "{name}: shard {s}/{shards}"
+                );
+                shard.check_invariants();
+                lo += shard.len();
             }
+            assert_eq!(lo, reference.len(), "{name}: shards cover the input");
+            assert!(sharded.imbalance() <= 1.01, "{name}: quantile splitters balance");
         }
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! hot-server --addr 127.0.0.1:0 --dataset integer --keys 100000 \
-//!            --ops 100000 --seed 42 --shards 4 [--pin] [--inline] \
+//!            --ops 100000 --seed 42 --shards 2 \
 //!            [--window N] [--idle-ms N] [--max-conns N]
 //! ```
 //!
@@ -57,18 +57,10 @@ fn main() {
                 config.max_connections = args[i + 1].parse().expect("--max-conns N");
                 i += 2;
             }
-            "--pin" => {
-                config.pin = true;
-                i += 1;
-            }
-            "--inline" => {
-                config.workers = false;
-                i += 1;
-            }
             other => {
                 eprintln!(
                     "unknown argument: {other} (expected --addr/--dataset/--keys/--ops/--seed/\
-                     --shards/--window/--idle-ms/--max-conns/--pin/--inline)"
+                     --shards/--window/--idle-ms/--max-conns)"
                 );
                 std::process::exit(2);
             }

@@ -4,23 +4,15 @@
 //! that owns the connection's buffers — the [`FrameDecoder`]'s read
 //! buffer, the response write buffer, the router scratch and the metrics
 //! tally — and runs the read → parse → execute → respond loop on them.
-//! Who descends the trie depends on [`ServerConfig::workers`]:
+//! The connection thread descends the trie itself: it parses a window of
+//! pipelined requests and routes each GET or SCAN run through
+//! `get_batch_with` / `scan_batch` (classify, shard-grouped drains, one
+//! epoch pin per run) on its own scratch, PUT, DEL and RESUME as scalar
+//! calls, then writes the answers in request order. The shards are
+//! ROWEX-synchronised, so connections are the parallelism; there is no
+//! hand-off between a connection and a shard (DESIGN.md §17.3).
 //!
-//! * `workers: true` (the default): the index's *shard-owning worker
-//!   threads* (one per shard, optionally core-pinned via
-//!   `hot_core::numa`) run the batched descents. The connection thread
-//!   parses a window of pipelined requests, routes each GET or SCAN run
-//!   through `get_batch_with` / `scan_batch` (one epoch pin and one MLP
-//!   ring per shard per drain), blocks on the batch latch and writes the
-//!   answers in request order, so the batched read work scales with
-//!   shards, not connections. PUT, DEL and RESUME are scalar calls and run
-//!   on the connection thread in this mode too.
-//! * `workers: false` (the inline router — the repo benchmark and the
-//!   small tests): there is no pool, and the connection thread does
-//!   everything itself, classify, shard-grouped drains and descents
-//!   included.
-//!
-//! Either way a request's bytes are touched once: the socket is read
+//! A request's bytes are touched once: the socket is read
 //! straight into the decoder's buffer, requests are parsed in place
 //! ([`RequestRef`], keys are views into that buffer), and answers are
 //! encoded directly into the write buffer. In steady state the loop
@@ -75,10 +67,9 @@ pub struct ServerConfig {
     pub seed: u64,
     /// Shard count of the range-partitioned index.
     pub shards: usize,
-    /// Spawn the shard-owning worker pool (`false` = inline router, the
-    /// single-threaded fallback used by small tests).
+    /// Read by nothing; the next `benchmark` PR removes it with `bench/src/run.rs`'s literal.
     pub workers: bool,
-    /// Pin each shard worker to a core (`hot_core::numa`).
+    /// Read by nothing; the next `benchmark` PR removes it with `bench/src/run.rs`'s literal.
     pub pin: bool,
     /// Maximum pipelined requests executed per drain, per connection.
     pub window: usize,
@@ -100,8 +91,8 @@ impl Default for ServerConfig {
             keys: 100_000,
             ops: 100_000,
             seed: 42,
-            shards: 4,
-            workers: true,
+            shards: 2,
+            workers: false,
             pin: false,
             window: 128,
             idle_timeout: Duration::from_secs(30),
@@ -264,12 +255,7 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
 /// are freed, and their pages returned to the OS, by a background thread
 /// that shutdown joins (DESIGN.md §11.4 has what that costs whom).
 pub fn start_with_data(config: ServerConfig, data: NetData) -> std::io::Result<ServerHandle> {
-    let index = ShardedHot::with_config(
-        Arc::clone(&data.arena),
-        config.shards,
-        config.workers,
-        config.pin,
-    );
+    let index = ShardedHot::new(Arc::clone(&data.arena), config.shards);
     index
         .bulk_load(&data.sorted_entries())
         .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, format!("bulk load: {e:?}")))?;
@@ -897,10 +883,18 @@ mod tests {
         ALLOCS.with(Cell::get)
     }
 
-    /// An inline-router server over 500 integer keys and its corpus.
+    /// The configuration a flag-less `hot_server` runs is the one
+    /// `BENCHMARK.json` gates: `bench/src/run.rs` starts its server with
+    /// `shards: 2` and `window: CHUNK` (= 128).
+    #[test]
+    fn default_config_is_the_gated_one() {
+        let config = ServerConfig::default();
+        assert_eq!((config.shards, config.window), (2, 128));
+    }
+
+    /// A server over 500 integer keys and its corpus.
     fn server() -> (ServerHandle, NetData) {
-        let config =
-            ServerConfig { keys: 500, ops: 100, workers: false, ..ServerConfig::default() };
+        let config = ServerConfig { keys: 500, ops: 100, ..ServerConfig::default() };
         let data = || net_data_for(config.kind, config.keys, config.ops, config.seed);
         (start_with_data(config.clone(), data()).expect("server starts"), data())
     }

@@ -22,8 +22,6 @@ fn test_config(idle: Duration) -> ServerConfig {
         ops: KEYS,
         seed: SEED,
         shards: 2,
-        workers: false,
-        pin: false,
         window: 32,
         idle_timeout: idle,
         ..ServerConfig::default()

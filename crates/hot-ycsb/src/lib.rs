@@ -23,14 +23,12 @@
 #![deny(missing_docs)]
 
 pub mod dataset;
-pub mod dispatch;
 #[cfg(feature = "metrics")]
 pub mod phase;
 pub mod workload;
 pub mod zipf;
 
 pub use dataset::{Dataset, DatasetKind};
-pub use dispatch::ShardPlan;
 pub use workload::{
     BatchedOperation, Operation, ReadBatches, RequestDistribution, Workload, WorkloadRun,
 };

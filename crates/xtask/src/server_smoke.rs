@@ -9,7 +9,9 @@
 //! server). Both processes must exit 0 — a wedged shutdown shows up as
 //! the server process never exiting, which the wait-with-deadline below
 //! turns into a failure rather than a hung CI job. Every cell reports the
-//! start-up time it observed (process spawn to `LISTENING`).
+//! start-up time it observed (process spawn to `LISTENING`). One further
+//! cell starts both binaries with no flags at all, so the configuration
+//! that ships is one that is checked.
 //!
 //! One more server runs with `--max-conns 1`: a second connection must be
 //! answered with the typed `overloaded` ERR frame, and a SHUTDOWN frame
@@ -28,6 +30,7 @@ const OPS: &str = "20000";
 const SEED: &str = "42";
 const DATASETS: [&str; 4] = ["url", "email", "yago", "integer"];
 const SHARD_COUNTS: [&str; 2] = ["1", "4"];
+const SMOKE_ADDR: [&str; 2] = ["--addr", "127.0.0.1:0"];
 
 /// How long a server process may take to wind down after the client's
 /// SHUTDOWN frame before the smoke declares it wedged.
@@ -52,90 +55,90 @@ pub fn server_smoke() -> ExitCode {
 
     for dataset in DATASETS {
         for shards in SHARD_COUNTS {
-            eprintln!("server-smoke: dataset={dataset} shards={shards} keys={KEYS} ops={OPS}");
-            let (mut server, addr, startup) =
-                match spawn_server(&server_bin, &root, &["--dataset", dataset, "--shards", shards]) {
-                    Ok(started) => started,
-                    Err(e) => {
-                        eprintln!("server-smoke: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-
-            let client = Command::new(&client_bin)
-                .args([
-                    "--addr", &addr,
-                    "--dataset", dataset,
-                    "--keys", KEYS,
-                    "--ops", OPS,
-                    "--seed", SEED,
-                    "--shards", shards,
-                    "--workloads", "A,C,E",
-                    "--check",
-                    "--shutdown",
-                ])
-                .current_dir(&root)
-                .status();
-            match client {
-                Ok(s) if s.success() => {}
-                Ok(s) => {
-                    eprintln!(
-                        "server-smoke: net_ycsb failed with {s} (dataset={dataset} shards={shards})"
-                    );
-                    let _ = server.kill();
-                    return ExitCode::FAILURE;
-                }
-                Err(e) => {
-                    eprintln!("server-smoke: cannot spawn net_ycsb: {e}");
-                    let _ = server.kill();
-                    return ExitCode::FAILURE;
-                }
-            }
-
-            // The client's SHUTDOWN frame must wind the whole server
-            // down: every connection thread joined, exit code 0.
-            match wait_with_deadline(&mut server, SHUTDOWN_DEADLINE) {
-                Some(status) if status.success() => {
-                    eprintln!(
-                        "server-smoke: ok dataset={dataset} shards={shards} \
-                         (start-up {startup:.3} s, clean shutdown)"
-                    );
-                }
-                Some(status) => {
-                    eprintln!("server-smoke: hot-server exited with {status}");
-                    return ExitCode::FAILURE;
-                }
-                None => {
-                    eprintln!(
-                        "server-smoke: hot-server still running {}s after SHUTDOWN — wedged",
-                        SHUTDOWN_DEADLINE.as_secs()
-                    );
-                    let _ = server.kill();
-                    return ExitCode::FAILURE;
-                }
+            let scale = ["--dataset", dataset, "--keys", KEYS, "--ops", OPS, "--seed", SEED];
+            let server_args = [&SMOKE_ADDR[..], &scale[..], &["--shards", shards][..]].concat();
+            let client_args = [&scale[..], &["--shards", shards][..]].concat();
+            let label = format!("dataset={dataset} shards={shards} keys={KEYS} ops={OPS}");
+            if let Err(e) = parity_cell(&server_bin, &client_bin, &root, &label, &server_args, &client_args) {
+                eprintln!("server-smoke: {e} ({label})");
+                return ExitCode::FAILURE;
             }
         }
+    }
+    // What ships: no flag on the server and none describing it on the
+    // client, so `ServerConfig::default()` — the configuration
+    // `BENCHMARK.json` gates — is what answers.
+    if let Err(e) = parity_cell(&server_bin, &client_bin, &root, "no flags", &[], &[]) {
+        eprintln!("server-smoke: {e} (no flags)");
+        return ExitCode::FAILURE;
     }
     if let Err(e) = connection_cap_smoke(&server_bin, &root) {
         eprintln!("server-smoke: --max-conns: {e}");
         return ExitCode::FAILURE;
     }
     println!(
-        "server-smoke: ok — {} dataset(s) x {} shard count(s): network checksums match in-process, \
-         clean shutdowns; --max-conns refuses the excess connection with a typed error",
+        "server-smoke: ok — {} dataset(s) x {} shard count(s) and a flag-less start: network \
+         checksums match in-process, clean shutdowns; --max-conns refuses the excess connection \
+         with a typed error",
         DATASETS.len(),
         SHARD_COUNTS.len()
     );
     ExitCode::SUCCESS
 }
 
-/// Spawn `hot-server` at smoke scale with `extra` flags; returns the
-/// process, the address it announced and the seconds that took.
-fn spawn_server(bin: &Path, root: &Path, extra: &[&str]) -> Result<(Child, String, f64), String> {
+/// One cell: a server started with `server_args`, `net_ycsb --check
+/// --shutdown` over workloads A, C, E with `client_args`, and the server
+/// process gone with exit code 0 afterwards.
+fn parity_cell(
+    server_bin: &Path,
+    client_bin: &Path,
+    root: &Path,
+    label: &str,
+    server_args: &[&str],
+    client_args: &[&str],
+) -> Result<(), String> {
+    eprintln!("server-smoke: {label}");
+    let (mut server, addr, startup) = spawn_server(server_bin, root, server_args)?;
+    let client = Command::new(client_bin)
+        .args(["--addr", &addr, "--workloads", "A,C,E", "--check", "--shutdown"])
+        .args(client_args)
+        .current_dir(root)
+        .status();
+    match client {
+        Ok(s) if s.success() => {}
+        Ok(s) => {
+            let _ = server.kill();
+            return Err(format!("net_ycsb failed with {s}"));
+        }
+        Err(e) => {
+            let _ = server.kill();
+            return Err(format!("cannot spawn net_ycsb: {e}"));
+        }
+    }
+    // The client's SHUTDOWN frame must wind the whole server down: every
+    // connection thread joined, exit code 0.
+    match wait_with_deadline(&mut server, SHUTDOWN_DEADLINE) {
+        Some(status) if status.success() => {
+            eprintln!("server-smoke: ok {label} (start-up {startup:.3} s, clean shutdown)");
+            Ok(())
+        }
+        Some(status) => Err(format!("hot-server exited with {status}")),
+        None => {
+            let _ = server.kill();
+            Err(format!(
+                "hot-server still running {}s after SHUTDOWN — wedged",
+                SHUTDOWN_DEADLINE.as_secs()
+            ))
+        }
+    }
+}
+
+/// Spawn `hot-server` with `args`; returns the process, the address it
+/// announced and the seconds that took.
+fn spawn_server(bin: &Path, root: &Path, args: &[&str]) -> Result<(Child, String, f64), String> {
     let start = Instant::now();
     let mut server = Command::new(bin)
-        .args(["--addr", "127.0.0.1:0", "--keys", KEYS, "--ops", OPS, "--seed", SEED])
-        .args(extra)
+        .args(args)
         .stdout(Stdio::piped())
         .current_dir(root)
         .spawn()
@@ -153,7 +156,8 @@ fn spawn_server(bin: &Path, root: &Path, extra: &[&str]) -> Result<(Child, Strin
 /// `[len u32 LE][0x0F ERR][code 5 = overloaded]…` frame (DESIGN.md §18.1),
 /// and SHUTDOWN (`[1, 0, 0, 0, 0x08]`) on the first stops the server.
 fn connection_cap_smoke(bin: &Path, root: &Path) -> Result<(), String> {
-    let (mut server, addr, _) = spawn_server(bin, root, &["--max-conns", "1"])?;
+    let args = [&SMOKE_ADDR[..], &["--keys", KEYS, "--ops", OPS, "--max-conns", "1"][..]].concat();
+    let (mut server, addr, _) = spawn_server(bin, root, &args)?;
     let outcome = (|| {
         let io = |e: std::io::Error| e.to_string();
         let mut admitted = TcpStream::connect(&addr).map_err(io)?;
