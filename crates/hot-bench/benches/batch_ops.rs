@@ -9,8 +9,7 @@
 //! line-fill-buffer budget (~10 on commodity x86);
 //! `hot_core::DEFAULT_DEPTH` sits on that plateau.
 //!
-//! Key count defaults to 200 k; set `HOT_BENCH_KEYS` (e.g. 1000000) to
-//! reproduce the recorded `results/bench_batch_ops*.txt` runs at full size.
+//! Runs at [`KEYS`] keys per data set.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use hot_bench::{BenchData, HotIndex};
@@ -23,15 +22,11 @@ use rand::SeedableRng;
 /// Probe keys resolved per benchmark iteration.
 const CHUNK: usize = 1024;
 
-fn key_count() -> usize {
-    std::env::var("HOT_BENCH_KEYS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200_000)
-}
+/// Keys loaded per data set.
+const KEYS: usize = 200_000;
 
 fn bench_batched_lookups(c: &mut Criterion) {
-    let n = key_count();
+    let n = KEYS;
     for kind in [DatasetKind::Integer, DatasetKind::Email, DatasetKind::Url] {
         let data = BenchData::new(Dataset::generate(kind, n, 7));
         let mut hot = HotIndex::new(std::sync::Arc::clone(&data.arena));

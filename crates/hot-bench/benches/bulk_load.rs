@@ -7,8 +7,7 @@
 //! Sorting happens once in setup — it is the one-off data-preparation step
 //! of a real load pipeline, not part of the build being measured.
 //!
-//! Key counts default to 100 k and 1 M; set `HOT_BENCH_KEYS` (e.g. 200000)
-//! to bench a single size instead. The parallel worker budget is the
+//! Runs at the [`KEY_COUNTS`] sizes. The parallel worker budget is the
 //! host's available parallelism (a single-core container still exercises
 //! the partition/graft machinery, it just cannot show speedup).
 
@@ -18,17 +17,13 @@ use hot_core::HotTrie;
 use hot_ycsb::{Dataset, DatasetKind};
 use std::sync::Arc;
 
-fn key_counts() -> Vec<usize> {
-    match std::env::var("HOT_BENCH_KEYS").ok().and_then(|v| v.parse().ok()) {
-        Some(n) => vec![n],
-        None => vec![100_000, 1_000_000],
-    }
-}
+/// Keys loaded per build.
+const KEY_COUNTS: [usize; 2] = [100_000, 1_000_000];
 
 fn bench_bulk_load(c: &mut Criterion) {
     let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     for kind in [DatasetKind::Integer, DatasetKind::Url] {
-        for n in key_counts() {
+        for n in KEY_COUNTS {
             let data = BenchData::new(Dataset::generate(kind, n, 7));
             let order = data.dataset.sorted_order();
             let sorted: Vec<(&[u8], u64)> = order

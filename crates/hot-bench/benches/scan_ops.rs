@@ -11,8 +11,7 @@
 //! additionally overlaps the seek descents of
 //! [`DEFAULT_DEPTH`](hot_core::DEFAULT_DEPTH) scans.
 //!
-//! Key count defaults to 200 k; set `HOT_BENCH_KEYS` (e.g. 1000000) to
-//! reproduce full-size runs.
+//! Runs at [`KEYS`] keys per data set.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use hot_bench::{BenchData, HotIndex};
@@ -25,15 +24,11 @@ use rand::SeedableRng;
 /// Scans issued per benchmark iteration.
 const CHUNK: usize = 256;
 
-fn key_count() -> usize {
-    std::env::var("HOT_BENCH_KEYS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200_000)
-}
+/// Keys loaded per data set.
+const KEYS: usize = 200_000;
 
 fn bench_scan_paths(c: &mut Criterion) {
-    let n = key_count();
+    let n = KEYS;
     for kind in [DatasetKind::Integer, DatasetKind::Url] {
         let data = BenchData::new(Dataset::generate(kind, n, 7));
         let mut hot = HotIndex::new(std::sync::Arc::clone(&data.arena));

@@ -22,22 +22,17 @@
 //!
 //! With `--metrics` (requires a binary built with `--features metrics`),
 //! every thread count additionally reports a `restart_rate` row — ROWEX
-//! restarts per write from the trie's own health counters — and the full
-//! counter set (lock failures, restarts, obsolete sightings, epoch pins,
-//! deferred-free queue depth) is written to
-//! `results/BENCH_metrics_fig10.json`.
+//! restarts per write from the trie's own health counters.
 //!
 //! ```text
 //! cargo run --release -p hot-bench --bin fig10_scalability -- --keys 1000000 --ops 2000000 --threads 1,2,4,8
 //! ```
 
-use hot_bench::{mops, row, run_transactions_sharded, BenchData, Config};
-#[cfg(feature = "metrics")]
-use hot_core::hot_metrics::RowexCounter;
+use hot_bench::{mops, row, BenchData, Config};
 use hot_core::sync::ConcurrentHot;
-use hot_core::{MlpScheduler, RouterScratch, ShardedHot};
+use hot_core::MlpScheduler;
 use hot_keys::PaddedKey;
-use hot_ycsb::{Dataset, DatasetKind, RequestDistribution, Workload, WorkloadRun};
+use hot_ycsb::{Dataset, DatasetKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -74,9 +69,8 @@ fn main() {
     let mut lookup_base = None;
     let mut batch_base = None;
     let mut bulk_base = None;
-    let mut metrics_rows: Vec<(usize, String)> = Vec::new();
     for &threads in &config.threads {
-        let (insert_mops, lookup_mops, batch_mops, rowex) = run_with_threads(&data, threads, &config);
+        let (insert_mops, lookup_mops, batch_mops, restart_rate) = run_with_threads(&data, threads, &config);
         let ib = *insert_base.get_or_insert(insert_mops);
         let lb = *lookup_base.get_or_insert(lookup_mops);
         let bb = *batch_base.get_or_insert(batch_mops);
@@ -98,14 +92,13 @@ fn main() {
             format!("{batch_mops:.3}"),
             format!("{:.2}", batch_mops / bb),
         ]);
-        if let Some((rate, json)) = rowex {
+        if let Some(rate) = restart_rate {
             row(&[
                 "restart_rate".into(),
                 threads.to_string(),
                 format!("{rate:.4}"),
                 "-".into(),
             ]);
-            metrics_rows.push((threads, json));
         }
         if let Some((keys, tids)) = &sorted {
             let bulk_mops = run_bulk_with_threads(&data, keys, tids, threads);
@@ -117,227 +110,6 @@ fn main() {
                 format!("{:.2}", bulk_mops / base),
             ]);
         }
-    }
-    if !metrics_rows.is_empty() {
-        write_metrics_json(&config, &metrics_rows);
-    }
-    if !config.shards.is_empty() {
-        run_sharded_section(&config);
-    }
-}
-
-/// `--shards a,b,c`: the sharded execution layer (DESIGN.md §17)
-/// against the single-trie batched baseline, on the
-/// integer and url data sets. Per shard count: one routed
-/// `get_batch_with` over the full shuffled key set (classify → per-shard
-/// queues → shard-grouped drain windows) and one YCSB-C pass through the
-/// [`run_transactions_sharded`] driver, with routing balance as max/mean
-/// shard load.
-fn run_sharded_section(config: &Config) {
-    // Unless `--keys` was explicit, floor this section at 4 M keys: the
-    // routed path's win grows with trie depth — classify cost is flat per
-    // key while the per-descent cache-miss saving of the shallower
-    // per-shard tries grows — so small key sets understate it.
-    let n = if config.keys_explicit {
-        config.keys
-    } else {
-        config.keys.max(4_000_000)
-    };
-    let window = 1024usize;
-    println!(
-        "# Sharded router: aggregate lookup + YCSB-C throughput vs the single trie (keys={n}, ops={})",
-        config.ops,
-    );
-    row(&[
-        "op".into(),
-        "dataset".into(),
-        "shards".into(),
-        "mops".into(),
-        "vs_single".into(),
-        "imbalance".into(),
-    ]);
-    let mut json_rows: Vec<String> = Vec::new();
-    for kind in [DatasetKind::Integer, DatasetKind::Url] {
-        let data = BenchData::new(Dataset::generate(kind, n, config.seed));
-        let order = data.dataset.sorted_order();
-        let entries: Vec<(&[u8], u64)> = order
-            .iter()
-            .map(|&i| (data.dataset.keys[i].as_slice(), data.tids[i]))
-            .collect();
-        // Every loaded key probed once, in shuffled order.
-        let mut rng = StdRng::seed_from_u64(config.seed ^ 0x5AAD);
-        let mut probes: Vec<&[u8]> = data.dataset.keys.iter().map(|k| k.as_slice()).collect();
-        for i in (1..probes.len()).rev() {
-            probes.swap(i, rng.gen_range(0..=i));
-        }
-
-        // Single-trie baseline: a 1-shard router — its one shard
-        // IS a plain `ConcurrentHot`, driven with chunked `get_batch_with`
-        // calls, and the same instance serves the YCSB-C baseline (and
-        // its checksum, which every sharded pass must reproduce).
-        let baseline = ShardedHot::new(Arc::clone(&data.arena), 1);
-        baseline
-            .bulk_load(&entries)
-            .expect("sorted distinct entries into an empty trie");
-        let mut sched = MlpScheduler::new();
-        let mut out = vec![None; window];
-        let mut single_mops = 0f64;
-        let mut hits = 0u64;
-        for rep in 0..6 {
-            let t = Instant::now();
-            let mut h = 0u64;
-            for chunk in probes.chunks(window) {
-                baseline
-                    .shard(0)
-                    .get_batch_with(chunk, &mut out[..chunk.len()], &mut sched);
-                h += out[..chunk.len()].iter().flatten().count() as u64;
-            }
-            let m = mops(probes.len(), t.elapsed().as_secs_f64());
-            // First rep warms the page cache and branch history; score
-            // the best of the rest.
-            if rep > 0 {
-                single_mops = single_mops.max(m);
-            }
-            hits = h;
-        }
-        assert_eq!(hits, probes.len() as u64, "every loaded key found");
-        let run = WorkloadRun::new(
-            Workload::C,
-            RequestDistribution::Uniform,
-            n,
-            config.ops,
-            config.seed,
-        );
-        // Routing amortizes over large read batches (the router's own
-        // drain window), not the scalar-driver group size.
-        let ycsb_batch = config.batch.max(window);
-        let (ycsb_single, check_single) =
-            run_transactions_sharded(&baseline, &data, &run, ycsb_batch);
-        let label = kind.label();
-        row(&[
-            "lookup_batch".into(),
-            label.into(),
-            "1".into(),
-            format!("{single_mops:.3}"),
-            "1.00".into(),
-            "-".into(),
-        ]);
-        row(&[
-            "ycsb_c".into(),
-            label.into(),
-            "1".into(),
-            format!("{ycsb_single:.3}"),
-            "1.00".into(),
-            "-".into(),
-        ]);
-        json_rows.push(format!(
-            "{{\"dataset\": \"{label}\", \"structure\": \"single\", \"lookup_batch_mops\": {single_mops:.3}, \"ycsb_c_mops\": {ycsb_single:.3}}}"
-        ));
-
-        for &s in &config.shards {
-            let sharded = ShardedHot::new(Arc::clone(&data.arena), s);
-            sharded
-                .bulk_load(&entries)
-                .expect("sorted distinct entries into empty shards");
-            let mut scratch = RouterScratch::new();
-            let mut routed = vec![None; probes.len()];
-            // Warm-up rep grows the per-shard queues and faults their
-            // pages in; timed reps run on warm scratch. Both sides of the
-            // comparison score the best of five timed passes: scheduler
-            // noise on a shared host is strictly subtractive, so the
-            // per-side maximum estimates the undisturbed rate.
-            sharded.get_batch_with(&probes, &mut routed, &mut scratch);
-            let mut shard_mops = 0f64;
-            for _ in 0..5 {
-                let t = Instant::now();
-                sharded.get_batch_with(&probes, &mut routed, &mut scratch);
-                shard_mops = shard_mops.max(mops(probes.len(), t.elapsed().as_secs_f64()));
-            }
-            assert_eq!(
-                routed.iter().flatten().count() as u64,
-                hits,
-                "routed lookups find every key the single trie found"
-            );
-            let (ycsb_mops, check) = run_transactions_sharded(&sharded, &data, &run, ycsb_batch);
-            assert_eq!(
-                check, check_single,
-                "sharded YCSB-C checksum matches the single trie"
-            );
-            let imbalance = sharded.imbalance();
-            row(&[
-                "lookup_sharded".into(),
-                label.into(),
-                s.to_string(),
-                format!("{shard_mops:.3}"),
-                format!("{:.2}", shard_mops / single_mops),
-                format!("{imbalance:.3}"),
-            ]);
-            row(&[
-                "ycsb_c_sharded".into(),
-                label.into(),
-                s.to_string(),
-                format!("{ycsb_mops:.3}"),
-                format!("{:.2}", ycsb_mops / ycsb_single),
-                format!("{imbalance:.3}"),
-            ]);
-            json_rows.push(format!(
-                "{{\"dataset\": \"{label}\", \"structure\": \"shard{s}\", \"lookup_mops\": {shard_mops:.3}, \"ycsb_c_mops\": {ycsb_mops:.3}, \"imbalance\": {imbalance:.3}}}"
-            ));
-        }
-    }
-    write_shard_json(config, n, &json_rows);
-}
-
-/// Hand-rolled JSON for the sharded-router rows, in the same
-/// `rows: [{dataset, structure, *_mops}]` shape the bench-check gate
-/// parses.
-fn write_shard_json(config: &Config, keys: usize, rows: &[String]) {
-    let mut out = String::new();
-    out.push_str("{\n  \"bench\": \"fig10_sharded_router\",\n");
-    out.push_str(&format!(
-        "  \"keys\": {keys}, \"ops\": {}, \"seed\": {},\n",
-        config.ops, config.seed
-    ));
-    out.push_str("  \"rows\": [\n");
-    for (i, json) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {json}{}\n",
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    if let Err(e) = std::fs::create_dir_all("results")
-        .and_then(|()| std::fs::write("results/BENCH_shard.json", &out))
-    {
-        eprintln!("# could not write results/BENCH_shard.json: {e}");
-    } else {
-        eprintln!("# wrote results/BENCH_shard.json");
-    }
-}
-
-/// Hand-rolled JSON: one ROWEX health-counter object per thread count,
-/// written only under `--metrics` with the `metrics` feature built in.
-fn write_metrics_json(config: &Config, rows: &[(usize, String)]) {
-    let mut out = String::new();
-    out.push_str("{\n  \"bench\": \"fig10_rowex_health\",\n");
-    out.push_str(&format!(
-        "  \"keys\": {}, \"ops\": {}, \"seed\": {},\n",
-        config.keys, config.ops, config.seed
-    ));
-    out.push_str("  \"rows\": [\n");
-    for (i, (_, json)) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {json}{}\n",
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    if let Err(e) = std::fs::create_dir_all("results")
-        .and_then(|()| std::fs::write("results/BENCH_metrics_fig10.json", &out))
-    {
-        eprintln!("# could not write results/BENCH_metrics_fig10.json: {e}");
-    } else {
-        eprintln!("# wrote results/BENCH_metrics_fig10.json");
     }
 }
 
@@ -355,13 +127,14 @@ fn run_bulk_with_threads(data: &BenchData, keys: &[&[u8]], tids: &[u64], threads
     mops(n, elapsed)
 }
 
-/// Insert / lookup / batched-lookup phases at one thread count. The last element is `Some((restart_rate, rowex_json))`
-/// only under `--metrics` with the `metrics` feature compiled in.
+/// Insert / lookup / batched-lookup phases at one thread count. The last
+/// element is the ROWEX restart rate, `Some` only under `--metrics` with
+/// the `metrics` feature compiled in.
 fn run_with_threads(
     data: &BenchData,
     threads: usize,
     config: &Config,
-) -> (f64, f64, f64, Option<(f64, String)>) {
+) -> (f64, f64, f64, Option<f64>) {
     let trie = Arc::new(ConcurrentHot::new(Arc::clone(&data.arena)));
     let keys = Arc::new(data.dataset.keys.clone());
     let tids = Arc::new(data.tids.clone());
@@ -444,24 +217,12 @@ fn run_with_threads(
 
     // ROWEX health counters, read after (never inside) the timed phases.
     #[cfg(feature = "metrics")]
-    let rowex = config.metrics.then(|| {
+    let restart_rate = config.metrics.then(|| {
         let snap = trie.metrics_ops_snapshot();
-        let rate = snap.rowex.restart_rate(snap.write_ops());
-        let json = format!(
-            "{{\"threads\": {}, \"lock_failures\": {}, \"restarts\": {}, \"obsolete_seen\": {}, \"epoch_pins\": {}, \"deferred_queued\": {}, \"deferred_freed\": {}, \"deferred_depth\": {}, \"restart_rate\": {rate:.6}}}",
-            threads,
-            snap.rowex.get(RowexCounter::LockFail),
-            snap.rowex.get(RowexCounter::Restart),
-            snap.rowex.get(RowexCounter::ObsoleteSeen),
-            snap.rowex.get(RowexCounter::EpochPin),
-            snap.rowex.get(RowexCounter::DeferredQueued),
-            snap.rowex.get(RowexCounter::DeferredFreed),
-            snap.rowex.deferred_depth(),
-        );
-        (rate, json)
+        snap.rowex.restart_rate(snap.write_ops())
     });
     #[cfg(not(feature = "metrics"))]
-    let rowex: Option<(f64, String)> = None;
+    let restart_rate = None;
 
-    (insert_mops, lookup_mops, batch_mops, rowex)
+    (insert_mops, lookup_mops, batch_mops, restart_rate)
 }

@@ -9,15 +9,14 @@
 //!
 //! Beyond the paper, a `C_batch` row re-runs workload C through the batched
 //! read path (`BenchIndex::get_batch`, window `--batch N`): HOT's batched
-//! descent engine vs. the baselines' scalar fallback. The
-//! scalar/batched pairs are also written to `results/BENCH_batch.json`.
-//! Checksums of the two paths are asserted equal.
+//! descent engine vs. the baselines' scalar fallback. Checksums of the two
+//! paths are asserted equal.
 //!
 //! With `--bulk`, two extra load-phase rows appear per structure:
 //! `load_bulk` (sorted input through the bottom-up builder, one thread) and
-//! `load_bulk_par` (same builder, worker budget = max of `--threads`). The
-//! incremental/bulk triples land in `results/BENCH_bulk.json`, and every
-//! bulk-built index is spot-checked to resolve the keys it was loaded with.
+//! `load_bulk_par` (same builder, worker budget = max of `--threads`), and
+//! every bulk-built index is spot-checked to resolve the keys it was loaded
+//! with.
 //!
 //! ```text
 //! cargo run --release -p hot-bench --bin fig8_throughput -- --keys 1000000 --ops 2000000
@@ -34,43 +33,14 @@
 //! an extra instrumented pass runs *after* the timed figure on fresh
 //! indexes: per workload phase it reports operation counts and p50/p99/p999
 //! latencies from the in-trie histograms, plus ROWEX health counters
-//! (restarts, lock failures, epoch pins) from a concurrent mixed run, all
-//! written to `results/BENCH_metrics.json`. The figure's own timed numbers
-//! are never taken from instrumented indexes.
+//! (restarts, lock failures, epoch pins) from a concurrent mixed run. The
+//! figure's own timed numbers are never taken from instrumented indexes.
 
 use hot_bench::{
     all_indexes, row, run_load, run_load_bulk, run_transactions, run_transactions_batched,
     run_transactions_fresh_scans, BenchData, Config,
 };
 use hot_ycsb::{Dataset, DatasetKind, RequestDistribution, Workload, WorkloadRun};
-
-/// One scalar/batched workload-C pair for the JSON report.
-struct BatchRecord {
-    dataset: &'static str,
-    structure: &'static str,
-    scalar_mops: f64,
-    batched_mops: f64,
-}
-
-/// One workload-E triple (allocating / cursor-amortized / batched scan
-/// paths) for the `results/BENCH_scan.json` report.
-struct ScanRecord {
-    dataset: &'static str,
-    structure: &'static str,
-    alloc_mops: f64,
-    cursor_mops: f64,
-    batched_mops: f64,
-}
-
-/// One incremental/bulk load-phase triple for the `--bulk` JSON report.
-struct BulkRecord {
-    dataset: &'static str,
-    structure: &'static str,
-    incremental_mops: f64,
-    bulk_seq_mops: f64,
-    bulk_par_mops: f64,
-    bulk_threads: usize,
-}
 
 fn main() {
     let config = Config::from_args();
@@ -87,10 +57,6 @@ fn main() {
         "mops".into(),
     ]);
 
-    let mut records: Vec<BatchRecord> = Vec::new();
-    let mut bulk_records: Vec<BulkRecord> = Vec::new();
-    let mut scan_records: Vec<ScanRecord> = Vec::new();
-
     for kind in DatasetKind::ALL {
         // Reserve insert keys for workload E.
         let e_run = WorkloadRun::new(
@@ -106,12 +72,10 @@ fn main() {
             config.seed,
         ));
 
-        let mut incremental_load: Vec<f64> = Vec::new();
-        let mut e_results: Vec<(f64, u64)> = Vec::new();
+        let mut e_sums: Vec<u64> = Vec::new();
         for mut index in all_indexes(&data.arena) {
             // Insert-only = the load phase itself.
             let load_mops = run_load(index.as_mut(), &data, config.keys);
-            incremental_load.push(load_mops);
             check_index(&config, index.as_ref(), kind.label(), "load");
 
             // Workload C (100% lookup), scalar then batched over the same
@@ -135,7 +99,7 @@ fn main() {
             // cursor scan path (for HOT; baselines run their only path).
             let (e_mops, e_sum) = run_transactions(index.as_mut(), &data, &e_run);
             check_index(&config, index.as_ref(), kind.label(), "workload E");
-            e_results.push((e_mops, e_sum));
+            e_sums.push(e_sum);
 
             row(&[
                 "C".into(),
@@ -161,12 +125,6 @@ fn main() {
                 index.name().into(),
                 format!("{load_mops:.3}"),
             ]);
-            records.push(BatchRecord {
-                dataset: kind.label(),
-                structure: index.name(),
-                scalar_mops: c_mops,
-                batched_mops: cb_mops,
-            });
             // Keep checksums observable so the compiler cannot drop work.
             eprintln!(
                 "# {} {}: checksums C={c_sum:x} E={e_sum:x}",
@@ -190,7 +148,7 @@ fn main() {
                 let (ea_mops, ea_sum) = run_transactions_fresh_scans(a.as_mut(), &data, &e_run);
                 let (eb_mops, eb_sum) =
                     run_transactions_batched(b.as_mut(), &data, &e_run, config.batch);
-                let (e_mops, e_sum) = e_results[i];
+                let e_sum = e_sums[i];
                 assert_eq!(
                     e_sum, ea_sum,
                     "amortized scans must return the same entries as the allocating path"
@@ -211,13 +169,6 @@ fn main() {
                     a.name().into(),
                     format!("{eb_mops:.3}"),
                 ]);
-                scan_records.push(ScanRecord {
-                    dataset: kind.label(),
-                    structure: a.name(),
-                    alloc_mops: ea_mops,
-                    cursor_mops: e_mops,
-                    batched_mops: eb_mops,
-                });
             }
         }
 
@@ -229,7 +180,7 @@ fn main() {
             let par_threads = config.threads.iter().copied().max().unwrap_or(1);
             let seq = all_indexes(&data.arena);
             let par = all_indexes(&data.arena);
-            for (i, (mut s, mut p)) in seq.into_iter().zip(par).enumerate() {
+            for (mut s, mut p) in seq.into_iter().zip(par) {
                 let seq_mops = run_load_bulk(s.as_mut(), &data, config.keys, 1);
                 check_index(&config, s.as_ref(), kind.label(), "bulk load");
                 let par_mops = run_load_bulk(p.as_mut(), &data, config.keys, par_threads);
@@ -247,23 +198,10 @@ fn main() {
                     s.name().into(),
                     format!("{par_mops:.3}"),
                 ]);
-                bulk_records.push(BulkRecord {
-                    dataset: kind.label(),
-                    structure: s.name(),
-                    incremental_mops: incremental_load[i],
-                    bulk_seq_mops: seq_mops,
-                    bulk_par_mops: par_mops,
-                    bulk_threads: par_threads,
-                });
             }
         }
     }
 
-    write_batch_json(&config, &records);
-    write_scan_json(&config, &scan_records);
-    if config.bulk {
-        write_bulk_json(&config, &bulk_records);
-    }
     #[cfg(feature = "metrics")]
     if config.metrics {
         metrics_pass::run(&config);
@@ -303,108 +241,6 @@ fn check_index(config: &Config, index: &dyn hot_bench::BenchIndex, dataset: &str
     }
 }
 
-/// Hand-rolled JSON (no serde in the workspace): scalar vs. batched
-/// workload-C throughput per (dataset, structure).
-fn write_batch_json(config: &Config, records: &[BatchRecord]) {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"fig8_workload_C_batched\",\n");
-    out.push_str(&format!(
-        "  \"keys\": {}, \"ops\": {}, \"seed\": {}, \"batch\": {},\n",
-        config.keys, config.ops, config.seed, config.batch
-    ));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"dataset\": \"{}\", \"structure\": \"{}\", \"scalar_mops\": {:.3}, \"batched_mops\": {:.3}}}{}\n",
-            r.dataset,
-            r.structure,
-            r.scalar_mops,
-            r.batched_mops,
-            if i + 1 < records.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    if let Err(e) = std::fs::create_dir_all("results")
-        .and_then(|()| std::fs::write("results/BENCH_batch.json", &out))
-    {
-        // Results are advisory; a read-only checkout should not fail the run.
-        eprintln!("# could not write results/BENCH_batch.json: {e}");
-    } else {
-        eprintln!("# wrote results/BENCH_batch.json");
-    }
-}
-
-/// Hand-rolled JSON: workload-E throughput through the allocating,
-/// cursor-amortized and batched scan paths per (dataset, structure), plus
-/// the amortized- and batched-over-allocating speedups.
-fn write_scan_json(config: &Config, records: &[ScanRecord]) {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"fig8_workload_E_scan_paths\",\n");
-    out.push_str(&format!(
-        "  \"keys\": {}, \"ops\": {}, \"seed\": {}, \"batch\": {},\n",
-        config.keys, config.ops, config.seed, config.batch
-    ));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        let cursor_speedup = if r.alloc_mops > 0.0 { r.cursor_mops / r.alloc_mops } else { 0.0 };
-        let batched_speedup = if r.alloc_mops > 0.0 { r.batched_mops / r.alloc_mops } else { 0.0 };
-        out.push_str(&format!(
-            "    {{\"dataset\": \"{}\", \"structure\": \"{}\", \"alloc_mops\": {:.3}, \"cursor_mops\": {:.3}, \"batched_mops\": {:.3}, \"cursor_speedup\": {:.2}, \"batched_speedup\": {:.2}}}{}\n",
-            r.dataset,
-            r.structure,
-            r.alloc_mops,
-            r.cursor_mops,
-            r.batched_mops,
-            cursor_speedup,
-            batched_speedup,
-            if i + 1 < records.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    if let Err(e) = std::fs::create_dir_all("results")
-        .and_then(|()| std::fs::write("results/BENCH_scan.json", &out))
-    {
-        eprintln!("# could not write results/BENCH_scan.json: {e}");
-    } else {
-        eprintln!("# wrote results/BENCH_scan.json");
-    }
-}
-
-/// Hand-rolled JSON: incremental vs. sequential-bulk vs. parallel-bulk load
-/// throughput per (dataset, structure), written only under `--bulk`.
-fn write_bulk_json(config: &Config, records: &[BulkRecord]) {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"fig8_bulk_load\",\n");
-    out.push_str(&format!(
-        "  \"keys\": {}, \"seed\": {},\n",
-        config.keys, config.seed
-    ));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"dataset\": \"{}\", \"structure\": \"{}\", \"incremental_mops\": {:.3}, \"bulk_seq_mops\": {:.3}, \"bulk_par_mops\": {:.3}, \"bulk_threads\": {}}}{}\n",
-            r.dataset,
-            r.structure,
-            r.incremental_mops,
-            r.bulk_seq_mops,
-            r.bulk_par_mops,
-            r.bulk_threads,
-            if i + 1 < records.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    if let Err(e) = std::fs::create_dir_all("results")
-        .and_then(|()| std::fs::write("results/BENCH_bulk.json", &out))
-    {
-        eprintln!("# could not write results/BENCH_bulk.json: {e}");
-    } else {
-        eprintln!("# wrote results/BENCH_bulk.json");
-    }
-}
-
 /// `--metrics` instrumented pass (only with the `metrics` cargo feature).
 ///
 /// Runs on fresh indexes after the timed figure so the figure's throughput
@@ -412,23 +248,17 @@ fn write_bulk_json(config: &Config, records: &[BulkRecord]) {
 ///
 /// * a single-threaded `HotIndex` goes through load / workload C /
 ///   batched C / workload E with a [`PhaseRecorder`] diffing the trie's
-///   cumulative histograms at each phase boundary — per-phase per-op
-///   count, mean and p50/p99/p999 latency;
+///   cumulative histograms at each phase boundary — one `metrics` row of
+///   per-op count and p50/p99/p999 latency per phase and op;
 /// * a `ConcurrentHot` with the largest `--threads` budget runs a striped
 ///   load plus a 90/10 read/upsert mix, and its ROWEX health counters
-///   (lock failures, restarts, obsolete sightings, epoch pins, deferred
-///   frees) and restart rate are reported;
-/// * the single-threaded trie's structural gauges (layout census, height,
-///   fill) are sampled once at the end.
-///
-/// Everything lands in `results/BENCH_metrics.json`; the headline
-/// percentiles are also printed as `metrics` rows.
+///   (lock failures, restarts, epoch pins) and restart rate are printed.
 #[cfg(feature = "metrics")]
 mod metrics_pass {
     use hot_bench::{
         row, run_load, run_transactions, run_transactions_batched, BenchData, Config, HotIndex,
     };
-    use hot_core::hot_metrics::{OpKind, RowexCounter, StructuralSnapshot};
+    use hot_core::hot_metrics::{OpKind, RowexCounter};
     use hot_core::sync::ConcurrentHot;
     use hot_keys::PaddedKey;
     use hot_ycsb::phase::PhaseRecorder;
@@ -450,15 +280,7 @@ mod metrics_pass {
             "p999_ns".into(),
         ]);
 
-        let mut out = String::new();
-        out.push_str("{\n  \"bench\": \"fig8_metrics\",\n");
-        out.push_str(&format!(
-            "  \"keys\": {}, \"ops\": {}, \"seed\": {}, \"batch\": {},\n",
-            config.keys, config.ops, config.seed, config.batch
-        ));
-        out.push_str("  \"datasets\": {\n");
-
-        for (di, &kind) in DatasetKind::ALL.iter().enumerate() {
+        for kind in DatasetKind::ALL {
             let e_run = WorkloadRun::new(
                 Workload::E,
                 RequestDistribution::Uniform,
@@ -472,33 +294,13 @@ mod metrics_pass {
                 config.seed,
             ));
 
-            let (rec, structure) = single_thread_phases(config, &data, &e_run);
-            let (rowex_json, restart_rate) = concurrent_pass(config, &data);
-
-            out.push_str(&format!("    \"{}\": {{\n", kind.label()));
-            out.push_str("      \"phases\": [\n");
-            let mut first = true;
+            let rec = single_thread_phases(config, &data, &e_run);
             for p in rec.phases() {
                 for op in OpKind::ALL {
                     let s = p.delta.op(op);
                     if s.count == 0 {
                         continue;
                     }
-                    if !first {
-                        out.push_str(",\n");
-                    }
-                    first = false;
-                    out.push_str(&format!(
-                        "        {{\"phase\": \"{}\", \"op\": \"{}\", \"count\": {}, \"items\": {}, \"mean_ns\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}}}",
-                        p.name,
-                        op.label(),
-                        s.count,
-                        s.items,
-                        s.mean_ns(),
-                        s.p50_ns(),
-                        s.p99_ns(),
-                        s.p999_ns()
-                    ));
                     row(&[
                         "metrics".into(),
                         kind.label().into(),
@@ -511,37 +313,17 @@ mod metrics_pass {
                     ]);
                 }
             }
-            out.push_str("\n      ],\n");
-            out.push_str(&format!("      \"rowex\": {rowex_json},\n"));
-            out.push_str(&format!("      \"structure\": {}\n", structure_json(&structure)));
-            out.push_str(&format!(
-                "    }}{}\n",
-                if di + 1 < DatasetKind::ALL.len() { "," } else { "" }
-            ));
-            eprintln!(
-                "# metrics {}: concurrent restart_rate={restart_rate:.4}",
-                kind.label()
-            );
-        }
-
-        out.push_str("  }\n}\n");
-        if let Err(e) = std::fs::create_dir_all("results")
-            .and_then(|()| std::fs::write("results/BENCH_metrics.json", &out))
-        {
-            eprintln!("# could not write results/BENCH_metrics.json: {e}");
-        } else {
-            eprintln!("# wrote results/BENCH_metrics.json");
+            concurrent_pass(config, &data, kind.label());
         }
     }
 
     /// Load / C / batched-C / E on a fresh single-threaded `HotIndex`,
-    /// diffed into per-phase deltas; returns the recorder and the final
-    /// structural gauges.
+    /// diffed into per-phase deltas.
     fn single_thread_phases(
         config: &Config,
         data: &BenchData,
         e_run: &WorkloadRun,
-    ) -> (PhaseRecorder, Option<StructuralSnapshot>) {
+    ) -> PhaseRecorder {
         let mut index = HotIndex::new(Arc::clone(&data.arena));
         let mut rec = PhaseRecorder::new();
 
@@ -567,15 +349,12 @@ mod metrics_pass {
         rec.begin(index.trie().metrics_ops_snapshot());
         run_transactions(&mut index, data, e_run);
         rec.finish("run:E", index.trie().metrics_ops_snapshot());
-
-        let structure = index.trie().metrics_snapshot().structure;
-        (rec, structure)
+        rec
     }
 
     /// Striped concurrent load plus a 90/10 read/upsert mix on the widest
-    /// `--threads` budget; returns the ROWEX counter object as JSON and
-    /// the restart rate.
-    fn concurrent_pass(config: &Config, data: &BenchData) -> (String, f64) {
+    /// `--threads` budget; prints the ROWEX health counters.
+    fn concurrent_pass(config: &Config, data: &BenchData, label: &str) {
         let threads = config.threads.iter().copied().max().unwrap_or(1);
         let trie = Arc::new(ConcurrentHot::new(Arc::clone(&data.arena)));
         let n = config.keys;
@@ -618,36 +397,12 @@ mod metrics_pass {
         });
 
         let snap = trie.metrics_ops_snapshot();
-        let rate = snap.rowex.restart_rate(snap.write_ops());
-        let json = format!(
-            "{{\"threads\": {}, \"lock_failures\": {}, \"restarts\": {}, \"obsolete_seen\": {}, \"epoch_pins\": {}, \"deferred_queued\": {}, \"deferred_freed\": {}, \"deferred_depth\": {}, \"restart_rate\": {:.6}}}",
-            threads,
+        println!(
+            "# metrics {label}: concurrent threads={threads} lock_failures={} restarts={} epoch_pins={} restart_rate={:.4}",
             snap.rowex.get(RowexCounter::LockFail),
             snap.rowex.get(RowexCounter::Restart),
-            snap.rowex.get(RowexCounter::ObsoleteSeen),
             snap.rowex.get(RowexCounter::EpochPin),
-            snap.rowex.get(RowexCounter::DeferredQueued),
-            snap.rowex.get(RowexCounter::DeferredFreed),
-            snap.rowex.deferred_depth(),
-            rate
+            snap.rowex.restart_rate(snap.write_ops()),
         );
-        (json, rate)
-    }
-
-    /// Structural gauges as a JSON object (`null` if the walk was skipped).
-    fn structure_json(structure: &Option<StructuralSnapshot>) -> String {
-        let Some(s) = structure else {
-            return "null".into();
-        };
-        let census: Vec<String> = s.layout_census.iter().map(|n| n.to_string()).collect();
-        format!(
-            "{{\"nodes\": {}, \"leaves\": {}, \"entries\": {}, \"height\": {}, \"avg_fill\": {:.2}, \"layout_census\": [{}]}}",
-            s.nodes,
-            s.leaves,
-            s.entries,
-            s.height,
-            s.avg_fill(),
-            census.join(", ")
-        )
     }
 }

@@ -22,7 +22,7 @@
 //!   capacity; for heap structures no arena-level accounting exists, so
 //!   reservation tracks live bytes and the two metrics coincide. The
 //!   footprint is the honest answer to "what does this index cost my
-//!   process" and is the number the `--arena` comparison gates on.
+//!   process".
 //!
 //! `with_keys_B_key` adds the storage a lookup actually needs: heap
 //! structures store 8-byte TIDs and resolve keys through the shared
@@ -36,11 +36,12 @@
 //! bottom-up builder packs nodes at least as densely as incremental COW
 //! growth).
 //!
-//! With `--arena` a `HOT-arena` row ([`CompactHotIndex`]) joins each data
-//! set, its get/scan checksums are asserted identical to the heap HOT row
-//! before its numbers are reported, and the arena-vs-heap comparison is
-//! written to `results/BENCH_arena.json` for the `cargo xtask bench-check`
-//! gate (fields ending `_bpk` are gated lower-is-better).
+//! Every data set also gets a `HOT-arena` row ([`CompactHotIndex`]): its
+//! get/scan checksums are asserted identical to the heap HOT row before its
+//! numbers are reported, and a comment line compares its self-contained
+//! bytes/key with heap HOT plus the tuple store. `tests/paper_claims.rs`
+//! (`compact_backend_footprint_stays_self_contained`) asserts that claim at
+//! test scale.
 //!
 //! [`BenchIndex::bulk_load`]: hot_bench::BenchIndex::bulk_load
 //! [`ArenaKeySource`]: hot_keys::ArenaKeySource
@@ -50,14 +51,6 @@ use hot_bench::{
     all_indexes, row, run_load, run_load_bulk, BenchData, BenchIndex, CompactHotIndex, Config,
 };
 use hot_ycsb::{Dataset, DatasetKind};
-
-/// One `BENCH_arena.json` row: the self-contained bytes/key of the two HOT
-/// backends on one data set.
-struct ArenaRecord {
-    dataset: &'static str,
-    arena_bpk: f64,
-    heap_bpk: f64,
-}
 
 /// Sum of found TIDs over every key plus scan entry counts from a strided
 /// sample — a black-box the two backends must agree on exactly before
@@ -94,9 +87,7 @@ fn main() {
         if config.bulk { "bulk" } else { "insert-loop" }
     );
     println!("# paper_shape: HOT smallest everywhere (11-15 B/key); BT constant across data sets (~88% above HOT); Masstree worst on url (+230% vs its integer footprint); ART +51%");
-    if config.arena {
-        println!("# arena_shape: HOT-arena self-contained (keys inline) at <= 60% of heap HOT + tuple store on url");
-    }
+    println!("# arena_shape: HOT-arena self-contained (keys inline) at <= 60% of heap HOT + tuple store on url");
     row(&[
         "dataset".into(),
         "structure".into(),
@@ -109,7 +100,6 @@ fn main() {
     ]);
 
     let mb = |bytes: usize| bytes as f64 / 1e6;
-    let mut records: Vec<ArenaRecord> = Vec::new();
     for kind in DatasetKind::ALL {
         let data = BenchData::new(Dataset::generate(kind, config.keys, config.seed));
         let raw_keys = data.dataset.raw_key_bytes();
@@ -128,9 +118,7 @@ fn main() {
                 // all_indexes puts HOT first: the heap side of the arena
                 // comparison.
                 heap_hot_with_keys = with_keys as f64 / config.keys as f64;
-                if config.arena {
-                    heap_hot_checksum = op_checksum(index.as_ref(), &data, config.keys);
-                }
+                heap_hot_checksum = op_checksum(index.as_ref(), &data, config.keys);
             }
             row(&[
                 kind.label().into(),
@@ -143,91 +131,45 @@ fn main() {
                 format!("{:.1}", mb(raw_keys)),
             ]);
         }
-        if config.arena {
-            let mut index = CompactHotIndex::new();
-            load(&mut index, &data, &config);
-            let checksum = op_checksum(&index, &data, config.keys);
-            assert_eq!(
-                checksum,
-                heap_hot_checksum,
-                "{}: arena backend get/scan checksum diverges from heap HOT",
-                kind.label()
-            );
-            let stats = index.memory();
-            // Keys live front-coded inside the slabs: nothing external to
-            // add.
-            let arena_bpk = stats.footprint_per_key();
-            row(&[
-                kind.label().into(),
-                index.name().into(),
-                format!("{:.1}", mb(stats.footprint_bytes())),
-                format!("{:.2}", arena_bpk),
-                format!("{:.2}", stats.bytes_per_key()),
-                format!("{:.2}", arena_bpk),
-                format!("{:.1}", mb(tid_floor)),
-                format!("{:.1}", mb(raw_keys)),
-            ]);
-            let arena = index.trie().arena_stats();
-            println!(
-                "# {}: arena split: node {:.2} B/key (live {:.2}), leaf {:.2} B/key (tail {:.2}, dead {:.2})",
-                kind.label(),
-                arena.node_capacity_bytes as f64 / config.keys as f64,
-                arena.node_live_bytes as f64 / config.keys as f64,
-                arena.leaf_capacity_bytes as f64 / config.keys as f64,
-                arena.leaf_tail_bytes as f64 / config.keys as f64,
-                arena.leaf_dead_bytes as f64 / config.keys as f64,
-            );
-            println!(
-                "# {}: arena {:.2} B/key vs heap {:.2} B/key with keys = {:.0}% (checksums agree)",
-                kind.label(),
-                arena_bpk,
-                heap_hot_with_keys,
-                100.0 * arena_bpk / heap_hot_with_keys
-            );
-            records.push(ArenaRecord {
-                dataset: kind.label(),
-                arena_bpk,
-                heap_bpk: heap_hot_with_keys,
-            });
-        }
-    }
-    if config.arena {
-        write_arena_json(&config, &records);
-    }
-}
-
-/// Hand-rolled JSON: self-contained bytes/key of the arena backend vs the
-/// heap backend (HOT footprint + tuple-store reservation) per data set.
-/// The `*_bpk` fields are gated lower-is-better by `cargo xtask
-/// bench-check`.
-fn write_arena_json(config: &Config, records: &[ArenaRecord]) {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"fig9_arena_footprint\",\n");
-    out.push_str(&format!(
-        "  \"keys\": {}, \"seed\": {}, \"load\": \"{}\",\n",
-        config.keys,
-        config.seed,
-        if config.bulk { "bulk" } else { "insert-loop" }
-    ));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"dataset\": \"{}\", \"structure\": \"HOT-arena\", \"arena_bpk\": {:.3}, \"heap_bpk\": {:.3}, \"ratio_pct\": {:.1}}}{}\n",
-            r.dataset,
-            r.arena_bpk,
-            r.heap_bpk,
-            100.0 * r.arena_bpk / r.heap_bpk,
-            if i + 1 < records.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    if let Err(e) = std::fs::create_dir_all("results")
-        .and_then(|()| std::fs::write("results/BENCH_arena.json", &out))
-    {
-        // Results are advisory; a read-only checkout should not fail the run.
-        eprintln!("# could not write results/BENCH_arena.json: {e}");
-    } else {
-        eprintln!("# wrote results/BENCH_arena.json");
+        let mut index = CompactHotIndex::new();
+        load(&mut index, &data, &config);
+        let checksum = op_checksum(&index, &data, config.keys);
+        assert_eq!(
+            checksum,
+            heap_hot_checksum,
+            "{}: arena backend get/scan checksum diverges from heap HOT",
+            kind.label()
+        );
+        let stats = index.memory();
+        // Keys live front-coded inside the slabs: nothing external to
+        // add.
+        let arena_bpk = stats.footprint_per_key();
+        row(&[
+            kind.label().into(),
+            index.name().into(),
+            format!("{:.1}", mb(stats.footprint_bytes())),
+            format!("{:.2}", arena_bpk),
+            format!("{:.2}", stats.bytes_per_key()),
+            format!("{:.2}", arena_bpk),
+            format!("{:.1}", mb(tid_floor)),
+            format!("{:.1}", mb(raw_keys)),
+        ]);
+        let arena = index.trie().arena_stats();
+        println!(
+            "# {}: arena split: node {:.2} B/key (live {:.2}), leaf {:.2} B/key (tail {:.2}, dead {:.2})",
+            kind.label(),
+            arena.node_capacity_bytes as f64 / config.keys as f64,
+            arena.node_live_bytes as f64 / config.keys as f64,
+            arena.leaf_capacity_bytes as f64 / config.keys as f64,
+            arena.leaf_tail_bytes as f64 / config.keys as f64,
+            arena.leaf_dead_bytes as f64 / config.keys as f64,
+        );
+        println!(
+            "# {}: arena {:.2} B/key vs heap {:.2} B/key with keys = {:.0}% (checksums agree)",
+            kind.label(),
+            arena_bpk,
+            heap_hot_with_keys,
+            100.0 * arena_bpk / heap_hot_with_keys
+        );
     }
 }

@@ -1174,7 +1174,8 @@ mod tests {
     #[test]
     fn concurrent_node_arena_exhaustion_is_typed_and_rolls_back_its_own_blocks() {
         use crate::sync::{quiesce, ConcurrentCompact};
-        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Barrier;
 
         /// Key `i` of writer `t`. No two keys a writer appends in a row,
         /// and no two keys of different writers, share a first byte: every
@@ -1183,22 +1184,56 @@ mod tests {
         fn key_of(t: u64, i: u64) -> Vec<u8> {
             format!("{}{i:08}", char::from(b'a' + (2 * t + i % 2) as u8)).into_bytes()
         }
-        /// What writers 0 and 1 insert before they wait for writer 2: far
-        /// below the ceiling, so that writer 2 cannot be the one to meet it.
-        const HEAD: u64 = 5_000;
-        const THIRD: u64 = 2_000;
+        /// One writer's arrival at the phase boundary, counted when
+        /// dropped: on every exit path, a failed assert included, so no
+        /// writer waits there forever.
+        struct Arrival<'a>(&'a AtomicUsize);
+        impl Drop for Arrival<'_> {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::Release);
+            }
+        }
+
+        // The ceiling in inserts when nothing is reclaimed: the three
+        // writers' keys in turn, under a pin that keeps every retired
+        // block in limbo. However the writers below are scheduled, the
+        // garbage of their first phase cannot outgrow that.
+        let ceiling = {
+            let sizing = ConcurrentCompact::with_capacity(SLAB_BYTES, DEFAULT_LEAF_CAP);
+            let pin = crossbeam_epoch::pin();
+            let mut n = 0u64;
+            while sizing.try_insert(&key_of(n % 3, n / 3), n / 3).is_ok() {
+                n += 1;
+            }
+            drop(pin);
+            n
+        };
+        // First phase: writers 0 and 1 insert `head` keys each and writer
+        // 2 all of its `third`, together half the ceiling, so nobody can
+        // meet it. Second phase: writers 0 and 1 fill the arena.
+        let (head, third) = (ceiling / 5, ceiling / 10);
 
         let index = ConcurrentCompact::with_capacity(SLAB_BYTES, DEFAULT_LEAF_CAP);
-        let third_done = AtomicBool::new(false);
+        // Writer 2's first two keys make the root a node before anyone
+        // races: a writer that loses the CAS on a leaf root appends its
+        // key again right behind the dead record, front-coded against it.
+        for i in 0..2 {
+            assert_eq!(index.try_insert(&key_of(2, i), i), Ok(None));
+        }
+        let arrived = AtomicUsize::new(0);
+        let start = Barrier::new(3);
         let inserted: Vec<u64> = std::thread::scope(|scope| {
             let filling: Vec<_> = (0..2u64)
                 .map(|t| {
-                    let (index, third_done) = (&index, &third_done);
+                    let (index, arrived, start) = (&index, &arrived, &start);
                     scope.spawn(move || {
+                        let mut arrival = Some(Arrival(arrived));
+                        start.wait();
                         let mut i = 0u64;
                         loop {
-                            if i == HEAD {
-                                while !third_done.load(Ordering::Acquire) {
+                            if i == head {
+                                drop(arrival.take());
+                                while arrived.load(Ordering::Acquire) < 3 {
                                     std::thread::yield_now();
                                 }
                             }
@@ -1214,15 +1249,19 @@ mod tests {
                     })
                 })
                 .collect();
-            for i in 0..THIRD {
+            let arrival = Arrival(&arrived);
+            start.wait();
+            for i in 2..third {
                 assert_eq!(index.try_insert(&key_of(2, i), i), Ok(None), "the third writer is far from the ceiling");
             }
-            third_done.store(true, Ordering::Release);
+            drop(arrival);
             let mut inserted: Vec<u64> = filling.into_iter().map(|w| w.join().expect("writer panicked")).collect();
-            inserted.push(THIRD);
+            inserted.push(third);
             inserted
         });
-        assert!(inserted[0] > HEAD && inserted[1] > HEAD, "both writers met the ceiling: {inserted:?}");
+        // A filling writer stops at its first failed insert: one that got
+        // past `head` met the ceiling in the second phase, beside the other.
+        assert!(inserted[0] >= head && inserted[1] >= head, "both writers met the ceiling in the second phase: {inserted:?}");
 
         // Every failure rolled back completely: the index holds exactly the
         // successful inserts, readable and well-formed…

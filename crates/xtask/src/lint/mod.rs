@@ -152,8 +152,8 @@ pub fn lint(json: bool) -> ExitCode {
             if json {
                 println!(
                     "{{\"findings\": [{{\"file\": \"{}\", \"line\": 0, \"pass\": \"driver\", \"message\": \"{}\"}}], \"count\": 1}}",
-                    crate::json::escape("lint"),
-                    crate::json::escape(&e)
+                    escape("lint"),
+                    escape(&e)
                 );
             } else {
                 eprintln!("lint: {e}");
@@ -169,10 +169,10 @@ pub fn lint(json: bool) -> ExitCode {
             }
             out.push_str(&format!(
                 "{{\"file\": \"{}\", \"line\": {}, \"pass\": \"{}\", \"message\": \"{}\"}}",
-                crate::json::escape(&d.file),
+                escape(&d.file),
                 d.line,
                 d.pass,
-                crate::json::escape(&d.msg)
+                escape(&d.msg)
             ));
         }
         out.push_str(&format!("], \"count\": {}}}", diags.len()));
@@ -190,6 +190,22 @@ pub fn lint(json: bool) -> ExitCode {
         eprintln!("\nlint: {} finding(s). See DESIGN.md §15 for the protocol rules, the manifest formats and the annotation grammar.", diags.len());
         ExitCode::FAILURE
     }
+}
+
+/// Escape a string for embedding in the `--json` report.
+fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 #[cfg(test)]

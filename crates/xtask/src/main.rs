@@ -2,16 +2,15 @@
 //! lives in `.cargo/config.toml`). Everything here is dependency-free on
 //! purpose — the build environment has no crates.io access, so the
 //! commands are built from a shared hand-rolled Rust lexer
-//! ([`lexer`]), a mini JSON reader ([`json`]) and a mini TOML reader
-//! ([`toml`]) instead of syn/serde.
+//! ([`lexer`]) and a mini TOML reader ([`toml`]) instead of syn/serde.
+//! Performance is not gated here: `bench/` (`BENCHMARK.json`) is the one
+//! performance gate (DESIGN.md §13.5).
 //!
 //! * [`lint`] (`cargo xtask lint [--json]`) — the four-pass workspace
 //!   static-analysis suite: atomics-protocol conformance, hot-path
 //!   allocation freedom, epoch-pin discipline, per-crate unsafe budgets.
 //! * [`audit`] (`cargo xtask audit-unsafe [--json]`) — every `unsafe`
 //!   site must carry a written justification.
-//! * [`bench_check`] (`cargo xtask bench-check [--update]`) — the CI
-//!   perf-regression gate over the fig8 smoke's BENCH_*.json reports.
 //! * [`no_metrics`] (`cargo xtask verify-no-metrics`) — structural proof
 //!   that the `metrics` feature is zero-cost when disabled.
 //! * [`server_smoke`] (`cargo xtask server-smoke`) — end-to-end network
@@ -19,8 +18,6 @@
 //!   checksum verification and clean-shutdown assertions.
 
 mod audit;
-mod bench_check;
-mod json;
 mod lexer;
 mod lint;
 mod no_metrics;
@@ -35,7 +32,6 @@ fn usage() -> ExitCode {
         "usage: cargo xtask <command>\n\navailable commands:\n  \
          lint [--json]           run the workspace lint suite (atomics / hot-path / epoch / unsafe-budget)\n  \
          audit-unsafe [--json]   check every unsafe site for a SAFETY justification\n  \
-         bench-check [--update]  run the fig8 smoke bench and gate on results/baselines/\n  \
          verify-no-metrics       assert the default build links no hot_metrics code\n  \
          server-smoke            spawn hot-server per dataset/shard count and verify network YCSB checksums"
     );
@@ -47,7 +43,6 @@ fn main() -> ExitCode {
     match args.next().as_deref() {
         Some("lint") => lint::lint(args.next().as_deref() == Some("--json")),
         Some("audit-unsafe") => audit::audit_unsafe(args.next().as_deref() == Some("--json")),
-        Some("bench-check") => bench_check::bench_check(args.next().as_deref() == Some("--update")),
         Some("verify-no-metrics") => no_metrics::verify_no_metrics(),
         Some("server-smoke") => server_smoke::server_smoke(),
         Some(other) => {
