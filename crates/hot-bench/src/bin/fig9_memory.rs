@@ -19,10 +19,12 @@
 //! * `footprint_B_key` — allocator-level bytes per key: what the index's
 //!   allocator actually reserved from the OS, growth slack and free-list
 //!   blocks included. For the compact arena backend this is committed slab
-//!   capacity; for heap structures no arena-level accounting exists, so
-//!   reservation tracks live bytes and the two metrics coincide. The
-//!   footprint is the honest answer to "what does this index cost my
-//!   process".
+//!   capacity; for heap HOT after a bulk load of 2¹⁹ keys or more it is the
+//!   store's 2 MiB node chunks, unused tail of the last one included
+//!   (DESIGN.md §3.7); for the other heap structures no arena-level
+//!   accounting exists, so reservation tracks live bytes and the two
+//!   metrics coincide. The footprint is the honest answer to "what does
+//!   this index cost my process".
 //!
 //! `with_keys_B_key` adds the storage a lookup actually needs: heap
 //! structures store 8-byte TIDs and resolve keys through the shared
@@ -32,9 +34,9 @@
 //!
 //! With `--bulk` the indexes are built through [`BenchIndex::bulk_load`]
 //! over pre-sorted keys instead of the insert loop, so the figure reports
-//! the footprint of bulk-built structures (never larger for HOT: the
+//! the footprint of bulk-built structures (never larger live for HOT: the
 //! bottom-up builder packs nodes at least as densely as incremental COW
-//! growth).
+//! growth; its footprint adds the last node chunk's tail).
 //!
 //! Every data set also gets a `HOT-arena` row ([`CompactHotIndex`]): its
 //! get/scan checksums are asserted identical to the heap HOT row before its

@@ -94,6 +94,44 @@ pub fn prefetch_read(ptr: *const u8) {
     }
 }
 
+/// Size and alignment of an x86-64 transparent huge page.
+pub const HUGE_PAGE_BYTES: usize = 2 << 20;
+
+/// Ask the kernel to back the whole [`HUGE_PAGE_BYTES`]-aligned pages inside
+/// `ptr .. ptr + len` with transparent huge pages (`madvise(MADV_HUGEPAGE)`),
+/// so that one TLB entry covers 2 MiB of them instead of 4 KiB.
+///
+/// Advice only: the contents of the range never change, and pages already
+/// touched stay as they are until the kernel collapses them. Returns what
+/// the kernel reports, except `EINVAL`, its answer when it was built without
+/// transparent huge pages. A no-op off Linux, under Miri, and when the range
+/// holds no whole aligned page.
+pub fn advise_huge_pages(ptr: *const u8, len: usize) -> std::io::Result<()> {
+    let start = ptr.addr().next_multiple_of(HUGE_PAGE_BYTES);
+    let end = ptr.addr().saturating_add(len) & !(HUGE_PAGE_BYTES - 1);
+    if start >= end {
+        return Ok(());
+    }
+    #[cfg(all(target_os = "linux", not(miri)))]
+    {
+        const MADV_HUGEPAGE: i32 = 14;
+        const EINVAL: i32 = 22;
+        extern "C" {
+            fn madvise(addr: *mut std::ffi::c_void, len: usize, advice: i32) -> i32;
+        }
+        let aligned = ptr.wrapping_add(start - ptr.addr());
+        // SAFETY: `MADV_HUGEPAGE` only sets a flag on the mappings covering
+        // the range; it neither moves, frees nor rewrites a byte of it.
+        if unsafe { madvise(aligned as *mut std::ffi::c_void, end - start, MADV_HUGEPAGE) } != 0 {
+            let err = std::io::Error::last_os_error();
+            if err.raw_os_error() != Some(EINVAL) {
+                return Err(err);
+            }
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod prefetch_tests {
     use super::{prefetch_node, prefetch_read};
@@ -115,5 +153,28 @@ mod prefetch_tests {
     #[test]
     fn prefetch_zero_lines_is_noop() {
         prefetch_node([1u8].as_ptr(), 0);
+    }
+}
+
+#[cfg(test)]
+mod huge_page_tests {
+    use super::{advise_huge_pages, HUGE_PAGE_BYTES};
+
+    #[test]
+    fn advice_leaves_the_contents_alone() {
+        let mut buf = vec![0u8; 3 * HUGE_PAGE_BYTES];
+        buf[HUGE_PAGE_BYTES + 7] = 7;
+        advise_huge_pages(buf.as_ptr(), buf.len()).expect("advice on a live heap buffer");
+        assert_eq!(buf[HUGE_PAGE_BYTES + 7], 7);
+        assert_eq!(buf.iter().map(|&b| b as usize).sum::<usize>(), 7);
+    }
+
+    #[test]
+    fn a_range_without_a_whole_page_is_not_advised() {
+        // Not mapped at all: were it passed to the kernel, the answer
+        // would be an error.
+        let p = std::ptr::null::<u8>().wrapping_add(HUGE_PAGE_BYTES + 1);
+        assert!(advise_huge_pages(p, HUGE_PAGE_BYTES).is_ok());
+        assert!(advise_huge_pages(std::ptr::null(), 0).is_ok());
     }
 }

@@ -18,7 +18,6 @@ pub use connection::Connection;
 pub use driver::{
     expected_checksums, run_closed_loop, run_open_loop, run_workload, NetRunReport, Pacing,
 };
-// Re-exported so driver callers (the `fig_net` bench, scripts) can build
-// the registry the run functions record into without naming hot-metrics
-// as a direct dependency.
+// Re-exported so that a caller of the run functions can build the registry
+// they record into without naming hot-metrics as a direct dependency.
 pub use hot_metrics::Registry;

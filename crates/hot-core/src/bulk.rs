@@ -38,9 +38,10 @@
 //!    every `check_invariants()` height and ordering rule by construction.
 //! 3. **Parallelize** — the root fragment's ≤ 32 parts are *partition
 //!    fences*: independent contiguous subtries. `build_parallel` assigns
-//!    them largest-first onto `std::thread` workers (the heap node allocator
-//!    is thread-local and its [`MemCounter`](crate::MemCounter) atomic; the
-//!    arenas take their writer lock per allocation), then grafts the
+//!    them largest-first onto `std::thread` workers (the heap's general
+//!    node allocator is thread-local, its chunks and the arenas take their
+//!    store's lock per allocation, and [`MemCounter`](crate::MemCounter)
+//!    counts atomically), then grafts the
 //!    finished subtrie roots under a root node built from the fence
 //!    positions — the same node the sequential pass would build.
 
@@ -397,7 +398,8 @@ fn build_parallel<St: NodeStore>(
     graft(store, &fences, &values, children)
 }
 
-/// The whole load, shared by every front-end: validate `entries`, have the
+/// The whole load, shared by every front-end: validate `entries`, tell the
+/// store how many keys are coming ([`NodeStore::prepare_load`]), have the
 /// store make the surviving leaves in key order, build the nodes bottom-up
 /// and hand the root (null for no entries) to `publish` — the caller's one
 /// root store, which reports whether the tree took it. Returns the number
@@ -411,6 +413,7 @@ pub(crate) fn load<St: NodeStore, K: AsRef<[u8]>>(
     publish: impl FnOnce(St::Ref) -> bool,
 ) -> Result<usize, BulkLoadError> {
     let Prepared { winners, bounds } = prepare(entries)?;
+    store.prepare_load(winners.len());
     let mut leaves: Vec<u64> = Vec::with_capacity(winners.len());
     let mut build = || {
         for &i in &winners {

@@ -27,15 +27,13 @@
 //! overlaps the prefetch of the node body (Section 4.5).
 
 pub mod builder;
+pub(crate) mod heap;
 
-use std::alloc::{alloc_zeroed, dealloc, Layout};
-use std::cell::RefCell;
 // Lock words and value slots are ROWEX-protocol state: their atomics come
-// from the shim so the loom models can instrument them. The MemCounter
-// below intentionally stays on std atomics — allocation counters are not
-// part of the protocol and would only blow up the model's state space.
+// from the shim so the loom models can instrument them. The `MemCounter`
+// of `heap` intentionally stays on std atomics — allocation counters are
+// not part of the protocol and would only blow up the model's state space.
 use crate::sync_shim::{AtomicU32, AtomicU64, Ordering};
-use std::sync::atomic::AtomicUsize;
 
 use hot_bits::search::{PADDED_BYTES_U16, PADDED_BYTES_U32, PADDED_BYTES_U8};
 use crate::arena::CRef;
@@ -43,6 +41,8 @@ use crate::store::NodeStore;
 use builder::Builder;
 use hot_bits::{Isa, Kernel};
 use hot_keys::{PaddedKey, KEY_PAD_LEN};
+
+pub use heap::MemCounter;
 
 /// Maximum compound-node fanout `k` (Section 4.1: "set the maximum fanout k
 /// to 32, which is large enough to benefit from CPU caches and small enough
@@ -235,110 +235,6 @@ pub(crate) fn geometry_compact(tag: NodeTag, count: usize) -> NodeGeometry {
     }
 }
 
-// ---- node allocator ---------------------------------------------------------
-//
-// Copy-on-write makes node allocation/free the hottest allocator traffic in
-// the system, always in 32-byte-granular sizes between 64 and ~1.5 KiB. A
-// small per-thread free list recycles blocks per size class: it avoids the
-// general allocator on the hot path and — more importantly — hands back
-// recently-freed, cache-warm blocks.
-
-const SIZE_CLASS: usize = NODE_ALIGN; // 32-byte granularity
-const NUM_CLASSES: usize = 48; // up to 1536-byte nodes
-const PER_CLASS_CAP: usize = 64;
-
-struct FreeLists {
-    classes: [Vec<*mut u8>; NUM_CLASSES],
-}
-
-impl FreeLists {
-    fn new() -> FreeLists {
-        FreeLists {
-            classes: std::array::from_fn(|_| Vec::new()),
-        }
-    }
-}
-
-impl Drop for FreeLists {
-    fn drop(&mut self) {
-        for (class, list) in self.classes.iter_mut().enumerate() {
-            let size = class * SIZE_CLASS;
-            for &ptr in list.iter() {
-                // SAFETY: every cached block was allocated with exactly this
-                // (size, align) layout and is owned by the list.
-                unsafe {
-                    dealloc(
-                        ptr,
-                        Layout::from_size_align(size, NODE_ALIGN).expect("cached layout"),
-                    )
-                };
-            }
-            list.clear();
-        }
-    }
-}
-
-thread_local! {
-    static FREE_LISTS: RefCell<FreeLists> = RefCell::new(FreeLists::new());
-}
-
-/// Allocate a node-sized block (multiple of 32, 32-aligned) with the first
-/// header word zeroed.
-fn alloc_block(size: usize) -> *mut u8 {
-    debug_assert_eq!(size % SIZE_CLASS, 0);
-    let class = size / SIZE_CLASS;
-    if class < NUM_CLASSES {
-        // try_with: thread-local storage may already be torn down when
-        // epoch-deferred work runs during thread exit.
-        if let Some(ptr) =
-            FREE_LISTS.try_with(|fl| fl.borrow_mut().classes[class].pop()).ok().flatten()
-        {
-            // Recycled blocks contain stale bytes; the header (lock word,
-            // height, count) must start clean — everything else is fully
-            // overwritten by `fill` or masked off by the used-entry count.
-            // SAFETY: block is `size` bytes, 8-aligned.
-            unsafe { *(ptr as *mut u64) = 0 };
-            return ptr;
-        }
-    }
-    let layout = Layout::from_size_align(size, NODE_ALIGN).expect("node layout");
-    // SAFETY: non-zero size.
-    let ptr = unsafe { alloc_zeroed(layout) };
-    assert!(!ptr.is_null(), "node allocation failed");
-    ptr
-}
-
-/// Return a node-sized block to the per-thread cache (or the allocator).
-///
-/// # Safety
-/// `ptr` must come from [`alloc_block`] with the same `size` and must not be
-/// referenced anymore.
-unsafe fn free_block(ptr: *mut u8, size: usize) {
-    let class = size / SIZE_CLASS;
-    if class < NUM_CLASSES {
-        // try_with: see alloc_block — deferred frees may run at thread exit.
-        let cached = FREE_LISTS
-            .try_with(|fl| {
-                let mut fl = fl.borrow_mut();
-                if fl.classes[class].len() < PER_CLASS_CAP {
-                    fl.classes[class].push(ptr);
-                    true
-                } else {
-                    false
-                }
-            })
-            .unwrap_or(false);
-        if cached {
-            return;
-        }
-    }
-    // SAFETY: caller guarantees `ptr`/`size` match the original
-    // `alloc_block` call, which used this same layout computation.
-    unsafe {
-        dealloc(ptr, Layout::from_size_align(size, NODE_ALIGN).expect("node layout"));
-    }
-}
-
 /// Free a node for benchmarking purposes only.
 ///
 /// # Safety
@@ -348,36 +244,6 @@ pub unsafe fn free_for_bench(r: NodeRef, mem: &MemCounter) {
     // SAFETY: caller guarantees `r` is unpublished, so no other reference
     // exists (the contract of `RawNode::free`).
     unsafe { r.as_raw().free(mem) };
-}
-
-/// Allocation accounting shared by a tree instance (Figure 9's
-/// "custom code to compute the memory consumption").
-#[derive(Debug, Default)]
-pub struct MemCounter {
-    bytes: AtomicUsize,
-    nodes: AtomicUsize,
-}
-
-impl MemCounter {
-    /// Current live node bytes.
-    pub fn bytes(&self) -> usize {
-        self.bytes.load(Ordering::Relaxed)
-    }
-
-    /// Current live node count.
-    pub fn nodes(&self) -> usize {
-        self.nodes.load(Ordering::Relaxed)
-    }
-
-    fn on_alloc(&self, size: usize) {
-        self.bytes.fetch_add(size, Ordering::Relaxed);
-        self.nodes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn on_free(&self, size: usize) {
-        self.bytes.fetch_sub(size, Ordering::Relaxed);
-        self.nodes.fetch_sub(1, Ordering::Relaxed);
-    }
 }
 
 /// A tagged 64-bit tree word: null, leaf TID (bit 63 set) or node pointer
@@ -465,9 +331,7 @@ impl RawNode {
     /// height. Mask, partial-key and value sections must be fully written by
     /// `fill` before the node is published.
     pub fn alloc(tag: NodeTag, count: usize, height: u8, mem: &MemCounter) -> RawNode {
-        let geo = geometry(tag, count);
-        let base = alloc_block(geo.alloc_size);
-        mem.on_alloc(geo.alloc_size);
+        let base = mem.alloc(geometry(tag, count).alloc_size);
         let node = RawNode { base, tag };
         // SAFETY: freshly allocated, exclusively owned.
         unsafe {
@@ -483,16 +347,13 @@ impl RawNode {
     /// Caller must guarantee no other references exist (or, in the
     /// concurrent index, that the epoch guarantees it).
     pub unsafe fn free(self, mem: &MemCounter) {
-        let geo = geometry(self.tag, self.count());
-        mem.on_free(geo.alloc_size);
-        // SAFETY: `base` came from `alloc_block(geo.alloc_size)` (same tag
-        // and count, hence same size), and the caller guarantees no other
-        // reference to this node remains.
-        unsafe { free_block(self.base, geo.alloc_size) };
+        // SAFETY: `base` came from `mem.alloc` of this size (same tag and
+        // count), and the caller guarantees no other reference to this node
+        // remains.
+        unsafe { mem.free(self.base, self.alloc_size()) };
     }
 
     /// Size of this node's allocation in bytes.
-    #[allow(dead_code)] // used by the concurrent index
     pub fn alloc_size(self) -> usize {
         geometry(self.tag, self.count()).alloc_size
     }

@@ -9,7 +9,9 @@
 //! once, over a [`NodeStore`]: *where* compound nodes and leaves live and
 //! how a child reference resolves to them. Two stores exist:
 //!
-//! * [`HeapStore`] — one allocation per node, tagged 64-bit pointers
+//! * [`HeapStore`] — one exact-size block per node (from the general
+//!   allocator, or from the store's own 2 MiB chunks after a large bulk
+//!   load — DESIGN.md §3.7), tagged 64-bit pointers
 //!   ([`NodeRef`]), leaves are bare TIDs resolved through a
 //!   [`KeySource`]; allocation cannot fail, so `Full` is uninhabited and
 //!   every `?` in the shared core compiles to nothing;
@@ -71,6 +73,12 @@ pub(crate) trait NodeStore: Sync {
 
     /// Hint that `leaf` is about to be resolved.
     fn prefetch_leaf(&self, leaf: Self::Ref);
+
+    /// A bulk load of `keys` distinct keys is about to build into this
+    /// store ([`bulk::load`](crate::bulk::load) calls it once, before the
+    /// first leaf): the store may pick where the nodes of a tree that large
+    /// go (DESIGN.md §3.7).
+    fn prepare_load(&self, _keys: usize) {}
 
     /// Listing 2's final step: the TID of `leaf` if it stores exactly
     /// `key`.
@@ -210,6 +218,10 @@ impl<S: KeySource> NodeStore for HeapStore<S> {
         self.source.prefetch_key(leaf.tid());
     }
 
+    fn prepare_load(&self, keys: usize) {
+        self.mem.prepare_load(keys);
+    }
+
     #[inline(always)]
     fn new_leaf(&self, _key: &[u8], tid: u64) -> Result<NodeRef, Infallible> {
         Ok(NodeRef::leaf(tid))
@@ -268,7 +280,148 @@ impl<S: KeySource> NodeStore for HeapStore<S> {
             node_count: self.mem.nodes(),
             aux_bytes: 0,
             key_count,
-            capacity_bytes: 0,
+            capacity_bytes: self.mem.reserved_bytes(),
         }
+    }
+}
+
+/// Where the nodes of a heap store live (DESIGN.md §3.7).
+#[cfg(test)]
+mod tests {
+    use crate::node::heap::CHUNKED_LOAD_MIN_KEYS;
+    use crate::node::NodeRef;
+    use crate::sync::ConcurrentHot;
+    use crate::BulkLoadError;
+    use hot_keys::{encode_u64, EmbeddedKeySource};
+
+    fn entries(n: usize) -> Vec<([u8; 8], u64)> {
+        (0..n as u64).map(|i| i * 3).map(|k| (encode_u64(k), k)).collect()
+    }
+
+    /// The nodes reachable from the root, and how many of them lie in the
+    /// store's chunks. Call on a quiesced index.
+    fn placement(index: &ConcurrentHot<EmbeddedKeySource>) -> (usize, usize) {
+        let (mut nodes, mut in_chunks) = (0, 0);
+        let mut todo: Vec<NodeRef> = vec![index.load_root()];
+        while let Some(r) = todo.pop() {
+            if r.is_node() {
+                let raw = r.as_raw();
+                nodes += 1;
+                in_chunks += usize::from(index.store().mem.holds(raw.base));
+                todo.extend((0..raw.count()).map(|i| raw.value(i)));
+            }
+        }
+        (nodes, in_chunks)
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn a_large_bulk_load_carves_every_node_from_chunks() {
+        let index = ConcurrentHot::new(EmbeddedKeySource);
+        index.bulk_load(&entries(CHUNKED_LOAD_MIN_KEYS)).unwrap();
+        let (nodes, in_chunks) = placement(&index);
+        assert!(nodes > 0);
+        assert_eq!(in_chunks, nodes, "every node of the loaded tree");
+        let stats = index.memory_stats();
+        assert_eq!(stats.node_count, nodes);
+        assert!(stats.capacity_bytes >= stats.node_bytes);
+        assert_eq!(stats.capacity_bytes, index.store().mem.reserved_bytes());
+        assert_eq!(stats.footprint_bytes(), stats.capacity_bytes);
+
+        // Every node the store will ever hold: the writes after the load
+        // allocate from the chunks too, and free into them.
+        for k in 0..20_000u64 {
+            index.insert(&encode_u64(3 * k + 1), 3 * k + 1);
+            index.remove(&encode_u64(3 * k));
+        }
+        assert!(crate::sync::quiesce());
+        index.check_invariants();
+        let (nodes, in_chunks) = placement(&index);
+        assert_eq!(in_chunks, nodes, "every node after churn");
+        assert_eq!(index.memory_stats().node_count, nodes);
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn smaller_loads_insert_built_stores_and_refused_loads_stay_general() {
+        let small = ConcurrentHot::new(EmbeddedKeySource);
+        small.bulk_load(&entries(CHUNKED_LOAD_MIN_KEYS - 1)).unwrap();
+        let (nodes, in_chunks) = placement(&small);
+        assert!(nodes > 0 && in_chunks == 0, "one key below the constant");
+        assert_eq!(small.memory_stats().capacity_bytes, 0);
+
+        let by_insert = ConcurrentHot::new(EmbeddedKeySource);
+        for (key, tid) in entries(CHUNKED_LOAD_MIN_KEYS) {
+            by_insert.insert(&key, tid);
+        }
+        assert!(crate::sync::quiesce());
+        let (nodes, in_chunks) = placement(&by_insert);
+        assert!(nodes > 0 && in_chunks == 0, "the same size, built by inserts");
+
+        // A large load into a store that already holds keys is refused and
+        // leaves the store where it was.
+        let held = ConcurrentHot::new(EmbeddedKeySource);
+        for k in 0..100u64 {
+            held.insert(&encode_u64(k), k);
+        }
+        assert_eq!(held.bulk_load(&entries(CHUNKED_LOAD_MIN_KEYS)), Err(BulkLoadError::NotEmpty));
+        assert!(held.insert(&encode_u64(1_000), 1_000).is_none());
+        let (nodes, in_chunks) = placement(&held);
+        assert!(nodes > 0 && in_chunks == 0, "after a load that failed with NotEmpty");
+        assert_eq!(held.memory_stats().capacity_bytes, 0);
+    }
+
+    /// The THP mode the kernel runs in, from
+    /// `/sys/kernel/mm/transparent_hugepage/enabled` (the bracketed word).
+    #[cfg(target_os = "linux")]
+    fn thp_mode() -> Option<String> {
+        let text = std::fs::read_to_string("/sys/kernel/mm/transparent_hugepage/enabled").ok()?;
+        let start = text.find('[')? + 1;
+        let end = start + text[start..].find(']')?;
+        Some(text[start..end].to_string())
+    }
+
+    /// Kilobytes of `AnonHugePages` over the mappings of `/proc/self/smaps`
+    /// that overlap any of `ranges`.
+    #[cfg(target_os = "linux")]
+    fn anon_huge_kb(ranges: &[std::ops::Range<usize>]) -> usize {
+        let smaps = std::fs::read_to_string("/proc/self/smaps").expect("procfs");
+        let (mut total, mut overlaps) = (0, false);
+        for line in smaps.lines() {
+            let first = line.split_whitespace().next().unwrap_or("");
+            if let Some((lo, hi)) = first.split_once('-') {
+                if let (Ok(lo), Ok(hi)) = (usize::from_str_radix(lo, 16), usize::from_str_radix(hi, 16)) {
+                    overlaps = ranges.iter().any(|r| r.start < hi && lo < r.end);
+                    continue;
+                }
+            }
+            if let Some(kb) = line.strip_prefix("AnonHugePages:") {
+                if overlaps {
+                    total += kb.trim().trim_end_matches("kB").trim().parse::<usize>().expect("kB");
+                }
+            }
+        }
+        total
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    #[cfg_attr(miri, ignore)]
+    fn chunks_are_backed_by_huge_pages() {
+        match thp_mode().as_deref() {
+            Some("always" | "madvise") => {}
+            mode => {
+                eprintln!("skipped: transparent huge pages are {mode:?}, not `always` or `madvise`");
+                return;
+            }
+        }
+        let index = ConcurrentHot::new(EmbeddedKeySource);
+        index.bulk_load(&entries(CHUNKED_LOAD_MIN_KEYS)).unwrap();
+        let ranges = index.store().mem.chunk_ranges();
+        assert!(ranges.len() >= 2, "{} chunks", ranges.len());
+        // The last chunk may be touched only in part; every full one was
+        // faulted in after the advice, in 2 MiB units.
+        let huge = anon_huge_kb(&ranges);
+        assert!(huge >= (ranges.len() - 1) * 2048, "{huge} kB of huge pages over {} chunks", ranges.len());
     }
 }

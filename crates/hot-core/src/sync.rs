@@ -900,9 +900,14 @@ impl<St: NodeStore> Drop for Concurrent<St> {
         unsafe { self.store.drop_tree(root) };
         // The nodes still counted are retired ones (and, in a store whose
         // blocks go with it, the tree): their deferred frees point into the
-        // store, so wait them out. Only a guard held by this very thread can
-        // make that fail; then the store stays allocated.
-        if self.store.memory_stats(0).node_count != 0 && !quiesce() {
+        // store, so wait them out. A store that reserves memory of its own
+        // (heap chunks, arena slabs) always waits: there every deferred free
+        // takes the store's lock, and only the collector's lock, not the
+        // Relaxed node count, orders the last of them before the memory
+        // goes. Only a guard held by this very thread can make that fail;
+        // then the store stays allocated.
+        let held = self.store.memory_stats(0);
+        if (held.node_count != 0 || held.capacity_bytes != 0) && !quiesce() {
             std::mem::forget(Arc::clone(&self.store));
         }
     }
@@ -1139,10 +1144,12 @@ mod tests {
     /// Four writers — on disjoint keys, on one shared pool, then taking
     /// turns through a mixed insert/remove history, then all removing
     /// everything — beside two free-running readers, end with the structure
-    /// a single thread builds from the same history.
+    /// a single thread builds from the same history; `rounds` times over,
+    /// each round turning the whole key set over.
     fn four_writers_match_the_single_threaded_replay<St: NodeStore + Send>(
-        index: Concurrent<St>,
+        index: &Concurrent<St>,
         mut replay: crate::Trie<St>,
+        rounds: usize,
     ) {
         const WRITERS: u64 = 4;
         // Key sets `0..WRITERS` are a writer's own; set `WRITERS` is shared.
@@ -1150,7 +1157,6 @@ mod tests {
         let size_of = |set: u64| if set == WRITERS { pool } else { own };
         // TIDs name the key, so whatever a reader finds is exact.
         let tid_of = |set: u64, i: u64| set << 32 | i;
-        let index = &index;
         let stop = std::sync::atomic::AtomicBool::new(false);
         // Run `job(t)` on writer thread `t`, all four at once.
         let run = |job: &(dyn Fn(u64) + Sync)| {
@@ -1194,104 +1200,127 @@ mod tests {
                 });
             }
 
-            // Free-running inserts: each writer its own keys, and every
-            // writer the whole shared pool. Insert-only, so the structure
-            // does not depend on the interleaving.
-            run(&|t| {
-                for i in 0..own.max(pool) {
-                    if i < own {
-                        assert_eq!(index.insert(&key_of(t, i), tid_of(t, i)), None);
+            for round in 0..rounds {
+                // Free-running inserts: each writer its own keys, and every
+                // writer the whole shared pool. Insert-only, so the structure
+                // does not depend on the interleaving.
+                run(&|t| {
+                    for i in 0..own.max(pool) {
+                        if i < own {
+                            assert_eq!(index.insert(&key_of(t, i), tid_of(t, i)), None);
+                        }
+                        if i < pool {
+                            let (j, tid) = ((i + t * 7) % pool, tid_of(WRITERS, (i + t * 7) % pool));
+                            let previous = index.insert(&key_of(WRITERS, j), tid);
+                            assert!(previous.is_none() || previous == Some(tid));
+                        }
                     }
-                    if i < pool {
-                        let (j, tid) = ((i + t * 7) % pool, tid_of(WRITERS, (i + t * 7) % pool));
-                        let previous = index.insert(&key_of(WRITERS, j), tid);
-                        assert!(previous.is_none() || previous == Some(tid));
+                });
+                for set in 0..=WRITERS {
+                    for i in 0..size_of(set) {
+                        replay.insert(&key_of(set, i), tid_of(set, i));
                     }
                 }
-            });
-            for set in 0..=WRITERS {
-                for i in 0..size_of(set) {
-                    replay.insert(&key_of(set, i), tid_of(set, i));
-                }
-            }
-            assert_eq!(index.len(), replay.len());
-            assert_eq!(index.structure_digest(), replay.structure_digest(), "after the concurrent build");
+                assert_eq!(index.len(), replay.len());
+                assert_eq!(index.structure_digest(), replay.structure_digest(), "round {round}: after the concurrent build");
 
-            // Mixed inserts and removes: what a remove leaves behind depends
-            // on the order of the writes around it, so a replay needs the
-            // writers' linearization. They take turns here — write `n` is
-            // thread `n % WRITERS`'s — while the readers keep running free.
-            let mut x = 0x9E37_79B9u64;
-            let history: Vec<(bool, u64, u64)> = (0..sized(3_000))
-                .map(|_| {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    let set = x % (WRITERS + 1);
-                    (x & 0x300 != 0, set, (x >> 12) % size_of(set))
-                })
-                .collect();
-            let turn = AtomicUsize::new(0);
-            run(&|t| {
-                for n in (t as usize..history.len()).step_by(WRITERS as usize) {
-                    while turn.load(Ordering::Acquire) != n {
-                        crate::sync_shim::yield_now();
+                // Mixed inserts and removes: what a remove leaves behind depends
+                // on the order of the writes around it, so a replay needs the
+                // writers' linearization. They take turns here — write `n` is
+                // thread `n % WRITERS`'s — while the readers keep running free.
+                let mut x = 0x9E37_79B9u64 ^ round as u64;
+                let history: Vec<(bool, u64, u64)> = (0..sized(3_000))
+                    .map(|_| {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        let set = x % (WRITERS + 1);
+                        (x & 0x300 != 0, set, (x >> 12) % size_of(set))
+                    })
+                    .collect();
+                let turn = AtomicUsize::new(0);
+                run(&|t| {
+                    for n in (t as usize..history.len()).step_by(WRITERS as usize) {
+                        while turn.load(Ordering::Acquire) != n {
+                            crate::sync_shim::yield_now();
+                        }
+                        let (remove, set, i) = history[n];
+                        if remove {
+                            index.remove(&key_of(set, i));
+                        } else {
+                            index.insert(&key_of(set, i), tid_of(set, i));
+                        }
+                        turn.store(n + 1, Ordering::Release);
                     }
-                    let (remove, set, i) = history[n];
+                });
+                for &(remove, set, i) in &history {
                     if remove {
-                        index.remove(&key_of(set, i));
+                        replay.remove(&key_of(set, i));
                     } else {
-                        index.insert(&key_of(set, i), tid_of(set, i));
+                        replay.insert(&key_of(set, i), tid_of(set, i));
                     }
-                    turn.store(n + 1, Ordering::Release);
                 }
-            });
-            for &(remove, set, i) in &history {
-                if remove {
-                    replay.remove(&key_of(set, i));
-                } else {
-                    replay.insert(&key_of(set, i), tid_of(set, i));
+                assert!(quiesce());
+                assert_eq!(index.len(), replay.len());
+                assert_eq!(index.check_invariants().nodes, replay.check_invariants().nodes);
+                assert_eq!(index.structure_digest(), replay.structure_digest(), "round {round}: after the mixed history");
+                // Nothing leaked, nothing freed twice. (Leaf bytes are left out:
+                // how a record is front-coded depends on which one was appended
+                // before it, and the free-running build appended in its own order.)
+                let (live, want) = (index.memory_stats(), replay.memory_stats());
+                assert_eq!((live.node_count, live.node_bytes), (want.node_count, want.node_bytes), "round {round}");
+
+                // Free-running removes, disjoint and overlapping, down to nothing.
+                run(&|t| {
+                    for i in 0..own.max(pool) {
+                        index.remove(&key_of(t, i));
+                        index.remove(&key_of(WRITERS, (i + t * 7) % pool));
+                    }
+                });
+                assert!(quiesce());
+                assert!(index.is_empty(), "round {round}");
+                index.check_invariants();
+                assert_eq!(index.memory_stats().node_count, 0, "round {round}");
+                for set in 0..=WRITERS {
+                    for i in 0..size_of(set) {
+                        replay.remove(&key_of(set, i));
+                    }
                 }
             }
-            assert!(quiesce());
-            assert_eq!(index.len(), replay.len());
-            assert_eq!(index.check_invariants().nodes, replay.check_invariants().nodes);
-            assert_eq!(index.structure_digest(), replay.structure_digest(), "after the mixed history");
-            // Nothing leaked, nothing freed twice. (Leaf bytes are left out:
-            // how a record is front-coded depends on which one was appended
-            // before it, and the free-running build appended in its own order.)
-            let (live, want) = (index.memory_stats(), replay.memory_stats());
-            assert_eq!((live.node_count, live.node_bytes), (want.node_count, want.node_bytes));
-
-            // Free-running removes, disjoint and overlapping, down to nothing.
-            run(&|t| {
-                for i in 0..own.max(pool) {
-                    index.remove(&key_of(t, i));
-                    index.remove(&key_of(WRITERS, (i + t * 7) % pool));
-                }
-            });
         });
-        assert!(quiesce());
-        assert!(index.is_empty());
-        index.check_invariants();
-        assert_eq!(index.memory_stats().node_count, 0);
+    }
+
+    /// Keys of [`key_of`] by TID (key set in the high half).
+    struct Keys;
+    impl KeySource for Keys {
+        fn load_key<'a>(&'a self, tid: u64, scratch: &'a mut [u8; hot_keys::KEY_SCRATCH_LEN]) -> &'a [u8] {
+            scratch[..8].copy_from_slice(&key_of(tid >> 32, tid & 0xFFFF_FFFF));
+            &scratch[..8]
+        }
     }
 
     #[test]
     fn four_heap_writers_match_the_single_threaded_replay() {
-        /// Keys of [`key_of`] by TID (thread number in the high half).
-        struct Keys;
-        impl KeySource for Keys {
-            fn load_key<'a>(&'a self, tid: u64, scratch: &'a mut [u8; hot_keys::KEY_SCRATCH_LEN]) -> &'a [u8] {
-                scratch[..8].copy_from_slice(&key_of(tid >> 32, tid & 0xFFFF_FFFF));
-                &scratch[..8]
-            }
-        }
-        four_writers_match_the_single_threaded_replay(ConcurrentHot::new(Keys), crate::HotTrie::new(Keys));
+        four_writers_match_the_single_threaded_replay(&ConcurrentHot::new(Keys), crate::HotTrie::new(Keys), 1);
     }
 
     #[test]
     fn four_arena_writers_match_the_single_threaded_replay() {
-        four_writers_match_the_single_threaded_replay(ConcurrentCompact::new(), crate::CompactHot::new());
+        four_writers_match_the_single_threaded_replay(&ConcurrentCompact::new(), crate::CompactHot::new(), 1);
+    }
+
+    /// A heap store on chunks — what a bulk load of 2¹⁹ keys or more leaves
+    /// behind — takes its nodes from the chunks and gives them back there,
+    /// from every writer and every epoch-deferred free, through ten times
+    /// its key set of turnover, and ends every round with the structure,
+    /// node count and node bytes of a replay on the general allocator.
+    #[test]
+    fn four_writers_on_chunks_match_a_general_allocator_replay() {
+        let index = ConcurrentHot::new(Keys);
+        index.store().mem.prepare_load(crate::node::heap::CHUNKED_LOAD_MIN_KEYS);
+        let replay = crate::HotTrie::new(Keys);
+        assert_eq!(replay.memory_stats().capacity_bytes, 0);
+        four_writers_match_the_single_threaded_replay(&index, replay, 10);
+        assert!(index.memory_stats().capacity_bytes > 0, "the writers ran on chunks");
     }
 }

@@ -106,11 +106,16 @@ impl ArenaKeySource {
 
     /// Create an arena with preallocated capacity for `keys` keys of
     /// `avg_len` average length.
+    ///
+    /// The 2 MiB-aligned interior of the buffer is advised onto huge pages:
+    /// a lookup misses into it once per key, at a random record, so at
+    /// 4 KiB pages a large arena costs a page walk per lookup on top of the
+    /// miss (DESIGN.md §3.7). The advice is a hint; refused, the buffer
+    /// stays on 4 KiB pages.
     pub fn with_capacity(keys: usize, avg_len: usize) -> Self {
-        ArenaKeySource {
-            data: Vec::with_capacity(keys * (avg_len + 1)),
-            count: 0,
-        }
+        let data = Vec::with_capacity(keys * (avg_len + 1));
+        let _ = hot_bits::advise_huge_pages(data.as_ptr(), data.capacity());
+        ArenaKeySource { data, count: 0 }
     }
 
     /// Append a key and return its TID (the record's byte offset).

@@ -211,11 +211,17 @@ impl Shared {
 
     /// The STATS document ([`ServerHandle::stats_json`] lists the fields).
     fn stats_json(&self) -> String {
+        let shard_memory: Vec<String> = (0..self.index.shards())
+            .map(|s| {
+                let m = self.index.shard(s).memory_stats();
+                format!("{{\"node_bytes\": {}, \"node_reserved_bytes\": {}}}", m.node_bytes, m.capacity_bytes)
+            })
+            .collect();
         format!(
             "{{\"connections\": {{\"accepted\": {}, \"active\": {}, \"rejected\": {}}}, \
              \"requests\": {}, \"windows\": {}, \"get_runs\": {}, \"batches\": {}, \
              \"proto_errors\": {}, \"bytes_in\": {}, \"bytes_out\": {}, \"shards\": {}, \
-             \"keys\": {}, \"metrics\": {}}}",
+             \"keys\": {}, \"shard_memory\": [{}], \"metrics\": {}}}",
             self.stats.accepted(),
             self.stats.active(),
             self.stats.rejected(),
@@ -228,6 +234,7 @@ impl Shared {
             self.stats.bytes_out(),
             self.index.shards(),
             self.index.len(),
+            shard_memory.join(", "),
             self.registry.ops_snapshot().to_json(),
         )
     }
@@ -335,6 +342,11 @@ impl ServerHandle {
     ///   `metrics.ops.net_get.count / get_runs` is their mean length;
     /// * `batches`, `proto_errors`, `bytes_in`, `bytes_out`;
     /// * `shards`, and `keys`, the live keys in the index;
+    /// * `shard_memory`: per shard, in shard order, `node_bytes` (live
+    ///   node bytes) and `node_reserved_bytes` (bytes of the 2 MiB chunks
+    ///   the shard carves its nodes from, unused tail included; 0 on a
+    ///   shard whose nodes come from the general allocator — DESIGN.md
+    ///   §3.7);
     /// * `metrics`: the `hot-metrics` snapshot, i.e. `ops.net_*` with
     ///   count, items, mean and p50 / p99 / p999 latency per kind.
     ///
@@ -1119,7 +1131,8 @@ mod tests {
         };
         for name in [
             "accepted", "active", "rejected", "requests", "windows", "get_runs", "batches",
-            "proto_errors", "bytes_in", "bytes_out", "shards", "keys",
+            "proto_errors", "bytes_in", "bytes_out", "shards", "keys", "node_bytes",
+            "node_reserved_bytes",
         ] {
             field(name);
         }
@@ -1129,6 +1142,25 @@ mod tests {
         assert_eq!(field("windows"), want_windows - 1, "the answering window is still open");
         assert_eq!(field("batches"), 5);
         assert_eq!(field("keys"), shared.index.len() as u64);
+
+        // One `shard_memory` entry per shard, in shard order, read from the
+        // shard's `memory_stats` (exact once the epoch has run the frees the
+        // PUTs and DELs deferred): a store this small stays on the general
+        // allocator, so it holds no chunk bytes.
+        assert!(hot_core::sync::quiesce());
+        let now = shared.stats_json();
+        let per_shard = |name: &str| -> Vec<usize> {
+            now.split(&format!("\"{name}\": "))
+                .skip(1)
+                .map(|tail| tail.chars().take_while(char::is_ascii_digit).collect::<String>().parse().expect(name))
+                .collect()
+        };
+        let shards = shared.index.shards();
+        let live: Vec<usize> = (0..shards).map(|s| shared.index.shard(s).memory_stats().node_bytes).collect();
+        assert!(now.contains("\"shard_memory\": [{\"node_bytes\": "));
+        assert!(live.iter().all(|&bytes| bytes > 0));
+        assert_eq!(per_shard("node_bytes"), live);
+        assert_eq!(per_shard("node_reserved_bytes"), vec![0; shards]);
     }
 
     /// Start-up end to end, at a size that takes the parallel sort and the
