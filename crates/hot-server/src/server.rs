@@ -8,7 +8,8 @@
 //! pipelined requests and routes each GET or SCAN run through
 //! `get_batch_with` / `scan_batch` (classify, shard-grouped drains, one
 //! epoch pin per run) on its own scratch, PUT, DEL and RESUME as scalar
-//! calls, then writes the answers in request order. The shards are
+//! calls, then writes the answers in request order — the windows of one
+//! socket read with one write. The shards are
 //! ROWEX-synchronised, so connections are the parallelism; there is no
 //! hand-off between a connection and a shard (DESIGN.md §17.3).
 //!
@@ -20,15 +21,18 @@
 //! owned token `scan_resume` takes), STATS and ERR frames build owned
 //! values.
 //!
-//! Backpressure is structural: a connection's window is bounded
-//! ([`ServerConfig::window`]), responses are written with blocking
-//! `write_all` *before* the next read, and the socket's write timeout is
-//! the idle timeout — a reader that stops draining responses first stalls
-//! only its own connection, then gets disconnected. Connection threads are
+//! Backpressure is structural: a turn of the loop executes only frames
+//! already buffered — at most the frames of one read of up to 32 KiB —
+//! and writes their answers with one blocking `write_all` *before* the
+//! next read; a turn whose answers reach `TURN_ANSWER_BYTES` starts no
+//! further window, so the write buffer never holds more than that plus
+//! one window's answers. The socket's write timeout is the idle timeout —
+//! a reader that stops draining responses first stalls only its own
+//! connection, then gets disconnected. Connection threads are
 //! bounded too ([`ServerConfig::max_connections`]): the acceptor answers
 //! the excess with a typed `overloaded` ERR frame and closes. Graceful
 //! shutdown (the SHUTDOWN frame or [`ServerHandle::shutdown`]) stops the
-//! acceptor, lets every connection finish its in-flight window, and joins
+//! acceptor, lets every connection finish its in-flight turn, and joins
 //! all threads.
 
 use crate::protocol::{
@@ -51,6 +55,16 @@ use std::time::{Duration, Instant};
 /// clock. Bounds both shutdown latency and idle-timeout resolution.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
+/// Answer bytes after which a turn starts no further window and writes
+/// what it holds. A point answer (13 bytes at most) is no longer than a
+/// GET, PUT or DEL of an 8-byte key, so a read of point requests — at
+/// most 32 KiB — is answered with one write. The bound binds on
+/// SCAN-heavy turns: it caps the connection's write buffer at this plus
+/// one window's answers, and keeps a client's first answers from waiting
+/// behind many windows of work. At 64 KiB a write's fixed syscall cost is
+/// already small beside copying its bytes.
+const TURN_ANSWER_BYTES: usize = 64 << 10;
+
 /// Serving configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -71,7 +85,10 @@ pub struct ServerConfig {
     pub workers: bool,
     /// Read by nothing; the next `benchmark` PR removes it with `bench/src/run.rs`'s literal.
     pub pin: bool,
-    /// Maximum pipelined requests executed per drain, per connection.
+    /// Most pipelined requests in one window: the unit a connection
+    /// publishes its metrics and counters in, and the longest GET or SCAN
+    /// run handed to the index at once. A turn executes as many windows
+    /// as one socket read delivered and answers them with one write.
     pub window: usize,
     /// Close connections idle longer than this; also the write timeout
     /// that bounds how long a slow reader can stall its own connection.
@@ -124,6 +141,7 @@ pub struct ServerStats {
     rejected: Counter,
     requests: Counter,
     windows: Counter,
+    writes: Counter,
     get_runs: Counter,
     batches: Counter,
     bytes_in: Counter,
@@ -153,11 +171,18 @@ impl ServerStats {
         self.requests.get()
     }
 
-    /// Request windows executed: drains of one connection's buffered
-    /// frames into the index, each answered with one socket write.
-    /// `requests / windows` is the achieved pipelining depth.
+    /// Request windows executed: drains of up to
+    /// [`ServerConfig::window`] of one connection's buffered frames into
+    /// the index. `requests / windows` is the achieved pipelining depth.
     pub fn windows(&self) -> u64 {
         self.windows.get()
+    }
+
+    /// Socket writes of answers: one per turn of a connection's loop,
+    /// which answers every window one read delivered (up to 64 KiB of
+    /// answers). `requests / writes` is the answers per syscall.
+    pub fn writes(&self) -> u64 {
+        self.writes.get()
     }
 
     /// `get_batch_with` calls made for coalesced GET runs; the `net_get`
@@ -219,14 +244,15 @@ impl Shared {
             .collect();
         format!(
             "{{\"connections\": {{\"accepted\": {}, \"active\": {}, \"rejected\": {}}}, \
-             \"requests\": {}, \"windows\": {}, \"get_runs\": {}, \"batches\": {}, \
-             \"proto_errors\": {}, \"bytes_in\": {}, \"bytes_out\": {}, \"shards\": {}, \
-             \"keys\": {}, \"shard_memory\": [{}], \"metrics\": {}}}",
+             \"requests\": {}, \"windows\": {}, \"writes\": {}, \"get_runs\": {}, \
+             \"batches\": {}, \"proto_errors\": {}, \"bytes_in\": {}, \"bytes_out\": {}, \
+             \"shards\": {}, \"keys\": {}, \"shard_memory\": [{}], \"metrics\": {}}}",
             self.stats.accepted(),
             self.stats.active(),
             self.stats.rejected(),
             self.stats.requests(),
             self.stats.windows(),
+            self.stats.writes(),
             self.stats.get_runs(),
             self.stats.batches.get(),
             self.stats.proto_errors(),
@@ -338,6 +364,8 @@ impl ServerHandle {
     /// * `requests`: requests executed, BATCH sub-requests one by one;
     /// * `windows`: request windows executed — `requests / windows` is
     ///   the pipelining depth the server actually reached;
+    /// * `writes`: socket writes of answers, one per turn — `requests /
+    ///   writes` is the answers each write syscall carried;
     /// * `get_runs`: coalesced GET runs handed to `get_batch_with` —
     ///   `metrics.ops.net_get.count / get_runs` is their mean length;
     /// * `batches`, `proto_errors`, `bytes_in`, `bytes_out`;
@@ -352,7 +380,8 @@ impl ServerHandle {
     ///
     /// A connection publishes its counters and samples when a window
     /// ends (and before it answers its own STATS frame), so the document
-    /// covers every finished window and nothing newer.
+    /// covers every finished window and nothing newer; `writes` and
+    /// `bytes_out` grow when a turn's write is done.
     pub fn stats_json(&self) -> String {
         self.shared.stats_json()
     }
@@ -363,7 +392,7 @@ impl ServerHandle {
         self.shared.stop_requested()
     }
 
-    /// Stop accepting, let in-flight windows finish, join every thread.
+    /// Stop accepting, let in-flight turns finish, join every thread.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
@@ -447,27 +476,55 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
 }
 
 /// Everything a connection thread owns besides its socket; all of it is
-/// reused from window to window.
+/// reused from turn to turn.
 #[derive(Default)]
 struct Conn {
     /// Splits the byte stream into frames; owns the read buffer the
-    /// requests of a window are parsed out of.
+    /// requests of a turn are parsed out of.
     dec: FrameDecoder,
     scratch: ConnScratch,
-    /// The answers of one window, written with one `write_all`.
+    /// The answers of one turn — every window it executed — written with
+    /// one `write_all`.
     wbuf: Vec<u8>,
 }
 
 impl Conn {
+    /// One turn: execute the buffered frames window by window, their
+    /// answers into the cleared `wbuf`, which the caller writes with one
+    /// `write_all`. No further window starts after one that held a
+    /// SHUTDOWN, after `wbuf` reached [`TURN_ANSWER_BYTES`], or once no
+    /// complete frame is left; a violation ends the turn where it is found,
+    /// its ERR frame behind the answers of every request before it.
+    fn execute_turn(&mut self, shared: &Shared) -> Executed {
+        self.wbuf.clear();
+        let mut turn = Executed::default();
+        loop {
+            let window = self.execute_window(shared);
+            turn.executed += window.executed;
+            turn.shutdown |= window.shutdown;
+            if let Some(err) = window.error {
+                // Best effort before the close: a framing error leaves no
+                // way to find the next frame boundary.
+                shared.stats.proto_errors.add(1);
+                encode_error(&mut self.wbuf, Framing::Frame, err_code::BAD_FRAME, &err.to_string());
+                turn.error = Some(err);
+                return turn;
+            }
+            // A window short of `window` frames ran out of them.
+            if window.executed < shared.window || turn.shutdown || self.wbuf.len() >= TURN_ANSWER_BYTES {
+                return turn;
+            }
+        }
+    }
+
     /// Execute up to [`ServerConfig::window`] buffered frames in request
-    /// order, their answers into the cleared `wbuf`: each frame is parsed
+    /// order, their answers appended to `wbuf`: each frame is parsed
     /// in place, maximal runs of GETs are coalesced into `get_batch_with`
     /// and runs of SCANs into `scan_batch`, and the connection's tally is
     /// published once at the end.
-    fn execute_window(&mut self, shared: &Shared) -> Window {
+    fn execute_window(&mut self, shared: &Shared) -> Executed {
         let Conn { dec, scratch, wbuf } = self;
-        wbuf.clear();
-        let mut window = Window::default();
+        let mut window = Executed::default();
         let mut frames = dec.frames();
         let mut next = frames.next();
         if next.is_none() {
@@ -507,9 +564,9 @@ fn serve_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
             send_error(&mut stream, err_code::SHUTTING_DOWN, "server shutting down");
             return;
         }
-        // Execute up to one window of already-buffered frames, in place.
-        let window = conn.execute_window(shared);
-        if window.executed == 0 && window.error.is_none() {
+        // Execute the already-buffered frames, in place.
+        let turn = conn.execute_turn(shared);
+        if turn.executed == 0 && turn.error.is_none() {
             // No complete frame buffered: block (bounded by the poll
             // interval) for more bytes, read straight into the decoder.
             match conn.dec.fill_from(&mut stream) {
@@ -527,22 +584,19 @@ fn serve_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
             }
             continue;
         }
-        if let Some(err) = &window.error {
-            // Best-effort ERR frame behind the answers of the requests
-            // that preceded the violation, then close: a framing error
-            // leaves no way to find the next frame boundary.
-            shared.stats.proto_errors.add(1);
-            encode_error(&mut conn.wbuf, Framing::Frame, err_code::BAD_FRAME, &err.to_string());
-        }
         // Every response is written before reading again — the structural
-        // backpressure bound: at most `window` requests plus one socket
+        // backpressure bound: at most one read's frames plus one socket
         // buffer are ever in flight.
-        if stream.write_all(&conn.wbuf).is_err() || window.error.is_some() {
+        if stream.write_all(&conn.wbuf).is_err() {
             return;
         }
+        shared.stats.writes.add(1);
         shared.stats.bytes_out.add(conn.wbuf.len() as u64);
+        if turn.error.is_some() {
+            return;
+        }
         last_activity = Instant::now();
-        if window.shutdown {
+        if turn.shutdown {
             let _ = stream.flush();
             shared.begin_shutdown();
             return;
@@ -590,14 +644,15 @@ impl ConnScratch {
     }
 }
 
-/// What [`Conn::execute_window`] did.
+/// What [`Conn::execute_window`] or [`Conn::execute_turn`] did.
 #[derive(Debug, Default)]
-struct Window {
+struct Executed {
     /// Frames parsed and executed (their answers are in the write buffer).
     executed: usize,
     /// A SHUTDOWN frame was among them.
     shutdown: bool,
-    /// The violation that ended the window early; the connection is dead.
+    /// The violation that ended the window or turn early; the connection
+    /// is dead.
     error: Option<ProtoError>,
 }
 
@@ -912,8 +967,8 @@ mod tests {
     }
 
     /// One connection's execute path without the socket: requests go in
-    /// through `feed`, windows run on the calling thread, the answers of
-    /// all of them pile up in `answers`.
+    /// through `feed`, windows — one by one, or a turn of them — run on
+    /// the calling thread.
     #[derive(Default)]
     struct Harness {
         conn: Conn,
@@ -922,13 +977,11 @@ mod tests {
     }
 
     impl Harness {
-        /// Feed `reqs` and drain them window by window; returns the
-        /// number of windows it took.
+        /// Feed `reqs` and drain them window by window, the answers of
+        /// all of them piling up in `answers`; returns the number of
+        /// windows it took.
         fn run(&mut self, shared: &Shared, reqs: &[Request]) -> usize {
-            self.wire.clear();
-            for req in reqs {
-                req.encode(&mut self.wire);
-            }
+            self.wire = requests(reqs);
             self.run_wire(shared)
         }
 
@@ -938,6 +991,7 @@ mod tests {
             self.answers.clear();
             let mut windows = 0;
             loop {
+                self.conn.wbuf.clear();
                 let window = self.conn.execute_window(shared);
                 assert_eq!(window.error, None);
                 if window.executed == 0 {
@@ -947,6 +1001,21 @@ mod tests {
                 windows += 1;
             }
         }
+
+        /// Feed `wire` as one read and run one turn; its answers are
+        /// `self.conn.wbuf`.
+        fn turn(&mut self, shared: &Shared, wire: &[u8]) -> Executed {
+            self.conn.dec.feed(wire);
+            self.conn.execute_turn(shared)
+        }
+    }
+
+    fn requests(reqs: &[Request]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        for req in reqs {
+            req.encode(&mut wire);
+        }
+        wire
     }
 
     fn encoded(responses: &[Response]) -> Vec<u8> {
@@ -957,8 +1026,31 @@ mod tests {
         wire
     }
 
+    /// The number a STATS document gives its field `name`.
+    fn stats_field(doc: &str, name: &str) -> u64 {
+        let tail = doc.split(&format!("\"{name}\": ")).nth(1).expect(name);
+        let digits: String = tail.chars().take_while(char::is_ascii_digit).collect();
+        digits.parse().expect(name)
+    }
+
+    /// The loaded TIDs in key order.
+    fn sorted_tids(data: &NetData) -> Vec<u64> {
+        let mut order: Vec<usize> = (0..data.loaded).collect();
+        order.sort_unstable_by(|&a, &b| data.dataset.keys[a].cmp(&data.dataset.keys[b]));
+        order.iter().map(|&i| data.tids[i]).collect()
+    }
+
+    /// A SCAN of `limit` keys from the `at`-th smallest, and its answer.
+    fn scan_at(shared: &Shared, sorted: &[u64], at: usize, limit: usize) -> (Request, Response) {
+        let page = sorted[at..at + limit].to_vec();
+        let start = shared.arena.key(page[0]).to_vec();
+        let token = shared.index.scan_token(&page, limit);
+        (Request::Scan { start, limit: limit as u32 }, Response::Scan { tids: page, token })
+    }
+
     /// The serve loop's promise: once its buffers are warm, a window of
-    /// GETs — and a window mixing GET runs with PUT, DEL and SCAN —
+    /// GETs — and a window mixing GET runs with PUT, DEL and SCAN, and a
+    /// turn of several such windows —
     /// executes without a single heap allocation on the connection
     /// thread, and its answers are the bytes `Response::encode` produces.
     /// (The writes are an upsert of a stored binding and a DEL of an
@@ -1037,10 +1129,7 @@ mod tests {
         steady_answers.remove(5);
         conn.run(shared, &steady);
 
-        let mut gets_wire = Vec::new();
-        for req in &gets {
-            req.encode(&mut gets_wire);
-        }
+        let gets_wire = requests(&gets);
         let steady_wire = std::mem::take(&mut conn.wire);
         let (gets_bytes, steady_bytes) = (encoded(&get_answers), encoded(&steady_answers));
         for (wire, want) in [(&gets_wire, &gets_bytes), (&steady_wire, &steady_bytes)] {
@@ -1053,6 +1142,20 @@ mod tests {
             assert_eq!(allocations() - before, 0, "a steady-state window allocated");
             assert_eq!(&conn.answers, want);
         }
+
+        // One read of three windows — 300 GETs, then the mixed requests —
+        // is one turn into one buffer, and it allocates nothing either.
+        let turn_wire = [&gets_wire[..], &gets_wire, &gets_wire, &steady_wire].concat();
+        let turn_bytes = [&gets_bytes[..], &gets_bytes, &gets_bytes, &steady_bytes].concat();
+        let frames = 3 * gets.len() + steady.len();
+        assert!(frames > 2 * shared.window);
+        conn.turn(shared, &turn_wire);
+        let before = allocations();
+        for _ in 0..8 {
+            assert_eq!(conn.turn(shared, &turn_wire).executed, frames);
+        }
+        assert_eq!(allocations() - before, 0, "a steady-state turn allocated");
+        assert_eq!(conn.conn.wbuf, turn_bytes);
     }
 
     /// Every request is one sample under its kind and one under `NetOp`
@@ -1124,14 +1227,10 @@ mod tests {
             last = Some(Response::decode(body).expect("valid answer"));
         }
         let Some(Response::Text(doc)) = last else { panic!("STATS answers with OK_TEXT") };
-        let field = |name: &str| -> u64 {
-            let tail = doc.split(&format!("\"{name}\": ")).nth(1).expect(name);
-            let digits: String = tail.chars().take_while(char::is_ascii_digit).collect();
-            digits.parse().expect(name)
-        };
+        let field = |name: &str| stats_field(&doc, name);
         for name in [
-            "accepted", "active", "rejected", "requests", "windows", "get_runs", "batches",
-            "proto_errors", "bytes_in", "bytes_out", "shards", "keys", "node_bytes",
+            "accepted", "active", "rejected", "requests", "windows", "writes", "get_runs",
+            "batches", "proto_errors", "bytes_in", "bytes_out", "shards", "keys", "node_bytes",
             "node_reserved_bytes",
         ] {
             field(name);
@@ -1140,6 +1239,7 @@ mod tests {
         assert_eq!(field("requests"), shared.stats.requests());
         assert_eq!(field("get_runs"), want_runs);
         assert_eq!(field("windows"), want_windows - 1, "the answering window is still open");
+        assert_eq!(field("writes"), 0, "the harness writes to no socket");
         assert_eq!(field("batches"), 5);
         assert_eq!(field("keys"), shared.index.len() as u64);
 
@@ -1161,6 +1261,162 @@ mod tests {
         assert!(live.iter().all(|&bytes| bytes > 0));
         assert_eq!(per_shard("node_bytes"), live);
         assert_eq!(per_shard("node_reserved_bytes"), vec![0; shards]);
+    }
+
+    /// One turn executes every window one read delivered into one buffer:
+    /// 3 × `window` + 5 requests — GET runs broken by PUT, DEL and SCAN,
+    /// then STATS — are four windows, answered byte for byte as
+    /// `Response::encode` answers them one by one, with the window and
+    /// GET-run counts of one write per window.
+    #[test]
+    fn one_turn_answers_every_window_of_a_read() {
+        let (server, data) = server();
+        let shared = &*server.shared;
+        let sorted = sorted_tids(&data);
+        let key = |i: usize| data.dataset.keys[i].clone();
+        let absent = key(data.loaded);
+        let n = 3 * shared.window + 5;
+        let (mut reqs, answers): (Vec<Request>, Vec<Response>) = (0..n - 1)
+            .map(|i| match i % 40 {
+                // An upsert of the stored binding answers with that TID.
+                10 => (Request::Put { tid: data.tids[i], key: key(i) }, Response::Tid(data.tids[i])),
+                20 => (Request::Del { key: absent.clone() }, Response::None),
+                30 => scan_at(shared, &sorted, i % 100, 3),
+                39 => (Request::Get { key: absent.clone() }, Response::None),
+                _ => (Request::Get { key: key(i) }, Response::Tid(data.tids[i])),
+            })
+            .unzip();
+        reqs.push(Request::Stats);
+        // What one write per window counted: a GET run ends at every
+        // window edge, and never reaches RUN_CAP inside a window.
+        assert!(RUN_CAP >= shared.window);
+        let is_get: Vec<bool> = reqs.iter().map(|r| matches!(r, Request::Get { .. })).collect();
+        let want_runs: usize = is_get
+            .chunks(shared.window)
+            .map(|w| (0..w.len()).filter(|&k| w[k] && (k == 0 || !w[k - 1])).count())
+            .sum();
+
+        let mut conn = Harness::default();
+        let turn = conn.turn(shared, &requests(&reqs));
+        assert_eq!(turn.executed, n);
+        assert!(!turn.shutdown && turn.error.is_none());
+        assert_eq!(shared.stats.windows(), 4);
+        assert_eq!(shared.stats.get_runs(), want_runs as u64);
+
+        let want = encoded(&answers);
+        let (head, tail) = conn.conn.wbuf.split_at(want.len());
+        assert!(head == want, "the answers are Response::encode's, request by request");
+        let mut dec = FrameDecoder::new();
+        dec.feed(tail);
+        let body = dec.next_frame().expect("framed").expect("the STATS answer");
+        let Ok(Response::Text(doc)) = Response::decode(body) else { panic!("STATS answers with OK_TEXT") };
+        assert_eq!(dec.pending(), 0);
+        // STATS still sees its own window, and the three before it.
+        assert_eq!(stats_field(&doc, "requests"), n as u64);
+        assert_eq!(stats_field(&doc, "windows"), 3);
+        assert_eq!(conn.conn.execute_turn(shared).executed, 0, "nothing is left for a second turn");
+    }
+
+    /// A turn whose answers reach `TURN_ANSWER_BYTES` starts no further
+    /// window: SCAN windows of ≈ 44 KB of answers go two to a turn, the
+    /// frames left over are answered by the next turns, in order, and no
+    /// turn's buffer holds more than the bound plus one window's answers.
+    #[test]
+    fn a_turn_stops_starting_windows_at_the_answer_bound() {
+        let (server, data) = server();
+        let shared = &*server.shared;
+        let sorted = sorted_tids(&data);
+        let (w, limit) = (shared.window, 40);
+        let (reqs, answers): (Vec<Request>, Vec<Response>) =
+            (0..5 * w).map(|i| scan_at(shared, &sorted, i % (data.loaded - limit), limit)).unzip();
+        // Integer keys: every answer is the same size.
+        let window_bytes = encoded(&answers[..w]).len();
+        assert!(window_bytes < TURN_ANSWER_BYTES && 2 * window_bytes >= TURN_ANSWER_BYTES);
+
+        let mut conn = Harness::default();
+        let mut turn = conn.turn(shared, &requests(&reqs));
+        let (mut per_turn, mut written) = (Vec::new(), Vec::new());
+        while turn.executed > 0 {
+            assert!(conn.conn.wbuf.len() <= TURN_ANSWER_BYTES + window_bytes);
+            per_turn.push(turn.executed);
+            written.extend_from_slice(&conn.conn.wbuf);
+            turn = conn.conn.execute_turn(shared);
+        }
+        assert_eq!(per_turn, [2 * w, 2 * w, w]);
+        assert!(written == encoded(&answers), "every answer, in request order");
+        assert_eq!(shared.stats.windows(), 5);
+    }
+
+    /// A violation ends the turn where it is found — in its third window
+    /// here: the answers of windows 1–2 and of window 3's prefix, then the
+    /// ERR frame, in the one buffer. A SHUTDOWN ends the turn after its
+    /// window: the window behind it is not executed.
+    #[test]
+    fn a_violation_or_a_shutdown_ends_the_turn() {
+        let (server, data) = server();
+        let shared = &*server.shared;
+        let w = shared.window;
+        let (gets, answers): (Vec<Request>, Vec<Response>) = (0..3 * w)
+            .map(|i| (Request::Get { key: data.dataset.keys[i].clone() }, Response::Tid(data.tids[i])))
+            .unzip();
+
+        let prefix = 2 * w + 10;
+        let unknown_opcode = [1, 0, 0, 0, 0x7E];
+        let wire = [&requests(&gets[..prefix])[..], &unknown_opcode, &requests(&gets[prefix..])].concat();
+        let mut conn = Harness::default();
+        let turn = conn.turn(shared, &wire);
+        let err = ProtoError::UnknownOpcode(0x7E);
+        assert_eq!((turn.executed, turn.error.as_ref()), (prefix, Some(&err)));
+        let mut want = answers[..prefix].to_vec();
+        want.push(Response::Error { code: err_code::BAD_FRAME, msg: err.to_string() });
+        assert!(conn.conn.wbuf == encoded(&want), "the prefix's answers, then ERR");
+        assert_eq!(shared.stats.proto_errors(), 1);
+
+        let mut reqs = gets;
+        reqs.insert(w + 10, Request::Shutdown);
+        let windows = shared.stats.windows();
+        let mut conn = Harness::default();
+        let turn = conn.turn(shared, &requests(&reqs));
+        assert!(turn.shutdown && turn.error.is_none());
+        assert_eq!(turn.executed, 2 * w);
+        assert_eq!(shared.stats.windows() - windows, 2);
+        let mut want = answers[..2 * w - 1].to_vec();
+        want.insert(w + 10, Response::None);
+        assert!(conn.conn.wbuf == encoded(&want), "windows 1-2 answered, SHUTDOWN acknowledged");
+        assert!(conn.conn.dec.pending() > 0, "window 3 is left unexecuted");
+    }
+
+    /// Over a real socket: 8 × `window` GETs sent with one `write` come
+    /// back byte-identical, and with fewer writes than windows — the
+    /// windows one read delivered share a write.
+    #[test]
+    fn the_windows_of_one_read_share_a_socket_write() {
+        use std::io::Read;
+        let (server, data) = server();
+        let keys = &data.dataset.keys;
+        let (gets, answers): (Vec<Request>, Vec<Response>) = (0..8 * server.shared.window)
+            .map(|i| {
+                let j = i % keys.len();
+                let answer = if j < data.loaded { Response::Tid(data.tids[j]) } else { Response::None };
+                (Request::Get { key: keys[j].clone() }, answer)
+            })
+            .unzip();
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        stream.set_read_timeout(Some(Duration::from_secs(20))).expect("read timeout");
+        stream.write_all(&requests(&gets)).expect("one write of every request");
+        let want = encoded(&answers);
+        let mut got = vec![0; want.len()];
+        stream.read_exact(&mut got).expect("every answer");
+        assert!(got == want, "the answers are Response::encode's, request by request");
+
+        stream.write_all(&requests(&[Request::Stats])).expect("STATS");
+        let mut len = [0; 4];
+        stream.read_exact(&mut len).expect("a STATS frame");
+        let mut body = vec![0; u32::from_le_bytes(len) as usize];
+        stream.read_exact(&mut body).expect("the STATS body");
+        let Ok(Response::Text(doc)) = Response::decode(&body) else { panic!("STATS answers with OK_TEXT") };
+        let (writes, windows) = (stats_field(&doc, "writes"), stats_field(&doc, "windows"));
+        assert!(writes >= 1 && writes < windows, "{writes} writes for {windows} windows");
     }
 
     /// Start-up end to end, at a size that takes the parallel sort and the

@@ -11,7 +11,10 @@
 //! turns into a failure rather than a hung CI job. Every cell reports the
 //! start-up time it observed (process spawn to `LISTENING`). One further
 //! cell starts both binaries with no flags at all, so the configuration
-//! that ships is one that is checked.
+//! that ships is one that is checked, and one more keeps 1024 requests in
+//! flight (`net_ycsb --window 1024`), so that one socket read carries
+//! several server windows and the turn that answers them with one write
+//! runs between real processes.
 //!
 //! One more server runs with `--max-conns 1`: a second connection must be
 //! answered with the typed `overloaded` ERR frame, and a SHUTDOWN frame
@@ -72,14 +75,25 @@ pub fn server_smoke() -> ExitCode {
         eprintln!("server-smoke: {e} (no flags)");
         return ExitCode::FAILURE;
     }
+    // 1024 requests in flight put several server windows into one read,
+    // so the server's multi-window turns run here; the client's default
+    // of 64 almost never fills more than one.
+    let scale = ["--dataset", "url", "--keys", KEYS, "--ops", OPS, "--seed", SEED];
+    let server_args = [&SMOKE_ADDR[..], &scale[..]].concat();
+    let client_args = [&scale[..], &["--shards", "2", "--window", "1024"][..]].concat();
+    let label = "dataset=url shards=2 client window=1024";
+    if let Err(e) = parity_cell(&server_bin, &client_bin, &root, label, &server_args, &client_args) {
+        eprintln!("server-smoke: {e} ({label})");
+        return ExitCode::FAILURE;
+    }
     if let Err(e) = connection_cap_smoke(&server_bin, &root) {
         eprintln!("server-smoke: --max-conns: {e}");
         return ExitCode::FAILURE;
     }
     println!(
-        "server-smoke: ok — {} dataset(s) x {} shard count(s) and a flag-less start: network \
-         checksums match in-process, clean shutdowns; --max-conns refuses the excess connection \
-         with a typed error",
+        "server-smoke: ok — {} dataset(s) x {} shard count(s), a flag-less start and a \
+         1024-deep client window: network checksums match in-process, clean shutdowns; \
+         --max-conns refuses the excess connection with a typed error",
         DATASETS.len(),
         SHARD_COUNTS.len()
     );
