@@ -1,5 +1,5 @@
 //! Criterion benchmark for the bottom-up bulk loader: building a HOT trie
-//! from pre-sorted keys (sequential and with a parallel worker budget)
+//! from pre-sorted keys (on one thread, and with a parallel worker budget)
 //! against the incremental insert loop, on the integer and url data sets.
 //!
 //! Each iteration builds a complete fresh trie over the whole key set, so
@@ -7,9 +7,13 @@
 //! Sorting happens once in setup — it is the one-off data-preparation step
 //! of a real load pipeline, not part of the build being measured.
 //!
-//! Runs at the [`KEY_COUNTS`] sizes. The parallel worker budget is the
-//! host's available parallelism (a single-core container still exercises
-//! the partition/graft machinery, it just cannot show speedup).
+//! Runs at the [`KEY_COUNTS`] sizes. `bulk_seq` is
+//! `bulk_load_parallel(…, 1)`, one thread whatever the store: a plain
+//! `bulk_load` of the 1 M-key rows would put the store on chunks and build
+//! on every core (DESIGN.md §11.4), turning the row parallel. The parallel
+//! worker budget is the host's available parallelism (a single-core
+//! container still exercises the partition/graft machinery, it just cannot
+//! show speedup).
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use hot_bench::BenchData;
@@ -55,7 +59,7 @@ fn bench_bulk_load(c: &mut Criterion) {
                 b.iter_batched(
                     || HotTrie::new(Arc::clone(&data.arena)),
                     |mut trie| {
-                        black_box(trie.bulk_load(&sorted).expect("sorted into empty"));
+                        black_box(trie.bulk_load_parallel(&sorted, 1).expect("sorted into empty"));
                         trie
                     },
                     BatchSize::PerIteration,

@@ -116,21 +116,44 @@ impl Builder {
         values: &[u64],
         height_of: impl Fn(u64) -> u8 + Copy,
     ) -> Builder {
+        let mut builder = Builder::empty();
+        builder.fill_from_fragment(bounds, values, height_of);
+        builder
+    }
+
+    /// [`Self::from_fragment`] into this builder, reusing its buffers: the
+    /// bulk loader encodes every node through one builder per worker, so
+    /// its node build allocates nothing per node.
+    pub(crate) fn fill_from_fragment(
+        &mut self,
+        bounds: &[u16],
+        values: &[u64],
+        height_of: impl Fn(u64) -> u8 + Copy,
+    ) {
         let n = values.len();
         assert!((2..=MAX_FANOUT).contains(&n), "entry count {n}");
         assert_eq!(bounds.len(), n - 1, "one boundary between adjacent entries");
-        let mut positions: Vec<u16> = bounds.to_vec();
+        let positions = &mut self.positions;
+        positions.clear();
+        positions.extend_from_slice(bounds);
         positions.sort_unstable();
         positions.dedup();
         let m = positions.len();
         debug_assert!(m <= MAX_POSITIONS, "n <= 32 entries imply <= 31 positions");
-        let mut sparse = vec![0u32; n];
+        let sparse = &mut self.sparse;
+        sparse.clear();
+        sparse.resize(n, 0);
         // Worklist recursion over entry subranges: the smallest boundary in
         // a range is its subtree's root BiNode; everything right of it gets
         // that position's extracted bit set (path bits accumulate, off-path
-        // bits stay 0).
-        let mut ranges = vec![(0usize, n - 1)];
-        while let Some((lo, hi)) = ranges.pop() {
+        // bits stay 0). The ranges on the list are disjoint and non-empty,
+        // so there are never more than `n` of them.
+        let mut ranges = [(0usize, 0usize); MAX_FANOUT];
+        ranges[0] = (0, n - 1);
+        let mut pending = 1;
+        while pending > 0 {
+            pending -= 1;
+            let (lo, hi) = ranges[pending];
             if lo == hi {
                 continue;
             }
@@ -145,15 +168,13 @@ impl Builder {
             for s in &mut sparse[root + 1..=hi] {
                 *s |= bit;
             }
-            ranges.push((lo, root));
-            ranges.push((root + 1, hi));
+            ranges[pending] = (lo, root);
+            ranges[pending + 1] = (root + 1, hi);
+            pending += 2;
         }
-        Builder {
-            positions,
-            sparse,
-            values: values.to_vec(),
-            height: 1 + values.iter().map(|&v| height_of(v)).max().unwrap_or(0),
-        }
+        self.values.clear();
+        self.values.extend_from_slice(values);
+        self.height = 1 + values.iter().map(|&v| height_of(v)).max().unwrap_or(0);
     }
 
     /// Number of entries.

@@ -278,11 +278,13 @@ impl MemCounter {
 
     /// A bulk load of `keys` keys is about to build into this heap. From
     /// [`CHUNKED_LOAD_MIN_KEYS`] keys on, a heap that holds no node carves
-    /// every block it will ever hand out from chunks.
-    pub(crate) fn prepare_load(&self, keys: usize) {
+    /// every block it will ever hand out from chunks. Returns whether the
+    /// heap is on chunks.
+    pub(crate) fn prepare_load(&self, keys: usize) -> bool {
         if keys >= CHUNKED_LOAD_MIN_KEYS && self.nodes() == 0 {
             self.chunks.get_or_init(Mutex::default);
         }
+        self.chunks.get().is_some()
     }
 
     /// A node-sized block (a multiple of 32 bytes, 32-aligned) with the

@@ -77,8 +77,12 @@ pub(crate) trait NodeStore: Sync {
     /// A bulk load of `keys` distinct keys is about to build into this
     /// store ([`bulk::load`](crate::bulk::load) calls it once, before the
     /// first leaf): the store may pick where the nodes of a tree that large
-    /// go (DESIGN.md §3.7).
-    fn prepare_load(&self, _keys: usize) {}
+    /// go (DESIGN.md §3.7). Returns whether every node of this load comes
+    /// from memory the store owns, whichever thread allocates it — which
+    /// lets a plain `bulk_load` build on every core (§11.4).
+    fn prepare_load(&self, _keys: usize) -> bool {
+        false
+    }
 
     /// Listing 2's final step: the TID of `leaf` if it stores exactly
     /// `key`.
@@ -218,8 +222,8 @@ impl<S: KeySource> NodeStore for HeapStore<S> {
         self.source.prefetch_key(leaf.tid());
     }
 
-    fn prepare_load(&self, keys: usize) {
-        self.mem.prepare_load(keys);
+    fn prepare_load(&self, keys: usize) -> bool {
+        self.mem.prepare_load(keys)
     }
 
     #[inline(always)]

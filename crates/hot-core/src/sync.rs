@@ -61,7 +61,7 @@ use std::sync::Arc;
 use crossbeam_epoch as epoch;
 
 use crate::arena::{ArenaFull, ArenaStats, ArenaStore};
-use crate::bulk::BulkLoadError;
+use crate::bulk::{BulkLoadError, Workers};
 use crate::metrics::{Metrics, OpKind, RowexCounter};
 use crate::node::{RawNode, Slot, TreeRef};
 use crate::store::{HeapStore, NodeStore};
@@ -311,21 +311,33 @@ impl<St: NodeStore> Concurrent<St> {
     /// collapse last-write-wins; unsorted input returns
     /// [`BulkLoadError::Unsorted`]; an arena ceiling hit mid-build returns
     /// [`BulkLoadError::ArenaFull`] with the index still empty and usable.
-    /// Returns the number of distinct keys.
-    pub fn bulk_load<K: AsRef<[u8]>>(
+    /// The scan runs on every available core, and so does the node build
+    /// when the store owns the memory of every node it builds; on the
+    /// general allocator the nodes are built on the calling thread (see
+    /// [`Trie::bulk_load`](crate::Trie::bulk_load)). Returns the number of
+    /// distinct keys.
+    pub fn bulk_load<K: AsRef<[u8]> + Sync>(
         &self,
         entries: &[(K, u64)],
     ) -> Result<usize, BulkLoadError> {
-        self.bulk_load_parallel(entries, 1)
+        self.bulk_load_on(entries, Workers::Available)
     }
 
-    /// [`bulk_load`](Self::bulk_load) with the root fragment's subtries
-    /// built on up to `threads` worker threads (see
+    /// [`bulk_load`](Self::bulk_load) on up to `threads` threads, whatever
+    /// the store (see
     /// [`Trie::bulk_load_parallel`](crate::Trie::bulk_load_parallel)).
-    pub fn bulk_load_parallel<K: AsRef<[u8]>>(
+    pub fn bulk_load_parallel<K: AsRef<[u8]> + Sync>(
         &self,
         entries: &[(K, u64)],
         threads: usize,
+    ) -> Result<usize, BulkLoadError> {
+        self.bulk_load_on(entries, Workers::UpTo(threads))
+    }
+
+    fn bulk_load_on<K: AsRef<[u8]> + Sync>(
+        &self,
+        entries: &[(K, u64)],
+        workers: Workers,
     ) -> Result<usize, BulkLoadError> {
         if !self.load_root().is_null() {
             return Err(BulkLoadError::NotEmpty);
@@ -335,7 +347,7 @@ impl<St: NodeStore> Concurrent<St> {
         // Acquire `load_root`, so a reader that observes the new root
         // observes every node body built for it (including the worker
         // threads' stores, which happened-before their join).
-        let n = crate::bulk::load(&*self.store, entries, threads, |root| {
+        let n = crate::bulk::load(&*self.store, entries, workers, |root| {
             self.root
                 // pairs-with: root-publish
                 .compare_exchange(St::Ref::NULL.word(), root.word(), Ordering::Release, Ordering::Relaxed)
@@ -348,7 +360,7 @@ impl<St: NodeStore> Concurrent<St> {
     }
 
     /// Ordering: **Acquire** — pairs with every **Release** store/CAS of
-    /// the root word (`attempt`, `bulk_load_parallel`). A descent that
+    /// the root word (`attempt`, `bulk_load_on`). A descent that
     /// observes a new root word therefore observes the fully built node
     /// behind it.
     #[inline]

@@ -16,7 +16,7 @@
 // two instantiations can be named, and those are the public API.
 #![allow(private_bounds)]
 
-use crate::bulk::BulkLoadError;
+use crate::bulk::{BulkLoadError, Workers};
 use crate::metrics::{Metrics, OpKind};
 use crate::node::builder::Builder;
 use crate::node::{RawNode, Slot, TreeRef, MAX_FANOUT};
@@ -685,34 +685,46 @@ impl<St: NodeStore> Trie<St> {
     /// Every compound node is computed from the adjacent-key mismatch
     /// positions and encoded exactly once, with no intermediate
     /// copy-on-write churn, so loading is several times faster than an
-    /// insert loop and the resulting footprint is never larger. The build
-    /// runs on the calling thread: nodes allocated on worker threads land
-    /// in per-thread allocator arenas, which cost 3 % resident size for
-    /// the index's lifetime (2 M urls, glibc) against a one-off 0.13 s —
-    /// [`bulk_load_parallel`](Self::bulk_load_parallel) is the explicit
-    /// choice of that trade. Returns the number of distinct keys loaded.
-    pub fn bulk_load<K: AsRef<[u8]>>(
+    /// insert loop and the resulting footprint is never larger. The
+    /// boundary scan runs on every available core. So does the node build
+    /// when the store owns the memory of every node it builds — a heap
+    /// store that a load of 2¹⁹ keys or more puts on 2 MiB chunks; on the
+    /// general allocator the nodes are built on the calling thread, because
+    /// nodes built on other threads would sit in their per-thread allocator
+    /// arenas for the index's lifetime (DESIGN.md §11.4).
+    /// [`bulk_load_parallel`](Self::bulk_load_parallel) sets the thread
+    /// count instead. Either way the tree is byte-identical. Returns the
+    /// number of distinct keys loaded.
+    pub fn bulk_load<K: AsRef<[u8]> + Sync>(
         &mut self,
         entries: &[(K, u64)],
     ) -> Result<usize, BulkLoadError> {
-        self.bulk_load_parallel(entries, 1)
+        self.bulk_load_on(entries, Workers::Available)
     }
 
-    /// [`bulk_load`](Self::bulk_load) with the root fragment's independent
-    /// subtries built on up to `threads` `std::thread` workers and grafted
-    /// under a root node built from the partition fences. `threads <= 1` is
-    /// the sequential build.
-    pub fn bulk_load_parallel<K: AsRef<[u8]>>(
+    /// [`bulk_load`](Self::bulk_load) on up to `threads` threads, whatever
+    /// the store: the boundary scan's ranges and the root fragment's
+    /// independent subtries, grafted under a root node built from the
+    /// partition fences. `threads <= 1` is the sequential build.
+    pub fn bulk_load_parallel<K: AsRef<[u8]> + Sync>(
         &mut self,
         entries: &[(K, u64)],
         threads: usize,
+    ) -> Result<usize, BulkLoadError> {
+        self.bulk_load_on(entries, Workers::UpTo(threads))
+    }
+
+    fn bulk_load_on<K: AsRef<[u8]> + Sync>(
+        &mut self,
+        entries: &[(K, u64)],
+        workers: Workers,
     ) -> Result<usize, BulkLoadError> {
         if !self.root.is_null() {
             return Err(BulkLoadError::NotEmpty);
         }
         let _t = self.metrics.timer(OpKind::BulkLoad);
         let root = &mut self.root;
-        let n = crate::bulk::load(&self.store, entries, threads, |built| {
+        let n = crate::bulk::load(&self.store, entries, workers, |built| {
             *root = built;
             true
         })?;

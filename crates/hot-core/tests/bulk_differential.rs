@@ -235,6 +235,39 @@ fn parallel_build_is_structurally_identical_to_sequential() {
     }
 }
 
+/// 2¹⁹ distinct keys: a plain load of this many puts a heap store on its
+/// own 2 MiB chunks and builds its nodes on every available core.
+fn chunked_load_entries() -> Vec<([u8; 8], u64)> {
+    let keys: Vec<u64> = (0..1u64 << 19).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 1).collect();
+    let entries = int_entries(&keys);
+    assert_eq!(entries.len(), 1 << 19);
+    entries
+}
+
+#[test]
+fn a_plain_load_onto_chunks_equals_a_one_thread_load() {
+    let entries = chunked_load_entries();
+
+    let plain = ConcurrentHot::new(EmbeddedKeySource);
+    plain.bulk_load(&entries).unwrap();
+    let one = ConcurrentHot::new(EmbeddedKeySource);
+    one.bulk_load_parallel(&entries, 1).unwrap();
+    let (p, o) = (plain.memory_stats(), one.memory_stats());
+    assert!(p.capacity_bytes > 0, "the plain load is on chunks");
+    assert_eq!(plain.structure_digest(), one.structure_digest());
+    assert_eq!((p.node_count, p.node_bytes), (o.node_count, o.node_bytes));
+
+    let mut plain = HotTrie::new(EmbeddedKeySource);
+    plain.bulk_load(&entries).unwrap();
+    let mut one = HotTrie::new(EmbeddedKeySource);
+    one.bulk_load_parallel(&entries, 1).unwrap();
+    let (p, o) = (plain.memory_stats(), one.memory_stats());
+    assert!(p.capacity_bytes > 0, "the plain load is on chunks");
+    assert_eq!(plain.structure_digest(), one.structure_digest());
+    assert_eq!((p.node_count, p.node_bytes), (o.node_count, o.node_bytes));
+    plain.check_invariants();
+}
+
 #[test]
 fn unsorted_input_is_rejected_without_building() {
     let mut trie = HotTrie::new(EmbeddedKeySource);
