@@ -72,7 +72,7 @@ pub use arena::{ArenaFull, ArenaKind, ArenaStats, ArenaStore, CompactHot};
 pub use bulk::BulkLoadError;
 pub use invariants::InvariantReport;
 pub use map::HotMap;
-pub use mlp::{BatchRequest, MlpScheduler, DEFAULT_DEPTH, MAX_DEPTH};
+pub use mlp::{MlpScheduler, DEFAULT_DEPTH, MAX_DEPTH};
 pub use node::{MemCounter, NodeRef, NodeTag, MAX_FANOUT};
 pub use scan::ScanCursor;
 pub use shard::{

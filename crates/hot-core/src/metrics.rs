@@ -49,8 +49,6 @@ pub(crate) enum OpKind {
     ScanBatch,
     /// Sorted bulk load.
     BulkLoad,
-    /// Batched removals (probe descents + applies).
-    RemoveBatch,
 }
 
 /// ROWEX health counters (no-op flavour).
@@ -83,8 +81,6 @@ pub(crate) enum SchedCounter {
     LookupDone,
     /// Scan-seek descent completed.
     ScanSeekDone,
-    /// Remove-probe descent completed.
-    ProbeDone,
     /// Re-descent after a torn-slot observation.
     Redescent,
 }

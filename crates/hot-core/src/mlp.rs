@@ -11,20 +11,22 @@
 //! flight while an out-of-order core sustains ten or more. The Cuckoo
 //! Trie observation applies: the memory system rewards keeping N misses
 //! in flight *continuously*. [`MlpScheduler`] is the one engine every
-//! batched read runs on, whichever [`NodeStore`] holds the trie. It owns a ring of up to N lane
-//! state machines — point lookups, range-scan seeks and remove probes run
-//! as one [`DescentKind`] through the same ring — and sweeps the ring,
-//! advancing each in-flight descent by one node per visit with the next
-//! hop prefetched. The moment a lane *completes* (its result is written,
-//! its scan drained), it is refilled from the pending-request queue in
-//! place, without waiting for the rest of the ring: in-flight depth stays
-//! at N until the queue runs dry, regardless of per-key depth variance
-//! (a deep URL descent, a re-descent on the concurrent index), and mixed
-//! get/scan/probe streams interleave in one pipeline.
+//! batched read runs on, whichever [`NodeStore`] holds the trie. A run is
+//! a stream of point lookups or a stream of range-scan seeks — the
+//! stream's type fixes its [`DescentKind`], so the sweep carries no
+//! per-lane kind test. The scheduler owns a ring of up to N lane state
+//! machines and sweeps it, advancing each in-flight descent by one node
+//! per visit with the next hop prefetched. The moment a lane *completes*
+//! (its result is written, its scan drained), it is refilled from the
+//! pending-request queue in place, without waiting for the rest of the
+//! ring: in-flight depth stays at N until the queue runs dry, regardless
+//! of per-key depth variance (a deep URL descent, a re-descent on the
+//! concurrent index).
 //!
 //! Completion order is data-dependent; *results are not*. Lookup results
-//! land at their request's slot, and scan drains are staged in a scratch
-//! vector and emitted in request order afterwards, so every entry point is
+//! land at their request's slot (`run_lookups`), and scan drains are
+//! staged in a scratch vector and emitted in request order afterwards
+//! (`run_scans`), so every entry point is
 //! byte-identical to the scalar path (the `ooo_differential` test asserts
 //! checksums at every depth).
 //!
@@ -67,8 +69,8 @@ const KEY_PREFETCH_LINES: usize = 2;
 /// the same "not present" answer the scalar reader gives.
 const MAX_REDESCENTS: u32 = 3;
 
-/// What kind of descent occupies a lane (the `Descent` enum of DESIGN.md
-/// §9.1, flattened into per-lane state).
+/// What kind of descent a run's lanes perform (DESIGN.md §9.1). A run
+/// serves exactly one, fixed by its stream's type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum DescentKind {
     /// Point lookup: the verified TID (or `None`) goes to `out[slot]`.
@@ -76,22 +78,11 @@ pub(crate) enum DescentKind {
     /// Range-scan seek: the recorded path seeds an in-order drain of up to
     /// `limit` TIDs.
     ScanSeek,
-    /// Existence probe ahead of a removal: same verification as a lookup,
-    /// and the descent warms the path the subsequent structural removal
-    /// re-walks.
-    RemoveProbe,
 }
 
 /// Lane stage within a descent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Stage {
-    /// Lazy-routed lane staged without a root: the key bytes were copied
-    /// into the lane at stage time (pure data movement the out-of-order
-    /// core overlaps freely), and the per-key root resolution — which
-    /// *branches* on those bytes and would stall the whole ring if it ran
-    /// against a cold line — happens on the lane's first sweep visit,
-    /// when the copy is L1-resident.
-    Route,
     /// Chasing compound nodes root-to-leaf.
     Descend,
     /// Terminal word reached and the tuple's key record prefetched last
@@ -100,39 +91,32 @@ enum Stage {
     Finish,
 }
 
-/// One request as the scheduler consumes it: key bytes, descent kind, and
-/// the scan limit (ignored for lookups/probes).
+/// A run's requests as the scheduler consumes them: key bytes and the
+/// scan limit (ignored by lookups), all of the stream's one [`KIND`].
 ///
 /// Implemented over the caller's natural containers so no per-call request
 /// vector is materialized.
+///
+/// [`KIND`]: RequestStream::KIND
 pub(crate) trait RequestStream {
+    /// The descent every request of the stream takes.
+    const KIND: DescentKind;
     /// Number of requests.
     fn len(&self) -> usize;
-    /// The `i`-th request.
-    fn fetch(&self, i: usize) -> (&[u8], DescentKind, usize);
+    /// The `i`-th request's key bytes and scan limit.
+    fn fetch(&self, i: usize) -> (&[u8], usize);
 }
 
 /// `&[K]` as a stream of lookups.
 pub(crate) struct LookupStream<'a, K>(pub &'a [K]);
 
 impl<K: AsRef<[u8]>> RequestStream for LookupStream<'_, K> {
+    const KIND: DescentKind = DescentKind::Lookup;
     fn len(&self) -> usize {
         self.0.len()
     }
-    fn fetch(&self, i: usize) -> (&[u8], DescentKind, usize) {
-        (self.0[i].as_ref(), DescentKind::Lookup, 0)
-    }
-}
-
-/// `&[K]` as a stream of remove probes.
-pub(crate) struct ProbeStream<'a, K>(pub &'a [K]);
-
-impl<K: AsRef<[u8]>> RequestStream for ProbeStream<'_, K> {
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-    fn fetch(&self, i: usize) -> (&[u8], DescentKind, usize) {
-        (self.0[i].as_ref(), DescentKind::RemoveProbe, 0)
+    fn fetch(&self, i: usize) -> (&[u8], usize) {
+        (self.0[i].as_ref(), 0)
     }
 }
 
@@ -140,35 +124,13 @@ impl<K: AsRef<[u8]>> RequestStream for ProbeStream<'_, K> {
 pub(crate) struct ScanStream<'a, K>(pub &'a [(K, usize)]);
 
 impl<K: AsRef<[u8]>> RequestStream for ScanStream<'_, K> {
+    const KIND: DescentKind = DescentKind::ScanSeek;
     fn len(&self) -> usize {
         self.0.len()
     }
-    fn fetch(&self, i: usize) -> (&[u8], DescentKind, usize) {
+    fn fetch(&self, i: usize) -> (&[u8], usize) {
         let (key, limit) = &self.0[i];
-        (key.as_ref(), DescentKind::ScanSeek, *limit)
-    }
-}
-
-/// One request of a mixed batched stream (gets and scans interleaved in
-/// stream order), the shape YCSB's coalesced operation batches take.
-#[derive(Debug, Clone, Copy)]
-pub enum BatchRequest<'a> {
-    /// Point lookup; its result lands at this request's slot in `out`.
-    Get(&'a [u8]),
-    /// Range scan `(start key, limit)`; its TIDs land in the flat TID
-    /// vector with one bounds entry per scan request, in stream order.
-    Scan(&'a [u8], usize),
-}
-
-impl RequestStream for [BatchRequest<'_>] {
-    fn len(&self) -> usize {
-        <[BatchRequest<'_>]>::len(self)
-    }
-    fn fetch(&self, i: usize) -> (&[u8], DescentKind, usize) {
-        match self[i] {
-            BatchRequest::Get(key) => (key, DescentKind::Lookup, 0),
-            BatchRequest::Scan(key, limit) => (key, DescentKind::ScanSeek, limit),
-        }
+        (key.as_ref(), *limit)
     }
 }
 
@@ -179,8 +141,6 @@ struct Lane {
     key: PaddedKey,
     /// Current word: node while descending, leaf/null once terminal.
     cur: u64,
-    /// Descent kind.
-    kind: DescentKind,
     /// Stage within the descent.
     stage: Stage,
     /// Request index this lane is servicing.
@@ -200,7 +160,6 @@ impl Lane {
         Lane {
             key: PaddedKey::new(),
             cur: 0,
-            kind: DescentKind::Lookup,
             stage: Stage::Descend,
             req: 0,
             limit: 0,
@@ -225,8 +184,8 @@ pub struct MlpScheduler {
     active: Vec<usize>,
     /// Scan drains staged in completion order; emitted in request order.
     scratch_tids: Vec<u64>,
-    /// Per-request `(begin, end)` span into `scratch_tids` (scan requests
-    /// only; lookups leave their slot untouched).
+    /// Per-request `(begin, end)` span into `scratch_tids` (scan runs
+    /// only; a lookup run leaves it empty).
     spans: Vec<(usize, usize)>,
 }
 
@@ -282,34 +241,61 @@ impl MlpScheduler {
         }
     }
 
-    /// Drain `reqs` through the ring.
+    /// Drain a stream of lookups through the ring: request `i`'s verified
+    /// TID (or `None`) is written to `out[i]` (`out` has one slot per
+    /// request).
     ///
-    /// * Lookup/probe results are written to `out[i]` for request `i`
-    ///   (`out` must have one slot per request whenever the stream
-    ///   contains lookups or probes).
-    /// * Scan results are appended flat to `tids`, with one end offset
-    ///   pushed to `bounds` per scan request in request order (the caller
-    ///   seeds `bounds` with the starting offset, matching `scan_batch`).
-    /// * `reload_root` is called with the request's key bytes once per
-    ///   lane load and once per re-descent — the per-refill root reload
-    ///   that keeps a long batch on the concurrent index from pinning
-    ///   one stale root. The key lets a sharded caller pick the root
-    ///   per request, folding shard routing into the descent pipeline
-    ///   instead of a separate serial-miss classify pass.
-    /// * `lazy_route` defers each `reload_root` to the lane's first
-    ///   sweep visit (the [`Stage::Route`] hop), one visit after the
-    ///   key bytes were copied into the lane — callers whose
-    ///   `reload_root` actually branches on the key (the sharded
-    ///   router) set it so classification reads the L1-resident lane
-    ///   copy instead of stalling the ring on a cold miss; callers with
-    ///   a key-independent root keep the eager staging (no extra hop).
+    /// * `reload_root` is called once per lane load and once per
+    ///   re-descent — the per-refill root reload that keeps a long batch
+    ///   on the concurrent index from pinning one stale root.
     /// * `redescend` enables torn-slot recovery (concurrent index only;
     ///   the single-threaded trie never publishes null slots).
-    ///
-    /// This is the call's one ISA dispatch: the sweep below is compiled
-    /// once per [`Kernel`] and every hop of every lane runs the chosen one.
-    #[allow(clippy::too_many_arguments)] // internal plumbing shared by four adapters
-    pub(crate) fn run<St, Q, F>(
+    pub(crate) fn run_lookups<St, Q, F>(
+        &mut self,
+        store: &St,
+        reqs: &Q,
+        out: &mut [Option<u64>],
+        reload_root: F,
+        redescend: bool,
+        metrics: &Metrics,
+    ) where
+        St: NodeStore,
+        Q: RequestStream,
+        F: FnMut() -> St::Ref,
+    {
+        debug_assert_eq!(Q::KIND, DescentKind::Lookup);
+        let (mut tids, mut bounds) = (Vec::new(), Vec::new());
+        self.run(store, reqs, out, &mut tids, &mut bounds, reload_root, redescend, metrics);
+    }
+
+    /// Drain a stream of scan seeks through the ring: each request's TIDs
+    /// are appended flat to `tids`, with one end offset pushed to `bounds`
+    /// per request in request order (the caller seeds `bounds` with the
+    /// starting offset, matching `scan_batch`). `reload_root` and
+    /// `redescend` as for [`run_lookups`](Self::run_lookups).
+    #[allow(clippy::too_many_arguments)] // two outputs plus the lookup entry's five
+    pub(crate) fn run_scans<St, Q, F>(
+        &mut self,
+        store: &St,
+        reqs: &Q,
+        tids: &mut Vec<u64>,
+        bounds: &mut Vec<usize>,
+        reload_root: F,
+        redescend: bool,
+        metrics: &Metrics,
+    ) where
+        St: NodeStore,
+        Q: RequestStream,
+        F: FnMut() -> St::Ref,
+    {
+        debug_assert_eq!(Q::KIND, DescentKind::ScanSeek);
+        self.run(store, reqs, &mut [], tids, bounds, reload_root, redescend, metrics);
+    }
+
+    /// The call's one ISA dispatch: the sweep below is compiled once per
+    /// [`Kernel`] and every hop of every lane runs the chosen one.
+    #[allow(clippy::too_many_arguments)] // internal plumbing of the two entries
+    fn run<St, Q, F>(
         &mut self,
         store: &St,
         reqs: &Q,
@@ -317,43 +303,21 @@ impl MlpScheduler {
         tids: &mut Vec<u64>,
         bounds: &mut Vec<usize>,
         reload_root: F,
-        lazy_route: bool,
         redescend: bool,
         metrics: &Metrics,
     ) where
         St: NodeStore,
-        Q: RequestStream + ?Sized,
-        F: FnMut(&[u8]) -> St::Ref,
+        Q: RequestStream,
+        F: FnMut() -> St::Ref,
     {
         match hot_bits::features().isa() {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: the token proves detection found every enabled feature.
             Isa::Avx2(k) => unsafe {
-                self.run_avx2(k, store, reqs, out, tids, bounds, reload_root, lazy_route, redescend, metrics)
+                self.run_avx2(k, store, reqs, out, tids, bounds, reload_root, redescend, metrics)
             },
-            Isa::Portable(k) => {
-                self.run_on(k, store, reqs, out, tids, bounds, reload_root, lazy_route, redescend, metrics)
-            }
+            Isa::Portable(k) => self.run_on(k, store, reqs, out, tids, bounds, reload_root, redescend, metrics),
         }
-    }
-
-    /// [`run`](Self::run) for a scan-free stream (lookups, probes): results
-    /// land in `out` only, the root never depends on the key.
-    pub(crate) fn run_points<St, Q, F>(
-        &mut self,
-        store: &St,
-        reqs: &Q,
-        out: &mut [Option<u64>],
-        reload_root: F,
-        redescend: bool,
-        metrics: &Metrics,
-    ) where
-        St: NodeStore,
-        Q: RequestStream + ?Sized,
-        F: FnMut(&[u8]) -> St::Ref,
-    {
-        let (mut tids, mut bounds) = (Vec::new(), Vec::new());
-        self.run(store, reqs, out, &mut tids, &mut bounds, reload_root, false, redescend, metrics);
     }
 
     #[cfg(target_arch = "x86_64")]
@@ -368,15 +332,14 @@ impl MlpScheduler {
         tids: &mut Vec<u64>,
         bounds: &mut Vec<usize>,
         reload_root: F,
-        lazy_route: bool,
         redescend: bool,
         metrics: &Metrics,
     ) where
         St: NodeStore,
-        Q: RequestStream + ?Sized,
-        F: FnMut(&[u8]) -> St::Ref,
+        Q: RequestStream,
+        F: FnMut() -> St::Ref,
     {
-        self.run_on(k, store, reqs, out, tids, bounds, reload_root, lazy_route, redescend, metrics)
+        self.run_on(k, store, reqs, out, tids, bounds, reload_root, redescend, metrics)
     }
 
     #[inline(always)]
@@ -390,22 +353,24 @@ impl MlpScheduler {
         tids: &mut Vec<u64>,
         bounds: &mut Vec<usize>,
         mut reload_root: F,
-        lazy_route: bool,
         redescend: bool,
         metrics: &Metrics,
     ) where
         K: Kernel,
         St: NodeStore,
-        Q: RequestStream + ?Sized,
-        F: FnMut(&[u8]) -> St::Ref,
+        Q: RequestStream,
+        F: FnMut() -> St::Ref,
     {
         let n = reqs.len();
         if n == 0 {
             return;
         }
+        let scan = Q::KIND == DescentKind::ScanSeek;
         self.scratch_tids.clear();
         self.spans.clear();
-        self.spans.resize(n, (0, 0));
+        if scan {
+            self.spans.resize(n, (0, 0));
+        }
         while self.lanes.len() < self.depth.min(n) {
             self.lanes.push(Lane::new());
         }
@@ -426,27 +391,12 @@ impl MlpScheduler {
         // probe stream, random lines of the key arena), so their reads are
         // misses too — start them all before the copies so they overlap.
         for i in 0..depth.min(n) {
-            let (key, _, _) = reqs.fetch(i);
-            hot_bits::prefetch_node(key.as_ptr(), KEY_PREFETCH_LINES);
+            hot_bits::prefetch_node(reqs.fetch(i).0.as_ptr(), KEY_PREFETCH_LINES);
         }
         let mut next_req = 0;
-        let mut scans = 0usize;
         while next_req < n && active.len() < depth {
             let lane = active.len();
-            let root = if lazy_route {
-                St::Ref::NULL
-            } else {
-                reload_root(reqs.fetch(next_req).0)
-            };
-            scans += usize::from(stage_request(
-                &mut lanes[lane],
-                next_req,
-                reqs,
-                root,
-                lazy_route,
-                store,
-                metrics,
-            ));
+            stage_request(&mut lanes[lane], next_req, reqs, reload_root(), store, metrics);
             active.push(lane);
             next_req += 1;
         }
@@ -472,30 +422,10 @@ impl MlpScheduler {
             for slot in 0..live {
                 let lane = active[slot];
                 let l = &mut lanes[lane];
-                if l.stage == Stage::Route {
-                    // Deferred root resolution: the key copy staged last
-                    // visit is L1-resident now, so a classifying
-                    // `reload_root` branches over warm bytes.
-                    let root = reload_root(l.key.bytes());
-                    l.cur = root.word();
-                    if root.is_node() {
-                        l.stage = Stage::Descend;
-                        hot_bits::prefetch_node(store.raw(root).base, PREFETCH_LINES);
-                    } else {
-                        if root.is_leaf() {
-                            store.prefetch_leaf(root);
-                        }
-                        finishing += 1;
-                        l.stage = Stage::Finish;
-                    }
-                    active[kept] = lane;
-                    kept += 1;
-                    continue;
-                }
                 if l.stage == Stage::Descend {
                     let raw = store.raw(St::Ref::from_word(l.cur));
                     let (idx, next) = raw.find_candidate::<K, St::Slot>(k, l.key.padded());
-                    if l.kind == DescentKind::ScanSeek {
+                    if scan {
                         l.path.push((l.cur, idx));
                     }
                     l.cur = next.word();
@@ -513,8 +443,7 @@ impl MlpScheduler {
                         store.prefetch_leaf(next);
                         let peek = next_req + finishing;
                         if peek < n {
-                            let (key, _, _) = reqs.fetch(peek);
-                            hot_bits::prefetch_node(key.as_ptr(), KEY_PREFETCH_LINES);
+                            hot_bits::prefetch_node(reqs.fetch(peek).0.as_ptr(), KEY_PREFETCH_LINES);
                         }
                         finishing += 1;
                         l.stage = Stage::Finish;
@@ -527,7 +456,7 @@ impl MlpScheduler {
                         if redescend && l.attempts < MAX_REDESCENTS {
                             l.attempts += 1;
                             l.path.clear();
-                            let root = reload_root(l.key.bytes());
+                            let root = reload_root();
                             l.cur = root.word();
                             metrics.sched(SchedCounter::Redescent);
                             if root.is_node() {
@@ -550,26 +479,13 @@ impl MlpScheduler {
                 }
                 // Finish stage: the lane's tuple line has had a full sweep
                 // to arrive; complete the request and refill in place.
-                finish_lane(l, store, out, scratch_tids, spans, metrics);
+                finish_lane(Q::KIND, l, store, out, scratch_tids, spans, metrics);
                 // Saturating: lanes staged straight to Finish (single-leaf
                 // or empty root) never incremented the counter.
                 finishing = finishing.saturating_sub(1);
                 if next_req < n {
                     // Completion-driven refill.
-                    let root = if lazy_route {
-                        St::Ref::NULL
-                    } else {
-                        reload_root(reqs.fetch(next_req).0)
-                    };
-                    scans += usize::from(stage_request(
-                        l,
-                        next_req,
-                        reqs,
-                        root,
-                        lazy_route,
-                        store,
-                        metrics,
-                    ));
+                    stage_request(l, next_req, reqs, reload_root(), store, metrics);
                     next_req += 1;
                     active[kept] = lane;
                     kept += 1;
@@ -579,51 +495,32 @@ impl MlpScheduler {
         }
 
         // Emit scan results in request order: completion order shuffled
-        // the staging vector, the spans restore the request view. Pure
-        // lookup/probe windows (`scans == 0`) skip the re-fetch pass.
-        if scans > 0 {
-            for (i, &(begin, end)) in spans.iter().enumerate().take(n) {
-                let (_, kind, _) = reqs.fetch(i);
-                if kind == DescentKind::ScanSeek {
-                    tids.extend_from_slice(&scratch_tids[begin..end]);
-                    bounds.push(tids.len());
-                }
+        // the staging vector, the spans restore the request view.
+        if scan {
+            for &(begin, end) in spans.iter() {
+                tids.extend_from_slice(&scratch_tids[begin..end]);
+                bounds.push(tids.len());
             }
         }
     }
 }
 
 /// Stage request `req` into lane `l`: set the key, point the lane at a
-/// freshly loaded root (or defer the root to the first sweep visit when
-/// `lazy` — the key copy just made is what a classifying `reload_root`
-/// reads warm), and start the root's prefetch. Returns `true` when the
-/// staged request is a scan seek (the caller skips the request-order
-/// emit pass for scan-free windows).
-fn stage_request<St, Q>(
-    l: &mut Lane,
-    req: usize,
-    reqs: &Q,
-    root: St::Ref,
-    lazy: bool,
-    store: &St,
-    metrics: &Metrics,
-) -> bool
+/// freshly loaded root and start the root's prefetch.
+fn stage_request<St, Q>(l: &mut Lane, req: usize, reqs: &Q, root: St::Ref, store: &St, metrics: &Metrics)
 where
     St: NodeStore,
-    Q: RequestStream + ?Sized,
+    Q: RequestStream,
 {
-    let (key, kind, limit) = reqs.fetch(req);
+    let (key, limit) = reqs.fetch(req);
     l.key.set(key);
     l.cur = root.word();
-    l.kind = kind;
     l.req = req;
     l.limit = limit;
     l.attempts = 0;
     l.path.clear();
     metrics.sched(SchedCounter::Refill);
-    if lazy {
-        l.stage = Stage::Route;
-    } else if root.is_node() {
+    if root.is_node() {
         l.stage = Stage::Descend;
         hot_bits::prefetch_node(store.raw(root).base, PREFETCH_LINES);
     } else {
@@ -635,13 +532,13 @@ where
             store.prefetch_leaf(root);
         }
     }
-    kind == DescentKind::ScanSeek
 }
 
-/// Complete lane `l`'s request: verify a lookup/probe TID into `out`, or
-/// position + drain a scan seek into the staging vector. Cold relative to
-/// the per-hop sweep — one call per *request*, not per node.
+/// Complete lane `l`'s request of a `kind` run: verify a lookup TID into
+/// `out`, or position + drain a scan seek into the staging vector. Cold
+/// relative to the per-hop sweep — one call per *request*, not per node.
 fn finish_lane<St: NodeStore>(
+    kind: DescentKind,
     l: &mut Lane,
     store: &St,
     out: &mut [Option<u64>],
@@ -651,13 +548,10 @@ fn finish_lane<St: NodeStore>(
 ) {
     let req = l.req;
     let cur = St::Ref::from_word(l.cur);
-    match l.kind {
-        DescentKind::Lookup | DescentKind::RemoveProbe => {
+    match kind {
+        DescentKind::Lookup => {
             out[req] = if cur.is_leaf() { store.verify(cur, l.key.bytes()) } else { None };
-            metrics.sched(match l.kind {
-                DescentKind::Lookup => SchedCounter::LookupDone,
-                _ => SchedCounter::ProbeDone,
-            });
+            metrics.sched(SchedCounter::LookupDone);
         }
         DescentKind::ScanSeek => {
             let begin = scratch_tids.len();
@@ -749,43 +643,6 @@ mod tests {
         let mut out2 = [None, None];
         t.get_batch_with(&[encode_u64(7), encode_u64(8)], &mut out2, &mut sched);
         assert_eq!(out2, [Some(7), None]);
-    }
-
-    #[test]
-    fn mixed_stream_interleaves_gets_and_scans() {
-        let t = build(3_000);
-        let keys: Vec<[u8; 8]> = (0..200u64).map(|i| encode_u64(i * 45)).collect();
-        let reqs: Vec<BatchRequest<'_>> = keys
-            .iter()
-            .enumerate()
-            .map(|(i, k)| {
-                if i % 3 == 0 {
-                    BatchRequest::Scan(k.as_ref(), i % 7)
-                } else {
-                    BatchRequest::Get(k.as_ref())
-                }
-            })
-            .collect();
-        let mut sched = MlpScheduler::with_depth(11);
-        let mut out = vec![None; reqs.len()];
-        let (mut tids, mut bounds) = (Vec::new(), Vec::new());
-        t.mixed_batch_with(&reqs, &mut out, &mut tids, &mut bounds, &mut sched);
-
-        let mut scan_idx = 0;
-        for (i, req) in reqs.iter().enumerate() {
-            match *req {
-                BatchRequest::Get(k) => assert_eq!(out[i], t.get(k), "get {i}"),
-                BatchRequest::Scan(k, limit) => {
-                    assert_eq!(
-                        &tids[bounds[scan_idx]..bounds[scan_idx + 1]],
-                        t.scan(k, limit).as_slice(),
-                        "scan {i}"
-                    );
-                    scan_idx += 1;
-                }
-            }
-        }
-        assert_eq!(bounds.len(), scan_idx + 1);
     }
 
     #[test]

@@ -15,12 +15,15 @@
 //!   quantile splitters stay balanced on exactly those distributions.
 //!   Contiguous ranges also mean a cross-shard range scan is the plain
 //!   concatenation of per-shard scans, no merge network needed.
-//! * **The batch router** splits `get_batch` / `scan_batch` requests by
-//!   shard, feeds them through the batched descent engine
-//!   ([`MlpScheduler`](crate::MlpScheduler)) and re-emits every result
-//!   **in request order** — the same reorder-buffer discipline the
-//!   engine itself uses (DESIGN.md §9). Output is therefore
-//!   byte-identical to a single trie regardless of shard count.
+//! * **The batch router** has one drive for both batched reads: a
+//!   branchless classify pass fills per-shard queues of request slots,
+//!   each queue drains shard-grouped through the batched descent engine
+//!   ([`MlpScheduler`](crate::MlpScheduler)) — `get_batch_with` as
+//!   lookups, `scan_batch` as scan seeks — and every result is re-emitted
+//!   **in request order**, a scan's cross-shard continuation behind it —
+//!   the same reorder-buffer discipline the engine itself uses
+//!   (DESIGN.md §9). Output is therefore byte-identical to a single trie
+//!   regardless of shard count.
 //! * **Everything runs on the calling thread.** The shards are
 //!   ROWEX-synchronised tries, so any number of threads may call any
 //!   entry point at once, each with its own [`RouterScratch`]; callers
@@ -38,7 +41,8 @@ use crossbeam_epoch as epoch;
 
 use crate::bulk::BulkLoadError;
 use crate::metrics::{OpKind, RowexCounter};
-use crate::mlp::{LookupStream, MlpScheduler, ScanStream};
+use crate::mlp::{DescentKind, LookupStream, MlpScheduler, RequestStream};
+use crate::scan::{with_thread_cursor, ScanCursor};
 use crate::sync::ConcurrentHot;
 
 /// Largest supported shard count.
@@ -115,21 +119,17 @@ fn quantile_splitters<'k>(
     out
 }
 
-/// A compiled partition: the splitter list plus a classification trie
-/// that routes without re-comparing shared bytes. Each trie node checks
-/// the bytes all of its splitters share *once*, then branches on the
-/// next 8-byte word — so classifying a key inspects each of its
-/// distinguishing prefix bytes at most once, no matter how deep the
-/// splitters' common prefixes run. This matters: a plain byte-wise
-/// binary search over splitters that share long prefixes (URLs all
-/// starting `https://<one of few hosts>/`…) re-walks those prefixes on
-/// every probe and costs a significant fraction of a whole trie descent
-/// per key.
+/// A compiled partition: the splitter list plus the flat classifier's
+/// state. All splitters share `prefix`, so a key is classified by
+/// comparing that prefix once and then one padded 8-byte word against
+/// every splitter's — never by re-walking the long shared prefixes
+/// (URLs all starting `https://<one of few hosts>/`…) a plain byte-wise
+/// binary search would compare on every probe. Only a key whose word
+/// ties a splitter's takes that binary search, over the splitters'
+/// suffixes past `prefix`.
 struct Partition {
     /// Sorted splitter keys (the authoritative partition).
     splitters: Vec<Vec<u8>>,
-    /// Classification trie root (`None` iff `splitters` is empty).
-    root: Option<PartNode>,
     /// Bytes all splitters share — the flat fast path verifies them
     /// once per key.
     prefix: Vec<u8>,
@@ -139,37 +139,6 @@ struct Partition {
     /// misses in flight (a data-dependent branch per key would
     /// serialize them on every misprediction).
     words: Vec<u64>,
-}
-
-/// One node of the classification trie, covering the sorted splitter
-/// range `[lo, hi)`. Keys reaching it are known to match the covered
-/// splitters' common prefix up to `base`.
-struct PartNode {
-    /// First covered splitter index — also the answer when the key
-    /// compares below every covered splitter.
-    lo: usize,
-    /// One past the last covered splitter — the answer when the key
-    /// compares at-or-above every covered splitter.
-    hi: usize,
-    /// Offset at which `check` begins.
-    base: usize,
-    /// Bytes beyond `base` shared by all covered splitters; compared
-    /// against the key once, a mismatch resolves to `lo`/`hi` outright.
-    check: Vec<u8>,
-    /// Non-decreasing discriminants: the zero-padded 8-byte splitter
-    /// word right after `check`, one per entry. Padding can tie with
-    /// real zero bytes; ties are resolved through the entries.
-    discr: Vec<u64>,
-    /// What each discriminant leads to: a single splitter (resolved by
-    /// one suffix compare) or a subtree of splitters sharing the word.
-    entries: Vec<PartEntry>,
-}
-
-enum PartEntry {
-    /// A single splitter, by absolute index.
-    Leaf(usize),
-    /// Two or more splitters sharing their next full 8-byte word.
-    Node(Box<PartNode>),
 }
 
 /// Big-endian zero-padded first-8-bytes word of `tail`. Padded-word
@@ -184,113 +153,8 @@ fn pad8(tail: &[u8]) -> u64 {
     u64::from_be_bytes(w)
 }
 
-impl PartNode {
-    /// Build the subtree for sorted, distinct `splitters[lo..hi]`, all
-    /// known to share their first `base` bytes.
-    fn build(splitters: &[Vec<u8>], lo: usize, hi: usize, base: usize) -> PartNode {
-        // Sorted range: the common prefix of all members is the common
-        // prefix of the first and last.
-        let (first, last) = (&splitters[lo], &splitters[hi - 1]);
-        let shared = first[base..]
-            .iter()
-            .zip(&last[base..])
-            .take_while(|(a, b)| a == b)
-            .count();
-        let check = first[base..base + shared].to_vec();
-        let off = base + shared;
-        let mut discr = Vec::new();
-        let mut entries = Vec::new();
-        let mut i = lo;
-        while i < hi {
-            let s = &splitters[i];
-            discr.push(pad8(&s[off..]));
-            if s.len() < off + 8 {
-                // A short tail pads its word: the padding is not real
-                // bytes, so it never groups (sorted order puts it before
-                // any longer splitter sharing the same padded word).
-                entries.push(PartEntry::Leaf(i));
-                i += 1;
-                continue;
-            }
-            let mut j = i + 1;
-            while j < hi
-                && splitters[j].len() >= off + 8
-                && splitters[j][off..off + 8] == s[off..off + 8]
-            {
-                j += 1;
-            }
-            entries.push(if j - i == 1 {
-                PartEntry::Leaf(i)
-            } else {
-                // Members share ≥ 8 more real bytes: recursion advances
-                // by at least a word per level and must terminate since
-                // the splitters are distinct.
-                PartEntry::Node(Box::new(PartNode::build(splitters, i, j, off + 8)))
-            });
-            i = j;
-        }
-        PartNode {
-            lo,
-            hi,
-            base,
-            check,
-            discr,
-            entries,
-        }
-    }
-
-    /// Partition point of `key` within this node's covered range: the
-    /// absolute count of splitters `<= key`, i.e. `lo..=hi`.
-    fn resolve(&self, splitters: &[Vec<u8>], key: &[u8]) -> usize {
-        let kc = key.get(self.base..).unwrap_or(&[]);
-        let m = kc.len().min(self.check.len());
-        match kc[..m].cmp(&self.check[..m]) {
-            std::cmp::Ordering::Less => return self.lo,
-            std::cmp::Ordering::Greater => return self.hi,
-            std::cmp::Ordering::Equal => {
-                if kc.len() < self.check.len() {
-                    // Key is a proper prefix of the shared bytes: below
-                    // every covered splitter.
-                    return self.lo;
-                }
-            }
-        }
-        let off = self.base + self.check.len();
-        let kd = pad8(key.get(off..).unwrap_or(&[]));
-        let mut i = self.discr.partition_point(|&d| d < kd);
-        // Entries left of `i` are strictly below the key; walk the
-        // discriminant ties (usually zero or one) for an exact answer.
-        while i < self.discr.len() && self.discr[i] == kd {
-            match &self.entries[i] {
-                PartEntry::Leaf(s) => {
-                    if splitters[*s].as_slice() > key {
-                        return *s;
-                    }
-                }
-                PartEntry::Node(n) => {
-                    let r = n.resolve(splitters, key);
-                    if r < n.hi {
-                        return r;
-                    }
-                }
-            }
-            i += 1;
-        }
-        match self.entries.get(i) {
-            None => self.hi,
-            Some(PartEntry::Leaf(s)) => *s,
-            Some(PartEntry::Node(n)) => n.lo,
-        }
-    }
-}
-
 impl Partition {
     fn new(splitters: Vec<Vec<u8>>) -> Partition {
-        let root = if splitters.is_empty() {
-            None
-        } else {
-            Some(PartNode::build(&splitters, 0, splitters.len(), 0))
-        };
         let (prefix, words) = if splitters.is_empty() {
             (Vec::new(), Vec::new())
         } else {
@@ -305,62 +169,48 @@ impl Partition {
                 splitters.iter().map(|s| pad8(&s[base..])).collect(),
             )
         };
-        Partition {
-            splitters,
-            root,
-            prefix,
-            words,
-        }
+        Partition { splitters, prefix, words }
     }
 
     /// The shard owning `key`; agrees with [`shard_of_key`] on the full
     /// splitter list.
     #[inline]
     fn shard_of(&self, key: &[u8]) -> usize {
-        let shard = self.classify_fast(key).unwrap_or_else(|| match &self.root {
-            None => 0,
-            Some(root) => root.resolve(&self.splitters, key),
-        });
+        let shard = flat_classify(&self.prefix, &self.words, key).unwrap_or_else(|| self.tie_break(key));
         debug_assert_eq!(shard, shard_of_key(key, &self.splitters));
         shard
     }
 
-    /// Branchless flat fast path. A key diverging inside the splitters'
-    /// shared prefix is *decisive*, not a fallback: every splitter
-    /// carries the prefix, so a key below it sits below all splitters
-    /// (shard 0) and a key above it sits above all of them (last
-    /// shard). A key carrying the prefix is classified by one padded
-    /// 8-byte word against every splitter's word in a fixed-trip
-    /// compare loop with no data-dependent branches — strict word
-    /// inequality implies the same lexicographic inequality, so the
-    /// count of strictly-smaller words *is* the partition point.
-    /// `None` (a word tie) falls back to the exact classification
-    /// trie. Splitters separating keys that agree past the word (URL
-    /// sets whose quantiles fall inside one host's range) tie
-    /// constantly and take the trie; splitters whose first
-    /// distinguishing word differs (integer keys, distinct hosts)
-    /// resolve here ~always.
-    #[inline]
-    fn classify_fast(&self, key: &[u8]) -> Option<usize> {
-        flat_classify(&self.prefix, &self.words, key)
-    }
-
-    /// Exact (trie-backed) classification, for keys the flat path
-    /// cannot decide.
-    #[inline]
-    fn classify_slow(&self, key: &[u8]) -> usize {
-        match &self.root {
-            None => 0,
-            Some(root) => root.resolve(&self.splitters, key),
-        }
+    /// Exact classification of a key [`flat_classify`] leaves undecided:
+    /// a binary search over the splitters compared from `prefix.len()`
+    /// onward. Every splitter carries `prefix`, and so does the key
+    /// whenever the flat path ties, so the suffix order is the full
+    /// order.
+    fn tie_break(&self, key: &[u8]) -> usize {
+        let base = self.prefix.len();
+        let tail = &key[base..];
+        self.splitters.partition_point(|s| &s[base..] <= tail)
     }
 }
 
-/// Body of [`Partition::classify_fast`], over pre-hoisted classifier
-/// state: the router's classify loop calls this on local slices so the
-/// prefix/word pointers stay in registers across the whole batch
-/// (re-loading them through `&Partition` per key measures ~2x slower
-/// on integer keys).
+/// The branchless flat classifier. A key diverging inside the splitters'
+/// shared prefix is *decisive*, not a fallback: every splitter carries
+/// the prefix, so a key below it sits below all splitters (shard 0) and a
+/// key above it sits above all of them (last shard). A key carrying the
+/// prefix is classified by one padded 8-byte word against every
+/// splitter's word in a fixed-trip compare loop with no data-dependent
+/// branches — strict word inequality implies the same lexicographic
+/// inequality, so the count of strictly-smaller words *is* the partition
+/// point. `None` (a word tie) falls back to
+/// [`Partition::tie_break`]. Splitters separating keys that agree past
+/// the word (URL sets whose quantiles fall inside one host's range) tie
+/// often; splitters whose first distinguishing word differs (integer
+/// keys, distinct hosts) resolve here ~always.
+///
+/// It takes the classifier state as slices so the router's classify loop
+/// keeps the prefix/word pointers in registers across the whole batch
+/// (re-loading them through `&Partition` per key measures ~2x slower on
+/// integer keys).
 #[inline(always)]
 fn flat_classify(prefix: &[u8], words: &[u64], key: &[u8]) -> Option<usize> {
     let base = prefix.len();
@@ -401,21 +251,38 @@ const DRAIN_WINDOW: usize = 1024;
 #[derive(Default)]
 pub struct RouterScratch {
     sched: MlpScheduler,
-    /// Per-shard drain queues (`queued_run`), holding original batch
-    /// slots in ascending order.
+    /// Per-shard drain queues (`route`), holding original batch slots in
+    /// ascending order.
     queues: Vec<Vec<u32>>,
-    /// One drain window's gathered keys: `'static`-laundered views of the
-    /// caller's key slices, cleared before `queued_run` returns so none
-    /// outlives the call that made it valid.
+    /// One GET drain window's gathered keys: `'static`-laundered views of
+    /// the caller's key slices, cleared before `queued_run` returns so
+    /// none outlives the call that made it valid.
     keys: Vec<&'static [u8]>,
-    /// Result staging of one drain window.
+    /// Result staging of one GET drain window.
     sub: Vec<Option<u64>>,
-    /// Flat scan TIDs of one fused seek pass, one span per request.
+    /// Scan TIDs of every drain window, flat in drain order.
     tids: Vec<u64>,
-    /// Span ends into `tids`, seeded with 0.
+    /// Span ends into `tids`, one per drained scan, seeded with 0.
     bounds: Vec<usize>,
-    /// Cross-shard scan continuation buffer.
-    cont: Vec<u64>,
+    /// Each scan request's span in `tids`, by original slot.
+    spans: Vec<(usize, usize)>,
+}
+
+/// One drain window of a `scan_batch` shard queue as a scan stream: the
+/// caller's requests, read through the window's original slots.
+struct QueuedScans<'a> {
+    requests: &'a [(&'a [u8], usize)],
+    slots: &'a [u32],
+}
+
+impl RequestStream for QueuedScans<'_> {
+    const KIND: DescentKind = DescentKind::ScanSeek;
+    fn len(&self) -> usize {
+        self.slots.len()
+    }
+    fn fetch(&self, i: usize) -> (&[u8], usize) {
+        self.requests[self.slots[i] as usize]
+    }
 }
 
 impl RouterScratch {
@@ -558,115 +425,31 @@ where
         }
     }
 
-    /// Fused drive for scan seeks: the whole batch runs as **one**
-    /// scheduler pass whose per-request root reload classifies the key
-    /// and starts the descent in its shard's trie. (Lookup batches take
-    /// `queued_run` instead — shard-grouped draining beats in-ring
-    /// routing for them, but scan spans are emitted by stream position,
-    /// which grouping permutes.)
-    ///
-    /// This folds routing into the out-of-order descent pipeline
-    /// instead of running a separate split pass: an up-front classify
-    /// loop pays one *serial* cold miss per key just to read the key
-    /// bytes (prefetching can't hide it — a software prefetch does not
-    /// hide a dTLB miss, and a shuffled probe stream misses the TLB
-    /// constantly: 2 MB pages alone buy 15 %, EXPERIMENTS.md "Fused
-    /// descent step"), which costs a sizable fraction of a whole trie
-    /// descent. At stage time the scheduler has already issued that
-    /// key-byte prefetch a full sweep earlier (it must copy the key
-    /// into the lane anyway), so classification runs against warm
-    /// bytes and its latency overlaps the other in-flight descents —
-    /// the same discipline the scheduler applies to node misses.
-    ///
-    /// Descents of different shards interleave in the lane ring, each
-    /// against its own root; one epoch pin covers them all (every
-    /// shard defers reclamation through the global collector). Scan
-    /// seeks stay bounded to their start shard — the caller chases
-    /// cross-shard continuations from the per-request spans left in
-    /// `scratch.tids` / `scratch.bounds`.
-    fn fused_run(&self, requests: &[(&[u8], usize)], scratch: &mut RouterScratch) {
-        let RouterScratch {
-            sched, tids, bounds, ..
-        } = scratch;
-        tids.clear();
-        bounds.clear();
-        bounds.push(0);
-        let metrics = self.tries[0].metrics();
-        metrics.incr(RowexCounter::EpochPin);
-        let _guard = epoch::pin();
-        sched.run(
-            self.tries[0].store(),
-            &ScanStream(requests),
-            &mut [],
-            tids,
-            bounds,
-            |key| {
-                let s = self.shard_of(key);
-                // Balance gauge: one count per staged descent (a rare
-                // torn-slot re-descent counts again — it is a descent).
-                self.routed[s].fetch_add(1, Ordering::Relaxed);
-                self.tries[s].load_root()
-            },
-            true,
-            true,
-            metrics,
-        );
-    }
-
-    /// Grouped drive for point lookups: a prefetch-pipelined
-    /// *branchless* classify pass fills per-shard slot queues, then each
-    /// queue drains through the scheduler one shard at a time in
-    /// [`DRAIN_WINDOW`]-sized windows — each window's keys gathered
-    /// contiguous, its results scattered back to the original batch
-    /// slots.
-    ///
-    /// This is the profitable half of a trade `fused_run` loses for
-    /// point lookups: folding routing into the ring avoids the classify
-    /// pass's cold key read, but interleaves descents of *different*
-    /// shards in one lane ring, and the shards' upper levels then evict
-    /// each other from the cache — roughly one extra miss per descent,
-    /// which is the very miss the shallower per-shard tries saved.
-    /// Draining shard-grouped keeps one trie's upper levels hot for a
-    /// whole queue; the classify pass it costs stays cheap because the
-    /// flat fast path has no data-dependent branches, so the cold key
-    /// reads of many iterations stay in flight together (a mispredicted
-    /// branch per key would drain the pipeline and serialize them).
-    /// Scans stay on `fused_run`: their results are emitted by stream
-    /// position, which grouping would permute.
-    ///
-    /// Feeding the ring *contiguous* keys matters: an earlier variant let
-    /// the ring index the caller's full key array through the queue's
-    /// slot list, and those strided loads (plus equally strided result
-    /// stores) inside the staging path cost ~50 ns/key more than the
-    /// explicit gather + scatter passes do — tight dedicated loops stream
-    /// a fixed stride; the same loads interleaved with ring traffic do
-    /// not.
-    fn queued_run(&self, keys: &[&[u8]], out: &mut [Option<u64>], scratch: &mut RouterScratch) {
-        let n = keys.len();
-        let RouterScratch {
-            sched,
-            queues,
-            keys: window,
-            sub,
-            ..
-        } = scratch;
+    /// The classify pass both drives share: a prefetch-pipelined
+    /// *branchless* loop fills one queue of original request slots per
+    /// shard (ascending), then charges the batch to the balance gauges.
+    /// The loop stays cheap because [`flat_classify`] has no
+    /// data-dependent branches, so the cold key reads of many iterations
+    /// stay in flight together (a mispredicted branch per key would drain
+    /// the pipeline and serialize them).
+    #[inline(always)]
+    fn route<T>(&self, reqs: &[T], key_of: impl Fn(&T) -> &[u8], queues: &mut Vec<Vec<u32>>) {
         queues.resize_with(self.shards(), Vec::new);
         for q in queues.iter_mut() {
             q.clear();
         }
         match self.partition.get() {
-            None => queues[0].extend(0..n as u32),
+            None => queues[0].extend(0..reqs.len() as u32),
             Some(p) => {
                 // Hoisted classifier state (see [`flat_classify`]).
                 let prefix: &[u8] = &p.prefix;
                 let words: &[u64] = &p.words;
-                for i in 0..n {
-                    if let Some(k) = keys.get(i + CLASSIFY_PF_AHEAD) {
-                        hot_bits::prefetch_node(k.as_ptr(), 1);
+                for (i, r) in reqs.iter().enumerate() {
+                    if let Some(ahead) = reqs.get(i + CLASSIFY_PF_AHEAD) {
+                        hot_bits::prefetch_node(key_of(ahead).as_ptr(), 1);
                     }
-                    let k = keys[i];
-                    let s = flat_classify(prefix, words, k)
-                        .unwrap_or_else(|| p.classify_slow(k));
+                    let k = key_of(r);
+                    let s = flat_classify(prefix, words, k).unwrap_or_else(|| p.tie_break(k));
                     queues[s].push(i as u32);
                 }
             }
@@ -676,11 +459,38 @@ where
                 gauge.fetch_add(q.len() as u64, Ordering::Relaxed);
             }
         }
+    }
+
+    /// The drive of `get_batch_with`: [`route`](Self::route), then each
+    /// queue drains through the scheduler one shard at a time in
+    /// [`DRAIN_WINDOW`]-sized windows — each window's keys gathered
+    /// contiguous, its results scattered back to the original batch
+    /// slots. Draining shard-grouped keeps one trie's upper levels hot
+    /// for a whole queue; interleaving shards in one lane ring lets their
+    /// upper levels evict each other — roughly one extra miss per
+    /// descent, the very miss the shallower per-shard tries saved.
+    ///
+    /// Feeding the ring *contiguous* keys matters: an earlier variant let
+    /// the ring index the caller's full key array through the queue's
+    /// slot list, and those strided loads (plus equally strided result
+    /// stores) inside the staging path cost ~50 ns/key more than the
+    /// explicit gather + scatter passes do — tight dedicated loops stream
+    /// a fixed stride; the same loads interleaved with ring traffic do
+    /// not.
+    fn queued_run(&self, keys: &[&[u8]], out: &mut [Option<u64>], scratch: &mut RouterScratch) {
+        let RouterScratch {
+            sched,
+            queues,
+            keys: window,
+            sub,
+            ..
+        } = scratch;
+        self.route(keys, |k| *k, queues);
         let metrics = self.tries[0].metrics();
         metrics.incr(RowexCounter::EpochPin);
         let _guard = epoch::pin();
         sub.clear();
-        sub.resize(n.min(DRAIN_WINDOW), None);
+        sub.resize(keys.len().min(DRAIN_WINDOW), None);
         for (s, q) in queues.iter().enumerate() {
             for win in q.chunks(DRAIN_WINDOW) {
                 window.clear();
@@ -692,11 +502,11 @@ where
                     // next window's), so none outlives the call.
                     unsafe { std::slice::from_raw_parts::<'static, u8>(k.as_ptr(), k.len()) }
                 }));
-                sched.run_points(
+                sched.run_lookups(
                     self.tries[s].store(),
                     &LookupStream(window.as_slice()),
                     &mut sub[..win.len()],
-                    |_| self.tries[s].load_root(),
+                    || self.tries[s].load_root(),
                     true,
                     metrics,
                 );
@@ -743,17 +553,11 @@ where
     /// Like [`scan`](Self::scan), writing into `out` (cleared first).
     pub fn scan_into(&self, key: &[u8], limit: usize, out: &mut Vec<u64>) {
         out.clear();
-        let sp = self.splitters();
-        let mut shard = self.shard_of(key);
-        self.tries[shard].scan_into(key, limit, out);
-        let mut cont = Vec::new();
-        // Shard `s + 1` owns exactly the keys `>= splitter[s]`, so
-        // resuming there from its splitter continues the global order.
-        while out.len() < limit && shard < sp.len() {
-            shard += 1;
-            self.tries[shard].scan_into(&sp[shard - 1], limit - out.len(), &mut cont);
-            out.extend_from_slice(&cont);
-        }
+        let shard = self.shard_of(key);
+        with_thread_cursor(|cursor| {
+            self.tries[shard].scan_append(key, limit, out, cursor);
+            self.continue_scan(shard, limit, out.len(), out, cursor);
+        });
     }
 
     // ------------------------------------------------------------------
@@ -825,14 +629,9 @@ where
     // ------------------------------------------------------------------
 
     /// Batched point lookups, grouped by shard and drained through the
-    /// out-of-order scheduler; `out[i]` answers `keys[i]`.
-    pub fn get_batch(&self, keys: &[&[u8]], out: &mut [Option<u64>]) {
-        let mut scratch = RouterScratch::new();
-        self.get_batch_with(keys, out, &mut scratch);
-    }
-
-    /// [`get_batch`](Self::get_batch) with caller-owned router scratch
-    /// (allocation-free once warmed up; hold one per driving thread).
+    /// out-of-order scheduler; `out[i]` answers `keys[i]`. The router
+    /// state is the caller's (allocation-free once warmed up; hold one
+    /// per driving thread).
     ///
     /// # Panics
     /// Panics if `keys` and `out` differ in length.
@@ -854,11 +653,17 @@ where
 
     /// Batched range scans under the router: request `i`'s TIDs land in
     /// `tids[bounds[i]..bounds[i + 1]]` (both cleared first, `bounds`
-    /// seeded with 0 — the `scan_batch_with` contract). One fused seek
-    /// pass bounds each scan to its start shard; requests whose range
-    /// crosses a shard boundary then continue into the following shards
-    /// while the spans are copied out in request order, so results match
-    /// a single trie exactly.
+    /// seeded with 0 — the `scan_batch_with` contract).
+    ///
+    /// The drive is `get_batch_with`'s: [`route`](Self::route), then each
+    /// shard queue drains in [`DRAIN_WINDOW`] windows as scan seeks, the
+    /// stream reading the caller's requests through the window's slots
+    /// (a scan's drain dwarfs the strided load that costs a lookup; no
+    /// gathered copy). Each seek is bounded to its start shard, and its
+    /// span is recorded by original slot; the spans are then emitted in
+    /// request order, each followed by its cross-shard continuation, so
+    /// results match a single trie exactly. One epoch pin covers the
+    /// drain.
     pub fn scan_batch(
         &self,
         requests: &[(&[u8], usize)],
@@ -874,13 +679,48 @@ where
         }
         let m = self.tries[0].metrics();
         let _t = m.timer(OpKind::ScanBatch);
-        self.fused_run(requests, scratch);
-        for (i, &(key, limit)) in requests.iter().enumerate() {
-            let (lo, hi) = (scratch.bounds[i], scratch.bounds[i + 1]);
-            tids.extend_from_slice(&scratch.tids[lo..hi]);
-            self.continue_scan(key, limit, hi - lo, tids, &mut scratch.cont);
-            bounds.push(tids.len());
+        let RouterScratch {
+            sched,
+            queues,
+            tids: staged,
+            bounds: ends,
+            spans,
+            ..
+        } = scratch;
+        self.route(requests, |r| r.0, queues);
+        staged.clear();
+        ends.clear();
+        ends.push(0);
+        spans.clear();
+        spans.resize(requests.len(), (0, 0));
+        m.incr(RowexCounter::EpochPin);
+        let _guard = epoch::pin();
+        for (s, q) in queues.iter().enumerate() {
+            for win in q.chunks(DRAIN_WINDOW) {
+                let first = ends.len() - 1;
+                sched.run_scans(
+                    self.tries[s].store(),
+                    &QueuedScans { requests, slots: win },
+                    staged,
+                    ends,
+                    || self.tries[s].load_root(),
+                    true,
+                    m,
+                );
+                for (j, &t) in win.iter().enumerate() {
+                    spans[t as usize] = (ends[first + j], ends[first + j + 1]);
+                }
+            }
         }
+        with_thread_cursor(|cursor| {
+            for (&(key, limit), &(lo, hi)) in requests.iter().zip(spans.iter()) {
+                tids.extend_from_slice(&staged[lo..hi]);
+                if hi - lo < limit {
+                    self.continue_scan(self.shard_of(key), limit, hi - lo, tids, cursor);
+                }
+                bounds.push(tids.len());
+            }
+        });
         m.items(OpKind::ScanBatch, tids.len() as u64);
     }
 
@@ -949,27 +789,20 @@ where
         merged
     }
 
-    /// Chase a scan's cross-shard continuation: `got` TIDs were already
-    /// produced in `key`'s start shard; keep appending from the
+    /// Chase a scan's cross-shard continuation: `got` of its `limit` TIDs
+    /// came from its start shard `shard`; keep appending to `out` from the
     /// following shards' lower bounds (shard `s + 1` owns exactly the
     /// keys `>= splitter[s]`, so concatenation *is* the merge) until
     /// `limit` is met or the key space ends.
-    fn continue_scan(
-        &self,
-        key: &[u8],
-        limit: usize,
-        mut got: usize,
-        tids: &mut Vec<u64>,
-        cont: &mut Vec<u64>,
-    ) {
+    fn continue_scan(&self, shard: usize, limit: usize, mut got: usize, out: &mut Vec<u64>, cursor: &mut ScanCursor) {
         let sp = self.splitters();
-        let shards = self.shards();
-        let mut next = self.shard_of(key) + 1;
-        while got < limit && next <= sp.len() && next < shards {
-            self.tries[next].scan_into(&sp[next - 1], limit - got, cont);
-            got += cont.len();
-            tids.extend_from_slice(cont);
-            next += 1;
+        for next in shard + 1..=sp.len() {
+            if got >= limit {
+                break;
+            }
+            let before = out.len();
+            self.tries[next].scan_append(&sp[next - 1], limit - got, out, cursor);
+            got += out.len() - before;
         }
     }
 }
@@ -1057,8 +890,8 @@ mod tests {
     fn compiled_classifier_agrees_with_reference_on_adversarial_keys() {
         // Keys over a 3-symbol alphabet including 0x00 maximize shared
         // prefixes, embedded zeros, and prefix-of-another-key pairs — the
-        // cases where the padded 8-byte discriminants tie and the
-        // classification trie must fall back to exact resolution.
+        // cases where the padded 8-byte words tie and the classifier must
+        // fall back to the binary search.
         let mut rng = 0x2545_F491_4F6C_DD1Du64;
         let mut next = move |bound: usize| {
             rng ^= rng << 13;
@@ -1092,5 +925,33 @@ mod tests {
                 );
             }
         }
+
+        // A url population over three hosts, partitioned at MAX_SHARDS:
+        // the splitters' shared prefix ends at `https://`, so every
+        // splitter of one host carries the same next word as that host's
+        // keys, and the flat path ties on most of them. Probe the keys,
+        // every splitter, and its neighbours in key order.
+        let hosts = ["cs.uni-example.org", "db.example.com", "example.net"];
+        let mut urls: Vec<Vec<u8>> = (0..6_000usize)
+            .map(|i| format!("https://{}/path/{:02}/item-{i:06}", hosts[i % 3], i % 17).into_bytes())
+            .collect();
+        urls.sort();
+        let sample: Vec<&[u8]> = urls.iter().map(Vec::as_slice).collect();
+        let splitters = splitters_from_sample(&sample, MAX_SHARDS);
+        assert_eq!(splitters.len(), MAX_SHARDS - 1);
+        let part = Partition::new(splitters.clone());
+        assert_eq!(part.prefix, b"https://");
+        let mut probes = urls.clone();
+        for s in &splitters {
+            probes.push(s.clone());
+            probes.push([s.as_slice(), b"\0"].concat());
+            probes.push(s[..s.len() - 1].to_vec());
+        }
+        let mut ties = 0usize;
+        for key in &probes {
+            ties += usize::from(flat_classify(&part.prefix, &part.words, key).is_none());
+            assert_eq!(part.shard_of(key), shard_of_key(key, &splitters), "key {key:?}");
+        }
+        assert!(ties > urls.len() / 2, "the binary search ran on {ties} of {} probes", probes.len());
     }
 }

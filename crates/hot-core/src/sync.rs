@@ -428,86 +428,7 @@ impl<St: NodeStore> Concurrent<St> {
         self.metrics.items(OpKind::GetBatch, keys.len() as u64);
         self.metrics.incr(RowexCounter::EpochPin);
         let _guard = epoch::pin();
-        sched.run_points(&*self.store, &crate::mlp::LookupStream(keys), out, |_| self.load_root(), true, &self.metrics);
-    }
-
-    /// Service a mixed stream of point lookups and range scans in one
-    /// pass of the engine under a single epoch pin, mirroring
-    /// [`Trie::mixed_batch`](crate::Trie::mixed_batch): `out[i]`
-    /// answers `Get` request `i`; each `Scan` appends to `tids` with one
-    /// end offset pushed to `bounds` in stream order (both cleared first,
-    /// `bounds` seeded with 0). Records one `get_batch` and one
-    /// `scan_batch` metrics sample. Runs on the thread's parked scheduler.
-    ///
-    /// # Panics
-    /// Panics if `reqs` and `out` differ in length.
-    pub fn mixed_batch(
-        &self,
-        reqs: &[crate::mlp::BatchRequest<'_>],
-        out: &mut [Option<u64>],
-        tids: &mut Vec<u64>,
-        bounds: &mut Vec<usize>,
-    ) {
-        crate::mlp::with_thread_scheduler(|sched| self.mixed_batch_with(reqs, out, tids, bounds, sched));
-    }
-
-    /// Like [`mixed_batch`](Self::mixed_batch) with a caller-provided
-    /// [`MlpScheduler`](crate::MlpScheduler).
-    ///
-    /// # Panics
-    /// Panics if `reqs` and `out` differ in length.
-    pub fn mixed_batch_with(
-        &self,
-        reqs: &[crate::mlp::BatchRequest<'_>],
-        out: &mut [Option<u64>],
-        tids: &mut Vec<u64>,
-        bounds: &mut Vec<usize>,
-        sched: &mut crate::mlp::MlpScheduler,
-    ) {
-        assert_eq!(reqs.len(), out.len(), "one output slot per request");
-        let _tg = self.metrics.timer(OpKind::GetBatch);
-        let _ts = self.metrics.timer(OpKind::ScanBatch);
-        let gets = reqs
-            .iter()
-            .filter(|r| matches!(r, crate::mlp::BatchRequest::Get(_)))
-            .count();
-        self.metrics.items(OpKind::GetBatch, gets as u64);
-        self.metrics.incr(RowexCounter::EpochPin);
-        tids.clear();
-        bounds.clear();
-        bounds.push(0);
-        let _guard = epoch::pin();
-        sched.run(&*self.store, reqs, out, tids, bounds, |_| self.load_root(), false, true, &self.metrics);
-        self.metrics.items(OpKind::ScanBatch, tids.len() as u64);
-    }
-
-    /// Remove `keys` as one batch, writing what [`remove`](Self::remove)
-    /// would have returned per key into `out`: the existence probes run as
-    /// remove-probe descents through the out-of-order scheduler under one
-    /// epoch pin (overlapping their misses and warming the paths), then
-    /// the structural removals apply per probed-present key through the
-    /// normal lock-then-validate write path.
-    ///
-    /// # Panics
-    /// Panics if `keys` and `out` differ in length.
-    pub fn remove_batch<K: AsRef<[u8]>>(&self, keys: &[K], out: &mut [Option<u64>]) {
-        assert_eq!(keys.len(), out.len(), "one output slot per key");
-        let _t = self.metrics.timer(OpKind::RemoveBatch);
-        self.metrics.items(OpKind::RemoveBatch, keys.len() as u64);
-        {
-            self.metrics.incr(RowexCounter::EpochPin);
-            let _guard = epoch::pin();
-            crate::mlp::with_thread_scheduler(|sched| {
-                sched.run_points(&*self.store, &crate::mlp::ProbeStream(keys), out, |_| self.load_root(), true, &self.metrics)
-            });
-        }
-        // Apply phase: the probe is a hint (a racing writer may beat us);
-        // `remove` re-descends and gives the authoritative answer.
-        for (key, slot) in keys.iter().zip(out.iter_mut()) {
-            if slot.is_some() {
-                *slot = self.remove(key.as_ref());
-            }
-        }
+        sched.run_lookups(&*self.store, &crate::mlp::LookupStream(keys), out, || self.load_root(), true, &self.metrics);
     }
 
     /// Whether `key` is present.
@@ -551,12 +472,26 @@ impl<St: NodeStore> Concurrent<St> {
         out: &mut Vec<u64>,
         cursor: &mut crate::scan::ScanCursor,
     ) {
+        out.clear();
+        self.scan_append(key, limit, out, cursor);
+    }
+
+    /// [`scan_with`](Self::scan_with) appending to `out` instead of
+    /// clearing it first: the sharded router writes a scan's cross-shard
+    /// continuation straight behind the TIDs it already holds.
+    pub(crate) fn scan_append(
+        &self,
+        key: &[u8],
+        limit: usize,
+        out: &mut Vec<u64>,
+        cursor: &mut crate::scan::ScanCursor,
+    ) {
         let _t = self.metrics.timer(OpKind::Scan);
         self.metrics.incr(RowexCounter::EpochPin);
-        out.clear();
+        let before = out.len();
         let _guard = epoch::pin();
         cursor.scan_root(&*self.store, self.load_root(), key, limit, out);
-        self.metrics.items(OpKind::Scan, out.len() as u64);
+        self.metrics.items(OpKind::Scan, (out.len() - before) as u64);
     }
 
     /// Service many scan requests `(start key, limit)` under a **single**
@@ -594,18 +529,7 @@ impl<St: NodeStore> Concurrent<St> {
         bounds.clear();
         bounds.push(0);
         let _guard = epoch::pin();
-        let mut out: [Option<u64>; 0] = [];
-        sched.run(
-            &*self.store,
-            &crate::mlp::ScanStream(requests),
-            &mut out,
-            tids,
-            bounds,
-            |_| self.load_root(),
-            false,
-            true,
-            &self.metrics,
-        );
+        sched.run_scans(&*self.store, &crate::mlp::ScanStream(requests), tids, bounds, || self.load_root(), true, &self.metrics);
         self.metrics.items(OpKind::ScanBatch, tids.len() as u64);
     }
 

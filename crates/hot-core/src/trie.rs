@@ -538,89 +538,7 @@ impl<St: NodeStore> Trie<St> {
         assert_eq!(keys.len(), out.len(), "one output slot per key");
         let _t = self.metrics.timer(OpKind::GetBatch);
         self.metrics.items(OpKind::GetBatch, keys.len() as u64);
-        sched.run_points(&self.store, &crate::mlp::LookupStream(keys), out, |_| self.root, false, &self.metrics);
-    }
-
-    /// Service a mixed stream of point lookups and range scans in one
-    /// pass of the engine: `out[i]` answers request `i` when it is a
-    /// [`BatchRequest::Get`](crate::BatchRequest); each
-    /// [`BatchRequest::Scan`](crate::BatchRequest) appends its TIDs to
-    /// `tids` with one end offset pushed to `bounds`, in stream order
-    /// (`tids` and `bounds` are cleared first; `bounds` starts with 0).
-    ///
-    /// This is the entry point YCSB's coalesced operation batches feed:
-    /// get and scan-seek descents share the same lane ring, so a scan-heavy
-    /// stretch never drains the lookup pipeline or vice versa. Records one
-    /// `get_batch` and one `scan_batch` metrics sample. Runs on the
-    /// thread's parked scheduler;
-    /// [`mixed_batch_with`](Self::mixed_batch_with) takes the caller's.
-    ///
-    /// # Panics
-    /// Panics if `reqs` and `out` differ in length.
-    pub fn mixed_batch(
-        &self,
-        reqs: &[crate::mlp::BatchRequest<'_>],
-        out: &mut [Option<u64>],
-        tids: &mut Vec<u64>,
-        bounds: &mut Vec<usize>,
-    ) {
-        crate::mlp::with_thread_scheduler(|sched| self.mixed_batch_with(reqs, out, tids, bounds, sched));
-    }
-
-    /// Like [`mixed_batch`](Self::mixed_batch) with a caller-provided
-    /// [`MlpScheduler`](crate::MlpScheduler).
-    ///
-    /// # Panics
-    /// Panics if `reqs` and `out` differ in length.
-    pub fn mixed_batch_with(
-        &self,
-        reqs: &[crate::mlp::BatchRequest<'_>],
-        out: &mut [Option<u64>],
-        tids: &mut Vec<u64>,
-        bounds: &mut Vec<usize>,
-        sched: &mut crate::mlp::MlpScheduler,
-    ) {
-        assert_eq!(reqs.len(), out.len(), "one output slot per request");
-        let _tg = self.metrics.timer(OpKind::GetBatch);
-        let _ts = self.metrics.timer(OpKind::ScanBatch);
-        let gets = reqs
-            .iter()
-            .filter(|r| matches!(r, crate::mlp::BatchRequest::Get(_)))
-            .count();
-        self.metrics.items(OpKind::GetBatch, gets as u64);
-        tids.clear();
-        bounds.clear();
-        bounds.push(0);
-        sched.run(&self.store, reqs, out, tids, bounds, |_| self.root, false, false, &self.metrics);
-        self.metrics.items(OpKind::ScanBatch, tids.len() as u64);
-    }
-
-    /// Remove `keys` as one batch, writing what [`remove`](Self::remove)
-    /// would have returned for each key (in order) into `out`.
-    ///
-    /// The existence probes run as remove-probe descents through the
-    /// out-of-order scheduler — overlapping their cache misses and warming
-    /// the upper tree levels — then the structural removals apply
-    /// sequentially for the keys that probed present. Results are
-    /// identical to calling `remove` per key.
-    ///
-    /// # Panics
-    /// Panics if `keys` and `out` differ in length.
-    pub fn remove_batch<K: AsRef<[u8]>>(&mut self, keys: &[K], out: &mut [Option<u64>]) {
-        assert_eq!(keys.len(), out.len(), "one output slot per key");
-        let _t = self.metrics.timer(OpKind::RemoveBatch);
-        self.metrics.items(OpKind::RemoveBatch, keys.len() as u64);
-        crate::mlp::with_thread_scheduler(|sched| {
-            sched.run_points(&self.store, &crate::mlp::ProbeStream(keys), out, |_| self.root, false, &self.metrics)
-        });
-        // Apply phase: only probed-present keys walk the structural remove.
-        // A duplicate key probes present in every slot but the first apply
-        // wins — exactly the answers sequential `remove` calls give.
-        for (key, slot) in keys.iter().zip(out.iter_mut()) {
-            if slot.is_some() {
-                *slot = self.remove_untimed(key.as_ref()).unwrap_or_else(|e| panic!("remove: {e}"));
-            }
-        }
+        sched.run_lookups(&self.store, &crate::mlp::LookupStream(keys), out, || self.root, false, &self.metrics);
     }
 
     /// Whether `key` is present.
@@ -747,12 +665,6 @@ impl<St: NodeStore> Trie<St> {
     /// then unchanged.
     pub(crate) fn remove_fallible(&mut self, key: &[u8]) -> Result<Option<u64>, St::Full> {
         let _t = self.metrics.timer(OpKind::Remove);
-        self.remove_untimed(key)
-    }
-
-    /// The removal itself, outside the `remove` metrics sample (a
-    /// `remove_batch` is one sample of its own kind).
-    fn remove_untimed(&mut self, key: &[u8]) -> Result<Option<u64>, St::Full> {
         let removed = self.write(key, Op::Remove)?;
         self.len -= usize::from(removed.is_some());
         Ok(removed)
@@ -857,18 +769,7 @@ impl<St: NodeStore> Trie<St> {
         tids.clear();
         bounds.clear();
         bounds.push(0);
-        let mut out: [Option<u64>; 0] = [];
-        sched.run(
-            &self.store,
-            &crate::mlp::ScanStream(requests),
-            &mut out,
-            tids,
-            bounds,
-            |_| self.root,
-            false,
-            false,
-            &self.metrics,
-        );
+        sched.run_scans(&self.store, &crate::mlp::ScanStream(requests), tids, bounds, || self.root, false, &self.metrics);
         self.metrics.items(OpKind::ScanBatch, tids.len() as u64);
     }
 

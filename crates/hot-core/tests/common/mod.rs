@@ -5,7 +5,7 @@
 #![allow(dead_code, unused_macros, reason = "each test binary uses its own subset")]
 
 use hot_core::sync::Concurrent;
-use hot_core::{Backend, BatchRequest, InvariantReport, MlpScheduler, ScanCursor, Trie};
+use hot_core::{Backend, InvariantReport, MlpScheduler, ScanCursor, Trie};
 use hot_keys::stats::MemoryStats;
 use hot_keys::DepthStats;
 
@@ -66,7 +66,6 @@ pub trait Front {
     fn name(&self) -> &'static str;
     fn put(&mut self, key: &[u8], tid: u64) -> Option<u64>;
     fn take(&mut self, key: &[u8]) -> Option<u64>;
-    fn take_batch<K: AsRef<[u8]>>(&mut self, keys: &[K], out: &mut [Option<u64>]);
     fn len(&self) -> usize;
     fn get(&self, key: &[u8]) -> Option<u64>;
     fn get_batch<K: AsRef<[u8]>>(&self, keys: &[K], out: &mut [Option<u64>]);
@@ -77,14 +76,6 @@ pub trait Front {
     fn scan_batch_with<K: AsRef<[u8]>>(
         &self,
         requests: &[(K, usize)],
-        tids: &mut Vec<u64>,
-        bounds: &mut Vec<usize>,
-        sched: &mut MlpScheduler,
-    );
-    fn mixed_batch_with(
-        &self,
-        reqs: &[BatchRequest<'_>],
-        out: &mut [Option<u64>],
         tids: &mut Vec<u64>,
         bounds: &mut Vec<usize>,
         sched: &mut MlpScheduler,
@@ -109,9 +100,6 @@ macro_rules! impl_front {
             }
             fn take(&mut self, key: &[u8]) -> Option<u64> {
                 $ty::remove(self, key)
-            }
-            fn take_batch<K: AsRef<[u8]>>(&mut self, keys: &[K], out: &mut [Option<u64>]) {
-                $ty::remove_batch(self, keys, out)
             }
             fn len(&self) -> usize {
                 $ty::len(self)
@@ -142,16 +130,6 @@ macro_rules! impl_front {
                 sched: &mut MlpScheduler,
             ) {
                 $ty::scan_batch_with(self, requests, tids, bounds, sched)
-            }
-            fn mixed_batch_with(
-                &self,
-                reqs: &[BatchRequest<'_>],
-                out: &mut [Option<u64>],
-                tids: &mut Vec<u64>,
-                bounds: &mut Vec<usize>,
-                sched: &mut MlpScheduler,
-            ) {
-                $ty::mixed_batch_with(self, reqs, out, tids, bounds, sched)
             }
             fn structure_digest(&self) -> u64 {
                 $ty::structure_digest(self)
@@ -228,9 +206,8 @@ pub fn assert_trie_scan_paths<B: Backend>(
     assert_eq!(from, want, "{label}: range_from {start:?}");
 }
 
-/// The batched scan paths of `front` (`scan_batch_with`, and the scans of a
-/// `mixed_batch_with` stream that interleaves a get of every start key)
-/// return `want[i]` for request `i` at the given in-flight depth.
+/// The batched scan path of `front` (`scan_batch_with`) returns `want[i]`
+/// for request `i` at the given in-flight depth.
 pub fn assert_batched_scans<F: Front, K: AsRef<[u8]>>(
     front: &F,
     requests: &[(K, usize)],
@@ -244,18 +221,6 @@ pub fn assert_batched_scans<F: Front, K: AsRef<[u8]>>(
     assert_eq!(bounds.len(), requests.len() + 1);
     for (i, segment) in want.iter().enumerate() {
         assert_eq!(&tids[bounds[i]..bounds[i + 1]], &segment[..], "{label}: scan_batch slot {i}");
-    }
-
-    let mixed: Vec<BatchRequest<'_>> = requests
-        .iter()
-        .flat_map(|(k, n)| [BatchRequest::Get(k.as_ref()), BatchRequest::Scan(k.as_ref(), *n)])
-        .collect();
-    let mut out = vec![None; mixed.len()];
-    front.mixed_batch_with(&mixed, &mut out, &mut tids, &mut bounds, &mut sched);
-    assert_eq!(bounds.len(), requests.len() + 1);
-    for (i, (segment, (key, _))) in want.iter().zip(requests).enumerate() {
-        assert_eq!(&tids[bounds[i]..bounds[i + 1]], &segment[..], "{label}: mixed_batch scan {i}");
-        assert_eq!(out[2 * i], front.get(key.as_ref()), "{label}: mixed_batch get {i}");
     }
 }
 

@@ -14,7 +14,7 @@
 
 use hot_core::hot_metrics::{OpKind, RowexCounter, SchedCounter};
 use hot_core::sync::ConcurrentHot;
-use hot_core::{BatchRequest, HotTrie, MlpScheduler};
+use hot_core::{HotTrie, MlpScheduler};
 use hot_keys::{encode_u64, EmbeddedKeySource};
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -32,8 +32,6 @@ struct Shadow {
     get_batch_items: u64,
     scan_batches: u64,
     scan_batch_items: u64,
-    remove_batches: u64,
-    remove_batch_items: u64,
     bulk_loads: u64,
     bulk_items: u64,
     /// Requests the out-of-order scheduler was handed (every one must show
@@ -49,11 +47,6 @@ fn assert_counters_match(snap: &hot_core::hot_metrics::MetricsSnapshot, shadow: 
         (OpKind::Scan, shadow.scans, Some(shadow.scan_items)),
         (OpKind::GetBatch, shadow.get_batches, Some(shadow.get_batch_items)),
         (OpKind::ScanBatch, shadow.scan_batches, Some(shadow.scan_batch_items)),
-        (
-            OpKind::RemoveBatch,
-            shadow.remove_batches,
-            Some(shadow.remove_batch_items),
-        ),
         (OpKind::BulkLoad, shadow.bulk_loads, Some(shadow.bulk_items)),
     ];
     for (kind, expected, expected_items) in cases {
@@ -155,45 +148,6 @@ fn single_threaded_counters_are_exact() {
     shadow.scan_batch_items += tids.len() as u64;
     shadow.sched_requests += requests.len() as u64;
 
-    // A mixed get/scan stream records one sample of each batch kind.
-    let mixed: Vec<BatchRequest> = keys[..32]
-        .iter()
-        .enumerate()
-        .map(|(i, k)| {
-            if i % 3 == 0 {
-                BatchRequest::Scan(k.as_ref(), 4)
-            } else {
-                BatchRequest::Get(k.as_ref())
-            }
-        })
-        .collect();
-    let mut mixed_out = vec![None; mixed.len()];
-    trie.mixed_batch_with(&mixed, &mut mixed_out, &mut tids, &mut bounds, &mut sched);
-    let mixed_gets = mixed
-        .iter()
-        .filter(|r| matches!(r, BatchRequest::Get(_)))
-        .count() as u64;
-    shadow.get_batches += 1;
-    shadow.get_batch_items += mixed_gets;
-    shadow.scan_batches += 1;
-    shadow.scan_batch_items += tids.len() as u64;
-    shadow.sched_requests += mixed.len() as u64;
-
-    // Batched removal: one RemoveBatch sample; the apply phase runs the
-    // *uninstrumented* structural remove, so OpKind::Remove must not move.
-    let removes_before = trie.metrics_snapshot().op(OpKind::Remove).count;
-    let rm_keys: Vec<[u8; 8]> = (0..48u64).map(|i| encode_u64(i * 6)).collect();
-    let mut rm_out = vec![None; rm_keys.len()];
-    trie.remove_batch(&rm_keys, &mut rm_out);
-    shadow.remove_batches += 1;
-    shadow.remove_batch_items += rm_keys.len() as u64;
-    shadow.sched_requests += rm_keys.len() as u64;
-    assert_eq!(
-        trie.metrics_snapshot().op(OpKind::Remove).count,
-        removes_before,
-        "remove_batch must not inflate scalar remove counters"
-    );
-
     // The invariant walk re-looks up every key; it must NOT move the
     // operation counters (it uses the uninstrumented internal path).
     let before = trie.metrics_snapshot();
@@ -221,14 +175,6 @@ fn single_threaded_counters_are_exact() {
         mean > 0.0 && mean <= hot_core::hot_metrics::MAX_OCCUPANCY as f64,
         "mean lane occupancy {mean} in range"
     );
-    // Completions split by descent kind: lookups (get + mixed gets),
-    // scan seeks (scans + mixed scans), remove probes.
-    assert_eq!(
-        after.sched.get(SchedCounter::ProbeDone),
-        shadow.remove_batch_items,
-        "probe completions"
-    );
-
     // Structural gauges agree with the index's own accounting.
     let s = after.structure.as_ref().expect("quiesced walk succeeds");
     assert_eq!(s.leaves, trie.len() as u64);

@@ -5,8 +5,7 @@
 //! email, YAGO-triple, integer), every in-flight depth (which shuffles
 //! the *completion* order without being allowed to shuffle the *result*
 //! order), every batch shape (empty, one key, below / at / above the
-//! depth, ragged tail, duplicate keys), mixed get/scan streams, and
-//! concurrent churn on the ROWEX index — on the heap trie as the scalar
+//! depth, ragged tail, duplicate keys), and concurrent churn on the ROWEX index — on the heap trie as the scalar
 //! truth, and through it on both ROWEX aliases (`for_each_sync!`; the
 //! single-threaded compact trie meets the same engine in
 //! `arena_differential`). The whole file is also exercised
@@ -18,7 +17,7 @@ mod common;
 
 use common::Front;
 use hot_core::sync::{ConcurrentCompact, ConcurrentHot};
-use hot_core::{BatchRequest, HotTrie, MlpScheduler, DEFAULT_DEPTH};
+use hot_core::{HotTrie, MlpScheduler, DEFAULT_DEPTH};
 use hot_keys::{encode_u64, ArenaKeySource, EmbeddedKeySource};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -221,100 +220,6 @@ fn scans_byte_identical_across_scalar_and_every_depth() {
                 assert_eq!(checksum_scan(&tids, &bounds), want, "{label}: scan depth {depth}");
             });
         }
-    }
-}
-
-#[test]
-fn mixed_get_scan_streams_interleave_without_cross_talk() {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0x111D);
-    for fx in fixtures() {
-        // Alternate gets and scans in one request stream; limits vary.
-        let limits: Vec<usize> = fx.probes.iter().map(|_| rng.gen_range(0..9)).collect();
-        let reqs: Vec<BatchRequest> = fx
-            .probes
-            .iter()
-            .zip(&limits)
-            .enumerate()
-            .map(|(i, (k, &limit))| {
-                if i % 2 == 0 {
-                    BatchRequest::Get(k.as_slice())
-                } else {
-                    BatchRequest::Scan(k.as_slice(), limit)
-                }
-            })
-            .collect();
-
-        // Scalar ground truth, walking the stream in order.
-        let mut want_out: Vec<Option<u64>> = vec![None; reqs.len()];
-        let mut want_tids = Vec::new();
-        let mut want_bounds = vec![0usize];
-        for (i, req) in reqs.iter().enumerate() {
-            match req {
-                BatchRequest::Get(k) => want_out[i] = fx.trie.get(k),
-                BatchRequest::Scan(k, limit) => {
-                    want_tids.extend(fx.trie.scan(k, *limit));
-                    want_bounds.push(want_tids.len());
-                }
-            }
-        }
-
-        for depth in DEPTHS {
-            let mut sched = MlpScheduler::with_depth(depth);
-            let mut out = vec![None; reqs.len()];
-            let (mut tids, mut bounds) = (Vec::new(), Vec::new());
-            fx.trie.mixed_batch_with(&reqs, &mut out, &mut tids, &mut bounds, &mut sched);
-            assert_eq!(out, want_out, "{}: mixed gets depth {depth}", fx.name);
-            assert_eq!(tids, want_tids, "{}: mixed scan tids depth {depth}", fx.name);
-            assert_eq!(bounds, want_bounds, "{}: mixed scan bounds depth {depth}", fx.name);
-
-            for_each_sync!(fx, |sync, label| {
-                let mut out = vec![None; reqs.len()];
-                sync.mixed_batch_with(&reqs, &mut out, &mut tids, &mut bounds, &mut sched);
-                assert_eq!(out, want_out, "{label}: mixed gets depth {depth}");
-                assert_eq!(tids, want_tids, "{label}: mixed tids depth {depth}");
-            });
-        }
-
-        // The convenience entry points run the same pass on the parked
-        // thread scheduler.
-        let mut out = vec![None; reqs.len()];
-        let (mut tids, mut bounds) = (Vec::new(), Vec::new());
-        fx.trie.mixed_batch(&reqs, &mut out, &mut tids, &mut bounds);
-        assert_eq!((&out, &tids, &bounds), (&want_out, &want_tids, &want_bounds), "{}", fx.name);
-        for_each_sync!(fx, |sync, label| {
-            sync.mixed_batch(&reqs, &mut out, &mut tids, &mut bounds);
-            assert_eq!((&out, &tids, &bounds), (&want_out, &want_tids, &want_bounds), "{label}");
-        });
-    }
-}
-
-#[test]
-fn remove_batch_equals_sequential_removes() {
-    for fx in fixtures() {
-        // Identical tries; remove a probe slice (hits, misses, and in-batch
-        // duplicates) sequentially on one, batched on the others.
-        let mut victims: Vec<Vec<u8>> = fx.probes.iter().step_by(4).cloned().collect();
-        let dup = victims[0].clone();
-        victims.push(dup);
-
-        let Fixture { name, trie: mut batched, sync: sequential, csync: mut cbatched, .. } = fx;
-        let expected: Vec<Option<u64>> = victims.iter().map(|k| sequential.remove(k)).collect();
-
-        fn check(batched: &mut impl Front, sequential: &impl Front, victims: &[Vec<u8>], expected: &[Option<u64>], name: &str) {
-            let label = format!("{name}/{}", batched.name());
-            let mut out = vec![None; victims.len()];
-            batched.take_batch(victims, &mut out);
-            assert_eq!(out, expected, "{label}: remove_batch answers");
-
-            // Post-state agrees key by key, and node by node.
-            for k in victims {
-                assert_eq!(batched.get(k), sequential.get(k), "{label}: post-remove state");
-            }
-            assert_eq!(batched.len(), sequential.len(), "{label}: post-remove sizes");
-            assert_eq!(batched.structure_digest(), sequential.structure_digest(), "{label}: post-remove structure");
-        }
-        check(&mut batched, &sequential, &victims, &expected, name);
-        check(&mut cbatched, &sequential, &victims, &expected, name);
     }
 }
 

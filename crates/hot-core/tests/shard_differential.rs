@@ -248,6 +248,59 @@ fn scans_cross_shard_boundaries_byte_identical() {
     }
 }
 
+/// A `scan_batch` long enough that every shard queue drains in more than
+/// one window of the router's 1,024 requests, with consecutive requests on
+/// different shards, zero limits, and spans that start at a shard's last
+/// keys and continue into the following shards (or off the end of the key
+/// space).
+#[test]
+fn long_alternating_scan_batches_byte_identical() {
+    const WINDOW: usize = 1024;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xA17E);
+    for fx in fixtures() {
+        let entries = fx.entries();
+        for shards in [2usize, 8] {
+            let sharded = ShardedHot::new(Arc::clone(&fx.arena), shards);
+            sharded.bulk_load(&entries).unwrap();
+            // Shard `s` holds `entries[starts[s]..starts[s + 1]]`.
+            let mut starts = vec![0usize];
+            for s in 0..shards {
+                starts.push(starts[s] + sharded.shard(s).len());
+            }
+            assert!(starts.windows(2).all(|w| w[0] < w[1]), "{}: every shard populated", fx.name);
+
+            let requests: Vec<(&[u8], usize)> = (0..shards * WINDOW + 200)
+                .map(|i| {
+                    let s = i % shards;
+                    let (lo, hi) = (starts[s], starts[s + 1]);
+                    match i % 5 {
+                        0 => (entries[rng.gen_range(lo..hi)].0, 0),
+                        1 => (entries[hi - 1 - rng.gen_range(0..3usize.min(hi - lo))].0, rng.gen_range(4..2 * (hi - lo))),
+                        _ => (entries[rng.gen_range(lo..hi)].0, rng.gen_range(1..12)),
+                    }
+                })
+                .collect();
+
+            let mut want_tids = Vec::new();
+            let mut want_bounds = vec![0usize];
+            let mut buf = Vec::new();
+            for &(k, limit) in &requests {
+                fx.single.scan_into(k, limit, &mut buf);
+                want_tids.extend_from_slice(&buf);
+                want_bounds.push(want_tids.len());
+            }
+
+            let mut scratch = RouterScratch::new();
+            let (mut tids, mut bounds) = (Vec::new(), Vec::new());
+            for _ in 0..2 {
+                sharded.scan_batch(&requests, &mut tids, &mut bounds, &mut scratch);
+                assert_eq!(bounds, want_bounds, "{}: scan bounds s={shards}", fx.name);
+                assert_eq!(tids, want_tids, "{}: scan tids s={shards}", fx.name);
+            }
+        }
+    }
+}
+
 #[test]
 fn routed_removals_match_the_single_trie() {
     for fx in fixtures() {

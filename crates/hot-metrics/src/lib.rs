@@ -54,20 +54,18 @@ pub enum OpKind {
     ScanBatch = 5,
     /// Sorted bulk load (`bulk_load` / `bulk_load_parallel`).
     BulkLoad = 6,
-    /// Batched removals (`remove_batch`: probe descents + applies).
-    RemoveBatch = 7,
     /// Served GET request (hot-server execution, hot-client round trip).
-    NetGet = 8,
+    NetGet = 7,
     /// Served PUT request.
-    NetPut = 9,
+    NetPut = 8,
     /// Served DEL request.
-    NetDel = 10,
+    NetDel = 9,
     /// Served SCAN / SCAN-resume request.
-    NetScan = 11,
+    NetScan = 10,
     /// Any served network request — the aggregate the wire drivers use
     /// for whole-stream latency percentiles (each request is recorded
     /// under its kind *and* here).
-    NetOp = 12,
+    NetOp = 11,
 }
 
 impl OpKind {
@@ -80,7 +78,6 @@ impl OpKind {
         OpKind::GetBatch,
         OpKind::ScanBatch,
         OpKind::BulkLoad,
-        OpKind::RemoveBatch,
         OpKind::NetGet,
         OpKind::NetPut,
         OpKind::NetDel,
@@ -98,7 +95,6 @@ impl OpKind {
             OpKind::GetBatch => "get_batch",
             OpKind::ScanBatch => "scan_batch",
             OpKind::BulkLoad => "bulk_load",
-            OpKind::RemoveBatch => "remove_batch",
             OpKind::NetGet => "net_get",
             OpKind::NetPut => "net_put",
             OpKind::NetDel => "net_del",
@@ -109,7 +105,7 @@ impl OpKind {
 }
 
 /// Number of instrumented operation kinds.
-pub const NUM_OPS: usize = 13;
+pub const NUM_OPS: usize = 12;
 
 /// ROWEX synchronization health counters (see `hot_core::sync`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -168,11 +164,9 @@ pub enum SchedCounter {
     LookupDone = 1,
     /// A scan-seek descent completed (its drain ran).
     ScanSeekDone = 2,
-    /// A remove-probe descent completed.
-    ProbeDone = 3,
     /// A lane re-descended from a freshly reloaded root after observing a
     /// torn (null) slot mid-descent on the concurrent index.
-    Redescent = 4,
+    Redescent = 3,
 }
 
 impl SchedCounter {
@@ -181,7 +175,6 @@ impl SchedCounter {
         SchedCounter::Refill,
         SchedCounter::LookupDone,
         SchedCounter::ScanSeekDone,
-        SchedCounter::ProbeDone,
         SchedCounter::Redescent,
     ];
 
@@ -191,14 +184,13 @@ impl SchedCounter {
             SchedCounter::Refill => "refills",
             SchedCounter::LookupDone => "lookup_completions",
             SchedCounter::ScanSeekDone => "scan_seek_completions",
-            SchedCounter::ProbeDone => "probe_completions",
             SchedCounter::Redescent => "redescents",
         }
     }
 }
 
 /// Number of MLP scheduler health counters.
-pub const NUM_SCHED: usize = 5;
+pub const NUM_SCHED: usize = 4;
 
 /// Largest lane-occupancy value tracked exactly; the occupancy histogram
 /// has one bucket per occupancy `0..=MAX_OCCUPANCY` (deeper schedulers
@@ -758,9 +750,7 @@ impl SchedSnapshot {
     /// this must equal both the submitted requests and the refills (the
     /// metrics differential test asserts exactly that).
     pub fn completions(&self) -> u64 {
-        self.get(SchedCounter::LookupDone)
-            + self.get(SchedCounter::ScanSeekDone)
-            + self.get(SchedCounter::ProbeDone)
+        self.get(SchedCounter::LookupDone) + self.get(SchedCounter::ScanSeekDone)
     }
 
     /// Total occupancy samples (scheduler rounds observed).
