@@ -246,9 +246,6 @@ impl<S: KeySource> NodeStore for HeapStore<S> {
         key_bit: u8,
         leaf: NodeRef,
     ) -> Option<NodeRef> {
-        if !crate::sync_shim::insert_fast_path_enabled() {
-            return None;
-        }
         node.insert_entry_cow(pos, lo, hi, key_bit, leaf.0, &self.mem)
     }
 

@@ -19,11 +19,7 @@
 //! * Pure bookkeeping that is *not* part of the protocol — the
 //!   [`MemCounter`](crate::node::MemCounter) allocation counters —
 //!   deliberately stays on `std` atomics: instrumenting it would blow up
-//!   the model's state space without adding any checked property. The
-//!   insert fast-path kill switch *does* live here (see
-//!   [`insert_fast_path_enabled`]): it is a process-global flag a test
-//!   harness may flip while model threads run, so routing it through the
-//!   shim makes that flip itself a modeled yield point.
+//!   the model's state space without adding any checked property.
 //!
 //! The epoch layer is *not* swapped: the vendored `crossbeam-epoch` is a
 //! per-thread-epoch collector on `std` atomics (pin = one store and one
@@ -45,31 +41,10 @@ pub const MODEL_CHECKING: bool = true;
 pub const MODEL_CHECKING: bool = false;
 
 #[cfg(any(loom, feature = "loom-model"))]
-pub use loom::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+pub use loom::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
 #[cfg(not(any(loom, feature = "loom-model")))]
-pub use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-
-/// Disable the fused insert fast path (differential-testing support: the
-/// fast path and the general builder path must produce identical trees, so
-/// the differential suite builds the same data set once with each).
-///
-/// Process-global on purpose — it selects between two code paths that are
-/// asserted byte-identical, so a racing flip can change timing but never
-/// an observable result.
-static DISABLE_INSERT_FAST_PATH: AtomicBool = AtomicBool::new(false);
-
-/// True while the fused insert fast path is enabled (the default).
-#[inline]
-pub fn insert_fast_path_enabled() -> bool {
-!DISABLE_INSERT_FAST_PATH.load(Ordering::Relaxed)
-}
-
-/// Turn the fused insert fast path off (`true`) or back on (`false`).
-/// Test-harness support; see [`insert_fast_path_enabled`].
-pub fn set_disable_insert_fast_path(disable: bool) {
-DISABLE_INSERT_FAST_PATH.store(disable, Ordering::Relaxed);
-}
+pub use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
 /// One step of a contended writer's spin: a pause instruction normally, a
 /// voluntary scheduler yield under the model (so the model's bounded

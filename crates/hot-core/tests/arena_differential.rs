@@ -8,8 +8,10 @@
 //!
 //! Also here: a proptest driving the front-coded leaf encoding across
 //! prefix-boundary key sets (a stored key that is a strict prefix of its
-//! neighbor is the hardest case for `[shared][suffix]` reconstruction),
-//! and typed [`ArenaFull`] exhaustion of the 32-bit offset space under
+//! neighbor is the hardest case for `[shared][suffix]` reconstruction), a
+//! proptest over random integer sets (the heap store's fused insert
+//! against the arena store's general builder path), and typed
+//! [`ArenaFull`] exhaustion of the 32-bit offset space under
 //! artificially small arena ceilings.
 
 #[macro_use]
@@ -150,6 +152,20 @@ proptest! {
         let want: Vec<u64> = model.values().copied().collect();
         prop_assert_eq!(in_order, want);
         compact.check_invariants();
+    }
+
+    /// Random integer sets: the heap store's fused insert
+    /// (`insert_entry_cow`) and the arena store's general builder path,
+    /// which has no fused insert, build the same tree.
+    #[test]
+    fn random_integers_build_identical_trees(keys in proptest::collection::btree_set(0u64..1_000_000, 2..400)) {
+        let encoded: Vec<Vec<u8>> = keys.iter().map(|&k| hot_keys::encode_u64(k).to_vec()).collect();
+        let mut arena = ArenaKeySource::new();
+        let tids: Vec<u64> = encoded.iter().map(|k| arena.push(k)).collect();
+        let (heap, _) = filled(HotTrie::new(Arc::new(arena)), &encoded, &tids);
+        let (compact, _) = filled(CompactHot::new(), &encoded, &tids);
+        heap.validate();
+        prop_assert_eq!(heap.structure_digest(), compact.structure_digest());
     }
 }
 

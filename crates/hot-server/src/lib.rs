@@ -2,10 +2,11 @@
 //!
 //! This crate turns the sharded concurrent trie ([`hot_core::ShardedHot`])
 //! into a network service speaking a length-prefixed binary protocol
-//! ([`protocol`]): GET / PUT / DEL / SCAN / RESUME / BATCH frames, fully
+//! ([`protocol`]): GET / PUT / DEL / SCAN / RESUME frames, fully
 //! pipelineable, decoded incrementally from arbitrary read boundaries.
-//! The server ([`server`]) drains each connection's pipelined request
-//! window into the index's batched entry points — the same
+//! Pipelining is the only batching: the server ([`server`]) drains each
+//! connection's pipelined request window into the index's batched entry
+//! points — the same
 //! memory-level-parallel paths the in-process benchmarks exercise — so the
 //! figures measured over loopback differ from the in-process ones by
 //! protocol + syscall cost only (EXPERIMENTS.md discusses the

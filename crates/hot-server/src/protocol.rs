@@ -21,6 +21,10 @@
 //! `RequestRef::decode(..).to_owned()` and `Response::encode` runs the
 //! same in-place encoders.
 //!
+//! Pipelining is the protocol's only batching: a client writes many
+//! frames back to back, and the server groups each run of GETs or SCANs
+//! among them into one batched index call.
+//!
 //! Request opcodes and their payloads:
 //!
 //! | opcode | name     | payload                                          |
@@ -29,19 +33,14 @@
 //! | `0x02` | PUT      | `[tid: u64][klen: u16][key]`                     |
 //! | `0x03` | DEL      | `[klen: u16][key]`                               |
 //! | `0x04` | SCAN     | `[limit: u32][klen: u16][start key]`             |
-//! | `0x05` | BATCH    | `[count: u32][count × sub-request bodies]`       |
+//! | `0x05` | —        | retired (was BATCH), answered as unknown         |
 //! | `0x06` | STATS    | empty                                            |
 //! | `0x07` | PING     | empty                                            |
 //! | `0x08` | SHUTDOWN | empty                                            |
 //! | `0x09` | RESUME   | `[limit: u32][shard: u32][klen: u16][last key]`  |
 //!
-//! Sub-requests inside a BATCH are encoded exactly like a top-level body
-//! (opcode + payload, no length prefix — every payload is self-delimiting),
-//! may not nest another BATCH, and are capped at [`MAX_BATCH_SUBS`] per
-//! group; the server additionally caps the aggregate scan results of one
-//! BATCH at [`MAX_BATCH_SCAN_TIDS`] (truncated scans return continuation
-//! tokens), so one frame can never demand more than a constant amount of
-//! work or response bytes.
+//! A retired code is never reused: it decodes as
+//! [`ProtoError::UnknownOpcode`] / [`ProtoError::UnknownStatus`].
 //!
 //! Response status codes:
 //!
@@ -50,7 +49,7 @@
 //! | `0x00` | OK_NONE  | empty (key absent / write without prior value / pong)          |
 //! | `0x01` | OK_TID   | `[tid: u64]`                                                   |
 //! | `0x02` | OK_SCAN  | `[more: u8][token if more][count: u32][count × tid: u64]`      |
-//! | `0x03` | OK_BATCH | `[count: u32][count × sub-response bodies]`                    |
+//! | `0x03` | —        | retired (was OK_BATCH), answered as unknown                    |
 //! | `0x04` | OK_TEXT  | `[tlen: u32][utf-8 bytes]`                                     |
 //! | `0x0F` | ERR      | `[code: u8][mlen: u16][utf-8 message]`                         |
 //!
@@ -74,22 +73,6 @@ pub const MAX_KEY: usize = hot_keys::MAX_KEY_LEN;
 /// OK_SCAN response still fits [`MAX_FRAME`] with room for the token.
 pub const MAX_SCAN_TIDS: usize = 100_000;
 
-/// Decode-time cap on the sub-requests of one BATCH. A 1 MiB frame can
-/// physically carry ~500k one-byte sub-requests, each of which may fan
-/// out into a [`MAX_SCAN_TIDS`]-sized scan — without this cap a single
-/// frame could demand gigabytes of results. The cap keeps the per-batch
-/// work (and, together with [`MAX_BATCH_SCAN_TIDS`], the OK_BATCH
-/// response) bounded by constants, not by what fits in the frame.
-pub const MAX_BATCH_SUBS: usize = 1024;
-
-/// Aggregate scan-result budget across all SCAN/RESUME sub-requests of
-/// one BATCH, sized so a batch response full of TIDs still fits
-/// [`MAX_FRAME`]: `100_000 × 8` bytes of TIDs plus [`MAX_BATCH_SUBS`]
-/// sub-response headers and tokens stays under 1 MiB. Scans truncated
-/// by the budget return a continuation token, so clients page through
-/// RESUME exactly as they do for [`MAX_SCAN_TIDS`]-clamped scans.
-pub const MAX_BATCH_SCAN_TIDS: usize = 100_000;
-
 /// Error codes carried by an ERR response.
 pub mod err_code {
     /// The request body could not be decoded.
@@ -110,7 +93,6 @@ const OP_GET: u8 = 0x01;
 const OP_PUT: u8 = 0x02;
 const OP_DEL: u8 = 0x03;
 const OP_SCAN: u8 = 0x04;
-const OP_BATCH: u8 = 0x05;
 const OP_STATS: u8 = 0x06;
 const OP_PING: u8 = 0x07;
 const OP_SHUTDOWN: u8 = 0x08;
@@ -119,7 +101,6 @@ const OP_RESUME: u8 = 0x09;
 const ST_NONE: u8 = 0x00;
 const ST_TID: u8 = 0x01;
 const ST_SCAN: u8 = 0x02;
-const ST_BATCH: u8 = 0x03;
 const ST_TEXT: u8 = 0x04;
 const ST_ERR: u8 = 0x0F;
 
@@ -141,10 +122,6 @@ pub enum ProtoError {
     UnknownOpcode(u8),
     /// A status byte outside the response table.
     UnknownStatus(u8),
-    /// A BATCH inside a BATCH.
-    NestedBatch,
-    /// A BATCH with more than [`MAX_BATCH_SUBS`] sub-requests.
-    BatchTooLarge(usize),
     /// A key length above [`MAX_KEY`].
     KeyTooLong(usize),
     /// A text payload that was not UTF-8.
@@ -160,10 +137,6 @@ impl fmt::Display for ProtoError {
             ProtoError::TrailingBytes(n) => write!(f, "{n} trailing bytes after payload"),
             ProtoError::UnknownOpcode(op) => write!(f, "unknown request opcode {op:#04x}"),
             ProtoError::UnknownStatus(st) => write!(f, "unknown response status {st:#04x}"),
-            ProtoError::NestedBatch => write!(f, "BATCH nested inside BATCH"),
-            ProtoError::BatchTooLarge(n) => {
-                write!(f, "BATCH of {n} sub-requests exceeds MAX_BATCH_SUBS")
-            }
             ProtoError::KeyTooLong(n) => write!(f, "key of {n} bytes exceeds MAX_KEY"),
             ProtoError::BadText => write!(f, "text payload is not valid UTF-8"),
         }
@@ -209,12 +182,6 @@ pub enum Request {
         /// Maximum entries returned for this page.
         limit: u32,
     },
-    /// A client-assembled group of sub-requests answered by one OK_BATCH.
-    Batch(
-        /// The sub-requests, in execution order; never contains a nested
-        /// `Batch`.
-        Vec<Request>,
-    ),
     /// Server metrics snapshot as an OK_TEXT JSON document.
     Stats,
     /// Liveness probe; answered with OK_NONE.
@@ -238,11 +205,6 @@ pub enum Response {
         /// for the next page.
         token: Option<ScanToken>,
     },
-    /// One sub-response per sub-request of a BATCH, in order.
-    Batch(
-        /// The sub-responses; never contains a nested `Batch`.
-        Vec<Response>,
-    ),
     /// A UTF-8 document (STATS).
     Text(String),
     /// A typed failure.
@@ -282,9 +244,9 @@ impl<'a> From<&'a ScanToken> for ScanTokenRef<'a> {
 /// every key a view into the frame body it was parsed from. This is the
 /// protocol's one request parser — the server executes these directly
 /// off the [`FrameDecoder`]'s buffer, and [`Request::decode`] is this
-/// plus [`to_owned`](RequestRef::to_owned). Only `Batch` owns anything
-/// (the list of its sub-requests, themselves views).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// plus [`to_owned`](RequestRef::to_owned). It owns nothing, so it is
+/// `Copy`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestRef<'a> {
     /// Point lookup.
     Get {
@@ -317,8 +279,6 @@ pub enum RequestRef<'a> {
         /// Maximum entries returned for this page.
         limit: u32,
     },
-    /// A group of sub-requests; never contains a nested `Batch`.
-    Batch(Vec<RequestRef<'a>>),
     /// Server metrics snapshot.
     Stats,
     /// Liveness probe.
@@ -399,8 +359,8 @@ fn put_key(out: &mut Vec<u8>, key: &[u8]) {
 
 /// Reserve a frame's length slot, run `body`, then patch the slot with
 /// the encoded body length. Requests only: every request a conforming
-/// client can construct fits [`MAX_FRAME`] by the key and batch caps,
-/// so an overrun here is a caller bug, not a wire condition.
+/// client can construct fits [`MAX_FRAME`] by the key cap, so an overrun
+/// here is a caller bug, not a wire condition.
 fn frame(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
     let slot = out.len();
     out.extend_from_slice(&[0u8; 4]);
@@ -413,13 +373,7 @@ fn frame(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
 impl Request {
     /// Append this request as one complete frame (length prefix included).
     pub fn encode(&self, out: &mut Vec<u8>) {
-        frame(out, |out| self.encode_body(out));
-    }
-
-    /// Append the frame body only (opcode + payload) — the encoding of a
-    /// BATCH sub-request.
-    fn encode_body(&self, out: &mut Vec<u8>) {
-        match self {
+        frame(out, |out| match self {
             Request::Get { key } => {
                 out.push(OP_GET);
                 put_key(out, key);
@@ -444,94 +398,53 @@ impl Request {
                 out.extend_from_slice(&token.shard.to_le_bytes());
                 put_key(out, &token.last_key);
             }
-            Request::Batch(subs) => {
-                out.push(OP_BATCH);
-                out.extend_from_slice(&(subs.len() as u32).to_le_bytes());
-                for sub in subs {
-                    debug_assert!(
-                        !matches!(sub, Request::Batch(_)),
-                        "BATCH must not nest (rejected on decode)"
-                    );
-                    sub.encode_body(out);
-                }
-            }
             Request::Stats => out.push(OP_STATS),
             Request::Ping => out.push(OP_PING),
             Request::Shutdown => out.push(OP_SHUTDOWN),
-        }
+        });
     }
 
     /// Decode one frame body into an owned request:
     /// [`RequestRef::decode`] plus [`RequestRef::to_owned`].
     pub fn decode(body: &[u8]) -> Result<Request, ProtoError> {
-        RequestRef::decode(body).map(|req| req.to_owned())
+        RequestRef::decode(body).map(|req| RequestRef::to_owned(&req))
     }
 }
 
 impl<'a> RequestRef<'a> {
     /// Decode one frame body in place. Rejects trailing bytes, so a frame
-    /// is exactly one request. Allocates only for a BATCH's sub-request
-    /// list.
+    /// is exactly one request. Allocates nothing.
     ///
-    /// Inlined into its callers together with the scalar arms, so the
-    /// window loop sees a request's fields as values and not as an enum
-    /// copied through memory (the copy costs more than the parse).
+    /// Inlined into its callers, so the window loop sees a request's
+    /// fields as values and not as an enum copied through memory (the
+    /// copy costs more than the parse).
     #[inline(always)]
     pub fn decode(body: &'a [u8]) -> Result<RequestRef<'a>, ProtoError> {
         let mut cur = Cursor::new(body);
         let req = match cur.u8("opcode")? {
-            OP_BATCH => RequestRef::decode_batch(&mut cur)?,
-            opcode => RequestRef::decode_scalar(opcode, &mut cur)?,
-        };
-        cur.done()?;
-        Ok(req)
-    }
-
-    /// The payload of any request but BATCH — a top-level body or a
-    /// BATCH's sub-request, which is where a BATCH opcode is nesting.
-    #[inline(always)]
-    fn decode_scalar(opcode: u8, cur: &mut Cursor<'a>) -> Result<RequestRef<'a>, ProtoError> {
-        match opcode {
-            OP_GET => Ok(RequestRef::Get { key: cur.key()? }),
+            OP_GET => RequestRef::Get { key: cur.key()? },
             OP_PUT => {
                 let tid = cur.u64("PUT tid")?;
-                Ok(RequestRef::Put { tid, key: cur.key()? })
+                RequestRef::Put { tid, key: cur.key()? }
             }
-            OP_DEL => Ok(RequestRef::Del { key: cur.key()? }),
+            OP_DEL => RequestRef::Del { key: cur.key()? },
             OP_SCAN => {
                 let limit = cur.u32("SCAN limit")?;
-                Ok(RequestRef::Scan { start: cur.key()?, limit })
+                RequestRef::Scan { start: cur.key()?, limit }
             }
             OP_RESUME => {
                 let limit = cur.u32("RESUME limit")?;
                 let shard = cur.u32("RESUME shard")?;
                 let last_key = cur.key()?;
-                Ok(RequestRef::Resume { token: ScanTokenRef { shard, last_key }, limit })
+                RequestRef::Resume { token: ScanTokenRef { shard, last_key }, limit }
             }
-            OP_BATCH => Err(ProtoError::NestedBatch),
-            OP_STATS => Ok(RequestRef::Stats),
-            OP_PING => Ok(RequestRef::Ping),
-            OP_SHUTDOWN => Ok(RequestRef::Shutdown),
-            other => Err(ProtoError::UnknownOpcode(other)),
-        }
-    }
-
-    #[cold]
-    #[inline(never)]
-    fn decode_batch(cur: &mut Cursor<'a>) -> Result<RequestRef<'a>, ProtoError> {
-        let count = cur.u32("BATCH count")? as usize;
-        // Reject oversized groups before decoding (or allocating for) a
-        // single sub-request: a frame that passes this gate can demand at
-        // most MAX_BATCH_SUBS operations of work.
-        if count > MAX_BATCH_SUBS {
-            return Err(ProtoError::BatchTooLarge(count));
-        }
-        let mut subs = Vec::with_capacity(count);
-        for _ in 0..count {
-            let opcode = cur.u8("opcode")?;
-            subs.push(RequestRef::decode_scalar(opcode, cur)?);
-        }
-        Ok(RequestRef::Batch(subs))
+            OP_STATS => RequestRef::Stats,
+            OP_PING => RequestRef::Ping,
+            OP_SHUTDOWN => RequestRef::Shutdown,
+            other => return Err(ProtoError::UnknownOpcode(other)),
+        };
+        cur.done()?;
+        Ok(req)
     }
 
     /// Copy the borrowed keys into an owned [`Request`].
@@ -546,25 +459,11 @@ impl<'a> RequestRef<'a> {
             RequestRef::Resume { token, limit } => {
                 Request::Resume { token: token.to_owned(), limit: *limit }
             }
-            RequestRef::Batch(subs) => {
-                Request::Batch(subs.iter().map(RequestRef::to_owned).collect())
-            }
             RequestRef::Stats => Request::Stats,
             RequestRef::Ping => Request::Ping,
             RequestRef::Shutdown => Request::Shutdown,
         }
     }
-}
-
-/// Whether an in-place encoder appends a complete top-level frame (length
-/// prefix, [`MAX_FRAME`] enforced) or a bare body — the encoding of a
-/// sub-response inside an OK_BATCH frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Framing {
-    /// `[len: u32 LE][body]`.
-    Frame,
-    /// `[body]` only.
-    Body,
 }
 
 /// Reserve a response frame's length slot; [`end_frame`] patches it.
@@ -574,152 +473,107 @@ fn begin_frame(out: &mut Vec<u8>) -> usize {
     slot
 }
 
-/// Close the frame opened at `slot` by [`begin_frame`] / [`begin_batch`].
+/// Close the frame opened at `slot` by [`begin_frame`].
 ///
 /// Never leaves a frame over [`MAX_FRAME`]: a body that would exceed the
 /// cap (which the peer's decoder would reject, poisoning the connection —
 /// and whose u32 length prefix could even wrap) is replaced in place by
 /// an [`err_code::RESPONSE_TOO_LARGE`] ERR frame, so every encoded
 /// response is decodable by a conforming peer.
-pub fn end_frame(out: &mut Vec<u8>, slot: usize) {
+fn end_frame(out: &mut Vec<u8>, slot: usize) {
     let mut len = out.len() - slot - 4;
     if len > MAX_FRAME {
         out.truncate(slot + 4);
         let msg = format!("response of {len} bytes exceeds the {MAX_FRAME}-byte frame cap");
-        encode_error(out, Framing::Body, err_code::RESPONSE_TOO_LARGE, &msg);
+        put_error(out, err_code::RESPONSE_TOO_LARGE, &msg);
         len = out.len() - slot - 4;
     }
     out[slot..slot + 4].copy_from_slice(&(len as u32).to_le_bytes());
 }
 
-/// Run `body` as one response under `framing`.
-fn framed(out: &mut Vec<u8>, framing: Framing, body: impl FnOnce(&mut Vec<u8>)) {
-    match framing {
-        Framing::Frame => {
-            let slot = begin_frame(out);
-            body(out);
-            end_frame(out, slot);
-        }
-        Framing::Body => body(out),
-    }
-}
-
 /// Append OK_NONE — byte-identical to `Response::None`.
 #[inline]
-pub fn encode_none(out: &mut Vec<u8>, framing: Framing) {
-    match framing {
-        Framing::Frame => out.extend_from_slice(&[1, 0, 0, 0, ST_NONE]),
-        Framing::Body => out.push(ST_NONE),
-    }
+pub fn encode_none(out: &mut Vec<u8>) {
+    out.extend_from_slice(&[1, 0, 0, 0, ST_NONE]);
 }
 
 /// Append OK_TID — byte-identical to `Response::Tid(tid)`.
 #[inline]
-pub fn encode_tid(out: &mut Vec<u8>, framing: Framing, tid: u64) {
+pub fn encode_tid(out: &mut Vec<u8>, tid: u64) {
     let mut frame = [9, 0, 0, 0, ST_TID, 0, 0, 0, 0, 0, 0, 0, 0];
     frame[5..].copy_from_slice(&tid.to_le_bytes());
-    match framing {
-        Framing::Frame => out.extend_from_slice(&frame),
-        Framing::Body => out.extend_from_slice(&frame[4..]),
-    }
+    out.extend_from_slice(&frame);
 }
 
 /// Append OK_SCAN with its TIDs read straight from `tids` —
 /// byte-identical to `Response::Scan { tids, token }`.
-pub fn encode_scan(
-    out: &mut Vec<u8>,
-    framing: Framing,
-    tids: &[u64],
-    token: Option<ScanTokenRef<'_>>,
-) {
-    framed(out, framing, |out| {
-        out.push(ST_SCAN);
-        match token {
-            Some(t) => {
-                out.push(1);
-                out.extend_from_slice(&t.shard.to_le_bytes());
-                put_key(out, t.last_key);
-            }
-            None => out.push(0),
+pub fn encode_scan(out: &mut Vec<u8>, tids: &[u64], token: Option<ScanTokenRef<'_>>) {
+    let slot = begin_frame(out);
+    out.push(ST_SCAN);
+    match token {
+        Some(t) => {
+            out.push(1);
+            out.extend_from_slice(&t.shard.to_le_bytes());
+            put_key(out, t.last_key);
         }
-        out.extend_from_slice(&(tids.len() as u32).to_le_bytes());
-        out.reserve(tids.len() * 8);
-        for tid in tids {
-            out.extend_from_slice(&tid.to_le_bytes());
-        }
-    });
+        None => out.push(0),
+    }
+    out.extend_from_slice(&(tids.len() as u32).to_le_bytes());
+    out.reserve(tids.len() * 8);
+    for tid in tids {
+        out.extend_from_slice(&tid.to_le_bytes());
+    }
+    end_frame(out, slot);
 }
 
 /// Append OK_TEXT — byte-identical to `Response::Text`.
-pub fn encode_text(out: &mut Vec<u8>, framing: Framing, text: &str) {
-    framed(out, framing, |out| {
-        out.push(ST_TEXT);
-        out.extend_from_slice(&(text.len() as u32).to_le_bytes());
-        out.extend_from_slice(text.as_bytes());
-    });
+pub fn encode_text(out: &mut Vec<u8>, text: &str) {
+    let slot = begin_frame(out);
+    out.push(ST_TEXT);
+    out.extend_from_slice(&(text.len() as u32).to_le_bytes());
+    out.extend_from_slice(text.as_bytes());
+    end_frame(out, slot);
 }
 
 /// Append ERR — byte-identical to `Response::Error { code, msg }`.
-pub fn encode_error(out: &mut Vec<u8>, framing: Framing, code: u8, msg: &str) {
-    framed(out, framing, |out| {
-        out.push(ST_ERR);
-        out.push(code);
-        // The u16 length forces truncation of huge messages; back off to
-        // a char boundary so the peer never sees a split codepoint (which
-        // would decode as BadText, hiding the original error behind a
-        // protocol error).
-        let mut cut = msg.len().min(u16::MAX as usize);
-        while !msg.is_char_boundary(cut) {
-            cut -= 1;
-        }
-        let bytes = &msg.as_bytes()[..cut];
-        out.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
-        out.extend_from_slice(bytes);
-    });
-}
-
-/// Open an OK_BATCH frame of `count` sub-responses; the caller appends
-/// them with [`Framing::Body`] and closes the frame with [`end_frame`].
-pub fn begin_batch(out: &mut Vec<u8>, count: usize) -> usize {
+pub fn encode_error(out: &mut Vec<u8>, code: u8, msg: &str) {
     let slot = begin_frame(out);
-    put_batch_header(out, count);
-    slot
+    put_error(out, code, msg);
+    end_frame(out, slot);
 }
 
-fn put_batch_header(out: &mut Vec<u8>, count: usize) {
-    out.push(ST_BATCH);
-    out.extend_from_slice(&(count as u32).to_le_bytes());
+/// The body of an ERR frame: what [`encode_error`] frames, and what
+/// [`end_frame`] writes over an oversized body.
+fn put_error(out: &mut Vec<u8>, code: u8, msg: &str) {
+    out.push(ST_ERR);
+    out.push(code);
+    // The u16 length forces truncation of huge messages; back off to a
+    // char boundary so the peer never sees a split codepoint (which would
+    // decode as BadText, hiding the original error behind a protocol
+    // error).
+    let mut cut = msg.len().min(u16::MAX as usize);
+    while !msg.is_char_boundary(cut) {
+        cut -= 1;
+    }
+    let bytes = &msg.as_bytes()[..cut];
+    out.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
+    out.extend_from_slice(bytes);
 }
 
 impl Response {
     /// Append this response as one complete frame (length prefix
-    /// included); never emits a frame over [`MAX_FRAME`] (see
-    /// [`end_frame`]).
+    /// included), through the server's in-place encoders; a body over
+    /// [`MAX_FRAME`] is replaced by an [`err_code::RESPONSE_TOO_LARGE`]
+    /// ERR frame.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        let slot = begin_frame(out);
-        self.encode_body(out);
-        end_frame(out, slot);
-    }
-
-    fn encode_body(&self, out: &mut Vec<u8>) {
         match self {
-            Response::None => encode_none(out, Framing::Body),
-            Response::Tid(tid) => encode_tid(out, Framing::Body, *tid),
+            Response::None => encode_none(out),
+            Response::Tid(tid) => encode_tid(out, *tid),
             Response::Scan { tids, token } => {
-                encode_scan(out, Framing::Body, tids, token.as_ref().map(ScanTokenRef::from));
+                encode_scan(out, tids, token.as_ref().map(ScanTokenRef::from));
             }
-            Response::Batch(subs) => {
-                put_batch_header(out, subs.len());
-                for sub in subs {
-                    debug_assert!(
-                        !matches!(sub, Response::Batch(_)),
-                        "OK_BATCH must not nest (rejected on decode)"
-                    );
-                    sub.encode_body(out);
-                }
-            }
-            Response::Text(text) => encode_text(out, Framing::Body, text),
-            Response::Error { code, msg } => encode_error(out, Framing::Body, *code, msg),
+            Response::Text(text) => encode_text(out, text),
+            Response::Error { code, msg } => encode_error(out, *code, msg),
         }
     }
 
@@ -727,12 +581,12 @@ impl Response {
     /// exactly one response.
     pub fn decode(body: &[u8]) -> Result<Response, ProtoError> {
         let mut cur = Cursor::new(body);
-        let resp = Response::decode_body(&mut cur, true)?;
+        let resp = Response::decode_body(&mut cur)?;
         cur.done()?;
         Ok(resp)
     }
 
-    fn decode_body(cur: &mut Cursor<'_>, allow_batch: bool) -> Result<Response, ProtoError> {
+    fn decode_body(cur: &mut Cursor<'_>) -> Result<Response, ProtoError> {
         match cur.u8("status")? {
             ST_NONE => Ok(Response::None),
             ST_TID => Ok(Response::Tid(cur.u64("OK_TID tid")?)),
@@ -756,20 +610,6 @@ impl Response {
                 }
                 Ok(Response::Scan { tids, token })
             }
-            ST_BATCH if allow_batch => {
-                let count = cur.u32("OK_BATCH count")? as usize;
-                // Mirror the request-side cap: a conforming server never
-                // answers with more sub-responses than a BATCH may carry.
-                if count > MAX_BATCH_SUBS {
-                    return Err(ProtoError::BatchTooLarge(count));
-                }
-                let mut subs = Vec::with_capacity(count);
-                for _ in 0..count {
-                    subs.push(Response::decode_body(cur, false)?);
-                }
-                Ok(Response::Batch(subs))
-            }
-            ST_BATCH => Err(ProtoError::NestedBatch),
             ST_TEXT => {
                 let len = cur.u32("OK_TEXT length")? as usize;
                 let bytes = cur.take(len, "OK_TEXT bytes")?;
@@ -932,7 +772,6 @@ mod tests {
                 token: ScanToken { shard: 3, last_key: b"zz".to_vec() },
                 limit: 5,
             },
-            Request::Batch(vec![Request::Ping, Request::Get { key: b"x".to_vec() }]),
             Request::Stats,
             Request::Ping,
             Request::Shutdown,
@@ -960,7 +799,6 @@ mod tests {
                 tids: vec![9],
                 token: Some(ScanToken { shard: 1, last_key: b"m".to_vec() }),
             },
-            Response::Batch(vec![Response::None, Response::Tid(4)]),
             Response::Text("{\"ok\":true}".to_string()),
             Response::Error { code: err_code::BAD_FRAME, msg: "nope".to_string() },
         ];
@@ -1006,34 +844,18 @@ mod tests {
         assert_eq!(Request::decode(&[]), Err(ProtoError::Truncated("opcode")));
         assert_eq!(Request::decode(&[0x7E]), Err(ProtoError::UnknownOpcode(0x7E)));
         assert_eq!(Request::decode(&[OP_PING, 0]), Err(ProtoError::TrailingBytes(1)));
-        // A BATCH containing a BATCH.
-        let nested = [OP_BATCH, 1, 0, 0, 0, OP_BATCH, 0, 0, 0, 0];
-        assert_eq!(Request::decode(&nested), Err(ProtoError::NestedBatch));
     }
 
+    /// The retired BATCH opcode and OK_BATCH status are unknown codes, with
+    /// or without the count and bodies they used to carry.
     #[test]
-    fn batch_sub_request_count_is_capped() {
-        let batch = |n: usize| {
-            let mut body = vec![OP_BATCH];
-            body.extend_from_slice(&(n as u32).to_le_bytes());
-            body.extend(std::iter::repeat_n(OP_PING, n.min(MAX_BATCH_SUBS)));
-            body
-        };
-        assert_eq!(
-            Request::decode(&batch(MAX_BATCH_SUBS)).unwrap(),
-            Request::Batch(vec![Request::Ping; MAX_BATCH_SUBS])
-        );
-        assert_eq!(
-            Request::decode(&batch(MAX_BATCH_SUBS + 1)),
-            Err(ProtoError::BatchTooLarge(MAX_BATCH_SUBS + 1))
-        );
-        // The response side mirrors the cap.
-        let mut body = vec![ST_BATCH];
-        body.extend_from_slice(&((MAX_BATCH_SUBS + 1) as u32).to_le_bytes());
-        assert_eq!(
-            Response::decode(&body),
-            Err(ProtoError::BatchTooLarge(MAX_BATCH_SUBS + 1))
-        );
+    fn retired_batch_codes_decode_as_unknown() {
+        for body in [&[0x05][..], &[0x05, 0, 0, 0, 0], &[0x05, 1, 0, 0, 0, OP_PING]] {
+            assert_eq!(Request::decode(body), Err(ProtoError::UnknownOpcode(0x05)));
+        }
+        for body in [&[0x03][..], &[0x03, 0, 0, 0, 0], &[0x03, 1, 0, 0, 0, ST_NONE]] {
+            assert_eq!(Response::decode(body), Err(ProtoError::UnknownStatus(0x03)));
+        }
     }
 
     #[test]

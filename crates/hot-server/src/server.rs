@@ -17,9 +17,8 @@
 //! straight into the decoder's buffer, requests are parsed in place
 //! ([`RequestRef`], keys are views into that buffer), and answers are
 //! encoded directly into the write buffer. In steady state the loop
-//! allocates nothing; only BATCH (its sub-request list), RESUME (the
-//! owned token `scan_resume` takes), STATS and ERR frames build owned
-//! values.
+//! allocates nothing; only RESUME (the owned token `scan_resume` takes),
+//! STATS and ERR frames build owned values.
 //!
 //! Backpressure is structural: a turn of the loop executes only frames
 //! already buffered — at most the frames of one read of up to 32 KiB —
@@ -36,9 +35,8 @@
 //! all threads.
 
 use crate::protocol::{
-    begin_batch, encode_error, encode_none, encode_scan, encode_text, encode_tid, end_frame,
-    err_code, FrameDecoder, Framing, ProtoError, RequestRef, ScanTokenRef,
-    MAX_BATCH_SCAN_TIDS, MAX_SCAN_TIDS,
+    encode_error, encode_none, encode_scan, encode_text, encode_tid, err_code, FrameDecoder,
+    ProtoError, RequestRef, ScanTokenRef, MAX_SCAN_TIDS,
 };
 use crate::store::{net_data_for, NetData};
 use hot_core::{RouterScratch, ShardedHot};
@@ -143,7 +141,6 @@ pub struct ServerStats {
     windows: Counter,
     writes: Counter,
     get_runs: Counter,
-    batches: Counter,
     bytes_in: Counter,
     bytes_out: Counter,
     proto_errors: Counter,
@@ -166,7 +163,7 @@ impl ServerStats {
         self.rejected.get()
     }
 
-    /// Requests executed (BATCH sub-requests counted individually).
+    /// Requests executed.
     pub fn requests(&self) -> u64 {
         self.requests.get()
     }
@@ -245,7 +242,7 @@ impl Shared {
         format!(
             "{{\"connections\": {{\"accepted\": {}, \"active\": {}, \"rejected\": {}}}, \
              \"requests\": {}, \"windows\": {}, \"writes\": {}, \"get_runs\": {}, \
-             \"batches\": {}, \"proto_errors\": {}, \"bytes_in\": {}, \"bytes_out\": {}, \
+             \"proto_errors\": {}, \"bytes_in\": {}, \"bytes_out\": {}, \
              \"shards\": {}, \"keys\": {}, \"shard_memory\": [{}], \"metrics\": {}}}",
             self.stats.accepted(),
             self.stats.active(),
@@ -254,7 +251,6 @@ impl Shared {
             self.stats.windows(),
             self.stats.writes(),
             self.stats.get_runs(),
-            self.stats.batches.get(),
             self.stats.proto_errors(),
             self.stats.bytes_in(),
             self.stats.bytes_out(),
@@ -361,14 +357,14 @@ impl ServerHandle {
     ///
     /// * `connections`: `accepted`, `active`, `rejected` (turned away at
     ///   [`ServerConfig::max_connections`]);
-    /// * `requests`: requests executed, BATCH sub-requests one by one;
+    /// * `requests`: requests executed;
     /// * `windows`: request windows executed — `requests / windows` is
     ///   the pipelining depth the server actually reached;
     /// * `writes`: socket writes of answers, one per turn — `requests /
     ///   writes` is the answers each write syscall carried;
     /// * `get_runs`: coalesced GET runs handed to `get_batch_with` —
     ///   `metrics.ops.net_get.count / get_runs` is their mean length;
-    /// * `batches`, `proto_errors`, `bytes_in`, `bytes_out`;
+    /// * `proto_errors`, `bytes_in`, `bytes_out`;
     /// * `shards`, and `keys`, the live keys in the index;
     /// * `shard_memory`: per shard, in shard order, `node_bytes` (live
     ///   node bytes) and `node_reserved_bytes` (bytes of the 2 MiB chunks
@@ -506,7 +502,7 @@ impl Conn {
                 // Best effort before the close: a framing error leaves no
                 // way to find the next frame boundary.
                 shared.stats.proto_errors.add(1);
-                encode_error(&mut self.wbuf, Framing::Frame, err_code::BAD_FRAME, &err.to_string());
+                encode_error(&mut self.wbuf, err_code::BAD_FRAME, &err.to_string());
                 turn.error = Some(err);
                 return turn;
             }
@@ -606,7 +602,7 @@ fn serve_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
 
 fn send_error(stream: &mut TcpStream, code: u8, msg: &str) {
     let mut wire = Vec::new();
-    encode_error(&mut wire, Framing::Frame, code, msg);
+    encode_error(&mut wire, code, msg);
     let _ = stream.write_all(&wire);
 }
 
@@ -656,26 +652,17 @@ struct Executed {
     error: Option<ProtoError>,
 }
 
-/// Clamp one scan's grant against its per-scan cap and the enclosing
-/// aggregate budget. Every non-empty request is granted at least one
-/// result even on an exhausted budget, so it can still make progress and
-/// mint a continuation token (an empty page reads as end-of-keyspace).
-fn grant_scan(limit: u32, scan_budget: &mut usize) -> usize {
-    let want = (limit as usize).min(MAX_SCAN_TIDS);
-    if want == 0 {
-        return 0;
-    }
-    let grant = want.min((*scan_budget).max(1));
-    *scan_budget = scan_budget.saturating_sub(grant);
-    grant
+/// Clamp one scan's result count to [`MAX_SCAN_TIDS`].
+fn grant_scan(limit: u32) -> usize {
+    (limit as usize).min(MAX_SCAN_TIDS)
 }
 
 /// OK_TID / OK_NONE: the answer to a lookup, or a write's previous value.
 #[inline]
-fn encode_answer(out: &mut Vec<u8>, framing: Framing, tid: Option<u64>) {
+fn encode_answer(out: &mut Vec<u8>, tid: Option<u64>) {
     match tid {
-        Some(tid) => encode_tid(out, framing, tid),
-        None => encode_none(out, framing),
+        Some(tid) => encode_tid(out, tid),
+        None => encode_none(out),
     }
 }
 
@@ -703,12 +690,6 @@ struct Exec<'w, 'a> {
     shared: &'w Shared,
     scratch: &'w mut ConnScratch,
     out: &'w mut Vec<u8>,
-    /// `Body` while the sub-requests of a BATCH execute.
-    framing: Framing,
-    /// Scan results still grantable: unbounded at top level (each scan is
-    /// clamped to `MAX_SCAN_TIDS` and gets its own frame), the shared
-    /// `MAX_BATCH_SCAN_TIDS` inside a BATCH.
-    scan_budget: usize,
     shutdown: bool,
     /// Kind and length of the open run, and when it began.
     run: Option<OpKind>,
@@ -726,8 +707,6 @@ impl<'w, 'a> Exec<'w, 'a> {
             shared,
             scratch,
             out,
-            framing: Framing::Frame,
-            scan_budget: usize::MAX,
             shutdown: false,
             run: None,
             run_len: 0,
@@ -793,7 +772,7 @@ impl<'w, 'a> Exec<'w, 'a> {
             }
             RequestRef::Scan { start, limit } => {
                 self.enter(OpKind::NetScan);
-                self.scans[self.pending] = (start, grant_scan(limit, &mut self.scan_budget));
+                self.scans[self.pending] = (start, grant_scan(limit));
                 self.pending += 1;
                 if self.pending == RUN_CAP {
                     self.flush_pending();
@@ -805,7 +784,7 @@ impl<'w, 'a> Exec<'w, 'a> {
             }
             RequestRef::Del { key } => {
                 self.enter(OpKind::NetDel);
-                encode_answer(self.out, self.framing, self.shared.index.remove(key));
+                encode_answer(self.out, self.shared.index.remove(key));
             }
             other => self.exec_scalar(other),
         }
@@ -818,11 +797,11 @@ impl<'w, 'a> Exec<'w, 'a> {
         // input.
         match self.shared.arena.try_key(tid) {
             Some(stored) if stored == key => {
-                encode_answer(self.out, self.framing, self.shared.index.insert(key, tid));
+                encode_answer(self.out, self.shared.index.insert(key, tid));
             }
             _ => {
                 let msg = format!("tid {tid} does not resolve to the {}-byte key", key.len());
-                encode_error(self.out, self.framing, err_code::TID_MISMATCH, &msg);
+                encode_error(self.out, err_code::TID_MISMATCH, &msg);
             }
         }
     }
@@ -835,7 +814,7 @@ impl<'w, 'a> Exec<'w, 'a> {
         self.shared.index.get_batch_with(keys, found, router);
         *get_runs += 1;
         for &tid in found.iter() {
-            encode_answer(self.out, self.framing, tid);
+            encode_answer(self.out, tid);
         }
     }
 
@@ -845,13 +824,12 @@ impl<'w, 'a> Exec<'w, 'a> {
         self.shared.index.scan_batch(scans, tids, bounds, router);
         for (&(_, limit), span) in scans.iter().zip(bounds.windows(2)) {
             let page = &tids[span[0]..span[1]];
-            encode_scan(self.out, self.framing, page, page_token(self.shared, page, limit));
+            encode_scan(self.out, page, page_token(self.shared, page, limit));
         }
     }
 
-    /// The requests off the common path: RESUME (a scan page on arrival),
-    /// BATCH (its sub-requests, answered in one frame) and the unrecorded
-    /// control requests between runs.
+    /// The requests off the common path: RESUME (a scan page on arrival)
+    /// and the unrecorded control requests between runs.
     #[inline(never)]
     fn exec_scalar(&mut self, req: RequestRef<'a>) {
         let shared = self.shared;
@@ -860,46 +838,19 @@ impl<'w, 'a> Exec<'w, 'a> {
                 self.enter(OpKind::NetScan);
                 // Pending SCANs of the same run answer first.
                 self.flush_pending();
-                let limit = grant_scan(limit, &mut self.scan_budget);
                 let tids = &mut self.scratch.tids;
-                let next = shared.index.scan_resume(&token.to_owned(), limit, tids);
-                encode_scan(self.out, self.framing, tids, next.as_ref().map(ScanTokenRef::from));
-            }
-            RequestRef::Batch(subs) if self.framing == Framing::Frame => {
-                self.close_run();
-                shared.stats.batches.add(1);
-                // A batch answers with ONE frame, so its scans share an
-                // aggregate budget sized to keep the OK_BATCH response
-                // within MAX_FRAME (truncated scans return continuation
-                // tokens).
-                let slot = begin_batch(self.out, subs.len());
-                self.framing = Framing::Body;
-                self.scan_budget = MAX_BATCH_SCAN_TIDS;
-                for sub in subs {
-                    self.exec_request(sub);
-                }
-                self.close_run();
-                self.framing = Framing::Frame;
-                self.scan_budget = usize::MAX;
-                end_frame(self.out, slot);
+                let next = shared.index.scan_resume(&token.to_owned(), grant_scan(limit), tids);
+                encode_scan(self.out, tids, next.as_ref().map(ScanTokenRef::from));
             }
             control => {
                 self.close_run();
                 self.scratch.requests += 1;
-                match control {
-                    RequestRef::Stats => {
-                        self.scratch.flush(shared);
-                        encode_text(self.out, self.framing, &shared.stats_json());
-                    }
-                    RequestRef::Batch(_) => {
-                        // Unreachable through the decoder; kept total.
-                        let msg = ProtoError::NestedBatch.to_string();
-                        encode_error(self.out, self.framing, err_code::BAD_FRAME, &msg);
-                    }
-                    _ => {
-                        self.shutdown |= control == RequestRef::Shutdown;
-                        encode_none(self.out, self.framing);
-                    }
+                if control == RequestRef::Stats {
+                    self.scratch.flush(shared);
+                    encode_text(self.out, &shared.stats_json());
+                } else {
+                    self.shutdown |= control == RequestRef::Shutdown;
+                    encode_none(self.out);
                 }
                 // Not a recorded kind: keep its time out of the next run.
                 self.mark = Instant::now();
@@ -1186,11 +1137,9 @@ mod tests {
                 token: hot_core::ScanToken { shard: 0, last_key: key(round) },
                 limit: 2,
             });
-            reqs.push(Request::Batch(vec![
-                Request::Get { key: key(7) },
-                Request::Get { key: key(8) },
-                Request::Scan { start: key(9), limit: 1 },
-            ]));
+            reqs.push(Request::Get { key: key(7) });
+            reqs.push(Request::Get { key: key(8) });
+            reqs.push(Request::Scan { start: key(9), limit: 1 });
             reqs.push(Request::Stats);
             let windows = conn.run(shared, &reqs);
             assert_eq!(windows, reqs.len().div_ceil(shared.window));
@@ -1200,7 +1149,7 @@ mod tests {
             want[2] += 1;
             want[3] += 3;
             // The leading GETs split at every window (and RUN_CAP) edge;
-            // then one run after the PUTs and one inside the BATCH.
+            // then one run after the PUTs and one after the RESUME.
             want_runs += (round * 40).div_ceil(shared.window) as u64 + 2;
 
             let snap = shared.registry.ops_snapshot();
@@ -1212,7 +1161,7 @@ mod tests {
             let total: u64 = want.iter().sum();
             assert_eq!(snap.op(OpKind::NetOp).count, total);
             assert_eq!(snap.op(OpKind::NetOp).hist_total(), total);
-            // STATS frames count as requests; BATCH frames as their subs.
+            // STATS frames count as requests too.
             assert_eq!(shared.stats.requests(), total + round as u64);
             assert_eq!(shared.stats.get_runs(), want_runs);
             assert_eq!(shared.stats.windows(), want_windows);
@@ -1230,7 +1179,7 @@ mod tests {
         let field = |name: &str| stats_field(&doc, name);
         for name in [
             "accepted", "active", "rejected", "requests", "windows", "writes", "get_runs",
-            "batches", "proto_errors", "bytes_in", "bytes_out", "shards", "keys", "node_bytes",
+            "proto_errors", "bytes_in", "bytes_out", "shards", "keys", "node_bytes",
             "node_reserved_bytes",
         ] {
             field(name);
@@ -1240,7 +1189,7 @@ mod tests {
         assert_eq!(field("get_runs"), want_runs);
         assert_eq!(field("windows"), want_windows - 1, "the answering window is still open");
         assert_eq!(field("writes"), 0, "the harness writes to no socket");
-        assert_eq!(field("batches"), 5);
+        assert!(!doc.contains("batches"), "the retired BATCH frame has no counter");
         assert_eq!(field("keys"), shared.index.len() as u64);
 
         // One `shard_memory` entry per shard, in shard order, read from the

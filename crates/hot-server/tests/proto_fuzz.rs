@@ -10,9 +10,8 @@
 
 use hot_core::ScanToken;
 use hot_server::protocol::{
-    begin_batch, encode_error, encode_none, encode_scan, encode_text, encode_tid, end_frame,
-    err_code, FrameDecoder, Framing, ProtoError, Request, RequestRef, Response, ScanTokenRef,
-    MAX_BATCH_SUBS, MAX_FRAME,
+    encode_error, encode_none, encode_scan, encode_text, encode_tid, err_code, FrameDecoder,
+    ProtoError, Request, RequestRef, Response, ScanTokenRef, MAX_FRAME,
 };
 use proptest::prelude::*;
 
@@ -24,8 +23,8 @@ fn token() -> impl Strategy<Value = ScanToken> {
     (any::<u32>(), key()).prop_map(|(shard, last_key)| ScanToken { shard, last_key })
 }
 
-/// Any non-BATCH request.
-fn scalar_request() -> BoxedStrategy<Request> {
+/// Any request.
+fn request() -> BoxedStrategy<Request> {
     prop_oneof![
         4 => key().prop_map(|key| Request::Get { key }),
         3 => (any::<u64>(), key()).prop_map(|(tid, key)| Request::Put { tid, key }),
@@ -39,22 +38,13 @@ fn scalar_request() -> BoxedStrategy<Request> {
     .boxed()
 }
 
-/// Any request, including single-level BATCH groups.
-fn request() -> BoxedStrategy<Request> {
-    prop_oneof![
-        5 => scalar_request(),
-        1 => proptest::collection::vec(scalar_request(), 0..6).prop_map(Request::Batch),
-    ]
-    .boxed()
-}
-
 fn ascii() -> impl Strategy<Value = String> {
     proptest::collection::vec(32u8..127, 0..40)
         .prop_map(|bytes| String::from_utf8(bytes).expect("printable ascii"))
 }
 
-/// Any non-BATCH response.
-fn scalar_response() -> BoxedStrategy<Response> {
+/// Any response.
+fn response() -> BoxedStrategy<Response> {
     prop_oneof![
         2 => (0u32..1).prop_map(|_| Response::None),
         3 => any::<u64>().prop_map(Response::Tid),
@@ -63,14 +53,6 @@ fn scalar_response() -> BoxedStrategy<Response> {
         ),
         1 => ascii().prop_map(Response::Text),
         1 => (any::<u8>(), ascii()).prop_map(|(code, msg)| Response::Error { code, msg }),
-    ]
-    .boxed()
-}
-
-fn response() -> BoxedStrategy<Response> {
-    prop_oneof![
-        5 => scalar_response(),
-        1 => proptest::collection::vec(scalar_response(), 0..6).prop_map(Response::Batch),
     ]
     .boxed()
 }
@@ -125,28 +107,20 @@ fn keys_of<'a>(req: &RequestRef<'a>, out: &mut Vec<&'a [u8]>) {
         }
         RequestRef::Scan { start, .. } => out.push(start),
         RequestRef::Resume { token, .. } => out.push(token.last_key),
-        RequestRef::Batch(subs) => subs.iter().for_each(|sub| keys_of(sub, out)),
         RequestRef::Stats | RequestRef::Ping | RequestRef::Shutdown => {}
     }
 }
 
 /// `resp` through the in-place encoders, the way the server writes it.
-fn encode_in_place(resp: &Response, out: &mut Vec<u8>, framing: Framing) {
+fn encode_in_place(resp: &Response, out: &mut Vec<u8>) {
     match resp {
-        Response::None => encode_none(out, framing),
-        Response::Tid(tid) => encode_tid(out, framing, *tid),
+        Response::None => encode_none(out),
+        Response::Tid(tid) => encode_tid(out, *tid),
         Response::Scan { tids, token } => {
-            encode_scan(out, framing, tids, token.as_ref().map(ScanTokenRef::from))
+            encode_scan(out, tids, token.as_ref().map(ScanTokenRef::from))
         }
-        Response::Text(text) => encode_text(out, framing, text),
-        Response::Error { code, msg } => encode_error(out, framing, *code, msg),
-        Response::Batch(subs) => {
-            let slot = begin_batch(out, subs.len());
-            for sub in subs {
-                encode_in_place(sub, out, Framing::Body);
-            }
-            end_frame(out, slot);
-        }
+        Response::Text(text) => encode_text(out, text),
+        Response::Error { code, msg } => encode_error(out, *code, msg),
     }
 }
 
@@ -246,23 +220,6 @@ proptest! {
         prop_assert_eq!(dec.next_frame(), Err(ProtoError::FrameTooLarge(len as usize)));
     }
 
-    /// A truncated BATCH count cannot cause an oversized allocation or a
-    /// hang: decode returns a typed error.
-    #[test]
-    fn hostile_batch_count_is_bounded(count in 1u32..=u32::MAX, tail in key()) {
-        let mut body = vec![0x05u8]; // OP_BATCH
-        body.extend_from_slice(&count.to_le_bytes());
-        body.extend_from_slice(&tail);
-        // Either the tail happens to decode as `count` sub-requests (only
-        // possible for tiny counts) or we get a typed error; both are
-        // fine, a panic or OOM is not. Above the sub-request cap the
-        // error is pinned: rejected before any sub-request is decoded.
-        let got = Request::decode(&body);
-        if count as usize > MAX_BATCH_SUBS {
-            prop_assert_eq!(got, Err(ProtoError::BatchTooLarge(count as usize)));
-        }
-    }
-
     /// No representable response encodes to a frame the decoder refuses:
     /// an over-MAX_FRAME body is replaced by a typed ERR frame, so the
     /// peer always sees a decodable response.
@@ -320,8 +277,7 @@ proptest! {
     }
 
     /// The in-place encoders the server writes with produce exactly the
-    /// bytes of `Response::encode` on the owned value — framed, and as
-    /// the sub-responses of an OK_BATCH.
+    /// bytes of `Response::encode` on the owned value.
     #[test]
     fn in_place_encoders_match_response_encode(
         resps in proptest::collection::vec(response(), 1..8),
@@ -329,27 +285,24 @@ proptest! {
         let (mut want, mut got) = (Vec::new(), Vec::new());
         for resp in &resps {
             resp.encode(&mut want);
-            encode_in_place(resp, &mut got, Framing::Frame);
+            encode_in_place(resp, &mut got);
         }
         prop_assert_eq!(got, want);
     }
 
     /// … including the replacement of an over-`MAX_FRAME` scan page (with
-    /// and without a token) and of an over-`MAX_FRAME` batch by the typed
-    /// ERR frame.
+    /// and without a token) by the typed ERR frame.
     #[test]
     fn in_place_oversize_replacement_matches(extra in 0usize..4096, token in token(), more in any::<bool>()) {
-        let page = Response::Scan {
+        let resp = Response::Scan {
             tids: vec![7u64; MAX_FRAME / 8 + extra],
             token: more.then_some(token),
         };
-        for resp in [page.clone(), Response::Batch(vec![Response::Tid(1), page])] {
-            let (mut want, mut got) = (Vec::new(), Vec::new());
-            resp.encode(&mut want);
-            encode_in_place(&resp, &mut got, Framing::Frame);
-            prop_assert!(want.len() < 200, "replaced by a short ERR frame");
-            prop_assert_eq!(got, want);
-        }
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        resp.encode(&mut want);
+        encode_in_place(&resp, &mut got);
+        prop_assert!(want.len() < 200, "replaced by a short ERR frame");
+        prop_assert_eq!(got, want);
     }
 
     /// A frame stream read through `fill_from` at arbitrary read sizes —

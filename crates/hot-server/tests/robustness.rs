@@ -111,23 +111,19 @@ fn expected_checksum(data: &NetData) -> u64 {
     data.tids[..data.loaded].iter().fold(0u64, |acc, &t| acc.wrapping_add(t))
 }
 
-/// A client that dies mid-frame (half a BATCH header on the wire) must
-/// not disturb a concurrent connection's results.
+/// A client that dies mid-frame (half a SCAN frame on the wire) must not
+/// disturb a concurrent connection's results.
 #[test]
-fn mid_batch_disconnect_leaves_other_connections_intact() {
+fn mid_frame_disconnect_leaves_other_connections_intact() {
     let (handle, data) = test_server(Duration::from_secs(10));
 
     let mut sick = Raw::connect(&handle);
-    // A legitimate request, then a torn one: a BATCH frame announcing 100
-    // sub-requests, cut off after the first.
+    // A legitimate request, then a torn one: the largest SCAN frame — a
+    // `MAX_KEY`-byte start key — cut off inside its key.
     sick.send_all(&[Request::Ping]);
     assert_eq!(sick.recv(), Response::None);
     let mut torn = Vec::new();
-    Request::Batch(vec![
-        Request::Get { key: data.dataset.keys[0].clone() };
-        100
-    ])
-    .encode(&mut torn);
+    Request::Scan { start: vec![0xAB; hot_server::MAX_KEY], limit: u32::MAX }.encode(&mut torn);
     sick.stream.write_all(&torn[..torn.len() / 2]).expect("partial frame accepted");
     drop(sick); // RST/FIN mid-frame
 
@@ -227,82 +223,33 @@ fn garbage_frames_get_typed_errors() {
     handle.shutdown();
 }
 
-/// One hostile BATCH frame cannot balloon the server: sub-requests are
-/// capped at decode time, a batch's scans share an aggregate result
-/// budget (truncated scans stay resumable via tokens), the response
-/// frame fits MAX_FRAME, and the batch counts as its sub-requests in
-/// the stats — not one extra for the frame.
+/// The retired BATCH opcode (`0x05`) is an unknown opcode like any
+/// other: a BATCH-shaped frame (count 0) gets a typed `bad_frame` ERR
+/// that names it, the connection closes, the violation is counted once,
+/// and a second connection's full sweep is unchanged.
 #[test]
-fn hostile_batch_is_bounded() {
-    use hot_server::protocol::{err_code, MAX_BATCH_SCAN_TIDS, MAX_BATCH_SUBS};
+fn retired_batch_opcode_gets_a_typed_error() {
+    use hot_server::protocol::err_code;
 
     let (handle, data) = test_server(Duration::from_secs(10));
-    let smallest = data.dataset.keys[..data.loaded]
-        .iter()
-        .min()
-        .expect("corpus is non-empty")
-        .clone();
-
-    // The worst legal batch: the maximum sub-count, every sub a scan
-    // asking for everything.
-    let mut conn = Raw::connect(&handle);
-    let before = handle.stats().requests();
-    conn.send_all(&[Request::Batch(vec![
-        Request::Scan { start: smallest, limit: u32::MAX };
-        MAX_BATCH_SUBS
-    ])]);
-    // Raw's FrameDecoder enforces MAX_FRAME, so receiving the response
-    // at all proves the frame stayed within the cap.
-    match conn.recv() {
-        Response::Batch(subs) => {
-            assert_eq!(subs.len(), MAX_BATCH_SUBS);
-            let mut total = 0usize;
-            for sub in &subs {
-                match sub {
-                    Response::Scan { tids, token } => {
-                        total += tids.len();
-                        // A budget-truncated page must stay resumable:
-                        // only a page that visibly ends the key space may
-                        // omit the continuation token.
-                        assert!(
-                            token.is_some() || tids.len() >= data.loaded,
-                            "truncated scan of {} TIDs lost its token",
-                            tids.len()
-                        );
-                    }
-                    other => panic!("SCAN answered with {other:?}"),
-                }
-            }
-            assert!(
-                total <= MAX_BATCH_SCAN_TIDS + MAX_BATCH_SUBS,
-                "aggregate scan budget exceeded: {total} TIDs"
-            );
-        }
-        other => panic!("BATCH answered with {other:?}"),
-    }
-    assert_eq!(
-        handle.stats().requests() - before,
-        MAX_BATCH_SUBS as u64,
-        "a batch of N counts as N requests, not N + 1"
-    );
-
-    // One past the cap: rejected at decode with a typed error, before any
-    // sub-request is executed.
     let mut evil = Raw::connect(&handle);
-    let mut body = vec![0x05u8]; // OP_BATCH
-    body.extend_from_slice(&((MAX_BATCH_SUBS + 1) as u32).to_le_bytes());
-    body.extend(std::iter::repeat_n(0x07u8, MAX_BATCH_SUBS + 1)); // OP_PING
-    let mut frame = (body.len() as u32).to_le_bytes().to_vec();
-    frame.extend_from_slice(&body);
-    evil.stream.write_all(&frame).expect("frame accepted at the transport level");
+    evil.stream
+        .write_all(&[5, 0, 0, 0, 0x05, 0, 0, 0, 0])
+        .expect("frame accepted at the transport level");
     match evil.try_recv() {
         Some(Response::Error { code, msg }) => {
             assert_eq!(code, err_code::BAD_FRAME);
-            assert!(msg.contains("BATCH"), "error names the violation: {msg}");
+            assert!(msg.contains("unknown request opcode 0x05"), "error names the opcode: {msg}");
         }
         other => panic!("expected a typed ERR frame, got {other:?}"),
     }
     assert_eq!(evil.try_recv(), None, "connection closed after the violation");
+
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while handle.stats().proto_errors() == 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(handle.stats().proto_errors(), 1);
 
     let mut good = Raw::connect(&handle);
     assert_eq!(get_all_checksum(&mut good, &data), expected_checksum(&data));

@@ -1,6 +1,6 @@
 //! Per-crate `unsafe` budget.
 //!
-//! `cargo xtask audit-unsafe` proves every `unsafe` site carries a
+//! The [`safety`](super::safety) pass proves every `unsafe` site carries a
 //! written justification; this pass adds the *quantity* dimension: the
 //! checked-in `lint/unsafe_budget.toml` pins how many sites each crate is
 //! allowed to hold (`[[budget]] crate = "hot-core", sites = N`). A new
@@ -13,16 +13,21 @@
 //! part of the build. Mismatches fail in either direction: a count above
 //! budget is unbudgeted growth, a count below is a stale manifest that
 //! would mask the next growth.
+//!
+//! The walk that counts is the `safety` pass's walk too: each file is
+//! lexed once, and [`safety::scan`] both reports its unjustified sites and
+//! returns its site count.
 
-use super::Diag;
+use super::{safety, Diag};
 use std::path::Path;
 
 const PASS: &str = "unsafe-budget";
 
-/// Count `unsafe` sites per crate. The crate key is the directory name
-/// under `crates/` or `third_party/`; the umbrella crate's root
-/// `src`/`tests`/`examples` count as `hot`.
-pub fn count_by_crate(root: &Path) -> Result<Vec<(String, usize)>, String> {
+/// Count `unsafe` sites per crate, pushing the `safety` findings of every
+/// file on the way. The crate key is the directory name under `crates/` or
+/// `third_party/`; the umbrella crate's root `src`/`tests`/`examples`
+/// count as `hot`.
+fn count_by_crate(root: &Path, diags: &mut Vec<Diag>) -> Result<Vec<(String, usize)>, String> {
     let mut files = Vec::new();
     for top in ["crates", "third_party", "tests", "examples", "src"] {
         crate::lexer::collect_rs(&root.join(top), &mut files);
@@ -30,16 +35,15 @@ pub fn count_by_crate(root: &Path) -> Result<Vec<(String, usize)>, String> {
     files.sort();
     let mut counts: Vec<(String, usize)> = Vec::new();
     for file in &files {
-        let rel = file.strip_prefix(root).unwrap_or(file);
-        let mut components = rel.components().map(|c| c.as_os_str().to_string_lossy());
-        let first = components.next().unwrap_or_default();
-        let key = match first.as_ref() {
-            "crates" | "third_party" => components.next().unwrap_or_default().into_owned(),
+        let rel = super::rel_path(root, file);
+        let mut parts = rel.split('/');
+        let key = match parts.next() {
+            Some("crates" | "third_party") => parts.next().unwrap_or_default().to_string(),
             _ => "hot".to_string(), // umbrella crate at the workspace root
         };
         let text = std::fs::read_to_string(file)
             .map_err(|e| format!("cannot read {}: {e}", file.display()))?;
-        let n = crate::audit::count_sites(&text);
+        let n = safety::scan(&rel, &text, diags);
         match counts.iter_mut().find(|(k, _)| *k == key) {
             Some((_, total)) => *total += n,
             None => counts.push((key, n)),
@@ -48,8 +52,9 @@ pub fn count_by_crate(root: &Path) -> Result<Vec<(String, usize)>, String> {
     Ok(counts)
 }
 
-/// Run the pass.
-pub fn run(root: &Path, manifest: &[crate::toml::Table], diags: &mut Vec<Diag>) -> Result<(), String> {
+/// Run this pass and the `safety` pass; returns the workspace's unsafe
+/// site count.
+pub fn run(root: &Path, manifest: &[crate::toml::Table], diags: &mut Vec<Diag>) -> Result<usize, String> {
     let mut budgets = Vec::new();
     for table in manifest {
         if table.name != "budget" {
@@ -64,9 +69,9 @@ pub fn run(root: &Path, manifest: &[crate::toml::Table], diags: &mut Vec<Diag>) 
             table.line,
         ));
     }
-    let counts = count_by_crate(root)?;
+    let counts = count_by_crate(root, diags)?;
     check(&counts, &budgets, diags);
-    Ok(())
+    Ok(counts.iter().map(|(_, n)| n).sum())
 }
 
 /// Compare actual per-crate counts against the budget table.

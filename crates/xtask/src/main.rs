@@ -6,18 +6,16 @@
 //! Performance is not gated here: `bench/` (`BENCHMARK.json`) is the one
 //! performance gate (DESIGN.md §13.5).
 //!
-//! * [`lint`] (`cargo xtask lint [--json]`) — the four-pass workspace
+//! * [`lint`] (`cargo xtask lint [--json]`) — the five-pass workspace
 //!   static-analysis suite: atomics-protocol conformance, hot-path
-//!   allocation freedom, epoch-pin discipline, per-crate unsafe budgets.
-//! * [`audit`] (`cargo xtask audit-unsafe [--json]`) — every `unsafe`
-//!   site must carry a written justification.
+//!   allocation freedom, epoch-pin discipline, per-crate unsafe budgets,
+//!   and a written justification on every `unsafe` site.
 //! * [`no_metrics`] (`cargo xtask verify-no-metrics`) — structural proof
 //!   that the `metrics` feature is zero-cost when disabled.
 //! * [`server_smoke`] (`cargo xtask server-smoke`) — end-to-end network
 //!   gate: real hot-server processes driven by the net_ycsb client with
 //!   checksum verification and clean-shutdown assertions.
 
-mod audit;
 mod lexer;
 mod lint;
 mod no_metrics;
@@ -30,8 +28,7 @@ use std::process::ExitCode;
 fn usage() -> ExitCode {
     eprintln!(
         "usage: cargo xtask <command>\n\navailable commands:\n  \
-         lint [--json]           run the workspace lint suite (atomics / hot-path / epoch / unsafe-budget)\n  \
-         audit-unsafe [--json]   check every unsafe site for a SAFETY justification\n  \
+         lint [--json]           run the workspace lint suite (atomics / hot-path / epoch / unsafe-budget / safety)\n  \
          verify-no-metrics       assert the default build links no hot_metrics code\n  \
          server-smoke            spawn hot-server per dataset/shard count and verify network YCSB checksums"
     );
@@ -42,7 +39,6 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     match args.next().as_deref() {
         Some("lint") => lint::lint(args.next().as_deref() == Some("--json")),
-        Some("audit-unsafe") => audit::audit_unsafe(args.next().as_deref() == Some("--json")),
         Some("verify-no-metrics") => no_metrics::verify_no_metrics(),
         Some("server-smoke") => server_smoke::server_smoke(),
         Some(other) => {
