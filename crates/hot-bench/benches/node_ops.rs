@@ -4,8 +4,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use hot_core::node::builder::Builder;
-use hot_core::node::MemCounter;
-use hot_core::NodeRef;
+use hot_core::{HotTrie, NodeRef};
+use hot_keys::EmbeddedKeySource;
 
 fn bench_pext(c: &mut Criterion) {
     let mut group = c.benchmark_group("pext");
@@ -74,7 +74,9 @@ fn bench_search(c: &mut Criterion) {
 
 fn bench_cow_cycle(c: &mut Criterion) {
     let mut group = c.benchmark_group("node_cow");
-    let mem = MemCounter::default();
+    // The heap store a plain `HotTrie` has: the blocks come from the same
+    // allocator the writes use.
+    let trie = HotTrie::new(EmbeddedKeySource);
     for n in [8usize, 32] {
         // A height-1 node over n leaves with n-1 positions.
         let positions: Vec<u16> = (0..n as u16 - 1).collect();
@@ -96,9 +98,9 @@ fn bench_cow_cycle(c: &mut Criterion) {
         let _ = sparse;
         group.bench_function(format!("encode_free_{n}_entries"), |bch| {
             bch.iter(|| {
-                let r = b.encode(&mem);
+                let r = hot_core::node::encode_for_bench(&trie, &b);
                 // SAFETY: never published.
-                unsafe { hot_core::node::free_for_bench(r, &mem) };
+                unsafe { hot_core::node::free_for_bench(&trie, r) };
                 r.0
             })
         });

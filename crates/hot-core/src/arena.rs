@@ -10,8 +10,9 @@
 //! — an extra dependent cache miss per verify. This module is the other
 //! [`NodeStore`]: what is genuinely different about it — the reference
 //! word, the two arenas, the record codec — and nothing of the trie
-//! algorithms, which run over either store (`trie.rs`, `bulk.rs`,
-//! `scan.rs`, `mlp.rs`). It replaces both costs:
+//! algorithms or the node codec, which run over either store (`node`,
+//! `trie.rs`, `bulk.rs`, `scan.rs`, `mlp.rs`): for nodes, the store hands
+//! out and takes back 8-byte-granular blocks. It replaces both costs:
 //!
 //! * **32-bit node references** ([`CRef`]): nodes and leaves live in slab
 //!   arenas and are addressed by a 32-bit offset word that also carries the
@@ -83,8 +84,7 @@ use std::sync::Mutex;
 // lint/atomics.toml.
 use std::sync::atomic::{AtomicPtr, Ordering};
 
-use crate::node::builder::Builder;
-use crate::node::{geometry_compact, CompactSlot, NodeTag, RawNode, TreeRef, MAX_FANOUT};
+use crate::node::{CompactSlot, NodeTag, RawNode, TreeRef};
 use crate::store::NodeStore;
 use crate::trie::Trie;
 use hot_keys::stats::MemoryStats;
@@ -95,7 +95,7 @@ use hot_keys::{MAX_KEY_LEN, MAX_TID};
 const SLAB_BYTES: usize = 1 << 20;
 
 /// Node-arena allocation granule (offsets are stored in these units).
-const NODE_UNIT: usize = 8;
+pub(crate) const NODE_UNIT: usize = 8;
 
 /// Node-arena slab size in 8-byte units.
 const NODE_SLAB_UNITS: u32 = (SLAB_BYTES / NODE_UNIT) as u32;
@@ -132,6 +132,7 @@ pub(crate) const DEFAULT_LEAF_CAP: usize = LEAF_BYTE_LIMIT as usize;
 /// A 32-bit compact reference: NULL, a tagged node offset, or a leaf offset
 /// (see the module docs for the encoding).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(transparent)]
 pub(crate) struct CRef(pub(crate) u32);
 
 impl CRef {
@@ -849,22 +850,13 @@ impl NodeStore for ArenaStore {
         self.leaves.append(key, tid).map(CRef::leaf)
     }
 
-    fn encode(&self, builder: &Builder) -> Result<CRef, ArenaFull> {
-        let n = builder.values.len();
-        assert!((2..=MAX_FANOUT).contains(&n), "entry count {n}");
-        let tag = NodeTag::choose(&builder.positions);
-        let units = self.nodes.alloc(geometry_compact(tag, n).alloc_size)?;
-        let r = CRef::node(units, tag);
-        let raw = self.raw(r);
-        raw.init_header(n, builder.height);
-        raw.fill_compact(&builder.positions, &builder.sparse, &builder.values);
-        Ok(r)
+    fn alloc_node(&self, tag: NodeTag, bytes: usize) -> Result<CRef, ArenaFull> {
+        self.nodes.alloc(bytes).map(|units| CRef::node(units, tag))
     }
 
     /// # Safety
-    /// As [`NodeStore::retire`].
-    unsafe fn retire(&self, node: CRef) {
-        let bytes = geometry_compact(node.tag(), self.raw(node).count()).alloc_size;
+    /// As [`NodeStore::free_node`].
+    unsafe fn free_node(&self, node: CRef, bytes: usize) {
         self.nodes.free(node.units(), bytes);
     }
 
@@ -1167,6 +1159,37 @@ mod tests {
         let victim = format!("key-{:08}", 0);
         assert_eq!(trie.remove(victim.as_bytes()), Some(0));
         assert!(trie.try_insert(victim.as_bytes(), 0).is_ok());
+
+        // The insert that meets the ceiling is one the fused path serves:
+        // 0xC0 differs from 0x80 first at bit 1, a position the root node
+        // already has, and the root has room at a stable key width.
+        let mut trie = CompactHot::with_capacity(SLAB_BYTES, DEFAULT_LEAF_CAP);
+        for key in [0x00u8, 0x40, 0x80] {
+            assert_eq!(trie.try_insert(&[key], key.into()), Ok(None));
+        }
+        let store = trie.store();
+        let root = store.raw(trie.root);
+        assert_eq!((root.count(), root.positions()), (3, vec![0, 1]));
+        // Take every node block the arena still has: its free lists, then
+        // the rest of its one slab.
+        let free: Vec<usize> = store.nodes.state.lock().unwrap().free.iter().map(Vec::len).collect();
+        for (units, &blocks) in free.iter().enumerate() {
+            for _ in 0..blocks {
+                store.nodes.alloc(units * NODE_UNIT).expect("a free block");
+            }
+        }
+        while store.nodes.alloc(NODE_UNIT).is_ok() {}
+        let (digest, before) = (trie.structure_digest(), trie.arena_stats());
+        let err = trie.try_insert(&[0xC0], 0xC0).expect_err("no node block is left");
+        assert_eq!(err.kind, ArenaKind::Node);
+        assert_eq!(trie.structure_digest(), digest);
+        let after = trie.arena_stats();
+        assert_eq!(
+            (after.node_live_bytes, after.node_live_count),
+            (before.node_live_bytes, before.node_live_count)
+        );
+        assert_eq!((trie.get(&[0x80]), trie.get(&[0xC0])), (Some(0x80), None));
+        trie.check_invariants();
     }
 
     /// The same ceiling met by two writers at once, a third writing beside

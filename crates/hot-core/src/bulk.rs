@@ -430,7 +430,7 @@ fn graft<St: NodeStore>(
     children
         .and_then(|()| {
             builder.fill_from_fragment(fences, values, |w| height_of(store, w));
-            store.encode(builder)
+            crate::node::encode(store, builder)
         })
         .inspect_err(|_| values.iter().for_each(|&root| discard(store, root)))
 }
@@ -446,7 +446,7 @@ fn discard<St: NodeStore>(store: &St, root: u64) {
         }
         // SAFETY: never published — the build is the node's sole owner, and
         // its children were given back just above.
-        unsafe { store.retire(root) };
+        unsafe { crate::node::free(store, root) };
     }
 }
 

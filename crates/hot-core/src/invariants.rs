@@ -143,7 +143,7 @@ impl<St: NodeStore> Walker<'_, St> {
             return Err(ctx("node lock word is not zero"));
         }
         let mut builder = Builder::empty();
-        St::Slot::decode(raw, &mut builder);
+        builder.decode_into::<St::Slot>(raw);
         builder
             .try_check_invariants()
             .map_err(|e| ctx(&format!("linearization invalid: {e}")))?;

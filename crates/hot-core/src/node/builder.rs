@@ -26,7 +26,7 @@
 //!   `q < b` that lies on both paths, where their bits — and hence their
 //!   sparse bits, `q` being on-path for both — differ.
 
-use super::{MemCounter, NodeRef, NodeTag, RawNode, MAX_FANOUT, MAX_POSITIONS};
+use super::{RawNode, Slot, MAX_FANOUT, MAX_POSITIONS};
 
 /// A decoded compound node: the linearization of a k-constrained binary
 /// Patricia trie, in mutable form.
@@ -54,33 +54,13 @@ impl Builder {
         }
     }
 
-    /// Decode a physical node into this builder, reusing its buffers (the
-    /// hot insert path decodes one node per operation; reusing the
-    /// allocations keeps it malloc-free).
-    pub(crate) fn decode_into(&mut self, node: RawNode) {
+    /// Decode a physical node with `V` value slots into this builder, value
+    /// words widened, reusing its buffers (the hot insert path decodes one
+    /// node per operation; reusing the allocations keeps it malloc-free).
+    pub(crate) fn decode_into<V: Slot>(&mut self, node: RawNode) {
         node.positions_into(&mut self.positions);
-        node.read_entries(&mut self.sparse, &mut self.values);
+        node.read_entries::<V>(&mut self.sparse, &mut self.values);
         self.height = node.height();
-    }
-
-    /// Encode into a freshly allocated physical node with the smallest
-    /// applicable layout.
-    ///
-    /// # Panics
-    /// Panics if the builder is not a valid node (entry count outside
-    /// `2..=32`, or more than 31 positions).
-    pub fn encode(&self, mem: &MemCounter) -> NodeRef {
-        let n = self.values.len();
-        assert!((2..=MAX_FANOUT).contains(&n), "entry count {n}");
-        assert!(
-            !self.positions.is_empty() && self.positions.len() <= MAX_POSITIONS,
-            "position count {}",
-            self.positions.len()
-        );
-        let tag = NodeTag::choose(&self.positions);
-        let node = RawNode::alloc(tag, n, self.height, mem);
-        node.fill(&self.positions, &self.sparse, &self.values);
-        NodeRef::node(node.base, tag)
     }
 
     /// Build the two-entry node used for leaf-node pushdown, new roots and
@@ -588,6 +568,9 @@ impl Builder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::{encode, free, HeapSlot, NodeRef, NodeTag};
+    use crate::store::HeapStore;
+    use hot_keys::EmbeddedKeySource;
 
     /// Child-height resolver over heap value words.
     fn ref_height(word: u64) -> u8 {
@@ -922,30 +905,24 @@ mod tests {
 
     #[test]
     fn encode_decode_roundtrip_through_physical_node() {
-        let mem = MemCounter::default();
+        let store = HeapStore::new(EmbeddedKeySource);
         let keys: Vec<u32> = vec![1, 5, 9, 100, 101, 162, 163, 255];
         let b = reference_builder(&keys, 8);
-        let node_ref = b.encode(&mem);
+        let Ok(r) = encode(&store, &b);
         let mut decoded = Builder::empty();
-        decoded.decode_into(node_ref.as_raw());
+        decoded.decode_into::<HeapSlot>(r.as_raw());
         assert_eq!(decoded, b);
         // SAFETY: the node was only just encoded; no other reference exists.
-        unsafe { node_ref.as_raw().free(&mem) };
-        assert_eq!(mem.bytes(), 0);
+        unsafe { free(&store, r) };
+        assert_eq!(store.mem.bytes(), 0);
     }
 
     #[test]
     fn encode_uses_minimal_layouts() {
-        let mem = MemCounter::default();
-        // 2 entries, 1 position in byte 0 -> Single8.
-        let b = Builder::pair(4, NodeRef::leaf(1).0, NodeRef::leaf(2).0, 1);
-        let r = b.encode(&mem);
-        assert_eq!(r.tag(), NodeTag::Single8);
-        // SAFETY: the node was only just encoded; no other reference exists.
-        unsafe { r.as_raw().free(&mem) };
-
-        // Positions spanning two distant bytes -> Multi8x8.
-        let b = Builder {
+        let store = HeapStore::new(EmbeddedKeySource);
+        // 2 entries, 1 position in byte 0 -> Single8; positions spanning two
+        // distant bytes -> Multi8x8.
+        let multi = Builder {
             positions: vec![0, 100],
             sparse: vec![0b00, 0b01, 0b10],
             values: vec![
@@ -955,11 +932,16 @@ mod tests {
             ],
             height: 1,
         };
-        let r = b.encode(&mem);
-        assert_eq!(r.tag(), NodeTag::Multi8x8);
-        // SAFETY: the node was only just encoded; no other reference exists.
-        unsafe { r.as_raw().free(&mem) };
-        assert_eq!(mem.bytes(), 0);
+        for (b, tag) in [
+            (Builder::pair(4, NodeRef::leaf(1).0, NodeRef::leaf(2).0, 1), NodeTag::Single8),
+            (multi, NodeTag::Multi8x8),
+        ] {
+            let Ok(r) = encode(&store, &b);
+            assert_eq!(r.tag(), tag);
+            // SAFETY: the node was only just encoded; no other reference exists.
+            unsafe { free(&store, r) };
+        }
+        assert_eq!(store.mem.bytes(), 0);
     }
 
     #[test]

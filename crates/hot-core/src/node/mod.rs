@@ -1,11 +1,12 @@
-//! Physical node representation (Section 4 of the paper).
+//! Physical node representation (Section 4 of the paper) — the one node
+//! codec of both stores.
 //!
 //! epoch-exempt: node primitives borrow a `RawNode` the caller already
 //! holds legitimately (epoch pin, node lock, private pre-publish build, or
 //! quiescence) — liveness is established a layer above, in `sync.rs`.
 //!
 //! A HOT compound node linearizes a k-constrained binary Patricia trie into
-//! one exact-size heap allocation holding four sections:
+//! one exact-size block holding four sections:
 //!
 //! ```text
 //! ┌────────┬───────────────┬──────────────┬────────┐
@@ -19,12 +20,20 @@
 //!   extraction mask over one 8-byte key window) or a *multi mask* (8, 16 or
 //!   32 pairs of byte offset + 8-bit mask);
 //! * **partial keys** — `n` *sparse partial keys* of 8, 16 or 32 bits;
-//! * **values** — `n` 64-bit words: child pointers or tagged leaf TIDs.
+//! * **values** — `n` child words of the store's [`Slot`] width: 64-bit
+//!   tagged pointers or leaf TIDs on the heap, 32-bit offset words in the
+//!   arena (DESIGN.md §16).
 //!
 //! The 9 valid (mask representation × partial-key width) combinations are
-//! the paper's 9 node layouts ([`NodeTag`]). The node type is encoded in the
-//! low 5 bits of each (32-byte-aligned) node pointer so the type dispatch
-//! overlaps the prefetch of the node body (Section 4.5).
+//! the paper's 9 node layouts ([`NodeTag`]). The node type travels in the
+//! low 5 bits of each child reference word so the type dispatch overlaps the
+//! prefetch of the node body (Section 4.5).
+//!
+//! Everything about a node is written here once, generic over the slot:
+//! its [`geometry`], the header set-up of a fresh block ([`alloc`]),
+//! [`encode`], the fused insert ([`RawNode::insert_entry_cow`]), the free
+//! ([`free`]) and the descent step. A store only hands out and takes back
+//! blocks of a given size (DESIGN.md §19).
 
 pub mod builder;
 pub(crate) mod heap;
@@ -36,11 +45,12 @@ pub(crate) mod heap;
 use crate::sync_shim::{AtomicU32, AtomicU64, Ordering};
 
 use hot_bits::search::{PADDED_BYTES_U16, PADDED_BYTES_U32, PADDED_BYTES_U8};
-use crate::arena::CRef;
+use crate::arena::{CRef, NODE_UNIT};
 use crate::store::NodeStore;
+use crate::trie::HotTrie;
 use builder::Builder;
 use hot_bits::{Isa, Kernel};
-use hot_keys::{PaddedKey, KEY_PAD_LEN};
+use hot_keys::{KeySource, PaddedKey, KEY_PAD_LEN};
 
 pub use heap::MemCounter;
 
@@ -196,17 +206,22 @@ pub(crate) struct NodeGeometry {
     pub alloc_size: usize,
 }
 
-pub(crate) fn geometry(tag: NodeTag, count: usize) -> NodeGeometry {
+/// The section offsets and block size of a node of layout `tag` with
+/// `count` value slots of flavour `V`. Header, mask and partial-key sections
+/// are the same for either flavour; the value section starts at the next
+/// `V::BYTES` boundary, and the block rounds up to the store's
+/// `V::GRAIN`.
+pub(crate) fn geometry<V: Slot>(tag: NodeTag, count: usize) -> NodeGeometry {
     debug_assert!((2..=MAX_FANOUT).contains(&count));
     let pkeys_offset = HEADER_BYTES + tag.mask_section_bytes();
     let pkeys_end = pkeys_offset + count * tag.key_width();
-    let values_offset = (pkeys_end + 7) & !7;
-    let logical_end = values_offset + count * 8;
+    let values_offset = pkeys_end.next_multiple_of(V::BYTES);
+    let logical_end = values_offset + count * V::BYTES;
     // The SIMD search reads full vectors from the partial-key base; make
     // sure those reads stay inside the allocation (the values section
     // usually covers it already).
     let simd_end = pkeys_offset + tag.simd_padding();
-    let alloc_size = (logical_end.max(simd_end) + (NODE_ALIGN - 1)) & !(NODE_ALIGN - 1);
+    let alloc_size = logical_end.max(simd_end).next_multiple_of(V::GRAIN);
     NodeGeometry {
         pkeys_offset,
         values_offset,
@@ -214,36 +229,77 @@ pub(crate) fn geometry(tag: NodeTag, count: usize) -> NodeGeometry {
     }
 }
 
-/// Geometry of the arena-backed *compact* layout (DESIGN.md §16): identical
-/// header, mask and partial-key sections — so every mask/partial-key
-/// accessor on [`RawNode`] works unchanged — but value slots are 32-bit
-/// arena references, and the allocation is 8-byte-granular (the tag lives
-/// in the offset word, so the 32-byte pointer-tag alignment is not needed).
-pub(crate) fn geometry_compact(tag: NodeTag, count: usize) -> NodeGeometry {
-    debug_assert!((2..=MAX_FANOUT).contains(&count));
-    let pkeys_offset = HEADER_BYTES + tag.mask_section_bytes();
-    let pkeys_end = pkeys_offset + count * tag.key_width();
-    let values_offset = (pkeys_end + 3) & !3;
-    let logical_end = values_offset + count * 4;
-    // Same SIMD-overread reservation as the heap layout.
-    let simd_end = pkeys_offset + tag.simd_padding();
-    let alloc_size = (logical_end.max(simd_end) + 7) & !7;
-    NodeGeometry {
-        pkeys_offset,
-        values_offset,
-        alloc_size,
-    }
+/// A fresh block of `store` for a node of layout `tag` with `count` entries
+/// at `height`: its reference, and the view its sections are written
+/// through. This is the one place a node's header is written; mask,
+/// partial-key and value sections must be written before the node is
+/// published.
+pub(crate) fn alloc<St: NodeStore>(
+    store: &St,
+    tag: NodeTag,
+    count: usize,
+    height: u8,
+) -> Result<(St::Ref, RawNode), St::Full> {
+    let r = store.alloc_node(tag, geometry::<St::Slot>(tag, count).alloc_size)?;
+    let node = store.raw(r);
+    // Header layout: [lock: u32][height: u8][count: u8][pad: u16]; the lock
+    // word starts clear.
+    // SAFETY: the store handed out an exclusively owned block, 8-aligned
+    // and covering at least the 8-byte header.
+    unsafe { (node.base as *mut [u8; HEADER_BYTES]).write([0, 0, 0, 0, height, count as u8, 0, 0]) };
+    Ok((r, node))
 }
 
-/// Free a node for benchmarking purposes only.
+/// Encode `builder` (value words widened) into a fresh node of `store`
+/// with the smallest applicable layout, not yet reachable.
+///
+/// # Panics
+/// Panics if the builder is not a valid node (entry count outside
+/// `2..=32`, or more than 31 positions).
+pub(crate) fn encode<St: NodeStore>(store: &St, builder: &Builder) -> Result<St::Ref, St::Full> {
+    let n = builder.values.len();
+    assert!((2..=MAX_FANOUT).contains(&n), "entry count {n}");
+    assert!(
+        !builder.positions.is_empty() && builder.positions.len() <= MAX_POSITIONS,
+        "position count {}",
+        builder.positions.len()
+    );
+    let tag = NodeTag::choose(&builder.positions);
+    let (r, node) = alloc(store, tag, n, builder.height)?;
+    node.fill::<St::Slot>(&builder.positions, &builder.sparse, &builder.values);
+    Ok(r)
+}
+
+/// Give `node`'s block back to `store`.
 ///
 /// # Safety
-/// `r` must be an unpublished node reference created by `Builder::encode`.
+/// `node` must be unreachable — unlinked by a completed publish, or never
+/// published — and no reader may still hold it (the concurrent front-end
+/// defers this call through the epoch).
+pub(crate) unsafe fn free<St: NodeStore + ?Sized>(store: &St, node: St::Ref) {
+    let raw = store.raw(node);
+    let bytes = geometry::<St::Slot>(raw.tag, raw.count()).alloc_size;
+    // SAFETY: the caller's contract; `bytes` is the size `alloc` took for
+    // this layout and count.
+    unsafe { store.free_node(node, bytes) };
+}
+
+/// Encode `builder` into a node of `trie`'s store — the first half of the
+/// node micro-benchmark's copy-on-write cycle.
 #[doc(hidden)]
-pub unsafe fn free_for_bench(r: NodeRef, mem: &MemCounter) {
-    // SAFETY: caller guarantees `r` is unpublished, so no other reference
-    // exists (the contract of `RawNode::free`).
-    unsafe { r.as_raw().free(mem) };
+pub fn encode_for_bench<S: KeySource>(trie: &HotTrie<S>, builder: &Builder) -> NodeRef {
+    let Ok(r) = encode(trie.store(), builder);
+    r
+}
+
+/// Free a node [`encode_for_bench`] made — the cycle's second half.
+///
+/// # Safety
+/// `r` must come from [`encode_for_bench`] on the same `trie`, once.
+#[doc(hidden)]
+pub unsafe fn free_for_bench<S: KeySource>(trie: &HotTrie<S>, r: NodeRef) {
+    // SAFETY: `r` was never published, so no other reference exists.
+    unsafe { free(trie.store(), r) };
 }
 
 /// A tagged 64-bit tree word: null, leaf TID (bit 63 set) or node pointer
@@ -252,6 +308,7 @@ pub unsafe fn free_for_bench(r: NodeRef, mem: &MemCounter) {
 /// Section 4.5: "we encode the node type within the least-significant bits
 /// of each node pointer").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(transparent)]
 pub struct NodeRef(pub u64);
 
 impl NodeRef {
@@ -327,37 +384,6 @@ pub(crate) struct RawNode {
 }
 
 impl RawNode {
-    /// Allocate a node with a clean header for the given entry count and
-    /// height. Mask, partial-key and value sections must be fully written by
-    /// `fill` before the node is published.
-    pub fn alloc(tag: NodeTag, count: usize, height: u8, mem: &MemCounter) -> RawNode {
-        let base = mem.alloc(geometry(tag, count).alloc_size);
-        let node = RawNode { base, tag };
-        // SAFETY: freshly allocated, exclusively owned.
-        unsafe {
-            *node.count_ptr() = count as u8;
-            *node.height_ptr() = height;
-        }
-        node
-    }
-
-    /// Free this node.
-    ///
-    /// # Safety
-    /// Caller must guarantee no other references exist (or, in the
-    /// concurrent index, that the epoch guarantees it).
-    pub unsafe fn free(self, mem: &MemCounter) {
-        // SAFETY: `base` came from `mem.alloc` of this size (same tag and
-        // count), and the caller guarantees no other reference to this node
-        // remains.
-        unsafe { mem.free(self.base, self.alloc_size()) };
-    }
-
-    /// Size of this node's allocation in bytes.
-    pub fn alloc_size(self) -> usize {
-        geometry(self.tag, self.count()).alloc_size
-    }
-
     #[inline]
     fn count_ptr(self) -> *mut u8 {
         // Header layout: [lock: u32][height: u8][count: u8][pad: u16]
@@ -372,7 +398,6 @@ impl RawNode {
     }
 
     /// The versioned lock word (used only by the concurrent index).
-    #[allow(dead_code)] // used by the concurrent index
     #[inline]
     pub fn lock_word(self) -> &'static AtomicU32 {
         // SAFETY: the first 4 bytes of the header are the lock word, aligned
@@ -461,124 +486,9 @@ impl RawNode {
 
     #[inline]
     pub fn pkeys_base(self) -> *mut u8 {
-        // SAFETY: offset computed from the node's own geometry.
-        unsafe { self.base.add(geometry(self.tag, self.count()).pkeys_offset) }
-    }
-
-    #[inline]
-    pub fn values_ptr(self) -> *const AtomicU64 {
-        // SAFETY: offset computed from the node's own geometry; the values
-        // section is 8-byte aligned.
-        unsafe {
-            self.base.add(geometry(self.tag, self.count()).values_offset) as *const AtomicU64
-        }
-    }
-
-    /// Load the value word of entry `i`.
-    ///
-    /// Ordering: **Acquire** — pairs with the **Release** in [`store_value`].
-    /// A reader that observes a COW replacement's pointer therefore observes
-    /// the replacement node's fully written body.
-    #[inline]
-    pub fn value(self, i: usize) -> NodeRef {
-        debug_assert!(i < self.count());
-        // SAFETY: i < count; values are initialized at build time.
-        unsafe { HeapSlot::load(self.values_ptr() as *const u8, i) }
-    }
-
-    /// Store the value word of entry `i` (the "single pointer swap" that
-    /// publishes copy-on-write replacements).
-    ///
-    /// Ordering: **Release** — all plain stores that filled the new node
-    /// happen-before this store; pairs with the **Acquire** in [`value`].
-    #[inline]
-    pub fn store_value(self, i: usize, v: NodeRef) {
-        debug_assert!(i < self.count());
-        // SAFETY: i < count.
-        // pairs-with: value-slot
-        unsafe { (*self.values_ptr().add(i)).store(v.0, Ordering::Release) }
-    }
-
-    // ---- compact (arena) value slots --------------------------------------------
-    //
-    // A compact node shares header/mask/partial-key sections with the heap
-    // layout byte for byte; only the value section differs (32-bit arena
-    // references at a 4-byte-aligned offset). `RawNode` views over arena
-    // memory therefore reuse every accessor above and switch only the
-    // value-slot functions below.
-
-    /// Initialize the header of a freshly arena-allocated compact node.
-    /// The caller owns the block exclusively until publication.
-    pub(crate) fn init_header(self, count: usize, height: u8) {
-        // SAFETY: the arena handed out an exclusively owned, 8-aligned block
-        // covering at least the 8-byte header.
-        unsafe {
-            *(self.base as *mut u64) = 0;
-            *self.count_ptr() = count as u8;
-            *self.height_ptr() = height;
-        }
-    }
-
-    #[inline]
-    pub(crate) fn cvalues_ptr(self) -> *const AtomicU32 {
-        // SAFETY: offset computed from the node's own compact geometry; the
-        // compact value section is 4-byte aligned (8-aligned base).
-        unsafe {
-            self.base.add(geometry_compact(self.tag, self.count()).values_offset)
-                as *const AtomicU32
-        }
-    }
-
-    /// Load the compact value word of entry `i` (32-bit arena reference).
-    ///
-    /// Ordering: **Acquire** — pairs with the **Release** in
-    /// [`store_cvalue`](Self::store_cvalue); a reader that observes a COW
-    /// replacement's offset observes the replacement node's fully written
-    /// arena bytes.
-    #[inline]
-    pub fn cvalue(self, i: usize) -> CRef {
-        debug_assert!(i < self.count());
-        // SAFETY: i < count; compact values are initialized at build time.
-        unsafe { CompactSlot::load(self.cvalues_ptr() as *const u8, i) }
-    }
-
-    /// Store the compact value word of entry `i` — the single offset swap
-    /// publishing a compact COW replacement.
-    ///
-    /// Ordering: **Release** — all plain stores that filled the new arena
-    /// node happen-before this store; pairs with the **Acquire** in
-    /// [`cvalue`](Self::cvalue).
-    #[inline]
-    pub fn store_cvalue(self, i: usize, v: CRef) {
-        debug_assert!(i < self.count());
-        // SAFETY: i < count.
-        // pairs-with: cvalue-slot
-        unsafe { (*self.cvalues_ptr().add(i)).store(v.0, Ordering::Release) }
-    }
-
-    /// Bulk-read a compact node's sparse keys and value words (widened to
-    /// the builder's u64 word space) — the compact analogue of
-    /// [`read_entries`](Self::read_entries).
-    pub fn read_entries_compact(self, sparse: &mut Vec<u32>, values: &mut Vec<u64>) {
-        let n = self.count();
-        sparse.clear();
-        values.clear();
-        let base = self.pkeys_base();
-        // SAFETY: the partial-key section holds `count` entries of the
-        // tag's width; compact values are initialized.
-        unsafe {
-            match self.tag.key_width() {
-                1 => sparse.extend(std::slice::from_raw_parts(base, n).iter().map(|&k| k as u32)),
-                2 => sparse.extend(
-                    std::slice::from_raw_parts(base as *const u16, n)
-                        .iter()
-                        .map(|&k| k as u32),
-                ),
-                _ => sparse.extend_from_slice(std::slice::from_raw_parts(base as *const u32, n)),
-            }
-            let vals = self.cvalues_ptr();
-            values.extend((0..n).map(|i| (*vals.add(i)).load(Ordering::Relaxed) as u64));
-        }
+        // SAFETY: the partial keys follow the header and the mask section,
+        // both inside the node.
+        unsafe { self.base.add(HEADER_BYTES + self.tag.mask_section_bytes()) }
     }
 
     /// The sparse partial key of entry `i`, widened to u32.
@@ -676,15 +586,15 @@ impl RawNode {
         out
     }
 
-    /// Bulk-read all sparse keys (widened) and value words into the given
-    /// buffers — one width dispatch instead of one per entry.
-    pub fn read_entries(self, sparse: &mut Vec<u32>, values: &mut Vec<u64>) {
+    /// Bulk-read all sparse keys and value words, both widened, into the
+    /// given buffers — one width dispatch instead of one per entry.
+    pub fn read_entries<V: Slot>(self, sparse: &mut Vec<u32>, values: &mut Vec<u64>) {
         let n = self.count();
         sparse.clear();
         values.clear();
         let base = self.pkeys_base();
         // SAFETY: the partial-key section holds `count` entries of the
-        // tag's width; values are initialized.
+        // tag's width; the value section `count` initialized `V` slots.
         unsafe {
             match self.tag.key_width() {
                 1 => sparse.extend(std::slice::from_raw_parts(base, n).iter().map(|&k| k as u32)),
@@ -695,8 +605,8 @@ impl RawNode {
                 ),
                 _ => sparse.extend_from_slice(std::slice::from_raw_parts(base as *const u32, n)),
             }
-            let vals = self.values_ptr();
-            values.extend((0..n).map(|i| (*vals.add(i)).load(Ordering::Relaxed)));
+            let vals = V::values(self) as *const V::Atomic;
+            values.extend((0..n).map(|i| (*vals.add(i)).load_word(Ordering::Relaxed)));
         }
     }
 
@@ -772,29 +682,31 @@ impl RawNode {
         (rank, total, contains)
     }
 
-    /// Fused copy-on-write insert fast path (the common normal-insert case).
+    /// Fused copy-on-write insert fast path (the common normal-insert case),
+    /// into a fresh block of `store`.
     ///
     /// Builds the new node directly from this node's physical layout when
     /// the layout is structurally stable: the node is not full, the
     /// partial-key width does not change, and the new position either
     /// already exists, fits the single-mask window, or lands in an existing
-    /// multi-mask byte slot. Returns `None` when any of that fails — the
-    /// caller falls back to the general builder path.
+    /// multi-mask byte slot. Returns `Ok(None)` when any of that fails — the
+    /// caller falls back to the general builder path — and the store's
+    /// error when the block cannot be had.
     ///
     /// `lo..=hi` is the affected entry range, `key_bit` the new key's bit at
     /// `pos`, `leaf` the new entry's value word.
-    pub fn insert_entry_cow(
+    pub fn insert_entry_cow<St: NodeStore>(
         self,
+        store: &St,
         pos: usize,
         lo: usize,
         hi: usize,
         key_bit: u8,
-        leaf: u64,
-        mem: &MemCounter,
-    ) -> Option<NodeRef> {
+        leaf: St::Ref,
+    ) -> Result<Option<St::Ref>, St::Full> {
         let n = self.count();
         if n >= MAX_FANOUT {
-            return None; // overflow: the builder/split path handles it
+            return Ok(None); // overflow: the builder/split path handles it
         }
         let (rank, m, contains) = self.rank_total_contains(pos);
         let new_m = m + usize::from(!contains);
@@ -805,7 +717,7 @@ impl RawNode {
             _ => 4,
         };
         if new_width != width {
-            return None;
+            return Ok(None);
         }
 
         // Work out the (possibly) updated mask section.
@@ -821,7 +733,7 @@ impl RawNode {
                 MaskKind::Single => {
                     let base = self.single_offset() * 8;
                     if pos < base || pos >= base + 64 {
-                        return None; // window must grow: builder path
+                        return Ok(None); // window must grow: builder path
                     }
                     MaskPatch::Single(self.single_mask() | (1u64 << (63 - (pos - base))))
                 }
@@ -839,7 +751,7 @@ impl RawNode {
                     }
                     match found {
                         Some((slot, byte_mask)) => MaskPatch::Multi { slot, byte_mask },
-                        None => return None, // new byte slot: builder path
+                        None => return Ok(None), // new byte slot: builder path
                     }
                 }
             }
@@ -853,17 +765,16 @@ impl RawNode {
         };
         let at = if key_bit == 1 { hi + 1 } else { lo };
 
-        let node = RawNode::alloc(self.tag, n + 1, self.height(), mem);
+        let (r, node) = alloc(store, self.tag, n + 1, self.height())?;
         // Copy the mask section (between header and pkeys) verbatim, then
         // apply the one-bit patch.
-        let geo = geometry(self.tag, n + 1);
         // SAFETY: both nodes share the tag; the mask section lies between
         // the 8-byte header and the partial keys and has identical extent.
         unsafe {
             std::ptr::copy_nonoverlapping(
                 self.base.add(HEADER_BYTES),
                 node.base.add(HEADER_BYTES),
-                geo.pkeys_offset - HEADER_BYTES,
+                self.tag.mask_section_bytes(),
             );
         }
         match patch {
@@ -916,7 +827,9 @@ impl RawNode {
 
         let src = self.pkeys_base();
         let dst = node.pkeys_base();
-        // SAFETY: source holds n entries, destination n+1, both of `width`.
+        // SAFETY: source holds n entries, destination n+1, both of `width`
+        // and with value sections of `St::Slot` slots, whose words a
+        // `St::Ref` is.
         unsafe {
             match width {
                 1 => {
@@ -953,13 +866,13 @@ impl RawNode {
                 }
             }
             // Values: two block copies around the hole.
-            let vsrc = self.values_ptr() as *const u64;
-            let vdst = node.values_ptr() as *mut u64;
-            std::ptr::copy_nonoverlapping(vsrc, vdst, at);
-            *vdst.add(at) = leaf;
-            std::ptr::copy_nonoverlapping(vsrc.add(at), vdst.add(at + 1), n - at);
+            let slot = St::Slot::BYTES;
+            let (vsrc, vdst) = (St::Slot::values(self), St::Slot::values(node) as *mut u8);
+            std::ptr::copy_nonoverlapping(vsrc, vdst, at * slot);
+            (vdst as *mut St::Ref).add(at).write(leaf);
+            std::ptr::copy_nonoverlapping(vsrc.add(at * slot), vdst.add((at + 1) * slot), (n - at) * slot);
         }
-        Some(NodeRef::node(node.base, self.tag))
+        Ok(Some(r))
     }
 
     /// The contiguous run of entries in the subtree that a (possibly new)
@@ -1033,53 +946,12 @@ impl RawNode {
         debug_assert!(out.windows(2).all(|w| w[0] < w[1]), "positions sorted");
     }
 
-    /// Write the full node contents from decoded parts (build time only).
-    pub(crate) fn fill(
-        self,
-        positions: &[u16],
-        sparse: &[u32],
-        values: &[u64],
-    ) {
+    /// Write the full node contents from decoded parts (build time only):
+    /// mask and partial-key sections, and the value words narrowed to `V`
+    /// slots (valid `V::Word` bit patterns).
+    pub(crate) fn fill<V: Slot>(self, positions: &[u16], sparse: &[u32], values: &[u64]) {
         debug_assert_eq!(sparse.len(), values.len());
         debug_assert_eq!(self.count(), values.len());
-        self.fill_masks_pkeys(positions, sparse);
-        // SAFETY: exclusively owned during build; the values section holds
-        // `count` u64 slots per the heap geometry.
-        unsafe {
-            std::ptr::copy_nonoverlapping(
-                values.as_ptr(),
-                self.values_ptr() as *mut u64,
-                values.len(),
-            );
-        }
-    }
-
-    /// Compact-layout twin of [`fill`](Self::fill): identical mask and
-    /// partial-key sections, 32-bit value slots at the compact offset. The
-    /// value words must already be valid `CRef` bit patterns (≤ 32 bits).
-    pub(crate) fn fill_compact(
-        self,
-        positions: &[u16],
-        sparse: &[u32],
-        values: &[u64],
-    ) {
-        debug_assert_eq!(sparse.len(), values.len());
-        debug_assert_eq!(self.count(), values.len());
-        self.fill_masks_pkeys(positions, sparse);
-        // SAFETY: exclusively owned during build; the compact values section
-        // holds `count` u32 slots per the compact geometry.
-        unsafe {
-            let dst = self.cvalues_ptr() as *mut u32;
-            for (i, &v) in values.iter().enumerate() {
-                debug_assert!(v <= u32::MAX as u64, "compact value word overflows 32 bits");
-                *dst.add(i) = v as u32;
-            }
-        }
-    }
-
-    /// Shared build-time writer for the mask and partial-key sections (the
-    /// parts that are byte-identical between the heap and compact layouts).
-    fn fill_masks_pkeys(self, positions: &[u16], sparse: &[u32]) {
         match self.tag.mask_kind() {
             MaskKind::Single => {
                 let offset = (positions[0] / 8) as u8;
@@ -1110,11 +982,12 @@ impl RawNode {
             }
         }
         // Bulk-write partial keys: one width dispatch, tight copy loops
-        // (this is the hot part of every copy-on-write insert).
+        // (this is the hot part of every copy-on-write insert), then the
+        // value words.
         let n = sparse.len();
         let base = self.pkeys_base();
         // SAFETY: exclusively owned during build; section sizes follow from
-        // the node's geometry (identical for both layouts).
+        // the node's `geometry::<V>`, and a `V::Word` is a slot's bytes.
         unsafe {
             match self.tag.key_width() {
                 1 => {
@@ -1133,6 +1006,10 @@ impl RawNode {
                 _ => {
                     std::ptr::copy_nonoverlapping(sparse.as_ptr(), base as *mut u32, n);
                 }
+            }
+            let slots = V::values(self) as *mut V::Word;
+            for (i, &v) in values.iter().enumerate() {
+                slots.add(i).write(V::Word::from_word(v));
             }
         }
     }
@@ -1181,41 +1058,83 @@ impl TreeRef for NodeRef {
 
 /// The value-slot flavour of a node: 8-byte tree words on the heap, 4-byte
 /// arena references in the compact layout (DESIGN.md §16). Header, mask and
-/// partial-key sections are identical, so one [`step`] serves both; the
-/// other methods route to the layout's own accessors on [`RawNode`].
-pub(crate) trait Slot {
-    /// A loaded value word.
+/// partial-key sections are identical, so the whole codec — [`geometry`],
+/// [`encode`], the fused insert, [`step`] — is written once over this
+/// trait. What differs per flavour is here: the widths, and the one Acquire
+/// load and one Release store of a slot.
+pub(crate) trait Slot: Sized {
+    /// A loaded value word, `#[repr(transparent)]` over the slot's integer
+    /// (a build writes words straight into the slots).
     type Word: TreeRef;
+    /// The atomic integer one slot is.
+    type Atomic: SlotAtomic;
     /// Slot size, which is also the value section's alignment.
     const BYTES: usize;
+    /// Block granularity of the store the nodes live in.
+    const GRAIN: usize;
 
     /// Load value word `i` of the value section starting at `values`.
+    ///
+    /// Ordering: **Acquire** — pairs with the **Release** in
+    /// [`set`](Self::set). A reader that observes a COW replacement's
+    /// reference therefore observes the replacement node's fully written
+    /// body.
     ///
     /// # Safety
     /// `values` must be the value section of a live node with more than
     /// `i` initialized slots of this flavour.
     unsafe fn load(values: *const u8, i: usize) -> Self::Word;
 
-    /// Start of `node`'s value section (located once per scan-frame visit).
-    fn values(node: RawNode) -> *const u8;
-
-    /// Value word of entry `i` (Acquire, see [`RawNode::value`]).
-    fn get(node: RawNode, i: usize) -> Self::Word;
-
-    /// Publish `w` in entry `i` — the single Release store of a
-    /// copy-on-write replacement (see [`RawNode::store_value`]).
+    /// Publish `w` in entry `i` of `node` — the single Release store of a
+    /// copy-on-write replacement (the "single pointer swap" of Section 5).
+    /// All plain stores that filled the new node happen-before it.
     fn set(node: RawNode, i: usize, w: Self::Word);
 
-    /// Decode `node` into `builder`, value words widened.
-    fn decode(node: RawNode, builder: &mut Builder);
+    /// Start of `node`'s value section (located once per scan-frame visit).
+    #[inline(always)]
+    fn values(node: RawNode) -> *const u8 {
+        // SAFETY: the offset comes from the node's own geometry.
+        unsafe { node.base.add(geometry::<Self>(node.tag, node.count()).values_offset) }
+    }
+
+    /// Value word of entry `i` (Acquire, see [`load`](Self::load)).
+    #[inline(always)]
+    fn get(node: RawNode, i: usize) -> Self::Word {
+        debug_assert!(i < node.count());
+        // SAFETY: i < count; values are initialized at build time.
+        unsafe { Self::load(Self::values(node), i) }
+    }
 }
 
-/// Heap nodes: tagged 64-bit tree words.
+/// A slot's atomic integer, loaded widened to the builder's word space —
+/// what lets one [`RawNode::read_entries`] serve both flavours.
+pub(crate) trait SlotAtomic {
+    fn load_word(&self, order: Ordering) -> u64;
+}
+
+impl SlotAtomic for AtomicU64 {
+    #[inline(always)]
+    fn load_word(&self, order: Ordering) -> u64 {
+        self.load(order)
+    }
+}
+
+impl SlotAtomic for AtomicU32 {
+    #[inline(always)]
+    fn load_word(&self, order: Ordering) -> u64 {
+        self.load(order).into()
+    }
+}
+
+/// Heap nodes: tagged 64-bit tree words, in blocks of the 32-byte
+/// granularity the pointer tag needs.
 pub(crate) struct HeapSlot;
 
 impl Slot for HeapSlot {
     type Word = NodeRef;
+    type Atomic = AtomicU64;
     const BYTES: usize = 8;
+    const GRAIN: usize = NODE_ALIGN;
 
     /// # Safety
     /// As [`Slot::load`].
@@ -1228,32 +1147,23 @@ impl Slot for HeapSlot {
     }
 
     #[inline(always)]
-    fn values(node: RawNode) -> *const u8 {
-        node.values_ptr() as *const u8
-    }
-
-    #[inline(always)]
-    fn get(node: RawNode, i: usize) -> NodeRef {
-        node.value(i)
-    }
-
-    #[inline(always)]
     fn set(node: RawNode, i: usize, w: NodeRef) {
-        node.store_value(i, w)
-    }
-
-    #[inline]
-    fn decode(node: RawNode, builder: &mut Builder) {
-        builder.decode_into(node)
+        debug_assert!(i < node.count());
+        // SAFETY: i < count; the heap value section is 8-byte aligned.
+        // pairs-with: value-slot
+        unsafe { (*(Self::values(node) as *const AtomicU64).add(i)).store(w.0, Ordering::Release) }
     }
 }
 
-/// Compact (arena) nodes: 32-bit offset words.
+/// Compact (arena) nodes: 32-bit offset words, in blocks of the arena's
+/// 8-byte offset unit.
 pub(crate) struct CompactSlot;
 
 impl Slot for CompactSlot {
     type Word = CRef;
+    type Atomic = AtomicU32;
     const BYTES: usize = 4;
+    const GRAIN: usize = NODE_UNIT;
 
     /// # Safety
     /// As [`Slot::load`].
@@ -1266,25 +1176,11 @@ impl Slot for CompactSlot {
     }
 
     #[inline(always)]
-    fn values(node: RawNode) -> *const u8 {
-        node.cvalues_ptr() as *const u8
-    }
-
-    #[inline(always)]
-    fn get(node: RawNode, i: usize) -> CRef {
-        node.cvalue(i)
-    }
-
-    #[inline(always)]
     fn set(node: RawNode, i: usize, w: CRef) {
-        node.store_cvalue(i, w)
-    }
-
-    #[inline]
-    fn decode(node: RawNode, builder: &mut Builder) {
-        node.positions_into(&mut builder.positions);
-        node.read_entries_compact(&mut builder.sparse, &mut builder.values);
-        builder.height = node.height();
+        debug_assert!(i < node.count());
+        // SAFETY: i < count; the compact value section is 4-byte aligned.
+        // pairs-with: cvalue-slot
+        unsafe { (*(Self::values(node) as *const AtomicU32).add(i)).store(w.0, Ordering::Release) }
     }
 }
 
@@ -1409,10 +1305,33 @@ fn descend_on<K: Kernel, St: NodeStore, P: Hops<St::Ref>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::ArenaStore;
+    use crate::store::HeapStore;
+    use hot_keys::EmbeddedKeySource;
+
+    type Heap = HeapStore<EmbeddedKeySource>;
+
+    /// A heap store for node-level tests (no key is ever resolved).
+    fn heap() -> Heap {
+        HeapStore::new(EmbeddedKeySource)
+    }
+
+    /// A heap node of `positions`' layout holding `sparse` / `values`.
+    fn filled(store: &Heap, positions: &[u16], sparse: &[u32], values: &[u64], height: u8) -> RawNode {
+        let Ok((_, node)) = alloc(store, NodeTag::choose(positions), values.len(), height);
+        node.fill::<HeapSlot>(positions, sparse, values);
+        node
+    }
+
+    /// Give a test node back to its heap.
+    fn release(store: &Heap, node: RawNode) {
+        // SAFETY: every test node is local to its test and never published.
+        unsafe { free(store, NodeRef::node(node.base, node.tag)) };
+    }
 
     /// The dense partial key of `key` for `node`'s bit positions, extracted
     /// portably from the mask accessors: with [`RawNode::search`] and
-    /// `value`/`cvalue`, the unfused reference [`step`] is tested against.
+    /// [`Slot::get`], the unfused reference [`step`] is tested against.
     fn extract_dense(node: RawNode, key: &[u8; KEY_PAD_LEN]) -> u32 {
         use hot_bits::pext::pext64_scalar;
         match node.tag.mask_kind() {
@@ -1477,17 +1396,21 @@ mod tests {
 
     #[test]
     fn geometry_is_sane_for_all_tags_and_counts() {
-        for tag in NodeTag::ALL {
-            for count in 2..=MAX_FANOUT {
-                let geo = geometry(tag, count);
-                assert!(geo.pkeys_offset >= HEADER_BYTES);
-                assert!(geo.values_offset >= geo.pkeys_offset + count * tag.key_width());
-                assert_eq!(geo.values_offset % 8, 0);
-                assert!(geo.alloc_size >= geo.values_offset + count * 8);
-                assert!(geo.alloc_size >= geo.pkeys_offset + tag.simd_padding());
-                assert_eq!(geo.alloc_size % NODE_ALIGN, 0);
+        fn check<V: Slot>() {
+            for tag in NodeTag::ALL {
+                for count in 2..=MAX_FANOUT {
+                    let geo = geometry::<V>(tag, count);
+                    assert!(geo.pkeys_offset >= HEADER_BYTES);
+                    assert!(geo.values_offset >= geo.pkeys_offset + count * tag.key_width());
+                    assert_eq!(geo.values_offset % V::BYTES, 0);
+                    assert!(geo.alloc_size >= geo.values_offset + count * V::BYTES);
+                    assert!(geo.alloc_size >= geo.pkeys_offset + tag.simd_padding());
+                    assert_eq!(geo.alloc_size % V::GRAIN, 0);
+                }
             }
         }
+        check::<HeapSlot>();
+        check::<CompactSlot>();
     }
 
     #[test]
@@ -1495,7 +1418,7 @@ mod tests {
         // A 32-entry Single8 node: 8 header + 16 mask + 32 pkeys + 256
         // values = 312 -> 320 aligned. That is 10 bytes/key, in line with
         // the paper's 11.4–14.4 bytes/key overall.
-        let geo = geometry(NodeTag::Single8, 32);
+        let geo = geometry::<HeapSlot>(NodeTag::Single8, 32);
         assert_eq!(geo.alloc_size, 320);
     }
 
@@ -1515,12 +1438,11 @@ mod tests {
 
     #[test]
     fn alloc_fill_decode_roundtrip_single() {
-        let mem = MemCounter::default();
+        let store = heap();
         let positions = [3u16, 4, 6, 8, 9];
         let sparse = [0b00000u32, 0b00010, 0b01000, 0b01001, 0b10000];
         let values: Vec<u64> = (0..5).map(|i| NodeRef::leaf(i).0).collect();
-        let node = RawNode::alloc(NodeTag::choose(&positions), 5, 1, &mem);
-        node.fill(&positions, &sparse, &values);
+        let node = filled(&store, &positions, &sparse, &values, 1);
 
         assert_eq!(node.count(), 5);
         assert_eq!(node.height(), 1);
@@ -1528,63 +1450,55 @@ mod tests {
         assert_eq!(node.min_position(), 3);
         for (i, &s) in sparse.iter().enumerate() {
             assert_eq!(node.sparse_key(i), s);
-            assert_eq!(node.value(i).0, values[i]);
+            assert_eq!(HeapSlot::get(node, i).0, values[i]);
         }
-        assert!(mem.bytes() > 0);
-        assert_eq!(mem.nodes(), 1);
-        // SAFETY: test-local node, no other reference exists.
-        unsafe { node.free(&mem) };
-        assert_eq!(mem.bytes(), 0);
-        assert_eq!(mem.nodes(), 0);
+        assert!(store.mem.bytes() > 0);
+        assert_eq!(store.mem.nodes(), 1);
+        release(&store, node);
+        assert_eq!(store.mem.bytes(), 0);
+        assert_eq!(store.mem.nodes(), 0);
     }
 
     #[test]
     fn alloc_fill_decode_roundtrip_multi() {
-        let mem = MemCounter::default();
+        let store = heap();
         // Positions spread over 10 distinct bytes -> Multi16x16.
         let positions: Vec<u16> = (0..10).map(|i| i * 81).collect();
-        let tag = NodeTag::choose(&positions);
-        assert_eq!(tag, NodeTag::Multi16x16);
+        assert_eq!(NodeTag::choose(&positions), NodeTag::Multi16x16);
         let n = 11;
         let sparse: Vec<u32> = (0..n as u32).collect();
         let values: Vec<u64> = (0..n as u64).map(|i| NodeRef::leaf(i).0).collect();
-        let node = RawNode::alloc(tag, n, 2, &mem);
-        node.fill(&positions, &sparse, &values);
+        let node = filled(&store, &positions, &sparse, &values, 2);
         assert_eq!(node.positions(), positions);
         assert_eq!(node.min_position(), 0);
         for (i, &sk) in sparse.iter().enumerate() {
             assert_eq!(node.sparse_key(i), sk);
         }
-        // SAFETY: test-local node, no other reference exists.
-        unsafe { node.free(&mem) };
+        release(&store, node);
     }
 
     #[test]
     fn extract_dense_single_mask() {
-        let mem = MemCounter::default();
+        let store = heap();
         // Positions 3,4,6,8,9 as in Figure 5 of the paper.
         let positions = [3u16, 4, 6, 8, 9];
-        let node = RawNode::alloc(NodeTag::choose(&positions), 2, 1, &mem);
-        node.fill(&positions, &[0, 1], &[NodeRef::leaf(0).0, NodeRef::leaf(1).0]);
+        let node = filled(&store, &positions, &[0, 1], &[NodeRef::leaf(0).0, NodeRef::leaf(1).0], 1);
 
         // Key bits (MSB-first): 0110101101 -> positions {3:0,4:1,6:1,8:0,9:1}
         // Dense partial key (positions ascending -> bits MSB..LSB): 01101.
         let mut key = hot_keys::PaddedKey::new();
         key.set(&[0b0110_1011, 0b0100_0000]);
         assert_eq!(extract_dense(node, key.padded()), 0b01101);
-        // SAFETY: test-local node, no other reference exists.
-        unsafe { node.free(&mem) };
+        release(&store, node);
     }
 
     #[test]
     fn extract_dense_multi_mask_matches_bitwise_reference(){
-        let mem = MemCounter::default();
+        let store = heap();
         // Positions spread across distant bytes, mixed bits per byte.
         let positions: Vec<u16> = vec![1, 6, 130, 133, 260, 400, 401, 402, 950, 1001];
-        let tag = NodeTag::choose(&positions);
-        assert!(matches!(tag.mask_kind(), MaskKind::Multi(_)));
-        let node = RawNode::alloc(tag, 2, 1, &mem);
-        node.fill(&positions, &[0, 1], &[NodeRef::leaf(0).0, NodeRef::leaf(1).0]);
+        assert!(matches!(NodeTag::choose(&positions).mask_kind(), MaskKind::Multi(_)));
+        let node = filled(&store, &positions, &[0, 1], &[NodeRef::leaf(0).0, NodeRef::leaf(1).0], 1);
 
         let mut raw = [0u8; 200];
         for (i, b) in raw.iter_mut().enumerate() {
@@ -1599,35 +1513,41 @@ mod tests {
             expected = (expected << 1) | hot_bits::bit_at(key.bytes(), p as usize) as u32;
         }
         assert_eq!(extract_dense(node, key.padded()), expected);
-        // SAFETY: test-local node, no other reference exists.
-        unsafe { node.free(&mem) };
+        release(&store, node);
     }
 
-    /// Build a node of layout `tag` and slot flavour `V` with `count`
-    /// entries out of raw random material — mask section, partial keys and
-    /// value words written directly, every other byte of the allocation
-    /// (SIMD over-read padding included) garbage — then check the fused
-    /// step under kernel `k` against the unfused portable reference for a
-    /// batch of random keys.
-    fn step_matches_reference<K: Kernel, V: Slot>(
-        k: K,
+    /// A fresh block of `store` for a node of layout `tag` with `count`
+    /// entries at height 1: its header set up, every other byte of the
+    /// block — SIMD over-read padding included — garbage.
+    fn garbage_node<St: NodeStore>(
+        store: &St,
         tag: NodeTag,
         count: usize,
         rng: &mut impl rand::Rng,
-        value_of: impl Fn(RawNode, usize) -> V::Word,
-    ) where
-        V::Word: PartialEq + std::fmt::Debug,
-    {
-        let geo = if V::BYTES == 8 { geometry(tag, count) } else { geometry_compact(tag, count) };
-        let mut block = vec![0u64; geo.alloc_size / 8 + NODE_ALIGN / 8];
-        for word in block.iter_mut() {
-            *word = rng.gen();
-        }
-        let base = block.as_mut_ptr() as *mut u8;
-        // SAFETY: the block holds NODE_ALIGN spare bytes for the round-up.
-        let base = unsafe { base.add(base.align_offset(NODE_ALIGN)) };
-        let raw = RawNode { base, tag };
-        raw.init_header(count, 1);
+    ) -> (St::Ref, RawNode) {
+        let Ok((r, raw)) = alloc(store, tag, count, 1) else {
+            panic!("the test store is full")
+        };
+        let size = geometry::<St::Slot>(tag, count).alloc_size;
+        // SAFETY: the block is `size` bytes, owned by the test.
+        let body = unsafe { std::slice::from_raw_parts_mut(raw.base.add(HEADER_BYTES), size - HEADER_BYTES) };
+        body.iter_mut().for_each(|byte| *byte = rng.gen());
+        (r, raw)
+    }
+
+    /// Build a node of layout `tag` with `count` entries in a block of
+    /// `store` out of raw random material — mask section and partial keys
+    /// written directly, every other byte garbage — then check the fused
+    /// step under kernel `k` against the unfused portable reference for a
+    /// batch of random keys.
+    fn step_matches_reference<K: Kernel, St: NodeStore>(
+        k: K,
+        store: &St,
+        tag: NodeTag,
+        count: usize,
+        rng: &mut impl rand::Rng,
+    ) {
+        let (r, raw) = garbage_node(store, tag, count, rng);
 
         // Discriminative bits: at most what the partial-key width holds.
         let bits = rng.gen_range(1..=(8 * tag.key_width()).min(MAX_POSITIONS));
@@ -1682,33 +1602,238 @@ mod tests {
             let idx = raw.search(extract_dense(raw, key.padded()));
             assert!(idx < count);
             assert_eq!(
-                raw.find_candidate::<K, V>(k, key.padded()),
-                (idx, value_of(raw, idx)),
+                raw.find_candidate::<K, St::Slot>(k, key.padded()),
+                (idx, St::Slot::get(raw, idx)),
                 "{tag:?} count {count} slot bytes {}",
-                V::BYTES
+                St::Slot::BYTES
             );
         }
+        // SAFETY: never published.
+        unsafe { free(store, r) };
     }
 
     #[test]
     fn fused_step_matches_reference_composition() {
         use rand::SeedableRng;
-        fn both_slots<K: Kernel>(k: K, tag: NodeTag, count: usize, rng: &mut rand::rngs::StdRng) {
-            step_matches_reference::<K, HeapSlot>(k, tag, count, rng, |raw, i| raw.value(i));
-            step_matches_reference::<K, CompactSlot>(k, tag, count, rng, |raw, i| raw.cvalue(i));
-        }
+        let (heap, arena) = (heap(), ArenaStore::new(1 << 20, 1 << 20));
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x5EED_57E9);
         for tag in NodeTag::ALL {
             for count in 2..=MAX_FANOUT {
                 for _ in 0..4 {
-                    both_slots(hot_bits::Portable, tag, count, &mut rng);
+                    step_matches_reference(hot_bits::Portable, &heap, tag, count, &mut rng);
+                    step_matches_reference(hot_bits::Portable, &arena, tag, count, &mut rng);
                     #[cfg(target_arch = "x86_64")]
                     if let Some(k) = hot_bits::Avx2::detect() {
-                        both_slots(k, tag, count, &mut rng);
+                        step_matches_reference(k, &heap, tag, count, &mut rng);
+                        step_matches_reference(k, &arena, tag, count, &mut rng);
                     }
                 }
             }
         }
+    }
+
+    /// A canonical node of layout `tag` with `count` entries — what the
+    /// builder makes of `count` keys that differ only in a few bits of a few
+    /// bytes — or `None` when no such node exists (fewer entries than the
+    /// layout's partial-key width needs positions).
+    fn canonical_builder(tag: NodeTag, count: usize, rng: &mut impl rand::Rng) -> Option<Builder> {
+        use rand::seq::SliceRandom;
+        /// The sorted keys of a random Patricia trie over `count` leaves
+        /// whose BiNodes take the sorted `pool` positions in preorder: every
+        /// BiNode has a position of its own.
+        fn trie_keys(count: usize, pool: &[usize], next: &mut usize, prefix: [u8; 64], rng: &mut impl rand::Rng, keys: &mut Vec<[u8; 64]>) {
+            if count == 1 {
+                keys.push(prefix);
+                return;
+            }
+            let p = pool[*next];
+            *next += 1;
+            let zeros = rng.gen_range(1..count);
+            trie_keys(zeros, pool, next, prefix, rng, keys);
+            let mut one = prefix;
+            one[p / 8] |= 0x80 >> (p % 8);
+            trie_keys(count - zeros, pool, next, one, rng, keys);
+        }
+
+        // Positions: what the width holds, at least log2(count) for the
+        // keys to be distinct, at most count - 1.
+        let (min_bits, max_bits) = match tag.key_width() {
+            1 => (1, 8),
+            2 => (9, 16),
+            _ => (17, MAX_POSITIONS),
+        };
+        let (lo, hi) = (min_bits.max(count.next_power_of_two().trailing_zeros() as usize), max_bits.min(count - 1));
+        if lo > hi {
+            return None;
+        }
+        for attempt in 0..1_000 {
+            // Every other attempt, a trie with a position per BiNode (random
+            // keys rarely give that many distinct positions).
+            let distinct = attempt % 2 == 1 && hi == count - 1;
+            let m = if distinct { count - 1 } else { rng.gen_range(lo..=hi) };
+            // The key bytes the positions lie in: one 8-byte window for a
+            // single mask, as many bytes as the slots allow for a multi mask.
+            let bytes: Vec<usize> = match tag.mask_kind() {
+                MaskKind::Single => {
+                    let start = rng.gen_range(0..56);
+                    (start..start + 8).collect()
+                }
+                MaskKind::Multi(slots) => {
+                    let fewest = if slots == 8 { 2 } else { slots / 2 + 1 }.max(m.div_ceil(8));
+                    if fewest > m.min(slots) {
+                        continue;
+                    }
+                    let mut all: Vec<usize> = (0..64).collect();
+                    all.shuffle(rng);
+                    all.truncate(rng.gen_range(fewest..=m.min(slots)));
+                    all
+                }
+            };
+            // One bit of every byte, then more bits of those bytes up to `m`.
+            let mut pool: Vec<usize> = bytes.iter().map(|&b| b * 8 + rng.gen_range(0..8usize)).collect();
+            let mut rest: Vec<usize> =
+                bytes.iter().flat_map(|&b| b * 8..b * 8 + 8).filter(|p| !pool.contains(p)).collect();
+            rest.shuffle(rng);
+            pool.extend(rest.into_iter().take(m.saturating_sub(pool.len())));
+            pool.sort_unstable();
+            let keys: Vec<[u8; 64]> = if distinct {
+                let mut keys = Vec::new();
+                trie_keys(count, &pool, &mut 0, [0; 64], rng, &mut keys);
+                keys
+            } else {
+                let mut keys = std::collections::BTreeSet::new();
+                for _ in 0..100 * count {
+                    let mut key = [0u8; 64];
+                    for &p in &pool {
+                        if rng.gen::<bool>() {
+                            key[p / 8] |= 0x80 >> (p % 8);
+                        }
+                    }
+                    keys.insert(key);
+                    if keys.len() == count {
+                        break;
+                    }
+                }
+                if keys.len() < count {
+                    continue;
+                }
+                keys.into_iter().collect()
+            };
+            let bounds: Vec<u16> = keys
+                .windows(2)
+                .map(|w| hot_bits::first_mismatch_bit(&w[0], &w[1]).expect("distinct keys") as u16)
+                .collect();
+            // Value words any slot width holds.
+            let values: Vec<u64> = (0..count as u64).map(|i| 0x1000 + i).collect();
+            let builder = Builder::from_fragment(&bounds, &values, |_| 0);
+            if NodeTag::choose(&builder.positions) == tag {
+                return Some(builder);
+            }
+        }
+        None
+    }
+
+    /// What `encode` defines of a node: its layout, the header behind the
+    /// lock word, the mask section (a single mask's offset byte and mask
+    /// word, not the padding between them), the partial keys and the value
+    /// section.
+    fn encoded_bytes<V: Slot>(raw: RawNode) -> (NodeTag, Vec<u8>) {
+        let (n, geo) = (raw.count(), geometry::<V>(raw.tag, raw.count()));
+        let section = |from: usize, to: usize| {
+            // SAFETY: both ends lie inside the node's block.
+            unsafe { std::slice::from_raw_parts(raw.base.add(from), to - from) }.to_vec()
+        };
+        let mut bytes = match raw.tag.mask_kind() {
+            MaskKind::Single => [section(4, HEADER_BYTES + 1), section(HEADER_BYTES + 8, geo.pkeys_offset)].concat(),
+            MaskKind::Multi(_) => section(4, geo.pkeys_offset),
+        };
+        bytes.extend(section(geo.pkeys_offset, geo.pkeys_offset + n * raw.tag.key_width()));
+        bytes.extend(section(geo.values_offset, geo.values_offset + n * V::BYTES));
+        (raw.tag, bytes)
+    }
+
+    /// Every fused insert into a canonical node of layout `tag` with `count`
+    /// entries in a block of `store` — every `(pos, through, key_bit)` an
+    /// insert can bring where the layout stays — against the builder path:
+    /// decode, `Builder::insert_entry`, `encode`. Returns how many inserts
+    /// took the fused path.
+    fn fused_insert_matches_builder_path<St: NodeStore>(
+        store: &St,
+        tag: NodeTag,
+        count: usize,
+        rng: &mut impl rand::Rng,
+    ) -> usize {
+        let Some(canonical) = canonical_builder(tag, count, rng) else {
+            return 0;
+        };
+        let (src, raw) = garbage_node(store, tag, count, rng);
+        raw.fill::<St::Slot>(&canonical.positions, &canonical.sparse, &canonical.values);
+        // The positions where the layout can stay: the single mask's window,
+        // or the bits of the bytes a multi mask already covers.
+        let candidates: Vec<usize> = match tag.mask_kind() {
+            MaskKind::Single => (raw.single_offset() * 8..raw.single_offset() * 8 + 64).collect(),
+            MaskKind::Multi(_) => {
+                let mut bytes: Vec<usize> = canonical.positions.iter().map(|&p| p as usize / 8).collect();
+                bytes.dedup();
+                bytes.iter().flat_map(|&b| b * 8..b * 8 + 8).collect()
+            }
+        };
+        let leaf = St::Ref::from_word(0x0FFF);
+        let mut reference = Builder::empty();
+        let mut fused_count = 0;
+        for pos in candidates {
+            for through in 0..count {
+                let (lo, hi) = raw.affected_range(pos, through);
+                let (rank, m, contains) = raw.rank_total_contains(pos);
+                // A BiNode at `pos` inside the affected subtree: no key
+                // differs from `through`'s first there.
+                if contains && (lo..=hi).any(|i| raw.sparse_key(i) >> (m - 1 - rank) & 1 == 1) {
+                    continue;
+                }
+                for key_bit in 0..2 {
+                    let Ok(fused) = raw.insert_entry_cow(store, pos, lo, hi, key_bit, leaf) else {
+                        panic!("the test store is full")
+                    };
+                    let Some(fused) = fused else { continue };
+                    reference.decode_into::<St::Slot>(raw);
+                    reference.insert_entry(pos as u16, through, key_bit, leaf.word());
+                    let Ok(built) = encode(store, &reference) else {
+                        panic!("the test store is full")
+                    };
+                    assert_eq!(
+                        encoded_bytes::<St::Slot>(store.raw(fused)),
+                        encoded_bytes::<St::Slot>(store.raw(built)),
+                        "{tag:?} count {count} pos {pos} through {through} key_bit {key_bit} slot bytes {}",
+                        St::Slot::BYTES
+                    );
+                    // SAFETY: neither node was published.
+                    unsafe {
+                        free(store, fused);
+                        free(store, built);
+                    }
+                    fused_count += 1;
+                }
+            }
+        }
+        // SAFETY: never published.
+        unsafe { free(store, src) };
+        fused_count
+    }
+
+    #[test]
+    fn fused_insert_is_byte_identical_to_the_builder_path() {
+        use rand::SeedableRng;
+        let (heap, arena) = (heap(), ArenaStore::new(1 << 20, 1 << 20));
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xF05E_D125);
+        for tag in NodeTag::ALL {
+            let (mut on_heap, mut in_arena) = (0, 0);
+            for count in 2..MAX_FANOUT {
+                on_heap += fused_insert_matches_builder_path(&heap, tag, count, &mut rng);
+                in_arena += fused_insert_matches_builder_path(&arena, tag, count, &mut rng);
+            }
+            assert!(on_heap > 0 && in_arena > 0, "{tag:?}: {on_heap} heap, {in_arena} arena fused inserts");
+        }
+        assert_eq!(heap.mem.nodes(), 0);
     }
 
     #[test]
@@ -1716,7 +1841,7 @@ mod tests {
         // rank_and_total computes the "how many positions < pos" rank
         // straight off the mask encoding; cross-check against the decoded
         // position list for layouts of every mask kind.
-        let mem = MemCounter::default();
+        let store = heap();
         let position_sets: Vec<Vec<u16>> = vec![
             vec![0],                                  // single, one bit
             vec![3, 4, 6, 8, 9],                      // single, Figure 5
@@ -1728,7 +1853,6 @@ mod tests {
             (0..20).map(|i| i * 100).collect(),       // multi-32
         ];
         for positions in position_sets {
-            let n = positions.len() + 1;
             // A rightmost-chain trie is a valid linearization for any
             // position set: entry i branches right at the i-th position.
             let m = positions.len();
@@ -1745,8 +1869,7 @@ mod tests {
                 .collect();
             let values: Vec<u64> = (0..=m as u64).map(|i| NodeRef::leaf(i).0).collect();
             let tag = NodeTag::choose(&positions);
-            let node = RawNode::alloc(tag, n, 1, &mem);
-            node.fill(&positions, &sparse, &values);
+            let node = filled(&store, &positions, &sparse, &values, 1);
 
             let max_pos = *positions.last().unwrap() as usize;
             for probe in 0..=(max_pos + 10) {
@@ -1758,15 +1881,14 @@ mod tests {
                     "positions {positions:?} probe {probe} tag {tag:?}"
                 );
             }
-            // SAFETY: test-local node, no other reference exists.
-            unsafe { node.free(&mem) };
+            release(&store, node);
         }
-        assert_eq!(mem.bytes(), 0);
+        assert_eq!(store.mem.bytes(), 0);
     }
 
     #[test]
     fn read_entries_round_trips_all_widths() {
-        let mem = MemCounter::default();
+        let store = heap();
         for (positions, n) in [
             ((0u16..5).collect::<Vec<_>>(), 6usize), // u8 pkeys
             ((0u16..12).collect::<Vec<_>>(), 13),    // u16 pkeys
@@ -1778,14 +1900,12 @@ mod tests {
                 .map(|i| if i == 0 { 0 } else { (((1u64 << i) - 1) as u32) << (m as u32 - i) })
                 .collect();
             let values: Vec<u64> = (0..n as u64).map(|i| NodeRef::leaf(i * 7).0).collect();
-            let node = RawNode::alloc(NodeTag::choose(&positions), n, 1, &mem);
-            node.fill(&positions, &sparse, &values);
+            let node = filled(&store, &positions, &sparse, &values, 1);
             let (mut s, mut v) = (Vec::new(), Vec::new());
-            node.read_entries(&mut s, &mut v);
+            node.read_entries::<HeapSlot>(&mut s, &mut v);
             assert_eq!(s, sparse);
             assert_eq!(v, values);
-            // SAFETY: test-local node, no other reference exists.
-            unsafe { node.free(&mem) };
+            release(&store, node);
         }
     }
 
@@ -1793,43 +1913,41 @@ mod tests {
     fn recycled_allocations_start_clean() {
         // The free-list allocator hands back used blocks; headers must be
         // cleared and contents fully overwritten by fill.
-        let mem = MemCounter::default();
+        let store = heap();
         for round in 0..10 {
             let positions = [3u16, 9, 14];
             let sparse = [0b000u32, 0b001, 0b010, 0b100];
             let values: Vec<u64> = (0..4).map(|i| NodeRef::leaf(i + round).0).collect();
-            let node = RawNode::alloc(NodeTag::choose(&positions), 4, 2, &mem);
-            node.fill(&positions, &sparse, &values);
+            let node = filled(&store, &positions, &sparse, &values, 2);
             assert_eq!(node.count(), 4);
             assert_eq!(node.height(), 2);
             assert_eq!(node.positions(), positions);
             for i in 0..4 {
                 assert_eq!(node.sparse_key(i), sparse[i]);
-                assert_eq!(node.value(i).0, values[i]);
+                assert_eq!(HeapSlot::get(node, i).0, values[i]);
             }
             assert_eq!(node.lock_word().load(Ordering::Relaxed), 0, "lock starts clear");
-            // SAFETY: test-local node, no other reference exists.
-            unsafe { node.free(&mem) };
+            release(&store, node);
         }
-        assert_eq!(mem.bytes(), 0);
+        assert_eq!(store.mem.bytes(), 0);
     }
 
     #[test]
     fn search_on_filled_node() {
-        let mem = MemCounter::default();
+        let store = heap();
         let positions = [0u16, 1];
         // Entries: sparse 00, 01, 10 (keys 00,01,1x in trie order).
-        let node = RawNode::alloc(NodeTag::choose(&positions), 3, 1, &mem);
-        node.fill(
+        let node = filled(
+            &store,
             &positions,
             &[0b00, 0b01, 0b10],
             &[NodeRef::leaf(0).0, NodeRef::leaf(1).0, NodeRef::leaf(2).0],
+            1,
         );
         assert_eq!(node.search(0b00), 0);
         assert_eq!(node.search(0b01), 1);
         assert_eq!(node.search(0b10), 2);
         assert_eq!(node.search(0b11), 2); // sparse keys: 10 ⊆ 11 wins
-        // SAFETY: test-local node, no other reference exists.
-        unsafe { node.free(&mem) };
+        release(&store, node);
     }
 }

@@ -5,9 +5,11 @@
 //! liveness is established a layer above.
 //!
 //! The structure-adapting algorithm (Listing 1), the lookup (Listing 2),
-//! the bulk loader, the scan and the batched descent engine are written
-//! once, over a [`NodeStore`]: *where* compound nodes and leaves live and
-//! how a child reference resolves to them. Two stores exist:
+//! the node codec, the bulk loader, the scan and the batched descent engine
+//! are written once, over a [`NodeStore`]: *where* compound nodes and
+//! leaves live and how a child reference resolves to them. For nodes, a
+//! store only hands out and takes back blocks of a given size; what a block
+//! holds is written by `node` for either store. Two stores exist:
 //!
 //! * [`HeapStore`] — one exact-size block per node (from the general
 //!   allocator, or from the store's own 2 MiB chunks after a large bulk
@@ -26,8 +28,7 @@
 use std::convert::Infallible;
 
 use crate::bulk::BulkLoadError;
-use crate::node::builder::Builder;
-use crate::node::{HeapSlot, MemCounter, NodeRef, RawNode, Slot, TreeRef};
+use crate::node::{HeapSlot, MemCounter, NodeRef, NodeTag, RawNode, Slot, TreeRef};
 use hot_keys::stats::MemoryStats;
 use hot_keys::{KeySource, KEY_SCRATCH_LEN};
 
@@ -37,7 +38,7 @@ use hot_keys::{KeySource, KEY_SCRATCH_LEN};
 /// front-end and the roll-back protocol correct):
 ///
 /// * *pre-publish allocation* — [`new_leaf`](Self::new_leaf) and
-///   [`encode`](Self::encode) return blocks no reader can reach, and any
+///   [`alloc_node`](Self::alloc_node) return blocks no reader can reach, and any
 ///   number of operations may call them at once; the core calls every
 ///   fallible hook of an operation *before* its publish, so an `Err` leaves
 ///   the published tree untouched;
@@ -96,49 +97,34 @@ pub(crate) trait NodeStore: Sync {
     /// A leaf for `key → tid`, not yet reachable.
     fn new_leaf(&self, key: &[u8], tid: u64) -> Result<Self::Ref, Self::Full>;
 
-    /// Encode `builder` (value words widened) into a fresh node of the
-    /// smallest applicable layout, not yet reachable.
-    fn encode(&self, builder: &Builder) -> Result<Self::Ref, Self::Full>;
+    /// A block of `bytes` (a multiple of the slot's `GRAIN`) for a node of
+    /// layout `tag`, not yet reachable: its reference, all this hook sets
+    /// up — `node::alloc` writes the header, the codec the rest.
+    fn alloc_node(&self, tag: NodeTag, bytes: usize) -> Result<Self::Ref, Self::Full>;
 
-    /// The fused copy-on-write insert ([`RawNode::insert_entry_cow`]) where
-    /// the store has one: the replacement for `node` with `leaf` inserted,
-    /// or `None` to take the general builder path.
-    #[inline(always)]
-    fn insert_cow(
-        &self,
-        _node: RawNode,
-        _pos: usize,
-        _lo: usize,
-        _hi: usize,
-        _key_bit: u8,
-        _leaf: Self::Ref,
-    ) -> Option<Self::Ref> {
-        None
-    }
-
-    /// Reclaim `node`'s block.
+    /// Take back `node`'s block of `bytes`, as [`alloc_node`](Self::alloc_node)
+    /// handed it out.
     ///
     /// # Safety
     /// `node` must be unreachable — unlinked by a completed publish, or
     /// never published — and no reader may still hold it (the concurrent
-    /// front-end defers this call through the epoch).
-    unsafe fn retire(&self, node: Self::Ref);
+    /// front-end defers its free through the epoch).
+    unsafe fn free_node(&self, node: Self::Ref, bytes: usize);
 
     /// `leaf` was unlinked (upsert, removal): release what it holds.
     fn drop_leaf(&self, leaf: Self::Ref);
 
-    /// Give back blocks nothing references any more — each node
-    /// [`retire`](Self::retire)d, each leaf [`drop_leaf`](Self::drop_leaf)ped
-    /// — leaving `refs` empty.
+    /// Give back blocks nothing references any more — each node freed, each
+    /// leaf [`drop_leaf`](Self::drop_leaf)ped — leaving `refs` empty.
     ///
     /// # Safety
-    /// As [`retire`](Self::retire), for every node in `refs`.
+    /// As [`free_node`](Self::free_node), for every node in `refs`.
     unsafe fn release(&self, refs: &mut Vec<u64>) {
         for word in refs.drain(..) {
             let r = Self::Ref::from_word(word);
             if r.is_node() {
                 // SAFETY: the caller's contract.
-                unsafe { self.retire(r) };
+                unsafe { crate::node::free(self, r) };
             } else {
                 self.drop_leaf(r);
             }
@@ -232,29 +218,17 @@ impl<S: KeySource> NodeStore for HeapStore<S> {
     }
 
     #[inline(always)]
-    fn encode(&self, builder: &Builder) -> Result<NodeRef, Infallible> {
-        Ok(builder.encode(&self.mem))
-    }
-
-    #[inline(always)]
-    fn insert_cow(
-        &self,
-        node: RawNode,
-        pos: usize,
-        lo: usize,
-        hi: usize,
-        key_bit: u8,
-        leaf: NodeRef,
-    ) -> Option<NodeRef> {
-        node.insert_entry_cow(pos, lo, hi, key_bit, leaf.0, &self.mem)
+    fn alloc_node(&self, tag: NodeTag, bytes: usize) -> Result<NodeRef, Infallible> {
+        Ok(NodeRef::node(self.mem.alloc(bytes), tag))
     }
 
     /// # Safety
-    /// As [`NodeStore::retire`].
+    /// As [`NodeStore::free_node`].
     #[inline(always)]
-    unsafe fn retire(&self, node: NodeRef) {
-        // SAFETY: the caller guarantees no reference to the node remains.
-        unsafe { node.as_raw().free(&self.mem) };
+    unsafe fn free_node(&self, node: NodeRef, bytes: usize) {
+        // SAFETY: the block came from `alloc_node` with these `bytes`, and
+        // the caller guarantees no reference to it remains.
+        unsafe { self.mem.free(node.ptr(), bytes) };
     }
 
     #[inline(always)]
@@ -267,11 +241,11 @@ impl<S: KeySource> NodeStore for HeapStore<S> {
             let raw = root.as_raw();
             for i in 0..raw.count() {
                 // SAFETY: a subtree is as exclusively owned as its parent.
-                unsafe { self.drop_tree(raw.value(i)) };
+                unsafe { self.drop_tree(HeapSlot::get(raw, i)) };
             }
             // SAFETY: exclusively owned per the caller's contract, its
             // children released just above.
-            unsafe { raw.free(&self.mem) };
+            unsafe { crate::node::free(self, root) };
         }
     }
 
@@ -290,7 +264,7 @@ impl<S: KeySource> NodeStore for HeapStore<S> {
 #[cfg(test)]
 mod tests {
     use crate::node::heap::CHUNKED_LOAD_MIN_KEYS;
-    use crate::node::NodeRef;
+    use crate::node::{HeapSlot, NodeRef, Slot};
     use crate::sync::ConcurrentHot;
     use crate::BulkLoadError;
     use hot_keys::{encode_u64, EmbeddedKeySource};
@@ -309,7 +283,7 @@ mod tests {
                 let raw = r.as_raw();
                 nodes += 1;
                 in_chunks += usize::from(index.store().mem.holds(raw.base));
-                todo.extend((0..raw.count()).map(|i| raw.value(i)));
+                todo.extend((0..raw.count()).map(|i| HeapSlot::get(raw, i)));
             }
         }
         (nodes, in_chunks)

@@ -729,7 +729,7 @@ impl<St: NodeStore> Concurrent<St> {
             // then: `Drop` waits out every retired node, or leaks the store.
             unsafe {
                 guard.defer_unchecked(move || {
-                    (*store).retire(r);
+                    crate::node::free(&*store, r);
                     metrics.incr(RowexCounter::DeferredFreed);
                 });
             }

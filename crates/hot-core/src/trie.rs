@@ -33,7 +33,7 @@ use hot_keys::{DepthStats, KeySource, PaddedKey, MAX_TID};
 /// structurally identical trees — equal
 /// [`structure_digest`](Self::structure_digest) for equal key sets.
 pub struct Trie<St: NodeStore> {
-    root: St::Ref,
+    pub(crate) root: St::Ref,
     len: usize,
     store: St,
     writer: Writer,
@@ -124,7 +124,7 @@ impl Writer {
     }
 
     fn encode<St: NodeStore>(&mut self, store: &St, builder: &Builder) -> Result<St::Ref, St::Full> {
-        let node = store.encode(builder)?;
+        let node = crate::node::encode(store, builder)?;
         self.fresh.push(node.word());
         Ok(node)
     }
@@ -338,11 +338,12 @@ pub(crate) fn apply<St: NodeStore>(
         Plan::Insert { tid, level, pos, key_bit, lo, hi, .. } => {
             let leaf = w.new_leaf(store, tid)?;
             let raw = w.raw_at(store, level);
-            // Fused fast path: where the store has one and the physical
-            // layout is stable, the new node is built straight from the old
-            // one (asserted byte-identical to the builder path, so taking
-            // it or not leaves the structure digest unchanged).
-            if let Some(new_node) = store.insert_cow(raw, pos as usize, lo, hi, key_bit, leaf) {
+            // Fused fast path: where the physical layout is stable, the new
+            // node is built straight from the old one (asserted
+            // byte-identical to the builder path, so taking it or not leaves
+            // the structure digest unchanged). The node's shape decides,
+            // never the store.
+            if let Some(new_node) = raw.insert_entry_cow(store, pos as usize, lo, hi, key_bit, leaf)? {
                 w.fresh.push(new_node.word());
                 w.replace(store, root, level, new_node);
                 return Ok(None);
@@ -350,7 +351,7 @@ pub(crate) fn apply<St: NodeStore>(
             // General path: decode into the reused scratch builder
             // (malloc-free apart from the new node allocation).
             let mut builder = w.builder.take().unwrap_or_else(Builder::empty);
-            St::Slot::decode(raw, &mut builder);
+            builder.decode_into::<St::Slot>(raw);
             builder.insert_entry(pos, w.path[level].1, key_bit, leaf.word());
             let result = if builder.overflowed() {
                 overflow_cascade(store, w, root, level, &mut builder)
@@ -375,13 +376,13 @@ pub(crate) fn apply<St: NodeStore>(
         Plan::Shrink | Plan::Merge => {
             let level = w.path.len() - 1;
             let mut builder = w.builder.take().unwrap_or_else(Builder::empty);
-            St::Slot::decode(w.raw_at(store, level), &mut builder);
+            builder.decode_into::<St::Slot>(w.raw_at(store, level));
             builder.remove_entry(w.path[level].1);
             let mut target = level;
             if let Plan::Merge = plan {
                 let (pos, zero, one) = (builder.positions[0], builder.values[0], builder.values[1]);
                 target -= 1;
-                St::Slot::decode(w.raw_at(store, target), &mut builder);
+                builder.decode_into::<St::Slot>(w.raw_at(store, target));
                 builder.replace_entry_with_pair(w.path[target].1, pos, zero, one, |word| height_of(store, word));
             }
             let encoded = w.encode(store, &builder);
@@ -430,7 +431,7 @@ fn overflow_cascade<St: NodeStore>(
         // Parent pull-up: move the split root BiNode into the parent.
         w.retired.push(w.path[level].0);
         level -= 1;
-        St::Slot::decode(w.raw_at(store, level), builder);
+        builder.decode_into::<St::Slot>(w.raw_at(store, level));
         builder.replace_entry_with_pair(w.path[level].1, pos, left, right, height);
         if !builder.overflowed() {
             let new_parent = w.encode(store, builder)?;

@@ -9,10 +9,10 @@
 //! Also here: a proptest driving the front-coded leaf encoding across
 //! prefix-boundary key sets (a stored key that is a strict prefix of its
 //! neighbor is the hardest case for `[shared][suffix]` reconstruction), a
-//! proptest over random integer sets (the heap store's fused insert
-//! against the arena store's general builder path), and typed
-//! [`ArenaFull`] exhaustion of the 32-bit offset space under
-//! artificially small arena ceilings.
+//! proptest over random integer sets (shuffled inserts into either store,
+//! fused insert and builder path alike, against a bulk load of the same set
+//! on that store), and typed [`ArenaFull`] exhaustion of the 32-bit offset
+//! space under artificially small arena ceilings.
 
 #[macro_use]
 mod common;
@@ -20,7 +20,7 @@ mod common;
 use common::{assert_backends_agree, assert_fronts_agree, fnv1a, opt, Front};
 use hot_core::sync::{ConcurrentCompact, ConcurrentHot};
 use hot_core::{ArenaFull, ArenaKind, BulkLoadError, CompactHot, HotTrie};
-use hot_keys::ArenaKeySource;
+use hot_keys::{ArenaKeySource, EmbeddedKeySource};
 use hot_ycsb::{Dataset, DatasetKind};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -154,17 +154,33 @@ proptest! {
         compact.check_invariants();
     }
 
-    /// Random integer sets: the heap store's fused insert
-    /// (`insert_entry_cow`) and the arena store's general builder path,
-    /// which has no fused insert, build the same tree.
+    /// Random integer sets, inserted in a shuffled order into either store:
+    /// both take the fused insert wherever a node's layout stays and the
+    /// builder path elsewhere. Each must build the tree a bulk load of the
+    /// same set builds on that store — the builder-path reference that the
+    /// insertion-order determinism conjecture (DESIGN.md §3.3) pins — and
+    /// so the same tree on both stores.
     #[test]
-    fn random_integers_build_identical_trees(keys in proptest::collection::btree_set(0u64..1_000_000, 2..400)) {
-        let encoded: Vec<Vec<u8>> = keys.iter().map(|&k| hot_keys::encode_u64(k).to_vec()).collect();
-        let mut arena = ArenaKeySource::new();
-        let tids: Vec<u64> = encoded.iter().map(|k| arena.push(k)).collect();
-        let (heap, _) = filled(HotTrie::new(Arc::new(arena)), &encoded, &tids);
-        let (compact, _) = filled(CompactHot::new(), &encoded, &tids);
+    fn random_integers_build_identical_trees(
+        keys in proptest::collection::btree_set(0u64..1_000_000, 2..400),
+        seed in any::<u64>(),
+    ) {
+        use rand::{seq::SliceRandom, SeedableRng};
+        let sorted: Vec<([u8; 8], u64)> = keys.iter().map(|&k| (hot_keys::encode_u64(k), k)).collect();
+        let mut shuffled = sorted.clone();
+        shuffled.shuffle(&mut rand::rngs::StdRng::seed_from_u64(seed));
+        let (mut heap, mut compact) = (HotTrie::new(EmbeddedKeySource), CompactHot::new());
+        for (key, tid) in &shuffled {
+            prop_assert_eq!(heap.insert(key, *tid), None);
+            prop_assert_eq!(compact.insert(key, *tid), None);
+        }
+        let (mut heap_bulk, mut compact_bulk) = (HotTrie::new(EmbeddedKeySource), CompactHot::new());
+        prop_assert_eq!(heap_bulk.bulk_load(&sorted), Ok(keys.len()));
+        prop_assert_eq!(compact_bulk.bulk_load(&sorted), Ok(keys.len()));
         heap.validate();
+        compact.check_invariants();
+        prop_assert_eq!(heap.structure_digest(), heap_bulk.structure_digest());
+        prop_assert_eq!(compact.structure_digest(), compact_bulk.structure_digest());
         prop_assert_eq!(heap.structure_digest(), compact.structure_digest());
     }
 }

@@ -5,7 +5,9 @@
 //! the test finishes in CI minutes while still crossing every unsafe
 //! frontier at least once: raw node allocation/recycling, all nine
 //! `NodeTag` layouts' mask/partial-key/value sections, the tagged-pointer
-//! round trips, copy-on-write splits, removal collapses, the batched
+//! round trips, the fused insert's raw section copies on both stores (it
+//! serves about nine in ten of the inserts below, into heap blocks and
+//! arena slabs alike), copy-on-write splits, removal collapses, the batched
 //! descent, the arena store's slab table and front-coded leaf records,
 //! and the ROWEX protocol (locking, obsolete marking, epoch deferral)
 //! under real threads.
