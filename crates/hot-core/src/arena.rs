@@ -900,50 +900,6 @@ impl NodeStore for ArenaStore {
 /// `try_remove`.
 pub type CompactHot = Trie<ArenaStore>;
 
-impl Default for Trie<ArenaStore> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Trie<ArenaStore> {
-    /// An empty compact trie with the default arena ceilings (the full
-    /// 32-bit addressable range; slabs are committed on demand).
-    pub fn new() -> Self {
-        Self::with_capacity(DEFAULT_NODE_CAP, DEFAULT_LEAF_CAP)
-    }
-
-    /// An empty compact trie whose arenas refuse to grow past the given
-    /// byte ceilings (rounded up to whole slabs). Mutations that would
-    /// exceed a ceiling fail with a typed [`ArenaFull`]; useful for tests
-    /// and for bounding index memory in embedding systems.
-    pub fn with_capacity(node_cap_bytes: usize, leaf_cap_bytes: usize) -> Self {
-        Trie::over(ArenaStore::new(node_cap_bytes, leaf_cap_bytes))
-    }
-
-    /// [`insert`](Trie::insert), reporting arena exhaustion as a typed
-    /// error instead of panicking. On [`ArenaFull`] the tree is unchanged.
-    ///
-    /// # Panics
-    /// Panics if `tid` exceeds [`MAX_TID`] or the key exceeds
-    /// [`MAX_KEY_LEN`] bytes.
-    pub fn try_insert(&mut self, key: &[u8], tid: u64) -> Result<Option<u64>, ArenaFull> {
-        self.insert_fallible(key, tid)
-    }
-
-    /// [`remove`](Trie::remove), reporting arena exhaustion as a typed
-    /// error. On [`ArenaFull`] the tree is unchanged.
-    pub fn try_remove(&mut self, key: &[u8]) -> Result<Option<u64>, ArenaFull> {
-        self.remove_fallible(key)
-    }
-
-    /// Allocator-level accounting for both arenas (capacity, live bytes,
-    /// high-water mark, dead front-coded bytes).
-    pub fn arena_stats(&self) -> ArenaStats {
-        self.store().arena_stats()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1168,7 +1124,7 @@ mod tests {
             assert_eq!(trie.try_insert(&[key], key.into()), Ok(None));
         }
         let store = trie.store();
-        let root = store.raw(trie.root);
+        let root = store.raw(trie.load_root());
         assert_eq!((root.count(), root.positions()), (3, vec![0, 1]));
         // Take every node block the arena still has: its free lists, then
         // the rest of its one slab.

@@ -17,9 +17,11 @@
 //!
 //! ## Entry points
 //!
-//! The trie is written once, over a storage seam (DESIGN.md §19); [`Trie`]
-//! is its single-threaded front-end and [`sync::Concurrent`] its concurrent
-//! one, each with an alias per store:
+//! The trie is written once, over a storage seam (DESIGN.md §19), as one
+//! struct, [`trie::Hot`], with two access modes: [`Trie`], whose writes take
+//! `&mut self` and free at once, and [`sync::Concurrent`], the ROWEX mode of
+//! Section 5, whose writes take `&self`. The read face is the same body for
+//! both; each mode has an alias per store:
 //!
 //! * [`HotTrie`] — `Trie` over heap nodes: the index mapping prefix-free
 //!   byte keys to tuple identifiers, with the key bytes resolved back
@@ -27,8 +29,8 @@
 //! * [`CompactHot`] — `Trie` over slab arenas: 32-bit offset-word child
 //!   references and inline front-coded leaf records, cutting bytes/key
 //!   roughly in half while producing structurally identical trees (same
-//!   [`structure_digest`](Trie::structure_digest));
-//! * [`sync::ConcurrentHot`] — the ROWEX-synchronized variant of Section 5:
+//!   [`structure_digest`](trie::Hot::structure_digest));
+//! * [`sync::ConcurrentHot`] — the ROWEX-synchronized mode over heap nodes:
 //!   wait-free readers, lock-only-what-you-modify writers, epoch-based
 //!   memory reclamation ([`sync::ConcurrentCompact`] is the same over the
 //!   arena store);

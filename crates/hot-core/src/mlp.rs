@@ -1,9 +1,10 @@
 //! The batched descent engine: a completion-driven out-of-order MLP
 //! scheduler (DESIGN.md §9).
 //!
-//! epoch-exempt: shared descent core. The concurrent wrappers in `sync.rs`
-//! pin the epoch *before* loading roots and calling in here; the
-//! single-threaded `HotTrie` needs no pin. Protection is the caller's
+//! epoch-exempt: shared descent core. Its callers, the read face of
+//! [`Hot`](crate::trie::Hot) and the sharded router, take the access mode's
+//! pin (an epoch guard in the ROWEX mode, nothing in the exclusive one)
+//! *before* loading roots and calling in here. Protection is the caller's
 //! contract — these routines only borrow already-protected nodes.
 //!
 //! A single HOT lookup is a serial pointer chase: every compound-node hop
@@ -248,8 +249,8 @@ impl MlpScheduler {
     /// * `reload_root` is called once per lane load and once per
     ///   re-descent — the per-refill root reload that keeps a long batch
     ///   on the concurrent index from pinning one stale root.
-    /// * `redescend` enables torn-slot recovery (concurrent index only;
-    ///   the single-threaded trie never publishes null slots).
+    /// * `redescend` enables torn-slot recovery (the access mode's
+    ///   `SHARED`: only writers beside the reader publish null slots).
     pub(crate) fn run_lookups<St, Q, F>(
         &mut self,
         store: &St,

@@ -1,8 +1,9 @@
 //! Allocation-free, prefetch-pipelined range scans (workload E fast path).
 //!
-//! epoch-exempt: shared descent core. The concurrent wrappers in `sync.rs`
-//! pin the epoch *before* loading the root and calling in here; the
-//! single-threaded `HotTrie` needs no pin. Protection is the caller's
+//! epoch-exempt: shared descent core. Its callers, the read face of
+//! [`Hot`](crate::trie::Hot) and the sharded router, take the access mode's
+//! pin (an epoch guard in the ROWEX mode, nothing in the exclusive one)
+//! *before* loading the root and calling in here. Protection is the caller's
 //! contract — these routines only borrow already-protected nodes.
 //!
 //! A YCSB-E scan is `range_from(start).take(len)`: seek to the first entry

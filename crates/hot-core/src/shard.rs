@@ -37,13 +37,11 @@ use std::sync::OnceLock;
 use hot_keys::stats::MemoryStats;
 use hot_keys::{KeySource, PaddedKey, KEY_SCRATCH_LEN};
 
-use crossbeam_epoch as epoch;
-
 use crate::bulk::BulkLoadError;
-use crate::metrics::{OpKind, RowexCounter};
+use crate::metrics::OpKind;
 use crate::mlp::{DescentKind, LookupStream, MlpScheduler, RequestStream};
 use crate::scan::{with_thread_cursor, ScanCursor};
-use crate::sync::ConcurrentHot;
+use crate::sync::{Access, ConcurrentHot, Rowex};
 
 /// Largest supported shard count.
 pub const MAX_SHARDS: usize = 64;
@@ -486,9 +484,8 @@ where
             ..
         } = scratch;
         self.route(keys, |k| *k, queues);
-        let metrics = self.tries[0].metrics();
-        metrics.incr(RowexCounter::EpochPin);
-        let _guard = epoch::pin();
+        let metrics = &self.tries[0].metrics;
+        let _guard = self.tries[0].pin();
         sub.clear();
         sub.resize(keys.len().min(DRAIN_WINDOW), None);
         for (s, q) in queues.iter().enumerate() {
@@ -507,7 +504,7 @@ where
                     &LookupStream(window.as_slice()),
                     &mut sub[..win.len()],
                     || self.tries[s].load_root(),
-                    true,
+                    Rowex::SHARED,
                     metrics,
                 );
                 for (j, &t) in win.iter().enumerate() {
@@ -645,7 +642,7 @@ where
         if keys.is_empty() {
             return;
         }
-        let m = self.tries[0].metrics();
+        let m = &self.tries[0].metrics;
         let _t = m.timer(OpKind::GetBatch);
         m.items(OpKind::GetBatch, keys.len() as u64);
         self.queued_run(keys, out, scratch);
@@ -677,7 +674,7 @@ where
         if requests.is_empty() {
             return;
         }
-        let m = self.tries[0].metrics();
+        let m = &self.tries[0].metrics;
         let _t = m.timer(OpKind::ScanBatch);
         let RouterScratch {
             sched,
@@ -693,8 +690,7 @@ where
         ends.push(0);
         spans.clear();
         spans.resize(requests.len(), (0, 0));
-        m.incr(RowexCounter::EpochPin);
-        let _guard = epoch::pin();
+        let _guard = self.tries[0].pin();
         for (s, q) in queues.iter().enumerate() {
             for win in q.chunks(DRAIN_WINDOW) {
                 let first = ends.len() - 1;
@@ -704,7 +700,7 @@ where
                     staged,
                     ends,
                     || self.tries[s].load_root(),
-                    true,
+                    Rowex::SHARED,
                     m,
                 );
                 for (j, &t) in win.iter().enumerate() {

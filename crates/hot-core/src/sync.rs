@@ -1,4 +1,5 @@
-//! ROWEX synchronization protocol (Section 5 of the paper).
+//! ROWEX synchronization protocol (Section 5 of the paper), and the two
+//! access modes of the one trie struct [`Hot`].
 //!
 //! HOT's copy-on-write nodes publish every structural change with a single
 //! pointer store, which makes the index "a perfect fit for the Read-Optimized
@@ -15,15 +16,20 @@
 //! * **reclamation** is epoch-based (`crossbeam-epoch`): obsolete nodes are
 //!   deferred until all pinned epochs have moved on.
 //!
-//! ROWEX is not a second algorithm: steps (a) and (d) are the
+//! ROWEX is not a second algorithm, and [`Concurrent`] is not a second
+//! index: it is [`Hot`] in the ROWEX access mode, with the read face
+//! `trie.rs` writes once for both modes. Steps (a) and (d) are the
 //! single-threaded modification — [`plan`](crate::trie::plan) and
-//! [`apply`](crate::trie::apply), the same two functions
-//! [`Trie`](crate::Trie) runs back to back — and this module is what the
-//! paper adds around them: lock, validate, unlock, and retire through the
-//! epoch instead of at once. [`Concurrent`] is written over the storage
-//! seam, so it serves heap nodes ([`ConcurrentHot`]) and arena blocks
-//! ([`ConcurrentCompact`]) alike; the lock word sits in the node header of
-//! either layout.
+//! [`apply`](crate::trie::apply), the same two functions the exclusive
+//! mode ([`Trie`](crate::Trie)) runs back to back — and this module is what
+//! the paper adds around them: lock, validate, unlock, and retire through
+//! the epoch instead of at once. The mode decides what a read holds
+//! (`Access::Pin`: nothing, or an epoch guard, taken and counted in one
+//! place, `Access::pin`) and whether a batched read reloads the root; the
+//! root word and the key count are read and written here, for both modes.
+//! [`Concurrent`] is written over the storage seam, so it serves heap nodes
+//! ([`ConcurrentHot`]) and arena blocks ([`ConcurrentCompact`]) alike; the
+//! lock word sits in the node header of either layout.
 //!
 //! A single compare-and-swap would not suffice (two concurrent inserts could
 //! strand one writer's copy, as Section 5 explains); the per-node locks make
@@ -54,20 +60,20 @@
 // All protocol-carrying atomics (root word, len, lock words via `node`)
 // come from the shim so loom models can explore their interleavings; see
 // `crate::sync_shim` for the normal-build/model-build switch.
-use crate::sync_shim::{AtomicU64, AtomicUsize, Ordering};
+use crate::sync_shim::Ordering;
 use std::cell::Cell;
 use std::sync::Arc;
 
 use crossbeam_epoch as epoch;
 
-use crate::arena::{ArenaFull, ArenaStats, ArenaStore};
+use crate::arena::{ArenaFull, ArenaStore};
 use crate::bulk::{BulkLoadError, Workers};
-use crate::metrics::{Metrics, OpKind, RowexCounter};
+use crate::metrics::{OpKind, RowexCounter};
 use crate::node::{RawNode, Slot, TreeRef};
 use crate::store::{HeapStore, NodeStore};
-use crate::trie::{apply, plan, Op, Writer};
-use hot_keys::stats::MemoryStats;
-use hot_keys::{DepthStats, KeySource, PaddedKey, MAX_TID};
+use crate::trie::{apply, plan, Hot, Op, Writer};
+use hot_keys::MAX_TID;
+
 
 /// Lock-word bit 0: a writer holds this node's write lock.
 pub(crate) const LOCKED: u32 = 1;
@@ -124,15 +130,69 @@ fn mark_obsolete(node: RawNode) {
     node.lock_word().fetch_or(OBSOLETE, Ordering::Release); // pairs-with: obsolete-flag
 }
 
+pub(crate) use access::{Access, Exclusive, Rowex};
+
+/// The access modes. Public items of a private module: nameable inside the
+/// crate only, so nothing outside can implement [`Access`] or spell a mode
+/// but through the four aliases (which is also why the crate-internal
+/// `Metrics` may appear in `Access::pin`).
+#[allow(private_interfaces)]
+mod access {
+    use crate::metrics::{Metrics, RowexCounter};
+    use crossbeam_epoch as epoch;
+
+    /// How a [`Hot`](crate::trie::Hot) is accessed: the sealed second
+    /// parameter that makes one struct two front-ends.
+    pub trait Access {
+        /// What a read holds while it touches nodes.
+        type Pin;
+        /// Whether writers run beside readers: a batched read then reloads
+        /// the root at every lane refill and re-descends from a torn slot,
+        /// and the blocks a write unlinks wait out the epoch, which `Drop`
+        /// must too.
+        const SHARED: bool;
+        /// Take a read's pin — the one place an epoch pin is taken and
+        /// counted.
+        fn pin(metrics: &Metrics) -> Self::Pin;
+    }
+
+    /// The exclusive mode: a write takes `&mut self`, so no reader runs
+    /// beside it, and what it unlinks is freed at once.
+    pub enum Exclusive {}
+
+    impl Access for Exclusive {
+        type Pin = ();
+        const SHARED: bool = false;
+
+        #[inline]
+        fn pin(_: &Metrics) {}
+    }
+
+    /// The ROWEX mode (Section 5): a write takes `&self` and runs beside
+    /// wait-free readers, which pin the epoch.
+    pub enum Rowex {}
+
+    impl Access for Rowex {
+        type Pin = epoch::Guard;
+        const SHARED: bool = true;
+
+        #[inline]
+        fn pin(metrics: &Metrics) -> epoch::Guard {
+            metrics.incr(RowexCounter::EpochPin);
+            epoch::pin()
+        }
+    }
+}
+
 /// A concurrently accessible Height Optimized Trie over the store `St`:
-/// all mutating operations take `&self` and may run from any number of
-/// threads; lookups and scans are wait-free.
+/// [`Hot`] in the ROWEX mode. All mutating operations take `&self` and may
+/// run from any number of threads; lookups and scans are wait-free.
 ///
 /// Use it through its two instantiations, [`ConcurrentHot`] (heap nodes,
-/// keys resolved through a [`KeySource`]) and [`ConcurrentCompact`] (slab
-/// arenas, inline key records). Both run the write path of
-/// [`Trie`](crate::Trie) — equal
-/// [`structure_digest`](Self::structure_digest) for equal histories — and
+/// keys resolved through a [`KeySource`](hot_keys::KeySource)) and
+/// [`ConcurrentCompact`] (slab arenas, inline key records). Both run the
+/// write path of [`Trie`](crate::Trie) — equal
+/// [`structure_digest`](Hot::structure_digest) for equal histories — and
 /// differ from it in what surrounds a write:
 ///
 /// * a write pins an epoch *inside* its retry loop: a failed attempt — a
@@ -165,17 +225,7 @@ fn mark_obsolete(node: RawNode) {
 /// assert_eq!(trie.len(), 1000);
 /// assert_eq!(trie.get(&encode_u64(123)), Some(123));
 /// ```
-pub struct Concurrent<St: NodeStore> {
-    /// The root word, widened.
-    root: AtomicU64,
-    /// Shared so the epoch-deferred frees, which point into it, can outlive
-    /// the index when its `Drop` cannot wait them out.
-    store: Arc<St>,
-    len: AtomicUsize,
-    /// Operation + ROWEX-health metrics recorder — zero-sized no-op unless
-    /// the `metrics` feature is enabled (see [`crate::metrics`]).
-    metrics: Metrics,
-}
+pub type Concurrent<St> = Hot<St, Rowex>;
 
 /// The heap-backed concurrent trie: shares the node representation with
 /// [`HotTrie`](crate::HotTrie); allocation cannot fail, so
@@ -192,35 +242,116 @@ pub type ConcurrentHot<S> = Concurrent<HeapStore<S>>;
 /// [`try_remove`](Concurrent::try_remove), whichever writer meets it.
 pub type ConcurrentCompact = Concurrent<ArenaStore>;
 
-impl<S: KeySource> Concurrent<HeapStore<S>> {
-    /// Create an empty concurrent trie resolving keys through `source`.
-    pub fn new(source: S) -> Self {
-        Concurrent::over(HeapStore::new(source))
+thread_local! {
+    /// The writer scratch behind `insert` / `remove` of either mode, parked
+    /// here between calls (boxed: taking it out and putting it back moves a
+    /// pointer).
+    static THREAD_WRITER: Cell<Option<Box<Writer>>> = const { Cell::new(None) };
+}
+
+/// Run `f` with this thread's parked writer scratch (created on first use,
+/// or when a write nests inside another one's key source on the same
+/// thread, or runs during thread teardown).
+pub(crate) fn with_thread_writer<R>(f: impl FnOnce(&mut Writer) -> R) -> R {
+    let mut writer = THREAD_WRITER.try_with(Cell::take).ok().flatten().unwrap_or_else(|| Box::new(Writer::new()));
+    let result = f(&mut writer);
+    let _ = THREAD_WRITER.try_with(|slot| slot.set(Some(writer)));
+    result
+}
+
+/// The root word and the key count, for both modes: every access to them
+/// is here.
+impl<St: NodeStore, A: Access> Hot<St, A> {
+    /// Number of keys stored.
+    ///
+    /// Ordering: Relaxed — `len` is a statistics counter, not a
+    /// synchronization point; no reader derives pointer validity from it.
+    pub fn len(&self) -> usize {
+        self.len.load(Ordering::Relaxed)
     }
 
-    /// Access the key source.
-    pub fn source(&self) -> &S {
-        &self.store.source
+    /// Ordering: **Acquire** — pairs with every **Release** store/CAS of
+    /// the root word (`attempt`, `bulk_load_on`). A descent that
+    /// observes a new root word therefore observes the fully built node
+    /// behind it. A live read holds the mode's pin first (`pinned_root`);
+    /// a diagnostic reads a quiesced tree.
+    #[inline]
+    pub(crate) fn load_root(&self) -> St::Ref {
+        St::Ref::from_word(self.root.load(Ordering::Acquire)) // pairs-with: root-publish
+    }
+
+    /// This mode's read pin (`Access::pin`), for a read that loads the
+    /// roots itself — the sharded router's drains.
+    #[inline]
+    pub(crate) fn pin(&self) -> A::Pin {
+        A::pin(&self.metrics)
+    }
+
+    /// A live read's root, returned together with the pin that keeps the
+    /// nodes under it alive for as long as the caller holds it: taken
+    /// before the root is loaded.
+    #[inline]
+    pub(crate) fn pinned_root(&self) -> (St::Ref, A::Pin) {
+        let pin = self.pin();
+        (self.load_root(), pin)
+    }
+
+    /// The body behind both modes' `bulk_load` / `bulk_load_parallel`:
+    /// build the whole trie bottom-up from sorted `(key, tid)` entries and
+    /// publish it with a **single** root store.
+    ///
+    /// The trie must be empty: the finished root is installed with one CAS
+    /// of the null root word, so concurrent readers observe either the
+    /// empty trie or the complete bulk-loaded one, never an intermediate
+    /// state. If any entry (or a racing writer) got there first the build
+    /// is discarded and [`BulkLoadError::NotEmpty`] is returned.
+    pub(crate) fn bulk_load_on<K: AsRef<[u8]> + Sync>(
+        &self,
+        entries: &[(K, u64)],
+        workers: Workers,
+    ) -> Result<usize, BulkLoadError> {
+        if !self.load_root().is_null() {
+            return Err(BulkLoadError::NotEmpty);
+        }
+        let _t = self.metrics.timer(OpKind::BulkLoad);
+        // Single-publish. Ordering: **Release** on success — pairs with the
+        // Acquire `load_root`, so a reader that observes the new root
+        // observes every node body built for it (including the worker
+        // threads' stores, which happened-before their join).
+        let n = crate::bulk::load(self.store(), entries, workers, |root| {
+            self.root
+                // pairs-with: root-publish
+                .compare_exchange(St::Ref::NULL.word(), root.word(), Ordering::Release, Ordering::Relaxed)
+                .is_ok()
+        })?;
+        // Ordering: Relaxed — statistics counter only (see `len`).
+        self.len.fetch_add(n, Ordering::Relaxed);
+        self.metrics.items(OpKind::BulkLoad, n as u64);
+        Ok(n)
     }
 }
 
-impl Default for Concurrent<ArenaStore> {
-    fn default() -> Self {
-        Self::new()
+impl<St: NodeStore> Hot<St, Exclusive> {
+    /// The root word of a tree this thread writes exclusively. Ordering:
+    /// Relaxed — `&mut self` (or, for the iterators, a shared borrow that
+    /// excludes every writer) orders it against every other access.
+    #[inline]
+    pub(crate) fn exclusive_root(&self) -> St::Ref {
+        St::Ref::from_word(self.root.load(Ordering::Relaxed))
+    }
+
+    /// An exclusive write's publish of the root word and the key count.
+    /// Ordering: Relaxed stores, never an RMW — `&mut self` rules out every
+    /// reader, and whatever hands the trie to another thread afterwards
+    /// orders these stores before that thread's loads.
+    #[inline]
+    pub(crate) fn publish_exclusive(&mut self, root: St::Ref, len: usize) {
+        self.root.store(root.word(), Ordering::Relaxed);
+        self.len.store(len, Ordering::Relaxed);
     }
 }
 
 impl Concurrent<ArenaStore> {
-    /// An empty index with the default arena ceilings.
-    pub fn new() -> Self {
-        Self::with_capacity(crate::arena::DEFAULT_NODE_CAP, crate::arena::DEFAULT_LEAF_CAP)
-    }
-
-    /// An empty index with explicit node/leaf arena byte ceilings.
-    pub fn with_capacity(node_cap_bytes: usize, leaf_cap_bytes: usize) -> Self {
-        Concurrent::over(ArenaStore::new(node_cap_bytes, leaf_cap_bytes))
-    }
-
     /// [`insert`](Self::insert), reporting arena exhaustion as a typed
     /// error. On [`ArenaFull`] the tree is unchanged and the blocks this
     /// operation took are back in the arena; other writers are unaffected.
@@ -239,83 +370,21 @@ impl Concurrent<ArenaStore> {
     pub fn try_remove(&self, key: &[u8]) -> Result<Option<u64>, ArenaFull> {
         self.write(key, Op::Remove)
     }
-
-    /// Allocator-level accounting for both arenas. Deferred frees may lag
-    /// behind; exact after [`quiesce`] with no writer running.
-    pub fn arena_stats(&self) -> ArenaStats {
-        self.store.arena_stats()
-    }
 }
 
-thread_local! {
-    /// The writer scratch behind `insert` / `remove`, parked here between
-    /// calls (boxed: taking it out and putting it back moves a pointer).
-    static THREAD_WRITER: Cell<Option<Box<Writer>>> = const { Cell::new(None) };
-}
-
-/// Run `f` with this thread's parked writer scratch (created on first use,
-/// or when a write nests inside another one's key source on the same
-/// thread, or runs during thread teardown).
-fn with_thread_writer<R>(f: impl FnOnce(&mut Writer) -> R) -> R {
-    let mut writer = THREAD_WRITER.try_with(Cell::take).ok().flatten().unwrap_or_else(|| Box::new(Writer::new()));
-    let result = f(&mut writer);
-    let _ = THREAD_WRITER.try_with(|slot| slot.set(Some(writer)));
-    result
-}
-
+/// The ROWEX mode's own face: `&self` writes and the protocol around them.
 impl<St: NodeStore> Concurrent<St> {
-    /// An empty concurrent trie over `store`.
-    fn over(store: St) -> Self {
-        Concurrent {
-            root: AtomicU64::new(St::Ref::NULL.word()),
-            store: Arc::new(store),
-            len: AtomicUsize::new(0),
-            metrics: Metrics::new(),
-        }
-    }
-
-    /// Number of keys stored.
-    ///
-    /// Ordering: Relaxed — `len` is a monotonic statistics counter, not a
-    /// synchronization point; no reader derives pointer validity from it.
-    pub fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
-    }
-
-    /// Whether the trie is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Crate-internal: the store the batched descent engine reads through.
-    pub(crate) fn store(&self) -> &St {
-        &self.store
-    }
-
-    /// Crate-internal: the metrics sink, so the sharded router's fused
-    /// batch drive can attribute its scheduler pass to this shard's
-    /// registry.
-    pub(crate) fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
     /// Build the whole trie bottom-up from sorted `(key, tid)` entries and
     /// publish it with a **single** root store — the concurrent counterpart
-    /// of [`Trie::bulk_load`](crate::Trie::bulk_load) (DESIGN.md §11).
+    /// of [`Trie::bulk_load`](crate::Trie::bulk_load), with the same
+    /// contract (DESIGN.md §11).
     ///
-    /// The trie must be empty: the finished root is installed with one CAS
-    /// of the null root word, so concurrent readers observe either the
-    /// empty trie or the complete bulk-loaded one, never an intermediate
-    /// state. If any entry (or a racing writer) got there first the build
-    /// is discarded and [`BulkLoadError::NotEmpty`] is returned. Duplicates
-    /// collapse last-write-wins; unsorted input returns
-    /// [`BulkLoadError::Unsorted`]; an arena ceiling hit mid-build returns
-    /// [`BulkLoadError::ArenaFull`] with the index still empty and usable.
-    /// The scan runs on every available core, and so does the node build
-    /// when the store owns the memory of every node it builds; on the
-    /// general allocator the nodes are built on the calling thread (see
-    /// [`Trie::bulk_load`](crate::Trie::bulk_load)). Returns the number of
-    /// distinct keys.
+    /// The trie must be empty: concurrent readers observe either the empty
+    /// trie or the complete bulk-loaded one, never an intermediate state.
+    /// If any entry (or a racing writer) got there first the build is
+    /// discarded and [`BulkLoadError::NotEmpty`] is returned; an arena
+    /// ceiling hit mid-build returns [`BulkLoadError::ArenaFull`] with the
+    /// index still empty and usable. Returns the number of distinct keys.
     pub fn bulk_load<K: AsRef<[u8]> + Sync>(
         &self,
         entries: &[(K, u64)],
@@ -332,205 +401,6 @@ impl<St: NodeStore> Concurrent<St> {
         threads: usize,
     ) -> Result<usize, BulkLoadError> {
         self.bulk_load_on(entries, Workers::UpTo(threads))
-    }
-
-    fn bulk_load_on<K: AsRef<[u8]> + Sync>(
-        &self,
-        entries: &[(K, u64)],
-        workers: Workers,
-    ) -> Result<usize, BulkLoadError> {
-        if !self.load_root().is_null() {
-            return Err(BulkLoadError::NotEmpty);
-        }
-        let _t = self.metrics.timer(OpKind::BulkLoad);
-        // Single-publish. Ordering: **Release** on success — pairs with the
-        // Acquire `load_root`, so a reader that observes the new root
-        // observes every node body built for it (including the worker
-        // threads' stores, which happened-before their join).
-        let n = crate::bulk::load(&*self.store, entries, workers, |root| {
-            self.root
-                // pairs-with: root-publish
-                .compare_exchange(St::Ref::NULL.word(), root.word(), Ordering::Release, Ordering::Relaxed)
-                .is_ok()
-        })?;
-        // Ordering: Relaxed — statistics counter only (see `len`).
-        self.len.fetch_add(n, Ordering::Relaxed);
-        self.metrics.items(OpKind::BulkLoad, n as u64);
-        Ok(n)
-    }
-
-    /// Ordering: **Acquire** — pairs with every **Release** store/CAS of
-    /// the root word (`attempt`, `bulk_load_on`). A descent that
-    /// observes a new root word therefore observes the fully built node
-    /// behind it.
-    #[inline]
-    pub(crate) fn load_root(&self) -> St::Ref {
-        St::Ref::from_word(self.root.load(Ordering::Acquire)) // pairs-with: root-publish
-    }
-
-    /// Wait-free lookup (Listing 2): no locks, no restarts.
-    pub fn get(&self, key: &[u8]) -> Option<u64> {
-        let _t = self.metrics.timer(OpKind::Get);
-        self.metrics.incr(RowexCounter::EpochPin);
-        let padded = PaddedKey::from_key(key);
-        self.get_padded(&padded)
-    }
-
-    /// Like [`get`](Self::get) with a caller-provided padded-key buffer
-    /// (avoids re-zeroing a fresh 264-byte buffer per call in tight loops),
-    /// mirroring [`Trie::get_with`](crate::Trie::get_with).
-    pub fn get_with(&self, key: &[u8], buf: &mut PaddedKey) -> Option<u64> {
-        let _t = self.metrics.timer(OpKind::Get);
-        self.metrics.incr(RowexCounter::EpochPin);
-        buf.set(key);
-        self.get_padded(buf)
-    }
-
-    fn get_padded(&self, key: &PaddedKey) -> Option<u64> {
-        let _guard = epoch::pin();
-        crate::trie::lookup(&*self.store, self.load_root(), key)
-    }
-
-    /// Look up `keys` as one batch under a **single** epoch pin, writing
-    /// `keys.len()` results into `out` (`out[i]` answers `keys[i]` exactly
-    /// as [`get`](Self::get) would).
-    ///
-    /// Descents run through the batched descent engine ([`crate::mlp`]) on
-    /// the thread's parked scheduler, so neither the per-lookup
-    /// `epoch::pin()` nor the 264-byte key-buffer zeroing of the scalar
-    /// path is paid per key. The root is reloaded at every lane refill, so
-    /// a long batch never pins one stale root and observes writers at
-    /// request granularity; a lane that sees a torn slot mid-descent
-    /// re-descends from a fresh root a bounded number of times before
-    /// answering "not present" exactly as scalar `get` does. Each
-    /// individual result is some linearized point-in-time answer.
-    ///
-    /// # Panics
-    /// Panics if `keys` and `out` differ in length.
-    pub fn get_batch<K: AsRef<[u8]>>(&self, keys: &[K], out: &mut [Option<u64>]) {
-        crate::mlp::with_thread_scheduler(|sched| self.get_batch_with(keys, out, sched));
-    }
-
-    /// Like [`get_batch`](Self::get_batch) with a caller-provided
-    /// [`MlpScheduler`](crate::MlpScheduler), whose lane buffers are then
-    /// amortized across the caller's batches.
-    ///
-    /// # Panics
-    /// Panics if `keys` and `out` differ in length.
-    pub fn get_batch_with<K: AsRef<[u8]>>(
-        &self,
-        keys: &[K],
-        out: &mut [Option<u64>],
-        sched: &mut crate::mlp::MlpScheduler,
-    ) {
-        assert_eq!(keys.len(), out.len(), "one output slot per key");
-        let _t = self.metrics.timer(OpKind::GetBatch);
-        self.metrics.items(OpKind::GetBatch, keys.len() as u64);
-        self.metrics.incr(RowexCounter::EpochPin);
-        let _guard = epoch::pin();
-        sched.run_lookups(&*self.store, &crate::mlp::LookupStream(keys), out, || self.load_root(), true, &self.metrics);
-    }
-
-    /// Whether `key` is present.
-    pub fn contains(&self, key: &[u8]) -> bool {
-        self.get(key).is_some()
-    }
-
-    /// Collect up to `limit` TIDs with keys `>= key`, in ascending key
-    /// order. Wait-free; the scan observes an interleaving-consistent view
-    /// (nodes replaced mid-scan keep serving their pre-replacement state,
-    /// exactly as the paper describes for readers on obsolete nodes).
-    ///
-    /// Allocates the result vector (the cursor is this thread's parked one);
-    /// hot loops should call [`scan_into`](Self::scan_into), or hold a
-    /// [`ScanCursor`](crate::ScanCursor) and call
-    /// [`scan_with`](Self::scan_with).
-    pub fn scan(&self, key: &[u8], limit: usize) -> Vec<u64> {
-        // Cap the pre-size by the trie's population: short scans on small
-        // tries must not over-allocate (`len()` is a racy lower bound under
-        // concurrent inserts, which only costs a Vec regrow, never results).
-        let mut out = Vec::with_capacity(limit.min(128).min(self.len()));
-        self.scan_into(key, limit, &mut out);
-        out
-    }
-
-    /// Like [`scan`](Self::scan), writing the TIDs into `out` (cleared
-    /// first) instead of allocating a fresh vector.
-    pub fn scan_into(&self, key: &[u8], limit: usize, out: &mut Vec<u64>) {
-        crate::scan::with_thread_cursor(|cursor| self.scan_with(key, limit, out, cursor));
-    }
-
-    /// Like [`scan`](Self::scan) with caller-owned buffers: the TIDs land in
-    /// `out` (cleared first), and the padded start key, descent path and
-    /// frame stack all live in `cursor` — repeated scans allocate nothing
-    /// once the buffers warmed up, and the traversal prefetches one subtree
-    /// ahead (see [`crate::scan`]). One epoch pin per call.
-    pub fn scan_with(
-        &self,
-        key: &[u8],
-        limit: usize,
-        out: &mut Vec<u64>,
-        cursor: &mut crate::scan::ScanCursor,
-    ) {
-        out.clear();
-        self.scan_append(key, limit, out, cursor);
-    }
-
-    /// [`scan_with`](Self::scan_with) appending to `out` instead of
-    /// clearing it first: the sharded router writes a scan's cross-shard
-    /// continuation straight behind the TIDs it already holds.
-    pub(crate) fn scan_append(
-        &self,
-        key: &[u8],
-        limit: usize,
-        out: &mut Vec<u64>,
-        cursor: &mut crate::scan::ScanCursor,
-    ) {
-        let _t = self.metrics.timer(OpKind::Scan);
-        self.metrics.incr(RowexCounter::EpochPin);
-        let before = out.len();
-        let _guard = epoch::pin();
-        cursor.scan_root(&*self.store, self.load_root(), key, limit, out);
-        self.metrics.items(OpKind::Scan, (out.len() - before) as u64);
-    }
-
-    /// Service many scan requests `(start key, limit)` under a **single**
-    /// epoch pin: request `i`'s TIDs land in `tids[bounds[i]..bounds[i +
-    /// 1]]` (both vectors cleared first; `bounds` gets `requests.len() + 1`
-    /// prefix offsets).
-    ///
-    /// Seek descents run through the batched descent engine (see
-    /// [`crate::mlp`]) on the thread's parked scheduler, with the root
-    /// reloaded at every lane refill and bounded torn-slot re-descents;
-    /// each individual scan still observes an interleaving-consistent
-    /// view, as for scalar [`scan`](Self::scan).
-    pub fn scan_batch<K: AsRef<[u8]>>(
-        &self,
-        requests: &[(K, usize)],
-        tids: &mut Vec<u64>,
-        bounds: &mut Vec<usize>,
-    ) {
-        crate::mlp::with_thread_scheduler(|sched| self.scan_batch_with(requests, tids, bounds, sched));
-    }
-
-    /// Like [`scan_batch`](Self::scan_batch) with a caller-provided
-    /// [`MlpScheduler`](crate::MlpScheduler), sharing its lane ring across
-    /// the caller's batches.
-    pub fn scan_batch_with<K: AsRef<[u8]>>(
-        &self,
-        requests: &[(K, usize)],
-        tids: &mut Vec<u64>,
-        bounds: &mut Vec<usize>,
-        sched: &mut crate::mlp::MlpScheduler,
-    ) {
-        let _t = self.metrics.timer(OpKind::ScanBatch);
-        self.metrics.incr(RowexCounter::EpochPin);
-        tids.clear();
-        bounds.clear();
-        bounds.push(0);
-        let _guard = epoch::pin();
-        sched.run_scans(&*self.store, &crate::mlp::ScanStream(requests), tids, bounds, || self.load_root(), true, &self.metrics);
-        self.metrics.items(OpKind::ScanBatch, tids.len() as u64);
     }
 
     /// Insert `key → tid` (upsert); returns the previous TID if present.
@@ -559,16 +429,12 @@ impl<St: NodeStore> Concurrent<St> {
     /// is full). The epoch pin is taken per attempt and dropped before the
     /// back-off, so a writer that waits holds no pin.
     fn write(&self, key: &[u8], op: Op) -> Result<Option<u64>, St::Full> {
-        let _t = self.metrics.timer(match op {
-            Op::Insert(_) => OpKind::Insert,
-            Op::Remove => OpKind::Remove,
-        });
+        let _t = self.metrics.timer(op.kind());
         with_thread_writer(|w| {
             w.set_key(key);
             let mut backoff = 0u32;
             loop {
-                self.metrics.incr(RowexCounter::EpochPin);
-                let guard = epoch::pin();
+                let guard = self.pin();
                 if let Some(result) = self.attempt(w, op, &guard) {
                     return result;
                 }
@@ -578,6 +444,7 @@ impl<St: NodeStore> Concurrent<St> {
             }
         })
     }
+
 
     /// One optimistic attempt — steps (a) to (e): descend and plan, lock the
     /// plan's levels, validate under the locks, apply, retire, unlock. A
@@ -736,81 +603,9 @@ impl<St: NodeStore> Concurrent<St> {
         }
     }
 
-    /// Index memory footprint. Counts retired nodes until their deferred
-    /// free has run: exact after [`quiesce`] with no writer running.
-    pub fn memory_stats(&self) -> MemoryStats {
-        self.store.memory_stats(self.len())
-    }
-
-    /// Leaf-depth histogram. Call on a quiesced tree.
-    // epoch-exempt: quiesced-only diagnostic — the caller guarantees no
-    // concurrent writers, so nothing can be retired under the walk.
-    pub fn depth_stats(&self) -> DepthStats {
-        crate::invariants::depth_stats(&*self.store, self.load_root())
-    }
-
-    /// Structural fingerprint (see
-    /// [`Trie::structure_digest`](crate::Trie::structure_digest)).
-    /// Call on a quiesced tree.
-    pub fn structure_digest(&self) -> u64 {
-        crate::invariants::structure_digest(&*self.store, self.load_root())
-    }
-
     /// Full structural validation. Call on a quiesced tree.
     pub fn validate(&self) {
         self.check_invariants();
-    }
-
-    /// Whole-trie structural invariant check (see [`crate::invariants`]):
-    /// fanout bounds, per-node linearization well-formedness, SIMD-search
-    /// self-consistency, strict height decrease, in-order key ordering,
-    /// leaf count, all lock words clear, and full re-lookup of every stored
-    /// key. Returns summary statistics or the first violation.
-    ///
-    /// The index must be quiesced: concurrent writers would trip the
-    /// lock-word and leaf-count checks spuriously.
-    pub fn try_check_invariants(&self) -> Result<crate::InvariantReport, String> {
-        // Re-lookups go through the uninstrumented internal path so the
-        // walk never inflates the `get` / epoch-pin counters.
-        crate::invariants::check_tree(&*self.store, self.load_root(), self.len(), |k| {
-            self.get_padded(&PaddedKey::from_key(k))
-        })
-    }
-
-    /// Panicking wrapper over [`Self::try_check_invariants`]. Test-support.
-    pub fn check_invariants(&self) -> crate::InvariantReport {
-        match self.try_check_invariants() {
-            Ok(report) => report,
-            Err(msg) => panic!("concurrent trie invariant violation: {msg}"),
-        }
-    }
-
-    /// Point-in-time metrics snapshot (DESIGN.md §13): merged operation
-    /// counters, latency histograms and ROWEX health counters (lock
-    /// failures, restarts, obsolete-marker encounters, epoch pins,
-    /// deferred-free queue depth), plus structural gauges sampled from a
-    /// full invariant walk. The counters are captured *before* the walk,
-    /// and the walk uses the uninstrumented lookup path, so sampling never
-    /// perturbs the stats. The structural gauges require a quiesced index
-    /// (like [`Self::try_check_invariants`]); when the walk fails — e.g.
-    /// concurrent writers are active — `structure` is left `None` and the
-    /// counter half is still exact. Only available with the `metrics`
-    /// feature.
-    #[cfg(feature = "metrics")]
-    pub fn metrics_snapshot(&self) -> hot_metrics::MetricsSnapshot {
-        let mut snap = self.metrics.0.ops_snapshot();
-        if let Ok(report) = self.try_check_invariants() {
-            snap.structure = Some(crate::metrics::structural_snapshot(&report));
-        }
-        snap
-    }
-
-    /// The counter/histogram half of [`Self::metrics_snapshot`] without
-    /// the structural walk — safe and cheap to call while writers are
-    /// active (`structure` is `None`). Only with the `metrics` feature.
-    #[cfg(feature = "metrics")]
-    pub fn metrics_ops_snapshot(&self) -> hot_metrics::MetricsSnapshot {
-        self.metrics.0.ops_snapshot()
     }
 }
 
@@ -825,7 +620,7 @@ fn backoff_spin(backoff: &mut u32) {
     }
 }
 
-impl<St: NodeStore> Drop for Concurrent<St> {
+impl<St: NodeStore, A: Access> Drop for Hot<St, A> {
     // epoch-exempt: `&mut self` proves exclusive access — no concurrent
     // reader can hold these nodes, and nothing retires them under us.
     fn drop(&mut self) {
@@ -834,6 +629,11 @@ impl<St: NodeStore> Drop for Concurrent<St> {
         let root = St::Ref::from_word(self.root.load(Ordering::Relaxed));
         // SAFETY: &mut self — no concurrent accessors remain.
         unsafe { self.store.drop_tree(root) };
+        if !A::SHARED {
+            // The exclusive mode freed every retired block at once: the
+            // store goes with the `Arc`, whatever pins this thread holds.
+            return;
+        }
         // The nodes still counted are retired ones (and, in a store whose
         // blocks go with it, the tree): their deferred frees point into the
         // store, so wait them out. A store that reserves memory of its own
@@ -851,10 +651,11 @@ impl<St: NodeStore> Drop for Concurrent<St> {
 
 /// Run every deferred reclamation queued (by any thread, on any index)
 /// before this call, waiting for the epoch pins that predate it to end.
-/// Afterwards [`Concurrent::memory_stats`], the arena statistics of
-/// [`ConcurrentCompact`] and the `deferred_queued`/`deferred_freed` metrics
-/// are exact, provided no writer is running. Returns `false` only when
-/// called under an epoch pin of the calling thread.
+/// Afterwards [`Concurrent::memory_stats`](Hot::memory_stats), the arena
+/// statistics of [`ConcurrentCompact`] and the
+/// `deferred_queued`/`deferred_freed` metrics are exact, provided no writer
+/// is running. Returns `false` only when called under an epoch pin of the
+/// calling thread.
 pub fn quiesce() -> bool {
     epoch::drain()
 }
@@ -862,7 +663,8 @@ pub fn quiesce() -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hot_keys::{encode_u64, EmbeddedKeySource};
+    use crate::sync_shim::AtomicUsize;
+    use hot_keys::{encode_u64, EmbeddedKeySource, KeySource};
     use std::sync::Arc;
 
     /// Miri interprets every access (~3-4 orders of magnitude slower): the

@@ -1,46 +1,77 @@
 //! The Height Optimized Trie (Sections 3 and 4), written once over a
-//! [`NodeStore`]: the lookup, and the one write path — [`plan`] decides what
-//! an insert or remove does from the recorded descent path, [`apply`]
-//! carries it out with a single publish.
+//! [`NodeStore`]: the lookup, the one write path — [`plan`] decides what an
+//! insert or remove does from the recorded descent path, [`apply`] carries
+//! it out with a single publish — and the one front-end struct, [`Hot`],
+//! whose read face is written here once for both of its access modes.
 //!
-//! epoch-exempt: [`Trie`]'s mutation takes `&mut self` and its reads run
-//! against a tree nobody reclaims concurrently — no epoch pin is ever
-//! required here. [`Concurrent`](crate::sync::Concurrent) runs the same
-//! `plan` and `apply` between lock and unlock (Section 5); there the caller
-//! holds the pin and defers the retired blocks.
+//! A [`Hot`] is generic over its store and over how it is accessed. [`Trie`]
+//! is the exclusive mode: a write takes `&mut self`, runs `plan` and `apply`
+//! back to back and frees what it unlinked at once, so a read needs no pin.
+//! [`Concurrent`](crate::sync::Concurrent) is the ROWEX mode of Section 5:
+//! its writes take `&self` and put lock, validate, unlock and the epoch
+//! around the same two functions (`sync.rs`), and its reads pin the epoch.
+//! Every live read here reaches the root through `Hot::pinned_root`, which
+//! returns the root together with the mode's pin, so no read body can skip
+//! it; the diagnostics (digest, census, depth, height, invariant walk)
+//! read a quiesced tree. The ordered iterators and their [`Cursor`] are the
+//! exclusive mode's alone: a cursor holds no pin, and only the exclusive
+//! borrow keeps every writer out for its lifetime.
 //!
-//! [`Trie`] is the single-threaded front-end; [`HotTrie`] and
-//! [`CompactHot`](crate::CompactHot) are its two instantiations.
+//! [`HotTrie`] and [`CompactHot`](crate::CompactHot) are the exclusive
+//! mode's two instantiations, [`ConcurrentHot`](crate::sync::ConcurrentHot)
+//! and [`ConcurrentCompact`](crate::sync::ConcurrentCompact) the ROWEX
+//! mode's.
 
-// The storage seam is crate-internal: `Trie` is public only so that its
-// two instantiations can be named, and those are the public API.
+// The storage seam is crate-internal: `Hot` is public only so that its
+// four instantiations can be named, and those are the public API.
 #![allow(private_bounds)]
 
+use std::marker::PhantomData;
+use std::sync::Arc;
+
+use crate::arena::{ArenaFull, ArenaStats, ArenaStore};
 use crate::bulk::{BulkLoadError, Workers};
 use crate::metrics::{Metrics, OpKind};
 use crate::node::builder::Builder;
 use crate::node::{RawNode, Slot, TreeRef, MAX_FANOUT};
 use crate::store::{height_of, HeapStore, NodeStore};
+use crate::sync::{Access, Exclusive};
+use crate::sync_shim::{AtomicU64, AtomicUsize};
 use hot_keys::stats::MemoryStats;
 use hot_keys::{DepthStats, KeySource, PaddedKey, MAX_TID};
 
 /// A Height Optimized Trie mapping prefix-free byte-string keys to 63-bit
-/// tuple identifiers, its nodes and leaves held by the store `St`.
+/// tuple identifiers, its nodes and leaves held by the store `St`, accessed
+/// in the mode `A`.
 ///
-/// Use it through its two instantiations: [`HotTrie`] (heap nodes, keys
-/// resolved through a [`KeySource`]) and [`CompactHot`](crate::CompactHot)
-/// (slab arenas, 32-bit references, inline key records). Both build
-/// structurally identical trees — equal
-/// [`structure_digest`](Self::structure_digest) for equal key sets.
-pub struct Trie<St: NodeStore> {
-    pub(crate) root: St::Ref,
-    len: usize,
-    store: St,
-    writer: Writer,
-    /// Operation metrics recorder — zero-sized no-op unless the `metrics`
-    /// feature is enabled (see [`crate::metrics`]).
-    metrics: Metrics,
+/// Use it through its four instantiations: [`HotTrie`] and
+/// [`CompactHot`](crate::CompactHot) write through `&mut self`,
+/// [`ConcurrentHot`](crate::sync::ConcurrentHot) and
+/// [`ConcurrentCompact`](crate::sync::ConcurrentCompact) through `&self`
+/// from any number of threads. The heap aliases hold nodes on the heap and
+/// resolve keys through a [`KeySource`]; the compact ones hold slab arenas,
+/// 32-bit references and inline key records. All four build structurally
+/// identical trees — equal [`structure_digest`](Self::structure_digest)
+/// for equal histories.
+pub struct Hot<St: NodeStore, A: Access> {
+    /// The root word, widened; read and written only in `sync.rs`.
+    pub(crate) root: AtomicU64,
+    /// Shared so the epoch-deferred frees of the ROWEX mode, which point
+    /// into it, can outlive the index when its `Drop` cannot wait them out.
+    pub(crate) store: Arc<St>,
+    /// The key count; read and written only in `sync.rs`.
+    pub(crate) len: AtomicUsize,
+    /// Operation (and, in the ROWEX mode, ROWEX-health) metrics recorder —
+    /// zero-sized no-op unless the `metrics` feature is enabled (see
+    /// [`crate::metrics`]). The sharded router's batch drive records its
+    /// scheduler passes in shard 0's.
+    pub(crate) metrics: Metrics,
+    access: PhantomData<A>,
 }
+
+/// The exclusive mode of [`Hot`]: writes take `&mut self` and free what
+/// they unlink at once; reads pin nothing.
+pub type Trie<St> = Hot<St, Exclusive>;
 
 /// The heap-backed trie: one exact-size allocation per node, 64-bit tagged
 /// child pointers.
@@ -56,10 +87,9 @@ pub type HotTrie<S> = Trie<HeapStore<S>>;
 /// path, the decode builder, and the two ledgers [`apply`] keeps — the
 /// blocks the operation allocated (`fresh`: what a failure gives back) and
 /// the ones its publish unlinked (`retired`: what the caller reclaims, at
-/// once in [`Trie`], through the epoch in
-/// [`Concurrent`](crate::sync::Concurrent)). Reference words are held
-/// widened, so one writer serves either back-end; `Trie` owns one,
-/// `Concurrent` parks one per thread.
+/// once in the exclusive mode, through the epoch in the ROWEX one).
+/// Reference words are held widened, so one writer serves either store;
+/// each thread parks one for both modes.
 pub(crate) struct Writer {
     key: PaddedKey,
     /// Descent path: (node, selected entry index), root first.
@@ -165,6 +195,16 @@ pub(crate) enum Op {
     Insert(u64),
     /// Remove the writer's key.
     Remove,
+}
+
+impl Op {
+    /// The metrics kind a write of this op is timed under.
+    pub(crate) fn kind(self) -> OpKind {
+        match self {
+            Op::Insert(_) => OpKind::Insert,
+            Op::Remove => OpKind::Remove,
+        }
+    }
 }
 
 /// What a write does to the tree (Listing 1 and its deletion mirror,
@@ -441,10 +481,10 @@ fn overflow_cascade<St: NodeStore>(
     }
 }
 
-impl<S: KeySource> Trie<HeapStore<S>> {
+impl<S: KeySource, A: Access> Hot<HeapStore<S>, A> {
     /// Create an empty trie resolving keys through `source`.
     pub fn new(source: S) -> Self {
-        Trie::over(HeapStore::new(source))
+        Hot::over(HeapStore::new(source))
     }
 
     /// Access the key source.
@@ -453,42 +493,73 @@ impl<S: KeySource> Trie<HeapStore<S>> {
     }
 }
 
-impl<St: NodeStore> Trie<St> {
+impl<A: Access> Default for Hot<ArenaStore, A> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<A: Access> Hot<ArenaStore, A> {
+    /// An empty compact trie with the default arena ceilings (the full
+    /// 32-bit addressable range; slabs are committed on demand).
+    pub fn new() -> Self {
+        Self::with_capacity(crate::arena::DEFAULT_NODE_CAP, crate::arena::DEFAULT_LEAF_CAP)
+    }
+
+    /// An empty compact trie whose arenas refuse to grow past the given
+    /// byte ceilings (rounded up to whole slabs). Mutations that would
+    /// exceed a ceiling fail with a typed [`ArenaFull`]; useful for tests
+    /// and for bounding index memory in embedding systems.
+    pub fn with_capacity(node_cap_bytes: usize, leaf_cap_bytes: usize) -> Self {
+        Hot::over(ArenaStore::new(node_cap_bytes, leaf_cap_bytes))
+    }
+
+    /// Allocator-level accounting for both arenas (capacity, live bytes,
+    /// high-water mark, dead front-coded bytes). In the ROWEX mode deferred
+    /// frees may lag behind; exact after [`quiesce`](crate::sync::quiesce)
+    /// with no writer running.
+    pub fn arena_stats(&self) -> ArenaStats {
+        self.store.arena_stats()
+    }
+}
+
+/// The read face, written once for both access modes: every live read
+/// reaches the root through `pinned_root`, the diagnostics through
+/// `load_root` on a quiesced tree.
+impl<St: NodeStore, A: Access> Hot<St, A> {
     /// An empty trie over `store`.
     pub(crate) fn over(store: St) -> Self {
-        Trie {
-            root: St::Ref::NULL,
-            len: 0,
-            store,
-            writer: Writer::new(),
+        Hot {
+            root: AtomicU64::new(St::Ref::NULL.word()),
+            store: Arc::new(store),
+            len: AtomicUsize::new(0),
             metrics: Metrics::new(),
+            access: PhantomData,
         }
     }
 
+    /// Crate-internal: the store the batched descent engine reads through.
     pub(crate) fn store(&self) -> &St {
         &self.store
     }
 
-    /// Number of keys stored.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
     /// Whether the trie is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// Overall tree height in compound nodes (0 for empty or single-leaf
-    /// trees). Grows only when a new root is created.
+    /// trees). Grows only when a new root is created. Call on a quiesced
+    /// tree.
+    // epoch-exempt: quiesced-only diagnostic; no writer retires under it.
     pub fn height(&self) -> usize {
-        height_of(&self.store, self.root.word()) as usize
+        height_of(&*self.store, self.load_root().word()) as usize
     }
 
     /// Look up `key`; returns its TID if present.
     ///
-    /// Wait-free: performs one descent plus one full-key verification
-    /// (Listing 2 of the paper).
+    /// Wait-free: one descent plus one full-key verification (Listing 2 of
+    /// the paper), no locks, no restarts.
     pub fn get(&self, key: &[u8]) -> Option<u64> {
         let _t = self.metrics.timer(OpKind::Get);
         let padded = PaddedKey::from_key(key);
@@ -496,7 +567,7 @@ impl<St: NodeStore> Trie<St> {
     }
 
     /// Like [`get`](Self::get) with a caller-provided padded-key buffer
-    /// (avoids re-zeroing in tight loops).
+    /// (avoids re-zeroing a fresh 264-byte buffer per call in tight loops).
     pub fn get_with(&self, key: &[u8], buf: &mut PaddedKey) -> Option<u64> {
         let _t = self.metrics.timer(OpKind::Get);
         buf.set(key);
@@ -504,18 +575,24 @@ impl<St: NodeStore> Trie<St> {
     }
 
     fn get_padded(&self, key: &PaddedKey) -> Option<u64> {
-        lookup(&self.store, self.root, key)
+        let (root, _pin) = self.pinned_root();
+        lookup(&*self.store, root, key)
     }
 
-    /// Look up `keys` as one batch, writing `keys.len()` results into
-    /// `out` (`out[i]` answers `keys[i]`, exactly as [`get`](Self::get)
-    /// would).
+    /// Look up `keys` as one batch under a **single** pin, writing
+    /// `keys.len()` results into `out` (`out[i]` answers `keys[i]` exactly
+    /// as [`get`](Self::get) would).
     ///
     /// Descents run through the batched descent engine ([`crate::mlp`]):
     /// up to [`DEFAULT_DEPTH`](crate::DEFAULT_DEPTH) independent descents
     /// stay in flight, each lane refilling from the pending keys the
     /// moment it completes, so depth variance between keys never idles a
-    /// lane. This call uses the thread's parked scheduler;
+    /// lane. Where writers run beside the batch (the ROWEX mode), the root
+    /// is reloaded at every lane refill, so a long batch never holds one
+    /// stale root and observes writers at request granularity, and a lane
+    /// that sees a torn slot mid-descent re-descends from a fresh root a
+    /// bounded number of times before answering "not present" exactly as
+    /// scalar `get` does. This call uses the thread's parked scheduler;
     /// [`get_batch_with`](Self::get_batch_with) takes the caller's.
     ///
     /// # Panics
@@ -539,7 +616,9 @@ impl<St: NodeStore> Trie<St> {
         assert_eq!(keys.len(), out.len(), "one output slot per key");
         let _t = self.metrics.timer(OpKind::GetBatch);
         self.metrics.items(OpKind::GetBatch, keys.len() as u64);
-        sched.run_lookups(&self.store, &crate::mlp::LookupStream(keys), out, || self.root, false, &self.metrics);
+        let (root, _pin) = self.pinned_root();
+        let reload = || if A::SHARED { self.load_root() } else { root };
+        sched.run_lookups(&*self.store, &crate::mlp::LookupStream(keys), out, reload, A::SHARED, &self.metrics);
     }
 
     /// Whether `key` is present.
@@ -547,6 +626,197 @@ impl<St: NodeStore> Trie<St> {
         self.get(key).is_some()
     }
 
+    /// Collect up to `limit` TIDs with keys `>= key`, in ascending key
+    /// order (the paper's workload E operation: "range scans accessing up
+    /// to 100 elements"). Wait-free; beside ROWEX writers the scan observes
+    /// an interleaving-consistent view (nodes replaced mid-scan keep
+    /// serving their pre-replacement state, exactly as the paper describes
+    /// for readers on obsolete nodes).
+    ///
+    /// Allocates the result vector (the cursor is this thread's parked one);
+    /// hot loops should call [`scan_into`](Self::scan_into), or hold a
+    /// [`ScanCursor`](crate::ScanCursor) and call
+    /// [`scan_with`](Self::scan_with).
+    pub fn scan(&self, key: &[u8], limit: usize) -> Vec<u64> {
+        // Cap the pre-size by the trie's population: short scans on small
+        // tries must not over-allocate (`len()` is a racy lower bound under
+        // concurrent inserts, which only costs a Vec regrow, never results).
+        let mut out = Vec::with_capacity(limit.min(128).min(self.len()));
+        self.scan_into(key, limit, &mut out);
+        out
+    }
+
+    /// Like [`scan`](Self::scan), writing the TIDs into `out` (cleared
+    /// first) instead of allocating a fresh vector.
+    pub fn scan_into(&self, key: &[u8], limit: usize, out: &mut Vec<u64>) {
+        crate::scan::with_thread_cursor(|cursor| self.scan_with(key, limit, out, cursor));
+    }
+
+    /// Like [`scan`](Self::scan) with caller-owned buffers: the TIDs land in
+    /// `out` (cleared first), and the padded start key, descent path and
+    /// frame stack all live in `cursor` — repeated scans allocate nothing
+    /// once the buffers warmed up, and the traversal prefetches one subtree
+    /// ahead (see [`crate::scan`]). One pin per call.
+    pub fn scan_with(
+        &self,
+        key: &[u8],
+        limit: usize,
+        out: &mut Vec<u64>,
+        cursor: &mut crate::scan::ScanCursor,
+    ) {
+        out.clear();
+        self.scan_append(key, limit, out, cursor);
+    }
+
+    /// [`scan_with`](Self::scan_with) appending to `out` instead of
+    /// clearing it first: the sharded router writes a scan's cross-shard
+    /// continuation straight behind the TIDs it already holds.
+    pub(crate) fn scan_append(
+        &self,
+        key: &[u8],
+        limit: usize,
+        out: &mut Vec<u64>,
+        cursor: &mut crate::scan::ScanCursor,
+    ) {
+        let _t = self.metrics.timer(OpKind::Scan);
+        let before = out.len();
+        let (root, _pin) = self.pinned_root();
+        cursor.scan_root(&*self.store, root, key, limit, out);
+        self.metrics.items(OpKind::Scan, (out.len() - before) as u64);
+    }
+
+    /// Service many scan requests `(start key, limit)` under a **single**
+    /// pin: request `i`'s TIDs land in `tids[bounds[i]..bounds[i + 1]]`
+    /// (both vectors are cleared first; `bounds` gets `requests.len() + 1`
+    /// prefix offsets).
+    ///
+    /// The seek descents run through the batched descent engine
+    /// ([`crate::mlp`]) — up to N seeks in flight, lanes refilling on
+    /// completion, the root reloaded as for
+    /// [`get_batch`](Self::get_batch) — on the thread's parked scheduler.
+    /// Results are identical to calling [`scan`](Self::scan) per request.
+    pub fn scan_batch<K: AsRef<[u8]>>(
+        &self,
+        requests: &[(K, usize)],
+        tids: &mut Vec<u64>,
+        bounds: &mut Vec<usize>,
+    ) {
+        crate::mlp::with_thread_scheduler(|sched| self.scan_batch_with(requests, tids, bounds, sched));
+    }
+
+    /// Like [`scan_batch`](Self::scan_batch) with a caller-provided
+    /// [`MlpScheduler`](crate::MlpScheduler), sharing its lane ring across
+    /// the caller's batches.
+    pub fn scan_batch_with<K: AsRef<[u8]>>(
+        &self,
+        requests: &[(K, usize)],
+        tids: &mut Vec<u64>,
+        bounds: &mut Vec<usize>,
+        sched: &mut crate::mlp::MlpScheduler,
+    ) {
+        let _t = self.metrics.timer(OpKind::ScanBatch);
+        tids.clear();
+        bounds.clear();
+        bounds.push(0);
+        let (root, _pin) = self.pinned_root();
+        let reload = || if A::SHARED { self.load_root() } else { root };
+        sched.run_scans(&*self.store, &crate::mlp::ScanStream(requests), tids, bounds, reload, A::SHARED, &self.metrics);
+        self.metrics.items(OpKind::ScanBatch, tids.len() as u64);
+    }
+
+    /// Index memory footprint: live node bytes, plus — for a store that
+    /// holds the keys itself — the leaf records as `aux_bytes` and the
+    /// reserved arena memory as `capacity_bytes`. In the ROWEX mode it
+    /// counts retired nodes until their deferred free has run: exact after
+    /// [`quiesce`](crate::sync::quiesce) with no writer running.
+    pub fn memory_stats(&self) -> MemoryStats {
+        self.store.memory_stats(self.len())
+    }
+
+    /// Leaf-depth histogram (depth = compound nodes on the root-to-leaf
+    /// path), as reported in Figure 11. Call on a quiesced tree.
+    // epoch-exempt: quiesced-only diagnostic; no writer retires under it.
+    pub fn depth_stats(&self) -> DepthStats {
+        crate::invariants::depth_stats(&*self.store, self.load_root())
+    }
+
+    /// Whole-trie structural invariant check (see [`crate::invariants`]):
+    /// fanout bounds, per-node linearization well-formedness, SIMD-search
+    /// self-consistency, strict height decrease, in-order key ordering,
+    /// leaf count, all lock words clear, and full re-lookup of every stored
+    /// key. Returns summary statistics or a description of the first
+    /// violation.
+    ///
+    /// Call on a quiesced tree: concurrent writers would trip the lock-word
+    /// and leaf-count checks spuriously, and the walk holds no pin.
+    // epoch-exempt: quiesced-only diagnostic; no writer retires under it.
+    pub fn try_check_invariants(&self) -> Result<crate::InvariantReport, String> {
+        let (store, root) = (&*self.store, self.load_root());
+        // Re-lookups go through the uninstrumented lookup so the walk never
+        // inflates the `get` / epoch-pin counters.
+        crate::invariants::check_tree(store, root, self.len(), |k| lookup(store, root, &PaddedKey::from_key(k)))
+    }
+
+    /// Point-in-time metrics snapshot (DESIGN.md §13): merged operation
+    /// counters, latency histograms and — in the ROWEX mode — ROWEX health
+    /// counters (lock failures, restarts, obsolete-marker encounters, epoch
+    /// pins, deferred-free queue depth), plus structural gauges (layout
+    /// census, leaf-depth distribution, fill factor) sampled from a full
+    /// invariant walk. The counters are captured *before* the walk, and the
+    /// walk uses the uninstrumented lookup, so sampling never perturbs the
+    /// stats. The structural gauges require a quiesced index (like
+    /// [`Self::try_check_invariants`]); when the walk fails, `structure` is
+    /// left `None` and the counter half is still exact. Only available with
+    /// the `metrics` feature.
+    #[cfg(feature = "metrics")]
+    pub fn metrics_snapshot(&self) -> hot_metrics::MetricsSnapshot {
+        let mut snap = self.metrics.0.ops_snapshot();
+        if let Ok(report) = self.try_check_invariants() {
+            snap.structure = Some(crate::metrics::structural_snapshot(&report));
+        }
+        snap
+    }
+
+    /// The counter/histogram half of [`Self::metrics_snapshot`] without
+    /// the structural walk — safe and cheap to call while writers are
+    /// active, e.g. at workload-phase boundaries (`structure` is `None`).
+    /// Only with the `metrics` feature.
+    #[cfg(feature = "metrics")]
+    pub fn metrics_ops_snapshot(&self) -> hot_metrics::MetricsSnapshot {
+        self.metrics.0.ops_snapshot()
+    }
+
+    /// Panicking wrapper over [`Self::try_check_invariants`]. Test-support.
+    pub fn check_invariants(&self) -> crate::InvariantReport {
+        match self.try_check_invariants() {
+            Ok(report) => report,
+            Err(msg) => panic!("trie invariant violation: {msg}"),
+        }
+    }
+
+    /// Count of live nodes per physical layout (indexed by `NodeTag as
+    /// usize`): the observable footprint of the paper's two adaptivity
+    /// dimensions. Test and diagnostics support; call on a quiesced tree.
+    // epoch-exempt: quiesced-only diagnostic; no writer retires under it.
+    pub fn layout_census(&self) -> [usize; 9] {
+        crate::invariants::layout_census(&*self.store, self.load_root())
+    }
+
+    /// A structural fingerprint: equal digests mean structurally identical
+    /// trees (layouts, positions, sparse keys, heights, leaf order) — in
+    /// either store and either access mode. Used to test the paper's
+    /// determinism conjecture (Section 3.3): "any given set of keys results
+    /// in the same structure, regardless of the insertion order". Call on a
+    /// quiesced tree.
+    // epoch-exempt: quiesced-only diagnostic; no writer retires under it.
+    pub fn structure_digest(&self) -> u64 {
+        crate::invariants::structure_digest(&*self.store, self.load_root())
+    }
+}
+
+/// The exclusive mode's own face: `&mut self` writes, the ordered
+/// iterators, and the validation that runs them.
+impl<St: NodeStore> Trie<St> {
     /// Insert `key → tid` (upsert). Returns the previous TID if the key was
     /// already present.
     ///
@@ -556,35 +826,48 @@ impl<St: NodeStore> Trie<St> {
     /// [`CompactHot`](crate::CompactHot) only — an arena ceiling is hit
     /// (its `try_insert` reports that case as a typed error instead).
     pub fn insert(&mut self, key: &[u8], tid: u64) -> Option<u64> {
-        self.insert_fallible(key, tid).unwrap_or_else(|e| panic!("insert: {e}"))
-    }
-
-    /// [`insert`](Self::insert) with a full store as an error; the tree is
-    /// then unchanged.
-    pub(crate) fn insert_fallible(&mut self, key: &[u8], tid: u64) -> Result<Option<u64>, St::Full> {
         assert!(tid <= MAX_TID, "tid exceeds MAX_TID");
-        let _t = self.metrics.timer(OpKind::Insert);
-        let previous = self.write(key, Op::Insert(tid))?;
-        self.len += usize::from(previous.is_none());
-        Ok(previous)
+        self.write(key, Op::Insert(tid)).unwrap_or_else(|e| panic!("insert: {e}"))
     }
 
-    /// One write, single-threaded: descend → [`plan`] → [`apply`] → reclaim
-    /// at once.
+    /// Remove `key`; returns its TID if it was present.
+    ///
+    /// # Panics
+    /// [`CompactHot`](crate::CompactHot) only: panics if an arena ceiling is
+    /// hit while re-encoding the shrunk node (its `try_remove` reports that
+    /// case as a typed error instead).
+    pub fn remove(&mut self, key: &[u8]) -> Option<u64> {
+        self.write(key, Op::Remove).unwrap_or_else(|e| panic!("remove: {e}"))
+    }
+
+    /// One exclusive write: descend → [`plan`] → [`apply`] → publish →
+    /// reclaim at once, on the thread's parked writer.
+    // epoch-exempt: `&mut self` rules out readers, so nothing this write
+    // unlinks can still be held and it frees at once.
     fn write(&mut self, key: &[u8], op: Op) -> Result<Option<u64>, St::Full> {
-        let (store, w) = (&self.store, &mut self.writer);
-        w.set_key(key);
-        let cur = w.seek(store, self.root);
-        debug_assert!(cur.is_leaf() || self.root.is_null(), "a single writer never observes a torn slot");
-        let Some(plan) = plan(store, w, cur, op) else {
-            return Ok(None);
+        let _t = self.metrics.timer(op.kind());
+        let (store, mut root) = (&*self.store, self.exclusive_root());
+        let answer = crate::sync::with_thread_writer(|w| {
+            w.set_key(key);
+            let cur = w.seek(store, root);
+            debug_assert!(cur.is_leaf() || root.is_null(), "a single writer never observes a torn slot");
+            let Some(plan) = plan(store, w, cur, op) else {
+                return Ok(None);
+            };
+            let answer = apply(store, w, &mut root, plan, cur);
+            let done = if answer.is_ok() { w.retired() } else { w.fresh() };
+            // SAFETY: unlinked by the operation's publish, or never published
+            // by the operation that failed; `&mut self` rules out readers.
+            unsafe { store.release(done) };
+            answer
+        })?;
+        let len = match (op, answer) {
+            (Op::Insert(_), None) => self.len() + 1,
+            (Op::Remove, Some(_)) => self.len() - 1,
+            _ => self.len(),
         };
-        let answer = apply(store, w, &mut self.root, plan, cur);
-        let done = if answer.is_ok() { w.retired() } else { w.fresh() };
-        // SAFETY: unlinked by the operation's publish, or never published
-        // by the operation that failed; `&mut self` rules out readers.
-        unsafe { store.release(done) };
-        answer
+        self.publish_exclusive(root, len);
+        Ok(answer)
     }
 
     /// Build the whole trie bottom-up from sorted `(key, tid)` entries
@@ -633,145 +916,31 @@ impl<St: NodeStore> Trie<St> {
         self.bulk_load_on(entries, Workers::UpTo(threads))
     }
 
-    fn bulk_load_on<K: AsRef<[u8]> + Sync>(
-        &mut self,
-        entries: &[(K, u64)],
-        workers: Workers,
-    ) -> Result<usize, BulkLoadError> {
-        if !self.root.is_null() {
-            return Err(BulkLoadError::NotEmpty);
-        }
-        let _t = self.metrics.timer(OpKind::BulkLoad);
-        let root = &mut self.root;
-        let n = crate::bulk::load(&self.store, entries, workers, |built| {
-            *root = built;
-            true
-        })?;
-        self.len = n;
-        self.metrics.items(OpKind::BulkLoad, n as u64);
-        Ok(n)
-    }
-
-    /// Remove `key`; returns its TID if it was present.
-    ///
-    /// # Panics
-    /// [`CompactHot`](crate::CompactHot) only: panics if an arena ceiling is
-    /// hit while re-encoding the shrunk node (its `try_remove` reports that
-    /// case as a typed error instead).
-    pub fn remove(&mut self, key: &[u8]) -> Option<u64> {
-        self.remove_fallible(key).unwrap_or_else(|e| panic!("remove: {e}"))
-    }
-
-    /// [`remove`](Self::remove) with a full store as an error; the tree is
-    /// then unchanged.
-    pub(crate) fn remove_fallible(&mut self, key: &[u8]) -> Result<Option<u64>, St::Full> {
-        let _t = self.metrics.timer(OpKind::Remove);
-        let removed = self.write(key, Op::Remove)?;
-        self.len -= usize::from(removed.is_some());
-        Ok(removed)
-    }
-
     /// Iterator over all TIDs in ascending key order.
     pub fn iter(&self) -> Cursor<'_, St> {
-        let mut cursor = Cursor { store: &self.store, frames: Vec::new(), pending: None };
-        if self.root.is_node() {
-            cursor.frames.push((self.root.word(), 0));
-        } else if self.root.is_leaf() {
-            cursor.pending = Some(self.root);
-        }
-        cursor
+        self.range_from(&[])
     }
 
     /// Iterator over TIDs whose keys are `>= key`, in ascending key order —
     /// the building block of workload E's short range scans.
+    // epoch-exempt: exclusive mode only — the cursor's borrow keeps every
+    // writer out for its lifetime, so nothing it holds is retired.
     pub fn range_from(&self, key: &[u8]) -> Cursor<'_, St> {
-        let store = &self.store;
+        let (store, root) = (&*self.store, self.exclusive_root());
         let mut cursor = Cursor { store, frames: Vec::new(), pending: None };
-        if self.root.is_leaf() {
-            if crate::scan::leaf_in_range(store, self.root, key) {
-                cursor.pending = Some(self.root);
+        if root.is_leaf() {
+            if crate::scan::leaf_in_range(store, root, key) {
+                cursor.pending = Some(root);
             }
-        } else if self.root.is_node() {
+        } else if root.is_node() {
             // Seek and position exactly as a scan does.
             let padded = PaddedKey::from_key(key);
             let mut path = Vec::new();
-            let cur = crate::node::descend(store, self.root, &padded, &mut path);
+            let cur = crate::node::descend(store, root, &padded, &mut path);
             let hit = crate::scan::position_frames(store, &padded, &path, cur, &mut cursor.frames);
             cursor.pending = hit.map(|_| cur);
         }
         cursor
-    }
-
-    /// Collect up to `limit` TIDs with keys `>= key` (the paper's workload E
-    /// operation: "range scans accessing up to 100 elements").
-    ///
-    /// Thin wrapper over [`scan_into`](Self::scan_into) — it allocates the
-    /// result vector (the cursor is this thread's parked one). Hot loops
-    /// should call `scan_into`, or hold a [`ScanCursor`](crate::ScanCursor)
-    /// and call [`scan_with`](Self::scan_with).
-    pub fn scan(&self, key: &[u8], limit: usize) -> Vec<u64> {
-        let mut out = Vec::new();
-        self.scan_into(key, limit, &mut out);
-        out
-    }
-
-    /// Like [`scan`](Self::scan), writing the TIDs into `out` (cleared
-    /// first) instead of allocating a fresh vector.
-    pub fn scan_into(&self, key: &[u8], limit: usize, out: &mut Vec<u64>) {
-        crate::scan::with_thread_cursor(|cursor| self.scan_with(key, limit, out, cursor));
-    }
-
-    /// Like [`scan`](Self::scan) with caller-owned buffers: the TIDs land in
-    /// `out` (cleared first) and every piece of traversal state lives in
-    /// `cursor`. Once the buffers have warmed up, repeated scans perform
-    /// **zero** heap allocations, and the traversal prefetches one subtree
-    /// ahead (see [`crate::scan`]).
-    pub fn scan_with(
-        &self,
-        key: &[u8],
-        limit: usize,
-        out: &mut Vec<u64>,
-        cursor: &mut crate::scan::ScanCursor,
-    ) {
-        let _t = self.metrics.timer(OpKind::Scan);
-        out.clear();
-        cursor.scan_root(&self.store, self.root, key, limit, out);
-        self.metrics.items(OpKind::Scan, out.len() as u64);
-    }
-
-    /// Service many scan requests `(start key, limit)` in one call: request
-    /// `i`'s TIDs land in `tids[bounds[i]..bounds[i + 1]]` (both vectors are
-    /// cleared first; `bounds` gets `requests.len() + 1` prefix offsets).
-    ///
-    /// The seek descents run through the batched descent engine
-    /// ([`crate::mlp`]) — up to N seeks in flight, lanes refilling on
-    /// completion — on the thread's parked scheduler. Results are
-    /// identical to calling [`scan`](Self::scan) per request.
-    pub fn scan_batch<K: AsRef<[u8]>>(
-        &self,
-        requests: &[(K, usize)],
-        tids: &mut Vec<u64>,
-        bounds: &mut Vec<usize>,
-    ) {
-        crate::mlp::with_thread_scheduler(|sched| self.scan_batch_with(requests, tids, bounds, sched));
-    }
-
-    /// Like [`scan_batch`](Self::scan_batch) with a caller-provided
-    /// [`MlpScheduler`](crate::MlpScheduler), sharing its lane ring across
-    /// the caller's batches.
-    pub fn scan_batch_with<K: AsRef<[u8]>>(
-        &self,
-        requests: &[(K, usize)],
-        tids: &mut Vec<u64>,
-        bounds: &mut Vec<usize>,
-        sched: &mut crate::mlp::MlpScheduler,
-    ) {
-        let _t = self.metrics.timer(OpKind::ScanBatch);
-        tids.clear();
-        bounds.clear();
-        bounds.push(0);
-        sched.run_scans(&self.store, &crate::mlp::ScanStream(requests), tids, bounds, || self.root, false, &self.metrics);
-        self.metrics.items(OpKind::ScanBatch, tids.len() as u64);
     }
 
     /// Iterator over TIDs with `start <= key < end`, in ascending key order
@@ -789,65 +958,6 @@ impl<St: NodeStore> Trie<St> {
         })
     }
 
-    /// Index memory footprint: live node bytes, plus — for a store that
-    /// holds the keys itself — the leaf records as `aux_bytes` and the
-    /// reserved arena memory as `capacity_bytes`.
-    pub fn memory_stats(&self) -> MemoryStats {
-        self.store.memory_stats(self.len)
-    }
-
-    /// Leaf-depth histogram (depth = compound nodes on the root-to-leaf
-    /// path), as reported in Figure 11.
-    pub fn depth_stats(&self) -> DepthStats {
-        crate::invariants::depth_stats(&self.store, self.root)
-    }
-
-    /// Whole-trie structural invariant check (see [`crate::invariants`]):
-    /// fanout bounds, per-node linearization well-formedness, SIMD-search
-    /// self-consistency, strict height decrease, in-order key ordering,
-    /// leaf count, and full re-lookup of every stored key. Returns summary
-    /// statistics or a description of the first violation.
-    pub fn try_check_invariants(&self) -> Result<crate::InvariantReport, String> {
-        // Re-lookups go through the uninstrumented internal path so the
-        // walk never inflates the `get` operation counters.
-        crate::invariants::check_tree(&self.store, self.root, self.len, |k| {
-            self.get_padded(&PaddedKey::from_key(k))
-        })
-    }
-
-    /// Point-in-time metrics snapshot (DESIGN.md §13): merged operation
-    /// counters and latency histograms, plus structural gauges (layout
-    /// census, leaf-depth distribution, fill factor) sampled from a full
-    /// invariant walk. The operation counters are captured *before* the
-    /// structural walk, and the walk re-looks keys up through the
-    /// uninstrumented internal path, so sampling never perturbs the
-    /// operation stats. Only available with the `metrics` feature.
-    #[cfg(feature = "metrics")]
-    pub fn metrics_snapshot(&self) -> hot_metrics::MetricsSnapshot {
-        let mut snap = self.metrics.0.ops_snapshot();
-        if let Ok(report) = self.try_check_invariants() {
-            snap.structure = Some(crate::metrics::structural_snapshot(&report));
-        }
-        snap
-    }
-
-    /// The counter/histogram half of [`Self::metrics_snapshot`] without
-    /// the structural walk — cheap enough to call at workload-phase
-    /// boundaries (`structure` is `None`). Only with the `metrics`
-    /// feature.
-    #[cfg(feature = "metrics")]
-    pub fn metrics_ops_snapshot(&self) -> hot_metrics::MetricsSnapshot {
-        self.metrics.0.ops_snapshot()
-    }
-
-    /// Panicking wrapper over [`Self::try_check_invariants`]. Test-support.
-    pub fn check_invariants(&self) -> crate::InvariantReport {
-        match self.try_check_invariants() {
-            Ok(report) => report,
-            Err(msg) => panic!("trie invariant violation: {msg}"),
-        }
-    }
-
     /// Verify every structural invariant; panics on violation. Test-support.
     ///
     /// Delegates the structural walk to [`Self::check_invariants`] and
@@ -857,32 +967,28 @@ impl<St: NodeStore> Trie<St> {
         self.check_invariants();
         assert_eq!(
             self.iter().count(),
-            self.len,
+            self.len(),
             "len matches iterated leaf count"
         );
     }
-
-    /// Count of live nodes per physical layout (indexed by `NodeTag as
-    /// usize`): the observable footprint of the paper's two adaptivity
-    /// dimensions. Test and diagnostics support.
-    pub fn layout_census(&self) -> [usize; 9] {
-        crate::invariants::layout_census(&self.store, self.root)
-    }
-
-    /// A structural fingerprint: equal digests mean structurally identical
-    /// trees (layouts, positions, sparse keys, heights, leaf order) — in
-    /// either back-end. Used to test the paper's determinism conjecture
-    /// (Section 3.3): "any given set of keys results in the same structure,
-    /// regardless of the insertion order".
-    pub fn structure_digest(&self) -> u64 {
-        crate::invariants::structure_digest(&self.store, self.root)
-    }
 }
 
-impl<St: NodeStore> Drop for Trie<St> {
-    fn drop(&mut self) {
-        // SAFETY: dropping the trie, sole owner of all its nodes.
-        unsafe { self.store.drop_tree(self.root) };
+impl Trie<ArenaStore> {
+    /// [`insert`](Trie::insert), reporting arena exhaustion as a typed
+    /// error instead of panicking. On [`ArenaFull`] the tree is unchanged.
+    ///
+    /// # Panics
+    /// Panics if `tid` exceeds [`MAX_TID`] or the key exceeds
+    /// [`MAX_KEY_LEN`](hot_keys::MAX_KEY_LEN) bytes.
+    pub fn try_insert(&mut self, key: &[u8], tid: u64) -> Result<Option<u64>, ArenaFull> {
+        assert!(tid <= MAX_TID, "tid exceeds MAX_TID");
+        self.write(key, Op::Insert(tid))
+    }
+
+    /// [`remove`](Trie::remove), reporting arena exhaustion as a typed
+    /// error. On [`ArenaFull`] the tree is unchanged.
+    pub fn try_remove(&mut self, key: &[u8]) -> Result<Option<u64>, ArenaFull> {
+        self.write(key, Op::Remove)
     }
 }
 
@@ -895,7 +1001,8 @@ impl<'a, St: NodeStore> IntoIterator for &'a Trie<St> {
     }
 }
 
-/// Ordered iterator over a trie's leaf TIDs.
+/// Ordered iterator over a [`Trie`]'s leaf TIDs. It holds no pin, so only
+/// the exclusive mode has one: its borrow keeps every writer out.
 pub struct Cursor<'a, St: NodeStore> {
     store: &'a St,
     /// In-order traversal stack: (node, next entry index).

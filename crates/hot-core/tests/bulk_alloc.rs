@@ -1,19 +1,33 @@
-//! The bulk loader's allocations, counted: a load onto chunks makes a
-//! number of heap allocations that depends on its thread count, not on how
-//! many nodes it builds (DESIGN.md §11.3). The nodes themselves come from
-//! the store's 2 MiB chunks, one allocation per chunk.
+//! Allocations, counted. A load onto chunks makes a number of heap
+//! allocations that depends on its thread count, not on how many nodes it
+//! builds (DESIGN.md §11.3): the nodes themselves come from the store's
+//! 2 MiB chunks, one allocation per chunk. And an index whose writes take
+//! `&mut self` gives every byte back when it is dropped, even on a thread
+//! that holds an epoch pin: it frees at once and never waits out the epoch.
 //!
-//! The counter is process-wide, so this file holds one test: no other test
-//! of the binary allocates while it counts.
+//! The allocation count is process-wide, so the tests of this file take
+//! turns: no other test of the binary allocates while one counts.
 
 use hot_core::sync::ConcurrentHot;
+use hot_core::{CompactHot, HotTrie};
 use hot_keys::{encode_u64, EmbeddedKeySource};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Heap allocations made by any thread of the process (reallocations and
-/// zeroed allocations count: their default forms go through `alloc`).
+/// zeroed allocations count: their default forms go through `alloc` and
+/// `dealloc`).
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// Bytes this thread allocated minus the bytes it freed.
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+}
+
+/// Held by each test while it counts.
+static TURN: Mutex<()> = Mutex::new(());
 
 /// The system allocator, counting.
 struct CountingAlloc;
@@ -25,12 +39,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: `GlobalAlloc::alloc`'s contract, passed on to `System`.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        let _ = LIVE.try_with(|live| live.set(live.get() + layout.size() as isize));
         // SAFETY: the caller's `layout` obligations are `System`'s.
         unsafe { System.alloc(layout) }
     }
 
     // SAFETY: `GlobalAlloc::dealloc`'s contract, passed on to `System`.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = LIVE.try_with(|live| live.set(live.get() - layout.size() as isize));
         // SAFETY: `ptr` came from `alloc` above, i.e. from `System`, with
         // this `layout`.
         unsafe { System.dealloc(ptr, layout) }
@@ -42,6 +58,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 #[test]
 fn a_load_onto_chunks_allocates_per_thread_not_per_node() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     let entries: Vec<([u8; 8], u64)> = (0..1u64 << 19).map(|k| (encode_u64(3 * k), 3 * k)).collect();
     let index = ConcurrentHot::new(EmbeddedKeySource);
     let before = ALLOCS.load(Ordering::Relaxed);
@@ -60,4 +77,64 @@ fn a_load_onto_chunks_allocates_per_thread_not_per_node() {
         "{allocations} allocations for {} nodes on {threads} threads",
         stats.node_count
     );
+}
+
+/// Bytes this thread holds now.
+fn live() -> isize {
+    LIVE.with(Cell::get)
+}
+
+/// Build an index with `make` (which must leave nothing of its own behind
+/// on this thread) twice under an epoch pin of this thread, dropping it
+/// each time: the first round fills the thread's parked scratch (writer,
+/// scheduler, scan cursor), the second must end with every byte it
+/// allocated given back. A ROWEX index has retired nodes under the same
+/// pin first, so the epoch has frees of this thread pending that cannot
+/// run before the pin ends: a drop that waited them out would fail and
+/// keep its store.
+fn dropped_under_a_pin_gives_every_byte_back<T>(what: &str, make: impl Fn() -> T) {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let pin = crossbeam_epoch::pin();
+    let rowex = ConcurrentHot::new(EmbeddedKeySource);
+    for k in 0..1_000u64 {
+        rowex.insert(&encode_u64(k), k);
+    }
+    drop(make());
+    let before = live();
+    let index = make();
+    assert!(live() - before > 1 << 20, "{what}: built on memory of its own");
+    drop(index);
+    assert_eq!(live(), before, "{what}: bytes left behind by the drop");
+    drop(pin);
+    drop(rowex);
+}
+
+#[test]
+fn an_exclusive_index_dropped_under_a_pin_gives_every_byte_back() {
+    // A heap trie on 2 MiB chunks: a one-thread load of 2^19 keys puts it
+    // there, and the writes after it take their nodes from the chunks and
+    // free the replaced ones back to them.
+    let entries: Vec<([u8; 8], u64)> = (0..1u64 << 19).map(|k| (encode_u64(3 * k), 3 * k)).collect();
+    dropped_under_a_pin_gives_every_byte_back("HotTrie on chunks", || {
+        let mut trie = HotTrie::new(EmbeddedKeySource);
+        trie.bulk_load_parallel(&entries, 1).unwrap();
+        assert!(trie.memory_stats().capacity_bytes > 0, "the load is on chunks");
+        for k in 0..1_000u64 {
+            trie.insert(&encode_u64(3 * k + 1), 3 * k + 1);
+            trie.remove(&encode_u64(3 * k));
+        }
+        trie
+    });
+    // A compact trie on its slab arenas, grown by inserts and shrunk by
+    // removes.
+    dropped_under_a_pin_gives_every_byte_back("CompactHot", || {
+        let mut trie = CompactHot::new();
+        for k in 0..100_000u64 {
+            trie.insert(&encode_u64(k), k);
+        }
+        for k in (0..100_000u64).step_by(3) {
+            trie.remove(&encode_u64(k));
+        }
+        trie
+    });
 }

@@ -87,6 +87,8 @@ pub trait Front {
     /// the same name would win).
     fn settled_memory_stats(&self) -> MemoryStats;
     fn depth_stats(&self) -> DepthStats;
+    fn layout_census(&self) -> [usize; 9];
+    fn height(&self) -> usize;
 }
 
 macro_rules! impl_front {
@@ -143,6 +145,12 @@ macro_rules! impl_front {
             }
             fn depth_stats(&self) -> DepthStats {
                 $ty::depth_stats(self)
+            }
+            fn layout_census(&self) -> [usize; 9] {
+                $ty::layout_census(self)
+            }
+            fn height(&self) -> usize {
+                $ty::height(self)
             }
         }
     };
@@ -225,13 +233,18 @@ pub fn assert_batched_scans<F: Front, K: AsRef<[u8]>>(
 }
 
 /// One full differential pass of `other` against the `oracle`: structure
-/// digest, point gets (hit + miss), batched gets through the scheduler at
+/// digest, layout census and height, point gets (hit + miss), batched gets through the scheduler at
 /// every depth of [`DEPTHS`], the full in-order scan, sampled scalar and
 /// batched scans — all of which must match exactly — and `other`'s
 /// invariant walk.
 pub fn assert_fronts_agree<A: Front, B: Front>(oracle: &A, other: &B, keys: &[Vec<u8>], label: &str) {
     assert_eq!(oracle.len(), other.len(), "{label}: len");
     assert_eq!(oracle.structure_digest(), other.structure_digest(), "{label}: structure digest");
+    assert_eq!(
+        (oracle.layout_census(), oracle.height()),
+        (other.layout_census(), other.height()),
+        "{label}: layout census and height"
+    );
 
     // Point lookups: every stored key plus a mutated (mostly absent) probe.
     let mut probes: Vec<Vec<u8>> = Vec::with_capacity(keys.len() * 2);
