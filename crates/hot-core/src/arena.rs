@@ -1126,15 +1126,7 @@ mod tests {
         let store = trie.store();
         let root = store.raw(trie.load_root());
         assert_eq!((root.count(), root.positions()), (3, vec![0, 1]));
-        // Take every node block the arena still has: its free lists, then
-        // the rest of its one slab.
-        let free: Vec<usize> = store.nodes.state.lock().unwrap().free.iter().map(Vec::len).collect();
-        for (units, &blocks) in free.iter().enumerate() {
-            for _ in 0..blocks {
-                store.nodes.alloc(units * NODE_UNIT).expect("a free block");
-            }
-        }
-        while store.nodes.alloc(NODE_UNIT).is_ok() {}
+        drain_nodes(store);
         let (digest, before) = (trie.structure_digest(), trie.arena_stats());
         let err = trie.try_insert(&[0xC0], 0xC0).expect_err("no node block is left");
         assert_eq!(err.kind, ArenaKind::Node);
@@ -1146,6 +1138,140 @@ mod tests {
         );
         assert_eq!((trie.get(&[0x80]), trie.get(&[0xC0])), (Some(0x80), None));
         trie.check_invariants();
+    }
+
+    /// Take every node block the arena still has — its free lists, then
+    /// the rest of its slabs — and return them as `(units, bytes)`.
+    fn drain_nodes(store: &ArenaStore) -> Vec<(u32, usize)> {
+        let free: Vec<usize> = store
+            .nodes
+            .state
+            .lock()
+            .unwrap()
+            .free
+            .iter()
+            .map(Vec::len)
+            .collect();
+        let mut held = Vec::new();
+        for (units, &blocks) in free.iter().enumerate() {
+            for _ in 0..blocks {
+                held.push((
+                    store.nodes.alloc(units * NODE_UNIT).expect("a free block"),
+                    units * NODE_UNIT,
+                ));
+            }
+        }
+        while let Ok(off) = store.nodes.alloc(NODE_UNIT) {
+            held.push((off, NODE_UNIT));
+        }
+        held
+    }
+
+    /// The entry counts of the nodes on `key`'s descent path, root first.
+    fn path_counts(store: &ArenaStore, root: CRef, key: &[u8]) -> Vec<usize> {
+        let mut path = Vec::new();
+        crate::node::descend(store, root, &hot_keys::PaddedKey::from_key(key), &mut path);
+        path.iter()
+            .map(|&(node, _)| store.raw(CRef::from_word(node)).count())
+            .collect()
+    }
+
+    /// A remove whose copy-on-write finds no node block fails typed and
+    /// leaves the tree as it was; given back one block of the size it
+    /// asked for, the same remove succeeds. Both arms that allocate are
+    /// met — `Shrink` (the victim's node keeps three or more entries) and
+    /// `Merge` (its node of three dissolves into a parent with room) — in
+    /// both access modes.
+    #[test]
+    fn node_arena_exhaustion_fails_a_remove_and_rolls_back() {
+        use crate::sync::{quiesce, ConcurrentCompact};
+
+        /// `Shrink`: four one-byte keys in the root, the victim among them.
+        /// `Merge`: 33 keys overflow the root into two nodes under a new
+        /// root; removing from the victim's node leaves it three entries.
+        macro_rules! setup {
+            ($trie:expr, Shrink) => {{
+                for key in [0x00u8, 0x40, 0x80, 0xC0] {
+                    assert_eq!($trie.try_insert(&[key], key.into()), Ok(None));
+                }
+                (vec![0x40u8], vec![4])
+            }};
+            ($trie:expr, Merge) => {{
+                for i in 0..33u8 {
+                    assert_eq!($trie.try_insert(&[i * 7], i.into()), Ok(None));
+                }
+                for i in 1..17u8 {
+                    assert_eq!($trie.try_remove(&[i * 7]), Ok(Some(i.into())));
+                }
+                (vec![0x00u8], vec![2, 3])
+            }};
+        }
+
+        macro_rules! fails_then_succeeds {
+            ($trie:expr, $arm:ident) => {{
+                let trie = $trie;
+                let (victim, counts) = setup!(trie, $arm);
+                let tid = trie.get(&victim).expect("the victim is stored");
+                assert_eq!(
+                    path_counts(trie.store(), trie.load_root(), &victim),
+                    counts,
+                    stringify!($arm)
+                );
+                // Deferred frees of the setup land on the free lists now,
+                // not behind the drain.
+                assert!(quiesce());
+                let held = drain_nodes(trie.store());
+                let (digest, len, live) = (
+                    trie.structure_digest(),
+                    trie.len(),
+                    trie.arena_stats().node_live_bytes,
+                );
+                let err = trie.try_remove(&victim).expect_err("no node block is left");
+                assert_eq!(err.kind, ArenaKind::Node);
+                assert_eq!(
+                    (
+                        trie.structure_digest(),
+                        trie.len(),
+                        trie.get(&victim),
+                        trie.arena_stats().node_live_bytes
+                    ),
+                    (digest, len, Some(tid), live),
+                    stringify!($arm)
+                );
+                trie.check_invariants();
+                // Give every block back, hold one of the size the remove
+                // asked for, drain the rest again, then give back that one.
+                let nodes = &trie.store().nodes;
+                for (off, bytes) in held {
+                    nodes.free(off, bytes);
+                }
+                let one = nodes
+                    .alloc(err.requested)
+                    .expect("a block of the requested size");
+                drain_nodes(trie.store());
+                nodes.free(one, err.requested);
+                assert_eq!(trie.try_remove(&victim), Ok(Some(tid)), stringify!($arm));
+                assert_eq!((trie.len(), trie.get(&victim)), (len - 1, None));
+                trie.check_invariants();
+            }};
+        }
+
+        fails_then_succeeds!(
+            &mut CompactHot::with_capacity(SLAB_BYTES, DEFAULT_LEAF_CAP),
+            Shrink
+        );
+        fails_then_succeeds!(
+            &mut CompactHot::with_capacity(SLAB_BYTES, DEFAULT_LEAF_CAP),
+            Merge
+        );
+        fails_then_succeeds!(
+            &ConcurrentCompact::with_capacity(SLAB_BYTES, DEFAULT_LEAF_CAP),
+            Shrink
+        );
+        fails_then_succeeds!(
+            &ConcurrentCompact::with_capacity(SLAB_BYTES, DEFAULT_LEAF_CAP),
+            Merge
+        );
     }
 
     /// The same ceiling met by two writers at once, a third writing beside

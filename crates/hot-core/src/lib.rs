@@ -33,8 +33,11 @@
 //! * [`sync::ConcurrentHot`] — the ROWEX-synchronized mode over heap nodes:
 //!   wait-free readers, lock-only-what-you-modify writers, epoch-based
 //!   memory reclamation ([`sync::ConcurrentCompact`] is the same over the
-//!   arena store);
-//! * [`HotMap`] — a convenience ordered map that owns its keys and values.
+//!   arena store).
+//!
+//! The index stores TIDs, never keys: a caller keeps its keys (and whatever
+//! else a tuple holds) in its own store and hands the index a `KeySource`
+//! that reads a key back from its TID.
 //!
 //! ```
 //! use hot_core::HotTrie;
@@ -54,7 +57,6 @@
 pub mod arena;
 pub mod bulk;
 pub mod invariants;
-pub mod map;
 pub(crate) mod metrics;
 pub mod mlp;
 pub mod node;
@@ -73,7 +75,6 @@ pub use hot_metrics;
 pub use arena::{ArenaFull, ArenaKind, ArenaStats, ArenaStore, CompactHot};
 pub use bulk::BulkLoadError;
 pub use invariants::InvariantReport;
-pub use map::HotMap;
 pub use mlp::{MlpScheduler, DEFAULT_DEPTH, MAX_DEPTH};
 pub use node::{MemCounter, NodeRef, NodeTag, MAX_FANOUT};
 pub use scan::ScanCursor;

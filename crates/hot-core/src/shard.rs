@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use hot_keys::stats::MemoryStats;
-use hot_keys::{KeySource, PaddedKey, KEY_SCRATCH_LEN};
+use hot_keys::{KeySource, KEY_SCRATCH_LEN};
 
 use crate::bulk::BulkLoadError;
 use crate::metrics::OpKind;
@@ -522,11 +522,6 @@ where
     /// Point lookup.
     pub fn get(&self, key: &[u8]) -> Option<u64> {
         self.tries[self.shard_of(key)].get(key)
-    }
-
-    /// Point lookup with a caller-provided padded-key buffer.
-    pub fn get_with(&self, key: &[u8], buf: &mut PaddedKey) -> Option<u64> {
-        self.tries[self.shard_of(key)].get_with(key, buf)
     }
 
     /// Insert `key → tid` (upsert); returns the previous TID if present.

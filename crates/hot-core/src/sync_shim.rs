@@ -4,11 +4,11 @@
 //! words**, node **value slots**, the **root word**, the published
 //! **len** counter, and the writer **backoff** hints — imports its atomic
 //! types from this module instead of `std::sync::atomic`. In a normal
-//! build the re-exports *are* the `std` types (zero cost). Under
-//! `--cfg loom` or the `loom-model` cargo feature they swap to the
-//! vendored [`loom`] stand-ins, whose every operation is a scheduler
-//! yield point, so `tests/loom_rowex.rs` can exhaustively explore the
-//! protocol's interleavings (see DESIGN.md §10).
+//! build the re-exports *are* the `std` types (zero cost). Under the
+//! `loom-model` cargo feature they swap to the vendored `loom` stand-ins,
+//! whose every operation is a scheduler yield point, so
+//! `tests/loom_rowex.rs` can exhaustively explore the protocol's
+//! interleavings (see DESIGN.md §10).
 //!
 //! Two rules keep the swap sound:
 //!
@@ -34,16 +34,16 @@
 //! `sync::tests` with real orderings (DESIGN.md §10).
 
 /// True when the ROWEX atomics are the model-checked loom types.
-#[cfg(any(loom, feature = "loom-model"))]
+#[cfg(feature = "loom-model")]
 pub const MODEL_CHECKING: bool = true;
 /// True when the ROWEX atomics are the model-checked loom types.
-#[cfg(not(any(loom, feature = "loom-model")))]
+#[cfg(not(feature = "loom-model"))]
 pub const MODEL_CHECKING: bool = false;
 
-#[cfg(any(loom, feature = "loom-model"))]
+#[cfg(feature = "loom-model")]
 pub use loom::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
-#[cfg(not(any(loom, feature = "loom-model")))]
+#[cfg(not(feature = "loom-model"))]
 pub use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
 /// One step of a contended writer's spin: a pause instruction normally, a
@@ -51,18 +51,18 @@ pub use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 /// scheduler always lets the lock holder run).
 #[inline]
 pub fn spin_hint() {
-    #[cfg(any(loom, feature = "loom-model"))]
+    #[cfg(feature = "loom-model")]
     loom::hint::spin_loop();
-    #[cfg(not(any(loom, feature = "loom-model")))]
+    #[cfg(not(feature = "loom-model"))]
     std::hint::spin_loop();
 }
 
 /// Yield the OS thread (escalation step of the writer backoff).
 #[inline]
 pub fn yield_now() {
-    #[cfg(any(loom, feature = "loom-model"))]
+    #[cfg(feature = "loom-model")]
     loom::thread::yield_now();
-    #[cfg(not(any(loom, feature = "loom-model")))]
+    #[cfg(not(feature = "loom-model"))]
     std::thread::yield_now();
 }
 

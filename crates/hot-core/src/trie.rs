@@ -79,8 +79,8 @@ pub type Trie<St> = Hot<St, Exclusive>;
 /// Keys handed to [`insert`](Trie::insert) are *not* stored by the index
 /// itself (HOT is Patricia-style and keeps only discriminative bits); they
 /// are resolved back from TIDs through the [`KeySource`] whenever a full-key
-/// comparison is required, exactly as a main-memory DBMS resolves tuples.
-/// Use [`HotMap`](crate::HotMap) for a self-contained ordered map.
+/// comparison is required, exactly as a main-memory DBMS resolves tuples:
+/// the keys live in the key source, the index holds only TIDs.
 pub type HotTrie<S> = Trie<HeapStore<S>>;
 
 /// Reusable state of one write operation: the padded key, the descent
@@ -943,21 +943,6 @@ impl<St: NodeStore> Trie<St> {
         cursor
     }
 
-    /// Iterator over TIDs with `start <= key < end`, in ascending key order
-    /// (each yielded TID costs one key resolution for the bound check).
-    pub fn range<'a>(
-        &'a self,
-        start: &[u8],
-        end: &'a [u8],
-    ) -> impl Iterator<Item = u64> + 'a {
-        let mut cursor = self.range_from(start);
-        std::iter::from_fn(move || {
-            let leaf = cursor.next_leaf()?;
-            let store = cursor.store;
-            (store.leaf_key(leaf, &mut St::key_buf()) < end).then(|| store.leaf_tid(leaf))
-        })
-    }
-
     /// Verify every structural invariant; panics on violation. Test-support.
     ///
     /// Delegates the structural walk to [`Self::check_invariants`] and
@@ -1012,10 +997,12 @@ pub struct Cursor<'a, St: NodeStore> {
     pending: Option<St::Ref>,
 }
 
-impl<St: NodeStore> Cursor<'_, St> {
-    fn next_leaf(&mut self) -> Option<St::Ref> {
+impl<St: NodeStore> Iterator for Cursor<'_, St> {
+    type Item = u64;
+
+    fn next(&mut self) -> Option<u64> {
         if let Some(leaf) = self.pending.take() {
-            return Some(leaf);
+            return Some(self.store.leaf_tid(leaf));
         }
         loop {
             let frame = self.frames.last_mut()?;
@@ -1027,18 +1014,9 @@ impl<St: NodeStore> Cursor<'_, St> {
             let value = St::Slot::get(raw, frame.1);
             frame.1 += 1;
             if value.is_leaf() {
-                return Some(value);
+                return Some(self.store.leaf_tid(value));
             }
             self.frames.push((value.word(), 0));
         }
-    }
-}
-
-impl<St: NodeStore> Iterator for Cursor<'_, St> {
-    type Item = u64;
-
-    fn next(&mut self) -> Option<u64> {
-        let leaf = self.next_leaf()?;
-        Some(self.store.leaf_tid(leaf))
     }
 }

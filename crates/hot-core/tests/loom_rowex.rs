@@ -1,11 +1,10 @@
 //! Model-checked interleavings of the ROWEX synchronization protocol
 //! (paper Section 5), run under the vendored loom stand-in.
 //!
-//! Build with either switch (they are equivalent):
+//! Build with the `loom-model` feature:
 //!
 //! ```text
 //! cargo test -p hot-core --features loom-model --release --test loom_rowex
-//! RUSTFLAGS="--cfg loom" cargo test -p hot-core --release --test loom_rowex
 //! ```
 //!
 //! Each scenario re-executes its closure under every schedule the bounded
@@ -46,7 +45,7 @@
 //! weak-memory-order bugs are covered by the Miri and TSan CI jobs
 //! (DESIGN.md §10).
 
-#![cfg(any(loom, feature = "loom-model"))]
+#![cfg(feature = "loom-model")]
 
 use hot_core::sync::ConcurrentHot;
 use hot_keys::{encode_u64, EmbeddedKeySource, KeySource, KEY_SCRATCH_LEN};

@@ -17,15 +17,27 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 
 #[derive(Debug, Clone)]
-enum Op {
-    Insert(u64),
-    Remove(u64),
-    Get(u64),
-    Scan(u64, usize),
+enum Op<K> {
+    Insert(K),
+    Remove(K),
+    Get(K),
+    Scan(K, usize),
 }
 
-fn ops(domain: u64) -> impl Strategy<Value = Op> {
-    let key = 0..domain;
+impl<K> Op<K> {
+    fn map<J>(self, f: impl FnOnce(K) -> J) -> Op<J> {
+        match self {
+            Op::Insert(k) => Op::Insert(f(k)),
+            Op::Remove(k) => Op::Remove(f(k)),
+            Op::Get(k) => Op::Get(f(k)),
+            Op::Scan(k, n) => Op::Scan(f(k), n),
+        }
+    }
+}
+
+fn ops<K: 'static>(
+    key: impl Strategy<Value = K> + Clone + 'static,
+) -> impl Strategy<Value = Op<K>> {
     prop_oneof![
         5 => key.clone().prop_map(Op::Insert),
         2 => key.clone().prop_map(Op::Remove),
@@ -34,73 +46,97 @@ fn ops(domain: u64) -> impl Strategy<Value = Op> {
     ]
 }
 
+/// An integer op with its encoded key and the TID an insert of it stores:
+/// the integer itself, which `EmbeddedKeySource` reads the key back from.
+fn embedded(op: &Op<u64>) -> Op<(Vec<u8>, u64)> {
+    op.clone().map(|k| (encode_u64(k).to_vec(), k))
+}
+
+/// Replay `ops` — each an encoded key and the TID an insert of it stores —
+/// on `hot` and on a `BTreeMap` model: every answer, and `len` after every
+/// op, must match, and so must the final full scan. Ends with the
+/// invariant walk.
+fn replay<F: Front>(
+    hot: &mut F,
+    ops: &[Op<(Vec<u8>, u64)>],
+    name: &str,
+) -> Result<(), TestCaseError> {
+    let mut model: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
+    let mut got = Vec::new();
+    for op in ops {
+        match op {
+            Op::Insert((k, tid)) => {
+                prop_assert_eq!(hot.put(k, *tid), model.insert(k.clone(), *tid), "{}", name);
+            }
+            Op::Remove((k, _)) => {
+                prop_assert_eq!(hot.take(k), model.remove(k), "{}", name);
+            }
+            Op::Get((k, _)) => {
+                prop_assert_eq!(hot.get(k), model.get(k).copied(), "{}", name);
+            }
+            Op::Scan((k, _), n) => {
+                hot.scan_into(k, *n, &mut got);
+                let want: Vec<u64> = model.range(k.clone()..).take(*n).map(|(_, &v)| v).collect();
+                prop_assert_eq!(&got, &want, "{}", name);
+            }
+        }
+        prop_assert_eq!(hot.len(), model.len(), "{}", name);
+    }
+    hot.check_invariants();
+    prop_assert_eq!(
+        hot.scan(&[], model.len() + 1),
+        model.values().copied().collect::<Vec<_>>(),
+        "{}",
+        name
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn matches_btreemap_model(ops in prop::collection::vec(ops(10_000), 1..500)) {
+    fn matches_btreemap_model(ops in prop::collection::vec(ops(0..10_000u64), 1..500)) {
+        let ops: Vec<_> = ops.iter().map(embedded).collect();
         for_each_front!(EmbeddedKeySource, |hot, name| {
-            let mut model: BTreeMap<u64, u64> = BTreeMap::new();
-            let mut got = Vec::new();
-            for op in ops.iter().cloned() {
-                match op {
-                    Op::Insert(k) => {
-                        prop_assert_eq!(hot.put(&encode_u64(k), k), model.insert(k, k), "{}", name);
-                    }
-                    Op::Remove(k) => {
-                        prop_assert_eq!(hot.take(&encode_u64(k)), model.remove(&k), "{}", name);
-                    }
-                    Op::Get(k) => {
-                        prop_assert_eq!(hot.get(&encode_u64(k)), model.get(&k).copied(), "{}", name);
-                    }
-                    Op::Scan(k, n) => {
-                        hot.scan_into(&encode_u64(k), n, &mut got);
-                        let want: Vec<u64> = model.range(k..).take(n).map(|(_, &v)| v).collect();
-                        prop_assert_eq!(&got, &want, "{}", name);
-                    }
-                }
-                prop_assert_eq!(hot.len(), model.len(), "{}", name);
-            }
-            hot.check_invariants();
-            prop_assert_eq!(
-                hot.scan(&[], model.len() + 1),
-                model.values().copied().collect::<Vec<_>>(),
-                "{}", name
-            );
+            replay(&mut hot, &ops, name)?;
         });
     }
 
     #[test]
-    fn small_clustered_domain(ops in prop::collection::vec(ops(64), 1..600)) {
+    fn small_clustered_domain(ops in prop::collection::vec(ops(0..64u64), 1..600)) {
         // A tiny domain maximizes node-level churn: every entry lives in one
         // or two nodes, so splits, pull-ups and collapses fire constantly.
+        let ops: Vec<_> = ops.iter().map(embedded).collect();
         let mut digests = Vec::new();
         for_each_front!(EmbeddedKeySource, |hot, name| {
-            let mut model: BTreeMap<u64, u64> = BTreeMap::new();
-            let mut got = Vec::new();
-            for op in ops.iter().cloned() {
-                match op {
-                    Op::Insert(k) => {
-                        prop_assert_eq!(hot.put(&encode_u64(k), k), model.insert(k, k), "{}", name);
-                    }
-                    Op::Remove(k) => {
-                        prop_assert_eq!(hot.take(&encode_u64(k)), model.remove(&k), "{}", name);
-                    }
-                    Op::Get(k) => {
-                        prop_assert_eq!(hot.get(&encode_u64(k)), model.get(&k).copied(), "{}", name);
-                    }
-                    Op::Scan(k, n) => {
-                        hot.scan_into(&encode_u64(k), n, &mut got);
-                        let want: Vec<u64> = model.range(k..).take(n).map(|(_, &v)| v).collect();
-                        prop_assert_eq!(&got, &want, "{}", name);
-                    }
-                }
-            }
-            hot.check_invariants();
+            replay(&mut hot, &ops, name)?;
             digests.push(hot.structure_digest());
         });
         // One history, one write path: one structure.
         prop_assert!(digests.windows(2).all(|w| w[0] == w[1]), "{:?}", digests);
+    }
+
+    #[test]
+    fn shared_prefix_strings_match_model(ops in prop::collection::vec(ops("[abc]{1,10}"), 1..300)) {
+        // Alphabet {a,b,c}, length 1–10: heavy prefix sharing, and short
+        // keys recur, so removes and gets often hit. Every op pushes its
+        // key into the arena once more, so an upsert stores a new TID for
+        // a key already there and must return the old one.
+        let mut arena = ArenaKeySource::new();
+        let ops: Vec<_> = ops
+            .into_iter()
+            .map(|op| {
+                op.map(|s| {
+                    let key = hot_keys::str_key(s.as_bytes()).unwrap();
+                    let tid = arena.push(&key);
+                    (key, tid)
+                })
+            })
+            .collect();
+        for_each_front!(&arena, |hot, name| {
+            replay(&mut hot, &ops, name)?;
+        });
     }
 
     #[test]

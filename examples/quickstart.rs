@@ -5,27 +5,50 @@
 //! ```
 
 use hot_core::sync::ConcurrentHot;
-use hot_core::{HotMap, HotTrie};
-use hot_keys::{encode_u64, str_key, EmbeddedKeySource};
+use hot_core::HotTrie;
+use hot_keys::{encode_u64, str_key, ArenaKeySource, EmbeddedKeySource};
 use std::sync::Arc;
 
 fn main() {
-    // ── 1. HotMap: a self-contained ordered map ────────────────────────────
-    // Keys are byte strings; use the prefix-free encoders for strings.
-    let mut map = HotMap::new();
-    map.insert(&str_key(b"vienna").unwrap(), 1_897_000u64);
-    map.insert(&str_key(b"innsbruck").unwrap(), 132_000);
-    map.insert(&str_key(b"munich").unwrap(), 1_488_000);
-    map.insert(&str_key(b"graz").unwrap(), 291_000);
-
-    println!("population of graz: {:?}", map.get(&str_key(b"graz").unwrap()));
-    println!("cities from 'i' onward:");
-    for (key, pop) in map.range_from(&str_key(b"i").unwrap()) {
-        let name = std::str::from_utf8(&key[..key.len() - 1]).unwrap();
-        println!("  {name}: {pop}");
+    // ── 1. HotTrie over a key source: the index maps keys to TIDs ──────────
+    // The keys live in the key source (here an arena standing in for the
+    // tuple store); the index holds only TIDs and reads a key back from its
+    // TID whenever it must compare one. Values stay beside the keys: row
+    // `i` of `cities` is the tuple the TID `tids[i]` names. Strings use the
+    // prefix-free encoder.
+    let cities = [
+        ("vienna", 1_897_000u64),
+        ("innsbruck", 132_000),
+        ("munich", 1_488_000),
+        ("graz", 291_000),
+    ];
+    let mut names = ArenaKeySource::new();
+    let tids: Vec<u64> = cities
+        .iter()
+        .map(|(name, _)| names.push(&str_key(name.as_bytes()).unwrap()))
+        .collect();
+    // The arena hands out TIDs in push order, so a TID's row is a search.
+    let row = |tid: u64| tids.binary_search(&tid).expect("a TID of the table");
+    let mut index = HotTrie::new(&names);
+    for (&tid, (name, _)) in tids.iter().zip(&cities) {
+        index.insert(&str_key(name.as_bytes()).unwrap(), tid);
     }
 
-    // ── 2. HotTrie: the paper-style TID index ──────────────────────────────
+    let graz = index
+        .get(&str_key(b"graz").unwrap())
+        .map(|tid| cities[row(tid)].1);
+    println!("population of graz: {graz:?}");
+    assert_eq!(graz, Some(291_000));
+    println!("cities from 'i' onward:");
+    let mut from_i = Vec::new();
+    for tid in index.range_from(&str_key(b"i").unwrap()) {
+        let (name, pop) = cities[row(tid)];
+        println!("  {name}: {pop}");
+        from_i.push(name);
+    }
+    assert_eq!(from_i, ["innsbruck", "munich", "vienna"]);
+
+    // ── 2. HotTrie over embedded keys: no tuple store at all ───────────────
     // The index stores only discriminative bits; integer keys up to 63 bits
     // are embedded directly in the TID, so the index is all there is.
     let mut trie = HotTrie::new(EmbeddedKeySource);
