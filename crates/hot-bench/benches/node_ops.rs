@@ -3,8 +3,7 @@
 //! search (hardware vs scalar) and the copy-on-write node cycle.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use hot_core::node::builder::Builder;
-use hot_core::{HotTrie, NodeRef};
+use hot_core::HotTrie;
 use hot_keys::EmbeddedKeySource;
 
 fn bench_pext(c: &mut Criterion) {
@@ -79,30 +78,9 @@ fn bench_cow_cycle(c: &mut Criterion) {
     let trie = HotTrie::new(EmbeddedKeySource);
     for n in [8usize, 32] {
         // A height-1 node over n leaves with n-1 positions.
-        let positions: Vec<u16> = (0..n as u16 - 1).collect();
-        let m = positions.len();
-        let sparse: Vec<u32> = (0..n as u32)
-            .map(|i| if i == 0 { 0 } else { 1 << (m as u32 - i.min(m as u32)) })
-            .collect();
-        // Build a *valid* linearization via repeated insert_entry instead.
-        let mut b = Builder::pair(
-            (m - 1) as u16,
-            NodeRef::leaf(0).0,
-            NodeRef::leaf(1).0,
-            1,
-        );
-        for i in 2..n {
-            let pos = (m - i + 1) as u16;
-            b.insert_entry(pos, 0, 1, NodeRef::leaf(i as u64).0);
-        }
-        let _ = sparse;
+        let mut cycle = hot_core::cow_cycle_for_bench(&trie, n);
         group.bench_function(format!("encode_free_{n}_entries"), |bch| {
-            bch.iter(|| {
-                let r = hot_core::node::encode_for_bench(&trie, &b);
-                // SAFETY: never published.
-                unsafe { hot_core::node::free_for_bench(&trie, r) };
-                r.0
-            })
+            bch.iter(&mut cycle)
         });
     }
     group.finish();

@@ -25,7 +25,8 @@
 //! With `--check`, every structural invariant of the HOT trie is verified
 //! after the load phase and again after the mutating workload-E phase
 //! (whole-tree walk: fanout bounds, linearization well-formedness, height
-//! monotonicity, key ordering, full re-lookup — see `hot_core::invariants`).
+//! monotonicity, key ordering, full re-lookup — see
+//! `hot_core::Hot::try_check_invariants`).
 //! The checks run strictly outside the timed regions, so reported
 //! throughput is unchanged; the run aborts on the first violation.
 //!
@@ -258,9 +259,9 @@ mod metrics_pass {
     use hot_bench::{
         row, run_load, run_transactions, run_transactions_batched, BenchData, Config, HotIndex,
     };
-    use hot_core::hot_metrics::{OpKind, RowexCounter};
     use hot_core::sync::ConcurrentHot;
     use hot_keys::PaddedKey;
+    use hot_metrics::{OpKind, RowexCounter};
     use hot_ycsb::phase::PhaseRecorder;
     use hot_ycsb::{Dataset, DatasetKind, RequestDistribution, Workload, WorkloadRun};
     use rand::rngs::StdRng;

@@ -76,7 +76,7 @@ pub struct Avx2(());
 impl Avx2 {
     /// The token, if this CPU has AVX2, BMI1, BMI2, LZCNT and POPCNT — the
     /// feature set the descent bodies are compiled for. Ignores
-    /// `HOT_FORCE_SCALAR`; [`features`](crate::features) is the selection
+    /// `HOT_FORCE_SCALAR`; [`features`](fn@crate::features) is the selection
     /// that honours it.
     pub fn detect() -> Option<Avx2> {
         (std::arch::is_x86_feature_detected!("avx2")

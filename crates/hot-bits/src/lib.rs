@@ -77,10 +77,10 @@ pub fn prefetch_node(ptr: *const u8, lines: usize) {
 
 /// Prefetch the single cache line containing `ptr` into all cache levels.
 ///
-/// Used by the batched-lookup engine to overlap the *next* dependent load of
-/// every in-flight descent (node headers, tuple key records) while other
-/// group members execute; see `hot_core::batch`. On non-x86 targets this is
-/// a no-op.
+/// Used by the batched descent engine to overlap the *next* dependent load
+/// of every in-flight descent (node headers, tuple key records) while other
+/// group members execute; see `hot_core::MlpScheduler`. On non-x86 targets
+/// this is a no-op.
 #[inline(always)]
 pub fn prefetch_read(ptr: *const u8) {
     #[cfg(target_arch = "x86_64")]

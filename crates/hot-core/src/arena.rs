@@ -279,7 +279,7 @@ pub struct ArenaStats {
 impl ArenaStats {
     /// Total slab memory reserved by both arenas — the allocator-level
     /// footprint fig9 reports.
-    pub fn capacity_bytes(&self) -> usize {
+    pub(crate) fn capacity_bytes(&self) -> usize {
         self.node_capacity_bytes + self.leaf_capacity_bytes
     }
 

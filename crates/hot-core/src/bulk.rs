@@ -144,20 +144,20 @@ pub(crate) struct Prepared {
     /// `pairs[i]` compares entries `i` and `i + 1`.
     pairs: Vec<u16>,
     /// Distinct keys: the entries no later entry replaces.
-    pub distinct: usize,
+    pub(crate) distinct: usize,
 }
 
 impl Prepared {
     /// Does entry `i` survive deduplication (last write wins)?
     #[inline]
-    pub fn survives(&self, i: usize) -> bool {
+    pub(crate) fn survives(&self, i: usize) -> bool {
         self.pairs.get(i) != Some(&DUPLICATE)
     }
 
     /// The boundary array over the surviving entries, compacted in place:
     /// `bounds[i]` is the first mismatching bit between distinct keys `i`
     /// and `i + 1`.
-    pub fn into_bounds(mut self) -> Vec<u16> {
+    pub(crate) fn into_bounds(mut self) -> Vec<u16> {
         self.pairs.retain(|&p| p != DUPLICATE);
         self.pairs
     }

@@ -47,7 +47,8 @@ use crate::sync::{LOCKED, OBSOLETE};
 use crate::sync_shim::Ordering;
 use hot_keys::DepthStats;
 
-/// Summary statistics gathered by a successful [`check_tree`] walk.
+/// Summary statistics gathered by a successful whole-trie walk
+/// ([`Hot::check_invariants`](crate::Hot::check_invariants)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InvariantReport {
     /// Compound nodes visited.
@@ -77,7 +78,7 @@ pub struct InvariantReport {
 /// Number of tracked leaf-depth buckets in [`InvariantReport::leaf_depths`]
 /// (deeper leaves are clamped into the last slot — a height beyond this
 /// would itself be an invariant violation for any realistic key count).
-pub const MAX_DEPTH_SLOTS: usize = 16;
+pub(crate) const MAX_DEPTH_SLOTS: usize = 16;
 
 impl InvariantReport {
     /// Average entries per compound node (0.0 for leafless tries); the

@@ -18,7 +18,7 @@
 //! ## Entry points
 //!
 //! The trie is written once, over a storage seam (DESIGN.md §19), as one
-//! struct, [`trie::Hot`], with two access modes: [`Trie`], whose writes take
+//! struct, [`Hot`], with two access modes: [`Trie`], whose writes take
 //! `&mut self` and free at once, and [`sync::Concurrent`], the ROWEX mode of
 //! Section 5, whose writes take `&self`. The read face is the same body for
 //! both; each mode has an alias per store:
@@ -29,7 +29,7 @@
 //! * [`CompactHot`] — `Trie` over slab arenas: 32-bit offset-word child
 //!   references and inline front-coded leaf records, cutting bytes/key
 //!   roughly in half while producing structurally identical trees (same
-//!   [`structure_digest`](trie::Hot::structure_digest));
+//!   [`structure_digest`](Hot::structure_digest));
 //! * [`sync::ConcurrentHot`] — the ROWEX-synchronized mode over heap nodes:
 //!   wait-free readers, lock-only-what-you-modify writers, epoch-based
 //!   memory reclamation ([`sync::ConcurrentCompact`] is the same over the
@@ -53,33 +53,29 @@
 //! ```
 
 #![deny(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod arena;
-pub mod bulk;
-pub mod invariants;
+mod arena;
+mod bulk;
+mod invariants;
 pub(crate) mod metrics;
-pub mod mlp;
-pub mod node;
-pub mod scan;
-pub mod shard;
+mod mlp;
+mod node;
+mod scan;
+mod shard;
 mod store;
 pub mod sync;
-pub mod sync_shim;
-pub mod trie;
-
-/// Re-export of the observability crate backing
-/// [`HotTrie::metrics_snapshot`] (only with the `metrics` feature).
-#[cfg(feature = "metrics")]
-pub use hot_metrics;
+mod sync_shim;
+mod trie;
 
 pub use arena::{ArenaFull, ArenaKind, ArenaStats, ArenaStore, CompactHot};
 pub use bulk::BulkLoadError;
 pub use invariants::InvariantReport;
-pub use mlp::{MlpScheduler, DEFAULT_DEPTH, MAX_DEPTH};
-pub use node::{MemCounter, NodeRef, NodeTag, MAX_FANOUT};
+pub use mlp::{MlpScheduler, DEFAULT_DEPTH};
+#[doc(hidden)]
+pub use node::cow_cycle_for_bench;
+pub use node::NodeTag;
 pub use scan::ScanCursor;
-pub use shard::{
-    shard_of_key, splitters_from_sample, RouterScratch, ScanToken, ShardedHot, MAX_SHARDS,
-};
+pub use shard::{splitters_from_sample, RouterScratch, ScanToken, ShardedHot};
 pub use store::{Backend, HeapStore};
-pub use trie::{HotTrie, Trie};
+pub use trie::{Cursor, Hot, HotTrie, Trie};

@@ -54,7 +54,7 @@ pub const DEFAULT_DEPTH: usize = 16;
 /// Largest supported in-flight depth (matches
 /// `hot_metrics::MAX_OCCUPANCY`, so the occupancy histogram resolves every
 /// legal depth exactly).
-pub const MAX_DEPTH: usize = 64;
+pub(crate) const MAX_DEPTH: usize = 64;
 
 /// Cache lines prefetched per upcoming node (Section 4.5: header + partial
 /// keys + values) — identical to the point-lookup path.
@@ -224,8 +224,7 @@ impl MlpScheduler {
         Self::with_depth(DEFAULT_DEPTH)
     }
 
-    /// Scheduler keeping up to `depth` descents in flight
-    /// (`1..=`[`MAX_DEPTH`]).
+    /// Scheduler keeping up to `depth` descents in flight (`1..=64`).
     ///
     /// Lane buffers are allocated lazily on first use.
     pub fn with_depth(depth: usize) -> Self {

@@ -31,16 +31,16 @@ use super::{RawNode, Slot, MAX_FANOUT, MAX_POSITIONS};
 /// A decoded compound node: the linearization of a k-constrained binary
 /// Patricia trie, in mutable form.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Builder {
+pub(crate) struct Builder {
     /// Sorted, distinct discriminative key-bit positions (`m` entries).
-    pub positions: Vec<u16>,
+    pub(crate) positions: Vec<u16>,
     /// Sparse partial keys in extracted space, in trie (key) order.
     /// May temporarily hold `MAX_FANOUT + 1` entries during overflow.
-    pub sparse: Vec<u32>,
+    pub(crate) sparse: Vec<u32>,
     /// Value words parallel to `sparse`.
-    pub values: Vec<u64>,
+    pub(crate) values: Vec<u64>,
     /// Compound-subtree height (1 = all entries are leaves).
-    pub height: u8,
+    pub(crate) height: u8,
 }
 
 impl Builder {
@@ -66,7 +66,7 @@ impl Builder {
     /// Build the two-entry node used for leaf-node pushdown, new roots and
     /// intermediate nodes: a single BiNode at `pos` with `zero` on the 0 side
     /// and `one` on the 1 side.
-    pub fn pair(pos: u16, zero: u64, one: u64, height: u8) -> Builder {
+    pub(crate) fn pair(pos: u16, zero: u64, one: u64, height: u8) -> Builder {
         Builder {
             positions: vec![pos],
             sparse: vec![0, 1],
@@ -91,7 +91,8 @@ impl Builder {
     /// widened reference-word space; the height is derived from them (`1 +`
     /// the tallest child, which `height_of` reads — out of the heap node
     /// behind a pointer word, out of the arena behind an offset word).
-    pub fn from_fragment(
+    #[cfg(test)]
+    pub(crate) fn from_fragment(
         bounds: &[u16],
         values: &[u64],
         height_of: impl Fn(u64) -> u8 + Copy,
@@ -159,19 +160,13 @@ impl Builder {
 
     /// Number of entries.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.values.len()
-    }
-
-    /// Builders are never empty (valid nodes hold at least 2 entries).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        false
     }
 
     /// True when the builder holds more than `k` entries and must be split.
     #[inline]
-    pub fn overflowed(&self) -> bool {
+    pub(crate) fn overflowed(&self) -> bool {
         self.values.len() > MAX_FANOUT
     }
 
@@ -190,7 +185,7 @@ impl Builder {
     /// with a PDEP when it is new (Section 4.4: "all sparse partial keys are
     /// recoded using a single PDEP instruction"). Returns the extracted-space
     /// bit index of `pos`.
-    pub fn ensure_position(&mut self, pos: u16) -> u32 {
+    pub(crate) fn ensure_position(&mut self, pos: u16) -> u32 {
         match self.positions.binary_search(&pos) {
             Ok(r) => self.bit_of_rank(r),
             Err(r) => {
@@ -230,7 +225,7 @@ impl Builder {
 
     /// The contiguous run of entries in the subtree below the BiNode at
     /// `bit`, on the path of entry `through` (see module docs).
-    pub fn affected_range(&self, bit: u32, through: usize) -> (usize, usize) {
+    pub(crate) fn affected_range(&self, bit: u32, through: usize) -> (usize, usize) {
         let mask = self.prefix_mask_above(bit);
         let prefix = self.sparse[through] & mask;
         let mut lo = through;
@@ -251,7 +246,13 @@ impl Builder {
     /// search, `key_bit` the new key's bit at `pos`, and `value` the new
     /// entry's value word. Implements the sparse-partial-key insertion of
     /// Section 4.4. Returns the index the entry was inserted at.
-    pub fn insert_entry(&mut self, pos: u16, matched: usize, key_bit: u8, value: u64) -> usize {
+    pub(crate) fn insert_entry(
+        &mut self,
+        pos: u16,
+        matched: usize,
+        key_bit: u8,
+        value: u64,
+    ) -> usize {
         debug_assert!(self.len() <= MAX_FANOUT, "insert into overflowed builder");
         let bit = self.ensure_position(pos);
         let (lo, hi) = self.affected_range(bit, matched);
@@ -281,7 +282,7 @@ impl Builder {
     /// `pos` with children `zero` and `one` — the *parent pull up* primitive
     /// (the moved BiNode is the split child's root BiNode).
     /// `height_of` resolves a child's height as for [`Self::from_fragment`].
-    pub fn replace_entry_with_pair(
+    pub(crate) fn replace_entry_with_pair(
         &mut self,
         idx: usize,
         pos: u16,
@@ -361,7 +362,7 @@ impl Builder {
     /// Split an overflowed builder at its root BiNode (Listing 1's
     /// `split(n)`): returns the root position and the left/right halves.
     /// `height_of` resolves a child's height as for [`Self::from_fragment`].
-    pub fn split(&self, height_of: impl Fn(u64) -> u8 + Copy) -> (u16, Builder, Builder) {
+    pub(crate) fn split(&self, height_of: impl Fn(u64) -> u8 + Copy) -> (u16, Builder, Builder) {
         let r = self.root_rank();
         let bit = self.bit_of_rank(r);
         let s = self
@@ -400,7 +401,7 @@ impl Builder {
     /// counterpart of the sparse-partial-key insertion).
     ///
     /// Requires at least 3 entries (2-entry nodes collapse at tree level).
-    pub fn remove_entry(&mut self, idx: usize) {
+    pub(crate) fn remove_entry(&mut self, idx: usize) {
         debug_assert!(self.len() >= 3);
         // Locate the parent BiNode of `idx` by walking the linearized
         // topology from the root: at each step find the subtree root
@@ -458,10 +459,9 @@ impl Builder {
         unreachable!("distinct entries must differ at some position")
     }
 
-    /// Structural invariant check used by tests and the tree validator.
-    ///
-    /// Panicking wrapper over [`Self::try_check_invariants`].
-    pub fn check_invariants(&self) {
+    /// Structural invariant check for tests: a panicking wrapper over [`Self::try_check_invariants`].
+    #[cfg(test)]
+    pub(crate) fn check_invariants(&self) {
         if let Err(msg) = self.try_check_invariants() {
             panic!("{msg}");
         }
@@ -477,7 +477,7 @@ impl Builder {
     /// mixed position and splits into contiguous sides — this is the
     /// paper's sparse-partial-key *discriminativity*), and every sparse key
     /// bit is justified by the entry's path.
-    pub fn try_check_invariants(&self) -> Result<(), String> {
+    pub(crate) fn try_check_invariants(&self) -> Result<(), String> {
         let n = self.len();
         let m = self.m();
         if n < 2 {

@@ -248,7 +248,7 @@ impl Drop for Chunks {
 /// allocation accounting (Figure 9's "custom code to compute the memory
 /// consumption").
 #[derive(Debug, Default)]
-pub struct MemCounter {
+pub(crate) struct MemCounter {
     bytes: AtomicUsize,
     nodes: AtomicUsize,
     /// The store's chunks, once a large enough bulk load started them.
@@ -261,12 +261,12 @@ fn lock(chunks: &Mutex<Chunks>) -> MutexGuard<'_, Chunks> {
 
 impl MemCounter {
     /// Current live node bytes.
-    pub fn bytes(&self) -> usize {
+    pub(crate) fn bytes(&self) -> usize {
         self.bytes.load(Ordering::Relaxed)
     }
 
     /// Current live node count.
-    pub fn nodes(&self) -> usize {
+    pub(crate) fn nodes(&self) -> usize {
         self.nodes.load(Ordering::Relaxed)
     }
 

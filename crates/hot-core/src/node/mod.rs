@@ -35,7 +35,7 @@
 //! ([`free`]) and the descent step. A store only hands out and takes back
 //! blocks of a given size (DESIGN.md §19).
 
-pub mod builder;
+pub(crate) mod builder;
 pub(crate) mod heap;
 
 // Lock words and value slots are ROWEX-protocol state: their atomics come
@@ -52,16 +52,16 @@ use builder::Builder;
 use hot_bits::{Isa, Kernel};
 use hot_keys::{KeySource, PaddedKey, KEY_PAD_LEN};
 
-pub use heap::MemCounter;
+pub(crate) use heap::MemCounter;
 
 /// Maximum compound-node fanout `k` (Section 4.1: "set the maximum fanout k
 /// to 32, which is large enough to benefit from CPU caches and small enough
 /// to support fast updates").
-pub const MAX_FANOUT: usize = 32;
+pub(crate) const MAX_FANOUT: usize = 32;
 
 /// Maximum number of discriminative bit positions per node (`k - 1` BiNodes
 /// always suffice to separate `k` keys).
-pub const MAX_POSITIONS: usize = MAX_FANOUT - 1;
+pub(crate) const MAX_POSITIONS: usize = MAX_FANOUT - 1;
 
 const LEAF_BIT: u64 = 1 << 63;
 const TAG_MASK: u64 = 0x1F;
@@ -97,7 +97,7 @@ pub enum NodeTag {
 
 /// Bit-position representation kind (first adaptivity dimension).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MaskKind {
+pub(crate) enum MaskKind {
     /// One byte offset + one 64-bit mask over an 8-byte window.
     Single,
     /// `n` byte offsets, each with an 8-bit mask.
@@ -128,7 +128,7 @@ impl NodeTag {
 
     /// Partial-key width in bytes (1, 2 or 4).
     #[inline]
-    pub fn key_width(self) -> usize {
+    pub(crate) fn key_width(self) -> usize {
         match self {
             NodeTag::Single8 | NodeTag::Multi8x8 => 1,
             NodeTag::Single16 | NodeTag::Multi8x16 | NodeTag::Multi16x16 => 2,
@@ -141,7 +141,7 @@ impl NodeTag {
 
     /// Bit-position representation.
     #[inline]
-    pub fn mask_kind(self) -> MaskKind {
+    pub(crate) fn mask_kind(self) -> MaskKind {
         match self {
             NodeTag::Single8 | NodeTag::Single16 | NodeTag::Single32 => MaskKind::Single,
             NodeTag::Multi8x8 | NodeTag::Multi8x16 | NodeTag::Multi8x32 => MaskKind::Multi(8),
@@ -152,7 +152,7 @@ impl NodeTag {
 
     /// Choose the smallest layout able to represent `positions` (sorted
     /// ascending key-bit positions).
-    pub fn choose(positions: &[u16]) -> NodeTag {
+    pub(crate) fn choose(positions: &[u16]) -> NodeTag {
         debug_assert!(!positions.is_empty() && positions.len() <= MAX_POSITIONS);
         let bits = positions.len();
         let min_byte = positions[0] / 8;
@@ -201,9 +201,9 @@ impl NodeTag {
 /// Byte offsets of the node sections and the total allocation size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct NodeGeometry {
-    pub pkeys_offset: usize,
-    pub values_offset: usize,
-    pub alloc_size: usize,
+    pub(crate) pkeys_offset: usize,
+    pub(crate) values_offset: usize,
+    pub(crate) alloc_size: usize,
 }
 
 /// The section offsets and block size of a node of layout `tag` with
@@ -284,22 +284,24 @@ pub(crate) unsafe fn free<St: NodeStore + ?Sized>(store: &St, node: St::Ref) {
     unsafe { store.free_node(node, bytes) };
 }
 
-/// Encode `builder` into a node of `trie`'s store — the first half of the
-/// node micro-benchmark's copy-on-write cycle.
+/// The node micro-benchmark's copy-on-write cycle: build a height-1 node
+/// over `n` leaves (`2..=MAX_FANOUT`), and return a closure that encodes it
+/// into a block of `trie`'s store and frees that block again, once per call.
 #[doc(hidden)]
-pub fn encode_for_bench<S: KeySource>(trie: &HotTrie<S>, builder: &Builder) -> NodeRef {
-    let Ok(r) = encode(trie.store(), builder);
-    r
-}
-
-/// Free a node [`encode_for_bench`] made — the cycle's second half.
-///
-/// # Safety
-/// `r` must come from [`encode_for_bench`] on the same `trie`, once.
-#[doc(hidden)]
-pub unsafe fn free_for_bench<S: KeySource>(trie: &HotTrie<S>, r: NodeRef) {
-    // SAFETY: `r` was never published, so no other reference exists.
-    unsafe { free(trie.store(), r) };
+pub fn cow_cycle_for_bench<S: KeySource>(trie: &HotTrie<S>, n: usize) -> impl FnMut() -> u64 + '_ {
+    // A valid linearization by repeated insert_entry: n - 1 positions, each
+    // new entry split off the first one at the next smaller position.
+    let m = n - 1;
+    let mut builder = Builder::pair((m - 1) as u16, NodeRef::leaf(0).0, NodeRef::leaf(1).0, 1);
+    for i in 2..n {
+        builder.insert_entry((m - i + 1) as u16, 0, 1, NodeRef::leaf(i as u64).0);
+    }
+    move || {
+        let Ok(r) = encode(trie.store(), &builder);
+        // SAFETY: `r` was never published, so no other reference exists.
+        unsafe { free(trie.store(), r) };
+        r.0
+    }
 }
 
 /// A tagged 64-bit tree word: null, leaf TID (bit 63 set) or node pointer
@@ -309,15 +311,15 @@ pub unsafe fn free_for_bench<S: KeySource>(trie: &HotTrie<S>, r: NodeRef) {
 /// of each node pointer").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(transparent)]
-pub struct NodeRef(pub u64);
+pub(crate) struct NodeRef(pub u64);
 
 impl NodeRef {
     /// The null reference (empty tree).
-    pub const NULL: NodeRef = NodeRef(0);
+    pub(crate) const NULL: NodeRef = NodeRef(0);
 
     /// Tag a tuple identifier as a leaf word.
     #[inline]
-    pub fn leaf(tid: u64) -> NodeRef {
+    pub(crate) fn leaf(tid: u64) -> NodeRef {
         debug_assert!(tid & LEAF_BIT == 0, "tid must fit in 63 bits");
         NodeRef(tid | LEAF_BIT)
     }
@@ -330,25 +332,25 @@ impl NodeRef {
 
     /// Is this the null reference?
     #[inline]
-    pub fn is_null(self) -> bool {
+    pub(crate) fn is_null(self) -> bool {
         self.0 == 0
     }
 
     /// Is this a leaf TID?
     #[inline]
-    pub fn is_leaf(self) -> bool {
+    pub(crate) fn is_leaf(self) -> bool {
         self.0 & LEAF_BIT != 0
     }
 
     /// Is this a compound-node pointer?
     #[inline]
-    pub fn is_node(self) -> bool {
+    pub(crate) fn is_node(self) -> bool {
         !self.is_leaf() && !self.is_null()
     }
 
     /// The tuple identifier of a leaf word.
     #[inline]
-    pub fn tid(self) -> u64 {
+    pub(crate) fn tid(self) -> u64 {
         debug_assert!(self.is_leaf());
         self.0 & !LEAF_BIT
     }
@@ -379,8 +381,8 @@ impl NodeRef {
 /// Typed view over one node allocation.
 #[derive(Clone, Copy)]
 pub(crate) struct RawNode {
-    pub base: *mut u8,
-    pub tag: NodeTag,
+    pub(crate) base: *mut u8,
+    pub(crate) tag: NodeTag,
 }
 
 impl RawNode {
@@ -399,7 +401,7 @@ impl RawNode {
 
     /// The versioned lock word (used only by the concurrent index).
     #[inline]
-    pub fn lock_word(self) -> &'static AtomicU32 {
+    pub(crate) fn lock_word(self) -> &'static AtomicU32 {
         // SAFETY: the first 4 bytes of the header are the lock word, aligned
         // to 4 (node base is 32-byte aligned). Lifetime is managed by the
         // epoch scheme; callers never hold the reference past the node. The
@@ -411,14 +413,14 @@ impl RawNode {
 
     /// Number of entries (2..=32).
     #[inline]
-    pub fn count(self) -> usize {
+    pub(crate) fn count(self) -> usize {
         // SAFETY: header is always initialized.
         unsafe { *self.count_ptr() as usize }
     }
 
     /// Compound-subtree height (1 = all entries are leaves).
     #[inline]
-    pub fn height(self) -> u8 {
+    pub(crate) fn height(self) -> u8 {
         // SAFETY: header is always initialized.
         unsafe { *self.height_ptr() }
     }
@@ -485,7 +487,7 @@ impl RawNode {
     // ---- partial keys and values ------------------------------------------------
 
     #[inline]
-    pub fn pkeys_base(self) -> *mut u8 {
+    pub(crate) fn pkeys_base(self) -> *mut u8 {
         // SAFETY: the partial keys follow the header and the mask section,
         // both inside the node.
         unsafe { self.base.add(HEADER_BYTES + self.tag.mask_section_bytes()) }
@@ -493,7 +495,7 @@ impl RawNode {
 
     /// The sparse partial key of entry `i`, widened to u32.
     #[inline]
-    pub fn sparse_key(self, i: usize) -> u32 {
+    pub(crate) fn sparse_key(self, i: usize) -> u32 {
         debug_assert!(i < self.count());
         let base = self.pkeys_base();
         // SAFETY: i < count and the partial-key section holds `count`
@@ -518,7 +520,11 @@ impl RawNode {
     /// dispatch per call covers every node of the descent, and over the
     /// [`Slot`], so heap and compact nodes share it.
     #[inline(always)]
-    pub fn find_candidate<K: Kernel, V: Slot>(self, k: K, key: &[u8; KEY_PAD_LEN]) -> (usize, V::Word) {
+    pub(crate) fn find_candidate<K: Kernel, V: Slot>(
+        self,
+        k: K,
+        key: &[u8; KEY_PAD_LEN],
+    ) -> (usize, V::Word) {
         let base = self.base;
         // SAFETY: a `RawNode` views a live, fully built node of layout
         // `tag`; the caller names the slot width it was built with.
@@ -542,7 +548,7 @@ impl RawNode {
     /// `searchPartialKeys*`). For the invariant walks and as the reference
     /// the fused step is tested against; descents go through
     /// [`find_candidate`](Self::find_candidate).
-    pub fn search(self, dense: u32) -> usize {
+    pub(crate) fn search(self, dense: u32) -> usize {
         use hot_bits::Portable;
         let (n, base) = (self.count(), self.pkeys_base() as *const u8);
         // SAFETY: the partial-key section holds `n` aligned entries of the
@@ -560,7 +566,7 @@ impl RawNode {
     /// root BiNode (positions strictly increase along every path, so the
     /// minimum over the node is attained at its root BiNode).
     #[inline]
-    pub fn min_position(self) -> u16 {
+    pub(crate) fn min_position(self) -> u16 {
         match self.tag.mask_kind() {
             MaskKind::Single => {
                 let mask = self.single_mask();
@@ -580,7 +586,7 @@ impl RawNode {
 
     /// Decode the sorted discriminative bit positions (inverse of the mask
     /// encoding; used by structure modifications and invariant checks).
-    pub fn positions(self) -> Vec<u16> {
+    pub(crate) fn positions(self) -> Vec<u16> {
         let mut out = Vec::new();
         self.positions_into(&mut out);
         out
@@ -588,7 +594,7 @@ impl RawNode {
 
     /// Bulk-read all sparse keys and value words, both widened, into the
     /// given buffers — one width dispatch instead of one per entry.
-    pub fn read_entries<V: Slot>(self, sparse: &mut Vec<u32>, values: &mut Vec<u64>) {
+    pub(crate) fn read_entries<V: Slot>(self, sparse: &mut Vec<u32>, values: &mut Vec<u64>) {
         let n = self.count();
         sparse.clear();
         values.clear();
@@ -613,7 +619,7 @@ impl RawNode {
     /// Number of discriminative positions strictly below `pos`, and the
     /// total position count — computed directly from the mask encoding
     /// (no allocation; used by the hot insert/scan paths).
-    pub fn rank_and_total(self, pos: usize) -> (usize, usize) {
+    pub(crate) fn rank_and_total(self, pos: usize) -> (usize, usize) {
         match self.tag.mask_kind() {
             MaskKind::Single => {
                 let mask = self.single_mask();
@@ -659,7 +665,7 @@ impl RawNode {
 
     /// Like [`Self::rank_and_total`], additionally reporting whether `pos`
     /// itself is already a discriminative position.
-    pub fn rank_total_contains(self, pos: usize) -> (usize, usize, bool) {
+    pub(crate) fn rank_total_contains(self, pos: usize) -> (usize, usize, bool) {
         let (rank, total) = self.rank_and_total(pos);
         let contains = match self.tag.mask_kind() {
             MaskKind::Single => {
@@ -695,7 +701,7 @@ impl RawNode {
     ///
     /// `lo..=hi` is the affected entry range, `key_bit` the new key's bit at
     /// `pos`, `leaf` the new entry's value word.
-    pub fn insert_entry_cow<St: NodeStore>(
+    pub(crate) fn insert_entry_cow<St: NodeStore>(
         self,
         store: &St,
         pos: usize,
@@ -878,7 +884,7 @@ impl RawNode {
     /// The contiguous run of entries in the subtree that a (possibly new)
     /// discriminative bit at `pos` would split, on the path through entry
     /// `through` (see `builder` module docs for the correctness argument).
-    pub fn affected_range(self, pos: usize, through: usize) -> (usize, usize) {
+    pub(crate) fn affected_range(self, pos: usize, through: usize) -> (usize, usize) {
         let (rank, m) = self.rank_and_total(pos);
         let mask = if rank == 0 {
             0u32
@@ -915,7 +921,7 @@ impl RawNode {
     }
 
     /// Like [`Self::positions`], reusing the caller's buffer.
-    pub fn positions_into(self, out: &mut Vec<u16>) {
+    pub(crate) fn positions_into(self, out: &mut Vec<u16>) {
         out.clear();
         match self.tag.mask_kind() {
             MaskKind::Single => {

@@ -56,7 +56,7 @@ const SIBLING_PREFETCH_LINES: usize = 1;
 /// recycled, so steady-state scans allocate nothing. Creating one costs a
 /// boxed key buffer plus two `Vec`s that grow on first use (a third of a
 /// short scan), so [`scan_into`](crate::HotTrie::scan_into) parks one per
-/// thread ([`with_thread_cursor`]).
+/// thread.
 pub struct ScanCursor {
     /// Padded start key (boxed: moving the cursor must not copy 272 bytes).
     key: Box<PaddedKey>,

@@ -34,7 +34,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-use hot_keys::stats::MemoryStats;
 use hot_keys::{KeySource, KEY_SCRATCH_LEN};
 
 use crate::bulk::BulkLoadError;
@@ -44,7 +43,7 @@ use crate::scan::{with_thread_cursor, ScanCursor};
 use crate::sync::{Access, ConcurrentHot, Rowex};
 
 /// Largest supported shard count.
-pub const MAX_SHARDS: usize = 64;
+pub(crate) const MAX_SHARDS: usize = 64;
 
 /// Resumable scan position for callers that cannot hold a cursor across
 /// calls (the wire protocol pages SCAN results with it; DESIGN.md §18).
@@ -69,7 +68,7 @@ pub struct ScanToken {
 /// the last shard unbounded above). With no splitters every key maps to
 /// shard 0 — routing is always *correct*, splitters only buy balance.
 #[inline]
-pub fn shard_of_key(key: &[u8], splitters: &[Vec<u8>]) -> usize {
+pub(crate) fn shard_of_key(key: &[u8], splitters: &[Vec<u8>]) -> usize {
     splitters.partition_point(|s| s.as_slice() <= key)
 }
 
@@ -292,7 +291,7 @@ impl RouterScratch {
 
 /// A range-partitioned sharded HOT: `N` independent [`ConcurrentHot`]
 /// tries behind a deterministic batch router that runs on the calling
-/// thread (see the [module docs](self)). Results of every entry point are
+/// thread (DESIGN.md §17). Results of every entry point are
 /// byte-identical to a single trie holding the same keys.
 pub struct ShardedHot<S>
 where
@@ -312,8 +311,7 @@ impl<S> ShardedHot<S>
 where
     S: KeySource + Clone + Send + Sync,
 {
-    /// A sharded trie with `shards` shards (clamped to
-    /// `1..=`[`MAX_SHARDS`]).
+    /// A sharded trie with `shards` shards (clamped to `1..=64`).
     pub fn new(source: S, shards: usize) -> Self {
         let shards = shards.clamp(1, MAX_SHARDS);
         ShardedHot {
@@ -392,7 +390,7 @@ where
 
     /// Requests routed per shard since construction (the load-balance
     /// gauge the metrics layer aggregates).
-    pub fn shard_counts(&self) -> Vec<u64> {
+    pub(crate) fn shard_counts(&self) -> Vec<u64> {
         self.routed
             .iter()
             .map(|c| c.load(Ordering::Relaxed))
@@ -647,8 +645,8 @@ where
     /// `tids[bounds[i]..bounds[i + 1]]` (both cleared first, `bounds`
     /// seeded with 0 — the `scan_batch_with` contract).
     ///
-    /// The drive is `get_batch_with`'s: [`route`](Self::route), then each
-    /// shard queue drains in [`DRAIN_WINDOW`] windows as scan seeks, the
+    /// The drive is `get_batch_with`'s: `route`, then each shard queue
+    /// drains in `DRAIN_WINDOW`-slot windows as scan seeks, the
     /// stream reading the caller's requests through the window's slots
     /// (a scan's drain dwarfs the strided load that costs a lookup; no
     /// gathered copy). Each seek is bounded to its start shard, and its
@@ -753,31 +751,6 @@ where
                 .collect();
             loaders.into_iter().map(|l| l.join().expect("shard loader panicked")).sum()
         })
-    }
-
-    /// Aggregate memory footprint across all shards.
-    pub fn memory_stats(&self) -> MemoryStats {
-        let mut agg = MemoryStats::default();
-        for t in &self.tries {
-            let m = t.memory_stats();
-            agg.node_bytes += m.node_bytes;
-            agg.node_count += m.node_count;
-            agg.aux_bytes += m.aux_bytes;
-            agg.key_count += m.key_count;
-            agg.capacity_bytes += m.capacity_bytes;
-        }
-        agg
-    }
-
-    /// Merged metrics snapshot across every shard (counters and
-    /// histograms summed per operation kind).
-    #[cfg(feature = "metrics")]
-    pub fn metrics_snapshot(&self) -> hot_metrics::MetricsSnapshot {
-        let mut merged = self.tries[0].metrics_ops_snapshot();
-        for t in &self.tries[1..] {
-            merged.merge(&t.metrics_ops_snapshot());
-        }
-        merged
     }
 
     /// Chase a scan's cross-shard continuation: `got` of its `limit` TIDs

@@ -19,9 +19,9 @@
 //! ROWEX is not a second algorithm, and [`Concurrent`] is not a second
 //! index: it is [`Hot`] in the ROWEX access mode, with the read face
 //! `trie.rs` writes once for both modes. Steps (a) and (d) are the
-//! single-threaded modification — [`plan`](crate::trie::plan) and
-//! [`apply`](crate::trie::apply), the same two functions the exclusive
-//! mode ([`Trie`](crate::Trie)) runs back to back — and this module is what
+//! single-threaded modification — `plan` and `apply` in `trie.rs`, the
+//! same two functions the exclusive mode ([`Trie`](crate::Trie)) runs back
+//! to back — and this module is what
 //! the paper adds around them: lock, validate, unlock, and retire through
 //! the epoch instead of at once. The mode decides what a read holds
 //! (`Access::Pin`: nothing, or an epoch guard, taken and counted in one
@@ -37,7 +37,7 @@
 //! writable.
 //!
 //! The affected sets per operation case follow the paper exactly
-//! ([`Plan::levels`](crate::trie::Plan::levels)): a normal insert locks the mismatching node and its
+//! (`Plan::levels`): a normal insert locks the mismatching node and its
 //! parent; leaf-node pushdown only the node itself; parent pull-up walks
 //! ancestors until a non-full node (or the root); intermediate node creation
 //! stops at the first node with room below its parent; and "finally, the
@@ -46,7 +46,7 @@
 //! parent — exactly when the shrunk node merges into that parent. After
 //! acquiring the locks the writer does **not** descend again: step (c) is
 //! the obsolete check plus a re-read of the one slot per locked level that
-//! the descent followed ([`Concurrent::validate_locked`]). That is enough
+//! the descent followed (`validate_locked`). That is enough
 //! because a locked, non-obsolete node cannot change under the writer — its
 //! content is immutable (copy-on-write) and its value slots are only stored
 //! under its own lock — and because the plan depends on nothing else: the
@@ -602,11 +602,6 @@ impl<St: NodeStore> Concurrent<St> {
             }
         }
     }
-
-    /// Full structural validation. Call on a quiesced tree.
-    pub fn validate(&self) {
-        self.check_invariants();
-    }
 }
 
 #[inline]
@@ -685,7 +680,7 @@ mod tests {
             assert_eq!(trie.get(&encode_u64(k)), Some(k));
         }
         assert_eq!(trie.len() as u64, n);
-        trie.validate();
+        trie.check_invariants();
         // Scans.
         assert_eq!(trie.scan(&encode_u64(100), 5), vec![100, 101, 102, 103, 104]);
         // Upsert through the concurrent path.
@@ -695,7 +690,7 @@ mod tests {
             assert_eq!(trie.remove(&encode_u64(k)), Some(k));
         }
         assert_eq!(trie.len() as u64, n / 2);
-        trie.validate();
+        trie.check_invariants();
     }
 
     #[test]
@@ -718,7 +713,7 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(trie.len(), per as usize * threads);
-        trie.validate();
+        trie.check_invariants();
         for k in 0..per * threads as u64 {
             assert_eq!(trie.get(&encode_u64(k)), Some(k));
         }
@@ -748,7 +743,7 @@ mod tests {
         }
         // Natively every one of the 1000 keys is drawn (24 draws per key).
         assert!(trie.len() == 1_000 || cfg!(miri));
-        trie.validate();
+        trie.check_invariants();
     }
 
     #[test]
@@ -790,7 +785,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        trie.validate();
+        trie.check_invariants();
     }
 
     #[test]
@@ -869,7 +864,7 @@ mod tests {
                 assert_eq!(trie.remove(&encode_u64(k)), st.remove(&encode_u64(k)));
             }
         }
-        trie.validate();
+        trie.check_invariants();
         assert_eq!(trie.depth_stats(), st.depth_stats());
         assert_eq!(trie.structure_digest(), st.structure_digest());
     }

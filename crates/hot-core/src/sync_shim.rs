@@ -33,24 +33,17 @@
 //! stress), and the Miri, TSan and ASan lanes, which run them and
 //! `sync::tests` with real orderings (DESIGN.md §10).
 
-/// True when the ROWEX atomics are the model-checked loom types.
 #[cfg(feature = "loom-model")]
-pub const MODEL_CHECKING: bool = true;
-/// True when the ROWEX atomics are the model-checked loom types.
-#[cfg(not(feature = "loom-model"))]
-pub const MODEL_CHECKING: bool = false;
-
-#[cfg(feature = "loom-model")]
-pub use loom::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+pub(crate) use loom::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
 #[cfg(not(feature = "loom-model"))]
-pub use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+pub(crate) use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
 /// One step of a contended writer's spin: a pause instruction normally, a
 /// voluntary scheduler yield under the model (so the model's bounded
 /// scheduler always lets the lock holder run).
 #[inline]
-pub fn spin_hint() {
+pub(crate) fn spin_hint() {
     #[cfg(feature = "loom-model")]
     loom::hint::spin_loop();
     #[cfg(not(feature = "loom-model"))]
@@ -59,7 +52,7 @@ pub fn spin_hint() {
 
 /// Yield the OS thread (escalation step of the writer backoff).
 #[inline]
-pub fn yield_now() {
+pub(crate) fn yield_now() {
     #[cfg(feature = "loom-model")]
     loom::thread::yield_now();
     #[cfg(not(feature = "loom-model"))]

@@ -488,7 +488,7 @@ impl<S: KeySource, A: Access> Hot<HeapStore<S>, A> {
     }
 
     /// Access the key source.
-    pub fn source(&self) -> &S {
+    pub(crate) fn source(&self) -> &S {
         &self.store.source
     }
 }
@@ -583,7 +583,7 @@ impl<St: NodeStore, A: Access> Hot<St, A> {
     /// `keys.len()` results into `out` (`out[i]` answers `keys[i]` exactly
     /// as [`get`](Self::get) would).
     ///
-    /// Descents run through the batched descent engine ([`crate::mlp`]):
+    /// Descents run through the batched descent engine (DESIGN.md §9):
     /// up to [`DEFAULT_DEPTH`](crate::DEFAULT_DEPTH) independent descents
     /// stay in flight, each lane refilling from the pending keys the
     /// moment it completes, so depth variance between keys never idles a
@@ -621,11 +621,6 @@ impl<St: NodeStore, A: Access> Hot<St, A> {
         sched.run_lookups(&*self.store, &crate::mlp::LookupStream(keys), out, reload, A::SHARED, &self.metrics);
     }
 
-    /// Whether `key` is present.
-    pub fn contains(&self, key: &[u8]) -> bool {
-        self.get(key).is_some()
-    }
-
     /// Collect up to `limit` TIDs with keys `>= key`, in ascending key
     /// order (the paper's workload E operation: "range scans accessing up
     /// to 100 elements"). Wait-free; beside ROWEX writers the scan observes
@@ -656,7 +651,7 @@ impl<St: NodeStore, A: Access> Hot<St, A> {
     /// `out` (cleared first), and the padded start key, descent path and
     /// frame stack all live in `cursor` — repeated scans allocate nothing
     /// once the buffers warmed up, and the traversal prefetches one subtree
-    /// ahead (see [`crate::scan`]). One pin per call.
+    /// ahead (DESIGN.md §12). One pin per call.
     pub fn scan_with(
         &self,
         key: &[u8],
@@ -691,7 +686,7 @@ impl<St: NodeStore, A: Access> Hot<St, A> {
     /// prefix offsets).
     ///
     /// The seek descents run through the batched descent engine
-    /// ([`crate::mlp`]) — up to N seeks in flight, lanes refilling on
+    /// (DESIGN.md §9) — up to N seeks in flight, lanes refilling on
     /// completion, the root reloaded as for
     /// [`get_batch`](Self::get_batch) — on the thread's parked scheduler.
     /// Results are identical to calling [`scan`](Self::scan) per request.
@@ -740,7 +735,7 @@ impl<St: NodeStore, A: Access> Hot<St, A> {
         crate::invariants::depth_stats(&*self.store, self.load_root())
     }
 
-    /// Whole-trie structural invariant check (see [`crate::invariants`]):
+    /// Whole-trie structural invariant check (DESIGN.md §10.4):
     /// fanout bounds, per-node linearization well-formedness, SIMD-search
     /// self-consistency, strict height decrease, in-order key ordering,
     /// leaf count, all lock words clear, and full re-lookup of every stored

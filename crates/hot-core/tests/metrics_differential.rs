@@ -12,10 +12,10 @@
 //! `cargo xtask verify-no-metrics`).
 #![cfg(feature = "metrics")]
 
-use hot_core::hot_metrics::{OpKind, RowexCounter, SchedCounter};
 use hot_core::sync::ConcurrentHot;
 use hot_core::{HotTrie, MlpScheduler};
 use hot_keys::{encode_u64, EmbeddedKeySource};
+use hot_metrics::{OpKind, RowexCounter, SchedCounter};
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
@@ -39,7 +39,7 @@ struct Shadow {
     sched_requests: u64,
 }
 
-fn assert_counters_match(snap: &hot_core::hot_metrics::MetricsSnapshot, shadow: &Shadow) {
+fn assert_counters_match(snap: &hot_metrics::MetricsSnapshot, shadow: &Shadow) {
     let cases = [
         (OpKind::Get, shadow.gets, None),
         (OpKind::Insert, shadow.inserts, None),
@@ -172,7 +172,7 @@ fn single_threaded_counters_are_exact() {
     assert!(after.sched.occupancy_samples() > 0, "occupancy was sampled");
     let mean = after.sched.mean_occupancy();
     assert!(
-        mean > 0.0 && mean <= hot_core::hot_metrics::MAX_OCCUPANCY as f64,
+        mean > 0.0 && mean <= hot_metrics::MAX_OCCUPANCY as f64,
         "mean lane occupancy {mean} in range"
     );
     // Structural gauges agree with the index's own accounting.

@@ -10,9 +10,8 @@
 //! depend on the kernel. (`ShardedHot` is hard-wired to `ConcurrentHot`;
 //! there is no arena lane.)
 
-use hot_core::shard::ShardedHot;
 use hot_core::sync::ConcurrentHot;
-use hot_core::{splitters_from_sample, RouterScratch};
+use hot_core::{splitters_from_sample, RouterScratch, ShardedHot};
 use hot_keys::{encode_u64, ArenaKeySource};
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};

@@ -45,19 +45,6 @@ pub fn encode_u64(v: u64) -> [u8; 8] {
     v.to_be_bytes()
 }
 
-/// Encode a `u32` as a big-endian, binary-comparable 4-byte key.
-#[inline]
-pub fn encode_u32(v: u32) -> [u8; 4] {
-    v.to_be_bytes()
-}
-
-/// Encode an `i64` order-preservingly (flip the sign bit so negative values
-/// sort before positive ones in unsigned byte order).
-#[inline]
-pub fn encode_i64(v: i64) -> [u8; 8] {
-    ((v as u64) ^ (1u64 << 63)).to_be_bytes()
-}
-
 /// Decode the big-endian 8-byte encoding back into a `u64`.
 #[inline]
 pub fn decode_u64(key: &[u8]) -> u64 {
@@ -117,16 +104,6 @@ mod tests {
         for &a in &values {
             for &b in &values {
                 assert_eq!(a.cmp(&b), encode_u64(a).cmp(&encode_u64(b)));
-            }
-        }
-    }
-
-    #[test]
-    fn i64_encoding_is_order_preserving() {
-        let values = [i64::MIN, -1000, -1, 0, 1, 1000, i64::MAX];
-        for &a in &values {
-            for &b in &values {
-                assert_eq!(a.cmp(&b), encode_i64(a).cmp(&encode_i64(b)));
             }
         }
     }

@@ -25,7 +25,7 @@ pub mod sort;
 pub mod source;
 pub mod stats;
 
-pub use encode::{decode_u64, encode_u32, encode_u64, encode_yago, str_key, KeyError};
+pub use encode::{decode_u64, encode_u64, encode_yago, str_key, KeyError};
 pub use sort::sort_by_key;
 pub use source::{ArenaKeySource, EmbeddedKeySource, KeySource, KEY_SCRATCH_LEN};
 pub use stats::DepthStats;

@@ -44,9 +44,10 @@ pub trait KeySource: Sync {
     /// Hint that `load_key(tid, ..)` is about to be called, so the tuple
     /// memory can be prefetched while other work proceeds.
     ///
-    /// The batched-lookup engine (`hot_core::batch`) issues this for every
-    /// leaf it reaches, then verifies all keys of the group afterwards —
-    /// overlapping what would otherwise be one serial cache miss per key.
+    /// The batched descent engine (`hot_core::MlpScheduler`) issues this
+    /// for every leaf it reaches, then verifies all keys of the group
+    /// afterwards — overlapping what would otherwise be one serial cache
+    /// miss per key.
     /// Sources that materialize keys from the TID itself (no memory
     /// dereference) keep the default no-op.
     #[inline]

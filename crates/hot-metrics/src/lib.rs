@@ -153,7 +153,7 @@ impl RowexCounter {
 /// Number of ROWEX health counters.
 pub const NUM_ROWEX: usize = 6;
 
-/// Out-of-order MLP scheduler health counters (see `hot_core::mlp`).
+/// Out-of-order MLP scheduler health counters (see `hot_core::MlpScheduler`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum SchedCounter {
@@ -788,7 +788,7 @@ impl SchedSnapshot {
 }
 
 /// Structural gauges sampled from a whole-trie invariant walk (see
-/// `hot_core::invariants`): the paper's two adaptivity dimensions made
+/// `hot_core::Hot::check_invariants`): the paper's two adaptivity dimensions made
 /// observable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StructuralSnapshot {

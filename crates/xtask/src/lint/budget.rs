@@ -1,6 +1,6 @@
 //! Per-crate `unsafe` budget.
 //!
-//! The [`safety`](super::safety) pass proves every `unsafe` site carries a
+//! The [`super::safety`] pass proves every `unsafe` site carries a
 //! written justification; this pass adds the *quantity* dimension: the
 //! checked-in `lint/unsafe_budget.toml` pins how many sites each crate is
 //! allowed to hold (`[[budget]] crate = "hot-core", sites = N`). A new

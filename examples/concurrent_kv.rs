@@ -93,6 +93,6 @@ fn main() {
         (reads.load(Ordering::Relaxed) + writes.load(Ordering::Relaxed)) as f64 / secs / 1e6,
     );
     println!("final size: {} keys — validating structure…", trie.len());
-    trie.validate();
+    trie.check_invariants();
     println!("structure valid ✓");
 }

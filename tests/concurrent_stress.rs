@@ -39,7 +39,7 @@ fn url_load_equals_single_threaded<B: Backend + Send>(concurrent: Concurrent<B>,
         }
     });
     assert_eq!(concurrent.len(), n);
-    concurrent.validate();
+    concurrent.check_invariants();
 
     let mut single = HotTrie::new(Arc::clone(&data.arena));
     for i in 0..n {
@@ -136,7 +136,7 @@ fn mixed_operations<B: Backend + Send>(trie: Concurrent<B>, data: &BenchData) {
         stop.store(true, Ordering::Relaxed);
     });
 
-    trie.validate();
+    trie.check_invariants();
     for i in 0..backbone {
         assert_eq!(trie.get(&keys[i]), Some(tids[i]));
     }
@@ -223,7 +223,7 @@ fn batched_readers<B: Backend + Send>(trie: Concurrent<B>, data: &BenchData) {
         stop.store(true, Ordering::Relaxed);
     });
 
-    trie.validate();
+    trie.check_invariants();
     // Quiesced: batched and scalar agree on every key.
     let mut sched = hot_core::MlpScheduler::new();
     let probe: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
