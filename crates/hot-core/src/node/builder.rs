@@ -26,11 +26,11 @@
 //!   `q < b` that lies on both paths, where their bits — and hence their
 //!   sparse bits, `q` being on-path for both — differ.
 
-use super::{RawNode, Slot, MAX_FANOUT, MAX_POSITIONS};
+use super::{open_bit, RawNode, Slot, MAX_FANOUT, MAX_POSITIONS};
 
 /// A decoded compound node: the linearization of a k-constrained binary
 /// Patricia trie, in mutable form.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub(crate) struct Builder {
     /// Sorted, distinct discriminative key-bit positions (`m` entries).
     pub(crate) positions: Vec<u16>,
@@ -63,16 +63,17 @@ impl Builder {
         self.height = node.height();
     }
 
-    /// Build the two-entry node used for leaf-node pushdown, new roots and
-    /// intermediate nodes: a single BiNode at `pos` with `zero` on the 0 side
-    /// and `one` on the 1 side.
-    pub(crate) fn pair(pos: u16, zero: u64, one: u64, height: u8) -> Builder {
-        Builder {
-            positions: vec![pos],
-            sparse: vec![0, 1],
-            values: vec![zero, one],
-            height,
-        }
+    /// Make this builder the two-entry node used for leaf-node pushdown,
+    /// new roots and intermediate nodes: a single BiNode at `pos` with
+    /// `zero` on the 0 side and `one` on the 1 side.
+    pub(crate) fn pair(&mut self, pos: u16, zero: u64, one: u64, height: u8) {
+        self.positions.clear();
+        self.positions.push(pos);
+        self.sparse.clear();
+        self.sparse.extend_from_slice(&[0, 1]);
+        self.values.clear();
+        self.values.extend_from_slice(&[zero, one]);
+        self.height = height;
     }
 
     /// Assemble a node from a bottom-up construction fragment (the bulk
@@ -182,26 +183,18 @@ impl Builder {
     }
 
     /// Ensure `pos` is a discriminative position, recoding all sparse keys
-    /// with a PDEP when it is new (Section 4.4: "all sparse partial keys are
-    /// recoded using a single PDEP instruction"). Returns the extracted-space
-    /// bit index of `pos`.
+    /// when it is new (Section 4.4: "all sparse partial keys are recoded
+    /// using a single PDEP instruction" — whose deposit mask, every bit but
+    /// the new one, makes it the shift of [`open_bit`]). Returns the
+    /// extracted-space bit index of `pos`.
     pub(crate) fn ensure_position(&mut self, pos: u16) -> u32 {
         match self.positions.binary_search(&pos) {
             Ok(r) => self.bit_of_rank(r),
             Err(r) => {
                 self.positions.insert(r, pos);
-                let m_new = self.m();
-                let new_bit = (m_new - 1 - r) as u32;
-                // Scatter the old m-1 used bits around the inserted 0 bit:
-                // the deposit mask is all m_new low bits except `new_bit`.
-                let all = if m_new == 64 {
-                    u64::MAX
-                } else {
-                    (1u64 << m_new) - 1
-                };
-                let deposit = all & !(1u64 << new_bit);
+                let new_bit = (self.m() - 1 - r) as u32;
                 for s in self.sparse.iter_mut() {
-                    *s = hot_bits::pdep64(*s as u64, deposit) as u32;
+                    *s = open_bit(*s, new_bit);
                 }
                 new_bit
             }
@@ -318,51 +311,12 @@ impl Builder {
         0
     }
 
-    /// Extract the sub-builder for the entry range `lo..hi` (exclusive),
-    /// keeping exactly the positions that discriminate *within* the range
-    /// (both bit values occur) and compacting sparse keys with a PEXT.
-    fn sub_builder(&self, lo: usize, hi: usize, height_of: impl Fn(u64) -> u8 + Copy) -> Builder {
-        debug_assert!(hi - lo >= 2);
-        let m = self.m();
-        let mut keep_mask = 0u64;
-        let mut kept_positions = Vec::new();
-        for r in 0..m {
-            let bit = self.bit_of_rank(r);
-            let mut any0 = false;
-            let mut any1 = false;
-            for &s in &self.sparse[lo..hi] {
-                if s & (1 << bit) != 0 {
-                    any1 = true;
-                } else {
-                    any0 = true;
-                }
-            }
-            if any0 && any1 {
-                keep_mask |= 1u64 << bit;
-                kept_positions.push(self.positions[r]);
-            }
-        }
-        let sparse: Vec<u32> = self.sparse[lo..hi]
-            .iter()
-            .map(|&s| hot_bits::pext64(s as u64, keep_mask) as u32)
-            .collect();
-        let values = self.values[lo..hi].to_vec();
-        // A half keeps only a subset of the children, so its height must be
-        // recomputed — inheriting the split node's height would let stored
-        // heights ratchet upward and defeat the height optimization.
-        let height = 1 + values.iter().map(|&v| height_of(v)).max().unwrap_or(0);
-        Builder {
-            positions: kept_positions,
-            sparse,
-            values,
-            height,
-        }
-    }
-
     /// Split an overflowed builder at its root BiNode (Listing 1's
-    /// `split(n)`): returns the root position and the left/right halves.
+    /// `split(n)`) into the `left` and `right` halves, reusing their
+    /// buffers; returns the root position. A half of one entry collapses to
+    /// that entry's value word, which the caller takes as it is.
     /// `height_of` resolves a child's height as for [`Self::from_fragment`].
-    pub(crate) fn split(&self, height_of: impl Fn(u64) -> u8 + Copy) -> (u16, Builder, Builder) {
+    pub(crate) fn split(&self, left: &mut Builder, right: &mut Builder, height_of: impl Fn(u64) -> u8 + Copy) -> u16 {
         let r = self.root_rank();
         let bit = self.bit_of_rank(r);
         let s = self
@@ -371,29 +325,34 @@ impl Builder {
             .position(|&k| k & (1 << bit) != 0)
             .expect("root BiNode has a non-empty 1 side");
         debug_assert!(s >= 1 && s < self.len());
-        let pos = self.positions[r];
-        // Halves of size 1 collapse to the entry's value directly; the
-        // caller handles that via `half_ref`.
-        (
-            pos,
-            self.sub_range(0, s, height_of),
-            self.sub_range(s, self.len(), height_of),
-        )
+        self.sub_range(0, s, left, height_of);
+        self.sub_range(s, self.len(), right, height_of);
+        self.positions[r]
     }
 
-    /// Like [`Self::sub_builder`] but tolerates single-entry ranges, which
-    /// the caller collapses to the bare value word.
-    fn sub_range(&self, lo: usize, hi: usize, height_of: impl Fn(u64) -> u8 + Copy) -> Builder {
-        if hi - lo == 1 {
-            Builder {
-                positions: Vec::new(),
-                sparse: vec![0],
-                values: vec![self.values[lo]],
-                height: self.height,
-            }
-        } else {
-            self.sub_builder(lo, hi, height_of)
+    /// Fill `out` with the entry range `lo..hi` (exclusive), keeping exactly
+    /// the positions that discriminate *within* the range — the mixed bits,
+    /// `OR ^ AND` over its sparse keys — and compacting the sparse keys with
+    /// a PEXT. A single entry keeps no position.
+    fn sub_range(&self, lo: usize, hi: usize, out: &mut Builder, height_of: impl Fn(u64) -> u8 + Copy) {
+        let (any, all) = self.sparse[lo..hi].iter().fold((0, u32::MAX), |(any, all), &s| (any | s, all & s));
+        let keep = if hi - lo == 1 { 0 } else { any ^ all };
+        let m = self.m();
+        out.positions.clear();
+        let mut bits = keep;
+        while bits != 0 {
+            let bit = 31 - bits.leading_zeros();
+            out.positions.push(self.positions[m - 1 - bit as usize]);
+            bits &= !(1 << bit);
         }
+        out.sparse.clear();
+        out.sparse.extend(self.sparse[lo..hi].iter().map(|&s| hot_bits::pext64(s as u64, keep as u64) as u32));
+        out.values.clear();
+        out.values.extend_from_slice(&self.values[lo..hi]);
+        // A half keeps only a subset of the children, so its height must be
+        // recomputed — inheriting the split node's height would let stored
+        // heights ratchet upward and defeat the height optimization.
+        out.height = 1 + out.values.iter().map(|&v| height_of(v)).max().unwrap_or(0);
     }
 
     /// Remove the entry at `idx`, collapsing its parent BiNode and dropping
@@ -403,10 +362,37 @@ impl Builder {
     /// Requires at least 3 entries (2-entry nodes collapse at tree level).
     pub(crate) fn remove_entry(&mut self, idx: usize) {
         debug_assert!(self.len() >= 3);
-        // Locate the parent BiNode of `idx` by walking the linearized
-        // topology from the root: at each step find the subtree root
-        // (smallest mixed position within the range) and descend toward
-        // `idx` until it is alone on its side.
+        let bit = parent_bit(self.len(), idx, |i| self.sparse[i]);
+        let parent = 1u32 << bit;
+        // The parent's subtree: the sibling subtree loses the collapsed
+        // parent BiNode from its paths, so clear its bit there (a no-op on
+        // a 0-side sibling and on `idx`, which goes).
+        let (lo, hi) = self.affected_range(bit, idx);
+        for s in &mut self.sparse[lo..=hi] {
+            *s &= !parent;
+        }
+        self.sparse.remove(idx);
+        self.values.remove(idx);
+
+        // Drop the position entirely if no other BiNode uses it: the bits
+        // above it move down one.
+        if self.sparse.iter().fold(0, |any, &s| any | s) & parent == 0 {
+            self.positions.remove(self.m() - 1 - bit as usize);
+            let low = parent - 1;
+            for s in self.sparse.iter_mut() {
+                *s = (*s & low) | ((*s >> 1) & !low);
+            }
+        }
+    }
+
+    /// The walk [`Self::remove_entry`] replaced, kept as its reference:
+    /// locate the parent BiNode of `idx` by descending the linearized
+    /// topology from the root — at each step the subtree root is the
+    /// smallest mixed position within the range — until `idx` is alone on
+    /// its side, and drop an unused position with a PEXT.
+    #[cfg(test)]
+    fn remove_entry_walk(&mut self, idx: usize) {
+        debug_assert!(self.len() >= 3);
         let (mut lo, mut hi) = (0usize, self.len() - 1);
         let (parent_rank, sib_range) = loop {
             let rank = self.range_root_rank(lo, hi);
@@ -425,16 +411,11 @@ impl Builder {
             (lo, hi) = side;
         };
         let parent_bit = self.bit_of_rank(parent_rank);
-
-        // The sibling subtree loses the collapsed parent BiNode from its
-        // paths: clear its bit (a no-op when the sibling was the 0 side).
         for i in sib_range.0..=sib_range.1 {
             self.sparse[i] &= !(1 << parent_bit);
         }
         self.sparse.remove(idx);
         self.values.remove(idx);
-
-        // Drop the position entirely if no other BiNode uses it.
         if self.sparse.iter().all(|&s| s & (1 << parent_bit) == 0) {
             self.positions.remove(parent_rank);
             let m_after = self.m() as u64;
@@ -447,6 +428,7 @@ impl Builder {
 
     /// Root rank of the subtree spanning entries `lo..=hi`: the smallest
     /// rank whose bit is mixed within the range.
+    #[cfg(test)]
     fn range_root_rank(&self, lo: usize, hi: usize) -> usize {
         debug_assert!(hi > lo);
         for r in 0..self.m() {
@@ -457,6 +439,31 @@ impl Builder {
             }
         }
         unreachable!("distinct entries must differ at some position")
+    }
+
+    /// The sub-builder [`Self::sub_range`] replaced, kept as its reference:
+    /// the entry range `lo..hi` (at least two entries), with the positions
+    /// found mixed one rank at a time.
+    #[cfg(test)]
+    fn sub_builder_reference(&self, lo: usize, hi: usize, height_of: impl Fn(u64) -> u8 + Copy) -> Builder {
+        debug_assert!(hi - lo >= 2);
+        let mut keep_mask = 0u64;
+        let mut kept_positions = Vec::new();
+        for r in 0..self.m() {
+            let bit = self.bit_of_rank(r);
+            let ones = self.sparse[lo..hi].iter().filter(|&&s| s & (1 << bit) != 0).count();
+            if ones > 0 && ones < hi - lo {
+                keep_mask |= 1u64 << bit;
+                kept_positions.push(self.positions[r]);
+            }
+        }
+        let values = self.values[lo..hi].to_vec();
+        Builder {
+            positions: kept_positions,
+            sparse: self.sparse[lo..hi].iter().map(|&s| hot_bits::pext64(s as u64, keep_mask) as u32).collect(),
+            height: 1 + values.iter().map(|&v| height_of(v)).max().unwrap_or(0),
+            values,
+        }
     }
 
     /// Structural invariant check for tests: a panicking wrapper over [`Self::try_check_invariants`].
@@ -565,6 +572,21 @@ impl Builder {
     }
 }
 
+/// The extracted bit of the parent BiNode of entry `idx` in a node of `n`
+/// entries whose sparse keys `sparse` reads. Two adjacent entries diverge
+/// at their lowest common BiNode, and its bit is the highest one in which
+/// their sparse keys differ (below it, only the left entry's path has set
+/// bits). Both divergences of `idx` with its neighbours lie on its path;
+/// the parent is the deeper one, at the larger position and so at the
+/// lower bit.
+pub(crate) fn parent_bit(n: usize, idx: usize, sparse: impl Fn(usize) -> u32) -> u32 {
+    let key = sparse(idx);
+    let divergence = |other: u32| 31 - (key ^ other).leading_zeros();
+    let left = if idx > 0 { divergence(sparse(idx - 1)) } else { u32::MAX };
+    let right = if idx + 1 < n { divergence(sparse(idx + 1)) } else { u32::MAX };
+    left.min(right)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -580,6 +602,20 @@ mod tests {
         } else {
             0
         }
+    }
+
+    /// The two-entry node of [`Builder::pair`], in a fresh builder.
+    fn pair(pos: u16, zero: u64, one: u64, height: u8) -> Builder {
+        let mut b = Builder::empty();
+        b.pair(pos, zero, one, height);
+        b
+    }
+
+    /// [`Builder::split`] into two fresh halves.
+    fn split(b: &Builder) -> (u16, Builder, Builder) {
+        let (mut left, mut right) = (Builder::empty(), Builder::empty());
+        let pos = b.split(&mut left, &mut right, ref_height);
+        (pos, left, right)
     }
 
     /// Reference: build the expected (sparse) linearization from full keys
@@ -658,7 +694,7 @@ mod tests {
         while key_bit(keys[0], pos) == key_bit(keys[1], pos) {
             pos += 1;
         }
-        let mut b = Builder::pair(
+        let mut b = pair(
             pos,
             NodeRef::leaf(sorted_first_two[0] as u64).0,
             NodeRef::leaf(sorted_first_two[1] as u64).0,
@@ -771,7 +807,7 @@ mod tests {
     #[test]
     fn insert_entry_zero_and_one_sides() {
         // Start with keys {0b00, 0b11} over 2-bit space, position 0.
-        let mut b = Builder::pair(0, NodeRef::leaf(0b00).0, NodeRef::leaf(0b11).0, 1);
+        let mut b = pair(0, NodeRef::leaf(0b00).0, NodeRef::leaf(0b11).0, 1);
         // Insert 0b01: mismatch with 0b00 at position 1, bit 1 -> goes after.
         b.insert_entry(1, 0, 1, NodeRef::leaf(0b01).0);
         b.check_invariants();
@@ -806,7 +842,7 @@ mod tests {
     fn split_partitions_at_root() {
         let keys: Vec<u32> = (0..8).collect();
         let b = reference_builder(&keys, 8);
-        let (pos, left, right) = b.split(ref_height);
+        let (pos, left, right) = split(&b);
         // Root BiNode = smallest position. Keys 0..8 over 8 bits differ in
         // bits 5,6,7; the root splits at position 5 into 0..4 and 4..8.
         assert_eq!(pos, 5);
@@ -833,7 +869,7 @@ mod tests {
     fn split_with_singleton_side() {
         // Keys 0,1,2 over 2 bits: root at position 0 -> left {0,1}, right {2}.
         let b = reference_builder(&[0b00, 0b01, 0b10], 2);
-        let (pos, left, right) = b.split(ref_height);
+        let (pos, left, right) = split(&b);
         assert_eq!(pos, 0);
         assert_eq!(left.len(), 2);
         assert_eq!(right.len(), 1);
@@ -845,7 +881,7 @@ mod tests {
     fn replace_entry_with_pair_pull_up() {
         // Parent with entries over position 0; pull up a BiNode at
         // position 4 under entry 1.
-        let mut b = Builder::pair(0, NodeRef::leaf(10).0, NodeRef::leaf(20).0, 2);
+        let mut b = pair(0, NodeRef::leaf(10).0, NodeRef::leaf(20).0, 2);
         b.replace_entry_with_pair(1, 4, NodeRef::leaf(21).0, NodeRef::leaf(22).0, ref_height);
         b.check_invariants();
         assert_eq!(b.positions, vec![0, 4]);
@@ -933,7 +969,7 @@ mod tests {
             height: 1,
         };
         for (b, tag) in [
-            (Builder::pair(4, NodeRef::leaf(1).0, NodeRef::leaf(2).0, 1), NodeTag::Single8),
+            (pair(4, NodeRef::leaf(1).0, NodeRef::leaf(2).0, 1), NodeTag::Single8),
             (multi, NodeTag::Multi8x8),
         ] {
             let Ok(r) = encode(&store, &b);
@@ -952,7 +988,7 @@ mod tests {
         b.insert_entry(0, 0, 1, NodeRef::leaf(128).0);
         assert!(b.overflowed());
         b.check_invariants();
-        let (_, left, right) = b.split(ref_height);
+        let (_, left, right) = split(&b);
         assert!(!left.overflowed() && !right.overflowed());
         assert_eq!(left.len() + right.len(), 33);
     }
@@ -1017,5 +1053,48 @@ mod tests {
                 assert_eq!(got, expected, "n={n} keys {keys:?}");
             }
         }
+    }
+
+    /// Random builders of every size from 3 to 33 entries (33: an
+    /// overflowed builder, as the split sees it) over `width`-bit keys.
+    fn random_builders(width: u16, mut visit: impl FnMut(&Builder)) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xB11D_0E25);
+        for n in 3..=MAX_FANOUT + 1 {
+            for _ in 0..16 {
+                let mut keys = std::collections::BTreeSet::new();
+                while keys.len() < n {
+                    keys.insert(rng.gen::<u32>() >> (32 - width));
+                }
+                visit(&reference_builder(&keys.into_iter().collect::<Vec<_>>(), width));
+            }
+        }
+    }
+
+    #[test]
+    fn remove_entry_matches_the_walk() {
+        for width in [8, 16, 32] {
+            random_builders(width, |b| {
+                for idx in 0..b.len() {
+                    let (mut fast, mut walked) = (b.clone(), b.clone());
+                    fast.remove_entry(idx);
+                    walked.remove_entry_walk(idx);
+                    assert_eq!(fast, walked, "width {width} idx {idx} of {b:?}");
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn sub_range_matches_the_reference() {
+        random_builders(32, |b| {
+            let mut out = Builder::empty();
+            for lo in 0..b.len() - 1 {
+                for hi in lo + 2..=b.len() {
+                    b.sub_range(lo, hi, &mut out, ref_height);
+                    assert_eq!(out, b.sub_builder_reference(lo, hi, ref_height), "{lo}..{hi} of {b:?}");
+                }
+            }
+        });
     }
 }

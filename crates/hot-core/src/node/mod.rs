@@ -31,8 +31,9 @@
 //!
 //! Everything about a node is written here once, generic over the slot:
 //! its [`geometry`], the header set-up of a fresh block ([`alloc`]),
-//! [`encode`], the fused insert ([`RawNode::insert_entry_cow`]), the free
-//! ([`free`]) and the descent step. A store only hands out and takes back
+//! [`encode`], the fused insert and remove ([`RawNode::insert_entry_cow`],
+//! [`RawNode::remove_entry_cow`]), the free ([`free`]) and the descent
+//! step. A store only hands out and takes back
 //! blocks of a given size (DESIGN.md §19).
 
 pub(crate) mod builder;
@@ -292,7 +293,8 @@ pub fn cow_cycle_for_bench<S: KeySource>(trie: &HotTrie<S>, n: usize) -> impl Fn
     // A valid linearization by repeated insert_entry: n - 1 positions, each
     // new entry split off the first one at the next smaller position.
     let m = n - 1;
-    let mut builder = Builder::pair((m - 1) as u16, NodeRef::leaf(0).0, NodeRef::leaf(1).0, 1);
+    let mut builder = Builder::empty();
+    builder.pair((m - 1) as u16, NodeRef::leaf(0).0, NodeRef::leaf(1).0, 1);
     for i in 2..n {
         builder.insert_entry((m - i + 1) as u16, 0, 1, NodeRef::leaf(i as u64).0);
     }
@@ -301,6 +303,113 @@ pub fn cow_cycle_for_bench<S: KeySource>(trie: &HotTrie<S>, n: usize) -> impl Fn
         // SAFETY: `r` was never published, so no other reference exists.
         unsafe { free(trie.store(), r) };
         r.0
+    }
+}
+
+/// A one-word change to a copied mask section: the bit of the position a
+/// fused insert adds, or of the one a fused remove drops.
+enum MaskPatch {
+    /// The positions stay.
+    None,
+    /// A single mask's new 64-bit word.
+    Single(u64),
+    /// A multi mask's new mask word `word`.
+    Multi { word: usize, mask: u64 },
+}
+
+/// The partial-key width in bytes of a node with `m` discriminative
+/// positions.
+fn key_width_for(m: usize) -> usize {
+    match m {
+        0..=8 => 1,
+        9..=16 => 2,
+        _ => 4,
+    }
+}
+
+/// One stored sparse partial key: 8, 16 or 32 bits wide.
+trait PartialKey: Copy {
+    fn widen(self) -> u32;
+    fn narrow(v: u32) -> Self;
+}
+
+macro_rules! partial_key {
+    ($($t:ty),*) => {$(
+        impl PartialKey for $t {
+            #[inline(always)]
+            fn widen(self) -> u32 {
+                self.into()
+            }
+            #[inline(always)]
+            fn narrow(v: u32) -> $t {
+                v as $t
+            }
+        }
+    )*};
+}
+partial_key!(u8, u16, u32);
+
+/// Open a zero bit at extracted bit `bit` of `key`: the bits at and above
+/// it move up one. This is the recode of §4.4 — a PDEP with a deposit mask
+/// of every bit but `bit` — as a shift.
+#[inline(always)]
+fn open_bit(key: u32, bit: u32) -> u32 {
+    let low = (1u32 << bit) - 1;
+    ((key & !low) << 1) | (key & low)
+}
+
+/// The fused insert's partial keys: the `n` keys of type `T` at `src` into
+/// `dst` around a hole at `at`, which takes `new`; a new position's zero
+/// bit opened at `bit` in every old key when `recode`; and `bit` set on the
+/// entries `ones`. Plain copies and whole-slice passes, no per-entry branch.
+///
+/// # Safety
+/// `src` must hold `n` keys of type `T`, and `dst` be room for `n + 1`
+/// that nothing else references.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn insert_keys<T: PartialKey>(src: *const u8, dst: *mut u8, n: usize, at: usize, new: u32, bit: u32, recode: bool, ones: std::ops::Range<usize>) {
+    // SAFETY: the caller's contract.
+    let (src, dst) = unsafe { (std::slice::from_raw_parts(src as *const T, n), std::slice::from_raw_parts_mut(dst as *mut T, n + 1)) };
+    dst[..at].copy_from_slice(&src[..at]);
+    dst[at] = T::narrow(0);
+    dst[at + 1..].copy_from_slice(&src[at..]);
+    if recode {
+        for k in dst.iter_mut() {
+            *k = T::narrow(open_bit(k.widen(), bit));
+        }
+    }
+    for k in &mut dst[ones] {
+        *k = T::narrow(k.widen() | (1 << bit));
+    }
+    dst[at] = T::narrow(new);
+}
+
+/// The fused remove's partial keys: the `n` keys of type `T` at `src`
+/// without entry `skip`, into `dst`; the rest of the parent's subtree,
+/// `dst[sibling]`, without the parent's bit; and, when the parent's position
+/// is `dropped`, that bit squeezed out of every key (all of them hold a 0
+/// there by then, so the bits above it move down one — a shift, no PEXT).
+/// Plain copies and whole-slice passes, no per-entry branch.
+///
+/// # Safety
+/// `src` must hold `n` keys of type `T`, and `dst` be room for `n - 1`
+/// that nothing else references.
+#[inline(always)]
+unsafe fn remove_keys<T: PartialKey>(src: *const u8, dst: *mut u8, n: usize, skip: usize, sibling: std::ops::Range<usize>, parent: u32, dropped: bool) {
+    // SAFETY: the caller's contract.
+    let (src, dst) = unsafe { (std::slice::from_raw_parts(src as *const T, n), std::slice::from_raw_parts_mut(dst as *mut T, n - 1)) };
+    dst[..skip].copy_from_slice(&src[..skip]);
+    dst[skip..].copy_from_slice(&src[skip + 1..]);
+    for k in &mut dst[sibling] {
+        *k = T::narrow(k.widen() & !parent);
+    }
+    if dropped {
+        let low = parent - 1;
+        for k in dst.iter_mut() {
+            let v = k.widen();
+            *k = T::narrow((v & low) | ((v >> 1) & !low));
+        }
     }
 }
 
@@ -717,21 +826,11 @@ impl RawNode {
         let (rank, m, contains) = self.rank_total_contains(pos);
         let new_m = m + usize::from(!contains);
         let width = self.tag.key_width();
-        let new_width = match new_m {
-            0..=8 => 1,
-            9..=16 => 2,
-            _ => 4,
-        };
-        if new_width != width {
+        if key_width_for(new_m) != width {
             return Ok(None);
         }
 
         // Work out the (possibly) updated mask section.
-        enum MaskPatch {
-            None,
-            Single(u64),
-            Multi { slot: usize, byte_mask: u8 },
-        }
         let patch = if contains {
             MaskPatch::None
         } else {
@@ -749,14 +848,14 @@ impl RawNode {
                     let mut found = None;
                     for (sl, &off) in offsets.iter().enumerate() {
                         let word = self.multi_mask_word(slots, sl / 8);
-                        let mask_byte = (word >> (8 * (7 - sl % 8))) as u8;
-                        if mask_byte != 0 && off == byte {
-                            found = Some((sl, mask_byte | (1u8 << (7 - pos % 8))));
+                        let shift = 8 * (7 - sl % 8);
+                        if (word >> shift) as u8 != 0 && off == byte {
+                            found = Some(MaskPatch::Multi { word: sl / 8, mask: word | (1 << (shift + 7 - pos % 8)) });
                             break;
                         }
                     }
                     match found {
-                        Some((slot, byte_mask)) => MaskPatch::Multi { slot, byte_mask },
+                        Some(patch) => patch,
                         None => return Ok(None), // new byte slot: builder path
                     }
                 }
@@ -764,112 +863,33 @@ impl RawNode {
         };
 
         let e = (new_m - 1 - rank) as u32; // extracted bit of `pos`
-        let deposit = if contains {
-            0 // no recode
-        } else {
-            (((1u64 << new_m) - 1) & !(1u64 << e)) as u32
-        };
         let at = if key_bit == 1 { hi + 1 } else { lo };
 
         let (r, node) = alloc(store, self.tag, n + 1, self.height())?;
-        // Copy the mask section (between header and pkeys) verbatim, then
-        // apply the one-bit patch.
-        // SAFETY: both nodes share the tag; the mask section lies between
-        // the 8-byte header and the partial keys and has identical extent.
-        unsafe {
-            std::ptr::copy_nonoverlapping(
-                self.base.add(HEADER_BYTES),
-                node.base.add(HEADER_BYTES),
-                self.tag.mask_section_bytes(),
-            );
-        }
-        match patch {
-            MaskPatch::None => {}
-            MaskPatch::Single(mask) => {
-                // SAFETY: single-mask word sits at header + 8.
-                unsafe { *(node.base.add(HEADER_BYTES + 8) as *mut u64) = mask };
-            }
-            MaskPatch::Multi { slot, byte_mask } => {
-                let MaskKind::Multi(slots) = self.tag.mask_kind() else {
-                    unreachable!()
-                };
-                // SAFETY: mask words follow the offsets array.
-                unsafe {
-                    let word_ptr =
-                        (node.base.add(HEADER_BYTES + slots) as *mut u64).add(slot / 8);
-                    let shift = 8 * (7 - slot % 8);
-                    let cleared = *word_ptr & !(0xFFu64 << shift);
-                    *word_ptr = cleared | ((byte_mask as u64) << shift);
-                }
-            }
-        }
+        self.copy_mask_into(node, patch);
 
-        // Transform + insert the sparse partial keys in one pass.
-        let transform = |v: u32, idx: usize| -> u32 {
-            let mut v = if contains {
-                v
-            } else {
-                hot_bits::pdep64(v as u64, deposit as u64) as u32
-            };
-            if key_bit == 0 && (lo..=hi).contains(&idx) {
-                v |= 1 << e;
-            }
-            v
-        };
         // The new entry shares the path prefix (bits above `e`) with the
-        // affected subtree; take it from the transformed `lo` entry before
-        // its inverse-bit patch — i.e. from the recoded-only value.
+        // affected subtree; take it from the recoded `lo` entry.
         let prefix_mask = if e as usize + 1 >= 32 {
             0
         } else {
             !((2u32 << e) - 1)
         };
-        let lo_recoded = if contains {
-            self.sparse_key(lo)
-        } else {
-            hot_bits::pdep64(self.sparse_key(lo) as u64, deposit as u64) as u32
-        };
+        let lo_recoded = if contains { self.sparse_key(lo) } else { open_bit(self.sparse_key(lo), e) };
         let new_sparse = (lo_recoded & prefix_mask) | ((key_bit as u32) << e);
+        // When the new key goes first, the affected subtree moves to the 1
+        // side of the new BiNode: `lo..=hi`, one further on in the new node.
+        let ones = if key_bit == 0 { lo + 1..hi + 2 } else { 0..0 };
 
-        let src = self.pkeys_base();
-        let dst = node.pkeys_base();
-        // SAFETY: source holds n entries, destination n+1, both of `width`
-        // and with value sections of `St::Slot` slots, whose words a
+        let (src, dst) = (self.pkeys_base(), node.pkeys_base());
+        // SAFETY: source holds n entries, the fresh destination n+1, both of
+        // `width` and with value sections of `St::Slot` slots, whose words a
         // `St::Ref` is.
         unsafe {
             match width {
-                1 => {
-                    for i in 0..n + 1 {
-                        let v = match i.cmp(&at) {
-                            std::cmp::Ordering::Less => transform(*src.add(i) as u32, i),
-                            std::cmp::Ordering::Equal => new_sparse,
-                            std::cmp::Ordering::Greater => transform(*src.add(i - 1) as u32, i - 1),
-                        };
-                        *dst.add(i) = v as u8;
-                    }
-                }
-                2 => {
-                    let (src, dst) = (src as *const u16, dst as *mut u16);
-                    for i in 0..n + 1 {
-                        let v = match i.cmp(&at) {
-                            std::cmp::Ordering::Less => transform(*src.add(i) as u32, i),
-                            std::cmp::Ordering::Equal => new_sparse,
-                            std::cmp::Ordering::Greater => transform(*src.add(i - 1) as u32, i - 1),
-                        };
-                        *dst.add(i) = v as u16;
-                    }
-                }
-                _ => {
-                    let (src, dst) = (src as *const u32, dst as *mut u32);
-                    for i in 0..n + 1 {
-                        let v = match i.cmp(&at) {
-                            std::cmp::Ordering::Less => transform(*src.add(i), i),
-                            std::cmp::Ordering::Equal => new_sparse,
-                            std::cmp::Ordering::Greater => transform(*src.add(i - 1), i - 1),
-                        };
-                        *dst.add(i) = v;
-                    }
-                }
+                1 => insert_keys::<u8>(src, dst, n, at, new_sparse, e, !contains, ones),
+                2 => insert_keys::<u16>(src, dst, n, at, new_sparse, e, !contains, ones),
+                _ => insert_keys::<u32>(src, dst, n, at, new_sparse, e, !contains, ones),
             }
             // Values: two block copies around the hole.
             let slot = St::Slot::BYTES;
@@ -879,6 +899,118 @@ impl RawNode {
             std::ptr::copy_nonoverlapping(vsrc.add(at * slot), vdst.add((at + 1) * slot), (n - at) * slot);
         }
         Ok(Some(r))
+    }
+
+    /// Fused copy-on-write remove (the deletion mirror of
+    /// [`Self::insert_entry_cow`]), into a fresh block of `store`: entry
+    /// `idx` goes, its parent BiNode collapses into the sibling subtree, and
+    /// the parent's position goes too when no other BiNode uses it.
+    ///
+    /// Builds the new node straight from this one when the layout stays:
+    /// the position survives, or its drop keeps the partial-key width, a
+    /// single mask's offset byte and every multi-mask byte slot. Returns
+    /// `Ok(None)` when any of that fails — the caller falls back to the
+    /// builder path — and the store's error when the block cannot be had.
+    /// Requires at least 3 entries (a 2-entry node collapses at tree level).
+    pub(crate) fn remove_entry_cow<St: NodeStore>(self, store: &St, idx: usize) -> Result<Option<St::Ref>, St::Full> {
+        let n = self.count();
+        debug_assert!(n >= 3 && idx < n);
+        let bit = builder::parent_bit(n, idx, |i| self.sparse_key(i));
+        let parent = 1u32 << bit;
+        // The parent's subtree: the entries that share `idx`'s path above
+        // the parent BiNode. Its bit is set only on the parent's 1 side, and
+        // the sibling is what is left once `idx` goes.
+        let above = (u64::MAX << (bit + 1)) as u32;
+        let (lo, hi) = self.prefix_run(above, self.sparse_key(idx) & above, idx);
+        let subtree = ((2u64 << hi) - (1u64 << lo)) as u32;
+        // Another BiNode at the same position lies outside the subtree.
+        let dropped = self.prefix_matches(parent, parent) & !subtree == 0;
+
+        let patch = if !dropped {
+            MaskPatch::None
+        } else {
+            // Extracted bit `bit` is the `bit`-th lowest set mask bit, the
+            // last mask word holding the lowest extracted bits.
+            let (m, patch) = match self.tag.mask_kind() {
+                MaskKind::Single => {
+                    let mask = self.single_mask();
+                    let cleared = mask & !hot_bits::pdep64(parent as u64, mask);
+                    if cleared.leading_zeros() >= 8 {
+                        return Ok(None); // the window's offset byte moves
+                    }
+                    (mask.count_ones() as usize, MaskPatch::Single(cleared))
+                }
+                MaskKind::Multi(slots) => {
+                    let (mut m, mut rest, mut found) = (0, bit, None);
+                    for w in (0..slots / 8).rev() {
+                        let mask = self.multi_mask_word(slots, w);
+                        let ones = mask.count_ones();
+                        m += ones as usize;
+                        if found.is_none() && rest < ones {
+                            let gone = hot_bits::pdep64(1 << rest, mask);
+                            let slot_byte = ((mask & !gone) >> (gone.trailing_zeros() & !7)) & 0xFF;
+                            if slot_byte == 0 {
+                                return Ok(None); // a byte slot empties
+                            }
+                            found = Some(MaskPatch::Multi { word: w, mask: mask & !gone });
+                        }
+                        rest = rest.saturating_sub(ones);
+                    }
+                    (m, found.expect("the parent's position is in the mask"))
+                }
+            };
+            if key_width_for(m - 1) != self.tag.key_width() {
+                return Ok(None);
+            }
+            patch
+        };
+
+        let (r, node) = alloc(store, self.tag, n - 1, self.height())?;
+        self.copy_mask_into(node, patch);
+
+        // The sibling loses the parent from its path: in the new node the
+        // subtree without `idx` is `lo..hi`.
+        // SAFETY: the source holds n entries, the fresh destination n - 1,
+        // both of the tag's width and with value sections of `St::Slot`
+        // slots.
+        unsafe {
+            let (src, dst) = (self.pkeys_base(), node.pkeys_base());
+            match self.tag.key_width() {
+                1 => remove_keys::<u8>(src, dst, n, idx, lo..hi, parent, dropped),
+                2 => remove_keys::<u16>(src, dst, n, idx, lo..hi, parent, dropped),
+                _ => remove_keys::<u32>(src, dst, n, idx, lo..hi, parent, dropped),
+            }
+            let slot = St::Slot::BYTES;
+            let (vsrc, vdst) = (St::Slot::values(self), St::Slot::values(node) as *mut u8);
+            std::ptr::copy_nonoverlapping(vsrc, vdst, idx * slot);
+            std::ptr::copy_nonoverlapping(vsrc.add((idx + 1) * slot), vdst.add(idx * slot), (n - 1 - idx) * slot);
+        }
+        Ok(Some(r))
+    }
+
+    /// Copy this node's mask section verbatim into `node`, a fresh block of
+    /// the same layout, then apply the fused insert's or remove's one-word
+    /// `patch`.
+    fn copy_mask_into(self, node: RawNode, patch: MaskPatch) {
+        debug_assert_eq!(self.tag, node.tag);
+        // SAFETY: both nodes share the tag; the mask section lies between
+        // the 8-byte header and the partial keys and has identical extent:
+        // a single mask's word at header + 8, a multi mask's words behind
+        // its offsets array.
+        unsafe {
+            std::ptr::copy_nonoverlapping(
+                self.base.add(HEADER_BYTES),
+                node.base.add(HEADER_BYTES),
+                self.tag.mask_section_bytes(),
+            );
+            match (patch, self.tag.mask_kind()) {
+                (MaskPatch::Single(mask), _) => *(node.base.add(HEADER_BYTES + 8) as *mut u64) = mask,
+                (MaskPatch::Multi { word, mask }, MaskKind::Multi(slots)) => {
+                    *(node.base.add(HEADER_BYTES + slots) as *mut u64).add(word) = mask
+                }
+                _ => {}
+            }
+        }
     }
 
     /// The contiguous run of entries in the subtree that a (possibly new)
@@ -891,30 +1023,38 @@ impl RawNode {
         } else {
             (((1u64 << rank) - 1) << (m - rank)) as u32
         };
-        let prefix = self.sparse_key(through) & mask;
-        let n = self.count();
-        let base = self.pkeys_base();
-        // One SIMD compare replaces the scalar two-direction narrowing walk:
-        // bit i of `matches` is set iff entry i shares the path prefix above
-        // `pos` (the range-scan seek and the insert path both call this on a
-        // hot path).
+        self.prefix_run(mask, self.sparse_key(through) & mask, through)
+    }
+
+    /// Bit `i` set iff entry `i`'s sparse key has `prefix` under `mask` —
+    /// one SIMD compare over the partial keys.
+    fn prefix_matches(self, mask: u32, prefix: u32) -> u32 {
+        let (n, base) = (self.count(), self.pkeys_base());
         // SAFETY: the allocation reserves the SIMD padding behind the
         // partial-key section (see `geometry`) and n is in 1..=32.
-        let matches = unsafe {
+        unsafe {
             match self.tag.key_width() {
                 1 => hot_bits::match_prefix_u8(base, n, mask as u8, prefix as u8),
                 2 => hot_bits::match_prefix_u16(base as *const u16, n, mask as u16, prefix as u16),
                 _ => hot_bits::match_prefix_u32(base as *const u32, n, mask, prefix),
             }
-        };
+        }
+    }
+
+    /// The maximal run of entries around `through` whose sparse keys have
+    /// `prefix` under `mask`: the subtree below a path prefix. One SIMD
+    /// compare replaces the scalar two-direction narrowing walk (the
+    /// range-scan seek, the insert path and the fused remove all call this
+    /// on a hot path).
+    fn prefix_run(self, mask: u32, prefix: u32, through: usize) -> (usize, usize) {
+        let matches = self.prefix_matches(mask, prefix);
         debug_assert!(matches & (1 << through) != 0, "member entry matches itself");
-        // The affected range is the maximal run of consecutive matches
-        // containing `through` (matching entries are contiguous in a
-        // well-formed node — the subtree below `pos` is one in-order run —
-        // but computing the run keeps the result identical to the scalar
-        // narrowing even on a transiently inconsistent concurrent read).
+        // Matching entries are contiguous in a well-formed node — the
+        // subtree is one in-order run — but computing the run keeps the
+        // result identical to the scalar narrowing even on a transiently
+        // inconsistent concurrent read.
         let above = !matches >> through;
-        let hi = (through + above.trailing_zeros() as usize - 1).min(n - 1);
+        let hi = (through + above.trailing_zeros() as usize - 1).min(self.count() - 1);
         let below = !matches << (31 - through);
         let lo = through + 1 - (below.leading_zeros() as usize).min(through + 1);
         (lo, hi)
@@ -923,28 +1063,27 @@ impl RawNode {
     /// Like [`Self::positions`], reusing the caller's buffer.
     pub(crate) fn positions_into(self, out: &mut Vec<u16>) {
         out.clear();
+        // A mask's set bits from the most significant down are the
+        // positions in ascending order.
         match self.tag.mask_kind() {
             MaskKind::Single => {
-                let offset = self.single_offset();
-                let mask = self.single_mask();
-                for j in (0..64).rev() {
-                    if mask & (1u64 << j) != 0 {
-                        out.push((offset * 8 + 63 - j) as u16);
-                    }
+                let base = self.single_offset() * 8;
+                let mut mask = self.single_mask();
+                while mask != 0 {
+                    let j = mask.leading_zeros();
+                    out.push((base + j as usize) as u16);
+                    mask &= !(1u64 << 63 >> j);
                 }
             }
             MaskKind::Multi(slots) => {
                 let offsets = self.multi_offsets(slots);
                 for (s, &offset) in offsets.iter().enumerate() {
                     let word = self.multi_mask_word(slots, s / 8);
-                    let byte = (word >> (8 * (7 - s % 8))) as u8;
-                    if byte == 0 {
-                        continue;
-                    }
-                    for i in 0..8 {
-                        if byte & (1 << (7 - i)) != 0 {
-                            out.push(offset as u16 * 8 + i as u16);
-                        }
+                    let mut byte = (word >> (8 * (7 - s % 8))) as u8;
+                    while byte != 0 {
+                        let j = byte.leading_zeros();
+                        out.push(offset as u16 * 8 + j as u16);
+                        byte &= !(0x80 >> j);
                     }
                 }
             }
@@ -1840,6 +1979,139 @@ mod tests {
             assert!(on_heap > 0 && in_arena > 0, "{tag:?}: {on_heap} heap, {in_arena} arena fused inserts");
         }
         assert_eq!(heap.mem.nodes(), 0);
+    }
+
+    /// Does the builder path's node of `reference` change the layout of
+    /// `raw`: another tag, a single mask's window starting at another
+    /// byte, or fewer multi-mask byte slots?
+    fn layout_changes(raw: RawNode, reference: &Builder) -> bool {
+        let bytes = |positions: &[u16]| {
+            let mut bytes: Vec<u16> = positions.iter().map(|p| p / 8).collect();
+            bytes.dedup();
+            bytes
+        };
+        NodeTag::choose(&reference.positions) != raw.tag
+            || bytes(&reference.positions)[0] != bytes(&raw.positions())[0]
+            || bytes(&reference.positions).len() != bytes(&raw.positions()).len()
+    }
+
+    /// Every fused remove from a canonical node of layout `tag` with `count`
+    /// entries in a block of `store` — every entry index — against the
+    /// builder path: decode, `Builder::remove_entry`, `encode`. A decline
+    /// must be a layout change. Returns how many removes fused and how many
+    /// declined.
+    fn fused_remove_matches_builder_path<St: NodeStore>(
+        store: &St,
+        tag: NodeTag,
+        count: usize,
+        rng: &mut impl rand::Rng,
+    ) -> (usize, usize) {
+        let Some(canonical) = canonical_builder(tag, count, rng) else {
+            return (0, 0);
+        };
+        let (src, raw) = garbage_node(store, tag, count, rng);
+        raw.fill::<St::Slot>(&canonical.positions, &canonical.sparse, &canonical.values);
+        let mut reference = Builder::empty();
+        let (mut fused_count, mut declined) = (0, 0);
+        for idx in 0..count {
+            let Ok(fused) = raw.remove_entry_cow(store, idx) else {
+                panic!("the test store is full")
+            };
+            reference.decode_into::<St::Slot>(raw);
+            reference.remove_entry(idx);
+            let Some(fused) = fused else {
+                assert!(layout_changes(raw, &reference), "{tag:?} count {count} idx {idx}: a decline keeps the layout");
+                declined += 1;
+                continue;
+            };
+            let Ok(built) = encode(store, &reference) else {
+                panic!("the test store is full")
+            };
+            assert_eq!(
+                encoded_bytes::<St::Slot>(store.raw(fused)),
+                encoded_bytes::<St::Slot>(store.raw(built)),
+                "{tag:?} count {count} idx {idx} slot bytes {}",
+                St::Slot::BYTES
+            );
+            // SAFETY: neither node was published.
+            unsafe {
+                free(store, fused);
+                free(store, built);
+            }
+            fused_count += 1;
+        }
+        // SAFETY: never published.
+        unsafe { free(store, src) };
+        (fused_count, declined)
+    }
+
+    #[test]
+    fn fused_remove_is_byte_identical_to_the_builder_path() {
+        use rand::SeedableRng;
+        let (heap, arena) = (heap(), ArenaStore::new(1 << 20, 1 << 20));
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xDE1E_7E25);
+        for tag in NodeTag::ALL {
+            let (mut on_heap, mut in_arena) = ((0, 0), (0, 0));
+            for count in 3..=MAX_FANOUT {
+                for _ in 0..4 {
+                    let (fused, declined) = fused_remove_matches_builder_path(&heap, tag, count, &mut rng);
+                    on_heap = (on_heap.0 + fused, on_heap.1 + declined);
+                    let (fused, declined) = fused_remove_matches_builder_path(&arena, tag, count, &mut rng);
+                    in_arena = (in_arena.0 + fused, in_arena.1 + declined);
+                }
+            }
+            assert!(on_heap.0 > 0 && in_arena.0 > 0, "{tag:?}: {on_heap:?} heap, {in_arena:?} arena (fused, declined)");
+        }
+        assert_eq!(heap.mem.nodes(), 0);
+    }
+
+    /// On a trie of random 63-bit keys, the fused remove declines (falls
+    /// back to the builder) on fewer than 15 % of the removes that shrink a
+    /// node, and is byte-identical to the builder path on the rest.
+    #[test]
+    fn fused_remove_declines_rarely_on_random_keys() {
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x63B1_7EED);
+        let mut keys: Vec<u64> = (0..20_000).map(|_| rng.gen::<u64>() >> 1).collect();
+        let mut trie = HotTrie::new(hot_keys::EmbeddedKeySource);
+        for &k in &keys {
+            trie.insert(&k.to_be_bytes(), k);
+        }
+        keys.shuffle(&mut rng);
+        let mut reference = Builder::empty();
+        let (mut shrinks, mut declined) = (0, 0);
+        let mut path = Vec::new();
+        for &k in &keys[..10_000] {
+            path.clear();
+            let (store, key) = (trie.store(), PaddedKey::from_key(&k.to_be_bytes()));
+            descend(store, trie.exclusive_root(), &key, &mut path);
+            let last = path.len() - 1;
+            let (node, idx) = (store.raw(NodeRef(path[last].0)), path[last].1);
+            // The removes `plan` makes a `Shrink`.
+            let merge = node.count() == 3 && last > 0 && store.raw(NodeRef(path[last - 1].0)).count() < MAX_FANOUT;
+            if node.count() >= 3 && !merge {
+                shrinks += 1;
+                let Ok(fused) = node.remove_entry_cow(store, idx);
+                reference.decode_into::<HeapSlot>(node);
+                reference.remove_entry(idx);
+                match fused {
+                    None => declined += 1,
+                    Some(fused) => {
+                        let Ok(built) = encode(store, &reference);
+                        assert_eq!(encoded_bytes::<HeapSlot>(fused.as_raw()), encoded_bytes::<HeapSlot>(built.as_raw()));
+                        // SAFETY: neither node was published.
+                        unsafe {
+                            free(store, fused);
+                            free(store, built);
+                        }
+                    }
+                }
+            }
+            assert_eq!(trie.remove(&k.to_be_bytes()), Some(k));
+        }
+        assert!(shrinks > 5_000, "{shrinks} shrinks");
+        assert!(declined * 100 < shrinks * 15, "{declined} of {shrinks} shrinking removes declined");
     }
 
     #[test]

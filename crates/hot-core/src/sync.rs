@@ -11,8 +11,8 @@
 //! * **writers** follow the paper's five steps: (a) traverse and determine
 //!   the *affected nodes* (those whose contents or value slots the operation
 //!   writes), (b) lock them bottom-up, (c) validate that none is obsolete —
-//!   restart otherwise, (d) apply the copy-on-write modification, marking
-//!   replaced nodes obsolete, (e) unlock top-down;
+//!   restart otherwise, (d) apply the copy-on-write modification, (e)
+//!   unlock top-down, replaced nodes to obsolete;
 //! * **reclamation** is epoch-based (`crossbeam-epoch`): obsolete nodes are
 //!   deferred until all pinned epochs have moved on.
 //!
@@ -103,31 +103,45 @@ fn try_lock(node: RawNode) -> bool {
             .is_ok()
 }
 
+/// Release a lock this writer holds: a plain store, not an RMW. While a
+/// node is locked only its holder writes the lock word — every
+/// [`try_lock`] CAS expects the word unlocked, so it fails on a held one
+/// without writing — so the holder's Relaxed load reads back its own CAS,
+/// and storing that word without `LOCKED` is the unlock.
+///
 /// Ordering: **Release** — pairs with the Acquire CAS in [`try_lock`];
 /// all node/slot writes made under the lock happen-before the next
 /// writer's acquisition. (Readers never take locks; they synchronize
 /// through the Release slot/root stores instead.)
 #[inline]
 fn unlock(node: RawNode) {
-    node.lock_word().fetch_and(!LOCKED, Ordering::Release); // pairs-with: node-lock
+    let word = node.lock_word();
+    word.store(word.load(Ordering::Relaxed) & !LOCKED, Ordering::Release); // pairs-with: node-lock
 }
 
-/// Ordering: **Acquire** — pairs with the Release in [`mark_obsolete`].
+/// Unlock a node this writer's publish retired, marking it obsolete in the
+/// same store: the holder validated the node live under its lock, so the
+/// word it holds is exactly `LOCKED`, and `OBSOLETE` is both the mark and
+/// the unlocked word.
+///
+/// Ordering: **Release** — pairs with the Acquire CAS in [`try_lock`], as
+/// [`unlock`] does, and with the Acquire in [`is_obsolete`]. It runs
+/// *after* the replacement is Release-published (by [`apply`], or by the
+/// root store that follows it), so `OBSOLETE` visible ⇒ replacement
+/// visible.
+#[inline]
+fn unlock_obsolete(node: RawNode) {
+    debug_assert_eq!(node.lock_word().load(Ordering::Relaxed), LOCKED, "a retired node is held and live");
+    node.lock_word().store(OBSOLETE, Ordering::Release); // pairs-with: node-lock, obsolete-flag
+}
+
+/// Ordering: **Acquire** — pairs with the Release in [`unlock_obsolete`].
 /// A writer that observes OBSOLETE restarts its descent; the pairing
 /// guarantees it then also observes the Release-published replacement
 /// node (no livelock on a stale root/slot).
 #[inline]
 fn is_obsolete(node: RawNode) -> bool {
     node.lock_word().load(Ordering::Acquire) & OBSOLETE != 0 // pairs-with: obsolete-flag
-}
-
-/// Ordering: **Release** — pairs with the Acquire in [`is_obsolete`].
-/// Always called *after* the replacement is Release-published (by
-/// [`apply`], or by the root store that follows it), so `OBSOLETE` visible
-/// ⇒ replacement visible.
-#[inline]
-fn mark_obsolete(node: RawNode) {
-    node.lock_word().fetch_or(OBSOLETE, Ordering::Release); // pairs-with: obsolete-flag
 }
 
 pub(crate) use access::{Access, Exclusive, Rowex};
@@ -464,7 +478,7 @@ impl<St: NodeStore> Concurrent<St> {
         if let Some((lowest, level)) = locked {
             self.lock_levels(w.path(), lowest, level, guard)?;
             if !self.validate_locked(w.path(), cur, lowest, level, guard) {
-                self.unlock_levels(w.path(), lowest, level, guard);
+                self.unlock_levels(w.path(), lowest, level, &[], guard);
                 return None;
             }
         }
@@ -505,7 +519,8 @@ impl<St: NodeStore> Concurrent<St> {
             unsafe { store.release(w.fresh()) };
         }
         if let Some((lowest, level)) = locked {
-            self.unlock_levels(w.path(), lowest, level, guard);
+            let unlinked = if published { w.unlinked() } else { &[] };
+            self.unlock_levels(w.path(), lowest, level, unlinked, guard);
         }
 
         let answer = match answer {
@@ -531,7 +546,7 @@ impl<St: NodeStore> Concurrent<St> {
         for l in (lowest..=level).rev() {
             if !try_lock(self.raw(path[l].0)) {
                 self.metrics.incr(RowexCounter::LockFail);
-                self.unlock_levels(path, l + 1, level, guard);
+                self.unlock_levels(path, l + 1, level, &[], guard);
                 return None;
             }
         }
@@ -564,10 +579,20 @@ impl<St: NodeStore> Concurrent<St> {
         })
     }
 
-    /// Step (e): unlock `path[lowest..=level]` top-down.
-    fn unlock_levels(&self, path: &[(u64, usize)], lowest: usize, level: usize, _guard: &epoch::Guard) {
+    /// Step (e): unlock `path[lowest..=level]` top-down; the nodes in
+    /// `retired` — every node the publish unlinked is a locked level — are
+    /// unlocked to obsolete.
+    fn unlock_levels(&self, path: &[(u64, usize)], lowest: usize, level: usize, retired: &[u64], _guard: &epoch::Guard) {
+        debug_assert!(
+            retired.iter().all(|&r| !St::Ref::from_word(r).is_node() || path[lowest..=level].iter().any(|hop| hop.0 == r)),
+            "every retired node is locked"
+        );
         for &(node, _) in &path[lowest..=level] {
-            unlock(self.raw(node));
+            if retired.contains(&node) {
+                unlock_obsolete(self.raw(node));
+            } else {
+                unlock(self.raw(node));
+            }
         }
     }
 
@@ -576,18 +601,17 @@ impl<St: NodeStore> Concurrent<St> {
         self.store.raw(St::Ref::from_word(node))
     }
 
-    /// What the publish unlinked: mark each replaced node obsolete and
-    /// defer its reclamation to the epoch; a superseded leaf only leaves
-    /// the store's accounting.
+    /// What the publish unlinked: defer each replaced node's reclamation
+    /// to the epoch (its unlock marks it obsolete); a superseded leaf only
+    /// leaves the store's accounting.
     fn retire(&self, w: &mut Writer, guard: &epoch::Guard) {
         let store = Arc::as_ptr(&self.store);
-        for word in w.retired().drain(..) {
+        for &word in w.retired().iter() {
             let r = St::Ref::from_word(word);
             if r.is_leaf() {
                 self.store.drop_leaf(r);
                 continue;
             }
-            mark_obsolete(self.store.raw(r));
             self.metrics.incr(RowexCounter::DeferredQueued);
             let metrics = self.metrics.handle();
             // SAFETY: the node is obsolete and unreachable from the (new)

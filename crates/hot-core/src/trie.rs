@@ -84,7 +84,7 @@ pub type Trie<St> = Hot<St, Exclusive>;
 pub type HotTrie<S> = Trie<HeapStore<S>>;
 
 /// Reusable state of one write operation: the padded key, the descent
-/// path, the decode builder, and the two ledgers [`apply`] keeps — the
+/// path, the builders, and the two ledgers [`apply`] keeps — the
 /// blocks the operation allocated (`fresh`: what a failure gives back) and
 /// the ones its publish unlinked (`retired`: what the caller reclaims, at
 /// once in the exclusive mode, through the epoch in the ROWEX one).
@@ -94,8 +94,12 @@ pub(crate) struct Writer {
     key: PaddedKey,
     /// Descent path: (node, selected entry index), root first.
     path: Vec<(u64, usize)>,
-    /// Decode buffer for the copy-on-write paths.
-    builder: Option<Builder>,
+    /// Decode buffer for the copy-on-write paths that do not fuse.
+    builder: Builder,
+    /// The halves of an overflow split.
+    halves: [Builder; 2],
+    /// The two-entry node of a pushdown or an intermediate node.
+    pair: Builder,
     fresh: Vec<u64>,
     retired: Vec<u64>,
 }
@@ -105,7 +109,9 @@ impl Writer {
         Writer {
             key: PaddedKey::new(),
             path: Vec::with_capacity(16),
-            builder: None,
+            builder: Builder::empty(),
+            halves: [Builder::empty(), Builder::empty()],
+            pair: Builder::empty(),
             fresh: Vec::new(),
             retired: Vec::new(),
         }
@@ -142,6 +148,11 @@ impl Writer {
         &mut self.retired
     }
 
+    /// [`retired`](Self::retired), read only.
+    pub(crate) fn unlinked(&self) -> &[u64] {
+        &self.retired
+    }
+
     #[inline]
     fn raw_at<St: NodeStore>(&self, store: &St, level: usize) -> RawNode {
         store.raw(St::Ref::from_word(self.path[level].0))
@@ -157,6 +168,16 @@ impl Writer {
         let node = crate::node::encode(store, builder)?;
         self.fresh.push(node.word());
         Ok(node)
+    }
+
+    /// Encode the two-entry node of a BiNode at `pos` over `zero` and `one`
+    /// through the parked pair builder.
+    fn encode_pair<St: NodeStore>(&mut self, store: &St, pos: u16, zero: u64, one: u64, height: u8) -> Result<St::Ref, St::Full> {
+        let mut pair = std::mem::take(&mut self.pair);
+        pair.pair(pos, zero, one, height);
+        let node = self.encode(store, &pair);
+        self.pair = pair;
+        node
     }
 
     /// Store `new` in the word the node at `level` hangs from — the taken
@@ -355,11 +376,6 @@ pub(crate) fn apply<St: NodeStore>(
     cur: St::Ref,
 ) -> Result<Option<u64>, St::Full> {
     let previous = (!cur.is_null()).then(|| store.leaf_tid(cur));
-    // The two-entry node splitting `cur` from the new leaf at `pos`.
-    let pair_with = |leaf: St::Ref, pos: u16, key_bit: u8| {
-        let (zero, one) = if key_bit == 1 { (cur, leaf) } else { (leaf, cur) };
-        Builder::pair(pos, zero.word(), one.word(), 1)
-    };
     match plan {
         Plan::Swap { tid } => {
             let leaf = w.new_leaf(store, tid)?;
@@ -371,7 +387,9 @@ pub(crate) fn apply<St: NodeStore>(
         }
         Plan::Pushdown { tid, pos, key_bit } => {
             let leaf = w.new_leaf(store, tid)?;
-            let pushed = w.encode(store, &pair_with(leaf, pos, key_bit))?;
+            // The two-entry node splitting `cur` from the new leaf at `pos`.
+            let (zero, one) = if key_bit == 1 { (cur, leaf) } else { (leaf, cur) };
+            let pushed = w.encode_pair(store, pos, zero.word(), one.word(), 1)?;
             w.publish(store, root, w.path.len(), pushed);
             Ok(None)
         }
@@ -388,9 +406,9 @@ pub(crate) fn apply<St: NodeStore>(
                 w.replace(store, root, level, new_node);
                 return Ok(None);
             }
-            // General path: decode into the reused scratch builder
-            // (malloc-free apart from the new node allocation).
-            let mut builder = w.builder.take().unwrap_or_else(Builder::empty);
+            // General path: decode into the parked builder (malloc-free
+            // apart from the new node blocks, overflow included).
+            let mut builder = std::mem::take(&mut w.builder);
             builder.decode_into::<St::Slot>(raw);
             builder.insert_entry(pos, w.path[level].1, key_bit, leaf.word());
             let result = if builder.overflowed() {
@@ -398,7 +416,7 @@ pub(crate) fn apply<St: NodeStore>(
             } else {
                 w.encode(store, &builder).map(|new_node| w.replace(store, root, level, new_node))
             };
-            w.builder = Some(builder);
+            w.builder = builder;
             result.map(|()| None)
         }
         Plan::Clear => {
@@ -415,8 +433,19 @@ pub(crate) fn apply<St: NodeStore>(
         }
         Plan::Shrink | Plan::Merge => {
             let level = w.path.len() - 1;
-            let mut builder = w.builder.take().unwrap_or_else(Builder::empty);
-            builder.decode_into::<St::Slot>(w.raw_at(store, level));
+            let raw = w.raw_at(store, level);
+            // Fused fast path, the deletion mirror of the insert's: taken
+            // where the layout stays, byte-identical to the builder path.
+            if let Plan::Shrink = plan {
+                if let Some(new_node) = raw.remove_entry_cow(store, w.path[level].1)? {
+                    w.fresh.push(new_node.word());
+                    w.replace(store, root, level, new_node);
+                    w.retired.push(cur.word());
+                    return Ok(previous);
+                }
+            }
+            let mut builder = std::mem::take(&mut w.builder);
+            builder.decode_into::<St::Slot>(raw);
             builder.remove_entry(w.path[level].1);
             let mut target = level;
             if let Plan::Merge = plan {
@@ -426,7 +455,7 @@ pub(crate) fn apply<St: NodeStore>(
                 builder.replace_entry_with_pair(w.path[target].1, pos, zero, one, |word| height_of(store, word));
             }
             let encoded = w.encode(store, &builder);
-            w.builder = Some(builder);
+            w.builder = builder;
             w.replace(store, root, target, encoded?);
             if target != level {
                 w.retired.push(w.path[level].0);
@@ -439,31 +468,47 @@ pub(crate) fn apply<St: NodeStore>(
 
 /// Resolve the overflowed `builder` at `level` per Listing 1: split at the
 /// root BiNode, then parent pull-up (recursing upward) or intermediate
-/// node creation, growing the tree only at the root.
+/// node creation, growing the tree only at the root. The halves are the
+/// writer's parked ones, so a cascade allocates nothing but node blocks.
 fn overflow_cascade<St: NodeStore>(
+    store: &St,
+    w: &mut Writer,
+    root: &mut St::Ref,
+    level: usize,
+    builder: &mut Builder,
+) -> Result<(), St::Full> {
+    let mut halves = std::mem::take(&mut w.halves);
+    let result = split_upward(store, w, root, level, builder, &mut halves);
+    w.halves = halves;
+    result
+}
+
+/// The loop of [`overflow_cascade`], with the halves taken out of the
+/// writer.
+fn split_upward<St: NodeStore>(
     store: &St,
     w: &mut Writer,
     root: &mut St::Ref,
     mut level: usize,
     builder: &mut Builder,
+    [left, right]: &mut [Builder; 2],
 ) -> Result<(), St::Full> {
     let height = |word: u64| height_of(store, word);
     loop {
         debug_assert!(builder.overflowed());
-        let (pos, left, right) = builder.split(height);
+        let pos = builder.split(left, right, height);
         // Encode a split half, collapsing singleton halves to their bare value.
         let mut half_ref = |half: &Builder| match half.len() {
             1 => Ok(half.values[0]),
             _ => w.encode(store, half).map(TreeRef::word),
         };
-        let (left, right) = (half_ref(&left)?, half_ref(&right)?);
-        let pair = || Builder::pair(pos, left, right, 1 + height(left).max(height(right)));
+        let (left, right) = (half_ref(left)?, half_ref(right)?);
 
         // Only the root grows the tree height. Below it, with room between
         // this node and its parent, an intermediate node in this node's
         // place does not increase the overall tree height either.
         if level == 0 || builder.height + 1 != w.raw_at(store, level - 1).height() {
-            let over = w.encode(store, &pair())?;
+            let over = w.encode_pair(store, pos, left, right, 1 + height(left).max(height(right)))?;
             w.replace(store, root, level, over);
             return Ok(());
         }
