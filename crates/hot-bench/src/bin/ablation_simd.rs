@@ -4,7 +4,10 @@
 //! (`HOT_FORCE_SCALAR=1`).
 //!
 //! Feature detection is cached process-wide, so the binary re-executes
-//! itself once with the environment variable set and compares.
+//! itself once with the environment variable set and compares. The two
+//! runs load the same keys and replay the same operations, so the scalar
+//! run must return the hardware run's workload-C checksum on every data
+//! set; the parent reads the re-run's rows and asserts it.
 //!
 //! ```text
 //! cargo run --release -p hot-bench --bin ablation_simd -- --keys 500000 --ops 1000000
@@ -29,10 +32,12 @@ fn main() {
             "dataset".into(),
             "lookup_mops".into(),
             "insert_mops".into(),
+            "checksum".into(),
         ]);
     }
     let mode = if forced { "scalar" } else { "simd" };
 
+    let mut checksums = Vec::new();
     for kind in [DatasetKind::Integer, DatasetKind::Email, DatasetKind::Url] {
         let data = BenchData::new(Dataset::generate(kind, config.keys, config.seed));
         let mut index = HotIndex::new(Arc::clone(&data.arena));
@@ -50,18 +55,33 @@ fn main() {
             kind.label().into(),
             format!("{lookup_mops:.3}"),
             format!("{insert_mops:.3}"),
+            checksum.to_string(),
         ]);
-        std::hint::black_box(checksum);
+        checksums.push((kind.label(), checksum.to_string()));
     }
 
     if !forced {
         // Re-run ourselves with the scalar fallbacks forced.
         let exe = std::env::current_exe().expect("own path");
-        let status = std::process::Command::new(exe)
+        let scalar = std::process::Command::new(exe)
             .args(std::env::args().skip(1))
             .env("HOT_FORCE_SCALAR", "1")
-            .status()
+            .stderr(std::process::Stdio::inherit())
+            .output()
             .expect("spawn scalar run");
-        assert!(status.success(), "scalar run failed");
+        assert!(scalar.status.success(), "scalar run failed");
+        let rows = String::from_utf8(scalar.stdout).expect("scalar run prints text");
+        print!("{rows}");
+        let scalar_sums: Vec<(&str, String)> = rows
+            .lines()
+            .filter_map(|line| match line.split('\t').collect::<Vec<_>>()[..] {
+                ["scalar", dataset, _, _, checksum] => Some((dataset, checksum.to_owned())),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            scalar_sums, checksums,
+            "scalar run's workload-C checksums differ from the hardware run's"
+        );
     }
 }

@@ -36,6 +36,7 @@
 //! `m - 1 - r` mapping.
 
 #![deny(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod bitpos;
 pub mod features;

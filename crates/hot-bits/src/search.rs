@@ -122,7 +122,7 @@ pub(crate) mod avx2 {
     /// AVX2 must be available and 32 bytes must be readable from `pkeys`.
     #[inline]
     #[target_feature(enable = "avx2")]
-    pub unsafe fn search_u8(pkeys: *const u8, n: usize, dense: u8) -> usize {
+    pub(crate) unsafe fn search_u8(pkeys: *const u8, n: usize, dense: u8) -> usize {
         // SAFETY: caller guarantees 32 readable bytes; loadu has no
         // alignment requirement.
         let v = unsafe { _mm256_loadu_si256(pkeys as *const __m256i) };
@@ -139,7 +139,7 @@ pub(crate) mod avx2 {
     /// AVX2 must be available and 64 bytes must be readable from `pkeys`.
     #[inline]
     #[target_feature(enable = "avx2")]
-    pub unsafe fn search_u16(pkeys: *const u16, n: usize, dense: u16) -> usize {
+    pub(crate) unsafe fn search_u16(pkeys: *const u16, n: usize, dense: u16) -> usize {
         let d = _mm256_set1_epi16(dense as i16);
         // SAFETY: caller guarantees 64 readable bytes; loadu has no
         // alignment requirement.
@@ -164,7 +164,7 @@ pub(crate) mod avx2 {
     /// AVX2 must be available and 128 bytes must be readable from `pkeys`.
     #[inline]
     #[target_feature(enable = "avx2")]
-    pub unsafe fn search_u32(pkeys: *const u32, n: usize, dense: u32) -> usize {
+    pub(crate) unsafe fn search_u32(pkeys: *const u32, n: usize, dense: u32) -> usize {
         let d = _mm256_set1_epi32(dense as i32);
         let mut matches = 0u32;
         for chunk in 0..4 {
@@ -182,7 +182,7 @@ pub(crate) mod avx2 {
     /// # Safety
     /// AVX2 must be available and 32 bytes must be readable from `pkeys`.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn match_prefix_u8(pkeys: *const u8, n: usize, mask: u8, prefix: u8) -> u32 {
+    pub(super) unsafe fn match_prefix_u8(pkeys: *const u8, n: usize, mask: u8, prefix: u8) -> u32 {
         // SAFETY: caller guarantees 32 readable bytes; loadu has no
         // alignment requirement.
         let v = unsafe { _mm256_loadu_si256(pkeys as *const __m256i) };
@@ -195,7 +195,12 @@ pub(crate) mod avx2 {
     /// # Safety
     /// AVX2 must be available and 64 bytes must be readable from `pkeys`.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn match_prefix_u16(pkeys: *const u16, n: usize, mask: u16, prefix: u16) -> u32 {
+    pub(super) unsafe fn match_prefix_u16(
+        pkeys: *const u16,
+        n: usize,
+        mask: u16,
+        prefix: u16,
+    ) -> u32 {
         let m = _mm256_set1_epi16(mask as i16);
         let p = _mm256_set1_epi16(prefix as i16);
         // SAFETY: caller guarantees 64 readable bytes; loadu has no
@@ -217,7 +222,12 @@ pub(crate) mod avx2 {
     /// # Safety
     /// AVX2 must be available and 128 bytes must be readable from `pkeys`.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn match_prefix_u32(pkeys: *const u32, n: usize, mask: u32, prefix: u32) -> u32 {
+    pub(super) unsafe fn match_prefix_u32(
+        pkeys: *const u32,
+        n: usize,
+        mask: u32,
+        prefix: u32,
+    ) -> u32 {
         let m = _mm256_set1_epi32(mask as i32);
         let p = _mm256_set1_epi32(prefix as i32);
         let mut matches = 0u32;

@@ -72,8 +72,6 @@ pub use arena::{ArenaFull, ArenaKind, ArenaStats, ArenaStore, CompactHot};
 pub use bulk::BulkLoadError;
 pub use invariants::InvariantReport;
 pub use mlp::{MlpScheduler, DEFAULT_DEPTH};
-#[doc(hidden)]
-pub use node::cow_cycle_for_bench;
 pub use node::NodeTag;
 pub use scan::ScanCursor;
 pub use shard::{splitters_from_sample, RouterScratch, ScanToken, ShardedHot};

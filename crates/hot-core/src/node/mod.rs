@@ -48,10 +48,9 @@ use crate::sync_shim::{AtomicU32, AtomicU64, Ordering};
 use hot_bits::search::{PADDED_BYTES_U16, PADDED_BYTES_U32, PADDED_BYTES_U8};
 use crate::arena::{CRef, NODE_UNIT};
 use crate::store::NodeStore;
-use crate::trie::HotTrie;
 use builder::Builder;
 use hot_bits::{Isa, Kernel};
-use hot_keys::{KeySource, PaddedKey, KEY_PAD_LEN};
+use hot_keys::{PaddedKey, KEY_PAD_LEN};
 
 pub(crate) use heap::MemCounter;
 
@@ -283,27 +282,6 @@ pub(crate) unsafe fn free<St: NodeStore + ?Sized>(store: &St, node: St::Ref) {
     // SAFETY: the caller's contract; `bytes` is the size `alloc` took for
     // this layout and count.
     unsafe { store.free_node(node, bytes) };
-}
-
-/// The node micro-benchmark's copy-on-write cycle: build a height-1 node
-/// over `n` leaves (`2..=MAX_FANOUT`), and return a closure that encodes it
-/// into a block of `trie`'s store and frees that block again, once per call.
-#[doc(hidden)]
-pub fn cow_cycle_for_bench<S: KeySource>(trie: &HotTrie<S>, n: usize) -> impl FnMut() -> u64 + '_ {
-    // A valid linearization by repeated insert_entry: n - 1 positions, each
-    // new entry split off the first one at the next smaller position.
-    let m = n - 1;
-    let mut builder = Builder::empty();
-    builder.pair((m - 1) as u16, NodeRef::leaf(0).0, NodeRef::leaf(1).0, 1);
-    for i in 2..n {
-        builder.insert_entry((m - i + 1) as u16, 0, 1, NodeRef::leaf(i as u64).0);
-    }
-    move || {
-        let Ok(r) = encode(trie.store(), &builder);
-        // SAFETY: `r` was never published, so no other reference exists.
-        unsafe { free(trie.store(), r) };
-        r.0
-    }
 }
 
 /// A one-word change to a copied mask section: the bit of the position a
@@ -1452,6 +1430,7 @@ mod tests {
     use super::*;
     use crate::arena::ArenaStore;
     use crate::store::HeapStore;
+    use crate::trie::HotTrie;
     use hot_keys::EmbeddedKeySource;
 
     type Heap = HeapStore<EmbeddedKeySource>;
