@@ -18,7 +18,7 @@
 
 #![deny(missing_docs)]
 
-use hot_keys::stats::MemoryStats;
+use hot_keys::MemoryStats;
 use hot_keys::{DepthStats, KeySource, PaddedKey, KEY_PAD_LEN, KEY_SCRATCH_LEN, MAX_TID};
 
 /// Bytes of prefix stored inline per node; longer compressed paths fall back

@@ -262,8 +262,9 @@ mod metrics_pass {
     use hot_core::sync::ConcurrentHot;
     use hot_keys::PaddedKey;
     use hot_metrics::{OpKind, RowexCounter};
-    use hot_ycsb::phase::PhaseRecorder;
-    use hot_ycsb::{Dataset, DatasetKind, RequestDistribution, Workload, WorkloadRun};
+    use hot_ycsb::{
+        Dataset, DatasetKind, PhaseRecorder, RequestDistribution, Workload, WorkloadRun,
+    };
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::sync::Arc;

@@ -32,7 +32,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use hot_core::{ArenaStore, Backend, HeapStore, MlpScheduler, ScanCursor, Trie};
-use hot_keys::stats::MemoryStats;
+use hot_keys::MemoryStats;
 use hot_keys::{ArenaKeySource, DepthStats, PaddedKey};
 use hot_ycsb::{BatchedOperation, Dataset, Operation, WorkloadRun};
 

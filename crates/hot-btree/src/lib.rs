@@ -16,7 +16,7 @@
 
 #![deny(missing_docs)]
 
-use hot_keys::stats::MemoryStats;
+use hot_keys::MemoryStats;
 use hot_keys::{DepthStats, KeySource, MAX_TID};
 use std::cmp::Ordering;
 

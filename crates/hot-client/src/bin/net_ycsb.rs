@@ -5,16 +5,16 @@
 //! ```text
 //! net_ycsb --addr 127.0.0.1:4600 --dataset integer --keys 100000 \
 //!          --ops 100000 --seed 42 --shards 4 --workloads A,C,E \
-//!          [--window N | --rate R] [--zipfian] [--check] [--shutdown]
+//!          [--window N] [--zipfian] [--check] [--shutdown]
 //! ```
 //!
 //! `--dataset/--keys/--ops/--seed` must match the server's invocation —
-//! both sides materialize the same corpus (see `hot_server::store`).
+//! both sides materialize the same corpus (see `hot_server::NetData`).
 //! `--shards` only parameterizes the in-process reference index used for
 //! `--check`. With `--check`, any checksum mismatch exits non-zero; with
 //! `--shutdown`, the server is asked to stop after the last phase.
 
-use hot_client::{expected_checksums, run_workload, Connection, Pacing};
+use hot_client::{expected_checksums, run_closed_loop, Connection};
 use hot_metrics::Registry;
 use hot_server::net_data_for;
 use hot_ycsb::{DatasetKind, RequestDistribution, Workload};
@@ -27,7 +27,7 @@ struct Args {
     seed: u64,
     shards: usize,
     workloads: Vec<Workload>,
-    pacing: Pacing,
+    window: usize,
     dist: RequestDistribution,
     check: bool,
     shutdown: bool,
@@ -42,7 +42,7 @@ fn parse_args() -> Args {
         seed: 42,
         shards: 4,
         workloads: vec![Workload::A, Workload::C, Workload::E],
-        pacing: Pacing::ClosedLoop { window: 64 },
+        window: 64,
         dist: RequestDistribution::Uniform,
         check: false,
         shutdown: false,
@@ -83,12 +83,7 @@ fn parse_args() -> Args {
                 i += 2;
             }
             "--window" => {
-                out.pacing =
-                    Pacing::ClosedLoop { window: args[i + 1].parse().expect("--window N") };
-                i += 2;
-            }
-            "--rate" => {
-                out.pacing = Pacing::OpenLoop { rate: args[i + 1].parse().expect("--rate R") };
+                out.window = args[i + 1].parse().expect("--window N");
                 i += 2;
             }
             "--zipfian" => {
@@ -106,7 +101,7 @@ fn parse_args() -> Args {
             other => {
                 eprintln!(
                     "unknown argument: {other} (expected --addr/--dataset/--keys/--ops/--seed/\
-                     --shards/--workloads/--window/--rate/--zipfian/--check/--shutdown)"
+                     --shards/--workloads/--window/--zipfian/--check/--shutdown)"
                 );
                 std::process::exit(2);
             }
@@ -137,7 +132,7 @@ fn main() {
     let mut failed = false;
     for (phase, &workload) in args.workloads.iter().enumerate() {
         let run = hot_ycsb::WorkloadRun::new(workload, args.dist, args.keys, args.ops, args.seed);
-        let report = run_workload(&mut conn, &data, &run, workload, args.pacing, &registry)
+        let report = run_closed_loop(&mut conn, &data, &run, args.window, &registry)
             .unwrap_or_else(|e| {
                 eprintln!("net_ycsb: workload {} failed: {e}", workload.letter());
                 std::process::exit(1);

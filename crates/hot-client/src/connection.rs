@@ -68,8 +68,8 @@ impl Connection {
         self.recv()
     }
 
-    /// Clone the underlying stream (open-loop driving splits send and
-    /// receive across threads).
+    /// Clone the underlying stream, so that request bytes can be written
+    /// on it directly while this handle decodes the responses.
     pub fn try_clone_stream(&self) -> std::io::Result<TcpStream> {
         self.stream.try_clone()
     }

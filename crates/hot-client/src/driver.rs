@@ -1,5 +1,5 @@
-//! The network YCSB driver: closed- and open-loop workload execution over
-//! one pipelined connection, plus the in-process reference it is checked
+//! The network YCSB driver: closed-loop workload execution over one
+//! pipelined connection, plus the in-process reference it is checked
 //! against.
 //!
 //! Checksum parity is the driver's contract: for workloads A–E (no
@@ -12,22 +12,18 @@
 
 use crate::connection::Connection;
 use hot_core::ShardedHot;
-use hot_metrics::{OpKind, OpSnapshot, Registry};
-use hot_server::protocol::{Request, Response};
-use hot_server::store::NetData;
+use hot_metrics::{OpKind, Registry};
+use hot_server::{NetData, Request, Response};
 use hot_ycsb::{Operation, RequestDistribution, Workload, WorkloadRun};
 use std::collections::VecDeque;
-use std::io::{ErrorKind, Write};
-use std::sync::mpsc;
+use std::io::ErrorKind;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// One phase's result: throughput, latency percentiles, and the checksum
 /// the parity gates compare.
 #[derive(Debug, Clone)]
 pub struct NetRunReport {
-    /// The workload that ran.
-    pub workload: Workload,
     /// Operations executed.
     pub ops: usize,
     /// Million operations per second, end to end.
@@ -40,24 +36,6 @@ pub struct NetRunReport {
     pub p99_us: f64,
     /// 99.9th-percentile latency in microseconds.
     pub p999_us: f64,
-}
-
-/// How the driver paces requests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Pacing {
-    /// Keep a bounded window of in-flight requests; a response admits the
-    /// next request. Measures peak pipeline throughput.
-    ClosedLoop {
-        /// In-flight request bound.
-        window: usize,
-    },
-    /// Send on a fixed schedule regardless of responses, so queueing
-    /// delay is charged to latency (coordinated-omission-free): latency
-    /// is measured from each request's *scheduled* send time.
-    OpenLoop {
-        /// Target request rate per second.
-        rate: u64,
-    },
 }
 
 /// Map one YCSB operation onto a wire request and the metric kind its
@@ -106,42 +84,6 @@ fn settle(kind: OpKind, resp: &Response, checksum: &mut u64) -> std::io::Result<
     Ok(())
 }
 
-fn percentile_report(
-    workload: Workload,
-    ops: usize,
-    secs: f64,
-    checksum: u64,
-    delta: &OpSnapshot,
-) -> NetRunReport {
-    NetRunReport {
-        workload,
-        ops,
-        mops: if secs > 0.0 { ops as f64 / secs / 1e6 } else { 0.0 },
-        checksum,
-        p50_us: delta.p50_ns() as f64 / 1_000.0,
-        p99_us: delta.p99_ns() as f64 / 1_000.0,
-        p999_us: delta.quantile_ns(0.999) as f64 / 1_000.0,
-    }
-}
-
-/// Run one workload phase over `conn`, paced by `pacing`, recording
-/// per-op latency into `registry` (under the op's kind and `NetOp`).
-pub fn run_workload(
-    conn: &mut Connection,
-    data: &NetData,
-    run: &WorkloadRun,
-    workload: Workload,
-    pacing: Pacing,
-    registry: &Registry,
-) -> std::io::Result<NetRunReport> {
-    match pacing {
-        Pacing::ClosedLoop { window } => {
-            run_closed_loop(conn, data, run, workload, window, registry)
-        }
-        Pacing::OpenLoop { rate } => run_open_loop(conn, data, run, workload, rate, registry),
-    }
-}
-
 /// Closed-loop pipelined execution: up to `window` requests in flight;
 /// the window is flushed when full and one response is drained per
 /// subsequent send. `window == 1` degenerates to strict request–response.
@@ -149,7 +91,6 @@ pub fn run_closed_loop(
     conn: &mut Connection,
     data: &NetData,
     run: &WorkloadRun,
-    workload: Workload,
     window: usize,
     registry: &Registry,
 ) -> std::io::Result<NetRunReport> {
@@ -183,85 +124,18 @@ pub fn run_closed_loop(
     }
     let secs = start.elapsed().as_secs_f64();
     let delta = registry.ops_snapshot().op(OpKind::NetOp).since(before.op(OpKind::NetOp));
-    Ok(percentile_report(workload, ops.len(), secs, checksum, &delta))
-}
-
-/// Open-loop execution: a sender thread writes requests on a fixed
-/// schedule (`rate` per second) while this thread receives and pairs
-/// responses FIFO. Latency is `receive time − scheduled send time`, so a
-/// stall penalizes every queued request behind it instead of silently
-/// pausing the clock (coordinated omission).
-pub fn run_open_loop(
-    conn: &mut Connection,
-    data: &NetData,
-    run: &WorkloadRun,
-    workload: Workload,
-    rate: u64,
-    registry: &Registry,
-) -> std::io::Result<NetRunReport> {
-    let rate = rate.max(1);
-    let ops: Vec<Operation> = run.operations().collect();
-    let total = ops.len();
-    let mut sender_stream = conn.try_clone_stream()?;
-    let (tx, rx) = mpsc::sync_channel::<(OpKind, Instant)>(1 << 16);
-    let before = registry.ops_snapshot();
-    let start = Instant::now();
-    let interval = Duration::from_nanos(1_000_000_000 / rate);
-
-    let mut checksum = 0u64;
-    let mut received = 0usize;
-    let (send_result, recv_result) = std::thread::scope(|scope| {
-        let sender = scope.spawn(|| -> std::io::Result<()> {
-            let mut wire = Vec::with_capacity(4 << 10);
-            for (i, op) in ops.iter().enumerate() {
-                let scheduled = start + interval * i as u32;
-                if let Some(wait) = scheduled.checked_duration_since(Instant::now()) {
-                    std::thread::sleep(wait);
-                }
-                let (req, kind) = to_request(op, data);
-                wire.clear();
-                req.encode(&mut wire);
-                sender_stream.write_all(&wire)?;
-                if tx.send((kind, scheduled)).is_err() {
-                    break;
-                }
-            }
-            drop(tx);
-            Ok(())
-        });
-
-        let mut recv_result = Ok(());
-        while received < total {
-            let (kind, scheduled) = match rx.recv() {
-                Ok(pair) => pair,
-                Err(_) => break,
-            };
-            let resp = match conn.recv() {
-                Ok(r) => r,
-                Err(e) => {
-                    recv_result = Err(e);
-                    break;
-                }
-            };
-            let ns = scheduled.elapsed().as_nanos() as u64;
-            registry.record_ns(kind, ns);
-            registry.record_ns(OpKind::NetOp, ns);
-            if let Err(e) = settle(kind, &resp, &mut checksum) {
-                recv_result = Err(e);
-                break;
-            }
-            received += 1;
-        }
-        drop(rx);
-        let send_result = sender
-            .join()
-            .unwrap_or_else(|_| Err(std::io::Error::other("open-loop sender thread panicked")));
-        (send_result, recv_result)
-    });
-    recv_result.and(send_result)?;
-    let secs = start.elapsed().as_secs_f64();
-    let delta = registry.ops_snapshot().op(OpKind::NetOp).since(before.op(OpKind::NetOp));
-    Ok(percentile_report(workload, received, secs, checksum, &delta))
+    Ok(NetRunReport {
+        ops: ops.len(),
+        mops: if secs > 0.0 {
+            ops.len() as f64 / secs / 1e6
+        } else {
+            0.0
+        },
+        checksum,
+        p50_us: delta.p50_ns() as f64 / 1_000.0,
+        p99_us: delta.p99_ns() as f64 / 1_000.0,
+        p999_us: delta.p999_ns() as f64 / 1_000.0,
+    })
 }
 
 /// The in-process ground truth: execute the same workload sequence over a

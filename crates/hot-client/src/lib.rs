@@ -1,23 +1,18 @@
 //! Client side of the hot-server binary protocol: a pipelining
-//! [`Connection`] handle and the network YCSB driver ([`driver`]).
+//! [`Connection`] handle and the network YCSB driver
+//! ([`run_closed_loop`]).
 //!
-//! The driver runs the paper's workload mix over the wire in two pacing
-//! modes — closed-loop (bounded in-flight window, peak throughput) and
-//! open-loop (fixed schedule, coordinated-omission-free latency) — and
-//! carries its own in-process ground truth
-//! ([`driver::expected_checksums`]) so every network run can be checked
+//! The driver runs the paper's workload mix over the wire with a bounded
+//! window of requests in flight, and carries its own in-process ground
+//! truth ([`expected_checksums`]) so every network run can be checked
 //! byte-for-byte against the same operations executed directly on the
 //! index.
 
 #![deny(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod connection;
-pub mod driver;
+mod connection;
+mod driver;
 
 pub use connection::Connection;
-pub use driver::{
-    expected_checksums, run_closed_loop, run_open_loop, run_workload, NetRunReport, Pacing,
-};
-// Re-exported so that a caller of the run functions can build the registry
-// they record into without naming hot-metrics as a direct dependency.
-pub use hot_metrics::Registry;
+pub use driver::{expected_checksums, run_closed_loop};

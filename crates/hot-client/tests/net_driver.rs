@@ -1,9 +1,9 @@
-//! Driver-level coverage beyond closed-loop parity: the open-loop paced
-//! mode must reproduce the same checksums (pacing changes timing, never
-//! results), and the SCAN → RESUME token walk over the wire must
-//! reassemble exactly the unbroken scan.
+//! Driver-level coverage beyond windowed parity: a phase written whole
+//! before any answer is read must reproduce the same checksums, and the
+//! SCAN → RESUME token walk over the wire must reassemble exactly the
+//! unbroken scan.
 
-use hot_client::{expected_checksums, run_open_loop, Connection};
+use hot_client::{expected_checksums, run_closed_loop, Connection};
 use hot_metrics::Registry;
 use hot_server::protocol::{Request, Response};
 use hot_server::{net_data_for, start_with_data, ServerConfig, ServerHandle};
@@ -29,10 +29,12 @@ fn server(kind: DatasetKind, shards: usize) -> ServerHandle {
     start_with_data(config, net_data_for(kind, KEYS, OPS, SEED)).expect("server starts")
 }
 
-/// Open-loop pacing is a measurement choice, not a semantic one: the
-/// checksums must match the in-process driver exactly.
+/// A window as deep as the phase: the client writes every request of the
+/// phase before it reads the first answer, and the server still answers
+/// each one, in order — the checksums must match the in-process driver
+/// exactly.
 #[test]
-fn open_loop_checksums_match_in_process() {
+fn unread_phase_checksums_match_in_process() {
     let kind = DatasetKind::Integer;
     let data = net_data_for(kind, KEYS, OPS, SEED);
     let phases = [Workload::A, Workload::C, Workload::E];
@@ -43,15 +45,13 @@ fn open_loop_checksums_match_in_process() {
     let registry = Registry::new();
     for (phase, &workload) in phases.iter().enumerate() {
         let run = WorkloadRun::new(workload, RequestDistribution::Uniform, KEYS, OPS, SEED);
-        // A rate far above loopback capacity: the sender never sleeps, so
-        // the test stays fast while still driving the split-thread path.
-        let report = run_open_loop(&mut conn, &data, &run, workload, 2_000_000, &registry)
-            .expect("open-loop run");
+        let report =
+            run_closed_loop(&mut conn, &data, &run, OPS, &registry).expect("whole-phase run");
         assert_eq!(report.ops, OPS);
         assert_eq!(
             report.checksum,
             expected[phase],
-            "workload {} open-loop checksum diverged",
+            "workload {} whole-phase checksum diverged",
             workload.letter(),
         );
     }

@@ -49,8 +49,8 @@ fn parity_for(kind: DatasetKind, shards: usize, window: usize) {
     let registry = Registry::new();
     for (phase, &workload) in PHASES.iter().enumerate() {
         let run = WorkloadRun::new(workload, RequestDistribution::Uniform, KEYS, OPS, SEED);
-        let report = run_closed_loop(&mut conn, &data, &run, workload, window, &registry)
-            .expect("network run");
+        let report =
+            run_closed_loop(&mut conn, &data, &run, window, &registry).expect("network run");
         assert_eq!(
             report.checksum,
             expected[phase],
@@ -128,9 +128,8 @@ fn fan_in_small_windows_keep_per_connection_parity() {
                         for (phase, &workload) in FAN_PHASES.iter().enumerate() {
                             let run = WorkloadRun::new(workload, dist, KEYS, FAN_OPS, seed);
                             barrier.wait();
-                            let report =
-                                run_closed_loop(&mut conn, data, &run, workload, WINDOW, &registry)
-                                    .expect("network run");
+                            let report = run_closed_loop(&mut conn, data, &run, WINDOW, &registry)
+                                .expect("network run");
                             assert_eq!(
                                 report.checksum,
                                 expected[phase],

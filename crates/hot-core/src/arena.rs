@@ -87,7 +87,7 @@ use std::sync::atomic::{AtomicPtr, Ordering};
 use crate::node::{CompactSlot, NodeTag, RawNode, TreeRef};
 use crate::store::NodeStore;
 use crate::trie::Trie;
-use hot_keys::stats::MemoryStats;
+use hot_keys::MemoryStats;
 use hot_keys::{MAX_KEY_LEN, MAX_TID};
 
 /// Slab size for both arenas: 1 MiB — large enough that boundary padding is

@@ -850,6 +850,33 @@ mod tests {
         }
     }
 
+    /// The balance gauge at its edges, driven through the router: an idle
+    /// index reads 1.0, a batch routed wholly to one of four shards reads
+    /// 4.0 (the shard count), and a 3:1 split over two shards reads 1.5
+    /// (hottest shard over the mean).
+    #[test]
+    fn imbalance_is_the_hottest_shard_over_the_mean() {
+        use hot_keys::{encode_u64, EmbeddedKeySource};
+        let routed = |sharded: &ShardedHot<EmbeddedKeySource>, keys: &[u64]| {
+            let keys: Vec<[u8; 8]> = keys.iter().map(|&k| encode_u64(k)).collect();
+            let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
+            let mut out = vec![None; refs.len()];
+            sharded.get_batch_with(&refs, &mut out, &mut RouterScratch::new());
+        };
+        let cuts = |at: &[u64]| at.iter().map(|&c| encode_u64(c).to_vec()).collect();
+
+        let four = ShardedHot::with_splitters(EmbeddedKeySource, cuts(&[100, 200, 300]));
+        assert_eq!(four.imbalance(), 1.0, "idle");
+        routed(&four, &[200, 210, 250, 299]);
+        assert_eq!(four.shard_counts(), [0, 0, 4, 0]);
+        assert_eq!(four.imbalance(), 4.0, "all on one of four shards");
+
+        let two = ShardedHot::with_splitters(EmbeddedKeySource, cuts(&[100]));
+        routed(&two, &[1, 2, 3, 100]);
+        assert_eq!(two.shard_counts(), [3, 1]);
+        assert_eq!(two.imbalance(), 1.5, "3:1 over two shards");
+    }
+
     #[test]
     fn compiled_classifier_agrees_with_reference_on_adversarial_keys() {
         // Keys over a 3-symbol alphabet including 0x00 maximize shared

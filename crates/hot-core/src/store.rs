@@ -29,7 +29,7 @@ use std::convert::Infallible;
 
 use crate::bulk::BulkLoadError;
 use crate::node::{HeapSlot, MemCounter, NodeRef, NodeTag, RawNode, Slot, TreeRef};
-use hot_keys::stats::MemoryStats;
+use hot_keys::MemoryStats;
 use hot_keys::{KeySource, KEY_SCRATCH_LEN};
 
 /// Where a trie's compound nodes and leaves live.

@@ -37,7 +37,7 @@ use crate::node::{RawNode, Slot, TreeRef, MAX_FANOUT};
 use crate::store::{height_of, HeapStore, NodeStore};
 use crate::sync::{Access, Exclusive};
 use crate::sync_shim::{AtomicU64, AtomicUsize};
-use hot_keys::stats::MemoryStats;
+use hot_keys::MemoryStats;
 use hot_keys::{DepthStats, KeySource, PaddedKey, MAX_TID};
 
 /// A Height Optimized Trie mapping prefix-free byte-string keys to 63-bit

@@ -6,8 +6,8 @@
 
 use hot_core::sync::Concurrent;
 use hot_core::{Backend, InvariantReport, MlpScheduler, ScanCursor, Trie};
-use hot_keys::stats::MemoryStats;
 use hot_keys::DepthStats;
+use hot_keys::MemoryStats;
 
 /// Run `$body` once per back-end with `$trie` bound to an empty trie: first
 /// the heap trie `$heap` evaluates to, then a `CompactHot`. The body is

@@ -72,11 +72,11 @@ pub fn str_key(s: &[u8]) -> Result<Vec<u8>, KeyError> {
 }
 
 /// Width of the yago subject field (bits 38–63).
-pub const YAGO_SUBJECT_BITS: u32 = 26;
+const YAGO_SUBJECT_BITS: u32 = 26;
 /// Width of the yago predicate field (bits 27–37).
-pub const YAGO_PREDICATE_BITS: u32 = 11;
+const YAGO_PREDICATE_BITS: u32 = 11;
 /// Width of the yago object field (bits 0–26).
-pub const YAGO_OBJECT_BITS: u32 = 27;
+const YAGO_OBJECT_BITS: u32 = 27;
 
 /// Compose a yago triple identifier with the paper's bit layout
 /// (Section 6.1): the lowest 27 bits (0–26) hold the object id, bits 27–37

@@ -5,30 +5,33 @@
 //! 8 bytes are embedded directly in the TID, longer keys live in an external
 //! tuple store the index references. This crate provides:
 //!
-//! * [`encode`] — order-preserving, prefix-free key encodings (big-endian
-//!   integers, NUL-terminated strings, the yago compound-key bit layout);
+//! * order-preserving, prefix-free key encodings ([`encode_u64`],
+//!   [`str_key`], [`encode_yago`]: big-endian integers, NUL-terminated
+//!   strings, the yago compound-key bit layout);
 //! * [`PaddedKey`] — a fixed-size zero-padded key buffer that lets node-level
 //!   code read 8-byte windows at any mask offset without bounds checks;
 //! * [`KeySource`] — the trait through which tries resolve a TID back to its
 //!   key bytes (needed because Patricia-style lookups must verify the
 //!   candidate leaf against the full key), with embedded-integer and
 //!   arena-backed implementations;
-//! * [`sort`] — ordering items by their key bytes ahead of a sorted bulk
-//!   load: a parallel sample sort that caches 8 key bytes per entry;
+//! * [`sort_by_key`] — ordering items by their key bytes ahead of a sorted
+//!   bulk load: a parallel sample sort that caches 8 key bytes per entry;
 //! * [`DepthStats`] — the leaf-depth histogram used by the Figure 11
-//!   experiment, shared across all tree structures.
+//!   experiment, and [`MemoryStats`], the footprint report, both shared
+//!   across all tree structures.
 
 #![deny(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod encode;
-pub mod sort;
-pub mod source;
-pub mod stats;
+mod encode;
+mod sort;
+mod source;
+mod stats;
 
-pub use encode::{decode_u64, encode_u64, encode_yago, str_key, KeyError};
-pub use sort::sort_by_key;
+pub use encode::{decode_u64, encode_u64, encode_yago, str_key};
+pub use sort::{sort_by_key, sort_by_key_in};
 pub use source::{ArenaKeySource, EmbeddedKeySource, KeySource, KEY_SCRATCH_LEN};
-pub use stats::DepthStats;
+pub use stats::{DepthStats, MemoryStats};
 
 /// Maximum length, in bytes, of an encoded key.
 ///

@@ -18,7 +18,7 @@
 
 #![deny(missing_docs)]
 
-use hot_keys::stats::MemoryStats;
+use hot_keys::MemoryStats;
 use hot_keys::{DepthStats, KeySource, PaddedKey, KEY_SCRATCH_LEN, MAX_TID};
 
 /// B+-tree fanout within a layer (Masstree uses 15-key nodes; we keep the

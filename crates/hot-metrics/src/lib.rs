@@ -7,9 +7,8 @@
 //!   variants plus bulk load), each with a call counter, a summed-duration
 //!   counter, an *items* counter (keys resolved per batch, TIDs returned
 //!   per scan) and a fixed-bucket log-scale latency histogram
-//!   (HdrHistogram-style: linear below 2^[`SUB_BITS`] ns, then
-//!   2^[`SUB_BITS`] sub-buckets per power of two — relative bucket error
-//!   is bounded by `2^-SUB_BITS`);
+//!   (HdrHistogram-style: linear below 16 ns, then 16 sub-buckets per
+//!   power of two — relative bucket error is bounded by 1/16);
 //! * **ROWEX health counters** ([`RowexCounter`]) — lock-acquisition
 //!   failures, optimistic-insert/remove restarts, obsolete-marker
 //!   encounters, epoch pins and the deferred-free queue (queued vs.
@@ -20,18 +19,19 @@
 //!   achieved in-flight depth of the batched descent engine is
 //!   observable (DESIGN.md §9.4).
 //!
-//! Recording goes to one of [`NUM_SHARDS`] cache-line-padded shards picked
+//! Recording goes to one of eight cache-line-padded shards picked
 //! by a per-thread slot, so concurrent writers on different threads do not
 //! ping-pong a shared counter line; [`Registry::ops_snapshot`] merges the
 //! shards into an immutable [`MetricsSnapshot`] that offers percentile
-//! extraction ([`OpSnapshot::quantile_ns`]) and stable, hand-rolled JSON
-//! (the workspace has no serde).
+//! extraction ([`OpSnapshot::p50_ns`], `p99_ns`, `p999_ns`) and stable,
+//! hand-rolled JSON (the workspace has no serde).
 //!
 //! The crate is only ever compiled when an index crate enables its
 //! `metrics` cargo feature; the default build has **zero** cost because no
 //! call site survives (verified by `cargo xtask verify-no-metrics`).
 
 #![deny(missing_docs)]
+#![warn(unreachable_pub)]
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
@@ -105,7 +105,7 @@ impl OpKind {
 }
 
 /// Number of instrumented operation kinds.
-pub const NUM_OPS: usize = 12;
+const NUM_OPS: usize = 12;
 
 /// ROWEX synchronization health counters (see `hot_core::sync`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,7 +138,7 @@ impl RowexCounter {
     ];
 
     /// Stable lowercase label used in JSON output.
-    pub fn label(self) -> &'static str {
+    fn label(self) -> &'static str {
         match self {
             RowexCounter::LockFail => "lock_failures",
             RowexCounter::Restart => "restarts",
@@ -151,7 +151,7 @@ impl RowexCounter {
 }
 
 /// Number of ROWEX health counters.
-pub const NUM_ROWEX: usize = 6;
+const NUM_ROWEX: usize = 6;
 
 /// Out-of-order MLP scheduler health counters (see `hot_core::MlpScheduler`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -179,7 +179,7 @@ impl SchedCounter {
     ];
 
     /// Stable lowercase label used in JSON output.
-    pub fn label(self) -> &'static str {
+    fn label(self) -> &'static str {
         match self {
             SchedCounter::Refill => "refills",
             SchedCounter::LookupDone => "lookup_completions",
@@ -190,7 +190,7 @@ impl SchedCounter {
 }
 
 /// Number of MLP scheduler health counters.
-pub const NUM_SCHED: usize = 4;
+const NUM_SCHED: usize = 4;
 
 /// Largest lane-occupancy value tracked exactly; the occupancy histogram
 /// has one bucket per occupancy `0..=MAX_OCCUPANCY` (deeper schedulers
@@ -198,21 +198,21 @@ pub const NUM_SCHED: usize = 4;
 pub const MAX_OCCUPANCY: usize = 64;
 
 /// Buckets in the lane-occupancy histogram.
-pub const OCC_BUCKETS: usize = MAX_OCCUPANCY + 1;
+const OCC_BUCKETS: usize = MAX_OCCUPANCY + 1;
 
 /// Sub-bucket resolution: 2^SUB_BITS log-spaced sub-buckets per power of
 /// two, i.e. ≤ 1/16 ≈ 6% relative quantile error.
-pub const SUB_BITS: u32 = 4;
+const SUB_BITS: u32 = 4;
 const SUB: usize = 1 << SUB_BITS;
 /// Largest exponent tracked: values at or above 2^MAX_EXP ns (~18 minutes)
 /// land in the final bucket.
 const MAX_EXP: u32 = 40;
 /// Total latency-histogram buckets per operation kind.
-pub const NUM_BUCKETS: usize = SUB + (MAX_EXP - SUB_BITS) as usize * SUB;
+const NUM_BUCKETS: usize = SUB + (MAX_EXP - SUB_BITS) as usize * SUB;
 
 /// Histogram bucket index for a duration of `ns` nanoseconds.
 #[inline]
-pub fn bucket_index(ns: u64) -> usize {
+fn bucket_index(ns: u64) -> usize {
     if ns < SUB as u64 {
         return ns as usize;
     }
@@ -228,7 +228,7 @@ pub fn bucket_index(ns: u64) -> usize {
 
 /// Inclusive lower bound (in ns) of histogram bucket `i`.
 #[inline]
-pub fn bucket_lower(i: usize) -> u64 {
+fn bucket_lower(i: usize) -> u64 {
     if i < SUB {
         return i as u64;
     }
@@ -239,7 +239,7 @@ pub fn bucket_lower(i: usize) -> u64 {
 
 /// Width (in ns) of histogram bucket `i` (1 in the linear range).
 #[inline]
-pub fn bucket_width(i: usize) -> u64 {
+fn bucket_width(i: usize) -> u64 {
     if i < SUB {
         1
     } else {
@@ -293,7 +293,7 @@ impl Shard {
 /// process-wide thread slot modulo this; more simultaneous threads than
 /// shards merely share (correctly, via atomic adds), they never lose
 /// updates.
-pub const NUM_SHARDS: usize = 8;
+const NUM_SHARDS: usize = 8;
 
 static NEXT_THREAD_SLOT: AtomicUsize = AtomicUsize::new(0);
 
@@ -348,7 +348,7 @@ impl Registry {
     /// snapshot as `n` calls of [`record_ns`](Self::record_ns), for one
     /// bucket add instead of `n`.
     #[inline]
-    pub fn record_ns_n(&self, op: OpKind, ns: u64, n: u64) {
+    fn record_ns_n(&self, op: OpKind, ns: u64, n: u64) {
         let shard = &self.shards[shard_index()].ops[op as usize];
         shard.count.fetch_add(n, Ordering::Relaxed);
         shard.total_ns.fetch_add(ns.wrapping_mul(n), Ordering::Relaxed);
@@ -367,7 +367,7 @@ impl Registry {
     /// empty: per kind one add each to the count, duration and items
     /// counters, and one add per histogram bucket the tally touched. The
     /// snapshot afterwards is the one the same
-    /// [`record_ns_n`](Self::record_ns_n) / [`add_items`](Self::add_items)
+    /// [`record_ns`](Self::record_ns) / [`add_items`](Self::add_items)
     /// calls made directly on the registry would have produced.
     pub fn absorb(&self, tally: &mut LocalTally) {
         let shard = &self.shards[shard_index()];
@@ -391,16 +391,6 @@ impl Registry {
         }
     }
 
-    /// Start timing one `op`; the returned guard records on drop.
-    #[inline]
-    pub fn timer(&self, op: OpKind) -> OpTimer<'_> {
-        OpTimer {
-            registry: self,
-            op,
-            start: Instant::now(),
-        }
-    }
-
     /// Increment a ROWEX health counter.
     #[inline]
     pub fn incr(&self, c: RowexCounter) {
@@ -408,7 +398,7 @@ impl Registry {
     }
 
     /// Merged value of one ROWEX counter.
-    pub fn counter(&self, c: RowexCounter) -> u64 {
+    fn counter(&self, c: RowexCounter) -> u64 {
         self.shards
             .iter()
             .map(|s| s.rowex[c as usize].load(Ordering::Relaxed))
@@ -430,7 +420,7 @@ impl Registry {
     }
 
     /// Merged value of one scheduler counter.
-    pub fn sched_counter(&self, c: SchedCounter) -> u64 {
+    fn sched_counter(&self, c: SchedCounter) -> u64 {
         self.shards
             .iter()
             .map(|s| s.sched[c as usize].load(Ordering::Relaxed))
@@ -509,7 +499,7 @@ struct TallyOp {
 /// ([`OpKind::NetGet`] … [`OpKind::NetOp`]).
 ///
 /// A connection thread records every request here — plain adds on memory
-/// nobody else reads, same [`bucket_index`] as the registry — and hands
+/// nobody else reads, same bucket index as the registry — and hands
 /// the lot to [`Registry::absorb`] once per request window, so the shared
 /// histograms cost a few atomic adds per window instead of three per run.
 /// Nothing is averaged or dropped on the way: the registry ends up with
@@ -532,7 +522,7 @@ impl Default for LocalTally {
 
 impl LocalTally {
     /// An empty tally.
-    pub fn new() -> LocalTally {
+    fn new() -> LocalTally {
         LocalTally {
             ops: [TallyOp::default(); TALLY_OPS],
             hist: vec![0; TALLY_OPS * NUM_BUCKETS].into_boxed_slice(),
@@ -540,7 +530,7 @@ impl LocalTally {
     }
 
     /// Record `n` completed `op`s that took `ns` nanoseconds each — the
-    /// local counterpart of [`Registry::record_ns_n`].
+    /// local counterpart of `n` calls of [`Registry::record_ns`].
     ///
     /// # Panics
     /// Panics if `op` is not one of the served-request kinds.
@@ -563,23 +553,9 @@ impl LocalTally {
     }
 }
 
-/// Drop guard that records one operation's latency into its registry.
-pub struct OpTimer<'a> {
-    registry: &'a Registry,
-    op: OpKind,
-    start: Instant,
-}
-
-impl Drop for OpTimer<'_> {
-    fn drop(&mut self) {
-        let ns = self.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        self.registry.record_ns(self.op, ns);
-    }
-}
-
-/// Owning flavour of [`OpTimer`]: holds the registry by `Arc`, so it can
-/// be bound across calls that mutably borrow the instrumented structure
-/// (`insert`, `remove`, `bulk_load`).
+/// Drop guard that records one operation's latency into its registry,
+/// held by `Arc` so it can be bound across calls that mutably borrow the
+/// instrumented structure (`insert`, `remove`, `bulk_load`).
 pub struct SharedOpTimer {
     registry: std::sync::Arc<Registry>,
     op: OpKind,
@@ -613,12 +589,12 @@ pub struct OpSnapshot {
     /// Completed calls.
     pub count: u64,
     /// Summed wall-clock duration in nanoseconds.
-    pub total_ns: u64,
+    total_ns: u64,
     /// Summed item count (keys per batch call, TIDs per scan, keys per
     /// bulk load; 0 for point ops).
     pub items: u64,
     /// Latency histogram, `NUM_BUCKETS` log-scale buckets.
-    pub hist: Vec<u64>,
+    hist: Vec<u64>,
 }
 
 impl OpSnapshot {
@@ -629,14 +605,14 @@ impl OpSnapshot {
     }
 
     /// Mean latency in nanoseconds (0 when no calls were recorded).
-    pub fn mean_ns(&self) -> u64 {
+    fn mean_ns(&self) -> u64 {
         self.total_ns.checked_div(self.count).unwrap_or(0)
     }
 
     /// Latency quantile in nanoseconds: the midpoint of the bucket holding
     /// the `q`-quantile sample (`q` in `[0, 1]`; 0 when empty). Relative
-    /// error is bounded by the bucket width, ≤ 2^-[`SUB_BITS`].
-    pub fn quantile_ns(&self, q: f64) -> u64 {
+    /// error is bounded by the bucket width, ≤ 1/16.
+    fn quantile_ns(&self, q: f64) -> u64 {
         let total = self.hist_total();
         if total == 0 {
             return 0;
@@ -699,7 +675,7 @@ impl RowexSnapshot {
     }
 
     /// Deferred frees still queued (reclamation backlog): queued − freed.
-    pub fn deferred_depth(&self) -> u64 {
+    fn deferred_depth(&self) -> u64 {
         self.get(RowexCounter::DeferredQueued)
             .saturating_sub(self.get(RowexCounter::DeferredFreed))
     }
@@ -711,7 +687,7 @@ impl RowexSnapshot {
     }
 
     /// This snapshot minus an earlier one (saturating).
-    pub fn since(&self, earlier: &RowexSnapshot) -> RowexSnapshot {
+    fn since(&self, earlier: &RowexSnapshot) -> RowexSnapshot {
         let mut out = RowexSnapshot::default();
         for i in 0..NUM_ROWEX {
             out.counts[i] = self.counts[i].saturating_sub(earlier.counts[i]);
@@ -728,7 +704,7 @@ pub struct SchedSnapshot {
     /// Occupancy samples per busy-lane count (`occupancy[b]` = rounds that
     /// started with exactly `b` lanes in flight, `b` clamped to
     /// [`MAX_OCCUPANCY`]).
-    pub occupancy: [u64; OCC_BUCKETS],
+    occupancy: [u64; OCC_BUCKETS],
 }
 
 impl Default for SchedSnapshot {
@@ -775,7 +751,7 @@ impl SchedSnapshot {
     }
 
     /// This snapshot minus an earlier one (saturating).
-    pub fn since(&self, earlier: &SchedSnapshot) -> SchedSnapshot {
+    fn since(&self, earlier: &SchedSnapshot) -> SchedSnapshot {
         let mut out = SchedSnapshot::default();
         for i in 0..NUM_SCHED {
             out.counts[i] = self.counts[i].saturating_sub(earlier.counts[i]);
@@ -891,12 +867,6 @@ impl MetricsSnapshot {
         }
     }
 
-    /// [`merge`](Self::merge) by value, for fold chains.
-    pub fn merged(mut self, other: &MetricsSnapshot) -> MetricsSnapshot {
-        self.merge(other);
-        self
-    }
-
     /// Serialize to stable, human-diffable JSON (ops with non-zero counts
     /// only; histograms summarized as percentiles, not dumped raw).
     pub fn to_json(&self) -> String {
@@ -952,66 +922,17 @@ impl MetricsSnapshot {
     }
 }
 
-/// Routed-request balance across the shards of a sharded index: the
-/// router's per-shard request tallies plus the derived imbalance gauge
-/// fig10 reports for `--shards` rows.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ShardBalance {
-    /// Requests routed to each shard since construction.
-    pub routed: Vec<u64>,
-}
-
-impl ShardBalance {
-    /// Wrap per-shard routed-request counts.
-    pub fn new(routed: Vec<u64>) -> ShardBalance {
-        ShardBalance { routed }
-    }
-
-    /// Total routed requests.
-    pub fn total(&self) -> u64 {
-        self.routed.iter().sum()
-    }
-
-    /// Hottest shard over mean: 1.0 is perfectly balanced, `shards` is
-    /// everything on one shard; an empty or idle gauge reports 1.0.
-    pub fn imbalance(&self) -> f64 {
-        let total = self.total();
-        if total == 0 || self.routed.is_empty() {
-            return 1.0;
-        }
-        let max = self.routed.iter().copied().max().unwrap_or(0) as f64;
-        max * self.routed.len() as f64 / total as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn shard_balance_imbalance_gauge() {
-        assert_eq!(ShardBalance::default().imbalance(), 1.0);
-        assert_eq!(ShardBalance::new(vec![0, 0]).imbalance(), 1.0);
-        assert_eq!(ShardBalance::new(vec![5, 5, 5, 5]).imbalance(), 1.0);
-        // All load on one of four shards: max/mean = 4.
-        assert_eq!(ShardBalance::new(vec![12, 0, 0, 0]).imbalance(), 4.0);
-        // 3:1 across two shards: max/mean = 1.5.
-        assert_eq!(ShardBalance::new(vec![9, 3]).imbalance(), 1.5);
-    }
-
-    #[test]
     fn merge_sums_counters_and_histograms() {
         let reg_a = Registry::new();
         let reg_b = Registry::new();
-        {
-            let _t = reg_a.timer(OpKind::Get);
-        }
-        {
-            let _t = reg_b.timer(OpKind::Get);
-        }
-        {
-            let _t = reg_b.timer(OpKind::Insert);
-        }
+        reg_a.record_ns(OpKind::Get, 40);
+        reg_b.record_ns(OpKind::Get, 700);
+        reg_b.record_ns(OpKind::Insert, 90);
         reg_a.incr(RowexCounter::Restart);
         reg_b.incr(RowexCounter::Restart);
         reg_b.incr(RowexCounter::EpochPin);

@@ -20,7 +20,7 @@
 
 #![deny(missing_docs)]
 
-use hot_keys::stats::MemoryStats;
+use hot_keys::MemoryStats;
 use hot_keys::{DepthStats, KeySource, KEY_SCRATCH_LEN, MAX_TID};
 
 /// One node of the Patricia trie: either a leaf TID or an inner BiNode with

@@ -4,7 +4,7 @@
 //! into a network service speaking a length-prefixed binary protocol
 //! ([`protocol`]): GET / PUT / DEL / SCAN / RESUME frames, fully
 //! pipelineable, decoded incrementally from arbitrary read boundaries.
-//! Pipelining is the only batching: the server ([`server`]) drains each
+//! Pipelining is the only batching: the server ([`start`]) drains each
 //! connection's pipelined request window into the index's batched entry
 //! points — the same
 //! memory-level-parallel paths the in-process benchmarks exercise — so the
@@ -15,7 +15,7 @@
 //! Because HOT is a secondary index (TIDs in the trie, key bytes in the
 //! tuple store), the service is an *index server over a shared corpus*:
 //! server and client materialize the same deterministic dataset
-//! ([`store`]) and a PUT's TID is validated against that corpus before it
+//! ([`NetData`]) and a PUT's TID is validated against that corpus before it
 //! may enter the index.
 //!
 //! The `hot-server` binary serves one corpus from the command line; the
@@ -23,11 +23,12 @@
 //! network YCSB driver.
 
 #![deny(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod protocol;
-pub mod server;
-pub mod store;
+mod server;
+mod store;
 
-pub use protocol::{FrameDecoder, ProtoError, Request, Response, MAX_FRAME, MAX_KEY};
-pub use server::{start, start_with_data, ServerConfig, ServerHandle, ServerStats};
+pub use protocol::{FrameDecoder, Request, Response};
+pub use server::{start, start_with_data, ServerConfig, ServerHandle};
 pub use store::{net_data_for, NetData};

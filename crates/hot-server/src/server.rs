@@ -164,28 +164,28 @@ impl ServerStats {
     }
 
     /// Requests executed.
-    pub fn requests(&self) -> u64 {
+    fn requests(&self) -> u64 {
         self.requests.get()
     }
 
     /// Request windows executed: drains of up to
     /// [`ServerConfig::window`] of one connection's buffered frames into
     /// the index. `requests / windows` is the achieved pipelining depth.
-    pub fn windows(&self) -> u64 {
+    fn windows(&self) -> u64 {
         self.windows.get()
     }
 
     /// Socket writes of answers: one per turn of a connection's loop,
     /// which answers every window one read delivered (up to 64 KiB of
     /// answers). `requests / writes` is the answers per syscall.
-    pub fn writes(&self) -> u64 {
+    fn writes(&self) -> u64 {
         self.writes.get()
     }
 
     /// `get_batch_with` calls made for coalesced GET runs; the `net_get`
     /// count of the metrics document divided by this is the mean run
     /// length the MLP engine was fed.
-    pub fn get_runs(&self) -> u64 {
+    fn get_runs(&self) -> u64 {
         self.get_runs.get()
     }
 
@@ -195,12 +195,12 @@ impl ServerStats {
     }
 
     /// Raw bytes read off all sockets.
-    pub fn bytes_in(&self) -> u64 {
+    fn bytes_in(&self) -> u64 {
         self.bytes_in.get()
     }
 
     /// Raw bytes written to all sockets.
-    pub fn bytes_out(&self) -> u64 {
+    fn bytes_out(&self) -> u64 {
         self.bytes_out.get()
     }
 }
@@ -380,12 +380,6 @@ impl ServerHandle {
     /// `bytes_out` grow when a turn's write is done.
     pub fn stats_json(&self) -> String {
         self.shared.stats_json()
-    }
-
-    /// True once a SHUTDOWN frame (or [`ServerHandle::shutdown`]) was
-    /// processed.
-    pub fn stopping(&self) -> bool {
-        self.shared.stop_requested()
     }
 
     /// Stop accepting, let in-flight turns finish, join every thread.

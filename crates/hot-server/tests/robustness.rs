@@ -4,7 +4,7 @@
 //! connections than the server admits) ends with the server still
 //! serving and the well-behaved connection's checksum intact.
 
-use hot_server::protocol::{FrameDecoder, Request, Response};
+use hot_server::protocol::{FrameDecoder, Request, Response, MAX_KEY};
 use hot_server::{net_data_for, start_with_data, NetData, ServerConfig, ServerHandle};
 use hot_ycsb::DatasetKind;
 use std::io::{Read, Write};
@@ -123,7 +123,11 @@ fn mid_frame_disconnect_leaves_other_connections_intact() {
     sick.send_all(&[Request::Ping]);
     assert_eq!(sick.recv(), Response::None);
     let mut torn = Vec::new();
-    Request::Scan { start: vec![0xAB; hot_server::MAX_KEY], limit: u32::MAX }.encode(&mut torn);
+    Request::Scan {
+        start: vec![0xAB; MAX_KEY],
+        limit: u32::MAX,
+    }
+    .encode(&mut torn);
     sick.stream.write_all(&torn[..torn.len() / 2]).expect("partial frame accepted");
     drop(sick); // RST/FIN mid-frame
 

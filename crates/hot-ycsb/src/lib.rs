@@ -10,8 +10,8 @@
 //!   read-modify-write);
 //! * **request distributions**: uniform and Zipfian (plus "latest" for
 //!   workload D), via a faithful port of YCSB's incremental Zipfian
-//!   generator ([`zipf::Zipfian`]);
-//! * the four **data sets** ([`dataset`]): synthetic stand-ins for the
+//!   generator ([`Zipfian`]);
+//! * the four **data sets** ([`DatasetKind`]): synthetic stand-ins for the
 //!   paper's url (≈55-byte URLs), email (≈23-byte addresses), yago (8-byte
 //!   compound triples with the paper's exact bit layout) and integer
 //!   (uniform 63-bit) keys — see DESIGN.md §5 for why the synthetic
@@ -21,15 +21,16 @@
 //! executes the identical operation sequence.
 
 #![deny(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod dataset;
+mod dataset;
 #[cfg(feature = "metrics")]
-pub mod phase;
-pub mod workload;
-pub mod zipf;
+mod phase;
+mod workload;
+mod zipf;
 
 pub use dataset::{Dataset, DatasetKind};
-pub use workload::{
-    BatchedOperation, Operation, ReadBatches, RequestDistribution, Workload, WorkloadRun,
-};
-pub use zipf::{Latest, Zipfian};
+#[cfg(feature = "metrics")]
+pub use phase::PhaseRecorder;
+pub use workload::{BatchedOperation, Operation, RequestDistribution, Workload, WorkloadRun};
+pub use zipf::Zipfian;

@@ -28,7 +28,7 @@ pub struct Phase {
 /// Tags successive metric snapshots with workload phase names by diffing.
 ///
 /// ```
-/// use hot_ycsb::phase::PhaseRecorder;
+/// use hot_ycsb::PhaseRecorder;
 /// # let registry = hot_metrics::Registry::new();
 /// let mut phases = PhaseRecorder::new();
 /// phases.begin(registry.ops_snapshot());

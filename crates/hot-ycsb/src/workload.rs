@@ -63,7 +63,7 @@ impl Workload {
     }
 
     /// Fraction of operations that insert new keys.
-    pub fn insert_fraction(self) -> f64 {
+    fn insert_fraction(self) -> f64 {
         match self {
             Workload::D | Workload::E => 0.05,
             _ => 0.0,
@@ -139,7 +139,7 @@ pub enum Operation {
 
 /// Maximum scan length of workload E ("range scans accessing up to 100
 /// elements").
-pub const MAX_SCAN_LEN: usize = 100;
+const MAX_SCAN_LEN: usize = 100;
 
 /// A fully materialized benchmark configuration: the operation stream of
 /// the transaction phase.

@@ -10,7 +10,7 @@
 use rand::Rng;
 
 /// Default YCSB skew parameter.
-pub const DEFAULT_THETA: f64 = 0.99;
+const DEFAULT_THETA: f64 = 0.99;
 
 /// Incremental Zipfian generator over `0..n`.
 #[derive(Debug, Clone)]
@@ -78,7 +78,7 @@ impl Zipfian {
     /// Draw a *scrambled* item in `0..items`: the rank is hashed so hot
     /// items are spread uniformly over the key space (YCSB's
     /// `ScrambledZipfianGenerator`).
-    pub fn next_scrambled<R: Rng>(&self, rng: &mut R) -> u64 {
+    pub(crate) fn next_scrambled<R: Rng>(&self, rng: &mut R) -> u64 {
         fnv1a64(self.next_rank(rng)) % self.items
     }
 
@@ -91,13 +91,13 @@ impl Zipfian {
 /// YCSB's "latest" distribution (workload D): recent items are popular.
 /// Draw = `max - zipfian_rank`, clamped to the current item count.
 #[derive(Debug, Clone)]
-pub struct Latest {
+pub(crate) struct Latest {
     zipf: Zipfian,
 }
 
 impl Latest {
     /// Latest distribution over an initial window of `items`.
-    pub fn new(items: u64) -> Latest {
+    pub(crate) fn new(items: u64) -> Latest {
         Latest {
             zipf: Zipfian::with_default_theta(items),
         }
@@ -105,7 +105,7 @@ impl Latest {
 
     /// Draw an index in `0..current_items`, skewed toward the most recent
     /// (`current_items - 1`).
-    pub fn next<R: Rng>(&self, rng: &mut R, current_items: u64) -> u64 {
+    pub(crate) fn next<R: Rng>(&self, rng: &mut R, current_items: u64) -> u64 {
         debug_assert!(current_items >= 1);
         let rank = self.zipf.next_rank(rng) % current_items;
         current_items - 1 - rank
@@ -114,7 +114,7 @@ impl Latest {
 
 /// 64-bit FNV-1a hash (the scrambler YCSB uses).
 #[inline]
-pub fn fnv1a64(v: u64) -> u64 {
+fn fnv1a64(v: u64) -> u64 {
     let mut hash = 0xCBF2_9CE4_8422_2325u64;
     for byte in v.to_le_bytes() {
         hash ^= byte as u64;

@@ -6,7 +6,7 @@
 //! (long shared prefixes, keys ending inside a word, trailing 0x00 bytes,
 //! duplicates).
 
-use hot_keys::sort::sort_by_key_in;
+use hot_keys::sort_by_key_in;
 use hot_keys::{sort_by_key, ArenaKeySource};
 use hot_ycsb::{Dataset, DatasetKind};
 

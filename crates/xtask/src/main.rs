@@ -6,6 +6,8 @@
 //! Performance is not gated here: `bench/` (`BENCHMARK.json`) is the one
 //! performance gate (DESIGN.md §13.5).
 //!
+//! * [`asan`] (`cargo xtask asan`) — CI's AddressSanitizer test set on
+//!   the installed nightly toolchain.
 //! * [`lint`] (`cargo xtask lint [--json]`) — the five-pass workspace
 //!   static-analysis suite: atomics-protocol conformance, hot-path
 //!   allocation freedom, epoch-pin discipline, per-crate unsafe budgets,
@@ -16,6 +18,7 @@
 //!   gate: real hot-server processes driven by the net_ycsb client with
 //!   checksum verification and clean-shutdown assertions.
 
+mod asan;
 mod lexer;
 mod lint;
 mod no_metrics;
@@ -28,6 +31,7 @@ use std::process::ExitCode;
 fn usage() -> ExitCode {
     eprintln!(
         "usage: cargo xtask <command>\n\navailable commands:\n  \
+         asan                    run CI's AddressSanitizer test set on the nightly toolchain\n  \
          lint [--json]           run the workspace lint suite (atomics / hot-path / epoch / unsafe-budget / safety)\n  \
          verify-no-metrics       assert the default build links no hot_metrics code\n  \
          server-smoke            spawn hot-server per dataset/shard count and verify network YCSB checksums"
@@ -38,6 +42,7 @@ fn usage() -> ExitCode {
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     match args.next().as_deref() {
+        Some("asan") => asan::asan(),
         Some("lint") => lint::lint(args.next().as_deref() == Some("--json")),
         Some("verify-no-metrics") => no_metrics::verify_no_metrics(),
         Some("server-smoke") => server_smoke::server_smoke(),
