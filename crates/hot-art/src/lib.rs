@@ -162,9 +162,7 @@ impl Node {
 
     fn count(&self) -> usize {
         match &self.body {
-            Body::N4 { len, .. } | Body::N16 { len, .. } | Body::N48 { len, .. } => {
-                *len as usize
-            }
+            Body::N4 { len, .. } | Body::N16 { len, .. } | Body::N48 { len, .. } => *len as usize,
             Body::N256 { len, .. } => *len as usize,
         }
     }
@@ -173,11 +171,19 @@ impl Node {
     #[inline]
     fn find_child(&self, byte: u8) -> Option<Child> {
         match &self.body {
-            Body::N4 { len, keys, children } => keys[..*len as usize]
+            Body::N4 {
+                len,
+                keys,
+                children,
+            } => keys[..*len as usize]
                 .iter()
                 .position(|&k| k == byte)
                 .map(|i| children[i]),
-            Body::N16 { len, keys, children } => {
+            Body::N16 {
+                len,
+                keys,
+                children,
+            } => {
                 // Linear scan; the sorted array is small enough that the
                 // branchy SSE variant gains little in Rust.
                 keys[..*len as usize]
@@ -185,7 +191,9 @@ impl Node {
                     .position(|&k| k == byte)
                     .map(|i| children[i])
             }
-            Body::N48 { index, children, .. } => {
+            Body::N48 {
+                index, children, ..
+            } => {
                 let slot = index[byte as usize];
                 (slot != N48_EMPTY).then(|| children[slot as usize])
             }
@@ -199,15 +207,25 @@ impl Node {
     /// Mutable slot of the child for `byte`, if present.
     fn find_child_mut(&mut self, byte: u8) -> Option<&mut Child> {
         match &mut self.body {
-            Body::N4 { len, keys, children } => keys[..*len as usize]
+            Body::N4 {
+                len,
+                keys,
+                children,
+            } => keys[..*len as usize]
                 .iter()
                 .position(|&k| k == byte)
                 .map(move |i| &mut children[i]),
-            Body::N16 { len, keys, children } => keys[..*len as usize]
+            Body::N16 {
+                len,
+                keys,
+                children,
+            } => keys[..*len as usize]
                 .iter()
                 .position(|&k| k == byte)
                 .map(move |i| &mut children[i]),
-            Body::N48 { index, children, .. } => {
+            Body::N48 {
+                index, children, ..
+            } => {
                 let slot = index[byte as usize];
                 (slot != N48_EMPTY).then(move || &mut children[slot as usize])
             }
@@ -232,7 +250,11 @@ impl Node {
     /// be absent.
     fn add_child(&mut self, byte: u8, child: Child) {
         match &mut self.body {
-            Body::N4 { len, keys, children } => {
+            Body::N4 {
+                len,
+                keys,
+                children,
+            } => {
                 let n = *len as usize;
                 let at = keys[..n].partition_point(|&k| k < byte);
                 keys.copy_within(at..n, at + 1);
@@ -241,7 +263,11 @@ impl Node {
                 children[at] = child;
                 *len += 1;
             }
-            Body::N16 { len, keys, children } => {
+            Body::N16 {
+                len,
+                keys,
+                children,
+            } => {
                 let n = *len as usize;
                 let at = keys[..n].partition_point(|&k| k < byte);
                 keys.copy_within(at..n, at + 1);
@@ -276,7 +302,11 @@ impl Node {
     #[allow(clippy::needless_range_loop)] // byte value doubles as array index
     fn grow(&mut self) {
         self.body = match &self.body {
-            Body::N4 { len, keys, children } => {
+            Body::N4 {
+                len,
+                keys,
+                children,
+            } => {
                 let mut nk = [0u8; 16];
                 let mut nc = [Child::NULL; 16];
                 nk[..4].copy_from_slice(keys);
@@ -287,7 +317,11 @@ impl Node {
                     children: Box::new(nc),
                 }
             }
-            Body::N16 { len, keys, children } => {
+            Body::N16 {
+                len,
+                keys,
+                children,
+            } => {
                 let mut index = [N48_EMPTY; 256];
                 let mut nc = [Child::NULL; 48];
                 for i in 0..*len as usize {
@@ -326,7 +360,11 @@ impl Node {
     fn remove_child(&mut self, byte: u8) -> Child {
         let removed;
         match &mut self.body {
-            Body::N4 { len, keys, children } => {
+            Body::N4 {
+                len,
+                keys,
+                children,
+            } => {
                 let n = *len as usize;
                 let at = keys[..n].iter().position(|&k| k == byte).expect("present");
                 removed = children[at];
@@ -334,7 +372,11 @@ impl Node {
                 children.copy_within(at + 1..n, at);
                 *len -= 1;
             }
-            Body::N16 { len, keys, children } => {
+            Body::N16 {
+                len,
+                keys,
+                children,
+            } => {
                 let n = *len as usize;
                 let at = keys[..n].iter().position(|&k| k == byte).expect("present");
                 removed = children[at];
@@ -367,7 +409,11 @@ impl Node {
     #[allow(clippy::needless_range_loop)] // byte value doubles as array index
     fn maybe_shrink(&mut self) {
         let new_body = match &self.body {
-            Body::N16 { len, keys, children } if *len <= 3 => {
+            Body::N16 {
+                len,
+                keys,
+                children,
+            } if *len <= 3 => {
                 let mut nk = [0u8; 4];
                 let mut nc = [Child::NULL; 4];
                 nk[..*len as usize].copy_from_slice(&keys[..*len as usize]);
@@ -429,17 +475,27 @@ impl Node {
     fn children_sorted(&self) -> Vec<(u8, Child)> {
         let mut out = Vec::with_capacity(self.count());
         match &self.body {
-            Body::N4 { len, keys, children } => {
+            Body::N4 {
+                len,
+                keys,
+                children,
+            } => {
                 for i in 0..*len as usize {
                     out.push((keys[i], children[i]));
                 }
             }
-            Body::N16 { len, keys, children } => {
+            Body::N16 {
+                len,
+                keys,
+                children,
+            } => {
                 for i in 0..*len as usize {
                     out.push((keys[i], children[i]));
                 }
             }
-            Body::N48 { index, children, .. } => {
+            Body::N48 {
+                index, children, ..
+            } => {
                 for byte in 0..256usize {
                     let slot = index[byte];
                     if slot != N48_EMPTY {
@@ -461,15 +517,25 @@ impl Node {
     /// First child in byte order whose byte is `>= from`.
     fn next_child_at_or_after(&self, from: usize) -> Option<(u8, Child)> {
         match &self.body {
-            Body::N4 { len, keys, children } => keys[..*len as usize]
+            Body::N4 {
+                len,
+                keys,
+                children,
+            } => keys[..*len as usize]
                 .iter()
                 .position(|&k| k as usize >= from)
                 .map(|i| (keys[i], children[i])),
-            Body::N16 { len, keys, children } => keys[..*len as usize]
+            Body::N16 {
+                len,
+                keys,
+                children,
+            } => keys[..*len as usize]
                 .iter()
                 .position(|&k| k as usize >= from)
                 .map(|i| (keys[i], children[i])),
-            Body::N48 { index, children, .. } => (from..256).find_map(|byte| {
+            Body::N48 {
+                index, children, ..
+            } => (from..256).find_map(|byte| {
                 let slot = index[byte];
                 (slot != N48_EMPTY).then(|| (byte as u8, children[slot as usize]))
             }),
@@ -638,7 +704,14 @@ impl<S: KeySource> Art<S> {
 
     /// Build the subtree for the sorted key run `lo..=hi`, whose keys all
     /// agree on (zero-padded) bytes before `depth`.
-    fn bulk_rec(&mut self, keys: &[&[u8]], tids: &[u64], lo: usize, hi: usize, depth: usize) -> Child {
+    fn bulk_rec(
+        &mut self,
+        keys: &[&[u8]],
+        tids: &[u64],
+        lo: usize,
+        hi: usize,
+        depth: usize,
+    ) -> Child {
         if lo == hi {
             return Child::leaf(tids[lo]);
         }
@@ -674,7 +747,13 @@ impl<S: KeySource> Art<S> {
     /// Recursive insert on the slot holding the current subtree. Uses a raw
     /// slot pointer because splits replace the slot's contents while the
     /// borrow checker cannot see through the tagged-pointer graph.
-    fn insert_rec(&mut self, slot: *mut Child, key: &PaddedKey, depth: usize, tid: u64) -> Option<u64> {
+    fn insert_rec(
+        &mut self,
+        slot: *mut Child,
+        key: &PaddedKey,
+        depth: usize,
+        tid: u64,
+    ) -> Option<u64> {
         // SAFETY: slot points into a live node (or the root field) owned by
         // self, and we hold &mut self.
         let cur = unsafe { *slot };
@@ -810,7 +889,11 @@ impl<S: KeySource> Art<S> {
                 let merged = if only_child.is_node() {
                     // SAFETY: tree-owned node pointer.
                     let child_node = unsafe { only_child.node_mut() };
-                    let mut full = self.full_prefix(node, depth - node.prefix_len as usize, node.prefix_len as usize);
+                    let mut full = self.full_prefix(
+                        node,
+                        depth - node.prefix_len as usize,
+                        node.prefix_len as usize,
+                    );
                     full.push(only_byte);
                     let child_prefix_len = child_node.prefix_len as usize;
                     let child_inline = child_prefix_len.min(MAX_INLINE_PREFIX);
@@ -1245,7 +1328,9 @@ mod tests {
             t.insert(k, tid);
         }
         t.validate();
-        let got: Vec<u64> = t.range_from(&hot_keys::str_key(b"artist").unwrap()).collect();
+        let got: Vec<u64> = t
+            .range_from(&hot_keys::str_key(b"artist").unwrap())
+            .collect();
         assert_eq!(got, vec![tids[2], tids[3], tids[4], tids[5]]);
         let got: Vec<u64> = t.range_from(&hot_keys::str_key(b"aq").unwrap()).collect();
         assert_eq!(got.len(), 6);
@@ -1296,7 +1381,10 @@ mod tests {
         assert_eq!(bulk.bulk_load(&entries), keys.len());
         bulk.validate();
         assert_eq!(bulk.len(), incr.len());
-        assert_eq!(bulk.iter().collect::<Vec<_>>(), incr.iter().collect::<Vec<_>>());
+        assert_eq!(
+            bulk.iter().collect::<Vec<_>>(),
+            incr.iter().collect::<Vec<_>>()
+        );
         for &k in keys.iter().step_by(37) {
             assert_eq!(bulk.get(&encode_u64(k)), Some(k));
             assert_eq!(bulk.get(&encode_u64(k + 1)), incr.get(&encode_u64(k + 1)));

@@ -40,17 +40,16 @@ fn main() {
             config.seed,
         )
         .reserve_keys();
-        let data = BenchData::new(Dataset::generate(kind, config.keys + max_reserve, config.seed));
+        let data = BenchData::new(Dataset::generate(
+            kind,
+            config.keys + max_reserve,
+            config.seed,
+        ));
 
         for workload in Workload::ALL {
             for distribution in RequestDistribution::ALL {
-                let run = WorkloadRun::new(
-                    workload,
-                    distribution,
-                    config.keys,
-                    config.ops,
-                    config.seed,
-                );
+                let run =
+                    WorkloadRun::new(workload, distribution, config.keys, config.ops, config.seed);
                 for mut index in all_indexes(&data.arena) {
                     run_load(index.as_mut(), &data, config.keys);
                     let (tx_mops, checksum) = run_transactions(index.as_mut(), &data, &run);

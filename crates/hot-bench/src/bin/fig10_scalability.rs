@@ -45,7 +45,12 @@ fn main() {
         config.keys, config.ops, config.threads
     );
     println!("# paper_shape: near-linear speedup with thread count (paper: 9.96x lookups / 9.00x inserts at 10 threads)");
-    println!("# note: available parallelism on this host: {} core(s)", std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1));
+    println!(
+        "# note: available parallelism on this host: {} core(s)",
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    );
     row(&[
         "op".into(),
         "threads".into(),
@@ -53,14 +58,21 @@ fn main() {
         "speedup_vs_1".into(),
     ]);
 
-    let data = BenchData::new(Dataset::generate(DatasetKind::Url, config.keys, config.seed));
+    let data = BenchData::new(Dataset::generate(
+        DatasetKind::Url,
+        config.keys,
+        config.seed,
+    ));
 
     // `--bulk`: the sorted view is the untimed one-off preparation step; the
     // timed region is the bottom-up build + single-CAS publish alone.
     let sorted: Option<(Vec<&[u8]>, Vec<u64>)> = config.bulk.then(|| {
         let order = data.dataset.sorted_order();
         (
-            order.iter().map(|&i| data.dataset.keys[i].as_slice()).collect(),
+            order
+                .iter()
+                .map(|&i| data.dataset.keys[i].as_slice())
+                .collect(),
             order.iter().map(|&i| data.tids[i]).collect(),
         )
     });
@@ -70,7 +82,8 @@ fn main() {
     let mut batch_base = None;
     let mut bulk_base = None;
     for &threads in &config.threads {
-        let (insert_mops, lookup_mops, batch_mops, restart_rate) = run_with_threads(&data, threads, &config);
+        let (insert_mops, lookup_mops, batch_mops, restart_rate) =
+            run_with_threads(&data, threads, &config);
         let ib = *insert_base.get_or_insert(insert_mops);
         let lb = *lookup_base.get_or_insert(lookup_mops);
         let bb = *batch_base.get_or_insert(batch_mops);

@@ -70,11 +70,33 @@ fn fixed_span_depths(keys: &mut [Vec<u8>], span: usize, skip_chains: bool) -> (f
         let mut start = lo;
         for i in lo..hi {
             if (lcp[i] as u64) < chunk_end {
-                recurse(lcp, start, i, depth_here, split_level + 1, span, skip, sum, max, count);
+                recurse(
+                    lcp,
+                    start,
+                    i,
+                    depth_here,
+                    split_level + 1,
+                    span,
+                    skip,
+                    sum,
+                    max,
+                    count,
+                );
                 start = i + 1;
             }
         }
-        recurse(lcp, start, hi, depth_here, split_level + 1, span, skip, sum, max, count);
+        recurse(
+            lcp,
+            start,
+            hi,
+            depth_here,
+            split_level + 1,
+            span,
+            skip,
+            sum,
+            max,
+            count,
+        );
     }
 
     let (mut sum, mut max, mut count) = (0u64, 0u64, 0u64);
@@ -100,8 +122,18 @@ fn main() {
     // both dense and sparse regions, as in the paper's illustration).
     println!("# Figure 2 (example): 13 nine-bit keys");
     let nine_bit: Vec<u16> = vec![
-        0b000000000, 0b000000001, 0b000000110, 0b000001000, 0b000100000, 0b000100001,
-        0b011000000, 0b011000100, 0b100000000, 0b100100000, 0b110000000, 0b110000001,
+        0b000000000,
+        0b000000001,
+        0b000000110,
+        0b000001000,
+        0b000100000,
+        0b000100001,
+        0b011000000,
+        0b011000100,
+        0b100000000,
+        0b100100000,
+        0b110000000,
+        0b110000001,
         0b111111111,
     ];
     let mut keys: Vec<Vec<u8>> = nine_bit
@@ -111,7 +143,10 @@ fn main() {
     report_example(&mut keys);
 
     // Part 2: the four data sets.
-    println!("\n# Figure 2 (data sets): mean/max leaf depth per variant (keys={})", config.keys);
+    println!(
+        "\n# Figure 2 (data sets): mean/max leaf depth per variant (keys={})",
+        config.keys
+    );
     println!("# paper_shape: binary >> patricia >> span-4 >= span-8 > HOT; fixed spans degrade on sparse (string) keys");
     row(&[
         "dataset".into(),
@@ -180,11 +215,7 @@ fn report_example(keys: &mut [Vec<u8>]) {
     }
     let p = patricia.depth_stats();
     let h = hot.depth_stats();
-    row(&[
-        "variant".into(),
-        "mean_depth".into(),
-        "max_depth".into(),
-    ]);
+    row(&["variant".into(), "mean_depth".into(), "max_depth".into()]);
     emit("example", "binary-trie", bin_mean, bin_max);
     emit(
         "example",
@@ -194,12 +225,7 @@ fn report_example(keys: &mut [Vec<u8>]) {
     );
     emit("example", "span-3", s3_mean, s3_max);
     emit("example", "span-3+patricia", s3p_mean, s3p_max);
-    emit(
-        "example",
-        "HOT",
-        h.mean_depth(),
-        h.max_depth().unwrap_or(0),
-    );
+    emit("example", "HOT", h.mean_depth(), h.max_depth().unwrap_or(0));
     println!(
         "# paper: binary height 9, patricia 5, span-3 height 3, HOT(k=4) height 2; with k=32 all 13 keys fit one node"
     );

@@ -42,7 +42,12 @@ pub fn first_mismatch_bit(a: &[u8], b: &[u8]) -> Option<usize> {
         }
     }
     let tail = common - words_a.remainder().len();
-    for (i, (x, y)) in words_a.remainder().iter().zip(words_b.remainder()).enumerate() {
+    for (i, (x, y)) in words_a
+        .remainder()
+        .iter()
+        .zip(words_b.remainder())
+        .enumerate()
+    {
         let diff = x ^ y;
         if diff != 0 {
             return Some((tail + i) * 8 + diff.leading_zeros() as usize);
@@ -149,7 +154,11 @@ mod tests {
             let window = load_be_u64(&key, offset);
             for pos in offset * 8..offset * 8 + 64 {
                 let from_window = (window >> window_bit_index(pos, offset)) & 1;
-                assert_eq!(from_window as u8, bit_at(&key, pos), "pos {pos} offset {offset}");
+                assert_eq!(
+                    from_window as u8,
+                    bit_at(&key, pos),
+                    "pos {pos} offset {offset}"
+                );
             }
         }
     }

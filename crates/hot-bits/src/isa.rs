@@ -13,9 +13,7 @@
 //! features, `HOT_FORCE_SCALAR`).
 
 use crate::pext::pext64_scalar;
-use crate::search::{
-    search_subset_u16_scalar, search_subset_u32_scalar, search_subset_u8_scalar,
-};
+use crate::search::{search_subset_u16_scalar, search_subset_u32_scalar, search_subset_u8_scalar};
 
 /// The primitives of one descent step, implemented once per instruction
 /// set. Values are zero-sized proofs that the instruction set is usable.
@@ -31,7 +29,12 @@ pub trait Kernel: Copy {
     /// `n` must be in `1..=32`, `pkeys` aligned to `WIDTH`, and the
     /// width's padded length ([`PADDED_BYTES_U8`](crate::search::PADDED_BYTES_U8)
     /// and siblings) readable from it.
-    unsafe fn search_subset<const WIDTH: usize>(self, pkeys: *const u8, n: usize, dense: u32) -> usize;
+    unsafe fn search_subset<const WIDTH: usize>(
+        self,
+        pkeys: *const u8,
+        n: usize,
+        dense: u32,
+    ) -> usize;
 }
 
 /// The portable kernel: scalar code only, usable everywhere. Also the
@@ -48,7 +51,12 @@ impl Kernel for Portable {
     /// # Safety
     /// As [`Kernel::search_subset`].
     #[inline(always)]
-    unsafe fn search_subset<const WIDTH: usize>(self, pkeys: *const u8, n: usize, dense: u32) -> usize {
+    unsafe fn search_subset<const WIDTH: usize>(
+        self,
+        pkeys: *const u8,
+        n: usize,
+        dense: u32,
+    ) -> usize {
         // SAFETY: the caller guarantees `n` aligned entries of `WIDTH`
         // bytes are readable from `pkeys`.
         unsafe {
@@ -59,7 +67,11 @@ impl Kernel for Portable {
                     n,
                     dense as u16,
                 ),
-                _ => search_subset_u32_scalar(core::slice::from_raw_parts(pkeys as *const u32, n), n, dense),
+                _ => search_subset_u32_scalar(
+                    core::slice::from_raw_parts(pkeys as *const u32, n),
+                    n,
+                    dense,
+                ),
             }
         }
     }
@@ -99,7 +111,12 @@ impl Kernel for Avx2 {
     /// # Safety
     /// As [`Kernel::search_subset`].
     #[inline(always)]
-    unsafe fn search_subset<const WIDTH: usize>(self, pkeys: *const u8, n: usize, dense: u32) -> usize {
+    unsafe fn search_subset<const WIDTH: usize>(
+        self,
+        pkeys: *const u8,
+        n: usize,
+        dense: u32,
+    ) -> usize {
         use crate::search::avx2;
         // SAFETY: the token proves AVX2 was detected; the caller's
         // readable-bytes contract covers the vector loads.

@@ -133,8 +133,16 @@ mod tests {
             (0xA5A5_A5A5_5A5A_5A5A, 0xFFFF_FFFF_0000_0000),
         ];
         for (x, mask) in cases {
-            assert_eq!(pext64(x, mask), pext64_scalar(x, mask), "pext {x:#x} {mask:#x}");
-            assert_eq!(pdep64(x, mask), pdep64_scalar(x, mask), "pdep {x:#x} {mask:#x}");
+            assert_eq!(
+                pext64(x, mask),
+                pext64_scalar(x, mask),
+                "pext {x:#x} {mask:#x}"
+            );
+            assert_eq!(
+                pdep64(x, mask),
+                pdep64_scalar(x, mask),
+                "pdep {x:#x} {mask:#x}"
+            );
         }
     }
 

@@ -264,7 +264,8 @@ pub unsafe fn match_prefix_u8(pkeys: *const u8, n: usize, mask: u8, prefix: u8) 
         }
     }
     // SAFETY: caller guarantees at least `n` elements are readable.
-    match_prefix_u8_scalar(unsafe { core::slice::from_raw_parts(pkeys, n) }, n, mask, prefix)
+    let pkeys = unsafe { core::slice::from_raw_parts(pkeys, n) };
+    match_prefix_u8_scalar(pkeys, n, mask, prefix)
 }
 
 /// Bitmask of the 16-bit sparse partial keys equal to `prefix` under `mask`.
@@ -283,7 +284,8 @@ pub unsafe fn match_prefix_u16(pkeys: *const u16, n: usize, mask: u16, prefix: u
         }
     }
     // SAFETY: caller guarantees at least `n` elements are readable.
-    match_prefix_u16_scalar(unsafe { core::slice::from_raw_parts(pkeys, n) }, n, mask, prefix)
+    let pkeys = unsafe { core::slice::from_raw_parts(pkeys, n) };
+    match_prefix_u16_scalar(pkeys, n, mask, prefix)
 }
 
 /// Bitmask of the 32-bit sparse partial keys equal to `prefix` under `mask`.
@@ -302,7 +304,8 @@ pub unsafe fn match_prefix_u32(pkeys: *const u32, n: usize, mask: u32, prefix: u
         }
     }
     // SAFETY: caller guarantees at least `n` elements are readable.
-    match_prefix_u32_scalar(unsafe { core::slice::from_raw_parts(pkeys, n) }, n, mask, prefix)
+    let pkeys = unsafe { core::slice::from_raw_parts(pkeys, n) };
+    match_prefix_u32_scalar(pkeys, n, mask, prefix)
 }
 
 #[cfg(test)]

@@ -377,10 +377,7 @@ impl<S: KeySource> BPlusTree<S> {
         let (lnode, rnode) = (a[left].as_mut(), b[0].as_mut());
 
         match (lnode, rnode) {
-            (
-                Node::Leaf { keys: lk, tids: lt },
-                Node::Leaf { keys: rk, tids: rt },
-            ) => {
+            (Node::Leaf { keys: lk, tids: lt }, Node::Leaf { keys: rk, tids: rt }) => {
                 if sibling_len > MIN_FILL {
                     if left == at {
                         // Borrow the right sibling's first slot.
@@ -524,7 +521,15 @@ impl<S: KeySource> BPlusTree<S> {
         let mut leaf_depths = Vec::new();
         let mut count = 0usize;
         let mut last: Option<Vec<u8>> = None;
-        self.validate_rec(root, 1, true, &mut leaf_depths, &mut count, &mut last, &mut scratch);
+        self.validate_rec(
+            root,
+            1,
+            true,
+            &mut leaf_depths,
+            &mut count,
+            &mut last,
+            &mut scratch,
+        );
         assert_eq!(count, self.len, "leaf slot count equals len");
         assert!(
             leaf_depths.windows(2).all(|w| w[0] == w[1]),
@@ -741,7 +746,12 @@ mod tests {
             assert_eq!(t.get(&encode_u64(k)), want);
         }
         // Remove the rest in reverse order down to empty.
-        for k in (1..2_000u64).step_by(2).collect::<Vec<_>>().into_iter().rev() {
+        for k in (1..2_000u64)
+            .step_by(2)
+            .collect::<Vec<_>>()
+            .into_iter()
+            .rev()
+        {
             assert_eq!(t.remove(&encode_u64(k)), Some(k));
         }
         assert!(t.is_empty());
@@ -757,7 +767,10 @@ mod tests {
 
         let mut arena = ArenaKeySource::new();
         let keys: Vec<Vec<u8>> = (0..n)
-            .map(|i| hot_keys::str_key(format!("https://example.com/some/long/url/{i:08}").as_bytes()).unwrap())
+            .map(|i| {
+                hot_keys::str_key(format!("https://example.com/some/long/url/{i:08}").as_bytes())
+                    .unwrap()
+            })
             .collect();
         let tids: Vec<u64> = keys.iter().map(|k| arena.push(k)).collect();
         let mut bt = BPlusTree::new(&arena);
@@ -794,8 +807,7 @@ mod tests {
             let mut sorted = keys.clone();
             sorted.sort_unstable();
             sorted.dedup();
-            let entries: Vec<([u8; 8], u64)> =
-                sorted.iter().map(|&k| (encode_u64(k), k)).collect();
+            let entries: Vec<([u8; 8], u64)> = sorted.iter().map(|&k| (encode_u64(k), k)).collect();
             let mut bulk = BPlusTree::new(EmbeddedKeySource);
             assert_eq!(bulk.bulk_load(&entries), sorted.len(), "n={n}");
             bulk.validate();

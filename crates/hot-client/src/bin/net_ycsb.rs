@@ -56,7 +56,9 @@ fn parse_args() -> Args {
                 i += 2;
             }
             "--dataset" => {
-                out.kind = args[i + 1].parse().expect("--dataset url|email|yago|integer");
+                out.kind = args[i + 1]
+                    .parse()
+                    .expect("--dataset url|email|yago|integer");
                 i += 2;
             }
             "--keys" => {
@@ -118,7 +120,14 @@ fn main() {
     let args = parse_args();
     let data = net_data_for(args.kind, args.keys, args.ops, args.seed);
     let expected = if args.check {
-        expected_checksums(&data, &args.workloads, args.dist, args.ops, args.seed, args.shards)
+        expected_checksums(
+            &data,
+            &args.workloads,
+            args.dist,
+            args.ops,
+            args.seed,
+            args.shards,
+        )
     } else {
         Vec::new()
     };
@@ -148,7 +157,10 @@ fn main() {
         );
         if args.check {
             if report.checksum == expected[phase] {
-                println!("# workload {}: checksum matches in-process driver", workload.letter());
+                println!(
+                    "# workload {}: checksum matches in-process driver",
+                    workload.letter()
+                );
             } else {
                 eprintln!(
                     "net_ycsb: workload {} checksum {:#018x} != in-process {:#018x}",

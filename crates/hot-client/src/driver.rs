@@ -42,21 +42,35 @@ pub struct NetRunReport {
 /// latency is recorded under.
 fn to_request(op: &Operation, data: &NetData) -> (Request, OpKind) {
     match *op {
-        Operation::Read(idx) => {
-            (Request::Get { key: data.dataset.keys[idx].clone() }, OpKind::NetGet)
-        }
+        Operation::Read(idx) => (
+            Request::Get {
+                key: data.dataset.keys[idx].clone(),
+            },
+            OpKind::NetGet,
+        ),
         Operation::Update(idx) | Operation::Insert(idx) => (
-            Request::Put { tid: data.tids[idx], key: data.dataset.keys[idx].clone() },
+            Request::Put {
+                tid: data.tids[idx],
+                key: data.dataset.keys[idx].clone(),
+            },
             OpKind::NetPut,
         ),
         Operation::Scan(idx, len) => (
-            Request::Scan { start: data.dataset.keys[idx].clone(), limit: len as u32 },
+            Request::Scan {
+                start: data.dataset.keys[idx].clone(),
+                limit: len as u32,
+            },
             OpKind::NetScan,
         ),
         Operation::ReadModifyWrite(idx) => {
             // Approximated as a read (A–E never emit this); the checksum
             // contract below only covers workloads without RMW.
-            (Request::Get { key: data.dataset.keys[idx].clone() }, OpKind::NetGet)
+            (
+                Request::Get {
+                    key: data.dataset.keys[idx].clone(),
+                },
+                OpKind::NetGet,
+            )
         }
     }
 }
@@ -77,7 +91,10 @@ fn settle(kind: OpKind, resp: &Response, checksum: &mut u64) -> std::io::Result<
         (_, other) => {
             return Err(std::io::Error::new(
                 ErrorKind::InvalidData,
-                format!("response {other:?} does not answer a {} request", kind.label()),
+                format!(
+                    "response {other:?} does not answer a {} request",
+                    kind.label()
+                ),
             ));
         }
     }
@@ -123,7 +140,10 @@ pub fn run_closed_loop(
         settle(kind, &resp, &mut checksum)?;
     }
     let secs = start.elapsed().as_secs_f64();
-    let delta = registry.ops_snapshot().op(OpKind::NetOp).since(before.op(OpKind::NetOp));
+    let delta = registry
+        .ops_snapshot()
+        .op(OpKind::NetOp)
+        .since(before.op(OpKind::NetOp));
     Ok(NetRunReport {
         ops: ops.len(),
         mops: if secs > 0.0 {

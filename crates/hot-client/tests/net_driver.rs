@@ -38,8 +38,7 @@ fn unread_phase_checksums_match_in_process() {
     let kind = DatasetKind::Integer;
     let data = net_data_for(kind, KEYS, OPS, SEED);
     let phases = [Workload::A, Workload::C, Workload::E];
-    let expected =
-        expected_checksums(&data, &phases, RequestDistribution::Uniform, OPS, SEED, 2);
+    let expected = expected_checksums(&data, &phases, RequestDistribution::Uniform, OPS, SEED, 2);
     let handle = server(kind, 2);
     let mut conn = Connection::connect(handle.addr()).expect("connect");
     let registry = Registry::new();
@@ -68,10 +67,16 @@ fn resume_tokens_page_the_corpus_exactly() {
     let handle = server(kind, 4);
     let mut conn = Connection::connect(handle.addr()).expect("connect");
 
-    let smallest =
-        data.dataset.keys[..data.loaded].iter().min().expect("corpus is non-empty").clone();
+    let smallest = data.dataset.keys[..data.loaded]
+        .iter()
+        .min()
+        .expect("corpus is non-empty")
+        .clone();
     let unbroken = match conn
-        .call(&Request::Scan { start: smallest.clone(), limit: data.loaded as u32 + 1 })
+        .call(&Request::Scan {
+            start: smallest.clone(),
+            limit: data.loaded as u32 + 1,
+        })
         .expect("scan")
     {
         Response::Scan { tids, token } => {
@@ -85,7 +90,10 @@ fn resume_tokens_page_the_corpus_exactly() {
     for page in [1usize, 7, 128] {
         let mut paged = Vec::new();
         let mut resp = conn
-            .call(&Request::Scan { start: smallest.clone(), limit: page as u32 })
+            .call(&Request::Scan {
+                start: smallest.clone(),
+                limit: page as u32,
+            })
             .expect("first page");
         loop {
             match resp {
@@ -94,7 +102,10 @@ fn resume_tokens_page_the_corpus_exactly() {
                     match token {
                         Some(token) => {
                             resp = conn
-                                .call(&Request::Resume { token, limit: page as u32 })
+                                .call(&Request::Resume {
+                                    token,
+                                    limit: page as u32,
+                                })
                                 .expect("resume");
                         }
                         None => break,
@@ -119,7 +130,10 @@ fn put_validates_tid_against_the_corpus() {
 
     // Claim key[0]'s bytes under key[1]'s TID.
     let resp = conn
-        .call(&Request::Put { tid: data.tids[1], key: data.dataset.keys[0].clone() })
+        .call(&Request::Put {
+            tid: data.tids[1],
+            key: data.dataset.keys[0].clone(),
+        })
         .expect("call");
     match resp {
         Response::Error { code, .. } => {
@@ -129,14 +143,21 @@ fn put_validates_tid_against_the_corpus() {
     }
     // A bogus offset (points into the middle of a record) is refused too.
     let resp = conn
-        .call(&Request::Put { tid: u64::MAX - 3, key: data.dataset.keys[0].clone() })
+        .call(&Request::Put {
+            tid: u64::MAX - 3,
+            key: data.dataset.keys[0].clone(),
+        })
         .expect("call");
     assert!(
         matches!(resp, Response::Error { .. }),
         "out-of-arena TID must be refused, got {resp:?}"
     );
     // The index still answers the original binding.
-    let resp = conn.call(&Request::Get { key: data.dataset.keys[0].clone() }).expect("call");
+    let resp = conn
+        .call(&Request::Get {
+            key: data.dataset.keys[0].clone(),
+        })
+        .expect("call");
     assert_eq!(resp, Response::Tid(data.tids[0]));
     handle.shutdown();
 }

@@ -41,8 +41,14 @@ fn start_server(kind: DatasetKind, shards: usize) -> ServerHandle {
 /// checksum with the in-process ground truth.
 fn parity_for(kind: DatasetKind, shards: usize, window: usize) {
     let data = net_data_for(kind, KEYS, OPS, SEED);
-    let expected =
-        expected_checksums(&data, &PHASES, RequestDistribution::Uniform, OPS, SEED, shards);
+    let expected = expected_checksums(
+        &data,
+        &PHASES,
+        RequestDistribution::Uniform,
+        OPS,
+        SEED,
+        shards,
+    );
     let handle = start_server(kind, shards);
 
     let mut conn = Connection::connect(handle.addr()).expect("connect");
@@ -147,7 +153,9 @@ fn fan_in_small_windows_keep_per_connection_parity() {
             for lo in (0..data.loaded).step_by(128) {
                 let chunk = lo..(lo + 128).min(data.loaded);
                 for i in chunk.clone() {
-                    sweep.send(&Request::Get { key: data.dataset.keys[i].clone() });
+                    sweep.send(&Request::Get {
+                        key: data.dataset.keys[i].clone(),
+                    });
                 }
                 sweep.flush().expect("flush");
                 for i in chunk {

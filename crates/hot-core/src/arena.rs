@@ -149,7 +149,10 @@ impl CRef {
     /// Reference to the node at unit offset `units` with layout `tag`.
     #[inline]
     pub(crate) fn node(units: u32, tag: NodeTag) -> CRef {
-        debug_assert!((1..NODE_UNIT_LIMIT).contains(&units), "unit offset in range");
+        debug_assert!(
+            (1..NODE_UNIT_LIMIT).contains(&units),
+            "unit offset in range"
+        );
         CRef((units << 5) | tag as u32)
     }
 
@@ -447,7 +450,10 @@ impl NodeArena {
     /// The caller guarantees no reference to the block remains (or, in the
     /// concurrent wrapper, that the epoch does).
     fn free(&self, units_off: u32, bytes: usize) {
-        self.state.lock().expect("node arena poisoned").release(units_off, bytes);
+        self.state
+            .lock()
+            .expect("node arena poisoned")
+            .release(units_off, bytes);
     }
 
     /// Pointer to the block at `units_off`. Lock-free.
@@ -634,7 +640,10 @@ impl LeafArena {
             0
         } else {
             let d = off - st.restart_off;
-            debug_assert!(d <= u16::MAX as u32, "restart chain span fits the u16 delta");
+            debug_assert!(
+                d <= u16::MAX as u32,
+                "restart chain span fits the u16 delta"
+            );
             d as u16
         };
         let suffix = &key[shared..];
@@ -981,7 +990,11 @@ mod tests {
             let len = arena.load_key_into(off, &mut buf);
             let mut want = b"shared/prefix/for/front/coding/".to_vec();
             want.extend_from_slice(format!("{i:04}").as_bytes());
-            assert_eq!(&buf[..len], want.as_slice(), "key walk across varint record {i}");
+            assert_eq!(
+                &buf[..len],
+                want.as_slice(),
+                "key walk across varint record {i}"
+            );
         }
         // mark_dead must account the true varint-sized record length:
         // the MAX_TID record carries a 10-byte varint, not a fixed 8.
@@ -1128,7 +1141,9 @@ mod tests {
         assert_eq!((root.count(), root.positions()), (3, vec![0, 1]));
         drain_nodes(store);
         let (digest, before) = (trie.structure_digest(), trie.arena_stats());
-        let err = trie.try_insert(&[0xC0], 0xC0).expect_err("no node block is left");
+        let err = trie
+            .try_insert(&[0xC0], 0xC0)
+            .expect_err("no node block is left");
         assert_eq!(err.kind, ArenaKind::Node);
         assert_eq!(trie.structure_digest(), digest);
         let after = trie.arena_stats();
@@ -1357,16 +1372,26 @@ mod tests {
             let arrival = Arrival(&arrived);
             start.wait();
             for i in 2..third {
-                assert_eq!(index.try_insert(&key_of(2, i), i), Ok(None), "the third writer is far from the ceiling");
+                assert_eq!(
+                    index.try_insert(&key_of(2, i), i),
+                    Ok(None),
+                    "the third writer is far from the ceiling"
+                );
             }
             drop(arrival);
-            let mut inserted: Vec<u64> = filling.into_iter().map(|w| w.join().expect("writer panicked")).collect();
+            let mut inserted: Vec<u64> = filling
+                .into_iter()
+                .map(|w| w.join().expect("writer panicked"))
+                .collect();
             inserted.push(third);
             inserted
         });
         // A filling writer stops at its first failed insert: one that got
         // past `head` met the ceiling in the second phase, beside the other.
-        assert!(inserted[0] >= head && inserted[1] >= head, "both writers met the ceiling in the second phase: {inserted:?}");
+        assert!(
+            inserted[0] >= head && inserted[1] >= head,
+            "both writers met the ceiling in the second phase: {inserted:?}"
+        );
 
         // Every failure rolled back completely: the index holds exactly the
         // successful inserts, readable and well-formed…
@@ -1387,7 +1412,10 @@ mod tests {
         }
         assert_eq!(index.structure_digest(), replay.structure_digest());
         let (live, want) = (index.arena_stats(), replay.arena_stats());
-        assert_eq!((live.node_live_count, live.leaf_records), (want.node_live_count, want.leaf_records));
+        assert_eq!(
+            (live.node_live_count, live.leaf_records),
+            (want.node_live_count, want.leaf_records)
+        );
         assert_eq!(live.live_bytes(), want.live_bytes());
     }
 
@@ -1397,7 +1425,11 @@ mod tests {
         let mut inserted = 0u64;
         let err = loop {
             // Long, shared-prefix-free keys to burn leaf bytes fast.
-            let key = format!("{:032x}-{}", inserted.wrapping_mul(0x9E37_79B9_7F4A_7C15), "x".repeat(180));
+            let key = format!(
+                "{:032x}-{}",
+                inserted.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                "x".repeat(180)
+            );
             match trie.try_insert(key.as_bytes(), inserted) {
                 Ok(_) => inserted += 1,
                 Err(e) => break e,

@@ -201,14 +201,21 @@ pub(crate) fn prepare<K: AsRef<[u8]> + Sync>(
             outcome
         })?
     };
-    Ok(Prepared { pairs, distinct: n - duplicates })
+    Ok(Prepared {
+        pairs,
+        distinct: n - duplicates,
+    })
 }
 
 /// Scan the pairs `first..first + out.len()` — pair `p` compares entries
 /// `p` and `p + 1` — into `out`, checking every entry the range ends on
 /// (and entry 0 when the range starts there). Returns the number of
 /// duplicate pairs, or the first out-of-order entry.
-fn scan<K: AsRef<[u8]>>(entries: &[(K, u64)], first: usize, out: &mut [u16]) -> Result<usize, BulkLoadError> {
+fn scan<K: AsRef<[u8]>>(
+    entries: &[(K, u64)],
+    first: usize,
+    out: &mut [u16],
+) -> Result<usize, BulkLoadError> {
     if first == 0 {
         if let Some((key, tid)) = entries.first() {
             check(key.as_ref(), *tid);
@@ -319,13 +326,24 @@ pub(crate) fn analyze(bounds: &[u16]) -> Shape {
     while let Some(top) = stack.pop() {
         pack(top as usize, &left, &right, &mut h, &mut w);
     }
-    Shape { left, right, h, root }
+    Shape {
+        left,
+        right,
+        h,
+        root,
+    }
 }
 
 /// Solve BiNode `j`'s `(h, w)` from its children's.
 #[inline]
 fn pack(j: usize, left: &[u32], right: &[u32], h: &mut [u8], w: &mut [u8]) {
-    let side = |c: u32| if c == ENTRY { (0u8, 1u8) } else { (h[c as usize], w[c as usize]) };
+    let side = |c: u32| {
+        if c == ENTRY {
+            (0u8, 1u8)
+        } else {
+            (h[c as usize], w[c as usize])
+        }
+    };
     let (hl, wl) = side(left[j]);
     let (hr, wr) = side(right[j]);
     let hh = hl.max(hr).max(1);
@@ -359,19 +377,37 @@ type Parts = [Part; MAX_FANOUT];
 /// packs into height `h[j] - 1`. By the [`analyze`] DP this yields `2..=32`
 /// parts, in entry order, and is the unique minimal partition achieving
 /// the minimal height.
-pub(crate) fn partition_node(shape: &Shape, j: usize, lo: usize, hi: usize, parts: &mut Parts) -> usize {
+pub(crate) fn partition_node(
+    shape: &Shape,
+    j: usize,
+    lo: usize,
+    hi: usize,
+    parts: &mut Parts,
+) -> usize {
     let mut count = 0;
     descend(shape, j, lo, hi, shape.h[j] - 1, parts, &mut count);
     count
 }
 
-fn descend(shape: &Shape, j: usize, lo: usize, hi: usize, target: u8, parts: &mut Parts, count: &mut usize) {
+fn descend(
+    shape: &Shape,
+    j: usize,
+    lo: usize,
+    hi: usize,
+    target: u8,
+    parts: &mut Parts,
+    count: &mut usize,
+) {
     // Left side covers entries `lo..=j`, right side `j + 1..=hi`.
     let sides = [(shape.left[j], lo, j), (shape.right[j], j + 1, hi)];
     for (c, slo, shi) in sides {
         if c == ENTRY || shape.h[c as usize] <= target {
             debug_assert!(c != ENTRY || slo == shi);
-            parts[*count] = Part { lo: slo, hi: shi, root: c };
+            parts[*count] = Part {
+                lo: slo,
+                hi: shi,
+                root: c,
+            };
             *count += 1;
         } else {
             descend(shape, c as usize, slo, shi, target, parts, count);
@@ -414,7 +450,13 @@ pub(crate) fn build_part<St: NodeStore>(
         Ok(())
     });
     let fences = fences_of(bounds, &parts[..count]);
-    graft(store, &fences[..count - 1], &values[..built], children, builder)
+    graft(
+        store,
+        &fences[..count - 1],
+        &values[..built],
+        children,
+        builder,
+    )
 }
 
 /// Encode the node over the subtries `values`, separated by `fences` — or,
@@ -466,7 +508,11 @@ fn build_tree<St: NodeStore>(
     let n = leaves.len();
     debug_assert!(n >= 2);
     let shape = analyze(bounds);
-    let whole = Part { lo: 0, hi: n - 1, root: shape.root as u32 };
+    let whole = Part {
+        lo: 0,
+        hi: n - 1,
+        root: shape.root as u32,
+    };
     let mut builder = Builder::empty();
     if threads <= 1 || n < PARALLEL_MIN {
         return build_part(store, leaves, bounds, &shape, whole, &mut builder);
@@ -492,10 +538,12 @@ fn build_tree<St: NodeStore>(
     let (shape, bin_of) = (&shape, &bin_of);
     let run = move |bin: usize, builder: &mut Builder| {
         let mut words = [St::Ref::NULL.word(); MAX_FANOUT];
-        let all = (0..count).filter(|&pi| bin_of[pi] == bin).try_for_each(|pi| {
-            words[pi] = build_part(store, leaves, bounds, shape, parts[pi], builder)?.word();
-            Ok(())
-        });
+        let all = (0..count)
+            .filter(|&pi| bin_of[pi] == bin)
+            .try_for_each(|pi| {
+                words[pi] = build_part(store, leaves, bounds, shape, parts[pi], builder)?.word();
+                Ok(())
+            });
         (words, all)
     };
     let (values, children) = std::thread::scope(|scope| {
@@ -504,7 +552,9 @@ fn build_tree<St: NodeStore>(
             .collect();
         let (mut values, mut children) = run(0, &mut builder);
         for (bin, other) in (1..).zip(others) {
-            let (words, all) = other.join().unwrap_or_else(|payload| resume_unwind(payload));
+            let (words, all) = other
+                .join()
+                .unwrap_or_else(|payload| resume_unwind(payload));
             for pi in (0..count).filter(|&pi| bin_of[pi] == bin) {
                 values[pi] = words[pi];
             }
@@ -513,7 +563,13 @@ fn build_tree<St: NodeStore>(
         (values, children)
     });
     let fences = fences_of(bounds, parts);
-    graft(store, &fences[..count - 1], &values[..count], children, &mut builder)
+    graft(
+        store,
+        &fences[..count - 1],
+        &values[..count],
+        children,
+        &mut builder,
+    )
 }
 
 /// The whole load, shared by every front-end: validate `entries`, tell the
@@ -586,7 +642,9 @@ mod tests {
     }
 
     /// The serial scan `prepare` replaced, kept as the reference.
-    fn prepare_serial<K: AsRef<[u8]>>(entries: &[(K, u64)]) -> Result<(Vec<usize>, Vec<u16>), BulkLoadError> {
+    fn prepare_serial<K: AsRef<[u8]>>(
+        entries: &[(K, u64)],
+    ) -> Result<(Vec<usize>, Vec<u16>), BulkLoadError> {
         let mut winners: Vec<usize> = Vec::with_capacity(entries.len());
         let mut bounds: Vec<u16> = Vec::new();
         let mut prev: Option<&[u8]> = None;
@@ -600,7 +658,9 @@ mod tests {
                         *winners.last_mut().expect("prev implies an entry") = index;
                         continue;
                     }
-                    Some(pos) if key_bit(p, pos) != 0 => return Err(BulkLoadError::Unsorted { index }),
+                    Some(pos) if key_bit(p, pos) != 0 => {
+                        return Err(BulkLoadError::Unsorted { index })
+                    }
                     Some(pos) => bounds.push(pos as u16),
                 }
             }
@@ -648,12 +708,22 @@ mod tests {
                 }
                 continue;
             }
-            let side = |c: usize| if c == LEAF { (0u32, 1u32) } else { (h[c], w[c]) };
+            let side = |c: usize| {
+                if c == LEAF {
+                    (0u32, 1u32)
+                } else {
+                    (h[c], w[c])
+                }
+            };
             let (hl, wl) = side(left[j]);
             let (hr, wr) = side(right[j]);
             let hh = hl.max(hr).max(1);
             let ww = (if hl < hh { 1 } else { wl }) + (if hr < hh { 1 } else { wr });
-            (h[j], w[j]) = if ww as usize <= MAX_FANOUT { (hh, ww) } else { (hh + 1, 2) };
+            (h[j], w[j]) = if ww as usize <= MAX_FANOUT {
+                (hh, ww)
+            } else {
+                (hh + 1, 2)
+            };
         }
         (left, right, h, root)
     }
@@ -719,17 +789,30 @@ mod tests {
         let mut next = rng(seed);
         let mut keys: Vec<u64> = (0..n).map(|_| next(n as u64 / 3 + 1)).collect();
         keys.sort_unstable();
-        keys.iter().enumerate().map(|(i, &k)| (hot_keys::encode_u64(k), i as u64)).collect()
+        keys.iter()
+            .enumerate()
+            .map(|(i, &k)| (hot_keys::encode_u64(k), i as u64))
+            .collect()
     }
 
     /// `n`, or a Miri-sized share of it.
     fn sized(n: usize) -> usize {
-        if cfg!(miri) { n / 20 } else { n }
+        if cfg!(miri) {
+            n / 20
+        } else {
+            n
+        }
     }
 
     #[test]
     fn parallel_scan_equals_the_serial_one() {
-        for (n, seed) in [(2usize, 1u64), (3, 2), (40, 3), (sized(1_000), 4), (sized(4_099), 5)] {
+        for (n, seed) in [
+            (2usize, 1u64),
+            (3, 2),
+            (40, 3),
+            (sized(1_000), 4),
+            (sized(4_099), 5),
+        ] {
             let mut entries = sorted_with_duplicates(n, seed);
             // A duplicate run across every seam of every worker count.
             for i in (0..n).step_by(7).skip(1) {
@@ -766,10 +849,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "key longer than MAX_KEY_LEN")]
     fn a_long_key_panics_with_its_message_on_a_worker() {
-        let mut keys: Vec<Vec<u8>> = (0..100u64).map(|k| hot_keys::encode_u64(k).to_vec()).collect();
+        let mut keys: Vec<Vec<u8>> = (0..100u64)
+            .map(|k| hot_keys::encode_u64(k).to_vec())
+            .collect();
         // In the last of three ranges: a spawned worker's, not the caller's.
         keys[90] = vec![0xFF; MAX_KEY_LEN + 1];
-        let entries: Vec<(&[u8], u64)> = keys.iter().zip(0..).map(|(k, t)| (k.as_slice(), t)).collect();
+        let entries: Vec<(&[u8], u64)> = keys
+            .iter()
+            .zip(0..)
+            .map(|(k, t)| (k.as_slice(), t))
+            .collect();
         let _ = prepare(&entries, 3, 1);
     }
 
@@ -790,9 +879,21 @@ mod tests {
             let (left, right, h, root) = analyze_post_order(&bounds);
             assert_eq!(shape.root, root, "round {round}");
             let widen = |c: &u32| if *c == ENTRY { usize::MAX } else { *c as usize };
-            assert_eq!(shape.left.iter().map(widen).collect::<Vec<_>>(), left, "round {round}");
-            assert_eq!(shape.right.iter().map(widen).collect::<Vec<_>>(), right, "round {round}");
-            assert_eq!(shape.h.iter().map(|&x| u32::from(x)).collect::<Vec<_>>(), h, "round {round}");
+            assert_eq!(
+                shape.left.iter().map(widen).collect::<Vec<_>>(),
+                left,
+                "round {round}"
+            );
+            assert_eq!(
+                shape.right.iter().map(widen).collect::<Vec<_>>(),
+                right,
+                "round {round}"
+            );
+            assert_eq!(
+                shape.h.iter().map(|&x| u32::from(x)).collect::<Vec<_>>(),
+                h,
+                "round {round}"
+            );
         }
     }
 

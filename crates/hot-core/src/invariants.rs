@@ -126,7 +126,12 @@ impl<St: NodeStore> Walker<'_, St> {
         let raw = self.store.raw(r);
         let n = raw.count();
         let h = raw.height() as usize;
-        let ctx = |what: &str| format!("node at depth {depth} (tag {:?}, n={n}, h={h}): {what}", raw.tag);
+        let ctx = |what: &str| {
+            format!(
+                "node at depth {depth} (tag {:?}, n={n}, h={h}): {what}",
+                raw.tag
+            )
+        };
         if !(2..=MAX_FANOUT).contains(&n) {
             return Err(ctx("entry count outside 2..=32"));
         }

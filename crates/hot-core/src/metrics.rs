@@ -17,10 +17,10 @@
 //! internal reuse (e.g. the invariant walker re-looking-up every key)
 //! does not inflate the operation counters.
 
-#[cfg(feature = "metrics")]
-pub(crate) use enabled::Metrics;
 #[cfg(not(feature = "metrics"))]
 pub(crate) use disabled::Metrics;
+#[cfg(feature = "metrics")]
+pub(crate) use enabled::Metrics;
 
 /// Operation kinds, mirrored so call sites compile in both flavours.
 #[cfg(feature = "metrics")]
@@ -33,7 +33,10 @@ pub(crate) use hot_metrics::SchedCounter;
 /// Operation kinds (no-op flavour).
 #[cfg(not(feature = "metrics"))]
 #[derive(Debug, Clone, Copy)]
-#[allow(dead_code, reason = "mirror of hot_metrics::OpKind; variants are named at call sites")]
+#[allow(
+    dead_code,
+    reason = "mirror of hot_metrics::OpKind; variants are named at call sites"
+)]
 pub(crate) enum OpKind {
     /// Point lookup.
     Get,
@@ -54,7 +57,10 @@ pub(crate) enum OpKind {
 /// ROWEX health counters (no-op flavour).
 #[cfg(not(feature = "metrics"))]
 #[derive(Debug, Clone, Copy)]
-#[allow(dead_code, reason = "mirror of hot_metrics::RowexCounter; variants are named at call sites")]
+#[allow(
+    dead_code,
+    reason = "mirror of hot_metrics::RowexCounter; variants are named at call sites"
+)]
 pub(crate) enum RowexCounter {
     /// Failed node-lock acquisition.
     LockFail,
@@ -73,7 +79,10 @@ pub(crate) enum RowexCounter {
 /// MLP scheduler health counters (no-op flavour).
 #[cfg(not(feature = "metrics"))]
 #[derive(Debug, Clone, Copy)]
-#[allow(dead_code, reason = "mirror of hot_metrics::SchedCounter; variants are named at call sites")]
+#[allow(
+    dead_code,
+    reason = "mirror of hot_metrics::SchedCounter; variants are named at call sites"
+)]
 pub(crate) enum SchedCounter {
     /// Lane loaded with a pending request.
     Refill,
@@ -107,7 +116,10 @@ pub(crate) fn structural_snapshot(
         height: report.height as u64,
         entries: report.entries as u64,
         layout_census,
-        leaf_depths: report.leaf_depths[..last].iter().map(|&n| n as u64).collect(),
+        leaf_depths: report.leaf_depths[..last]
+            .iter()
+            .map(|&n| n as u64)
+            .collect(),
     }
 }
 

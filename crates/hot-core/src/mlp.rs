@@ -210,7 +210,11 @@ const PARKED_STAGING_MAX: usize = 1 << 16;
 /// when a call nests inside another one's key source on the same thread,
 /// or runs during thread teardown).
 pub(crate) fn with_thread_scheduler<R>(f: impl FnOnce(&mut MlpScheduler) -> R) -> R {
-    let mut sched = THREAD_SCHEDULER.try_with(Cell::take).ok().flatten().unwrap_or_default();
+    let mut sched = THREAD_SCHEDULER
+        .try_with(Cell::take)
+        .ok()
+        .flatten()
+        .unwrap_or_default();
     let result = f(&mut sched);
     if sched.scratch_tids.capacity() + sched.spans.capacity() <= PARKED_STAGING_MAX {
         let _ = THREAD_SCHEDULER.try_with(|slot| slot.set(Some(sched)));
@@ -265,7 +269,16 @@ impl MlpScheduler {
     {
         debug_assert_eq!(Q::KIND, DescentKind::Lookup);
         let (mut tids, mut bounds) = (Vec::new(), Vec::new());
-        self.run(store, reqs, out, &mut tids, &mut bounds, reload_root, redescend, metrics);
+        self.run(
+            store,
+            reqs,
+            out,
+            &mut tids,
+            &mut bounds,
+            reload_root,
+            redescend,
+            metrics,
+        );
     }
 
     /// Drain a stream of scan seeks through the ring: each request's TIDs
@@ -289,7 +302,16 @@ impl MlpScheduler {
         F: FnMut() -> St::Ref,
     {
         debug_assert_eq!(Q::KIND, DescentKind::ScanSeek);
-        self.run(store, reqs, &mut [], tids, bounds, reload_root, redescend, metrics);
+        self.run(
+            store,
+            reqs,
+            &mut [],
+            tids,
+            bounds,
+            reload_root,
+            redescend,
+            metrics,
+        );
     }
 
     /// The call's one ISA dispatch: the sweep below is compiled once per
@@ -314,9 +336,29 @@ impl MlpScheduler {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: the token proves detection found every enabled feature.
             Isa::Avx2(k) => unsafe {
-                self.run_avx2(k, store, reqs, out, tids, bounds, reload_root, redescend, metrics)
+                self.run_avx2(
+                    k,
+                    store,
+                    reqs,
+                    out,
+                    tids,
+                    bounds,
+                    reload_root,
+                    redescend,
+                    metrics,
+                )
             },
-            Isa::Portable(k) => self.run_on(k, store, reqs, out, tids, bounds, reload_root, redescend, metrics),
+            Isa::Portable(k) => self.run_on(
+                k,
+                store,
+                reqs,
+                out,
+                tids,
+                bounds,
+                reload_root,
+                redescend,
+                metrics,
+            ),
         }
     }
 
@@ -339,7 +381,17 @@ impl MlpScheduler {
         Q: RequestStream,
         F: FnMut() -> St::Ref,
     {
-        self.run_on(k, store, reqs, out, tids, bounds, reload_root, redescend, metrics)
+        self.run_on(
+            k,
+            store,
+            reqs,
+            out,
+            tids,
+            bounds,
+            reload_root,
+            redescend,
+            metrics,
+        )
     }
 
     #[inline(always)]
@@ -396,7 +448,14 @@ impl MlpScheduler {
         let mut next_req = 0;
         while next_req < n && active.len() < depth {
             let lane = active.len();
-            stage_request(&mut lanes[lane], next_req, reqs, reload_root(), store, metrics);
+            stage_request(
+                &mut lanes[lane],
+                next_req,
+                reqs,
+                reload_root(),
+                store,
+                metrics,
+            );
             active.push(lane);
             next_req += 1;
         }
@@ -443,7 +502,10 @@ impl MlpScheduler {
                         store.prefetch_leaf(next);
                         let peek = next_req + finishing;
                         if peek < n {
-                            hot_bits::prefetch_node(reqs.fetch(peek).0.as_ptr(), KEY_PREFETCH_LINES);
+                            hot_bits::prefetch_node(
+                                reqs.fetch(peek).0.as_ptr(),
+                                KEY_PREFETCH_LINES,
+                            );
                         }
                         finishing += 1;
                         l.stage = Stage::Finish;
@@ -507,8 +569,14 @@ impl MlpScheduler {
 
 /// Stage request `req` into lane `l`: set the key, point the lane at a
 /// freshly loaded root and start the root's prefetch.
-fn stage_request<St, Q>(l: &mut Lane, req: usize, reqs: &Q, root: St::Ref, store: &St, metrics: &Metrics)
-where
+fn stage_request<St, Q>(
+    l: &mut Lane,
+    req: usize,
+    reqs: &Q,
+    root: St::Ref,
+    store: &St,
+    metrics: &Metrics,
+) where
     St: NodeStore,
     Q: RequestStream,
 {
@@ -550,7 +618,11 @@ fn finish_lane<St: NodeStore>(
     let cur = St::Ref::from_word(l.cur);
     match kind {
         DescentKind::Lookup => {
-            out[req] = if cur.is_leaf() { store.verify(cur, l.key.bytes()) } else { None };
+            out[req] = if cur.is_leaf() {
+                store.verify(cur, l.key.bytes())
+            } else {
+                None
+            };
             metrics.sched(SchedCounter::LookupDone);
         }
         DescentKind::ScanSeek => {

@@ -229,8 +229,7 @@ impl Builder {
         while hi + 1 < self.sparse.len() && self.sparse[hi + 1] & mask == prefix {
             hi += 1;
         }
-        debug_assert!((lo..=hi)
-            .all(|i| self.sparse[i] & mask == prefix));
+        debug_assert!((lo..=hi).all(|i| self.sparse[i] & mask == prefix));
         (lo, hi)
     }
 
@@ -316,7 +315,12 @@ impl Builder {
     /// buffers; returns the root position. A half of one entry collapses to
     /// that entry's value word, which the caller takes as it is.
     /// `height_of` resolves a child's height as for [`Self::from_fragment`].
-    pub(crate) fn split(&self, left: &mut Builder, right: &mut Builder, height_of: impl Fn(u64) -> u8 + Copy) -> u16 {
+    pub(crate) fn split(
+        &self,
+        left: &mut Builder,
+        right: &mut Builder,
+        height_of: impl Fn(u64) -> u8 + Copy,
+    ) -> u16 {
         let r = self.root_rank();
         let bit = self.bit_of_rank(r);
         let s = self
@@ -334,8 +338,16 @@ impl Builder {
     /// the positions that discriminate *within* the range — the mixed bits,
     /// `OR ^ AND` over its sparse keys — and compacting the sparse keys with
     /// a PEXT. A single entry keeps no position.
-    fn sub_range(&self, lo: usize, hi: usize, out: &mut Builder, height_of: impl Fn(u64) -> u8 + Copy) {
-        let (any, all) = self.sparse[lo..hi].iter().fold((0, u32::MAX), |(any, all), &s| (any | s, all & s));
+    fn sub_range(
+        &self,
+        lo: usize,
+        hi: usize,
+        out: &mut Builder,
+        height_of: impl Fn(u64) -> u8 + Copy,
+    ) {
+        let (any, all) = self.sparse[lo..hi]
+            .iter()
+            .fold((0, u32::MAX), |(any, all), &s| (any | s, all & s));
         let keep = if hi - lo == 1 { 0 } else { any ^ all };
         let m = self.m();
         out.positions.clear();
@@ -346,7 +358,11 @@ impl Builder {
             bits &= !(1 << bit);
         }
         out.sparse.clear();
-        out.sparse.extend(self.sparse[lo..hi].iter().map(|&s| hot_bits::pext64(s as u64, keep as u64) as u32));
+        out.sparse.extend(
+            self.sparse[lo..hi]
+                .iter()
+                .map(|&s| hot_bits::pext64(s as u64, keep as u64) as u32),
+        );
         out.values.clear();
         out.values.extend_from_slice(&self.values[lo..hi]);
         // A half keeps only a subset of the children, so its height must be
@@ -434,7 +450,10 @@ impl Builder {
         for r in 0..self.m() {
             let bit = self.bit_of_rank(r);
             let first = self.sparse[lo] & (1 << bit);
-            if self.sparse[lo..=hi].iter().any(|&s| s & (1 << bit) != first) {
+            if self.sparse[lo..=hi]
+                .iter()
+                .any(|&s| s & (1 << bit) != first)
+            {
                 return r;
             }
         }
@@ -445,13 +464,21 @@ impl Builder {
     /// the entry range `lo..hi` (at least two entries), with the positions
     /// found mixed one rank at a time.
     #[cfg(test)]
-    fn sub_builder_reference(&self, lo: usize, hi: usize, height_of: impl Fn(u64) -> u8 + Copy) -> Builder {
+    fn sub_builder_reference(
+        &self,
+        lo: usize,
+        hi: usize,
+        height_of: impl Fn(u64) -> u8 + Copy,
+    ) -> Builder {
         debug_assert!(hi - lo >= 2);
         let mut keep_mask = 0u64;
         let mut kept_positions = Vec::new();
         for r in 0..self.m() {
             let bit = self.bit_of_rank(r);
-            let ones = self.sparse[lo..hi].iter().filter(|&&s| s & (1 << bit) != 0).count();
+            let ones = self.sparse[lo..hi]
+                .iter()
+                .filter(|&&s| s & (1 << bit) != 0)
+                .count();
             if ones > 0 && ones < hi - lo {
                 keep_mask |= 1u64 << bit;
                 kept_positions.push(self.positions[r]);
@@ -460,7 +487,10 @@ impl Builder {
         let values = self.values[lo..hi].to_vec();
         Builder {
             positions: kept_positions,
-            sparse: self.sparse[lo..hi].iter().map(|&s| hot_bits::pext64(s as u64, keep_mask) as u32).collect(),
+            sparse: self.sparse[lo..hi]
+                .iter()
+                .map(|&s| hot_bits::pext64(s as u64, keep_mask) as u32)
+                .collect(),
             height: 1 + values.iter().map(|&v| height_of(v)).max().unwrap_or(0),
             values,
         }
@@ -494,7 +524,9 @@ impl Builder {
             return Err(format!("node holds {n} entries; at most k+1 allowed"));
         }
         if m == 0 || m >= n {
-            return Err(format!("position count violates 1 <= m <= n-1 (m={m}, n={n})"));
+            return Err(format!(
+                "position count violates 1 <= m <= n-1 (m={m}, n={n})"
+            ));
         }
         if !self.positions.windows(2).all(|w| w[0] < w[1]) {
             return Err(format!(
@@ -517,7 +549,9 @@ impl Builder {
         }
         let max_sparse = self.sparse.iter().map(|s| *s as u64).max().unwrap_or(0);
         if max_sparse >= (1u64 << m) {
-            return Err(format!("sparse key {max_sparse:#b} does not fit in m={m} bits"));
+            return Err(format!(
+                "sparse key {max_sparse:#b} does not fit in m={m} bits"
+            ));
         }
         self.check_topology(0, n - 1, &mut vec![false; m])
     }
@@ -528,9 +562,7 @@ impl Builder {
             for (r, &on) in on_path.iter().enumerate().take(self.m()) {
                 let bit = self.bit_of_rank(r);
                 if self.sparse[lo] & (1 << bit) != 0 && !on {
-                    return Err(format!(
-                        "entry {lo} has bit set at rank {r} off its path"
-                    ));
+                    return Err(format!("entry {lo} has bit set at rank {r} off its path"));
                 }
             }
             return Ok(());
@@ -538,7 +570,9 @@ impl Builder {
         let Some(rank) = (0..self.m()).find(|&r| {
             let bit = self.bit_of_rank(r);
             let first = self.sparse[lo] & (1 << bit);
-            self.sparse[lo..=hi].iter().any(|&s| s & (1 << bit) != first)
+            self.sparse[lo..=hi]
+                .iter()
+                .any(|&s| s & (1 << bit) != first)
         }) else {
             return Err(format!(
                 "entries {lo}..={hi} are indistinguishable (duplicate sparse keys)"
@@ -582,8 +616,16 @@ impl Builder {
 pub(crate) fn parent_bit(n: usize, idx: usize, sparse: impl Fn(usize) -> u32) -> u32 {
     let key = sparse(idx);
     let divergence = |other: u32| 31 - (key ^ other).leading_zeros();
-    let left = if idx > 0 { divergence(sparse(idx - 1)) } else { u32::MAX };
-    let right = if idx + 1 < n { divergence(sparse(idx + 1)) } else { u32::MAX };
+    let left = if idx > 0 {
+        divergence(sparse(idx - 1))
+    } else {
+        u32::MAX
+    };
+    let right = if idx + 1 < n {
+        divergence(sparse(idx + 1))
+    } else {
+        u32::MAX
+    };
     left.min(right)
 }
 
@@ -757,7 +799,9 @@ mod tests {
         assert_eq!(built.sparse, reference.sparse);
         assert_eq!(built.values, reference.values);
         // Insertion in a scrambled order.
-        let scrambled = [keys[4], keys[0], keys[6], keys[2], keys[5], keys[1], keys[3]];
+        let scrambled = [
+            keys[4], keys[0], keys[6], keys[2], keys[5], keys[1], keys[3],
+        ];
         let built2 = builder_by_insertion(&scrambled, 10);
         assert_eq!(built2.positions, reference.positions);
         assert_eq!(built2.sparse, reference.sparse);
@@ -769,11 +813,7 @@ mod tests {
         let mut b = Builder {
             positions: vec![3, 9],
             sparse: vec![0b00, 0b01, 0b10],
-            values: vec![
-                NodeRef::leaf(0).0,
-                NodeRef::leaf(1).0,
-                NodeRef::leaf(2).0,
-            ],
+            values: vec![NodeRef::leaf(0).0, NodeRef::leaf(1).0, NodeRef::leaf(2).0],
             height: 1,
         };
         // Insert position 7 between ranks: new ranks (3,7,9); extracted bits
@@ -888,7 +928,11 @@ mod tests {
         assert_eq!(b.sparse, vec![0b00, 0b10, 0b11]);
         assert_eq!(
             b.values,
-            vec![NodeRef::leaf(10).0, NodeRef::leaf(21).0, NodeRef::leaf(22).0]
+            vec![
+                NodeRef::leaf(10).0,
+                NodeRef::leaf(21).0,
+                NodeRef::leaf(22).0
+            ]
         );
     }
 
@@ -961,15 +1005,14 @@ mod tests {
         let multi = Builder {
             positions: vec![0, 100],
             sparse: vec![0b00, 0b01, 0b10],
-            values: vec![
-                NodeRef::leaf(0).0,
-                NodeRef::leaf(1).0,
-                NodeRef::leaf(2).0,
-            ],
+            values: vec![NodeRef::leaf(0).0, NodeRef::leaf(1).0, NodeRef::leaf(2).0],
             height: 1,
         };
         for (b, tag) in [
-            (pair(4, NodeRef::leaf(1).0, NodeRef::leaf(2).0, 1), NodeTag::Single8),
+            (
+                pair(4, NodeRef::leaf(1).0, NodeRef::leaf(2).0, 1),
+                NodeTag::Single8,
+            ),
             (multi, NodeTag::Multi8x8),
         ] {
             let Ok(r) = encode(&store, &b);
@@ -1047,8 +1090,7 @@ mod tests {
                 }
                 keys.sort_unstable();
                 let expected = reference_builder(&keys, 16);
-                let values: Vec<u64> =
-                    keys.iter().map(|&k| NodeRef::leaf(k as u64).0).collect();
+                let values: Vec<u64> = keys.iter().map(|&k| NodeRef::leaf(k as u64).0).collect();
                 let got = Builder::from_fragment(&mismatch_bounds(&keys, 16), &values, ref_height);
                 assert_eq!(got, expected, "n={n} keys {keys:?}");
             }
@@ -1066,7 +1108,10 @@ mod tests {
                 while keys.len() < n {
                     keys.insert(rng.gen::<u32>() >> (32 - width));
                 }
-                visit(&reference_builder(&keys.into_iter().collect::<Vec<_>>(), width));
+                visit(&reference_builder(
+                    &keys.into_iter().collect::<Vec<_>>(),
+                    width,
+                ));
             }
         }
     }
@@ -1092,7 +1137,11 @@ mod tests {
             for lo in 0..b.len() - 1 {
                 for hi in lo + 2..=b.len() {
                     b.sub_range(lo, hi, &mut out, ref_height);
-                    assert_eq!(out, b.sub_builder_reference(lo, hi, ref_height), "{lo}..{hi} of {b:?}");
+                    assert_eq!(
+                        out,
+                        b.sub_builder_reference(lo, hi, ref_height),
+                        "{lo}..{hi} of {b:?}"
+                    );
                 }
             }
         });

@@ -90,8 +90,10 @@ fn alloc_block(size: usize) -> *mut u8 {
     if class < NUM_CLASSES {
         // try_with: thread-local storage may already be torn down when
         // epoch-deferred work runs during thread exit.
-        if let Some(ptr) =
-            FREE_LISTS.try_with(|fl| fl.borrow_mut().classes[class].pop()).ok().flatten()
+        if let Some(ptr) = FREE_LISTS
+            .try_with(|fl| fl.borrow_mut().classes[class].pop())
+            .ok()
+            .flatten()
         {
             // Recycled blocks contain stale bytes; the header (lock word,
             // height, count) must start clean — everything else is fully
@@ -135,7 +137,10 @@ unsafe fn free_block(ptr: *mut u8, size: usize) {
     // SAFETY: caller guarantees `ptr`/`size` match the original
     // `alloc_block` call, which used this same layout computation.
     unsafe {
-        dealloc(ptr, Layout::from_size_align(size, NODE_ALIGN).expect("node layout"));
+        dealloc(
+            ptr,
+            Layout::from_size_align(size, NODE_ALIGN).expect("node layout"),
+        );
     }
 }
 
@@ -273,7 +278,9 @@ impl MemCounter {
     /// Bytes of chunk memory the heap holds, the unused tail of the last
     /// chunk included: 0 on the general allocator.
     pub(crate) fn reserved_bytes(&self) -> usize {
-        self.chunks.get().map_or(0, |chunks| lock(chunks).bases.len() * CHUNK_BYTES)
+        self.chunks
+            .get()
+            .map_or(0, |chunks| lock(chunks).bases.len() * CHUNK_BYTES)
     }
 
     /// A bulk load of `keys` keys is about to build into this heap. From
@@ -305,7 +312,11 @@ impl MemCounter {
     /// `ptr` must come from [`alloc`](Self::alloc) on this heap with the
     /// same `size`, and must not be referenced any more.
     pub(crate) unsafe fn free(&self, ptr: *mut u8, size: usize) {
-        if !self.chunks.get().is_some_and(|chunks| lock(chunks).give_back(ptr, size)) {
+        if !self
+            .chunks
+            .get()
+            .is_some_and(|chunks| lock(chunks).give_back(ptr, size))
+        {
             // SAFETY: not a chunk block, so one of `alloc_block`'s, of this
             // size, unreferenced — the caller's contract.
             unsafe { free_block(ptr, size) };
@@ -327,14 +338,20 @@ impl MemCounter {
     /// Does `ptr` lie in one of this heap's chunks?
     #[cfg(test)]
     pub(crate) fn holds(&self, ptr: *const u8) -> bool {
-        self.chunks.get().is_some_and(|chunks| lock(chunks).holds(ptr))
+        self.chunks
+            .get()
+            .is_some_and(|chunks| lock(chunks).holds(ptr))
     }
 
     /// Every chunk's address range.
     #[cfg(test)]
     pub(crate) fn chunk_ranges(&self) -> Vec<std::ops::Range<usize>> {
         self.chunks.get().map_or(Vec::new(), |chunks| {
-            lock(chunks).bases.iter().map(|b| b.addr()..b.addr() + CHUNK_BYTES).collect()
+            lock(chunks)
+                .bases
+                .iter()
+                .map(|b| b.addr()..b.addr() + CHUNK_BYTES)
+                .collect()
         })
     }
 }
@@ -367,11 +384,18 @@ mod tests {
         let general = heap.alloc(64);
         assert!(!heap.holds(general) && heap.reserved_bytes() == 0);
         heap.prepare_load(CHUNKED_LOAD_MIN_KEYS);
-        assert!(heap.chunks.get().is_none(), "a heap that holds a node stays general");
+        assert!(
+            heap.chunks.get().is_none(),
+            "a heap that holds a node stays general"
+        );
         free(&heap, general, 64);
 
         let heap = chunked();
-        assert_eq!(heap.reserved_bytes(), 0, "the first chunk comes with the first node");
+        assert_eq!(
+            heap.reserved_bytes(),
+            0,
+            "the first chunk comes with the first node"
+        );
         let block = heap.alloc(64);
         assert!(heap.holds(block) && heap.reserved_bytes() == CHUNK_BYTES);
         assert_eq!(block.addr() % NODE_ALIGN, 0);
@@ -402,7 +426,11 @@ mod tests {
         // SAFETY: a live block of 64 bytes.
         assert_eq!(unsafe { *(again as *const u64) }, 0, "header cleared");
         assert_eq!(heap.alloc(64), blocks[0]);
-        assert_eq!(heap.alloc(128).addr(), blocks[4].addr() + 320, "no 128-byte block was given back");
+        assert_eq!(
+            heap.alloc(128).addr(),
+            blocks[4].addr() + 320,
+            "no 128-byte block was given back"
+        );
         assert_eq!(heap.reserved_bytes(), CHUNK_BYTES);
     }
 
@@ -414,7 +442,10 @@ mod tests {
         assert_eq!(heap.reserved_bytes(), 2 * CHUNK_BYTES);
         assert!(blocks.iter().all(|&b| heap.holds(b)));
         let ranges = heap.chunk_ranges();
-        assert!(ranges.windows(2).all(|r| r[0].end <= r[1].start), "ascending, disjoint");
+        assert!(
+            ranges.windows(2).all(|r| r[0].end <= r[1].start),
+            "ascending, disjoint"
+        );
         assert!(ranges.iter().all(|r| r.start % CHUNK_BYTES == 0));
         for b in blocks {
             free(&heap, b, 480);
@@ -441,7 +472,10 @@ mod tests {
         let mut got: Vec<*mut u8> = (0..64).map(|_| heap.alloc(96)).collect();
         want.sort();
         got.sort();
-        assert_eq!(got, want, "every block given back on a worker is handed out again");
+        assert_eq!(
+            got, want,
+            "every block given back on a worker is handed out again"
+        );
         assert_eq!(heap.reserved_bytes(), CHUNK_BYTES);
         for b in got {
             free(&heap, b, 96);
@@ -460,7 +494,11 @@ mod tests {
         free(&heap, general, 64);
         free(&heap, chunk, 64);
         let given_back = lock(heap.chunks.get().expect("chunked")).free[64 / SIZE_CLASS].clone();
-        assert_eq!(given_back, vec![chunk], "only the chunk block is on the chunk free list");
+        assert_eq!(
+            given_back,
+            vec![chunk],
+            "only the chunk block is on the chunk free list"
+        );
         assert_eq!((heap.nodes(), heap.bytes()), (0, 0));
     }
 
@@ -502,7 +540,10 @@ mod tests {
                 dropped.store(true, Ordering::Relaxed);
             });
             std::thread::sleep(std::time::Duration::from_millis(50));
-            assert!(!dropped.load(Ordering::Relaxed), "dropped under a pin that holds its nodes");
+            assert!(
+                !dropped.load(Ordering::Relaxed),
+                "dropped under a pin that holds its nodes"
+            );
             release_tx.send(()).unwrap();
             dropper.join().unwrap();
         });

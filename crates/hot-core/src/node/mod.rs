@@ -45,10 +45,10 @@ pub(crate) mod heap;
 // not part of the protocol and would only blow up the model's state space.
 use crate::sync_shim::{AtomicU32, AtomicU64, Ordering};
 
-use hot_bits::search::{PADDED_BYTES_U16, PADDED_BYTES_U32, PADDED_BYTES_U8};
 use crate::arena::{CRef, NODE_UNIT};
 use crate::store::NodeStore;
 use builder::Builder;
+use hot_bits::search::{PADDED_BYTES_U16, PADDED_BYTES_U32, PADDED_BYTES_U8};
 use hot_bits::{Isa, Kernel};
 use hot_keys::{PaddedKey, KEY_PAD_LEN};
 
@@ -132,10 +132,7 @@ impl NodeTag {
         match self {
             NodeTag::Single8 | NodeTag::Multi8x8 => 1,
             NodeTag::Single16 | NodeTag::Multi8x16 | NodeTag::Multi16x16 => 2,
-            NodeTag::Single32
-            | NodeTag::Multi8x32
-            | NodeTag::Multi16x32
-            | NodeTag::Multi32x32 => 4,
+            NodeTag::Single32 | NodeTag::Multi8x32 | NodeTag::Multi16x32 | NodeTag::Multi32x32 => 4,
         }
     }
 
@@ -184,8 +181,8 @@ impl NodeTag {
 
     fn mask_section_bytes(self) -> usize {
         match self.mask_kind() {
-            MaskKind::Single => 16,               // u8 offset + pad + u64 mask
-            MaskKind::Multi(n) => n + n,          // n offsets + n mask bytes
+            MaskKind::Single => 16,      // u8 offset + pad + u64 mask
+            MaskKind::Multi(n) => n + n, // n offsets + n mask bytes
         }
     }
 
@@ -246,7 +243,9 @@ pub(crate) fn alloc<St: NodeStore>(
     // word starts clear.
     // SAFETY: the store handed out an exclusively owned block, 8-aligned
     // and covering at least the 8-byte header.
-    unsafe { (node.base as *mut [u8; HEADER_BYTES]).write([0, 0, 0, 0, height, count as u8, 0, 0]) };
+    unsafe {
+        (node.base as *mut [u8; HEADER_BYTES]).write([0, 0, 0, 0, height, count as u8, 0, 0])
+    };
     Ok((r, node))
 }
 
@@ -346,9 +345,23 @@ fn open_bit(key: u32, bit: u32) -> u32 {
 /// that nothing else references.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-unsafe fn insert_keys<T: PartialKey>(src: *const u8, dst: *mut u8, n: usize, at: usize, new: u32, bit: u32, recode: bool, ones: std::ops::Range<usize>) {
+unsafe fn insert_keys<T: PartialKey>(
+    src: *const u8,
+    dst: *mut u8,
+    n: usize,
+    at: usize,
+    new: u32,
+    bit: u32,
+    recode: bool,
+    ones: std::ops::Range<usize>,
+) {
     // SAFETY: the caller's contract.
-    let (src, dst) = unsafe { (std::slice::from_raw_parts(src as *const T, n), std::slice::from_raw_parts_mut(dst as *mut T, n + 1)) };
+    let (src, dst) = unsafe {
+        (
+            std::slice::from_raw_parts(src as *const T, n),
+            std::slice::from_raw_parts_mut(dst as *mut T, n + 1),
+        )
+    };
     dst[..at].copy_from_slice(&src[..at]);
     dst[at] = T::narrow(0);
     dst[at + 1..].copy_from_slice(&src[at..]);
@@ -374,9 +387,22 @@ unsafe fn insert_keys<T: PartialKey>(src: *const u8, dst: *mut u8, n: usize, at:
 /// `src` must hold `n` keys of type `T`, and `dst` be room for `n - 1`
 /// that nothing else references.
 #[inline(always)]
-unsafe fn remove_keys<T: PartialKey>(src: *const u8, dst: *mut u8, n: usize, skip: usize, sibling: std::ops::Range<usize>, parent: u32, dropped: bool) {
+unsafe fn remove_keys<T: PartialKey>(
+    src: *const u8,
+    dst: *mut u8,
+    n: usize,
+    skip: usize,
+    sibling: std::ops::Range<usize>,
+    parent: u32,
+    dropped: bool,
+) {
     // SAFETY: the caller's contract.
-    let (src, dst) = unsafe { (std::slice::from_raw_parts(src as *const T, n), std::slice::from_raw_parts_mut(dst as *mut T, n - 1)) };
+    let (src, dst) = unsafe {
+        (
+            std::slice::from_raw_parts(src as *const T, n),
+            std::slice::from_raw_parts_mut(dst as *mut T, n - 1),
+        )
+    };
     dst[..skip].copy_from_slice(&src[..skip]);
     dst[skip..].copy_from_slice(&src[skip + 1..]);
     for k in &mut dst[sibling] {
@@ -413,7 +439,11 @@ impl NodeRef {
 
     #[inline]
     pub(crate) fn node(ptr: *mut u8, tag: NodeTag) -> NodeRef {
-        debug_assert_eq!(ptr as u64 & TAG_MASK, 0, "node pointers are 32-byte aligned");
+        debug_assert_eq!(
+            ptr as u64 & TAG_MASK,
+            0,
+            "node pointers are 32-byte aligned"
+        );
         NodeRef(ptr as u64 | tag as u64)
     }
 
@@ -690,7 +720,11 @@ impl RawNode {
         // tag's width; the value section `count` initialized `V` slots.
         unsafe {
             match self.tag.key_width() {
-                1 => sparse.extend(std::slice::from_raw_parts(base, n).iter().map(|&k| k as u32)),
+                1 => sparse.extend(
+                    std::slice::from_raw_parts(base, n)
+                        .iter()
+                        .map(|&k| k as u32),
+                ),
                 2 => sparse.extend(
                     std::slice::from_raw_parts(base as *const u16, n)
                         .iter()
@@ -828,7 +862,10 @@ impl RawNode {
                         let word = self.multi_mask_word(slots, sl / 8);
                         let shift = 8 * (7 - sl % 8);
                         if (word >> shift) as u8 != 0 && off == byte {
-                            found = Some(MaskPatch::Multi { word: sl / 8, mask: word | (1 << (shift + 7 - pos % 8)) });
+                            found = Some(MaskPatch::Multi {
+                                word: sl / 8,
+                                mask: word | (1 << (shift + 7 - pos % 8)),
+                            });
                             break;
                         }
                     }
@@ -853,7 +890,11 @@ impl RawNode {
         } else {
             !((2u32 << e) - 1)
         };
-        let lo_recoded = if contains { self.sparse_key(lo) } else { open_bit(self.sparse_key(lo), e) };
+        let lo_recoded = if contains {
+            self.sparse_key(lo)
+        } else {
+            open_bit(self.sparse_key(lo), e)
+        };
         let new_sparse = (lo_recoded & prefix_mask) | ((key_bit as u32) << e);
         // When the new key goes first, the affected subtree moves to the 1
         // side of the new BiNode: `lo..=hi`, one further on in the new node.
@@ -874,7 +915,11 @@ impl RawNode {
             let (vsrc, vdst) = (St::Slot::values(self), St::Slot::values(node) as *mut u8);
             std::ptr::copy_nonoverlapping(vsrc, vdst, at * slot);
             (vdst as *mut St::Ref).add(at).write(leaf);
-            std::ptr::copy_nonoverlapping(vsrc.add(at * slot), vdst.add((at + 1) * slot), (n - at) * slot);
+            std::ptr::copy_nonoverlapping(
+                vsrc.add(at * slot),
+                vdst.add((at + 1) * slot),
+                (n - at) * slot,
+            );
         }
         Ok(Some(r))
     }
@@ -890,7 +935,11 @@ impl RawNode {
     /// `Ok(None)` when any of that fails — the caller falls back to the
     /// builder path — and the store's error when the block cannot be had.
     /// Requires at least 3 entries (a 2-entry node collapses at tree level).
-    pub(crate) fn remove_entry_cow<St: NodeStore>(self, store: &St, idx: usize) -> Result<Option<St::Ref>, St::Full> {
+    pub(crate) fn remove_entry_cow<St: NodeStore>(
+        self,
+        store: &St,
+        idx: usize,
+    ) -> Result<Option<St::Ref>, St::Full> {
         let n = self.count();
         debug_assert!(n >= 3 && idx < n);
         let bit = builder::parent_bit(n, idx, |i| self.sparse_key(i));
@@ -930,7 +979,10 @@ impl RawNode {
                             if slot_byte == 0 {
                                 return Ok(None); // a byte slot empties
                             }
-                            found = Some(MaskPatch::Multi { word: w, mask: mask & !gone });
+                            found = Some(MaskPatch::Multi {
+                                word: w,
+                                mask: mask & !gone,
+                            });
                         }
                         rest = rest.saturating_sub(ones);
                     }
@@ -961,7 +1013,11 @@ impl RawNode {
             let slot = St::Slot::BYTES;
             let (vsrc, vdst) = (St::Slot::values(self), St::Slot::values(node) as *mut u8);
             std::ptr::copy_nonoverlapping(vsrc, vdst, idx * slot);
-            std::ptr::copy_nonoverlapping(vsrc.add((idx + 1) * slot), vdst.add(idx * slot), (n - 1 - idx) * slot);
+            std::ptr::copy_nonoverlapping(
+                vsrc.add((idx + 1) * slot),
+                vdst.add(idx * slot),
+                (n - 1 - idx) * slot,
+            );
         }
         Ok(Some(r))
     }
@@ -982,7 +1038,9 @@ impl RawNode {
                 self.tag.mask_section_bytes(),
             );
             match (patch, self.tag.mask_kind()) {
-                (MaskPatch::Single(mask), _) => *(node.base.add(HEADER_BYTES + 8) as *mut u64) = mask,
+                (MaskPatch::Single(mask), _) => {
+                    *(node.base.add(HEADER_BYTES + 8) as *mut u64) = mask
+                }
                 (MaskPatch::Multi { word, mask }, MaskKind::Multi(slots)) => {
                     *(node.base.add(HEADER_BYTES + slots) as *mut u64).add(word) = mask
                 }
@@ -1217,7 +1275,10 @@ pub(crate) trait Slot: Sized {
     #[inline(always)]
     fn values(node: RawNode) -> *const u8 {
         // SAFETY: the offset comes from the node's own geometry.
-        unsafe { node.base.add(geometry::<Self>(node.tag, node.count()).values_offset) }
+        unsafe {
+            node.base
+                .add(geometry::<Self>(node.tag, node.count()).values_offset)
+        }
     }
 
     /// Value word of entry `i` (Acquire, see [`load`](Self::load)).
@@ -1441,7 +1502,13 @@ mod tests {
     }
 
     /// A heap node of `positions`' layout holding `sparse` / `values`.
-    fn filled(store: &Heap, positions: &[u16], sparse: &[u32], values: &[u64], height: u8) -> RawNode {
+    fn filled(
+        store: &Heap,
+        positions: &[u16],
+        sparse: &[u32],
+        values: &[u64],
+        height: u8,
+    ) -> RawNode {
         let Ok((_, node)) = alloc(store, NodeTag::choose(positions), values.len(), height);
         node.fill::<HeapSlot>(positions, sparse, values);
         node
@@ -1606,7 +1673,13 @@ mod tests {
         let store = heap();
         // Positions 3,4,6,8,9 as in Figure 5 of the paper.
         let positions = [3u16, 4, 6, 8, 9];
-        let node = filled(&store, &positions, &[0, 1], &[NodeRef::leaf(0).0, NodeRef::leaf(1).0], 1);
+        let node = filled(
+            &store,
+            &positions,
+            &[0, 1],
+            &[NodeRef::leaf(0).0, NodeRef::leaf(1).0],
+            1,
+        );
 
         // Key bits (MSB-first): 0110101101 -> positions {3:0,4:1,6:1,8:0,9:1}
         // Dense partial key (positions ascending -> bits MSB..LSB): 01101.
@@ -1617,12 +1690,21 @@ mod tests {
     }
 
     #[test]
-    fn extract_dense_multi_mask_matches_bitwise_reference(){
+    fn extract_dense_multi_mask_matches_bitwise_reference() {
         let store = heap();
         // Positions spread across distant bytes, mixed bits per byte.
         let positions: Vec<u16> = vec![1, 6, 130, 133, 260, 400, 401, 402, 950, 1001];
-        assert!(matches!(NodeTag::choose(&positions).mask_kind(), MaskKind::Multi(_)));
-        let node = filled(&store, &positions, &[0, 1], &[NodeRef::leaf(0).0, NodeRef::leaf(1).0], 1);
+        assert!(matches!(
+            NodeTag::choose(&positions).mask_kind(),
+            MaskKind::Multi(_)
+        ));
+        let node = filled(
+            &store,
+            &positions,
+            &[0, 1],
+            &[NodeRef::leaf(0).0, NodeRef::leaf(1).0],
+            1,
+        );
 
         let mut raw = [0u8; 200];
         for (i, b) in raw.iter_mut().enumerate() {
@@ -1654,7 +1736,9 @@ mod tests {
         };
         let size = geometry::<St::Slot>(tag, count).alloc_size;
         // SAFETY: the block is `size` bytes, owned by the test.
-        let body = unsafe { std::slice::from_raw_parts_mut(raw.base.add(HEADER_BYTES), size - HEADER_BYTES) };
+        let body = unsafe {
+            std::slice::from_raw_parts_mut(raw.base.add(HEADER_BYTES), size - HEADER_BYTES)
+        };
         body.iter_mut().for_each(|byte| *byte = rng.gen());
         (r, raw)
     }
@@ -1765,7 +1849,14 @@ mod tests {
         /// The sorted keys of a random Patricia trie over `count` leaves
         /// whose BiNodes take the sorted `pool` positions in preorder: every
         /// BiNode has a position of its own.
-        fn trie_keys(count: usize, pool: &[usize], next: &mut usize, prefix: [u8; 64], rng: &mut impl rand::Rng, keys: &mut Vec<[u8; 64]>) {
+        fn trie_keys(
+            count: usize,
+            pool: &[usize],
+            next: &mut usize,
+            prefix: [u8; 64],
+            rng: &mut impl rand::Rng,
+            keys: &mut Vec<[u8; 64]>,
+        ) {
             if count == 1 {
                 keys.push(prefix);
                 return;
@@ -1786,7 +1877,10 @@ mod tests {
             2 => (9, 16),
             _ => (17, MAX_POSITIONS),
         };
-        let (lo, hi) = (min_bits.max(count.next_power_of_two().trailing_zeros() as usize), max_bits.min(count - 1));
+        let (lo, hi) = (
+            min_bits.max(count.next_power_of_two().trailing_zeros() as usize),
+            max_bits.min(count - 1),
+        );
         if lo > hi {
             return None;
         }
@@ -1794,7 +1888,11 @@ mod tests {
             // Every other attempt, a trie with a position per BiNode (random
             // keys rarely give that many distinct positions).
             let distinct = attempt % 2 == 1 && hi == count - 1;
-            let m = if distinct { count - 1 } else { rng.gen_range(lo..=hi) };
+            let m = if distinct {
+                count - 1
+            } else {
+                rng.gen_range(lo..=hi)
+            };
             // The key bytes the positions lie in: one 8-byte window for a
             // single mask, as many bytes as the slots allow for a multi mask.
             let bytes: Vec<usize> = match tag.mask_kind() {
@@ -1814,9 +1912,15 @@ mod tests {
                 }
             };
             // One bit of every byte, then more bits of those bytes up to `m`.
-            let mut pool: Vec<usize> = bytes.iter().map(|&b| b * 8 + rng.gen_range(0..8usize)).collect();
-            let mut rest: Vec<usize> =
-                bytes.iter().flat_map(|&b| b * 8..b * 8 + 8).filter(|p| !pool.contains(p)).collect();
+            let mut pool: Vec<usize> = bytes
+                .iter()
+                .map(|&b| b * 8 + rng.gen_range(0..8usize))
+                .collect();
+            let mut rest: Vec<usize> = bytes
+                .iter()
+                .flat_map(|&b| b * 8..b * 8 + 8)
+                .filter(|p| !pool.contains(p))
+                .collect();
             rest.shuffle(rng);
             pool.extend(rest.into_iter().take(m.saturating_sub(pool.len())));
             pool.sort_unstable();
@@ -1868,10 +1972,17 @@ mod tests {
             unsafe { std::slice::from_raw_parts(raw.base.add(from), to - from) }.to_vec()
         };
         let mut bytes = match raw.tag.mask_kind() {
-            MaskKind::Single => [section(4, HEADER_BYTES + 1), section(HEADER_BYTES + 8, geo.pkeys_offset)].concat(),
+            MaskKind::Single => [
+                section(4, HEADER_BYTES + 1),
+                section(HEADER_BYTES + 8, geo.pkeys_offset),
+            ]
+            .concat(),
             MaskKind::Multi(_) => section(4, geo.pkeys_offset),
         };
-        bytes.extend(section(geo.pkeys_offset, geo.pkeys_offset + n * raw.tag.key_width()));
+        bytes.extend(section(
+            geo.pkeys_offset,
+            geo.pkeys_offset + n * raw.tag.key_width(),
+        ));
         bytes.extend(section(geo.values_offset, geo.values_offset + n * V::BYTES));
         (raw.tag, bytes)
     }
@@ -1897,7 +2008,11 @@ mod tests {
         let candidates: Vec<usize> = match tag.mask_kind() {
             MaskKind::Single => (raw.single_offset() * 8..raw.single_offset() * 8 + 64).collect(),
             MaskKind::Multi(_) => {
-                let mut bytes: Vec<usize> = canonical.positions.iter().map(|&p| p as usize / 8).collect();
+                let mut bytes: Vec<usize> = canonical
+                    .positions
+                    .iter()
+                    .map(|&p| p as usize / 8)
+                    .collect();
                 bytes.dedup();
                 bytes.iter().flat_map(|&b| b * 8..b * 8 + 8).collect()
             }
@@ -1955,7 +2070,10 @@ mod tests {
                 on_heap += fused_insert_matches_builder_path(&heap, tag, count, &mut rng);
                 in_arena += fused_insert_matches_builder_path(&arena, tag, count, &mut rng);
             }
-            assert!(on_heap > 0 && in_arena > 0, "{tag:?}: {on_heap} heap, {in_arena} arena fused inserts");
+            assert!(
+                on_heap > 0 && in_arena > 0,
+                "{tag:?}: {on_heap} heap, {in_arena} arena fused inserts"
+            );
         }
         assert_eq!(heap.mem.nodes(), 0);
     }
@@ -1999,7 +2117,10 @@ mod tests {
             reference.decode_into::<St::Slot>(raw);
             reference.remove_entry(idx);
             let Some(fused) = fused else {
-                assert!(layout_changes(raw, &reference), "{tag:?} count {count} idx {idx}: a decline keeps the layout");
+                assert!(
+                    layout_changes(raw, &reference),
+                    "{tag:?} count {count} idx {idx}: a decline keeps the layout"
+                );
                 declined += 1;
                 continue;
             };
@@ -2033,13 +2154,18 @@ mod tests {
             let (mut on_heap, mut in_arena) = ((0, 0), (0, 0));
             for count in 3..=MAX_FANOUT {
                 for _ in 0..4 {
-                    let (fused, declined) = fused_remove_matches_builder_path(&heap, tag, count, &mut rng);
+                    let (fused, declined) =
+                        fused_remove_matches_builder_path(&heap, tag, count, &mut rng);
                     on_heap = (on_heap.0 + fused, on_heap.1 + declined);
-                    let (fused, declined) = fused_remove_matches_builder_path(&arena, tag, count, &mut rng);
+                    let (fused, declined) =
+                        fused_remove_matches_builder_path(&arena, tag, count, &mut rng);
                     in_arena = (in_arena.0 + fused, in_arena.1 + declined);
                 }
             }
-            assert!(on_heap.0 > 0 && in_arena.0 > 0, "{tag:?}: {on_heap:?} heap, {in_arena:?} arena (fused, declined)");
+            assert!(
+                on_heap.0 > 0 && in_arena.0 > 0,
+                "{tag:?}: {on_heap:?} heap, {in_arena:?} arena (fused, declined)"
+            );
         }
         assert_eq!(heap.mem.nodes(), 0);
     }
@@ -2068,7 +2194,9 @@ mod tests {
             let last = path.len() - 1;
             let (node, idx) = (store.raw(NodeRef(path[last].0)), path[last].1);
             // The removes `plan` makes a `Shrink`.
-            let merge = node.count() == 3 && last > 0 && store.raw(NodeRef(path[last - 1].0)).count() < MAX_FANOUT;
+            let merge = node.count() == 3
+                && last > 0
+                && store.raw(NodeRef(path[last - 1].0)).count() < MAX_FANOUT;
             if node.count() >= 3 && !merge {
                 shrinks += 1;
                 let Ok(fused) = node.remove_entry_cow(store, idx);
@@ -2078,7 +2206,10 @@ mod tests {
                     None => declined += 1,
                     Some(fused) => {
                         let Ok(built) = encode(store, &reference);
-                        assert_eq!(encoded_bytes::<HeapSlot>(fused.as_raw()), encoded_bytes::<HeapSlot>(built.as_raw()));
+                        assert_eq!(
+                            encoded_bytes::<HeapSlot>(fused.as_raw()),
+                            encoded_bytes::<HeapSlot>(built.as_raw())
+                        );
                         // SAFETY: neither node was published.
                         unsafe {
                             free(store, fused);
@@ -2090,7 +2221,10 @@ mod tests {
             assert_eq!(trie.remove(&k.to_be_bytes()), Some(k));
         }
         assert!(shrinks > 5_000, "{shrinks} shrinks");
-        assert!(declined * 100 < shrinks * 15, "{declined} of {shrinks} shrinking removes declined");
+        assert!(
+            declined * 100 < shrinks * 15,
+            "{declined} of {shrinks} shrinking removes declined"
+        );
     }
 
     #[test]
@@ -2100,14 +2234,14 @@ mod tests {
         // position list for layouts of every mask kind.
         let store = heap();
         let position_sets: Vec<Vec<u16>> = vec![
-            vec![0],                                  // single, one bit
-            vec![3, 4, 6, 8, 9],                      // single, Figure 5
-            (0..31).collect(),                        // single, full window
-            vec![56, 57, 120, 121],                   // single (span 8..15=8 bytes? no: bytes 7 & 15 -> multi)
-            vec![0, 100],                             // multi-8
-            vec![7, 64, 129, 200, 300, 411, 512, 637],// multi-8, 8 bytes
-            (0..10).map(|i| i * 81).collect(),        // multi-16
-            (0..20).map(|i| i * 100).collect(),       // multi-32
+            vec![0],                                   // single, one bit
+            vec![3, 4, 6, 8, 9],                       // single, Figure 5
+            (0..31).collect(),                         // single, full window
+            vec![56, 57, 120, 121], // single (span 8..15=8 bytes? no: bytes 7 & 15 -> multi)
+            vec![0, 100],           // multi-8
+            vec![7, 64, 129, 200, 300, 411, 512, 637], // multi-8, 8 bytes
+            (0..10).map(|i| i * 81).collect(), // multi-16
+            (0..20).map(|i| i * 100).collect(), // multi-32
         ];
         for positions in position_sets {
             // A rightmost-chain trie is a valid linearization for any
@@ -2154,7 +2288,13 @@ mod tests {
             let m = positions.len();
             // Rightmost-chain sparse keys (valid linearization).
             let sparse: Vec<u32> = (0..n as u32)
-                .map(|i| if i == 0 { 0 } else { (((1u64 << i) - 1) as u32) << (m as u32 - i) })
+                .map(|i| {
+                    if i == 0 {
+                        0
+                    } else {
+                        (((1u64 << i) - 1) as u32) << (m as u32 - i)
+                    }
+                })
                 .collect();
             let values: Vec<u64> = (0..n as u64).map(|i| NodeRef::leaf(i * 7).0).collect();
             let node = filled(&store, &positions, &sparse, &values, 1);
@@ -2183,7 +2323,11 @@ mod tests {
                 assert_eq!(node.sparse_key(i), sparse[i]);
                 assert_eq!(HeapSlot::get(node, i).0, values[i]);
             }
-            assert_eq!(node.lock_word().load(Ordering::Relaxed), 0, "lock starts clear");
+            assert_eq!(
+                node.lock_word().load(Ordering::Relaxed),
+                0,
+                "lock starts clear"
+            );
             release(&store, node);
         }
         assert_eq!(store.mem.bytes(), 0);

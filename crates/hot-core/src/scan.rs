@@ -81,7 +81,11 @@ thread_local! {
 /// a call nests inside another one's key source on the same thread, or runs
 /// during thread teardown).
 pub(crate) fn with_thread_cursor<R>(f: impl FnOnce(&mut ScanCursor) -> R) -> R {
-    let mut cursor = THREAD_CURSOR.try_with(Cell::take).ok().flatten().unwrap_or_default();
+    let mut cursor = THREAD_CURSOR
+        .try_with(Cell::take)
+        .ok()
+        .flatten()
+        .unwrap_or_default();
     let result = f(&mut cursor);
     let _ = THREAD_CURSOR.try_with(|slot| slot.set(Some(cursor)));
     result
@@ -259,7 +263,11 @@ mod tests {
         for start in [0u64, 1, 2, 3, 299, 14_996, 14_997, 15_000, u64::MAX] {
             for limit in [0usize, 1, 7, 100] {
                 t.scan_with(&encode_u64(start), limit, &mut out, &mut cursor);
-                assert_eq!(out, t.scan(&encode_u64(start), limit), "start={start} limit={limit}");
+                assert_eq!(
+                    out,
+                    t.scan(&encode_u64(start), limit),
+                    "start={start} limit={limit}"
+                );
             }
         }
     }

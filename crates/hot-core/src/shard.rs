@@ -160,20 +160,29 @@ impl Partition {
             // (a shorter middle splitter would be a proper prefix of it
             // and sort below the first).
             let (first, last) = (&splitters[0], &splitters[splitters.len() - 1]);
-            let base = first.iter().zip(last.iter()).take_while(|(a, b)| a == b).count();
+            let base = first
+                .iter()
+                .zip(last.iter())
+                .take_while(|(a, b)| a == b)
+                .count();
             (
                 first[..base].to_vec(),
                 splitters.iter().map(|s| pad8(&s[base..])).collect(),
             )
         };
-        Partition { splitters, prefix, words }
+        Partition {
+            splitters,
+            prefix,
+            words,
+        }
     }
 
     /// The shard owning `key`; agrees with [`shard_of_key`] on the full
     /// splitter list.
     #[inline]
     fn shard_of(&self, key: &[u8]) -> usize {
-        let shard = flat_classify(&self.prefix, &self.words, key).unwrap_or_else(|| self.tie_break(key));
+        let shard =
+            flat_classify(&self.prefix, &self.words, key).unwrap_or_else(|| self.tie_break(key));
         debug_assert_eq!(shard, shard_of_key(key, &self.splitters));
         shard
     }
@@ -315,7 +324,9 @@ where
     pub fn new(source: S, shards: usize) -> Self {
         let shards = shards.clamp(1, MAX_SHARDS);
         ShardedHot {
-            tries: (0..shards).map(|_| ConcurrentHot::new(source.clone())).collect(),
+            tries: (0..shards)
+                .map(|_| ConcurrentHot::new(source.clone()))
+                .collect(),
             partition: OnceLock::new(),
             routed: (0..shards).map(|_| AtomicU64::new(0)).collect(),
         }
@@ -689,7 +700,10 @@ where
                 let first = ends.len() - 1;
                 sched.run_scans(
                     self.tries[s].store(),
-                    &QueuedScans { requests, slots: win },
+                    &QueuedScans {
+                        requests,
+                        slots: win,
+                    },
                     staged,
                     ends,
                     || self.tries[s].load_root(),
@@ -749,7 +763,10 @@ where
                     scope.spawn(move || self.tries[s].bulk_load_parallel(seg, threads))
                 })
                 .collect();
-            loaders.into_iter().map(|l| l.join().expect("shard loader panicked")).sum()
+            loaders
+                .into_iter()
+                .map(|l| l.join().expect("shard loader panicked"))
+                .sum()
         })
     }
 
@@ -758,7 +775,14 @@ where
     /// following shards' lower bounds (shard `s + 1` owns exactly the
     /// keys `>= splitter[s]`, so concatenation *is* the merge) until
     /// `limit` is met or the key space ends.
-    fn continue_scan(&self, shard: usize, limit: usize, mut got: usize, out: &mut Vec<u64>, cursor: &mut ScanCursor) {
+    fn continue_scan(
+        &self,
+        shard: usize,
+        limit: usize,
+        mut got: usize,
+        out: &mut Vec<u64>,
+        cursor: &mut ScanCursor,
+    ) {
         let sp = self.splitters();
         for next in shard + 1..=sp.len() {
             if got >= limit {
@@ -829,7 +853,9 @@ mod tests {
         use hot_keys::ArenaKeySource;
 
         let mut arena = ArenaKeySource::new();
-        let keys: Vec<Vec<u8>> = (0..200u32).map(|i| format!("k{i:04}").into_bytes()).collect();
+        let keys: Vec<Vec<u8>> = (0..200u32)
+            .map(|i| format!("k{i:04}").into_bytes())
+            .collect();
         let tids: Vec<u64> = keys.iter().map(|k| arena.push(k)).collect();
         let sharded = ShardedHot::new(std::sync::Arc::new(arena), 4);
         let sorted: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
@@ -924,7 +950,9 @@ mod tests {
         // every splitter, and its neighbours in key order.
         let hosts = ["cs.uni-example.org", "db.example.com", "example.net"];
         let mut urls: Vec<Vec<u8>> = (0..6_000usize)
-            .map(|i| format!("https://{}/path/{:02}/item-{i:06}", hosts[i % 3], i % 17).into_bytes())
+            .map(|i| {
+                format!("https://{}/path/{:02}/item-{i:06}", hosts[i % 3], i % 17).into_bytes()
+            })
             .collect();
         urls.sort();
         let sample: Vec<&[u8]> = urls.iter().map(Vec::as_slice).collect();
@@ -941,8 +969,16 @@ mod tests {
         let mut ties = 0usize;
         for key in &probes {
             ties += usize::from(flat_classify(&part.prefix, &part.words, key).is_none());
-            assert_eq!(part.shard_of(key), shard_of_key(key, &splitters), "key {key:?}");
+            assert_eq!(
+                part.shard_of(key),
+                shard_of_key(key, &splitters),
+                "key {key:?}"
+            );
         }
-        assert!(ties > urls.len() / 2, "the binary search ran on {ties} of {} probes", probes.len());
+        assert!(
+            ties > urls.len() / 2,
+            "the binary search ran on {ties} of {} probes",
+            probes.len()
+        );
     }
 }

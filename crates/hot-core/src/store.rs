@@ -91,7 +91,9 @@ pub(crate) trait NodeStore: Sync {
     fn verify(&self, leaf: Self::Ref, key: &[u8]) -> Option<u64> {
         let mut buf = Self::key_buf();
         let stored = self.leaf_key(leaf, &mut buf);
-        hot_bits::first_mismatch_bit(stored, key).is_none().then(|| self.leaf_tid(leaf))
+        hot_bits::first_mismatch_bit(stored, key)
+            .is_none()
+            .then(|| self.leaf_tid(leaf))
     }
 
     /// A leaf for `key → tid`, not yet reachable.
@@ -145,7 +147,10 @@ pub(crate) trait NodeStore: Sync {
 /// instantiated over. It has nothing to implement or call — it exists so
 /// that code outside this crate (the benchmark adapter, the differential
 /// tests) can be generic over `Trie<B>` for both back-ends.
-#[allow(private_bounds, reason = "NodeStore is the crate-internal half of this trait")]
+#[allow(
+    private_bounds,
+    reason = "NodeStore is the crate-internal half of this trait"
+)]
 pub trait Backend: NodeStore {}
 
 impl<S: KeySource> Backend for HeapStore<S> {}
@@ -173,7 +178,10 @@ pub struct HeapStore<S> {
 
 impl<S> HeapStore<S> {
     pub(crate) fn new(source: S) -> Self {
-        HeapStore { source, mem: MemCounter::default() }
+        HeapStore {
+            source,
+            mem: MemCounter::default(),
+        }
     }
 }
 
@@ -270,7 +278,10 @@ mod tests {
     use hot_keys::{encode_u64, EmbeddedKeySource};
 
     fn entries(n: usize) -> Vec<([u8; 8], u64)> {
-        (0..n as u64).map(|i| i * 3).map(|k| (encode_u64(k), k)).collect()
+        (0..n as u64)
+            .map(|i| i * 3)
+            .map(|k| (encode_u64(k), k))
+            .collect()
     }
 
     /// The nodes reachable from the root, and how many of them lie in the
@@ -320,7 +331,9 @@ mod tests {
     #[cfg_attr(miri, ignore)]
     fn smaller_loads_insert_built_stores_and_refused_loads_stay_general() {
         let small = ConcurrentHot::new(EmbeddedKeySource);
-        small.bulk_load(&entries(CHUNKED_LOAD_MIN_KEYS - 1)).unwrap();
+        small
+            .bulk_load(&entries(CHUNKED_LOAD_MIN_KEYS - 1))
+            .unwrap();
         let (nodes, in_chunks) = placement(&small);
         assert!(nodes > 0 && in_chunks == 0, "one key below the constant");
         assert_eq!(small.memory_stats().capacity_bytes, 0);
@@ -331,7 +344,10 @@ mod tests {
         }
         assert!(crate::sync::quiesce());
         let (nodes, in_chunks) = placement(&by_insert);
-        assert!(nodes > 0 && in_chunks == 0, "the same size, built by inserts");
+        assert!(
+            nodes > 0 && in_chunks == 0,
+            "the same size, built by inserts"
+        );
 
         // A large load into a store that already holds keys is refused and
         // leaves the store where it was.
@@ -339,10 +355,16 @@ mod tests {
         for k in 0..100u64 {
             held.insert(&encode_u64(k), k);
         }
-        assert_eq!(held.bulk_load(&entries(CHUNKED_LOAD_MIN_KEYS)), Err(BulkLoadError::NotEmpty));
+        assert_eq!(
+            held.bulk_load(&entries(CHUNKED_LOAD_MIN_KEYS)),
+            Err(BulkLoadError::NotEmpty)
+        );
         assert!(held.insert(&encode_u64(1_000), 1_000).is_none());
         let (nodes, in_chunks) = placement(&held);
-        assert!(nodes > 0 && in_chunks == 0, "after a load that failed with NotEmpty");
+        assert!(
+            nodes > 0 && in_chunks == 0,
+            "after a load that failed with NotEmpty"
+        );
         assert_eq!(held.memory_stats().capacity_bytes, 0);
     }
 
@@ -365,14 +387,21 @@ mod tests {
         for line in smaps.lines() {
             let first = line.split_whitespace().next().unwrap_or("");
             if let Some((lo, hi)) = first.split_once('-') {
-                if let (Ok(lo), Ok(hi)) = (usize::from_str_radix(lo, 16), usize::from_str_radix(hi, 16)) {
+                if let (Ok(lo), Ok(hi)) =
+                    (usize::from_str_radix(lo, 16), usize::from_str_radix(hi, 16))
+                {
                     overlaps = ranges.iter().any(|r| r.start < hi && lo < r.end);
                     continue;
                 }
             }
             if let Some(kb) = line.strip_prefix("AnonHugePages:") {
                 if overlaps {
-                    total += kb.trim().trim_end_matches("kB").trim().parse::<usize>().expect("kB");
+                    total += kb
+                        .trim()
+                        .trim_end_matches("kB")
+                        .trim()
+                        .parse::<usize>()
+                        .expect("kB");
                 }
             }
         }
@@ -386,7 +415,9 @@ mod tests {
         match thp_mode().as_deref() {
             Some("always" | "madvise") => {}
             mode => {
-                eprintln!("skipped: transparent huge pages are {mode:?}, not `always` or `madvise`");
+                eprintln!(
+                    "skipped: transparent huge pages are {mode:?}, not `always` or `madvise`"
+                );
                 return;
             }
         }
@@ -397,6 +428,10 @@ mod tests {
         // The last chunk may be touched only in part; every full one was
         // faulted in after the advice, in 2 MiB units.
         let huge = anon_huge_kb(&ranges);
-        assert!(huge >= (ranges.len() - 1) * 2048, "{huge} kB of huge pages over {} chunks", ranges.len());
+        assert!(
+            huge >= (ranges.len() - 1) * 2048,
+            "{huge} kB of huge pages over {} chunks",
+            ranges.len()
+        );
     }
 }

@@ -74,7 +74,6 @@ use crate::store::{HeapStore, NodeStore};
 use crate::trie::{apply, plan, Hot, Op, Writer};
 use hot_keys::MAX_TID;
 
-
 /// Lock-word bit 0: a writer holds this node's write lock.
 pub(crate) const LOCKED: u32 = 1;
 /// Lock-word bit 1: this node was replaced by a copy-on-write and awaits
@@ -99,7 +98,12 @@ fn try_lock(node: RawNode) -> bool {
     current & LOCKED == 0
         && word
             // pairs-with: node-lock
-            .compare_exchange(current, current | LOCKED, Ordering::Acquire, Ordering::Relaxed)
+            .compare_exchange(
+                current,
+                current | LOCKED,
+                Ordering::Acquire,
+                Ordering::Relaxed,
+            )
             .is_ok()
 }
 
@@ -131,7 +135,11 @@ fn unlock(node: RawNode) {
 /// visible.
 #[inline]
 fn unlock_obsolete(node: RawNode) {
-    debug_assert_eq!(node.lock_word().load(Ordering::Relaxed), LOCKED, "a retired node is held and live");
+    debug_assert_eq!(
+        node.lock_word().load(Ordering::Relaxed),
+        LOCKED,
+        "a retired node is held and live"
+    );
     node.lock_word().store(OBSOLETE, Ordering::Release); // pairs-with: node-lock, obsolete-flag
 }
 
@@ -267,7 +275,11 @@ thread_local! {
 /// or when a write nests inside another one's key source on the same
 /// thread, or runs during thread teardown).
 pub(crate) fn with_thread_writer<R>(f: impl FnOnce(&mut Writer) -> R) -> R {
-    let mut writer = THREAD_WRITER.try_with(Cell::take).ok().flatten().unwrap_or_else(|| Box::new(Writer::new()));
+    let mut writer = THREAD_WRITER
+        .try_with(Cell::take)
+        .ok()
+        .flatten()
+        .unwrap_or_else(|| Box::new(Writer::new()));
     let result = f(&mut writer);
     let _ = THREAD_WRITER.try_with(|slot| slot.set(Some(writer)));
     result
@@ -335,7 +347,12 @@ impl<St: NodeStore, A: Access> Hot<St, A> {
         let n = crate::bulk::load(self.store(), entries, workers, |root| {
             self.root
                 // pairs-with: root-publish
-                .compare_exchange(St::Ref::NULL.word(), root.word(), Ordering::Release, Ordering::Relaxed)
+                .compare_exchange(
+                    St::Ref::NULL.word(),
+                    root.word(),
+                    Ordering::Release,
+                    Ordering::Relaxed,
+                )
                 .is_ok()
         })?;
         // Ordering: Relaxed — statistics counter only (see `len`).
@@ -426,7 +443,8 @@ impl<St: NodeStore> Concurrent<St> {
     /// `try_insert` reports that case as a typed error instead).
     pub fn insert(&self, key: &[u8], tid: u64) -> Option<u64> {
         assert!(tid <= MAX_TID, "tid exceeds MAX_TID");
-        self.write(key, Op::Insert(tid)).unwrap_or_else(|e| panic!("insert: {e}"))
+        self.write(key, Op::Insert(tid))
+            .unwrap_or_else(|e| panic!("insert: {e}"))
     }
 
     /// Remove `key`; returns its TID if present.
@@ -436,7 +454,8 @@ impl<St: NodeStore> Concurrent<St> {
     /// re-encoding the shrunk node (its `try_remove` reports that case as a
     /// typed error instead).
     pub fn remove(&self, key: &[u8]) -> Option<u64> {
-        self.write(key, Op::Remove).unwrap_or_else(|e| panic!("remove: {e}"))
+        self.write(key, Op::Remove)
+            .unwrap_or_else(|e| panic!("remove: {e}"))
     }
 
     /// One write: optimistic attempts until one goes through (or the store
@@ -459,12 +478,16 @@ impl<St: NodeStore> Concurrent<St> {
         })
     }
 
-
     /// One optimistic attempt — steps (a) to (e): descend and plan, lock the
     /// plan's levels, validate under the locks, apply, retire, unlock. A
     /// tree without nodes has nothing to lock: there the root word is the
     /// one slot, and the publish is a CAS on it. `None` requests a restart.
-    fn attempt(&self, w: &mut Writer, op: Op, guard: &epoch::Guard) -> Option<Result<Option<u64>, St::Full>> {
+    fn attempt(
+        &self,
+        w: &mut Writer,
+        op: Op,
+        guard: &epoch::Guard,
+    ) -> Option<Result<Option<u64>, St::Full>> {
         let store = &*self.store;
         let before = self.load_root();
         let cur = w.seek(store, before);
@@ -508,7 +531,12 @@ impl<St: NodeStore> Concurrent<St> {
                 None => self
                     .root
                     // pairs-with: root-publish
-                    .compare_exchange(before.word(), root.word(), Ordering::AcqRel, Ordering::Acquire)
+                    .compare_exchange(
+                        before.word(),
+                        root.word(),
+                        Ordering::AcqRel,
+                        Ordering::Acquire,
+                    )
                     .is_ok(),
             };
         if published {
@@ -542,7 +570,13 @@ impl<St: NodeStore> Concurrent<St> {
     /// everything acquired is released again and the attempt fails. `guard`
     /// is the caller's proof of an active epoch pin — the lock words live
     /// in nodes that may otherwise be reclaimed.
-    fn lock_levels(&self, path: &[(u64, usize)], lowest: usize, level: usize, guard: &epoch::Guard) -> Option<()> {
+    fn lock_levels(
+        &self,
+        path: &[(u64, usize)],
+        lowest: usize,
+        level: usize,
+        guard: &epoch::Guard,
+    ) -> Option<()> {
         for l in (lowest..=level).rev() {
             if !try_lock(self.raw(path[l].0)) {
                 self.metrics.incr(RowexCounter::LockFail);
@@ -582,9 +616,17 @@ impl<St: NodeStore> Concurrent<St> {
     /// Step (e): unlock `path[lowest..=level]` top-down; the nodes in
     /// `retired` — every node the publish unlinked is a locked level — are
     /// unlocked to obsolete.
-    fn unlock_levels(&self, path: &[(u64, usize)], lowest: usize, level: usize, retired: &[u64], _guard: &epoch::Guard) {
+    fn unlock_levels(
+        &self,
+        path: &[(u64, usize)],
+        lowest: usize,
+        level: usize,
+        retired: &[u64],
+        _guard: &epoch::Guard,
+    ) {
         debug_assert!(
-            retired.iter().all(|&r| !St::Ref::from_word(r).is_node() || path[lowest..=level].iter().any(|hop| hop.0 == r)),
+            retired.iter().all(|&r| !St::Ref::from_word(r).is_node()
+                || path[lowest..=level].iter().any(|hop| hop.0 == r)),
             "every retired node is locked"
         );
         for &(node, _) in &path[lowest..=level] {
@@ -689,7 +731,11 @@ mod tests {
     /// Miri interprets every access (~3-4 orders of magnitude slower): the
     /// CI Miri lane runs these tests at a fiftieth of their native size.
     const fn sized(n: u64) -> u64 {
-        if cfg!(miri) { n / 50 } else { n }
+        if cfg!(miri) {
+            n / 50
+        } else {
+            n
+        }
     }
 
     #[test]
@@ -706,7 +752,10 @@ mod tests {
         assert_eq!(trie.len() as u64, n);
         trie.check_invariants();
         // Scans.
-        assert_eq!(trie.scan(&encode_u64(100), 5), vec![100, 101, 102, 103, 104]);
+        assert_eq!(
+            trie.scan(&encode_u64(100), 5),
+            vec![100, 101, 102, 103, 104]
+        );
         // Upsert through the concurrent path.
         assert_eq!(trie.insert(&encode_u64(7), 7), Some(7));
         // Removal.
@@ -850,14 +899,19 @@ mod tests {
         }
         // Quiesced ⇒ exact: what the counter holds is what is reachable.
         assert!(quiesce());
-        assert_eq!(trie.memory_stats().node_count, trie.check_invariants().nodes);
+        assert_eq!(
+            trie.memory_stats().node_count,
+            trie.check_invariants().nodes
+        );
     }
 
     #[test]
     fn matches_single_threaded_structure_when_quiesced() {
         // After all concurrent inserts land, the structure must be exactly
         // the deterministic HOT for that key set (determinism conjecture).
-        let keys: Vec<u64> = (0..sized(3_000)).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 1).collect();
+        let keys: Vec<u64> = (0..sized(3_000))
+            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 1)
+            .collect();
         let trie = Arc::new(ConcurrentHot::new(EmbeddedKeySource));
         let handles: Vec<_> = (0..4)
             .map(|t| {
@@ -967,7 +1021,8 @@ mod tests {
                             assert_eq!(index.insert(&key_of(t, i), tid_of(t, i)), None);
                         }
                         if i < pool {
-                            let (j, tid) = ((i + t * 7) % pool, tid_of(WRITERS, (i + t * 7) % pool));
+                            let (j, tid) =
+                                ((i + t * 7) % pool, tid_of(WRITERS, (i + t * 7) % pool));
                             let previous = index.insert(&key_of(WRITERS, j), tid);
                             assert!(previous.is_none() || previous == Some(tid));
                         }
@@ -979,7 +1034,11 @@ mod tests {
                     }
                 }
                 assert_eq!(index.len(), replay.len());
-                assert_eq!(index.structure_digest(), replay.structure_digest(), "round {round}: after the concurrent build");
+                assert_eq!(
+                    index.structure_digest(),
+                    replay.structure_digest(),
+                    "round {round}: after the concurrent build"
+                );
 
                 // Mixed inserts and removes: what a remove leaves behind depends
                 // on the order of the writes around it, so a replay needs the
@@ -1019,13 +1078,24 @@ mod tests {
                 }
                 assert!(quiesce());
                 assert_eq!(index.len(), replay.len());
-                assert_eq!(index.check_invariants().nodes, replay.check_invariants().nodes);
-                assert_eq!(index.structure_digest(), replay.structure_digest(), "round {round}: after the mixed history");
+                assert_eq!(
+                    index.check_invariants().nodes,
+                    replay.check_invariants().nodes
+                );
+                assert_eq!(
+                    index.structure_digest(),
+                    replay.structure_digest(),
+                    "round {round}: after the mixed history"
+                );
                 // Nothing leaked, nothing freed twice. (Leaf bytes are left out:
                 // how a record is front-coded depends on which one was appended
                 // before it, and the free-running build appended in its own order.)
                 let (live, want) = (index.memory_stats(), replay.memory_stats());
-                assert_eq!((live.node_count, live.node_bytes), (want.node_count, want.node_bytes), "round {round}");
+                assert_eq!(
+                    (live.node_count, live.node_bytes),
+                    (want.node_count, want.node_bytes),
+                    "round {round}"
+                );
 
                 // Free-running removes, disjoint and overlapping, down to nothing.
                 run(&|t| {
@@ -1050,7 +1120,11 @@ mod tests {
     /// Keys of [`key_of`] by TID (key set in the high half).
     struct Keys;
     impl KeySource for Keys {
-        fn load_key<'a>(&'a self, tid: u64, scratch: &'a mut [u8; hot_keys::KEY_SCRATCH_LEN]) -> &'a [u8] {
+        fn load_key<'a>(
+            &'a self,
+            tid: u64,
+            scratch: &'a mut [u8; hot_keys::KEY_SCRATCH_LEN],
+        ) -> &'a [u8] {
             scratch[..8].copy_from_slice(&key_of(tid >> 32, tid & 0xFFFF_FFFF));
             &scratch[..8]
         }
@@ -1058,12 +1132,20 @@ mod tests {
 
     #[test]
     fn four_heap_writers_match_the_single_threaded_replay() {
-        four_writers_match_the_single_threaded_replay(&ConcurrentHot::new(Keys), crate::HotTrie::new(Keys), 1);
+        four_writers_match_the_single_threaded_replay(
+            &ConcurrentHot::new(Keys),
+            crate::HotTrie::new(Keys),
+            1,
+        );
     }
 
     #[test]
     fn four_arena_writers_match_the_single_threaded_replay() {
-        four_writers_match_the_single_threaded_replay(&ConcurrentCompact::new(), crate::CompactHot::new(), 1);
+        four_writers_match_the_single_threaded_replay(
+            &ConcurrentCompact::new(),
+            crate::CompactHot::new(),
+            1,
+        );
     }
 
     /// A heap store on chunks — what a bulk load of 2¹⁹ keys or more leaves
@@ -1074,10 +1156,16 @@ mod tests {
     #[test]
     fn four_writers_on_chunks_match_a_general_allocator_replay() {
         let index = ConcurrentHot::new(Keys);
-        index.store().mem.prepare_load(crate::node::heap::CHUNKED_LOAD_MIN_KEYS);
+        index
+            .store()
+            .mem
+            .prepare_load(crate::node::heap::CHUNKED_LOAD_MIN_KEYS);
         let replay = crate::HotTrie::new(Keys);
         assert_eq!(replay.memory_stats().capacity_bytes, 0);
         four_writers_match_the_single_threaded_replay(&index, replay, 10);
-        assert!(index.memory_stats().capacity_bytes > 0, "the writers ran on chunks");
+        assert!(
+            index.memory_stats().capacity_bytes > 0,
+            "the writers ran on chunks"
+        );
     }
 }

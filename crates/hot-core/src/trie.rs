@@ -164,7 +164,11 @@ impl Writer {
         Ok(leaf)
     }
 
-    fn encode<St: NodeStore>(&mut self, store: &St, builder: &Builder) -> Result<St::Ref, St::Full> {
+    fn encode<St: NodeStore>(
+        &mut self,
+        store: &St,
+        builder: &Builder,
+    ) -> Result<St::Ref, St::Full> {
         let node = crate::node::encode(store, builder)?;
         self.fresh.push(node.word());
         Ok(node)
@@ -172,7 +176,14 @@ impl Writer {
 
     /// Encode the two-entry node of a BiNode at `pos` over `zero` and `one`
     /// through the parked pair builder.
-    fn encode_pair<St: NodeStore>(&mut self, store: &St, pos: u16, zero: u64, one: u64, height: u8) -> Result<St::Ref, St::Full> {
+    fn encode_pair<St: NodeStore>(
+        &mut self,
+        store: &St,
+        pos: u16,
+        zero: u64,
+        one: u64,
+        height: u8,
+    ) -> Result<St::Ref, St::Full> {
         let mut pair = std::mem::take(&mut self.pair);
         pair.pair(pos, zero, one, height);
         let node = self.encode(store, &pair);
@@ -193,7 +204,13 @@ impl Writer {
 
     /// [`publish`](Self::publish) `new` in place of the node at `level`,
     /// which is thereby retired.
-    fn replace<St: NodeStore>(&mut self, store: &St, root: &mut St::Ref, level: usize, new: St::Ref) {
+    fn replace<St: NodeStore>(
+        &mut self,
+        store: &St,
+        root: &mut St::Ref,
+        level: usize,
+        new: St::Ref,
+    ) {
         self.publish(store, root, level, new);
         self.retired.push(self.path[level].0);
     }
@@ -244,7 +261,15 @@ pub(crate) enum Plan {
     /// Normal insert into `path[level]`, whose affected entries are
     /// `lo..=hi`; `top` is the shallowest level whose content changes once
     /// the overflow cascade has run (`level` when nothing overflows).
-    Insert { tid: u64, level: usize, top: usize, pos: u16, key_bit: u8, lo: usize, hi: usize },
+    Insert {
+        tid: u64,
+        level: usize,
+        top: usize,
+        pos: u16,
+        key_bit: u8,
+        lo: usize,
+        hi: usize,
+    },
     /// The root leaf goes; the tree is empty.
     Clear,
     /// A two-entry node collapses into its surviving entry.
@@ -311,7 +336,11 @@ pub(crate) fn plan<St: NodeStore>(store: &St, w: &Writer, cur: St::Ref, op: Op) 
     assert!(pos < u16::MAX as usize, "mismatch position fits u16");
     let key_bit = hot_bits::bit_at(w.key.bytes(), pos);
     if depth == 0 {
-        return Some(Plan::Pushdown { tid, pos: pos as u16, key_bit });
+        return Some(Plan::Pushdown {
+            tid,
+            pos: pos as u16,
+            key_bit,
+        });
     }
 
     // Find the node the new BiNode belongs to. Listing 1 traverses until
@@ -337,7 +366,11 @@ pub(crate) fn plan<St: NodeStore>(store: &St, w: &Writer, cur: St::Ref, op: Op) 
     let raw = raw_at(level);
     // A single affected entry at the last level is the leaf `cur`.
     if lo == hi && level + 1 == depth && raw.height() > 1 {
-        return Some(Plan::Pushdown { tid, pos: pos as u16, key_bit });
+        return Some(Plan::Pushdown {
+            tid,
+            pos: pos as u16,
+            key_bit,
+        });
     }
 
     // Simulate the overflow cascade: parent pull-up moves the overflow one
@@ -353,7 +386,15 @@ pub(crate) fn plan<St: NodeStore>(store: &St, w: &Writer, cur: St::Ref, op: Op) 
         top -= 1;
         (entries, height) = (parent.count() + 1, parent.height());
     }
-    Some(Plan::Insert { tid, level, top, pos: pos as u16, key_bit, lo, hi })
+    Some(Plan::Insert {
+        tid,
+        level,
+        top,
+        pos: pos as u16,
+        key_bit,
+        lo,
+        hi,
+    })
 }
 
 /// Carry `plan` out under `root`, the caller's copy of the root word: a
@@ -388,12 +429,24 @@ pub(crate) fn apply<St: NodeStore>(
         Plan::Pushdown { tid, pos, key_bit } => {
             let leaf = w.new_leaf(store, tid)?;
             // The two-entry node splitting `cur` from the new leaf at `pos`.
-            let (zero, one) = if key_bit == 1 { (cur, leaf) } else { (leaf, cur) };
+            let (zero, one) = if key_bit == 1 {
+                (cur, leaf)
+            } else {
+                (leaf, cur)
+            };
             let pushed = w.encode_pair(store, pos, zero.word(), one.word(), 1)?;
             w.publish(store, root, w.path.len(), pushed);
             Ok(None)
         }
-        Plan::Insert { tid, level, pos, key_bit, lo, hi, .. } => {
+        Plan::Insert {
+            tid,
+            level,
+            pos,
+            key_bit,
+            lo,
+            hi,
+            ..
+        } => {
             let leaf = w.new_leaf(store, tid)?;
             let raw = w.raw_at(store, level);
             // Fused fast path: where the physical layout is stable, the new
@@ -401,7 +454,9 @@ pub(crate) fn apply<St: NodeStore>(
             // byte-identical to the builder path, so taking it or not leaves
             // the structure digest unchanged). The node's shape decides,
             // never the store.
-            if let Some(new_node) = raw.insert_entry_cow(store, pos as usize, lo, hi, key_bit, leaf)? {
+            if let Some(new_node) =
+                raw.insert_entry_cow(store, pos as usize, lo, hi, key_bit, leaf)?
+            {
                 w.fresh.push(new_node.word());
                 w.replace(store, root, level, new_node);
                 return Ok(None);
@@ -414,7 +469,8 @@ pub(crate) fn apply<St: NodeStore>(
             let result = if builder.overflowed() {
                 overflow_cascade(store, w, root, level, &mut builder)
             } else {
-                w.encode(store, &builder).map(|new_node| w.replace(store, root, level, new_node))
+                w.encode(store, &builder)
+                    .map(|new_node| w.replace(store, root, level, new_node))
             };
             w.builder = builder;
             result.map(|()| None)
@@ -452,7 +508,9 @@ pub(crate) fn apply<St: NodeStore>(
                 let (pos, zero, one) = (builder.positions[0], builder.values[0], builder.values[1]);
                 target -= 1;
                 builder.decode_into::<St::Slot>(w.raw_at(store, target));
-                builder.replace_entry_with_pair(w.path[target].1, pos, zero, one, |word| height_of(store, word));
+                builder.replace_entry_with_pair(w.path[target].1, pos, zero, one, |word| {
+                    height_of(store, word)
+                });
             }
             let encoded = w.encode(store, &builder);
             w.builder = builder;
@@ -508,7 +566,8 @@ fn split_upward<St: NodeStore>(
         // this node and its parent, an intermediate node in this node's
         // place does not increase the overall tree height either.
         if level == 0 || builder.height + 1 != w.raw_at(store, level - 1).height() {
-            let over = w.encode_pair(store, pos, left, right, 1 + height(left).max(height(right)))?;
+            let over =
+                w.encode_pair(store, pos, left, right, 1 + height(left).max(height(right)))?;
             w.replace(store, root, level, over);
             return Ok(());
         }
@@ -548,7 +607,10 @@ impl<A: Access> Hot<ArenaStore, A> {
     /// An empty compact trie with the default arena ceilings (the full
     /// 32-bit addressable range; slabs are committed on demand).
     pub fn new() -> Self {
-        Self::with_capacity(crate::arena::DEFAULT_NODE_CAP, crate::arena::DEFAULT_LEAF_CAP)
+        Self::with_capacity(
+            crate::arena::DEFAULT_NODE_CAP,
+            crate::arena::DEFAULT_LEAF_CAP,
+        )
     }
 
     /// An empty compact trie whose arenas refuse to grow past the given
@@ -663,7 +725,14 @@ impl<St: NodeStore, A: Access> Hot<St, A> {
         self.metrics.items(OpKind::GetBatch, keys.len() as u64);
         let (root, _pin) = self.pinned_root();
         let reload = || if A::SHARED { self.load_root() } else { root };
-        sched.run_lookups(&*self.store, &crate::mlp::LookupStream(keys), out, reload, A::SHARED, &self.metrics);
+        sched.run_lookups(
+            &*self.store,
+            &crate::mlp::LookupStream(keys),
+            out,
+            reload,
+            A::SHARED,
+            &self.metrics,
+        );
     }
 
     /// Collect up to `limit` TIDs with keys `>= key`, in ascending key
@@ -722,7 +791,8 @@ impl<St: NodeStore, A: Access> Hot<St, A> {
         let before = out.len();
         let (root, _pin) = self.pinned_root();
         cursor.scan_root(&*self.store, root, key, limit, out);
-        self.metrics.items(OpKind::Scan, (out.len() - before) as u64);
+        self.metrics
+            .items(OpKind::Scan, (out.len() - before) as u64);
     }
 
     /// Service many scan requests `(start key, limit)` under a **single**
@@ -741,7 +811,9 @@ impl<St: NodeStore, A: Access> Hot<St, A> {
         tids: &mut Vec<u64>,
         bounds: &mut Vec<usize>,
     ) {
-        crate::mlp::with_thread_scheduler(|sched| self.scan_batch_with(requests, tids, bounds, sched));
+        crate::mlp::with_thread_scheduler(|sched| {
+            self.scan_batch_with(requests, tids, bounds, sched)
+        });
     }
 
     /// Like [`scan_batch`](Self::scan_batch) with a caller-provided
@@ -760,7 +832,15 @@ impl<St: NodeStore, A: Access> Hot<St, A> {
         bounds.push(0);
         let (root, _pin) = self.pinned_root();
         let reload = || if A::SHARED { self.load_root() } else { root };
-        sched.run_scans(&*self.store, &crate::mlp::ScanStream(requests), tids, bounds, reload, A::SHARED, &self.metrics);
+        sched.run_scans(
+            &*self.store,
+            &crate::mlp::ScanStream(requests),
+            tids,
+            bounds,
+            reload,
+            A::SHARED,
+            &self.metrics,
+        );
         self.metrics.items(OpKind::ScanBatch, tids.len() as u64);
     }
 
@@ -794,7 +874,9 @@ impl<St: NodeStore, A: Access> Hot<St, A> {
         let (store, root) = (&*self.store, self.load_root());
         // Re-lookups go through the uninstrumented lookup so the walk never
         // inflates the `get` / epoch-pin counters.
-        crate::invariants::check_tree(store, root, self.len(), |k| lookup(store, root, &PaddedKey::from_key(k)))
+        crate::invariants::check_tree(store, root, self.len(), |k| {
+            lookup(store, root, &PaddedKey::from_key(k))
+        })
     }
 
     /// Point-in-time metrics snapshot (DESIGN.md §13): merged operation
@@ -867,7 +949,8 @@ impl<St: NodeStore> Trie<St> {
     /// (its `try_insert` reports that case as a typed error instead).
     pub fn insert(&mut self, key: &[u8], tid: u64) -> Option<u64> {
         assert!(tid <= MAX_TID, "tid exceeds MAX_TID");
-        self.write(key, Op::Insert(tid)).unwrap_or_else(|e| panic!("insert: {e}"))
+        self.write(key, Op::Insert(tid))
+            .unwrap_or_else(|e| panic!("insert: {e}"))
     }
 
     /// Remove `key`; returns its TID if it was present.
@@ -877,7 +960,8 @@ impl<St: NodeStore> Trie<St> {
     /// hit while re-encoding the shrunk node (its `try_remove` reports that
     /// case as a typed error instead).
     pub fn remove(&mut self, key: &[u8]) -> Option<u64> {
-        self.write(key, Op::Remove).unwrap_or_else(|e| panic!("remove: {e}"))
+        self.write(key, Op::Remove)
+            .unwrap_or_else(|e| panic!("remove: {e}"))
     }
 
     /// One exclusive write: descend → [`plan`] → [`apply`] → publish →
@@ -890,12 +974,19 @@ impl<St: NodeStore> Trie<St> {
         let answer = crate::sync::with_thread_writer(|w| {
             w.set_key(key);
             let cur = w.seek(store, root);
-            debug_assert!(cur.is_leaf() || root.is_null(), "a single writer never observes a torn slot");
+            debug_assert!(
+                cur.is_leaf() || root.is_null(),
+                "a single writer never observes a torn slot"
+            );
             let Some(plan) = plan(store, w, cur, op) else {
                 return Ok(None);
             };
             let answer = apply(store, w, &mut root, plan, cur);
-            let done = if answer.is_ok() { w.retired() } else { w.fresh() };
+            let done = if answer.is_ok() {
+                w.retired()
+            } else {
+                w.fresh()
+            };
             // SAFETY: unlinked by the operation's publish, or never published
             // by the operation that failed; `&mut self` rules out readers.
             unsafe { store.release(done) };
@@ -967,7 +1058,11 @@ impl<St: NodeStore> Trie<St> {
     // writer out for its lifetime, so nothing it holds is retired.
     pub fn range_from(&self, key: &[u8]) -> Cursor<'_, St> {
         let (store, root) = (&*self.store, self.exclusive_root());
-        let mut cursor = Cursor { store, frames: Vec::new(), pending: None };
+        let mut cursor = Cursor {
+            store,
+            frames: Vec::new(),
+            pending: None,
+        };
         if root.is_leaf() {
             if crate::scan::leaf_in_range(store, root, key) {
                 cursor.pending = Some(root);

@@ -29,7 +29,11 @@ use std::sync::Arc;
 /// Insert `keys → tids` into the (empty) `front` in the given order; also
 /// returns the checksum of what the inserts answered.
 fn filled<F: Front>(mut front: F, keys: &[Vec<u8>], tids: &[u64]) -> (F, u64) {
-    let answers: Vec<u64> = keys.iter().zip(tids).map(|(k, &tid)| opt(front.put(k, tid))).collect();
+    let answers: Vec<u64> = keys
+        .iter()
+        .zip(tids)
+        .map(|(k, &tid)| opt(front.put(k, tid)))
+        .collect();
     (front, fnv1a(answers))
 }
 
@@ -51,11 +55,21 @@ fn run_dataset(kind: DatasetKind) {
     assert_backends_agree(&heap, &compact, &data.keys, label);
     // The two ROWEX aliases, driven from one thread: the same write path,
     // so the same answers and the same tree.
-    let (mut sync, sync_answers) = filled(ConcurrentHot::new(Arc::clone(&arena)), &data.keys, &tids);
+    let (mut sync, sync_answers) =
+        filled(ConcurrentHot::new(Arc::clone(&arena)), &data.keys, &tids);
     let (mut csync, csync_answers) = filled(ConcurrentCompact::new(), &data.keys, &tids);
-    assert_eq!((sync_answers, csync_answers), (heap_answers, heap_answers), "{label}: concurrent insert checksums");
+    assert_eq!(
+        (sync_answers, csync_answers),
+        (heap_answers, heap_answers),
+        "{label}: concurrent insert checksums"
+    );
     assert_fronts_agree(&heap, &sync, &data.keys, &format!("{label}/ConcurrentHot"));
-    assert_fronts_agree(&heap, &csync, &data.keys, &format!("{label}/ConcurrentCompact"));
+    assert_fronts_agree(
+        &heap,
+        &csync,
+        &data.keys,
+        &format!("{label}/ConcurrentCompact"),
+    );
 
     // Bulk load must reproduce the incremental structure bit-for-bit.
     let order = data.sorted_order();
@@ -71,15 +85,30 @@ fn run_dataset(kind: DatasetKind) {
         "{label}: bulk vs incremental digest"
     );
     let mut heap_bulk = HotTrie::new(Arc::clone(&arena));
-    assert_eq!(heap_bulk.bulk_load(&sorted).expect("bulk load"), data.keys.len());
+    assert_eq!(
+        heap_bulk.bulk_load(&sorted).expect("bulk load"),
+        data.keys.len()
+    );
     assert_backends_agree(&heap_bulk, &bulk, &data.keys, &format!("{label}/bulk"));
 
     // Remove ~half (every other key in insert order) from every front-end;
     // returned TIDs and the surviving structure must stay in lockstep.
     let h = halved(&mut heap, &data.keys);
-    assert_eq!(halved(&mut compact, &data.keys), h, "{label}: remove checksum");
-    assert_eq!(halved(&mut sync, &data.keys), h, "{label}: ConcurrentHot remove checksum");
-    assert_eq!(halved(&mut csync, &data.keys), h, "{label}: ConcurrentCompact remove checksum");
+    assert_eq!(
+        halved(&mut compact, &data.keys),
+        h,
+        "{label}: remove checksum"
+    );
+    assert_eq!(
+        halved(&mut sync, &data.keys),
+        h,
+        "{label}: ConcurrentHot remove checksum"
+    );
+    assert_eq!(
+        halved(&mut csync, &data.keys),
+        h,
+        "{label}: ConcurrentCompact remove checksum"
+    );
     let survivors: Vec<Vec<u8>> = data
         .keys
         .iter()
@@ -87,9 +116,24 @@ fn run_dataset(kind: DatasetKind) {
         .filter(|(i, _)| i % 2 == 1)
         .map(|(_, k)| k.clone())
         .collect();
-    assert_backends_agree(&heap, &compact, &survivors, &format!("{label}/after-remove"));
-    assert_fronts_agree(&heap, &sync, &survivors, &format!("{label}/ConcurrentHot/after-remove"));
-    assert_fronts_agree(&heap, &csync, &survivors, &format!("{label}/ConcurrentCompact/after-remove"));
+    assert_backends_agree(
+        &heap,
+        &compact,
+        &survivors,
+        &format!("{label}/after-remove"),
+    );
+    assert_fronts_agree(
+        &heap,
+        &sync,
+        &survivors,
+        &format!("{label}/ConcurrentHot/after-remove"),
+    );
+    assert_fronts_agree(
+        &heap,
+        &csync,
+        &survivors,
+        &format!("{label}/ConcurrentCompact/after-remove"),
+    );
 }
 
 #[test]
@@ -208,7 +252,11 @@ fn exhaustion_is_typed_and_recoverable() {
     let mut leaf_bound = CompactHot::with_capacity(usize::MAX, SLAB);
     let mut m = 0u64;
     let err = loop {
-        let key = format!("{:032x}/{}", m.wrapping_mul(0x9E37_79B9_7F4A_7C15), "y".repeat(160));
+        let key = format!(
+            "{:032x}/{}",
+            m.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            "y".repeat(160)
+        );
         match leaf_bound.try_insert(key.as_bytes(), m) {
             Ok(_) => m += 1,
             Err(e) => break e,
@@ -228,8 +276,9 @@ fn exhaustion_is_typed_and_recoverable() {
 fn bulk_load_exhaustion_is_typed_and_leaves_the_index_usable() {
     const SLAB: usize = 1 << 20;
 
-    let short: Vec<(Vec<u8>, u64)> =
-        (0..400_000u64).map(|i| (format!("k{i:08}").into_bytes(), i)).collect();
+    let short: Vec<(Vec<u8>, u64)> = (0..400_000u64)
+        .map(|i| (format!("k{i:08}").into_bytes(), i))
+        .collect();
     let long: Vec<(Vec<u8>, u64)> = (0..8_000u64)
         .map(|i| (format!("{i:08}/{}", "y".repeat(180)).into_bytes(), i))
         .collect();
@@ -247,9 +296,16 @@ fn bulk_load_exhaustion_is_typed_and_leaves_the_index_usable() {
         assert!(trie.is_empty(), "{kind:?}: nothing published");
         trie.check_invariants();
         let stats = trie.arena_stats();
-        assert_eq!((stats.node_live_count, stats.node_live_bytes), (0, 0), "{kind:?}: nodes freed");
+        assert_eq!(
+            (stats.node_live_count, stats.node_live_bytes),
+            (0, 0),
+            "{kind:?}: nodes freed"
+        );
         assert_eq!(stats.leaf_records, 0, "{kind:?}: records marked dead");
-        assert_eq!(stats.leaf_dead_bytes, stats.leaf_tail_bytes, "{kind:?}: all appended bytes dead");
+        assert_eq!(
+            stats.leaf_dead_bytes, stats.leaf_tail_bytes,
+            "{kind:?}: all appended bytes dead"
+        );
         // Still an index: the node arena recycles what the failed build
         // returned, and the leaf arena (whose bytes are never reused) has
         // the tail the failing record did not fit into.

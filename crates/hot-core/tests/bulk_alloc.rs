@@ -59,7 +59,9 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 #[test]
 fn a_load_onto_chunks_allocates_per_thread_not_per_node() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
-    let entries: Vec<([u8; 8], u64)> = (0..1u64 << 19).map(|k| (encode_u64(3 * k), 3 * k)).collect();
+    let entries: Vec<([u8; 8], u64)> = (0..1u64 << 19)
+        .map(|k| (encode_u64(3 * k), 3 * k))
+        .collect();
     let index = ConcurrentHot::new(EmbeddedKeySource);
     let before = ALLOCS.load(Ordering::Relaxed);
     index.bulk_load(&entries).unwrap();
@@ -102,7 +104,10 @@ fn dropped_under_a_pin_gives_every_byte_back<T>(what: &str, make: impl Fn() -> T
     drop(make());
     let before = live();
     let index = make();
-    assert!(live() - before > 1 << 20, "{what}: built on memory of its own");
+    assert!(
+        live() - before > 1 << 20,
+        "{what}: built on memory of its own"
+    );
     drop(index);
     assert_eq!(live(), before, "{what}: bytes left behind by the drop");
     drop(pin);
@@ -114,11 +119,16 @@ fn an_exclusive_index_dropped_under_a_pin_gives_every_byte_back() {
     // A heap trie on 2 MiB chunks: a one-thread load of 2^19 keys puts it
     // there, and the writes after it take their nodes from the chunks and
     // free the replaced ones back to them.
-    let entries: Vec<([u8; 8], u64)> = (0..1u64 << 19).map(|k| (encode_u64(3 * k), 3 * k)).collect();
+    let entries: Vec<([u8; 8], u64)> = (0..1u64 << 19)
+        .map(|k| (encode_u64(3 * k), 3 * k))
+        .collect();
     dropped_under_a_pin_gives_every_byte_back("HotTrie on chunks", || {
         let mut trie = HotTrie::new(EmbeddedKeySource);
         trie.bulk_load_parallel(&entries, 1).unwrap();
-        assert!(trie.memory_stats().capacity_bytes > 0, "the load is on chunks");
+        assert!(
+            trie.memory_stats().capacity_bytes > 0,
+            "the load is on chunks"
+        );
         for k in 0..1_000u64 {
             trie.insert(&encode_u64(3 * k + 1), 3 * k + 1);
             trie.remove(&encode_u64(3 * k));

@@ -42,7 +42,12 @@ fn assert_equivalent<S: hot_keys::KeySource>(
     assert_eq!(br.leaves, ir.leaves);
     // The bulk loader packs maximal nodes: its trie is never taller and its
     // nodes never emptier than the incremental build's.
-    assert!(br.height <= ir.height, "bulk height {} > incremental {}", br.height, ir.height);
+    assert!(
+        br.height <= ir.height,
+        "bulk height {} > incremental {}",
+        br.height,
+        ir.height
+    );
     assert!(
         br.avg_fill() >= ir.avg_fill() - f64::EPSILON,
         "bulk fill {} < incremental {}",
@@ -226,7 +231,11 @@ fn parallel_build_is_structurally_identical_to_sequential() {
     for threads in [2usize, 4, 8] {
         let mut par = HotTrie::new(EmbeddedKeySource);
         par.bulk_load_parallel(&entries, threads).unwrap();
-        assert_eq!(par.structure_digest(), seq.structure_digest(), "threads={threads}");
+        assert_eq!(
+            par.structure_digest(),
+            seq.structure_digest(),
+            "threads={threads}"
+        );
         assert_eq!(
             par.memory_stats().node_bytes,
             seq.memory_stats().node_bytes,
@@ -238,7 +247,9 @@ fn parallel_build_is_structurally_identical_to_sequential() {
 /// 2¹⁹ distinct keys: a plain load of this many puts a heap store on its
 /// own 2 MiB chunks and builds its nodes on every available core.
 fn chunked_load_entries() -> Vec<([u8; 8], u64)> {
-    let keys: Vec<u64> = (0..1u64 << 19).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 1).collect();
+    let keys: Vec<u64> = (0..1u64 << 19)
+        .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 1)
+        .collect();
     let entries = int_entries(&keys);
     assert_eq!(entries.len(), 1 << 19);
     entries

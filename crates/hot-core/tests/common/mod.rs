@@ -2,7 +2,11 @@
 //! over [`Front`] — what the single-threaded [`Trie`] and the concurrent
 //! [`Concurrent`] offer alike, on either back-end ([`Backend`]) — and the
 //! `for_each_*` macros run it on the front-ends it applies to.
-#![allow(dead_code, unused_macros, reason = "each test binary uses its own subset")]
+#![allow(
+    dead_code,
+    unused_macros,
+    reason = "each test binary uses its own subset"
+)]
 
 use hot_core::sync::Concurrent;
 use hot_core::{Backend, InvariantReport, MlpScheduler, ScanCursor, Trie};
@@ -69,7 +73,12 @@ pub trait Front {
     fn len(&self) -> usize;
     fn get(&self, key: &[u8]) -> Option<u64>;
     fn get_batch<K: AsRef<[u8]>>(&self, keys: &[K], out: &mut [Option<u64>]);
-    fn get_batch_with<K: AsRef<[u8]>>(&self, keys: &[K], out: &mut [Option<u64>], sched: &mut MlpScheduler);
+    fn get_batch_with<K: AsRef<[u8]>>(
+        &self,
+        keys: &[K],
+        out: &mut [Option<u64>],
+        sched: &mut MlpScheduler,
+    );
     fn scan(&self, start: &[u8], limit: usize) -> Vec<u64>;
     fn scan_into(&self, start: &[u8], limit: usize, out: &mut Vec<u64>);
     fn scan_with(&self, start: &[u8], limit: usize, out: &mut Vec<u64>, cursor: &mut ScanCursor);
@@ -95,7 +104,11 @@ macro_rules! impl_front {
     ($ty:ident, $heap:literal, $arena:literal) => {
         impl<B: Backend> Front for $ty<B> {
             fn name(&self) -> &'static str {
-                if std::any::type_name::<B>().contains("HeapStore") { $heap } else { $arena }
+                if std::any::type_name::<B>().contains("HeapStore") {
+                    $heap
+                } else {
+                    $arena
+                }
             }
             fn put(&mut self, key: &[u8], tid: u64) -> Option<u64> {
                 $ty::insert(self, key, tid)
@@ -112,7 +125,12 @@ macro_rules! impl_front {
             fn get_batch<K: AsRef<[u8]>>(&self, keys: &[K], out: &mut [Option<u64>]) {
                 $ty::get_batch(self, keys, out)
             }
-            fn get_batch_with<K: AsRef<[u8]>>(&self, keys: &[K], out: &mut [Option<u64>], sched: &mut MlpScheduler) {
+            fn get_batch_with<K: AsRef<[u8]>>(
+                &self,
+                keys: &[K],
+                out: &mut [Option<u64>],
+                sched: &mut MlpScheduler,
+            ) {
                 $ty::get_batch_with(self, keys, out, sched)
             }
             fn scan(&self, start: &[u8], limit: usize) -> Vec<u64> {
@@ -121,7 +139,13 @@ macro_rules! impl_front {
             fn scan_into(&self, start: &[u8], limit: usize, out: &mut Vec<u64>) {
                 $ty::scan_into(self, start, limit, out)
             }
-            fn scan_with(&self, start: &[u8], limit: usize, out: &mut Vec<u64>, cursor: &mut ScanCursor) {
+            fn scan_with(
+                &self,
+                start: &[u8],
+                limit: usize,
+                out: &mut Vec<u64>,
+                cursor: &mut ScanCursor,
+            ) {
                 $ty::scan_with(self, start, limit, out, cursor)
             }
             fn scan_batch_with<K: AsRef<[u8]>>(
@@ -192,7 +216,11 @@ pub fn assert_scan_paths<F: Front>(
     out: &mut Vec<u64>,
     label: &str,
 ) {
-    assert_eq!(front.scan(start, limit), want, "{label}: scan from {start:?}");
+    assert_eq!(
+        front.scan(start, limit),
+        want,
+        "{label}: scan from {start:?}"
+    );
     front.scan_into(start, limit, out);
     assert_eq!(out, want, "{label}: scan_into from {start:?}");
     front.scan_with(start, limit, out, cursor);
@@ -228,7 +256,11 @@ pub fn assert_batched_scans<F: Front, K: AsRef<[u8]>>(
     front.scan_batch_with(requests, &mut tids, &mut bounds, &mut sched);
     assert_eq!(bounds.len(), requests.len() + 1);
     for (i, segment) in want.iter().enumerate() {
-        assert_eq!(&tids[bounds[i]..bounds[i + 1]], &segment[..], "{label}: scan_batch slot {i}");
+        assert_eq!(
+            &tids[bounds[i]..bounds[i + 1]],
+            &segment[..],
+            "{label}: scan_batch slot {i}"
+        );
     }
 }
 
@@ -237,9 +269,18 @@ pub fn assert_batched_scans<F: Front, K: AsRef<[u8]>>(
 /// every depth of [`DEPTHS`], the full in-order scan, sampled scalar and
 /// batched scans — all of which must match exactly — and `other`'s
 /// invariant walk.
-pub fn assert_fronts_agree<A: Front, B: Front>(oracle: &A, other: &B, keys: &[Vec<u8>], label: &str) {
+pub fn assert_fronts_agree<A: Front, B: Front>(
+    oracle: &A,
+    other: &B,
+    keys: &[Vec<u8>],
+    label: &str,
+) {
     assert_eq!(oracle.len(), other.len(), "{label}: len");
-    assert_eq!(oracle.structure_digest(), other.structure_digest(), "{label}: structure digest");
+    assert_eq!(
+        oracle.structure_digest(),
+        other.structure_digest(),
+        "{label}: structure digest"
+    );
     assert_eq!(
         (oracle.layout_census(), oracle.height()),
         (other.layout_census(), other.height()),
@@ -273,7 +314,11 @@ pub fn assert_fronts_agree<A: Front, B: Front>(oracle: &A, other: &B, keys: &[Ve
 
     // Everything, in order.
     let all = oracle.len() + 1;
-    assert_eq!(fnv1a(oracle.scan(&[], all)), fnv1a(other.scan(&[], all)), "{label}: full scan checksum");
+    assert_eq!(
+        fnv1a(oracle.scan(&[], all)),
+        fnv1a(other.scan(&[], all)),
+        "{label}: full scan checksum"
+    );
 
     // Sampled scans (every 37th key as start, plus a prefix of it).
     let mut cursor = ScanCursor::new();
@@ -283,7 +328,15 @@ pub fn assert_fronts_agree<A: Front, B: Front>(oracle: &A, other: &B, keys: &[Ve
     for (i, k) in keys.iter().enumerate().step_by(37) {
         for (start, limit) in [(&k[..], 1usize), (k, 17), (k, 100), (&k[..k.len() / 2], 50)] {
             let truth = oracle.scan(start, limit);
-            assert_scan_paths(other, start, limit, &truth, &mut cursor, &mut hits, &format!("{label}, key {i}"));
+            assert_scan_paths(
+                other,
+                start,
+                limit,
+                &truth,
+                &mut cursor,
+                &mut hits,
+                &format!("{label}, key {i}"),
+            );
             requests.push((start.to_vec(), limit));
             want.push(truth);
         }
@@ -304,7 +357,11 @@ pub fn assert_backends_agree<A: Backend, B: Backend>(
     label: &str,
 ) {
     assert_fronts_agree(oracle, other, keys, label);
-    assert_eq!(fnv1a(oracle.iter()), fnv1a(other.iter()), "{label}: iter checksum");
+    assert_eq!(
+        fnv1a(oracle.iter()),
+        fnv1a(other.iter()),
+        "{label}: iter checksum"
+    );
     for k in keys.iter().step_by(37) {
         let from: Vec<u64> = other.range_from(k).take(17).collect();
         assert_eq!(from, oracle.scan(k, 17), "{label}: range_from {k:?}");

@@ -58,7 +58,10 @@ fn underflow_merge_pulls_nodes_up() {
         );
         // Memory shrinks accordingly.
         let per_key = t.settled_memory_stats().bytes_per_key();
-        assert!(per_key < 40.0, "{name}: bytes/key after mass delete: {per_key:.1}");
+        assert!(
+            per_key < 40.0,
+            "{name}: bytes/key after mass delete: {per_key:.1}"
+        );
     });
 }
 
@@ -75,8 +78,9 @@ fn one_write_path_builds_one_structure_in_every_front_end() {
     // Churn over twice the key space: about half of the inserts are new
     // keys, about half of the removes hit.
     let pool = random_keys(&mut rng, 2 * keys.len());
-    let churn: Vec<(bool, u64)> =
-        (0..10 * keys.len()).map(|_| (rng.gen_bool(0.5), pool[rng.gen_range(0..pool.len())])).collect();
+    let churn: Vec<(bool, u64)> = (0..10 * keys.len())
+        .map(|_| (rng.gen_bool(0.5), pool[rng.gen_range(0..pool.len())]))
+        .collect();
 
     let mut digests: Vec<(&str, [u64; 3])> = Vec::new();
     for_each_front!(EmbeddedKeySource, |t, name| {
@@ -100,7 +104,11 @@ fn one_write_path_builds_one_structure_in_every_front_end() {
     });
     assert_eq!(digests.len(), 4);
     for (name, at) in &digests[1..] {
-        assert_eq!(*at, digests[0].1, "{name} vs {}: digests after build / 95 % delete / churn", digests[0].0);
+        assert_eq!(
+            *at, digests[0].1,
+            "{name} vs {}: digests after build / 95 % delete / churn",
+            digests[0].0
+        );
     }
 }
 
@@ -121,7 +129,11 @@ fn grow_shrink_grow_cycles() {
                 assert_eq!(t.take(&encode_u64(k)), Some(k));
             }
             assert_eq!(t.len(), 0, "{name}: cycle {cycle}");
-            assert_eq!(t.settled_memory_stats().node_bytes, 0, "{name}: cycle {cycle}");
+            assert_eq!(
+                t.settled_memory_stats().node_bytes,
+                0,
+                "{name}: cycle {cycle}"
+            );
         }
     });
 }

@@ -88,7 +88,9 @@ fn all_nine_node_layouts_occur_and_work() {
         keys.push(encode_u64(v).to_vec()); // 5 bits in one byte
     }
     // 9+ bits within an 8-byte window: random 16-bit tails.
-    for v in [3u64, 259, 515, 771, 1027, 1283, 1539, 1795, 2051, 2307, 40_000, 50_000] {
+    for v in [
+        3u64, 259, 515, 771, 1027, 1283, 1539, 1795, 2051, 2307, 40_000, 50_000,
+    ] {
         keys.push(encode_u64(v << 3).to_vec());
     }
     // (b) Positions spread over <= 8 distinct bytes but a > 8-byte window
@@ -140,8 +142,10 @@ fn all_nine_node_layouts_occur_and_work() {
             "census {census:?} lacks Single8"
         );
         assert!(
-            used.iter()
-                .any(|t| matches!(t, NodeTag::Multi8x8 | NodeTag::Multi8x16 | NodeTag::Multi8x32)),
+            used.iter().any(|t| matches!(
+                t,
+                NodeTag::Multi8x8 | NodeTag::Multi8x16 | NodeTag::Multi8x32
+            )),
             "census {census:?} lacks a multi-8 layout"
         );
         assert!(

@@ -73,11 +73,7 @@ fn trie_with(keys: &[u64]) -> Arc<ConcurrentHot<EmbeddedKeySource>> {
 
 fn assert_contains(trie: &ConcurrentHot<EmbeddedKeySource>, keys: &[u64]) {
     for &k in keys {
-        assert_eq!(
-            trie.get(&encode_u64(k)),
-            Some(k),
-            "key {k} must be present"
-        );
+        assert_eq!(trie.get(&encode_u64(k)), Some(k), "key {k} must be present");
     }
 }
 
@@ -334,7 +330,10 @@ fn intermediate_node_redirects_parent_slot_between_analyse_and_lock() {
         ta.join().unwrap();
         tb.join().unwrap();
         assert_eq!(trie.len(), keys.len() + 2);
-        assert_contains(&trie, &[0, 62, 64, 1 << 36, BASE, BASE + 1, BASE + 3, BASE + 62]);
+        assert_contains(
+            &trie,
+            &[0, 62, 64, 1 << 36, BASE, BASE + 1, BASE + 3, BASE + 62],
+        );
         let after = trie.check_invariants();
         // C gave way to an intermediate node over its two halves.
         assert_eq!((after.height, after.nodes), (3, 6));

@@ -45,8 +45,16 @@ fn assert_counters_match(snap: &hot_metrics::MetricsSnapshot, shadow: &Shadow) {
         (OpKind::Insert, shadow.inserts, None),
         (OpKind::Remove, shadow.removes, None),
         (OpKind::Scan, shadow.scans, Some(shadow.scan_items)),
-        (OpKind::GetBatch, shadow.get_batches, Some(shadow.get_batch_items)),
-        (OpKind::ScanBatch, shadow.scan_batches, Some(shadow.scan_batch_items)),
+        (
+            OpKind::GetBatch,
+            shadow.get_batches,
+            Some(shadow.get_batch_items),
+        ),
+        (
+            OpKind::ScanBatch,
+            shadow.scan_batches,
+            Some(shadow.scan_batch_items),
+        ),
         (OpKind::BulkLoad, shadow.bulk_loads, Some(shadow.bulk_items)),
     ];
     for (kind, expected, expected_items) in cases {
@@ -231,7 +239,12 @@ fn concurrent_counters_are_exact_across_threads() {
     for kind in [OpKind::Get, OpKind::Insert, OpKind::Remove, OpKind::Scan] {
         let op = snap.op(kind);
         assert!(op.count > 0, "{} exercised", kind.label());
-        assert_eq!(op.hist_total(), op.count, "{} histogram total", kind.label());
+        assert_eq!(
+            op.hist_total(),
+            op.count,
+            "{} histogram total",
+            kind.label()
+        );
     }
 
     // ROWEX bookkeeping: every public entry pins exactly one epoch, plus
@@ -250,8 +263,7 @@ fn concurrent_counters_are_exact_across_threads() {
     // Reclamation backlog is queued minus freed, never negative — and
     // empty once the writers have stopped and the epoch is drained.
     assert!(
-        snap.rowex.get(RowexCounter::DeferredFreed)
-            <= snap.rowex.get(RowexCounter::DeferredQueued)
+        snap.rowex.get(RowexCounter::DeferredFreed) <= snap.rowex.get(RowexCounter::DeferredQueued)
     );
     assert!(hot_core::sync::quiesce());
     let drained = trie.metrics_ops_snapshot();
@@ -260,7 +272,10 @@ fn concurrent_counters_are_exact_across_threads() {
         drained.rowex.get(RowexCounter::DeferredQueued),
         "quiesced: every retired node was freed"
     );
-    assert_eq!(trie.memory_stats().node_count, trie.check_invariants().nodes);
+    assert_eq!(
+        trie.memory_stats().node_count,
+        trie.check_invariants().nodes
+    );
 
     // Quiesced: the structural walk attaches gauges and does not disturb
     // the counter half.
@@ -293,7 +308,11 @@ fn concurrent_counters_are_exact_across_threads() {
     let d = trie.metrics_snapshot().since(&sched_start);
     assert_eq!(d.sched.get(SchedCounter::Refill), keys.len() as u64);
     assert_eq!(d.sched.completions(), keys.len() as u64);
-    assert_eq!(d.sched.get(SchedCounter::Redescent), 0, "quiesced: no torn slots");
+    assert_eq!(
+        d.sched.get(SchedCounter::Redescent),
+        0,
+        "quiesced: no torn slots"
+    );
     assert_eq!(d.rowex.get(RowexCounter::EpochPin), 1, "one pin per batch");
     assert_eq!(d.op(OpKind::GetBatch).count, 1);
 }
@@ -326,7 +345,11 @@ fn arena_shadow_agrees_under_metrics_build() {
     }
     assert_eq!(hits, 4_000);
     let after = trie.metrics_snapshot().since(&baseline);
-    assert_eq!(after.op(OpKind::Get).count, 0, "compact ops must not tick heap counters");
+    assert_eq!(
+        after.op(OpKind::Get).count,
+        0,
+        "compact ops must not tick heap counters"
+    );
     assert_eq!(after.op(OpKind::Scan).count, 0);
 
     // And the instrumented heap results still match the compact ones.

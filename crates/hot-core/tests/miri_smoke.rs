@@ -31,7 +31,9 @@ const N: u64 = if cfg!(miri) { 160 } else { 16_000 };
 /// Scrambled 63-bit value (TIDs lose bit 63 to the leaf tag); spreading
 /// keys over the bit space makes several node layouts appear.
 fn val(i: u64) -> u64 {
-    i.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left((i % 7) as u32 * 8) >> 1
+    i.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .rotate_left((i % 7) as u32 * 8)
+        >> 1
 }
 
 /// The embedded-source key for [`val`]`(i)`.
@@ -61,7 +63,10 @@ fn lifecycle<B: Backend>(mut trie: Trie<B>, mut bulk: Trie<B>) {
     assert_eq!(in_order.len(), N as usize);
     assert!(in_order.windows(2).all(|w| w[0] < w[1]));
     let mid = in_order.len() / 2;
-    assert_eq!(trie.scan(&encode_u64(in_order[mid]), 7), &in_order[mid..mid + 7]);
+    assert_eq!(
+        trie.scan(&encode_u64(in_order[mid]), 7),
+        &in_order[mid..mid + 7]
+    );
     let sorted: Vec<([u8; 8], u64)> = in_order.iter().map(|&v| (encode_u64(v), v)).collect();
     assert_eq!(bulk.bulk_load(&sorted), Ok(N as usize));
     assert_eq!(bulk.structure_digest(), trie.structure_digest());
@@ -77,7 +82,10 @@ fn lifecycle<B: Backend>(mut trie: Trie<B>, mut bulk: Trie<B>) {
 
 #[test]
 fn single_threaded_lifecycle() {
-    lifecycle(HotTrie::new(EmbeddedKeySource), HotTrie::new(EmbeddedKeySource));
+    lifecycle(
+        HotTrie::new(EmbeddedKeySource),
+        HotTrie::new(EmbeddedKeySource),
+    );
 }
 
 #[test]

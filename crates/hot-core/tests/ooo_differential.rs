@@ -42,7 +42,10 @@ fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
 }
 
 fn checksum_out(out: &[Option<u64>]) -> u64 {
-    fnv1a(out.iter().map(|s| s.map_or(u64::MAX, |t| t.wrapping_add(1))))
+    fnv1a(
+        out.iter()
+            .map(|s| s.map_or(u64::MAX, |t| t.wrapping_add(1))),
+    )
 }
 
 fn checksum_scan(tids: &[u64], bounds: &[usize]) -> u64 {
@@ -91,7 +94,12 @@ fn datasets() -> Vec<(&'static str, Vec<Vec<u8>>)> {
         })
         .collect();
     let integer: Vec<Vec<u8>> = (0..2_500u64).map(|i| encode_u64(i * 3).to_vec()).collect();
-    vec![("url", url), ("email", email), ("yago", yago), ("integer", integer)]
+    vec![
+        ("url", url),
+        ("email", email),
+        ("yago", yago),
+        ("integer", integer),
+    ]
 }
 
 /// Probe set: every inserted key, plus mutated misses, shuffled so
@@ -153,7 +161,13 @@ fn fixtures() -> Vec<Fixture> {
                 csync.insert(k, tid);
             }
             let probes = probes_for(&keys, &mut rng);
-            Fixture { name, trie, sync, csync, probes }
+            Fixture {
+                name,
+                trie,
+                sync,
+                csync,
+                probes,
+            }
         })
         .collect()
 }
@@ -210,14 +224,28 @@ fn scans_byte_identical_across_scalar_and_every_depth() {
         let (mut tids, mut bounds) = (Vec::new(), Vec::new());
         for depth in DEPTHS {
             let mut sched = MlpScheduler::with_depth(depth);
-            fx.trie.scan_batch_with(&requests, &mut tids, &mut bounds, &mut sched);
-            assert_eq!(checksum_scan(&tids, &bounds), want, "{}: scan depth {depth}", fx.name);
+            fx.trie
+                .scan_batch_with(&requests, &mut tids, &mut bounds, &mut sched);
+            assert_eq!(
+                checksum_scan(&tids, &bounds),
+                want,
+                "{}: scan depth {depth}",
+                fx.name
+            );
             assert_eq!(tids, want_tids, "{}: scan tids depth {depth}", fx.name);
-            assert_eq!(bounds, want_bounds, "{}: scan bounds depth {depth}", fx.name);
+            assert_eq!(
+                bounds, want_bounds,
+                "{}: scan bounds depth {depth}",
+                fx.name
+            );
 
             for_each_sync!(fx, |sync, label| {
                 sync.scan_batch_with(&requests, &mut tids, &mut bounds, &mut sched);
-                assert_eq!(checksum_scan(&tids, &bounds), want, "{label}: scan depth {depth}");
+                assert_eq!(
+                    checksum_scan(&tids, &bounds),
+                    want,
+                    "{label}: scan depth {depth}"
+                );
             });
         }
     }
@@ -238,9 +266,16 @@ fn convenience_entry_points_agree_with_scalar() {
             assert_eq!(out, expected, "{label}");
         });
 
-        let requests: Vec<(&[u8], usize)> =
-            fx.probes.iter().step_by(9).map(|k| (k.as_slice(), 7)).collect();
-        let want: Vec<u64> = requests.iter().flat_map(|(k, n)| fx.trie.scan(k, *n)).collect();
+        let requests: Vec<(&[u8], usize)> = fx
+            .probes
+            .iter()
+            .step_by(9)
+            .map(|k| (k.as_slice(), 7))
+            .collect();
+        let want: Vec<u64> = requests
+            .iter()
+            .flat_map(|(k, n)| fx.trie.scan(k, *n))
+            .collect();
         let (mut tids, mut bounds) = (Vec::new(), Vec::new());
         fx.trie.scan_batch(&requests, &mut tids, &mut bounds);
         assert_eq!(tids, want);
@@ -263,7 +298,14 @@ fn batch_shapes_empty_one_key_at_depth_and_ragged() {
 
     // Below the depth the ring never refills; above it the trailing
     // partial window drains with idle lanes.
-    for len in [0, 1, DEFAULT_DEPTH - 3, DEFAULT_DEPTH, DEFAULT_DEPTH + 3, probes.len()] {
+    for len in [
+        0,
+        1,
+        DEFAULT_DEPTH - 3,
+        DEFAULT_DEPTH,
+        DEFAULT_DEPTH + 3,
+        probes.len(),
+    ] {
         let mut out = vec![None; len];
         trie.get_batch(&probes[..len], &mut out);
         assert_eq!(out, expected[..len], "batch of {len}");
@@ -338,71 +380,71 @@ fn concurrent_churn_preserves_stable_keys_and_quiesced_equality() {
     const CHURN_ROUNDS: usize = 60;
 
     for_each_concurrent!(ConcurrentHot::new(EmbeddedKeySource), |sync| {
-    let sync = Arc::new(sync);
-    for k in 0..STABLE {
-        sync.insert(&encode_u64(k * 2), k * 2);
-    }
+        let sync = Arc::new(sync);
+        for k in 0..STABLE {
+            sync.insert(&encode_u64(k * 2), k * 2);
+        }
 
-    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    std::thread::scope(|scope| {
-        for t in 0..2u64 {
-            let sync = Arc::clone(&sync);
-            let stop = Arc::clone(&stop);
-            scope.spawn(move || {
-                let mut rng = rand::rngs::StdRng::seed_from_u64(77 + t);
-                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    let k = rng.gen_range(0..STABLE) * 2 + 1;
-                    if rng.gen_bool(0.5) {
-                        sync.insert(&encode_u64(k), k);
-                    } else {
-                        sync.remove(&encode_u64(k));
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        std::thread::scope(|scope| {
+            for t in 0..2u64 {
+                let sync = Arc::clone(&sync);
+                let stop = Arc::clone(&stop);
+                scope.spawn(move || {
+                    let mut rng = rand::rngs::StdRng::seed_from_u64(77 + t);
+                    while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                        let k = rng.gen_range(0..STABLE) * 2 + 1;
+                        if rng.gen_bool(0.5) {
+                            sync.insert(&encode_u64(k), k);
+                        } else {
+                            sync.remove(&encode_u64(k));
+                        }
                     }
+                });
+            }
+
+            let mut rng = rand::rngs::StdRng::seed_from_u64(0xABBA);
+            let mut scheds = DEPTHS.map(MlpScheduler::with_depth);
+            for round in 0..CHURN_ROUNDS {
+                let sched = &mut scheds[round % DEPTHS.len()];
+                let probes: Vec<[u8; 8]> = (0..512)
+                    .map(|_| encode_u64(rng.gen_range(0..STABLE) * 2))
+                    .collect();
+                let mut out = vec![None; probes.len()];
+                sync.get_batch_with(&probes, &mut out, sched);
+                for (p, got) in probes.iter().zip(&out) {
+                    let want = u64::from_be_bytes(*p);
+                    assert_eq!(*got, Some(want), "stable key lost under churn");
                 }
-            });
-        }
 
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0xABBA);
-        let mut scheds = DEPTHS.map(MlpScheduler::with_depth);
-        for round in 0..CHURN_ROUNDS {
-            let sched = &mut scheds[round % DEPTHS.len()];
-            let probes: Vec<[u8; 8]> = (0..512)
-                .map(|_| encode_u64(rng.gen_range(0..STABLE) * 2))
-                .collect();
-            let mut out = vec![None; probes.len()];
-            sync.get_batch_with(&probes, &mut out, sched);
-            for (p, got) in probes.iter().zip(&out) {
-                let want = u64::from_be_bytes(*p);
-                assert_eq!(*got, Some(want), "stable key lost under churn");
+                // Scans seeded at stable keys: churned odd keys may or may not
+                // appear, but every span is ordered, bounded by its limit, and
+                // never reaches before its seek key.
+                let reqs: Vec<([u8; 8], usize)> = (0..64)
+                    .map(|_| (encode_u64(rng.gen_range(0..STABLE - 8) * 2), 5))
+                    .collect();
+                let (mut tids, mut bounds) = (Vec::new(), Vec::new());
+                sync.scan_batch_with(&reqs, &mut tids, &mut bounds, sched);
+                assert_eq!(bounds.len(), reqs.len() + 1);
+                for (i, (start, _)) in reqs.iter().enumerate() {
+                    let span = &tids[bounds[i]..bounds[i + 1]];
+                    assert!(span.len() <= 5, "scan respects its limit");
+                    assert!(span.windows(2).all(|w| w[0] < w[1]), "scan is ordered");
+                    let lo = u64::from_be_bytes(*start);
+                    assert!(span.iter().all(|&t| t >= lo), "scan starts at the seek key");
+                }
             }
+            stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        });
 
-            // Scans seeded at stable keys: churned odd keys may or may not
-            // appear, but every span is ordered, bounded by its limit, and
-            // never reaches before its seek key.
-            let reqs: Vec<([u8; 8], usize)> = (0..64)
-                .map(|_| (encode_u64(rng.gen_range(0..STABLE - 8) * 2), 5))
-                .collect();
-            let (mut tids, mut bounds) = (Vec::new(), Vec::new());
-            sync.scan_batch_with(&reqs, &mut tids, &mut bounds, sched);
-            assert_eq!(bounds.len(), reqs.len() + 1);
-            for (i, (start, _)) in reqs.iter().enumerate() {
-                let span = &tids[bounds[i]..bounds[i + 1]];
-                assert!(span.len() <= 5, "scan respects its limit");
-                assert!(span.windows(2).all(|w| w[0] < w[1]), "scan is ordered");
-                let lo = u64::from_be_bytes(*start);
-                assert!(span.iter().all(|&t| t >= lo), "scan starts at the seek key");
-            }
-        }
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    });
-
-    // Quiesced: batched and scalar answers are byte-identical again.
-    let probes: Vec<[u8; 8]> = (0..STABLE * 2 + 64).map(encode_u64).collect();
-    let expected: Vec<Option<u64>> = probes.iter().map(|k| sync.get(k)).collect();
-    let mut out = vec![None; probes.len()];
-    let mut sched = MlpScheduler::new();
-    sync.get_batch_with(&probes, &mut out, &mut sched);
-    assert_eq!(checksum_out(&out), checksum_out(&expected));
-    assert_eq!(out, expected);
-    sync.check_invariants();
+        // Quiesced: batched and scalar answers are byte-identical again.
+        let probes: Vec<[u8; 8]> = (0..STABLE * 2 + 64).map(encode_u64).collect();
+        let expected: Vec<Option<u64>> = probes.iter().map(|k| sync.get(k)).collect();
+        let mut out = vec![None; probes.len()];
+        let mut sched = MlpScheduler::new();
+        sync.get_batch_with(&probes, &mut out, &mut sched);
+        assert_eq!(checksum_out(&out), checksum_out(&expected));
+        assert_eq!(out, expected);
+        sync.check_invariants();
     });
 }

@@ -38,14 +38,42 @@ impl<T: Front, S: Front> Pair<T, S> {
 impl<B: Backend, S: Front> Pair<Trie<B>, S> {
     /// Every scalar scan entry point of both fronts agrees with `want` for
     /// one probe. `cursor` and `out` are deliberately reused across calls.
-    fn assert_scan_paths(&self, start: &[u8], limit: usize, want: &[u64], cursor: &mut ScanCursor, out: &mut Vec<u64>) {
-        common::assert_trie_scan_paths(&self.trie, start, limit, want, cursor, out, self.trie.name());
-        common::assert_scan_paths(&self.sync, start, limit, want, cursor, out, self.sync.name());
+    fn assert_scan_paths(
+        &self,
+        start: &[u8],
+        limit: usize,
+        want: &[u64],
+        cursor: &mut ScanCursor,
+        out: &mut Vec<u64>,
+    ) {
+        common::assert_trie_scan_paths(
+            &self.trie,
+            start,
+            limit,
+            want,
+            cursor,
+            out,
+            self.trie.name(),
+        );
+        common::assert_scan_paths(
+            &self.sync,
+            start,
+            limit,
+            want,
+            cursor,
+            out,
+            self.sync.name(),
+        );
     }
 
     /// The batched scan paths of both fronts return `want[i]` in slot `i`
     /// for every request, at the given in-flight depth.
-    fn assert_batched_paths<K: AsRef<[u8]>>(&self, requests: &[(K, usize)], want: &[Vec<u64>], depth: usize) {
+    fn assert_batched_paths<K: AsRef<[u8]>>(
+        &self,
+        requests: &[(K, usize)],
+        want: &[Vec<u64>],
+        depth: usize,
+    ) {
         common::assert_batched_scans(&self.trie, requests, want, depth, self.trie.name());
         common::assert_batched_scans(&self.sync, requests, want, depth, self.sync.name());
     }
@@ -57,11 +85,17 @@ impl<B: Backend, S: Front> Pair<Trie<B>, S> {
 macro_rules! for_each_pair {
     ($source:expr, |$pair:ident| $body:block) => {{
         {
-            let mut $pair = Pair { trie: HotTrie::new($source), sync: ConcurrentHot::new($source) };
+            let mut $pair = Pair {
+                trie: HotTrie::new($source),
+                sync: ConcurrentHot::new($source),
+            };
             $body
         }
         {
-            let mut $pair = Pair { trie: CompactHot::new(), sync: ConcurrentCompact::new() };
+            let mut $pair = Pair {
+                trie: CompactHot::new(),
+                sync: ConcurrentCompact::new(),
+            };
             $body
         }
     }};
@@ -155,8 +189,9 @@ proptest! {
 #[test]
 fn nested_prefix_chain_scans() {
     let base = b"abcabcabc";
-    let mut stored: Vec<Vec<u8>> =
-        (1..=base.len()).map(|n| hot_keys::str_key(&base[..n]).unwrap()).collect();
+    let mut stored: Vec<Vec<u8>> = (1..=base.len())
+        .map(|n| hot_keys::str_key(&base[..n]).unwrap())
+        .collect();
     for v in 0..400u64 {
         stored.push(encode_u64(v * 97).to_vec());
     }
@@ -184,7 +219,11 @@ fn nested_prefix_chain_scans() {
             let mut requests: Vec<(&[u8], usize)> = Vec::new();
             let mut want_segments: Vec<Vec<u64>> = Vec::new();
             for p in &probes {
-                let want: Vec<u64> = model.range(p.clone()..).take(limit).map(|(_, &v)| v).collect();
+                let want: Vec<u64> = model
+                    .range(p.clone()..)
+                    .take(limit)
+                    .map(|(_, &v)| v)
+                    .collect();
                 pair.assert_scan_paths(p, limit, &want, &mut cursor, &mut out);
                 requests.push((p, limit));
                 want_segments.push(want);

@@ -31,7 +31,10 @@ fn xorshift(x: &mut u64) -> u64 {
 
 /// Checks the mid-churn guarantees for one scan result.
 fn check_scan_result(tids: &[u64], start: u64, limit: usize) {
-    assert!(tids.len() <= limit, "scan returned more than `limit` entries");
+    assert!(
+        tids.len() <= limit,
+        "scan returned more than `limit` entries"
+    );
     let mut prev: Option<u64> = None;
     for &tid in tids {
         assert!(tid >= start, "scan from {start} returned smaller key {tid}");
@@ -128,9 +131,16 @@ fn scans_stay_ordered_and_live_under_churn() {
             model.insert(k, tid);
         }
     }
-    assert!(model.len() >= BACKBONE as usize, "backbone keys must survive");
+    assert!(
+        model.len() >= BACKBONE as usize,
+        "backbone keys must survive"
+    );
     for k in 0..BACKBONE {
-        assert_eq!(model.get(&(2 * k + 1)), Some(&(2 * k + 1)), "backbone key lost");
+        assert_eq!(
+            model.get(&(2 * k + 1)),
+            Some(&(2 * k + 1)),
+            "backbone key lost"
+        );
     }
 
     let mut cursor = ScanCursor::new();

@@ -43,8 +43,10 @@ fn paged_scans_match_btreemap_across_shards() {
         "a", "ab", "abc", "abca", "abcab", "abcabc", "b", "ba", "bab", "bb", "bbc", "c", "ca",
         "cab", "cabc", "cb", "cc", "ccc",
     ];
-    let stored: Vec<Vec<u8>> =
-        words.iter().map(|w| hot_keys::str_key(w.as_bytes()).unwrap()).collect();
+    let stored: Vec<Vec<u8>> = words
+        .iter()
+        .map(|w| hot_keys::str_key(w.as_bytes()).unwrap())
+        .collect();
     let mut arena = ArenaKeySource::new();
     let tids: Vec<u64> = stored.iter().map(|k| arena.push(k)).collect();
     let arena = Arc::new(arena);
@@ -55,18 +57,22 @@ fn paged_scans_match_btreemap_across_shards() {
     }
     let mut order: Vec<usize> = (0..stored.len()).collect();
     order.sort_unstable_by(|&a, &b| stored[a].cmp(&stored[b]));
-    let entries: Vec<(&[u8], u64)> =
-        order.iter().map(|&i| (stored[i].as_slice(), tids[i])).collect();
+    let entries: Vec<(&[u8], u64)> = order
+        .iter()
+        .map(|&i| (stored[i].as_slice(), tids[i]))
+        .collect();
 
     for shards in [1usize, 2, 4] {
         let sharded = ShardedHot::new(Arc::clone(&arena), shards);
-        sharded.bulk_load(&entries).expect("sorted distinct entries");
+        sharded
+            .bulk_load(&entries)
+            .expect("sorted distinct entries");
         let mut probes: Vec<Vec<u8>> = stored.clone();
         probes.push(Vec::new()); // full scan from the front
         probes.push(b"ab".to_vec()); // raw prefix, orders before its extensions
         probes.push(b"zz".to_vec()); // past the end
-        // The splitters themselves: a page boundary exactly on a shard
-        // boundary is the case the token exists for.
+                                     // The splitters themselves: a page boundary exactly on a shard
+                                     // boundary is the case the token exists for.
         probes.extend(sharded.splitters().iter().cloned());
         for start in &probes {
             let want: Vec<u64> = model.range(start.clone()..).map(|(_, &v)| v).collect();
@@ -89,20 +95,29 @@ fn paged_scan_equals_unbroken_scan() {
     let n = 500u64;
     let sharded = ShardedHot::new(EmbeddedKeySource, 4);
     let entries: Vec<Vec<u8>> = (0..n).map(|v| encode_u64(v * 3).to_vec()).collect();
-    let pairs: Vec<(&[u8], u64)> =
-        entries.iter().enumerate().map(|(i, k)| (k.as_slice(), (i as u64) * 3)).collect();
+    let pairs: Vec<(&[u8], u64)> = entries
+        .iter()
+        .enumerate()
+        .map(|(i, k)| (k.as_slice(), (i as u64) * 3))
+        .collect();
     sharded.bulk_load(&pairs).expect("sorted distinct entries");
 
     let unbroken = sharded.scan(&encode_u64(0), n as usize);
     assert_eq!(unbroken.len(), n as usize);
     for page in [1usize, 9, 64, 250, 500] {
-        assert_eq!(paged_scan(&sharded, &encode_u64(0), page), unbroken, "page={page}");
+        assert_eq!(
+            paged_scan(&sharded, &encode_u64(0), page),
+            unbroken,
+            "page={page}"
+        );
     }
 
     // A boundary-exact page: the 500 keys fill pages of 500 exactly, so
     // one more (empty) resume closes the scan.
     let mut buf = Vec::new();
-    let token = sharded.scan_page(&encode_u64(0), 500, &mut buf).expect("full page");
+    let token = sharded
+        .scan_page(&encode_u64(0), 500, &mut buf)
+        .expect("full page");
     assert_eq!(buf, unbroken);
     assert!(sharded.scan_resume(&token, 500, &mut buf).is_none());
     assert!(buf.is_empty(), "the key space was exhausted");
@@ -117,13 +132,21 @@ fn resume_survives_deleted_last_key() {
         sharded.insert(&encode_u64(v), v);
     }
     let mut buf = Vec::new();
-    let token = sharded.scan_page(&encode_u64(0), 10, &mut buf).expect("more keys follow");
+    let token = sharded
+        .scan_page(&encode_u64(0), 10, &mut buf)
+        .expect("more keys follow");
     assert_eq!(buf, (0..10).collect::<Vec<u64>>());
     assert_eq!(token.last_key, encode_u64(9));
 
     assert_eq!(sharded.remove(&encode_u64(9)), Some(9));
-    let token = sharded.scan_resume(&token, 10, &mut buf).expect("more keys follow");
-    assert_eq!(buf, (10..20).collect::<Vec<u64>>(), "no key lost or repeated");
+    let token = sharded
+        .scan_resume(&token, 10, &mut buf)
+        .expect("more keys follow");
+    assert_eq!(
+        buf,
+        (10..20).collect::<Vec<u64>>(),
+        "no key lost or repeated"
+    );
     assert_eq!(token.last_key, encode_u64(19));
 }
 
@@ -139,8 +162,13 @@ fn token_shard_hint_is_not_a_correctness_input() {
         b.insert(&encode_u64(v), v);
     }
     let mut buf = Vec::new();
-    let token = a.scan_page(&encode_u64(50), 10, &mut buf).expect("more keys follow");
-    let forged = ScanToken { shard: 0, last_key: token.last_key.clone() };
+    let token = a
+        .scan_page(&encode_u64(50), 10, &mut buf)
+        .expect("more keys follow");
+    let forged = ScanToken {
+        shard: 0,
+        last_key: token.last_key.clone(),
+    };
     let mut from_a = Vec::new();
     let mut from_b = Vec::new();
     a.scan_resume(&token, 10, &mut from_a);
@@ -160,10 +188,14 @@ fn degenerate_pages() {
     sharded.insert(&encode_u64(5), 5);
     // Zero-limit pages return nothing and never mint a fresh token.
     assert!(sharded.scan_page(&encode_u64(0), 0, &mut buf).is_none());
-    let token = sharded.scan_page(&encode_u64(0), 1, &mut buf).expect("page filled");
+    let token = sharded
+        .scan_page(&encode_u64(0), 1, &mut buf)
+        .expect("page filled");
     assert_eq!(buf, [5]);
     // A zero-limit resume keeps the position instead of losing it.
-    let kept = sharded.scan_resume(&token, 0, &mut buf).expect("position kept");
+    let kept = sharded
+        .scan_resume(&token, 0, &mut buf)
+        .expect("position kept");
     assert_eq!(kept, token);
     assert!(sharded.scan_resume(&kept, 10, &mut buf).is_none());
     assert!(buf.is_empty());

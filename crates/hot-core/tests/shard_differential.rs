@@ -36,7 +36,10 @@ fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
 }
 
 fn checksum_out(out: &[Option<u64>]) -> u64 {
-    fnv1a(out.iter().map(|s| s.map_or(u64::MAX, |t| t.wrapping_add(1))))
+    fnv1a(
+        out.iter()
+            .map(|s| s.map_or(u64::MAX, |t| t.wrapping_add(1))),
+    )
 }
 
 /// The four key distributions of the paper's evaluation, miniaturized:
@@ -77,7 +80,12 @@ fn datasets() -> Vec<(&'static str, Vec<Vec<u8>>)> {
         })
         .collect();
     let integer: Vec<Vec<u8>> = (0..2_500u64).map(|i| encode_u64(i * 3).to_vec()).collect();
-    vec![("url", url), ("email", email), ("yago", yago), ("integer", integer)]
+    vec![
+        ("url", url),
+        ("email", email),
+        ("yago", yago),
+        ("integer", integer),
+    ]
 }
 
 /// Probe set: every inserted key, plus mutated misses, shuffled so the
@@ -132,7 +140,14 @@ fn fixtures() -> Vec<Fixture> {
                 single.insert(k, tid);
             }
             let probes = probes_for(&keys, &mut rng);
-            Fixture { name, keys, single, arena, tids, probes }
+            Fixture {
+                name,
+                keys,
+                single,
+                arena,
+                tids,
+                probes,
+            }
         })
         .collect()
 }
@@ -266,7 +281,11 @@ fn long_alternating_scan_batches_byte_identical() {
             for s in 0..shards {
                 starts.push(starts[s] + sharded.shard(s).len());
             }
-            assert!(starts.windows(2).all(|w| w[0] < w[1]), "{}: every shard populated", fx.name);
+            assert!(
+                starts.windows(2).all(|w| w[0] < w[1]),
+                "{}: every shard populated",
+                fx.name
+            );
 
             let requests: Vec<(&[u8], usize)> = (0..shards * WINDOW + 200)
                 .map(|i| {
@@ -274,7 +293,10 @@ fn long_alternating_scan_batches_byte_identical() {
                     let (lo, hi) = (starts[s], starts[s + 1]);
                     match i % 5 {
                         0 => (entries[rng.gen_range(lo..hi)].0, 0),
-                        1 => (entries[hi - 1 - rng.gen_range(0..3usize.min(hi - lo))].0, rng.gen_range(4..2 * (hi - lo))),
+                        1 => (
+                            entries[hi - 1 - rng.gen_range(0..3usize.min(hi - lo))].0,
+                            rng.gen_range(4..2 * (hi - lo)),
+                        ),
                         _ => (entries[rng.gen_range(lo..hi)].0, rng.gen_range(1..12)),
                     }
                 })
@@ -324,7 +346,12 @@ fn routed_removals_match_the_single_trie() {
             for k in &victims {
                 assert_eq!(sharded.get(k), oracle.get(k), "{}: post-remove", fx.name);
             }
-            assert_eq!(sharded.len(), oracle.len(), "{}: post-remove sizes", fx.name);
+            assert_eq!(
+                sharded.len(),
+                oracle.len(),
+                "{}: post-remove sizes",
+                fx.name
+            );
         }
     }
 }
@@ -341,19 +368,27 @@ fn parallel_load_pipeline_builds_the_serial_structure() {
     let url: Vec<Vec<u8>> = (0..40_000u32)
         .map(|i| {
             let host = rng.gen_range(0..50u32);
-            format!("https://host{host:02}.example.org/p/{:03}/{i:06}\0", i % 211).into_bytes()
+            format!(
+                "https://host{host:02}.example.org/p/{:03}/{i:06}\0",
+                i % 211
+            )
+            .into_bytes()
         })
         .collect();
-    let integer: Vec<Vec<u8>> =
-        (0..40_000u64).map(|_| encode_u64(rng.gen::<u64>() >> 1).to_vec()).collect();
+    let integer: Vec<Vec<u8>> = (0..40_000u64)
+        .map(|_| encode_u64(rng.gen::<u64>() >> 1).to_vec())
+        .collect();
 
     for (name, mut keys) in [("url", url), ("integer", integer)] {
         keys.shuffle(&mut rng);
         let mut arena = ArenaKeySource::new();
         let mut tids: Vec<u64> = keys.iter().map(|k| arena.push(k)).collect();
         let arena = Arc::new(arena);
-        let mut reference: Vec<(&[u8], u64)> =
-            keys.iter().map(|k| k.as_slice()).zip(tids.iter().copied()).collect();
+        let mut reference: Vec<(&[u8], u64)> = keys
+            .iter()
+            .map(|k| k.as_slice())
+            .zip(tids.iter().copied())
+            .collect();
         reference.sort_unstable_by(|a, b| a.0.cmp(b.0));
 
         hot_keys::sort_by_key(&mut tids, |tid| arena.key(tid));
@@ -367,7 +402,9 @@ fn parallel_load_pipeline_builds_the_serial_structure() {
             for s in 0..shards {
                 let shard = sharded.shard(s);
                 let serial = ConcurrentHot::new(Arc::clone(&arena));
-                serial.bulk_load_parallel(&reference[lo..lo + shard.len()], 1).unwrap();
+                serial
+                    .bulk_load_parallel(&reference[lo..lo + shard.len()], 1)
+                    .unwrap();
                 assert_eq!(
                     shard.structure_digest(),
                     serial.structure_digest(),
@@ -377,7 +414,10 @@ fn parallel_load_pipeline_builds_the_serial_structure() {
                 lo += shard.len();
             }
             assert_eq!(lo, reference.len(), "{name}: shards cover the input");
-            assert!(sharded.imbalance() <= 1.01, "{name}: quantile splitters balance");
+            assert!(
+                sharded.imbalance() <= 1.01,
+                "{name}: quantile splitters balance"
+            );
         }
     }
 }

@@ -147,7 +147,12 @@ fn range_scans_match_sorted_order() {
     let mut got = Vec::new();
     for _ in 0..200 {
         let start = rng.gen_range(0..1_000_100);
-        let want: Vec<u64> = keys.iter().copied().filter(|&k| k >= start).take(100).collect();
+        let want: Vec<u64> = keys
+            .iter()
+            .copied()
+            .filter(|&k| k >= start)
+            .take(100)
+            .collect();
         t.scan_into(&encode_u64(start), 100, &mut got);
         assert_eq!(got, want, "scan from {start}");
     }
@@ -313,7 +318,9 @@ fn sparse_genome_alphabet_keys() {
     let alphabet = [b'A', b'C', b'G', b'T'];
     let mut keys: Vec<Vec<u8>> = (0..2_000)
         .map(|_| {
-            let mut k: Vec<u8> = (0..20).map(|_| alphabet[rng.gen_range(0..4usize)]).collect();
+            let mut k: Vec<u8> = (0..20)
+                .map(|_| alphabet[rng.gen_range(0..4usize)])
+                .collect();
             k.push(0);
             k
         })

@@ -56,13 +56,16 @@ where
         _ => items.iter().step_by(step).copied().collect(),
     };
     sample.sort_unstable_by(|&a, &b| full(a, b));
-    let splitters: Vec<T> = (1..buckets).map(|b| sample[b * sample.len() / buckets]).collect();
+    let splitters: Vec<T> = (1..buckets)
+        .map(|b| sample[b * sample.len() / buckets])
+        .collect();
 
     // One pass over the keys: an item goes to the bucket numbered by the
     // splitters at or below it, with the first word of the key just read.
     let room = items.len() / buckets;
-    let mut parts: Vec<Vec<(u64, T)>> =
-        (0..buckets).map(|_| Vec::with_capacity(room + room / 8)).collect();
+    let mut parts: Vec<Vec<(u64, T)>> = (0..buckets)
+        .map(|_| Vec::with_capacity(room + room / 8))
+        .collect();
     for &t in items.iter() {
         let bucket = splitters.partition_point(|&s| full(s, t) != Ordering::Greater);
         parts[bucket].push((word_at(key_of(t), 0), t));
@@ -139,6 +142,8 @@ where
     F: Fn(T) -> &'k [u8],
 {
     run.sort_unstable_by(|a, b| {
-        key_of(a.1)[depth..].cmp(&key_of(b.1)[depth..]).then(a.1.cmp(&b.1))
+        key_of(a.1)[depth..]
+            .cmp(&key_of(b.1)[depth..])
+            .then(a.1.cmp(&b.1))
     });
 }

@@ -55,8 +55,14 @@ impl Slot {
 /// B+-tree node within one layer.
 #[allow(clippy::vec_box)] // boxed children keep split/merge moves O(1) per child
 enum LNode {
-    Leaf { keys: Vec<u64>, slots: Vec<Slot> },
-    Inner { seps: Vec<u64>, children: Vec<Box<LNode>> },
+    Leaf {
+        keys: Vec<u64>,
+        slots: Vec<Slot>,
+    },
+    Inner {
+        seps: Vec<u64>,
+        children: Vec<Box<LNode>>,
+    },
 }
 
 impl LNode {
@@ -165,7 +171,9 @@ impl<S: KeySource> Masstree<S> {
     fn verify(&self, tid: u64, key: &[u8]) -> Option<u64> {
         let mut scratch = [0u8; KEY_SCRATCH_LEN];
         let stored = self.source.load_key(tid, &mut scratch);
-        hot_bits::first_mismatch_bit(stored, key).is_none().then_some(tid)
+        hot_bits::first_mismatch_bit(stored, key)
+            .is_none()
+            .then_some(tid)
     }
 
     /// Insert `key → tid` (upsert); returns the previous TID if present.
@@ -287,17 +295,13 @@ impl<S: KeySource> Masstree<S> {
     /// through the key source instead, but charges the same bytes so the
     /// Figure 9 comparison stays faithful to the original's footprint.
     pub fn memory_stats(&self) -> MemoryStats {
-        fn node_size<S: KeySource>(
-            src: &S,
-            node: &LNode,
-            depth: usize,
-        ) -> (usize, usize, usize) {
+        fn node_size<S: KeySource>(src: &S, node: &LNode, depth: usize) -> (usize, usize, usize) {
             match node {
                 LNode::Leaf { slots, .. } => {
                     // Fixed-capacity slot area (16 slices + 16 slots) plus
                     // recursion into nested layers.
-                    let mut bytes = std::mem::size_of::<LNode>()
-                        + FANOUT * (8 + std::mem::size_of::<Slot>());
+                    let mut bytes =
+                        std::mem::size_of::<LNode>() + FANOUT * (8 + std::mem::size_of::<Slot>());
                     let mut count = 1;
                     let mut ksuf = 0usize;
                     let mut scratch = [0u8; KEY_SCRATCH_LEN];
@@ -583,7 +587,8 @@ fn remove_rec(node: &mut LNode, key: &PaddedKey, d: usize, slice: u64) -> Option
             let removed = remove_rec(&mut children[at], key, d, slice)?;
             // Merge an emptied leaf child away (no rebalancing: layers are
             // small and correctness is what the baseline needs).
-            let empty = matches!(children[at].as_ref(), LNode::Leaf { keys, .. } if keys.is_empty());
+            let empty =
+                matches!(children[at].as_ref(), LNode::Leaf { keys, .. } if keys.is_empty());
             if empty && children.len() > 1 {
                 children.remove(at);
                 seps.remove(at.min(seps.len() - 1));
@@ -763,7 +768,10 @@ mod tests {
         for (k, &tid) in keys.iter().zip(&tids) {
             assert_eq!(t.get(k), Some(tid));
         }
-        assert_eq!(t.get(&str_key(b"shared-prefix-0123456789-xxx").unwrap()), None);
+        assert_eq!(
+            t.get(&str_key(b"shared-prefix-0123456789-xxx").unwrap()),
+            None
+        );
         assert_eq!(t.iter().collect::<Vec<_>>(), tids);
     }
 
@@ -895,6 +903,9 @@ mod tests {
         }
         let a = ints.memory_stats().bytes_per_key();
         let b = urls.memory_stats().bytes_per_key();
-        assert!(b > a * 1.5, "url {b:.1} B/key should far exceed int {a:.1} B/key");
+        assert!(
+            b > a * 1.5,
+            "url {b:.1} B/key should far exceed int {a:.1} B/key"
+        );
     }
 }

@@ -397,7 +397,9 @@ mod tests {
 
     #[test]
     fn insert_lookup_many_integers() {
-        let keys: Vec<u64> = (0..1000u64).map(|i| i.wrapping_mul(2654435761) % 100_000).collect();
+        let keys: Vec<u64> = (0..1000u64)
+            .map(|i| i.wrapping_mul(2654435761) % 100_000)
+            .collect();
         let mut t = PatriciaTree::new(EmbeddedKeySource);
         let mut expected = std::collections::BTreeSet::new();
         for &k in &keys {

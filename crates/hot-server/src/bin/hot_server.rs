@@ -25,7 +25,9 @@ fn main() {
                 i += 2;
             }
             "--dataset" => {
-                config.kind = args[i + 1].parse().expect("--dataset url|email|yago|integer");
+                config.kind = args[i + 1]
+                    .parse()
+                    .expect("--dataset url|email|yago|integer");
                 i += 2;
             }
             "--keys" => {
@@ -75,6 +77,8 @@ fn main() {
         }
     };
     println!("LISTENING {}", handle.addr());
-    std::io::stdout().flush().expect("announce the bound address");
+    std::io::stdout()
+        .flush()
+        .expect("announce the bound address");
     handle.join();
 }

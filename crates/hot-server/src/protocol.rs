@@ -230,13 +230,19 @@ pub struct ScanTokenRef<'a> {
 impl ScanTokenRef<'_> {
     /// The owned token [`hot_core::ShardedHot::scan_resume`] takes.
     pub fn to_owned(&self) -> ScanToken {
-        ScanToken { shard: self.shard, last_key: self.last_key.to_vec() }
+        ScanToken {
+            shard: self.shard,
+            last_key: self.last_key.to_vec(),
+        }
     }
 }
 
 impl<'a> From<&'a ScanToken> for ScanTokenRef<'a> {
     fn from(token: &'a ScanToken) -> ScanTokenRef<'a> {
-        ScanTokenRef { shard: token.shard, last_key: &token.last_key }
+        ScanTokenRef {
+            shard: token.shard,
+            last_key: &token.last_key,
+        }
     }
 }
 
@@ -299,14 +305,20 @@ impl<'a> Cursor<'a> {
 
     #[inline]
     fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], ProtoError> {
-        let (bytes, rest) = self.rest.split_at_checked(n).ok_or(ProtoError::Truncated(what))?;
+        let (bytes, rest) = self
+            .rest
+            .split_at_checked(n)
+            .ok_or(ProtoError::Truncated(what))?;
         self.rest = rest;
         Ok(bytes)
     }
 
     #[inline]
     fn array<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], ProtoError> {
-        let (bytes, rest) = self.rest.split_first_chunk().ok_or(ProtoError::Truncated(what))?;
+        let (bytes, rest) = self
+            .rest
+            .split_first_chunk()
+            .ok_or(ProtoError::Truncated(what))?;
         self.rest = rest;
         Ok(*bytes)
     }
@@ -352,7 +364,10 @@ impl<'a> Cursor<'a> {
 }
 
 fn put_key(out: &mut Vec<u8>, key: &[u8]) {
-    debug_assert!(key.len() <= MAX_KEY, "callers construct keys within MAX_KEY");
+    debug_assert!(
+        key.len() <= MAX_KEY,
+        "callers construct keys within MAX_KEY"
+    );
     out.extend_from_slice(&(key.len() as u16).to_le_bytes());
     out.extend_from_slice(key);
 }
@@ -425,18 +440,27 @@ impl<'a> RequestRef<'a> {
             OP_GET => RequestRef::Get { key: cur.key()? },
             OP_PUT => {
                 let tid = cur.u64("PUT tid")?;
-                RequestRef::Put { tid, key: cur.key()? }
+                RequestRef::Put {
+                    tid,
+                    key: cur.key()?,
+                }
             }
             OP_DEL => RequestRef::Del { key: cur.key()? },
             OP_SCAN => {
                 let limit = cur.u32("SCAN limit")?;
-                RequestRef::Scan { start: cur.key()?, limit }
+                RequestRef::Scan {
+                    start: cur.key()?,
+                    limit,
+                }
             }
             OP_RESUME => {
                 let limit = cur.u32("RESUME limit")?;
                 let shard = cur.u32("RESUME shard")?;
                 let last_key = cur.key()?;
-                RequestRef::Resume { token: ScanTokenRef { shard, last_key }, limit }
+                RequestRef::Resume {
+                    token: ScanTokenRef { shard, last_key },
+                    limit,
+                }
             }
             OP_STATS => RequestRef::Stats,
             OP_PING => RequestRef::Ping,
@@ -451,14 +475,19 @@ impl<'a> RequestRef<'a> {
     pub fn to_owned(&self) -> Request {
         match self {
             RequestRef::Get { key } => Request::Get { key: key.to_vec() },
-            RequestRef::Put { tid, key } => Request::Put { tid: *tid, key: key.to_vec() },
+            RequestRef::Put { tid, key } => Request::Put {
+                tid: *tid,
+                key: key.to_vec(),
+            },
             RequestRef::Del { key } => Request::Del { key: key.to_vec() },
-            RequestRef::Scan { start, limit } => {
-                Request::Scan { start: start.to_vec(), limit: *limit }
-            }
-            RequestRef::Resume { token, limit } => {
-                Request::Resume { token: token.to_owned(), limit: *limit }
-            }
+            RequestRef::Scan { start, limit } => Request::Scan {
+                start: start.to_vec(),
+                limit: *limit,
+            },
+            RequestRef::Resume { token, limit } => Request::Resume {
+                token: token.to_owned(),
+                limit: *limit,
+            },
             RequestRef::Stats => Request::Stats,
             RequestRef::Ping => Request::Ping,
             RequestRef::Shutdown => Request::Shutdown,
@@ -595,7 +624,10 @@ impl Response {
                     0 => Option::None,
                     _ => {
                         let shard = cur.u32("OK_SCAN token shard")?;
-                        Some(ScanToken { shard, last_key: cur.key()?.to_vec() })
+                        Some(ScanToken {
+                            shard,
+                            last_key: cur.key()?.to_vec(),
+                        })
                     }
                 };
                 let count = cur.u32("OK_SCAN count")? as usize;
@@ -621,7 +653,10 @@ impl Response {
                 let len = cur.u16("ERR message length")? as usize;
                 let bytes = cur.take(len, "ERR message bytes")?;
                 let msg = std::str::from_utf8(bytes).map_err(|_| ProtoError::BadText)?;
-                Ok(Response::Error { code, msg: msg.to_string() })
+                Ok(Response::Error {
+                    code,
+                    msg: msg.to_string(),
+                })
             }
             other => Err(ProtoError::UnknownStatus(other)),
         }
@@ -703,7 +738,10 @@ impl FrameDecoder {
         self.reserve(FILL_CHUNK);
         let room = &mut self.buf[self.end..];
         let n = src.read(room)?;
-        assert!(n <= room.len(), "Read::read returned more than the buffer holds");
+        assert!(
+            n <= room.len(),
+            "Read::read returned more than the buffer holds"
+        );
         self.end += n;
         Ok(n)
     }
@@ -717,7 +755,10 @@ impl FrameDecoder {
     /// together (a window of requests executed as one unit) for as long
     /// as the decoder is not filled again.
     pub fn frames(&mut self) -> Frames<'_> {
-        Frames { buf: &self.buf[..self.end], pos: &mut self.pos }
+        Frames {
+            buf: &self.buf[..self.end],
+            pos: &mut self.pos,
+        }
     }
 
     /// Yield the next complete frame body, `Ok(None)` when more bytes are
@@ -765,11 +806,20 @@ mod tests {
     fn round_trip_each_request() {
         let reqs = vec![
             Request::Get { key: b"k".to_vec() },
-            Request::Put { tid: 7, key: b"key".to_vec() },
+            Request::Put {
+                tid: 7,
+                key: b"key".to_vec(),
+            },
             Request::Del { key: Vec::new() },
-            Request::Scan { start: b"a".to_vec(), limit: 100 },
+            Request::Scan {
+                start: b"a".to_vec(),
+                limit: 100,
+            },
             Request::Resume {
-                token: ScanToken { shard: 3, last_key: b"zz".to_vec() },
+                token: ScanToken {
+                    shard: 3,
+                    last_key: b"zz".to_vec(),
+                },
                 limit: 5,
             },
             Request::Stats,
@@ -794,13 +844,22 @@ mod tests {
         let resps = vec![
             Response::None,
             Response::Tid(u64::MAX),
-            Response::Scan { tids: vec![1, 2, 3], token: None },
+            Response::Scan {
+                tids: vec![1, 2, 3],
+                token: None,
+            },
             Response::Scan {
                 tids: vec![9],
-                token: Some(ScanToken { shard: 1, last_key: b"m".to_vec() }),
+                token: Some(ScanToken {
+                    shard: 1,
+                    last_key: b"m".to_vec(),
+                }),
             },
             Response::Text("{\"ok\":true}".to_string()),
-            Response::Error { code: err_code::BAD_FRAME, msg: "nope".to_string() },
+            Response::Error {
+                code: err_code::BAD_FRAME,
+                msg: "nope".to_string(),
+            },
         ];
         let mut wire = Vec::new();
         for r in &resps {
@@ -817,7 +876,11 @@ mod tests {
     #[test]
     fn split_reads_reassemble() {
         let mut wire = Vec::new();
-        Request::Put { tid: 42, key: b"hello".to_vec() }.encode(&mut wire);
+        Request::Put {
+            tid: 42,
+            key: b"hello".to_vec(),
+        }
+        .encode(&mut wire);
         for chunk in [1usize, 2, 3, 7] {
             let mut dec = FrameDecoder::new();
             let mut got = Vec::new();
@@ -827,7 +890,13 @@ mod tests {
                     got.push(Request::decode(body).unwrap());
                 }
             }
-            assert_eq!(got, vec![Request::Put { tid: 42, key: b"hello".to_vec() }]);
+            assert_eq!(
+                got,
+                vec![Request::Put {
+                    tid: 42,
+                    key: b"hello".to_vec()
+                }]
+            );
         }
     }
 
@@ -839,31 +908,54 @@ mod tests {
 
         let mut dec = FrameDecoder::new();
         dec.feed(&(MAX_FRAME as u32 + 1).to_le_bytes());
-        assert_eq!(dec.next_frame(), Err(ProtoError::FrameTooLarge(MAX_FRAME + 1)));
+        assert_eq!(
+            dec.next_frame(),
+            Err(ProtoError::FrameTooLarge(MAX_FRAME + 1))
+        );
 
         assert_eq!(Request::decode(&[]), Err(ProtoError::Truncated("opcode")));
-        assert_eq!(Request::decode(&[0x7E]), Err(ProtoError::UnknownOpcode(0x7E)));
-        assert_eq!(Request::decode(&[OP_PING, 0]), Err(ProtoError::TrailingBytes(1)));
+        assert_eq!(
+            Request::decode(&[0x7E]),
+            Err(ProtoError::UnknownOpcode(0x7E))
+        );
+        assert_eq!(
+            Request::decode(&[OP_PING, 0]),
+            Err(ProtoError::TrailingBytes(1))
+        );
     }
 
     /// The retired BATCH opcode and OK_BATCH status are unknown codes, with
     /// or without the count and bodies they used to carry.
     #[test]
     fn retired_batch_codes_decode_as_unknown() {
-        for body in [&[0x05][..], &[0x05, 0, 0, 0, 0], &[0x05, 1, 0, 0, 0, OP_PING]] {
+        for body in [
+            &[0x05][..],
+            &[0x05, 0, 0, 0, 0],
+            &[0x05, 1, 0, 0, 0, OP_PING],
+        ] {
             assert_eq!(Request::decode(body), Err(ProtoError::UnknownOpcode(0x05)));
         }
-        for body in [&[0x03][..], &[0x03, 0, 0, 0, 0], &[0x03, 1, 0, 0, 0, ST_NONE]] {
+        for body in [
+            &[0x03][..],
+            &[0x03, 0, 0, 0, 0],
+            &[0x03, 1, 0, 0, 0, ST_NONE],
+        ] {
             assert_eq!(Response::decode(body), Err(ProtoError::UnknownStatus(0x03)));
         }
     }
 
     #[test]
     fn oversized_response_is_replaced_by_err_frame() {
-        let resp = Response::Scan { tids: vec![7; MAX_FRAME / 8 + 1], token: None };
+        let resp = Response::Scan {
+            tids: vec![7; MAX_FRAME / 8 + 1],
+            token: None,
+        };
         let mut wire = Vec::new();
         resp.encode(&mut wire);
-        assert!(wire.len() <= MAX_FRAME + 4, "frame must fit the decoder's cap");
+        assert!(
+            wire.len() <= MAX_FRAME + 4,
+            "frame must fit the decoder's cap"
+        );
         let mut dec = FrameDecoder::new();
         dec.feed(&wire);
         let body = dec.next_frame().unwrap().expect("one complete frame");
@@ -879,7 +971,11 @@ mod tests {
         // the u16::MAX (odd) cut must back off one byte, not split 'é'.
         let msg = "é".repeat(40_000); // 80_000 bytes
         let mut wire = Vec::new();
-        Response::Error { code: err_code::BAD_FRAME, msg: msg.clone() }.encode(&mut wire);
+        Response::Error {
+            code: err_code::BAD_FRAME,
+            msg: msg.clone(),
+        }
+        .encode(&mut wire);
         let mut dec = FrameDecoder::new();
         dec.feed(&wire);
         let body = dec.next_frame().unwrap().expect("one complete frame");

@@ -236,7 +236,10 @@ impl Shared {
         let shard_memory: Vec<String> = (0..self.index.shards())
             .map(|s| {
                 let m = self.index.shard(s).memory_stats();
-                format!("{{\"node_bytes\": {}, \"node_reserved_bytes\": {}}}", m.node_bytes, m.capacity_bytes)
+                format!(
+                    "{{\"node_bytes\": {}, \"node_reserved_bytes\": {}}}",
+                    m.node_bytes, m.capacity_bytes
+                )
             })
             .collect();
         format!(
@@ -322,7 +325,11 @@ pub fn start_with_data(config: ServerConfig, data: NetData) -> std::io::Result<S
         })
         .ok();
 
-    Ok(ServerHandle { shared, accept: Some(accept), release })
+    Ok(ServerHandle {
+        shared,
+        accept: Some(accept),
+        release,
+    })
 }
 
 /// Return freed heap pages to the OS. glibc keeps them otherwise: the
@@ -433,7 +440,11 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             // check cannot be overtaken: `active()` never exceeds the cap.
             shared.stats.rejected.add(1);
             let _ = stream.set_write_timeout(Some(POLL_INTERVAL));
-            send_error(&mut stream, err_code::OVERLOADED, "connection limit reached");
+            send_error(
+                &mut stream,
+                err_code::OVERLOADED,
+                "connection limit reached",
+            );
             continue;
         }
         shared.stats.accepted.add(1);
@@ -501,7 +512,10 @@ impl Conn {
                 return turn;
             }
             // A window short of `window` frames ran out of them.
-            if window.executed < shared.window || turn.shutdown || self.wbuf.len() >= TURN_ANSWER_BYTES {
+            if window.executed < shared.window
+                || turn.shutdown
+                || self.wbuf.len() >= TURN_ANSWER_BYTES
+            {
                 return turn;
             }
         }
@@ -530,7 +544,11 @@ impl Conn {
                 }
             }
             window.executed += 1;
-            next = if window.executed < shared.window { frames.next() } else { None };
+            next = if window.executed < shared.window {
+                frames.next()
+            } else {
+                None
+            };
         }
         exec.close_run();
         window.shutdown = exec.shutdown;
@@ -629,8 +647,14 @@ impl ConnScratch {
     /// own requests.
     fn flush(&mut self, shared: &Shared) {
         shared.registry.absorb(&mut self.tally);
-        shared.stats.requests.add(std::mem::take(&mut self.requests));
-        shared.stats.get_runs.add(std::mem::take(&mut self.get_runs));
+        shared
+            .stats
+            .requests
+            .add(std::mem::take(&mut self.requests));
+        shared
+            .stats
+            .get_runs
+            .add(std::mem::take(&mut self.get_runs));
     }
 }
 
@@ -670,7 +694,10 @@ fn page_token<'s>(shared: &'s Shared, page: &[u64], limit: usize) -> Option<Scan
         return None;
     }
     let last_key = shared.arena.key(last);
-    Some(ScanTokenRef { shard: shared.index.shard_of(last_key) as u32, last_key })
+    Some(ScanTokenRef {
+        shard: shared.index.shard_of(last_key) as u32,
+        last_key,
+    })
 }
 
 /// The executor of one window. Requests arrive one at a time, in order;
@@ -802,7 +829,12 @@ impl<'w, 'a> Exec<'w, 'a> {
 
     fn exec_gets(&mut self) {
         let keys = &self.keys[..self.pending];
-        let ConnScratch { found, router, get_runs, .. } = &mut *self.scratch;
+        let ConnScratch {
+            found,
+            router,
+            get_runs,
+            ..
+        } = &mut *self.scratch;
         found.clear();
         found.resize(keys.len(), None);
         self.shared.index.get_batch_with(keys, found, router);
@@ -814,7 +846,12 @@ impl<'w, 'a> Exec<'w, 'a> {
 
     fn exec_scans(&mut self) {
         let scans = &self.scans[..self.pending];
-        let ConnScratch { router, tids, bounds, .. } = &mut *self.scratch;
+        let ConnScratch {
+            router,
+            tids,
+            bounds,
+            ..
+        } = &mut *self.scratch;
         self.shared.index.scan_batch(scans, tids, bounds, router);
         for (&(_, limit), span) in scans.iter().zip(bounds.windows(2)) {
             let page = &tids[span[0]..span[1]];
@@ -833,7 +870,9 @@ impl<'w, 'a> Exec<'w, 'a> {
                 // Pending SCANs of the same run answer first.
                 self.flush_pending();
                 let tids = &mut self.scratch.tids;
-                let next = shared.index.scan_resume(&token.to_owned(), grant_scan(limit), tids);
+                let next = shared
+                    .index
+                    .scan_resume(&token.to_owned(), grant_scan(limit), tids);
                 encode_scan(self.out, tids, next.as_ref().map(ScanTokenRef::from));
             }
             control => {
@@ -906,9 +945,16 @@ mod tests {
 
     /// A server over 500 integer keys and its corpus.
     fn server() -> (ServerHandle, NetData) {
-        let config = ServerConfig { keys: 500, ops: 100, ..ServerConfig::default() };
+        let config = ServerConfig {
+            keys: 500,
+            ops: 100,
+            ..ServerConfig::default()
+        };
         let data = || net_data_for(config.kind, config.keys, config.ops, config.seed);
-        (start_with_data(config.clone(), data()).expect("server starts"), data())
+        (
+            start_with_data(config.clone(), data()).expect("server starts"),
+            data(),
+        )
     }
 
     /// One connection's execute path without the socket: requests go in
@@ -990,7 +1036,13 @@ mod tests {
         let page = sorted[at..at + limit].to_vec();
         let start = shared.arena.key(page[0]).to_vec();
         let token = shared.index.scan_token(&page, limit);
-        (Request::Scan { start, limit: limit as u32 }, Response::Scan { tids: page, token })
+        (
+            Request::Scan {
+                start,
+                limit: limit as u32,
+            },
+            Response::Scan { tids: page, token },
+        )
     }
 
     /// The serve loop's promise: once its buffers are warm, a window of
@@ -1013,10 +1065,18 @@ mod tests {
         let sorted_tids: Vec<u64> = order.iter().map(|&i| data.tids[i]).collect();
 
         let gets: Vec<Request> = (0..100)
-            .map(|i| Request::Get { key: if i % 9 == 8 { absent.clone() } else { key(i) } })
+            .map(|i| Request::Get {
+                key: if i % 9 == 8 { absent.clone() } else { key(i) },
+            })
             .collect();
         let get_answers: Vec<Response> = (0..100)
-            .map(|i| if i % 9 == 8 { Response::None } else { Response::Tid(data.tids[i]) })
+            .map(|i| {
+                if i % 9 == 8 {
+                    Response::None
+                } else {
+                    Response::Tid(data.tids[i])
+                }
+            })
             .collect();
 
         // Page 1 fills its limit (token at its last key); page 2 starts at
@@ -1026,13 +1086,29 @@ mod tests {
         let mixed = vec![
             Request::Get { key: key(1) },
             Request::Get { key: key(2) },
-            Request::Put { tid: data.tids[3], key: key(3) },
+            Request::Put {
+                tid: data.tids[3],
+                key: key(3),
+            },
             Request::Get { key: key(3) },
-            Request::Del { key: absent.clone() },
-            Request::Put { tid: data.tids[4], key: key(5) },
-            Request::Scan { start: key(first), limit: 5 },
-            Request::Scan { start: key(tail), limit: 5 },
-            Request::Get { key: absent.clone() },
+            Request::Del {
+                key: absent.clone(),
+            },
+            Request::Put {
+                tid: data.tids[4],
+                key: key(5),
+            },
+            Request::Scan {
+                start: key(first),
+                limit: 5,
+            },
+            Request::Scan {
+                start: key(tail),
+                limit: 5,
+            },
+            Request::Get {
+                key: absent.clone(),
+            },
             Request::Ping,
             Request::Get { key: key(6) },
         ];
@@ -1044,19 +1120,29 @@ mod tests {
             Response::None,
             Response::Error {
                 code: err_code::TID_MISMATCH,
-                msg: format!("tid {} does not resolve to the {}-byte key", data.tids[4], key(5).len()),
+                msg: format!(
+                    "tid {} does not resolve to the {}-byte key",
+                    data.tids[4],
+                    key(5).len()
+                ),
             },
             Response::Scan {
                 tids: sorted_tids[..5].to_vec(),
                 token: shared.index.scan_token(&sorted_tids[..5], 5),
             },
-            Response::Scan { tids: sorted_tids[data.loaded - 3..].to_vec(), token: None },
+            Response::Scan {
+                tids: sorted_tids[data.loaded - 3..].to_vec(),
+                token: None,
+            },
             Response::None,
             Response::None,
             Response::Tid(data.tids[6]),
         ];
         assert_eq!(
-            shared.index.scan_token(&sorted_tids[..5], 5).map(|t| t.last_key),
+            shared
+                .index
+                .scan_token(&sorted_tids[..5], 5)
+                .map(|t| t.last_key),
             Some(token_key),
             "the filled page resumes after its fifth key"
         );
@@ -1122,18 +1208,35 @@ mod tests {
             for i in 0..round * 40 {
                 reqs.push(Request::Get { key: key(i) });
             }
-            reqs.push(Request::Put { tid: data.tids[round], key: key(round) });
-            reqs.push(Request::Put { tid: data.tids[round], key: key(round) });
+            reqs.push(Request::Put {
+                tid: data.tids[round],
+                key: key(round),
+            });
+            reqs.push(Request::Put {
+                tid: data.tids[round],
+                key: key(round),
+            });
             reqs.push(Request::Get { key: key(round) });
-            reqs.push(Request::Del { key: key(400 + round) });
-            reqs.push(Request::Scan { start: key(round), limit: 3 });
+            reqs.push(Request::Del {
+                key: key(400 + round),
+            });
+            reqs.push(Request::Scan {
+                start: key(round),
+                limit: 3,
+            });
             reqs.push(Request::Resume {
-                token: hot_core::ScanToken { shard: 0, last_key: key(round) },
+                token: hot_core::ScanToken {
+                    shard: 0,
+                    last_key: key(round),
+                },
                 limit: 2,
             });
             reqs.push(Request::Get { key: key(7) });
             reqs.push(Request::Get { key: key(8) });
-            reqs.push(Request::Scan { start: key(9), limit: 1 });
+            reqs.push(Request::Scan {
+                start: key(9),
+                limit: 1,
+            });
             reqs.push(Request::Stats);
             let windows = conn.run(shared, &reqs);
             assert_eq!(windows, reqs.len().div_ceil(shared.window));
@@ -1147,10 +1250,19 @@ mod tests {
             want_runs += (round * 40).div_ceil(shared.window) as u64 + 2;
 
             let snap = shared.registry.ops_snapshot();
-            let kinds = [OpKind::NetGet, OpKind::NetPut, OpKind::NetDel, OpKind::NetScan];
+            let kinds = [
+                OpKind::NetGet,
+                OpKind::NetPut,
+                OpKind::NetDel,
+                OpKind::NetScan,
+            ];
             for (kind, n) in kinds.into_iter().zip(want) {
                 assert_eq!(snap.op(kind).count, n, "{kind:?} count, round {round}");
-                assert_eq!(snap.op(kind).hist_total(), n, "{kind:?} samples, round {round}");
+                assert_eq!(
+                    snap.op(kind).hist_total(),
+                    n,
+                    "{kind:?} samples, round {round}"
+                );
             }
             let total: u64 = want.iter().sum();
             assert_eq!(snap.op(OpKind::NetOp).count, total);
@@ -1169,11 +1281,24 @@ mod tests {
         while let Some(body) = dec.next_frame().expect("well-framed answers") {
             last = Some(Response::decode(body).expect("valid answer"));
         }
-        let Some(Response::Text(doc)) = last else { panic!("STATS answers with OK_TEXT") };
+        let Some(Response::Text(doc)) = last else {
+            panic!("STATS answers with OK_TEXT")
+        };
         let field = |name: &str| stats_field(&doc, name);
         for name in [
-            "accepted", "active", "rejected", "requests", "windows", "writes", "get_runs",
-            "proto_errors", "bytes_in", "bytes_out", "shards", "keys", "node_bytes",
+            "accepted",
+            "active",
+            "rejected",
+            "requests",
+            "windows",
+            "writes",
+            "get_runs",
+            "proto_errors",
+            "bytes_in",
+            "bytes_out",
+            "shards",
+            "keys",
+            "node_bytes",
             "node_reserved_bytes",
         ] {
             field(name);
@@ -1181,9 +1306,16 @@ mod tests {
         assert!(doc.contains("\"metrics\": {") && doc.contains("\"net_get\""));
         assert_eq!(field("requests"), shared.stats.requests());
         assert_eq!(field("get_runs"), want_runs);
-        assert_eq!(field("windows"), want_windows - 1, "the answering window is still open");
+        assert_eq!(
+            field("windows"),
+            want_windows - 1,
+            "the answering window is still open"
+        );
         assert_eq!(field("writes"), 0, "the harness writes to no socket");
-        assert!(!doc.contains("batches"), "the retired BATCH frame has no counter");
+        assert!(
+            !doc.contains("batches"),
+            "the retired BATCH frame has no counter"
+        );
         assert_eq!(field("keys"), shared.index.len() as u64);
 
         // One `shard_memory` entry per shard, in shard order, read from the
@@ -1195,11 +1327,19 @@ mod tests {
         let per_shard = |name: &str| -> Vec<usize> {
             now.split(&format!("\"{name}\": "))
                 .skip(1)
-                .map(|tail| tail.chars().take_while(char::is_ascii_digit).collect::<String>().parse().expect(name))
+                .map(|tail| {
+                    tail.chars()
+                        .take_while(char::is_ascii_digit)
+                        .collect::<String>()
+                        .parse()
+                        .expect(name)
+                })
                 .collect()
         };
         let shards = shared.index.shards();
-        let live: Vec<usize> = (0..shards).map(|s| shared.index.shard(s).memory_stats().node_bytes).collect();
+        let live: Vec<usize> = (0..shards)
+            .map(|s| shared.index.shard(s).memory_stats().node_bytes)
+            .collect();
         assert!(now.contains("\"shard_memory\": [{\"node_bytes\": "));
         assert!(live.iter().all(|&bytes| bytes > 0));
         assert_eq!(per_shard("node_bytes"), live);
@@ -1222,10 +1362,26 @@ mod tests {
         let (mut reqs, answers): (Vec<Request>, Vec<Response>) = (0..n - 1)
             .map(|i| match i % 40 {
                 // An upsert of the stored binding answers with that TID.
-                10 => (Request::Put { tid: data.tids[i], key: key(i) }, Response::Tid(data.tids[i])),
-                20 => (Request::Del { key: absent.clone() }, Response::None),
+                10 => (
+                    Request::Put {
+                        tid: data.tids[i],
+                        key: key(i),
+                    },
+                    Response::Tid(data.tids[i]),
+                ),
+                20 => (
+                    Request::Del {
+                        key: absent.clone(),
+                    },
+                    Response::None,
+                ),
                 30 => scan_at(shared, &sorted, i % 100, 3),
-                39 => (Request::Get { key: absent.clone() }, Response::None),
+                39 => (
+                    Request::Get {
+                        key: absent.clone(),
+                    },
+                    Response::None,
+                ),
                 _ => (Request::Get { key: key(i) }, Response::Tid(data.tids[i])),
             })
             .unzip();
@@ -1233,10 +1389,17 @@ mod tests {
         // What one write per window counted: a GET run ends at every
         // window edge, and never reaches RUN_CAP inside a window.
         assert!(RUN_CAP >= shared.window);
-        let is_get: Vec<bool> = reqs.iter().map(|r| matches!(r, Request::Get { .. })).collect();
+        let is_get: Vec<bool> = reqs
+            .iter()
+            .map(|r| matches!(r, Request::Get { .. }))
+            .collect();
         let want_runs: usize = is_get
             .chunks(shared.window)
-            .map(|w| (0..w.len()).filter(|&k| w[k] && (k == 0 || !w[k - 1])).count())
+            .map(|w| {
+                (0..w.len())
+                    .filter(|&k| w[k] && (k == 0 || !w[k - 1]))
+                    .count()
+            })
             .sum();
 
         let mut conn = Harness::default();
@@ -1248,16 +1411,25 @@ mod tests {
 
         let want = encoded(&answers);
         let (head, tail) = conn.conn.wbuf.split_at(want.len());
-        assert!(head == want, "the answers are Response::encode's, request by request");
+        assert!(
+            head == want,
+            "the answers are Response::encode's, request by request"
+        );
         let mut dec = FrameDecoder::new();
         dec.feed(tail);
         let body = dec.next_frame().expect("framed").expect("the STATS answer");
-        let Ok(Response::Text(doc)) = Response::decode(body) else { panic!("STATS answers with OK_TEXT") };
+        let Ok(Response::Text(doc)) = Response::decode(body) else {
+            panic!("STATS answers with OK_TEXT")
+        };
         assert_eq!(dec.pending(), 0);
         // STATS still sees its own window, and the three before it.
         assert_eq!(stats_field(&doc, "requests"), n as u64);
         assert_eq!(stats_field(&doc, "windows"), 3);
-        assert_eq!(conn.conn.execute_turn(shared).executed, 0, "nothing is left for a second turn");
+        assert_eq!(
+            conn.conn.execute_turn(shared).executed,
+            0,
+            "nothing is left for a second turn"
+        );
     }
 
     /// A turn whose answers reach `TURN_ANSWER_BYTES` starts no further
@@ -1270,8 +1442,9 @@ mod tests {
         let shared = &*server.shared;
         let sorted = sorted_tids(&data);
         let (w, limit) = (shared.window, 40);
-        let (reqs, answers): (Vec<Request>, Vec<Response>) =
-            (0..5 * w).map(|i| scan_at(shared, &sorted, i % (data.loaded - limit), limit)).unzip();
+        let (reqs, answers): (Vec<Request>, Vec<Response>) = (0..5 * w)
+            .map(|i| scan_at(shared, &sorted, i % (data.loaded - limit), limit))
+            .unzip();
         // Integer keys: every answer is the same size.
         let window_bytes = encoded(&answers[..w]).len();
         assert!(window_bytes < TURN_ANSWER_BYTES && 2 * window_bytes >= TURN_ANSWER_BYTES);
@@ -1286,7 +1459,10 @@ mod tests {
             turn = conn.conn.execute_turn(shared);
         }
         assert_eq!(per_turn, [2 * w, 2 * w, w]);
-        assert!(written == encoded(&answers), "every answer, in request order");
+        assert!(
+            written == encoded(&answers),
+            "every answer, in request order"
+        );
         assert_eq!(shared.stats.windows(), 5);
     }
 
@@ -1300,19 +1476,37 @@ mod tests {
         let shared = &*server.shared;
         let w = shared.window;
         let (gets, answers): (Vec<Request>, Vec<Response>) = (0..3 * w)
-            .map(|i| (Request::Get { key: data.dataset.keys[i].clone() }, Response::Tid(data.tids[i])))
+            .map(|i| {
+                (
+                    Request::Get {
+                        key: data.dataset.keys[i].clone(),
+                    },
+                    Response::Tid(data.tids[i]),
+                )
+            })
             .unzip();
 
         let prefix = 2 * w + 10;
         let unknown_opcode = [1, 0, 0, 0, 0x7E];
-        let wire = [&requests(&gets[..prefix])[..], &unknown_opcode, &requests(&gets[prefix..])].concat();
+        let wire = [
+            &requests(&gets[..prefix])[..],
+            &unknown_opcode,
+            &requests(&gets[prefix..]),
+        ]
+        .concat();
         let mut conn = Harness::default();
         let turn = conn.turn(shared, &wire);
         let err = ProtoError::UnknownOpcode(0x7E);
         assert_eq!((turn.executed, turn.error.as_ref()), (prefix, Some(&err)));
         let mut want = answers[..prefix].to_vec();
-        want.push(Response::Error { code: err_code::BAD_FRAME, msg: err.to_string() });
-        assert!(conn.conn.wbuf == encoded(&want), "the prefix's answers, then ERR");
+        want.push(Response::Error {
+            code: err_code::BAD_FRAME,
+            msg: err.to_string(),
+        });
+        assert!(
+            conn.conn.wbuf == encoded(&want),
+            "the prefix's answers, then ERR"
+        );
         assert_eq!(shared.stats.proto_errors(), 1);
 
         let mut reqs = gets;
@@ -1325,7 +1519,10 @@ mod tests {
         assert_eq!(shared.stats.windows() - windows, 2);
         let mut want = answers[..2 * w - 1].to_vec();
         want.insert(w + 10, Response::None);
-        assert!(conn.conn.wbuf == encoded(&want), "windows 1-2 answered, SHUTDOWN acknowledged");
+        assert!(
+            conn.conn.wbuf == encoded(&want),
+            "windows 1-2 answered, SHUTDOWN acknowledged"
+        );
         assert!(conn.conn.dec.pending() > 0, "window 3 is left unexecuted");
     }
 
@@ -1340,26 +1537,49 @@ mod tests {
         let (gets, answers): (Vec<Request>, Vec<Response>) = (0..8 * server.shared.window)
             .map(|i| {
                 let j = i % keys.len();
-                let answer = if j < data.loaded { Response::Tid(data.tids[j]) } else { Response::None };
-                (Request::Get { key: keys[j].clone() }, answer)
+                let answer = if j < data.loaded {
+                    Response::Tid(data.tids[j])
+                } else {
+                    Response::None
+                };
+                (
+                    Request::Get {
+                        key: keys[j].clone(),
+                    },
+                    answer,
+                )
             })
             .unzip();
         let mut stream = TcpStream::connect(server.addr()).expect("connect");
-        stream.set_read_timeout(Some(Duration::from_secs(20))).expect("read timeout");
-        stream.write_all(&requests(&gets)).expect("one write of every request");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(20)))
+            .expect("read timeout");
+        stream
+            .write_all(&requests(&gets))
+            .expect("one write of every request");
         let want = encoded(&answers);
         let mut got = vec![0; want.len()];
         stream.read_exact(&mut got).expect("every answer");
-        assert!(got == want, "the answers are Response::encode's, request by request");
+        assert!(
+            got == want,
+            "the answers are Response::encode's, request by request"
+        );
 
-        stream.write_all(&requests(&[Request::Stats])).expect("STATS");
+        stream
+            .write_all(&requests(&[Request::Stats]))
+            .expect("STATS");
         let mut len = [0; 4];
         stream.read_exact(&mut len).expect("a STATS frame");
         let mut body = vec![0; u32::from_le_bytes(len) as usize];
         stream.read_exact(&mut body).expect("the STATS body");
-        let Ok(Response::Text(doc)) = Response::decode(&body) else { panic!("STATS answers with OK_TEXT") };
+        let Ok(Response::Text(doc)) = Response::decode(&body) else {
+            panic!("STATS answers with OK_TEXT")
+        };
         let (writes, windows) = (stats_field(&doc, "writes"), stats_field(&doc, "windows"));
-        assert!(writes >= 1 && writes < windows, "{writes} writes for {windows} windows");
+        assert!(
+            writes >= 1 && writes < windows,
+            "{writes} writes for {windows} windows"
+        );
     }
 
     /// Start-up end to end, at a size that takes the parallel sort and the
@@ -1368,25 +1588,57 @@ mod tests {
     /// thread that frees the load-time corpus copy.
     #[test]
     fn start_up_loads_every_key_and_shutdown_joins_the_release_thread() {
-        let config = ServerConfig { keys: 40_000, ops: 100, ..ServerConfig::default() };
+        let config = ServerConfig {
+            keys: 40_000,
+            ops: 100,
+            ..ServerConfig::default()
+        };
         let data = || net_data_for(DatasetKind::Url, config.keys, config.ops, config.seed);
-        let (mut server, data) = (start_with_data(config.clone(), data()).expect("starts"), data());
+        let (mut server, data) = (
+            start_with_data(config.clone(), data()).expect("starts"),
+            data(),
+        );
         let shared = Arc::clone(&server.shared);
-        assert!(server.release.is_some(), "the corpus copy is freed off the start-up path");
-        assert!(shared.stats_json().contains(&format!("\"keys\": {}", data.loaded)));
+        assert!(
+            server.release.is_some(),
+            "the corpus copy is freed off the start-up path"
+        );
+        assert!(shared
+            .stats_json()
+            .contains(&format!("\"keys\": {}", data.loaded)));
 
-        let gets: Vec<Request> =
-            data.dataset.keys.iter().map(|key| Request::Get { key: key.clone() }).collect();
+        let gets: Vec<Request> = data
+            .dataset
+            .keys
+            .iter()
+            .map(|key| Request::Get { key: key.clone() })
+            .collect();
         let answers: Vec<Response> = (0..gets.len())
-            .map(|i| if i < data.loaded { Response::Tid(data.tids[i]) } else { Response::None })
+            .map(|i| {
+                if i < data.loaded {
+                    Response::Tid(data.tids[i])
+                } else {
+                    Response::None
+                }
+            })
             .collect();
         let mut conn = Harness::default();
         conn.run(&shared, &gets);
-        assert!(conn.answers == encoded(&answers), "every loaded key answers with its TID");
+        assert!(
+            conn.answers == encoded(&answers),
+            "every loaded key answers with its TID"
+        );
 
         server.stop_and_join();
-        assert!(server.accept.is_none() && server.release.is_none(), "every handle was joined");
+        assert!(
+            server.accept.is_none() && server.release.is_none(),
+            "every handle was joined"
+        );
         drop(server);
-        assert_eq!(Arc::strong_count(&shared), 1, "no server thread is left holding the state");
+        assert_eq!(
+            Arc::strong_count(&shared),
+            1,
+            "no server thread is left holding the state"
+        );
     }
 }

@@ -50,7 +50,12 @@ pub fn net_data_for(kind: DatasetKind, keys: usize, ops: usize, seed: u64) -> Ne
     let mut arena =
         ArenaKeySource::with_capacity(dataset.keys.len(), dataset.avg_key_len().ceil() as usize);
     let tids: Vec<u64> = dataset.keys.iter().map(|k| arena.push(k)).collect();
-    NetData { dataset, arena: Arc::new(arena), tids, loaded: keys }
+    NetData {
+        dataset,
+        arena: Arc::new(arena),
+        tids,
+        loaded: keys,
+    }
 }
 
 impl NetData {
@@ -60,6 +65,8 @@ impl NetData {
     pub fn sorted_entries(&self) -> Vec<(&[u8], u64)> {
         let mut tids = self.tids[..self.loaded].to_vec();
         hot_keys::sort_by_key(&mut tids, |tid| self.arena.key(tid));
-        tids.into_iter().map(|tid| (self.arena.key(tid), tid)).collect()
+        tids.into_iter()
+            .map(|tid| (self.arena.key(tid), tid))
+            .collect()
     }
 }

@@ -65,7 +65,11 @@ fn decode_split(wire: &[u8], chunks: &[usize]) -> Vec<Vec<u8>> {
     let mut at = 0;
     let mut chunk_idx = 0;
     while at < wire.len() {
-        let step = chunks.get(chunk_idx).copied().unwrap_or(7).clamp(1, wire.len() - at);
+        let step = chunks
+            .get(chunk_idx)
+            .copied()
+            .unwrap_or(7)
+            .clamp(1, wire.len() - at);
         chunk_idx += 1;
         dec.feed(&wire[at..at + step]);
         at += step;
@@ -85,7 +89,13 @@ struct ChunkedReader<'a> {
 
 impl std::io::Read for ChunkedReader<'_> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = self.sizes.next().copied().unwrap_or(7).min(buf.len()).min(self.data.len());
+        let n = self
+            .sizes
+            .next()
+            .copied()
+            .unwrap_or(7)
+            .min(buf.len())
+            .min(self.data.len());
         buf[..n].copy_from_slice(&self.data[..n]);
         self.data = &self.data[n..];
         Ok(n)
@@ -94,7 +104,10 @@ impl std::io::Read for ChunkedReader<'_> {
 
 /// Whether `part` is a view into `whole` (an empty one may sit anywhere).
 fn lies_within(part: &[u8], whole: &[u8]) -> bool {
-    let (lo, hi) = (whole.as_ptr() as usize, whole.as_ptr() as usize + whole.len());
+    let (lo, hi) = (
+        whole.as_ptr() as usize,
+        whole.as_ptr() as usize + whole.len(),
+    );
     let at = part.as_ptr() as usize;
     part.is_empty() || (lo <= at && at + part.len() <= hi)
 }

@@ -51,7 +51,11 @@ impl Raw {
         stream
             .set_read_timeout(Some(Duration::from_secs(20)))
             .expect("read timeout");
-        Raw { stream, dec: FrameDecoder::new(), buf: vec![0u8; 64 << 10] }
+        Raw {
+            stream,
+            dec: FrameDecoder::new(),
+            buf: vec![0u8; 64 << 10],
+        }
     }
 
     fn send_all(&mut self, reqs: &[Request]) {
@@ -59,7 +63,9 @@ impl Raw {
         for r in reqs {
             r.encode(&mut wire);
         }
-        self.stream.write_all(&wire).expect("request bytes accepted");
+        self.stream
+            .write_all(&wire)
+            .expect("request bytes accepted");
     }
 
     fn recv(&mut self) -> Response {
@@ -91,7 +97,9 @@ fn get_all_checksum(conn: &mut Raw, data: &NetData) -> u64 {
     for chunk in (0..data.loaded).collect::<Vec<_>>().chunks(64) {
         let reqs: Vec<Request> = chunk
             .iter()
-            .map(|&i| Request::Get { key: data.dataset.keys[i].clone() })
+            .map(|&i| Request::Get {
+                key: data.dataset.keys[i].clone(),
+            })
             .collect();
         conn.send_all(&reqs);
         for &i in chunk {
@@ -108,7 +116,9 @@ fn get_all_checksum(conn: &mut Raw, data: &NetData) -> u64 {
 }
 
 fn expected_checksum(data: &NetData) -> u64 {
-    data.tids[..data.loaded].iter().fold(0u64, |acc, &t| acc.wrapping_add(t))
+    data.tids[..data.loaded]
+        .iter()
+        .fold(0u64, |acc, &t| acc.wrapping_add(t))
 }
 
 /// A client that dies mid-frame (half a SCAN frame on the wire) must not
@@ -128,12 +138,18 @@ fn mid_frame_disconnect_leaves_other_connections_intact() {
         limit: u32::MAX,
     }
     .encode(&mut torn);
-    sick.stream.write_all(&torn[..torn.len() / 2]).expect("partial frame accepted");
+    sick.stream
+        .write_all(&torn[..torn.len() / 2])
+        .expect("partial frame accepted");
     drop(sick); // RST/FIN mid-frame
 
     let mut good = Raw::connect(&handle);
     assert_eq!(get_all_checksum(&mut good, &data), expected_checksum(&data));
-    assert_eq!(handle.stats().proto_errors(), 0, "a torn frame is not a protocol error");
+    assert_eq!(
+        handle.stats().proto_errors(),
+        0,
+        "a torn frame is not a protocol error"
+    );
     handle.shutdown();
 }
 
@@ -144,7 +160,11 @@ fn idle_connections_are_reaped() {
     let (handle, data) = test_server(Duration::from_millis(200));
 
     let mut idler = Raw::connect(&handle);
-    assert_eq!(idler.try_recv(), None, "idle connection closed by the server");
+    assert_eq!(
+        idler.try_recv(),
+        None,
+        "idle connection closed by the server"
+    );
 
     let mut good = Raw::connect(&handle);
     assert_eq!(get_all_checksum(&mut good, &data), expected_checksum(&data));
@@ -171,7 +191,10 @@ fn slow_reader_backpressure_is_isolated() {
     // Over-ask by one so the page visibly ends the key space (a page
     // filled exactly to its limit correctly mints a continuation token).
     slow.send_all(&vec![
-        Request::Scan { start: smallest, limit: data.loaded as u32 + 1 };
+        Request::Scan {
+            start: smallest,
+            limit: data.loaded as u32 + 1
+        };
         scans
     ]);
 
@@ -212,7 +235,11 @@ fn garbage_frames_get_typed_errors() {
         }
         other => panic!("expected a typed ERR frame, got {other:?}"),
     }
-    assert_eq!(evil.try_recv(), None, "connection closed after the framing error");
+    assert_eq!(
+        evil.try_recv(),
+        None,
+        "connection closed after the framing error"
+    );
 
     // Poll until the error is counted (the connection thread may still be
     // between the write and the counter bump).
@@ -243,11 +270,18 @@ fn retired_batch_opcode_gets_a_typed_error() {
     match evil.try_recv() {
         Some(Response::Error { code, msg }) => {
             assert_eq!(code, err_code::BAD_FRAME);
-            assert!(msg.contains("unknown request opcode 0x05"), "error names the opcode: {msg}");
+            assert!(
+                msg.contains("unknown request opcode 0x05"),
+                "error names the opcode: {msg}"
+            );
         }
         other => panic!("expected a typed ERR frame, got {other:?}"),
     }
-    assert_eq!(evil.try_recv(), None, "connection closed after the violation");
+    assert_eq!(
+        evil.try_recv(),
+        None,
+        "connection closed after the violation"
+    );
 
     let deadline = Instant::now() + Duration::from_secs(5);
     while handle.stats().proto_errors() == 0 && Instant::now() < deadline {
@@ -271,7 +305,10 @@ fn connections_beyond_the_cap_are_refused_with_a_typed_error() {
     const CAP: usize = 4;
 
     let data = net_data_for(DatasetKind::Integer, KEYS, KEYS, SEED);
-    let config = ServerConfig { max_connections: CAP, ..test_config(Duration::from_secs(10)) };
+    let config = ServerConfig {
+        max_connections: CAP,
+        ..test_config(Duration::from_secs(10))
+    };
     let handle = start_with_data(config, data).expect("server starts");
 
     // The one acceptor admits in connect order, so the first CAP sockets
@@ -280,7 +317,11 @@ fn connections_beyond_the_cap_are_refused_with_a_typed_error() {
     let refused = conns.split_off(CAP);
     for conn in &mut conns {
         conn.send_all(&[Request::Ping]);
-        assert_eq!(conn.recv(), Response::None, "an admitted connection is served");
+        assert_eq!(
+            conn.recv(),
+            Response::None,
+            "an admitted connection is served"
+        );
         assert!(handle.stats().active() <= CAP as u64);
     }
     for mut conn in refused {
@@ -313,7 +354,11 @@ fn connections_beyond_the_cap_are_refused_with_a_typed_error() {
     assert_eq!(handle.stats().active(), 0);
     let mut late = Raw::connect(&handle);
     late.send_all(&[Request::Ping]);
-    assert_eq!(late.recv(), Response::None, "a freed slot is handed out again");
+    assert_eq!(
+        late.recv(),
+        Response::None,
+        "a freed slot is handed out again"
+    );
     handle.shutdown();
 }
 
@@ -326,7 +371,9 @@ fn shutdown_frame_stops_the_server() {
     let mut conn = Raw::connect(&handle);
     // Real work first, so shutdown happens with warm connections.
     let reqs = vec![
-        Request::Get { key: data.dataset.keys[0].clone() },
+        Request::Get {
+            key: data.dataset.keys[0].clone(),
+        },
         Request::Stats,
         Request::Shutdown,
     ];

@@ -166,27 +166,128 @@ fn gen_yago(n: usize, rng: &mut StdRng) -> Vec<Vec<u8>> {
 }
 
 const FIRST_NAMES: &[&str] = &[
-    "james", "mary", "robert", "patricia", "john", "jennifer", "michael", "linda", "david",
-    "elizabeth", "william", "barbara", "richard", "susan", "joseph", "jessica", "thomas", "karen",
-    "chris", "nancy", "daniel", "lisa", "matthew", "betty", "anthony", "sandra", "mark", "ashley",
-    "donald", "kim", "steven", "donna", "paul", "emily", "andrew", "michelle", "joshua", "carol",
-    "ken", "amanda", "kevin", "melissa", "brian", "deborah", "george", "stephanie", "timothy",
-    "rebecca", "ronald", "sharon",
+    "james",
+    "mary",
+    "robert",
+    "patricia",
+    "john",
+    "jennifer",
+    "michael",
+    "linda",
+    "david",
+    "elizabeth",
+    "william",
+    "barbara",
+    "richard",
+    "susan",
+    "joseph",
+    "jessica",
+    "thomas",
+    "karen",
+    "chris",
+    "nancy",
+    "daniel",
+    "lisa",
+    "matthew",
+    "betty",
+    "anthony",
+    "sandra",
+    "mark",
+    "ashley",
+    "donald",
+    "kim",
+    "steven",
+    "donna",
+    "paul",
+    "emily",
+    "andrew",
+    "michelle",
+    "joshua",
+    "carol",
+    "ken",
+    "amanda",
+    "kevin",
+    "melissa",
+    "brian",
+    "deborah",
+    "george",
+    "stephanie",
+    "timothy",
+    "rebecca",
+    "ronald",
+    "sharon",
 ];
 
 const LAST_NAMES: &[&str] = &[
-    "smith", "johnson", "williams", "brown", "jones", "garcia", "miller", "davis", "rodriguez",
-    "martinez", "hernandez", "lopez", "gonzalez", "wilson", "anderson", "thomas", "taylor",
-    "moore", "jackson", "martin", "lee", "perez", "thompson", "white", "harris", "sanchez",
-    "clark", "ramirez", "lewis", "robinson", "walker", "young", "allen", "king", "wright",
-    "scott", "torres", "nguyen", "hill", "flores", "green", "adams", "nelson", "baker", "hall",
-    "rivera", "campbell", "mitchell", "carter", "roberts",
+    "smith",
+    "johnson",
+    "williams",
+    "brown",
+    "jones",
+    "garcia",
+    "miller",
+    "davis",
+    "rodriguez",
+    "martinez",
+    "hernandez",
+    "lopez",
+    "gonzalez",
+    "wilson",
+    "anderson",
+    "thomas",
+    "taylor",
+    "moore",
+    "jackson",
+    "martin",
+    "lee",
+    "perez",
+    "thompson",
+    "white",
+    "harris",
+    "sanchez",
+    "clark",
+    "ramirez",
+    "lewis",
+    "robinson",
+    "walker",
+    "young",
+    "allen",
+    "king",
+    "wright",
+    "scott",
+    "torres",
+    "nguyen",
+    "hill",
+    "flores",
+    "green",
+    "adams",
+    "nelson",
+    "baker",
+    "hall",
+    "rivera",
+    "campbell",
+    "mitchell",
+    "carter",
+    "roberts",
 ];
 
 const EMAIL_DOMAINS: &[&str] = &[
-    "gmail.com", "yahoo.com", "hotmail.com", "aol.com", "outlook.com", "icloud.com", "gmx.at",
-    "web.de", "mail.ru", "proton.me", "uibk.ac.at", "tum.de", "example.org", "fastmail.fm",
-    "zoho.com", "yandex.ru",
+    "gmail.com",
+    "yahoo.com",
+    "hotmail.com",
+    "aol.com",
+    "outlook.com",
+    "icloud.com",
+    "gmx.at",
+    "web.de",
+    "mail.ru",
+    "proton.me",
+    "uibk.ac.at",
+    "tum.de",
+    "example.org",
+    "fastmail.fm",
+    "zoho.com",
+    "yandex.ru",
 ];
 
 fn gen_emails(n: usize, rng: &mut StdRng) -> Vec<Vec<u8>> {
@@ -226,19 +327,61 @@ fn gen_emails(n: usize, rng: &mut StdRng) -> Vec<Vec<u8>> {
 }
 
 const URL_HOSTS: &[&str] = &[
-    "en.wikipedia.org", "www.youtube.com", "www.facebook.com", "www.google.com", "twitter.com",
-    "www.amazon.com", "www.reddit.com", "www.instagram.com", "github.com", "stackoverflow.com",
-    "www.linkedin.com", "www.netflix.com", "www.nytimes.com", "www.bbc.co.uk", "www.cnn.com",
-    "news.ycombinator.com", "www.tum.de", "www.uibk.ac.at", "dl.acm.org", "arxiv.org",
-    "www.spiegel.de", "www.derstandard.at", "medium.com", "www.quora.com", "www.ebay.com",
-    "www.apple.com", "docs.rs", "crates.io", "www.rust-lang.org", "lwn.net", "www.kernel.org",
+    "en.wikipedia.org",
+    "www.youtube.com",
+    "www.facebook.com",
+    "www.google.com",
+    "twitter.com",
+    "www.amazon.com",
+    "www.reddit.com",
+    "www.instagram.com",
+    "github.com",
+    "stackoverflow.com",
+    "www.linkedin.com",
+    "www.netflix.com",
+    "www.nytimes.com",
+    "www.bbc.co.uk",
+    "www.cnn.com",
+    "news.ycombinator.com",
+    "www.tum.de",
+    "www.uibk.ac.at",
+    "dl.acm.org",
+    "arxiv.org",
+    "www.spiegel.de",
+    "www.derstandard.at",
+    "medium.com",
+    "www.quora.com",
+    "www.ebay.com",
+    "www.apple.com",
+    "docs.rs",
+    "crates.io",
+    "www.rust-lang.org",
+    "lwn.net",
+    "www.kernel.org",
     "blog.acolyer.org",
 ];
 
 const URL_SECTIONS: &[&str] = &[
-    "articles", "wiki", "users", "products", "questions", "watch", "posts", "docs", "news",
-    "category", "threads", "projects", "papers", "blog", "search", "item", "topic", "en",
-    "research", "archive",
+    "articles",
+    "wiki",
+    "users",
+    "products",
+    "questions",
+    "watch",
+    "posts",
+    "docs",
+    "news",
+    "category",
+    "threads",
+    "projects",
+    "papers",
+    "blog",
+    "search",
+    "item",
+    "topic",
+    "en",
+    "research",
+    "archive",
 ];
 
 fn gen_urls(n: usize, rng: &mut StdRng) -> Vec<Vec<u8>> {
@@ -283,10 +426,35 @@ fn gen_urls(n: usize, rng: &mut StdRng) -> Vec<Vec<u8>> {
 }
 
 const SLUG_WORDS: &[&str] = &[
-    "height", "optimized", "trie", "index", "memory", "database", "systems", "adaptive", "radix",
-    "latch", "free", "lookup", "random", "access", "modern", "hardware", "storage", "engine",
-    "paper", "review", "update", "winter", "summer", "spring", "autumn", "alpha", "beta",
-    "gamma", "delta",
+    "height",
+    "optimized",
+    "trie",
+    "index",
+    "memory",
+    "database",
+    "systems",
+    "adaptive",
+    "radix",
+    "latch",
+    "free",
+    "lookup",
+    "random",
+    "access",
+    "modern",
+    "hardware",
+    "storage",
+    "engine",
+    "paper",
+    "review",
+    "update",
+    "winter",
+    "summer",
+    "spring",
+    "autumn",
+    "alpha",
+    "beta",
+    "gamma",
+    "delta",
 ];
 
 fn slugword(rng: &mut StdRng) -> String {

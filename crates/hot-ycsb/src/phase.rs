@@ -85,8 +85,12 @@ impl PhaseRecorder {
             // Indent the phase's own JSON two spaces to nest legibly.
             let body = p.delta.to_json();
             let body = body.trim_end();
-            out.push_str(&format!("\"{}\": {}{}\n", p.name, body,
-                if i + 1 < self.phases.len() { "," } else { "" }));
+            out.push_str(&format!(
+                "\"{}\": {}{}\n",
+                p.name,
+                body,
+                if i + 1 < self.phases.len() { "," } else { "" }
+            ));
         }
         out.push_str("}\n");
         out

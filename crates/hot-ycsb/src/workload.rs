@@ -193,8 +193,7 @@ impl WorkloadRun {
                 }
                 RequestDistribution::Uniform => None,
             },
-            latest: matches!(self.workload, Workload::D)
-                .then(|| Latest::new(self.loaded as u64)),
+            latest: matches!(self.workload, Workload::D).then(|| Latest::new(self.loaded as u64)),
             rng,
             loaded: self.loaded,
             next_insert: self.loaded,
@@ -509,7 +508,13 @@ mod tests {
 
     #[test]
     fn zipfian_requests_are_skewed() {
-        let run = WorkloadRun::new(Workload::C, RequestDistribution::Zipfian, 10_000, 100_000, 4);
+        let run = WorkloadRun::new(
+            Workload::C,
+            RequestDistribution::Zipfian,
+            10_000,
+            100_000,
+            4,
+        );
         let mut counts = std::collections::HashMap::new();
         for op in run.operations() {
             if let Operation::Read(idx) = op {
@@ -627,7 +632,10 @@ mod tests {
                     }
                 }
                 BatchedOperation::Other(op) => {
-                    assert!(matches!(op, Operation::Insert(_)), "E mixes scans and inserts only");
+                    assert!(
+                        matches!(op, Operation::Insert(_)),
+                        "E mixes scans and inserts only"
+                    );
                 }
                 BatchedOperation::Reads(_) => panic!("workload E has no point reads"),
             }

@@ -20,11 +20,17 @@ fn assert_matches_reference(what: &str, keys: &[Vec<u8>]) {
         // Reversed input, so that "already in order" cannot pass by luck.
         let mut got: Vec<usize> = (0..keys.len()).rev().collect();
         sort_by_key_in(&mut got, |i| keys[i].as_slice(), buckets);
-        assert!(got == want, "{what}: {buckets} bucket(s) disagree with the comparison sort");
+        assert!(
+            got == want,
+            "{what}: {buckets} bucket(s) disagree with the comparison sort"
+        );
     }
     let mut got: Vec<usize> = (0..keys.len()).collect();
     sort_by_key(&mut got, |i| keys[i].as_slice());
-    assert!(got == want, "{what}: default bucket count disagrees with the comparison sort");
+    assert!(
+        got == want,
+        "{what}: default bucket count disagrees with the comparison sort"
+    );
 }
 
 #[test]
@@ -64,7 +70,10 @@ fn adversarial_key_sets_sort_like_a_comparison_sort() {
     // Shared leading bytes beyond one, two and eight cached words.
     for shared in [9usize, 17, 65] {
         let prefix: Vec<u8> = (0..shared).map(|i| b'a' + (i % 7) as u8).collect();
-        assert_matches_reference(&format!("{shared} shared bytes"), &with_prefix(&prefix, 3_000));
+        assert_matches_reference(
+            &format!("{shared} shared bytes"),
+            &with_prefix(&prefix, 3_000),
+        );
     }
 
     // Proper prefixes: every key of a long run is a prefix of the next.
@@ -74,7 +83,14 @@ fn adversarial_key_sets_sort_like_a_comparison_sort() {
     // Keys differing only in trailing 0x00 bytes, across word boundaries:
     // zero padding of the cached word must never decide their order.
     let mut zeros = Vec::new();
-    for stem in [&b""[..], b"k", b"seven77", b"eight888", b"nine99999", b"sixteen-sixteen!"] {
+    for stem in [
+        &b""[..],
+        b"k",
+        b"seven77",
+        b"eight888",
+        b"nine99999",
+        b"sixteen-sixteen!",
+    ] {
         for pad in 0..40usize {
             let mut key = stem.to_vec();
             key.resize(stem.len() + pad, 0);

@@ -43,7 +43,9 @@ const ORDERINGS: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst
 
 /// Does this path belong to the sync layer?
 fn in_sync_layer(rel: &str) -> bool {
-    rel.ends_with("/sync.rs") || rel.ends_with("/sync_shim.rs") || rel.starts_with("crates/hot-metrics/")
+    rel.ends_with("/sync.rs")
+        || rel.ends_with("/sync_shim.rs")
+        || rel.starts_with("crates/hot-metrics/")
 }
 
 /// One detected `Ordering::<variant>` occurrence.
@@ -65,7 +67,11 @@ struct ManifestEntry {
 }
 
 /// Run the pass.
-pub fn run(sources: &[SourceFile], manifest: &[Table], diags: &mut Vec<Diag>) -> Result<(), String> {
+pub fn run(
+    sources: &[SourceFile],
+    manifest: &[Table],
+    diags: &mut Vec<Diag>,
+) -> Result<(), String> {
     let mut entries = Vec::new();
     for table in manifest {
         if table.name != "site" {
@@ -89,7 +95,11 @@ pub fn run(sources: &[SourceFile], manifest: &[Table], diags: &mut Vec<Diag>) ->
     for sf in sources {
         for (idx, line) in sf.file.lines.iter().enumerate() {
             for ordering in find_orderings(&line.code) {
-                sites.push(Site { file: sf, line: idx, ordering });
+                sites.push(Site {
+                    file: sf,
+                    line: idx,
+                    ordering,
+                });
             }
         }
     }
@@ -123,9 +133,10 @@ pub fn run(sources: &[SourceFile], manifest: &[Table], diags: &mut Vec<Diag>) ->
                 .enclosing_fn(site.line)
                 .map(|f| f.name.clone())
                 .unwrap_or_else(|| "<module>".into());
-            match entries.iter_mut().find(|e| {
-                e.file == sf.rel && e.function == function && e.ordering == site.ordering
-            }) {
+            match entries
+                .iter_mut()
+                .find(|e| e.file == sf.rel && e.function == function && e.ordering == site.ordering)
+            {
                 Some(entry) => entry.matched += 1,
                 None => {
                     diags.push(Diag {
@@ -186,8 +197,12 @@ pub fn run(sources: &[SourceFile], manifest: &[Table], diags: &mut Vec<Diag>) ->
             });
             continue;
         }
-        let acquire = members.iter().any(|m| matches!(m.2, "Acquire" | "AcqRel" | "SeqCst"));
-        let release = members.iter().any(|m| matches!(m.2, "Release" | "AcqRel" | "SeqCst"));
+        let acquire = members
+            .iter()
+            .any(|m| matches!(m.2, "Acquire" | "AcqRel" | "SeqCst"));
+        let release = members
+            .iter()
+            .any(|m| matches!(m.2, "Release" | "AcqRel" | "SeqCst"));
         if !acquire || !release {
             let missing = if acquire { "release" } else { "acquire" };
             let roster: Vec<String> = members
@@ -269,9 +284,8 @@ fn covering_groups(sf: &SourceFile, line: usize) -> Vec<String> {
         }
         let prev = &sf.file.lines[l - 1];
         let prev_code = prev.code.trim();
-        let prev_ends_stmt = prev_code.ends_with(';')
-            || prev_code.ends_with('{')
-            || prev_code.ends_with('}');
+        let prev_ends_stmt =
+            prev_code.ends_with(';') || prev_code.ends_with('{') || prev_code.ends_with('}');
         let prev_is_comment_only = prev_code.is_empty() && !prev.comment.trim().is_empty();
         if prev_code.is_empty() && !prev_is_comment_only {
             break; // blank line: statement run ended
@@ -333,7 +347,8 @@ mod tests {
         );
         assert_eq!(diags.len(), 1);
         assert!(
-            diags[0].starts_with("crates/hot-core/src/sync.rs:2: [atomics] Ordering::SeqCst is banned"),
+            diags[0]
+                .starts_with("crates/hot-core/src/sync.rs:2: [atomics] Ordering::SeqCst is banned"),
             "unexpected diagnostic: {}",
             diags[0]
         );
@@ -346,7 +361,11 @@ mod tests {
         // Not banned there, but held to placement …
         let diags = run_on(rel, src);
         assert_eq!(diags.len(), 1, "got: {diags:?}");
-        assert!(diags[0].contains("Ordering::SeqCst in `pin` outside the sync layer"), "{}", diags[0]);
+        assert!(
+            diags[0].contains("Ordering::SeqCst in `pin` outside the sync layer"),
+            "{}",
+            diags[0]
+        );
         // … and, once manifested, to the pairs-with rule.
         let manifest = crate::toml::parse(&format!(
             "[[site]]\nfile = \"{rel}\"\nfunction = \"pin\"\nordering = \"SeqCst\"\nwhy = \"pin fence\"\n"
@@ -355,7 +374,11 @@ mod tests {
         let mut diags = Vec::new();
         run(&[fixture(rel, src)], &manifest, &mut diags).expect("pass runs");
         assert_eq!(diags.len(), 1);
-        assert!(diags[0].msg.contains("without a `// pairs-with:"), "{}", diags[0].msg);
+        assert!(
+            diags[0].msg.contains("without a `// pairs-with:"),
+            "{}",
+            diags[0].msg
+        );
     }
 
     #[test]
@@ -424,7 +447,11 @@ mod tests {
         );
         let mut diags = Vec::new();
         run(&[store, load], &[], &mut diags).expect("pass runs");
-        assert!(diags.is_empty(), "expected clean, got: {}", diags[0].render());
+        assert!(
+            diags.is_empty(),
+            "expected clean, got: {}",
+            diags[0].render()
+        );
     }
 
     #[test]
@@ -443,8 +470,12 @@ mod tests {
         // The load on line 4 is NOT covered (the annotation's statement
         // ended at the store): one unannotated finding + `g` dangling.
         assert_eq!(diags.len(), 2, "got: {diags:?}");
-        assert!(diags.iter().any(|d| d.contains("without a `// pairs-with:")));
-        assert!(diags.iter().any(|d| d.contains("dangling pairs-with group `g`")));
+        assert!(diags
+            .iter()
+            .any(|d| d.contains("without a `// pairs-with:")));
+        assert!(diags
+            .iter()
+            .any(|d| d.contains("dangling pairs-with group `g`")));
     }
 
     #[test]
@@ -459,7 +490,11 @@ mod tests {
         run(&sources, &manifest, &mut diags).expect("pass runs");
         // One site matched but the manifest claims two: count mismatch.
         assert_eq!(diags.len(), 1);
-        assert!(diags[0].msg.contains("manifest says count = 2, found 1"), "{}", diags[0].msg);
+        assert!(
+            diags[0].msg.contains("manifest says count = 2, found 1"),
+            "{}",
+            diags[0].msg
+        );
     }
 
     #[test]

@@ -54,7 +54,11 @@ fn count_by_crate(root: &Path, diags: &mut Vec<Diag>) -> Result<Vec<(String, usi
 
 /// Run this pass and the `safety` pass; returns the workspace's unsafe
 /// site count.
-pub fn run(root: &Path, manifest: &[crate::toml::Table], diags: &mut Vec<Diag>) -> Result<usize, String> {
+pub fn run(
+    root: &Path,
+    manifest: &[crate::toml::Table],
+    diags: &mut Vec<Diag>,
+) -> Result<usize, String> {
     let mut budgets = Vec::new();
     for table in manifest {
         if table.name != "budget" {
@@ -156,7 +160,9 @@ mod tests {
         );
         assert_eq!(diags.len(), 2, "got: {diags:?}");
         assert!(diags.iter().any(|d| d.contains("has no [[budget]] entry")));
-        assert!(diags.iter().any(|d| d.contains("unknown crate `gone-crate`")));
+        assert!(diags
+            .iter()
+            .any(|d| d.contains("unknown crate `gone-crate`")));
     }
 
     #[test]

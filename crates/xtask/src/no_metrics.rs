@@ -22,7 +22,16 @@ pub fn verify_no_metrics() -> ExitCode {
     // in the binary), or the probe itself is broken and the second check
     // would pass vacuously.
     let with = Command::new(&cargo)
-        .args(["build", "--release", "-p", "hot-bench", "--features", "metrics", "--bin", "fig8_throughput"])
+        .args([
+            "build",
+            "--release",
+            "-p",
+            "hot-bench",
+            "--features",
+            "metrics",
+            "--bin",
+            "fig8_throughput",
+        ])
         .current_dir(&root)
         .status();
     if !matches!(with, Ok(s) if s.success()) {
@@ -30,7 +39,9 @@ pub fn verify_no_metrics() -> ExitCode {
         return ExitCode::FAILURE;
     }
     match contains_bytes(&binary, probe) {
-        Ok(true) => println!("verify-no-metrics: probe ok (hot_metrics present in instrumented binary)"),
+        Ok(true) => {
+            println!("verify-no-metrics: probe ok (hot_metrics present in instrumented binary)")
+        }
         Ok(false) => {
             eprintln!(
                 "verify-no-metrics: probe broken: `hot_metrics` not found even in the \
@@ -46,7 +57,14 @@ pub fn verify_no_metrics() -> ExitCode {
 
     // Then the default build: not a single mention may survive.
     let without = Command::new(&cargo)
-        .args(["build", "--release", "-p", "hot-bench", "--bin", "fig8_throughput"])
+        .args([
+            "build",
+            "--release",
+            "-p",
+            "hot-bench",
+            "--bin",
+            "fig8_throughput",
+        ])
         .current_dir(&root)
         .status();
     if !matches!(without, Ok(s) if s.success()) {

@@ -53,16 +53,38 @@ pub fn server_smoke() -> ExitCode {
         return ExitCode::FAILURE;
     }
     let exe = std::env::consts::EXE_SUFFIX;
-    let server_bin = root.join("target").join("release").join(format!("hot-server{exe}"));
-    let client_bin = root.join("target").join("release").join(format!("net_ycsb{exe}"));
+    let server_bin = root
+        .join("target")
+        .join("release")
+        .join(format!("hot-server{exe}"));
+    let client_bin = root
+        .join("target")
+        .join("release")
+        .join(format!("net_ycsb{exe}"));
 
     for dataset in DATASETS {
         for shards in SHARD_COUNTS {
-            let scale = ["--dataset", dataset, "--keys", KEYS, "--ops", OPS, "--seed", SEED];
+            let scale = [
+                "--dataset",
+                dataset,
+                "--keys",
+                KEYS,
+                "--ops",
+                OPS,
+                "--seed",
+                SEED,
+            ];
             let server_args = [&SMOKE_ADDR[..], &scale[..], &["--shards", shards][..]].concat();
             let client_args = [&scale[..], &["--shards", shards][..]].concat();
             let label = format!("dataset={dataset} shards={shards} keys={KEYS} ops={OPS}");
-            if let Err(e) = parity_cell(&server_bin, &client_bin, &root, &label, &server_args, &client_args) {
+            if let Err(e) = parity_cell(
+                &server_bin,
+                &client_bin,
+                &root,
+                &label,
+                &server_args,
+                &client_args,
+            ) {
                 eprintln!("server-smoke: {e} ({label})");
                 return ExitCode::FAILURE;
             }
@@ -78,11 +100,27 @@ pub fn server_smoke() -> ExitCode {
     // 1024 requests in flight put several server windows into one read,
     // so the server's multi-window turns run here; the client's default
     // of 64 almost never fills more than one.
-    let scale = ["--dataset", "url", "--keys", KEYS, "--ops", OPS, "--seed", SEED];
+    let scale = [
+        "--dataset",
+        "url",
+        "--keys",
+        KEYS,
+        "--ops",
+        OPS,
+        "--seed",
+        SEED,
+    ];
     let server_args = [&SMOKE_ADDR[..], &scale[..]].concat();
     let client_args = [&scale[..], &["--shards", "2", "--window", "1024"][..]].concat();
     let label = "dataset=url shards=2 client window=1024";
-    if let Err(e) = parity_cell(&server_bin, &client_bin, &root, label, &server_args, &client_args) {
+    if let Err(e) = parity_cell(
+        &server_bin,
+        &client_bin,
+        &root,
+        label,
+        &server_args,
+        &client_args,
+    ) {
         eprintln!("server-smoke: {e} ({label})");
         return ExitCode::FAILURE;
     }
@@ -114,7 +152,14 @@ fn parity_cell(
     eprintln!("server-smoke: {label}");
     let (mut server, addr, startup) = spawn_server(server_bin, root, server_args)?;
     let client = Command::new(client_bin)
-        .args(["--addr", &addr, "--workloads", "A,C,E", "--check", "--shutdown"])
+        .args([
+            "--addr",
+            &addr,
+            "--workloads",
+            "A,C,E",
+            "--check",
+            "--shutdown",
+        ])
         .args(client_args)
         .current_dir(root)
         .status();
@@ -170,17 +215,25 @@ fn spawn_server(bin: &Path, root: &Path, args: &[&str]) -> Result<(Child, String
 /// `[len u32 LE][0x0F ERR][code 5 = overloaded]…` frame (DESIGN.md §18.1),
 /// and SHUTDOWN (`[1, 0, 0, 0, 0x08]`) on the first stops the server.
 fn connection_cap_smoke(bin: &Path, root: &Path) -> Result<(), String> {
-    let args = [&SMOKE_ADDR[..], &["--keys", KEYS, "--ops", OPS, "--max-conns", "1"][..]].concat();
+    let args = [
+        &SMOKE_ADDR[..],
+        &["--keys", KEYS, "--ops", OPS, "--max-conns", "1"][..],
+    ]
+    .concat();
     let (mut server, addr, _) = spawn_server(bin, root, &args)?;
     let outcome = (|| {
         let io = |e: std::io::Error| e.to_string();
         let mut admitted = TcpStream::connect(&addr).map_err(io)?;
         let mut refused = TcpStream::connect(&addr).map_err(io)?;
-        refused.set_read_timeout(Some(SHUTDOWN_DEADLINE)).map_err(io)?;
+        refused
+            .set_read_timeout(Some(SHUTDOWN_DEADLINE))
+            .map_err(io)?;
         let mut head = [0u8; 6];
         refused.read_exact(&mut head).map_err(io)?;
         if head[4..] != [0x0F, 5] {
-            return Err(format!("second connection got {head:02x?}, not an overloaded ERR frame"));
+            return Err(format!(
+                "second connection got {head:02x?}, not an overloaded ERR frame"
+            ));
         }
         admitted.write_all(&[1, 0, 0, 0, 0x08]).map_err(io)
     })();

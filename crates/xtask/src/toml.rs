@@ -97,7 +97,11 @@ pub fn parse(text: &str) -> Result<Vec<Table>, String> {
             if name.is_empty() {
                 return Err(format!("line {lineno}: empty [[table]] name"));
             }
-            tables.push(Table { name: name.to_string(), line: lineno, entries: Vec::new() });
+            tables.push(Table {
+                name: name.to_string(),
+                line: lineno,
+                entries: Vec::new(),
+            });
             continue;
         }
         if line.starts_with('[') {
@@ -109,7 +113,11 @@ pub fn parse(text: &str) -> Result<Vec<Table>, String> {
             .split_once('=')
             .ok_or_else(|| format!("line {lineno}: expected `key = value`"))?;
         let key = key.trim();
-        if key.is_empty() || !key.bytes().all(|b| crate::lexer::is_ident_char(b) || b == b'-') {
+        if key.is_empty()
+            || !key
+                .bytes()
+                .all(|b| crate::lexer::is_ident_char(b) || b == b'-')
+        {
             return Err(format!("line {lineno}: bad key {key:?}"));
         }
         let value = parse_value(value.trim()).map_err(|e| format!("line {lineno}: {e}"))?;
@@ -219,7 +227,10 @@ functions = ["get", "scan_with", "run_group"]
         let tables = parse(doc).expect("parses");
         assert_eq!(tables.len(), 2);
         assert_eq!(tables[0].name, "site");
-        assert_eq!(tables[0].str_field("file").unwrap(), "crates/hot-core/src/node/mod.rs");
+        assert_eq!(
+            tables[0].str_field("file").unwrap(),
+            "crates/hot-core/src/node/mod.rs"
+        );
         assert_eq!(tables[0].int_field_or("count", 1).unwrap(), 2);
         assert_eq!(tables[1].arr_field("functions").unwrap().len(), 3);
     }
@@ -236,6 +247,9 @@ functions = ["get", "scan_with", "run_group"]
         assert!(parse("key = 1\n").is_err(), "binding before any table");
         assert!(parse("[[a]]\nk = 1.5\n").is_err(), "floats unsupported");
         assert!(parse("[[a]]\nk = [1, 2]\n").is_err(), "non-string arrays");
-        assert!(parse("[[a]]\nk = \"x\"\nk = \"y\"\n").is_err(), "duplicate keys");
+        assert!(
+            parse("[[a]]\nk = \"x\"\nk = \"y\"\n").is_err(),
+            "duplicate keys"
+        );
     }
 }

@@ -70,7 +70,10 @@ fn main() {
     // Batched lookups: resolve independent keys together so their cache
     // misses overlap (memory-level parallelism). Results are identical to
     // scalar `get`, one slot per key.
-    let probes: Vec<[u8; 8]> = [42u64, 8, 1 << 40, 5].iter().map(|&v| encode_u64(v)).collect();
+    let probes: Vec<[u8; 8]> = [42u64, 8, 1 << 40, 5]
+        .iter()
+        .map(|&v| encode_u64(v))
+        .collect();
     let mut found = vec![None; probes.len()];
     trie.get_batch(&probes, &mut found);
     println!("batched lookups: {found:?}");
@@ -98,7 +101,8 @@ fn main() {
     // threads for large sets.)
     let sorted: Vec<([u8; 8], u64)> = (0..100_000u64).map(|v| (encode_u64(v), v)).collect();
     let mut bulk = HotTrie::new(EmbeddedKeySource);
-    bulk.bulk_load(&sorted).expect("sorted entries into an empty trie");
+    bulk.bulk_load(&sorted)
+        .expect("sorted entries into an empty trie");
     assert_eq!(bulk.get(&encode_u64(4242)), Some(4242));
     println!(
         "bulk-loaded index: {} keys, height {}, {:.1} bytes/key",
