@@ -60,21 +60,6 @@ impl DepthStats {
             .sum();
         weighted as f64 / total as f64
     }
-
-    /// Leaf count per depth, from depth 0 upward.
-    pub fn histogram(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Merge another histogram into this one.
-    pub fn merge(&mut self, other: &DepthStats) {
-        if self.counts.len() < other.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
-        }
-        for (i, &c) in other.counts.iter().enumerate() {
-            self.counts[i] += c;
-        }
-    }
 }
 
 impl std::fmt::Display for DepthStats {
@@ -165,19 +150,6 @@ mod tests {
         assert_eq!(s.min_depth(), Some(1));
         assert_eq!(s.max_depth(), Some(3));
         assert!((s.mean_depth() - 5.0 / 3.0).abs() < 1e-12);
-        assert_eq!(s.histogram(), &[0, 2, 0, 1]);
-    }
-
-    #[test]
-    fn merge_histograms() {
-        let mut a = DepthStats::new();
-        a.record_n(2, 5);
-        let mut b = DepthStats::new();
-        b.record_n(4, 1);
-        b.record_n(2, 1);
-        a.merge(&b);
-        assert_eq!(a.total(), 7);
-        assert_eq!(a.histogram(), &[0, 0, 6, 0, 1]);
     }
 
     #[test]
