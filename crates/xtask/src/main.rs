@@ -8,10 +8,11 @@
 //!
 //! * [`asan`] (`cargo xtask asan`) — CI's AddressSanitizer test set on
 //!   the installed nightly toolchain.
-//! * [`lint`] (`cargo xtask lint [--json]`) — the five-pass workspace
+//! * [`lint`] (`cargo xtask lint [--json]`) — the six-pass workspace
 //!   static-analysis suite: atomics-protocol conformance, hot-path
 //!   allocation freedom, epoch-pin discipline, per-crate unsafe budgets,
-//!   and a written justification on every `unsafe` site.
+//!   a written justification on every `unsafe` site, and evidence that
+//!   resolves behind every claim the documents make.
 //! * [`no_metrics`] (`cargo xtask verify-no-metrics`) — structural proof
 //!   that the `metrics` feature is zero-cost when disabled.
 //! * [`server_smoke`] (`cargo xtask server-smoke`) — end-to-end network
@@ -32,7 +33,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: cargo xtask <command>\n\navailable commands:\n  \
          asan                    run CI's AddressSanitizer test set on the nightly toolchain\n  \
-         lint [--json]           run the workspace lint suite (atomics / hot-path / epoch / unsafe-budget / safety)\n  \
+         lint [--json]           run the workspace lint suite (atomics / hot-path / epoch / unsafe-budget / safety / claims)\n  \
          verify-no-metrics       assert the default build links no hot_metrics code\n  \
          server-smoke            spawn hot-server per dataset/shard count and verify network YCSB checksums"
     );
