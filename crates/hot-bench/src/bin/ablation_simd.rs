@@ -13,7 +13,7 @@
 //! cargo run --release -p hot-bench --bin ablation_simd -- --keys 500000 --ops 1000000
 //! ```
 
-use hot_bench::{row, run_load, run_transactions, BenchData, Config, HotIndex};
+use hot_bench::{print_host, row, run_load, run_transactions, BenchData, Config, HotIndex};
 use hot_ycsb::{Dataset, DatasetKind, RequestDistribution, Workload, WorkloadRun};
 use std::sync::Arc;
 
@@ -22,6 +22,7 @@ fn main() {
     let forced = std::env::var_os("HOT_FORCE_SCALAR").is_some_and(|v| !v.is_empty());
 
     if !forced {
+        print_host();
         println!(
             "# SIMD ablation: HOT workload C + insert, hardware (PEXT/AVX2) vs scalar (keys={}, ops={})",
             config.keys, config.ops

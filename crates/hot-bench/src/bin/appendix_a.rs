@@ -12,11 +12,12 @@
 //! cargo run --release -p hot-bench --bin appendix_a -- --keys 300000 --ops 600000
 //! ```
 
-use hot_bench::{all_indexes, row, run_load, run_transactions, BenchData, Config};
+use hot_bench::{all_indexes, print_host, row, run_load, run_transactions, BenchData, Config};
 use hot_ycsb::{Dataset, DatasetKind, RequestDistribution, Workload, WorkloadRun};
 
 fn main() {
     let config = Config::from_args();
+    print_host();
     println!(
         "# Appendix A: all workloads x data sets x distributions (keys={}, ops={}, seed={})",
         config.keys, config.ops, config.seed

@@ -14,12 +14,6 @@
 //! still exercises the full concurrent protocol and reports whatever the
 //! hardware allows.
 //!
-//! With `--bulk`, a `bulk_load` row is added per thread count: the whole
-//! key set is pre-sorted once (untimed) and built bottom-up through
-//! `ConcurrentHot::bulk_load_parallel` with that worker budget, then
-//! published with a single root CAS. This measures how the parallel
-//! subtrie construction itself scales, independent of the insert protocol.
-//!
 //! With `--metrics` (requires a binary built with `--features metrics`),
 //! every thread count additionally reports a `restart_rate` row — ROWEX
 //! restarts per write from the trie's own health counters.
@@ -28,7 +22,7 @@
 //! cargo run --release -p hot-bench --bin fig10_scalability -- --keys 1000000 --ops 2000000 --threads 1,2,4,8
 //! ```
 
-use hot_bench::{mops, row, BenchData, Config};
+use hot_bench::{mops, print_host, row, BenchData, Config};
 use hot_core::sync::ConcurrentHot;
 use hot_core::MlpScheduler;
 use hot_keys::PaddedKey;
@@ -40,17 +34,12 @@ use std::time::Instant;
 
 fn main() {
     let config = Config::from_args();
+    print_host();
     println!(
         "# Figure 10: HOT (ROWEX) scalability on the url data set (keys={}, ops={}, threads={:?})",
         config.keys, config.ops, config.threads
     );
     println!("# paper_shape: near-linear speedup with thread count (paper: 9.96x lookups / 9.00x inserts at 10 threads)");
-    println!(
-        "# note: available parallelism on this host: {} core(s)",
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    );
     row(&[
         "op".into(),
         "threads".into(),
@@ -64,23 +53,9 @@ fn main() {
         config.seed,
     ));
 
-    // `--bulk`: the sorted view is the untimed one-off preparation step; the
-    // timed region is the bottom-up build + single-CAS publish alone.
-    let sorted: Option<(Vec<&[u8]>, Vec<u64>)> = config.bulk.then(|| {
-        let order = data.dataset.sorted_order();
-        (
-            order
-                .iter()
-                .map(|&i| data.dataset.keys[i].as_slice())
-                .collect(),
-            order.iter().map(|&i| data.tids[i]).collect(),
-        )
-    });
-
     let mut insert_base = None;
     let mut lookup_base = None;
     let mut batch_base = None;
-    let mut bulk_base = None;
     for &threads in &config.threads {
         let (insert_mops, lookup_mops, batch_mops, restart_rate) =
             run_with_threads(&data, threads, &config);
@@ -113,31 +88,7 @@ fn main() {
                 "-".into(),
             ]);
         }
-        if let Some((keys, tids)) = &sorted {
-            let bulk_mops = run_bulk_with_threads(&data, keys, tids, threads);
-            let base = *bulk_base.get_or_insert(bulk_mops);
-            row(&[
-                "bulk_load".into(),
-                threads.to_string(),
-                format!("{bulk_mops:.3}"),
-                format!("{:.2}", bulk_mops / base),
-            ]);
-        }
     }
-}
-
-/// Bottom-up bulk build of the full sorted key set on `threads` workers,
-/// published with one root CAS. Returns million keys loaded per second.
-fn run_bulk_with_threads(data: &BenchData, keys: &[&[u8]], tids: &[u64], threads: usize) -> f64 {
-    let entries: Vec<(&[u8], u64)> = keys.iter().copied().zip(tids.iter().copied()).collect();
-    let trie = ConcurrentHot::new(Arc::clone(&data.arena));
-    let start = Instant::now();
-    let n = trie
-        .bulk_load_parallel(&entries, threads)
-        .expect("sorted entries into an empty trie");
-    let elapsed = start.elapsed().as_secs_f64();
-    assert_eq!(n, entries.len(), "every distinct key landed");
-    mops(n, elapsed)
 }
 
 /// Insert / lookup / batched-lookup phases at one thread count. The last

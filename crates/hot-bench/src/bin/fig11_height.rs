@@ -11,13 +11,14 @@
 //! cargo run --release -p hot-bench --bin fig11_height -- --keys 1000000
 //! ```
 
-use hot_bench::{depth_row, row, BenchData, Config};
+use hot_bench::{depth_row, print_host, row, BenchData, Config};
 use hot_keys::DepthStats;
 use hot_ycsb::{Dataset, DatasetKind};
 use std::sync::Arc;
 
 fn main() {
     let config = Config::from_args();
+    print_host();
     println!(
         "# Figure 11: leaf depth distribution after loading {} keys (seed={})",
         config.keys, config.seed

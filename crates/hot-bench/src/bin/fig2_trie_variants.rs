@@ -14,7 +14,7 @@
 //! cargo run --release -p hot-bench --bin fig2_trie_variants -- --keys 200000
 //! ```
 
-use hot_bench::{row, BenchData, Config};
+use hot_bench::{print_host, row, BenchData, Config};
 use hot_ycsb::{Dataset, DatasetKind};
 use std::sync::Arc;
 
@@ -117,6 +117,7 @@ fn fixed_span_depths(keys: &mut [Vec<u8>], span: usize, skip_chains: bool) -> (f
 
 fn main() {
     let config = Config::from_args();
+    print_host();
 
     // Part 1: the 13 nine-bit keys of Figure 2 (a representative set with
     // both dense and sparse regions, as in the paper's illustration).

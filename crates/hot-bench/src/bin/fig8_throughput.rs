@@ -12,14 +12,17 @@
 //! descent engine vs. the baselines' scalar fallback. Checksums of the two
 //! paths are asserted equal.
 //!
-//! With `--bulk`, two extra load-phase rows appear per structure:
-//! `load_bulk` (sorted input through the bottom-up builder, one thread) and
-//! `load_bulk_par` (same builder, worker budget = max of `--threads`), and
-//! every bulk-built index is spot-checked to resolve the keys it was loaded
-//! with.
+//! With `--bulk`, an extra load-phase row appears per structure:
+//! `load_bulk`, sorted input through the structure's own bulk load (HOT's
+//! is the bottom-up builder), and every bulk-built index is spot-checked
+//! to resolve the keys it was loaded with. HOT's plain `bulk_load` scans on
+//! every core it may run on, and builds on them too once the load is large
+//! enough for the store's own chunks (DESIGN.md §11.4); pin the run to one
+//! core with `taskset -c 0` to compare it with the one-thread loaders of
+//! the other structures.
 //!
 //! ```text
-//! cargo run --release -p hot-bench --bin fig8_throughput -- --keys 1000000 --ops 2000000
+//! taskset -c 0 cargo run --release -p hot-bench --bin fig8_throughput -- --keys 1000000 --ops 2000000 --bulk
 //! ```
 //!
 //! With `--check`, every structural invariant of the HOT trie is verified
@@ -38,13 +41,14 @@
 //! figure's own timed numbers are never taken from instrumented indexes.
 
 use hot_bench::{
-    all_indexes, row, run_load, run_load_bulk, run_transactions, run_transactions_batched,
-    run_transactions_fresh_scans, BenchData, Config,
+    all_indexes, print_host, row, run_load, run_load_bulk, run_transactions,
+    run_transactions_batched, run_transactions_fresh_scans, BenchData, Config,
 };
 use hot_ycsb::{Dataset, DatasetKind, RequestDistribution, Workload, WorkloadRun};
 
 fn main() {
     let config = Config::from_args();
+    print_host();
     println!(
         "# Figure 8: throughput in Mops (keys={}, ops={}, seed={}, uniform distribution, batch={})",
         config.keys, config.ops, config.seed, config.batch
@@ -173,31 +177,19 @@ fn main() {
             }
         }
 
-        // `--bulk`: load two more fresh sets of indexes over the same data —
-        // one through the sequential bottom-up builder, one with the full
-        // worker budget — and report load throughput next to the
+        // `--bulk`: load one more fresh set of indexes over the same data
+        // through their bulk loads and report load throughput next to the
         // insert-loop number from above.
         if config.bulk {
-            let par_threads = config.threads.iter().copied().max().unwrap_or(1);
-            let seq = all_indexes(&data.arena);
-            let par = all_indexes(&data.arena);
-            for (mut s, mut p) in seq.into_iter().zip(par) {
-                let seq_mops = run_load_bulk(s.as_mut(), &data, config.keys, 1);
-                check_index(&config, s.as_ref(), kind.label(), "bulk load");
-                let par_mops = run_load_bulk(p.as_mut(), &data, config.keys, par_threads);
-                check_index(&config, p.as_ref(), kind.label(), "parallel bulk load");
-                verify_bulk_gets(&data, s.as_ref(), p.as_ref(), config.keys);
+            for mut index in all_indexes(&data.arena) {
+                let bulk_mops = run_load_bulk(index.as_mut(), &data, config.keys);
+                check_index(&config, index.as_ref(), kind.label(), "bulk load");
+                verify_bulk_gets(&data, index.as_ref(), config.keys);
                 row(&[
                     "load_bulk".into(),
                     kind.label().into(),
-                    s.name().into(),
-                    format!("{seq_mops:.3}"),
-                ]);
-                row(&[
-                    "load_bulk_par".into(),
-                    kind.label().into(),
-                    s.name().into(),
-                    format!("{par_mops:.3}"),
+                    index.name().into(),
+                    format!("{bulk_mops:.3}"),
                 ]);
             }
         }
@@ -211,18 +203,11 @@ fn main() {
 
 /// Bulk-built indexes must resolve exactly the keys they were loaded with.
 /// Samples the key set (always on — the cost is outside any timed region).
-fn verify_bulk_gets(
-    data: &BenchData,
-    seq: &dyn hot_bench::BenchIndex,
-    par: &dyn hot_bench::BenchIndex,
-    load_n: usize,
-) {
+fn verify_bulk_gets(data: &BenchData, index: &dyn hot_bench::BenchIndex, load_n: usize) {
     let step = (load_n / 1024).max(1);
     for i in (0..load_n).step_by(step) {
         let key = &data.dataset.keys[i];
-        let want = Some(data.tids[i]);
-        assert_eq!(seq.get(key), want, "sequential bulk load lost a key");
-        assert_eq!(par.get(key), want, "parallel bulk load lost a key");
+        assert_eq!(index.get(key), Some(data.tids[i]), "bulk load lost a key");
     }
 }
 

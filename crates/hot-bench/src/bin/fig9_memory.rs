@@ -50,7 +50,8 @@
 //! [`CompactHotIndex`]: hot_bench::CompactHotIndex
 
 use hot_bench::{
-    all_indexes, row, run_load, run_load_bulk, BenchData, BenchIndex, CompactHotIndex, Config,
+    all_indexes, print_host, row, run_load, run_load_bulk, BenchData, BenchIndex, CompactHotIndex,
+    Config,
 };
 use hot_ycsb::{Dataset, DatasetKind};
 
@@ -74,7 +75,7 @@ fn op_checksum(index: &dyn BenchIndex, data: &BenchData, n: usize) -> u64 {
 
 fn load(index: &mut dyn BenchIndex, data: &BenchData, config: &Config) {
     if config.bulk {
-        run_load_bulk(index, data, config.keys, 1);
+        run_load_bulk(index, data, config.keys);
     } else {
         run_load(index, data, config.keys);
     }
@@ -82,6 +83,7 @@ fn load(index: &mut dyn BenchIndex, data: &BenchData, config: &Config) {
 
 fn main() {
     let config = Config::from_args();
+    print_host();
     println!(
         "# Figure 9: index memory after loading {} keys (seed={}, load={})",
         config.keys,

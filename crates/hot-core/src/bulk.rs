@@ -48,10 +48,9 @@
 //!    largest-first onto `std::thread` workers, then grafts the finished
 //!    subtrie roots under a root node built from the fence positions — the
 //!    same node the sequential pass would build. How many workers build is
-//!    the caller's choice for `bulk_load_parallel`; for a plain `bulk_load`
-//!    the store decides ([`NodeStore::prepare_load`]): every core when it
-//!    owns the memory of every node it builds, else the calling thread
-//!    alone (DESIGN.md §11.4).
+//!    the store's choice ([`NodeStore::prepare_load`]): the whole thread
+//!    budget when it owns the memory of every node it builds, else the
+//!    calling thread alone (DESIGN.md §11.4).
 
 use crate::arena::ArenaFull;
 use crate::node::builder::Builder;
@@ -105,16 +104,9 @@ impl From<std::convert::Infallible> for BulkLoadError {
     }
 }
 
-/// How many threads a load may run on.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Workers {
-    /// A plain `bulk_load`: every available core for the boundary scan, and
-    /// for the node build too when the store owns the memory of every node
-    /// it builds (DESIGN.md §11.4).
-    Available,
-    /// `bulk_load_parallel(threads)`: at most this many, for the scan and
-    /// the node build alike.
-    UpTo(usize),
+/// A plain load's thread budget: every core this process may run on.
+pub(crate) fn available_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// The pair word of two entries with equal keys. No bit position reaches
@@ -492,7 +484,8 @@ fn discard<St: NodeStore>(store: &St, root: u64) {
     }
 }
 
-/// Below this size the fan-out/join overhead outweighs parallel building.
+/// The fewest distinct keys a load builds on more than one thread: below
+/// it the fan-out/join overhead outweighs parallel building.
 const PARALLEL_MIN: usize = 4096;
 
 /// Build the whole trie over `leaves` (`leaves.len() >= 2`), constructing
@@ -514,7 +507,7 @@ fn build_tree<St: NodeStore>(
         root: shape.root as u32,
     };
     let mut builder = Builder::empty();
-    if threads <= 1 || n < PARALLEL_MIN {
+    if threads <= 1 {
         return build_part(store, leaves, bounds, &shape, whole, &mut builder);
     }
     let mut parts = [Part::default(); MAX_FANOUT];
@@ -572,36 +565,46 @@ fn build_tree<St: NodeStore>(
     )
 }
 
-/// The whole load, shared by every front-end: validate `entries`, tell the
-/// store how many keys are coming ([`NodeStore::prepare_load`]), have the
-/// store make the surviving leaves in key order, build the nodes bottom-up
-/// on as many threads as `workers` and the store allow, and hand the root
-/// (null for no entries) to `publish` — the caller's one root store, which
-/// reports whether the tree took it. Returns the number of distinct keys.
-/// Unsorted input fails before the store is touched; when the store fills
-/// up mid-build, or `publish` finds the tree no longer empty
-/// ([`BulkLoadError::NotEmpty`]), everything built is given back.
+/// The whole load, shared by every front-end: validate `entries` on up to
+/// `threads` threads, tell the store how many keys are coming
+/// ([`NodeStore::prepare_load`]) and [`build`] on as many threads as the
+/// store allows. Returns the number of distinct keys. Unsorted input fails
+/// before the store is touched.
 pub(crate) fn load<St: NodeStore, K: AsRef<[u8]> + Sync>(
     store: &St,
     entries: &[(K, u64)],
-    workers: Workers,
+    threads: usize,
     publish: impl FnOnce(St::Ref) -> bool,
 ) -> Result<usize, BulkLoadError> {
-    let threads = match workers {
-        Workers::Available => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        Workers::UpTo(threads) => threads,
-    };
     let prepared = prepare(entries, threads, SCAN_SPAWN_MIN)?;
-    let distinct = prepared.distinct;
-    let owned = store.prepare_load(distinct);
+    let owned = store.prepare_load(prepared.distinct);
     // On the general allocator, nodes built on other threads would stay in
-    // their per-thread malloc arenas for the index's lifetime (§11.4).
-    let threads = match workers {
-        Workers::Available if !owned => 1,
-        _ => threads,
+    // their per-thread malloc arenas for the index's lifetime (§11.4); below
+    // `PARALLEL_MIN` keys the fan-out and join cost more than they save.
+    let builders = if owned && prepared.distinct >= PARALLEL_MIN {
+        threads
+    } else {
+        1
     };
+    build(store, entries, prepared, builders, publish)
+}
+
+/// Have the store make the surviving leaves of a prepared load in key
+/// order, build the nodes bottom-up on `threads` threads and hand the root
+/// (null for no entries) to `publish` — the caller's one root store, which
+/// reports whether the tree took it. Returns the number of distinct keys.
+/// When the store fills up mid-build, or `publish` finds the tree no longer
+/// empty ([`BulkLoadError::NotEmpty`]), everything built is given back.
+fn build<St: NodeStore, K: AsRef<[u8]>>(
+    store: &St,
+    entries: &[(K, u64)],
+    prepared: Prepared,
+    threads: usize,
+    publish: impl FnOnce(St::Ref) -> bool,
+) -> Result<usize, BulkLoadError> {
+    let distinct = prepared.distinct;
     let mut leaves: Vec<u64> = Vec::with_capacity(distinct);
-    let build = || {
+    let tree = || {
         for (i, (key, tid)) in entries.iter().enumerate() {
             if prepared.survives(i) {
                 leaves.push(store.new_leaf(key.as_ref(), *tid)?.word());
@@ -613,7 +616,7 @@ pub(crate) fn load<St: NodeStore, K: AsRef<[u8]> + Sync>(
             _ => build_tree(store, &leaves, &prepared.into_bounds(), threads),
         }
     };
-    let outcome = match build() {
+    let outcome = match tree() {
         Ok(root) if publish(root) => return Ok(distinct),
         Ok(root) => {
             discard(store, root.word());
@@ -860,6 +863,84 @@ mod tests {
             .map(|(k, t)| (k.as_slice(), t))
             .collect();
         let _ = prepare(&entries, 3, 1);
+    }
+
+    /// A whole load of `entries` into `store` with the node build on
+    /// `threads` threads, whatever a plain load would pick for the store.
+    fn build_on<St: NodeStore>(
+        store: &St,
+        entries: &[([u8; 8], u64)],
+        threads: usize,
+    ) -> Result<St::Ref, BulkLoadError> {
+        let prepared = prepare(entries, threads, 1)?;
+        store.prepare_load(prepared.distinct);
+        let mut root = St::Ref::NULL;
+        build(store, entries, prepared, threads, |r| {
+            root = r;
+            true
+        })?;
+        Ok(root)
+    }
+
+    /// The structure digest of a build on `threads` threads into a fresh
+    /// store, its nodes given back afterwards.
+    fn digest_on<St: NodeStore>(
+        store: impl Fn() -> St,
+        entries: &[([u8; 8], u64)],
+        threads: usize,
+    ) -> u64 {
+        let store = store();
+        let root = build_on(&store, entries, threads).unwrap();
+        let digest = crate::invariants::structure_digest(&store, root);
+        discard(&store, root.word());
+        digest
+    }
+
+    #[test]
+    fn a_parallel_build_equals_the_one_thread_build_on_both_stores() {
+        use crate::arena::ArenaStore;
+        use crate::store::HeapStore;
+        for (n, seed) in [(sized(8_000), 12u64), (sized(20_000), 13)] {
+            let entries = sorted_with_duplicates(n, seed);
+            let heap = || HeapStore::new(hot_keys::EmbeddedKeySource);
+            let arena = || ArenaStore::new(usize::MAX, usize::MAX);
+            let want = digest_on(heap, &entries, 1);
+            assert_eq!(digest_on(arena, &entries, 1), want, "n={n}: heap ≡ arena");
+            for threads in [2, 3, 7] {
+                assert_eq!(
+                    digest_on(heap, &entries, threads),
+                    want,
+                    "n={n} heap threads={threads}"
+                );
+                assert_eq!(
+                    digest_on(arena, &entries, threads),
+                    want,
+                    "n={n} arena threads={threads}"
+                );
+            }
+        }
+    }
+
+    /// Four builders under a node ceiling of half what the tree needs:
+    /// whichever of them meets it, the error is typed and every worker's
+    /// subtries and every leaf record go back.
+    #[test]
+    fn a_four_worker_build_over_the_node_ceiling_gives_everything_back() {
+        use crate::arena::{ArenaKind, ArenaStore};
+        let entries = sorted_with_duplicates(sized(20_000), 14);
+        let roomy = ArenaStore::new(usize::MAX, usize::MAX);
+        let root = build_on(&roomy, &entries, 1).unwrap();
+        let need = roomy.arena_stats().node_live_bytes;
+        discard(&roomy, root.word());
+
+        let tight = ArenaStore::new(need / 2, usize::MAX);
+        let Err(BulkLoadError::ArenaFull(met)) = build_on(&tight, &entries, 4) else {
+            panic!("a build over the node ceiling must fail typed");
+        };
+        assert_eq!((met.kind, met.capacity), (ArenaKind::Node, need / 2));
+        let stats = tight.arena_stats();
+        assert_eq!((stats.node_live_count, stats.node_live_bytes), (0, 0));
+        assert_eq!(stats.leaf_records, 0, "records marked dead");
     }
 
     #[test]

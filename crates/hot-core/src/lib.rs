@@ -74,6 +74,6 @@ pub use invariants::InvariantReport;
 pub use mlp::{MlpScheduler, DEFAULT_DEPTH};
 pub use node::NodeTag;
 pub use scan::ScanCursor;
-pub use shard::{splitters_from_sample, RouterScratch, ScanToken, ShardedHot};
+pub use shard::{RouterScratch, ScanToken, ShardedHot};
 pub use store::{Backend, HeapStore};
 pub use trie::{Cursor, Hot, HotTrie, Trie};

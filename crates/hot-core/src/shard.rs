@@ -5,10 +5,9 @@
 //! to them through a small deterministic router:
 //!
 //! * **Partitioning** is by *splitter keys*: `N - 1` sorted byte
-//!   strings drawn from the data (the equal-count quantiles of a bulk
-//!   load, or a caller-provided sample via [`splitters_from_sample`])
-//!   divide the key space into `N` contiguous lexicographic ranges,
-//!   shard `s` owning `[splitter[s-1], splitter[s])`. Data-derived
+//!   strings drawn from the data (the equal-count quantiles of the first
+//!   bulk load) divide the key space into `N` contiguous lexicographic
+//!   ranges, shard `s` owning `[splitter[s-1], splitter[s])`. Data-derived
 //!   splitters are essential: real key sets share long common prefixes
 //!   (every URL starts `https://`, every integer key has zero high
 //!   bytes), so any fixed prefix partition collapses onto one shard —
@@ -72,20 +71,15 @@ pub(crate) fn shard_of_key(key: &[u8], splitters: &[Vec<u8>]) -> usize {
     splitters.partition_point(|s| s.as_slice() <= key)
 }
 
-/// Equal-count quantile splitters for `shards` ranges from a **sorted,
-/// deduplicated** sample of the key population: `shards - 1` keys at
-/// positions `s·len/shards`, each **truncated** to the shortest prefix
+/// Equal-count quantile splitters for `shards` ranges from a **sorted**
+/// key sequence (`len` keys, the `i`-th at `key_at(i)`): `shards - 1` keys
+/// at positions `s·len/shards`, each **truncated** to the shortest prefix
 /// that still separates it from its predecessor (the B-tree separator
 /// trick — a splitter is a range boundary, not a stored key, so the
 /// short form routes identically while keeping splitter compares cheap),
 /// then deduplicated (skewed samples can repeat a quantile; duplicate
 /// splitters would create permanently empty shards while a shorter
 /// splitter list keeps every range non-degenerate).
-pub fn splitters_from_sample(sample: &[&[u8]], shards: usize) -> Vec<Vec<u8>> {
-    quantile_splitters(sample.len(), |i| sample[i], shards)
-}
-
-/// [`splitters_from_sample`] over any indexable sorted key sequence.
 fn quantile_splitters<'k>(
     len: usize,
     key_at: impl Fn(usize) -> &'k [u8],
@@ -338,37 +332,9 @@ where
         Self::new(source, shards)
     }
 
-    /// A sharded trie with an explicit data-derived partition: one shard
-    /// per splitter interval (`splitters.len() + 1` shards). Derive the
-    /// splitters from a sample of the expected key population with
-    /// [`splitters_from_sample`].
-    pub fn with_splitters(source: S, splitters: Vec<Vec<u8>>) -> Self {
-        let this = Self::new(source, splitters.len() + 1);
-        let ok = this.set_splitters(splitters);
-        debug_assert!(ok, "fresh structure accepts its first partition");
-        this
-    }
-
-    /// Install the partition: splitter keys are sorted, deduplicated and
-    /// truncated to `shards - 1`. Returns `false` (and changes nothing)
-    /// if a partition is already installed or any shard holds keys —
-    /// routing is fixed for the structure's lifetime once data exists.
-    /// Until a partition is installed every key routes to shard 0
-    /// (correct, just unbalanced); the first [`bulk_load`](Self::bulk_load)
-    /// on an empty structure installs quantile splitters automatically.
-    pub fn set_splitters(&self, mut splitters: Vec<Vec<u8>>) -> bool {
-        if !self.is_empty() {
-            return false;
-        }
-        splitters.sort_unstable();
-        splitters.dedup();
-        splitters.truncate(self.shards() - 1);
-        self.partition.set(Partition::new(splitters)).is_ok()
-    }
-
-    /// The active splitter keys (empty until [`set_splitters`](Self::set_splitters)
-    /// or the first bulk load installs a partition).
-    pub fn splitters(&self) -> &[Vec<u8>] {
+    /// The active splitter keys (empty until the first bulk load installs
+    /// a partition).
+    pub(crate) fn splitters(&self) -> &[Vec<u8>] {
         self.partition.get().map_or(&[], |p| p.splitters.as_slice())
     }
 
@@ -567,23 +533,11 @@ where
     // calls.
     // ------------------------------------------------------------------
 
-    /// One page of a scan starting at `key` (inclusive): up to `limit`
-    /// TIDs in ascending key order, crossing shard boundaries as needed.
-    /// Returns `Some(token)` when the page filled — more keys *may*
-    /// follow; resume strictly after the page with
-    /// [`scan_resume`](Self::scan_resume). A short page means the key
-    /// space is exhausted. `limit` must be at least 1 to make progress
-    /// (a zero-limit page is empty and unresumable).
-    pub fn scan_page(&self, key: &[u8], limit: usize, out: &mut Vec<u64>) -> Option<ScanToken> {
-        self.scan_into(key, limit, out);
-        self.scan_token(out, limit)
-    }
-
     /// The next page of a scan paused at `token`: up to `limit` TIDs
     /// with keys strictly greater than `token.last_key`, in ascending
     /// key order. Deleting the token's key between pages is fine — the
     /// page then starts at its successor. Returns the follow-up token
-    /// under the same contract as [`scan_page`](Self::scan_page).
+    /// under the same contract as [`scan_token`](Self::scan_token).
     pub fn scan_resume(
         &self,
         token: &ScanToken,
@@ -611,7 +565,10 @@ where
     /// Mint the continuation token for a scan page: when `page` filled
     /// its `limit`, resolve the last TID's key through the shared key
     /// source and record it with its owning shard. A short page has no
-    /// continuation — the scan ran off the end of the key space.
+    /// continuation — the scan ran off the end of the key space. A first
+    /// page is [`scan_into`](Self::scan_into) followed by this; `limit`
+    /// must be at least 1 to make progress (a zero-limit page is empty and
+    /// unresumable).
     pub fn scan_token(&self, page: &[u64], limit: usize) -> Option<ScanToken> {
         let &last = page.last()?;
         if page.len() < limit {
@@ -733,15 +690,18 @@ where
     /// its share of the cores. Loading an empty structure with no
     /// partition installed first derives equal-count quantile splitters
     /// from `entries` — the balanced partition for exactly this
-    /// population. Returns the total keys loaded. On error some shards
+    /// population; the partition is then fixed for the structure's
+    /// lifetime. Until then every key routes to shard 0 (correct, just
+    /// unbalanced). Returns the total keys loaded. On error some shards
     /// may already be loaded — discard the structure, exactly as for a
     /// failed single-trie load.
     pub fn bulk_load(&self, entries: &[(&[u8], u64)]) -> Result<usize, BulkLoadError> {
         let shards = self.shards();
-        if self.partition.get().is_none() && !entries.is_empty() {
-            // `set_splitters` refuses on a non-empty structure; then all
-            // entries route to shard 0 and its builder reports NotEmpty.
-            let _ = self.set_splitters(quantile_splitters(entries.len(), |i| entries[i].0, shards));
+        // A structure that holds keys keeps routing them to shard 0, whose
+        // builder then reports NotEmpty.
+        if self.partition.get().is_none() && !entries.is_empty() && self.is_empty() {
+            let splitters = quantile_splitters(entries.len(), |i| entries[i].0, shards);
+            let _ = self.partition.set(Partition::new(splitters));
         }
         let mut starts = vec![0usize; shards + 1];
         for s in 0..shards {
@@ -753,14 +713,13 @@ where
         }
         self.account(&starts);
         let loading = starts.windows(2).filter(|w| w[0] < w[1]).count();
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let threads = (cores / loading.max(1)).max(1);
+        let threads = (crate::bulk::available_threads() / loading.max(1)).max(1);
         std::thread::scope(|scope| {
             let loaders: Vec<_> = (0..shards)
                 .filter(|&s| starts[s] < starts[s + 1])
                 .map(|s| {
                     let seg = &entries[starts[s]..starts[s + 1]];
-                    scope.spawn(move || self.tries[s].bulk_load_parallel(seg, threads))
+                    scope.spawn(move || self.tries[s].bulk_load_on(seg, threads))
                 })
                 .collect();
             loaders
@@ -798,6 +757,10 @@ where
 mod tests {
     use super::*;
 
+    fn quantiles(sample: &[&[u8]], shards: usize) -> Vec<Vec<u8>> {
+        quantile_splitters(sample.len(), |i| sample[i], shards)
+    }
+
     #[test]
     fn splitter_routing_partitions_the_key_space() {
         let sp: Vec<Vec<u8>> = vec![b"f".to_vec(), b"p".to_vec()];
@@ -824,7 +787,7 @@ mod tests {
             .map(|i| format!("https://example.com/item/{i:04}").into_bytes())
             .collect();
         let sorted: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-        let sp = splitters_from_sample(&sorted, 4);
+        let sp = quantiles(&sorted, 4);
         assert_eq!(sp.len(), 3);
         let mut counts = [0usize; 4];
         for k in &sorted {
@@ -842,10 +805,10 @@ mod tests {
         // collapse so no splitter repeats (shards beyond the last
         // splitter simply stay empty).
         let sample: Vec<&[u8]> = vec![b"a", b"b"];
-        let sp = splitters_from_sample(&sample, 8);
+        let sp = quantiles(&sample, 8);
         assert_eq!(sp, vec![b"a".to_vec(), b"b".to_vec()]);
         // And an empty sample yields the trivial partition.
-        assert!(splitters_from_sample(&[], 8).is_empty());
+        assert!(quantiles(&[], 8).is_empty());
     }
 
     #[test]
@@ -858,11 +821,12 @@ mod tests {
             .collect();
         let tids: Vec<u64> = keys.iter().map(|k| arena.push(k)).collect();
         let sharded = ShardedHot::new(std::sync::Arc::new(arena), 4);
-        let sorted: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-        assert!(sharded.set_splitters(splitters_from_sample(&sorted, 4)));
-        for (k, &t) in keys.iter().zip(&tids) {
-            assert_eq!(sharded.insert(k, t), None);
-        }
+        let entries: Vec<(&[u8], u64)> = keys
+            .iter()
+            .map(|k| k.as_slice())
+            .zip(tids.clone())
+            .collect();
+        assert_eq!(sharded.bulk_load(&entries), Ok(200));
         for s in 0..4 {
             assert!(!sharded.shard(s).is_empty(), "every shard populated");
         }
@@ -889,15 +853,20 @@ mod tests {
             let mut out = vec![None; refs.len()];
             sharded.get_batch_with(&refs, &mut out, &mut RouterScratch::new());
         };
-        let cuts = |at: &[u64]| at.iter().map(|&c| encode_u64(c).to_vec()).collect();
+        let cut = |at: &[u64]| {
+            let sharded = ShardedHot::new(EmbeddedKeySource, at.len() + 1);
+            let splitters = at.iter().map(|&c| encode_u64(c).to_vec()).collect();
+            assert!(sharded.partition.set(Partition::new(splitters)).is_ok());
+            sharded
+        };
 
-        let four = ShardedHot::with_splitters(EmbeddedKeySource, cuts(&[100, 200, 300]));
+        let four = cut(&[100, 200, 300]);
         assert_eq!(four.imbalance(), 1.0, "idle");
         routed(&four, &[200, 210, 250, 299]);
         assert_eq!(four.shard_counts(), [0, 0, 4, 0]);
         assert_eq!(four.imbalance(), 4.0, "all on one of four shards");
 
-        let two = ShardedHot::with_splitters(EmbeddedKeySource, cuts(&[100]));
+        let two = cut(&[100]);
         routed(&two, &[1, 2, 3, 100]);
         assert_eq!(two.shard_counts(), [3, 1]);
         assert_eq!(two.imbalance(), 1.5, "3:1 over two shards");
@@ -956,7 +925,7 @@ mod tests {
             .collect();
         urls.sort();
         let sample: Vec<&[u8]> = urls.iter().map(Vec::as_slice).collect();
-        let splitters = splitters_from_sample(&sample, MAX_SHARDS);
+        let splitters = quantiles(&sample, MAX_SHARDS);
         assert_eq!(splitters.len(), MAX_SHARDS - 1);
         let part = Partition::new(splitters.clone());
         assert_eq!(part.prefix, b"https://");

@@ -67,7 +67,7 @@ use std::sync::Arc;
 use crossbeam_epoch as epoch;
 
 use crate::arena::{ArenaFull, ArenaStore};
-use crate::bulk::{BulkLoadError, Workers};
+use crate::bulk::BulkLoadError;
 use crate::metrics::{OpKind, RowexCounter};
 use crate::node::{RawNode, Slot, TreeRef};
 use crate::store::{HeapStore, NodeStore};
@@ -322,9 +322,10 @@ impl<St: NodeStore, A: Access> Hot<St, A> {
         (self.load_root(), pin)
     }
 
-    /// The body behind both modes' `bulk_load` / `bulk_load_parallel`:
-    /// build the whole trie bottom-up from sorted `(key, tid)` entries and
-    /// publish it with a **single** root store.
+    /// The body behind both modes' `bulk_load`: build the whole trie
+    /// bottom-up from sorted `(key, tid)` entries on at most `threads`
+    /// threads (DESIGN.md §11.4) and publish it with a **single** root
+    /// store.
     ///
     /// The trie must be empty: the finished root is installed with one CAS
     /// of the null root word, so concurrent readers observe either the
@@ -334,7 +335,7 @@ impl<St: NodeStore, A: Access> Hot<St, A> {
     pub(crate) fn bulk_load_on<K: AsRef<[u8]> + Sync>(
         &self,
         entries: &[(K, u64)],
-        workers: Workers,
+        threads: usize,
     ) -> Result<usize, BulkLoadError> {
         if !self.load_root().is_null() {
             return Err(BulkLoadError::NotEmpty);
@@ -344,7 +345,7 @@ impl<St: NodeStore, A: Access> Hot<St, A> {
         // Acquire `load_root`, so a reader that observes the new root
         // observes every node body built for it (including the worker
         // threads' stores, which happened-before their join).
-        let n = crate::bulk::load(self.store(), entries, workers, |root| {
+        let n = crate::bulk::load(self.store(), entries, threads, |root| {
             self.root
                 // pairs-with: root-publish
                 .compare_exchange(
@@ -420,18 +421,7 @@ impl<St: NodeStore> Concurrent<St> {
         &self,
         entries: &[(K, u64)],
     ) -> Result<usize, BulkLoadError> {
-        self.bulk_load_on(entries, Workers::Available)
-    }
-
-    /// [`bulk_load`](Self::bulk_load) on up to `threads` threads, whatever
-    /// the store (see
-    /// [`Trie::bulk_load_parallel`](crate::Trie::bulk_load_parallel)).
-    pub fn bulk_load_parallel<K: AsRef<[u8]> + Sync>(
-        &self,
-        entries: &[(K, u64)],
-        threads: usize,
-    ) -> Result<usize, BulkLoadError> {
-        self.bulk_load_on(entries, Workers::UpTo(threads))
+        self.bulk_load_on(entries, crate::bulk::available_threads())
     }
 
     /// Insert `key → tid` (upsert); returns the previous TID if present.

@@ -30,7 +30,7 @@ use std::marker::PhantomData;
 use std::sync::Arc;
 
 use crate::arena::{ArenaFull, ArenaStats, ArenaStore};
-use crate::bulk::{BulkLoadError, Workers};
+use crate::bulk::BulkLoadError;
 use crate::metrics::{Metrics, OpKind};
 use crate::node::builder::Builder;
 use crate::node::{RawNode, Slot, TreeRef, MAX_FANOUT};
@@ -1024,27 +1024,14 @@ impl<St: NodeStore> Trie<St> {
     /// store that a load of 2¹⁹ keys or more puts on 2 MiB chunks; on the
     /// general allocator the nodes are built on the calling thread, because
     /// nodes built on other threads would sit in their per-thread allocator
-    /// arenas for the index's lifetime (DESIGN.md §11.4).
-    /// [`bulk_load_parallel`](Self::bulk_load_parallel) sets the thread
-    /// count instead. Either way the tree is byte-identical. Returns the
-    /// number of distinct keys loaded.
+    /// arenas for the index's lifetime (DESIGN.md §11.4). The tree is
+    /// byte-identical at any thread count. Returns the number of distinct
+    /// keys loaded.
     pub fn bulk_load<K: AsRef<[u8]> + Sync>(
         &mut self,
         entries: &[(K, u64)],
     ) -> Result<usize, BulkLoadError> {
-        self.bulk_load_on(entries, Workers::Available)
-    }
-
-    /// [`bulk_load`](Self::bulk_load) on up to `threads` threads, whatever
-    /// the store: the boundary scan's ranges and the root fragment's
-    /// independent subtries, grafted under a root node built from the
-    /// partition fences. `threads <= 1` is the sequential build.
-    pub fn bulk_load_parallel<K: AsRef<[u8]> + Sync>(
-        &mut self,
-        entries: &[(K, u64)],
-        threads: usize,
-    ) -> Result<usize, BulkLoadError> {
-        self.bulk_load_on(entries, Workers::UpTo(threads))
+        self.bulk_load_on(entries, crate::bulk::available_threads())
     }
 
     /// Iterator over all TIDs in ascending key order.

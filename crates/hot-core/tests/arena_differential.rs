@@ -315,19 +315,5 @@ fn bulk_load_exhaustion_is_typed_and_leaves_the_index_usable() {
         assert_eq!(trie.get(&entries[0].0), None);
         assert_eq!(trie.bulk_load(&entries[..10]), Err(BulkLoadError::NotEmpty));
         trie.check_invariants();
-
-        // The shared index builds on four workers: whichever of them meets
-        // the ceiling, every worker's subtries go back.
-        let shared = ConcurrentCompact::with_capacity(node_cap, leaf_cap);
-        let Err(BulkLoadError::ArenaFull(met)) = shared.bulk_load_parallel(entries, 4) else {
-            panic!("{kind:?}: parallel bulk load over the ceiling must fail typed");
-        };
-        assert_eq!((met.kind, met.capacity), (kind, SLAB));
-        assert!(shared.is_empty());
-        shared.check_invariants();
-        assert_eq!(shared.arena_stats().node_live_count, 0);
-        assert_eq!(shared.insert(b"z", 7), None);
-        assert_eq!(shared.get(b"z"), Some(7));
-        shared.check_invariants();
     }
 }

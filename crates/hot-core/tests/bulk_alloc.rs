@@ -13,7 +13,7 @@ use hot_core::{CompactHot, HotTrie};
 use hot_keys::{encode_u64, EmbeddedKeySource};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Heap allocations made by any thread of the process (reallocations and
@@ -21,9 +21,29 @@ use std::sync::Mutex;
 /// `dealloc`).
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+/// Bytes the measured threads allocated minus the bytes they freed.
+static LIVE: AtomicIsize = AtomicIsize::new(0);
+
+/// Set while a test measures: a thread whose first allocation falls in
+/// that span (a worker of a load the test runs) is measured too.
+static MEASURING: AtomicBool = AtomicBool::new(false);
+
 thread_local! {
-    /// Bytes this thread allocated minus the bytes it freed.
-    static LIVE: Cell<isize> = const { Cell::new(0) };
+    /// Whether this thread's allocations are measured; fixed at its first
+    /// allocation, so the test harness's own threads, which all allocate
+    /// before any measurement starts, never are.
+    static MEASURED: Cell<Option<bool>> = const { Cell::new(None) };
+}
+
+/// Add `bytes` to [`LIVE`] if this thread is measured.
+fn account(bytes: isize) {
+    let _ = MEASURED.try_with(|m| {
+        let measured = m.get().unwrap_or_else(|| MEASURING.load(Ordering::Relaxed));
+        m.set(Some(measured));
+        if measured {
+            LIVE.fetch_add(bytes, Ordering::Relaxed);
+        }
+    });
 }
 
 /// Held by each test while it counts.
@@ -39,14 +59,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: `GlobalAlloc::alloc`'s contract, passed on to `System`.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
-        let _ = LIVE.try_with(|live| live.set(live.get() + layout.size() as isize));
+        account(layout.size() as isize);
         // SAFETY: the caller's `layout` obligations are `System`'s.
         unsafe { System.alloc(layout) }
     }
 
     // SAFETY: `GlobalAlloc::dealloc`'s contract, passed on to `System`.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        let _ = LIVE.try_with(|live| live.set(live.get() - layout.size() as isize));
+        account(-(layout.size() as isize));
         // SAFETY: `ptr` came from `alloc` above, i.e. from `System`, with
         // this `layout`.
         unsafe { System.dealloc(ptr, layout) }
@@ -81,21 +101,23 @@ fn a_load_onto_chunks_allocates_per_thread_not_per_node() {
     );
 }
 
-/// Bytes this thread holds now.
+/// Bytes the measured threads hold now.
 fn live() -> isize {
-    LIVE.with(Cell::get)
+    LIVE.load(Ordering::Relaxed)
 }
 
 /// Build an index with `make` (which must leave nothing of its own behind
-/// on this thread) twice under an epoch pin of this thread, dropping it
-/// each time: the first round fills the thread's parked scratch (writer,
-/// scheduler, scan cursor), the second must end with every byte it
-/// allocated given back. A ROWEX index has retired nodes under the same
-/// pin first, so the epoch has frees of this thread pending that cannot
-/// run before the pin ends: a drop that waited them out would fail and
-/// keep its store.
+/// on this thread or its workers) twice under an epoch pin of this thread,
+/// dropping it each time: the first round fills the thread's parked
+/// scratch (writer, scheduler, scan cursor), the second must end with
+/// every byte it allocated given back. A ROWEX index has retired nodes
+/// under the same pin first, so the epoch has frees of this thread pending
+/// that cannot run before the pin ends: a drop that waited them out would
+/// fail and keep its store.
 fn dropped_under_a_pin_gives_every_byte_back<T>(what: &str, make: impl Fn() -> T) {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    MEASURED.with(|m| m.set(Some(true)));
+    MEASURING.store(true, Ordering::Relaxed);
     let pin = crossbeam_epoch::pin();
     let rowex = ConcurrentHot::new(EmbeddedKeySource);
     for k in 0..1_000u64 {
@@ -112,19 +134,21 @@ fn dropped_under_a_pin_gives_every_byte_back<T>(what: &str, make: impl Fn() -> T
     assert_eq!(live(), before, "{what}: bytes left behind by the drop");
     drop(pin);
     drop(rowex);
+    MEASURING.store(false, Ordering::Relaxed);
+    MEASURED.with(|m| m.set(Some(false)));
 }
 
 #[test]
 fn an_exclusive_index_dropped_under_a_pin_gives_every_byte_back() {
-    // A heap trie on 2 MiB chunks: a one-thread load of 2^19 keys puts it
-    // there, and the writes after it take their nodes from the chunks and
-    // free the replaced ones back to them.
+    // A heap trie on 2 MiB chunks: a load of 2^19 keys puts it there, on
+    // every core, and the writes after it take their nodes from the chunks
+    // and free the replaced ones back to them.
     let entries: Vec<([u8; 8], u64)> = (0..1u64 << 19)
         .map(|k| (encode_u64(3 * k), 3 * k))
         .collect();
     dropped_under_a_pin_gives_every_byte_back("HotTrie on chunks", || {
         let mut trie = HotTrie::new(EmbeddedKeySource);
-        trie.bulk_load_parallel(&entries, 1).unwrap();
+        trie.bulk_load(&entries).unwrap();
         assert!(
             trie.memory_stats().capacity_bytes > 0,
             "the load is on chunks"

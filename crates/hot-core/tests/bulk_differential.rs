@@ -3,11 +3,12 @@
 //! incremental COW inserts over the same key set — same `get` hits and
 //! misses, same `iter`/`scan` sequences — and both must pass the whole-tree
 //! invariant walk. Runs on integer-, email- and url-shaped keys, on the
-//! single-threaded trie, the parallel builder and the ROWEX-synchronized
-//! variant.
+//! single-threaded trie and the ROWEX-synchronized variant, and on a load
+//! large enough to build on every core. The node build at forced thread
+//! counts is `hot-core`'s `bulk::tests`.
 
 use hot_core::sync::ConcurrentHot;
-use hot_core::{BulkLoadError, HotTrie};
+use hot_core::{BulkLoadError, CompactHot, HotTrie};
 use hot_keys::{encode_u64, ArenaKeySource, EmbeddedKeySource};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -61,11 +62,10 @@ proptest! {
     fn integer_bulk_equals_incremental(
         keys in proptest::collection::vec(any::<u64>().prop_map(|k| k % 200_000), 1..400),
         misses in proptest::collection::vec(200_000u64..210_000, 0..40),
-        threads in 1usize..5,
     ) {
         let entries = int_entries(&keys);
         let mut bulk = HotTrie::new(EmbeddedKeySource);
-        bulk.bulk_load_parallel(&entries, threads).unwrap();
+        bulk.bulk_load(&entries).unwrap();
         let mut incr = HotTrie::new(EmbeddedKeySource);
         for &k in &keys {
             incr.insert(&encode_u64(k), k);
@@ -172,8 +172,8 @@ fn string_keys(shape: &str, n: usize, seed: u64) -> Vec<Vec<u8>> {
     keys
 }
 
-fn string_differential(shape: &str, threads: usize) {
-    let keys = string_keys(shape, 3000, 0xB0B5 + threads as u64);
+fn string_differential(shape: &str) {
+    let keys = string_keys(shape, 3000, 0xB0B6);
     let mut arena = ArenaKeySource::with_capacity(keys.len(), 32);
     let entries: Vec<(&[u8], u64)> = keys
         .iter()
@@ -184,7 +184,7 @@ fn string_differential(shape: &str, threads: usize) {
     let arena = Arc::new(arena);
 
     let mut bulk = HotTrie::new(Arc::clone(&arena));
-    bulk.bulk_load_parallel(&entries, threads).unwrap();
+    bulk.bulk_load(&entries).unwrap();
     let mut incr = HotTrie::new(Arc::clone(&arena));
     // Insert in a scrambled order: the comparison must hold regardless of
     // the incremental build's insertion history.
@@ -199,49 +199,12 @@ fn string_differential(shape: &str, threads: usize) {
 
 #[test]
 fn email_bulk_equals_incremental() {
-    string_differential("email", 1);
-}
-
-#[test]
-fn email_bulk_parallel_equals_incremental() {
-    string_differential("email", 4);
+    string_differential("email");
 }
 
 #[test]
 fn url_bulk_equals_incremental() {
-    string_differential("url", 1);
-}
-
-#[test]
-fn url_bulk_parallel_equals_incremental() {
-    string_differential("url", 4);
-}
-
-#[test]
-fn parallel_build_is_structurally_identical_to_sequential() {
-    // The parallel path builds the same parts the sequential expansion
-    // would — the partition-fence root is byte-identical, so the whole
-    // structure digest must match.
-    let keys: Vec<u64> = (0..20_000u64)
-        .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 1)
-        .collect();
-    let entries = int_entries(&keys);
-    let mut seq = HotTrie::new(EmbeddedKeySource);
-    seq.bulk_load(&entries).unwrap();
-    for threads in [2usize, 4, 8] {
-        let mut par = HotTrie::new(EmbeddedKeySource);
-        par.bulk_load_parallel(&entries, threads).unwrap();
-        assert_eq!(
-            par.structure_digest(),
-            seq.structure_digest(),
-            "threads={threads}"
-        );
-        assert_eq!(
-            par.memory_stats().node_bytes,
-            seq.memory_stats().node_bytes,
-            "threads={threads}"
-        );
-    }
+    string_differential("url");
 }
 
 /// 2¹⁹ distinct keys: a plain load of this many puts a heap store on its
@@ -258,24 +221,23 @@ fn chunked_load_entries() -> Vec<([u8; 8], u64)> {
 #[test]
 fn a_plain_load_onto_chunks_equals_a_one_thread_load() {
     let entries = chunked_load_entries();
+    // The arena store owns no chunks, so its plain load builds on the
+    // calling thread alone (DESIGN.md §11.4): the one-thread reference.
+    let mut one = CompactHot::new();
+    one.bulk_load(&entries).unwrap();
+    let want = (one.structure_digest(), one.memory_stats().node_count);
 
     let plain = ConcurrentHot::new(EmbeddedKeySource);
     plain.bulk_load(&entries).unwrap();
-    let one = ConcurrentHot::new(EmbeddedKeySource);
-    one.bulk_load_parallel(&entries, 1).unwrap();
-    let (p, o) = (plain.memory_stats(), one.memory_stats());
+    let p = plain.memory_stats();
     assert!(p.capacity_bytes > 0, "the plain load is on chunks");
-    assert_eq!(plain.structure_digest(), one.structure_digest());
-    assert_eq!((p.node_count, p.node_bytes), (o.node_count, o.node_bytes));
+    assert_eq!((plain.structure_digest(), p.node_count), want);
 
     let mut plain = HotTrie::new(EmbeddedKeySource);
     plain.bulk_load(&entries).unwrap();
-    let mut one = HotTrie::new(EmbeddedKeySource);
-    one.bulk_load_parallel(&entries, 1).unwrap();
-    let (p, o) = (plain.memory_stats(), one.memory_stats());
+    let p = plain.memory_stats();
     assert!(p.capacity_bytes > 0, "the plain load is on chunks");
-    assert_eq!(plain.structure_digest(), one.structure_digest());
-    assert_eq!((p.node_count, p.node_bytes), (o.node_count, o.node_bytes));
+    assert_eq!((plain.structure_digest(), p.node_count), want);
     plain.check_invariants();
 }
 
@@ -330,7 +292,7 @@ fn empty_and_tiny_inputs() {
 fn concurrent_bulk_load_single_publish() {
     let entries = int_entries(&(0..5_000u64).map(|i| i * 3).collect::<Vec<_>>());
     let trie = ConcurrentHot::new(EmbeddedKeySource);
-    assert_eq!(trie.bulk_load_parallel(&entries, 4), Ok(entries.len()));
+    assert_eq!(trie.bulk_load(&entries), Ok(entries.len()));
     assert_eq!(trie.len(), entries.len());
     for (key, tid) in &entries {
         assert_eq!(trie.get(key), Some(*tid));

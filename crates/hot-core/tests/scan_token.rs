@@ -1,7 +1,7 @@
 //! Regression tests for the resumable scan continuation token
-//! (DESIGN.md §18): paging a `ShardedHot` scan through
-//! `scan_page`/`scan_resume` must reproduce exactly what one unbroken
-//! `scan_into` — and the `BTreeMap::range` ground truth of
+//! (DESIGN.md §18): paging a `ShardedHot` scan through `scan_into` +
+//! `scan_token` and then `scan_resume` must reproduce exactly what one
+//! unbroken `scan_into` — and the `BTreeMap::range` ground truth of
 //! `scan_differential.rs` — returns, at every page size, across shard
 //! boundaries, and when the token's key is deleted between pages.
 //!
@@ -13,6 +13,21 @@ use hot_keys::{encode_u64, ArenaKeySource, EmbeddedKeySource};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+/// The first page of a scan, as the server serves one: `scan_into`, then
+/// the token for the page.
+fn first_page<S>(
+    sharded: &ShardedHot<S>,
+    key: &[u8],
+    limit: usize,
+    out: &mut Vec<u64>,
+) -> Option<ScanToken>
+where
+    S: hot_keys::KeySource + Clone + Send + Sync + 'static,
+{
+    sharded.scan_into(key, limit, out);
+    sharded.scan_token(out, limit)
+}
+
 /// Page through the whole key space from `start` in pages of `page`,
 /// returning every TID in order.
 fn paged_scan<S>(sharded: &ShardedHot<S>, start: &[u8], page: usize) -> Vec<u64>
@@ -21,7 +36,7 @@ where
 {
     let mut all = Vec::new();
     let mut buf = Vec::new();
-    let mut token = sharded.scan_page(start, page, &mut buf);
+    let mut token = first_page(sharded, start, page, &mut buf);
     all.extend_from_slice(&buf);
     while let Some(t) = token {
         token = sharded.scan_resume(&t, page, &mut buf);
@@ -71,9 +86,19 @@ fn paged_scans_match_btreemap_across_shards() {
         probes.push(Vec::new()); // full scan from the front
         probes.push(b"ab".to_vec()); // raw prefix, orders before its extensions
         probes.push(b"zz".to_vec()); // past the end
-                                     // The splitters themselves: a page boundary exactly on a shard
-                                     // boundary is the case the token exists for.
-        probes.extend(sharded.splitters().iter().cloned());
+
+        // Every shard's first key, and each of its prefixes — the splitter
+        // before it among them: a page boundary exactly on a shard boundary
+        // is the case the token exists for.
+        let firsts: Vec<&[u8]> = entries
+            .windows(2)
+            .filter(|w| sharded.shard_of(w[0].0) != sharded.shard_of(w[1].0))
+            .map(|w| w[1].0)
+            .collect();
+        assert_eq!(firsts.len(), shards - 1, "every shard holds keys");
+        for first in firsts {
+            probes.extend((1..first.len()).map(|j| first[..j].to_vec()));
+        }
         for start in &probes {
             let want: Vec<u64> = model.range(start.clone()..).map(|(_, &v)| v).collect();
             for page in [1usize, 2, 3, 7, 100] {
@@ -115,9 +140,7 @@ fn paged_scan_equals_unbroken_scan() {
     // A boundary-exact page: the 500 keys fill pages of 500 exactly, so
     // one more (empty) resume closes the scan.
     let mut buf = Vec::new();
-    let token = sharded
-        .scan_page(&encode_u64(0), 500, &mut buf)
-        .expect("full page");
+    let token = first_page(&sharded, &encode_u64(0), 500, &mut buf).expect("full page");
     assert_eq!(buf, unbroken);
     assert!(sharded.scan_resume(&token, 500, &mut buf).is_none());
     assert!(buf.is_empty(), "the key space was exhausted");
@@ -132,9 +155,7 @@ fn resume_survives_deleted_last_key() {
         sharded.insert(&encode_u64(v), v);
     }
     let mut buf = Vec::new();
-    let token = sharded
-        .scan_page(&encode_u64(0), 10, &mut buf)
-        .expect("more keys follow");
+    let token = first_page(&sharded, &encode_u64(0), 10, &mut buf).expect("more keys follow");
     assert_eq!(buf, (0..10).collect::<Vec<u64>>());
     assert_eq!(token.last_key, encode_u64(9));
 
@@ -154,17 +175,30 @@ fn resume_survives_deleted_last_key() {
 /// under one splitter layout resumes correctly under another.
 #[test]
 fn token_shard_hint_is_not_a_correctness_input() {
+    let keys: Vec<[u8; 8]> = (0..100u64).map(encode_u64).collect();
+    let entries = |step: usize| -> Vec<(&[u8], u64)> {
+        keys.iter()
+            .zip(0..)
+            .step_by(step)
+            .map(|(k, v)| (k.as_slice(), v))
+            .collect()
+    };
+    // Four shards cut at the quartiles of all 100 keys; two cut at the
+    // median of the even keys, the odd ones inserted through the router.
     let a = ShardedHot::new(EmbeddedKeySource, 4);
+    a.bulk_load(&entries(1)).expect("sorted distinct entries");
     let b = ShardedHot::new(EmbeddedKeySource, 2);
-    assert!(b.set_splitters(vec![encode_u64(77).to_vec()]));
-    for v in 0..100u64 {
-        a.insert(&encode_u64(v), v);
+    b.bulk_load(&entries(2)).expect("sorted distinct entries");
+    for v in (1..100u64).step_by(2) {
         b.insert(&encode_u64(v), v);
     }
     let mut buf = Vec::new();
-    let token = a
-        .scan_page(&encode_u64(50), 10, &mut buf)
-        .expect("more keys follow");
+    let token = first_page(&a, &encode_u64(50), 10, &mut buf).expect("more keys follow");
+    assert_ne!(
+        a.shard_of(&token.last_key),
+        b.shard_of(&token.last_key),
+        "the two layouts place the token's key apart"
+    );
     let forged = ScanToken {
         shard: 0,
         last_key: token.last_key.clone(),
@@ -182,15 +216,13 @@ fn token_shard_hint_is_not_a_correctness_input() {
 fn degenerate_pages() {
     let sharded = ShardedHot::new(EmbeddedKeySource, 2);
     let mut buf = vec![1, 2, 3];
-    assert!(sharded.scan_page(&encode_u64(0), 10, &mut buf).is_none());
-    assert!(buf.is_empty(), "scan_page clears its output");
+    assert!(first_page(&sharded, &encode_u64(0), 10, &mut buf).is_none());
+    assert!(buf.is_empty(), "scan_into clears its output");
 
     sharded.insert(&encode_u64(5), 5);
     // Zero-limit pages return nothing and never mint a fresh token.
-    assert!(sharded.scan_page(&encode_u64(0), 0, &mut buf).is_none());
-    let token = sharded
-        .scan_page(&encode_u64(0), 1, &mut buf)
-        .expect("page filled");
+    assert!(first_page(&sharded, &encode_u64(0), 0, &mut buf).is_none());
+    let token = first_page(&sharded, &encode_u64(0), 1, &mut buf).expect("page filled");
     assert_eq!(buf, [5]);
     // A zero-limit resume keeps the position instead of losing it.
     let kept = sharded

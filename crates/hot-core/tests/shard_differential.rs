@@ -3,15 +3,15 @@
 //! — same hits, same misses, same TIDs in the same order, same scan
 //! bounds — to a single [`ConcurrentHot`] holding the same keys, across
 //! four key distributions (URL, email, YAGO-triple, integer), shard
-//! counts {1, 2, 4, 8}, both load paths (sorted bulk load and routed
-//! inserts), scans whose ranges cross shard boundaries, routed removals,
-//! and concurrent churn. The whole file is also
-//! exercised in the `HOT_FORCE_SCALAR` CI lane: routing answers must not
+//! counts {1, 2, 4, 8}, both load paths (sorted bulk load, and routed
+//! inserts into a bulk-loaded base), scans whose ranges cross shard
+//! boundaries, routed removals, and concurrent churn. The whole file is
+//! also exercised in the `HOT_FORCE_SCALAR` CI lane: routing answers must not
 //! depend on the kernel. (`ShardedHot` is hard-wired to `ConcurrentHot`;
 //! there is no arena lane.)
 
 use hot_core::sync::ConcurrentHot;
-use hot_core::{splitters_from_sample, RouterScratch, ShardedHot};
+use hot_core::{RouterScratch, ShardedHot};
 use hot_keys::{encode_u64, ArenaKeySource};
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -165,16 +165,16 @@ fn routed_lookups_byte_identical_across_shard_counts_and_load_paths() {
             assert_eq!(bulk.bulk_load(&entries).unwrap(), entries.len());
             assert_eq!(bulk.len(), fx.single.len(), "{}: bulk load count", fx.name);
 
-            // Insert-loaded: same splitters installed up front, every key
-            // routed through the scalar insert path.
-            let sample: Vec<&[u8]> = entries.iter().map(|&(k, _)| k).collect();
-            let routed = ShardedHot::with_splitters(
-                Arc::clone(&fx.arena),
-                splitters_from_sample(&sample, shards),
-            );
-            for (k, &tid) in fx.keys.iter().zip(&fx.tids) {
+            // Insert-loaded: every other key bulk-loaded (its quantiles
+            // fix the splitters), the rest routed through the scalar
+            // insert path.
+            let routed = ShardedHot::new(Arc::clone(&fx.arena), shards);
+            let base: Vec<(&[u8], u64)> = entries.iter().copied().step_by(2).collect();
+            assert_eq!(routed.bulk_load(&base).unwrap(), base.len());
+            for &(k, tid) in entries.iter().skip(1).step_by(2).rev() {
                 assert_eq!(routed.insert(k, tid), None, "{}: fresh insert", fx.name);
             }
+            assert_eq!(routed.len(), fx.single.len(), "{}: routed count", fx.name);
 
             let probe_refs: Vec<&[u8]> = fx.probes.iter().map(|k| k.as_slice()).collect();
             let mut scratch = RouterScratch::new();
@@ -192,14 +192,17 @@ fn routed_lookups_byte_identical_across_shard_counts_and_load_paths() {
                     assert_eq!(out, expected, "{}: routed results s={shards}", fx.name);
                 }
             }
-            // Both load paths place the same keys in the same shards.
-            for s in 0..shards {
-                assert_eq!(
-                    bulk.shard(s).len(),
-                    routed.shard(s).len(),
-                    "{}: load paths agree on shard {s}/{shards} population",
-                    fx.name
-                );
+            // Both load paths place every key in the shard their
+            // partition names.
+            for sharded in [&bulk, &routed] {
+                for &(k, tid) in entries.iter().step_by(13) {
+                    assert_eq!(
+                        sharded.shard(sharded.shard_of(k)).get(k),
+                        Some(tid),
+                        "{}: key in its shard, s={shards}",
+                        fx.name
+                    );
+                }
             }
         }
     }
@@ -214,8 +217,8 @@ fn scans_cross_shard_boundaries_byte_identical() {
             let sharded = ShardedHot::new(Arc::clone(&fx.arena), shards);
             sharded.bulk_load(&entries).unwrap();
 
-            // Seed scans at shuffled probes AND directly below each
-            // splitter, with limits long enough that a span starting near
+            // Seed scans at shuffled probes AND at and directly below each
+            // shard's first key, with limits long enough that a span starting near
             // a boundary must continue into the next shard(s). The last
             // shard's keys also get limits overshooting the key space.
             let mut requests: Vec<(Vec<u8>, usize)> = fx
@@ -224,11 +227,13 @@ fn scans_cross_shard_boundaries_byte_identical() {
                 .step_by(3)
                 .map(|k| (k.clone(), rng.gen_range(0..48usize)))
                 .collect();
-            for sp in sharded.splitters() {
-                let mut just_below = sp.clone();
-                just_below.pop();
-                requests.push((just_below, 64));
-                requests.push((sp.clone(), entries.len() / shards + 7));
+            let firsts = entries
+                .windows(2)
+                .filter(|w| sharded.shard_of(w[0].0) != sharded.shard_of(w[1].0))
+                .map(|w| w[1].0);
+            for first in firsts {
+                requests.push((first[..first.len() - 1].to_vec(), 64));
+                requests.push((first.to_vec(), entries.len() / shards + 7));
             }
 
             // Scalar ground truth from the single trie.
@@ -357,11 +362,10 @@ fn routed_removals_match_the_single_trie() {
 }
 
 /// The load pipeline end to end — TIDs sample-sorted over the arena,
-/// shards built concurrently on scoped loader threads, each splitting its
-/// share of the cores over the root fragment — must build exactly the
-/// tries a single-threaded load of comparison-sorted input builds. The
-/// key sets are large enough to leave the small-input inline paths of the
-/// sort and the builder.
+/// shards built concurrently on scoped loader threads, each with its share
+/// of the cores — must build exactly the tries a load of each shard's
+/// comparison-sorted input on its own builds. The key sets are large
+/// enough to leave the small-input inline paths of the sort and the scan.
 #[test]
 fn parallel_load_pipeline_builds_the_serial_structure() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x10AD);
@@ -401,13 +405,11 @@ fn parallel_load_pipeline_builds_the_serial_structure() {
             let mut lo = 0;
             for s in 0..shards {
                 let shard = sharded.shard(s);
-                let serial = ConcurrentHot::new(Arc::clone(&arena));
-                serial
-                    .bulk_load_parallel(&reference[lo..lo + shard.len()], 1)
-                    .unwrap();
+                let alone = ConcurrentHot::new(Arc::clone(&arena));
+                alone.bulk_load(&reference[lo..lo + shard.len()]).unwrap();
                 assert_eq!(
                     shard.structure_digest(),
-                    serial.structure_digest(),
+                    alone.structure_digest(),
                     "{name}: shard {s}/{shards}"
                 );
                 shard.check_invariants();
@@ -427,20 +429,19 @@ fn concurrent_churn_preserves_stable_keys_and_quiesced_equality() {
     // Writers churn odd keys through routed scalar inserts/removes while
     // a reader batches lookups over even (stable) keys: stable lookups
     // must always hit with their exact TID regardless of which shard a
-    // churned key lands in. Splitters are installed up front so routing
-    // never changes mid-churn.
+    // churned key lands in. The stable keys are bulk-loaded first, which
+    // fixes the splitters, so routing never changes mid-churn.
     const STABLE: u64 = 4_000;
     const CHURN_ROUNDS: usize = 40;
 
     let stable_keys: Vec<[u8; 8]> = (0..STABLE).map(|k| encode_u64(k * 2)).collect();
-    let sample: Vec<&[u8]> = stable_keys.iter().map(|k| k.as_slice()).collect();
-    let sharded = Arc::new(ShardedHot::with_splitters(
-        hot_keys::EmbeddedKeySource,
-        splitters_from_sample(&sample, 4),
-    ));
-    for k in 0..STABLE {
-        sharded.insert(&encode_u64(k * 2), k * 2);
-    }
+    let stable: Vec<(&[u8], u64)> = stable_keys
+        .iter()
+        .zip(0..)
+        .map(|(k, i)| (k.as_slice(), i * 2))
+        .collect();
+    let sharded = Arc::new(ShardedHot::new(hot_keys::EmbeddedKeySource, 4));
+    assert_eq!(sharded.bulk_load(&stable), Ok(STABLE as usize));
 
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
     std::thread::scope(|scope| {

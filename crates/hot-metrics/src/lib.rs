@@ -52,7 +52,7 @@ pub enum OpKind {
     GetBatch = 4,
     /// Batched range scans (`scan_batch` / `scan_batch_with`).
     ScanBatch = 5,
-    /// Sorted bulk load (`bulk_load` / `bulk_load_parallel`).
+    /// Sorted bulk load (`bulk_load`).
     BulkLoad = 6,
     /// Served GET request (hot-server execution, hot-client round trip).
     NetGet = 7,

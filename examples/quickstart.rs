@@ -97,8 +97,8 @@ fn main() {
     // Bulk loading: a sorted key set builds bottom-up in one pass — every
     // node encoded once at its final size, height provably minimal. The
     // result answers lookups exactly like the insert-loop trie. (The figure
-    // harnesses expose this as `--bulk`; `bulk_load_parallel` adds worker
-    // threads for large sets.)
+    // harnesses expose this as `--bulk`; a set large enough for the trie's
+    // own 2 MiB chunks also builds on every core.)
     let sorted: Vec<([u8; 8], u64)> = (0..100_000u64).map(|v| (encode_u64(v), v)).collect();
     let mut bulk = HotTrie::new(EmbeddedKeySource);
     bulk.bulk_load(&sorted)

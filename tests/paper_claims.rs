@@ -154,10 +154,10 @@ fn compact_backend_footprint_stays_self_contained() {
     ] {
         let data = BenchData::new(Dataset::generate(kind, n, 42));
         let mut compact = CompactHotIndex::new();
-        run_load_bulk(&mut compact, &data, n, 1);
+        run_load_bulk(&mut compact, &data, n);
         let compact_bpk = compact.trie().arena_stats().live_bytes() as f64 / n as f64;
         let mut heap = HotIndex::new(Arc::clone(&data.arena));
-        run_load_bulk(&mut heap, &data, n, 1);
+        run_load_bulk(&mut heap, &data, n);
         let heap_bpk =
             (heap.memory().total_bytes() + data.arena.capacity_bytes()) as f64 / n as f64;
         assert!(
