@@ -18,7 +18,7 @@ use hot_ycsb::{Dataset, DatasetKind, RequestDistribution, Workload, WorkloadRun}
 use std::sync::Arc;
 
 fn main() {
-    let config = Config::from_args();
+    let config = Config::from_args(&["--keys", "--ops", "--seed"]);
     let forced = std::env::var_os("HOT_FORCE_SCALAR").is_some_and(|v| !v.is_empty());
 
     if !forced {

@@ -16,7 +16,7 @@ use hot_bench::{all_indexes, print_host, row, run_load, run_transactions, BenchD
 use hot_ycsb::{Dataset, DatasetKind, RequestDistribution, Workload, WorkloadRun};
 
 fn main() {
-    let config = Config::from_args();
+    let config = Config::from_args(&["--keys", "--ops", "--seed"]);
     print_host();
     println!(
         "# Appendix A: all workloads x data sets x distributions (keys={}, ops={}, seed={})",

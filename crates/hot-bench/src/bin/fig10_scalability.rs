@@ -24,8 +24,6 @@
 
 use hot_bench::{mops, print_host, row, BenchData, Config};
 use hot_core::sync::ConcurrentHot;
-use hot_core::MlpScheduler;
-use hot_keys::PaddedKey;
 use hot_ycsb::{Dataset, DatasetKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -33,7 +31,14 @@ use std::sync::Arc;
 use std::time::Instant;
 
 fn main() {
-    let config = Config::from_args();
+    let config = Config::from_args(&[
+        "--keys",
+        "--ops",
+        "--seed",
+        "--threads",
+        "--batch",
+        "--metrics",
+    ]);
     print_host();
     println!(
         "# Figure 10: HOT (ROWEX) scalability on the url data set (keys={}, ops={}, threads={:?})",
@@ -123,8 +128,7 @@ fn run_with_threads(
     let insert_mops = mops(n, start.elapsed().as_secs_f64());
     assert_eq!(trie.len(), n, "all inserts landed");
 
-    // Lookup phase: uniform random lookups, `ops` in total, each thread
-    // reusing one padded key buffer instead of re-zeroing a fresh one.
+    // Lookup phase: uniform random lookups, `ops` in total.
     let per_thread = config.ops / threads;
     let start = Instant::now();
     std::thread::scope(|scope| {
@@ -134,11 +138,10 @@ fn run_with_threads(
             let seed = config.seed ^ (t as u64) << 32;
             scope.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(seed);
-                let mut buf = PaddedKey::new();
                 let mut checksum = 0u64;
                 for _ in 0..per_thread {
                     let idx = rng.gen_range(0..n);
-                    if let Some(tid) = trie.get_with(&keys[idx], &mut buf) {
+                    if let Some(tid) = trie.get(&keys[idx]) {
                         checksum = checksum.wrapping_add(tid);
                     }
                 }
@@ -149,8 +152,8 @@ fn run_with_threads(
     let lookup_mops = mops(per_thread * threads, start.elapsed().as_secs_f64());
 
     // Batched lookup phase: same uniform stream, resolved `batch` keys at a
-    // time through the batched descent engine (per-thread lane ring, one
-    // epoch pin per call, per-refill root reload).
+    // time through the batched descent engine (the thread's parked lane
+    // ring, one epoch pin per call, per-refill root reload).
     let batch = config.batch;
     let groups = per_thread / batch;
     let start = Instant::now();
@@ -161,14 +164,13 @@ fn run_with_threads(
             let seed = config.seed ^ (t as u64) << 32;
             scope.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(seed);
-                let mut sched = MlpScheduler::new();
                 let mut probe: Vec<&[u8]> = Vec::with_capacity(batch);
                 let mut out: Vec<Option<u64>> = vec![None; batch];
                 let mut checksum = 0u64;
                 for _ in 0..groups {
                     probe.clear();
                     probe.extend((0..batch).map(|_| keys[rng.gen_range(0..n)].as_slice()));
-                    trie.get_batch_with(&probe, &mut out, &mut sched);
+                    trie.get_batch(&probe, &mut out);
                     for tid in out.iter().flatten() {
                         checksum = checksum.wrapping_add(*tid);
                     }

@@ -17,7 +17,7 @@ use hot_ycsb::{Dataset, DatasetKind};
 use std::sync::Arc;
 
 fn main() {
-    let config = Config::from_args();
+    let config = Config::from_args(&["--keys", "--seed"]);
     print_host();
     println!(
         "# Figure 11: leaf depth distribution after loading {} keys (seed={})",

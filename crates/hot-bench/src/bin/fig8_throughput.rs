@@ -10,7 +10,10 @@
 //! Beyond the paper, a `C_batch` row re-runs workload C through the batched
 //! read path (`BenchIndex::get_batch`, window `--batch N`): HOT's batched
 //! descent engine vs. the baselines' scalar fallback. Checksums of the two
-//! paths are asserted equal.
+//! paths are asserted equal. Workload E likewise runs once per scan path —
+//! `E` (HOT's cursor-amortized scan), `E_alloc` (the allocating per-call
+//! path) and `E_batch` (the batched path) — each on a freshly loaded
+//! index, with the three checksums asserted equal.
 //!
 //! With `--bulk`, an extra load-phase row appears per structure:
 //! `load_bulk`, sorted input through the structure's own bulk load (HOT's
@@ -26,7 +29,7 @@
 //! ```
 //!
 //! With `--check`, every structural invariant of the HOT trie is verified
-//! after the load phase and again after the mutating workload-E phase
+//! after the load phase and again after each mutating workload-E run
 //! (whole-tree walk: fanout bounds, linearization well-formedness, height
 //! monotonicity, key ordering, full re-lookup — see
 //! `hot_core::Hot::try_check_invariants`).
@@ -47,7 +50,16 @@ use hot_bench::{
 use hot_ycsb::{Dataset, DatasetKind, RequestDistribution, Workload, WorkloadRun};
 
 fn main() {
-    let config = Config::from_args();
+    let config = Config::from_args(&[
+        "--keys",
+        "--ops",
+        "--seed",
+        "--threads",
+        "--batch",
+        "--check",
+        "--bulk",
+        "--metrics",
+    ]);
     print_host();
     println!(
         "# Figure 8: throughput in Mops (keys={}, ops={}, seed={}, uniform distribution, batch={})",
@@ -77,7 +89,6 @@ fn main() {
             config.seed,
         ));
 
-        let mut e_sums: Vec<u64> = Vec::new();
         for mut index in all_indexes(&data.arena) {
             // Insert-only = the load phase itself.
             let load_mops = run_load(index.as_mut(), &data, config.keys);
@@ -100,12 +111,6 @@ fn main() {
                 "batched lookups must resolve the same TIDs as scalar ones"
             );
 
-            // Workload E (95% scan / 5% insert), through the amortized
-            // cursor scan path (for HOT; baselines run their only path).
-            let (e_mops, e_sum) = run_transactions(index.as_mut(), &data, &e_run);
-            check_index(&config, index.as_ref(), kind.label(), "workload E");
-            e_sums.push(e_sum);
-
             row(&[
                 "C".into(),
                 kind.label().into(),
@@ -119,60 +124,45 @@ fn main() {
                 format!("{cb_mops:.3}"),
             ]);
             row(&[
-                "E".into(),
-                kind.label().into(),
-                index.name().into(),
-                format!("{e_mops:.3}"),
-            ]);
-            row(&[
                 "insert".into(),
                 kind.label().into(),
                 index.name().into(),
                 format!("{load_mops:.3}"),
             ]);
             // Keep checksums observable so the compiler cannot drop work.
-            eprintln!(
-                "# {} {}: checksums C={c_sum:x} E={e_sum:x}",
-                kind.label(),
-                index.name()
-            );
+            eprintln!("# {} {}: checksum C={c_sum:x}", kind.label(), index.name());
         }
 
-        // Workload-E scan-path comparison: the same operation stream through
-        // the pre-cursor allocating scan path (`E_alloc`) and through the
-        // coalesced batched path (`E_batch`), each on a fresh index loaded
-        // to the identical pre-E state — E inserts reserve keys, so
-        // re-running it on an already-run index would change what the scans
-        // see and break checksum comparability.
-        {
-            let alloc_set = all_indexes(&data.arena);
-            let batch_set = all_indexes(&data.arena);
-            for (i, (mut a, mut b)) in alloc_set.into_iter().zip(batch_set).enumerate() {
-                run_load(a.as_mut(), &data, config.keys);
-                run_load(b.as_mut(), &data, config.keys);
-                let (ea_mops, ea_sum) = run_transactions_fresh_scans(a.as_mut(), &data, &e_run);
-                let (eb_mops, eb_sum) =
-                    run_transactions_batched(b.as_mut(), &data, &e_run, config.batch);
-                let e_sum = e_sums[i];
-                assert_eq!(
-                    e_sum, ea_sum,
-                    "amortized scans must return the same entries as the allocating path"
-                );
-                assert_eq!(
-                    e_sum, eb_sum,
-                    "batched scans must return the same entries as scalar ones"
-                );
+        // Workload E (95% scan / 5% insert), once per scan path: `E`
+        // through the amortized cursor scan (for HOT; baselines run their
+        // only path), `E_alloc` through the pre-cursor allocating path and
+        // `E_batch` through the coalesced batched path. Every path runs on
+        // a freshly loaded index — E inserts reserve keys, so a run on an
+        // already-run index would see other keys — and the three rows of
+        // a structure differ only in the path, so their checksums must be
+        // equal.
+        let mut e_sums: Vec<u64> = Vec::new();
+        for path in ["E", "E_alloc", "E_batch"] {
+            for (i, mut index) in all_indexes(&data.arena).into_iter().enumerate() {
+                run_load(index.as_mut(), &data, config.keys);
+                let (e_mops, e_sum) = match path {
+                    "E" => run_transactions(index.as_mut(), &data, &e_run),
+                    "E_alloc" => run_transactions_fresh_scans(index.as_mut(), &data, &e_run),
+                    _ => run_transactions_batched(index.as_mut(), &data, &e_run, config.batch),
+                };
+                check_index(&config, index.as_ref(), kind.label(), path);
+                match e_sums.get(i) {
+                    Some(&want) => assert_eq!(
+                        e_sum, want,
+                        "{path} must return the same entries as the cursor path"
+                    ),
+                    None => e_sums.push(e_sum),
+                }
                 row(&[
-                    "E_alloc".into(),
+                    path.into(),
                     kind.label().into(),
-                    a.name().into(),
-                    format!("{ea_mops:.3}"),
-                ]);
-                row(&[
-                    "E_batch".into(),
-                    kind.label().into(),
-                    a.name().into(),
-                    format!("{eb_mops:.3}"),
+                    index.name().into(),
+                    format!("{e_mops:.3}"),
                 ]);
             }
         }
@@ -245,7 +235,6 @@ mod metrics_pass {
         row, run_load, run_transactions, run_transactions_batched, BenchData, Config, HotIndex,
     };
     use hot_core::sync::ConcurrentHot;
-    use hot_keys::PaddedKey;
     use hot_metrics::{OpKind, RowexCounter};
     use hot_ycsb::{
         Dataset, DatasetKind, PhaseRecorder, RequestDistribution, Workload, WorkloadRun,
@@ -366,7 +355,6 @@ mod metrics_pass {
                 let seed = config.seed ^ ((t as u64) << 32);
                 scope.spawn(move || {
                     let mut rng = StdRng::seed_from_u64(seed);
-                    let mut buf = PaddedKey::new();
                     let mut checksum = 0u64;
                     for _ in 0..per_thread {
                         let idx = rng.gen_range(0..n);
@@ -374,7 +362,7 @@ mod metrics_pass {
                             // Upsert: re-inserting an existing key still walks
                             // the full analyze→lock→validate write path.
                             trie.insert(&data.dataset.keys[idx], data.tids[idx]);
-                        } else if let Some(tid) = trie.get_with(&data.dataset.keys[idx], &mut buf) {
+                        } else if let Some(tid) = trie.get(&data.dataset.keys[idx]) {
                             checksum = checksum.wrapping_add(tid);
                         }
                     }

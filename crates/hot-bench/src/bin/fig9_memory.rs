@@ -82,7 +82,7 @@ fn load(index: &mut dyn BenchIndex, data: &BenchData, config: &Config) {
 }
 
 fn main() {
-    let config = Config::from_args();
+    let config = Config::from_args(&["--keys", "--seed", "--bulk"]);
     print_host();
     println!(
         "# Figure 9: index memory after loading {} keys (seed={}, load={})",

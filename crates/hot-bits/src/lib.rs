@@ -80,7 +80,7 @@ pub fn prefetch_node(ptr: *const u8, lines: usize) {
 ///
 /// Used by the batched descent engine to overlap the *next* dependent load
 /// of every in-flight descent (node headers, tuple key records) while other
-/// group members execute; see `hot_core::MlpScheduler`. On non-x86 targets
+/// group members execute (DESIGN.md §9). On non-x86 targets
 /// this is a no-op.
 #[inline(always)]
 pub fn prefetch_read(ptr: *const u8) {

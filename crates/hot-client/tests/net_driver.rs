@@ -59,7 +59,7 @@ fn unread_phase_checksums_match_in_process() {
 
 /// Page through the whole corpus over the wire with SCAN + RESUME and
 /// compare against one unbroken SCAN — the network face of the
-/// `scan_token` regression suite.
+/// `hot-core` `scan_token.rs` regression suite.
 #[test]
 fn resume_tokens_page_the_corpus_exactly() {
     let kind = DatasetKind::Url;

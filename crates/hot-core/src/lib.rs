@@ -71,9 +71,7 @@ mod trie;
 pub use arena::{ArenaFull, ArenaKind, ArenaStats, ArenaStore, CompactHot};
 pub use bulk::BulkLoadError;
 pub use invariants::InvariantReport;
-pub use mlp::{MlpScheduler, DEFAULT_DEPTH};
 pub use node::NodeTag;
-pub use scan::ScanCursor;
-pub use shard::{RouterScratch, ScanToken, ShardedHot};
+pub use shard::{RouterScratch, ShardedHot};
 pub use store::{Backend, HeapStore};
 pub use trie::{Cursor, Hot, HotTrie, Trie};

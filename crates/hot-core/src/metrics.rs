@@ -13,7 +13,7 @@
 //!   (`cargo xtask verify-no-metrics` proves the symbols are absent).
 //!
 //! Instrumentation lives on the *public wrapper* methods (`get`,
-//! `insert`, `scan_with`, …), never on the internal descent paths, so
+//! `insert`, `scan_into`, …), never on the internal descent paths, so
 //! internal reuse (e.g. the invariant walker re-looking-up every key)
 //! does not inflate the operation counters.
 

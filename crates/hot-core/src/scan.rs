@@ -13,10 +13,11 @@
 //! because the in-order walk only discovers a subtree's address one hop
 //! before it needs it.
 //!
-//! [`ScanCursor`] fixes this. It owns the seek/traversal state (padded
-//! start key, descent path, frame stack) and is reused across calls —
-//! [`scan_with`](crate::HotTrie::scan_with) touches the heap only when a
-//! buffer has to grow, so repeated scans are allocation-free steady-state.
+//! `ScanCursor` fixes this. It owns the seek/traversal state (padded
+//! start key, descent path, frame stack) and is parked per thread between
+//! calls — [`scan_into`](crate::HotTrie::scan_into) touches the heap only
+//! when a buffer has to grow, so repeated scans are allocation-free
+//! steady-state.
 //! During the drain it prefetches a subtree's node *before* descending
 //! into it and the **next sibling subtree's header** at the same moment,
 //! so the sibling's miss overlaps the entire walk of the current subtree
@@ -51,13 +52,12 @@ const SIBLING_PREFETCH_LINES: usize = 1;
 /// frame stack. Path and frames hold widened reference words, so one
 /// cursor serves tries of either back-end.
 ///
-/// One cursor serves any number of sequential
-/// [`scan_with`](crate::HotTrie::scan_with) calls; everything it owns is
-/// recycled, so steady-state scans allocate nothing. Creating one costs a
-/// boxed key buffer plus two `Vec`s that grow on first use (a third of a
+/// One cursor serves any number of sequential scans; everything it owns
+/// is recycled, so steady-state scans allocate nothing. Creating one costs
+/// a boxed key buffer plus two `Vec`s that grow on first use (a third of a
 /// short scan), so [`scan_into`](crate::HotTrie::scan_into) parks one per
 /// thread.
-pub struct ScanCursor {
+pub(crate) struct ScanCursor {
     /// Padded start key (boxed: moving the cursor must not copy 272 bytes).
     key: Box<PaddedKey>,
     /// Root-to-leaf descent path of the seek: (node, taken entry index).
@@ -93,7 +93,7 @@ pub(crate) fn with_thread_cursor<R>(f: impl FnOnce(&mut ScanCursor) -> R) -> R {
 
 impl ScanCursor {
     /// A fresh cursor (buffers grow on first use).
-    pub fn new() -> Self {
+    fn new() -> Self {
         ScanCursor {
             key: Box::new(PaddedKey::new()),
             path: Vec::new(),
@@ -256,13 +256,12 @@ mod tests {
     }
 
     #[test]
-    fn scan_with_matches_scan_across_reuse() {
+    fn scan_into_matches_scan_across_reuse() {
         let t = build(5_000);
-        let mut cursor = super::ScanCursor::new();
         let mut out = Vec::new();
         for start in [0u64, 1, 2, 3, 299, 14_996, 14_997, 15_000, u64::MAX] {
             for limit in [0usize, 1, 7, 100] {
-                t.scan_with(&encode_u64(start), limit, &mut out, &mut cursor);
+                t.scan_into(&encode_u64(start), limit, &mut out);
                 assert_eq!(
                     out,
                     t.scan(&encode_u64(start), limit),

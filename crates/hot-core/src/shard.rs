@@ -17,7 +17,7 @@
 //! * **The batch router** has one drive for both batched reads: a
 //!   branchless classify pass fills per-shard queues of request slots,
 //!   each queue drains shard-grouped through the batched descent engine
-//!   ([`MlpScheduler`](crate::MlpScheduler)) — `get_batch_with` as
+//!   ([`MlpScheduler`](crate::mlp::MlpScheduler)) — `get_batch_with` as
 //!   lookups, `scan_batch` as scan seeks — and every result is re-emitted
 //!   **in request order**, a scan's cross-shard continuation behind it —
 //!   the same reorder-buffer discipline the engine itself uses
@@ -33,7 +33,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-use hot_keys::{KeySource, KEY_SCRATCH_LEN};
+use hot_keys::KeySource;
 
 use crate::bulk::BulkLoadError;
 use crate::metrics::OpKind;
@@ -43,23 +43,6 @@ use crate::sync::{Access, ConcurrentHot, Rowex};
 
 /// Largest supported shard count.
 pub(crate) const MAX_SHARDS: usize = 64;
-
-/// Resumable scan position for callers that cannot hold a cursor across
-/// calls (the wire protocol pages SCAN results with it; DESIGN.md §18).
-/// It names the last key a page returned plus the shard that owned it
-/// when the token was minted, and is honored by
-/// [`ShardedHot::scan_resume`] even if that key is deleted — or the
-/// splitter layout would place it elsewhere — between pages: resumption
-/// re-routes by key, the shard index is a routing hint for the wire
-/// format, not a correctness input.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScanToken {
-    /// Shard that owned `last_key` when the page was produced.
-    pub shard: u32,
-    /// The last key of the previous page; the next page starts strictly
-    /// after it.
-    pub last_key: Vec<u8>,
-}
 
 /// The shard owning `key` under sorted `splitters`: the number of
 /// splitters `<= key`, i.e. shard `s` owns the contiguous lexicographic
@@ -245,9 +228,8 @@ const DRAIN_WINDOW: usize = 1024;
 
 /// Reusable router state for one caller of the sharded batch entry
 /// points: the out-of-order scheduler ring, the per-shard slot queues and
-/// the gather / scatter / scan staging buffers. Mirrors the
-/// `MlpScheduler` caller-owned-state idiom: hold one per driving thread
-/// and the router allocates nothing once warmed up.
+/// the gather / scatter / scan staging buffers: hold one per driving
+/// thread and the router allocates nothing once warmed up.
 #[derive(Default)]
 pub struct RouterScratch {
     sched: MlpScheduler,
@@ -527,59 +509,24 @@ where
         });
     }
 
-    // ------------------------------------------------------------------
-    // Paged scans: resumable continuation tokens for out-of-process
-    // callers (the wire protocol) that cannot hold a cursor across
-    // calls.
-    // ------------------------------------------------------------------
-
-    /// The next page of a scan paused at `token`: up to `limit` TIDs
-    /// with keys strictly greater than `token.last_key`, in ascending
-    /// key order. Deleting the token's key between pages is fine — the
-    /// page then starts at its successor. Returns the follow-up token
-    /// under the same contract as [`scan_token`](Self::scan_token).
-    pub fn scan_resume(
-        &self,
-        token: &ScanToken,
-        limit: usize,
-        out: &mut Vec<u64>,
-    ) -> Option<ScanToken> {
-        if limit == 0 {
-            out.clear();
-            return Some(token.clone());
-        }
+    /// The next page of a paged scan (the wire protocol's RESUME): up to
+    /// `limit` TIDs with keys strictly greater than `last_key`, in
+    /// ascending key order, written into `out` (cleared first). Deleting
+    /// `last_key` between pages is fine — the page then starts at its
+    /// successor. The caller mints the page's continuation from its last
+    /// TID.
+    pub fn scan_after(&self, last_key: &[u8], limit: usize, out: &mut Vec<u64>) {
         // Re-seek at the last key inclusively, over-fetch by one, and
-        // drop the token key itself if it is still present: keys are
+        // drop the last key itself if it is still present: keys are
         // unique, so at most the first result can equal it.
-        self.scan_into(&token.last_key, limit.saturating_add(1), out);
+        self.scan_into(last_key, limit.saturating_add(1), out);
         if let Some(&first) = out.first() {
             let src = self.tries[0].source();
-            if src.cmp_tid_key(first, &token.last_key) == std::cmp::Ordering::Equal {
+            if src.cmp_tid_key(first, last_key) == std::cmp::Ordering::Equal {
                 out.remove(0);
             }
         }
         out.truncate(limit);
-        self.scan_token(out, limit)
-    }
-
-    /// Mint the continuation token for a scan page: when `page` filled
-    /// its `limit`, resolve the last TID's key through the shared key
-    /// source and record it with its owning shard. A short page has no
-    /// continuation — the scan ran off the end of the key space. A first
-    /// page is [`scan_into`](Self::scan_into) followed by this; `limit`
-    /// must be at least 1 to make progress (a zero-limit page is empty and
-    /// unresumable).
-    pub fn scan_token(&self, page: &[u64], limit: usize) -> Option<ScanToken> {
-        let &last = page.last()?;
-        if page.len() < limit {
-            return None;
-        }
-        let mut scratch = [0u8; KEY_SCRATCH_LEN];
-        let key = self.tries[0].source().load_key(last, &mut scratch);
-        Some(ScanToken {
-            shard: self.shard_of(key) as u32,
-            last_key: key.to_vec(),
-        })
     }
 
     // ------------------------------------------------------------------
@@ -611,7 +558,7 @@ where
 
     /// Batched range scans under the router: request `i`'s TIDs land in
     /// `tids[bounds[i]..bounds[i + 1]]` (both cleared first, `bounds`
-    /// seeded with 0 — the `scan_batch_with` contract).
+    /// seeded with 0 — the trie's `scan_batch` contract).
     ///
     /// The drive is `get_batch_with`'s: `route`, then each shard queue
     /// drains in `DRAIN_WINDOW`-slot windows as scan seeks, the

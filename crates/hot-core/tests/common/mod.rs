@@ -9,7 +9,7 @@
 )]
 
 use hot_core::sync::Concurrent;
-use hot_core::{Backend, InvariantReport, MlpScheduler, ScanCursor, Trie};
+use hot_core::{Backend, InvariantReport, Trie};
 use hot_keys::DepthStats;
 use hot_keys::MemoryStats;
 
@@ -73,21 +73,13 @@ pub trait Front {
     fn len(&self) -> usize;
     fn get(&self, key: &[u8]) -> Option<u64>;
     fn get_batch<K: AsRef<[u8]>>(&self, keys: &[K], out: &mut [Option<u64>]);
-    fn get_batch_with<K: AsRef<[u8]>>(
-        &self,
-        keys: &[K],
-        out: &mut [Option<u64>],
-        sched: &mut MlpScheduler,
-    );
     fn scan(&self, start: &[u8], limit: usize) -> Vec<u64>;
     fn scan_into(&self, start: &[u8], limit: usize, out: &mut Vec<u64>);
-    fn scan_with(&self, start: &[u8], limit: usize, out: &mut Vec<u64>, cursor: &mut ScanCursor);
-    fn scan_batch_with<K: AsRef<[u8]>>(
+    fn scan_batch<K: AsRef<[u8]>>(
         &self,
         requests: &[(K, usize)],
         tids: &mut Vec<u64>,
         bounds: &mut Vec<usize>,
-        sched: &mut MlpScheduler,
     );
     fn structure_digest(&self) -> u64;
     fn check_invariants(&self) -> InvariantReport;
@@ -125,37 +117,19 @@ macro_rules! impl_front {
             fn get_batch<K: AsRef<[u8]>>(&self, keys: &[K], out: &mut [Option<u64>]) {
                 $ty::get_batch(self, keys, out)
             }
-            fn get_batch_with<K: AsRef<[u8]>>(
-                &self,
-                keys: &[K],
-                out: &mut [Option<u64>],
-                sched: &mut MlpScheduler,
-            ) {
-                $ty::get_batch_with(self, keys, out, sched)
-            }
             fn scan(&self, start: &[u8], limit: usize) -> Vec<u64> {
                 $ty::scan(self, start, limit)
             }
             fn scan_into(&self, start: &[u8], limit: usize, out: &mut Vec<u64>) {
                 $ty::scan_into(self, start, limit, out)
             }
-            fn scan_with(
-                &self,
-                start: &[u8],
-                limit: usize,
-                out: &mut Vec<u64>,
-                cursor: &mut ScanCursor,
-            ) {
-                $ty::scan_with(self, start, limit, out, cursor)
-            }
-            fn scan_batch_with<K: AsRef<[u8]>>(
+            fn scan_batch<K: AsRef<[u8]>>(
                 &self,
                 requests: &[(K, usize)],
                 tids: &mut Vec<u64>,
                 bounds: &mut Vec<usize>,
-                sched: &mut MlpScheduler,
             ) {
-                $ty::scan_batch_with(self, requests, tids, bounds, sched)
+                $ty::scan_batch(self, requests, tids, bounds)
             }
             fn structure_digest(&self) -> u64 {
                 $ty::structure_digest(self)
@@ -183,10 +157,6 @@ macro_rules! impl_front {
 impl_front!(Trie, "HotTrie", "CompactHot");
 impl_front!(Concurrent, "ConcurrentHot", "ConcurrentCompact");
 
-/// In-flight depths the scheduler is driven at: serial, odd, the default,
-/// the maximum.
-pub const DEPTHS: [usize; 4] = [1, 3, 16, 64];
-
 /// FNV-1a over a result stream.
 pub fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -205,14 +175,14 @@ pub fn opt(v: Option<u64>) -> u64 {
 
 /// Every scalar scan entry point of `front` answers `want` for one probe.
 ///
-/// `cursor` and `out` are deliberately reused across calls so cursor state
-/// leaking from one scan into the next would be caught.
+/// `out` is deliberately reused across calls, and the thread's parked
+/// cursor across probes, so state leaking from one scan into the next
+/// would be caught.
 pub fn assert_scan_paths<F: Front>(
     front: &F,
     start: &[u8],
     limit: usize,
     want: &[u64],
-    cursor: &mut ScanCursor,
     out: &mut Vec<u64>,
     label: &str,
 ) {
@@ -223,8 +193,6 @@ pub fn assert_scan_paths<F: Front>(
     );
     front.scan_into(start, limit, out);
     assert_eq!(out, want, "{label}: scan_into from {start:?}");
-    front.scan_with(start, limit, out, cursor);
-    assert_eq!(out, want, "{label}: scan_with from {start:?}");
 }
 
 /// [`assert_scan_paths`] plus the ordered iterator only [`Trie`] has.
@@ -233,27 +201,24 @@ pub fn assert_trie_scan_paths<B: Backend>(
     start: &[u8],
     limit: usize,
     want: &[u64],
-    cursor: &mut ScanCursor,
     out: &mut Vec<u64>,
     label: &str,
 ) {
-    assert_scan_paths(trie, start, limit, want, cursor, out, label);
+    assert_scan_paths(trie, start, limit, want, out, label);
     let from: Vec<u64> = trie.range_from(start).take(limit).collect();
     assert_eq!(from, want, "{label}: range_from {start:?}");
 }
 
-/// The batched scan path of `front` (`scan_batch_with`) returns `want[i]`
-/// for request `i` at the given in-flight depth.
+/// The batched scan path of `front` (`scan_batch`) returns `want[i]` for
+/// request `i`.
 pub fn assert_batched_scans<F: Front, K: AsRef<[u8]>>(
     front: &F,
     requests: &[(K, usize)],
     want: &[Vec<u64>],
-    depth: usize,
     label: &str,
 ) {
-    let mut sched = MlpScheduler::with_depth(depth);
     let (mut tids, mut bounds) = (Vec::new(), Vec::new());
-    front.scan_batch_with(requests, &mut tids, &mut bounds, &mut sched);
+    front.scan_batch(requests, &mut tids, &mut bounds);
     assert_eq!(bounds.len(), requests.len() + 1);
     for (i, segment) in want.iter().enumerate() {
         assert_eq!(
@@ -265,10 +230,10 @@ pub fn assert_batched_scans<F: Front, K: AsRef<[u8]>>(
 }
 
 /// One full differential pass of `other` against the `oracle`: structure
-/// digest, layout census and height, point gets (hit + miss), batched gets through the scheduler at
-/// every depth of [`DEPTHS`], the full in-order scan, sampled scalar and
-/// batched scans — all of which must match exactly — and `other`'s
-/// invariant walk.
+/// digest, layout census and height, point gets (hit + miss), batched
+/// gets, the full in-order scan, sampled scalar and batched scans — all of
+/// which must match exactly — and `other`'s invariant walk. (The engine's
+/// depth sweep runs in `hot-core`'s own `mlp` tests.)
 pub fn assert_fronts_agree<A: Front, B: Front>(
     oracle: &A,
     other: &B,
@@ -303,14 +268,14 @@ pub fn assert_fronts_agree<A: Front, B: Front>(
         "{label}: get checksum"
     );
 
-    // Batched lookups: the one engine, at every depth.
+    // Batched lookups: the one engine, whole and in odd-sized chunks.
     let mut out = vec![None; probes.len()];
-    for depth in DEPTHS {
-        other.get_batch_with(&probes, &mut out, &mut MlpScheduler::with_depth(depth));
-        assert_eq!(out, expected, "{label}: get_batch at depth {depth}");
-    }
     other.get_batch(&probes, &mut out);
-    assert_eq!(out, expected, "{label}: get_batch on the parked scheduler");
+    assert_eq!(out, expected, "{label}: get_batch");
+    for (keys, slots) in probes.chunks(7).zip(out.chunks_mut(7)) {
+        other.get_batch(keys, slots);
+    }
+    assert_eq!(out, expected, "{label}: get_batch in chunks of 7");
 
     // Everything, in order.
     let all = oracle.len() + 1;
@@ -321,7 +286,6 @@ pub fn assert_fronts_agree<A: Front, B: Front>(
     );
 
     // Sampled scans (every 37th key as start, plus a prefix of it).
-    let mut cursor = ScanCursor::new();
     let mut hits = Vec::new();
     let mut requests: Vec<(Vec<u8>, usize)> = Vec::new();
     let mut want: Vec<Vec<u64>> = Vec::new();
@@ -333,7 +297,6 @@ pub fn assert_fronts_agree<A: Front, B: Front>(
                 start,
                 limit,
                 &truth,
-                &mut cursor,
                 &mut hits,
                 &format!("{label}, key {i}"),
             );
@@ -341,9 +304,7 @@ pub fn assert_fronts_agree<A: Front, B: Front>(
             want.push(truth);
         }
     }
-    for depth in DEPTHS {
-        assert_batched_scans(other, &requests, &want, depth, label);
-    }
+    assert_batched_scans(other, &requests, &want, label);
 
     other.check_invariants();
 }

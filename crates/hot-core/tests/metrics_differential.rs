@@ -13,7 +13,7 @@
 #![cfg(feature = "metrics")]
 
 use hot_core::sync::ConcurrentHot;
-use hot_core::{HotTrie, MlpScheduler};
+use hot_core::HotTrie;
 use hot_keys::{encode_u64, EmbeddedKeySource};
 use hot_metrics::{OpKind, RowexCounter, SchedCounter};
 use rand::{Rng, SeedableRng};
@@ -101,7 +101,6 @@ fn single_threaded_counters_are_exact() {
     shadow.bulk_items += n as u64;
 
     let mut scan_buf = Vec::new();
-    let mut scan_cursor = hot_core::ScanCursor::new();
     for _ in 0..5_000 {
         let k = rng.gen_range(0..4_000u64);
         let key = encode_u64(k);
@@ -116,7 +115,7 @@ fn single_threaded_counters_are_exact() {
             }
             2 => {
                 let limit = rng.gen_range(1..20usize);
-                trie.scan_with(&key, limit, &mut scan_buf, &mut scan_cursor);
+                trie.scan_into(&key, limit, &mut scan_buf);
                 shadow.scans += 1;
                 shadow.scan_items += scan_buf.len() as u64;
             }
@@ -141,17 +140,17 @@ fn single_threaded_counters_are_exact() {
     shadow.scan_batches += 1;
     shadow.scan_batch_items += tids.len() as u64;
 
-    // The two convenience calls above ran on the parked thread scheduler.
+    // Both calls above ran on the parked thread scheduler.
     shadow.sched_requests += keys.len() as u64 + requests.len() as u64;
 
-    // Caller-provided scheduler: same engine, same counters.
-    let mut sched = MlpScheduler::new();
-    trie.get_batch_with(&keys, &mut out, &mut sched);
+    // Second round on the now-warm parked scheduler: same engine, same
+    // counters.
+    trie.get_batch(&keys, &mut out);
     shadow.get_batches += 1;
     shadow.get_batch_items += keys.len() as u64;
     shadow.sched_requests += keys.len() as u64;
 
-    trie.scan_batch_with(&requests, &mut tids, &mut bounds, &mut sched);
+    trie.scan_batch(&requests, &mut tids, &mut bounds);
     shadow.scan_batches += 1;
     shadow.scan_batch_items += tids.len() as u64;
     shadow.sched_requests += requests.len() as u64;
@@ -303,8 +302,7 @@ fn concurrent_counters_are_exact_across_threads() {
     let sched_start = trie.metrics_snapshot();
     let keys: Vec<[u8; 8]> = (0..300u64).map(encode_u64).collect();
     let mut out = vec![None; keys.len()];
-    let mut sched = MlpScheduler::new();
-    trie.get_batch_with(&keys, &mut out, &mut sched);
+    trie.get_batch(&keys, &mut out);
     let d = trie.metrics_snapshot().since(&sched_start);
     assert_eq!(d.sched.get(SchedCounter::Refill), keys.len() as u64);
     assert_eq!(d.sched.completions(), keys.len() as u64);

@@ -1,32 +1,69 @@
 //! Differential tests for the batched descent engine (DESIGN.md §9):
-//! every batch served through [`MlpScheduler`] must be **byte-identical**
-//! — same hits, same misses, same TIDs in the same order, same scan
-//! bounds — to the scalar operations, across four key distributions (URL,
-//! email, YAGO-triple, integer), every in-flight depth (which shuffles
-//! the *completion* order without being allowed to shuffle the *result*
-//! order), every batch shape (empty, one key, below / at / above the
-//! depth, ragged tail, duplicate keys), and concurrent churn on the ROWEX index — on the heap trie as the scalar
+//! every batch served through `get_batch` / `scan_batch` must be
+//! **byte-identical** — same hits, same misses, same TIDs in the same
+//! order, same scan bounds — to the scalar operations, across four key
+//! distributions (URL, email, YAGO-triple, integer), batch sizes around
+//! the engine's in-flight depth (a batch below it never refills a lane,
+//! one above it completes shallow keys many rounds before deep ones,
+//! shuffling the *completion* order without being allowed to shuffle the
+//! *result* order), every batch shape (empty, one key, below / at / above
+//! the depth, ragged tail, duplicate keys), and concurrent churn on the
+//! ROWEX index — on the heap trie as the scalar
 //! truth, and through it on both ROWEX aliases (`for_each_sync!`; the
 //! single-threaded compact trie meets the same engine in
 //! `arena_differential`). The whole file is also exercised
 //! in the `HOT_FORCE_SCALAR` CI lane: results must not depend on the
-//! kernel.
+//! kernel. The sweep over other in-flight depths (1..=64) runs in
+//! `hot-core`'s own `mlp` unit tests, where the depth can be set.
 
 #[macro_use]
 mod common;
 
 use common::Front;
 use hot_core::sync::{ConcurrentCompact, ConcurrentHot};
-use hot_core::{HotTrie, MlpScheduler, DEFAULT_DEPTH};
+use hot_core::HotTrie;
 use hot_keys::{encode_u64, ArenaKeySource, EmbeddedKeySource};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
-/// In-flight depths spanning the supported range: depth 1 serializes the
-/// ring (completion order == request order), larger depths complete
-/// shallow keys many rounds before deep ones.
-const DEPTHS: [usize; 5] = [1, 2, 7, 16, 64];
+/// The engine's in-flight depth (DESIGN.md §9.3).
+const DEPTH: usize = 16;
+
+/// Batch sizes around [`DEPTH`]: a batch of one serializes the ring
+/// (completion order == request order), one below the depth never
+/// refills a lane, one above it refills lanes while deep keys are still
+/// descending.
+const BATCHES: [usize; 7] = [1, 2, 7, DEPTH - 1, DEPTH, DEPTH + 1, 4 * DEPTH];
+
+/// `front.get_batch` over `probes` issued as consecutive batches of
+/// `batch` keys.
+fn get_in_batches<F: Front>(front: &F, probes: &[Vec<u8>], batch: usize) -> Vec<Option<u64>> {
+    let mut out = vec![None; probes.len()];
+    for (keys, slots) in probes.chunks(batch).zip(out.chunks_mut(batch)) {
+        front.get_batch(keys, slots);
+    }
+    out
+}
+
+/// `front.scan_batch` over `requests` issued as consecutive batches of
+/// `batch` requests, re-assembled into one flat TID vector and one bounds
+/// vector as a single batch would write them.
+fn scan_in_batches<F: Front>(
+    front: &F,
+    requests: &[(Vec<u8>, usize)],
+    batch: usize,
+) -> (Vec<u64>, Vec<usize>) {
+    let (mut all, mut all_bounds) = (Vec::new(), vec![0usize]);
+    let (mut tids, mut bounds) = (Vec::new(), Vec::new());
+    for reqs in requests.chunks(batch) {
+        front.scan_batch(reqs, &mut tids, &mut bounds);
+        let base = all.len();
+        all.extend_from_slice(&tids);
+        all_bounds.extend(bounds[1..].iter().map(|b| base + b));
+    }
+    (all, all_bounds)
+}
 
 /// FNV-1a over a result stream — the "checksums identical" acceptance
 /// criterion reduced to one word per batch.
@@ -173,36 +210,32 @@ fn fixtures() -> Vec<Fixture> {
 }
 
 #[test]
-fn lookups_byte_identical_across_scalar_and_every_depth() {
+fn lookups_byte_identical_across_scalar_and_batch_sizes() {
     for fx in fixtures() {
         let expected: Vec<Option<u64>> = fx.probes.iter().map(|k| fx.trie.get(k)).collect();
         let want = checksum_out(&expected);
 
-        for depth in DEPTHS {
-            let mut sched = MlpScheduler::with_depth(depth);
-            let mut out = vec![None; fx.probes.len()];
-            fx.trie.get_batch_with(&fx.probes, &mut out, &mut sched);
-            assert_eq!(checksum_out(&out), want, "{}: depth {depth}", fx.name);
-            assert_eq!(out, expected, "{}: depth {depth} results", fx.name);
+        for batch in BATCHES.into_iter().chain([fx.probes.len()]) {
+            let out = get_in_batches(&fx.trie, &fx.probes, batch);
+            assert_eq!(checksum_out(&out), want, "{}: batch {batch}", fx.name);
+            assert_eq!(out, expected, "{}: batch {batch} results", fx.name);
 
-            // Same scheduler, same batch, second run: lane-state reuse must
-            // not leak between batches.
-            let mut again = vec![None; fx.probes.len()];
-            fx.trie.get_batch_with(&fx.probes, &mut again, &mut sched);
-            assert_eq!(again, expected, "{}: depth {depth} reused", fx.name);
+            // Same thread, same batches, second run: the parked
+            // scheduler's lane state must not leak between batches.
+            let again = get_in_batches(&fx.trie, &fx.probes, batch);
+            assert_eq!(again, expected, "{}: batch {batch} reused", fx.name);
 
             // ROWEX variants, quiesced: identical answers.
             for_each_sync!(fx, |sync, label| {
-                let mut out = vec![None; fx.probes.len()];
-                sync.get_batch_with(&fx.probes, &mut out, &mut sched);
-                assert_eq!(checksum_out(&out), want, "{label}: depth {depth}");
+                let out = get_in_batches(sync, &fx.probes, batch);
+                assert_eq!(checksum_out(&out), want, "{label}: batch {batch}");
             });
         }
     }
 }
 
 #[test]
-fn scans_byte_identical_across_scalar_and_every_depth() {
+fn scans_byte_identical_across_scalar_and_batch_sizes() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x5CA7);
     for fx in fixtures() {
         let requests: Vec<(Vec<u8>, usize)> = fx
@@ -221,30 +254,27 @@ fn scans_byte_identical_across_scalar_and_every_depth() {
         }
         let want = checksum_scan(&want_tids, &want_bounds);
 
-        let (mut tids, mut bounds) = (Vec::new(), Vec::new());
-        for depth in DEPTHS {
-            let mut sched = MlpScheduler::with_depth(depth);
-            fx.trie
-                .scan_batch_with(&requests, &mut tids, &mut bounds, &mut sched);
+        for batch in BATCHES.into_iter().chain([requests.len()]) {
+            let (tids, bounds) = scan_in_batches(&fx.trie, &requests, batch);
             assert_eq!(
                 checksum_scan(&tids, &bounds),
                 want,
-                "{}: scan depth {depth}",
+                "{}: scan batch {batch}",
                 fx.name
             );
-            assert_eq!(tids, want_tids, "{}: scan tids depth {depth}", fx.name);
+            assert_eq!(tids, want_tids, "{}: scan tids batch {batch}", fx.name);
             assert_eq!(
                 bounds, want_bounds,
-                "{}: scan bounds depth {depth}",
+                "{}: scan bounds batch {batch}",
                 fx.name
             );
 
             for_each_sync!(fx, |sync, label| {
-                sync.scan_batch_with(&requests, &mut tids, &mut bounds, &mut sched);
+                let (tids, bounds) = scan_in_batches(sync, &requests, batch);
                 assert_eq!(
                     checksum_scan(&tids, &bounds),
                     want,
-                    "{label}: scan depth {depth}"
+                    "{label}: scan batch {batch}"
                 );
             });
         }
@@ -293,19 +323,12 @@ fn batch_shapes_empty_one_key_at_depth_and_ragged() {
         trie.insert(&encode_u64(k * 2), k * 2);
     }
     // Hits (even) and misses (odd) interleaved.
-    let probes: Vec<[u8; 8]> = (0..=DEFAULT_DEPTH as u64 * 3 + 5).map(encode_u64).collect();
+    let probes: Vec<[u8; 8]> = (0..=DEPTH as u64 * 3 + 5).map(encode_u64).collect();
     let expected: Vec<Option<u64>> = probes.iter().map(|k| trie.get(k)).collect();
 
     // Below the depth the ring never refills; above it the trailing
     // partial window drains with idle lanes.
-    for len in [
-        0,
-        1,
-        DEFAULT_DEPTH - 3,
-        DEFAULT_DEPTH,
-        DEFAULT_DEPTH + 3,
-        probes.len(),
-    ] {
+    for len in [0, 1, DEPTH - 3, DEPTH, DEPTH + 3, probes.len()] {
         let mut out = vec![None; len];
         trie.get_batch(&probes[..len], &mut out);
         assert_eq!(out, expected[..len], "batch of {len}");
@@ -324,10 +347,10 @@ fn mismatched_output_length_rejected() {
 
 proptest! {
     #[test]
-    fn batched_equals_scalar_for_any_depth(
+    fn batched_equals_scalar_for_any_batch_size(
         keys in proptest::collection::vec(0u64..50_000, 0..300),
         probes in proptest::collection::vec(0u64..50_000, 0..133),
-        depth in 1usize..65,
+        batch in 1usize..65,
     ) {
         let stored: std::collections::BTreeSet<u64> = keys.iter().copied().collect();
         let expected: Vec<Option<u64>> = probes.iter().map(|p| stored.get(p).copied()).collect();
@@ -339,9 +362,10 @@ proptest! {
             let scalar: Vec<Option<u64>> = probes.iter().map(|k| front.get(k)).collect();
             prop_assert_eq!(&expected, &scalar, "{}: scalar", name);
 
-            let mut sched = MlpScheduler::with_depth(depth);
             let mut out = vec![None; probes.len()];
-            front.get_batch_with(&probes, &mut out, &mut sched);
+            for (keys, slots) in probes.chunks(batch).zip(out.chunks_mut(batch)) {
+                front.get_batch(keys, slots);
+            }
             prop_assert_eq!(&expected, &out, "{}: batched", name);
         });
     }
@@ -404,14 +428,15 @@ fn concurrent_churn_preserves_stable_keys_and_quiesced_equality() {
             }
 
             let mut rng = rand::rngs::StdRng::seed_from_u64(0xABBA);
-            let mut scheds = DEPTHS.map(MlpScheduler::with_depth);
             for round in 0..CHURN_ROUNDS {
-                let sched = &mut scheds[round % DEPTHS.len()];
+                let batch = BATCHES[round % BATCHES.len()];
                 let probes: Vec<[u8; 8]> = (0..512)
                     .map(|_| encode_u64(rng.gen_range(0..STABLE) * 2))
                     .collect();
                 let mut out = vec![None; probes.len()];
-                sync.get_batch_with(&probes, &mut out, sched);
+                for (keys, slots) in probes.chunks(batch).zip(out.chunks_mut(batch)) {
+                    sync.get_batch(keys, slots);
+                }
                 for (p, got) in probes.iter().zip(&out) {
                     let want = u64::from_be_bytes(*p);
                     assert_eq!(*got, Some(want), "stable key lost under churn");
@@ -424,7 +449,7 @@ fn concurrent_churn_preserves_stable_keys_and_quiesced_equality() {
                     .map(|_| (encode_u64(rng.gen_range(0..STABLE - 8) * 2), 5))
                     .collect();
                 let (mut tids, mut bounds) = (Vec::new(), Vec::new());
-                sync.scan_batch_with(&reqs, &mut tids, &mut bounds, sched);
+                sync.scan_batch(&reqs, &mut tids, &mut bounds);
                 assert_eq!(bounds.len(), reqs.len() + 1);
                 for (i, (start, _)) in reqs.iter().enumerate() {
                     let span = &tids[bounds[i]..bounds[i + 1]];
@@ -441,8 +466,7 @@ fn concurrent_churn_preserves_stable_keys_and_quiesced_equality() {
         let probes: Vec<[u8; 8]> = (0..STABLE * 2 + 64).map(encode_u64).collect();
         let expected: Vec<Option<u64>> = probes.iter().map(|k| sync.get(k)).collect();
         let mut out = vec![None; probes.len()];
-        let mut sched = MlpScheduler::new();
-        sync.get_batch_with(&probes, &mut out, &mut sched);
+        sync.get_batch(&probes, &mut out);
         assert_eq!(checksum_out(&out), checksum_out(&expected));
         assert_eq!(out, expected);
         sync.check_invariants();

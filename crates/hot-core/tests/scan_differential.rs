@@ -1,5 +1,5 @@
-//! Differential tests for every range-scan entry point: `scan`, `scan_into`,
-//! `scan_with` (reused cursor) and `scan_batch` must all return exactly what
+//! Differential tests for every range-scan entry point: `scan`, `scan_into`
+//! (reused output) and `scan_batch` must all return exactly what
 //! `BTreeMap::range(start..)` returns — on the single-threaded trie and on
 //! the ROWEX-synchronized variant, over the heap store and over the arena
 //! store (`for_each_pair!`) — for present start keys, absent start keys,
@@ -15,7 +15,7 @@ mod common;
 
 use common::Front;
 use hot_core::sync::{ConcurrentCompact, ConcurrentHot};
-use hot_core::{Backend, CompactHot, HotTrie, ScanCursor, Trie};
+use hot_core::{Backend, CompactHot, HotTrie, Trie};
 use hot_keys::{encode_u64, ArenaKeySource, EmbeddedKeySource};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -37,45 +37,24 @@ impl<T: Front, S: Front> Pair<T, S> {
 
 impl<B: Backend, S: Front> Pair<Trie<B>, S> {
     /// Every scalar scan entry point of both fronts agrees with `want` for
-    /// one probe. `cursor` and `out` are deliberately reused across calls.
-    fn assert_scan_paths(
-        &self,
-        start: &[u8],
-        limit: usize,
-        want: &[u64],
-        cursor: &mut ScanCursor,
-        out: &mut Vec<u64>,
-    ) {
-        common::assert_trie_scan_paths(
-            &self.trie,
-            start,
-            limit,
-            want,
-            cursor,
-            out,
-            self.trie.name(),
-        );
-        common::assert_scan_paths(
-            &self.sync,
-            start,
-            limit,
-            want,
-            cursor,
-            out,
-            self.sync.name(),
-        );
+    /// one probe. `out` is deliberately reused across calls.
+    fn assert_scan_paths(&self, start: &[u8], limit: usize, want: &[u64], out: &mut Vec<u64>) {
+        common::assert_trie_scan_paths(&self.trie, start, limit, want, out, self.trie.name());
+        common::assert_scan_paths(&self.sync, start, limit, want, out, self.sync.name());
     }
 
     /// The batched scan paths of both fronts return `want[i]` in slot `i`
-    /// for every request, at the given in-flight depth.
+    /// for every request, with the requests issued as batches of `chunk`.
     fn assert_batched_paths<K: AsRef<[u8]>>(
         &self,
         requests: &[(K, usize)],
         want: &[Vec<u64>],
-        depth: usize,
+        chunk: usize,
     ) {
-        common::assert_batched_scans(&self.trie, requests, want, depth, self.trie.name());
-        common::assert_batched_scans(&self.sync, requests, want, depth, self.sync.name());
+        for (reqs, want) in requests.chunks(chunk).zip(want.chunks(chunk)) {
+            common::assert_batched_scans(&self.trie, reqs, want, self.trie.name());
+            common::assert_batched_scans(&self.sync, reqs, want, self.sync.name());
+        }
     }
 }
 
@@ -111,7 +90,7 @@ proptest! {
         keys in proptest::collection::vec(0u64..100_000, 1..300),
         uniform in proptest::collection::vec((0u64..100_100, 0usize..120), 0..25),
         picks in proptest::collection::vec((0usize..10_000, 0usize..120), 0..25),
-        depth in 1usize..17,
+        chunk in 1usize..40,
     ) {
         let model: BTreeMap<u64, u64> = keys.iter().map(|&k| (k, k)).collect();
         let mut probes: Vec<(u64, usize)> = uniform;
@@ -121,17 +100,16 @@ proptest! {
             for &k in &keys {
                 pair.insert(&encode_u64(k), k);
             }
-            let mut cursor = ScanCursor::new();
             let mut out = Vec::new();
             let mut requests: Vec<([u8; 8], usize)> = Vec::new();
             let mut want_segments: Vec<Vec<u64>> = Vec::new();
             for &(k, n) in &probes {
                 let want: Vec<u64> = model.range(k..).take(n).map(|(_, &v)| v).collect();
-                pair.assert_scan_paths(&encode_u64(k), n, &want, &mut cursor, &mut out);
+                pair.assert_scan_paths(&encode_u64(k), n, &want, &mut out);
                 requests.push((encode_u64(k), n));
                 want_segments.push(want);
             }
-            pair.assert_batched_paths(&requests, &want_segments, depth);
+            pair.assert_batched_paths(&requests, &want_segments, chunk);
         });
     }
 
@@ -167,17 +145,16 @@ proptest! {
             for (k, &tid) in stored.iter().zip(&tids) {
                 pair.insert(k, tid);
             }
-            let mut cursor = ScanCursor::new();
             let mut out = Vec::new();
             let mut requests: Vec<(&[u8], usize)> = Vec::new();
             let mut want_segments: Vec<Vec<u64>> = Vec::new();
             for p in &probes {
                 let want: Vec<u64> = model.range(p.clone()..).take(limit).map(|(_, &v)| v).collect();
-                pair.assert_scan_paths(p, limit, &want, &mut cursor, &mut out);
+                pair.assert_scan_paths(p, limit, &want, &mut out);
                 requests.push((p, limit));
                 want_segments.push(want);
             }
-            pair.assert_batched_paths(&requests, &want_segments, 8);
+            pair.assert_batched_paths(&requests, &want_segments, requests.len().max(1));
         });
     }
 }
@@ -185,7 +162,7 @@ proptest! {
 /// A fixed nested-prefix chain ("a", "ab", ..., "abcabcabc") probed at every
 /// boundary — the case where the seek's mismatch position lands exactly on a
 /// discriminative bit between a key and its extension — among integer keys,
-/// at every limit and every in-flight depth.
+/// at every limit and several batch sizes around the engine's depth.
 #[test]
 fn nested_prefix_chain_scans() {
     let base = b"abcabcabc";
@@ -213,7 +190,6 @@ fn nested_prefix_chain_scans() {
         for (k, &tid) in stored.iter().zip(&tids) {
             pair.insert(k, tid);
         }
-        let mut cursor = ScanCursor::new();
         let mut out = Vec::new();
         for limit in [0usize, 1, 3, 100, 1000] {
             let mut requests: Vec<(&[u8], usize)> = Vec::new();
@@ -224,12 +200,12 @@ fn nested_prefix_chain_scans() {
                     .take(limit)
                     .map(|(_, &v)| v)
                     .collect();
-                pair.assert_scan_paths(p, limit, &want, &mut cursor, &mut out);
+                pair.assert_scan_paths(p, limit, &want, &mut out);
                 requests.push((p, limit));
                 want_segments.push(want);
             }
-            for depth in common::DEPTHS {
-                pair.assert_batched_paths(&requests, &want_segments, depth);
+            for chunk in [1, 15, 16, 17, requests.len()] {
+                pair.assert_batched_paths(&requests, &want_segments, chunk);
             }
         }
         pair.trie.check_invariants();
@@ -241,14 +217,13 @@ fn nested_prefix_chain_scans() {
 #[test]
 fn degenerate_roots() {
     for_each_pair!(EmbeddedKeySource, |pair| {
-        let mut cursor = ScanCursor::new();
         let mut out = Vec::new();
-        pair.assert_scan_paths(&encode_u64(0), 10, &[], &mut cursor, &mut out);
+        pair.assert_scan_paths(&encode_u64(0), 10, &[], &mut out);
 
         pair.insert(&encode_u64(42), 42);
-        pair.assert_scan_paths(&encode_u64(0), 10, &[42], &mut cursor, &mut out);
-        pair.assert_scan_paths(&encode_u64(42), 10, &[42], &mut cursor, &mut out);
-        pair.assert_scan_paths(&encode_u64(43), 10, &[], &mut cursor, &mut out);
+        pair.assert_scan_paths(&encode_u64(0), 10, &[42], &mut out);
+        pair.assert_scan_paths(&encode_u64(42), 10, &[42], &mut out);
+        pair.assert_scan_paths(&encode_u64(43), 10, &[], &mut out);
         pair.assert_batched_paths(
             &[(encode_u64(0), 2), (encode_u64(42), 0), (encode_u64(99), 5)],
             &[vec![42], vec![], vec![]],

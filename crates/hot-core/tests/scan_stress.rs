@@ -1,6 +1,6 @@
 //! Scan-under-churn stress test for the ROWEX-synchronized trie: reader
-//! threads drive the cursor-amortized `scan_with` path and the single-pin
-//! `scan_batch_with` path while writer threads insert and remove churn keys.
+//! threads drive the cursor-amortized `scan_into` path and the single-pin
+//! `scan_batch` path while writer threads insert and remove churn keys.
 //!
 //! Concurrent scans are not atomic snapshots, so the assertions are the ones
 //! ROWEX actually guarantees: every returned TID names a key that was live
@@ -10,7 +10,6 @@
 //! with a `BTreeMap` model rebuilt from point lookups.
 
 use hot_core::sync::ConcurrentHot;
-use hot_core::{MlpScheduler, ScanCursor};
 use hot_keys::{decode_u64, encode_u64, EmbeddedKeySource};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -71,19 +70,18 @@ fn scans_stay_ordered_and_live_under_churn() {
         })
         .collect();
 
-    // Two scalar readers with reused cursors plus one batched reader.
+    // Two scalar readers with reused buffers plus one batched reader.
     let readers: Vec<_> = (0..2)
         .map(|t| {
             let trie = Arc::clone(&trie);
             let done = Arc::clone(&done);
             std::thread::spawn(move || {
-                let mut cursor = ScanCursor::new();
                 let mut out = Vec::new();
                 let mut x = 0xC0FFEEu64 + t as u64;
                 while !done.load(Ordering::Relaxed) {
                     let start = xorshift(&mut x) % UNIVERSE_MAX;
                     let limit = (x % 64) as usize + 1;
-                    trie.scan_with(&encode_u64(start), limit, &mut out, &mut cursor);
+                    trie.scan_into(&encode_u64(start), limit, &mut out);
                     check_scan_result(&out, start, limit);
                 }
             })
@@ -93,7 +91,6 @@ fn scans_stay_ordered_and_live_under_churn() {
         let trie = Arc::clone(&trie);
         let done = Arc::clone(&done);
         std::thread::spawn(move || {
-            let mut sched = MlpScheduler::new();
             let mut tids = Vec::new();
             let mut bounds = Vec::new();
             let mut x = 0xBA7C4u64;
@@ -104,7 +101,7 @@ fn scans_stay_ordered_and_live_under_churn() {
                         (encode_u64(start), (x % 32) as usize + 1)
                     })
                     .collect();
-                trie.scan_batch_with(&requests, &mut tids, &mut bounds, &mut sched);
+                trie.scan_batch(&requests, &mut tids, &mut bounds);
                 assert_eq!(bounds.len(), requests.len() + 1);
                 for (i, (key, limit)) in requests.iter().enumerate() {
                     check_scan_result(&tids[bounds[i]..bounds[i + 1]], decode_u64(key), *limit);
@@ -143,14 +140,13 @@ fn scans_stay_ordered_and_live_under_churn() {
         );
     }
 
-    let mut cursor = ScanCursor::new();
     let mut out = Vec::new();
     let mut x = 0xDEADBEEFu64;
     for _ in 0..400 {
         let start = xorshift(&mut x) % (UNIVERSE_MAX + 7);
         let limit = (x % 150) as usize;
         let want: Vec<u64> = model.range(start..).take(limit).map(|(_, &v)| v).collect();
-        trie.scan_with(&encode_u64(start), limit, &mut out, &mut cursor);
+        trie.scan_into(&encode_u64(start), limit, &mut out);
         assert_eq!(out, want, "quiesced scan from {start}");
     }
     let full = trie.scan(&[], usize::MAX);

@@ -44,7 +44,7 @@ pub trait KeySource: Sync {
     /// Hint that `load_key(tid, ..)` is about to be called, so the tuple
     /// memory can be prefetched while other work proceeds.
     ///
-    /// The batched descent engine (`hot_core::MlpScheduler`) issues this
+    /// The batched descent engine (`hot_core`'s `get_batch`) issues this
     /// for every leaf it reaches, then verifies all keys of the group
     /// afterwards — overlapping what would otherwise be one serial cache
     /// miss per key.

@@ -40,17 +40,17 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum OpKind {
-    /// Point lookup (`get` / `get_with`).
+    /// Point lookup (`get`).
     Get = 0,
     /// Upsert (`insert`).
     Insert = 1,
     /// Deletion (`remove`).
     Remove = 2,
-    /// Range scan (`scan` / `scan_with` / `scan_into`).
+    /// Range scan (`scan` / `scan_into`).
     Scan = 3,
-    /// Batched point lookups (`get_batch` / `get_batch_with`).
+    /// Batched point lookups (`get_batch`, and `ShardedHot::get_batch_with`).
     GetBatch = 4,
-    /// Batched range scans (`scan_batch` / `scan_batch_with`).
+    /// Batched range scans (`scan_batch`).
     ScanBatch = 5,
     /// Sorted bulk load (`bulk_load`).
     BulkLoad = 6,
@@ -153,7 +153,8 @@ impl RowexCounter {
 /// Number of ROWEX health counters.
 const NUM_ROWEX: usize = 6;
 
-/// Out-of-order MLP scheduler health counters (see `hot_core::MlpScheduler`).
+/// Health counters of `hot_core`'s batched descent engine, the out-of-order
+/// MLP scheduler behind every batched read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum SchedCounter {

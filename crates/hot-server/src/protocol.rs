@@ -57,7 +57,6 @@
 //! u16][last key]` — the serialized [`ScanToken`] a RESUME request hands
 //! back to continue the scan.
 
-use hot_core::ScanToken;
 use std::fmt;
 
 /// Hard ceiling on one frame's body length. Anything larger is a protocol
@@ -216,6 +215,22 @@ pub enum Response {
     },
 }
 
+/// Resumable scan position for a client that cannot hold a cursor across
+/// requests: the last key a page returned plus the shard that owned it
+/// when the token was minted. A RESUME with it answers the keys strictly
+/// after `last_key`, even if that key was deleted — or the splitter layout
+/// would place it elsewhere — between pages: the server re-routes by key,
+/// and the shard index is a routing hint of the wire format, not a
+/// correctness input.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ScanToken {
+    /// Shard that owned `last_key` when the page was produced.
+    pub shard: u32,
+    /// The last key of the previous page; the next page starts strictly
+    /// after it.
+    pub last_key: Vec<u8>,
+}
+
 /// A continuation token whose key is borrowed — from a RESUME frame's
 /// body, from an owned [`ScanToken`], or from the tuple store when the
 /// server mints the token of a filled page.
@@ -228,7 +243,7 @@ pub struct ScanTokenRef<'a> {
 }
 
 impl ScanTokenRef<'_> {
-    /// The owned token [`hot_core::ShardedHot::scan_resume`] takes.
+    /// The owned token an owned [`Request`] or [`Response`] carries.
     pub fn to_owned(&self) -> ScanToken {
         ScanToken {
             shard: self.shard,

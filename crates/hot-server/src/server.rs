@@ -17,8 +17,8 @@
 //! straight into the decoder's buffer, requests are parsed in place
 //! ([`RequestRef`], keys are views into that buffer), and answers are
 //! encoded directly into the write buffer. In steady state the loop
-//! allocates nothing; only RESUME (the owned token `scan_resume` takes),
-//! STATS and ERR frames build owned values.
+//! allocates nothing, RESUME included; only STATS and ERR frames build
+//! owned values.
 //!
 //! Backpressure is structural: a turn of the loop executes only frames
 //! already buffered — at most the frames of one read of up to 32 KiB —
@@ -685,9 +685,9 @@ fn encode_answer(out: &mut Vec<u8>, tid: Option<u64>) {
 }
 
 /// The continuation token of a scan page, its key borrowed from the tuple
-/// store: `ShardedHot::scan_token`'s rule (a page that filled its limit
-/// resumes after its last key; a short page ran off the key space)
-/// without the owned copy.
+/// store — the one minting rule of SCAN and RESUME answers: a page that
+/// filled its limit resumes after its last key; a short page ran off the
+/// key space.
 fn page_token<'s>(shared: &'s Shared, page: &[u64], limit: usize) -> Option<ScanTokenRef<'s>> {
     let &last = page.last()?;
     if page.len() < limit {
@@ -869,11 +869,15 @@ impl<'w, 'a> Exec<'w, 'a> {
                 self.enter(OpKind::NetScan);
                 // Pending SCANs of the same run answer first.
                 self.flush_pending();
-                let tids = &mut self.scratch.tids;
-                let next = shared
-                    .index
-                    .scan_resume(&token.to_owned(), grant_scan(limit), tids);
-                encode_scan(self.out, tids, next.as_ref().map(ScanTokenRef::from));
+                let (tids, limit) = (&mut self.scratch.tids, grant_scan(limit));
+                if limit == 0 {
+                    // A zero-limit page keeps the position it was given.
+                    tids.clear();
+                    encode_scan(self.out, tids, Some(token));
+                } else {
+                    shared.index.scan_after(token.last_key, limit, tids);
+                    encode_scan(self.out, tids, page_token(shared, tids, limit));
+                }
             }
             control => {
                 self.close_run();
@@ -895,7 +899,7 @@ impl<'w, 'a> Exec<'w, 'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{Request, Response};
+    use crate::protocol::{Request, Response, ScanToken};
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::cell::Cell;
 
@@ -1031,11 +1035,17 @@ mod tests {
         order.iter().map(|&i| data.tids[i]).collect()
     }
 
+    /// The owned continuation token a SCAN or RESUME answer carries for
+    /// `page` (the serve loop's `page_token`).
+    fn owned_token(shared: &Shared, page: &[u64], limit: usize) -> Option<ScanToken> {
+        page_token(shared, page, limit).map(|t| t.to_owned())
+    }
+
     /// A SCAN of `limit` keys from the `at`-th smallest, and its answer.
     fn scan_at(shared: &Shared, sorted: &[u64], at: usize, limit: usize) -> (Request, Response) {
         let page = sorted[at..at + limit].to_vec();
         let start = shared.arena.key(page[0]).to_vec();
-        let token = shared.index.scan_token(&page, limit);
+        let token = owned_token(shared, &page, limit);
         (
             Request::Scan {
                 start,
@@ -1046,8 +1056,8 @@ mod tests {
     }
 
     /// The serve loop's promise: once its buffers are warm, a window of
-    /// GETs — and a window mixing GET runs with PUT, DEL and SCAN, and a
-    /// turn of several such windows —
+    /// GETs — and a window mixing GET runs with PUT, DEL, SCAN and RESUME,
+    /// and a turn of several such windows —
     /// executes without a single heap allocation on the connection
     /// thread, and its answers are the bytes `Response::encode` produces.
     /// (The writes are an upsert of a stored binding and a DEL of an
@@ -1080,9 +1090,18 @@ mod tests {
             .collect();
 
         // Page 1 fills its limit (token at its last key); page 2 starts at
-        // the third-largest key and runs off the end (no token).
+        // the third-largest key and runs off the end (no token). The two
+        // RESUMEs continue them: the first fills its page again, the
+        // second finds the two keys after the third-largest and ends.
         let (first, tail) = (order[0], order[data.loaded - 3]);
         let token_key = key(order[4]);
+        let resume_at = |last_key: Vec<u8>| Request::Resume {
+            token: ScanToken {
+                shard: shared.index.shard_of(&last_key) as u32,
+                last_key,
+            },
+            limit: 5,
+        };
         let mixed = vec![
             Request::Get { key: key(1) },
             Request::Get { key: key(2) },
@@ -1111,6 +1130,9 @@ mod tests {
             },
             Request::Ping,
             Request::Get { key: key(6) },
+            resume_at(token_key.clone()),
+            resume_at(key(tail)),
+            Request::Get { key: key(7) },
         ];
         let mixed_answers = vec![
             Response::Tid(data.tids[1]),
@@ -1128,7 +1150,7 @@ mod tests {
             },
             Response::Scan {
                 tids: sorted_tids[..5].to_vec(),
-                token: shared.index.scan_token(&sorted_tids[..5], 5),
+                token: owned_token(shared, &sorted_tids[..5], 5),
             },
             Response::Scan {
                 tids: sorted_tids[data.loaded - 3..].to_vec(),
@@ -1137,12 +1159,18 @@ mod tests {
             Response::None,
             Response::None,
             Response::Tid(data.tids[6]),
+            Response::Scan {
+                tids: sorted_tids[5..10].to_vec(),
+                token: owned_token(shared, &sorted_tids[5..10], 5),
+            },
+            Response::Scan {
+                tids: sorted_tids[data.loaded - 2..].to_vec(),
+                token: None,
+            },
+            Response::Tid(data.tids[7]),
         ];
         assert_eq!(
-            shared
-                .index
-                .scan_token(&sorted_tids[..5], 5)
-                .map(|t| t.last_key),
+            owned_token(shared, &sorted_tids[..5], 5).map(|t| t.last_key),
             Some(token_key),
             "the filled page resumes after its fifth key"
         );
@@ -1189,6 +1217,34 @@ mod tests {
         assert_eq!(conn.conn.wbuf, turn_bytes);
     }
 
+    /// A zero-limit RESUME keeps its position: the answer is an empty page
+    /// carrying the request's own token, and that token resumes as if the
+    /// scan had never paused.
+    #[test]
+    fn zero_limit_resume_answers_with_the_requests_token() {
+        let (server, data) = server();
+        let shared = &*server.shared;
+        let sorted = sorted_tids(&data);
+        let token = owned_token(shared, &sorted[..3], 3).expect("a filled page");
+        let mut conn = Harness::default();
+        let resume = |limit| Request::Resume {
+            token: token.clone(),
+            limit,
+        };
+        assert_eq!(conn.run(shared, &[resume(0), resume(4)]), 1);
+        let want = [
+            Response::Scan {
+                tids: Vec::new(),
+                token: Some(token.clone()),
+            },
+            Response::Scan {
+                tids: sorted[3..7].to_vec(),
+                token: owned_token(shared, &sorted[3..7], 4),
+            },
+        ];
+        assert_eq!(conn.answers, encoded(&want));
+    }
+
     /// Every request is one sample under its kind and one under `NetOp`
     /// — per-kind `count == hist_total ==` requests of that kind — after
     /// every window, however the requests fall into runs and windows; and
@@ -1225,7 +1281,7 @@ mod tests {
                 limit: 3,
             });
             reqs.push(Request::Resume {
-                token: hot_core::ScanToken {
+                token: ScanToken {
                     shard: 0,
                     last_key: key(round),
                 },

@@ -8,10 +8,9 @@
 //! index-independent, so identical behavior across lanes is itself part
 //! of the property.
 
-use hot_core::ScanToken;
 use hot_server::protocol::{
     encode_error, encode_none, encode_scan, encode_text, encode_tid, err_code, FrameDecoder,
-    ProtoError, Request, RequestRef, Response, ScanTokenRef, MAX_FRAME,
+    ProtoError, Request, RequestRef, Response, ScanToken, ScanTokenRef, MAX_FRAME,
 };
 use proptest::prelude::*;
 

@@ -79,13 +79,13 @@ fn main() {
     println!("batched lookups: {found:?}");
     assert_eq!(found, vec![Some(42), None, Some(1 << 40), None]);
 
-    // Range scans: `scan` allocates per call; a reused `ScanCursor` +
-    // output buffer makes the steady state allocation-free, and
-    // `scan_batch` overlaps the seek descents of all its requests
-    // (results land flat, delimited by prefix offsets in `bounds`).
-    let mut cursor = hot_core::ScanCursor::new();
+    // Range scans: `scan` allocates per call; `scan_into` with a reused
+    // output buffer makes the steady state allocation-free (the trie
+    // parks its cursor per thread), and `scan_batch` overlaps the seek
+    // descents of all its requests (results land flat, delimited by
+    // prefix offsets in `bounds`).
     let mut run = Vec::new();
-    trie.scan_with(&encode_u64(8), 2, &mut run, &mut cursor);
+    trie.scan_into(&encode_u64(8), 2, &mut run);
     println!("scan from 8, limit 2: {run:?}");
     assert_eq!(run, vec![42, 123_456_789]);
     let requests = [(encode_u64(0), 2), (encode_u64(100), 10)];

@@ -193,7 +193,6 @@ fn batched_readers<B: Backend + Send>(trie: Concurrent<B>, data: &BenchData) {
             let tids = Arc::clone(&tids);
             let stop = Arc::clone(&stop);
             scope.spawn(move || {
-                let mut sched = hot_core::MlpScheduler::new();
                 let mut x = 0xFDB9_7531u64 ^ t;
                 let mut idxs = [0usize; 16];
                 let mut out = [None; 16];
@@ -205,7 +204,7 @@ fn batched_readers<B: Backend + Send>(trie: Concurrent<B>, data: &BenchData) {
                         *slot = x as usize % n;
                     }
                     let probe: Vec<&[u8]> = idxs.iter().map(|&i| keys[i].as_slice()).collect();
-                    trie.get_batch_with(&probe, &mut out, &mut sched);
+                    trie.get_batch(&probe, &mut out);
                     for (&i, &got) in idxs.iter().zip(&out) {
                         if i < backbone {
                             assert_eq!(got, Some(tids[i]), "stable key lost in batch");
@@ -225,10 +224,9 @@ fn batched_readers<B: Backend + Send>(trie: Concurrent<B>, data: &BenchData) {
 
     trie.check_invariants();
     // Quiesced: batched and scalar agree on every key.
-    let mut sched = hot_core::MlpScheduler::new();
     let probe: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
     let mut out = vec![None; n];
-    trie.get_batch_with(&probe, &mut out, &mut sched);
+    trie.get_batch(&probe, &mut out);
     for (k, &got) in probe.iter().zip(&out) {
         assert_eq!(got, trie.get(k));
     }
